@@ -78,6 +78,19 @@ pub fn proportional_counts(weights: &[f64], total: usize) -> Result<Vec<usize>> 
     Ok(counts)
 }
 
+/// The most processes an operation of estimated `work` can keep busy when
+/// each must have at least `grain` work to pay for its own start
+/// ([`ScheduleModel::process_grain`](crate::schedule::ScheduleModel::process_grain)):
+/// `⌊work / grain⌋`, never less than one. A non-positive `grain` bounds
+/// nothing.
+pub fn max_useful_degree(work: f64, grain: f64) -> usize {
+    if grain <= 0.0 {
+        return usize::MAX;
+    }
+    // Float-to-int `as` saturates, and NaN work maps to 0, hence the floor.
+    ((work / grain) as usize).max(1)
+}
+
 fn equal_counts(n: usize, total: usize) -> Vec<usize> {
     let base = total / n;
     let extra = total % n;
@@ -157,6 +170,17 @@ mod tests {
         let mut sorted = counts.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 1, 2]);
+    }
+
+    #[test]
+    fn useful_degree_is_whole_grains_of_work_and_at_least_one() {
+        assert_eq!(max_useful_degree(250.0, 2712.0), 1);
+        assert_eq!(max_useful_degree(5423.0, 2712.0), 1);
+        assert_eq!(max_useful_degree(5424.0, 2712.0), 2);
+        assert_eq!(max_useful_degree(120_000.0, 2712.0), 44);
+        assert_eq!(max_useful_degree(0.0, 2712.0), 1);
+        assert_eq!(max_useful_degree(f64::NAN, 2712.0), 1);
+        assert_eq!(max_useful_degree(1.0, 0.0), usize::MAX);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mj_plan::cost::TreeCosts;
 use mj_plan::tree::{JoinTree, NodeId};
 use mj_relalg::{RelalgError, Result};
 
-use crate::allocation::{carve, proportional_counts};
+use crate::allocation::{carve, max_useful_degree, proportional_counts};
 use crate::plan_ir::{OpId, OperandSource, ParallelPlan, ProcId};
 use crate::strategy::Strategy;
 
@@ -36,10 +36,19 @@ pub struct GeneratorInput<'a> {
     /// joins; the paper's machine never was). Default-false in
     /// [`GeneratorInput::new`].
     pub allow_oversubscribe: bool,
+    /// Least estimated work (cost units) one operation process must have
+    /// to pay for its own start
+    /// ([`ScheduleModel::process_grain`](crate::schedule::ScheduleModel::process_grain)).
+    /// Whatever a strategy allocates, an operation keeps at most
+    /// `⌊work / grain⌋` (at least one) of those processors; the rest stay
+    /// idle. Zero in [`GeneratorInput::new`]: the paper's generator spreads
+    /// every join over its full allocation.
+    pub grain: f64,
 }
 
 impl<'a> GeneratorInput<'a> {
-    /// Creates a generator input with oversubscription disabled.
+    /// Creates a generator input with oversubscription disabled and no
+    /// grain bound.
     pub fn new(
         tree: &'a JoinTree,
         cards: &'a [u64],
@@ -52,6 +61,7 @@ impl<'a> GeneratorInput<'a> {
             costs,
             processors,
             allow_oversubscribe: false,
+            grain: 0.0,
         }
     }
 
@@ -129,23 +139,31 @@ impl<'a> PlanBuilder<'a> {
         }
     }
 
-    /// Appends an op for `join`, wiring cardinalities from the input.
+    /// Appends an op for `join` on the first of `procs` that its work
+    /// pays for ([`GeneratorInput::grain`]), wiring cardinalities from the
+    /// input.
     pub fn push_op(
         &mut self,
         join: NodeId,
         algorithm: mj_relalg::JoinAlgorithm,
-        procs: Vec<ProcId>,
+        mut procs: Vec<ProcId>,
         left: OperandSource,
         right: OperandSource,
         start_after: Vec<OpId>,
     ) -> OpId {
         let (l, r) = self.input.tree.children(join).expect("join node");
+        let allocated = procs.len();
+        procs.truncate(max_useful_degree(
+            self.input.costs.per_join[join],
+            self.input.grain,
+        ));
         let id = self.ops.len();
         self.ops.push(crate::plan_ir::PlanOp {
             id,
             join,
             algorithm,
             procs,
+            allocated,
             left,
             right,
             start_after,
@@ -231,6 +249,32 @@ mod tests {
         };
         let no_joins = GeneratorInput::new(&single, &c, &tc, 8);
         assert!(generate(Strategy::FP, &no_joins).is_err());
+    }
+
+    #[test]
+    fn grain_caps_small_joins_and_leaves_large_ones_alone() {
+        // Regular joins cost 4N or 5N: at a grain of 1000, 100-tuple joins
+        // (400-500 units) keep one process under every strategy and
+        // 10 000-tuple joins (40-50 grains) keep their whole allocation.
+        for strategy in Strategy::ALL {
+            let (tree, cards, costs) = fixture(Shape::WideBushy, 6, 100);
+            let mut input = GeneratorInput::new(&tree, &cards, &costs, 12);
+            input.grain = 1000.0;
+            let small = generate(strategy, &input).unwrap();
+            crate::validate::validate_plan(&small).unwrap();
+            assert!(small.ops.iter().all(|op| op.degree() == 1), "{strategy}");
+            assert_eq!(small.stats().operation_processes, 5);
+
+            let (tree, cards, costs) = fixture(Shape::WideBushy, 6, 10_000);
+            let uncapped = GeneratorInput::new(&tree, &cards, &costs, 12);
+            let mut capped = uncapped;
+            capped.grain = 1000.0;
+            assert_eq!(
+                generate(strategy, &capped).unwrap(),
+                generate(strategy, &uncapped).unwrap(),
+                "{strategy}"
+            );
+        }
     }
 
     #[test]

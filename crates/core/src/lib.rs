@@ -17,7 +17,11 @@
 //! discrete-event simulator (`mj-sim`). Processor allocation follows the
 //! paper: proportional to the estimated work of each join under the §4.3
 //! cost function, subject to integer *discretization* — one of the four
-//! overhead sources the experiments quantify.
+//! overhead sources the experiments quantify. A caller that prices a
+//! process start ([`ScheduleModel::process_grain`]) may additionally bound
+//! every operation to the degree its work pays for
+//! ([`GeneratorInput::grain`]); the bound is applied here, so both
+//! backends and every plan printout see the final degrees.
 
 #![warn(missing_docs)]
 
@@ -29,10 +33,12 @@ pub mod schedule;
 pub mod strategy;
 pub mod validate;
 
-pub use allocation::{carve, proportional_counts};
+pub use allocation::{carve, max_useful_degree, proportional_counts};
 pub use example::{example_tree, example_weights};
 pub use generator::{generate, GeneratorInput};
 pub use plan_ir::{OpId, OperandSource, ParallelPlan, PlanOp, PlanStats, ProcId};
-pub use schedule::{estimate_schedule, stage_tail_cost, ScheduleEstimate, ScheduleModel};
+pub use schedule::{
+    estimate_schedule, stage_busy, stage_tail_cost, ScheduleEstimate, ScheduleModel,
+};
 pub use strategy::Strategy;
 pub use validate::validate_plan;

@@ -65,6 +65,16 @@ impl OperandSource {
     }
 }
 
+impl fmt::Display for OperandSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OperandSource::Base { relation } => write!(f, "base({relation})"),
+            OperandSource::Stream { from } => write!(f, "stream(op{from})"),
+            OperandSource::Materialized { from } => write!(f, "mat(op{from})"),
+        }
+    }
+}
+
 /// One parallel join operation: `procs.len()` operation processes executing
 /// the same binary join over hash-partitioned inputs.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -78,6 +88,11 @@ pub struct PlanOp {
     /// Processors running this op (one operation process each). Disjoint
     /// from any concurrently-runnable op unless the plan is oversubscribed.
     pub procs: Vec<ProcId>,
+    /// Processors the strategy allocated to this op. `procs` is the prefix
+    /// of them the op's estimated work pays for
+    /// ([`GeneratorInput::grain`](crate::generator::GeneratorInput::grain));
+    /// the rest stay idle while it runs.
+    pub allocated: usize,
     /// Left (build) operand.
     pub left: OperandSource,
     /// Right (probe) operand.
@@ -97,6 +112,12 @@ impl PlanOp {
     /// Degree of intra-operator parallelism.
     pub fn degree(&self) -> usize {
         self.procs.len()
+    }
+
+    /// True if the grain bound left this op fewer processes than the
+    /// strategy allocated.
+    pub fn grain_capped(&self) -> bool {
+        self.procs.len() < self.allocated
     }
 }
 
@@ -211,20 +232,20 @@ impl fmt::Display for ParallelPlan {
             }
         )?;
         for op in &self.ops {
-            let src = |s: &OperandSource| match s {
-                OperandSource::Base { relation } => format!("base({relation})"),
-                OperandSource::Stream { from } => format!("stream(op{from})"),
-                OperandSource::Materialized { from } => format!("mat(op{from})"),
-            };
             writeln!(
                 f,
-                "  op{} j{} [{}] procs {:?} left={} right={} after={:?}",
+                "  op{} j{} [{}] procs {:?}{} left={} right={} after={:?}",
                 op.id,
                 op.join,
                 op.algorithm,
                 compress_procs(&op.procs),
-                src(&op.left),
-                src(&op.right),
+                if op.grain_capped() {
+                    format!(" (grain-capped from {})", op.allocated)
+                } else {
+                    String::new()
+                },
+                op.left,
+                op.right,
                 op.start_after,
             )?;
         }
@@ -270,6 +291,7 @@ mod tests {
                     join: joins[0],
                     algorithm: JoinAlgorithm::Pipelining,
                     procs: vec![0, 1, 2],
+                    allocated: 3,
                     left: OperandSource::Base {
                         relation: "R1".into(),
                     },
@@ -286,6 +308,7 @@ mod tests {
                     join: joins[1],
                     algorithm: JoinAlgorithm::Pipelining,
                     procs: vec![3],
+                    allocated: 1,
                     left: OperandSource::Base {
                         relation: "R0".into(),
                     },

@@ -17,22 +17,70 @@
 //! serial (§2.2), and every point-to-point stream costs one handshake at
 //! each endpoint. "Parallelization itself perturbs true costs, so
 //! precision would be illusory."
+//!
+//! Two terms describe this repo's engine rather than PRISMA's machine
+//! (both vanish under [`ScheduleModel::prisma`]): a materialized
+//! intermediate is written once and then re-scanned *in full* by every
+//! consumer instance, and the logical processors of a plan share a fixed
+//! pool of physical workers, so no schedule finishes before the summed
+//! busy time divided by that pool ([`ScheduleEstimate::bounded_by`]).
 
 use mj_relalg::JoinAlgorithm;
 
 use crate::plan_ir::{OperandSource, ParallelPlan};
 use mj_plan::cost::TreeCosts;
 
-/// Coefficients of the schedule model, all in §4.3 cost units. Defaults
-/// are the `mj-sim` machine constants divided by its per-tuple action cost
-/// (0.45 ms), so analytic estimates and simulated times agree in shape.
+/// Coefficients of the schedule model, all in §4.3 cost units (one action
+/// on one tuple).
+///
+/// [`Default`] is the model **measured on this repo's engine**;
+/// [`prisma`](Self::prisma) keeps the paper's machine for the simulator
+/// comparisons and figures.
+///
+/// # Calibration of the default
+///
+/// From the traced pass and the knob evidence of the repo's benchmark
+/// (`benchmark/DIAGNOSIS.md`, 2026-09-25; forced-strategy sweeps repeated
+/// 2026-09-26), all on one two-vCPU Firecracker VM (Xeon 2.1 GHz) with 2
+/// engine workers and 8 logical processors:
+///
+/// * **The unit.** One tuple action is the mean of `join.build_ns_per_tuple`
+///   (7.7 ns) and `join.probe_ns_per_tuple` (5.9 ns) on `short_prepared`'s
+///   columns: **6.8 ns**. Those operands are cache-resident, which is
+///   where a process start is weighed against tuples at all; on
+///   `join_heavy`'s 40 000-tuple relations a probe misses cache (28.5 ns)
+///   and a start is negligible either way. Cross-check: forced RD on
+///   `join_heavy` responds in 18.3 ms on 2 workers for 3.6 M estimated
+///   actions of busy time, 10 ns each.
+/// * **`startup_per_process`.** `engine.us_per_process` on `short_prepared`
+///   (13 joins of 50-tuple relations: kernels are nothing, per-process
+///   fixed cost is everything) read 52 µs in a noisy stretch and 41 µs in
+///   a quiet one; 45 µs / 6.8 ns ≈ **6600** actions. PRISMA's 12 ms /
+///   0.45 ms was 27.
+/// * **`handshake_per_stream`.** Forced SP on the same chain at 8, 16 and
+///   32 logical processors runs 13·p processes over 12·p² streams, which
+///   separates the two: going from 208 processes / 3072 streams to 416 /
+///   12288 cost 5.45 ms, of which ~25 µs per process leaves ≤ 0.1 µs per
+///   stream (all streams into one consumer share one channel; a stream is
+///   one end-of-stream message). 0.1 µs / 6.8 ns ≈ **15**.
+/// * **`rescan_per_tuple`** and **`pipelining_work_factor`.**
+///   `mj-benchmark knobs` on `join_heavy` (6 × 40 000 chain, response-time
+///   medians of 30): RD 18.3 ms, FP 21.4, SE 30.1, SP 33.5 (18.5 / 20.7 /
+///   32.3 / 34.3 the day before). SE, SP and RD run the same simple joins
+///   and differ in the tuples that cross materialized edges — 2.47 M, 2.98 M
+///   and 0.64 M by the plans' estimates, over 2.66 M actions of join work —
+///   so SE/RD = 1.65–1.75 and SP/RD = 1.83–1.85 give 1.2–1.5 actions per
+///   tuple written or re-scanned: **1.3**. With that, FP/RD = 1.12–1.17
+///   gives a pipelining factor of **1.5**, which is also what the cost
+///   function says of a symmetric join that inserts *and* probes both
+///   operands (4n becomes 6n on a regular join).
+/// * **`pipeline_tail`** is structural, not a machine constant: 0.1.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduleModel {
-    /// Serial scheduler cost to initialize one operation process
-    /// (sim: t_init 12 ms / 0.45 ms).
+    /// Cost to initialize one operation process, serial in the scheduler.
     pub startup_per_process: f64,
     /// Handshake per point-to-point tuple stream, charged to each endpoint
-    /// instance (sim: t_handshake 15 ms / 0.45 ms).
+    /// instance.
     pub handshake_per_stream: f64,
     /// Work multiplier of the symmetric pipelining join (inserts *and*
     /// probes every tuple).
@@ -41,20 +89,42 @@ pub struct ScheduleModel {
     /// producer: a pipelined consumer cannot finish before the last input
     /// tuple arrives, plus the time to process the final batch.
     pub pipeline_tail: f64,
+    /// Per-tuple cost of a materialized edge, paid once per tuple by the
+    /// producer instance that writes it and once per tuple *of the whole
+    /// operand* by every consumer instance: each bucket-scans all
+    /// fragments and keeps its share, so an n-way consumer reads the
+    /// operand n times where a stream routes it once.
+    pub rescan_per_tuple: f64,
 }
 
 impl Default for ScheduleModel {
     fn default() -> Self {
         ScheduleModel {
-            startup_per_process: 12.0e-3 / 0.45e-3,
-            handshake_per_stream: 15.0e-3 / 0.45e-3,
-            pipelining_work_factor: 1.4,
+            startup_per_process: 6600.0,
+            handshake_per_stream: 15.0,
+            pipelining_work_factor: 1.5,
             pipeline_tail: 0.1,
+            rescan_per_tuple: 1.3,
         }
     }
 }
 
 impl ScheduleModel {
+    /// The paper's machine: the `mj-sim` constants divided by its
+    /// per-tuple action cost (t_init 12 ms, t_handshake 15 ms, 0.45 ms per
+    /// action), so analytic estimates and simulated times agree in shape.
+    /// Materialized operands are redistributed like streams there, so they
+    /// carry no re-scan term.
+    pub fn prisma() -> Self {
+        ScheduleModel {
+            startup_per_process: 12.0e-3 / 0.45e-3,
+            handshake_per_stream: 15.0e-3 / 0.45e-3,
+            pipelining_work_factor: 1.4,
+            pipeline_tail: 0.1,
+            rescan_per_tuple: 0.0,
+        }
+    }
+
     /// A model with zero overheads: pure `work / degree` with pipeline
     /// overlap — the idealized diagrams of Figs. 3–7.
     pub fn idealized() -> Self {
@@ -63,7 +133,19 @@ impl ScheduleModel {
             handshake_per_stream: 0.0,
             pipelining_work_factor: 1.0,
             pipeline_tail: 0.0,
+            rescan_per_tuple: 0.0,
         }
+    }
+
+    /// The least work that pays for one more operation process: its own
+    /// start plus one stream end in and one out. The generator gives an
+    /// operation no more processes than its estimated work holds grains
+    /// ([`max_useful_degree`](crate::allocation::max_useful_degree)) — the
+    /// linear form of the paper's `w/p + s·p` trade-off (§3.5): below one
+    /// grain per process, starting the process costs more than the work it
+    /// takes over.
+    pub fn process_grain(&self) -> f64 {
+        self.startup_per_process + 2.0 * self.handshake_per_stream
     }
 }
 
@@ -80,6 +162,19 @@ pub struct ScheduleEstimate {
     pub total_work: f64,
     /// Estimated finish time per op (indexed by op id).
     pub per_op_finish: Vec<f64>,
+    /// Summed busy time of every operation process plus all startups: the
+    /// work the physical machine must get through whatever the schedule.
+    pub busy: f64,
+}
+
+impl ScheduleEstimate {
+    /// The estimate on a machine of `workers` physical workers: no
+    /// schedule finishes before its summed busy time divided by them. A
+    /// plan's logical processors beyond that count only multiplex.
+    pub fn bounded_by(mut self, workers: usize) -> Self {
+        self.makespan = self.makespan.max(self.busy / workers.max(1) as f64);
+        self
+    }
 }
 
 /// Estimated extra makespan of one post-join pipeline stage (residual
@@ -103,6 +198,15 @@ pub fn stage_tail_cost(
         + degree * model.startup_per_process
 }
 
+/// Summed busy time of the same stage (its counterpart in
+/// [`ScheduleEstimate::busy`]): all of its work, every process start and
+/// every stream end.
+pub fn stage_busy(input_card: f64, degree: usize, producers: usize, model: &ScheduleModel) -> f64 {
+    let degree = degree.max(1) as f64;
+    input_card.max(0.0)
+        + degree * (model.startup_per_process + producers as f64 * model.handshake_per_stream)
+}
+
 /// Estimates the makespan of `plan` given the per-join work in `costs`
 /// (from [`mj_plan::cost::tree_costs`] over the same tree).
 pub fn estimate_schedule(
@@ -120,13 +224,16 @@ pub fn estimate_schedule(
 
     // Who consumes each op's output, and how (for handshake accounting).
     let mut consumer_degree = vec![0usize; n];
+    let mut materializes = vec![false; n];
     for op in &plan.ops {
         for operand in [&op.left, &op.right] {
             if let Some(from) = operand.producer() {
                 consumer_degree[from] = op.degree();
+                materializes[from] |= matches!(operand, OperandSource::Materialized { .. });
             }
         }
     }
+    let mut busy = 0.0f64;
 
     for op in &plan.ops {
         let degree = op.degree().max(1) as f64;
@@ -146,8 +253,22 @@ pub fn estimate_schedule(
         }
         coordination += streams_per_instance * degree * model.handshake_per_stream;
 
+        // A materialized edge: the producer writes its share once, every
+        // consumer instance re-scans the whole operand.
+        let mut moved = 0.0f64;
+        if materializes[op.id] {
+            moved += op.est_out as f64 / degree;
+        }
+        for (operand, card) in [(&op.left, op.est_left), (&op.right, op.est_right)] {
+            if matches!(operand, OperandSource::Materialized { .. }) {
+                moved += card as f64;
+            }
+        }
+
         let t_op = costs.per_join[op.join] / degree * algo_factor
-            + streams_per_instance * model.handshake_per_stream;
+            + streams_per_instance * model.handshake_per_stream
+            + moved * model.rescan_per_tuple;
+        busy += degree * t_op;
 
         // Earliest start: scheduler init, plus completed dependencies.
         let mut start = init_done;
@@ -170,6 +291,7 @@ pub fn estimate_schedule(
         coordination,
         total_work: costs.total,
         per_op_finish: finish,
+        busy: busy + init_done,
     }
 }
 
@@ -188,7 +310,7 @@ mod tests {
         let costs = tree_costs(&tree, &cards, &CostModel::default());
         let input = GeneratorInput::new(&tree, &cards, &costs, procs);
         let plan = generate(strategy, &input).unwrap();
-        estimate_schedule(&plan, &costs, &ScheduleModel::default())
+        estimate_schedule(&plan, &costs, &ScheduleModel::prisma())
     }
 
     #[test]
@@ -237,6 +359,116 @@ mod tests {
         // Ops are topologically ordered: op 1 consumes op 0's stream.
         assert!(est.per_op_finish[1] > est.per_op_finish[0]);
         assert_eq!(est.total_work, costs.total);
+    }
+
+    #[test]
+    fn prisma_model_reproduces_the_pre_calibration_estimates_bit_for_bit() {
+        // Bit patterns of (makespan, startup, coordination) printed by the
+        // commit before the measured model became the default, 10-relation
+        // trees of 5000-tuple relations on 40 processors. The simulator
+        // comparisons mean what they meant only while these hold.
+        let pinned: [(Shape, Strategy, [u64; 3]); 8] = [
+            (
+                Shape::WideBushy,
+                Strategy::SP,
+                [0x40db3f0000000000, 0x40c2c00000000000, 0x412a0aaaaaaaaaaa],
+            ),
+            (
+                Shape::WideBushy,
+                Strategy::SE,
+                [0x40c9bd71c71c71c8, 0x40afaaaaaaaaaaaa, 0x410cd75555555556],
+            ),
+            (
+                Shape::WideBushy,
+                Strategy::RD,
+                [0x40c7d40000000001, 0x40b0aaaaaaaaaaaa, 0x4105824000000000],
+            ),
+            (
+                Shape::WideBushy,
+                Strategy::FP,
+                [0x40c60b5555555556, 0x4090aaaaaaaaaaab, 0x40c6c95555555555],
+            ),
+            (
+                Shape::RightLinear,
+                Strategy::SP,
+                [0x40db3f0000000001, 0x40c2c00000000000, 0x412a0aaaaaaaaaab],
+            ),
+            (
+                Shape::RightLinear,
+                Strategy::SE,
+                [0x40db3f0000000001, 0x40c2c00000000000, 0x412a0aaaaaaaaaab],
+            ),
+            (
+                Shape::RightLinear,
+                Strategy::RD,
+                [0x40c3865555555555, 0x4090aaaaaaaaaaab, 0x40c5395555555555],
+            ),
+            (
+                Shape::RightLinear,
+                Strategy::FP,
+                [0x40caf25555555556, 0x4090aaaaaaaaaaab, 0x40c5395555555555],
+            ),
+        ];
+        for (shape, strategy, bits) in pinned {
+            let est = estimate(shape, strategy, 5000, 40);
+            assert_eq!(
+                [est.makespan, est.startup, est.coordination].map(f64::to_bits),
+                bits,
+                "{shape} {strategy}"
+            );
+        }
+        let stage = stage_tail_cost(12345.0, 4, 8, &ScheduleModel::prisma());
+        assert_eq!(stage.to_bits(), 0x40854faaaaaaaaab);
+    }
+
+    #[test]
+    fn materialized_edges_pay_a_write_and_a_full_rescan_per_consumer_instance() {
+        // SP on a left-linear tree of 1000-tuple relations, 4 processors:
+        // 8 of the 9 joins read a materialized 1000-tuple left operand on 4
+        // instances (4 x 1000 re-scanned) that its producer's 4 instances
+        // wrote once (4 x 250).
+        let tree = build(Shape::LeftLinear, 10).unwrap();
+        let cards = node_cards(&tree, &UniformOneToOne { n: 1000 });
+        let costs = tree_costs(&tree, &cards, &CostModel::default());
+        let plan = generate(Strategy::SP, &GeneratorInput::new(&tree, &cards, &costs, 4)).unwrap();
+        let free = ScheduleModel::idealized();
+        let priced = ScheduleModel {
+            rescan_per_tuple: 1.5,
+            ..free
+        };
+        let without = estimate_schedule(&plan, &costs, &free);
+        let with = estimate_schedule(&plan, &costs, &priced);
+        assert!((with.busy - without.busy - 1.5 * 8.0 * 5000.0).abs() < 1e-6);
+        // Per instance: 250 written by each producer, 1000 read by each
+        // consumer, on the critical path of a strict chain.
+        assert!((with.makespan - without.makespan - 1.5 * 8.0 * 1250.0).abs() < 1e-6);
+        // FP never materializes: the term does not touch it.
+        let fp = generate(Strategy::FP, &GeneratorInput::new(&tree, &cards, &costs, 9)).unwrap();
+        assert_eq!(
+            estimate_schedule(&fp, &costs, &free),
+            estimate_schedule(&fp, &costs, &priced)
+        );
+    }
+
+    #[test]
+    fn no_schedule_beats_its_busy_time_over_the_physical_workers() {
+        let est = estimate(Shape::WideBushy, Strategy::FP, 40_000, 80);
+        // Busy time covers at least all the work and every startup.
+        assert!(est.busy >= est.total_work + est.startup);
+        // 80 real processors: the critical path stands.
+        assert_eq!(est.clone().bounded_by(80).makespan, est.makespan);
+        // 2 workers under 80 logical processors: throughput-bound.
+        assert_eq!(est.clone().bounded_by(2).makespan, est.busy / 2.0);
+    }
+
+    #[test]
+    fn a_measured_start_dwarfs_prismas_and_a_stream_is_nearly_free() {
+        let m = ScheduleModel::default();
+        // A process start costs two orders of magnitude more tuple actions
+        // here than on PRISMA; a stream two orders less than a start.
+        assert!(m.startup_per_process > 100.0 * ScheduleModel::prisma().startup_per_process);
+        assert!(m.handshake_per_stream * 100.0 < m.startup_per_process);
+        assert_eq!(ScheduleModel::idealized().process_grain(), 0.0);
     }
 
     #[test]

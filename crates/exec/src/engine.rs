@@ -839,10 +839,16 @@ fn run_query(
                         None => provider.relation(relation)?,
                     },
                 };
-                let frags = hash_partition(&rel, op.degree(), key_col)?
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
+                // A single instance reads the whole relation: share it
+                // rather than hash every key to gather an identical copy.
+                let frags = if op.degree() == 1 {
+                    vec![rel]
+                } else {
+                    hash_partition(&rel, op.degree(), key_col)?
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect()
+                };
                 base_fragments.insert((op.id, side), frags);
             }
         }

@@ -28,8 +28,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use mj_core::schedule::{estimate_schedule, stage_tail_cost, ScheduleEstimate, ScheduleModel};
-use mj_core::{generate, GeneratorInput, ParallelPlan, PlanStats, Strategy};
+use mj_core::schedule::{
+    estimate_schedule, stage_busy, stage_tail_cost, ScheduleEstimate, ScheduleModel,
+};
+use mj_core::{generate, max_useful_degree, GeneratorInput, ParallelPlan, PlanStats, Strategy};
 use mj_plan::cost::{tree_costs, CostModel};
 use mj_plan::optimize::{greedy_tree, optimize_bushy, MAX_DP_RELATIONS};
 use mj_plan::query::{
@@ -51,11 +53,24 @@ use crate::binding::{PipelineStage, QueryBinding, StageKind};
 /// allowed when the machine is smaller than the plan.
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerOptions {
-    /// Logical processors the plan may use.
+    /// Logical processors the plan may use: the most partitions (operation
+    /// processes) any one operation is hash-split into, and the pool the
+    /// strategies divide among concurrent operations. Purely a placement —
+    /// it spawns no threads and is independent of
+    /// [`ExecConfig::workers`](crate::config::ExecConfig::workers), the
+    /// physical pool all those processes are multiplexed onto. More
+    /// processors than workers is the normal case (finer, cache-resident
+    /// partitions for large operands); what it costs — one process start
+    /// and its stream ends per partition — is priced by `schedule_model`,
+    /// which is why an operation whose estimated work does not pay for
+    /// them gets fewer (down to one) whatever this number says.
     pub processors: usize,
     /// Phase-1 / work cost model (§4.3 coefficients).
     pub cost_model: CostModel,
-    /// Schedule model for phase-2 candidate costing.
+    /// Schedule model for phase-2 candidate costing and for the grain
+    /// that bounds every operation's degree
+    /// ([`ScheduleModel::process_grain`]). The default is the model
+    /// measured on this engine.
     pub schedule_model: ScheduleModel,
     /// Forces a single strategy instead of costing all four — the manual
     /// `--strategy` override with planner-chosen tree and allocation.
@@ -124,6 +139,12 @@ pub struct PlannedQuery {
     pub choices: Vec<PlanChoice>,
     /// Candidates that could not be planned, with the reason.
     pub infeasible: Vec<(Strategy, bool, String)>,
+    /// The schedule model every candidate was costed (and every degree
+    /// bounded) with.
+    pub schedule_model: ScheduleModel,
+    /// Physical workers the estimates assumed
+    /// ([`ScheduleEstimate::bounded_by`]).
+    pub workers: usize,
 }
 
 impl PlannedQuery {
@@ -153,18 +174,19 @@ impl PlannedQuery {
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<10} {:>14} {:>12} {:>10} {:>10}\n",
-            "candidate", "est cost", "startup", "streams", "processes"
+            "{:<10} {:>14} {:>14} {:>12} {:>10} {:>10}\n",
+            "candidate", "est cost", "busy", "startup", "streams", "processes"
         ));
         for (i, c) in self.choices.iter().enumerate() {
             out.push_str(&format!(
-                "{:<10} {:>14.0} {:>12.0} {:>10} {:>10}  {}\n",
+                "{:<10} {:>14.0} {:>14.0} {:>12.0} {:>10} {:>10}  {}\n",
                 format!(
                     "{}{}",
                     c.strategy,
                     if c.right_oriented { "+mirror" } else { "" }
                 ),
                 c.estimate.makespan,
+                c.estimate.busy,
                 c.estimate.startup,
                 c.stats.tuple_streams,
                 c.stats.operation_processes,
@@ -175,6 +197,36 @@ impl PlannedQuery {
             out.push_str(&format!(
                 "{:<10} infeasible: {why}\n",
                 format!("{s}{}", if *mirrored { "+mirror" } else { "" })
+            ));
+        }
+        let m = &self.schedule_model;
+        out.push_str(&format!(
+            "estimated for {} workers, {} logical processors; model (tuple actions): \
+             startup/process {}, handshake/stream {}, pipelining x{}, tail {}, rescan/tuple {}; \
+             grain {} per process\n",
+            self.workers,
+            self.plan.processors,
+            m.startup_per_process,
+            m.handshake_per_stream,
+            m.pipelining_work_factor,
+            m.pipeline_tail,
+            m.rescan_per_tuple,
+            m.process_grain(),
+        ));
+        out.push_str(&format!("{} operations:\n", self.plan.strategy));
+        for op in &self.plan.ops {
+            out.push_str(&format!(
+                "  op{} {} ⋈ {} [x{}{}] est {} rows\n",
+                op.id,
+                op.left,
+                op.right,
+                op.degree(),
+                if op.grain_capped() {
+                    format!(", grain-capped from x{}", op.allocated)
+                } else {
+                    String::new()
+                },
+                op.est_out,
             ));
         }
         let filters = self.binding.scan_filters();
@@ -273,12 +325,26 @@ impl fmt::Display for PlannedQuery {
 #[derive(Clone, Copy, Debug)]
 pub struct Planner {
     options: PlannerOptions,
+    workers: usize,
 }
 
 impl Planner {
-    /// Creates a planner.
+    /// Creates a planner for a machine with one physical worker per
+    /// logical processor (the paper's).
     pub fn new(options: PlannerOptions) -> Self {
-        Planner { options }
+        Planner {
+            options,
+            workers: options.processors,
+        }
+    }
+
+    /// The same planner costing for an engine of `workers` pool threads:
+    /// no candidate is estimated to finish before its summed busy time
+    /// divided by them. [`Database::open`](crate::session::Database::open)
+    /// passes [`ExecConfig::workers`](crate::config::ExecConfig::workers).
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
+        self
     }
 
     /// The planner's options.
@@ -421,27 +487,33 @@ impl Planner {
         };
         let filter_partitionable = root_cols.iter().any(col_is_int);
         let agg_partitionable = spec.group_by.iter().any(col_is_int);
-        let stage_extra = |root_degree: usize, root_est: f64| -> f64 {
-            let model = &self.options.schedule_model;
-            let mut extra = 0.0;
+        let model = &self.options.schedule_model;
+        let grain = model.process_grain();
+        // (makespan tail, busy time) the post-join pipeline adds.
+        let stage_extra = |root_degree: usize, root_est: f64| -> (f64, f64) {
+            let (mut tail, mut busy) = (0.0, 0.0);
+            let mut add = |card: f64, degree: usize, prev: usize| {
+                tail += stage_tail_cost(card, degree, prev, model);
+                busy += stage_busy(card, degree, prev, model);
+            };
             let mut card = root_est;
             let mut prev = root_degree;
             if residual {
-                let degree = if filter_partitionable { root_degree } else { 1 };
-                extra += stage_tail_cost(card, degree, prev, model);
+                let degree = stage_degree(filter_partitionable, root_degree, card, grain);
+                add(card, degree, prev);
                 card *= resid_sel;
                 prev = degree;
             }
             if spec.needs_aggregate() {
-                let degree = if agg_partitionable { root_degree } else { 1 };
-                extra += stage_tail_cost(card, degree, prev, model);
+                let degree = stage_degree(agg_partitionable, root_degree, card, grain);
+                add(card, degree, prev);
                 card = estimate_groups(spec, card);
                 prev = degree;
             }
             if let Some(k) = spec.limit {
-                extra += stage_tail_cost(card.min(k as f64), 1, prev, model);
+                add(card.min(k as f64), 1, prev);
             }
-            extra
+            (tail, busy)
         };
 
         // Phase 1: minimal-total-cost tree.
@@ -484,6 +556,7 @@ impl Planner {
                 // runs short (which RD/SE segment-local splits can hit
                 // even with processors >= join_count).
                 input.allow_oversubscribe = self.options.allow_oversubscribe;
+                input.grain = grain;
                 let plan = match generate(strategy, &input) {
                     Ok(p) => p,
                     Err(e) => {
@@ -491,11 +564,14 @@ impl Planner {
                         continue;
                     }
                 };
-                let mut estimate = estimate_schedule(&plan, &costs, &self.options.schedule_model);
+                let mut estimate = estimate_schedule(&plan, &costs, model);
                 // Fold the post-join pipeline into the objective: its work
                 // scales with this candidate's root degree (`sink()` — the
                 // generator always emits the root op).
-                estimate.makespan += stage_extra(plan.sink().degree(), root_est);
+                let (tail, busy) = stage_extra(plan.sink().degree(), root_est);
+                estimate.makespan += tail;
+                estimate.busy += busy;
+                let estimate = estimate.bounded_by(self.workers);
                 all_choices.push(PlanChoice {
                     strategy,
                     right_oriented: *mirrored,
@@ -560,6 +636,7 @@ impl Planner {
             resid_sel,
             residual,
             root_degree,
+            grain,
         )?;
         let binding = QueryBinding::from_lowered(&tree, &lowered)?
             .with_scan_filters(scan_filters)
@@ -580,6 +657,8 @@ impl Planner {
             estimate,
             choices: all_choices,
             infeasible,
+            schedule_model: *model,
+            workers: self.workers,
         })
     }
 }
@@ -614,6 +693,26 @@ fn first_int_col(schema: &Schema) -> Option<usize> {
     (0..schema.arity()).find(|&c| matches!(schema.attr(c), Ok(a) if a.ty == DataType::Int))
 }
 
+/// Degree of a post-join stage over `input_card` estimated rows: the root
+/// join's when the stage has an integer column to route on, bounded — like
+/// every join — by the processes its work pays for; otherwise one.
+fn stage_degree(partitionable: bool, root_degree: usize, input_card: f64, grain: f64) -> usize {
+    if partitionable {
+        root_degree.min(max_useful_degree(input_card, grain))
+    } else {
+        1
+    }
+}
+
+/// The `explain` marker of a stage the grain bound narrowed.
+fn capped_note(partitionable: bool, root_degree: usize, degree: usize) -> String {
+    if partitionable && degree < root_degree {
+        format!(" (grain-capped from x{root_degree})")
+    } else {
+        String::new()
+    }
+}
+
 /// Builds the post-join pipeline stages for the winning plan.
 #[allow(clippy::too_many_arguments)]
 fn build_stages(
@@ -626,6 +725,7 @@ fn build_stages(
     resid_sel: f64,
     residual: bool,
     root_degree: usize,
+    grain: f64,
 ) -> Result<Vec<PipelineStage>> {
     let pos = |rel: usize, col: usize| -> Result<usize> {
         root_cols
@@ -674,19 +774,18 @@ fn build_stages(
             Some(p) => Arc::new(p.output_schema(&in_schema)?),
             None => in_schema.clone(),
         };
-        let (degree, partition_col) = match first_int_col(&in_schema) {
-            Some(c) if root_degree > 1 => (root_degree, c),
-            _ => (1, 0),
-        };
+        let partition = first_int_col(&in_schema);
+        let degree = stage_degree(partition.is_some(), root_degree, in_est, grain);
+        let capped = capped_note(partition.is_some(), root_degree, degree);
         in_est *= resid_sel;
-        let label = format!("filter σ({predicate})");
+        let label = format!("filter σ({predicate}){capped}");
         stages.push(PipelineStage {
             kind: StageKind::Filter {
                 predicate,
                 projection,
             },
             degree,
-            partition_col,
+            partition_col: partition.unwrap_or(0),
             schema: schema.clone(),
             est_out: in_est.round().max(1.0) as u64,
             label,
@@ -752,13 +851,11 @@ fn build_stages(
             .iter()
             .copied()
             .find(|&g| matches!(in_schema.attr(g), Ok(a) if a.ty == DataType::Int));
-        let (degree, partition_col) = match partition {
-            Some(c) if root_degree > 1 => (root_degree, c),
-            _ => (1, 0),
-        };
+        let degree = stage_degree(partition.is_some(), root_degree, in_est, grain);
+        let capped = capped_note(partition.is_some(), root_degree, degree);
         in_est = estimate_groups(spec, in_est);
         let label = format!(
-            "aggregate group={group:?} aggs=[{}]",
+            "aggregate group={group:?} aggs=[{}]{capped}",
             aggs.iter()
                 .map(|a| a.name.as_str())
                 .collect::<Vec<_>>()
@@ -771,7 +868,7 @@ fn build_stages(
                 projection,
             },
             degree,
-            partition_col,
+            partition_col: partition.unwrap_or(0),
             schema: schema.clone(),
             est_out: in_est.round().max(1.0) as u64,
             label,
@@ -944,6 +1041,122 @@ mod tests {
             .eval(catalog.as_ref())
             .unwrap();
         assert!(outcome.relation.multiset_eq(&oracle));
+    }
+
+    /// A session over the benchmark's chain instance (`SHAPE_SEED` 1995):
+    /// default configuration, two pool workers.
+    fn benchmark_chain(k: usize, n: usize) -> crate::session::Database {
+        let instance =
+            crate::families::generate_family(crate::families::QueryFamily::Chain, k, n, 1995)
+                .unwrap();
+        let mut config = crate::session::DbConfig::default();
+        config.exec.workers = 2;
+        let db = crate::session::Database::open(config).unwrap();
+        for name in instance.catalog.names() {
+            db.register(name.clone(), instance.catalog.relation(&name).unwrap())
+                .unwrap();
+        }
+        db.analyze().unwrap();
+        db
+    }
+
+    #[test]
+    fn tiny_chain_runs_one_process_per_operation() {
+        // `short_prepared`'s query: 13 joins of 50-tuple relations. No join
+        // holds a grain of work, so none is split, whatever the strategy —
+        // where the PRISMA-priced planner spread it over 36 processes.
+        let db = benchmark_chain(14, 50);
+        let text = format!("{} WHERE R1.id < 25", crate::families::chain_query_sql(14));
+        for strategy in [None].into_iter().chain(Strategy::ALL.map(Some)) {
+            let mut options = *db.planner_options();
+            options.strategy = strategy;
+            let (query, spec) = db.bind(&text).unwrap();
+            let planned = Planner::new(options)
+                .with_workers(2)
+                .plan_select(&query, &spec)
+                .unwrap();
+            assert!(planned.plan.ops.iter().all(|op| op.degree() == 1));
+            assert!(planned.binding.stages().iter().all(|s| s.degree == 1));
+            let stats = planned.plan.stats();
+            assert_eq!(stats.operation_processes, 13, "{strategy:?}");
+            assert_eq!(stats.tuple_streams, 12, "{strategy:?}");
+        }
+        let outcome = db.query(&text).unwrap().outcome().unwrap();
+        assert_eq!(outcome.metrics.processes, 13);
+        assert_eq!(outcome.metrics.streams, 12);
+    }
+
+    #[test]
+    fn heavy_chain_keeps_its_degrees_and_avoids_materializing_strategies() {
+        // `join_heavy`'s query: every 40 000-tuple join holds 24+ grains,
+        // so with 8 processors the bound changes no allocation; and with
+        // re-scans priced and two workers to share, SE and SP lose.
+        let db = benchmark_chain(6, 40_000);
+        let text = format!(
+            "SELECT COUNT(*) {}",
+            &crate::families::chain_query_sql(6)["SELECT * ".len()..]
+        );
+        for strategy in Strategy::ALL {
+            let mut options = *db.planner_options();
+            options.strategy = Some(strategy);
+            let (query, spec) = db.bind(&text).unwrap();
+            let planned = Planner::new(options).plan_select(&query, &spec).unwrap();
+            assert!(
+                planned.plan.ops.iter().all(|op| !op.grain_capped()),
+                "{strategy}: {}",
+                planned.plan
+            );
+        }
+        let planned = db.plan(&text).unwrap();
+        assert!(
+            matches!(planned.strategy(), Strategy::RD | Strategy::FP),
+            "{}",
+            planned.explain()
+        );
+        assert_eq!(planned.workers, 2);
+    }
+
+    #[test]
+    fn single_join_keeps_the_simple_hash_join_at_full_degree() {
+        // `wide_result`'s query: all four strategies place one join alike;
+        // only FP would swap in the (measured slower) pipelining join.
+        let db = benchmark_chain(2, 30_000);
+        let planned = db.plan(&crate::families::chain_query_sql(2)).unwrap();
+        let op = planned.plan.sink();
+        assert_eq!(op.algorithm, JoinAlgorithm::Simple);
+        assert_eq!((op.degree(), op.grain_capped()), (8, false));
+    }
+
+    #[test]
+    fn post_join_stages_are_grain_bounded_like_joins() {
+        // Two 30 000-tuple relations grouped into ~30 000 groups: the
+        // aggregate's input pays for 4 processes, not the root's 8; a
+        // 50-tuple instance of the same query runs it on one.
+        let text = "SELECT R0.a, COUNT(*) FROM R0 JOIN R1 ON R0.b = R1.a GROUP BY R0.a";
+        let big = benchmark_chain(2, 30_000).plan(text).unwrap();
+        let stage = &big.binding.stages()[0];
+        let root = big.plan.sink();
+        assert_eq!(root.degree(), 8);
+        assert_eq!(
+            stage.degree,
+            max_useful_degree(root.est_out as f64, big.schedule_model.process_grain())
+        );
+        assert!((2..8).contains(&stage.degree), "{}", big.explain());
+        assert!(big.explain().contains("grain-capped from x8"));
+        let small = benchmark_chain(2, 50).plan(text).unwrap();
+        assert_eq!(small.binding.stages()[0].degree, 1);
+    }
+
+    #[test]
+    fn explain_names_degrees_workers_and_model() {
+        let db = benchmark_chain(3, 50);
+        let text = db
+            .plan(&crate::families::chain_query_sql(3))
+            .unwrap()
+            .explain();
+        assert!(text.contains("estimated for 2 workers, 8 logical processors"));
+        assert!(text.contains("startup/process 6600"), "{text}");
+        assert!(text.contains("[x1, grain-capped from x"), "{text}");
     }
 
     #[test]

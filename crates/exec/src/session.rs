@@ -449,6 +449,16 @@ fn validate_params(ast: &QueryAst) -> MjResult<u32> {
 /// Configuration of a [`Database`]: the execution engine's tunables plus
 /// the planner's options (logical processors, cost models, strategy
 /// override).
+///
+/// `planner.processors` and `exec.workers` are different things and need
+/// not match. `exec.workers` is the physical pool: that many threads, for
+/// all queries together. `planner.processors` is how finely one query may
+/// be partitioned: each operation is hash-split into at most that many
+/// operation processes, which are tasks multiplexed onto the workers. The
+/// planner is told the worker count ([`Planner::with_workers`]) — it is
+/// derived from `exec.workers`, not configured twice — and prices every
+/// process start, so small operations run as one process however many
+/// processors are on offer.
 #[derive(Clone, Copy, Debug)]
 pub struct DbConfig {
     /// Worker pool, batching, and channel tunables.
@@ -505,7 +515,7 @@ impl Database {
         Ok(Database {
             catalog,
             engine,
-            planner: Planner::new(config.planner),
+            planner: Planner::new(config.planner).with_workers(config.exec.workers),
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
         })
     }

@@ -226,7 +226,10 @@ fn plan_family(
     let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
     let mut options = PlannerOptions::new(procs);
     options.strategy = args.strategy_or_auto()?;
+    // `mj run` executes on the default engine configuration: cost for its
+    // pool, as a `Database` would.
     let planned = Planner::new(options)
+        .with_workers(ExecConfig::default().workers)
         .plan(&instance.query)
         .map_err(|e| e.to_string())?;
     Ok((instance, planned, procs))

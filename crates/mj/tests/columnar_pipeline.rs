@@ -9,13 +9,17 @@
 //! accounting, LIMIT early-stop, and mid-stream cancellation with exact
 //! fragment reclaim.
 
+use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, Database, DbConfig, OpMetricsKind, QueryFamily, QueryStatus,
 };
 use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation, RelationProvider};
 
 /// Opens a Database over a seeded family instance.
-fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, config: DbConfig) -> Database {
+fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
+    // The paper's machine model keeps these few-hundred-tuple fixtures
+    // partitioned; the measured default plans them at degree 1.
+    config.planner.schedule_model = ScheduleModel::prisma();
     let instance = generate_family(family, k, n, seed).unwrap();
     let db = Database::open(config).unwrap();
     let mut names = instance.catalog.names();

@@ -10,6 +10,7 @@
 
 use std::sync::Once;
 
+use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     generate_family, Database, DbConfig, FaultKind, FaultPlan, FaultPoint, MjError, QueryFamily,
     QueryOptions,
@@ -48,6 +49,9 @@ fn quiet_injected_panics() {
 fn guardrail_db() -> Database {
     let instance = generate_family(QueryFamily::Chain, 4, 96, 0xFA17).expect("family");
     let mut config = DbConfig::default();
+    // 96-tuple relations plan at degree 1 under the measured model; the
+    // paper's machine model keeps sibling instances for a fault to strand.
+    config.planner.schedule_model = ScheduleModel::prisma();
     config.planner.pushdown = false;
     config.exec.batch_size = 16;
     config.exec.stall_timeout = Some(std::time::Duration::from_millis(150));

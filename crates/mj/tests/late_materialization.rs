@@ -10,14 +10,17 @@
 //! every allocation strategy, LIMIT early-stop with refs still in
 //! flight, and mid-stream cancellation all get the same treatment.
 
-use multijoin::core::Strategy;
+use multijoin::core::{ScheduleModel, Strategy};
 use multijoin::exec::{
     chain_query_sql, generate_family, Database, DbConfig, LateMode, QueryFamily, QueryStatus,
 };
 use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation, RelationProvider};
 
 /// Opens a Database over a seeded family instance.
-fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, config: DbConfig) -> Database {
+fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
+    // The paper's machine model keeps these few-hundred-tuple fixtures
+    // partitioned; the measured default plans them at degree 1.
+    config.planner.schedule_model = ScheduleModel::prisma();
     let instance = generate_family(family, k, n, seed).unwrap();
     let db = Database::open(config).unwrap();
     let mut names = instance.catalog.names();

@@ -4,6 +4,7 @@
 //! chain/star/skewed families — plus the LIMIT early-termination
 //! quiescence contract (engine reusable, fragments reclaimed).
 
+use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, Database, DbConfig, QueryFamily, StageKind,
 };
@@ -11,7 +12,10 @@ use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider};
 
 /// Opens a Database over a seeded family instance (relations re-registered
 /// through the front door, statistics analyzed).
-fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, config: DbConfig) -> Database {
+fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
+    // The paper's machine model keeps these few-hundred-tuple fixtures
+    // partitioned; the measured default plans them at degree 1.
+    config.planner.schedule_model = ScheduleModel::prisma();
     let instance = generate_family(family, k, n, seed).unwrap();
     let db = Database::open(config).unwrap();
     let mut names = instance.catalog.names();

@@ -9,6 +9,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, star_query_sql, Database, DbConfig, QueryFamily,
 };
@@ -19,7 +20,11 @@ use multijoin::server::{Client, ClientError, Server, ServerConfig};
 /// handle (for the oracle) and the running server.
 fn family_server(family: QueryFamily, k: usize, n: usize, seed: u64) -> (Arc<Database>, Server) {
     let instance = generate_family(family, k, n, seed).unwrap();
-    let db = Arc::new(Database::open(DbConfig::default()).unwrap());
+    // The paper's machine model keeps these few-hundred-tuple fixtures
+    // partitioned; the measured default plans them at degree 1.
+    let mut config = DbConfig::default();
+    config.planner.schedule_model = ScheduleModel::prisma();
+    let db = Arc::new(Database::open(config).unwrap());
     let mut names = instance.catalog.names();
     names.sort();
     for name in &names {

@@ -8,6 +8,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
+use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, star_query_sql, Database, DbConfig, QueryFamily,
 };
@@ -21,9 +22,12 @@ fn family_server(
     k: usize,
     n: usize,
     seed: u64,
-    config: DbConfig,
+    mut config: DbConfig,
 ) -> (Arc<Database>, Server) {
     let instance = generate_family(family, k, n, seed).unwrap();
+    // The paper's machine model keeps these few-hundred-tuple fixtures
+    // partitioned; the measured default plans them at degree 1.
+    config.planner.schedule_model = ScheduleModel::prisma();
     let db = Arc::new(Database::open(config).unwrap());
     let mut names = instance.catalog.names();
     names.sort();

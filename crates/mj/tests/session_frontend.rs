@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use multijoin::core::ScheduleModel;
 use multijoin::exec::{chain_query_sql, star_query_sql, QueryStatus};
 use multijoin::prelude::*;
 use multijoin::relalg::RelalgError;
@@ -13,7 +14,11 @@ use multijoin::relalg::RelalgError;
 /// the front door.
 fn db_for(family: QueryFamily, k: usize, n: usize, seed: u64) -> Database {
     let instance = generate_family(family, k, n, seed).expect("family");
-    let db = Database::open(DbConfig::default()).expect("open");
+    // The paper's machine model keeps these few-hundred-tuple fixtures
+    // partitioned; the measured default plans them at degree 1.
+    let mut config = DbConfig::default();
+    config.planner.schedule_model = ScheduleModel::prisma();
+    let db = Database::open(config).expect("open");
     let mut names = instance.catalog.names();
     names.sort();
     for name in &names {

@@ -34,6 +34,11 @@ fn chain_server() -> Server {
 /// A served chain database whose queries take at least `startup_ms` (the
 /// paper's per-process startup cost), plus the database handle for
 /// engine-side assertions.
+///
+/// The 120-tuple chain plans as two single-process joins that start
+/// together, so a query stays in flight for about one `startup_ms` (it was
+/// 16 processes queueing for 4 workers, four paddings deep, when the
+/// planner priced a process start at PRISMA's 27 tuple actions).
 fn padded_chain_server(startup_ms: u64) -> (Arc<Database>, Server) {
     let mut config = DbConfig::default();
     config.exec.startup_cost = Some(Duration::from_millis(startup_ms));
@@ -169,7 +174,7 @@ fn pipelined_requests_answer_in_order() {
 #[test]
 fn disconnect_cancels_the_in_flight_query() {
     // Slow the query down so the disconnect happens mid-flight.
-    let (db, server) = padded_chain_server(40);
+    let (db, server) = padded_chain_server(160);
     let _keep = &server;
 
     let before = db.stats();
@@ -200,7 +205,7 @@ fn disconnect_cancels_the_in_flight_query() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_queries() {
-    let (_db, server) = padded_chain_server(40);
+    let (_db, server) = padded_chain_server(160);
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).unwrap();
@@ -234,7 +239,7 @@ fn graceful_shutdown_drains_in_flight_queries() {
 fn requests_during_drain_are_rejected_as_overloaded() {
     // Startup-cost padding keeps the first query in flight long enough
     // for the drain (and the mid-drain request) to land while it runs.
-    let (_db, server) = padded_chain_server(60);
+    let (_db, server) = padded_chain_server(240);
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).unwrap();
