@@ -23,6 +23,35 @@ fn bench_optimizers(c: &mut Criterion) {
             b.iter(|| greedy_tree(g, &CostModel::default()).unwrap())
         });
     }
+    // Chains the subset-walking DP could not run at all (k = 20 took
+    // seconds, k = 28 needs a 2^28-entry table): microseconds now, so a
+    // return to exponential behaviour is visible here. What gates it is the
+    // pair-count pin in `mj-plan`'s `phase1_differential` test.
+    for k in [20usize, 28] {
+        let graph = QueryGraph::regular_chain(k, 5_000).unwrap();
+        group.bench_with_input(BenchmarkId::new("bushy_dp", k), &graph, |b, g| {
+            b.iter(|| optimize_bushy(g, &CostModel::default()).unwrap())
+        });
+    }
+    // What `PAIR_BUDGET` is sized from: the densest graph it still plans
+    // exactly (12-clique, 261 625 pairs) and the cost of giving up on one
+    // it does not (16-clique: stops after 2^18 pairs).
+    for k in [12usize, 16] {
+        let mut graph = QueryGraph::new();
+        for i in 0..k {
+            graph
+                .add_relation(format!("R{i}"), 100 * (i as u64 + 1))
+                .unwrap();
+        }
+        for a in 0..k {
+            for b in a + 1..k {
+                graph.add_edge(a, b, 0.01).unwrap();
+            }
+        }
+        group.bench_with_input(BenchmarkId::new("bushy_dp_clique", k), &graph, |b, g| {
+            b.iter(|| optimize_bushy(g, &CostModel::default()).is_ok())
+        });
+    }
     group.finish();
 }
 

@@ -302,6 +302,11 @@ pub struct EngineStats {
     /// Plan-cache entries evicted (LRU capacity pressure or staleness
     /// replacement after a catalog mutation).
     pub plan_cache_evictions: u64,
+    /// Duration of every cost-based planning run (`Database::plan`, ad-hoc
+    /// queries, `prepare` on a cache miss) — bind excluded, cache hits
+    /// absent. Filled by `Database::stats()`; empty in engine-only
+    /// snapshots, which plan nothing.
+    pub plan_duration: LatencyHistogram,
 }
 
 impl EngineStats {
@@ -478,6 +483,11 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
         help: "Plan-cache entries evicted (LRU capacity or staleness)",
     },
     MetricDef {
+        name: "mj_plan_duration_seconds",
+        kind: MetricKind::Histogram,
+        help: "Cost-based planning time per plan built (cache hits plan nothing)",
+    },
+    MetricDef {
         name: "mj_panics_contained_total",
         kind: MetricKind::Counter,
         help: "Operator-task panics contained across all queries",
@@ -567,6 +577,9 @@ pub struct MetricsSnapshot {
     pub plan_cache_misses: u64,
     /// `mj_plan_cache_evictions_total`.
     pub plan_cache_evictions: u64,
+    /// `mj_plan_duration_seconds` (the snapshot itself is in milliseconds,
+    /// like every [`HistogramSnapshot`]; the Prometheus rendering converts).
+    pub plan_duration_seconds: HistogramSnapshot,
     /// `mj_panics_contained_total`.
     pub panics_contained: u64,
     /// `mj_peak_bytes`.
@@ -599,6 +612,7 @@ impl MetricsSnapshot {
             plan_cache_hits: stats.plan_cache_hits,
             plan_cache_misses: stats.plan_cache_misses,
             plan_cache_evictions: stats.plan_cache_evictions,
+            plan_duration_seconds: HistogramSnapshot::from(&stats.plan_duration),
             panics_contained: stats.panics_contained,
             peak_bytes: stats.peak_bytes,
         }
@@ -639,13 +653,15 @@ impl MetricsSnapshot {
         match name {
             "mj_query_duration_ms" => Some(&self.query_duration_ms),
             "mj_time_to_first_batch_ms" => Some(&self.time_to_first_batch_ms),
+            "mj_plan_duration_seconds" => Some(&self.plan_duration_seconds),
             _ => None,
         }
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
     /// `# HELP` / `# TYPE` per series, cumulative `_bucket{le=...}` lines
-    /// (including `+Inf`) plus `_sum` / `_count` for histograms.
+    /// (including `+Inf`) plus `_sum` / `_count` for histograms — in the
+    /// unit the series name ends in (`_ms` or `_seconds`).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for def in METRICS_ACCEPT_LIST {
@@ -666,17 +682,27 @@ impl MetricsSnapshot {
                     let h = self
                         .histogram(def.name)
                         .expect("accept-list histogram metric must resolve");
+                    let per_unit = if def.name.ends_with("_seconds") {
+                        1000.0
+                    } else {
+                        1.0
+                    };
                     let mut cum = 0u64;
-                    for (i, bound) in h.bounds_ms.iter().enumerate() {
+                    for (i, &bound) in h.bounds_ms.iter().enumerate() {
                         cum += h.counts[i];
                         out.push_str(&format!(
                             "{}_bucket{{le=\"{}\"}} {}\n",
-                            def.name, bound, cum
+                            def.name,
+                            fmt_value(bound as f64 / per_unit),
+                            cum
                         ));
                     }
                     cum += h.counts.last().copied().unwrap_or(0);
                     out.push_str(&format!("{}_bucket{{le=\"+Inf\"}} {}\n", def.name, cum));
-                    out.push_str(&format!("{}_sum {}\n", def.name, fmt_value(h.sum_ms)));
+                    // Whole microseconds, divided once: `0.000636`, not
+                    // the `0.0006360000000000001` of `sum_ms / 1000`.
+                    let sum = fmt_value((h.sum_ms * 1e3).round() / (1e3 * per_unit));
+                    out.push_str(&format!("{}_sum {sum}\n", def.name));
                     out.push_str(&format!("{}_count {}\n", def.name, h.count));
                 }
             }
@@ -818,6 +844,8 @@ pub(crate) mod counters {
                 plan_cache_hits: crate::session::plan_cache_hits(),
                 plan_cache_misses: crate::session::plan_cache_misses(),
                 plan_cache_evictions: crate::session::plan_cache_evictions(),
+                // Planning happens in the session layer, which overlays it.
+                plan_duration: LatencyHistogram::default(),
             }
         }
     }
@@ -890,6 +918,8 @@ mod tests {
             ..EngineStats::default()
         };
         stats.query_duration.observe(Duration::from_millis(4));
+        stats.plan_duration.observe(Duration::from_micros(250));
+        stats.plan_duration.observe(Duration::from_millis(7));
         let snap = MetricsSnapshot::from_stats(&stats);
         let text = snap.to_prometheus();
         for def in METRICS_ACCEPT_LIST {
@@ -903,6 +933,13 @@ mod tests {
         assert!(text.contains("mj_worker_idle 3"));
         assert!(text.contains("mj_query_duration_ms_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("mj_query_duration_ms_count 1"));
+        // A `_seconds` series renders bounds and sum in seconds.
+        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.001\"} 1\n"));
+        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.005\"} 1\n"));
+        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.01\"} 2\n"));
+        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("mj_plan_duration_seconds_sum 0.00725\n"));
+        assert!(text.contains("mj_plan_duration_seconds_count 2\n"));
         // Cumulative le buckets are monotone.
         let cum: Vec<u64> = text
             .lines()
@@ -926,5 +963,6 @@ mod tests {
         assert_eq!(back.queries_total, 3);
         assert_eq!(back.query_duration_ms.count, 1);
         assert_eq!(back.query_duration_ms.counts, snap.query_duration_ms.counts);
+        assert_eq!(back.plan_duration_seconds, snap.plan_duration_seconds);
     }
 }

@@ -7,9 +7,10 @@
 //! `--strategy` flags, and the phase-1 optimizers produced trees nobody
 //! lowered. The planner wires the whole pipeline:
 //!
-//! 1. **Tree** (phase 1): exhaustive bushy DP up to
-//!    [`MAX_DP_RELATIONS`] relations,
-//!    greedy above — minimal *total* cost, parallelism-blind (§1.2).
+//! 1. **Tree** (phase 1): exhaustive bushy DP over the join graph's
+//!    connected subgraph / complement pairs, greedy when a dense graph
+//!    holds more of them than [`PAIR_BUDGET`](mj_plan::optimize::PAIR_BUDGET)
+//!    — minimal *total* cost, parallelism-blind (§1.2).
 //! 2. **Strategy + allocation** (phase 2): generate an SP/SE/RD/FP plan
 //!    for the tree *and* its free right-oriented mirror (§5), each with
 //!    proportional processor allocation, and cost every candidate with the
@@ -33,7 +34,7 @@ use mj_core::schedule::{
 };
 use mj_core::{generate, max_useful_degree, GeneratorInput, ParallelPlan, PlanStats, Strategy};
 use mj_plan::cost::{tree_costs, CostModel};
-use mj_plan::optimize::{greedy_tree, optimize_bushy, MAX_DP_RELATIONS};
+use mj_plan::optimize::{greedy_tree, optimize_bushy};
 use mj_plan::query::{
     inject_scan_filters, lower, JoinQuery, LoweredQuery, SelectItemSpec, SelectSpec,
 };
@@ -145,6 +146,11 @@ pub struct PlannedQuery {
     /// Physical workers the estimates assumed
     /// ([`ScheduleEstimate::bounded_by`]).
     pub workers: usize,
+    /// Connected relation subsets phase 1 held a DP entry for.
+    pub connected_subsets: usize,
+    /// Csg-cmp pairs phase 1 costed; 0 means the join graph blew the pair
+    /// budget and the tree is [`greedy_tree`]'s.
+    pub pairs_costed: usize,
 }
 
 impl PlannedQuery {
@@ -199,6 +205,16 @@ impl PlannedQuery {
                 format!("{s}{}", if *mirrored { "+mirror" } else { "" })
             ));
         }
+        let relations = self.tree.leaf_count();
+        out.push_str(&if self.pairs_costed == 0 {
+            format!("phase 1: greedy (pair budget exceeded), {relations} relations\n")
+        } else {
+            format!(
+                "phase 1: dpccp, {relations} relations, {} connected subsets, \
+                 {} csg-cmp pairs costed\n",
+                self.connected_subsets, self.pairs_costed
+            )
+        });
         let m = &self.schedule_model;
         out.push_str(&format!(
             "estimated for {} workers, {} logical processors; model (tuple actions): \
@@ -517,10 +533,11 @@ impl Planner {
         };
 
         // Phase 1: minimal-total-cost tree.
-        let phase1 = if planning_query.len() <= MAX_DP_RELATIONS {
-            optimize_bushy(planning_query.graph(), &self.options.cost_model)?
-        } else {
-            greedy_tree(planning_query.graph(), &self.options.cost_model)?
+        let phase1 = match optimize_bushy(planning_query.graph(), &self.options.cost_model) {
+            Err(RelalgError::PairBudgetExceeded { .. }) => {
+                greedy_tree(planning_query.graph(), &self.options.cost_model)?
+            }
+            exact => exact?,
         };
 
         // Tree variants: the phase-1 tree and (optionally) its free
@@ -659,6 +676,8 @@ impl Planner {
             infeasible,
             schedule_model: *model,
             workers: self.workers,
+            connected_subsets: phase1.connected_subsets,
+            pairs_costed: phase1.pairs_costed,
         })
     }
 }
@@ -926,6 +945,7 @@ mod tests {
     use super::*;
     use crate::config::ExecConfig;
     use crate::engine::run_plan;
+    use crate::families::{chain_query_sql, QueryFamily};
     use mj_relalg::JoinAlgorithm;
     use mj_storage::WisconsinGenerator;
     use std::sync::Arc;
@@ -1125,6 +1145,86 @@ mod tests {
         let op = planned.plan.sink();
         assert_eq!(op.algorithm, JoinAlgorithm::Simple);
         assert_eq!((op.degree(), op.grain_capped()), (8, false));
+    }
+
+    #[test]
+    fn benchmark_shapes_plan_exactly_as_before_dpccp() {
+        // `testdata/explain_before_dpccp.txt` is `explain()` for the three
+        // benchmark shapes, captured from the build whose phase 1 was the
+        // subset-walking DP. Same tree, same candidates, same operations:
+        // all that may differ is the phase-1 line that build did not print.
+        let mut got = String::new();
+        let mut pin = |name: &str, planned: PlannedQuery| {
+            let explain = planned.explain();
+            let phase1 = explain.lines().filter(|l| l.starts_with("phase 1: "));
+            assert_eq!(phase1.count(), 1, "{explain}");
+            got.push_str(&format!("== {name} ==\n"));
+            for line in explain.lines().filter(|l| !l.starts_with("phase 1: ")) {
+                got.push_str(line);
+                got.push('\n');
+            }
+        };
+        let short = benchmark_chain(14, 50);
+        for k in [0, 1, 25, 49] {
+            let text = format!("{} WHERE R1.id < {k}", chain_query_sql(14));
+            pin(&format!("14x50 k={k}"), short.plan(&text).unwrap());
+        }
+        let count = format!(
+            "SELECT COUNT(*) {}",
+            &chain_query_sql(6)["SELECT * ".len()..]
+        );
+        let heavy = benchmark_chain(6, 40_000).plan(&count).unwrap();
+        pin("6x40000 count", heavy);
+        let wide = benchmark_chain(2, 30_000).plan(&chain_query_sql(2));
+        pin("2x30000 star", wide.unwrap());
+        assert_eq!(got, include_str!("../testdata/explain_before_dpccp.txt"));
+    }
+
+    #[test]
+    fn explain_reports_what_phase_one_did() {
+        let short = benchmark_chain(14, 50);
+        let planned = short.plan(&chain_query_sql(14)).unwrap();
+        assert_eq!(
+            (planned.connected_subsets, planned.pairs_costed),
+            (105, 455)
+        );
+        assert!(planned.explain().contains(
+            "phase 1: dpccp, 14 relations, 105 connected subsets, 455 csg-cmp pairs costed\n"
+        ));
+    }
+
+    #[test]
+    fn a_graph_past_the_pair_budget_gets_a_valid_greedy_plan() {
+        // A 24-relation star (23 * 2^22 csg-cmp pairs): `optimize_bushy`
+        // gives up after the budget and the planner falls back, where a
+        // 24-relation chain — 2300 pairs — is planned exactly.
+        let instance = crate::families::generate_family(QueryFamily::Star, 24, 20, 7).unwrap();
+        let planned = Planner::new(PlannerOptions::new(8))
+            .plan(&instance.query)
+            .unwrap();
+        assert_eq!((planned.connected_subsets, planned.pairs_costed), (0, 0));
+        assert!(planned
+            .explain()
+            .contains("phase 1: greedy (pair budget exceeded), 24 relations\n"));
+        assert_eq!(planned.tree.leaf_count(), 24);
+        assert!(planned.tree.validate().is_ok());
+        let outcome = run_plan(
+            &planned.plan,
+            &planned.binding,
+            instance.catalog.as_ref(),
+            &ExecConfig::default(),
+        )
+        .unwrap();
+        let oracle = planned
+            .oracle_xra(JoinAlgorithm::Simple)
+            .unwrap()
+            .eval(instance.catalog.as_ref())
+            .unwrap();
+        assert!(outcome.relation.multiset_eq(&oracle));
+
+        let (_, chain) = wisconsin_chain(24, 20);
+        let exact = Planner::new(PlannerOptions::new(8)).plan(&chain).unwrap();
+        assert_eq!((exact.connected_subsets, exact.pairs_costed), (300, 2300));
     }
 
     #[test]

@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use mj_plan::parse::{
     parse_query, render_span, ColumnRef, ParseError, QueryAst, Scalar, SelectItem, SelectList, Span,
@@ -42,7 +43,7 @@ use mj_storage::Catalog;
 use crate::config::{ExecConfig, QueryOptions};
 use crate::engine::Engine;
 use crate::handle::QueryHandle;
-use crate::metrics::{EngineStats, MetricsSnapshot};
+use crate::metrics::{EngineStats, LatencyHistogram, MetricsSnapshot};
 use crate::planner::{PlannedQuery, Planner, PlannerOptions};
 
 /// The top-level error of the session API, unifying the per-crate error
@@ -501,6 +502,8 @@ pub struct Database {
     /// Shared prepared-statement plan cache (bounded LRU, generation-
     /// validated against the catalog).
     plan_cache: PlanCache,
+    /// How long each planner run took (`mj_plan_duration_seconds`).
+    plan_duration: Mutex<LatencyHistogram>,
 }
 
 impl Database {
@@ -517,6 +520,7 @@ impl Database {
             engine,
             planner: Planner::new(config.planner).with_workers(config.exec.workers),
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
+            plan_duration: Mutex::new(LatencyHistogram::default()),
         })
     }
 
@@ -581,9 +585,19 @@ impl Database {
     /// executing — what `mj sql --explain` prints.
     pub fn plan(&self, text: &str) -> MjResult<PlannedQuery> {
         let (query, spec) = self.bind(text)?;
-        self.planner
-            .plan_select(&query, &spec)
-            .map_err(MjError::Plan)
+        self.plan_bound(&query, &spec)
+    }
+
+    /// Runs the planner on a bound query, observing how long it took
+    /// (`mj_plan_duration_seconds`).
+    fn plan_bound(&self, query: &JoinQuery, spec: &SelectSpec) -> MjResult<PlannedQuery> {
+        let started = Instant::now();
+        let planned = self.planner.plan_select(query, spec);
+        self.plan_duration
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .observe(started.elapsed());
+        planned.map_err(MjError::Plan)
     }
 
     /// Parses, binds, plans, and submits `text`, returning a cancellable
@@ -622,10 +636,7 @@ impl Database {
         let ast = parse_query(text)?;
         let params = validate_params(&ast)?;
         let (query, spec) = bind_ast(&ast, &self.catalog)?;
-        let planned = self
-            .planner
-            .plan_select(&query, &spec)
-            .map_err(MjError::Plan)?;
+        let planned = self.plan_bound(&query, &spec)?;
         let columns = planned
             .binding
             .result_schema(planned.plan.tree.root())
@@ -710,7 +721,9 @@ impl Database {
     /// budget_aborts + queries_rejected <= queries_submitted` holds even
     /// when polled concurrently with running queries.
     pub fn stats(&self) -> EngineStats {
-        self.engine.stats()
+        let mut stats = self.engine.stats();
+        stats.plan_duration = *self.plan_duration.lock().unwrap_or_else(|e| e.into_inner());
+        stats
     }
 
     /// The accept-listed metrics export ([`crate::metrics::METRICS_ACCEPT_LIST`])
@@ -718,7 +731,7 @@ impl Database {
     /// the query server serves as `GET /metrics` (Prometheus text via
     /// [`MetricsSnapshot::to_prometheus`]) and as JSON (serde).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.engine.metrics_snapshot()
+        MetricsSnapshot::from_stats(&self.stats())
     }
 
     /// Plans and submits an already-validated [`JoinQuery`] (the
@@ -1406,6 +1419,30 @@ mod tests {
         let s4 = db.prepare(PREPARED_TEXT).unwrap();
         assert!(!Arc::ptr_eq(&s3, &s4));
         assert!(db.stats().plan_cache_misses > after_register.plan_cache_misses);
+    }
+
+    #[test]
+    fn every_planner_run_is_observed_and_cache_hits_are_not() {
+        let db = small_db();
+        assert_eq!(db.stats().plan_duration.count, 0);
+        let text = "SELECT * FROM users JOIN orders ON users.id = orders.user_id";
+        db.plan(text).unwrap();
+        db.query(text).unwrap().collect().unwrap();
+        db.prepare(PREPARED_TEXT).unwrap(); // miss: plans
+        db.prepare(PREPARED_TEXT).unwrap(); // hit: does not
+        assert!(db
+            .plan("SELECT * FROM users JOIN nowhere ON a = b")
+            .is_err()); // bind error
+        let h = db.stats().plan_duration;
+        assert_eq!(h.count, 3);
+        assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
+        assert!(h.sum_us > 0);
+        let snap = db.metrics_snapshot();
+        assert_eq!(snap.plan_duration_seconds.count, 3);
+        assert_eq!(snap.plan_duration_seconds.counts.iter().sum::<u64>(), 3);
+        assert!(snap
+            .to_prometheus()
+            .contains("mj_plan_duration_seconds_count 3\n"));
     }
 
     #[test]

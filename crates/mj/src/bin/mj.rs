@@ -47,13 +47,13 @@ use multijoin::plan::cardinality::{node_cards, UniformOneToOne};
 use multijoin::plan::cost::{tree_costs, CostModel};
 use multijoin::plan::optimize::{
     greedy_tree, iterative_improvement, optimize_bushy, optimize_linear, random_tree,
-    simulated_annealing, AnnealingOptions, IterativeOptions,
+    simulated_annealing, AnnealingOptions, IterativeOptions, OptimizedPlan,
 };
 use multijoin::plan::query::to_xra;
 use multijoin::plan::shapes::{build, Shape};
 use multijoin::plan::{render, QueryGraph};
 use multijoin::relalg::RelationProvider;
-use multijoin::relalg::{text, JoinAlgorithm, Value};
+use multijoin::relalg::{text, JoinAlgorithm, RelalgError, Value};
 use multijoin::sim::{render_gantt, simulate, SimParams};
 use multijoin::storage::{Catalog, WisconsinGenerator};
 
@@ -799,17 +799,22 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
     };
     let cm = CostModel::default();
     let mut results: Vec<(&str, f64, Option<String>)> = Vec::new();
-    let dp_cost = if k <= 18 {
-        let dp = optimize_bushy(&graph, &cm).map_err(|e| e.to_string())?;
-        let c = dp.total_cost;
-        results.push(("bushy DP (optimum)", c, Some(render::render(&dp.tree))));
-        Some(c)
-    } else {
-        println!("(skipping exhaustive DP above 18 relations)");
-        None
+    // The exact optimizers give up on graphs too dense for their budget.
+    let mut exact = |name, result: Result<OptimizedPlan, RelalgError>, show_tree: bool| match result
+    {
+        Ok(plan) => {
+            let tree = show_tree.then(|| render::render(&plan.tree));
+            results.push((name, plan.total_cost, tree));
+            Ok(Some(plan.total_cost))
+        }
+        Err(e @ RelalgError::PairBudgetExceeded { .. }) => {
+            println!("({name}: {e})");
+            Ok(None)
+        }
+        Err(e) => Err(e.to_string()),
     };
-    let lin = optimize_linear(&graph, &cm).map_err(|e| e.to_string())?;
-    results.push(("linear DP", lin.total_cost, None));
+    let dp_cost = exact("bushy DP (optimum)", optimize_bushy(&graph, &cm), true)?;
+    exact("linear DP", optimize_linear(&graph, &cm), false)?;
     let gr = greedy_tree(&graph, &cm).map_err(|e| e.to_string())?;
     results.push(("greedy", gr.total_cost, None));
     let ii = iterative_improvement(&graph, &cm, IterativeOptions::default())

@@ -40,7 +40,7 @@ pub use cost::{CostModel, TreeCosts};
 pub use optimize::{
     greedy_tree, iterative_improvement, optimize_bushy, optimize_linear, random_tree,
     simulated_annealing, AnnealingOptions, IterativeOptions, OptimizedPlan, QueryGraph,
-    MAX_DP_RELATIONS, MAX_GRAPH_RELATIONS,
+    MAX_GRAPH_RELATIONS, PAIR_BUDGET,
 };
 pub use parse::{parse_query, ParseError, QueryAst, Span};
 pub use query::{

@@ -1,16 +1,28 @@
 //! Exhaustive bushy-tree dynamic programming over connected subgraphs.
 //!
-//! Classic DPsub: for every connected relation subset (bitmask), find the
-//! cheapest way to split it into two connected, edge-linked halves. Bushy
-//! trees matter for parallel systems (\[KBZ86\], §1.2), and the paper's SE
-//! and FP strategies only shine on them.
+//! DPccp: every pair of connected, disjoint, edge-linked relation subsets
+//! is one candidate join; [`for_each_csg`] × [`for_each_cmp`] emits each
+//! such pair once, after every pair that builds either half, so one pass
+//! fills a table with one entry per connected subset. Bushy trees matter
+//! for parallel systems (\[KBZ86\], §1.2), and the paper's SE and FP
+//! strategies only shine on them.
+//!
+//! Which of several equally cheap trees wins is pinned — the regular
+//! chain's trees *all* cost 44N, and the tree shape decides the parallel
+//! plan: the numerically smaller half of a split is the left child, and
+//! among equal-cost splits of a subset the one with the numerically
+//! largest left half wins. That is the tree the subset-walking DP this
+//! replaced returned, and it does not depend on enumeration order.
+
+use std::collections::HashMap;
 
 use mj_relalg::{RelalgError, Result};
 
 use crate::cost::CostModel;
 use crate::tree::{JoinTree, JoinTreeBuilder, NodeId};
 
-use super::{OptimizedPlan, QueryGraph};
+use super::csg::{for_each_cmp, for_each_csg};
+use super::{charge_pair, OptimizedPlan, QueryGraph};
 
 #[derive(Clone, Copy)]
 struct Entry {
@@ -18,81 +30,67 @@ struct Entry {
     card: f64,
     /// Left/right masks of the best split (0 for singletons).
     split: (u32, u32),
-    reachable: bool,
 }
 
 /// Finds the minimal-total-cost tree over all bushy trees without
-/// cartesian products.
+/// cartesian products. Fails with [`RelalgError::PairBudgetExceeded`] on
+/// a graph of more than [`PAIR_BUDGET`](super::PAIR_BUDGET) csg-cmp pairs.
 pub fn optimize_bushy(graph: &QueryGraph, cost: &CostModel) -> Result<OptimizedPlan> {
     graph.check_optimizable()?;
-    let n = graph.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let mut table = vec![
-        Entry {
-            cost: f64::INFINITY,
-            card: 0.0,
-            split: (0, 0),
-            reachable: false
-        };
-        (full as usize) + 1
-    ];
-
-    for i in 0..n {
-        let m = 1u32 << i;
-        table[m as usize] = Entry {
+    // Sparse: one entry per connected subset, keyed by its mask.
+    let mut table: HashMap<u32, Entry> = HashMap::new();
+    for (i, &card) in graph.cards().iter().enumerate() {
+        let leaf = Entry {
             cost: 0.0,
-            card: graph.cards()[i] as f64,
+            card: card as f64,
             split: (0, 0),
-            reachable: true,
         };
+        table.insert(1 << i, leaf);
     }
 
-    for mask in 1..=full {
-        if mask.count_ones() < 2 {
-            continue;
-        }
-        let card = graph.subset_card(mask);
-        let mut best = Entry {
-            cost: f64::INFINITY,
-            card,
-            split: (0, 0),
-            reachable: false,
-        };
-        // Enumerate proper submasks; visit each unordered partition once.
-        let mut s1 = (mask - 1) & mask;
-        while s1 != 0 {
-            let s2 = mask ^ s1;
-            if s1 < s2 {
-                let (e1, e2) = (&table[s1 as usize], &table[s2 as usize]);
-                if e1.reachable && e2.reachable && graph.connects(s1, s2) {
-                    let jc = cost.join_cost(
-                        e1.card as u64,
-                        s1.count_ones() == 1,
-                        e2.card as u64,
-                        s2.count_ones() == 1,
-                        card as u64,
-                    );
-                    let total = e1.cost + e2.cost + jc;
-                    if total < best.cost {
-                        best = Entry {
-                            cost: total,
-                            card,
-                            split: (s1, s2),
-                            reachable: true,
-                        };
-                    }
-                }
+    let mut pairs = 0usize;
+    for_each_csg(graph, &mut |s1| {
+        // Both halves of a pair were emitted, and completed, before it.
+        let e1 = table[&s1];
+        for_each_cmp(graph, s1, &mut |s2| {
+            charge_pair(&mut pairs)?;
+            let e2 = table[&s2];
+            let (lo, hi, e1, e2) = if s1 < s2 {
+                (s1, s2, e1, e2)
+            } else {
+                (s2, s1, e2, e1)
+            };
+            let best = table.entry(lo | hi).or_insert_with(|| Entry {
+                cost: f64::INFINITY,
+                card: graph.subset_card(lo | hi),
+                split: (0, 0),
+            });
+            let jc = cost.join_cost(
+                e1.card as u64,
+                lo.count_ones() == 1,
+                e2.card as u64,
+                hi.count_ones() == 1,
+                best.card as u64,
+            );
+            let total = e1.cost + e2.cost + jc;
+            let tie = total == best.cost && total < f64::INFINITY && lo > best.split.0;
+            if total < best.cost || tie {
+                best.cost = total;
+                best.split = (lo, hi);
             }
-            s1 = (s1 - 1) & mask;
-        }
-        table[mask as usize] = best;
-    }
+            Ok(())
+        })
+    })?;
 
-    if !table[full as usize].reachable {
-        return Err(RelalgError::InvalidPlan(
-            "no cartesian-free plan covers all relations".into(),
-        ));
-    }
+    let full = graph.full_mask();
+    let total_cost = match table.get(&full) {
+        Some(e) if e.cost < f64::INFINITY => e.cost,
+        _ => {
+            return Err(RelalgError::InvalidPlan(
+                "no cartesian-free plan covers all relations".into(),
+            ))
+        }
+    };
 
     let mut builder = JoinTree::builder();
     let mut node_cards = Vec::new();
@@ -100,14 +98,16 @@ pub fn optimize_bushy(graph: &QueryGraph, cost: &CostModel) -> Result<OptimizedP
     let tree = builder.build(root)?;
     Ok(OptimizedPlan {
         tree,
-        total_cost: table[full as usize].cost,
+        total_cost,
         node_cards,
+        connected_subsets: table.len(),
+        pairs_costed: pairs,
     })
 }
 
 fn reconstruct(
     graph: &QueryGraph,
-    table: &[Entry],
+    table: &HashMap<u32, Entry>,
     mask: u32,
     builder: &mut JoinTreeBuilder,
     cards: &mut Vec<u64>,
@@ -119,12 +119,12 @@ fn reconstruct(
         cards.push(graph.cards()[i]);
         return id;
     }
-    let (s1, s2) = table[mask as usize].split;
-    let l = reconstruct(graph, table, s1, builder, cards);
-    let r = reconstruct(graph, table, s2, builder, cards);
+    let entry = table[&mask];
+    let l = reconstruct(graph, table, entry.split.0, builder, cards);
+    let r = reconstruct(graph, table, entry.split.1, builder, cards);
     let id = builder.join(l, r);
     debug_assert_eq!(id, cards.len());
-    cards.push(table[mask as usize].card as u64);
+    cards.push(entry.card as u64);
     id
 }
 

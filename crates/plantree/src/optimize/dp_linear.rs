@@ -2,12 +2,15 @@
 //! trees \[SAC79\] — the classical baseline the paper contrasts with bushy
 //! optimization (§1.2).
 
+use std::collections::HashMap;
+
 use mj_relalg::{RelalgError, Result};
 
 use crate::cost::CostModel;
 use crate::tree::JoinTree;
 
-use super::{OptimizedPlan, QueryGraph};
+use super::csg::for_each_csg;
+use super::{charge_pair, OptimizedPlan, QueryGraph};
 
 #[derive(Clone, Copy)]
 struct Entry {
@@ -15,55 +18,49 @@ struct Entry {
     card: f64,
     /// The relation appended last to reach this mask.
     last: usize,
-    reachable: bool,
 }
 
 /// Finds the minimal-total-cost *left-deep* tree without cartesian
-/// products: every join's right operand is a base relation.
+/// products: every join's right operand is a base relation. A left-deep
+/// step is a connected subset `S` minus one relation `r` that leaves
+/// `S∖r` connected, so the DP runs over the same connected-subset
+/// enumeration as the bushy DP and shares its budget: more than
+/// [`PAIR_BUDGET`](super::PAIR_BUDGET) steps fail with
+/// [`RelalgError::PairBudgetExceeded`].
 pub fn optimize_linear(graph: &QueryGraph, cost: &CostModel) -> Result<OptimizedPlan> {
     graph.check_optimizable()?;
     let n = graph.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let mut table = vec![
-        Entry {
-            cost: f64::INFINITY,
-            card: 0.0,
-            last: usize::MAX,
-            reachable: false
-        };
-        (full as usize) + 1
-    ];
-
-    for i in 0..n {
-        let m = 1u32 << i;
-        table[m as usize] = Entry {
-            cost: 0.0,
-            card: graph.cards()[i] as f64,
-            last: i,
-            reachable: true,
-        };
-    }
-
-    for mask in 1..=full {
-        if mask.count_ones() < 2 {
-            continue;
+    // Sparse: one entry per connected subset, keyed by its mask.
+    let mut table: HashMap<u32, Entry> = HashMap::new();
+    let mut steps = 0usize;
+    for_each_csg(graph, &mut |mask| {
+        if mask.count_ones() == 1 {
+            let i = mask.trailing_zeros() as usize;
+            let leaf = Entry {
+                cost: 0.0,
+                card: graph.cards()[i] as f64,
+                last: i,
+            };
+            table.insert(mask, leaf);
+            return Ok(());
         }
         let card = graph.subset_card(mask);
         let mut best = Entry {
             cost: f64::INFINITY,
             card,
             last: usize::MAX,
-            reachable: false,
         };
         let mut rels = mask;
         while rels != 0 {
             let r = rels.trailing_zeros() as usize;
             rels &= rels - 1;
             let prev = mask & !(1u32 << r);
-            let pe = &table[prev as usize];
-            if !pe.reachable || !graph.connects(prev, 1u32 << r) {
+            // Present means connected — and then `r`, a member of the
+            // connected `mask`, has an edge into it.
+            let Some(pe) = table.get(&prev) else {
                 continue;
-            }
+            };
+            charge_pair(&mut steps)?;
             let jc = cost.join_cost(
                 pe.card as u64,
                 prev.count_ones() == 1,
@@ -73,28 +70,28 @@ pub fn optimize_linear(graph: &QueryGraph, cost: &CostModel) -> Result<Optimized
             );
             let total = pe.cost + jc;
             if total < best.cost {
-                best = Entry {
-                    cost: total,
-                    card,
-                    last: r,
-                    reachable: true,
-                };
+                best.cost = total;
+                best.last = r;
             }
         }
-        table[mask as usize] = best;
-    }
+        if best.last != usize::MAX {
+            table.insert(mask, best);
+        }
+        Ok(())
+    })?;
 
-    if !table[full as usize].reachable {
+    let full = graph.full_mask();
+    let Some(total_cost) = table.get(&full).map(|e| e.cost) else {
         return Err(RelalgError::InvalidPlan(
             "no cartesian-free linear plan covers all relations".into(),
         ));
-    }
+    };
 
     // Recover the join order (last relation first), then build the tree.
     let mut order = Vec::with_capacity(n);
     let mut mask = full;
     while mask.count_ones() > 1 {
-        let last = table[mask as usize].last;
+        let last = table[&mask].last;
         order.push(last);
         mask &= !(1u32 << last);
     }
@@ -116,8 +113,10 @@ pub fn optimize_linear(graph: &QueryGraph, cost: &CostModel) -> Result<Optimized
     let tree = builder.build(acc)?;
     Ok(OptimizedPlan {
         tree,
-        total_cost: table[full as usize].cost,
+        total_cost,
         node_cards,
+        connected_subsets: table.len(),
+        pairs_costed: steps,
     })
 }
 

@@ -17,8 +17,9 @@ struct Component {
     card: f64,
 }
 
-/// Builds a join tree greedily. Runs in O(k^3) for k relations; accepts
-/// graphs larger than the DP limit.
+/// Builds a join tree greedily. Runs in O(k^3) for k relations, however
+/// dense the graph — the fallback when an exact optimizer's pair budget
+/// runs out.
 pub fn greedy_tree(graph: &QueryGraph, cost: &CostModel) -> Result<OptimizedPlan> {
     if graph.len() < 2 {
         return Err(RelalgError::InvalidPlan(
@@ -98,6 +99,8 @@ pub fn greedy_tree(graph: &QueryGraph, cost: &CostModel) -> Result<OptimizedPlan
         tree,
         total_cost,
         node_cards,
+        connected_subsets: 0,
+        pairs_costed: 0,
     })
 }
 
@@ -132,8 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn handles_graphs_beyond_dp_limit() {
-        // 24 relations: too many for the DP guard, fine for greedy.
+    fn handles_wide_graphs() {
         let g = QueryGraph::regular_chain(24, 50).unwrap();
         let plan = greedy_tree(&g, &CostModel::default()).unwrap();
         assert_eq!(plan.tree.join_count(), 23);

@@ -7,11 +7,11 @@
 //! random-restart hill climbing (II) and simulated annealing (SA), both
 //! walking the bushy-tree space with the standard move set — commute,
 //! associate, and exchange — restricted to trees without cartesian
-//! products. They handle graphs beyond [`MAX_DP_RELATIONS`], where the
-//! exhaustive DP is unaffordable, and give the benches a realistic
-//! baseline for optimizer-quality comparisons.
+//! products. They handle graphs too dense for the exhaustive DP's
+//! [`PAIR_BUDGET`], and give the benches a realistic baseline for
+//! optimizer-quality comparisons.
 //!
-//! [`MAX_DP_RELATIONS`]: super::MAX_DP_RELATIONS
+//! [`PAIR_BUDGET`]: super::PAIR_BUDGET
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -237,6 +237,8 @@ fn to_plan(e: &Expr, graph: &QueryGraph, cm: &CostModel) -> Result<OptimizedPlan
         tree,
         total_cost: total,
         node_cards,
+        connected_subsets: 0,
+        pairs_costed: 0,
     })
 }
 

@@ -11,11 +11,20 @@
 //! * [`optimize_linear`] — System-R style DP restricted to left-deep
 //!   (linear) trees \[SAC79\];
 //! * [`greedy_tree`] — a greedy heuristic in the spirit of [LST91, SWG88]
-//!   for graphs too large to enumerate.
+//!   for graphs too dense to enumerate.
+//!
+//! Both exact optimizers enumerate only what the join graph contains —
+//! its connected subsets and, for bushy trees, their connected
+//! complements (DPccp) — so they cost time and memory proportional to the
+//! number of csg-cmp pairs: cubic in the relation count on a chain,
+//! exponential only on dense graphs, where [`PAIR_BUDGET`] stops them with
+//! [`RelalgError::PairBudgetExceeded`] and the caller falls back to
+//! [`greedy_tree`].
 //!
 //! None of them consider parallelism — by design. Cartesian products are
 //! never enumerated, matching System R.
 
+mod csg;
 mod dp_bushy;
 mod dp_linear;
 mod greedy;
@@ -32,9 +41,21 @@ use mj_relalg::{RelalgError, Result};
 
 use crate::tree::JoinTree;
 
-/// Largest relation count the exhaustive optimizers accept (the DP state is
-/// a bitmask over relations).
-pub const MAX_DP_RELATIONS: usize = 20;
+/// The most csg-cmp pairs (for [`optimize_linear`]: left-deep steps) an
+/// exact optimizer costs before it gives up with
+/// [`RelalgError::PairBudgetExceeded`]. Fixed, not configurable: planning
+/// runs inline on a server connection worker, so this is what bounds the
+/// time a client can buy with a wide FROM list.
+///
+/// Derivation: the densest graph of `n` relations, the clique, has
+/// `(3^n - 2^(n+1) + 1) / 2` pairs — 261 625 at `n` = 12, 788 970 at 13 —
+/// so 2^18 keeps every graph of up to 12 relations exact. Measured on the
+/// two-vCPU development VM (`cargo bench -p mj-bench --bench optimizer`):
+/// a costed pair takes ~50 ns, so the whole 12-clique takes 12–14 ms, a
+/// 16-clique abandoned at the budget 8–13 ms — the most phase 1 can cost —
+/// while the 14-, 20- and 28-relation chains (455, 1330 and 3654 pairs)
+/// take 0.03, 0.07 and 0.2 ms.
+pub const PAIR_BUDGET: usize = 1 << 18;
 
 /// Largest relation count a [`QueryGraph`] can hold: the adjacency and
 /// subset machinery is a `u32` bitmask, so relation 32 would silently
@@ -196,16 +217,17 @@ impl QueryGraph {
         card
     }
 
+    /// The mask of all relations (the graph must not be empty).
+    pub(crate) fn full_mask(&self) -> u32 {
+        u32::MAX >> (MAX_GRAPH_RELATIONS - self.names.len())
+    }
+
     /// True if the whole graph is connected.
     pub fn is_connected(&self) -> bool {
         if self.names.is_empty() {
             return false;
         }
-        let full = if self.names.len() == 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.names.len()) - 1
-        };
+        let full = self.full_mask();
         let mut reached = 1u32;
         loop {
             let grow = reached | (self.neighbours(reached) & full);
@@ -222,12 +244,6 @@ impl QueryGraph {
             return Err(RelalgError::InvalidPlan(
                 "optimizer needs >= 2 relations".into(),
             ));
-        }
-        if self.len() > MAX_DP_RELATIONS {
-            return Err(RelalgError::InvalidPlan(format!(
-                "DP optimizers accept at most {MAX_DP_RELATIONS} relations, got {}",
-                self.len()
-            )));
         }
         if !self.is_connected() {
             return Err(RelalgError::InvalidPlan(
@@ -253,6 +269,23 @@ pub struct OptimizedPlan {
     pub total_cost: f64,
     /// Estimated cardinality per tree node (indexed by node id).
     pub node_cards: Vec<u64>,
+    /// Connected relation subsets the optimizer held a DP entry for
+    /// (0 for the heuristics, which enumerate none).
+    pub connected_subsets: usize,
+    /// Csg-cmp pairs ([`optimize_linear`]: left-deep steps) the optimizer
+    /// costed; never 0 for an exact plan, 0 for the heuristics.
+    pub pairs_costed: usize,
+}
+
+/// Counts one costed pair against [`PAIR_BUDGET`].
+fn charge_pair(pairs: &mut usize) -> Result<()> {
+    *pairs += 1;
+    if *pairs > PAIR_BUDGET {
+        return Err(RelalgError::PairBudgetExceeded {
+            budget: PAIR_BUDGET,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

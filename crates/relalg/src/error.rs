@@ -62,6 +62,14 @@ pub enum RelalgError {
         /// rejected (= the configured queue bound).
         queue_depth: usize,
     },
+    /// An exact phase-1 optimizer gave up: the join graph holds more
+    /// connected-subgraph / complement pairs than the optimizer's fixed
+    /// budget. Not a failure of the query — planners match it and fall
+    /// back to a heuristic tree.
+    PairBudgetExceeded {
+        /// The budget that ran out (pairs costed before giving up).
+        budget: usize,
+    },
 }
 
 impl fmt::Display for RelalgError {
@@ -93,6 +101,12 @@ impl fmt::Display for RelalgError {
                     f,
                     "engine overloaded: concurrent query limit and wait queue \
                      ({queue_depth} deep) are full"
+                )
+            }
+            RelalgError::PairBudgetExceeded { budget } => {
+                write!(
+                    f,
+                    "exact DP skipped: more than {budget} csg-cmp pairs exceeds the budget"
                 )
             }
         }

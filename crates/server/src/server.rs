@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mj_exec::Database;
 
@@ -45,14 +45,19 @@ const IDLE_NAP_FLOOR: Duration = Duration::from_micros(20);
 
 /// Progressive idle pause: yield for the first [`IDLE_SPIN_SWEEPS`]
 /// empty sweeps, then sleep with exponential backoff from
-/// [`IDLE_NAP_FLOOR`] up to [`IDLE_NAP_MAX`].
-fn idle_pause(idle_streak: u32) {
+/// [`IDLE_NAP_FLOOR`] up to [`IDLE_NAP_MAX`] — but never past `wake_at`,
+/// the earliest turn of a paced ad-hoc statement ([`Conn::wake_at`]).
+fn idle_pause(idle_streak: u32, wake_at: Option<Instant>) {
     if idle_streak <= IDLE_SPIN_SWEEPS {
         std::thread::yield_now();
         return;
     }
     let exp = (idle_streak - IDLE_SPIN_SWEEPS - 1).min(10);
-    std::thread::sleep((IDLE_NAP_FLOOR * 2u32.pow(exp)).min(IDLE_NAP_MAX));
+    let mut nap = (IDLE_NAP_FLOOR * 2u32.pow(exp)).min(IDLE_NAP_MAX);
+    if let Some(at) = wake_at {
+        nap = nap.min(at.saturating_duration_since(Instant::now()));
+    }
+    std::thread::sleep(nap);
 }
 
 /// Tuning knobs for [`Server::start`].
@@ -296,7 +301,7 @@ fn worker_loop(
             idle_streak = 0;
         } else {
             idle_streak = idle_streak.saturating_add(1);
-            idle_pause(idle_streak);
+            idle_pause(idle_streak, conns.iter().filter_map(Conn::wake_at).min());
         }
     }
 }

@@ -172,6 +172,37 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
+fn sustained_adhoc_statements_are_paced_per_connection() {
+    // conn.rs: a burst of 32 ad-hoc statements starts at once, the rest
+    // one per 4 ms, counted from when the server adopted the connection.
+    const BURST: u32 = 32;
+    const INTERVAL: Duration = Duration::from_millis(4);
+    let server = chain_server();
+    let two_way = "SELECT * FROM R0 JOIN R1 ON R0.id = R1.id";
+
+    let before_connect = Instant::now();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let rows = client.query(two_way).unwrap().rows.len();
+    for _ in 1..BURST + 10 {
+        assert_eq!(client.query(two_way).unwrap().rows.len(), rows);
+    }
+    assert!(
+        before_connect.elapsed() >= INTERVAL * 10,
+        "ten statements past the burst wait a turn each"
+    );
+
+    // The pace is the connection's own: a new one starts with a full
+    // bucket, and pipelined statements still answer in order.
+    let mut other = Client::connect(server.local_addr()).unwrap();
+    for _ in 0..BURST + 3 {
+        other.send_query(two_way).unwrap();
+    }
+    for _ in 0..BURST + 3 {
+        assert_eq!(other.collect_reply().unwrap().rows.len(), rows);
+    }
+}
+
+#[test]
 fn disconnect_cancels_the_in_flight_query() {
     // Slow the query down so the disconnect happens mid-flight.
     let (db, server) = padded_chain_server(160);
@@ -320,6 +351,11 @@ fn metrics_are_served_in_protocol_and_over_http() {
     let completed = json.get("queries_completed").expect("counter present");
     assert!(matches!(completed, JsonValue::Int(n) if *n >= 1));
     assert!(json.get("query_duration_ms").is_some());
+    // The ad-hoc query above was planned once, on the connection worker.
+    let planned = json
+        .get("plan_duration_seconds")
+        .and_then(|h| h.get("count"));
+    assert!(matches!(planned, Some(JsonValue::Int(1))), "{planned:?}");
 
     // In-protocol Prometheus text.
     let text = client.metrics(MetricsFormat::Prometheus).unwrap();
@@ -329,6 +365,8 @@ fn metrics_are_served_in_protocol_and_over_http() {
     };
     assert!(text.contains("# TYPE mj_queries_total counter"));
     assert!(text.contains("mj_query_duration_ms_bucket"));
+    assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.001\"}"));
+    assert!(text.contains("mj_plan_duration_seconds_count 1\n"));
 
     // HTTP one-shot scrape: Prometheus text.
     let mut scraper = TcpStream::connect(server.local_addr()).unwrap();
