@@ -21,6 +21,7 @@ use mj_relalg::{
     Schema, Value,
 };
 
+use crate::late::{late_shape, LateShape};
 use crate::metrics::OpMetricsKind;
 
 /// What a post-join pipeline stage computes.
@@ -113,6 +114,12 @@ pub struct QueryBinding {
     /// Post-join stages, in dataflow order (the last stage feeds the
     /// client).
     stages: Vec<PipelineStage>,
+    /// The late-materialization shape of this binding over its tree, if a
+    /// rewrite is possible — derived once here, so executing (and
+    /// re-executing a prepared statement) never re-derives it. Depends
+    /// only on specs and schemas: filters, stages and bound parameters
+    /// leave it valid.
+    late: Option<Arc<LateShape>>,
 }
 
 impl QueryBinding {
@@ -140,15 +147,14 @@ impl QueryBinding {
                 }
             }
         }
-        Ok(QueryBinding {
+        QueryBinding::bare(
             specs,
-            schemas: schemas
+            schemas
                 .into_iter()
                 .map(|s| s.expect("all filled"))
                 .collect(),
-            scan_filters: HashMap::new(),
-            stages: Vec::new(),
-        })
+        )
+        .with_late_shape(tree)
     }
 
     /// The binding for the paper's regular Wisconsin query: every join on
@@ -182,12 +188,18 @@ impl QueryBinding {
         for join in tree.joins_bottom_up() {
             lowered.spec(join)?;
         }
-        Ok(QueryBinding {
-            specs: lowered.specs().clone(),
-            schemas: lowered.schemas().to_vec(),
-            scan_filters: HashMap::new(),
-            stages: Vec::new(),
-        })
+        QueryBinding::bare(lowered.specs().clone(), lowered.schemas().to_vec())
+            .with_late_shape(tree)
+    }
+
+    fn with_late_shape(mut self, tree: &JoinTree) -> Result<Self> {
+        self.late = late_shape(tree, &self)?.map(Arc::new);
+        Ok(self)
+    }
+
+    /// The late-materialization shape derived when this binding was built.
+    pub(crate) fn late_shape(&self) -> Option<&Arc<LateShape>> {
+        self.late.as_ref()
     }
 
     /// The join spec of a join node.
@@ -235,21 +247,18 @@ impl QueryBinding {
         Ok(self)
     }
 
-    /// Rebuilds this binding with rewritten join specs and node schemas —
-    /// the late-materialization narrowing. Pipeline stages are kept (they
-    /// run over the *resolved* root output, whose schema is unchanged);
-    /// scan filters are dropped because the rewrite pre-applies them while
-    /// narrowing the leaves.
-    pub(crate) fn narrowed(
-        &self,
-        specs: HashMap<NodeId, EquiJoin>,
-        schemas: Vec<Arc<Schema>>,
-    ) -> Self {
+    /// A bare binding over the given join specs and node schemas — what the
+    /// late-materialization narrowing wires the join operators from. No
+    /// scan filters (the rewrite applies them while narrowing the leaves),
+    /// no stages (they run over the *resolved* root output, from the
+    /// original binding), and no further rewrite of its own.
+    pub(crate) fn bare(specs: HashMap<NodeId, EquiJoin>, schemas: Vec<Arc<Schema>>) -> Self {
         QueryBinding {
             specs,
             schemas,
             scan_filters: HashMap::new(),
-            stages: self.stages.clone(),
+            stages: Vec::new(),
+            late: None,
         }
     }
 
@@ -309,6 +318,7 @@ impl QueryBinding {
             schemas: self.schemas.clone(),
             scan_filters,
             stages,
+            late: self.late.clone(),
         })
     }
 

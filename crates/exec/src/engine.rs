@@ -1,9 +1,11 @@
 //! Plan interpretation on the shared worker pool: build operator tasks,
 //! wire streams, schedule phases, stream the result to the client.
 //!
-//! The [`Engine`] owns a fixed-size [`WorkerPool`] and a shared
-//! [`FragmentStore`]; queries are submitted with [`Engine::submit`], which
-//! returns a [`QueryHandle`] immediately — the query's operator instances
+//! The [`Engine`] owns a fixed-size [`WorkerPool`], a shared
+//! [`FragmentStore`] for materialized intermediates and a
+//! [`FragmentCache`] holding the base relations' columnar fragments
+//! resident across queries. Queries are submitted with [`Engine::submit`],
+//! which returns a [`QueryHandle`] immediately — the query's operator instances
 //! are multiplexed onto the same bounded worker set (the paper's fixed
 //! processor pool, §4) while a per-query coordinator thread tracks
 //! completions. The root operator's instances feed a bounded client
@@ -37,12 +39,11 @@ use crossbeam::channel::{Receiver, Sender};
 use mj_core::plan_ir::{OperandSource, ParallelPlan, PlanOp};
 use mj_core::validate::validate_plan;
 use mj_plan::segment::segments;
-use mj_relalg::column::ColumnLayout;
-use mj_relalg::ops::filter_gather;
-use mj_relalg::{RelalgError, Relation, RelationProvider, Result, Tuple};
-use mj_storage::{hash_partition, FragmentStore};
+use mj_relalg::column::{select, ColumnBatch, ColumnLayout};
+use mj_relalg::{Predicate, RelalgError, Relation, RelationProvider, Result, Tuple};
+use mj_storage::{fragment_columns, FragmentCache, FragmentStore, Fragments};
 
-use crate::binding::{QueryBinding, StageKind};
+use crate::binding::{PipelineStage, QueryBinding, StageKind};
 use crate::budget::MemoryBudget;
 use crate::config::{ExecConfig, QueryOptions};
 use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, ResultStream};
@@ -75,8 +76,8 @@ pub struct ExecOutcome {
     /// The query result (the root join's output, drained from the stream).
     pub relation: Relation,
     /// Response time: scheduling start to last operation process exit
-    /// (the paper's metric; initial data fragmentation is setup, not
-    /// response time, matching §4.1's pre-fragmented starting state).
+    /// (the paper's metric; base fragments are resident before the clock
+    /// starts, matching §4.1's pre-fragmented starting state).
     pub elapsed: Duration,
     /// End-to-end time from submission to the first result batch reaching
     /// the draining client; `None` when the query produced no batches.
@@ -85,8 +86,9 @@ pub struct ExecOutcome {
     pub metrics: Metrics,
 }
 
-/// A shared, concurrency-safe execution engine: one fixed worker pool and
-/// one fragment store serving any number of in-flight queries.
+/// A shared, concurrency-safe execution engine: one fixed worker pool, one
+/// fragment store and one resident fragment cache serving any number of
+/// in-flight queries.
 ///
 /// ```text
 /// let engine = Engine::new(catalog, ExecConfig::default())?;   // N workers
@@ -106,6 +108,7 @@ pub struct Engine {
     config: ExecConfig,
     pool: Arc<WorkerPool>,
     store: Arc<FragmentStore>,
+    cache: Arc<FragmentCache>,
     next_query: AtomicU64,
     admission: Option<Arc<Admission>>,
     counters: Arc<EngineCounters>,
@@ -211,6 +214,7 @@ impl Engine {
             config,
             pool: WorkerPool::new(config.workers),
             store: Arc::new(FragmentStore::new(0)),
+            cache: Arc::new(FragmentCache::new()),
             next_query: AtomicU64::new(0),
             admission: config
                 .max_concurrent
@@ -223,11 +227,17 @@ impl Engine {
     /// timeouts, stalls, budget aborts, contained panics, peak bytes,
     /// latency histograms — one atomically consistent snapshot (all
     /// per-query counters read under a single lock), overlaid with the
-    /// worker pool's live busy/idle gauges.
+    /// worker pool's live busy/idle gauges and the fragment cache's
+    /// counters.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.counters.snapshot();
         stats.workers_total = self.pool.workers() as u64;
         stats.workers_busy = self.pool.busy().min(stats.workers_total);
+        let cache = self.cache.stats();
+        stats.fragment_cache_hits = cache.hits;
+        stats.fragment_cache_misses = cache.misses;
+        stats.fragment_cache_evictions = cache.evictions;
+        stats.fragment_cache_bytes = cache.bytes;
         stats
     }
 
@@ -257,6 +267,12 @@ impl Engine {
     /// in-flight queries (query-namespaced; reclaimed per query).
     pub fn store(&self) -> &Arc<FragmentStore> {
         &self.store
+    }
+
+    /// The resident columnar fragments of the base relations, shared by
+    /// all queries (validated against the provider on every lookup).
+    pub fn fragment_cache(&self) -> &Arc<FragmentCache> {
+        &self.cache
     }
 
     /// Submits `plan` for execution and returns a [`QueryHandle`]
@@ -308,6 +324,7 @@ impl Engine {
         let config = self.config;
         let pool = self.pool.clone();
         let store = self.store.clone();
+        let cache = self.cache.clone();
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
         let coord_ctrl = ctrl.clone();
         let counters = self.counters.clone();
@@ -322,6 +339,7 @@ impl Engine {
                     &opts,
                     &pool,
                     &store,
+                    &cache,
                     query_id,
                     client,
                     &coord_ctrl,
@@ -391,15 +409,18 @@ pub fn run_plan(
     let schema = stream.schema().clone();
     let pool = WorkerPool::new(config.workers);
     let store = Arc::new(FragmentStore::new(plan.processors));
+    // Same path as a long-lived engine; the cache just dies with the call.
+    let cache = FragmentCache::new();
 
     std::thread::scope(|scope| {
         let pool = &pool;
         let store = &store;
+        let cache = &cache;
         let ctrl_ref = &ctrl;
         let opts_ref = &opts;
         let coordinator = scope.spawn(move || {
             run_query(
-                plan, binding, provider, config, opts_ref, pool, store, 0, client, ctrl_ref,
+                plan, binding, provider, config, opts_ref, pool, store, cache, 0, client, ctrl_ref,
             )
         });
         let mut tuples: Vec<Tuple> = Vec::new();
@@ -466,9 +487,12 @@ fn open_result_channel(
 /// Per-query coordinator state while its tasks run on the pool.
 struct QueryRun<'a> {
     plan: &'a ParallelPlan,
-    /// The binding operators are wired from: the narrow rewrite of a
+    /// The binding join operators are wired from: the narrow rewrite of a
     /// late-materialized query, otherwise the original.
     binding: &'a QueryBinding,
+    /// The post-join stages, always from the original binding (they run
+    /// on the resolved root output).
+    stages: &'a [PipelineStage],
     config: &'a ExecConfig,
     pool: &'a WorkerPool,
     store: &'a Arc<FragmentStore>,
@@ -477,8 +501,8 @@ struct QueryRun<'a> {
     ns: String,
     /// Per-op scheduling priority: the op's segment wave (§4 order).
     priorities: Vec<usize>,
-    /// side_fragments[(op, side)] = per-instance base fragments.
-    base_fragments: HashMap<(usize, usize), Vec<Arc<Relation>>>,
+    /// base_fragments[(op, side)] = per-instance base fragments.
+    base_fragments: HashMap<(usize, usize), Fragments>,
     /// Receivers for stream operands, taken at consumer spawn.
     stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>>,
     /// Senders for stream outputs, taken at producer spawn.
@@ -530,7 +554,7 @@ impl QueryRun<'_> {
             self.stream_rx.remove(&(op.id, 0)),
             self.stream_rx.remove(&(op.id, 1)),
         ];
-        let mut mat_fragments: [Option<Vec<Arc<Relation>>>; 2] = [None, None];
+        let mut mat_fragments: [Option<Vec<Arc<ColumnBatch>>>; 2] = [None, None];
         for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
             if let OperandSource::Materialized { from } = operand {
                 let frags = self.store.collect(&format!("{}op{from}", self.ns));
@@ -592,14 +616,13 @@ impl QueryRun<'_> {
                     self.config.batch_size,
                     pool.clone(),
                 )),
-                None if self.out_materialized[op.id] => OutputPort::Materialize {
-                    store: self.store.clone(),
-                    proc: op.procs[i],
-                    name: format!("{}op{}", self.ns, op.id),
-                    schema: self.binding.schema(op.join)?.clone(),
-                    buffer: Vec::new(),
-                    budget: Some(self.ctrl.budget().clone()),
-                },
+                None if self.out_materialized[op.id] => OutputPort::materialize(
+                    self.store.clone(),
+                    op.procs[i],
+                    format!("{}op{}", self.ns, op.id),
+                    self.binding.schema(op.join)?,
+                    Some(self.ctrl.budget().clone()),
+                ),
                 None => {
                     let (tx, bpool) = client.as_ref().expect("taken above");
                     OutputPort::Client(ClientSink::new(
@@ -659,7 +682,7 @@ impl QueryRun<'_> {
             .op_for_join(root)
             .map(PlanOp::degree)
             .ok_or_else(|| RelalgError::InvalidPlan("plan has no root operation".into()))?;
-        for (i, stage) in self.binding.stages().iter().enumerate() {
+        for (i, stage) in self.stages.iter().enumerate() {
             let op_id = n_ops + i;
             let rxs = std::mem::take(&mut self.stage_rx[i]);
             if rxs.len() != stage.degree {
@@ -776,6 +799,7 @@ fn run_query(
     opts: &QueryOptions,
     pool: &WorkerPool,
     store: &Arc<FragmentStore>,
+    cache: &FragmentCache,
     query_id: u64,
     client: ClientEdge,
     ctrl: &Arc<QueryCtrl>,
@@ -790,69 +814,25 @@ fn run_query(
     let ns = format!("q{query_id}:");
     store.ensure_nodes(plan.processors);
 
-    // --- Late materialization (planning-time rewrite). When eligible,
-    // the join pipeline runs on narrow ref-carrying relations bound by
-    // `late.narrow`, the full-width payloads stay pinned in the rewrite's
-    // registry (charged to the budget below), and the root join's tasks
-    // resolve refs back to the original schema — so everything from the
-    // root's output port on (stages, client channel) is untouched.
-    let late = crate::late::plan_late(plan, binding, provider, config.late)?;
-    let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.narrow);
+    let mut metrics = Metrics::new(n_tasks);
+
+    // --- Late materialization. When the binding's shape is taken, the
+    // join pipeline runs on narrow ref-carrying batches wired from
+    // `late.shape.narrow`, the resident images the refs index stay pinned
+    // in the rewrite's registry (charged to the budget below), and the
+    // root join's tasks resolve refs back to the original schema — so
+    // everything from the root's output port on (stages, client channel)
+    // is untouched.
+    let late = crate::late::plan_late(binding, provider, cache, config.late, &mut metrics)?;
+    let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.shape.narrow);
     let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
     if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
         ctrl.abort(ctrl.budget().exhausted_error());
     }
 
-    // --- Setup (not timed): ideal base fragmentation per §4.1. ---
-    // Pushed-down filters run here, against the base relations themselves:
-    // a zero-copy index gather keeps only the surviving rows (payloads
-    // shared, not copied), so partitioning, streams, and the joins all see
-    // the reduced inputs — the whole point of pushdown.
-    let mut filtered_bases: HashMap<&str, Arc<Relation>> = HashMap::new();
-    let mut base_fragments: HashMap<(usize, usize), Vec<Arc<Relation>>> = HashMap::new();
-    for op in &plan.ops {
-        let spec = exec_binding.spec(op.join)?;
-        for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-            if let OperandSource::Base { relation } = operand {
-                let key_col = if side == 0 {
-                    spec.left_key
-                } else {
-                    spec.right_key
-                };
-                // A late plan scans the synthesized narrow relations
-                // (scan filters already applied, in original leaf
-                // coordinates, when they were built).
-                let rel = match &late {
-                    Some(l) => l.relations.get(relation).cloned().ok_or_else(|| {
-                        RelalgError::InvalidPlan(format!("late plan lost relation {relation}"))
-                    })?,
-                    None => match binding.scan_filter(relation) {
-                        Some(pred) => match filtered_bases.get(relation.as_str()) {
-                            Some(cached) => cached.clone(),
-                            None => {
-                                let base = provider.relation(relation)?;
-                                let filtered = Arc::new(filter_gather(&base, pred)?);
-                                filtered_bases.insert(relation.as_str(), filtered.clone());
-                                filtered
-                            }
-                        },
-                        None => provider.relation(relation)?,
-                    },
-                };
-                // A single instance reads the whole relation: share it
-                // rather than hash every key to gather an identical copy.
-                let frags = if op.degree() == 1 {
-                    vec![rel]
-                } else {
-                    hash_partition(&rel, op.degree(), key_col)?
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect()
-                };
-                base_fragments.insert((op.id, side), frags);
-            }
-        }
-    }
+    // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
+    let base_fragments =
+        base_fragments(plan, binding, late.as_ref(), provider, cache, &mut metrics)?;
 
     // Stream channels, created up front (receivers taken at consumer
     // spawn, senders at producer spawn). Edge pools are sized from both
@@ -959,7 +939,6 @@ fn run_query(
         }
     }
 
-    let mut metrics = Metrics::new(n_tasks);
     metrics.streams = plan.stats().tuple_streams + stage_streams;
     for op in &plan.ops {
         metrics.ops[op.id].est_out = op.est_out;
@@ -971,6 +950,7 @@ fn run_query(
     let mut run = QueryRun {
         plan,
         binding: exec_binding,
+        stages: binding.stages(),
         config,
         pool,
         store,
@@ -1105,9 +1085,9 @@ fn run_query(
     // Reclaim its namespace in the shared store, crediting the freed
     // fragment bytes back to the query's budget.
     let freed = store.remove_prefix(&ns);
-    ctrl.budget().credit(freed as u64);
-    // The pinned payload registry dies with the query (the resolver Arcs
-    // dropped as the tasks completed); return its charge too.
+    ctrl.budget().credit(freed);
+    // The registry's pins die with the query (the resolver Arcs dropped as
+    // the tasks completed); return their charge too.
     if pinned_bytes > 0 {
         ctrl.budget().credit(pinned_bytes);
     }
@@ -1148,6 +1128,81 @@ fn run_query(
         time_to_first_batch: None,
         metrics: run.metrics,
     })
+}
+
+/// Resolves every base operand of `plan` to its per-instance columnar
+/// fragments: a fragment-cache lookup, plus — for a pushed-down scan
+/// filter — a selection over each *cached* fragment whose survivors are
+/// gathered into a batch private to this query (filtering and hash
+/// partitioning commute, and the filtered result is never cached: `?1`
+/// changes per execution). A late plan's narrow leaves are per query
+/// already and are partitioned privately.
+fn base_fragments(
+    plan: &ParallelPlan,
+    binding: &QueryBinding,
+    late: Option<&crate::late::LateRewrite>,
+    provider: &dyn RelationProvider,
+    cache: &FragmentCache,
+    metrics: &mut Metrics,
+) -> Result<HashMap<(usize, usize), Fragments>> {
+    let exec_binding = late.map_or(binding, |l| &l.shape.narrow);
+    // One resolution per name, so every leaf of a query reads the same
+    // relation even while it is being replaced in the catalog.
+    let mut resolved: HashMap<&str, Arc<Relation>> = HashMap::new();
+    let mut out = HashMap::new();
+    for op in &plan.ops {
+        let spec = exec_binding.spec(op.join)?;
+        for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+            let OperandSource::Base { relation } = operand else {
+                continue;
+            };
+            let key_col = if side == 0 {
+                spec.left_key
+            } else {
+                spec.right_key
+            };
+            let fragments: Fragments = match late {
+                Some(l) => {
+                    let narrow = l.relations.get(relation).ok_or_else(|| {
+                        RelalgError::InvalidPlan(format!("late plan lost relation {relation}"))
+                    })?;
+                    fragment_columns(narrow, key_col, op.degree())?
+                }
+                None => {
+                    let source = match resolved.get(relation.as_str()) {
+                        Some(source) => source.clone(),
+                        None => {
+                            let source = provider.relation(relation)?;
+                            resolved.insert(relation, source.clone());
+                            source
+                        }
+                    };
+                    let (cached, hit) = cache.fragments(relation, &source, key_col, op.degree())?;
+                    metrics.note_fragment_lookup(hit);
+                    match binding.scan_filter(relation) {
+                        Some(pred) => cached
+                            .iter()
+                            .map(|fragment| filter_fragment(fragment, pred))
+                            .collect::<Result<_>>()?,
+                        None => cached,
+                    }
+                }
+            };
+            out.insert((op.id, side), fragments);
+        }
+    }
+    Ok(out)
+}
+
+/// The rows of `fragment` satisfying `pred`, gathered into a private
+/// batch; the cached fragment itself when every row survives.
+fn filter_fragment(fragment: &Arc<ColumnBatch>, pred: &Predicate) -> Result<Arc<ColumnBatch>> {
+    let mut survivors = Vec::new();
+    select(pred, fragment, 0..fragment.rows(), &mut survivors)?;
+    if survivors.len() == fragment.rows() {
+        return Ok(fragment.clone());
+    }
+    fragment.gather(&survivors).map(Arc::new)
 }
 
 /// Renders one line per operation for [`RelalgError::Stalled`]: the op's

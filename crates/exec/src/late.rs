@@ -13,15 +13,24 @@
 //! payload byte is touched exactly once, and only for rows that made it
 //! through every join.
 //!
-//! The rewrite is purely a planning-time transformation: [`plan_late`]
-//! derives a narrow [`QueryBinding`] (same tree, same operators, identity
-//! projections over the narrow concatenations), synthesizes the narrow
-//! base relations, and builds the [`Resolver`] that maps the narrow root
-//! output back to the original root schema. The engine swaps the narrow
-//! binding in for operator wiring, attaches the resolver to the root
-//! join's tasks, and leaves everything downstream of the root (pipeline
-//! stages, client channel) on the original schema — late materialization
-//! is invisible outside the join pipeline.
+//! The rewrite has two halves. The **shape** ([`LateShape`]) is a pure
+//! function of the join tree and the binding's specs and schemas: column
+//! provenance, the dense (join-key) column set of every leaf, the narrow
+//! [`QueryBinding`] (same tree, same operators, identity projections over
+//! the narrow concatenations), the resolver's column plan, and whether the
+//! `Auto` policy would take it. It is derived once, when the binding is
+//! built, and carried with it through `bind_params` — a declined rewrite
+//! costs an execution nothing. The **materialize** half ([`plan_late`])
+//! runs per execution and is columnar: a leaf's narrow image is the dense
+//! columns of the relation's *resident* image (the engine's
+//! [`FragmentCache`]) plus an iota ref column; a scan filter is a
+//! [`select`] over that image whose survivors are gathered, so refs always
+//! index the **unfiltered** resident image, which the registry pins by
+//! refcount instead of copying. The engine swaps the narrow binding in for
+//! operator wiring, attaches the [`Resolver`] to the root join's tasks, and
+//! leaves everything downstream of the root (pipeline stages, client
+//! channel) on the original schema — late materialization is invisible
+//! outside the join pipeline.
 //!
 //! Eligibility is governed by [`LateMode`](crate::config::LateMode):
 //! `Auto` demands at least two joins *and* a narrow root row at most 0.8×
@@ -32,18 +41,14 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use mj_core::plan_ir::ParallelPlan;
-use mj_plan::tree::{NodeId, TreeNode};
-use mj_relalg::column::{columnar_row_bytes, ColumnBatch, ColumnLayout};
-use mj_relalg::ops::filter_gather;
-use mj_relalg::{
-    Attribute, EquiJoin, Projection, RelalgError, Relation, RelationProvider, Result, Schema,
-    Tuple, Value,
-};
-use mj_storage::{pack_ref, ref_row, FragmentRegistry};
+use mj_plan::tree::{JoinTree, NodeId, TreeNode};
+use mj_relalg::column::{columnar_row_bytes, select, Column, ColumnBatch, ColumnLayout};
+use mj_relalg::{Attribute, EquiJoin, Projection, RelalgError, RelationProvider, Result, Schema};
+use mj_storage::{pack_ref, ref_row, FragmentCache, FragmentRegistry};
 
 use crate::binding::QueryBinding;
 use crate::config::LateMode;
+use crate::metrics::Metrics;
 
 /// One column of the resolver's materialization plan: how original root
 /// output column `j` is produced from the narrow root output.
@@ -52,43 +57,69 @@ enum MatCol {
     /// Copied from narrow root output column `pos` (a join key, still
     /// dense in the narrow plan).
     Dense(usize),
-    /// Gathered from the pinned payload of source `sid`, column
-    /// `leaf_col`, at the row indices carried by ref slot `slot`.
+    /// Gathered from the pinned image of source `sid`, column `leaf_col`,
+    /// at the row indices carried by ref slot `slot`.
     Gather {
-        /// Index into [`Resolver::ref_cols`] naming the ref column whose
+        /// Index into [`LateShape::ref_cols`] naming the ref column whose
         /// row indices drive this gather.
         slot: usize,
-        /// Registry slot of the pinned payload batch.
+        /// Registry slot of the pinned image.
         sid: usize,
-        /// Column within the pinned payload batch.
+        /// Column within the pinned image.
         leaf_col: usize,
     },
 }
 
-/// Resolves narrow (ref-carrying) root output batches into the original
-/// root schema: dense columns are copied, payload columns are gathered
-/// from the pinned registry batches. Built once per query by
-/// [`plan_late`]; shared read-only by all root-op instances.
-pub(crate) struct Resolver {
-    registry: FragmentRegistry,
+/// The shape-only half of the rewrite (see the module docs): everything
+/// that does not depend on the data, the scan filters' literals, or the
+/// engine's [`LateMode`].
+#[derive(Debug)]
+pub(crate) struct LateShape {
+    /// Source relations by registry slot; duplicate leaves of one relation
+    /// share a slot, hence one pinned image.
+    names: Vec<String>,
+    /// Per source: the leaf columns joins probe on, ascending — the dense
+    /// prefix of the narrow leaf.
+    dense: Vec<Vec<usize>>,
+    /// Per source: whether some root output column must be gathered from
+    /// its payload (the narrow leaf then ends in a ref column).
+    needs_ref: Vec<bool>,
+    /// Per source: column layout of the narrow leaf.
+    layouts: Vec<ColumnLayout>,
+    /// Narrow join specs and node schemas; no scan filters (applied while
+    /// narrowing the leaves) and no stages (they run on the resolved
+    /// output, from the original binding).
+    pub narrow: QueryBinding,
+    /// How each original root output column is resolved.
     plan: Vec<MatCol>,
     /// Narrow-root positions of the distinct ref columns the plan uses;
     /// `MatCol::Gather::slot` indexes this list.
     ref_cols: Vec<usize>,
     /// Column layout of the resolved (original root schema) output.
     layout: ColumnLayout,
+    /// Whether `LateMode::Auto` takes this rewrite.
+    auto: bool,
+}
+
+/// Resolves narrow (ref-carrying) root output batches into the original
+/// root schema: dense columns are copied, payload columns are gathered
+/// from the pinned images. Built once per execution by [`plan_late`];
+/// shared read-only by all root-op instances.
+pub(crate) struct Resolver {
+    shape: Arc<LateShape>,
+    registry: FragmentRegistry,
 }
 
 impl Resolver {
     /// Layout of the resolved output (the original root schema).
     pub(crate) fn layout(&self) -> &ColumnLayout {
-        &self.layout
+        &self.shape.layout
     }
 
     /// Number of ref-index scratch buffers [`resolve_into`](Self::resolve_into)
     /// needs.
     pub(crate) fn scratch_slots(&self) -> usize {
-        self.ref_cols.len()
+        self.shape.ref_cols.len()
     }
 
     /// Appends the resolution of every row of `src` (narrow root schema)
@@ -106,7 +137,7 @@ impl Resolver {
         }
         // Unpack each used ref column's row indices once per batch; every
         // gather over the same source reuses the same index vector.
-        for (slot, &pos) in self.ref_cols.iter().enumerate() {
+        for (slot, &pos) in self.shape.ref_cols.iter().enumerate() {
             let refs = src.column(pos)?.as_refs().ok_or_else(|| {
                 RelalgError::InvalidPlan(format!("late plan: column {pos} is not a ref column"))
             })?;
@@ -114,7 +145,7 @@ impl Resolver {
             idx.clear();
             idx.extend(refs.iter().map(|&r| ref_row(r)));
         }
-        dst.append_with(n, |j, col| match &self.plan[j] {
+        dst.append_with(n, |j, col| match &self.shape.plan[j] {
             MatCol::Dense(pos) => col.append_range(src.column(*pos)?, 0..n),
             MatCol::Gather {
                 slot,
@@ -125,18 +156,18 @@ impl Resolver {
     }
 }
 
-/// Everything the engine needs to run a query late-materialized.
+/// Everything the engine needs to run one execution late-materialized.
 pub(crate) struct LateRewrite {
-    /// Narrow binding: same stages, narrow join specs and node schemas,
-    /// no scan filters (already applied to the narrow relations).
-    pub narrow: QueryBinding,
+    /// The shape this execution follows; its `narrow` binding wires the
+    /// join operators.
+    pub shape: Arc<LateShape>,
     /// Narrow base relations by catalog name (scan filters pre-applied;
-    /// row `i` of a narrow relation refs row `i` of its pinned payload).
-    pub relations: HashMap<String, Arc<Relation>>,
-    /// The root-side resolver over the pinned payload batches.
+    /// a row's ref indexes the unfiltered pinned image).
+    pub relations: HashMap<String, Arc<ColumnBatch>>,
+    /// The root-side resolver over the pinned images.
     pub resolver: Arc<Resolver>,
-    /// Logical bytes pinned by the registry — charged to the query's
-    /// memory budget for the query's lifetime.
+    /// Logical bytes of the images the registry pins — charged to the
+    /// query's memory budget for the query's lifetime.
     pub pinned_bytes: u64,
 }
 
@@ -155,27 +186,22 @@ struct NCol {
     kind: NKind,
 }
 
-/// Attempts the late-materialization rewrite of `plan` + `binding` under
-/// `mode`. Returns `None` when the rewrite is disabled, impossible, or
-/// (under `Auto`) not estimated to pay.
-pub(crate) fn plan_late(
-    plan: &ParallelPlan,
-    binding: &QueryBinding,
-    provider: &dyn RelationProvider,
-    mode: LateMode,
-) -> Result<Option<LateRewrite>> {
-    if mode == LateMode::Never || plan.ops.is_empty() {
-        return Ok(None);
-    }
-    if mode == LateMode::Auto && plan.ops.len() < 2 {
-        return Ok(None);
-    }
-    let tree = &plan.tree;
+/// Derives the late-materialization shape of `binding` over `tree`, or
+/// `None` when there is no join or no payload column to strip.
+pub(crate) fn late_shape(tree: &JoinTree, binding: &QueryBinding) -> Result<Option<LateShape>> {
     let n_nodes = tree.nodes().len();
+    let joins = tree
+        .nodes()
+        .iter()
+        .filter(|n| matches!(n, TreeNode::Join { .. }))
+        .count();
+    if joins == 0 {
+        return Ok(None);
+    }
 
     // --- Provenance: trace every node output column to (leaf, leaf col).
     // Sources (registry slots) are keyed by relation *name*, so duplicate
-    // leaves of the same relation share one pinned payload batch.
+    // leaves of the same relation share one pinned image.
     let mut sid_of_name: HashMap<&str, usize> = HashMap::new();
     let mut names: Vec<&str> = Vec::new();
     let mut leaf_sid: HashMap<NodeId, usize> = HashMap::new();
@@ -325,53 +351,13 @@ pub(crate) fn plan_late(
     let narrow_root = narrow_schemas[root]
         .as_ref()
         .ok_or_else(|| RelalgError::InvalidPlan("late plan: no root schema".into()))?;
-    if mode == LateMode::Auto
-        && 10 * columnar_row_bytes(narrow_root) > 8 * columnar_row_bytes(orig_root)
-    {
-        return Ok(None);
-    }
-
-    // --- Materialize: pin filtered payloads, synthesize narrow relations.
-    // Refs index rows of the *filtered* payload, so filters must be
-    // applied (in original leaf coordinates) before either is built.
-    let mut registry = FragmentRegistry::new(names.len());
-    let mut relations: HashMap<String, Arc<Relation>> = HashMap::new();
-    for (sid, name) in names.iter().enumerate() {
-        let base = provider.relation(name)?;
-        let filtered: Arc<Relation> = match binding.scan_filter(name) {
-            Some(pred) => Arc::new(filter_gather(&base, pred)?),
-            None => base,
-        };
-        if filtered.len() > u32::MAX as usize {
-            return Ok(None); // row index would not fit a packed ref
-        }
-        let schema = narrow_leaf_schemas[sid]
-            .clone()
-            .ok_or_else(|| RelalgError::InvalidPlan("late plan: no leaf schema".into()))?;
-        let mut tuples = Vec::with_capacity(filtered.len());
-        for (row, t) in filtered.iter().enumerate() {
-            let mut vals: Vec<Value> = Vec::with_capacity(schema.arity());
-            for &c in dense[sid].iter() {
-                vals.push(t.get(c)?.clone());
-            }
-            if needs_ref[sid] {
-                vals.push(Value::Int(pack_ref(sid as u32, row as u32) as i64));
-            }
-            tuples.push(Tuple::new(vals));
-        }
-        relations.insert(
-            (*name).to_string(),
-            Arc::new(Relation::new_unchecked(schema, tuples)),
-        );
-        if needs_ref[sid] {
-            registry.set(sid, Arc::new(ColumnBatch::from_relation(&filtered)?));
-        }
-    }
+    let auto =
+        joins >= 2 && 10 * columnar_row_bytes(narrow_root) <= 8 * columnar_row_bytes(orig_root);
 
     // --- Materialization plan for the resolver: map every original root
     // output column to a dense copy or a registry gather.
     let mut ref_cols: Vec<usize> = Vec::new();
-    let mut mat_plan: Vec<MatCol> = Vec::with_capacity(prov[root].len());
+    let mut plan: Vec<MatCol> = Vec::with_capacity(prov[root].len());
     for &(leaf, col) in &prov[root] {
         let sid = leaf_sid[&leaf];
         if dense[sid].contains(&col) {
@@ -379,7 +365,7 @@ pub(crate) fn plan_late(
                 .iter()
                 .position(|nc| nc.leaf == leaf && nc.kind == NKind::Dense(col))
                 .ok_or_else(|| RelalgError::InvalidPlan("late plan: lost dense column".into()))?;
-            mat_plan.push(MatCol::Dense(pos));
+            plan.push(MatCol::Dense(pos));
         } else {
             let ref_pos = ncols[root]
                 .iter()
@@ -392,7 +378,7 @@ pub(crate) fn plan_late(
                     ref_cols.len() - 1
                 }
             };
-            mat_plan.push(MatCol::Gather {
+            plan.push(MatCol::Gather {
                 slot,
                 sid,
                 leaf_col: col,
@@ -400,19 +386,97 @@ pub(crate) fn plan_late(
         }
     }
 
-    let pinned_bytes = registry.est_bytes();
+    let layout = ColumnLayout::of(orig_root);
+    let layouts = narrow_leaf_schemas
+        .iter()
+        .map(|s| s.as_deref().map(ColumnLayout::of))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| RelalgError::InvalidPlan("late plan: no leaf schema".into()))?;
     let schemas: Vec<Arc<Schema>> = narrow_schemas
         .into_iter()
         .collect::<Option<Vec<_>>>()
         .ok_or_else(|| RelalgError::InvalidPlan("late plan: incomplete schemas".into()))?;
+    Ok(Some(LateShape {
+        names: names.iter().map(|n| n.to_string()).collect(),
+        dense: dense.into_iter().map(|d| d.into_iter().collect()).collect(),
+        needs_ref,
+        layouts,
+        narrow: QueryBinding::bare(narrow_specs, schemas),
+        plan,
+        ref_cols,
+        layout,
+        auto,
+    }))
+}
+
+/// The per-execution half of the rewrite: when `mode` takes the binding's
+/// [`LateShape`], narrows every source relation from its resident image
+/// and pins the images the resolver gathers from. Returns `None` — at no
+/// cost — when the rewrite is disabled, impossible, or (under `Auto`) not
+/// estimated to pay.
+pub(crate) fn plan_late(
+    binding: &QueryBinding,
+    provider: &dyn RelationProvider,
+    cache: &FragmentCache,
+    mode: LateMode,
+    metrics: &mut Metrics,
+) -> Result<Option<LateRewrite>> {
+    let Some(shape) = binding.late_shape() else {
+        return Ok(None);
+    };
+    if mode == LateMode::Never || (mode == LateMode::Auto && !shape.auto) {
+        return Ok(None);
+    }
+    let mut registry = FragmentRegistry::new(shape.names.len());
+    let mut relations: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
+    for (sid, name) in shape.names.iter().enumerate() {
+        let base = provider.relation(name)?;
+        if base.len() > u32::MAX as usize {
+            return Ok(None); // row index would not fit a packed ref
+        }
+        let (image, hit) = cache.image(name, &base)?;
+        metrics.note_fragment_lookup(hit);
+        // Surviving rows, in original image coordinates.
+        let survivors = match binding.scan_filter(name) {
+            Some(pred) => {
+                let mut sel = Vec::new();
+                select(pred, &image, 0..image.rows(), &mut sel)?;
+                Some(sel)
+            }
+            None => None,
+        };
+        let rows = survivors.as_ref().map_or(image.rows(), Vec::len);
+        let dense = &shape.dense[sid];
+        let mut narrow = ColumnBatch::with_capacity(&shape.layouts[sid], rows);
+        narrow.append_with(rows, |j, col| match (dense.get(j), &survivors) {
+            (Some(&c), Some(sel)) => col.append_gather(image.column(c)?, sel),
+            (Some(&c), None) => col.append_range(image.column(c)?, 0..rows),
+            (None, survivors) => {
+                let Column::Ref(refs) = col else {
+                    return Err(RelalgError::InvalidPlan(
+                        "late plan: narrow leaf does not end in a ref column".into(),
+                    ));
+                };
+                let pack = |row: u32| pack_ref(sid as u32, row);
+                match survivors {
+                    Some(sel) => refs.extend(sel.iter().copied().map(pack)),
+                    None => refs.extend((0..rows as u32).map(pack)),
+                }
+                Ok(())
+            }
+        })?;
+        relations.insert(name.clone(), Arc::new(narrow));
+        if shape.needs_ref[sid] {
+            registry.set(sid, image);
+        }
+    }
+    let pinned_bytes = registry.est_bytes();
     Ok(Some(LateRewrite {
-        narrow: binding.narrowed(narrow_specs, schemas),
+        shape: shape.clone(),
         relations,
         resolver: Arc::new(Resolver {
+            shape: shape.clone(),
             registry,
-            plan: mat_plan,
-            ref_cols,
-            layout: ColumnLayout::of(orig_root),
         }),
         pinned_bytes,
     }))
@@ -422,7 +486,7 @@ pub(crate) fn plan_late(
 mod tests {
     use super::*;
     use crate::session::{Database, DbConfig};
-    use mj_relalg::DataType;
+    use mj_relalg::{DataType, Relation, Tuple, Value};
 
     fn rel(cols: &[&str], rows: usize) -> Arc<Relation> {
         let schema = Schema::new(cols.iter().map(|c| Attribute::int(*c)).collect()).shared();
@@ -433,7 +497,7 @@ mod tests {
         Arc::new(Relation::new_unchecked(schema, tuples))
     }
 
-    /// Three wide relations (two payload columns each) chained on `k`.
+    /// Three wide relations (three payload columns each) chained on `k`.
     fn wide_db() -> Database {
         let db = Database::open(DbConfig::default()).unwrap();
         db.register("a", rel(&["k", "p1", "p2", "p3"], 24)).unwrap();
@@ -443,71 +507,96 @@ mod tests {
         db
     }
 
+    fn late(db: &Database, binding: &QueryBinding, mode: LateMode) -> Option<LateRewrite> {
+        plan_late(
+            binding,
+            db.catalog().as_ref(),
+            db.engine().fragment_cache(),
+            mode,
+            &mut Metrics::new(0),
+        )
+        .unwrap()
+    }
+
     const CHAIN: &str = "SELECT * FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k";
 
     #[test]
     fn auto_rewrites_wide_chains_and_narrows_every_leaf() {
         let db = wide_db();
         let planned = db.plan(CHAIN).unwrap();
-        let late = plan_late(
-            &planned.plan,
-            &planned.binding,
-            db.catalog().as_ref(),
-            LateMode::Auto,
-        )
-        .unwrap()
-        .expect("two joins over 4-int rows must rewrite under Auto");
+        let late = late(&db, &planned.binding, LateMode::Auto)
+            .expect("two joins over 4-int rows must rewrite under Auto");
         // Every leaf keeps only its key plus the ref column.
         for name in ["a", "b", "c"] {
             let narrow = late.relations.get(name).expect("narrow relation");
-            assert_eq!(narrow.schema().arity(), 2, "{name}: key + ref only");
             assert_eq!(
-                narrow.schema().attr(1).unwrap().ty,
-                DataType::Ref,
-                "{name}: ref column last"
+                narrow.layout().types(),
+                [DataType::Int, DataType::Ref],
+                "{name}: key, then ref"
             );
+            assert_eq!(narrow.rows(), 24);
         }
-        assert!(late.pinned_bytes > 0, "payloads pinned for resolution");
+        // What is pinned is the resident image itself, not a copy.
+        let resident = db.engine().fragment_cache().stats();
+        assert_eq!(
+            late.pinned_bytes, resident.bytes,
+            "three images, no variants"
+        );
+        assert_eq!(resident.images_built, 3, "built by analyze, reused here");
         // The narrow root output is keys + refs; the original is 12 ints.
         let root = planned.plan.tree.root();
         assert_eq!(planned.binding.schema(root).unwrap().arity(), 12);
-        assert_eq!(late.narrow.schema(root).unwrap().arity(), 6);
+        assert_eq!(late.shape.narrow.schema(root).unwrap().arity(), 6);
         // Narrow bindings carry no scan filters (already applied).
-        assert!(late.narrow.scan_filters().is_empty());
+        assert!(late.shape.narrow.scan_filters().is_empty());
     }
 
     #[test]
-    fn never_and_single_join_auto_do_not_rewrite() {
+    fn a_scan_filter_narrows_the_leaf_but_refs_index_the_unfiltered_image() {
+        let db = wide_db();
+        let planned = db.plan(&format!("{CHAIN} WHERE b.q1 >= 6")).unwrap();
+        let late = late(&db, &planned.binding, LateMode::Always).expect("rewrites");
+        let narrow = late.relations.get("b").unwrap();
+        // Rows 6, 7, 14, 15, 22, 23 of `b` carry q1 in {6, 7}.
+        let rows: Vec<u32> = narrow
+            .column(1)
+            .unwrap()
+            .as_refs()
+            .unwrap()
+            .iter()
+            .map(|&r| ref_row(r))
+            .collect();
+        assert_eq!(rows, [6, 7, 14, 15, 22, 23]);
+        assert_eq!(narrow.int_col(0).unwrap(), &[6, 7, 6, 7, 6, 7]);
+        assert_eq!(
+            late.relations.get("a").unwrap().rows(),
+            24,
+            "unfiltered leaf"
+        );
+    }
+
+    #[test]
+    fn the_shape_is_carried_by_the_binding_and_the_mode_only_gates_it() {
         let db = wide_db();
         let planned = db.plan(CHAIN).unwrap();
-        let cat = db.catalog();
+        let shape = planned.binding.late_shape().expect("derived at plan time");
+        assert!(shape.auto);
+        // Binding parameters (or anything else that clones the binding)
+        // shares the shape instead of re-deriving it.
+        let bound = planned.binding.bind_params(&[]).unwrap();
+        assert!(Arc::ptr_eq(shape, bound.late_shape().unwrap()));
         assert!(
-            plan_late(
-                &planned.plan,
-                &planned.binding,
-                cat.as_ref(),
-                LateMode::Never
-            )
-            .unwrap()
-            .is_none(),
+            late(&db, &planned.binding, LateMode::Never).is_none(),
             "Never disables the rewrite"
         );
         let single = db.plan("SELECT * FROM a JOIN b ON a.k = b.k").unwrap();
+        assert!(!single.binding.late_shape().unwrap().auto);
         assert!(
-            plan_late(&single.plan, &single.binding, cat.as_ref(), LateMode::Auto)
-                .unwrap()
-                .is_none(),
+            late(&db, &single.binding, LateMode::Auto).is_none(),
             "Auto demands at least two joins"
         );
         assert!(
-            plan_late(
-                &single.plan,
-                &single.binding,
-                cat.as_ref(),
-                LateMode::Always
-            )
-            .unwrap()
-            .is_some(),
+            late(&db, &single.binding, LateMode::Always).is_some(),
             "Always rewrites a single join when payloads can be stripped"
         );
     }
@@ -525,21 +614,14 @@ mod tests {
             .plan("SELECT * FROM x JOIN y ON x.k = y.k JOIN z ON y.k = z.k")
             .unwrap();
         assert!(
-            plan_late(
-                &planned.plan,
-                &planned.binding,
-                db.catalog().as_ref(),
-                LateMode::Auto,
-            )
-            .unwrap()
-            .is_none(),
+            late(&db, &planned.binding, LateMode::Auto).is_none(),
             "2-col rows gain nothing from a ref rewrite"
         );
     }
 
     #[test]
     fn resolver_round_trips_rows_through_refs() {
-        // Resolve a hand-built narrow batch against a pinned payload and
+        // Resolve a hand-built narrow batch against a pinned image and
         // check rows land in original-schema order.
         let payload_schema = Schema::new(vec![
             Attribute::int("k"),
@@ -555,8 +637,14 @@ mod tests {
         );
         let mut registry = FragmentRegistry::new(1);
         registry.set(0, Arc::new(ColumnBatch::from_relation(&payload).unwrap()));
-        let resolver = Resolver {
-            registry,
+        let narrow_schema =
+            Schema::new(vec![Attribute::int("k"), Attribute::rowref("payload#ref")]);
+        let shape = LateShape {
+            names: vec!["payload".into()],
+            dense: vec![vec![0]],
+            needs_ref: vec![true],
+            layouts: vec![ColumnLayout::of(&narrow_schema)],
+            narrow: QueryBinding::bare(HashMap::new(), Vec::new()),
             plan: vec![
                 MatCol::Dense(0),
                 MatCol::Gather {
@@ -572,10 +660,13 @@ mod tests {
             ],
             ref_cols: vec![1],
             layout: ColumnLayout::of(&payload_schema),
+            auto: true,
+        };
+        let resolver = Resolver {
+            shape: Arc::new(shape),
+            registry,
         };
         // Narrow batch: [k, ref] rows pointing at payload rows 5, 2, 2.
-        let narrow_schema =
-            Schema::new(vec![Attribute::int("k"), Attribute::rowref("payload#ref")]);
         let mut narrow = ColumnBatch::for_schema(&narrow_schema);
         for row in [5u32, 2, 2] {
             narrow

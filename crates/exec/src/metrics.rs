@@ -114,6 +114,12 @@ pub struct Metrics {
     /// Operator-task panics contained (converted into a query-scoped typed
     /// error) while this query ran.
     pub panics_contained: u64,
+    /// Base-operand fragment sets this query found resident in the
+    /// engine's fragment cache.
+    pub fragment_cache_hits: u64,
+    /// Base-operand fragment sets this query had to build (and left in the
+    /// cache): zero means the query ran warm.
+    pub fragment_cache_built: u64,
 }
 
 impl Metrics {
@@ -121,12 +127,16 @@ impl Metrics {
     pub fn new(ops: usize) -> Self {
         Metrics {
             ops: vec![OpMetrics::default(); ops],
-            processes: 0,
-            streams: 0,
-            sched_steps: 0,
-            sched_blocked: 0,
-            peak_bytes: 0,
-            panics_contained: 0,
+            ..Metrics::default()
+        }
+    }
+
+    /// Counts one fragment-cache lookup made while setting this query up.
+    pub(crate) fn note_fragment_lookup(&mut self, hit: bool) {
+        if hit {
+            self.fragment_cache_hits += 1;
+        } else {
+            self.fragment_cache_built += 1;
         }
     }
 
@@ -307,6 +317,17 @@ pub struct EngineStats {
     /// absent. Filled by `Database::stats()`; empty in engine-only
     /// snapshots, which plan nothing.
     pub plan_duration: LatencyHistogram,
+    /// Base-operand lookups the engine's fragment cache served resident
+    /// (filled, like the three below, by `Engine::stats()` from the cache;
+    /// zero in bare counter snapshots).
+    pub fragment_cache_hits: u64,
+    /// Fragment-cache lookups that had to build: cold keys, evicted
+    /// variants, and relations replaced under their name.
+    pub fragment_cache_misses: u64,
+    /// Cached fragment sets dropped (variant cap or replaced relation).
+    pub fragment_cache_evictions: u64,
+    /// Logical bytes resident in the fragment cache (gauge).
+    pub fragment_cache_bytes: u64,
 }
 
 impl EngineStats {
@@ -488,6 +509,26 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
         help: "Cost-based planning time per plan built (cache hits plan nothing)",
     },
     MetricDef {
+        name: "mj_fragment_cache_hits_total",
+        kind: MetricKind::Counter,
+        help: "Base-operand fragment lookups served resident",
+    },
+    MetricDef {
+        name: "mj_fragment_cache_misses_total",
+        kind: MetricKind::Counter,
+        help: "Fragment lookups that built (cold, evicted, or relation replaced)",
+    },
+    MetricDef {
+        name: "mj_fragment_cache_evictions_total",
+        kind: MetricKind::Counter,
+        help: "Cached fragment sets dropped (variant cap or replaced relation)",
+    },
+    MetricDef {
+        name: "mj_fragment_cache_bytes",
+        kind: MetricKind::Gauge,
+        help: "Logical bytes of resident columnar base fragments",
+    },
+    MetricDef {
         name: "mj_panics_contained_total",
         kind: MetricKind::Counter,
         help: "Operator-task panics contained across all queries",
@@ -580,6 +621,14 @@ pub struct MetricsSnapshot {
     /// `mj_plan_duration_seconds` (the snapshot itself is in milliseconds,
     /// like every [`HistogramSnapshot`]; the Prometheus rendering converts).
     pub plan_duration_seconds: HistogramSnapshot,
+    /// `mj_fragment_cache_hits_total`.
+    pub fragment_cache_hits: u64,
+    /// `mj_fragment_cache_misses_total`.
+    pub fragment_cache_misses: u64,
+    /// `mj_fragment_cache_evictions_total`.
+    pub fragment_cache_evictions: u64,
+    /// `mj_fragment_cache_bytes`.
+    pub fragment_cache_bytes: u64,
     /// `mj_panics_contained_total`.
     pub panics_contained: u64,
     /// `mj_peak_bytes`.
@@ -613,6 +662,10 @@ impl MetricsSnapshot {
             plan_cache_misses: stats.plan_cache_misses,
             plan_cache_evictions: stats.plan_cache_evictions,
             plan_duration_seconds: HistogramSnapshot::from(&stats.plan_duration),
+            fragment_cache_hits: stats.fragment_cache_hits,
+            fragment_cache_misses: stats.fragment_cache_misses,
+            fragment_cache_evictions: stats.fragment_cache_evictions,
+            fragment_cache_bytes: stats.fragment_cache_bytes,
             panics_contained: stats.panics_contained,
             peak_bytes: stats.peak_bytes,
         }
@@ -642,6 +695,10 @@ impl MetricsSnapshot {
             "mj_plan_cache_hits_total" => self.plan_cache_hits as f64,
             "mj_plan_cache_misses_total" => self.plan_cache_misses as f64,
             "mj_plan_cache_evictions_total" => self.plan_cache_evictions as f64,
+            "mj_fragment_cache_hits_total" => self.fragment_cache_hits as f64,
+            "mj_fragment_cache_misses_total" => self.fragment_cache_misses as f64,
+            "mj_fragment_cache_evictions_total" => self.fragment_cache_evictions as f64,
+            "mj_fragment_cache_bytes" => self.fragment_cache_bytes as f64,
             "mj_panics_contained_total" => self.panics_contained as f64,
             "mj_peak_bytes" => self.peak_bytes as f64,
             _ => return None,
@@ -846,6 +903,11 @@ pub(crate) mod counters {
                 plan_cache_evictions: crate::session::plan_cache_evictions(),
                 // Planning happens in the session layer, which overlays it.
                 plan_duration: LatencyHistogram::default(),
+                // The engine overlays its fragment cache's counters.
+                fragment_cache_hits: 0,
+                fragment_cache_misses: 0,
+                fragment_cache_evictions: 0,
+                fragment_cache_bytes: 0,
             }
         }
     }

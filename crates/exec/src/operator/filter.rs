@@ -2,12 +2,11 @@
 //! output projection.
 //!
 //! Filters pushed below the joins never reach this operator — the engine
-//! evaluates them against base relations during setup (a selection-vector
-//! scan, [`filter_selection`](mj_relalg::ops::filter_selection)) so
-//! partitioning and the joins see fewer tuples. [`FilterOp`] is the
-//! *residual* form: predicates the planner kept above the joins (pushdown
-//! disabled, or benchmark comparisons) run here over the root join's
-//! output stream. Each batch is evaluated by the branch-free columnar
+//! evaluates them during setup as a selection over each resident base
+//! fragment ([`select`](mj_relalg::column::select)), so the joins see
+//! fewer rows. [`FilterOp`] is the *residual* form: predicates the planner
+//! kept above the joins (pushdown disabled, or benchmark comparisons) run
+//! here over the root join's output stream. Each batch is evaluated by the branch-free columnar
 //! kernels in [`mj_relalg::column`]: whole key columns compare into a
 //! selection vector, and the survivors are gathered column-wise —
 //! optionally through the projection that drops the predicate's carrier

@@ -4,10 +4,11 @@ use std::sync::Arc;
 
 use mj_core::plan_ir::ProcId;
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{Relation, Result, Schema, Tuple};
+use mj_relalg::{Result, Schema, Tuple};
 use mj_storage::FragmentStore;
 use parking_lot::Mutex;
 
+use crate::budget::MemoryBudget;
 use crate::stream::{ClientSink, Router};
 
 /// The output port of one operation-process instance.
@@ -16,6 +17,7 @@ pub enum OutputPort {
     Stream(Router),
     /// Store the output fragment in this processor's memory (the consumer
     /// reads it later — SP/SE materialization and RD inter-wave edges).
+    /// The fragment stays columnar end to end.
     Materialize {
         /// Shared node-memory store.
         store: Arc<FragmentStore>,
@@ -23,14 +25,12 @@ pub enum OutputPort {
         proc: ProcId,
         /// Fragment name (`op{id}`).
         name: String,
-        /// Output schema.
-        schema: Arc<Schema>,
-        /// Accumulated tuples.
-        buffer: Vec<Tuple>,
+        /// Accumulated output rows, shaped for the op's output schema.
+        buffer: ColumnBatch,
         /// The owning query's memory budget: the stored fragment's bytes
         /// are charged on write and credited back when the coordinator
         /// reclaims the query's namespace.
-        budget: Option<Arc<crate::budget::MemoryBudget>>,
+        budget: Option<Arc<MemoryBudget>>,
     },
     /// The root of a submitted query: batches stream to the client's
     /// [`ResultStream`](crate::handle::ResultStream) through a bounded
@@ -48,41 +48,48 @@ pub enum OutputPort {
 }
 
 impl OutputPort {
-    /// Emits a batch of result tuples, blocking on stream backpressure
-    /// (dedicated-thread path).
-    pub fn emit(&mut self, tuples: &mut Vec<Tuple>) -> Result<()> {
-        match self {
-            OutputPort::Stream(router) => {
-                for t in tuples.drain(..) {
-                    router.route(t)?;
-                }
-            }
-            OutputPort::Client(sink) => {
-                for t in tuples.drain(..) {
-                    sink.push(t)?;
-                }
-            }
-            OutputPort::Materialize { buffer, .. } | OutputPort::Sink { buffer, .. } => {
-                buffer.append(tuples);
-            }
+    /// A materializing port storing one fragment of `schema`-shaped rows
+    /// under `name` at `proc`. The buffer is typed up front so an instance
+    /// that produces nothing still stores a well-formed (empty) fragment
+    /// its consumers can bucket-scan.
+    pub fn materialize(
+        store: Arc<FragmentStore>,
+        proc: ProcId,
+        name: String,
+        schema: &Schema,
+        budget: Option<Arc<MemoryBudget>>,
+    ) -> OutputPort {
+        OutputPort::Materialize {
+            store,
+            proc,
+            name,
+            buffer: ColumnBatch::for_schema(schema),
+            budget,
         }
-        Ok(())
     }
 
-    /// Non-blocking columnar emit of rows `*pos..` of `out` (worker-pool
-    /// path). Returns the number of rows emitted and whether the backlog
-    /// fully drained; on a full drain `out` is cleared (keeping its column
-    /// layout and capacity) and `pos` reset so the operator can refill it.
+    /// Non-blocking columnar emit of rows `*pos..` of `out`. Returns the
+    /// number of rows emitted and whether the backlog fully drained; on a
+    /// full drain `out` is cleared (keeping its column layout and
+    /// capacity) and `pos` reset so the operator can refill it.
     /// `Ok((_, false))` means stream backpressure — the caller should
     /// yield and call again with the same arguments.
     pub fn try_emit(&mut self, out: &mut ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
         let (emitted, done) = match self {
             OutputPort::Stream(router) => router.try_route_batch(out, pos)?,
             OutputPort::Client(sink) => sink.try_append_batch(out, pos)?,
-            OutputPort::Materialize { buffer, .. } | OutputPort::Sink { buffer, .. } => {
+            OutputPort::Materialize { buffer, .. } => {
                 let n = out.rows() - *pos;
-                // Row materialization happens here — at the store/sink
-                // boundary, not inside the operators.
+                // An operator that has produced nothing yet hands over a
+                // still-shapeless batch; there is nothing to append.
+                if n > 0 {
+                    buffer.append_rows(out, *pos..out.rows())?;
+                }
+                (n as u64, true)
+            }
+            OutputPort::Sink { buffer, .. } => {
+                let n = out.rows() - *pos;
+                // Rows exist only here, at the test sink's boundary.
                 out.rows_into(*pos..out.rows(), buffer)?;
                 (n as u64, true)
             }
@@ -94,11 +101,10 @@ impl OutputPort {
         Ok((emitted, done))
     }
 
-    /// Non-blocking finalize (worker-pool path): resumable stream
-    /// flush + `End` for routers; store write / sink merge (which never
-    /// block) for the others. `Ok(false)` means backpressure — yield and
-    /// call again. Must be called until it returns `Ok(true)`, exactly
-    /// once past that point.
+    /// Non-blocking finalize: resumable stream flush + `End` for routers;
+    /// store write / sink merge (which never block) for the others.
+    /// `Ok(false)` means backpressure — yield and call again. Must be
+    /// called until it returns `Ok(true)`, exactly once past that point.
     pub fn try_finish(&mut self) -> Result<bool> {
         match self {
             OutputPort::Stream(router) => router.try_finish(),
@@ -107,19 +113,15 @@ impl OutputPort {
                 store,
                 proc,
                 name,
-                schema,
                 buffer,
                 budget,
             } => {
-                let fragment = Arc::new(Relation::new_unchecked(
-                    schema.clone(),
-                    std::mem::take(buffer),
-                ));
+                let fragment = Arc::new(std::mem::take(buffer));
                 if let Some(budget) = budget {
                     // Charge unconditionally; enforcement happens at the
                     // consuming tasks' next budget poll. The coordinator
                     // credits these bytes back via `remove_prefix`.
-                    budget.charge(fragment.est_bytes() as u64);
+                    budget.charge(fragment.est_bytes());
                 }
                 store.put(*proc, name.clone(), fragment)?;
                 Ok(true)
@@ -127,20 +129,6 @@ impl OutputPort {
             OutputPort::Sink { collected, buffer } => {
                 collected.lock().append(buffer);
                 Ok(true)
-            }
-        }
-    }
-
-    /// Finalizes the port, blocking on stream backpressure: flush + End
-    /// for streams, store write for materialization, sink merge for the
-    /// root (dedicated-thread path).
-    pub fn finish(self) -> Result<()> {
-        match self {
-            OutputPort::Stream(router) => router.finish(),
-            OutputPort::Client(mut sink) => sink.finish_blocking(),
-            mut other => {
-                other.try_finish()?;
-                Ok(())
             }
         }
     }
@@ -157,17 +145,12 @@ mod tests {
         Schema::new(vec![Attribute::int("k")]).shared()
     }
 
-    #[test]
-    fn sink_collects() {
-        let collected = Arc::new(Mutex::new(Vec::new()));
-        let mut port = OutputPort::Sink {
-            collected: collected.clone(),
-            buffer: Vec::new(),
-        };
-        port.emit(&mut vec![Tuple::from_ints(&[1]), Tuple::from_ints(&[2])])
-            .unwrap();
-        port.finish().unwrap();
-        assert_eq!(collected.lock().len(), 2);
+    fn batch(keys: &[i64]) -> ColumnBatch {
+        let mut out = ColumnBatch::shapeless();
+        for &k in keys {
+            out.push_tuple(&Tuple::from_ints(&[k])).unwrap();
+        }
+        out
     }
 
     #[test]
@@ -177,52 +160,53 @@ mod tests {
             collected: collected.clone(),
             buffer: Vec::new(),
         };
-        let mut out = ColumnBatch::shapeless();
-        out.push_tuple(&Tuple::from_ints(&[5])).unwrap();
-        out.push_tuple(&Tuple::from_ints(&[6])).unwrap();
+        let mut out = batch(&[5, 6]);
         let mut pos = 0;
         let (n, done) = port.try_emit(&mut out, &mut pos).unwrap();
         assert_eq!((n, done, pos), (2, true, 0));
         assert!(out.is_empty(), "drained emit clears the batch");
-        port.finish().unwrap();
+        assert!(port.try_finish().unwrap());
         assert_eq!(collected.lock().len(), 2);
     }
 
     #[test]
-    fn materialize_stores_fragment() {
+    fn materialize_stores_a_columnar_fragment() {
         let store = Arc::new(FragmentStore::new(2));
-        let mut port = OutputPort::Materialize {
-            store: store.clone(),
-            proc: 1,
-            name: "op0".into(),
-            schema: schema(),
-            buffer: Vec::new(),
-            budget: None,
-        };
-        port.emit(&mut vec![Tuple::from_ints(&[7])]).unwrap();
-        port.finish().unwrap();
-        assert_eq!(store.get(1, "op0").unwrap().len(), 1);
+        let mut port = OutputPort::materialize(store.clone(), 1, "op0".into(), &schema(), None);
+        let (mut out, mut pos) = (batch(&[7, 8, 9]), 1);
+        port.try_emit(&mut out, &mut pos).unwrap();
+        assert!(port.try_finish().unwrap());
+        assert_eq!(store.get(1, "op0").unwrap().int_col(0).unwrap(), &[8, 9]);
         assert!(store.get(0, "op0").is_err());
+    }
+
+    #[test]
+    fn an_instance_without_output_stores_a_typed_empty_fragment() {
+        let store = Arc::new(FragmentStore::new(1));
+        let mut port = OutputPort::materialize(store.clone(), 0, "op0".into(), &schema(), None);
+        assert!(port.try_finish().unwrap());
+        let stored = store.get(0, "op0").unwrap();
+        assert_eq!((stored.rows(), stored.arity()), (0, 1));
     }
 
     #[test]
     fn materialize_charges_budget_for_stored_fragment() {
         let store = Arc::new(FragmentStore::new(1));
-        let budget = crate::budget::MemoryBudget::unlimited();
-        let mut port = OutputPort::Materialize {
-            store: store.clone(),
-            proc: 0,
-            name: "q1:op0".into(),
-            schema: schema(),
-            buffer: Vec::new(),
-            budget: Some(budget.clone()),
-        };
-        port.emit(&mut vec![Tuple::from_ints(&[7]), Tuple::from_ints(&[8])])
-            .unwrap();
-        port.finish().unwrap();
-        let stored = store.get(0, "q1:op0").unwrap().est_bytes() as u64;
+        let budget = MemoryBudget::unlimited();
+        let mut port = OutputPort::materialize(
+            store.clone(),
+            0,
+            "q1:op0".into(),
+            &schema(),
+            Some(budget.clone()),
+        );
+        let (mut out, mut pos) = (batch(&[7, 8]), 0);
+        port.try_emit(&mut out, &mut pos).unwrap();
+        assert!(port.try_finish().unwrap());
+        let stored = store.get(0, "q1:op0").unwrap().est_bytes();
+        assert_eq!(stored, 16, "two dense integer values");
         assert_eq!(budget.used(), stored);
-        let freed = store.remove_prefix("q1:") as u64;
+        let freed = store.remove_prefix("q1:");
         assert_eq!(freed, stored, "reclamation reports the bytes to credit");
     }
 
@@ -230,9 +214,7 @@ mod tests {
     fn stream_forwards_and_ends() {
         let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
         let mut port = OutputPort::Stream(Router::new(txs, 0, 2, pool));
-        let mut out = ColumnBatch::shapeless();
-        out.push_tuple(&Tuple::from_ints(&[1])).unwrap();
-        out.push_tuple(&Tuple::from_ints(&[2])).unwrap();
+        let mut out = batch(&[1, 2]);
         let mut pos = 0;
         let (n, done) = port.try_emit(&mut out, &mut pos).unwrap();
         assert_eq!((n, done), (2, true));

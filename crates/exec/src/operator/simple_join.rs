@@ -46,17 +46,17 @@ pub fn run_simple_instance(
 mod tests {
     use super::*;
     use crate::stream::{operand_channels, Router};
-    use mj_relalg::column::ColumnLayout;
-    use mj_relalg::{Attribute, Projection, Relation, Schema, Tuple};
+    use mj_relalg::column::{ColumnBatch, ColumnLayout};
+    use mj_relalg::{Projection, Tuple};
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    fn rel(rows: &[[i64; 2]]) -> Arc<Relation> {
-        let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
-        Arc::new(Relation::new_unchecked(
-            schema,
-            rows.iter().map(|r| Tuple::from_ints(r)).collect(),
-        ))
+    fn rel(rows: &[[i64; 2]]) -> Arc<ColumnBatch> {
+        let mut batch = ColumnBatch::with_capacity(&ColumnLayout::ints(2), rows.len());
+        for r in rows {
+            batch.push_tuple(&Tuple::from_ints(r)).unwrap();
+        }
+        Arc::new(batch)
     }
 
     fn spec() -> EquiJoin {

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, TryRecvError};
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{EquiJoin, JoinAlgorithm, RelalgError, Relation, Result};
+use mj_relalg::{EquiJoin, JoinAlgorithm, RelalgError, Result};
 use mj_storage::scan_bucket_columns;
 
 use crate::handle::QueryCtrl;
@@ -54,30 +54,22 @@ pub type DoneMsg = (usize, Result<InstanceStats>);
 
 /// A resumable operand: the task-side view of a [`Source`], holding the
 /// current columnar chunk plus an explicit row cursor so a blocked
-/// instance picks up exactly where it stopped.
-///
-/// `Local` and `Filtered` operands convert their fragments to columns
-/// *lazily on the worker thread* — one [`ColumnBatch`] per fragment, built
-/// the first time the chunk is needed — so conversion cost lands on the
-/// instance that consumes the data, not on query setup.
+/// instance picks up exactly where it stopped. Every variant reads
+/// [`ColumnBatch`]es as they are — nothing is converted here.
 enum Operand {
-    /// A processor-local fragment, scanned into columns on first touch.
-    Local {
-        rel: std::sync::Arc<Relation>,
-        cols: Option<ColumnBatch>,
-        pos: usize,
-        done: bool,
-    },
+    /// A processor-local columnar fragment.
+    Local { cols: Arc<ColumnBatch>, pos: usize },
     /// Materialized producer fragments filtered to this instance's bucket:
     /// each fragment is bucket-scanned ([`scan_bucket_columns`]) into one
-    /// columnar chunk holding exactly the surviving rows.
+    /// chunk holding exactly the surviving rows; a single-bucket read
+    /// shares the stored fragment.
     Filtered {
-        fragments: Vec<std::sync::Arc<Relation>>,
+        fragments: Vec<Arc<ColumnBatch>>,
         key_col: usize,
         bucket: usize,
         of: usize,
         frag: usize,
-        cols: Option<ColumnBatch>,
+        cols: Option<Arc<ColumnBatch>>,
         pos: usize,
     },
     /// A live stream; `current` is a partially consumed in-flight batch.
@@ -104,12 +96,7 @@ enum Feed {
 impl Operand {
     fn new(source: Source) -> Operand {
         match source {
-            Source::Local(rel) => Operand::Local {
-                rel,
-                cols: None,
-                pos: 0,
-                done: false,
-            },
+            Source::Local(cols) => Operand::Local { cols, pos: 0 },
             Source::Filtered {
                 fragments,
                 key_col,
@@ -139,28 +126,14 @@ impl Operand {
 
     /// Ensures a chunk with unconsumed rows is loaded, without ever
     /// blocking. Spent chunks are released here (stream buffers return to
-    /// their pool; scanned fragments free their columns).
+    /// their pool; bucket scans free their columns).
     fn ready(&mut self) -> Result<Feed> {
         match self {
-            Operand::Local {
-                rel,
-                cols,
-                pos,
-                done,
-            } => {
-                if *done {
-                    return Ok(Feed::Exhausted);
-                }
-                if cols.is_none() {
-                    *cols = Some(ColumnBatch::from_relation(rel)?);
-                }
-                if *pos >= cols.as_ref().map_or(0, ColumnBatch::rows) {
-                    *cols = None;
-                    *done = true;
-                    return Ok(Feed::Exhausted);
-                }
-                Ok(Feed::Ready)
-            }
+            Operand::Local { cols, pos } => Ok(if *pos < cols.rows() {
+                Feed::Ready
+            } else {
+                Feed::Exhausted
+            }),
             Operand::Filtered {
                 fragments,
                 key_col,
@@ -180,12 +153,12 @@ impl Operand {
                 if *frag >= fragments.len() {
                     return Ok(Feed::Exhausted);
                 }
-                *cols = Some(scan_bucket_columns(
-                    &fragments[*frag],
-                    *key_col,
-                    *bucket,
-                    *of,
-                )?);
+                let stored = &fragments[*frag];
+                *cols = Some(if *of <= 1 {
+                    stored.clone()
+                } else {
+                    Arc::new(scan_bucket_columns(stored, *key_col, *bucket, *of)?)
+                });
                 *frag += 1;
             },
             Operand::Stream {
@@ -224,9 +197,8 @@ impl Operand {
     /// [`ready`](Self::ready) returned [`Feed::Ready`].
     fn chunk(&self) -> (&ColumnBatch, usize) {
         match self {
-            Operand::Local { cols, pos, .. } | Operand::Filtered { cols, pos, .. } => {
-                (cols.as_ref().expect("ready chunk"), *pos)
-            }
+            Operand::Local { cols, pos } => (cols, *pos),
+            Operand::Filtered { cols, pos, .. } => (cols.as_ref().expect("ready chunk"), *pos),
             Operand::Stream { current, pos, .. } => {
                 (current.as_ref().expect("ready chunk").columns(), *pos)
             }

@@ -540,10 +540,15 @@ impl Database {
 
     /// Scans every registered relation and records exact per-column
     /// distinct counts — what the planner's System-R selectivity formula
-    /// runs on. Call after registration (and after bulk changes).
+    /// runs on. Call after registration (and after bulk changes). The
+    /// counts are taken over each relation's columnar image in the
+    /// engine's fragment cache, which this leaves resident: the first
+    /// query finds the relations already converted.
     pub fn analyze(&self) -> MjResult<()> {
         for name in self.catalog.names() {
-            self.catalog.analyze(&name).map_err(MjError::Exec)?;
+            let relation = self.catalog.relation(&name)?;
+            let (image, _) = self.engine.fragment_cache().image(&name, &relation)?;
+            self.catalog.analyze_columns(&name, &image)?;
         }
         Ok(())
     }

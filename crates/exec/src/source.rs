@@ -3,22 +3,23 @@
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
-use mj_relalg::hash::bucket_of;
-use mj_relalg::{Relation, Result, Tuple};
+use mj_relalg::column::ColumnBatch;
 
 use crate::stream::Msg;
 
-/// Where an instance's operand tuples come from.
+/// Where an instance's operand rows come from.
 pub enum Source {
-    /// A processor-local fragment (ideal base fragmentation, §4.1): read
-    /// directly, no network.
-    Local(Arc<Relation>),
+    /// A processor-local columnar fragment (ideal base fragmentation,
+    /// §4.1): read directly, no network. Shared with the engine's
+    /// fragment cache, or private to the query when a scan filter or the
+    /// late-materialization narrowing produced it.
+    Local(Arc<ColumnBatch>),
     /// A materialized intermediate: the instance pulls every producer
-    /// fragment and keeps the tuples that hash to its own bucket —
+    /// fragment and keeps the rows that hash to its own bucket —
     /// physically a redistribution read.
     Filtered {
         /// All producer output fragments.
-        fragments: Vec<Arc<Relation>>,
+        fragments: Vec<Arc<ColumnBatch>>,
         /// Key column to bucket on (this operand's join key).
         key_col: usize,
         /// This instance's bucket.
@@ -33,92 +34,4 @@ pub enum Source {
         /// Producer instances; the side closes after this many `End`s.
         producers: usize,
     },
-}
-
-impl Source {
-    /// True if all tuples are available without waiting on other ops.
-    pub fn is_immediate(&self) -> bool {
-        !matches!(self, Source::Stream { .. })
-    }
-
-    /// Drains an immediate source, invoking `f` per tuple. Panics on
-    /// `Stream` sources (use the operator loops for those).
-    pub fn for_each_immediate(&self, mut f: impl FnMut(Tuple) -> Result<()>) -> Result<u64> {
-        let mut n = 0u64;
-        match self {
-            Source::Local(rel) => {
-                for t in rel.iter() {
-                    f(t.clone())?;
-                    n += 1;
-                }
-            }
-            Source::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-            } => {
-                for frag in fragments {
-                    for t in frag.iter() {
-                        if bucket_of(t.int(*key_col)?, *of) == *bucket {
-                            f(t.clone())?;
-                            n += 1;
-                        }
-                    }
-                }
-            }
-            Source::Stream { .. } => unreachable!("for_each_immediate on a stream"),
-        }
-        Ok(n)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mj_relalg::{Attribute, Schema};
-
-    fn rel(n: i64) -> Arc<Relation> {
-        let schema = Schema::new(vec![Attribute::int("k")]).shared();
-        Arc::new(Relation::new_unchecked(
-            schema,
-            (0..n).map(|v| Tuple::from_ints(&[v])).collect(),
-        ))
-    }
-
-    #[test]
-    fn local_drains_everything() {
-        let s = Source::Local(rel(10));
-        let mut seen = 0;
-        let n = s
-            .for_each_immediate(|_| {
-                seen += 1;
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(n, 10);
-        assert_eq!(seen, 10);
-        assert!(s.is_immediate());
-    }
-
-    #[test]
-    fn filtered_partitions_exactly() {
-        let fragments = vec![rel(50), rel(50)];
-        let mut total = 0u64;
-        for bucket in 0..4 {
-            let s = Source::Filtered {
-                fragments: fragments.clone(),
-                key_col: 0,
-                bucket,
-                of: 4,
-            };
-            total += s
-                .for_each_immediate(|t| {
-                    assert_eq!(bucket_of(t.int(0).unwrap(), 4), bucket);
-                    Ok(())
-                })
-                .unwrap();
-        }
-        assert_eq!(total, 100, "buckets partition the input");
-    }
 }

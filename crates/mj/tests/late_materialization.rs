@@ -261,3 +261,42 @@ fn late_budget_accounting_returns_to_zero() {
         "join emission gathers are counted"
     );
 }
+
+#[test]
+fn late_query_pins_the_shared_resident_images_and_is_charged_for_them() {
+    // Refs index the *unfiltered* resident image, so what the registry
+    // pins — and the budget is charged for — is the whole image of every
+    // relation with a payload column in the result, however few rows the
+    // scan filter keeps: the pin is what keeps those bytes alive if the
+    // relation is replaced mid-query, so they are this query's to account
+    // for. The image itself is the cache's single shared copy; a second
+    // query pins the same one and converts nothing.
+    let db = family_db(QueryFamily::Chain, 4, 500, 11, late_config());
+    let text = format!("{} WHERE R1.id < 5", chain_query_sql(4));
+    let cache = db.engine().fragment_cache();
+    let images = cache.stats();
+    assert_eq!(images.images_built, 4, "analyze left every image resident");
+    for _ in 0..2 {
+        let mut handle = db.query(&text).unwrap();
+        let result = handle.stream().collect_relation();
+        let metrics = handle.outcome().unwrap().metrics;
+        assert!(result.multiset_eq(&oracle(&db, &text)));
+        assert!(
+            metrics.peak_bytes >= images.bytes,
+            "peak {} below the {} pinned image bytes",
+            metrics.peak_bytes,
+            images.bytes
+        );
+        assert_eq!(
+            (metrics.fragment_cache_hits, metrics.fragment_cache_built),
+            (4, 0)
+        );
+    }
+    assert_eq!(
+        cache.stats().bytes,
+        images.bytes,
+        "narrow leaves are per query"
+    );
+    assert_eq!(cache.stats().images_built, 4);
+    assert_eq!(db.engine().store().total_bytes(), 0);
+}

@@ -7,7 +7,9 @@
 //! oracle, under the default (measured) schedule model, on chain, star and
 //! skewed fixtures × all four strategies × 1/2/4 workers × batch sizes on
 //! both sides of the chunk boundary, with exact fragment reclaim and pool
-//! quiescence after each run.
+//! quiescence after each run. Every query runs twice on its database —
+//! cold, then warm from the resident fragment cache — and the warm run must
+//! build nothing and return the same multiset.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -198,16 +200,36 @@ fn mixed_degree_plans_match_the_oracle_under_every_strategy_pool_and_batch_size(
                     edge_kinds(&planned, &mut seen);
                     widest = widest.max(degrees.into_iter().max().unwrap_or(0));
 
-                    let result = db.query(text).unwrap().collect().unwrap();
-                    assert!(
-                        result.multiset_eq(expected),
-                        "{ctx}: engine returned {} rows, oracle {}\n{}",
-                        result.len(),
-                        expected.len(),
-                        planned.explain()
-                    );
                     let engine = db.engine();
-                    assert_eq!(engine.store().total_bytes(), 0, "{ctx}: fragments leaked");
+                    let run = |temperature: &str| {
+                        let mut handle = db.query(text).unwrap();
+                        let result = handle.stream().collect_relation();
+                        let metrics = handle.outcome().unwrap().metrics;
+                        assert!(
+                            result.multiset_eq(expected),
+                            "{ctx} ({temperature}): engine returned {} rows, oracle {}\n{}",
+                            result.len(),
+                            expected.len(),
+                            planned.explain()
+                        );
+                        assert_eq!(
+                            engine.store().total_bytes(),
+                            0,
+                            "{ctx} ({temperature}): fragments leaked"
+                        );
+                        metrics
+                    };
+                    run("cold");
+                    let resident = engine.fragment_cache().stats();
+                    let warm = run("warm");
+                    assert_eq!(warm.fragment_cache_built, 0, "{ctx}: warm run built");
+                    assert!(
+                        warm.fragment_cache_hits > 0,
+                        "{ctx}: warm run looked nothing up"
+                    );
+                    let after = engine.fragment_cache().stats();
+                    assert_eq!(after.misses, resident.misses, "{ctx}: warm run missed");
+                    assert_eq!(after.bytes, resident.bytes, "{ctx}: cache grew warm");
                     assert_eq!(engine.pool().queued(), 0, "{ctx}: zombie tasks queued");
                     assert_eq!(engine.pool().threads(), workers, "{ctx}: pool changed");
                 }

@@ -1,0 +1,324 @@
+//! The resident fragment cache through the front door.
+//!
+//! Base relations are fragmented once and stay resident
+//! (`mj_storage::FragmentCache`); these tests pin what that must never
+//! change and what it must guarantee, by *count* and against the
+//! sequential XRA oracle rather than by time:
+//!
+//! * a second identical query builds nothing — no cache miss, no
+//!   row→column conversion of a base relation;
+//! * a pushed-down scan filter evaluated over the *cached* fragments
+//!   returns exactly the oracle's rows — predicates on the partitioning
+//!   key and on other columns, no survivors at all, and one prepared
+//!   statement executed with different `?1` back to back and concurrently
+//!   (filtered survivors are private to an execution, never cached);
+//! * a relation replaced under its name while queries run is never served
+//!   from the old fragments: every reply is the oracle's answer on the old
+//!   *or* the new relation, never a mix, and the first query submitted
+//!   after the swap sees the new one.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+
+use multijoin::core::ScheduleModel;
+use multijoin::exec::{
+    chain_query_sql, generate_family, Database, DbConfig, LateMode, Metrics, QueryFamily,
+    QueryHandle,
+};
+use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider};
+use multijoin::storage::TableStats;
+
+const RELATIONS: usize = 4;
+const ROWS: usize = 400;
+
+/// The `seed`-th generated chain instance's relations, by name.
+fn generated(seed: u64) -> HashMap<String, Arc<Relation>> {
+    let instance = generate_family(QueryFamily::Chain, RELATIONS, ROWS, seed).unwrap();
+    instance
+        .catalog
+        .names()
+        .into_iter()
+        .map(|name| {
+            let relation = instance.catalog.relation(&name).unwrap();
+            (name, relation)
+        })
+        .collect()
+}
+
+/// A database over `relations`, planned with the paper's machine model so
+/// these few-hundred-tuple relations are really partitioned (the measured
+/// default would run them at degree 1), and with the late rewrite off so
+/// scan filters run over the cached fragments themselves.
+fn open(relations: &HashMap<String, Arc<Relation>>) -> Database {
+    let mut config = DbConfig::default();
+    config.planner.schedule_model = ScheduleModel::prisma();
+    config.exec.late = LateMode::Never;
+    let db = Database::open(config).unwrap();
+    for (name, relation) in relations {
+        db.register(name, relation.clone()).unwrap();
+    }
+    db.analyze().unwrap();
+    db
+}
+
+/// The sequential oracle's answer to `text` over `relations`, planned on
+/// `db` (the plan's logical query does not depend on the data).
+fn oracle(db: &Database, text: &str, relations: &HashMap<String, Arc<Relation>>) -> Relation {
+    db.plan(text)
+        .unwrap_or_else(|e| panic!("{}", e.render(text)))
+        .oracle_xra(JoinAlgorithm::Simple)
+        .unwrap()
+        .eval(relations)
+        .unwrap()
+}
+
+fn drain(mut handle: QueryHandle) -> (Relation, Metrics) {
+    let result = handle.stream().collect_relation();
+    (result, handle.outcome().unwrap().metrics)
+}
+
+#[test]
+fn second_identical_query_builds_nothing() {
+    let relations = generated(3);
+    let db = open(&relations);
+    let cache = db.engine().fragment_cache();
+    let text = chain_query_sql(RELATIONS);
+    let planned = db.plan(&text).unwrap();
+    assert!(
+        planned.plan.ops.iter().any(|op| op.degree() > 1),
+        "fixture must partition something\n{}",
+        planned.explain()
+    );
+    assert_eq!(
+        cache.stats().images_built,
+        RELATIONS as u64,
+        "analyze converts each relation once and leaves the image resident"
+    );
+
+    let (cold_rows, cold) = drain(db.query(&text).unwrap());
+    assert!(cold.fragment_cache_built > 0, "first query partitions");
+    let resident = cache.stats();
+
+    let (warm_rows, warm) = drain(db.query(&text).unwrap());
+    assert_eq!(warm.fragment_cache_built, 0);
+    assert_eq!(
+        warm.fragment_cache_hits,
+        cold.fragment_cache_hits + cold.fragment_cache_built,
+        "one lookup per base operand, all resident"
+    );
+    let after = cache.stats();
+    assert_eq!(after.misses, resident.misses, "no cache miss");
+    assert_eq!(
+        after.images_built, RELATIONS as u64,
+        "no base relation converted again"
+    );
+    assert_eq!(after.bytes, resident.bytes);
+    assert!(warm_rows.multiset_eq(&cold_rows));
+    assert!(warm_rows.multiset_eq(&oracle(&db, &text, &relations)));
+    assert_eq!(db.engine().store().total_bytes(), 0);
+
+    // The counters are what an operator sees on /metrics.
+    let exported = db.metrics_snapshot();
+    assert_eq!(exported.fragment_cache_misses, after.misses);
+    assert_eq!(exported.fragment_cache_hits, after.hits);
+    assert_eq!(exported.fragment_cache_bytes, after.bytes);
+}
+
+#[test]
+fn scan_filters_over_cached_fragments_match_the_oracle() {
+    let relations = generated(5);
+    let db = open(&relations);
+    let cache = db.engine().fragment_cache();
+    let joins = chain_query_sql(RELATIONS);
+    // Warm every variant the plan reads, so the filters below provably
+    // run over cached fragments.
+    drain(db.query(&joins).unwrap());
+
+    for filter in [
+        "R1.a < 40",                   // on the column R1 is partitioned by
+        "R1.id < 37",                  // on a payload column
+        "R1.b >= 100 AND R2.id < 300", // two relations at once
+        "R0.id < 0",                   // no survivors in any fragment
+        "R3.id >= 0",                  // every row survives: fragments shared
+    ] {
+        let text = format!("{joins} WHERE {filter}");
+        let planned = db.plan(&text).unwrap();
+        assert!(
+            !planned.binding.scan_filters().is_empty(),
+            "{filter}: not pushed down\n{}",
+            planned.explain()
+        );
+        let (rows, _) = drain(db.query(&text).unwrap());
+        let expected = oracle(&db, &text, &relations);
+        assert!(
+            rows.multiset_eq(&expected),
+            "{filter}: engine {} rows, oracle {}",
+            rows.len(),
+            expected.len()
+        );
+        assert_eq!(db.engine().store().total_bytes(), 0, "{filter}");
+    }
+
+    // One prepared statement, different `?1`: survivors are per execution.
+    let stmt = db.prepare(&format!("{joins} WHERE R1.id < ?1")).unwrap();
+    let expect = |arg: i64| oracle(&db, &format!("{joins} WHERE R1.id < {arg}"), &relations);
+    drain(db.execute_prepared(&stmt, &[1]).unwrap());
+    let resident = cache.stats();
+    let args = [0i64, 250, 3, 400, 3];
+    for arg in args {
+        let (rows, metrics) = drain(db.execute_prepared(&stmt, &[arg]).unwrap());
+        assert!(rows.multiset_eq(&expect(arg)), "?1 = {arg} back to back");
+        assert_eq!(metrics.fragment_cache_built, 0, "?1 = {arg}");
+    }
+    let barrier = Barrier::new(args.len());
+    std::thread::scope(|scope| {
+        for arg in args {
+            let (db, stmt, barrier, expect) = (&db, &stmt, &barrier, &expect);
+            scope.spawn(move || {
+                barrier.wait();
+                for _ in 0..3 {
+                    let (rows, _) = drain(db.execute_prepared(stmt, &[arg]).unwrap());
+                    assert!(rows.multiset_eq(&expect(arg)), "?1 = {arg} concurrently");
+                }
+            });
+        }
+    });
+    let after = cache.stats();
+    assert_eq!(after.misses, resident.misses, "every execution ran warm");
+    assert_eq!(
+        after.bytes, resident.bytes,
+        "filtered survivors are never cached"
+    );
+    assert_eq!(db.engine().store().total_bytes(), 0);
+}
+
+#[test]
+fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
+    // Version v of the data set differs from version 0 only in R1, which
+    // is swapped under its live name; the other relations stay cached.
+    const VERSIONS: usize = 6;
+    let base = generated(17);
+    let versions: Vec<HashMap<String, Arc<Relation>>> = (0..VERSIONS)
+        .map(|v| {
+            let mut relations = base.clone();
+            if v > 0 {
+                let donor = generated(100 + v as u64);
+                relations.insert("R1".into(), donor["R1"].clone());
+            }
+            relations
+        })
+        .collect();
+    let db = open(&versions[0]);
+    let joins = chain_query_sql(RELATIONS);
+    let prepared_sql = format!("{joins} WHERE R2.id < ?1");
+    let adhoc_sql = format!("{joins} WHERE R0.id >= 10");
+    const ARG: i64 = 350;
+    let bound_sql = format!("{joins} WHERE R2.id < {ARG}");
+    let expected: Vec<[Relation; 2]> = versions
+        .iter()
+        .map(|relations| {
+            [
+                oracle(&db, &bound_sql, relations),
+                oracle(&db, &adhoc_sql, relations),
+            ]
+        })
+        .collect();
+    for v in 1..VERSIONS {
+        for w in 0..v {
+            assert!(
+                !expected[v][0].multiset_eq(&expected[w][0])
+                    && !expected[v][1].multiset_eq(&expected[w][1]),
+                "versions {w} and {v} must be told apart by their answers"
+            );
+        }
+    }
+    let swap_to = |v: usize| {
+        let relation = versions[v]["R1"].clone();
+        let stats = TableStats::unique_key(relation.len() as u64);
+        db.catalog().register_with_stats("R1", relation, stats);
+    };
+    let stmt = db.prepare(&prepared_sql).unwrap();
+    let run = |which: usize| -> Relation {
+        let handle = if which == 0 {
+            db.execute_prepared(&stmt, &[ARG]).unwrap()
+        } else {
+            db.query(&adhoc_sql).unwrap()
+        };
+        drain(handle).0
+    };
+
+    // Between executes: the first query after each swap sees the new R1.
+    for which in [0, 1] {
+        assert!(run(which).multiset_eq(&expected[0][which]));
+    }
+    for (v, expected) in expected.iter().enumerate().skip(1) {
+        swap_to(v);
+        let which = v % 2;
+        assert!(
+            run(which).multiset_eq(&expected[which]),
+            "first query after swap {v} served an older R1"
+        );
+        assert!(run(1 - which).multiset_eq(&expected[1 - which]));
+    }
+    let evicted = db.engine().fragment_cache().stats().evictions;
+    assert!(
+        evicted >= VERSIONS as u64 - 1,
+        "every swap evicted R1's entry"
+    );
+
+    // During executes: three clients query without pause while the main
+    // thread walks R1 through the versions again. `current` moves only
+    // after its swap is visible, so a query that read `lo` before
+    // submitting and `hi` after completing ran against some version in
+    // `lo..=hi + 1` — and must equal that version's oracle exactly.
+    swap_to(0);
+    let current = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let completed: [AtomicUsize; 3] = Default::default();
+    // Collected, not asserted in place: a client that stopped counting
+    // would leave the swapping thread waiting for its next round.
+    let wrong = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for (client, done) in completed.iter().enumerate() {
+            let (run, current, stop, expected, wrong) = (&run, &current, &stop, &expected, &wrong);
+            scope.spawn(move || {
+                let which = client % 2;
+                while !stop.load(Ordering::SeqCst) {
+                    let lo = current.load(Ordering::SeqCst);
+                    let rows = run(which);
+                    let hi = (current.load(Ordering::SeqCst) + 1).min(VERSIONS - 1);
+                    if !(lo..=hi).any(|v| rows.multiset_eq(&expected[v][which])) {
+                        wrong.lock().unwrap().push(format!(
+                            "client {client}: {} rows match no version in {lo}..={hi}",
+                            rows.len()
+                        ));
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        // Each version stays live until every client finished two more
+        // queries, so swaps land both between and during executions.
+        let wait_for_round = || {
+            let seen: Vec<usize> = completed.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+            while completed
+                .iter()
+                .zip(&seen)
+                .any(|(c, &s)| c.load(Ordering::SeqCst) < s + 2)
+            {
+                std::thread::yield_now();
+            }
+        };
+        for v in 1..VERSIONS {
+            wait_for_round();
+            swap_to(v);
+            current.store(v, Ordering::SeqCst);
+        }
+        wait_for_round();
+        stop.store(true, Ordering::SeqCst);
+    });
+    assert_eq!(wrong.into_inner().unwrap(), Vec::<String>::new());
+    assert!(run(0).multiset_eq(&expected[VERSIONS - 1][0]));
+    assert_eq!(db.engine().store().total_bytes(), 0);
+}

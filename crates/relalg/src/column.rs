@@ -497,6 +497,13 @@ impl ColumnBatch {
         Ok(())
     }
 
+    /// A new batch of the rows selected by `sel`, exactly sized.
+    pub fn gather(&self, sel: &[u32]) -> Result<ColumnBatch> {
+        let mut out = ColumnBatch::with_capacity(&self.layout(), sel.len());
+        out.append_gather(self, sel)?;
+        Ok(out)
+    }
+
     /// Appends the rows of `src` selected by `sel`, projected onto
     /// `cols` (indices into `src`) — selection and projection fused into
     /// one gather.

@@ -14,7 +14,7 @@ pub mod sort;
 pub mod union;
 
 pub use aggregate::{aggregate, AggFunc, AggSpec, AggState};
-pub use filter::{filter, filter_gather, filter_selection};
+pub use filter::filter;
 pub use nested_loop::nested_loop_join;
 pub use project::project;
 pub use sort::sort_by_cols;

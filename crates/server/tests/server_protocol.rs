@@ -356,6 +356,20 @@ fn metrics_are_served_in_protocol_and_over_http() {
         .get("plan_duration_seconds")
         .and_then(|h| h.get("count"));
     assert!(matches!(planned, Some(JsonValue::Int(1))), "{planned:?}");
+    // "Was that query cold?": `analyze` built the three relations' columnar
+    // images (three misses), the query found all three resident.
+    for (name, value) in [
+        ("fragment_cache_hits", 3),
+        ("fragment_cache_misses", 3),
+        ("fragment_cache_evictions", 0),
+        ("fragment_cache_bytes", 3 * 120 * 3 * 8),
+    ] {
+        let got = json.get(name);
+        assert!(
+            matches!(got, Some(JsonValue::Int(n)) if *n == value),
+            "{name}: {got:?}"
+        );
+    }
 
     // In-protocol Prometheus text.
     let text = client.metrics(MetricsFormat::Prometheus).unwrap();
@@ -367,6 +381,11 @@ fn metrics_are_served_in_protocol_and_over_http() {
     assert!(text.contains("mj_query_duration_ms_bucket"));
     assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.001\"}"));
     assert!(text.contains("mj_plan_duration_seconds_count 1\n"));
+    assert!(text.contains("# TYPE mj_fragment_cache_bytes gauge"));
+    assert!(text.contains("mj_fragment_cache_hits_total 3\n"));
+    assert!(text.contains("mj_fragment_cache_misses_total 3\n"));
+    assert!(text.contains("mj_fragment_cache_evictions_total 0\n"));
+    assert!(text.contains("mj_fragment_cache_bytes 8640\n"));
 
     // HTTP one-shot scrape: Prometheus text.
     let mut scraper = TcpStream::connect(server.local_addr()).unwrap();

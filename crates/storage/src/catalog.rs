@@ -1,10 +1,13 @@
 //! Catalog: named relations plus the statistics the phase-1 optimizer uses.
 
+use mj_relalg::column::{Column, ColumnBatch};
 use mj_relalg::{RelalgError, Relation, RelationProvider, Result};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::columnar::scan_columns;
 
 /// Optimizer-visible statistics for a base relation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -115,16 +118,27 @@ impl Catalog {
 
     /// Scans the relation and records exact distinct counts for every
     /// column — O(rows × columns); meant for generated/benchmark data, not
-    /// for production-size loads.
+    /// for production-size loads. One catalog write: the generation moves
+    /// once, however many columns the relation has.
     pub fn analyze(&self, name: &str) -> Result<()> {
-        let rel = self.relation(name)?;
-        for col in 0..rel.schema().arity() {
-            let mut seen = std::collections::HashSet::new();
-            for tuple in rel.iter() {
-                seen.insert(tuple.get(col)?.clone());
-            }
-            self.set_column_distinct(name, col, seen.len() as u64);
+        let relation = self.relation(name)?;
+        let image = scan_columns(&relation)?;
+        self.analyze_columns(name, &image)
+    }
+
+    /// [`analyze`](Self::analyze) over an already-built columnar image of
+    /// `name` (callers holding a fragment cache pass its resident image, so
+    /// the relation is converted once for statistics and execution alike).
+    pub fn analyze_columns(&self, name: &str, image: &ColumnBatch) -> Result<()> {
+        let counts = (0..image.arity())
+            .map(|col| image.column(col).map(distinct_values))
+            .collect::<Result<Vec<u64>>>()?;
+        let mut distinct = self.column_distinct.write();
+        for (col, count) in counts.into_iter().enumerate() {
+            distinct.insert((name.to_string(), col), count);
         }
+        drop(distinct);
+        self.bump_generation();
         Ok(())
     }
 
@@ -156,6 +170,22 @@ impl Catalog {
     /// True if no relations are registered.
     pub fn is_empty(&self) -> bool {
         self.entries.read().is_empty()
+    }
+}
+
+/// Exact number of distinct values in `column`. Dense columns are counted
+/// over a sorted copy of the `i64` slice — no per-cell `Value` is built.
+fn distinct_values(column: &Column) -> u64 {
+    fn sorted_distinct<T: Ord + Copy>(values: &[T]) -> u64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len() as u64
+    }
+    match column {
+        Column::Int(values) => sorted_distinct(values),
+        Column::Ref(values) => sorted_distinct(values),
+        Column::Val(values) => values.iter().collect::<HashSet<_>>().len() as u64,
     }
 }
 
@@ -256,7 +286,17 @@ mod tests {
         let g3 = c.generation();
         assert!(g3 > g2, "stat update bumps");
         c.analyze("R").unwrap();
-        assert!(c.generation() > g3, "analyze bumps");
+        assert_eq!(c.generation(), g3 + 1, "analyze is exactly one write");
+        let wide = Schema::new(vec![Attribute::int("a"), Attribute::int("b")]).shared();
+        let rows = (0..4).map(|i| Tuple::from_ints(&[i, i % 2])).collect();
+        c.register("W", Arc::new(Relation::new(wide, rows).unwrap()));
+        let g4 = c.generation();
+        c.analyze("W").unwrap();
+        assert_eq!(
+            c.generation(),
+            g4 + 1,
+            "one bump per analyze, not per column"
+        );
         // Reads never move it.
         let g = c.generation();
         let _ = c.stats("R").unwrap();

@@ -1,47 +1,94 @@
-//! Columnar fragment scans.
+//! Columnar scans and partitioning.
 //!
-//! Bridges the row-oriented fragment store to the engine's columnar
-//! execution layer: a scan converts a stored fragment to a
-//! [`ColumnBatch`] once, and bucket-restricted scans (the `Filtered`
-//! operand an `RD`-redistributed join reads) hash the whole key column and
-//! gather the matching rows in one pass instead of testing tuples one at a
-//! time.
+//! Below the plan the engine has one physical representation, the
+//! [`ColumnBatch`]. A base relation enters it once through
+//! [`scan_columns`] (on a [`FragmentCache`](crate::FragmentCache) miss);
+//! from there fragmentation ([`fragment_columns`]) and the
+//! bucket-restricted read of a materialized operand
+//! ([`scan_bucket_columns`]) hash the whole key column and gather the
+//! matching rows column-wise instead of testing tuples one at a time.
+
+use std::sync::Arc;
 
 use mj_relalg::column::{bucket_keys, ColumnBatch};
-use mj_relalg::{Relation, Result};
+use mj_relalg::{RelalgError, Relation, Result};
 
-/// Scans a stored fragment into columns (one typed buffer per attribute).
+/// The per-instance fragments of one operand, in instance order; length 1
+/// when a single instance reads the whole batch.
+pub type Fragments = Arc<[Arc<ColumnBatch>]>;
+
+/// Scans a stored relation into columns (one typed buffer per attribute).
 pub fn scan_columns(fragment: &Relation) -> Result<ColumnBatch> {
     ColumnBatch::from_relation(fragment)
 }
 
-/// Scans the rows of `fragment` whose `key_col` hashes to `bucket` among
-/// `of` buckets, emitting them as columns. The key column is hashed
-/// vectorized ([`bucket_keys`]) and the survivors gathered column-wise —
-/// the columnar form of the aligned-fragment read that "ideal
-/// fragmentation" (§4.1) relies on.
+/// For each of `parts` buckets, the ascending row indices of `cols` whose
+/// `key_col` hashes to it ([`bucket_keys`], the canonical hash).
+fn bucket_selections(cols: &ColumnBatch, key_col: usize, parts: usize) -> Result<Vec<Vec<u32>>> {
+    if parts == 0 {
+        return Err(RelalgError::InvalidPartitioning(
+            "partition count must be positive".into(),
+        ));
+    }
+    if cols.rows() > u32::MAX as usize {
+        return Err(RelalgError::InvalidPartitioning(format!(
+            "batch of {} rows exceeds the u32 row-index cap ({})",
+            cols.rows(),
+            u32::MAX
+        )));
+    }
+    let mut dests = Vec::new();
+    bucket_keys(cols.int_col(key_col)?, parts, &mut dests);
+    // Counting pass sizes every selection exactly.
+    let mut counts = vec![0usize; parts];
+    for &d in &dests {
+        counts[d as usize] += 1;
+    }
+    let mut sels: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    for (row, &d) in dests.iter().enumerate() {
+        sels[d as usize].push(row as u32);
+    }
+    Ok(sels)
+}
+
+/// Hash-partitions `cols` into `parts` fragments on integer column
+/// `key_col`: fragment `i` holds, in input order, the rows whose key has
+/// `bucket_of(key, parts) == i` — the "ideal fragmentation" of §4.1 in
+/// columnar form, aligned with the redistribution router by construction.
+/// A single part shares `cols` instead of hashing every key to gather an
+/// identical copy.
+pub fn fragment_columns(
+    cols: &Arc<ColumnBatch>,
+    key_col: usize,
+    parts: usize,
+) -> Result<Fragments> {
+    if parts == 1 {
+        return Ok(Arc::from([cols.clone()]));
+    }
+    bucket_selections(cols, key_col, parts)?
+        .iter()
+        .map(|sel| cols.gather(sel).map(Arc::new))
+        .collect()
+}
+
+/// The rows of `cols` whose `key_col` hashes to `bucket` among `of`
+/// buckets — one consumer instance's share of a materialized producer
+/// fragment.
 pub fn scan_bucket_columns(
-    fragment: &Relation,
+    cols: &ColumnBatch,
     key_col: usize,
     bucket: usize,
     of: usize,
 ) -> Result<ColumnBatch> {
-    let cols = scan_columns(fragment)?;
-    if of <= 1 {
-        return Ok(cols);
-    }
-    let keys = cols.int_col(key_col)?;
     let mut dests = Vec::new();
-    bucket_keys(keys, of, &mut dests);
+    bucket_keys(cols.int_col(key_col)?, of.max(1), &mut dests);
     let sel: Vec<u32> = dests
         .iter()
         .enumerate()
         .filter(|&(_, &d)| d as usize == bucket)
         .map(|(i, _)| i as u32)
         .collect();
-    let mut out = ColumnBatch::shapeless();
-    out.append_gather(&cols, &sel)?;
-    Ok(out)
+    cols.gather(&sel)
 }
 
 #[cfg(test)]
@@ -59,6 +106,10 @@ mod tests {
         .unwrap()
     }
 
+    fn cols(n: i64) -> Arc<ColumnBatch> {
+        Arc::new(scan_columns(&rel(n)).unwrap())
+    }
+
     #[test]
     fn scan_emits_all_rows_as_columns() {
         let r = rel(10);
@@ -69,23 +120,36 @@ mod tests {
 
     #[test]
     fn bucket_scan_matches_scalar_hash_partition() {
-        let r = rel(100);
+        let r = cols(100);
         let of = 4;
+        let parts = fragment_columns(&r, 0, of).unwrap();
         let mut total = 0;
-        for bucket in 0..of {
-            let cols = scan_bucket_columns(&r, 0, bucket, of).unwrap();
-            for &k in cols.int_col(0).unwrap() {
+        for (bucket, part) in parts.iter().enumerate() {
+            let scanned = scan_bucket_columns(&r, 0, bucket, of).unwrap();
+            for &k in scanned.int_col(0).unwrap() {
                 assert_eq!(bucket_of(k, of), bucket);
             }
-            total += cols.rows();
+            assert_eq!(scanned, **part, "one bucket of the partitioning");
+            total += scanned.rows();
         }
         assert_eq!(total, 100, "buckets partition the fragment exactly");
     }
 
     #[test]
+    fn partitioning_validates_its_arguments() {
+        let r = cols(10);
+        assert!(fragment_columns(&r, 0, 0).is_err(), "zero parts");
+        assert!(fragment_columns(&r, 7, 2).is_err(), "no such column");
+        let empty = fragment_columns(&cols(0), 0, 3).unwrap();
+        assert_eq!(empty.len(), 3);
+        assert!(empty.iter().all(|p| p.rows() == 0 && p.arity() == 2));
+        let whole = fragment_columns(&r, 7, 1).unwrap();
+        assert!(Arc::ptr_eq(&whole[0], &r), "one part shares the batch");
+    }
+
+    #[test]
     fn single_bucket_scan_is_a_full_scan() {
-        let r = rel(7);
-        let cols = scan_bucket_columns(&r, 0, 0, 1).unwrap();
-        assert_eq!(cols.rows(), 7);
+        let scanned = scan_bucket_columns(&cols(7), 0, 0, 1).unwrap();
+        assert_eq!(scanned.rows(), 7);
     }
 }

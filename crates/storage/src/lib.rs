@@ -8,6 +8,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod catalog;
 pub mod columnar;
 pub mod fragment;
@@ -18,8 +19,9 @@ pub mod skew;
 pub mod store;
 pub mod wisconsin;
 
+pub use cache::{FragmentCache, FragmentCacheStats, MAX_VARIANTS_PER_RELATION};
 pub use catalog::{Catalog, TableStats};
-pub use columnar::{scan_bucket_columns, scan_columns};
+pub use columnar::{fragment_columns, scan_bucket_columns, scan_columns, Fragments};
 pub use fragment::{FragmentedRelation, PartitionScheme};
 pub use generator::{PayloadMode, WisconsinGenerator};
 pub use partition::{

@@ -4,7 +4,9 @@
 //! operation processes "access data fragments that are stored in the main
 //! memory of their own processor directly" (§2.2). [`FragmentStore`] models
 //! exactly that: node-local keyed fragment storage with byte accounting,
-//! shared by the real engine's worker threads.
+//! shared by the real engine's worker threads. Fragments are stored as the
+//! [`ColumnBatch`]es the operators produce and consume, so a materialized
+//! intermediate is never turned into rows and back.
 //!
 //! One store can be shared by many concurrent queries: the node set grows
 //! on demand ([`ensure_nodes`](FragmentStore::ensure_nodes)) so plans with
@@ -13,12 +15,13 @@
 //! [`remove_prefix`](FragmentStore::remove_prefix) reclaims when the query
 //! finishes.
 
-use mj_relalg::{RelalgError, Relation, Result};
+use mj_relalg::column::ColumnBatch;
+use mj_relalg::{RelalgError, Result};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-type NodeMemory = Arc<RwLock<HashMap<String, Arc<Relation>>>>;
+type NodeMemory = Arc<RwLock<HashMap<String, Arc<ColumnBatch>>>>;
 
 /// Shared-nothing fragment storage for a growable set of logical
 /// processors.
@@ -71,13 +74,18 @@ impl FragmentStore {
 
     /// Stores `fragment` under `name` in `node`'s memory, replacing any
     /// previous fragment of that name.
-    pub fn put(&self, node: usize, name: impl Into<String>, fragment: Arc<Relation>) -> Result<()> {
+    pub fn put(
+        &self,
+        node: usize,
+        name: impl Into<String>,
+        fragment: Arc<ColumnBatch>,
+    ) -> Result<()> {
         self.node(node)?.write().insert(name.into(), fragment);
         Ok(())
     }
 
     /// Fetches the fragment stored under `name` at `node`.
-    pub fn get(&self, node: usize, name: &str) -> Result<Arc<Relation>> {
+    pub fn get(&self, node: usize, name: &str) -> Result<Arc<ColumnBatch>> {
         self.node(node)?
             .read()
             .get(name)
@@ -86,7 +94,7 @@ impl FragmentStore {
     }
 
     /// Removes the fragment stored under `name` at `node`, returning it.
-    pub fn take(&self, node: usize, name: &str) -> Result<Arc<Relation>> {
+    pub fn take(&self, node: usize, name: &str) -> Result<Arc<ColumnBatch>> {
         self.node(node)?
             .write()
             .remove(name)
@@ -103,15 +111,15 @@ impl FragmentStore {
 
     /// Drops every fragment whose name starts with `prefix` on all nodes —
     /// the reclamation hook for per-query namespaces in a shared store.
-    /// Returns the estimated bytes freed, so the caller can credit them
-    /// back to the owning query's memory budget.
-    pub fn remove_prefix(&self, prefix: &str) -> usize {
-        let mut freed = 0usize;
+    /// Returns the logical bytes freed, so the caller can credit them back
+    /// to the owning query's memory budget.
+    pub fn remove_prefix(&self, prefix: &str) -> u64 {
+        let mut freed = 0;
         for n in self.snapshot() {
-            n.write().retain(|name, rel| {
+            n.write().retain(|name, fragment| {
                 let keep = !name.starts_with(prefix);
                 if !keep {
-                    freed += rel.est_bytes();
+                    freed += fragment.est_bytes();
                 }
                 keep
             });
@@ -119,18 +127,18 @@ impl FragmentStore {
         freed
     }
 
-    /// Approximate bytes resident at `node`.
-    pub fn node_bytes(&self, node: usize) -> Result<usize> {
+    /// Logical bytes resident at `node`.
+    pub fn node_bytes(&self, node: usize) -> Result<u64> {
         Ok(self
             .node(node)?
             .read()
             .values()
-            .map(|r| r.est_bytes())
+            .map(|f| f.est_bytes())
             .sum())
     }
 
-    /// Approximate bytes resident across all nodes.
-    pub fn total_bytes(&self) -> usize {
+    /// Logical bytes resident across all nodes.
+    pub fn total_bytes(&self) -> u64 {
         (0..self.nodes())
             .map(|n| self.node_bytes(n).unwrap_or(0))
             .sum()
@@ -138,7 +146,7 @@ impl FragmentStore {
 
     /// Collects all fragments named `name` across nodes in node order
     /// (missing nodes are skipped).
-    pub fn collect(&self, name: &str) -> Vec<Arc<Relation>> {
+    pub fn collect(&self, name: &str) -> Vec<Arc<ColumnBatch>> {
         let mut out = Vec::new();
         for n in self.snapshot() {
             if let Some(r) = n.read().get(name) {
@@ -152,20 +160,24 @@ impl FragmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mj_relalg::{Attribute, Schema, Tuple};
+    use mj_relalg::column::ColumnLayout;
+    use mj_relalg::Tuple;
 
-    fn rel(n: i64) -> Arc<Relation> {
-        let schema = Schema::new(vec![Attribute::int("k")]).shared();
-        Arc::new(Relation::new(schema, (0..n).map(|v| Tuple::from_ints(&[v])).collect()).unwrap())
+    fn rel(n: i64) -> Arc<ColumnBatch> {
+        let mut batch = ColumnBatch::with_capacity(&ColumnLayout::ints(1), n as usize);
+        for v in 0..n {
+            batch.push_tuple(&Tuple::from_ints(&[v])).unwrap();
+        }
+        Arc::new(batch)
     }
 
     #[test]
     fn put_get_take() {
         let s = FragmentStore::new(2);
         s.put(0, "R", rel(3)).unwrap();
-        assert_eq!(s.get(0, "R").unwrap().len(), 3);
+        assert_eq!(s.get(0, "R").unwrap().rows(), 3);
         assert!(s.get(1, "R").is_err());
-        assert_eq!(s.take(0, "R").unwrap().len(), 3);
+        assert_eq!(s.take(0, "R").unwrap().rows(), 3);
         assert!(s.get(0, "R").is_err());
     }
 
