@@ -8,6 +8,7 @@
 //! output is a [`ParallelPlan`].
 
 mod fp;
+mod fuse;
 mod rd;
 mod se;
 mod sp;
@@ -41,8 +42,12 @@ pub struct GeneratorInput<'a> {
     /// ([`ScheduleModel::process_grain`](crate::schedule::ScheduleModel::process_grain)).
     /// Whatever a strategy allocates, an operation keeps at most
     /// `⌊work / grain⌋` (at least one) of those processors; the rest stay
-    /// idle. Zero in [`GeneratorInput::new`]: the paper's generator spreads
-    /// every join over its full allocation.
+    /// idle. An operation left with one process and *less* than a grain of
+    /// work does not start even that one if its consumer also runs at
+    /// degree 1: it is fused into the consumer's process
+    /// ([`OperandSource::Fused`]). Zero in [`GeneratorInput::new`]: the
+    /// paper's generator spreads every join over its full allocation and
+    /// gives every operation its own processes.
     pub grain: f64,
 }
 
@@ -93,12 +98,16 @@ impl<'a> GeneratorInput<'a> {
 /// Generates a parallel plan for `input.tree` under `strategy`.
 pub fn generate(strategy: Strategy, input: &GeneratorInput<'_>) -> Result<ParallelPlan> {
     input.check()?;
-    match strategy {
+    let mut plan = match strategy {
         Strategy::SP => sp::generate(input),
         Strategy::SE => se::generate(input),
         Strategy::RD => rd::generate(input),
         Strategy::FP => fp::generate(input),
+    }?;
+    if input.grain > 0.0 {
+        fuse::fuse(&mut plan, input);
     }
+    Ok(plan)
 }
 
 /// Shared machinery for the per-strategy builders.
@@ -254,8 +263,9 @@ mod tests {
     #[test]
     fn grain_caps_small_joins_and_leaves_large_ones_alone() {
         // Regular joins cost 4N or 5N: at a grain of 1000, 100-tuple joins
-        // (400-500 units) keep one process under every strategy and
-        // 10 000-tuple joins (40-50 grains) keep their whole allocation.
+        // (400-500 units) keep one process under every strategy — and,
+        // each under a grain, share it — while 10 000-tuple joins (40-50
+        // grains) keep their whole allocation.
         for strategy in Strategy::ALL {
             let (tree, cards, costs) = fixture(Shape::WideBushy, 6, 100);
             let mut input = GeneratorInput::new(&tree, &cards, &costs, 12);
@@ -263,7 +273,8 @@ mod tests {
             let small = generate(strategy, &input).unwrap();
             crate::validate::validate_plan(&small).unwrap();
             assert!(small.ops.iter().all(|op| op.degree() == 1), "{strategy}");
-            assert_eq!(small.stats().operation_processes, 5);
+            assert_eq!(small.stats().operation_processes, 1);
+            assert_eq!(small.stats().fused_ops, 4);
 
             let (tree, cards, costs) = fixture(Shape::WideBushy, 6, 10_000);
             let uncapped = GeneratorInput::new(&tree, &cards, &costs, 12);

@@ -20,12 +20,15 @@
 //! overhead sources the experiments quantify. A caller that prices a
 //! process start ([`ScheduleModel::process_grain`]) may additionally bound
 //! every operation to the degree its work pays for
-//! ([`GeneratorInput::grain`]); the bound is applied here, so both
-//! backends and every plan printout see the final degrees.
+//! ([`GeneratorInput::grain`]), and run an operation that does not pay for
+//! even one start inside its consumer's process
+//! ([`OperandSource::Fused`]); both are applied here, so both backends and
+//! every plan printout see the final degrees and processes.
 
 #![warn(missing_docs)]
 
 pub mod allocation;
+mod bits;
 pub mod example;
 pub mod generator;
 pub mod plan_ir;
@@ -41,4 +44,4 @@ pub use schedule::{
     estimate_schedule, stage_busy, stage_tail_cost, ScheduleEstimate, ScheduleModel,
 };
 pub use strategy::Strategy;
-pub use validate::validate_plan;
+pub use validate::{validate_plan, ValidPlan};

@@ -10,7 +10,6 @@
 //! backend quirks.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 use mj_plan::tree::{JoinTree, NodeId};
@@ -48,20 +47,35 @@ pub enum OperandSource {
         /// Producing operation.
         from: OpId,
     },
+    /// Output of an operation that runs *inside this operation's process*,
+    /// before it, on the same processor: the complete result is handed
+    /// over in memory. No process start, no stream, no `start_after` — the
+    /// producer's estimated work does not hold a
+    /// [grain](crate::schedule::ScheduleModel::process_grain), so it does
+    /// not pay for a process of its own. Both ends run at degree 1.
+    Fused {
+        /// Producing operation, a member of this operation's process.
+        from: OpId,
+    },
 }
 
 impl OperandSource {
-    /// The producing op for stream/materialized operands.
+    /// The producing op for stream/materialized/fused operands.
     pub fn producer(&self) -> Option<OpId> {
         match self {
             OperandSource::Base { .. } => None,
-            OperandSource::Stream { from } | OperandSource::Materialized { from } => Some(*from),
+            OperandSource::Stream { from }
+            | OperandSource::Materialized { from }
+            | OperandSource::Fused { from } => Some(*from),
         }
     }
 
     /// True if tuples cross the interconnect (cost coefficient 2).
     pub fn is_remote(&self) -> bool {
-        !matches!(self, OperandSource::Base { .. })
+        matches!(
+            self,
+            OperandSource::Stream { .. } | OperandSource::Materialized { .. }
+        )
     }
 }
 
@@ -71,12 +85,15 @@ impl fmt::Display for OperandSource {
             OperandSource::Base { relation } => write!(f, "base({relation})"),
             OperandSource::Stream { from } => write!(f, "stream(op{from})"),
             OperandSource::Materialized { from } => write!(f, "mat(op{from})"),
+            OperandSource::Fused { from } => write!(f, "fused(op{from})"),
         }
     }
 }
 
 /// One parallel join operation: `procs.len()` operation processes executing
-/// the same binary join over hash-partitioned inputs.
+/// the same binary join over hash-partitioned inputs — or, when another
+/// operation reads it through [`OperandSource::Fused`], a member of that
+/// operation's single process.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanOp {
     /// Plan-wide id (index into [`ParallelPlan::ops`]).
@@ -153,17 +170,42 @@ impl ParallelPlan {
         self.ops.iter().find(|op| op.join == join)
     }
 
+    /// The operation process every op runs in, named by the process's
+    /// *root* op: an op is its own root unless a consumer reads it through
+    /// [`OperandSource::Fused`], in which case it shares that consumer's.
+    /// All ops with one root form a *process group*: one operation process
+    /// evaluating its members in op order and emitting the root's output.
+    pub fn process_roots(&self) -> Vec<OpId> {
+        let mut roots: Vec<OpId> = (0..self.ops.len()).collect();
+        // Consumers come after producers, so a consumer's root is final
+        // before its fused producers look it up.
+        for op in self.ops.iter().rev() {
+            for operand in [&op.left, &op.right] {
+                if let OperandSource::Fused { from } = operand {
+                    if *from < op.id {
+                        roots[*from] = roots[op.id];
+                    }
+                }
+            }
+        }
+        roots
+    }
+
     /// Summary statistics: the drivers of the paper's startup and
-    /// coordination overheads (§3.5).
+    /// coordination overheads (§3.5). A process group counts as the one
+    /// process it is, and a fused edge as no stream.
     pub fn stats(&self) -> PlanStats {
+        let roots = self.process_roots();
         let mut processes = 0usize;
         let mut streams = 0usize;
         let mut pipeline_edges = 0usize;
         for op in &self.ops {
-            processes += op.degree();
+            if roots[op.id] == op.id {
+                processes += op.degree();
+            }
             for operand in [&op.left, &op.right] {
                 match operand {
-                    OperandSource::Base { .. } => {}
+                    OperandSource::Base { .. } | OperandSource::Fused { .. } => {}
                     OperandSource::Stream { from } => {
                         streams += self.ops[*from].degree() * op.degree();
                         pipeline_edges += 1;
@@ -178,29 +220,8 @@ impl ParallelPlan {
             operation_processes: processes,
             tuple_streams: streams,
             pipeline_edges,
+            fused_ops: roots.iter().enumerate().filter(|(id, r)| id != *r).count(),
         }
-    }
-
-    /// Groups ops into *concurrency classes*: two ops can run at the same
-    /// time iff neither (transitively) depends on the other. Returns, for
-    /// every op, the set of ops it is ordered after (its transitive deps).
-    pub fn transitive_deps(&self) -> Vec<Vec<OpId>> {
-        let n = self.ops.len();
-        let mut closed: Vec<Vec<OpId>> = vec![Vec::new(); n];
-        // Ops are topologically ordered by construction.
-        for id in 0..n {
-            let mut set: HashMap<OpId, ()> = HashMap::new();
-            for &d in &self.ops[id].start_after {
-                set.insert(d, ());
-                for &dd in &closed[d] {
-                    set.insert(dd, ());
-                }
-            }
-            let mut v: Vec<OpId> = set.into_keys().collect();
-            v.sort_unstable();
-            closed[id] = v;
-        }
-        closed
     }
 }
 
@@ -215,6 +236,10 @@ pub struct PlanStats {
     pub tuple_streams: usize,
     /// Number of live pipeline edges (Stream operands).
     pub pipeline_edges: usize,
+    /// Operations that run inside another operation's process (producers
+    /// of [`OperandSource::Fused`] edges): they start no process and open
+    /// no stream.
+    pub fused_ops: usize,
 }
 
 impl fmt::Display for ParallelPlan {
@@ -231,10 +256,11 @@ impl fmt::Display for ParallelPlan {
                 ""
             }
         )?;
+        let roots = self.process_roots();
         for op in &self.ops {
             writeln!(
                 f,
-                "  op{} j{} [{}] procs {:?}{} left={} right={} after={:?}",
+                "  op{} j{} [{}] procs {:?}{} left={} right={} after={:?}{}",
                 op.id,
                 op.join,
                 op.algorithm,
@@ -247,6 +273,11 @@ impl fmt::Display for ParallelPlan {
                 op.left,
                 op.right,
                 op.start_after,
+                if roots[op.id] == op.id {
+                    String::new()
+                } else {
+                    format!(" fused→op{}", roots[op.id])
+                },
             )?;
         }
         Ok(())
@@ -335,6 +366,27 @@ mod tests {
     }
 
     #[test]
+    fn a_fused_edge_is_one_process_and_no_stream() {
+        let mut plan = tiny_plan();
+        plan.ops[0].procs = vec![3];
+        plan.ops[1].right = OperandSource::Fused { from: 0 };
+        assert_eq!(plan.process_roots(), vec![1, 1]);
+        let stats = plan.stats();
+        assert_eq!(
+            (
+                stats.operation_processes,
+                stats.tuple_streams,
+                stats.pipeline_edges,
+                stats.fused_ops
+            ),
+            (1, 0, 0, 1)
+        );
+        let s = plan.to_string();
+        assert!(s.contains("right=fused(op0)"), "{s}");
+        assert!(s.contains("fused→op1"), "{s}");
+    }
+
+    #[test]
     fn sink_is_root_join() {
         let plan = tiny_plan();
         assert_eq!(plan.sink().id, 1);
@@ -352,17 +404,10 @@ mod tests {
         assert_eq!(base.producer(), None);
         assert_eq!(stream.producer(), Some(3));
         assert_eq!(mat.producer(), Some(7));
-        assert!(!base.is_remote());
+        let fused = OperandSource::Fused { from: 2 };
+        assert_eq!(fused.producer(), Some(2));
+        assert!(!base.is_remote() && !fused.is_remote());
         assert!(stream.is_remote() && mat.is_remote());
-    }
-
-    #[test]
-    fn transitive_deps_close_over_chains() {
-        let mut plan = tiny_plan();
-        plan.ops[1].start_after = vec![0];
-        let deps = plan.transitive_deps();
-        assert!(deps[0].is_empty());
-        assert_eq!(deps[1], vec![0]);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! each endpoint. "Parallelization itself perturbs true costs, so
 //! precision would be illusory."
 //!
+//! Operations fused into one process ([`OperandSource::Fused`]) are priced
+//! as that one process: one startup, the members' work in series, nothing
+//! for the hand-over between them.
+//!
 //! Two terms describe this repo's engine rather than PRISMA's machine
 //! (both vanish under [`ScheduleModel::prisma`]): a materialized
 //! intermediate is written once and then re-scanned *in full* by every
@@ -222,22 +226,34 @@ pub fn estimate_schedule(
     let mut init_done = 0.0f64;
     let mut coordination = 0.0f64;
 
-    // Who consumes each op's output, and how (for handshake accounting).
+    // Who consumes each op's output over the interconnect, and how (for
+    // handshake accounting). A fused edge is neither stream nor fragment:
+    // the result changes hands inside one process.
+    let remote_producer =
+        |operand: &OperandSource| operand.producer().filter(|_| operand.is_remote());
     let mut consumer_degree = vec![0usize; n];
     let mut materializes = vec![false; n];
     for op in &plan.ops {
         for operand in [&op.left, &op.right] {
-            if let Some(from) = operand.producer() {
+            if let Some(from) = remote_producer(operand) {
                 consumer_degree[from] = op.degree();
                 materializes[from] |= matches!(operand, OperandSource::Materialized { .. });
             }
         }
     }
     let mut busy = 0.0f64;
+    // A process group is one process: started once, when its first member
+    // is reached, and evaluating its members one after another. Indexed by
+    // the group's root: when the member evaluated last finished.
+    let roots = plan.process_roots();
+    let mut process_clock: Vec<Option<f64>> = vec![None; n];
 
     for op in &plan.ops {
         let degree = op.degree().max(1) as f64;
-        init_done += op.degree() as f64 * model.startup_per_process;
+        let running = process_clock[roots[op.id]];
+        if running.is_none() {
+            init_done += op.degree() as f64 * model.startup_per_process;
+        }
 
         let algo_factor = match op.algorithm {
             JoinAlgorithm::Pipelining => model.pipelining_work_factor,
@@ -247,7 +263,7 @@ pub fn estimate_schedule(
         // (degree-of-peer streams per remote operand, plus its output fan).
         let mut streams_per_instance = consumer_degree[op.id] as f64;
         for operand in [&op.left, &op.right] {
-            if let Some(from) = operand.producer() {
+            if let Some(from) = remote_producer(operand) {
                 streams_per_instance += plan.ops[from].degree() as f64;
             }
         }
@@ -270,8 +286,9 @@ pub fn estimate_schedule(
             + moved * model.rescan_per_tuple;
         busy += degree * t_op;
 
-        // Earliest start: scheduler init, plus completed dependencies.
-        let mut start = init_done;
+        // Earliest start: scheduler init — or, inside a running process,
+        // the previous member's finish — plus completed dependencies.
+        let mut start = running.unwrap_or(init_done);
         for &d in &op.start_after {
             start = start.max(finish[d]);
         }
@@ -283,6 +300,7 @@ pub fn estimate_schedule(
             }
         }
         finish[op.id] = t_finish;
+        process_clock[roots[op.id]] = Some(t_finish);
     }
 
     ScheduleEstimate {
@@ -478,6 +496,37 @@ mod tests {
                 let est = estimate(shape, strategy, 1000, 10);
                 assert!(est.makespan.is_finite() && est.makespan > 0.0, "{strategy}");
             }
+        }
+    }
+
+    #[test]
+    fn a_process_group_is_one_startup_and_its_members_in_series() {
+        // 14 relations of 50 tuples: every join is under a grain, so the
+        // whole query is one process whatever the strategy — one startup,
+        // no stream inside it, the joins one after another.
+        let model = ScheduleModel::default();
+        let tree = build(Shape::RightBushy, 14).unwrap();
+        let cards = node_cards(&tree, &UniformOneToOne { n: 50 });
+        let costs = tree_costs(&tree, &cards, &CostModel::default());
+        for strategy in Strategy::ALL {
+            let mut input = GeneratorInput::new(&tree, &cards, &costs, 8);
+            input.allow_oversubscribe = true;
+            let unfused = generate(strategy, &input).unwrap();
+            input.grain = model.process_grain();
+            let plan = generate(strategy, &input).unwrap();
+            assert_eq!(plan.stats().operation_processes, 1, "{strategy}");
+            let est = estimate_schedule(&plan, &costs, &model);
+            assert_eq!(est.startup, model.startup_per_process, "{strategy}");
+            assert_eq!(est.coordination, 0.0, "{strategy}");
+            let series = model.startup_per_process + costs.total;
+            assert!((est.makespan - series).abs() < 1e-6, "{strategy}");
+            assert!((est.busy - series).abs() < 1e-6, "{strategy}");
+            let before = estimate_schedule(&unfused, &costs, &model);
+            assert_eq!(
+                before.startup,
+                unfused.stats().operation_processes as f64 * model.startup_per_process
+            );
+            assert!(est.makespan < before.makespan, "{strategy}");
         }
     }
 }

@@ -107,13 +107,22 @@ impl PipelineStage {
 /// query tree.
 #[derive(Clone, Debug)]
 pub struct QueryBinding {
-    specs: HashMap<NodeId, EquiJoin>,
-    schemas: Vec<Arc<Schema>>,
+    /// What no parameter value can change, shared by every copy of the
+    /// binding: cloning one, or binding a prepared statement's arguments,
+    /// copies a pointer to it.
+    joins: Arc<JoinBinding>,
     /// Predicates pushed down to base-relation scans, by relation name.
-    scan_filters: HashMap<String, Predicate>,
+    scan_filters: Arc<HashMap<String, Predicate>>,
     /// Post-join stages, in dataflow order (the last stage feeds the
     /// client).
-    stages: Vec<PipelineStage>,
+    stages: Arc<[PipelineStage]>,
+}
+
+/// The parameter-free part of a [`QueryBinding`].
+#[derive(Debug)]
+struct JoinBinding {
+    specs: HashMap<NodeId, EquiJoin>,
+    schemas: Vec<Arc<Schema>>,
     /// The late-materialization shape of this binding over its tree, if a
     /// rewrite is possible — derived once here, so executing (and
     /// re-executing a prepared statement) never re-derives it. Depends
@@ -193,27 +202,32 @@ impl QueryBinding {
     }
 
     fn with_late_shape(mut self, tree: &JoinTree) -> Result<Self> {
-        self.late = late_shape(tree, &self)?.map(Arc::new);
+        let late = late_shape(tree, &self)?.map(Arc::new);
+        Arc::get_mut(&mut self.joins)
+            .expect("a binding under construction is not shared yet")
+            .late = late;
         Ok(self)
     }
 
     /// The late-materialization shape derived when this binding was built.
     pub(crate) fn late_shape(&self) -> Option<&Arc<LateShape>> {
-        self.late.as_ref()
+        self.joins.late.as_ref()
     }
 
     /// The join spec of a join node.
     pub fn spec(&self, join: NodeId) -> Result<&EquiJoin> {
-        self.specs
+        self.joins
+            .specs
             .get(&join)
             .ok_or_else(|| RelalgError::InvalidPlan(format!("no spec for join {join}")))
     }
 
     /// The output schema of any tree node.
     pub fn schema(&self, node: NodeId) -> Result<&Arc<Schema>> {
-        self.schemas.get(node).ok_or(RelalgError::IndexOutOfBounds {
+        let schemas = &self.joins.schemas;
+        schemas.get(node).ok_or(RelalgError::IndexOutOfBounds {
             index: node,
-            arity: self.schemas.len(),
+            arity: schemas.len(),
         })
     }
 
@@ -221,7 +235,7 @@ impl QueryBinding {
     /// filters each named relation (zero-copy index gather) before
     /// fragmenting it.
     pub fn with_scan_filters(mut self, filters: HashMap<String, Predicate>) -> Self {
-        self.scan_filters = filters;
+        self.scan_filters = Arc::new(filters);
         self
     }
 
@@ -243,7 +257,7 @@ impl QueryBinding {
                 ));
             }
         }
-        self.stages = stages;
+        self.stages = stages.into();
         Ok(self)
     }
 
@@ -254,11 +268,13 @@ impl QueryBinding {
     /// original binding), and no further rewrite of its own.
     pub(crate) fn bare(specs: HashMap<NodeId, EquiJoin>, schemas: Vec<Arc<Schema>>) -> Self {
         QueryBinding {
-            specs,
-            schemas,
-            scan_filters: HashMap::new(),
-            stages: Vec::new(),
-            late: None,
+            joins: Arc::new(JoinBinding {
+                specs,
+                schemas,
+                late: None,
+            }),
+            scan_filters: Arc::default(),
+            stages: Vec::new().into(),
         }
     }
 
@@ -267,9 +283,10 @@ impl QueryBinding {
     /// (1-based: `?1` reads `args[0]`). Scan filters and residual
     /// [`StageKind::Filter`] stages are the only places a lowered plan
     /// holds predicates, so this covers the whole plan; join specs,
-    /// schemas, and non-filter stages are shared/cloned untouched. Errors
-    /// if a placeholder's index exceeds `args` (the session layer
-    /// validates arity first, so this is a backstop).
+    /// schemas and the late shape are shared, and so are the stages unless
+    /// one of them is a filter. Errors if a placeholder's index exceeds
+    /// `args` (the session layer validates arity first, so this is a
+    /// backstop).
     pub fn bind_params(&self, args: &[i64]) -> Result<Self> {
         let subst = |e: &Expr| -> Result<Expr> {
             Ok(match e {
@@ -292,33 +309,36 @@ impl QueryBinding {
             .scan_filters
             .iter()
             .map(|(rel, p)| Ok((rel.clone(), p.map_exprs(&subst)?)))
-            .collect::<Result<HashMap<_, _>>>()?;
-        let stages = self
-            .stages
-            .iter()
-            .map(|stage| {
-                let kind = match &stage.kind {
-                    StageKind::Filter {
-                        predicate,
-                        projection,
-                    } => StageKind::Filter {
-                        predicate: predicate.map_exprs(&subst)?,
-                        projection: projection.clone(),
-                    },
-                    other => other.clone(),
-                };
-                Ok(PipelineStage {
-                    kind,
-                    ..stage.clone()
+            .collect::<Result<HashMap<_, _>>>()
+            .map(Arc::new)?;
+        let has_filter = |s: &PipelineStage| matches!(s.kind, StageKind::Filter { .. });
+        let stages = if self.stages.iter().any(has_filter) {
+            self.stages
+                .iter()
+                .map(|stage| {
+                    let kind = match &stage.kind {
+                        StageKind::Filter {
+                            predicate,
+                            projection,
+                        } => StageKind::Filter {
+                            predicate: predicate.map_exprs(&subst)?,
+                            projection: projection.clone(),
+                        },
+                        other => other.clone(),
+                    };
+                    Ok(PipelineStage {
+                        kind,
+                        ..stage.clone()
+                    })
                 })
-            })
-            .collect::<Result<Vec<_>>>()?;
+                .collect::<Result<Arc<[_]>>>()?
+        } else {
+            self.stages.clone()
+        };
         Ok(QueryBinding {
-            specs: self.specs.clone(),
-            schemas: self.schemas.clone(),
+            joins: self.joins.clone(),
             scan_filters,
             stages,
-            late: self.late.clone(),
         })
     }
 

@@ -71,7 +71,7 @@ pub struct ExecConfig {
     /// it aborts the query with a typed `DeadlineExceeded` error through
     /// the normal cancel/quiesce path.
     pub deadline: Option<Duration>,
-    /// Stall window for the coordinator watchdog: if no operator task of a
+    /// Stall window for the query's watchdog: if no operator task of a
     /// query makes progress for this long, the query is aborted with a
     /// typed `Stalled` error carrying a per-op progress dump. `None`
     /// disables stall detection. Note that a query whose client stops

@@ -5,23 +5,34 @@
 //! [`FragmentStore`] for materialized intermediates and a
 //! [`FragmentCache`] holding the base relations' columnar fragments
 //! resident across queries. Queries are submitted with [`Engine::submit`],
-//! which returns a [`QueryHandle`] immediately — the query's operator instances
-//! are multiplexed onto the same bounded worker set (the paper's fixed
-//! processor pool, §4) while a per-query coordinator thread tracks
-//! completions. The root operator's instances feed a bounded client
+//! which returns a [`QueryHandle`] — the query's operator instances are
+//! multiplexed onto the same bounded worker set (the paper's fixed
+//! processor pool, §4): the submitting thread sets the query up and puts
+//! its first wave of tasks on the pool; from then on every task's
+//! completion report advances the query on the thread that makes it
+//! (`Coordinator`) — releasing the waves that waited for it, and, when
+//! it is the last, concluding the query. No thread is started for a query
+//! (one with a deadline or a stall limit gets a watchdog). The root
+//! operator's instances feed a bounded client
 //! channel instead of materializing the result: the handle's
 //! [`ResultStream`] pulls batches while the query is still running, and a
 //! slow client backpressures the worker pool. [`Engine::run`] and
 //! [`run_plan`] remain as thin wrappers that drain the stream into a
 //! materialized [`ExecOutcome`].
 //!
-//! Per-query state (tuple streams, metrics, the coordinator waiting on
-//! instance completions) lives on the coordinator; materialized
+//! Per-query state (tuple streams, metrics, the completions still
+//! outstanding) lives in the query's run; materialized
 //! intermediates go into the shared store under a per-query namespace that
 //! is reclaimed when the query finishes — including when it is cancelled:
 //! the handle's cancel token is observed by every task on its next
-//! scheduling step, each reports exactly once, and the coordinator
+//! scheduling step, each reports exactly once, and the last report
 //! reclaims the namespace before the outcome is released.
+//!
+//! One task is one operation *process*: an operation's instance, or — where
+//! the plan fused sub-grain operations into their consumer
+//! (`OperandSource::Fused`) — a whole process group evaluated member by
+//! member inside it ([`OpTask`]). There is one spawn path; a group of one
+//! is the common case.
 //!
 //! Scheduling order follows the right-deep segmentation: every operator
 //! task is submitted with its segment's topological wave index
@@ -32,25 +43,25 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
 use mj_core::plan_ir::{OperandSource, ParallelPlan, PlanOp};
-use mj_core::validate::validate_plan;
+use mj_core::validate::ValidPlan;
 use mj_plan::segment::segments;
 use mj_relalg::column::{select, ColumnBatch, ColumnLayout};
 use mj_relalg::{Predicate, RelalgError, Relation, RelationProvider, Result, Tuple};
 use mj_storage::{fragment_columns, FragmentCache, FragmentStore, Fragments};
 
-use crate::binding::{PipelineStage, QueryBinding, StageKind};
+use crate::binding::{QueryBinding, StageKind};
 use crate::budget::MemoryBudget;
 use crate::config::{ExecConfig, QueryOptions};
 use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, ResultStream};
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::{EngineStats, Metrics, MetricsSnapshot};
-use crate::operator::task::{DoneMsg, OpTask};
-use crate::operator::{AggregateOp, FilterOp, LimitOp, OutputPort, PhysicalOp};
+use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
+use crate::operator::{join_op, AggregateOp, FilterOp, LimitOp, OutputPort, PhysicalOp};
 use crate::sched::WorkerPool;
 use crate::source::Source;
 use crate::stream::{client_channel, operand_channels, BatchPool, ClientSink, Msg, Router};
@@ -98,11 +109,11 @@ pub struct ExecOutcome {
 /// let outcome = engine.run(&plan, &binding)?;                  // materialized
 /// ```
 ///
-/// Thread count of the *worker pool* is bounded by `config.workers` for
-/// the engine's whole lifetime — running more queries multiplexes more
-/// tasks onto the same workers instead of spawning threads. (Each
-/// submitted query additionally holds one mostly-idle coordinator thread
-/// for its own lifetime; coordinators never execute operator work.)
+/// The engine's thread count is `config.workers` for its whole lifetime —
+/// running more queries multiplexes more tasks onto the same workers
+/// instead of spawning threads. (Only a query with a deadline or a stall
+/// limit additionally holds a mostly-idle watchdog thread for its own
+/// lifetime.)
 pub struct Engine {
     provider: Arc<dyn RelationProvider + Send + Sync>,
     config: ExecConfig,
@@ -189,8 +200,8 @@ impl Admission {
     }
 }
 
-/// RAII run slot: held by the query's coordinator for the query's whole
-/// lifetime, released (waking FIFO waiters) when the coordinator finishes.
+/// RAII run slot: held in the query's [`Accounts`] for the query's whole
+/// lifetime, released (waking FIFO waiters) when the query concludes.
 struct AdmissionPermit {
     admission: Arc<Admission>,
 }
@@ -275,26 +286,50 @@ impl Engine {
         &self.cache
     }
 
-    /// Submits `plan` for execution and returns a [`QueryHandle`]
-    /// immediately. Callable concurrently from many threads; each query
-    /// gets its own handle, stream, metrics, and cancel token while all of
-    /// them share the engine's fixed worker pool.
+    /// Submits `plan` for execution and returns a [`QueryHandle`] once the
+    /// query is set up and its first wave of tasks is on the pool — set-up
+    /// (see [`submit_planned`](Engine::submit_planned)) runs on the calling
+    /// thread; results stream while the caller holds the handle. Callable
+    /// concurrently from many threads; each query gets its own handle,
+    /// stream, metrics, and cancel token while all of them share the
+    /// engine's fixed worker pool.
     pub fn submit(&self, plan: &ParallelPlan, binding: &QueryBinding) -> Result<QueryHandle> {
         self.submit_with(plan, binding, QueryOptions::default())
     }
 
     /// [`submit`](Engine::submit) with per-query [`QueryOptions`]
-    /// (deadline, memory budget, fault plan). Per-query options override
-    /// the engine-wide [`ExecConfig`] defaults.
+    /// (deadline, memory budget, fault plan). The plan is validated and
+    /// copied; a caller that holds a [`ValidPlan`] — the planner's output
+    /// — uses [`submit_planned`](Engine::submit_planned) and pays neither.
+    pub fn submit_with(
+        &self,
+        plan: &ParallelPlan,
+        binding: &QueryBinding,
+        opts: QueryOptions,
+    ) -> Result<QueryHandle> {
+        self.submit_planned(ValidPlan::new(plan.clone())?, binding.clone(), opts)
+    }
+
+    /// Submits an already validated plan: the one submission path, and
+    /// what the session layer calls for every query and every execution
+    /// of a prepared statement. Per-query options override the
+    /// engine-wide [`ExecConfig`] defaults.
+    ///
+    /// Set-up runs on the calling thread before this returns: the late-
+    /// materialization rewrite, base-fragment lookups (partitioning a
+    /// relation the fragment cache has not seen at this degree — several
+    /// milliseconds on a large one, once), channel wiring, and submitting
+    /// every task whose dependencies are already met. Everything after
+    /// that happens on the pool, completion report by completion report.
     ///
     /// When `max_concurrent` admission control is configured, this call
     /// blocks FIFO behind earlier submissions while the engine is
     /// saturated, and returns [`RelalgError::Overloaded`] once the wait
     /// queue is also full.
-    pub fn submit_with(
+    pub fn submit_planned(
         &self,
-        plan: &ParallelPlan,
-        binding: &QueryBinding,
+        plan: ValidPlan,
+        binding: QueryBinding,
         opts: QueryOptions,
     ) -> Result<QueryHandle> {
         // Submission instant: anchors both the duration histogram and the
@@ -309,8 +344,8 @@ impl Engine {
             None => None,
         };
         let (client, stream, ctrl) = open_result_channel(
-            plan,
-            binding,
+            &plan,
+            &binding,
             &self.config,
             &opts,
             submitted_at,
@@ -318,78 +353,57 @@ impl Engine {
         )?;
         self.counters.note_started();
 
-        let plan = plan.clone();
-        let binding = binding.clone();
-        let provider = self.provider.clone();
-        let config = self.config;
-        let pool = self.pool.clone();
-        let store = self.store.clone();
-        let cache = self.cache.clone();
+        // Set-up and the first wave of tasks, here on the submitting
+        // thread; from then on the query is advanced by whichever thread
+        // reports a completion.
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let coord_ctrl = ctrl.clone();
-        let counters = self.counters.clone();
-        let coordinator = std::thread::Builder::new()
-            .name("mj-coordinator".into())
-            .spawn(move || {
-                let result = run_query(
-                    &plan,
-                    &binding,
-                    provider.as_ref(),
-                    &config,
-                    &opts,
-                    &pool,
-                    &store,
-                    &cache,
-                    query_id,
-                    client,
-                    &coord_ctrl,
-                );
-                coord_ctrl.finish(&result);
-                counters.record(
-                    &result,
-                    coord_ctrl.panics(),
-                    coord_ctrl.budget().peak(),
-                    submitted_at.elapsed(),
-                );
-                // Release the admission slot only after the query has
-                // fully quiesced and its fragments are reclaimed, so the
-                // concurrency cap bounds actual resource use.
-                drop(permit);
-                result
-            })
-            .map_err(|e| {
-                // The query was counted active but its coordinator never
-                // ran; record the failure here so the gauge and terminal
-                // counters stay consistent.
-                let err: Result<QueryOutcome> = Err(RelalgError::InvalidPlan(format!(
-                    "cannot spawn coordinator: {e}"
-                )));
-                self.counters.record(&err, 0, 0, submitted_at.elapsed());
-                RelalgError::InvalidPlan(format!("cannot spawn coordinator: {e}"))
-            })?;
-        Ok(QueryHandle::new(stream, ctrl, coordinator))
+        let prepared = QueryRun::prepare(
+            &plan,
+            &binding,
+            self.provider.as_ref(),
+            &self.config,
+            &opts,
+            &self.pool,
+            &self.store,
+            &self.cache,
+            query_id,
+            client,
+            &ctrl,
+        );
+        let accounts = Accounts {
+            ctrl: ctrl.clone(),
+            counters: Some(self.counters.clone()),
+            permit,
+            submitted_at,
+        };
+        let watchdog = start(prepared, accounts)?;
+        Ok(QueryHandle::new(stream, ctrl, watchdog))
     }
 
     /// Executes `plan` to completion, draining the result stream into a
     /// materialized [`ExecOutcome`]. Callable concurrently from many
     /// threads; each call gets its own [`Metrics`].
     pub fn run(&self, plan: &ParallelPlan, binding: &QueryBinding) -> Result<ExecOutcome> {
-        let mut handle = self.submit(plan, binding)?;
-        let mut stream = handle.stream();
-        let schema = stream.schema().clone();
-        let mut tuples: Vec<Tuple> = Vec::new();
-        while let Some(mut batch) = stream.next_batch() {
-            tuples.extend(batch.drain());
-        }
-        drop(stream); // fully drained: dropping a finished stream is a no-op
-        let outcome = handle.outcome()?;
-        Ok(ExecOutcome {
-            relation: Relation::new_unchecked(schema, tuples),
-            elapsed: outcome.elapsed,
-            time_to_first_batch: outcome.time_to_first_batch,
-            metrics: outcome.metrics,
-        })
+        materialize(self.submit(plan, binding)?)
     }
+}
+
+/// Drains `handle`'s stream into a materialized [`ExecOutcome`].
+fn materialize(mut handle: QueryHandle) -> Result<ExecOutcome> {
+    let mut stream = handle.stream();
+    let schema = stream.schema().clone();
+    let mut tuples: Vec<Tuple> = Vec::new();
+    while let Some(mut batch) = stream.next_batch() {
+        tuples.extend(batch.drain());
+    }
+    drop(stream); // fully drained: dropping a finished stream is a no-op
+    let outcome = handle.outcome()?;
+    Ok(ExecOutcome {
+        relation: Relation::new_unchecked(schema, tuples),
+        elapsed: outcome.elapsed,
+        time_to_first_batch: outcome.time_to_first_batch,
+        metrics: outcome.metrics,
+    })
 }
 
 /// Executes `plan` against the relations in `provider` on a transient
@@ -404,44 +418,30 @@ pub fn run_plan(
     config: &ExecConfig,
 ) -> Result<ExecOutcome> {
     let opts = QueryOptions::default();
-    let (client, mut stream, ctrl) =
-        open_result_channel(plan, binding, config, &opts, Instant::now(), None)?;
-    let schema = stream.schema().clone();
+    let plan = ValidPlan::new(plan.clone())?;
+    let submitted_at = Instant::now();
+    let (client, stream, ctrl) =
+        open_result_channel(&plan, binding, config, &opts, submitted_at, None)?;
     let pool = WorkerPool::new(config.workers);
     let store = Arc::new(FragmentStore::new(plan.processors));
     // Same path as a long-lived engine; the cache just dies with the call.
     let cache = FragmentCache::new();
-
-    std::thread::scope(|scope| {
-        let pool = &pool;
-        let store = &store;
-        let cache = &cache;
-        let ctrl_ref = &ctrl;
-        let opts_ref = &opts;
-        let coordinator = scope.spawn(move || {
-            run_query(
-                plan, binding, provider, config, opts_ref, pool, store, cache, 0, client, ctrl_ref,
-            )
-        });
-        let mut tuples: Vec<Tuple> = Vec::new();
-        while let Some(mut batch) = stream.next_batch() {
-            tuples.extend(batch.drain());
-        }
-        let outcome = coordinator
-            .join()
-            .map_err(|_| RelalgError::Internal("coordinator thread panicked".into()))??;
-        Ok(ExecOutcome {
-            relation: Relation::new_unchecked(schema.clone(), tuples),
-            elapsed: outcome.elapsed,
-            time_to_first_batch: ctrl.time_to_first_batch(),
-            metrics: outcome.metrics,
-        })
-    })
+    let prepared = QueryRun::prepare(
+        &plan, binding, provider, config, &opts, &pool, &store, &cache, 0, client, &ctrl,
+    );
+    let accounts = Accounts {
+        ctrl: ctrl.clone(),
+        counters: None,
+        permit: None,
+        submitted_at,
+    };
+    let watchdog = start(prepared, accounts)?;
+    materialize(QueryHandle::new(stream, ctrl, watchdog))
 }
 
-/// Validates the configuration and plan, locates the root operation, and
-/// opens one query's bounded result channel: the producer-side
-/// [`ClientEdge`] for the coordinator, the client-side [`ResultStream`],
+/// Validates the configuration, locates the root operation of the
+/// (already validated) plan, and opens one query's bounded result channel: the producer-side
+/// [`ClientEdge`] for the query's run, the client-side [`ResultStream`],
 /// and the shared cancel/status block. The single setup path behind both
 /// [`Engine::submit`] and [`run_plan`].
 fn open_result_channel(
@@ -453,7 +453,6 @@ fn open_result_channel(
     counters: Option<Arc<EngineCounters>>,
 ) -> Result<(ClientEdge, ResultStream, Arc<QueryCtrl>)> {
     config.validate().map_err(RelalgError::InvalidPlan)?;
-    validate_plan(plan)?;
     let root = plan.tree.root();
     let root_degree = plan
         .op_for_join(root)
@@ -484,19 +483,174 @@ fn open_result_channel(
     Ok(((tx, bpool), stream, ctrl))
 }
 
-/// Per-query coordinator state while its tasks run on the pool.
-struct QueryRun<'a> {
-    plan: &'a ParallelPlan,
+/// The engine's accounts of one query, settled when it concludes.
+struct Accounts {
+    ctrl: Arc<QueryCtrl>,
+    /// `None` on a transient single-query engine ([`run_plan`]).
+    counters: Option<Arc<EngineCounters>>,
+    permit: Option<AdmissionPermit>,
+    submitted_at: Instant,
+}
+
+impl Accounts {
+    /// Counts the query's result, frees its admission slot and publishes
+    /// the outcome — in that order, so whoever holds the outcome sees the
+    /// counters and the slot settled.
+    fn settle(self, result: Result<QueryOutcome>) {
+        if let Some(counters) = &self.counters {
+            counters.record(
+                &result,
+                self.ctrl.panics(),
+                self.ctrl.budget().peak(),
+                self.submitted_at.elapsed(),
+            );
+        }
+        // Released only now that the query has fully quiesced and its
+        // fragments are reclaimed, so the concurrency cap bounds actual
+        // resource use.
+        drop(self.permit);
+        self.ctrl.finish(result);
+    }
+}
+
+/// One query's coordination. No thread waits for a query: the submitting
+/// thread and every completion report [`advance`](Coordinator::advance) the
+/// run under its lock, and whichever of them leaves it with no task to wait
+/// for concludes the query on the spot.
+struct Coordinator {
+    /// The run and its accounts until the query concludes.
+    state: Mutex<Option<(QueryRun, Accounts)>>,
+}
+
+impl Coordinator {
+    fn new(mut run: QueryRun, accounts: Accounts) -> Arc<Coordinator> {
+        let coordinator = Arc::new(Coordinator {
+            state: Mutex::new(None),
+        });
+        // The run hands this to its tasks; it goes with the run when the
+        // query concludes.
+        let reporting = coordinator.clone();
+        run.reporter = Some(Reporter::new(move |report| {
+            reporting.advance(|run| run.on_report(report));
+        }));
+        *coordinator.lock() = Some((run, accounts));
+        coordinator
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<(QueryRun, Accounts)>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Applies `event` to the run; if every task submitted so far has then
+    /// reported, the query has quiesced and is concluded here. Nothing that
+    /// runs under the lock drops a task, so a report never finds it held by
+    /// its own thread.
+    fn advance(&self, event: impl FnOnce(&mut QueryRun)) {
+        let mut state = self.lock();
+        let Some((run, _)) = state.as_mut() else {
+            return;
+        };
+        event(run);
+        if run.received < run.spawned_instances {
+            return;
+        }
+        let (run, accounts) = state.take().expect("checked above");
+        drop(state);
+        accounts.settle(run.conclude());
+    }
+
+    /// Where the query stands, for a stall report.
+    fn progress_dump(&self) -> String {
+        let state = self.lock();
+        state
+            .as_ref()
+            .map_or_else(String::new, |(run, _)| run.progress_dump())
+    }
+}
+
+/// How often a query's watchdog looks at it.
+const WATCHDOG_TICK: Duration = Duration::from_millis(5);
+
+/// The watchdog of a query with a deadline or a stall limit: enforces both
+/// centrally (tasks also check the deadline per step) so they hold even
+/// when every task is parked, e.g. wedged on a dead peer. It only raises
+/// the abort; the tasks observe it, report, and the last report concludes
+/// the query as always.
+fn watchdog(coordinator: &Coordinator, ctrl: &QueryCtrl, stall_timeout: Option<Duration>) {
+    let mut last_progress = (ctrl.progress(), Instant::now());
+    while !ctrl.wait_concluded(WATCHDOG_TICK) {
+        if ctrl.is_aborted() || ctrl.is_canceled() {
+            continue;
+        }
+        if ctrl.deadline_exceeded() {
+            ctrl.abort(RelalgError::DeadlineExceeded);
+        } else if let Some(timeout) = stall_timeout {
+            let progress = ctrl.progress();
+            if progress != last_progress.0 {
+                last_progress = (progress, Instant::now());
+            } else if last_progress.1.elapsed() >= timeout {
+                ctrl.abort(RelalgError::Stalled(coordinator.progress_dump()));
+            }
+        }
+    }
+}
+
+/// Puts a prepared query under coordination and its first wave of tasks on
+/// the pool. A query with a deadline or a stall limit gets a watchdog
+/// thread, returned for its handle to join; a query without limits — the
+/// default — starts no thread at all. A set-up failure concludes the query
+/// at once and surfaces from its outcome like any other.
+fn start(
+    prepared: Result<QueryRun>,
+    accounts: Accounts,
+) -> Result<Option<std::thread::JoinHandle<()>>> {
+    let run = match prepared {
+        Ok(run) => run,
+        Err(e) => {
+            accounts.settle(Err(e));
+            return Ok(None);
+        }
+    };
+    let (ctrl, stall_timeout) = (run.ctrl.clone(), run.config.stall_timeout);
+    let coordinator = Coordinator::new(run, accounts);
+    let mut guarded = None;
+    if ctrl.deadline().is_some() || stall_timeout.is_some() {
+        let watched = (coordinator.clone(), ctrl.clone());
+        let spawned = std::thread::Builder::new()
+            .name("mj-watchdog".into())
+            .spawn(move || watchdog(&watched.0, &watched.1, stall_timeout));
+        match spawned {
+            Ok(thread) => guarded = Some(thread),
+            Err(e) => {
+                // Nothing runs yet: conclude the query as a canceled one
+                // (counted as such, admission slot released).
+                ctrl.cancel();
+                coordinator.advance(QueryRun::spawn_first_wave);
+                return Err(RelalgError::InvalidPlan(format!(
+                    "cannot spawn watchdog: {e}"
+                )));
+            }
+        }
+    }
+    coordinator.advance(QueryRun::spawn_first_wave);
+    Ok(guarded)
+}
+
+/// One query from set-up to teardown. [`prepare`](QueryRun::prepare) and
+/// the first wave of tasks run on the submitting thread; after that the run
+/// sits in its [`Coordinator`] and is advanced by completion reports on the
+/// pool's threads, so it owns (or shares by `Arc`) everything it touches.
+struct QueryRun {
+    plan: ValidPlan,
+    /// The query as bound: its stages run on the resolved root output.
+    query: QueryBinding,
     /// The binding join operators are wired from: the narrow rewrite of a
-    /// late-materialized query, otherwise the original.
-    binding: &'a QueryBinding,
-    /// The post-join stages, always from the original binding (they run
-    /// on the resolved root output).
-    stages: &'a [PipelineStage],
-    config: &'a ExecConfig,
-    pool: &'a WorkerPool,
-    store: &'a Arc<FragmentStore>,
-    ctrl: &'a Arc<QueryCtrl>,
+    /// late-materialized query, otherwise `query`.
+    binding: QueryBinding,
+    config: ExecConfig,
+    pool: Arc<WorkerPool>,
+    store: Arc<FragmentStore>,
+    ctrl: Arc<QueryCtrl>,
     /// Fragment-name namespace of this query in the shared store.
     ns: String,
     /// Per-op scheduling priority: the op's segment wave (§4 order).
@@ -518,9 +672,34 @@ struct QueryRun<'a> {
     /// (the last stage, or the root op when no stages are attached);
     /// dropping the master sender lets the stream observe teardown.
     client: Option<ClientEdge>,
-    done_tx: mpsc::Sender<DoneMsg>,
-    spawned: Vec<bool>,
+    /// What every task of the query reports its completions through; set
+    /// when the run is put under its [`Coordinator`].
+    reporter: Option<Reporter>,
+    /// When scheduling started: the paper's response time runs from here
+    /// to the last completion report.
+    started: Instant,
+    /// Per root op: completions of ops in other processes its group still
+    /// waits for.
+    deps_remaining: Vec<usize>,
+    /// Per op: the root ops of the groups waiting for it.
+    dependents: Vec<Vec<usize>>,
+    /// Per op and stage: instances that have not reported yet.
+    instances_left: Vec<usize>,
+    /// The first failure, from set-up or from a task.
+    first_err: Option<RelalgError>,
+    /// Bytes of resident images the late rewrite pinned for this query,
+    /// charged to its budget until teardown.
+    pinned_bytes: u64,
+    /// Per process group not yet submitted, under its root op's id: the
+    /// ops it evaluates, in op order (the root last); empty under every
+    /// other id.
+    groups: Vec<Vec<usize>>,
+    /// Per op read through a fused edge: its reader and the reader's side.
+    feeds: Vec<Option<(usize, usize)>>,
+    /// Completion reports to wait for: one per member of every task.
     spawned_instances: usize,
+    /// Completion reports received.
+    received: usize,
     metrics: Metrics,
     /// Late-materialization resolver, attached to the root join's tasks.
     resolver: Option<Arc<crate::late::Resolver>>,
@@ -529,49 +708,55 @@ struct QueryRun<'a> {
     fault_plan: Option<crate::faults::FaultPlan>,
 }
 
-impl QueryRun<'_> {
-    /// Submits every op whose dependencies are met as pool tasks.
-    fn spawn_ready(&mut self, deps_remaining: &[usize]) -> Result<()> {
-        let root_join = self.plan.tree.root();
-        for op in &self.plan.ops {
-            if self.spawned[op.id] || deps_remaining[op.id] > 0 {
+impl QueryRun {
+    /// Submits every operation process whose dependencies are met as pool
+    /// tasks.
+    fn spawn_ready(&mut self) -> Result<()> {
+        for root in 0..self.groups.len() {
+            if self.groups[root].is_empty() || self.deps_remaining[root] > 0 {
                 continue;
             }
-            self.spawned[op.id] = true;
-            self.spawn_op(op, root_join)?;
+            self.spawn_group(root)?;
         }
         Ok(())
     }
 
-    fn spawn_op(&mut self, op: &PlanOp, root_join: usize) -> Result<()> {
-        let spec = self.binding.spec(op.join)?;
-        let degree = op.degree();
-        self.metrics.ops[op.id].instances = degree;
+    /// Spawns one task per operation process of the group rooted at op
+    /// `root`: the root's `degree` instances, each evaluating every member
+    /// of the group in op order. A group of one is one operation; a larger
+    /// one (fused sub-grain operations, always at degree 1) hands each
+    /// member's result to its reader in memory, and only the root member is
+    /// wired to an output.
+    fn spawn_group(&mut self, root: usize) -> Result<()> {
+        let plan = self.plan.clone();
+        let root_op = &plan.ops[root];
+        let root_join = plan.tree.root();
+        let degree = root_op.degree();
+        let members = std::mem::take(&mut self.groups[root]);
         self.metrics.processes += degree;
 
-        // Per-side instance source builders.
-        let mut rxs: [Option<Vec<Receiver<Msg>>>; 2] = [
-            self.stream_rx.remove(&(op.id, 0)),
-            self.stream_rx.remove(&(op.id, 1)),
-        ];
-        let mut mat_fragments: [Option<Vec<Arc<ColumnBatch>>>; 2] = [None, None];
-        for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-            if let OperandSource::Materialized { from } = operand {
-                let frags = self.store.collect(&format!("{}op{from}", self.ns));
-                if frags.is_empty() {
-                    return Err(RelalgError::InvalidPlan(format!(
-                        "op {} reads op{from} before it materialized",
-                        op.id
-                    )));
+        // Materialized operands, collected once per member and side.
+        let mut mat_fragments: HashMap<(usize, usize), Vec<Arc<ColumnBatch>>> = HashMap::new();
+        for &m in &members {
+            let op = &plan.ops[m];
+            self.metrics.ops[m].instances = op.degree();
+            for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+                if let OperandSource::Materialized { from } = operand {
+                    let frags = self.store.collect(&format!("{}op{from}", self.ns));
+                    if frags.is_empty() {
+                        return Err(RelalgError::InvalidPlan(format!(
+                            "op {m} reads op{from} before it materialized"
+                        )));
+                    }
+                    mat_fragments.insert((m, side), frags);
                 }
-                mat_fragments[side] = Some(frags);
             }
         }
-        let out = self.out_stream.remove(&op.id);
+        let out = self.out_stream.remove(&root);
         // The sink op (no stream consumer, no materializing consumer)
         // feeds the client's result channel.
-        let client = if out.is_none() && !self.out_materialized[op.id] {
-            debug_assert_eq!(op.join, root_join, "only the root op feeds the client");
+        let client = if out.is_none() && !self.out_materialized[root] {
+            debug_assert_eq!(root_op.join, root_join, "only the root op feeds the client");
             Some(self.client.take().ok_or_else(|| {
                 RelalgError::InvalidPlan("plan has more than one sink operation".into())
             })?)
@@ -579,35 +764,55 @@ impl QueryRun<'_> {
             None
         };
 
+        // The process starts with its earliest member's wave.
+        let priority = members.iter().map(|&m| self.priorities[m]).min();
+        let priority = priority.expect("a group has members");
         // `i` indexes channels, fragments, and procs alike.
-        #[allow(clippy::needless_range_loop)]
         for i in 0..degree {
-            let mut sources: Vec<Source> = Vec::with_capacity(2);
-            for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-                let key_col = if side == 0 {
-                    spec.left_key
-                } else {
-                    spec.right_key
-                };
-                let source = match operand {
-                    OperandSource::Base { .. } => {
-                        Source::Local(self.base_fragments[&(op.id, side)][i].clone())
-                    }
-                    OperandSource::Materialized { .. } => Source::Filtered {
-                        fragments: mat_fragments[side].clone().expect("collected above"),
-                        key_col,
-                        bucket: i,
-                        of: degree,
-                    },
-                    OperandSource::Stream { from } => Source::Stream {
-                        rx: rxs[side].as_mut().expect("channels created")[i].clone(),
-                        producers: self.plan.ops[*from].degree(),
-                    },
-                };
-                sources.push(source);
+            let mut task_members = Vec::with_capacity(members.len());
+            for &m in &members {
+                let op = &plan.ops[m];
+                let spec = self.binding.spec(op.join)?;
+                let mut sources: Vec<Option<Source>> = Vec::with_capacity(2);
+                for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+                    sources.push(match operand {
+                        OperandSource::Base { .. } => {
+                            Some(Source::Local(self.base_fragments[&(m, side)][i].clone()))
+                        }
+                        OperandSource::Materialized { .. } => Some(Source::Filtered {
+                            fragments: mat_fragments[&(m, side)].clone(),
+                            key_col: if side == 0 {
+                                spec.left_key
+                            } else {
+                                spec.right_key
+                            },
+                            bucket: i,
+                            of: degree,
+                        }),
+                        OperandSource::Stream { from } => Some(Source::Stream {
+                            rx: self.stream_rx[&(m, side)][i].clone(),
+                            producers: plan.ops[*from].degree(),
+                        }),
+                        // Handed over by the member evaluating `from`.
+                        OperandSource::Fused { .. } => None,
+                    });
+                }
+                let fail = self
+                    .config
+                    .fail
+                    .is_some_and(|f| f.op == m && f.instance == i);
+                #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
+                let mut member =
+                    TaskMember::new(join_op(op.algorithm, spec.clone()), sources, m, fail);
+                if let Some((reader, side)) = self.feeds[m] {
+                    member = member.feeding(reader, side);
+                }
+                #[cfg(feature = "faults")]
+                if let Some(plan) = &self.fault_plan {
+                    member.arm_fault(plan.arm("join", m, i));
+                }
+                task_members.push(member);
             }
-            let right = sources.pop().expect("two sides");
-            let left = sources.pop().expect("two sides");
 
             let output = match &out {
                 Some((txs, key_col, pool)) => OutputPort::Stream(Router::new(
@@ -616,11 +821,11 @@ impl QueryRun<'_> {
                     self.config.batch_size,
                     pool.clone(),
                 )),
-                None if self.out_materialized[op.id] => OutputPort::materialize(
+                None if self.out_materialized[root] => OutputPort::materialize(
                     self.store.clone(),
-                    op.procs[i],
-                    format!("{}op{}", self.ns, op.id),
-                    self.binding.schema(op.join)?,
+                    root_op.procs[i],
+                    format!("{}op{root}", self.ns),
+                    self.binding.schema(root_op.join)?,
                     Some(self.ctrl.budget().clone()),
                 ),
                 None => {
@@ -633,37 +838,26 @@ impl QueryRun<'_> {
                 }
             };
 
-            let fail = self
-                .config
-                .fail
-                .map(|f| f.op == op.id && f.instance == i)
-                .unwrap_or(false);
-            #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-            let mut task = OpTask::join(
-                op.algorithm,
-                spec.clone(),
-                left,
-                right,
+            let mut task = OpTask::new(
+                task_members,
                 output,
                 self.config.batch_size,
-                op.id,
                 i,
-                self.done_tx.clone(),
+                self.reporter(),
                 self.config.startup_cost,
-                fail,
                 Some(self.ctrl.clone()),
             );
-            if op.join == root_join {
+            if root_op.join == root_join {
                 if let Some(resolver) = &self.resolver {
                     task.set_resolver(resolver.clone());
                 }
             }
-            #[cfg(feature = "faults")]
-            if let Some(plan) = &self.fault_plan {
-                task.arm_fault(plan.arm("join", op.id, i));
-            }
-            self.pool.submit(self.priorities[op.id], Box::new(task));
-            self.spawned_instances += 1;
+            self.pool.submit(priority, Box::new(task));
+            self.spawned_instances += members.len();
+        }
+        for &m in &members {
+            self.stream_rx.remove(&(m, 0));
+            self.stream_rx.remove(&(m, 1));
         }
         // `client` (the master sender) drops here once the sink op has
         // spawned: from now on only the sink instances hold senders.
@@ -682,7 +876,8 @@ impl QueryRun<'_> {
             .op_for_join(root)
             .map(PlanOp::degree)
             .ok_or_else(|| RelalgError::InvalidPlan("plan has no root operation".into()))?;
-        for (i, stage) in self.stages.iter().enumerate() {
+        let query = self.query.clone();
+        for (i, stage) in query.stages().iter().enumerate() {
             let op_id = n_ops + i;
             let rxs = std::mem::take(&mut self.stage_rx[i]);
             if rxs.len() != stage.degree {
@@ -742,21 +937,9 @@ impl QueryRun<'_> {
                 let fail = self
                     .config
                     .fail
-                    .map(|f| f.op == op_id && f.instance == inst)
-                    .unwrap_or(false);
+                    .is_some_and(|f| f.op == op_id && f.instance == inst);
                 #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-                let mut task = OpTask::new(
-                    op,
-                    vec![source],
-                    output,
-                    self.config.batch_size,
-                    op_id,
-                    inst,
-                    self.done_tx.clone(),
-                    self.config.startup_cost,
-                    fail,
-                    Some(self.ctrl.clone()),
-                );
+                let mut member = TaskMember::new(op, vec![Some(source)], op_id, fail);
                 #[cfg(feature = "faults")]
                 if let Some(plan) = &self.fault_plan {
                     let label = match &stage.kind {
@@ -764,14 +947,28 @@ impl QueryRun<'_> {
                         StageKind::Aggregate { .. } => "aggregate",
                         StageKind::Limit { .. } => "limit",
                     };
-                    task.arm_fault(plan.arm(label, op_id, inst));
+                    member.arm_fault(plan.arm(label, op_id, inst));
                 }
+                let task = OpTask::new(
+                    vec![member],
+                    output,
+                    self.config.batch_size,
+                    inst,
+                    self.reporter(),
+                    self.config.startup_cost,
+                    Some(self.ctrl.clone()),
+                );
                 self.pool.submit(self.priorities[op_id], Box::new(task));
                 self.spawned_instances += 1;
             }
             producers = stage.degree;
         }
         Ok(())
+    }
+
+    fn reporter(&self) -> Reporter {
+        let reporter = self.reporter.as_ref();
+        reporter.expect("tasks spawn under coordination").clone()
     }
 
     /// Drops the channel endpoints of not-yet-spawned ops so already
@@ -783,351 +980,366 @@ impl QueryRun<'_> {
         self.stage_out.clear();
         self.client = None;
     }
-}
 
-/// Runs one query's plan on a (shared) pool and store, streaming the root
-/// output into `client`. `query_id` namespaces the query's materialized
-/// fragments within the store. Returns once the query has quiesced: every
-/// submitted task has reported exactly once, and the query's fragment
-/// namespace has been reclaimed.
-#[allow(clippy::too_many_arguments)]
-fn run_query(
-    plan: &ParallelPlan,
-    binding: &QueryBinding,
-    provider: &dyn RelationProvider,
-    config: &ExecConfig,
-    opts: &QueryOptions,
-    pool: &WorkerPool,
-    store: &Arc<FragmentStore>,
-    cache: &FragmentCache,
-    query_id: u64,
-    client: ClientEdge,
-    ctrl: &Arc<QueryCtrl>,
-) -> Result<QueryOutcome> {
-    #[cfg(not(feature = "faults"))]
-    let _ = opts; // options beyond deadline/budget are resolved upstream
-                  // Config and plan were validated by `open_result_channel` — both
-                  // callers go through it before spawning this coordinator.
-    let n_ops = plan.ops.len();
-    let n_stages = binding.stages().len();
-    let n_tasks = n_ops + n_stages;
-    let ns = format!("q{query_id}:");
-    store.ensure_nodes(plan.processors);
+    /// Sets one query up on a (shared) pool and store — resident base
+    /// fragments, channels, process groups — with the root output streaming
+    /// into `client`. `query_id` namespaces the query's materialized
+    /// fragments within the store. Nothing is submitted yet
+    /// ([`spawn_first_wave`](Self::spawn_first_wave)).
+    #[allow(clippy::too_many_arguments)]
+    fn prepare(
+        plan: &ValidPlan,
+        binding: &QueryBinding,
+        provider: &dyn RelationProvider,
+        config: &ExecConfig,
+        opts: &QueryOptions,
+        pool: &Arc<WorkerPool>,
+        store: &Arc<FragmentStore>,
+        cache: &FragmentCache,
+        query_id: u64,
+        client: ClientEdge,
+        ctrl: &Arc<QueryCtrl>,
+    ) -> Result<QueryRun> {
+        // The config was validated by `open_result_channel`; options beyond
+        // deadline and budget are resolved upstream.
+        #[cfg(not(feature = "faults"))]
+        let _ = opts;
+        let n_ops = plan.ops.len();
+        let n_stages = binding.stages().len();
+        let n_tasks = n_ops + n_stages;
+        let ns = format!("q{query_id}:");
+        store.ensure_nodes(plan.processors);
 
-    let mut metrics = Metrics::new(n_tasks);
+        let mut metrics = Metrics::new(n_tasks);
 
-    // --- Late materialization. When the binding's shape is taken, the
-    // join pipeline runs on narrow ref-carrying batches wired from
-    // `late.shape.narrow`, the resident images the refs index stay pinned
-    // in the rewrite's registry (charged to the budget below), and the
-    // root join's tasks resolve refs back to the original schema — so
-    // everything from the root's output port on (stages, client channel)
-    // is untouched.
-    let late = crate::late::plan_late(binding, provider, cache, config.late, &mut metrics)?;
-    let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.shape.narrow);
-    let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
-    if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
-        ctrl.abort(ctrl.budget().exhausted_error());
-    }
+        // --- Late materialization. When the binding's shape is taken, the
+        // join pipeline runs on narrow ref-carrying batches wired from
+        // `late.shape.narrow`, the resident images the refs index stay pinned
+        // in the rewrite's registry (charged to the budget below), and the
+        // root join's tasks resolve refs back to the original schema — so
+        // everything from the root's output port on (stages, client channel)
+        // is untouched.
+        let late = crate::late::plan_late(binding, provider, cache, config.late, &mut metrics)?;
+        let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.shape.narrow);
+        let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
+        if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
+            ctrl.abort(ctrl.budget().exhausted_error());
+        }
 
-    // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
-    let base_fragments =
-        base_fragments(plan, binding, late.as_ref(), provider, cache, &mut metrics)?;
+        // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
+        let base_fragments =
+            base_fragments(plan, binding, late.as_ref(), provider, cache, &mut metrics)?;
 
-    // Stream channels, created up front (receivers taken at consumer
-    // spawn, senders at producer spawn). Edge pools are sized from both
-    // endpoint degrees.
-    let mut stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>> = HashMap::new();
-    let mut out_stream: OutStreams = HashMap::new();
-    let mut out_materialized: Vec<bool> = vec![false; n_ops];
-    for op in &plan.ops {
-        let spec = exec_binding.spec(op.join)?;
-        for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-            let key_col = if side == 0 {
-                spec.left_key
-            } else {
-                spec.right_key
-            };
-            match operand {
-                OperandSource::Stream { from } => {
-                    // The edge carries the producer op's output rows; its
-                    // pool is typed with that schema's column layout.
-                    let layout = ColumnLayout::of(exec_binding.schema(plan.ops[*from].join)?);
-                    let (txs, rxs, pool) = operand_channels(
-                        plan.ops[*from].degree(),
-                        op.degree(),
-                        config.channel_capacity,
-                        layout,
-                    );
-                    pool.set_budget(ctrl.budget().clone());
-                    stream_rx.insert((op.id, side), rxs);
-                    if out_stream.insert(*from, (txs, key_col, pool)).is_some() {
-                        return Err(RelalgError::InvalidPlan(format!(
-                            "op {from} has multiple stream consumers"
-                        )));
+        // Stream channels, created up front (receivers taken at consumer
+        // spawn, senders at producer spawn). Edge pools are sized from both
+        // endpoint degrees.
+        let mut stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>> = HashMap::new();
+        let mut out_stream: OutStreams = HashMap::new();
+        let mut out_materialized: Vec<bool> = vec![false; n_ops];
+        for op in &plan.ops {
+            let spec = exec_binding.spec(op.join)?;
+            for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+                let key_col = if side == 0 {
+                    spec.left_key
+                } else {
+                    spec.right_key
+                };
+                match operand {
+                    OperandSource::Stream { from } => {
+                        // The edge carries the producer op's output rows; its
+                        // pool is typed with that schema's column layout.
+                        let layout = ColumnLayout::of(exec_binding.schema(plan.ops[*from].join)?);
+                        let (txs, rxs, pool) = operand_channels(
+                            plan.ops[*from].degree(),
+                            op.degree(),
+                            config.channel_capacity,
+                            layout,
+                        );
+                        pool.set_budget(ctrl.budget().clone());
+                        stream_rx.insert((op.id, side), rxs);
+                        if out_stream.insert(*from, (txs, key_col, pool)).is_some() {
+                            return Err(RelalgError::InvalidPlan(format!(
+                                "op {from} has multiple stream consumers"
+                            )));
+                        }
                     }
+                    OperandSource::Materialized { from } => {
+                        out_materialized[*from] = true;
+                    }
+                    // A fused edge never leaves its task.
+                    OperandSource::Base { .. } | OperandSource::Fused { .. } => {}
                 }
-                OperandSource::Materialized { from } => {
-                    out_materialized[*from] = true;
-                }
-                OperandSource::Base { .. } => {}
             }
         }
-    }
 
-    // Post-join pipeline channels: the root op streams into stage 0, each
-    // stage into the next, and the last stage into the client channel.
-    let mut stage_rx: Vec<Vec<Receiver<Msg>>> = Vec::with_capacity(n_stages);
-    let mut stage_out: Vec<Option<OutEdge>> = (0..n_stages).map(|_| None).collect();
-    let mut stage_streams = 0usize;
-    if n_stages > 0 {
-        let root_op = plan
-            .op_for_join(plan.tree.root())
-            .ok_or_else(|| RelalgError::InvalidPlan("plan has no root operation".into()))?;
-        let mut prev_degree = root_op.degree();
+        // Post-join pipeline channels: the root op streams into stage 0, each
+        // stage into the next, and the last stage into the client channel.
+        let mut stage_rx: Vec<Vec<Receiver<Msg>>> = Vec::with_capacity(n_stages);
+        let mut stage_out: Vec<Option<OutEdge>> = (0..n_stages).map(|_| None).collect();
+        let mut stage_streams = 0usize;
+        if n_stages > 0 {
+            let root_op = plan
+                .op_for_join(plan.tree.root())
+                .ok_or_else(|| RelalgError::InvalidPlan("plan has no root operation".into()))?;
+            let mut prev_degree = root_op.degree();
+            for (i, stage) in binding.stages().iter().enumerate() {
+                // Edge i carries the previous producer's output: the root
+                // join's schema for stage 0, else the prior stage's.
+                let in_schema = if i == 0 {
+                    binding.schema(root_op.join)?
+                } else {
+                    &binding.stages()[i - 1].schema
+                };
+                let (txs, rxs, bpool) = operand_channels(
+                    prev_degree,
+                    stage.degree,
+                    config.channel_capacity,
+                    ColumnLayout::of(in_schema),
+                );
+                bpool.set_budget(ctrl.budget().clone());
+                stage_streams += prev_degree * stage.degree;
+                stage_rx.push(rxs);
+                let entry = (txs, stage.partition_col, bpool);
+                if i == 0 {
+                    if out_stream.insert(root_op.id, entry).is_some() {
+                        return Err(RelalgError::InvalidPlan(
+                            "root op already has a stream consumer".into(),
+                        ));
+                    }
+                } else {
+                    stage_out[i - 1] = Some(entry);
+                }
+                prev_degree = stage.degree;
+            }
+        }
+
+        // Scheduling priority: the op's right-deep segment wave (§4 order);
+        // pipeline stages run after the root, in later waves still.
+        let node_waves = segments(&plan.tree).node_waves();
+        let mut priorities: Vec<usize> = plan
+            .ops
+            .iter()
+            .map(|op| node_waves.get(op.join).copied().flatten().unwrap_or(0))
+            .collect();
+        let stage_base = priorities.iter().copied().max().unwrap_or(0) + 1;
+        priorities.extend((0..n_stages).map(|i| stage_base + i));
+
+        // --- Scheduling (timed). ---
+        let started = Instant::now();
+
+        // Process groups: a process starts once every op any of its members
+        // waits for — in another process — has completed. `deps_remaining` is
+        // kept under the group's root op id.
+        let roots = plan.process_roots();
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
+        let mut feeds: Vec<Option<(usize, usize)>> = vec![None; n_ops];
+        let mut deps_remaining: Vec<usize> = vec![0; n_ops];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
+        for op in &plan.ops {
+            let root = roots[op.id];
+            groups[root].push(op.id);
+            for &d in &op.start_after {
+                if roots[d] != root {
+                    deps_remaining[root] += 1;
+                    dependents[d].push(root);
+                }
+            }
+            for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+                if let OperandSource::Fused { from } = operand {
+                    feeds[*from] = Some((op.id, side));
+                }
+            }
+        }
+
+        let stats = plan.stats();
+        metrics.streams = stats.tuple_streams + stage_streams;
+        metrics.fused_ops = stats.fused_ops;
+        for op in &plan.ops {
+            metrics.ops[op.id].est_out = op.est_out;
+        }
         for (i, stage) in binding.stages().iter().enumerate() {
-            // Edge i carries the previous producer's output: the root
-            // join's schema for stage 0, else the prior stage's.
-            let in_schema = if i == 0 {
-                binding.schema(root_op.join)?
-            } else {
-                &binding.stages()[i - 1].schema
-            };
-            let (txs, rxs, bpool) = operand_channels(
-                prev_degree,
-                stage.degree,
-                config.channel_capacity,
-                ColumnLayout::of(in_schema),
-            );
-            bpool.set_budget(ctrl.budget().clone());
-            stage_streams += prev_degree * stage.degree;
-            stage_rx.push(rxs);
-            let entry = (txs, stage.partition_col, bpool);
-            if i == 0 {
-                if out_stream.insert(root_op.id, entry).is_some() {
-                    return Err(RelalgError::InvalidPlan(
-                        "root op already has a stream consumer".into(),
-                    ));
-                }
-            } else {
-                stage_out[i - 1] = Some(entry);
-            }
-            prev_degree = stage.degree;
+            metrics.ops[n_ops + i].est_out = stage.est_out;
+            metrics.ops[n_ops + i].kind = stage.kind.metrics_kind();
+        }
+        let instances_left: Vec<usize> = plan
+            .ops
+            .iter()
+            .map(|o| o.degree())
+            .chain(binding.stages().iter().map(|s| s.degree))
+            .collect();
+        Ok(QueryRun {
+            plan: plan.clone(),
+            query: binding.clone(),
+            binding: exec_binding.clone(),
+            config: *config,
+            pool: pool.clone(),
+            store: store.clone(),
+            ctrl: ctrl.clone(),
+            ns,
+            priorities,
+            base_fragments,
+            stream_rx,
+            out_stream,
+            out_materialized,
+            stage_rx,
+            stage_out,
+            client: Some(client),
+            reporter: None,
+            started,
+            deps_remaining,
+            dependents,
+            instances_left,
+            first_err: None,
+            pinned_bytes,
+            groups,
+            feeds,
+            spawned_instances: 0,
+            received: 0,
+            metrics,
+            resolver: late.as_ref().map(|l| l.resolver.clone()),
+            #[cfg(feature = "faults")]
+            fault_plan: opts.fault_plan().cloned(),
+        })
+    }
+
+    /// Submits every process that waits for nothing, and the stages.
+    fn spawn_first_wave(&mut self) {
+        if self.ctrl.is_canceled() {
+            self.fail(RelalgError::Canceled);
+        } else if let Err(e) = self.spawn_ready().and_then(|()| self.spawn_stages()) {
+            // Spawning failed part-way: the tasks already submitted unwind
+            // via dropped endpoints, and the query concludes — quiescent,
+            // the shared store clean — when the last of them has reported.
+            self.fail(e);
         }
     }
 
-    // Scheduling priority: the op's right-deep segment wave (§4 order);
-    // pipeline stages run after the root, in later waves still.
-    let node_waves = segments(&plan.tree).node_waves();
-    let mut priorities: Vec<usize> = plan
-        .ops
-        .iter()
-        .map(|op| node_waves.get(op.join).copied().flatten().unwrap_or(0))
-        .collect();
-    let stage_base = priorities.iter().copied().max().unwrap_or(0) + 1;
-    priorities.extend((0..n_stages).map(|i| stage_base + i));
-
-    // --- Scheduling (timed). ---
-    let started = Instant::now();
-    let (done_tx, done_rx) = mpsc::channel::<DoneMsg>();
-
-    let mut deps_remaining: Vec<usize> = plan.ops.iter().map(|o| o.start_after.len()).collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
-    for op in &plan.ops {
-        for &d in &op.start_after {
-            dependents[d].push(op.id);
+    /// Records the query's first failure and unblocks every task wired to
+    /// a peer that will now never be spawned.
+    fn fail(&mut self, e: RelalgError) {
+        if self.first_err.is_none() {
+            self.first_err = Some(e);
+            self.release_unspawned_endpoints();
         }
     }
 
-    metrics.streams = plan.stats().tuple_streams + stage_streams;
-    for op in &plan.ops {
-        metrics.ops[op.id].est_out = op.est_out;
-    }
-    for (i, stage) in binding.stages().iter().enumerate() {
-        metrics.ops[n_ops + i].est_out = stage.est_out;
-        metrics.ops[n_ops + i].kind = stage.kind.metrics_kind();
-    }
-    let mut run = QueryRun {
-        plan,
-        binding: exec_binding,
-        stages: binding.stages(),
-        config,
-        pool,
-        store,
-        ctrl,
-        ns: ns.clone(),
-        priorities,
-        base_fragments,
-        stream_rx,
-        out_stream,
-        out_materialized,
-        stage_rx,
-        stage_out,
-        client: Some(client),
-        done_tx,
-        spawned: vec![false; n_ops],
-        spawned_instances: 0,
-        metrics,
-        resolver: late.as_ref().map(|l| l.resolver.clone()),
-        #[cfg(feature = "faults")]
-        fault_plan: opts.fault_plan().cloned(),
-    };
-
-    let mut instances_left: Vec<usize> = plan
-        .ops
-        .iter()
-        .map(|o| o.degree())
-        .chain(binding.stages().iter().map(|s| s.degree))
-        .collect();
-    let mut received = 0usize;
-    let mut first_err: Option<RelalgError> = None;
-
-    if ctrl.is_canceled() {
-        first_err = Some(RelalgError::Canceled);
-        run.release_unspawned_endpoints();
-    } else if let Err(e) = run
-        .spawn_ready(&deps_remaining)
-        .and_then(|()| run.spawn_stages())
-    {
-        // Setup failed part-way: any already-submitted tasks unwind via
-        // dropped endpoints; keep draining below so the query is quiescent
-        // (and the shared store clean) before we return.
-        first_err = Some(e);
-        run.release_unspawned_endpoints();
-    }
-
-    // Coordinator watchdog: with a deadline or stall timeout configured,
-    // poll for completions on a short tick so limits are enforced even
-    // when every task is parked (e.g. wedged on a dead peer). Without
-    // limits, block exactly as before — zero overhead on the happy path.
-    let watchdog_tick = Duration::from_millis(5);
-    let watchdog = ctrl.deadline().is_some() || config.stall_timeout.is_some();
-    let mut last_progress = (ctrl.progress(), Instant::now());
-
-    while received < run.spawned_instances {
-        let msg = if watchdog {
-            match done_rx.recv_timeout(watchdog_tick) {
-                Ok(msg) => Some(msg),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(RelalgError::Internal("scheduler channel broke".into()));
-                }
-            }
-        } else {
-            Some(
-                done_rx
-                    .recv()
-                    .map_err(|_| RelalgError::Internal("scheduler channel broke".into()))?,
-            )
-        };
-        let Some((op_id, res)) = msg else {
-            // Watchdog tick: enforce the deadline centrally (tasks also
-            // check it per step) and detect stalled pipelines.
-            if !ctrl.is_aborted() && !ctrl.is_canceled() {
-                if ctrl.deadline_exceeded() {
-                    ctrl.abort(RelalgError::DeadlineExceeded);
-                } else if let Some(timeout) = config.stall_timeout {
-                    let progress = ctrl.progress();
-                    if progress != last_progress.0 {
-                        last_progress = (progress, Instant::now());
-                    } else if last_progress.1.elapsed() >= timeout {
-                        let dump = progress_dump(plan, binding, &instances_left, &run.metrics);
-                        ctrl.abort(RelalgError::Stalled(dump));
-                    }
-                }
-            }
-            continue;
-        };
-        received += 1;
+    /// Takes one completion report: books the member's statistics and, when
+    /// that completes an operation, releases the processes waiting for it.
+    fn on_report(&mut self, (op_id, res): DoneMsg) {
+        self.received += 1;
         // Completions are progress too: don't let a long-running final
         // drain that makes no per-step progress look like a stall.
-        last_progress = (ctrl.progress(), Instant::now());
-        if ctrl.is_canceled() && first_err.is_none() {
+        self.ctrl.note_progress();
+        if self.ctrl.is_canceled() {
             // Cancellation arrived while tasks were in flight: stop
             // spawning new waves and let running tasks observe the token.
-            first_err = Some(RelalgError::Canceled);
-            run.release_unspawned_endpoints();
+            self.fail(RelalgError::Canceled);
         }
         match res {
             Ok(stats) => {
-                let m = &mut run.metrics.ops[op_id];
+                let m = &mut self.metrics.ops[op_id];
                 m.tuples_in[0] += stats.tuples_in[0];
                 m.tuples_in[1] += stats.tuples_in[1];
                 m.tuples_out += stats.tuples_out;
                 m.table_bytes += stats.table_bytes;
-                run.metrics.sched_steps += stats.steps;
-                run.metrics.sched_blocked += stats.blocked;
+                self.metrics.sched_steps += stats.steps;
+                self.metrics.sched_blocked += stats.blocked;
             }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                    // Unblock instances wired to never-spawned peers.
-                    run.release_unspawned_endpoints();
-                }
-            }
+            Err(e) => self.fail(e),
         }
-        instances_left[op_id] -= 1;
+        self.instances_left[op_id] -= 1;
         // Pipeline stages (ids >= n_ops) have no dependents in the plan DAG.
-        if op_id < n_ops && instances_left[op_id] == 0 && first_err.is_none() {
-            // Op complete: release dependents.
-            for &d in &dependents[op_id].clone() {
-                deps_remaining[d] -= 1;
+        let n_ops = self.plan.ops.len();
+        if op_id < n_ops && self.instances_left[op_id] == 0 && self.first_err.is_none() {
+            // Op complete: release the processes waiting for it.
+            for i in 0..self.dependents[op_id].len() {
+                let root = self.dependents[op_id][i];
+                self.deps_remaining[root] -= 1;
             }
-            if let Err(e) = run.spawn_ready(&deps_remaining) {
-                first_err = Some(e);
-                run.release_unspawned_endpoints();
+            if let Err(e) = self.spawn_ready() {
+                self.fail(e);
             }
         }
     }
-    let elapsed = started.elapsed();
 
-    // The query is quiescent: every submitted instance has reported.
-    // Reclaim its namespace in the shared store, crediting the freed
-    // fragment bytes back to the query's budget.
-    let freed = store.remove_prefix(&ns);
-    ctrl.budget().credit(freed);
-    // The registry's pins die with the query (the resolver Arcs dropped as
-    // the tasks completed); return their charge too.
-    if pinned_bytes > 0 {
-        ctrl.budget().credit(pinned_bytes);
-    }
-    run.metrics.peak_bytes = ctrl.budget().peak();
-    run.metrics.panics_contained = ctrl.panics();
+    /// Tears a quiesced query down — every submitted task has reported
+    /// exactly once — reclaiming its fragment namespace, and says how it
+    /// went.
+    fn conclude(mut self) -> Result<QueryOutcome> {
+        let ctrl = self.ctrl.clone();
+        let elapsed = self.started.elapsed();
 
-    if let Some(e) = first_err {
-        // A cancelled query reports `Canceled` even when teardown surfaced
-        // racing stream errors first; likewise an aborted query reports
-        // its typed abort reason (deadline / budget / stall / contained
-        // panic), not whichever secondary teardown error arrived first.
-        return Err(if ctrl.is_canceled() {
-            RelalgError::Canceled
-        } else if let Some(abort) = ctrl.abort_error() {
-            abort
-        } else {
-            e
-        });
-    }
-    // A guardrail can trip on the very last step of the last instance
-    // (e.g. an allocation pushes past the budget while that instance
-    // completes): the abort slot is set but no task is left running to
-    // observe it, so every completion arrived `Ok`. The typed abort still
-    // wins over an otherwise clean finish.
-    if let Some(abort) = ctrl.abort_error() {
-        return Err(abort);
-    }
-    if run.spawned.iter().any(|s| !s) {
-        return Err(RelalgError::InvalidPlan(
-            "not all ops became ready (dependency cycle?)".into(),
-        ));
+        // The query is quiescent: every submitted instance has reported.
+        // Reclaim its namespace in the shared store, crediting the freed
+        // fragment bytes back to the query's budget.
+        let freed = self.store.remove_prefix(&self.ns);
+        ctrl.budget().credit(freed);
+        // The registry's pins die with the query (its tasks hold the
+        // resolver); return their charge too.
+        if self.pinned_bytes > 0 {
+            ctrl.budget().credit(self.pinned_bytes);
+        }
+        self.metrics.peak_bytes = ctrl.budget().peak();
+        self.metrics.panics_contained = ctrl.panics();
+
+        if let Some(e) = self.first_err {
+            // A cancelled query reports `Canceled` even when teardown surfaced
+            // racing stream errors first; likewise an aborted query reports
+            // its typed abort reason (deadline / budget / stall / contained
+            // panic), not whichever secondary teardown error arrived first.
+            return Err(if ctrl.is_canceled() {
+                RelalgError::Canceled
+            } else if let Some(abort) = ctrl.abort_error() {
+                abort
+            } else {
+                e
+            });
+        }
+        // A guardrail can trip on the very last step of the last instance
+        // (e.g. an allocation pushes past the budget while that instance
+        // completes): the abort slot is set but no task is left running to
+        // observe it, so every completion arrived `Ok`. The typed abort still
+        // wins over an otherwise clean finish.
+        if let Some(abort) = ctrl.abort_error() {
+            return Err(abort);
+        }
+        if self.groups.iter().any(|members| !members.is_empty()) {
+            return Err(RelalgError::InvalidPlan(
+                "not all ops became ready (dependency cycle?)".into(),
+            ));
+        }
+
+        Ok(QueryOutcome {
+            elapsed,
+            // Recorded client-side by the stream; the handle patches it in
+            // when it hands the outcome out.
+            time_to_first_batch: None,
+            metrics: self.metrics,
+        })
     }
 
-    Ok(QueryOutcome {
-        elapsed,
-        // Recorded client-side by the stream; `QueryHandle::wait` patches
-        // it in after the coordinator returns.
-        time_to_first_batch: None,
-        metrics: run.metrics,
-    })
+    /// Renders one line per operation for [`RelalgError::Stalled`]: the op's
+    /// kind and how many of its instances have finished, so a stall dump
+    /// shows where the pipeline wedged.
+    fn progress_dump(&self) -> String {
+        let degrees = self
+            .plan
+            .ops
+            .iter()
+            .map(PlanOp::degree)
+            .chain(self.query.stages().iter().map(|s| s.degree));
+        degrees
+            .enumerate()
+            .map(|(op, degree)| {
+                let done = degree - self.instances_left.get(op).copied().unwrap_or(0);
+                format!(
+                    "op{op}[{}] {done}/{degree}",
+                    self.metrics.ops[op].kind.label()
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
 }
 
 /// Resolves every base operand of `plan` to its per-instance columnar
@@ -1203,32 +1415,6 @@ fn filter_fragment(fragment: &Arc<ColumnBatch>, pred: &Predicate) -> Result<Arc<
         return Ok(fragment.clone());
     }
     fragment.gather(&survivors).map(Arc::new)
-}
-
-/// Renders one line per operation for [`RelalgError::Stalled`]: the op's
-/// kind and how many of its instances have finished, so a stall dump shows
-/// where the pipeline wedged.
-fn progress_dump(
-    plan: &ParallelPlan,
-    binding: &QueryBinding,
-    instances_left: &[usize],
-    metrics: &Metrics,
-) -> String {
-    let degrees: Vec<usize> = plan
-        .ops
-        .iter()
-        .map(PlanOp::degree)
-        .chain(binding.stages().iter().map(|s| s.degree))
-        .collect();
-    degrees
-        .iter()
-        .enumerate()
-        .map(|(op, degree)| {
-            let done = degree - instances_left.get(op).copied().unwrap_or(0);
-            format!("op{op}[{}] {done}/{degree}", metrics.ops[op].kind.label())
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]
@@ -1541,6 +1727,55 @@ mod tests {
     }
 
     #[test]
+    fn a_polling_client_gets_the_outcome_once_without_ever_blocking() {
+        let (catalog, n) = setup(5, 300);
+        let engine = Engine::new(catalog.clone(), ExecConfig::default()).unwrap();
+        let tree = build(Shape::RightLinear, 5).unwrap();
+        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
+        let plan = plan_for(&tree, Strategy::FP, n, 4);
+        let mut handle = engine.submit(&plan, &binding).unwrap();
+        let mut stream = handle.stream();
+        let mut total = 0usize;
+        // The connection worker's loop: poll the stream to its end, then
+        // the outcome — published by the pool thread that made the last
+        // completion report, a moment after the stream ended.
+        let outcome = loop {
+            match stream.poll_next_batch() {
+                crate::handle::BatchPoll::Batch(batch) => total += batch.len(),
+                crate::handle::BatchPoll::Pending => std::thread::yield_now(),
+                crate::handle::BatchPoll::Done => match handle.poll_outcome() {
+                    Some(outcome) => break outcome.unwrap(),
+                    None => std::thread::yield_now(),
+                },
+            }
+        };
+        assert_eq!(total, 300);
+        assert_eq!(outcome.metrics.total_tuples_out(), 4 * 300);
+        assert!(outcome.time_to_first_batch.is_some());
+        assert_eq!(handle.status(), QueryStatus::Finished);
+        assert!(handle.poll_outcome().is_none(), "handed out once");
+        // Settled before the outcome was published, not some time after.
+        assert_eq!(engine.stats().queries_completed, 1);
+        assert_eq!(engine.store().total_bytes(), 0);
+    }
+
+    #[test]
+    fn only_a_query_with_limits_starts_a_thread() {
+        let (catalog, n) = setup(3, 64);
+        let engine = Engine::new(catalog.clone(), ExecConfig::default()).unwrap();
+        let tree = build(Shape::RightLinear, 3).unwrap();
+        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
+        let plan = plan_for(&tree, Strategy::FP, n, 2);
+        let plain = engine.submit(&plan, &binding).unwrap();
+        assert!(!plain.has_watchdog());
+        assert_eq!(plain.collect().unwrap().len(), 64);
+        let opts = QueryOptions::default().with_deadline(Duration::from_secs(30));
+        let limited = engine.submit_with(&plan, &binding, opts).unwrap();
+        assert!(limited.has_watchdog());
+        assert_eq!(limited.collect().unwrap().len(), 64);
+    }
+
+    #[test]
     fn collect_drains_and_checks_outcome() {
         let (catalog, n) = setup(4, 128);
         let engine = Engine::new(catalog.clone(), ExecConfig::default()).unwrap();
@@ -1603,7 +1838,7 @@ mod tests {
             handle.status(),
             QueryStatus::Running | QueryStatus::Finished
         ));
-        drop(handle); // cancels, drains, joins the coordinator
+        drop(handle); // cancels, drains, waits for the conclusion
         assert_eq!(engine.store().total_bytes(), 0);
         // Engine still serves queries.
         let outcome = engine.run(&plan, &binding).unwrap();
@@ -1620,7 +1855,7 @@ mod tests {
         let mut handle = engine.submit(&plan, &binding).unwrap();
         let relation = handle.stream().collect_relation();
         assert_eq!(relation.len(), 64);
-        // The coordinator records the terminal state shortly after the
+        // The query concludes shortly after the
         // last End; poll briefly instead of racing it.
         for _ in 0..5_000 {
             if handle.status() == QueryStatus::Finished {

@@ -4,7 +4,8 @@
 //! zero harness code. A [`FaultPlan`] attached to a query via
 //! [`QueryOptions::with_faults`](crate::QueryOptions::with_faults) forces a
 //! panic, an allocation spike, or a stall at the i-th scheduling step of a
-//! named operator. The sweep tests drive every injection point and assert
+//! named operator (for an operator fused into another's process: the i-th
+//! step it is the running member of, starting with the one it begins in). The sweep tests drive every injection point and assert
 //! the guardrail invariant: a clean typed error, zero leaked fragments, a
 //! reusable engine, and unaffected sibling queries.
 //!
@@ -145,6 +146,7 @@ impl FaultPlan {
         Some(ArmedFault {
             at_step,
             kind: p.kind,
+            polls: 0,
             fired: false,
         })
     }
@@ -155,14 +157,17 @@ impl FaultPlan {
 pub struct ArmedFault {
     at_step: u64,
     kind: FaultKind,
+    /// Scheduling steps the operator has been polled in so far.
+    polls: u64,
     fired: bool,
 }
 
 impl ArmedFault {
-    /// Called once per scheduling step with the task's step counter;
-    /// returns the fault kind exactly once, at the firing step.
-    pub(crate) fn fire(&mut self, step: u64) -> Option<FaultKind> {
-        if !self.fired && step >= self.at_step {
+    /// Called once per scheduling step the operator runs in; returns the
+    /// fault kind exactly once, at the firing step.
+    pub(crate) fn fire(&mut self) -> Option<FaultKind> {
+        self.polls += 1;
+        if !self.fired && self.polls >= self.at_step {
             self.fired = true;
             Some(self.kind)
         } else {
@@ -205,10 +210,10 @@ mod tests {
     fn fires_exactly_once_at_step() {
         let plan = FaultPlan::new().with_point(FaultPoint::new("limit", 3, FaultKind::Panic));
         let mut armed = plan.arm("limit", 5, 0).expect("point matches any limit op");
-        assert_eq!(armed.fire(1), None);
-        assert_eq!(armed.fire(2), None);
-        assert_eq!(armed.fire(3), Some(FaultKind::Panic));
-        assert_eq!(armed.fire(4), None, "a fault fires once");
+        assert_eq!(armed.fire(), None);
+        assert_eq!(armed.fire(), None);
+        assert_eq!(armed.fire(), Some(FaultKind::Panic));
+        assert_eq!(armed.fire(), None, "a fault fires once");
     }
 
     #[test]
@@ -216,9 +221,9 @@ mod tests {
         let plan = FaultPlan::new().with_point(FaultPoint::new("join", 1, FaultKind::Stall));
         let mut armed = plan.arm("join", 0, 0).expect("matches");
         assert!(!armed.stalling());
-        assert_eq!(armed.fire(1), Some(FaultKind::Stall));
+        assert_eq!(armed.fire(), Some(FaultKind::Stall));
         assert!(armed.stalling());
-        assert_eq!(armed.fire(2), None);
+        assert_eq!(armed.fire(), None);
         assert!(armed.stalling());
     }
 

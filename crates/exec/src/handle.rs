@@ -1,9 +1,11 @@
 //! Cancellable query handles and pull-based result streams.
 //!
 //! [`Engine::submit`](crate::engine::Engine::submit) returns a
-//! [`QueryHandle`] immediately: the query's operator tasks run on the
-//! shared worker pool while a per-query coordinator thread tracks
-//! completions. Results are **not** materialized into an
+//! [`QueryHandle`] once the query's first tasks are on the shared worker
+//! pool. No thread belongs to a query: each task's completion report
+//! advances the query's coordination on the thread that reports, and the
+//! last one concludes the query there and publishes its outcome in the
+//! [`QueryCtrl`] the handle waits on. Results are **not** materialized into an
 //! `ExecOutcome.relation` first — the root operator instances feed a
 //! bounded channel ([`ClientSink`](crate::stream::ClientSink)) that the
 //! handle's [`ResultStream`] drains batch by batch, so the first result
@@ -14,12 +16,12 @@
 //! Cancellation is quiescent: [`QueryHandle::cancel`] flips the query's
 //! cancel token; every operator task observes it on its next scheduling
 //! step, reports [`RelalgError::Canceled`] exactly once through PR 2's
-//! completion protocol, and the coordinator reclaims the query's fragment
-//! namespace before [`QueryHandle::outcome`] returns. The engine is
-//! immediately reusable.
+//! completion protocol, and the query's fragment namespace is reclaimed
+//! before [`QueryHandle::outcome`] returns. The engine is immediately
+//! reusable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,15 +46,16 @@ pub enum QueryStatus {
     Canceled,
 }
 
-// Running is the (default) zero state; the coordinator writes the rest.
+// Running is the (default) zero state; the query's conclusion writes the rest.
 const STATE_FINISHED: u8 = 1;
 const STATE_FAILED: u8 = 2;
 const STATE_CANCELED: u8 = 3;
 
 /// Shared control block of one submitted query: the cancel token the
-/// operator tasks poll, the terminal state the coordinator records, and the
-/// guardrail state (deadline, memory budget, abort reason, progress and
-/// contained-panic counters) added by the robustness layer.
+/// operator tasks poll, the terminal state and outcome its conclusion
+/// publishes, and the guardrail state (deadline, memory budget, abort
+/// reason, progress and contained-panic counters) added by the robustness
+/// layer.
 #[derive(Debug, Default)]
 pub struct QueryCtrl {
     cancel: AtomicBool,
@@ -61,13 +64,17 @@ pub struct QueryCtrl {
     /// and report success instead of an error.
     stop: AtomicBool,
     state: AtomicU8,
+    /// The concluded query's outcome, until the handle takes it.
+    outcome: Mutex<Option<Result<QueryOutcome>>>,
+    /// Signalled when the query concludes (`state` leaves `Running`).
+    concluded: Condvar,
     /// Guardrail abort: like `cancel`, but carries a typed reason (deadline,
     /// budget, contained panic, stall). First reason wins; every task of the
     /// query observes it on its next scheduling step and reports it.
     aborted: AtomicBool,
     abort: Mutex<Option<RelalgError>>,
-    /// Monotone count of productive task steps, sampled by the coordinator
-    /// watchdog to detect stalled pipelines.
+    /// Monotone count of productive task steps and completions, sampled by
+    /// the query's watchdog to detect stalled pipelines.
     progress: AtomicU64,
     /// Panics contained (converted to `Internal`) within this query.
     panics: AtomicU64,
@@ -124,8 +131,8 @@ impl QueryCtrl {
     /// Aborts the query with a typed guardrail reason. The first reason
     /// wins (idempotent for followers); every task observes the abort on
     /// its next scheduling step, reports the reason exactly once through
-    /// the completion protocol, and the coordinator surfaces it from
-    /// `outcome()` after the usual quiesce/reclaim.
+    /// the completion protocol, and `outcome()` surfaces it after the usual
+    /// quiesce/reclaim.
     pub fn abort(&self, reason: RelalgError) {
         let mut slot = self.abort.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
@@ -204,14 +211,53 @@ impl QueryCtrl {
         }
     }
 
-    /// Records the coordinator's terminal result.
-    pub(crate) fn finish(&self, result: &Result<QueryOutcome>) {
-        let state = match result {
+    /// Concludes the query: records its terminal state and publishes
+    /// `result` for the handle, waking whoever waits for it.
+    pub(crate) fn finish(&self, result: Result<QueryOutcome>) {
+        let state = match &result {
             Ok(_) => STATE_FINISHED,
             Err(RelalgError::Canceled) => STATE_CANCELED,
             Err(_) => STATE_FAILED,
         };
+        let mut outcome = self.lock_outcome();
+        *outcome = Some(result);
         self.state.store(state, Ordering::Release);
+        drop(outcome);
+        self.concluded.notify_all();
+    }
+
+    fn lock_outcome(&self) -> MutexGuard<'_, Option<Result<QueryOutcome>>> {
+        self.outcome.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits up to `timeout` for the query to conclude; true once it has.
+    pub(crate) fn wait_concluded(&self, timeout: Duration) -> bool {
+        let guard = self.lock_outcome();
+        let running = |_: &mut Option<Result<QueryOutcome>>| self.status() == QueryStatus::Running;
+        let (guard, _) = self
+            .concluded
+            .wait_timeout_while(guard, timeout, running)
+            .unwrap_or_else(PoisonError::into_inner);
+        drop(guard);
+        self.status() != QueryStatus::Running
+    }
+
+    /// Blocks until the query has concluded and takes its outcome.
+    fn take_outcome(&self) -> Option<Result<QueryOutcome>> {
+        let guard = self.lock_outcome();
+        let running = |_: &mut Option<Result<QueryOutcome>>| self.status() == QueryStatus::Running;
+        self.concluded
+            .wait_while(guard, running)
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    }
+
+    /// The outcome, if the query has concluded; never blocks.
+    fn try_take_outcome(&self) -> Option<Result<QueryOutcome>> {
+        if self.status() == QueryStatus::Running {
+            return None;
+        }
+        self.lock_outcome().take()
     }
 
     /// The query's current lifecycle state.
@@ -417,20 +463,31 @@ impl std::fmt::Debug for ResultStream {
 pub struct QueryHandle {
     stream: Option<ResultStream>,
     ctrl: Arc<QueryCtrl>,
-    coordinator: Option<JoinHandle<Result<QueryOutcome>>>,
+    /// The thread enforcing this query's deadline and stall limit; a query
+    /// without limits has none.
+    watchdog: Option<JoinHandle<()>>,
+    /// The outcome has been handed out.
+    taken: bool,
 }
 
 impl QueryHandle {
     pub(crate) fn new(
         stream: ResultStream,
         ctrl: Arc<QueryCtrl>,
-        coordinator: JoinHandle<Result<QueryOutcome>>,
+        watchdog: Option<JoinHandle<()>>,
     ) -> Self {
         QueryHandle {
             stream: Some(stream),
             ctrl,
-            coordinator: Some(coordinator),
+            watchdog,
+            taken: false,
         }
+    }
+
+    /// Whether a watchdog thread guards this query.
+    #[cfg(test)]
+    pub(crate) fn has_watchdog(&self) -> bool {
+        self.watchdog.is_some()
     }
 
     /// Takes the result stream. Panics if called twice — the stream is the
@@ -477,6 +534,19 @@ impl QueryHandle {
         self.wait()
     }
 
+    /// Non-blocking sibling of [`outcome`](Self::outcome) for a caller that
+    /// took the stream and multiplexes many queries on one thread: the
+    /// outcome once the query has concluded — a few microseconds after its
+    /// stream reported [`BatchPoll::Done`] — and `None` until then (and
+    /// after it has been handed out).
+    pub fn poll_outcome(&mut self) -> Option<Result<QueryOutcome>> {
+        if self.taken {
+            return None;
+        }
+        let result = self.ctrl.try_take_outcome()?;
+        Some(self.hand_out(result))
+    }
+
     /// Drains the stream into a relation and returns it alongside the
     /// outcome — the one-call path for clients that want the whole result
     /// (`run_plan`'s behaviour, minus the transient engine).
@@ -495,28 +565,32 @@ impl QueryHandle {
         if let Some(mut stream) = self.stream.take() {
             while stream.next_batch().is_some() {}
         }
-        match self.coordinator.take() {
-            Some(handle) => {
-                let mut result = handle
-                    .join()
-                    .map_err(|_| RelalgError::InvalidPlan("query coordinator panicked".into()))?;
-                // TTFB is recorded client-side by the stream; the
-                // coordinator cannot know it, so patch it in here.
-                if let Ok(outcome) = &mut result {
-                    outcome.time_to_first_batch = self.ctrl.time_to_first_batch();
-                }
-                result
-            }
-            None => Err(RelalgError::InvalidPlan(
-                "query outcome already taken".into(),
-            )),
+        let taken = RelalgError::InvalidPlan("query outcome already taken".into());
+        if self.taken {
+            return Err(taken);
         }
+        let result = self.ctrl.take_outcome().ok_or(taken)?;
+        self.hand_out(result)
+    }
+
+    fn hand_out(&mut self, mut result: Result<QueryOutcome>) -> Result<QueryOutcome> {
+        self.taken = true;
+        // The watchdog saw the conclusion too; it is on its way out.
+        if let Some(watchdog) = self.watchdog.take() {
+            let _ = watchdog.join();
+        }
+        // TTFB is recorded client-side by the stream; the query's
+        // conclusion cannot know it, so patch it in here.
+        if let Ok(outcome) = &mut result {
+            outcome.time_to_first_batch = self.ctrl.time_to_first_batch();
+        }
+        result
     }
 }
 
 impl Drop for QueryHandle {
     fn drop(&mut self) {
-        if self.coordinator.is_some() {
+        if !self.taken {
             self.ctrl.cancel();
             let _ = self.wait();
         }

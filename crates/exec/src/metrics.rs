@@ -103,6 +103,10 @@ pub struct Metrics {
     pub processes: usize,
     /// Total point-to-point streams opened — the coordination driver.
     pub streams: usize,
+    /// Operations that ran inside another operation's process (fused by
+    /// the plan): they are not in `processes`, opened no stream, and keep
+    /// their own row in `ops`.
+    pub fused_ops: usize,
     /// Scheduler steps taken by this query's tasks on the worker pool.
     pub sched_steps: u64,
     /// Steps that could not progress (channel empty/full) and yielded the
@@ -275,10 +279,14 @@ pub struct EngineStats {
     pub budget_aborts: u64,
     /// Operator-task panics contained across all queries.
     pub panics_contained: u64,
+    /// Operation processes started by the queries in `queries_completed`
+    /// (a process group of fused operations counts once): over that
+    /// counter, the processes a query costs.
+    pub operation_processes: u64,
     /// Largest per-query peak of budget-charged bytes observed.
     pub peak_bytes: u64,
     /// Wall-clock duration of every query that reached a terminal state
-    /// (success or typed failure), submission to coordinator exit. The
+    /// (success or typed failure), submission to conclusion. The
     /// bucket counts sum to `queries_total()` exactly.
     pub query_duration: LatencyHistogram,
     /// End-to-end time from submission to the *client* pulling the first
@@ -412,6 +420,11 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
         name: "mj_queries_completed_total",
         kind: MetricKind::Counter,
         help: "Queries that completed successfully",
+    },
+    MetricDef {
+        name: "mj_operation_processes_total",
+        kind: MetricKind::Counter,
+        help: "Operation processes started by completed queries (fused operations share one)",
     },
     MetricDef {
         name: "mj_queries_canceled_total",
@@ -582,6 +595,8 @@ pub struct MetricsSnapshot {
     pub queries_active: u64,
     /// `mj_queries_completed_total`.
     pub queries_completed: u64,
+    /// `mj_operation_processes_total`.
+    pub operation_processes: u64,
     /// `mj_queries_canceled_total`.
     pub queries_canceled: u64,
     /// `mj_queries_failed_total`.
@@ -656,6 +671,7 @@ impl MetricsSnapshot {
             batch_pool_hit_rate: stats.batch_pool_hit_rate(),
             batch_pool_takes: stats.batch_pool_takes,
             batch_pool_misses: stats.batch_pool_misses,
+            operation_processes: stats.operation_processes,
             gather_rows: stats.gather_rows,
             simd_kernel_dispatches: stats.simd_kernel_dispatches,
             plan_cache_hits: stats.plan_cache_hits,
@@ -690,6 +706,7 @@ impl MetricsSnapshot {
             "mj_batch_pool_hit_rate" => self.batch_pool_hit_rate,
             "mj_batch_pool_takes_total" => self.batch_pool_takes as f64,
             "mj_batch_pool_misses_total" => self.batch_pool_misses as f64,
+            "mj_operation_processes_total" => self.operation_processes as f64,
             "mj_gather_rows_total" => self.gather_rows as f64,
             "mj_simd_kernel_dispatches_total" => self.simd_kernel_dispatches as f64,
             "mj_plan_cache_hits_total" => self.plan_cache_hits as f64,
@@ -808,13 +825,14 @@ pub(crate) mod counters {
         stalled: u64,
         budget_aborts: u64,
         panics_contained: u64,
+        operation_processes: u64,
         peak_bytes: u64,
         query_duration: LatencyHistogram,
         time_to_first_batch: LatencyHistogram,
     }
 
-    /// Shared counters owned by the engine; the submission path and the
-    /// per-query coordinator threads record into them.
+    /// Shared counters owned by the engine; the submission path and each
+    /// query's conclusion record into them.
     #[derive(Debug, Default)]
     pub struct EngineCounters {
         cells: Mutex<Cells>,
@@ -863,7 +881,10 @@ pub(crate) mod counters {
             c.peak_bytes = c.peak_bytes.max(peak);
             c.query_duration.observe(took);
             match result {
-                Ok(_) => c.completed += 1,
+                Ok(outcome) => {
+                    c.completed += 1;
+                    c.operation_processes += outcome.metrics.processes as u64;
+                }
                 Err(RelalgError::Canceled) => c.canceled += 1,
                 Err(RelalgError::DeadlineExceeded) => c.timed_out += 1,
                 Err(RelalgError::Stalled(_)) => c.stalled += 1,
@@ -887,6 +908,7 @@ pub(crate) mod counters {
                 queries_stalled: c.stalled,
                 budget_aborts: c.budget_aborts,
                 panics_contained: c.panics_contained,
+                operation_processes: c.operation_processes,
                 peak_bytes: c.peak_bytes,
                 query_duration: c.query_duration,
                 time_to_first_batch: c.time_to_first_batch,

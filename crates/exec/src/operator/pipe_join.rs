@@ -34,7 +34,7 @@ pub fn run_pipelining_instance(
         batch_size,
         0,
         0,
-        done_tx,
+        done_tx.into(),
         None,
         false,
         None,

@@ -33,7 +33,7 @@ pub fn run_simple_instance(
         batch_size,
         0,
         0,
-        done_tx,
+        done_tx.into(),
         None,
         false,
         None,

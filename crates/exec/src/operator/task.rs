@@ -14,10 +14,22 @@
 //! and instead of waiting the task returns [`Step::Blocked`], yielding its
 //! worker to some other instance — of this query or any other.
 //!
-//! Completion (stats or error) is reported exactly once on the query's
-//! done channel, including when the task is dropped mid-flight (pool
-//! shutdown, panic): the `Drop` impl reports non-completion so the query
-//! coordinator can never hang waiting for a vanished instance.
+//! A task runs one operation *process*, which is usually one operator —
+//! and, where the plan fused sub-grain operations into their consumer
+//! (`OperandSource::Fused`), several: the [`TaskMember`]s of a process
+//! group are evaluated one after another, each member's complete output
+//! becoming an in-memory operand of a later member, and only the last (the
+//! group's root) emits through the task's [`OutputPort`]. Nothing between
+//! members touches a channel, the fragment store or the scheduler; the task
+//! still yields at least every `QUANTUM` (512) rows of whichever member it is
+//! in, so cancel, deadline, abort and early stop are observed as for any
+//! other task, and intermediates are charged to the query's budget like
+//! hash tables are.
+//!
+//! Completion (stats or error) is reported exactly once *per member*
+//! through the query's [`Reporter`], including when the task is dropped
+//! mid-flight (pool shutdown, panic): the `Drop` impl reports
+//! non-completion, so a query never waits for a vanished instance.
 //!
 //! Two tokens shape teardown. *Cancellation* (client-raised) makes every
 //! task report [`RelalgError::Canceled`]. *Early stop* (raised by a
@@ -28,6 +40,7 @@
 //! its output port normally so the client still receives the final batch
 //! and `End`.
 
+use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,8 +62,33 @@ use crate::stream::{Batch, Msg};
 /// round-trips, short enough that concurrent queries interleave finely.
 const QUANTUM: usize = 512;
 
-/// What a completed (or failed) instance sends to its query coordinator.
+/// What a completed (or failed) member reports to its query's coordinator:
+/// its op id and its statistics.
 pub type DoneMsg = (usize, Result<InstanceStats>);
+
+/// Where a task's completion reports go. The engine's reporter runs the
+/// query's coordination on the reporting thread — the last report of a query
+/// concludes it there, no thread waits for it — so a task reports only when
+/// it yields, never while it holds anything; the blocking drivers and unit
+/// tests collect reports from a channel (`Sender::into`).
+#[derive(Clone)]
+pub struct Reporter(Arc<dyn Fn(DoneMsg) + Send + Sync>);
+
+impl Reporter {
+    /// A reporter that hands every report to `report`, on the thread that
+    /// makes it.
+    pub fn new(report: impl Fn(DoneMsg) + Send + Sync + 'static) -> Reporter {
+        Reporter(Arc::new(report))
+    }
+}
+
+impl From<Sender<DoneMsg>> for Reporter {
+    fn from(tx: Sender<DoneMsg>) -> Reporter {
+        Reporter::new(move |report| {
+            let _ = tx.send(report);
+        })
+    }
+}
 
 /// A resumable operand: the task-side view of a [`Source`], holding the
 /// current columnar chunk plus an explicit row cursor so a blocked
@@ -215,10 +253,10 @@ impl Operand {
     }
 }
 
-/// Execution phase of the instance.
+/// Execution phase of the instance; `Build` to `Finish` repeat per member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
-    /// Startup gate: fault injection and the configured startup cost.
+    /// Startup gate: the configured startup cost.
     Start,
     /// Build-then-probe operators only: drain the (immediate) build side.
     Build,
@@ -230,22 +268,107 @@ enum Phase {
     Done,
 }
 
-/// One operation-process instance as a schedulable [`Task`]: the generic
-/// driver over any [`PhysicalOp`].
-pub struct OpTask {
+/// One operator of a task: what it computes, its operand cursors, and
+/// where its output goes. A task holds one per member of its process group
+/// — exactly one, unless the plan fused operations.
+pub struct TaskMember {
     op: Box<dyn PhysicalOp>,
     operands: Vec<Operand>,
+    /// `Some((op id, side))`: the complete output becomes that operand of
+    /// a later member of the same task. `None`: the root member, emitting
+    /// through the task's output port.
+    feeds: Option<(usize, usize)>,
+    /// Bytes of earlier members' results this member holds as operands.
+    handed_bytes: u64,
+    stats: InstanceStats,
+    op_id: usize,
+    /// Which side the interleaved feed polls first next step (fairness).
+    turn: usize,
+    /// `finish` has been called on the operator (exactly-once guard).
+    drained: bool,
+    fail: bool,
+    /// Armed fault-injection point, if any (test harness).
+    #[cfg(feature = "faults")]
+    fault: Option<crate::faults::ArmedFault>,
+}
+
+impl TaskMember {
+    /// A member driving `op` (plan op `op_id`) over one or two operands.
+    /// A `None` source is the output of an earlier member of the same
+    /// task, handed over when that member finishes. `fail` injects a
+    /// deterministic fault for teardown tests.
+    pub fn new(
+        op: Box<dyn PhysicalOp>,
+        sources: Vec<Option<Source>>,
+        op_id: usize,
+        fail: bool,
+    ) -> TaskMember {
+        debug_assert!(
+            (1..=2).contains(&sources.len()),
+            "operators take one or two operands"
+        );
+        let awaited = || Source::Local(Arc::new(ColumnBatch::shapeless()));
+        TaskMember {
+            op,
+            operands: sources
+                .into_iter()
+                .map(|s| Operand::new(s.unwrap_or_else(awaited)))
+                .collect(),
+            feeds: None,
+            handed_bytes: 0,
+            stats: InstanceStats::default(),
+            op_id,
+            turn: 0,
+            drained: false,
+            fail,
+            #[cfg(feature = "faults")]
+            fault: None,
+        }
+    }
+
+    /// Hands this member's complete output to operand `side` of the later
+    /// member evaluating plan op `consumer`, instead of the output port.
+    pub fn feeding(mut self, consumer: usize, side: usize) -> TaskMember {
+        self.feeds = Some((consumer, side));
+        self
+    }
+
+    /// Arms a resolved fault-injection point on this member (test harness;
+    /// only available with the `faults` cargo feature).
+    #[cfg(feature = "faults")]
+    pub fn arm_fault(&mut self, fault: Option<crate::faults::ArmedFault>) {
+        self.fault = fault;
+    }
+
+    /// The build side index, if the operator has a build phase.
+    fn build_side(&self) -> Option<usize> {
+        match self.op.input_mode() {
+            InputMode::BuildThenProbe { build } if self.operands.len() == 2 => Some(build),
+            _ => None,
+        }
+    }
+}
+
+/// One operation process as a schedulable [`Task`]: the generic driver
+/// over the [`PhysicalOp`]s of its members.
+pub struct OpTask {
+    /// The members still to evaluate, in order; the front one is running.
+    /// A finished member reports and is dropped, hash table and all.
+    members: VecDeque<TaskMember>,
     output: OutputPort,
-    /// Result rows awaiting emission, column-wise (shared with the
-    /// operator, which appends; the port drains).
+    /// Result rows of the running member, column-wise (shared with the
+    /// operator, which appends). The root member's are drained by the
+    /// port between quanta; any other member's accumulate until it
+    /// finishes and hands them over whole.
     out: ColumnBatch,
     /// Emission cursor into `out` (or `resolved`, when a resolver is
     /// attached) for resumable routing.
     out_pos: usize,
     /// Late-materialization resolver: set only on the root join's tasks
-    /// of a late plan. When present, `out` holds narrow (ref-carrying)
-    /// rows which are resolved into `resolved` before emission, so the
-    /// output port only ever sees the original root schema.
+    /// of a late plan. When present, the root member's `out` holds narrow
+    /// (ref-carrying) rows which are resolved into `resolved` before
+    /// emission, so the output port only ever sees the original root
+    /// schema.
     resolver: Option<Arc<crate::late::Resolver>>,
     /// Resolved rows awaiting emission (original root schema).
     resolved: ColumnBatch,
@@ -253,60 +376,52 @@ pub struct OpTask {
     ref_scratch: Vec<Vec<u32>>,
     batch: usize,
     phase: Phase,
-    /// Which side the interleaved feed polls first next step (fairness).
-    turn: usize,
-    /// `finish` has been called on the operator (exactly-once guard).
-    drained: bool,
     /// This task declared its output complete (satisfied LIMIT): it keeps
     /// finishing even though the early-stop token it raised is set.
     satisfied: bool,
-    stats: InstanceStats,
-    op_id: usize,
     instance: usize,
-    done_tx: Sender<DoneMsg>,
+    reporter: Reporter,
+    /// Completions of members that finished during the current step.
+    reports: Vec<DoneMsg>,
     startup_deadline: Option<Instant>,
-    fail: bool,
-    reported: bool,
     /// The query's cancel/early-stop/abort tokens; observed at every step.
     ctrl: Option<Arc<QueryCtrl>>,
-    /// Bytes of operator state currently charged against the query's
-    /// memory budget (synced to `op.est_bytes()` after every step,
-    /// credited back on completion).
+    /// Bytes of task state currently charged against the query's memory
+    /// budget: the running operator's ([`PhysicalOp::est_bytes`]) plus the
+    /// results members have handed over or are still accumulating. Synced
+    /// after every step, credited back on completion.
     charged: u64,
     /// Bytes charged by an injected allocation spike (credited back on
     /// completion so sibling queries see clean global accounting).
     #[cfg(feature = "faults")]
     spiked: u64,
-    /// Armed fault-injection point, if any (test harness).
-    #[cfg(feature = "faults")]
-    fault: Option<crate::faults::ArmedFault>,
 }
 
 impl OpTask {
-    /// Builds the task driving `op` over `sources` (one or two operands).
-    /// `startup` delays the instance's first progress (the paper's
-    /// per-process startup cost); `fail` injects a deterministic fault for
-    /// teardown tests.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the task evaluating `members` in order; the last one is the
+    /// root and owns `output`. `startup` delays the task's first progress
+    /// (the paper's per-process startup cost).
     pub fn new(
-        op: Box<dyn PhysicalOp>,
-        sources: Vec<Source>,
+        members: Vec<TaskMember>,
         output: OutputPort,
         batch: usize,
-        op_id: usize,
         instance: usize,
-        done_tx: Sender<DoneMsg>,
+        reporter: Reporter,
         startup: Option<Duration>,
-        fail: bool,
         ctrl: Option<Arc<QueryCtrl>>,
     ) -> OpTask {
         debug_assert!(
-            (1..=2).contains(&sources.len()),
-            "operators take one or two operands"
+            members.split_last().is_some_and(|(root, rest)| {
+                root.feeds.is_none() && rest.iter().all(|m| m.feeds.is_some())
+            }),
+            "exactly the last member emits through the port"
         );
+        let mut members: VecDeque<TaskMember> = members.into();
+        for m in &mut members {
+            m.turn = instance; // stagger polling order across instances
+        }
         OpTask {
-            op,
-            operands: sources.into_iter().map(Operand::new).collect(),
+            members,
             output,
             out: ColumnBatch::shapeless(),
             out_pos: 0,
@@ -315,42 +430,28 @@ impl OpTask {
             ref_scratch: Vec::new(),
             batch,
             phase: Phase::Start,
-            turn: instance, // stagger polling order across instances
-            drained: false,
             satisfied: false,
-            stats: InstanceStats::default(),
-            op_id,
             instance,
-            done_tx,
+            reporter,
+            reports: Vec::new(),
             startup_deadline: startup.map(|d| Instant::now() + d),
-            fail,
-            reported: false,
             ctrl,
             charged: 0,
             #[cfg(feature = "faults")]
             spiked: 0,
-            #[cfg(feature = "faults")]
-            fault: None,
         }
     }
 
     /// Attaches the late-materialization resolver (root join tasks of a
-    /// late plan only): every batch is resolved to the original root
-    /// schema before it reaches the output port.
+    /// late plan only): every batch the root member emits is resolved to
+    /// the original root schema before it reaches the output port.
     pub(crate) fn set_resolver(&mut self, resolver: Arc<crate::late::Resolver>) {
         self.resolved = ColumnBatch::with_capacity(resolver.layout(), self.batch);
         self.ref_scratch = vec![Vec::new(); resolver.scratch_slots()];
         self.resolver = Some(resolver);
     }
 
-    /// Arms a resolved fault-injection point on this task (test harness;
-    /// only available with the `faults` cargo feature).
-    #[cfg(feature = "faults")]
-    pub fn arm_fault(&mut self, fault: Option<crate::faults::ArmedFault>) {
-        self.fault = fault;
-    }
-
-    /// Convenience constructor for a hash-join task — the two join
+    /// Convenience constructor for a single hash-join task — the two join
     /// algorithms expressed through the generic driver.
     #[allow(clippy::too_many_arguments)]
     pub fn join(
@@ -362,37 +463,66 @@ impl OpTask {
         batch: usize,
         op_id: usize,
         instance: usize,
-        done_tx: Sender<DoneMsg>,
+        reporter: Reporter,
         startup: Option<Duration>,
         fail: bool,
         ctrl: Option<Arc<QueryCtrl>>,
     ) -> OpTask {
-        OpTask::new(
+        let member = TaskMember::new(
             join_op(algorithm, spec),
-            vec![left, right],
+            vec![Some(left), Some(right)],
+            op_id,
+            fail,
+        );
+        OpTask::new(
+            vec![member],
             output,
             batch,
-            op_id,
             instance,
-            done_tx,
+            reporter,
             startup,
-            fail,
             ctrl,
         )
     }
 
-    fn report(&mut self, result: Result<InstanceStats>) {
-        if !self.reported {
-            self.reported = true;
-            self.phase = Phase::Done;
-            self.release_budget();
-            let _ = self.done_tx.send((self.op_id, result));
+    /// The running member. Only valid before the task is done.
+    fn member(&mut self) -> &mut TaskMember {
+        self.members.front_mut().expect("a live task has a member")
+    }
+
+    /// Records the running member's completion and drops it. The report
+    /// goes out when the task next yields ([`send_reports`](Self::send_reports)):
+    /// a report runs the query's coordination on this thread — it may
+    /// submit the next wave of tasks, or conclude the query — and that
+    /// belongs between quanta, not inside one.
+    fn report_member(&mut self, result: Result<InstanceStats>) {
+        if let Some(m) = self.members.pop_front() {
+            self.reports.push((m.op_id, result));
         }
     }
 
-    /// Returns every byte this instance charged against the query's memory
-    /// budget (operator state plus injected spikes). Called exactly once,
-    /// from `report`.
+    /// Sends the reports of the members that finished during this step.
+    fn send_reports(&mut self) {
+        for report in self.reports.drain(..) {
+            (self.reporter.0)(report);
+        }
+    }
+
+    /// Ends the task: every member that has not reported yet reports
+    /// `result` (with its own stats so far, when `result` is a success),
+    /// and the task becomes inert.
+    fn report(&mut self, result: Result<()>) {
+        while let Some(m) = self.members.front() {
+            let stats = m.stats;
+            self.report_member(result.clone().map(|()| stats));
+        }
+        self.phase = Phase::Done;
+        self.release_budget();
+        self.send_reports();
+    }
+
+    /// Returns every byte this task charged against the query's memory
+    /// budget (operator state, intermediates, injected spikes).
     fn release_budget(&mut self) {
         if let Some(ctrl) = &self.ctrl {
             #[allow(unused_mut)]
@@ -409,14 +539,22 @@ impl OpTask {
         self.charged = 0;
     }
 
-    /// Syncs the budget charge to the operator's current state size and
-    /// reports whether the query's budget is now exhausted.
+    /// Syncs the budget charge to the task's current state size — the
+    /// running operator's, the results waiting in later members' operands,
+    /// and what a non-root member has accumulated so far — and reports
+    /// whether the query's budget is now exhausted.
     fn sync_budget(&mut self) -> bool {
         let Some(ctrl) = &self.ctrl else {
             return false;
         };
         let budget = ctrl.budget();
-        let held = self.op.est_bytes() as u64;
+        let mut held: u64 = self.members.iter().map(|m| m.handed_bytes).sum();
+        if let Some(m) = self.members.front() {
+            held += m.op.est_bytes() as u64;
+            if m.feeds.is_some() {
+                held += self.out.est_bytes();
+            }
+        }
         match held.cmp(&self.charged) {
             std::cmp::Ordering::Greater => {
                 budget.charge(held - self.charged);
@@ -428,12 +566,16 @@ impl OpTask {
         budget.is_exhausted()
     }
 
-    /// Emits rows `out_pos..` of `out`; `Ok(false)` means the output is
-    /// backpressured and the task should yield. `tuples_out` counts rows
-    /// here — *after* the operator's selection vectors dropped
-    /// non-qualifying rows — so the metric reports rows actually produced,
-    /// not rows scanned.
+    /// Emits rows `out_pos..` of the root member's `out`; `Ok(false)`
+    /// means the output is backpressured and the task should yield.
+    /// `tuples_out` counts rows here — *after* the operator's selection
+    /// vectors dropped non-qualifying rows — so the metric reports rows
+    /// actually produced, not rows scanned.
     fn flush_out(&mut self) -> Result<bool> {
+        if self.members.len() > 1 {
+            // Not the root: the output stays here until the member is done.
+            return Ok(true);
+        }
         if let Some(resolver) = &self.resolver {
             // Late materialization: resolve the narrow backlog into the
             // original schema, then emit the resolved batch. `out` is
@@ -447,101 +589,103 @@ impl OpTask {
             let (emitted, done) = self
                 .output
                 .try_emit(&mut self.resolved, &mut self.out_pos)?;
-            self.stats.tuples_out += emitted;
+            self.member().stats.tuples_out += emitted;
             return Ok(done);
         }
         let (emitted, done) = self.output.try_emit(&mut self.out, &mut self.out_pos)?;
-        self.stats.tuples_out += emitted;
+        self.member().stats.tuples_out += emitted;
         Ok(done)
     }
 
-    /// The build side index, if the operator has a build phase.
-    fn build_side(&self) -> Option<usize> {
-        match self.op.input_mode() {
-            InputMode::BuildThenProbe { build } if self.operands.len() == 2 => Some(build),
-            _ => None,
-        }
-    }
-
-    fn step_start(&mut self) -> Result<Step> {
-        if self.fail {
+    /// Points the task at its (new) front member. The phase functions
+    /// below return `None` when the task should simply carry on in the
+    /// same step, and `Some(step)` when it must yield.
+    fn begin_member(&mut self) -> Result<()> {
+        let instance = self.instance;
+        let m = self.member();
+        if m.fail {
             return Err(RelalgError::InvalidPlan(format!(
-                "injected failure at op {} instance {}",
-                self.op_id, self.instance
+                "injected failure at op {} instance {instance}",
+                m.op_id
             )));
         }
-        if let Some(deadline) = self.startup_deadline {
-            if Instant::now() < deadline {
-                return Ok(Step::Blocked);
-            }
-        }
-        self.phase = if self.build_side().is_some() {
+        self.phase = if m.build_side().is_some() {
             Phase::Build
         } else {
             Phase::Feed
         };
-        Ok(Step::Progress)
+        Ok(())
+    }
+
+    fn step_start(&mut self) -> Result<Option<Step>> {
+        if let Some(deadline) = self.startup_deadline {
+            if Instant::now() < deadline {
+                return Ok(Some(Step::Blocked));
+            }
+        }
+        self.begin_member()?;
+        Ok(None)
     }
 
     /// Build phase: drain the immediate build side into the operator in
     /// chunk-sized bulk inserts. No output is produced, so this never
     /// blocks — it only paces itself by the quantum.
-    fn step_build(&mut self) -> Result<Step> {
-        let build = self.build_side().expect("build phase implies a build side");
-        if self.operands[build].is_stream() {
+    fn step_build(&mut self, budget: &mut usize) -> Result<Option<Step>> {
+        let m = self.member();
+        let build = m.build_side().expect("build phase implies a build side");
+        if m.operands[build].is_stream() {
             return Err(RelalgError::InvalidPlan(format!(
                 "{} cannot stream its build operand",
-                self.op.kind()
+                m.op.kind()
             )));
         }
-        let mut budget = QUANTUM;
-        while budget > 0 {
-            match self.operands[build].ready()? {
+        while *budget > 0 {
+            match m.operands[build].ready()? {
                 Feed::Ready => {
                     let take;
                     {
-                        let (cols, pos) = self.operands[build].chunk();
-                        let end = (pos + budget).min(cols.rows());
+                        let (cols, pos) = m.operands[build].chunk();
+                        let end = (pos + *budget).min(cols.rows());
                         take = end - pos;
-                        self.op.build_batch(cols, pos..end)?;
+                        m.op.build_batch(cols, pos..end)?;
                     }
-                    self.operands[build].consume(take);
-                    self.stats.tuples_in[build] += take as u64;
-                    budget -= take;
+                    m.operands[build].consume(take);
+                    m.stats.tuples_in[build] += take as u64;
+                    *budget -= take;
                 }
                 Feed::Exhausted => {
-                    self.op.finish_build();
+                    m.op.finish_build();
                     self.phase = Phase::Feed;
-                    return Ok(Step::Progress);
+                    return Ok(None);
                 }
                 Feed::Pending => unreachable!("immediate operands never pend"),
             }
         }
-        Ok(Step::Progress)
+        Ok(Some(Step::Progress))
     }
 
     /// The common feed loop: absorb a chunk range from whichever operand
     /// has rows ready, and flush full output batches.
-    fn step_feed(&mut self) -> Result<Step> {
+    fn step_feed(&mut self, budget: &mut usize) -> Result<Option<Step>> {
         if !self.flush_out()? {
-            return Ok(Step::Blocked);
+            return Ok(Some(Step::Blocked));
         }
         let mut moved = false;
-        let mut budget = QUANTUM;
-        while budget > 0 {
+        while *budget > 0 {
+            let m = self.members.front_mut().expect("a live task has a member");
             // Polling order this iteration: single-input operators and
             // build-then-probe feeds have exactly one live side; the
             // interleaved two-input feed alternates, preferring `turn` so
             // two live streams are drained fairly.
-            let sides: [usize; 2] = if self.operands.len() == 1 {
+            let sides: [usize; 2] = if m.operands.len() == 1 {
                 [0, 0]
             } else {
-                match self.op.input_mode() {
+                match m.op.input_mode() {
                     InputMode::BuildThenProbe { build } => [1 - build, 1 - build],
-                    InputMode::Interleaved => [self.turn % 2, (self.turn + 1) % 2],
+                    InputMode::Interleaved => [m.turn % 2, (m.turn + 1) % 2],
                 }
             };
-            self.turn = self.turn.wrapping_add(1);
+            m.turn = m.turn.wrapping_add(1);
             let mut chosen = None;
             let mut exhausted = 0usize;
             for &side in if sides[0] == sides[1] {
@@ -549,7 +693,7 @@ impl OpTask {
             } else {
                 &sides[..]
             } {
-                match self.operands[side].ready()? {
+                match m.operands[side].ready()? {
                     Feed::Ready => {
                         chosen = Some(side);
                         break;
@@ -564,14 +708,14 @@ impl OpTask {
                     let take;
                     let verdict;
                     {
-                        let (cols, pos) = self.operands[side].chunk();
-                        let end = (pos + budget).min(cols.rows());
+                        let (cols, pos) = m.operands[side].chunk();
+                        let end = (pos + *budget).min(cols.rows());
                         take = end - pos;
-                        verdict = self.op.absorb_batch(side, cols, pos..end, &mut self.out)?;
+                        verdict = m.op.absorb_batch(side, cols, pos..end, &mut self.out)?;
                     }
-                    self.operands[side].consume(take);
-                    self.stats.tuples_in[side] += take as u64;
-                    budget -= take;
+                    m.operands[side].consume(take);
+                    m.stats.tuples_in[side] += take as u64;
+                    *budget -= take;
                     moved = true;
                     if verdict == Absorb::Satisfied {
                         // The output is complete: stop feeding, tell the
@@ -582,86 +726,142 @@ impl OpTask {
                             ctrl.stop_early();
                         }
                         self.phase = Phase::Finish;
-                        return Ok(Step::Progress);
+                        return Ok(None);
                     }
                     if self.out.rows() >= self.batch && !self.flush_out()? {
                         // Output backpressure mid-quantum: we did move
                         // rows, so keep our rotation slot as Progress.
-                        return Ok(Step::Progress);
+                        return Ok(Some(Step::Progress));
                     }
                 }
                 None if exhausted == tried => {
                     self.phase = Phase::Finish;
-                    return Ok(Step::Progress);
+                    return Ok(None);
                 }
                 None => {
                     // At least one live side is pending and none has data.
-                    return Ok(if moved { Step::Progress } else { Step::Blocked });
+                    return Ok(Some(if moved { Step::Progress } else { Step::Blocked }));
                 }
             }
         }
-        Ok(Step::Progress)
+        Ok(Some(Step::Progress))
     }
 
-    fn step_finish(&mut self) -> Result<Step> {
-        if !self.drained {
+    fn step_finish(&mut self) -> Result<Option<Step>> {
+        let m = self.members.front_mut().expect("a live task has a member");
+        if !m.drained {
             // Exactly-once drain of held state (aggregation results);
             // flushing below is resumable across backpressure.
-            self.op.finish(&mut self.out)?;
-            self.drained = true;
+            m.op.finish(&mut self.out)?;
+            m.drained = true;
+        }
+        m.stats.table_bytes = m.op.est_bytes() as u64;
+        if let Some((consumer, side)) = m.feeds {
+            // Hand the complete result to the member that reads it: no
+            // channel, no store, no wake — and this member's table is gone
+            // before the next one builds its own.
+            let result = Arc::new(std::mem::replace(&mut self.out, ColumnBatch::shapeless()));
+            m.stats.tuples_out = result.rows() as u64;
+            let stats = m.stats;
+            self.report_member(Ok(stats));
+            let reader = self
+                .members
+                .iter_mut()
+                .find(|m| m.op_id == consumer)
+                .ok_or_else(|| {
+                    RelalgError::InvalidPlan(format!("no later member evaluates op {consumer}"))
+                })?;
+            reader.handed_bytes += result.est_bytes();
+            reader.operands[side] = Operand::new(Source::Local(result));
+            self.begin_member()?;
+            // The next member runs in what is left of this step: its first.
+            #[cfg(feature = "faults")]
+            if let Some(parked) = self.poll_fault() {
+                return Ok(Some(parked));
+            }
+            return Ok(None);
         }
         if !self.flush_out()? {
-            return Ok(Step::Blocked);
+            return Ok(Some(Step::Blocked));
         }
         if !self.output.try_finish()? {
-            return Ok(Step::Blocked);
+            return Ok(Some(Step::Blocked));
         }
-        self.stats.table_bytes = self.op.est_bytes() as u64;
-        let stats = self.stats;
-        self.report(Ok(stats));
-        Ok(Step::Done)
+        self.report(Ok(()));
+        Ok(Some(Step::Done))
+    }
+
+    /// Polls the running member's armed fault, once per scheduling step it
+    /// runs in: `Some(Blocked)` parks the task (a fired stall).
+    #[cfg(feature = "faults")]
+    fn poll_fault(&mut self) -> Option<Step> {
+        let (instance, m) = (self.instance, self.member());
+        let op_id = m.op_id;
+        let fault = m.fault.as_mut()?;
+        if fault.stalling() {
+            return Some(Step::Blocked);
+        }
+        match fault.fire()? {
+            crate::faults::FaultKind::Panic => {
+                panic!("injected panic at op {op_id} instance {instance}")
+            }
+            crate::faults::FaultKind::AllocSpike { bytes } => {
+                if let Some(ctrl) = &self.ctrl {
+                    // Raise the abort immediately: the spike may land on
+                    // this task's final step, after which no poll of the
+                    // budget would run before the query completes.
+                    if !ctrl.budget().charge(bytes) {
+                        ctrl.abort(ctrl.budget().exhausted_error());
+                    }
+                    self.spiked += bytes;
+                }
+                None
+            }
+            crate::faults::FaultKind::Stall => Some(Step::Blocked),
+        }
     }
 
     fn try_step(&mut self) -> Result<Step> {
         #[cfg(feature = "faults")]
-        if let Some(fault) = self.fault.as_mut() {
-            if fault.stalling() {
-                return Ok(Step::Blocked);
-            }
-            match fault.fire(self.stats.steps) {
-                Some(crate::faults::FaultKind::Panic) => panic!(
-                    "injected panic at op {} instance {}",
-                    self.op_id, self.instance
-                ),
-                Some(crate::faults::FaultKind::AllocSpike { bytes }) => {
-                    if let Some(ctrl) = &self.ctrl {
-                        // Raise the abort immediately: the spike may land on
-                        // this task's final step, after which no poll of the
-                        // budget would run before the query completes.
-                        if !ctrl.budget().charge(bytes) {
-                            ctrl.abort(ctrl.budget().exhausted_error());
-                        }
-                        self.spiked += bytes;
-                    }
-                }
-                Some(crate::faults::FaultKind::Stall) => return Ok(Step::Blocked),
-                None => {}
-            }
+        if let Some(parked) = self.poll_fault() {
+            return Ok(parked);
         }
-        match self.phase {
-            Phase::Start => self.step_start(),
-            Phase::Build => self.step_build(),
-            Phase::Feed => self.step_feed(),
-            Phase::Finish => self.step_finish(),
-            Phase::Done => Ok(Step::Done),
+        // One quantum of rows across however many phases — and members —
+        // it reaches: a phase or member boundary is no reason to go back
+        // through the run queue.
+        let mut budget = QUANTUM;
+        let mut advanced = false;
+        loop {
+            let step = match self.phase {
+                Phase::Start => self.step_start()?,
+                Phase::Build => self.step_build(&mut budget)?,
+                Phase::Feed => self.step_feed(&mut budget)?,
+                Phase::Finish => self.step_finish()?,
+                Phase::Done => Some(Step::Done),
+            };
+            match step {
+                None => advanced = true,
+                Some(Step::Blocked) if advanced => return Ok(Step::Progress),
+                Some(step) => return Ok(step),
+            }
         }
     }
 }
 
 impl Task for OpTask {
     fn step(&mut self) -> Step {
-        self.stats.steps += 1;
+        let step = self.run_step();
+        self.send_reports();
+        step
+    }
+}
+
+impl OpTask {
+    /// One scheduling step: observe the query's tokens, run a quantum,
+    /// contain panics, sync the memory budget.
+    fn run_step(&mut self) -> Step {
         if self.phase != Phase::Done {
+            self.member().stats.steps += 1;
             if let Some(ctrl) = &self.ctrl {
                 // Cancellation preempts whatever phase the instance is in:
                 // report once and become inert, releasing endpoints on
@@ -674,8 +874,7 @@ impl Task for OpTask {
                 // *other* task down successfully; the satisfying task
                 // keeps finishing its port so the client sees End.
                 if ctrl.early_stopped() && !self.satisfied {
-                    let stats = self.stats;
-                    self.report(Ok(stats));
+                    self.report(Ok(()));
                     return Step::Done;
                 }
                 // A guardrail abort (deadline, budget, contained panic,
@@ -716,7 +915,7 @@ impl Task for OpTask {
         match stepped {
             Ok(step) => {
                 if step == Step::Blocked {
-                    self.stats.blocked += 1;
+                    self.member().stats.blocked += 1;
                 } else if step == Step::Progress {
                     if let Some(ctrl) = &self.ctrl {
                         ctrl.note_progress();
@@ -745,8 +944,7 @@ impl Task for OpTask {
                     .map(|c| c.early_stopped() && !c.is_canceled())
                     .unwrap_or(false);
                 if early {
-                    let stats = self.stats;
-                    self.report(Ok(stats));
+                    self.report(Ok(()));
                 } else {
                     // Reporting drops nothing yet; the scheduler drops the
                     // task right after, releasing its channel endpoints so
@@ -773,11 +971,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 impl Drop for OpTask {
     fn drop(&mut self) {
         // Dropped before completion (pool shutdown or a panic inside
-        // step): tell the coordinator so it never hangs on a vanished
+        // step): tell the coordinator so the query never waits for a vanished
         // instance.
-        if !self.reported {
-            let op = self.op_id;
-            let instance = self.instance;
+        if let Some(m) = self.members.front() {
+            let (op, instance) = (m.op_id, self.instance);
             self.report(Err(RelalgError::InvalidPlan(format!(
                 "op {op} instance {instance} dropped before completing"
             ))));
@@ -803,5 +1000,139 @@ pub fn drive_blocking(mut task: OpTask) -> Step {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::budget::MemoryBudget;
+    use mj_relalg::column::ColumnLayout;
+    use mj_relalg::{Projection, Tuple};
+    use parking_lot::Mutex;
+    use std::sync::mpsc::{channel, Receiver as DoneRx};
+
+    /// `rows` two-column rows `[key(i), i]`.
+    fn rel(rows: i64, key: impl Fn(i64) -> i64) -> Arc<ColumnBatch> {
+        let mut batch = ColumnBatch::with_capacity(&ColumnLayout::ints(2), rows as usize);
+        for i in 0..rows {
+            batch.push_tuple(&Tuple::from_ints(&[key(i), i])).unwrap();
+        }
+        Arc::new(batch)
+    }
+
+    /// Joins on column 0 of both sides, keeping `[key, left payload, right
+    /// payload]` — again keyed on column 0 for the next join up.
+    fn member(op_id: usize, left: Option<Source>, right: Arc<ColumnBatch>) -> TaskMember {
+        let spec = EquiJoin::new(0, 0, Projection::new(vec![0, 1, 3]));
+        TaskMember::new(
+            join_op(JoinAlgorithm::Simple, spec),
+            vec![left, Some(Source::Local(right))],
+            op_id,
+            false,
+        )
+    }
+
+    /// op0 = L ⋈ R0 feeding the build side of op1 = op0 ⋈ R1, one task.
+    fn group(
+        rows: i64,
+        key: impl Fn(i64) -> i64 + Copy,
+        ctrl: Option<Arc<QueryCtrl>>,
+    ) -> (OpTask, Arc<Mutex<Vec<Tuple>>>, DoneRx<DoneMsg>) {
+        let collected = Arc::new(Mutex::new(Vec::new()));
+        let (done_tx, done_rx) = channel();
+        let members = vec![
+            member(0, Some(Source::Local(rel(rows, key))), rel(rows, key)).feeding(1, 0),
+            member(1, None, rel(rows, key)),
+        ];
+        let output = OutputPort::Sink {
+            collected: collected.clone(),
+            buffer: Vec::new(),
+        };
+        let task = OpTask::new(members, output, 64, 0, done_tx.into(), None, ctrl);
+        (task, collected, done_rx)
+    }
+
+    #[test]
+    fn members_hand_over_in_memory_and_each_reports_for_itself() {
+        let (task, collected, done_rx) = group(40, |i| i, None);
+        drive_blocking(task);
+        let (op, first) = done_rx.recv().unwrap();
+        let (root, second) = done_rx.recv().unwrap();
+        assert!(done_rx.try_recv().is_err(), "one report per member");
+        assert_eq!((op, root), (0, 1));
+        let (first, second) = (first.unwrap(), second.unwrap());
+        assert_eq!((first.tuples_in, first.tuples_out), ([40, 40], 40));
+        // The root built on exactly what the first member produced.
+        assert_eq!((second.tuples_in, second.tuples_out), ([40, 40], 40));
+        assert!(first.table_bytes > 0 && second.table_bytes > 0);
+        // 160 rows through builds and probes: one quantum, one step.
+        assert_eq!(first.steps + second.steps, 1);
+        let mut rows = collected.lock().clone();
+        rows.sort_unstable();
+        assert_eq!(rows.len(), 40);
+        assert_eq!(rows[7], Tuple::from_ints(&[7, 7, 7]));
+    }
+
+    #[test]
+    fn intermediates_and_tables_are_charged_and_the_budget_returns_to_zero() {
+        let budget = MemoryBudget::with_limit(1 << 30);
+        let ctrl = QueryCtrl::with_limits(None, budget.clone());
+        // Ten hot keys: 200 x 200 / 10 = 4000 intermediate rows.
+        let (task, collected, done_rx) = group(200, |i| i % 10, Some(ctrl));
+        drive_blocking(task);
+        let first = done_rx.recv().unwrap().1.unwrap();
+        assert_eq!(first.tuples_out, 4000);
+        done_rx.recv().unwrap().1.unwrap();
+        assert_eq!(collected.lock().len(), 80_000);
+        assert!(
+            budget.peak() >= 4000 * 3 * 8,
+            "the handed-over result was charged: {}",
+            budget.peak()
+        );
+        assert_eq!(budget.used(), 0);
+    }
+
+    #[test]
+    fn a_budget_the_intermediate_outgrows_aborts_the_task_with_the_typed_error() {
+        let budget = MemoryBudget::with_limit(16 << 10);
+        let ctrl = QueryCtrl::with_limits(None, budget.clone());
+        let (task, collected, done_rx) = group(200, |i| i % 10, Some(ctrl.clone()));
+        drive_blocking(task);
+        // The first member fits one quantum: it had finished (and said so)
+        // by the time the step's budget sync saw its 96 KB result.
+        let (first, root) = (done_rx.recv().unwrap(), done_rx.recv().unwrap());
+        assert_eq!((first.0, root.0), (0, 1));
+        assert_eq!(first.1.unwrap().tuples_out, 4000);
+        assert!(
+            matches!(root.1, Err(RelalgError::ResourceExhausted { .. })),
+            "{:?}",
+            root.1
+        );
+        assert!(ctrl.is_aborted());
+        assert!(collected.lock().is_empty());
+        assert_eq!(budget.used(), 0);
+    }
+
+    #[test]
+    fn a_group_yields_every_quantum_and_observes_cancel_between_them() {
+        let ctrl = QueryCtrl::new();
+        let (mut task, collected, done_rx) = group(2000, |i| i, Some(ctrl.clone()));
+        // 2000 build rows: the first member is still building after three
+        // quanta.
+        for _ in 0..3 {
+            assert_eq!(task.step(), Step::Progress);
+        }
+        assert!(done_rx.try_recv().is_err(), "nobody is done yet");
+        ctrl.cancel();
+        assert_eq!(task.step(), Step::Done);
+        for op in 0..2 {
+            let (reported, result) = done_rx.recv().unwrap();
+            assert_eq!(reported, op);
+            assert!(matches!(result, Err(RelalgError::Canceled)), "{result:?}");
+        }
+        assert!(collected.lock().is_empty());
+        drop(task);
+        assert!(done_rx.try_recv().is_err(), "drop reports nothing twice");
     }
 }

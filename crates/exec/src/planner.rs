@@ -27,12 +27,15 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use mj_core::schedule::{
     estimate_schedule, stage_busy, stage_tail_cost, ScheduleEstimate, ScheduleModel,
 };
-use mj_core::{generate, max_useful_degree, GeneratorInput, ParallelPlan, PlanStats, Strategy};
+use mj_core::{
+    generate, max_useful_degree, GeneratorInput, ParallelPlan, PlanStats, Strategy, ValidPlan,
+};
 use mj_plan::cost::{tree_costs, CostModel};
 use mj_plan::optimize::{greedy_tree, optimize_bushy};
 use mj_plan::query::{
@@ -122,15 +125,37 @@ pub struct PlanChoice {
 }
 
 /// The planner's output: an executable plan plus everything needed to run,
-/// verify, and explain it.
+/// verify, and explain it. Everything but the [`binding`](Self::binding)
+/// is independent of parameter values and held once ([`PlanDetails`],
+/// reached by dereferencing), so copying a planned query — which
+/// [`bind_params`](Self::bind_params) does for every execution of a
+/// prepared statement — copies a pointer and the binding's predicates.
 #[derive(Clone, Debug)]
 pub struct PlannedQuery {
-    /// The chosen join tree (possibly the right-oriented mirror).
-    pub tree: JoinTree,
-    /// The winning parallel plan, fully allocated.
-    pub plan: ParallelPlan,
+    details: Arc<PlanDetails>,
     /// Join specs and schemas, ready for the engine.
     pub binding: QueryBinding,
+}
+
+impl Deref for PlannedQuery {
+    type Target = PlanDetails;
+
+    fn deref(&self) -> &PlanDetails {
+        &self.details
+    }
+}
+
+/// The parameter-independent part of a [`PlannedQuery`]: tree, parallel
+/// plan, lowering, estimates and the costed alternatives.
+#[derive(Debug)]
+pub struct PlanDetails {
+    /// The chosen join tree (possibly the right-oriented mirror).
+    pub tree: JoinTree,
+    /// The winning parallel plan, fully allocated — validated here, once,
+    /// and shared with every execution ([`Engine::submit_planned`]).
+    ///
+    /// [`Engine::submit_planned`]: crate::engine::Engine::submit_planned
+    pub plan: ValidPlan,
     /// The generalized lowering (per-node schemas, specs, estimates) —
     /// `lowered.to_xra(&tree, ..)` is the sequential oracle.
     pub lowered: LoweredQuery,
@@ -229,10 +254,25 @@ impl PlannedQuery {
             m.rescan_per_tuple,
             m.process_grain(),
         ));
+        let stats = self.plan.stats();
+        let plural =
+            |n: usize, one: &str, many: &str| format!("{n} {}", if n == 1 { one } else { many });
+        out.push_str(&format!(
+            "chosen plan: {}, {}, {} of {} operations fused into their consumer's process\n",
+            plural(
+                stats.operation_processes,
+                "operation process",
+                "operation processes"
+            ),
+            plural(stats.tuple_streams, "stream", "streams"),
+            stats.fused_ops,
+            self.plan.ops.len(),
+        ));
         out.push_str(&format!("{} operations:\n", self.plan.strategy));
+        let roots = self.plan.process_roots();
         for op in &self.plan.ops {
             out.push_str(&format!(
-                "  op{} {} ⋈ {} [x{}{}] est {} rows\n",
+                "  op{} {} ⋈ {} [x{}{}] est {} rows{}\n",
                 op.id,
                 op.left,
                 op.right,
@@ -243,6 +283,11 @@ impl PlannedQuery {
                     String::new()
                 },
                 op.est_out,
+                if roots[op.id] == op.id {
+                    String::new()
+                } else {
+                    format!(" fused→op{}", roots[op.id])
+                },
             ));
         }
         let filters = self.binding.scan_filters();
@@ -667,17 +712,19 @@ impl Planner {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         Ok(PlannedQuery {
-            tree,
-            plan,
+            details: Arc::new(PlanDetails {
+                tree,
+                plan: ValidPlan::new(plan)?,
+                lowered,
+                estimate,
+                choices: all_choices,
+                infeasible,
+                schedule_model: *model,
+                workers: self.workers,
+                connected_subsets: phase1.connected_subsets,
+                pairs_costed: phase1.pairs_costed,
+            }),
             binding,
-            lowered,
-            estimate,
-            choices: all_choices,
-            infeasible,
-            schedule_model: *model,
-            workers: self.workers,
-            connected_subsets: phase1.connected_subsets,
-            pairs_costed: phase1.pairs_costed,
         })
     }
 }
@@ -1081,16 +1128,18 @@ mod tests {
     }
 
     #[test]
-    fn tiny_chain_runs_one_process_per_operation() {
+    fn tiny_chain_runs_as_one_process() {
         // `short_prepared`'s query: 13 joins of 50-tuple relations. No join
-        // holds a grain of work, so none is split, whatever the strategy —
-        // where the PRISMA-priced planner spread it over 36 processes.
+        // holds a grain of work, so none is split and none pays for a
+        // process of its own, whatever the strategy — where the
+        // PRISMA-priced planner spread it over 36 processes and the
+        // grain-capped one still started 13 over 12 streams.
         let db = benchmark_chain(14, 50);
-        let text = format!("{} WHERE R1.id < 25", crate::families::chain_query_sql(14));
+        let chain = crate::families::chain_query_sql(14);
         for strategy in [None].into_iter().chain(Strategy::ALL.map(Some)) {
             let mut options = *db.planner_options();
             options.strategy = strategy;
-            let (query, spec) = db.bind(&text).unwrap();
+            let (query, spec) = db.bind(&format!("{chain} WHERE R1.id < 25")).unwrap();
             let planned = Planner::new(options)
                 .with_workers(2)
                 .plan_select(&query, &spec)
@@ -1098,12 +1147,34 @@ mod tests {
             assert!(planned.plan.ops.iter().all(|op| op.degree() == 1));
             assert!(planned.binding.stages().iter().all(|s| s.degree == 1));
             let stats = planned.plan.stats();
-            assert_eq!(stats.operation_processes, 13, "{strategy:?}");
-            assert_eq!(stats.tuple_streams, 12, "{strategy:?}");
+            assert_eq!(stats.operation_processes, 1, "{strategy:?}");
+            assert_eq!(stats.tuple_streams, 0, "{strategy:?}");
+            assert_eq!(stats.fused_ops, 12, "{strategy:?}");
         }
-        let outcome = db.query(&text).unwrap().outcome().unwrap();
-        assert_eq!(outcome.metrics.processes, 13);
-        assert_eq!(outcome.metrics.streams, 12);
+        // The benchmark's prepared statement, executed: the count gate.
+        let stmt = db.prepare(&format!("{chain} WHERE R1.id < ?1")).unwrap();
+        for k in [0, 1, 25, 49] {
+            let mut handle = db.execute_prepared(&stmt, &[k]).unwrap();
+            let result = handle.stream().collect_relation();
+            let metrics = handle.outcome().unwrap().metrics;
+            assert!(metrics.processes <= 2, "k={k}: {}", metrics.processes);
+            assert_eq!(metrics.streams, 0, "k={k}");
+            assert_eq!(metrics.fused_ops, 12, "k={k}");
+            // One row per join all the same, each reporting for itself.
+            assert_eq!(metrics.ops.len(), 13);
+            assert!(metrics.ops.iter().all(|op| op.instances == 1));
+            assert_eq!(metrics.ops[12].tuples_out, result.len() as u64);
+            assert_eq!(metrics.ops[0].tuples_in, [50, k as u64]);
+            let oracle = stmt
+                .planned()
+                .bind_params(&[k])
+                .unwrap()
+                .oracle_xra(JoinAlgorithm::Simple)
+                .unwrap()
+                .eval(db.catalog().as_ref())
+                .unwrap();
+            assert!(result.multiset_eq(&oracle), "k={k}");
+        }
     }
 
     #[test]
@@ -1153,13 +1224,22 @@ mod tests {
         // benchmark shapes, captured from the build whose phase 1 was the
         // subset-walking DP. Same tree, same candidates, same operations:
         // all that may differ is the phase-1 line that build did not print.
+        //
+        // Since process fusion the file differs from that capture in the
+        // four 14x50 sections, and only there: 13 sub-grain degree-1 joins
+        // are one process under every strategy (`fused(opN)` operands,
+        // `fused→op12` marks, 1 process and 0 streams per candidate, one
+        // startup in every estimate). Nothing in the other two shapes is
+        // sub-grain, so their sections are the capture's byte for byte.
+        // The summary line `explain()` gained is checked here instead.
         let mut got = String::new();
-        let mut pin = |name: &str, planned: PlannedQuery| {
+        let mut pin = |name: &str, planned: PlannedQuery, summary: &str| {
             let explain = planned.explain();
-            let phase1 = explain.lines().filter(|l| l.starts_with("phase 1: "));
-            assert_eq!(phase1.count(), 1, "{explain}");
+            let unpinned = |l: &&str| l.starts_with("phase 1: ") || l.starts_with("chosen plan: ");
+            assert_eq!(explain.lines().filter(unpinned).count(), 2, "{explain}");
+            assert!(explain.contains(summary), "{explain}");
             got.push_str(&format!("== {name} ==\n"));
-            for line in explain.lines().filter(|l| !l.starts_with("phase 1: ")) {
+            for line in explain.lines().filter(|l| !unpinned(l)) {
                 got.push_str(line);
                 got.push('\n');
             }
@@ -1167,16 +1247,28 @@ mod tests {
         let short = benchmark_chain(14, 50);
         for k in [0, 1, 25, 49] {
             let text = format!("{} WHERE R1.id < {k}", chain_query_sql(14));
-            pin(&format!("14x50 k={k}"), short.plan(&text).unwrap());
+            pin(
+                &format!("14x50 k={k}"),
+                short.plan(&text).unwrap(),
+                "chosen plan: 1 operation process, 0 streams, 12 of 13 operations fused",
+            );
         }
         let count = format!(
             "SELECT COUNT(*) {}",
             &chain_query_sql(6)["SELECT * ".len()..]
         );
         let heavy = benchmark_chain(6, 40_000).plan(&count).unwrap();
-        pin("6x40000 count", heavy);
+        pin(
+            "6x40000 count",
+            heavy,
+            "chosen plan: 16 operation processes, 52 streams, 0 of 5 operations fused",
+        );
         let wide = benchmark_chain(2, 30_000).plan(&chain_query_sql(2));
-        pin("2x30000 star", wide.unwrap());
+        pin(
+            "2x30000 star",
+            wide.unwrap(),
+            "chosen plan: 8 operation processes, 0 streams, 0 of 1 operations fused",
+        );
         assert_eq!(got, include_str!("../testdata/explain_before_dpccp.txt"));
     }
 

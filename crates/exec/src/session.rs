@@ -620,7 +620,7 @@ impl Database {
     pub fn query_with(&self, text: &str, opts: QueryOptions) -> MjResult<QueryHandle> {
         let planned = self.plan(text)?;
         self.engine
-            .submit_with(&planned.plan, &planned.binding, opts)
+            .submit_planned(planned.plan.clone(), planned.binding, opts)
             .map_err(MjError::from)
     }
 
@@ -678,7 +678,8 @@ impl Database {
     /// transparently through the shared cache if the catalog has mutated
     /// since the statement was planned, substitutes the `?N` placeholders
     /// into the plan's predicates without re-planning
-    /// ([`PlannedQuery::bind_params`]), and submits to the engine.
+    /// ([`crate::binding::QueryBinding::bind_params`] — the plan itself is shared, not
+    /// copied), and submits to the engine.
     pub fn execute_prepared_with(
         &self,
         stmt: &Arc<PreparedStatement>,
@@ -700,15 +701,14 @@ impl Database {
         } else {
             self.prepare(&stmt.text)?
         };
-        if args.is_empty() {
-            return self
-                .engine
-                .submit_with(&current.planned.plan, &current.planned.binding, opts)
-                .map_err(MjError::from);
-        }
-        let bound = current.planned.bind_params(args).map_err(MjError::Plan)?;
+        let planned = &current.planned;
+        let binding = if args.is_empty() {
+            planned.binding.clone()
+        } else {
+            planned.binding.bind_params(args).map_err(MjError::Plan)?
+        };
         self.engine
-            .submit_with(&bound.plan, &bound.binding, opts)
+            .submit_planned(planned.plan.clone(), binding, opts)
             .map_err(MjError::from)
     }
 
@@ -746,7 +746,11 @@ impl Database {
     pub fn query_ast(&self, query: &JoinQuery) -> MjResult<QueryHandle> {
         let planned = self.planner.plan(query).map_err(MjError::Plan)?;
         self.engine
-            .submit(&planned.plan, &planned.binding)
+            .submit_planned(
+                planned.plan.clone(),
+                planned.binding,
+                QueryOptions::default(),
+            )
             .map_err(MjError::from)
     }
 }

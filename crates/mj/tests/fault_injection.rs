@@ -44,13 +44,15 @@ fn quiet_injected_panics() {
 /// A session whose plans exercise every operator label the fault harness
 /// can target: pushdown is disabled so the WHERE clause runs as a residual
 /// `filter` stage, GROUP BY adds an `aggregate` stage, and a huge LIMIT
-/// adds a `limit` stage without early-stopping the pipeline. Small batches
-/// keep per-task step counts high so early-step injection points exist.
+/// adds a `limit` stage without early-stopping the pipeline. A task only
+/// goes back through the run queue after a quantum of rows (512) or when
+/// it is blocked, so the relations are large enough that every join
+/// instance takes several steps and mid-lifecycle injection points exist.
 fn guardrail_db() -> Database {
-    let instance = generate_family(QueryFamily::Chain, 4, 96, 0xFA17).expect("family");
+    let instance = generate_family(QueryFamily::Chain, 4, 8192, 0xFA17).expect("family");
     let mut config = DbConfig::default();
-    // 96-tuple relations plan at degree 1 under the measured model; the
-    // paper's machine model keeps sibling instances for a fault to strand.
+    // The paper's machine model spreads every join over all processors,
+    // which keeps sibling instances for a fault to strand.
     config.planner.schedule_model = ScheduleModel::prisma();
     config.planner.pushdown = false;
     config.exec.batch_size = 16;
@@ -143,6 +145,79 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
 }
 
 #[test]
+fn a_fault_on_any_member_of_a_process_group_fails_clean() {
+    // Under the shipped model a chain of five 60-tuple relations is one
+    // operation process of four members. A panic, an allocation spike or a
+    // stall armed on any one member's op id — the first, one in the
+    // middle, the root — must end the whole query with the typed error,
+    // every member accounted for, nothing left in the store or the pool.
+    quiet_injected_panics();
+    let instance = generate_family(QueryFamily::Chain, 5, 60, 0xF05E).expect("family");
+    let mut config = DbConfig::default();
+    config.exec.stall_timeout = Some(std::time::Duration::from_millis(150));
+    let db = Database::open(config).expect("open");
+    for name in instance.catalog.names() {
+        db.register(&name, instance.catalog.relation(&name).expect("relation"))
+            .expect("register");
+    }
+    db.analyze().expect("analyze");
+    let text = multijoin::exec::chain_query_sql(5);
+    let planned = db.plan(&text).expect("plan");
+    let stats = planned.plan.stats();
+    assert_eq!((stats.operation_processes, stats.fused_ops), (1, 3));
+    let baseline = collect_with(&db, &text, QueryOptions::default()).expect("baseline");
+
+    for member in 0..planned.plan.ops.len() {
+        for kind in [
+            FaultKind::Panic,
+            FaultKind::AllocSpike { bytes: 1 << 40 },
+            FaultKind::Stall,
+        ] {
+            let ctx = format!("op{member}/{kind:?}");
+            let plan = FaultPlan::seeded(0xF05E)
+                .with_point(FaultPoint::new("join", 1, kind).at_op(member));
+            let opts = QueryOptions::new()
+                .with_memory_budget(1 << 30)
+                .with_faults(plan);
+            let err = collect_with(&db, &text, opts)
+                .expect_err(&format!("{ctx}: injected fault must surface"));
+            match (kind, &err) {
+                (FaultKind::Panic, MjError::Internal(message)) => {
+                    assert!(
+                        message.contains(&format!("op {member} ")),
+                        "{ctx}: {message}"
+                    )
+                }
+                (FaultKind::AllocSpike { .. }, MjError::ResourceExhausted { .. }) => {}
+                (FaultKind::Stall, MjError::Stalled(dump)) => {
+                    // Earlier members finished and said so; the stalled one
+                    // and everything after it did not.
+                    for op in 0..planned.plan.ops.len() {
+                        let line = format!("op{op}[join] {}/1", usize::from(op < member));
+                        assert!(dump.contains(&line), "{ctx}: {dump}");
+                    }
+                }
+                _ => panic!("{ctx}: wrong error {err}"),
+            }
+            assert_eq!(db.engine().store().total_bytes(), 0, "{ctx}: leaked");
+            assert_eq!(db.engine().pool().queued(), 0, "{ctx}: zombie tasks");
+            let after = collect_with(&db, &text, QueryOptions::default())
+                .unwrap_or_else(|e| panic!("{ctx}: engine unusable after fault: {e}"));
+            assert!(after.multiset_eq(&baseline), "{ctx}: post-fault diverged");
+        }
+    }
+    let stats = db.stats();
+    assert_eq!(
+        (
+            stats.panics_contained,
+            stats.budget_aborts,
+            stats.queries_stalled
+        ),
+        (4, 4, 4)
+    );
+}
+
+#[test]
 fn faulted_query_leaves_concurrent_sibling_intact() {
     quiet_injected_panics();
     let db = guardrail_db();
@@ -178,7 +253,7 @@ fn cancel_parked_at_every_pipeline_stage_is_exactly_once() {
     // A stall parks the pipeline at the named stage; cancelling then must
     // win over the stall (exactly-once `Canceled`, fragments reclaimed,
     // engine reusable). `join@1` parks during scan/build, `join@3` during
-    // probe/feed (join instances here finish within ~4 steps, so later
+    // probe/feed (join instances here finish within ~5 steps, so later
     // steps would never fire); the stage labels park the post-join
     // pipeline at filter, aggregate and limit.
     let park_points = [

@@ -297,6 +297,52 @@ fn generated_plans_always_validate() {
     });
 }
 
+/// Process fusion over random bushy trees with mixed cardinalities (5 next
+/// to 50 000), any strategy, any grain: the plan validates — one processor
+/// per group, no process waiting for a stream it feeds — never runs more
+/// processes than its operations would apart, and simulates to completion.
+#[test]
+fn fused_plans_validate_and_never_add_processes() {
+    for_cases("fused_plans_validate_and_never_add_processes", |rng| {
+        let k = rng.gen_range(2..15usize);
+        let mut b = JoinTree::builder();
+        let mut roots: Vec<_> = (0..k).map(|i| b.leaf(format!("R{i}"))).collect();
+        while roots.len() > 1 {
+            let l = roots.swap_remove(rng.gen_range(0..roots.len()));
+            let r = roots.swap_remove(rng.gen_range(0..roots.len()));
+            roots.push(b.join(l, r));
+        }
+        let tree = b.build(roots[0]).unwrap();
+        let mut cards = vec![0u64; tree.nodes().len()];
+        for id in 0..cards.len() {
+            cards[id] = match tree.children(id) {
+                None => [5, 50, 500, 5_000, 50_000][rng.gen_range(0..5usize)],
+                Some((l, r)) => (cards[l].min(cards[r]) * rng.gen_range(1..5u64) / 2).max(1),
+            };
+        }
+        let costs = tree_costs(&tree, &cards, &CostModel::default());
+        let strategy = Strategy::ALL[rng.gen_range(0..4usize)];
+        let mut input = GeneratorInput::new(&tree, &cards, &costs, rng.gen_range(1..33usize));
+        input.allow_oversubscribe = true;
+        let apart = generate(strategy, &input).unwrap();
+        input.grain = [93.0, 1000.0, 6630.0, 1e9][rng.gen_range(0..4usize)];
+        let plan = generate(strategy, &input).unwrap();
+        validate_plan(&plan).unwrap_or_else(|e| panic!("{e}\n{plan}"));
+        let stats = plan.stats();
+        let degrees: usize = plan.ops.iter().map(|op| op.degree()).sum();
+        assert_eq!(plan.ops.len(), apart.ops.len());
+        assert!(stats.operation_processes <= degrees - stats.fused_ops);
+        assert!(stats.operation_processes <= apart.stats().operation_processes);
+        assert!(stats.tuple_streams <= apart.stats().tuple_streams);
+        let roots = plan.process_roots();
+        for op in &plan.ops {
+            assert_eq!(op.procs, plan.ops[roots[op.id]].procs, "{plan}");
+        }
+        let sim = simulate(&plan, &SimParams::default()).unwrap();
+        assert!(sim.response_time.is_finite() && sim.response_time > 0.0);
+    });
+}
+
 /// The simulator is total and deterministic over the paper grid.
 #[test]
 fn simulation_is_deterministic() {

@@ -103,7 +103,8 @@ pub(crate) enum Tick {
 /// A query in flight on this connection.
 struct ActiveQuery {
     handle: QueryHandle,
-    stream: ResultStream,
+    /// `None` once drained to its end: only the outcome is outstanding.
+    stream: Option<ResultStream>,
     rows: u64,
     /// How this query's result batches are encoded on the wire.
     format: ResultFormat,
@@ -382,7 +383,7 @@ impl Conn {
                         };
                         match db.execute_prepared_with(&stmt, &args, options) {
                             Ok(mut handle) => {
-                                let stream = handle.stream();
+                                let stream = Some(handle.stream());
                                 self.active = Some(ActiveQuery {
                                     handle,
                                     stream,
@@ -404,7 +405,7 @@ impl Conn {
                         progress = true;
                         match db.query_with(&query, options) {
                             Ok(mut handle) => {
-                                let stream = handle.stream();
+                                let stream = Some(handle.stream());
                                 self.active = Some(ActiveQuery {
                                     handle,
                                     stream,
@@ -427,7 +428,11 @@ impl Conn {
             let mut finished = false;
             let mut encode_failed = false;
             while self.write_buf.len() - self.write_pos < WRITE_HIGH_WATER {
-                match active.stream.poll_next_batch() {
+                let Some(stream) = active.stream.as_mut() else {
+                    finished = true;
+                    break;
+                };
+                match stream.poll_next_batch() {
                     BatchPoll::Batch(batch) => {
                         progress = true;
                         // Serialize straight from the columnar buffers
@@ -477,17 +482,18 @@ impl Conn {
                 break;
             }
 
-            // Terminal frame: join the coordinator (near-instant once the
-            // stream has ended) and report the outcome in request order.
+            // Terminal frame, in request order, as soon as the query has
+            // concluded — the pool thread that ended the stream does that
+            // next; until then this tick has nothing more to do here, and
+            // does not wait either.
+            active.stream = None; // fully drained: dropping does not cancel
+            let Some(outcome) = active.handle.poll_outcome() else {
+                break;
+            };
             progress = true;
-            let ActiveQuery {
-                handle,
-                stream,
-                rows,
-                format: _,
-            } = self.active.take().expect("active query set above");
-            drop(stream); // fully drained: dropping does not cancel
-            match handle.outcome() {
+            let rows = active.rows;
+            self.active = None;
+            match outcome {
                 Ok(outcome) => self.push_line(done_frame(
                     rows,
                     outcome.elapsed,

@@ -4,9 +4,10 @@
 //! [`TcpListener`] and deals accepted sockets round-robin to a small
 //! fixed pool of connection workers; each worker owns its connections
 //! outright and sweeps them with non-blocking `Conn::tick`s. Query
-//! execution itself happens in the engine (coordinator threads + the
-//! shared worker pool), so a connection worker never blocks inside a
-//! query — it only shuttles bytes and polls result streams.
+//! execution itself happens in the engine (set-up on the submitting
+//! connection worker, everything else on the shared worker pool), so a
+//! connection worker never blocks inside a query — it only shuttles bytes
+//! and polls result streams and outcomes.
 //!
 //! Graceful shutdown ([`Server::shutdown`]): stop accepting, let
 //! in-flight (and already-pipelined) requests drain, answer any request

@@ -363,6 +363,11 @@ fn metrics_are_served_in_protocol_and_over_http() {
         ("fragment_cache_misses", 3),
         ("fragment_cache_evictions", 0),
         ("fragment_cache_bytes", 3 * 120 * 3 * 8),
+        // "How many processes does a query cost?": two joins of 120-tuple
+        // relations hold no grain of work between them, so the one
+        // completed query ran as a single operation process.
+        ("queries_completed", 1),
+        ("operation_processes", 1),
     ] {
         let got = json.get(name);
         assert!(
@@ -386,6 +391,8 @@ fn metrics_are_served_in_protocol_and_over_http() {
     assert!(text.contains("mj_fragment_cache_misses_total 3\n"));
     assert!(text.contains("mj_fragment_cache_evictions_total 0\n"));
     assert!(text.contains("mj_fragment_cache_bytes 8640\n"));
+    assert!(text.contains("# TYPE mj_operation_processes_total counter"));
+    assert!(text.contains("mj_operation_processes_total 1\n"));
 
     // HTTP one-shot scrape: Prometheus text.
     let mut scraper = TcpStream::connect(server.local_addr()).unwrap();

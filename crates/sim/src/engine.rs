@@ -7,7 +7,9 @@
 //! `degree / per-tuple-cost`. Event types:
 //!
 //! * `Ready`   — dependencies satisfied; the op queues at the (serial)
-//!   scheduler for initialization of its `degree` operation processes;
+//!   scheduler for initialization of its `degree` operation processes (an
+//!   op fused into an already running process — `OperandSource::Fused` —
+//!   skips the scheduler and simply runs next in that process);
 //! * `Start`   — initialization and stream handshakes done; local (base /
 //!   materialized) operands become readable;
 //! * `Arrive`  — a batch of tuples lands on one input;
@@ -78,6 +80,9 @@ struct OpState {
     est_out: f64,
 
     deps_remaining: usize,
+    /// False for a member of a process group that an earlier member
+    /// already started: it needs no initialization of its own.
+    starts_process: bool,
     started: bool,
     ready_time: f64,
     start_time: f64,
@@ -264,6 +269,7 @@ pub fn simulate_skewed(
     let mut balance = crate::skew::BalanceCache::new(skew);
 
     let n = plan.ops.len();
+    let roots = plan.process_roots();
     // Whether an op's output is consumed as a live stream (pipelined) or
     // as a bulk fragment transfer (materialized / final result): live
     // streams pay the per-tuple messaging premium at both endpoints.
@@ -298,12 +304,15 @@ pub fn simulate_skewed(
             let recv = match operand {
                 OperandSource::Stream { .. } => params.t_recv_stream,
                 OperandSource::Materialized { .. } => params.t_recv_bulk,
-                OperandSource::Base { .. } => 0.0,
+                // A fused operand is handed over inside the process.
+                OperandSource::Base { .. } | OperandSource::Fused { .. } => 0.0,
             };
             consume_cost[i] = per_tuple + recv;
         }
         let send = if out_live[op.id] {
             params.t_send_stream
+        } else if roots[op.id] != op.id {
+            0.0
         } else {
             params.t_send_bulk
         };
@@ -312,17 +321,16 @@ pub fn simulate_skewed(
         // shakes hands with every consumer instance of its output stream
         // (charged at the producer's start, below).
         for operand in [&op.left, &op.right] {
-            if let Some(p) = operand.producer() {
-                let pd = plan.ops[p].degree() as f64;
-                let extra = match operand {
-                    OperandSource::Stream { .. } => pd,
-                    // Materialized re-senders are gone; their side of the
-                    // handshake is charged to the consumer as well.
-                    OperandSource::Materialized { .. } => pd + op.degree() as f64,
-                    OperandSource::Base { .. } => unreachable!(),
-                };
-                handshake_delay[op.id] += extra * params.t_handshake;
-            }
+            let extra = match operand {
+                OperandSource::Stream { from } => plan.ops[*from].degree() as f64,
+                // Materialized re-senders are gone; their side of the
+                // handshake is charged to the consumer as well.
+                OperandSource::Materialized { from } => {
+                    plan.ops[*from].degree() as f64 + op.degree() as f64
+                }
+                OperandSource::Base { .. } | OperandSource::Fused { .. } => continue,
+            };
+            handshake_delay[op.id] += extra * params.t_handshake;
         }
         ops.push(OpState {
             // Effective capacity under load imbalance: the op finishes
@@ -335,6 +343,7 @@ pub fn simulate_skewed(
             emit_cost: params.t_result + send,
             est_out: op.est_out as f64,
             deps_remaining: op.start_after.len(),
+            starts_process: true,
             started: false,
             ready_time: f64::NAN,
             start_time: f64::NAN,
@@ -351,9 +360,18 @@ pub fn simulate_skewed(
         });
     }
     // Wire dependents and output edges; add producer-side handshakes.
+    // The members of a process group run one after another in op order:
+    // each waits for the member before it (which covers its fused
+    // producers) and only the first is initialized.
+    let mut last_member: Vec<Option<usize>> = vec![None; n];
     for op in &plan.ops {
         for &d in &op.start_after {
             ops[d].dependents.push(op.id);
+        }
+        if let Some(prev) = last_member[roots[op.id]].replace(op.id) {
+            ops[prev].dependents.push(op.id);
+            ops[op.id].deps_remaining += 1;
+            ops[op.id].starts_process = false;
         }
         for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
             if let Some(p) = operand.producer() {
@@ -400,21 +418,29 @@ pub fn simulate_skewed(
             EventKind::Ready => {
                 sim.ops[id].ready_time = t;
                 // Serial scheduler initializes this op's processes.
-                let init_start = sim.scheduler_free.max(t);
-                let init_end = init_start + sim.ops[id].degree * sim.params.t_init;
-                sim.scheduler_free = init_end;
+                let init_end = if sim.ops[id].starts_process {
+                    let init_start = sim.scheduler_free.max(t);
+                    let init_end = init_start + sim.ops[id].degree * sim.params.t_init;
+                    sim.scheduler_free = init_end;
+                    init_end
+                } else {
+                    t
+                };
                 let start = init_end + sim.handshake_delay[id];
                 sim.push(start, id, EventKind::Start);
             }
             EventKind::Start => {
                 sim.ops[id].started = true;
                 sim.ops[id].start_time = t;
-                // Local operands (base fragments and materialized
-                // intermediates) are fully readable at start.
+                // Local operands (base fragments, materialized
+                // intermediates, results of fused members) are fully
+                // readable at start.
                 let (left, right) = (plan.ops[id].left.clone(), plan.ops[id].right.clone());
                 for (side, operand) in [(0usize, &left), (1usize, &right)] {
                     match operand {
-                        OperandSource::Base { .. } | OperandSource::Materialized { .. } => {
+                        OperandSource::Base { .. }
+                        | OperandSource::Materialized { .. }
+                        | OperandSource::Fused { .. } => {
                             sim.ops[id].arrived[side] = sim.ops[id].expected[side];
                         }
                         OperandSource::Stream { .. } => {}
@@ -668,5 +694,34 @@ mod tests {
             sp > fp,
             "SP slowdown {sp:.3} should exceed FP slowdown {fp:.3}"
         );
+    }
+
+    #[test]
+    fn a_fused_plan_is_one_initialization_and_a_free_hand_off() {
+        // Ten 20-tuple relations: under a grain no join reaches, the
+        // generator runs the whole query as one process. It costs one
+        // t_init where the unfused plan pays nine and no handshake at all.
+        let params = SimParams::default();
+        let tree = build(Shape::RightLinear, 10).unwrap();
+        let cards = node_cards(&tree, &UniformOneToOne { n: 20 });
+        let costs = tree_costs(&tree, &cards, &CostModel::default());
+        let mut input = GeneratorInput::new(&tree, &cards, &costs, 9);
+        let apart = simulate(&generate(Strategy::FP, &input).unwrap(), &params).unwrap();
+        input.grain = 1e6;
+        let plan = generate(Strategy::FP, &input).unwrap();
+        assert_eq!(plan.stats().operation_processes, 1);
+        let fused = simulate(&plan, &params).unwrap();
+        assert!(fused.response_time < apart.response_time);
+        let first = &fused.spans[0];
+        assert!(
+            (first.start - params.t_init).abs() < 1e-9,
+            "one init, no handshake"
+        );
+        for pair in fused.spans.windows(2) {
+            assert!(
+                (pair[1].start - pair[0].complete).abs() < 1e-9,
+                "members run back to back"
+            );
+        }
     }
 }
