@@ -5,75 +5,43 @@
 //! cargo run --release -p mj-bench --bin repro -- fig9 fig14
 //! ```
 //!
-//! Experiments (see DESIGN.md §3 for the index):
+//! Experiments (all on the `mj_sim` simulator):
 //!   fig3 fig4 fig6 fig7   idealized utilization diagrams (example tree)
 //!   fig5                  right-deep segmentation of a bushy tree
 //!   fig8                  the five query-tree shapes
 //!   fig9..fig13           response-time curves per shape (5K and 40K)
 //!   fig14                 best-response-time table
 //!   costfn                cost-function shape-invariance (44N)
+//!   ablation-twophase     two-phase optimization vs a joint search (§1.2)
+//!   ablation-optimizers   phase-1 optimizers on a skewed chain and a star
 //!   ablation-mirror       RD with and without tree mirroring (§5)
 //!   ablation-memory       RD vs FP peak hash-table memory (§5)
 //!   ablation-skew         partition balance under Zipf skew (§3.5)
 //!   ablation-pipeline     linear vs bushy pipeline fill delay (§2.3.3)
-//!   real                  the four strategies on the real threaded engine
-//!   bench [--quick]       machine-readable perf baselines -> BENCH_1.json
-//!                         (zero-copy) + BENCH_2.json (concurrent queries)
-//!                         + BENCH_3.json (cost-based planner)
-//!                         + BENCH_4.json (session streaming latency)
-//!                         + BENCH_5.json (filter pushdown)
-//!   bench-concurrent      only the concurrent section -> BENCH_2.json
-//!   bench-planner         only the planner section -> BENCH_3.json
-//!   bench-session         only the streaming section -> BENCH_4.json
-//!   bench-operators       only the pushdown section -> BENCH_5.json
-//!   bench-robustness      guardrail overhead + noisy-neighbor p99
-//!                         -> BENCH_6.json
-//!   bench-columnar        columnar vs row-path join kernels + the
-//!                         BENCH_5/BENCH_6 scenarios on the columnar
-//!                         engine -> BENCH_7.json
-//!   bench-simd            scalar vs SIMD kernel microbenchmarks +
-//!                         late-vs-eager wide chain + BENCH_5/6/7
-//!                         regression re-runs -> BENCH_8.json
-//!   bench-server          query-server wire throughput (back-to-back vs
-//!                         ~1k concurrent clients), noisy neighbors over
-//!                         the wire, worker liveness, and the BENCH_6
-//!                         guardrail-overhead re-run with metrics wired
-//!                         in -> BENCH_9.json
-//!   bench-wire            prepared statements + shared plan cache vs
-//!                         ad-hoc re-planning, binary columnar vs JSON
-//!                         result frames, and the BENCH_9 wire benchmark
-//!                         re-run on the new serving path -> BENCH_10.json
 //!
-//! CSV series are written to results/.
+//! CSV series are written to results/. The real engine is measured by the
+//! `benchmark/` package (see `benchmark/README.md`), and its agreement with
+//! the oracle by `crates/mj/tests/strategy_equivalence.rs`.
 
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use mj_bench::{
-    bench2_report, bench2_to_json, bench3_report, bench3_to_json, bench4_report, bench4_to_json,
-    bench5_report, bench5_to_json, bench6_report, bench6_to_json, bench7_report, bench7_to_json,
-    bench_report, format_table, paper_processor_counts, report_to_json, simulate_tree, sweep,
-    validate_bench2_json, validate_bench3_json, validate_bench4_json, validate_bench5_json,
-    validate_bench6_json, validate_bench7_json, validate_report_json, write_csv, PAPER_SIZES,
+    format_table, paper_processor_counts, simulate_tree, sweep, write_csv, PAPER_SIZES,
 };
 use mj_core::example::{example_cards, example_tree, example_weights};
 use mj_core::generator::{generate, GeneratorInput};
 use mj_core::strategy::Strategy;
-use mj_exec::{run_plan, ExecConfig, QueryBinding};
 use mj_plan::cardinality::{node_cards, UniformOneToOne};
 use mj_plan::cost::{tree_costs, CostModel, TreeCosts};
+use mj_plan::render;
 use mj_plan::segment::segments;
 use mj_plan::shapes::{build, Shape};
 use mj_plan::transform::right_orient;
-use mj_plan::{query, render};
 use mj_sim::{peak_bytes_per_processor, render_gantt, run_scenario, simulate, Scenario, SimParams};
-use mj_storage::{skew, Catalog, WisconsinGenerator};
+use mj_storage::skew;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
             "fig3",
@@ -95,7 +63,6 @@ fn main() {
             "ablation-memory",
             "ablation-skew",
             "ablation-pipeline",
-            "real",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -123,28 +90,6 @@ fn main() {
             "ablation-memory" => ablation_memory(),
             "ablation-skew" => ablation_skew(),
             "ablation-pipeline" => ablation_pipeline(),
-            "real" => real_engine(),
-            "bench" => {
-                emit_bench_json(quick);
-                emit_bench2_json(quick);
-                emit_bench3_json(quick);
-                emit_bench4_json(quick);
-                emit_bench5_json(quick);
-                emit_bench6_json(quick);
-                emit_bench7_json(quick);
-                emit_bench8_json(quick);
-                emit_bench9_json(quick);
-                emit_bench10_json(quick);
-            }
-            "bench-concurrent" => emit_bench2_json(quick),
-            "bench-planner" => emit_bench3_json(quick),
-            "bench-session" => emit_bench4_json(quick),
-            "bench-operators" => emit_bench5_json(quick),
-            "bench-robustness" => emit_bench6_json(quick),
-            "bench-columnar" => emit_bench7_json(quick),
-            "bench-simd" => emit_bench8_json(quick),
-            "bench-server" => emit_bench9_json(quick),
-            "bench-wire" => emit_bench10_json(quick),
             other => eprintln!("unknown experiment `{other}` (see --help text in the source)"),
         }
         eprintln!("[{exp} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
@@ -652,696 +597,4 @@ fn ablation_pipeline() {
         format_table(&["tuples/rel", "linear step (s)", "bushy level (s)"], &rows)
     );
     println!("(linear step stays ~constant; the bushy level grows with operand size — [WiA93])");
-}
-
-/// Produces `BENCH_1.json`: the machine-readable perf baseline for this
-/// machine (see `mj_bench::bench_json`). `--quick` shrinks the workload
-/// for CI smoke validation.
-fn emit_bench_json(quick: bool) {
-    println!(
-        "== BENCH_1.json: zero-copy perf baseline ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = bench_report(quick).expect("bench report");
-    let hot = &report.pipelining_hot_path;
-    println!(
-        "pipelining hot path ({} workers): deep-copy {:.2}s ({:.0} tuples/s) -> shared {:.2}s ({:.0} tuples/s), speedup {:.2}x",
-        hot.workers,
-        hot.baseline_deep_copy.elapsed_s,
-        hot.baseline_deep_copy.tuples_per_sec,
-        hot.shared_zero_copy.elapsed_s,
-        hot.shared_zero_copy.tuples_per_sec,
-        hot.speedup,
-    );
-    let mut rows = Vec::new();
-    for r in &report.strategies {
-        rows.push(vec![
-            r.strategy.clone(),
-            format!("{:.1} ms", r.elapsed_s * 1e3),
-            format!("{:.0}", r.tuples_per_sec),
-            format!("{} KB", r.peak_table_bytes / 1024),
-            r.result_tuples.to_string(),
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(
-            &["strategy", "elapsed", "tuples/s", "peak table", "result"],
-            &rows
-        )
-    );
-    let json = report_to_json(&report);
-    validate_report_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_quick.json"
-    } else {
-        "BENCH_1.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick && hot.speedup < 1.5 {
-        eprintln!(
-            "WARNING: hot-path speedup {:.2}x below the 1.5x acceptance floor",
-            hot.speedup
-        );
-    }
-}
-
-/// Produces `BENCH_2.json`: N-queries-in-flight throughput on the shared
-/// worker-pool engine vs the same queries back-to-back (see
-/// `mj_bench::bench_json::concurrent_comparison`).
-fn emit_bench2_json(quick: bool) {
-    println!(
-        "== BENCH_2.json: concurrent-query scheduler baseline ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = bench2_report(quick).expect("bench2 report");
-    let c = &report.concurrent;
-    println!(
-        "{} workers, {} x {}-relation FP queries (n={}, {} procs/query):",
-        c.workers, c.queries, c.relations, c.tuples_per_relation, c.procs_per_query
-    );
-    println!(
-        "back-to-back {:.3}s ({:.0} tuples/s) -> concurrent {:.3}s ({:.0} tuples/s), speedup {:.2}x",
-        c.back_to_back.elapsed_s,
-        c.back_to_back.tuples_per_sec,
-        c.concurrent.elapsed_s,
-        c.concurrent.tuples_per_sec,
-        c.speedup,
-    );
-    println!(
-        "worker threads spawned across all {} queries: {} (pool bound: {})",
-        c.back_to_back.queries + c.concurrent.queries,
-        c.worker_threads_spawned,
-        c.workers,
-    );
-    assert_eq!(
-        c.worker_threads_spawned, c.workers as u64,
-        "the engine must never spawn beyond its fixed pool"
-    );
-    let json = bench2_to_json(&report);
-    validate_bench2_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_2_quick.json"
-    } else {
-        "BENCH_2.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick && c.speedup < 1.5 {
-        eprintln!(
-            "WARNING: concurrent speedup {:.2}x below the 1.5x acceptance floor",
-            c.speedup
-        );
-    }
-}
-
-/// Produces `BENCH_3.json`: the cost-based planner's pick vs every fixed
-/// strategy on the three query families (see
-/// `mj_bench::bench_json::bench3_report`).
-fn emit_bench3_json(quick: bool) {
-    println!(
-        "== BENCH_3.json: cost-based planner vs fixed strategies ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = bench3_report(quick).expect("bench3 report");
-    let mut rows = Vec::new();
-    for f in &report.families {
-        rows.push(vec![
-            f.family.clone(),
-            f.planner_pick.clone(),
-            format!("{:.2} ms", f.planner_elapsed_s * 1e3),
-            format!("{} ({:.2} ms)", f.best_fixed, f.best_fixed_elapsed_s * 1e3),
-            format!(
-                "{} ({:.2} ms)",
-                f.worst_fixed,
-                f.worst_fixed_elapsed_s * 1e3
-            ),
-            format!("{:.2}", f.ratio_vs_best),
-            format!("{:.2}", f.max_q_error),
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(
-            &[
-                "family",
-                "planner pick",
-                "planner",
-                "best fixed",
-                "worst fixed",
-                "vs best",
-                "q-err"
-            ],
-            &rows
-        )
-    );
-    let json = bench3_to_json(&report);
-    validate_bench3_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_3_quick.json"
-    } else {
-        "BENCH_3.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    for f in &report.families {
-        if !quick && f.ratio_vs_best > 1.10 {
-            eprintln!(
-                "WARNING: planner pick on `{}` is {:.2}x the best fixed strategy \
-                 (acceptance: within 10%)",
-                f.family, f.ratio_vs_best
-            );
-        }
-    }
-}
-
-/// Produces `BENCH_4.json`: time-to-first-batch vs full materialization
-/// for an FP chain query through the session facade (see
-/// `mj_bench::bench_json::session_comparison`).
-fn emit_bench4_json(quick: bool) {
-    println!(
-        "== BENCH_4.json: session streaming latency ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = bench4_report(quick).expect("bench4 report");
-    let s = &report.session;
-    println!(
-        "{}-relation {} chain (n={}, {} workers): first batch {:.2} ms, \
-         full stream {:.2} ms, materialized {:.2} ms",
-        s.relations,
-        s.strategy,
-        s.tuples_per_relation,
-        s.workers,
-        s.streamed.first_batch_s * 1e3,
-        s.streamed.full_stream_s * 1e3,
-        s.materialized_s * 1e3,
-    );
-    println!(
-        "first-batch speedup: {:.2}x ({} batches, {} tuples streamed)",
-        s.first_batch_speedup, s.streamed.batches, s.streamed.result_tuples,
-    );
-    let json = bench4_to_json(&report);
-    validate_bench4_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_4_quick.json"
-    } else {
-        "BENCH_4.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick && s.first_batch_speedup <= 1.0 {
-        eprintln!(
-            "WARNING: first batch ({:.2} ms) did not beat full materialization ({:.2} ms)",
-            s.streamed.first_batch_s * 1e3,
-            s.materialized_s * 1e3,
-        );
-    }
-}
-
-fn emit_bench5_json(quick: bool) {
-    println!(
-        "== BENCH_5.json: filter pushdown on a selective chain ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = bench5_report(quick).expect("bench5 report");
-    let o = &report.operators;
-    println!(
-        "{}-relation chain (n={}, {} workers), query: {}",
-        o.relations, o.tuples_per_relation, o.workers, o.query
-    );
-    println!(
-        "pushdown on  ({}): {:.2} ms; pushdown off ({}): {:.2} ms -> {:.2}x \
-         ({} result tuples)",
-        o.pushdown_on.strategy,
-        o.pushdown_on.elapsed_s * 1e3,
-        o.pushdown_off.strategy,
-        o.pushdown_off.elapsed_s * 1e3,
-        o.pushdown_speedup,
-        o.pushdown_on.result_tuples,
-    );
-    let json = bench5_to_json(&report);
-    validate_bench5_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_5_quick.json"
-    } else {
-        "BENCH_5.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick && o.pushdown_speedup < 1.5 {
-        eprintln!(
-            "WARNING: pushdown speedup {:.2}x below the 1.5x acceptance bar",
-            o.pushdown_speedup
-        );
-    }
-}
-
-fn emit_bench6_json(quick: bool) {
-    println!(
-        "== BENCH_6.json: robustness guardrails ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = bench6_report(quick).expect("bench6 report");
-    let o = &report.overhead;
-    println!(
-        "{}-relation {} chain (n={}, {} workers): guardrails off {:.2} ms, \
-         on {:.2} ms -> overhead {:.3}x",
-        o.relations,
-        o.strategy,
-        o.tuples_per_relation,
-        o.workers,
-        o.guardrails_off.elapsed_s * 1e3,
-        o.guardrails_on.elapsed_s * 1e3,
-        o.overhead_ratio,
-    );
-    let a = &report.admission;
-    println!(
-        "{} light (n={}) vs {} noisy (n={}) queries, max_concurrent={}, \
-         noisy budget {} KB:",
-        a.light_queries,
-        a.light_tuples,
-        a.noisy_queries,
-        a.noisy_tuples,
-        a.max_concurrent,
-        a.noisy_budget_bytes / 1024,
-    );
-    println!(
-        "light p99 unprotected {:.2} ms -> protected {:.2} ms ({:.2}x better, \
-         {} noisy queries shed by budget)",
-        a.unprotected.p99_s * 1e3,
-        a.protected.p99_s * 1e3,
-        a.p99_improvement,
-        a.noisy_budget_aborts,
-    );
-    let json = bench6_to_json(&report);
-    validate_bench6_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_6_quick.json"
-    } else {
-        "BENCH_6.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick && report.overhead.overhead_ratio > 1.05 {
-        eprintln!(
-            "WARNING: guardrail overhead {:.3}x above the 1.05x acceptance cap",
-            report.overhead.overhead_ratio
-        );
-    }
-    if !quick && a.p99_improvement < 1.5 {
-        eprintln!(
-            "WARNING: noisy-neighbor p99 improvement {:.2}x below the 1.5x acceptance floor",
-            a.p99_improvement
-        );
-    }
-}
-
-fn emit_bench8_json(quick: bool) {
-    println!(
-        "== BENCH_8.json: SIMD kernels + late materialization ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = mj_bench::bench8_report(quick).expect("bench8 report");
-    let s = &report.simd_kernels;
-    println!(
-        "simd kernels over {} elements (x{} passes, best of {}, avx2 {}):",
-        s.elements,
-        s.passes,
-        s.reps,
-        if s.simd_enabled { "on" } else { "off" },
-    );
-    for k in &s.kernels {
-        println!(
-            "  {:<12} scalar {:>8.3} ms, simd {:>8.3} ms -> {:.2}x (ships {})",
-            k.name,
-            k.scalar_s * 1e3,
-            k.simd_s * 1e3,
-            k.speedup,
-            k.shipped,
-        );
-    }
-    let l = &report.late_materialization;
-    println!(
-        "late materialization, {}-relation chain x {} rows ({} payload cols): \
-         eager {:.2} ms, late {:.2} ms -> {:.2}x ({} rows both)",
-        l.relations,
-        l.tuples_per_relation,
-        l.payload_cols,
-        l.eager.elapsed_s * 1e3,
-        l.late.elapsed_s * 1e3,
-        l.late_speedup,
-        l.late.result_tuples,
-    );
-    let r = &report.reruns;
-    println!(
-        "regression re-runs: pushdown {:.2}x, guardrail overhead {:.3}x, join kernel {:.2}x",
-        r.pushdown.pushdown_speedup, r.guardrail_overhead.overhead_ratio, r.join_kernels.speedup,
-    );
-    let json = mj_bench::bench8_to_json(&report);
-    mj_bench::validate_bench8_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_8_quick.json"
-    } else {
-        "BENCH_8.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick {
-        if l.late_speedup < 1.3 {
-            eprintln!(
-                "WARNING: late-materialization speedup {:.2}x below the 1.3x acceptance floor",
-                l.late_speedup
-            );
-        }
-        if s.simd_enabled {
-            for k in &s.kernels {
-                if k.shipped == "simd" && k.speedup < 1.0 {
-                    eprintln!(
-                        "WARNING: shipped SIMD kernel `{}` at {:.2}x, below scalar",
-                        k.name, k.speedup
-                    );
-                }
-            }
-        }
-        // Within 5% of the BENCH_5/6/7 acceptance bars.
-        if r.pushdown.pushdown_speedup < 1.5 * 0.95 {
-            eprintln!(
-                "WARNING: pushdown re-run {:.2}x regressed past the 5% band",
-                r.pushdown.pushdown_speedup
-            );
-        }
-        if r.guardrail_overhead.overhead_ratio > 1.05 / 0.95 {
-            eprintln!(
-                "WARNING: guardrail overhead re-run {:.3}x regressed past the 5% band",
-                r.guardrail_overhead.overhead_ratio
-            );
-        }
-        if r.join_kernels.speedup < 1.3 * 0.95 {
-            eprintln!(
-                "WARNING: join kernel re-run {:.2}x regressed past the 5% band",
-                r.join_kernels.speedup
-            );
-        }
-    }
-}
-
-fn emit_bench9_json(quick: bool) {
-    println!(
-        "== BENCH_9.json: query server over the wire ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = mj_bench::bench9_report(quick).expect("bench9 report");
-    println!(
-        "{}-relation chain (n={}), startup cost {} ms per process:",
-        report.relations, report.tuples_per_relation, report.startup_cost_ms,
-    );
-    let b = &report.back_to_back;
-    println!(
-        "back-to-back: {} queries over 1 connection in {:.2}s -> {:.1} qps \
-         (p50 {:.1} ms, p99 {:.1} ms)",
-        b.queries, b.elapsed_s, b.qps, b.p50_ms, b.p99_ms,
-    );
-    let c = &report.concurrent;
-    println!(
-        "concurrent: {} clients x {} queries in {:.2}s -> {:.1} qps \
-         (p50 {:.1} ms, p99 {:.1} ms) -> {:.2}x over back-to-back",
-        c.clients,
-        c.queries / c.clients.max(1),
-        c.elapsed_s,
-        c.qps,
-        c.p50_ms,
-        c.p99_ms,
-        report.concurrency_speedup,
-    );
-    let n = &report.noisy;
-    println!(
-        "noisy wire neighbors: {} clients at {} KB budget, light p99 {:.1} ms \
-         vs idle p50 {:.1} ms -> {:.2}x ({} noisy queries shed)",
-        n.noisy_clients,
-        n.noisy_budget_bytes / 1024,
-        n.light_p99_ms,
-        n.idle_p50_ms,
-        n.p99_vs_idle_p50,
-        n.noisy_budget_aborts,
-    );
-    let l = &report.liveness;
-    println!(
-        "liveness: {}/{} engine workers alive, {}/{} conn-worker probes answered, \
-         {} panics contained",
-        l.engine_workers_alive,
-        l.engine_workers,
-        l.post_load_probes_ok,
-        l.conn_workers,
-        l.panics_contained,
-    );
-    let g = &report.guardrail_rerun;
-    // The metrics layer proves its cost against BENCH_6's checked-in
-    // guardrail baseline: the re-run ratio must stay within 1.05x of it.
-    let bench6_baseline = std::fs::read_to_string("BENCH_6.json")
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok())
-        .and_then(|v: serde::JsonValue| {
-            match v.get("overhead").and_then(|o| o.get("overhead_ratio")) {
-                Some(serde::JsonValue::Float(f)) => Some(*f),
-                Some(serde::JsonValue::Int(i)) => Some(*i as f64),
-                _ => None,
-            }
-        });
-    match bench6_baseline {
-        Some(baseline) => println!(
-            "guardrail overhead re-run (metrics wired in): {:.3}x vs BENCH_6 \
-             baseline {:.3}x -> {:.3}x the baseline",
-            g.overhead_ratio,
-            baseline,
-            g.overhead_ratio / baseline,
-        ),
-        None => println!(
-            "guardrail overhead re-run (metrics wired in): {:.3}x \
-             (no BENCH_6.json baseline in cwd)",
-            g.overhead_ratio
-        ),
-    }
-    let json = mj_bench::bench9_to_json(&report);
-    mj_bench::validate_bench9_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_9_quick.json"
-    } else {
-        "BENCH_9.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick {
-        if report.concurrency_speedup < 1.5 {
-            eprintln!(
-                "WARNING: concurrent qps only {:.2}x back-to-back, below the 1.5x floor",
-                report.concurrency_speedup
-            );
-        }
-        if n.p99_vs_idle_p50 > 2.0 {
-            eprintln!(
-                "WARNING: light p99 under noise {:.2}x idle p50, above the 2x ceiling",
-                n.p99_vs_idle_p50
-            );
-        }
-        let baseline = bench6_baseline.unwrap_or(1.0);
-        if g.overhead_ratio > baseline * 1.05 {
-            eprintln!(
-                "WARNING: guardrail+metrics overhead {:.3}x exceeds 1.05x the \
-                 BENCH_6 baseline ({:.3}x)",
-                g.overhead_ratio, baseline
-            );
-        }
-        if l.engine_workers_alive != l.engine_workers || l.post_load_probes_ok != l.conn_workers {
-            eprintln!("WARNING: worker liveness check failed after the concurrent hammer");
-        }
-    }
-}
-
-fn emit_bench10_json(quick: bool) {
-    println!(
-        "== BENCH_10.json: prepared statements + binary wire format ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = mj_bench::bench10_report(quick).expect("bench10 report");
-    let p = &report.prepared;
-    println!(
-        "prepared vs ad-hoc, {}-relation chain (n={}): ad-hoc {:.1} qps \
-         (p50 {:.2} ms), prepared {:.1} qps (p50 {:.2} ms) -> {:.2}x \
-         ({} cache hits, {} misses, {} evictions)",
-        p.relations,
-        p.tuples_per_relation,
-        p.adhoc.qps,
-        p.adhoc.p50_ms,
-        p.prepared.qps,
-        p.prepared.p50_ms,
-        p.speedup,
-        p.plan_cache_hits,
-        p.plan_cache_misses,
-        p.plan_cache_evictions,
-    );
-    let w = &report.wire_format;
-    println!(
-        "json vs binary frames, {}-relation chain (n={}, ~{} rows/query): \
-         json {:.0} rows/s, bin {:.0} rows/s -> {:.2}x",
-        w.relations,
-        w.tuples_per_relation,
-        w.rows_per_query,
-        w.json.rows_per_s,
-        w.bin.rows_per_s,
-        w.bin_speedup,
-    );
-    let r = &report.bench9_rerun;
-    println!(
-        "BENCH_9 rerun on the new serving path: back-to-back {:.1} qps, \
-         concurrent {:.1} qps -> {:.2}x, light p99 under noise {:.2}x idle p50",
-        r.back_to_back.qps, r.concurrent.qps, r.concurrency_speedup, r.noisy.p99_vs_idle_p50,
-    );
-    let json = mj_bench::bench10_to_json(&report);
-    mj_bench::validate_bench10_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_10_quick.json"
-    } else {
-        "BENCH_10.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick {
-        if p.speedup < 2.0 {
-            eprintln!(
-                "WARNING: prepared execution only {:.2}x ad-hoc, below the 2.0x floor",
-                p.speedup
-            );
-        }
-        if w.bin_speedup < 1.5 {
-            eprintln!(
-                "WARNING: binary frames only {:.2}x JSON throughput, below the 1.5x floor",
-                w.bin_speedup
-            );
-        }
-    }
-}
-
-fn emit_bench7_json(quick: bool) {
-    println!(
-        "== BENCH_7.json: columnar vs row-path kernels ({}) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let report = bench7_report(quick).expect("bench7 report");
-    let k = &report.join_kernels;
-    println!(
-        "join kernel, n={} ({}-row batches, best of {}): row path {:.2} ms, \
-         columnar {:.2} ms -> {:.2}x ({} matches both)",
-        k.rows,
-        k.batch_rows,
-        k.reps,
-        k.row_path.elapsed_s * 1e3,
-        k.columnar.elapsed_s * 1e3,
-        k.speedup,
-        k.row_path.matches,
-    );
-    let p = &report.pushdown;
-    println!(
-        "pushdown chain on the columnar engine: on {:.2} ms, off {:.2} ms -> {:.2}x",
-        p.pushdown_on.elapsed_s * 1e3,
-        p.pushdown_off.elapsed_s * 1e3,
-        p.pushdown_speedup,
-    );
-    let o = &report.guardrail_overhead;
-    println!(
-        "guardrails on the columnar engine: off {:.2} ms, on {:.2} ms -> overhead {:.3}x",
-        o.guardrails_off.elapsed_s * 1e3,
-        o.guardrails_on.elapsed_s * 1e3,
-        o.overhead_ratio,
-    );
-    let json = bench7_to_json(&report);
-    validate_bench7_json(&json).expect("schema");
-    // Quick smoke runs must never clobber the checked-in full baseline.
-    let path = if quick {
-        "BENCH_7_quick.json"
-    } else {
-        "BENCH_7.json"
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("[baseline written to {path}]");
-    if !quick && k.speedup < 1.3 {
-        eprintln!(
-            "WARNING: columnar kernel speedup {:.2}x below the 1.3x acceptance floor",
-            k.speedup
-        );
-    }
-    if !quick && p.pushdown_speedup < 1.5 {
-        eprintln!(
-            "WARNING: pushdown speedup {:.2}x below the 1.5x acceptance bar",
-            p.pushdown_speedup
-        );
-    }
-    if !quick && o.overhead_ratio > 1.05 {
-        eprintln!(
-            "WARNING: guardrail overhead {:.3}x above the 1.05x acceptance cap",
-            o.overhead_ratio
-        );
-    }
-}
-
-/// The four strategies on the real threaded engine (host-scale sanity).
-fn real_engine() {
-    println!("== Real engine: 10-relation regular query, n=2000, 4 logical processors ==");
-    let catalog = Arc::new(Catalog::new());
-    let n = 2000usize;
-    let gen = WisconsinGenerator::new(n, 42);
-    for (name, rel) in gen.generate_named("R", 10) {
-        catalog.register(name, rel);
-    }
-    let mut rows = Vec::new();
-    let mut reference: HashMap<Shape, mj_relalg::Relation> = HashMap::new();
-    for shape in [Shape::LeftLinear, Shape::WideBushy, Shape::RightLinear] {
-        let tree = build(shape, 10).expect("shape");
-        let xra = query::to_xra(&tree, 3, mj_relalg::JoinAlgorithm::Simple);
-        reference.insert(shape, xra.eval(catalog.as_ref()).expect("oracle"));
-        for strategy in Strategy::ALL {
-            let cards = node_cards(&tree, &UniformOneToOne { n: n as u64 });
-            let costs = tree_costs(&tree, &cards, &CostModel::default());
-            let mut input = GeneratorInput::new(&tree, &cards, &costs, 4);
-            input.allow_oversubscribe = true;
-            let plan = generate(strategy, &input).expect("plan");
-            let binding = QueryBinding::regular(&tree, catalog.as_ref()).expect("binding");
-            let outcome =
-                run_plan(&plan, &binding, catalog.as_ref(), &ExecConfig::default()).expect("run");
-            let ok = outcome.relation.multiset_eq(&reference[&shape]);
-            rows.push(vec![
-                shape.label().to_string(),
-                strategy.label().to_string(),
-                format!("{:.1} ms", outcome.elapsed.as_secs_f64() * 1e3),
-                outcome.metrics.processes.to_string(),
-                outcome.metrics.streams.to_string(),
-                outcome.relation.len().to_string(),
-                if ok { "ok".into() } else { "MISMATCH".into() },
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        format_table(
-            &[
-                "shape",
-                "strategy",
-                "elapsed",
-                "processes",
-                "streams",
-                "result",
-                "vs oracle"
-            ],
-            &rows
-        )
-    );
 }

@@ -1,28 +1,16 @@
-//! Benchmark and reproduction harness support.
+//! Reproduction harness support.
 //!
 //! The `repro` binary regenerates every figure and table of the paper's
-//! evaluation (see DESIGN.md for the experiment index); this library holds
-//! the shared sweep drivers, ASCII table rendering, and CSV output used by
-//! the binary and the Criterion benches.
+//! evaluation on the `mj_sim` simulator (its module doc lists the
+//! experiments); this library holds the shared sweep drivers, ASCII table
+//! rendering, and CSV output used by the binary and the Criterion benches.
 
 #![warn(missing_docs)]
 
 pub mod ascii;
-pub mod bench_json;
 pub mod csvout;
 pub mod grid;
 
 pub use ascii::format_table;
-pub use bench_json::{
-    bench10_report, bench10_to_json, bench2_report, bench2_to_json, bench3_report, bench3_to_json,
-    bench4_report, bench4_to_json, bench5_report, bench5_to_json, bench6_report, bench6_to_json,
-    bench7_report, bench7_to_json, bench8_report, bench8_to_json, bench9_report, bench9_to_json,
-    bench_report, report_to_json, validate_bench10_json, validate_bench2_json,
-    validate_bench3_json, validate_bench4_json, validate_bench5_json, validate_bench6_json,
-    validate_bench7_json, validate_bench8_json, validate_bench9_json, validate_report_json,
-    Bench10Report, Bench2Report, Bench3Report, Bench4Report, Bench5Report, Bench6Report,
-    Bench7Report, Bench8Report, Bench9Report, BenchReport, PayloadRun, PreparedBench,
-    WireFormatBench,
-};
 pub use csvout::write_csv;
 pub use grid::{paper_processor_counts, simulate_tree, sweep, SweepPoint, PAPER_SIZES};

@@ -60,10 +60,6 @@ pub struct ExecConfig {
     /// Channel capacity in *batches*; bounds memory and provides the
     /// backpressure a real pipeline has.
     pub channel_capacity: usize,
-    /// Optional artificial per-operation-process startup cost, for
-    /// demonstrating the paper's startup trade-off on hardware where real
-    /// initialization is too cheap to observe.
-    pub startup_cost: Option<Duration>,
     /// Optional fault injection (tests only).
     pub fail: Option<FailPoint>,
     /// Default wall-clock deadline for every query; `None` means no limit.
@@ -105,7 +101,6 @@ impl Default for ExecConfig {
             workers: DEFAULT_WORKERS,
             batch_size: DEFAULT_BATCH_SIZE,
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            startup_cost: None,
             fail: None,
             deadline: None,
             stall_timeout: None,

@@ -844,7 +844,6 @@ impl QueryRun {
                 self.config.batch_size,
                 i,
                 self.reporter(),
-                self.config.startup_cost,
                 Some(self.ctrl.clone()),
             );
             if root_op.join == root_join {
@@ -955,7 +954,6 @@ impl QueryRun {
                     self.config.batch_size,
                     inst,
                     self.reporter(),
-                    self.config.startup_cost,
                     Some(self.ctrl.clone()),
                 );
                 self.pool.submit(self.priorities[op_id], Box::new(task));

@@ -3,18 +3,15 @@
 //! [`PhysicalOp`] is the computational core of one operator — absorb
 //! tuples, emit tuples, optionally build and drain — and
 //! [`task::OpTask`] is the generic cooperative driver that runs any of
-//! them on the shared worker pool (or, via the `run_*_instance` functions,
-//! to completion on a dedicated thread for tests and benches). Both
-//! hash-join algorithms, the streaming filter, the partitioned hash GROUP
-//! BY, and the early-terminating limit are `PhysicalOp` implementations.
+//! them on the shared worker pool. Both hash-join algorithms, the
+//! streaming filter, the partitioned hash GROUP BY, and the
+//! early-terminating limit are `PhysicalOp` implementations.
 
 pub mod aggregate;
 pub mod filter;
 pub mod limit;
 pub mod op;
 pub mod output;
-pub mod pipe_join;
-pub mod simple_join;
 pub mod task;
 
 pub use aggregate::AggregateOp;
@@ -22,6 +19,4 @@ pub use filter::FilterOp;
 pub use limit::LimitOp;
 pub use op::{join_op, Absorb, InputMode, OpKind, PhysicalOp, PipeliningJoinOp, SimpleJoinOp};
 pub use output::OutputPort;
-pub use pipe_join::run_pipelining_instance;
-pub use simple_join::run_simple_instance;
 pub use task::OpTask;

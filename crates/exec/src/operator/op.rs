@@ -269,7 +269,7 @@ impl PhysicalOp for PipeliningJoinOp {
 }
 
 /// Builds the join operator for `algorithm` over `spec` — the single
-/// construction point the engine and the blocking drivers share.
+/// construction point of the engine's joins.
 pub fn join_op(algorithm: JoinAlgorithm, spec: EquiJoin) -> Box<dyn PhysicalOp> {
     match algorithm {
         JoinAlgorithm::Simple => Box::new(SimpleJoinOp::new(spec)),
@@ -381,6 +381,38 @@ mod tests {
         assert_eq!(sorted_rows(&s_out), sorted_rows(&p_out));
         // Keys 5×(5,5) and 7×7 match: 2·2 + 1 = 5 result rows.
         assert_eq!(s_out.rows(), 5);
+    }
+
+    #[test]
+    fn pipelining_costs_more_memory() {
+        // §2.3.2: the pipelining join produces output earlier "at the cost
+        // of using more memory" — it tables both operands, the simple join
+        // only its build side. Two 1-1 permutation operands of 500 rows.
+        let left = batch(&(0..500).map(|i| [i, i * 101 % 500]).collect::<Vec<_>>());
+        let right = batch(&(0..500).map(|i| [i * 103 % 500, i]).collect::<Vec<_>>());
+
+        let mut simple = SimpleJoinOp::new(spec());
+        simple.build_batch(&left, 0..left.rows()).unwrap();
+        simple.finish_build();
+        let mut s_out = ColumnBatch::shapeless();
+        let mut pipe = PipeliningJoinOp::new(spec());
+        let mut p_out = ColumnBatch::shapeless();
+        for start in (0..500).step_by(64) {
+            let range = start..(start + 64).min(500);
+            simple
+                .absorb_batch(1, &right, range.clone(), &mut s_out)
+                .unwrap();
+            pipe.absorb_batch(0, &left, range.clone(), &mut p_out)
+                .unwrap();
+            pipe.absorb_batch(1, &right, range, &mut p_out).unwrap();
+        }
+        assert_eq!((s_out.rows(), p_out.rows()), (500, 500));
+        assert!(
+            pipe.est_bytes() > simple.est_bytes(),
+            "pipelining {} B vs simple {} B",
+            pipe.est_bytes(),
+            simple.est_bytes()
+        );
     }
 
     #[test]

@@ -4,9 +4,8 @@ use std::sync::Arc;
 
 use mj_core::plan_ir::ProcId;
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{Result, Schema, Tuple};
+use mj_relalg::{Result, Schema};
 use mj_storage::FragmentStore;
-use parking_lot::Mutex;
 
 use crate::budget::MemoryBudget;
 use crate::stream::{ClientSink, Router};
@@ -37,13 +36,13 @@ pub enum OutputPort {
     /// channel, so results flow before the query completes and a slow
     /// client backpressures the pool.
     Client(ClientSink),
-    /// A buffered collection sink (the dedicated-thread `run_*_instance`
-    /// drivers used by unit tests and benches).
+    /// A buffered row-collection sink (unit tests).
+    #[cfg(test)]
     Sink {
         /// Shared collection buffer.
-        collected: Arc<Mutex<Vec<Tuple>>>,
+        collected: Arc<parking_lot::Mutex<Vec<mj_relalg::Tuple>>>,
         /// Local accumulation to amortize locking.
-        buffer: Vec<Tuple>,
+        buffer: Vec<mj_relalg::Tuple>,
     },
 }
 
@@ -87,6 +86,7 @@ impl OutputPort {
                 }
                 (n as u64, true)
             }
+            #[cfg(test)]
             OutputPort::Sink { buffer, .. } => {
                 let n = out.rows() - *pos;
                 // Rows exist only here, at the test sink's boundary.
@@ -126,6 +126,7 @@ impl OutputPort {
                 store.put(*proc, name.clone(), fragment)?;
                 Ok(true)
             }
+            #[cfg(test)]
             OutputPort::Sink { collected, buffer } => {
                 collected.lock().append(buffer);
                 Ok(true)
@@ -139,7 +140,8 @@ mod tests {
     use super::*;
     use crate::stream::{operand_channels, Msg};
     use mj_relalg::column::ColumnLayout;
-    use mj_relalg::Attribute;
+    use mj_relalg::{Attribute, Tuple};
+    use parking_lot::Mutex;
 
     fn schema() -> Arc<Schema> {
         Schema::new(vec![Attribute::int("k")]).shared()

@@ -8,7 +8,7 @@
 //! explicit state machine, but that machine *was* the join: algorithms and
 //! scheduling were fused. [`OpTask`] is the scheduling skeleton alone —
 //! resumable operand cursors, non-blocking output flushing, quantum
-//! pacing, startup/fault injection, cancel and early-stop tokens,
+//! pacing, fault injection, cancel and early-stop tokens,
 //! exactly-once completion reporting — parameterized by the operator it
 //! drives. Every channel interaction uses the non-blocking `try_*` forms,
 //! and instead of waiting the task returns [`Step::Blocked`], yielding its
@@ -41,18 +41,16 @@
 //! and `End`.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, TryRecvError};
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{EquiJoin, JoinAlgorithm, RelalgError, Result};
+use mj_relalg::{RelalgError, Result};
 use mj_storage::scan_bucket_columns;
 
 use crate::handle::QueryCtrl;
 use crate::metrics::InstanceStats;
-use crate::operator::op::{join_op, Absorb, InputMode, PhysicalOp};
+use crate::operator::op::{Absorb, InputMode, PhysicalOp};
 use crate::operator::OutputPort;
 use crate::sched::{Step, Task};
 use crate::source::Source;
@@ -69,8 +67,8 @@ pub type DoneMsg = (usize, Result<InstanceStats>);
 /// Where a task's completion reports go. The engine's reporter runs the
 /// query's coordination on the reporting thread — the last report of a query
 /// concludes it there, no thread waits for it — so a task reports only when
-/// it yields, never while it holds anything; the blocking drivers and unit
-/// tests collect reports from a channel (`Sender::into`).
+/// it yields, never while it holds anything; unit tests collect reports
+/// from a channel (`Sender::into`).
 #[derive(Clone)]
 pub struct Reporter(Arc<dyn Fn(DoneMsg) + Send + Sync>);
 
@@ -82,8 +80,9 @@ impl Reporter {
     }
 }
 
-impl From<Sender<DoneMsg>> for Reporter {
-    fn from(tx: Sender<DoneMsg>) -> Reporter {
+#[cfg(test)]
+impl From<std::sync::mpsc::Sender<DoneMsg>> for Reporter {
+    fn from(tx: std::sync::mpsc::Sender<DoneMsg>) -> Reporter {
         Reporter::new(move |report| {
             let _ = tx.send(report);
         })
@@ -256,7 +255,8 @@ impl Operand {
 /// Execution phase of the instance; `Build` to `Finish` repeat per member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
-    /// Startup gate: the configured startup cost.
+    /// Not yet begun: the first step starts the first member (where an
+    /// injected failure surfaces).
     Start,
     /// Build-then-probe operators only: drain the (immediate) build side.
     Build,
@@ -383,7 +383,6 @@ pub struct OpTask {
     reporter: Reporter,
     /// Completions of members that finished during the current step.
     reports: Vec<DoneMsg>,
-    startup_deadline: Option<Instant>,
     /// The query's cancel/early-stop/abort tokens; observed at every step.
     ctrl: Option<Arc<QueryCtrl>>,
     /// Bytes of task state currently charged against the query's memory
@@ -399,15 +398,13 @@ pub struct OpTask {
 
 impl OpTask {
     /// Builds the task evaluating `members` in order; the last one is the
-    /// root and owns `output`. `startup` delays the task's first progress
-    /// (the paper's per-process startup cost).
+    /// root and owns `output`.
     pub fn new(
         members: Vec<TaskMember>,
         output: OutputPort,
         batch: usize,
         instance: usize,
         reporter: Reporter,
-        startup: Option<Duration>,
         ctrl: Option<Arc<QueryCtrl>>,
     ) -> OpTask {
         debug_assert!(
@@ -434,7 +431,6 @@ impl OpTask {
             instance,
             reporter,
             reports: Vec::new(),
-            startup_deadline: startup.map(|d| Instant::now() + d),
             ctrl,
             charged: 0,
             #[cfg(feature = "faults")]
@@ -449,40 +445,6 @@ impl OpTask {
         self.resolved = ColumnBatch::with_capacity(resolver.layout(), self.batch);
         self.ref_scratch = vec![Vec::new(); resolver.scratch_slots()];
         self.resolver = Some(resolver);
-    }
-
-    /// Convenience constructor for a single hash-join task — the two join
-    /// algorithms expressed through the generic driver.
-    #[allow(clippy::too_many_arguments)]
-    pub fn join(
-        algorithm: JoinAlgorithm,
-        spec: EquiJoin,
-        left: Source,
-        right: Source,
-        output: OutputPort,
-        batch: usize,
-        op_id: usize,
-        instance: usize,
-        reporter: Reporter,
-        startup: Option<Duration>,
-        fail: bool,
-        ctrl: Option<Arc<QueryCtrl>>,
-    ) -> OpTask {
-        let member = TaskMember::new(
-            join_op(algorithm, spec),
-            vec![Some(left), Some(right)],
-            op_id,
-            fail,
-        );
-        OpTask::new(
-            vec![member],
-            output,
-            batch,
-            instance,
-            reporter,
-            startup,
-            ctrl,
-        )
     }
 
     /// The running member. Only valid before the task is done.
@@ -615,16 +577,6 @@ impl OpTask {
             Phase::Feed
         };
         Ok(())
-    }
-
-    fn step_start(&mut self) -> Result<Option<Step>> {
-        if let Some(deadline) = self.startup_deadline {
-            if Instant::now() < deadline {
-                return Ok(Some(Step::Blocked));
-            }
-        }
-        self.begin_member()?;
-        Ok(None)
     }
 
     /// Build phase: drain the immediate build side into the operator in
@@ -833,7 +785,10 @@ impl OpTask {
         let mut advanced = false;
         loop {
             let step = match self.phase {
-                Phase::Start => self.step_start()?,
+                Phase::Start => {
+                    self.begin_member()?;
+                    None
+                }
                 Phase::Build => self.step_build(&mut budget)?,
                 Phase::Feed => self.step_feed(&mut budget)?,
                 Phase::Finish => self.step_finish()?,
@@ -982,10 +937,10 @@ impl Drop for OpTask {
     }
 }
 
-/// Drives a task to completion on the current thread (the dedicated-thread
-/// path used by unit tests and benches). Yields, then naps, while blocked —
-/// the counterpart of the worker pool's backoff.
-pub fn drive_blocking(mut task: OpTask) -> Step {
+/// Drives a task to completion on the current thread (unit tests). Yields,
+/// then naps, while blocked — the counterpart of the worker pool's backoff.
+#[cfg(test)]
+pub(crate) fn drive_blocking(mut task: OpTask) -> Step {
     let mut blocked = 0u32;
     loop {
         match task.step() {
@@ -996,7 +951,7 @@ pub fn drive_blocking(mut task: OpTask) -> Step {
                 if blocked < 64 {
                     std::thread::yield_now();
                 } else {
-                    std::thread::sleep(Duration::from_micros(50));
+                    std::thread::sleep(std::time::Duration::from_micros(50));
                 }
             }
         }
@@ -1007,8 +962,9 @@ pub fn drive_blocking(mut task: OpTask) -> Step {
 mod tests {
     use super::*;
     use crate::budget::MemoryBudget;
+    use crate::operator::op::join_op;
     use mj_relalg::column::ColumnLayout;
-    use mj_relalg::{Projection, Tuple};
+    use mj_relalg::{EquiJoin, JoinAlgorithm, Projection, Tuple};
     use parking_lot::Mutex;
     use std::sync::mpsc::{channel, Receiver as DoneRx};
 
@@ -1049,7 +1005,7 @@ mod tests {
             collected: collected.clone(),
             buffer: Vec::new(),
         };
-        let task = OpTask::new(members, output, 64, 0, done_tx.into(), None, ctrl);
+        let task = OpTask::new(members, output, 64, 0, done_tx.into(), ctrl);
         (task, collected, done_rx)
     }
 
@@ -1134,5 +1090,29 @@ mod tests {
         assert!(collected.lock().is_empty());
         drop(task);
         assert!(done_rx.try_recv().is_err(), "drop reports nothing twice");
+    }
+
+    #[test]
+    fn streamed_build_is_rejected() {
+        // No strategy streams into a simple join's build side: the task
+        // reports a typed plan error instead of waiting on the stream.
+        let (_txs, rxs, _pool) = crate::stream::operand_channels(1, 1, 1, ColumnLayout::ints(2));
+        let stream = Source::Stream {
+            rx: rxs.into_iter().next().unwrap(),
+            producers: 1,
+        };
+        let (done_tx, done_rx) = channel();
+        let output = OutputPort::Sink {
+            collected: Arc::new(Mutex::new(Vec::new())),
+            buffer: Vec::new(),
+        };
+        let members = vec![member(0, Some(stream), rel(4, |i| i))];
+        drive_blocking(OpTask::new(members, output, 64, 0, done_tx.into(), None));
+        let (op, result) = done_rx.recv().unwrap();
+        assert_eq!(op, 0);
+        assert!(
+            matches!(result, Err(RelalgError::InvalidPlan(_))),
+            "{result:?}"
+        );
     }
 }

@@ -434,21 +434,6 @@ impl ClientSink {
         self.try_send_or_park(Msg::Batch(Batch::new(full, self.pool.clone())))
     }
 
-    /// Non-blocking row push: accepts the tuple unless a previously parked
-    /// batch still cannot be delivered, in which case the tuple is handed
-    /// back (`Ok(Some(tuple))`) and the caller should yield its worker.
-    pub fn try_push(&mut self, tuple: Tuple) -> Result<Option<Tuple>> {
-        if !self.poll_unblocked()? {
-            return Ok(Some(tuple));
-        }
-        self.buffer.push_tuple(&tuple)?;
-        self.sent += 1;
-        if self.buffer.rows() >= self.batch {
-            self.flush_buffer()?;
-        }
-        Ok(None)
-    }
-
     /// Non-blocking columnar append: moves rows `*pos..` of `cols` into
     /// the sink, flushing full buffers. Returns the rows accepted this
     /// call and whether the input was fully consumed (`false` means the
@@ -493,6 +478,26 @@ impl ClientSink {
         }
         Ok(self.pending.is_none())
     }
+}
+
+/// The row-at-a-time and blocking forms: unit tests drive the sink with
+/// them; engine tasks only ever append batches.
+#[cfg(test)]
+impl ClientSink {
+    /// Non-blocking row push: accepts the tuple unless a previously parked
+    /// batch still cannot be delivered, in which case the tuple is handed
+    /// back (`Ok(Some(tuple))`) and the caller should yield its worker.
+    pub fn try_push(&mut self, tuple: Tuple) -> Result<Option<Tuple>> {
+        if !self.poll_unblocked()? {
+            return Ok(Some(tuple));
+        }
+        self.buffer.push_tuple(&tuple)?;
+        self.sent += 1;
+        if self.buffer.rows() >= self.batch {
+            self.flush_buffer()?;
+        }
+        Ok(None)
+    }
 
     /// Blocking push (dedicated-thread path; never call from a pooled task).
     pub fn push(&mut self, tuple: Tuple) -> Result<()> {
@@ -529,22 +534,14 @@ impl ClientSink {
 /// A producer instance's split sender: buffers rows per destination
 /// (column-wise) and ships batches, reusing buffers from the edge's pool.
 ///
-/// The columnar path ([`try_route_batch`](Router::try_route_batch)) splits
-/// a whole batch at a time: hash the key column into a destination vector,
-/// build one selection vector per destination, and gather each
-/// destination's rows column-at-a-time — per-row dispatch happens only in
-/// the row-compat [`try_route`](Router::try_route) used by tests and
-/// blocking drivers.
-///
-/// The router exposes two interfaces over one state machine:
-///
-/// * **Non-blocking** ([`try_route`](Router::try_route),
-///   [`try_finish`](Router::try_finish)) — used by worker-pool tasks. A
-///   batch that cannot be sent right now parks in a one-slot `pending`
-///   buffer and the caller yields its worker instead of parking a thread.
-/// * **Blocking** ([`route`](Router::route), [`finish`](Router::finish)) —
-///   used by dedicated-thread drivers (unit tests, baseline benches). These
-///   wrap the non-blocking path with a real channel send on backpressure.
+/// [`try_route_batch`](Router::try_route_batch) splits a whole batch at a
+/// time: hash the key column into a destination vector, build one
+/// selection vector per destination, and gather each destination's rows
+/// column-at-a-time. It and [`try_finish`](Router::try_finish) never
+/// block: a batch that cannot be sent right now parks in a one-slot
+/// `pending` buffer and the worker-pool task yields its worker instead of
+/// parking a thread. (Unit tests also get a row-at-a-time `try_route` and
+/// blocking `route` / `finish` over the same state machine.)
 pub struct Router {
     senders: Vec<Sender<Msg>>,
     key_col: usize,
@@ -648,34 +645,6 @@ impl Router {
         Ok(())
     }
 
-    /// Non-blocking row route (row-compat path for tests and blocking
-    /// drivers): accepts the tuple unless a previously parked batch still
-    /// cannot be delivered, in which case the tuple is handed back
-    /// (`Ok(Some(tuple))`) and the caller should yield. A full destination
-    /// buffer is flushed with `try_send`; on backpressure the flushed batch
-    /// parks (the tuple itself is still accepted). The replacement buffer
-    /// comes from the pool (take-and-swap), so steady state allocates
-    /// nothing.
-    pub fn try_route(&mut self, tuple: Tuple) -> Result<Option<Tuple>> {
-        if !self.poll_unblocked()? {
-            return Ok(Some(tuple));
-        }
-        // A single destination needs no key: this also lets degree-1
-        // consumers (LIMIT, global aggregates) receive schemas whose
-        // routing column is not an integer.
-        let dest = if self.senders.len() == 1 {
-            0
-        } else {
-            mj_relalg::hash::bucket_of(tuple.int(self.key_col)?, self.senders.len())
-        };
-        self.buffers[dest].push_tuple(&tuple)?;
-        self.sent += 1;
-        if self.buffers[dest].rows() >= self.batch {
-            self.flush_dest(dest)?;
-        }
-        Ok(None)
-    }
-
     /// Non-blocking columnar route: splits rows `*pos..` of `cols` across
     /// the destinations in one vectorized pass (hash the key column, then
     /// gather per destination) and flushes full buffers. Returns the rows
@@ -738,6 +707,38 @@ impl Router {
             }
         }
         Ok(true)
+    }
+}
+
+/// The row-at-a-time and blocking routes: unit tests drive edges with
+/// them from dedicated threads; engine tasks only ever route batches.
+#[cfg(test)]
+impl Router {
+    /// Non-blocking row route: accepts the tuple unless a previously parked
+    /// batch still cannot be delivered, in which case the tuple is handed
+    /// back (`Ok(Some(tuple))`) and the caller should yield. A full destination
+    /// buffer is flushed with `try_send`; on backpressure the flushed batch
+    /// parks (the tuple itself is still accepted). The replacement buffer
+    /// comes from the pool (take-and-swap), so steady state allocates
+    /// nothing.
+    pub fn try_route(&mut self, tuple: Tuple) -> Result<Option<Tuple>> {
+        if !self.poll_unblocked()? {
+            return Ok(Some(tuple));
+        }
+        // A single destination needs no key: this also lets degree-1
+        // consumers (LIMIT, global aggregates) receive schemas whose
+        // routing column is not an integer.
+        let dest = if self.senders.len() == 1 {
+            0
+        } else {
+            mj_relalg::hash::bucket_of(tuple.int(self.key_col)?, self.senders.len())
+        };
+        self.buffers[dest].push_tuple(&tuple)?;
+        self.sent += 1;
+        if self.buffers[dest].rows() >= self.batch {
+            self.flush_dest(dest)?;
+        }
+        Ok(None)
     }
 
     /// Delivers any parked message with a blocking send (dedicated-thread

@@ -1,12 +1,10 @@
 //! A columnar hash-join table: build rows stored column-wise, probes run
 //! over whole key slices.
 //!
-//! The row-oriented [`JoinTable`](crate::hash_table::JoinTable) keeps one
-//! `Tuple` per entry; this table instead keeps the build side as a
-//! [`ColumnBatch`] plus a dense `keys` column, with the same
-//! bucket-head/next-chain index (`u32` links, power-of-two buckets, 7/8
-//! load factor). Probing takes a whole probe-side key slice and collects
-//! `(build_row, probe_row)` match pairs; output assembly is then one
+//! The build side is kept as a [`ColumnBatch`] plus a dense `keys` column,
+//! indexed by a bucket-head/next-chain structure (`u32` links, power-of-two
+//! buckets, 7/8 load factor). Probing takes a whole probe-side key slice and
+//! collects `(build_row, probe_row)` match pairs; output assembly is then one
 //! column-wise gather through the join's projection
 //! ([`ColumnBatch::append_concat_gather`]) instead of per-tuple
 //! concatenation — the vectorized hot path of `SimpleJoinOp` and
@@ -16,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::hash::mix_key;
-use mj_relalg::{Result, Tuple};
+use mj_relalg::Result;
 
 /// Process-wide count of join output rows materialized by gather emission
 /// ([`ColumnarTable::emit_matches`]) — the observable cost late
@@ -124,17 +122,6 @@ impl ColumnarTable {
         Ok(())
     }
 
-    /// Inserts one row from a [`Tuple`] (boundary path: row-compat drivers
-    /// and tests).
-    pub fn insert_row(&mut self, key: i64, tuple: &Tuple) -> Result<()> {
-        self.ensure_load(1);
-        let first_new = self.keys.len();
-        self.rows.push_tuple(tuple)?;
-        self.keys.push(key);
-        self.link_from(first_new);
-        Ok(())
-    }
-
     /// Probes the table with rows `range` of the `probe_keys` slice,
     /// appending every `(build_row, probe_row)` match to `pairs`. The
     /// caller turns the pairs into output rows with one
@@ -155,19 +142,6 @@ impl ColumnarTable {
                 }
                 idx = self.next[i];
             }
-        }
-    }
-
-    /// Probes with a single key, appending `(build_row, probe_row)` pairs
-    /// with the given probe row index.
-    pub fn probe_one(&self, key: i64, probe_row: u32, pairs: &mut Vec<(u32, u32)>) {
-        let mut idx = self.buckets[(mix_key(key) & self.mask) as usize];
-        while idx != EMPTY {
-            let i = idx as usize;
-            if self.keys[i] == key {
-                pairs.push((idx, probe_row));
-            }
-            idx = self.next[i];
         }
     }
 
@@ -218,6 +192,7 @@ impl Default for ColumnarTable {
 mod tests {
     use super::*;
     use mj_relalg::column::ColumnLayout;
+    use mj_relalg::Tuple;
 
     fn batch(rows: &[[i64; 2]]) -> ColumnBatch {
         let mut b = ColumnBatch::with_capacity(&ColumnLayout::ints(2), rows.len());
@@ -266,30 +241,22 @@ mod tests {
     }
 
     #[test]
-    fn row_inserts_interleave_with_bulk() {
-        let mut table = ColumnarTable::new();
-        table.insert_row(7, &Tuple::from_ints(&[7, 70])).unwrap();
-        let b = batch(&[[7, 71], [8, 80]]);
-        table.insert_batch(&b, 0, 0..2).unwrap();
-        let mut pairs = Vec::new();
-        table.probe_one(7, 0, &mut pairs);
-        assert_eq!(pairs.len(), 2);
-        assert!(table.est_bytes() > 0);
-    }
-
-    #[test]
     fn negative_and_extreme_keys() {
+        let keys = [i64::MIN, -1, 0, 1, i64::MAX];
+        let rows: Vec<[i64; 2]> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| [k, i as i64])
+            .collect();
+        let b = batch(&rows);
         let mut table = ColumnarTable::new();
-        for (i, k) in [i64::MIN, -1, 0, 1, i64::MAX].iter().enumerate() {
-            table
-                .insert_row(*k, &Tuple::from_ints(&[*k, i as i64]))
-                .unwrap();
-        }
-        for k in [i64::MIN, -1, 0, 1, i64::MAX] {
+        table.insert_batch(&b, 0, 0..b.rows()).unwrap();
+        for (i, k) in keys.into_iter().enumerate() {
             let mut pairs = Vec::new();
-            table.probe_one(k, 0, &mut pairs);
-            assert_eq!(pairs.len(), 1, "key {k}");
+            table.probe_into(&[k], 0..1, &mut pairs);
+            assert_eq!(pairs, vec![(i as u32, 0)], "key {k}");
         }
+        assert!(table.est_bytes() > 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! |--------|-------|----------|
 //! | [`relalg`] | `mj-relalg` | schemas, tuples, relations, predicates, XRA logical plans, sequential oracle |
 //! | [`storage`] | `mj-storage` | Wisconsin generator, fragmentation, node-memory store, catalog |
-//! | [`join`] | `mj-join` | simple and pipelining hash joins, custom join table |
+//! | [`join`] | `mj-join` | the columnar hash-join table behind the engine's simple and pipelining joins |
 //! | [`plan`] | `mj-plan` | join trees, Fig. 8 shapes, the paper's cost model, phase-1 optimizers, right-deep segmentation, text query parser |
 //! | [`core`] | `mj-core` | the four strategies, proportional allocation, parallel plan IR, plan generator |
 //! | [`exec`] | `mj-exec` | execution engine: fixed worker pool, generic [`PhysicalOp`](exec::PhysicalOp) operator framework (joins, filter, aggregate, limit), tuple streams, [`Database`](exec::Database) session facade, streaming [`QueryHandle`](exec::QueryHandle)s, cost-based [`Planner`](exec::Planner) with filter pushdown |
@@ -124,7 +124,6 @@ pub mod prelude {
         QueryBinding, QueryFamily, QueryHandle, QueryOutcome, QueryStatus, ResultStream, StageKind,
         WorkerPool,
     };
-    pub use mj_join::{pipelining_hash_join, simple_hash_join};
     pub use mj_plan::cost::tree_costs;
     pub use mj_plan::{
         greedy_tree, lower, optimize_bushy, optimize_linear, parse_query, segments, CostModel,

@@ -3,9 +3,8 @@
 //! The build environment has no crates.io access, so instead of `proptest`
 //! these properties run on a small seeded-PRNG harness: every case is
 //! generated from a deterministic [`StdRng`] stream, so failures are
-//! reproducible by seed. The properties themselves are unchanged from the
-//! original proptest suite, plus the scratch-reuse property for
-//! `project_concat_into`.
+//! reproducible by seed. The two join properties drive the engine's
+//! columnar join operators (`join_op`), the only hash joins there are.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,16 +14,20 @@ use rand::{Rng, SeedableRng};
 
 use multijoin::core::allocation::discretization_error;
 use multijoin::core::strategy::Strategy;
+use multijoin::exec::operator::join_op;
+use multijoin::exec::InputMode;
 use multijoin::plan::cardinality::node_cards;
 use multijoin::plan::query::to_xra;
 use multijoin::plan::segment::segments;
 use multijoin::plan::shapes::build;
 use multijoin::prelude::*;
+use multijoin::relalg::column::ColumnBatch;
 use multijoin::relalg::expr::{ArithOp, Expr as ScalarExpr};
 use multijoin::relalg::ops::nested_loop_join;
 use multijoin::relalg::ops::{AggFunc, AggSpec};
 use multijoin::relalg::predicate::CmpOp;
 use multijoin::relalg::text;
+use multijoin::storage::{fragment_columns, scan_columns};
 
 const CASES: usize = 64;
 
@@ -180,35 +183,114 @@ fn join_spec() -> EquiJoin {
 
 // ---- properties ----
 
-/// Both hash joins agree with the nested-loop oracle on arbitrary
-/// multisets of keys, including duplicates and negatives.
+/// Runs the engine's join operator for `algorithm` over `l ⋈ r` the way
+/// its task drives it, each side cut into random batch ranges: the simple
+/// join builds every left range before probing with the right ones, the
+/// pipelining join takes the two sides' ranges in a random interleaving.
+/// Returns the result rows.
+fn columnar_join(
+    rng: &mut StdRng,
+    algorithm: JoinAlgorithm,
+    l: &ColumnBatch,
+    r: &ColumnBatch,
+    spec: &EquiJoin,
+) -> Vec<Tuple> {
+    fn splits(rng: &mut StdRng, rows: usize) -> Vec<std::ops::Range<usize>> {
+        let mut ranges = Vec::new();
+        let mut pos = 0;
+        while pos < rows {
+            let end = (pos + rng.gen_range(1..40usize)).min(rows);
+            ranges.push(pos..end);
+            pos = end;
+        }
+        ranges
+    }
+    let mut op = join_op(algorithm, spec.clone());
+    let mut out = ColumnBatch::shapeless();
+    let (mut left, mut right) = (splits(rng, l.rows()), splits(rng, r.rows()));
+    match op.input_mode() {
+        InputMode::BuildThenProbe { build: 0 } => {
+            for range in left {
+                op.build_batch(l, range).unwrap();
+            }
+            op.finish_build();
+            for range in right {
+                op.absorb_batch(1, r, range, &mut out).unwrap();
+            }
+        }
+        _ => {
+            left.reverse();
+            right.reverse();
+            while !left.is_empty() || !right.is_empty() {
+                let side = if right.is_empty() || (!left.is_empty() && rng.gen::<bool>()) {
+                    0
+                } else {
+                    1
+                };
+                let (cols, range) = match side {
+                    0 => (l, left.pop().unwrap()),
+                    _ => (r, right.pop().unwrap()),
+                };
+                op.absorb_batch(side, cols, range, &mut out).unwrap();
+            }
+        }
+    }
+    op.finish(&mut out).unwrap();
+    (0..out.rows()).map(|i| out.row(i).unwrap()).collect()
+}
+
+fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+    rows.sort_unstable();
+    rows
+}
+
+/// Both join operators agree with the nested-loop oracle on arbitrary
+/// multisets of keys — duplicates, negatives, empty operands — whatever
+/// batch ranges (and, pipelining, interleaving) the operands arrive in.
 #[test]
 fn hash_joins_match_oracle() {
     for_cases("hash_joins_match_oracle", |rng| {
         let l = int_relation(&arb_keys(rng, -20, 20, 120));
         let r = int_relation(&arb_keys(rng, -20, 20, 120));
         let spec = join_spec();
-        let oracle = nested_loop_join(&l, &r, &spec).unwrap();
-        let simple = simple_hash_join(&l, &r, &spec).unwrap();
-        let pipelined = pipelining_hash_join(&l, &r, &spec).unwrap();
-        assert!(oracle.multiset_eq(&simple));
-        assert!(oracle.multiset_eq(&pipelined));
+        let oracle = sorted(
+            nested_loop_join(&l, &r, &spec)
+                .unwrap()
+                .iter()
+                .cloned()
+                .collect(),
+        );
+        let (lc, rc) = (scan_columns(&l).unwrap(), scan_columns(&r).unwrap());
+        for algorithm in [JoinAlgorithm::Simple, JoinAlgorithm::Pipelining] {
+            let got = sorted(columnar_join(rng, algorithm, &lc, &rc, &spec));
+            assert_eq!(got, oracle, "{algorithm}");
+        }
     });
 }
 
-/// Partitioned parallel joins are partition-count invariant.
+/// Hash-partitioned joins are partition-count invariant: joining bucket
+/// `i` of both operands' fragmentations (`fragment_columns`, degree 1–5)
+/// and taking the union gives the unpartitioned join.
 #[test]
 fn partitioned_join_is_partition_invariant() {
     for_cases("partitioned_join_is_partition_invariant", |rng| {
-        let l = int_relation(&arb_keys(rng, 0, 50, 150));
-        let r = int_relation(&arb_keys(rng, 0, 50, 150));
+        let l = Arc::new(scan_columns(&int_relation(&arb_keys(rng, 0, 50, 150))).unwrap());
+        let r = Arc::new(scan_columns(&int_relation(&arb_keys(rng, 0, 50, 150))).unwrap());
         let parts = rng.gen_range(1..6usize);
+        let algorithm =
+            [JoinAlgorithm::Simple, JoinAlgorithm::Pipelining][rng.gen_range(0..2usize)];
         let spec = join_spec();
-        let seq = simple_hash_join(&l, &r, &spec).unwrap();
-        let par =
-            multijoin::join::partitioned_parallel_join(&l, &r, &spec, parts, JoinAlgorithm::Simple)
-                .unwrap();
-        assert!(seq.multiset_eq(&par));
+        let whole = sorted(columnar_join(rng, algorithm, &l, &r, &spec));
+        let (lf, rf) = (
+            fragment_columns(&l, 0, parts).unwrap(),
+            fragment_columns(&r, 0, parts).unwrap(),
+        );
+        assert_eq!((lf.len(), rf.len()), (parts, parts));
+        let mut union = Vec::new();
+        for (lp, rp) in lf.iter().zip(rf.iter()) {
+            union.extend(columnar_join(rng, algorithm, lp, rp, &spec));
+        }
+        assert_eq!(sorted(union), whole, "{parts} parts, {algorithm}");
     });
 }
 

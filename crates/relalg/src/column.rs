@@ -819,12 +819,17 @@ pub fn select(
 }
 
 /// Hashes a whole key column into partition buckets: `out[i]` is the
-/// destination of row `i` among `parts` consumers. The redistribution
-/// router's vectorized split. Dispatches through [`simd::bucket_keys`],
-/// which currently ships the scalar body (the AVX2 form measured slower —
-/// see [`simd::BUCKET_HASH_SIMD`]).
+/// destination of row `i` among `parts` consumers
+/// ([`bucket_of`](crate::hash::bucket_of), the canonical hash). The
+/// redistribution router's split and the fragmenter's. A scalar loop: the
+/// splitmix64 finisher needs 64x64 multiplies AVX2 can only emulate, and
+/// `% parts` does not vectorize for general partition counts.
 pub fn bucket_keys(keys: &[i64], parts: usize, out: &mut Vec<u32>) {
-    simd::bucket_keys(keys, parts, out);
+    out.clear();
+    out.extend(
+        keys.iter()
+            .map(|&k| crate::hash::bucket_of(k, parts) as u32),
+    );
 }
 
 #[cfg(test)]
@@ -992,11 +997,14 @@ mod tests {
 
     #[test]
     fn bucket_keys_matches_scalar_hash() {
-        let keys = [3i64, -1, 42, 0, 99];
-        let mut out = Vec::new();
-        bucket_keys(&keys, 4, &mut out);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(out[i] as usize, bucket_of(k, 4));
+        let keys: Vec<i64> = (0..133i64).map(|i| (i * 37 + 11) % 97 - 48).collect();
+        for parts in [1, 2, 3, 4, 7, 16] {
+            let mut out = vec![99];
+            bucket_keys(&keys, parts, &mut out);
+            assert_eq!(out.len(), keys.len(), "output is replaced, not appended");
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(out[i] as usize, bucket_of(k, parts), "parts={parts}");
+            }
         }
     }
 

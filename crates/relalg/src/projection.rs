@@ -49,21 +49,9 @@ impl Projection {
     }
 
     /// Applies the projection to the virtual concatenation of two tuples
-    /// (the hash-join hot path).
+    /// (the oracle's nested-loop join).
     pub fn apply_concat(&self, left: &Tuple, right: &Tuple) -> Result<Tuple> {
         Tuple::project_concat(left, right, &self.cols)
-    }
-
-    /// [`Projection::apply_concat`] through a caller-provided scratch
-    /// buffer, so steady-state joins emit rows without per-row allocation
-    /// (see [`Tuple::project_concat_into`]).
-    pub fn apply_concat_into(
-        &self,
-        left: &Tuple,
-        right: &Tuple,
-        scratch: &mut Vec<crate::value::Value>,
-    ) -> Result<Tuple> {
-        Tuple::project_concat_into(left, right, &self.cols, scratch)
     }
 
     /// Computes the output schema for the given input schema.

@@ -9,12 +9,13 @@
 //! the answer, so non-AVX2 hosts (and non-x86_64 builds, where the AVX2
 //! module is compiled out entirely) transparently run the scalar loops.
 //!
-//! Each shipped SIMD kernel must beat its scalar twin in `repro
-//! bench-simd` (BENCH_8) or it ships scalar: the per-kernel `*_SIMD`
-//! constants below record that decision, and the bench measures both forms
-//! regardless so regressions stay visible. Kernel dispatches into an AVX2
-//! body are counted process-wide ([`kernel_dispatches`]) so engine
-//! statistics can show the SIMD paths actually ran.
+//! The scalar twins are public: they are the fallback, and the reference
+//! every AVX2 body is checked against — this module's unit tests run each
+//! dispatched kernel beside its scalar twin over ragged lengths, every
+//! comparison operator and wrapping sums, and require identical output.
+//! Kernel dispatches into an AVX2 body are counted process-wide
+//! ([`kernel_dispatches`]) so engine statistics can show the SIMD paths
+//! actually ran.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,24 +34,6 @@ pub fn kernel_dispatches() -> u64 {
 fn count_dispatch() {
     DISPATCHES.fetch_add(1, Ordering::Relaxed);
 }
-
-/// Ship decision for the compare-into-selection kernel (measured in
-/// BENCH_8 `select_cmp`).
-pub const SELECT_CMP_SIMD: bool = true;
-/// Ship decision for the selection-vector gather kernel (BENCH_8
-/// `gather_sel`).
-pub const GATHER_SIMD: bool = true;
-/// Ship decision for the join-pair gather kernel (BENCH_8 `gather_pairs`).
-pub const GATHER_PAIRS_SIMD: bool = true;
-/// Ship decision for the i64 aggregate kernels (BENCH_8 `agg_sum` /
-/// `agg_minmax`).
-pub const AGG_SIMD: bool = true;
-/// Ship decision for the bucket-hash kernel. The splitmix64 finisher needs
-/// 64x64 multiplies AVX2 can only emulate with three `mul_epu32`s, and the
-/// final `% parts` is not vectorizable at all for general partition
-/// counts; the measured AVX2 form loses to the scalar loop on this
-/// machine (see BENCH_8 `bucket_hash`), so the kernel ships scalar.
-pub const BUCKET_HASH_SIMD: bool = false;
 
 /// True when the explicit AVX2 kernels can run on this host. Evaluated
 /// once (runtime feature detection) and cached.
@@ -102,7 +85,7 @@ pub fn select_cmp_scalar(keys: &[i64], op: CmpOp, lit: i64, out: &mut Vec<u32>) 
 /// 16-entry lane table.
 pub fn select_cmp(keys: &[i64], op: CmpOp, lit: i64, out: &mut Vec<u32>) {
     #[cfg(target_arch = "x86_64")]
-    if SELECT_CMP_SIMD && simd_enabled() {
+    if simd_enabled() {
         count_dispatch();
         // SAFETY: AVX2 availability was verified at runtime.
         unsafe { avx2::select_cmp(keys, op, lit, out) };
@@ -129,7 +112,7 @@ pub fn gather_i64_scalar(src: &[i64], sel: &[u32], dst: &mut Vec<i64>) {
 /// matching the scalar loop.
 pub fn gather_i64(src: &[i64], sel: &[u32], dst: &mut Vec<i64>) {
     #[cfg(target_arch = "x86_64")]
-    if GATHER_SIMD && simd_enabled() {
+    if simd_enabled() {
         assert!(
             sel.iter().all(|&i| (i as usize) < src.len()),
             "gather index out of bounds"
@@ -177,7 +160,7 @@ pub fn gather_pairs_i64_scalar(src: &[i64], pairs: &[(u32, u32)], left: bool, ds
 /// permutes out the chosen lane, and gathers four rows per step.
 pub fn gather_pairs_i64(src: &[i64], pairs: &[(u32, u32)], left: bool, dst: &mut Vec<i64>) {
     #[cfg(target_arch = "x86_64")]
-    if GATHER_PAIRS_SIMD && simd_enabled() {
+    if simd_enabled() {
         let ok = if left {
             pairs.iter().all(|&(l, _)| (l as usize) < src.len())
         } else {
@@ -215,7 +198,7 @@ pub fn sum_i64_scalar(xs: &[i64]) -> i64 {
 /// Wrapping slice sum with runtime dispatch (four accumulator lanes).
 pub fn sum_i64(xs: &[i64]) -> i64 {
     #[cfg(target_arch = "x86_64")]
-    if AGG_SIMD && simd_enabled() {
+    if simd_enabled() {
         count_dispatch();
         // SAFETY: AVX2 verified at runtime.
         return unsafe { avx2::sum_i64(xs) };
@@ -231,7 +214,7 @@ pub fn min_i64_scalar(xs: &[i64]) -> Option<i64> {
 /// Slice minimum with runtime dispatch (compare + blend lanes).
 pub fn min_i64(xs: &[i64]) -> Option<i64> {
     #[cfg(target_arch = "x86_64")]
-    if AGG_SIMD && simd_enabled() && !xs.is_empty() {
+    if simd_enabled() && !xs.is_empty() {
         count_dispatch();
         // SAFETY: AVX2 verified at runtime; slice is non-empty.
         return Some(unsafe { avx2::min_i64(xs) });
@@ -247,55 +230,12 @@ pub fn max_i64_scalar(xs: &[i64]) -> Option<i64> {
 /// Slice maximum with runtime dispatch (compare + blend lanes).
 pub fn max_i64(xs: &[i64]) -> Option<i64> {
     #[cfg(target_arch = "x86_64")]
-    if AGG_SIMD && simd_enabled() && !xs.is_empty() {
+    if simd_enabled() && !xs.is_empty() {
         count_dispatch();
         // SAFETY: AVX2 verified at runtime; slice is non-empty.
         return Some(unsafe { avx2::max_i64(xs) });
     }
     max_i64_scalar(xs)
-}
-
-// ---------------------------------------------------------------------------
-// bucket hash: splitmix64 finisher + `% parts`, vectorized for the bench
-// but shipped scalar (see BUCKET_HASH_SIMD).
-// ---------------------------------------------------------------------------
-
-/// Scalar bucket-hash: `out[i] = mix_key(keys[i]) % parts`.
-pub fn bucket_keys_scalar(keys: &[i64], parts: usize, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(keys.len());
-    out.extend(
-        keys.iter()
-            .map(|&k| crate::hash::bucket_of(k, parts) as u32),
-    );
-}
-
-/// Bucket-hash with runtime dispatch. Shipped scalar
-/// ([`BUCKET_HASH_SIMD`] is `false`): the AVX2 form (kept for the bench)
-/// emulates the two 64x64 multiplies of the splitmix64 finisher and still
-/// pays a scalar `%` per lane, which measured slower end-to-end.
-pub fn bucket_keys(keys: &[i64], parts: usize, out: &mut Vec<u32>) {
-    #[cfg(target_arch = "x86_64")]
-    if BUCKET_HASH_SIMD && simd_enabled() && parts > 0 {
-        count_dispatch();
-        // SAFETY: AVX2 verified at runtime.
-        unsafe { avx2::bucket_keys(keys, parts, out) };
-        return;
-    }
-    bucket_keys_scalar(keys, parts, out);
-}
-
-/// The AVX2 bucket-hash body, callable directly by the microbenchmark even
-/// though the kernel ships scalar. Falls back to scalar off-x86_64 or
-/// without AVX2.
-pub fn bucket_keys_simd_for_bench(keys: &[i64], parts: usize, out: &mut Vec<u32>) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() && parts > 0 {
-        // SAFETY: AVX2 verified at runtime.
-        unsafe { avx2::bucket_keys(keys, parts, out) };
-        return;
-    }
-    bucket_keys_scalar(keys, parts, out);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -502,46 +442,6 @@ mod avx2 {
         }
         best
     }
-
-    /// 64x64 low-half multiply emulated with three `mul_epu32`s.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mullo_epi64(a: __m256i, b: __m256i) -> __m256i {
-        let lo_mul = _mm256_mul_epu32(a, b);
-        let a_hi = _mm256_srli_epi64::<32>(a);
-        let b_hi = _mm256_srli_epi64::<32>(b);
-        let cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b), _mm256_mul_epu32(a, b_hi));
-        _mm256_add_epi64(lo_mul, _mm256_slli_epi64::<32>(cross))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn bucket_keys(keys: &[i64], parts: usize, out: &mut Vec<u32>) {
-        out.clear();
-        let n = keys.len();
-        out.reserve(n);
-        let c1 = _mm256_set1_epi64x(0xBF58_476D_1CE4_E5B9u64 as i64);
-        let c2 = _mm256_set1_epi64x(0x94D0_49BB_1331_11EBu64 as i64);
-        let mut i = 0usize;
-        let mut mixed = [0u64; 4];
-        while i + 4 <= n {
-            let mut x = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<30>(x));
-            x = mullo_epi64(x, c1);
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<27>(x));
-            x = mullo_epi64(x, c2);
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<31>(x));
-            _mm256_storeu_si256(mixed.as_mut_ptr() as *mut __m256i, x);
-            // The modulo is inherently scalar for general partition counts.
-            for m in mixed {
-                out.push((m % parts as u64) as u32);
-            }
-            i += 4;
-        }
-        while i < n {
-            out.push(crate::hash::bucket_of(*keys.get_unchecked(i), parts) as u32);
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -619,21 +519,6 @@ mod tests {
         // Wrapping behaviour is identical.
         let big = [i64::MAX, 1, i64::MAX, 1];
         assert_eq!(sum_i64(&big), sum_i64_scalar(&big));
-    }
-
-    #[test]
-    fn bucket_hash_bodies_agree() {
-        let ks = keys(133);
-        for parts in [1, 2, 3, 7, 16] {
-            let mut want = Vec::new();
-            bucket_keys_scalar(&ks, parts, &mut want);
-            let mut got = Vec::new();
-            bucket_keys(&ks, parts, &mut got);
-            assert_eq!(got, want, "dispatched parts={parts}");
-            let mut simd = Vec::new();
-            bucket_keys_simd_for_bench(&ks, parts, &mut simd);
-            assert_eq!(simd, want, "avx2 body parts={parts}");
-        }
     }
 
     #[test]

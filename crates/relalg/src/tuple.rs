@@ -36,8 +36,7 @@ enum Repr {
     Shared(Arc<[Value]>),
 }
 
-/// A row of values. Cloning is cheap (memcpy or refcount bump); use
-/// [`Tuple::deep_clone`] to force a physically independent copy.
+/// A row of values. Cloning is cheap (memcpy or refcount bump).
 #[derive(Clone, Debug)]
 pub struct Tuple {
     repr: Repr,
@@ -124,18 +123,6 @@ impl Tuple {
         }
     }
 
-    /// Forces a physically independent copy (deep copy of the payload).
-    /// Exists for baseline measurements of the pre-sharing representation;
-    /// the engine never needs it.
-    pub fn deep_clone(&self) -> Tuple {
-        match &self.repr {
-            Repr::Inline { .. } => self.clone(),
-            Repr::Shared(vs) => Tuple {
-                repr: Repr::Shared(vs.iter().cloned().collect()),
-            },
-        }
-    }
-
     /// Number of values in the tuple.
     pub fn arity(&self) -> usize {
         match &self.repr {
@@ -197,11 +184,11 @@ impl Tuple {
     }
 
     /// [`Tuple::project_concat`] writing through a caller-provided scratch
-    /// buffer — the hot path of every hash join. The scratch's capacity is
-    /// reused across rows, so steady-state output of small all-int rows
-    /// (the Wisconsin workload) performs **zero** allocations per row, and
-    /// larger rows exactly one (the shared payload). The scratch is left
-    /// empty (capacity intact) on both success and error.
+    /// buffer. The scratch's capacity is reused across rows, so
+    /// steady-state output of small all-int rows (the Wisconsin workload)
+    /// performs **zero** allocations per row, and larger rows exactly one
+    /// (the shared payload). The scratch is left empty (capacity intact) on
+    /// both success and error.
     pub fn project_concat_into(
         left: &Tuple,
         right: &Tuple,
@@ -363,7 +350,6 @@ mod tests {
             Tuple::ptr_eq(&big, &shared),
             "large rows share their payload"
         );
-        assert!(!Tuple::ptr_eq(&big, &big.deep_clone()));
 
         let stringy = Tuple::new(vec![Value::str("s")]);
         assert!(!stringy.is_inline(), "string rows never inline");

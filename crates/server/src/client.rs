@@ -1,5 +1,5 @@
 //! A small blocking client for the wire protocol — what the tests, the
-//! differential oracle harness, and `repro bench-server` speak through.
+//! differential oracle harness, and the `benchmark/` driver speak through.
 //! It is deliberately dumb: blocking socket, line-at-a-time reads, no
 //! connection pooling.
 

@@ -26,8 +26,8 @@
 //!   statement id table and reusable batch-serialization scratch
 //!   buffers.
 //! - [`client`] — a deliberately simple blocking client used by the
-//!   integration tests, the oracle differential harness, and
-//!   `repro bench-wire` — including a typed columnar decode of binary
+//!   integration tests, the oracle differential harness, and the
+//!   `benchmark/` driver — including a typed columnar decode of binary
 //!   batch frames.
 //!
 //! [`MjError`]: mj_exec::MjError

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mj_exec::{generate_family, Database, DbConfig, QueryFamily};
-use mj_relalg::RelationProvider;
+use mj_relalg::{Attribute, Relation, RelationProvider, Schema, Tuple, Value};
 use mj_server::{Client, ClientError, MetricsFormat, Server, ServerConfig};
 use serde::JsonValue;
 
@@ -31,28 +31,35 @@ fn chain_server() -> Server {
     family_server(QueryFamily::Chain, 3, 120, 7, DbConfig::default())
 }
 
-/// A served chain database whose queries take at least `startup_ms` (the
-/// paper's per-process startup cost), plus the database handle for
-/// engine-side assertions.
-///
-/// The 120-tuple chain plans as two single-process joins that start
-/// together, so a query stays in flight for about one `startup_ms` (it was
-/// 16 processes queueing for 4 workers, four paddings deep, when the
-/// planner priced a process start at PRISMA's 27 tuple actions).
-fn padded_chain_server(startup_ms: u64) -> (Arc<Database>, Server) {
-    let mut config = DbConfig::default();
-    config.exec.startup_cost = Some(Duration::from_millis(startup_ms));
-    let instance = generate_family(QueryFamily::Chain, 3, 120, 7).unwrap();
-    let db = Arc::new(Database::open(config).unwrap());
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
+/// A served database whose one query is slow because of its data, not an
+/// injected delay, plus the database handle for engine-side assertions:
+/// `H0` and `H1` each hold `HOT_ROWS` rows on a single join key, so
+/// [`HOT_QUERY`] counts `HOT_ROWS`² = 4 M joined rows.
+fn hot_key_server() -> (Arc<Database>, Server) {
+    let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
+    let db = Arc::new(Database::open(DbConfig::default()).unwrap());
+    for name in ["H0", "H1"] {
+        let rows = (0..HOT_ROWS).map(|v| Tuple::from_ints(&[0, v])).collect();
+        db.register(name, Arc::new(Relation::new(schema.clone(), rows).unwrap()))
             .unwrap();
     }
     db.analyze().unwrap();
     let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
     (db, server)
+}
+
+const HOT_ROWS: i64 = 2000;
+const HOT_QUERY: &str = "SELECT COUNT(*) FROM H0 JOIN H1 ON H0.k = H1.k";
+
+/// Returns once `db` is running a query. A test acts on the in-flight
+/// query (drops its connection, starts shutdown) right after, so it fails
+/// rather than passes when the query finished before it could.
+fn await_in_flight(db: &Database) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while db.stats().queries_active == 0 {
+        assert!(Instant::now() < deadline, "the query never started");
+        std::thread::yield_now();
+    }
 }
 
 const CHAIN_QUERY: &str = "SELECT * FROM R0 JOIN R1 ON R0.id = R1.id JOIN R2 ON R1.id = R2.id";
@@ -204,31 +211,29 @@ fn sustained_adhoc_statements_are_paced_per_connection() {
 
 #[test]
 fn disconnect_cancels_the_in_flight_query() {
-    // Slow the query down so the disconnect happens mid-flight.
-    let (db, server) = padded_chain_server(160);
+    let (db, server) = hot_key_server();
     let _keep = &server;
 
     let before = db.stats();
     {
         let mut client = Client::connect(server.local_addr()).unwrap();
-        client.send_query(CHAIN_QUERY).unwrap();
-        // Give the server a beat to start the query, then vanish.
-        std::thread::sleep(Duration::from_millis(30));
+        client.send_query(HOT_QUERY).unwrap();
+        // Vanish while the server runs the query.
+        await_in_flight(&db);
     }
 
-    // The engine observes the drop as a cancellation (or, if the race went
-    // the other way, a completion) — never a leak: active must return to 0.
+    // The engine observes the drop as a cancellation — never a completion
+    // nobody reads, never a leak: active must return to 0.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let s = db.stats();
-        let done = s.queries_canceled > before.queries_canceled
-            || s.queries_completed > before.queries_completed;
-        if done && s.queries_active == 0 {
+        if s.queries_canceled > before.queries_canceled && s.queries_active == 0 {
+            assert_eq!(s.queries_completed, before.queries_completed, "{s:?}");
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "query neither canceled nor completed after disconnect: {s:?}"
+            "query not canceled after disconnect: {s:?}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -236,20 +241,19 @@ fn disconnect_cancels_the_in_flight_query() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_queries() {
-    let (_db, server) = padded_chain_server(160);
+    let (db, server) = hot_key_server();
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).unwrap();
-    client.send_query(CHAIN_QUERY).unwrap();
+    client.send_query(HOT_QUERY).unwrap();
 
-    // Give the server time to parse and start the query, then shut down
-    // concurrently with it in flight.
-    std::thread::sleep(Duration::from_millis(30));
+    // Shut down concurrently with the query in flight.
+    await_in_flight(&db);
     let shutdown = std::thread::spawn(move || server.shutdown());
 
     // The in-flight query still delivers its full reply.
     let reply = client.collect_reply().unwrap();
-    assert!(!reply.rows.is_empty());
+    assert_eq!(reply.rows, vec![vec![Value::Int(HOT_ROWS * HOT_ROWS)]]);
 
     shutdown.join().unwrap();
 
@@ -268,21 +272,25 @@ fn graceful_shutdown_drains_in_flight_queries() {
 
 #[test]
 fn requests_during_drain_are_rejected_as_overloaded() {
-    // Startup-cost padding keeps the first query in flight long enough
-    // for the drain (and the mid-drain request) to land while it runs.
-    let (_db, server) = padded_chain_server(240);
+    // The first query's data keeps it in flight long enough for the drain
+    // (and the mid-drain request) to land while it runs.
+    let (db, server) = hot_key_server();
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).unwrap();
-    client.send_query(CHAIN_QUERY).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
+    client.send_query(HOT_QUERY).unwrap();
+    await_in_flight(&db);
 
     let shutdown = std::thread::spawn(move || server.shutdown());
-    std::thread::sleep(Duration::from_millis(30));
+    std::thread::sleep(Duration::from_millis(10));
 
     // This request arrives while the server drains; it must be answered
     // with a typed overloaded error, not silence.
-    client.send_query(CHAIN_QUERY).unwrap();
+    client.send_query(HOT_QUERY).unwrap();
+    assert!(
+        db.stats().queries_active >= 1,
+        "the first query finished before the mid-drain request was sent"
+    );
 
     // First reply: the pre-drain query, completed in full.
     let first = client.collect_reply().unwrap();
@@ -423,31 +431,21 @@ fn metrics_are_served_in_protocol_and_over_http() {
 
 #[test]
 fn wire_options_enforce_deadlines() {
-    // A deadline of 1ms against a startup-cost-padded query must come back
-    // as a typed deadline_exceeded error over the wire.
-    let mut config = DbConfig::default();
-    config.exec.startup_cost = Some(Duration::from_millis(30));
-    let instance = generate_family(QueryFamily::Chain, 3, 60, 7).unwrap();
-    let db = Database::open(config).unwrap();
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
-    let server = Server::start(Arc::new(db), ServerConfig::default()).unwrap();
+    // A deadline of 1ms against a query with 4 M joined rows must come
+    // back as a typed deadline_exceeded error over the wire.
+    let (db, server) = hot_key_server();
 
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.send_query_with(CHAIN_QUERY, Some(1), None).unwrap();
+    client.send_query_with(HOT_QUERY, Some(1), None).unwrap();
     match client.collect_reply() {
         Err(ClientError::Server(e)) => assert_eq!(e.code, "deadline_exceeded"),
         other => panic!("expected deadline_exceeded, got {other:?}"),
     }
+    assert_eq!(db.stats().queries_timed_out, 1);
 
     // Same connection, generous deadline: succeeds.
     client
-        .send_query_with(CHAIN_QUERY, Some(60_000), None)
+        .send_query_with(HOT_QUERY, Some(60_000), None)
         .unwrap();
     assert!(!client.collect_reply().unwrap().rows.is_empty());
 }
