@@ -41,9 +41,8 @@ fn bench_strategies(c: &mut Criterion) {
                 &plan,
                 |b, plan| {
                     b.iter(|| {
-                        let out =
-                            run_plan(plan, &binding, catalog.as_ref(), &ExecConfig::default())
-                                .unwrap();
+                        let out = run_plan(plan, &binding, catalog.clone(), &ExecConfig::default())
+                            .unwrap();
                         assert_eq!(out.relation.len(), n);
                         out
                     })

@@ -23,6 +23,7 @@ use mj_relalg::{
 
 use crate::late::{late_shape, LateShape};
 use crate::metrics::OpMetricsKind;
+use crate::operator::{AggregateOp, FilterOp, LimitOp, PhysicalOp};
 
 /// What a post-join pipeline stage computes.
 #[derive(Clone, Debug)]
@@ -68,6 +69,26 @@ impl StageKind {
     /// Short lower-case name (metrics, explain).
     pub fn name(&self) -> &'static str {
         self.metrics_kind().label()
+    }
+
+    /// A fresh physical operator computing this stage, for one instance.
+    pub(crate) fn operator(&self) -> Box<dyn PhysicalOp> {
+        match self {
+            StageKind::Filter {
+                predicate,
+                projection,
+            } => Box::new(FilterOp::new(predicate.clone(), projection.clone())),
+            StageKind::Aggregate {
+                group,
+                aggs,
+                projection,
+            } => Box::new(AggregateOp::new(
+                group.clone(),
+                aggs.clone(),
+                projection.clone(),
+            )),
+            StageKind::Limit { k } => Box::new(LimitOp::new(*k)),
+        }
     }
 }
 

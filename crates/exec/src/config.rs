@@ -2,19 +2,6 @@
 
 use std::time::Duration;
 
-/// A deterministic fault-injection point: the chosen operation-process
-/// instance fails at startup instead of running. Used to test that the
-/// engine tears a running dataflow down cleanly — producers into dead
-/// consumers error out instead of blocking, downstream operations are
-/// never spawned, and the first error is reported.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FailPoint {
-    /// Plan op id whose instance fails.
-    pub op: usize,
-    /// Instance index within the op (0-based).
-    pub instance: usize,
-}
-
 /// Default tuples per channel message. The single source of truth for
 /// batching — the engine, benches, and tests all read it from here.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
@@ -60,8 +47,6 @@ pub struct ExecConfig {
     /// Channel capacity in *batches*; bounds memory and provides the
     /// backpressure a real pipeline has.
     pub channel_capacity: usize,
-    /// Optional fault injection (tests only).
-    pub fail: Option<FailPoint>,
     /// Default wall-clock deadline for every query; `None` means no limit.
     /// Overridable per query via [`QueryOptions::with_deadline`]. Exceeding
     /// it aborts the query with a typed `DeadlineExceeded` error through
@@ -101,7 +86,6 @@ impl Default for ExecConfig {
             workers: DEFAULT_WORKERS,
             batch_size: DEFAULT_BATCH_SIZE,
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            fail: None,
             deadline: None,
             stall_timeout: None,
             memory_budget: None,

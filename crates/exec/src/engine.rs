@@ -12,12 +12,12 @@
 //! completion report advances the query on the thread that makes it
 //! (`Coordinator`) — releasing the waves that waited for it, and, when
 //! it is the last, concluding the query. No thread is started for a query
-//! (one with a deadline or a stall limit gets a watchdog). The root
-//! operator's instances feed a bounded client
-//! channel instead of materializing the result: the handle's
-//! [`ResultStream`] pulls batches while the query is still running, and a
+//! (one with a deadline or a stall limit gets a watchdog). The query's
+//! last operation streams its output to the client like any operation
+//! streams to its consumer: over a bounded one-consumer edge that the
+//! handle's [`ResultStream`] drains while the query is still running, so a
 //! slow client backpressures the worker pool. [`Engine::run`] and
-//! [`run_plan`] remain as thin wrappers that drain the stream into a
+//! [`run_plan`] (the same on a transient engine) drain the stream into a
 //! materialized [`ExecOutcome`].
 //!
 //! Per-query state (tuple streams, metrics, the completions still
@@ -28,17 +28,20 @@
 //! scheduling step, each reports exactly once, and the last report
 //! reclaims the namespace before the outcome is released.
 //!
-//! One task is one operation *process*: an operation's instance, or — where
-//! the plan fused sub-grain operations into their consumer
-//! (`OperandSource::Fused`) — a whole process group evaluated member by
-//! member inside it ([`OpTask`]). There is one spawn path; a group of one
-//! is the common case.
+//! Every operation of a query — each join of the plan, then each post-join
+//! stage (residual filter, GROUP BY, LIMIT) — is wired by one channel
+//! set-up loop and spawned by one path. One task is one operation
+//! *process*: an operation's instance, or — where the plan fused sub-grain
+//! operations into their consumer (`OperandSource::Fused`) — a whole
+//! process group evaluated member by member inside it ([`OpTask`]). A group
+//! of one is the common case; a stage is always one, its operand a stream
+//! from the operation before it.
 //!
 //! Scheduling order follows the right-deep segmentation: every operator
 //! task is submitted with its segment's topological wave index
 //! ([`Segmentation::node_waves`](mj_plan::segment::Segmentation)) as its
 //! priority, so deeper segments start first and independent segments of
-//! one wave interleave on the pool.
+//! one wave interleave on the pool; stages come after the root join.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,29 +57,22 @@ use mj_relalg::column::{select, ColumnBatch, ColumnLayout};
 use mj_relalg::{Predicate, RelalgError, Relation, RelationProvider, Result, Tuple};
 use mj_storage::{fragment_columns, FragmentCache, FragmentStore, Fragments};
 
-use crate::binding::{QueryBinding, StageKind};
+use crate::binding::QueryBinding;
 use crate::budget::MemoryBudget;
 use crate::config::{ExecConfig, QueryOptions};
 use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, ResultStream};
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::{EngineStats, Metrics, MetricsSnapshot};
 use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
-use crate::operator::{join_op, AggregateOp, FilterOp, LimitOp, OutputPort, PhysicalOp};
+use crate::operator::{join_op, OutputPort, PhysicalOp};
 use crate::sched::WorkerPool;
 use crate::source::Source;
-use crate::stream::{client_channel, operand_channels, BatchPool, ClientSink, Msg, Router};
+use crate::stream::{operand_channels, BatchPool, Msg, Router};
 
-/// The producer side of one redistribution edge: senders to the consumer's
-/// instances, the consumer's routing key column, and the edge's shared
+/// The producer side of one stream edge: senders to the consumer's
+/// instances, the column the producer routes on, and the edge's shared
 /// batch-buffer pool.
 type OutEdge = (Vec<Sender<Msg>>, usize, Arc<BatchPool>);
-
-/// Producer op id -> its output edge.
-type OutStreams = HashMap<usize, OutEdge>;
-
-/// The endpoints of the query's root-result channel before the root
-/// operation spawns.
-type ClientEdge = (Sender<Msg>, Arc<BatchPool>);
 
 /// The materialized result of executing a plan to completion — what the
 /// blocking wrappers ([`Engine::run`], [`run_plan`]) assemble by draining
@@ -343,36 +339,17 @@ impl Engine {
             Some(admission) => Some(admission.acquire(&self.counters)?),
             None => None,
         };
-        let (client, stream, ctrl) = open_result_channel(
-            &plan,
-            &binding,
-            &self.config,
-            &opts,
-            submitted_at,
-            Some(self.counters.clone()),
-        )?;
+        let (result, stream, ctrl) = self.open_result_edge(&plan, &binding, &opts, submitted_at)?;
         self.counters.note_started();
 
         // Set-up and the first wave of tasks, here on the submitting
         // thread; from then on the query is advanced by whichever thread
         // reports a completion.
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let prepared = QueryRun::prepare(
-            &plan,
-            &binding,
-            self.provider.as_ref(),
-            &self.config,
-            &opts,
-            &self.pool,
-            &self.store,
-            &self.cache,
-            query_id,
-            client,
-            &ctrl,
-        );
+        let prepared = QueryRun::prepare(self, &plan, &binding, &opts, query_id, result, &ctrl);
         let accounts = Accounts {
             ctrl: ctrl.clone(),
-            counters: Some(self.counters.clone()),
+            counters: self.counters.clone(),
             permit,
             submitted_at,
         };
@@ -386,6 +363,64 @@ impl Engine {
     pub fn run(&self, plan: &ParallelPlan, binding: &QueryBinding) -> Result<ExecOutcome> {
         materialize(self.submit(plan, binding)?)
     }
+
+    /// Opens one query's result edge and control block: a one-consumer
+    /// stream from the instances of the query's last operation (the last
+    /// post-join stage, or the root join) into the client-side
+    /// [`ResultStream`], and the shared cancel/status block carrying the
+    /// query's deadline and memory budget.
+    fn open_result_edge(
+        &self,
+        plan: &ParallelPlan,
+        binding: &QueryBinding,
+        opts: &QueryOptions,
+        submitted_at: Instant,
+    ) -> Result<(OutEdge, ResultStream, Arc<QueryCtrl>)> {
+        let root = plan.tree.root();
+        let producers = match binding.stages().last() {
+            Some(stage) => stage.degree,
+            None => plan
+                .op_for_join(root)
+                .map(PlanOp::degree)
+                .ok_or_else(no_root)?,
+        };
+        let schema = binding.result_schema(root)?.clone();
+        // The edge's buffer pool is typed with the result's column layout
+        // so its budget accounting charges real columnar bytes.
+        let (txs, mut rxs, pool) = operand_channels(
+            producers,
+            1,
+            self.config.channel_capacity,
+            ColumnLayout::of(&schema),
+        );
+        // Per-query limits override engine-wide defaults.
+        let deadline = opts
+            .deadline()
+            .or(self.config.deadline)
+            .map(|d| Instant::now() + d);
+        let budget = match opts.memory_budget().or(self.config.memory_budget) {
+            Some(limit) => MemoryBudget::with_limit(limit),
+            None => MemoryBudget::unlimited(),
+        };
+        pool.set_budget(budget.clone());
+        let ctrl = QueryCtrl::with_limits(deadline, budget);
+        let rx = rxs.pop().expect("one consumer");
+        let stream = ResultStream::new(
+            rx,
+            producers,
+            schema,
+            ctrl.clone(),
+            submitted_at,
+            self.counters.clone(),
+        );
+        // One destination: the router never reads its key column.
+        Ok(((txs, 0, pool), stream, ctrl))
+    }
+}
+
+/// The error of a plan without an operation for its root join.
+fn no_root() -> RelalgError {
+    RelalgError::InvalidPlan("plan has no root operation".into())
 }
 
 /// Drains `handle`'s stream into a materialized [`ExecOutcome`].
@@ -407,87 +442,23 @@ fn materialize(mut handle: QueryHandle) -> Result<ExecOutcome> {
 }
 
 /// Executes `plan` against the relations in `provider` on a transient
-/// single-query engine (a pool of `config.workers` threads is created for
-/// the call and joined before it returns), draining the stream into a
-/// materialized [`ExecOutcome`]. Long-lived callers, concurrent
-/// workloads, and streaming clients should hold an [`Engine`] instead.
+/// [`Engine`] — its `config.workers` pool threads are joined before this
+/// returns — draining the stream into a materialized [`ExecOutcome`].
+/// Long-lived callers, concurrent workloads, and streaming clients should
+/// hold an [`Engine`] instead.
 pub fn run_plan(
     plan: &ParallelPlan,
     binding: &QueryBinding,
-    provider: &(dyn RelationProvider + Sync),
+    provider: Arc<dyn RelationProvider + Send + Sync>,
     config: &ExecConfig,
 ) -> Result<ExecOutcome> {
-    let opts = QueryOptions::default();
-    let plan = ValidPlan::new(plan.clone())?;
-    let submitted_at = Instant::now();
-    let (client, stream, ctrl) =
-        open_result_channel(&plan, binding, config, &opts, submitted_at, None)?;
-    let pool = WorkerPool::new(config.workers);
-    let store = Arc::new(FragmentStore::new(plan.processors));
-    // Same path as a long-lived engine; the cache just dies with the call.
-    let cache = FragmentCache::new();
-    let prepared = QueryRun::prepare(
-        &plan, binding, provider, config, &opts, &pool, &store, &cache, 0, client, &ctrl,
-    );
-    let accounts = Accounts {
-        ctrl: ctrl.clone(),
-        counters: None,
-        permit: None,
-        submitted_at,
-    };
-    let watchdog = start(prepared, accounts)?;
-    materialize(QueryHandle::new(stream, ctrl, watchdog))
-}
-
-/// Validates the configuration, locates the root operation of the
-/// (already validated) plan, and opens one query's bounded result channel: the producer-side
-/// [`ClientEdge`] for the query's run, the client-side [`ResultStream`],
-/// and the shared cancel/status block. The single setup path behind both
-/// [`Engine::submit`] and [`run_plan`].
-fn open_result_channel(
-    plan: &ParallelPlan,
-    binding: &QueryBinding,
-    config: &ExecConfig,
-    opts: &QueryOptions,
-    submitted_at: Instant,
-    counters: Option<Arc<EngineCounters>>,
-) -> Result<(ClientEdge, ResultStream, Arc<QueryCtrl>)> {
-    config.validate().map_err(RelalgError::InvalidPlan)?;
-    let root = plan.tree.root();
-    let root_degree = plan
-        .op_for_join(root)
-        .map(PlanOp::degree)
-        .ok_or_else(|| RelalgError::InvalidPlan("plan has no root operation".into()))?;
-    // With pipeline stages attached, the *last stage* feeds the client.
-    let producers = binding.stages().last().map_or(root_degree, |s| s.degree);
-    let schema = binding.result_schema(root)?.clone();
-    // The client edge's buffer pool is typed with the result's column
-    // layout so its budget accounting charges real columnar bytes.
-    let (tx, rx, bpool) = client_channel(
-        producers,
-        config.channel_capacity,
-        ColumnLayout::of(&schema),
-    );
-    // Per-query limits override engine-wide defaults.
-    let deadline = opts
-        .deadline()
-        .or(config.deadline)
-        .map(|d| Instant::now() + d);
-    let budget = match opts.memory_budget().or(config.memory_budget) {
-        Some(limit) => MemoryBudget::with_limit(limit),
-        None => MemoryBudget::unlimited(),
-    };
-    bpool.set_budget(budget.clone());
-    let ctrl = QueryCtrl::with_limits(deadline, budget);
-    let stream = ResultStream::new(rx, producers, schema, ctrl.clone(), submitted_at, counters);
-    Ok(((tx, bpool), stream, ctrl))
+    Engine::new(provider, *config)?.run(plan, binding)
 }
 
 /// The engine's accounts of one query, settled when it concludes.
 struct Accounts {
     ctrl: Arc<QueryCtrl>,
-    /// `None` on a transient single-query engine ([`run_plan`]).
-    counters: Option<Arc<EngineCounters>>,
+    counters: Arc<EngineCounters>,
     permit: Option<AdmissionPermit>,
     submitted_at: Instant,
 }
@@ -497,14 +468,12 @@ impl Accounts {
     /// the outcome — in that order, so whoever holds the outcome sees the
     /// counters and the slot settled.
     fn settle(self, result: Result<QueryOutcome>) {
-        if let Some(counters) = &self.counters {
-            counters.record(
-                &result,
-                self.ctrl.panics(),
-                self.ctrl.budget().peak(),
-                self.submitted_at.elapsed(),
-            );
-        }
+        self.counters.record(
+            &result,
+            self.ctrl.panics(),
+            self.ctrl.budget().peak(),
+            self.submitted_at.elapsed(),
+        );
         // Released only now that the query has fully quiesced and its
         // fragments are reclaimed, so the concurrency cap bounds actual
         // resource use.
@@ -636,6 +605,99 @@ fn start(
     Ok(guarded)
 }
 
+/// One operation of a query as the executor wires and spawns it: the plan's
+/// join of the same id (ids `0..n_ops`) or, after them, a post-join stage.
+/// [`QueryRun::prepare`] lists them once per query; the plan IR itself
+/// stays joins-only. An operation refers to the plan and the bindings
+/// instead of copying from them, so the list is the only allocation.
+struct Operation {
+    /// What each instance evaluates.
+    body: Body,
+    /// Instances: one operation process each, unless the op is fused.
+    degree: usize,
+    /// Scheduling priority: the op's right-deep segment wave (§4 order);
+    /// stages run after the root, in later waves still.
+    priority: usize,
+}
+
+/// What an [`Operation`]'s instances evaluate.
+enum Body {
+    /// The plan op of the same id; `keys` are its spec's key columns.
+    Join { keys: [usize; 2] },
+    /// The query's stage `index`: one operand, routed on `key`.
+    Stage {
+        index: usize,
+        input: OperandSource,
+        key: usize,
+    },
+}
+
+impl Operation {
+    /// Its operands as `(side, source, column its rows are routed or
+    /// bucket-scanned on)`: a join's two are plan op `id`'s, a stage's one
+    /// is a stream from the operation before it.
+    fn operands<'a>(
+        &'a self,
+        plan: &'a ParallelPlan,
+        id: usize,
+    ) -> impl Iterator<Item = (usize, &'a OperandSource, usize)> {
+        let operands = match &self.body {
+            Body::Join { keys } => {
+                let op = &plan.ops[id];
+                [Some((&op.left, keys[0])), Some((&op.right, keys[1]))]
+            }
+            Body::Stage { input, key, .. } => [Some((input, *key)), None],
+        };
+        let operands = operands.into_iter().flatten().enumerate();
+        operands.map(|(side, (operand, key))| (side, operand, key))
+    }
+}
+
+/// The query's operations in id order: the plan's joins, wired from the
+/// execution binding (a late plan's narrow one), then the post-join stages
+/// of `binding`, each reading a stream from the operation before it — the
+/// first from the root join, op `root`. Records each one's estimate (and a
+/// stage's kind) in `metrics`.
+fn operations(
+    plan: &ParallelPlan,
+    binding: &QueryBinding,
+    exec_binding: &QueryBinding,
+    root: usize,
+    metrics: &mut Metrics,
+) -> Result<Vec<Operation>> {
+    let node_waves = segments(&plan.tree).node_waves();
+    let mut ops = Vec::with_capacity(plan.ops.len() + binding.stages().len());
+    for op in &plan.ops {
+        let spec = exec_binding.spec(op.join)?;
+        ops.push(Operation {
+            body: Body::Join {
+                keys: [spec.left_key, spec.right_key],
+            },
+            degree: op.degree(),
+            priority: node_waves.get(op.join).copied().flatten().unwrap_or(0),
+        });
+        metrics.ops[op.id].est_out = op.est_out;
+    }
+    let first_stage_wave = ops.iter().map(|op| op.priority).max().unwrap_or(0) + 1;
+    let mut from = root;
+    for (index, stage) in binding.stages().iter().enumerate() {
+        let id = ops.len();
+        ops.push(Operation {
+            body: Body::Stage {
+                index,
+                input: OperandSource::Stream { from },
+                key: stage.partition_col,
+            },
+            degree: stage.degree,
+            priority: first_stage_wave + index,
+        });
+        metrics.ops[id].est_out = stage.est_out;
+        metrics.ops[id].kind = stage.kind.metrics_kind();
+        from = id;
+    }
+    Ok(ops)
+}
+
 /// One query from set-up to teardown. [`prepare`](QueryRun::prepare) and
 /// the first wave of tasks run on the submitting thread; after that the run
 /// sits in its [`Coordinator`] and is advanced by completion reports on the
@@ -647,31 +709,26 @@ struct QueryRun {
     /// The binding join operators are wired from: the narrow rewrite of a
     /// late-materialized query, otherwise `query`.
     binding: QueryBinding,
+    /// Every operation of the query: the plan's joins, then the stages.
+    ops: Vec<Operation>,
+    /// The root join's op id; its tasks carry the late resolver.
+    root: usize,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
     store: Arc<FragmentStore>,
     ctrl: Arc<QueryCtrl>,
     /// Fragment-name namespace of this query in the shared store.
     ns: String,
-    /// Per-op scheduling priority: the op's segment wave (§4 order).
-    priorities: Vec<usize>,
     /// base_fragments[(op, side)] = per-instance base fragments.
     base_fragments: HashMap<(usize, usize), Fragments>,
     /// Receivers for stream operands, taken at consumer spawn.
     stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>>,
-    /// Senders for stream outputs, taken at producer spawn.
-    out_stream: OutStreams,
+    /// Senders for stream outputs — the result edge among them, under the
+    /// query's last operation — taken at producer spawn; dropping the
+    /// master senders lets consumers (the client too) observe teardown.
+    out_stream: HashMap<usize, OutEdge>,
     /// Producer op -> consumer uses materialization.
     out_materialized: Vec<bool>,
-    /// Per-stage input receivers (taken when the stages spawn).
-    stage_rx: Vec<Vec<Receiver<Msg>>>,
-    /// Per-stage output senders; `None` for the last stage (it feeds the
-    /// client channel).
-    stage_out: Vec<Option<OutEdge>>,
-    /// Root-result channel endpoints, taken when the sink task spawns
-    /// (the last stage, or the root op when no stages are attached);
-    /// dropping the master sender lets the stream observe teardown.
-    client: Option<ClientEdge>,
     /// What every task of the query reports its completions through; set
     /// when the run is put under its [`Coordinator`].
     reporter: Option<Reporter>,
@@ -683,7 +740,7 @@ struct QueryRun {
     deps_remaining: Vec<usize>,
     /// Per op: the root ops of the groups waiting for it.
     dependents: Vec<Vec<usize>>,
-    /// Per op and stage: instances that have not reported yet.
+    /// Per op: instances that have not reported yet.
     instances_left: Vec<usize>,
     /// The first failure, from set-up or from a task.
     first_err: Option<RelalgError>,
@@ -728,19 +785,16 @@ impl QueryRun {
     /// member's result to its reader in memory, and only the root member is
     /// wired to an output.
     fn spawn_group(&mut self, root: usize) -> Result<()> {
-        let plan = self.plan.clone();
-        let root_op = &plan.ops[root];
-        let root_join = plan.tree.root();
-        let degree = root_op.degree();
+        let ops = &self.ops;
+        let degree = ops[root].degree;
         let members = std::mem::take(&mut self.groups[root]);
         self.metrics.processes += degree;
 
         // Materialized operands, collected once per member and side.
         let mut mat_fragments: HashMap<(usize, usize), Vec<Arc<ColumnBatch>>> = HashMap::new();
         for &m in &members {
-            let op = &plan.ops[m];
-            self.metrics.ops[m].instances = op.degree();
-            for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+            self.metrics.ops[m].instances = ops[m].degree;
+            for (side, operand, _) in ops[m].operands(&self.plan, m) {
                 if let OperandSource::Materialized { from } = operand {
                     let frags = self.store.collect(&format!("{}op{from}", self.ns));
                     if frags.is_empty() {
@@ -752,90 +806,71 @@ impl QueryRun {
                 }
             }
         }
-        let out = self.out_stream.remove(&root);
-        // The sink op (no stream consumer, no materializing consumer)
-        // feeds the client's result channel.
-        let client = if out.is_none() && !self.out_materialized[root] {
-            debug_assert_eq!(root_op.join, root_join, "only the root op feeds the client");
-            Some(self.client.take().ok_or_else(|| {
-                RelalgError::InvalidPlan("plan has more than one sink operation".into())
-            })?)
-        } else {
-            None
-        };
+        let mut out = self.out_stream.remove(&root);
+        if out.is_none() && !self.out_materialized[root] {
+            return Err(RelalgError::InvalidPlan(format!(
+                "op {root} has no consumer"
+            )));
+        }
 
         // The process starts with its earliest member's wave.
-        let priority = members.iter().map(|&m| self.priorities[m]).min();
+        let priority = members.iter().map(|&m| ops[m].priority).min();
         let priority = priority.expect("a group has members");
         // `i` indexes channels, fragments, and procs alike.
         for i in 0..degree {
             let mut task_members = Vec::with_capacity(members.len());
             for &m in &members {
-                let op = &plan.ops[m];
-                let spec = self.binding.spec(op.join)?;
-                let mut sources: Vec<Option<Source>> = Vec::with_capacity(2);
-                for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+                let mut sources = Vec::with_capacity(2);
+                for (side, operand, key_col) in ops[m].operands(&self.plan, m) {
                     sources.push(match operand {
                         OperandSource::Base { .. } => {
                             Some(Source::Local(self.base_fragments[&(m, side)][i].clone()))
                         }
                         OperandSource::Materialized { .. } => Some(Source::Filtered {
                             fragments: mat_fragments[&(m, side)].clone(),
-                            key_col: if side == 0 {
-                                spec.left_key
-                            } else {
-                                spec.right_key
-                            },
+                            key_col,
                             bucket: i,
                             of: degree,
                         }),
                         OperandSource::Stream { from } => Some(Source::Stream {
                             rx: self.stream_rx[&(m, side)][i].clone(),
-                            producers: plan.ops[*from].degree(),
+                            producers: ops[*from].degree,
                         }),
                         // Handed over by the member evaluating `from`.
                         OperandSource::Fused { .. } => None,
                     });
                 }
-                let fail = self
-                    .config
-                    .fail
-                    .is_some_and(|f| f.op == m && f.instance == i);
                 #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-                let mut member =
-                    TaskMember::new(join_op(op.algorithm, spec.clone()), sources, m, fail);
+                let mut member = TaskMember::new(self.operator(m)?, sources, m);
                 if let Some((reader, side)) = self.feeds[m] {
                     member = member.feeding(reader, side);
                 }
                 #[cfg(feature = "faults")]
                 if let Some(plan) = &self.fault_plan {
-                    member.arm_fault(plan.arm("join", m, i));
+                    let label = self.metrics.ops[m].kind.label();
+                    member.arm_fault(plan.arm(label, m, i));
                 }
                 task_members.push(member);
             }
 
-            let output = match &out {
-                Some((txs, key_col, pool)) => OutputPort::Stream(Router::new(
-                    txs.clone(),
-                    *key_col,
-                    self.config.batch_size,
-                    pool.clone(),
-                )),
-                None if self.out_materialized[root] => OutputPort::materialize(
+            // The last instance takes the master senders: from then on
+            // only the group's instances hold them.
+            let edge = if i + 1 == degree {
+                out.take()
+            } else {
+                out.clone()
+            };
+            let output = match edge {
+                Some((txs, key_col, pool)) => {
+                    OutputPort::Stream(Router::new(txs, key_col, self.config.batch_size, pool))
+                }
+                None => OutputPort::materialize(
                     self.store.clone(),
-                    root_op.procs[i],
+                    self.plan.ops[root].procs[i],
                     format!("{}op{root}", self.ns),
-                    self.binding.schema(root_op.join)?,
+                    self.binding.schema(self.plan.ops[root].join)?,
                     Some(self.ctrl.budget().clone()),
                 ),
-                None => {
-                    let (tx, bpool) = client.as_ref().expect("taken above");
-                    OutputPort::Client(ClientSink::new(
-                        tx.clone(),
-                        self.config.batch_size,
-                        bpool.clone(),
-                    ))
-                }
             };
 
             let mut task = OpTask::new(
@@ -846,7 +881,7 @@ impl QueryRun {
                 self.reporter(),
                 Some(self.ctrl.clone()),
             );
-            if root_op.join == root_join {
+            if root == self.root {
                 if let Some(resolver) = &self.resolver {
                     task.set_resolver(resolver.clone());
                 }
@@ -858,110 +893,18 @@ impl QueryRun {
             self.stream_rx.remove(&(m, 0));
             self.stream_rx.remove(&(m, 1));
         }
-        // `client` (the master sender) drops here once the sink op has
-        // spawned: from now on only the sink instances hold senders.
         Ok(())
     }
 
-    /// Spawns every post-join pipeline stage (residual filter, partitioned
-    /// aggregate, limit). Stages consume only streams, so they are all
-    /// submitted at query start and simply idle (blocked, yielding their
-    /// worker) until the root join produces.
-    fn spawn_stages(&mut self) -> Result<()> {
-        let n_ops = self.plan.ops.len();
-        let root = self.plan.tree.root();
-        let mut producers = self
-            .plan
-            .op_for_join(root)
-            .map(PlanOp::degree)
-            .ok_or_else(|| RelalgError::InvalidPlan("plan has no root operation".into()))?;
-        let query = self.query.clone();
-        for (i, stage) in query.stages().iter().enumerate() {
-            let op_id = n_ops + i;
-            let rxs = std::mem::take(&mut self.stage_rx[i]);
-            if rxs.len() != stage.degree {
-                return Err(RelalgError::InvalidPlan(format!(
-                    "stage {i} expects {} input channels, got {}",
-                    stage.degree,
-                    rxs.len()
-                )));
+    /// A fresh operator for one instance of operation `id`.
+    fn operator(&self, id: usize) -> Result<Box<dyn PhysicalOp>> {
+        Ok(match &self.ops[id].body {
+            Body::Join { .. } => {
+                let op = &self.plan.ops[id];
+                join_op(op.algorithm, self.binding.spec(op.join)?.clone())
             }
-            let out_entry = self.stage_out[i].take();
-            let client = if out_entry.is_none() {
-                Some(self.client.take().ok_or_else(|| {
-                    RelalgError::InvalidPlan("plan has more than one sink operation".into())
-                })?)
-            } else {
-                None
-            };
-            self.metrics.ops[op_id].instances = stage.degree;
-            self.metrics.processes += stage.degree;
-            for (inst, rx) in rxs.iter().enumerate() {
-                let source = Source::Stream {
-                    rx: rx.clone(),
-                    producers,
-                };
-                let output = match &out_entry {
-                    Some((txs, key_col, pool)) => OutputPort::Stream(Router::new(
-                        txs.clone(),
-                        *key_col,
-                        self.config.batch_size,
-                        pool.clone(),
-                    )),
-                    None => {
-                        let (tx, bpool) = client.as_ref().expect("taken above");
-                        OutputPort::Client(ClientSink::new(
-                            tx.clone(),
-                            self.config.batch_size,
-                            bpool.clone(),
-                        ))
-                    }
-                };
-                let op: Box<dyn PhysicalOp> = match &stage.kind {
-                    StageKind::Filter {
-                        predicate,
-                        projection,
-                    } => Box::new(FilterOp::new(predicate.clone(), projection.clone())),
-                    StageKind::Aggregate {
-                        group,
-                        aggs,
-                        projection,
-                    } => Box::new(AggregateOp::new(
-                        group.clone(),
-                        aggs.clone(),
-                        projection.clone(),
-                    )),
-                    StageKind::Limit { k } => Box::new(LimitOp::new(*k)),
-                };
-                let fail = self
-                    .config
-                    .fail
-                    .is_some_and(|f| f.op == op_id && f.instance == inst);
-                #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-                let mut member = TaskMember::new(op, vec![Some(source)], op_id, fail);
-                #[cfg(feature = "faults")]
-                if let Some(plan) = &self.fault_plan {
-                    let label = match &stage.kind {
-                        StageKind::Filter { .. } => "filter",
-                        StageKind::Aggregate { .. } => "aggregate",
-                        StageKind::Limit { .. } => "limit",
-                    };
-                    member.arm_fault(plan.arm(label, op_id, inst));
-                }
-                let task = OpTask::new(
-                    vec![member],
-                    output,
-                    self.config.batch_size,
-                    inst,
-                    self.reporter(),
-                    Some(self.ctrl.clone()),
-                );
-                self.pool.submit(self.priorities[op_id], Box::new(task));
-                self.spawned_instances += 1;
-            }
-            producers = stage.degree;
-        }
-        Ok(())
+            Body::Stage { index, .. } => self.query.stages()[*index].kind.operator(),
+        })
     }
 
     fn reporter(&self) -> Reporter {
@@ -974,87 +917,95 @@ impl QueryRun {
     fn release_unspawned_endpoints(&mut self) {
         self.stream_rx.clear();
         self.out_stream.clear();
-        self.stage_rx.clear();
-        self.stage_out.clear();
-        self.client = None;
     }
 
-    /// Sets one query up on a (shared) pool and store — resident base
-    /// fragments, channels, process groups — with the root output streaming
-    /// into `client`. `query_id` namespaces the query's materialized
-    /// fragments within the store. Nothing is submitted yet
+    /// Sets one query up on `engine`'s pool and store — resident base
+    /// fragments, channels, process groups — with the output of its last
+    /// operation streaming into `result`. `query_id` namespaces the query's
+    /// materialized fragments within the store. Nothing is submitted yet
     /// ([`spawn_first_wave`](Self::spawn_first_wave)).
-    #[allow(clippy::too_many_arguments)]
     fn prepare(
+        engine: &Engine,
         plan: &ValidPlan,
         binding: &QueryBinding,
-        provider: &dyn RelationProvider,
-        config: &ExecConfig,
         opts: &QueryOptions,
-        pool: &Arc<WorkerPool>,
-        store: &Arc<FragmentStore>,
-        cache: &FragmentCache,
         query_id: u64,
-        client: ClientEdge,
+        result: OutEdge,
         ctrl: &Arc<QueryCtrl>,
     ) -> Result<QueryRun> {
-        // The config was validated by `open_result_channel`; options beyond
-        // deadline and budget are resolved upstream.
+        // Options beyond deadline and budget are resolved upstream.
         #[cfg(not(feature = "faults"))]
         let _ = opts;
+        let config = &engine.config;
         let n_ops = plan.ops.len();
-        let n_stages = binding.stages().len();
-        let n_tasks = n_ops + n_stages;
         let ns = format!("q{query_id}:");
-        store.ensure_nodes(plan.processors);
+        engine.store.ensure_nodes(plan.processors);
 
-        let mut metrics = Metrics::new(n_tasks);
+        let mut metrics = Metrics::new(n_ops + binding.stages().len());
 
         // --- Late materialization. When the binding's shape is taken, the
         // join pipeline runs on narrow ref-carrying batches wired from
         // `late.shape.narrow`, the resident images the refs index stay pinned
         // in the rewrite's registry (charged to the budget below), and the
         // root join's tasks resolve refs back to the original schema — so
-        // everything from the root's output port on (stages, client channel)
+        // everything from the root's output port on (stages, result edge)
         // is untouched.
-        let late = crate::late::plan_late(binding, provider, cache, config.late, &mut metrics)?;
+        let provider = engine.provider.as_ref();
+        let late =
+            crate::late::plan_late(binding, provider, &engine.cache, config.late, &mut metrics)?;
         let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.shape.narrow);
         let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
         if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
             ctrl.abort(ctrl.budget().exhausted_error());
         }
 
-        // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
-        let base_fragments =
-            base_fragments(plan, binding, late.as_ref(), provider, cache, &mut metrics)?;
+        let root = plan.op_for_join(plan.tree.root()).ok_or_else(no_root)?.id;
+        let ops = operations(plan, binding, exec_binding, root, &mut metrics)?;
+        let n = ops.len();
 
-        // Stream channels, created up front (receivers taken at consumer
-        // spawn, senders at producer spawn). Edge pools are sized from both
-        // endpoint degrees.
+        // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
+        let base_fragments = base_fragments(
+            plan,
+            &ops,
+            binding,
+            late.as_ref(),
+            provider,
+            &engine.cache,
+            &mut metrics,
+        )?;
+
+        // Stream channels for every operand of every operation, created up
+        // front (receivers taken at consumer spawn, senders at producer
+        // spawn). Edge pools are sized from both endpoint degrees. The last
+        // operation's consumer is the client.
+        let sink = if n > n_ops { n - 1 } else { root };
+        // The rows an operation emits: a stage's own, the query's for the
+        // root join (a late plan resolves its refs there), the execution
+        // binding's for any other join.
+        let schema = |id: usize| match &ops[id].body {
+            Body::Join { .. } if id == root => binding.schema(plan.ops[id].join),
+            Body::Join { .. } => exec_binding.schema(plan.ops[id].join),
+            Body::Stage { index, .. } => Ok(&binding.stages()[*index].schema),
+        };
+        let mut out_stream = HashMap::from([(sink, result)]);
         let mut stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>> = HashMap::new();
-        let mut out_stream: OutStreams = HashMap::new();
-        let mut out_materialized: Vec<bool> = vec![false; n_ops];
-        for op in &plan.ops {
-            let spec = exec_binding.spec(op.join)?;
-            for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-                let key_col = if side == 0 {
-                    spec.left_key
-                } else {
-                    spec.right_key
-                };
+        let mut out_materialized = vec![false; n];
+        for (id, op) in ops.iter().enumerate() {
+            for (side, operand, key_col) in op.operands(plan, id) {
                 match operand {
                     OperandSource::Stream { from } => {
-                        // The edge carries the producer op's output rows; its
+                        let producer = &ops[*from];
+                        // The edge carries the producer's output rows; its
                         // pool is typed with that schema's column layout.
-                        let layout = ColumnLayout::of(exec_binding.schema(plan.ops[*from].join)?);
                         let (txs, rxs, pool) = operand_channels(
-                            plan.ops[*from].degree(),
-                            op.degree(),
+                            producer.degree,
+                            op.degree,
                             config.channel_capacity,
-                            layout,
+                            ColumnLayout::of(schema(*from)?),
                         );
                         pool.set_budget(ctrl.budget().clone());
-                        stream_rx.insert((op.id, side), rxs);
+                        metrics.streams += producer.degree * op.degree;
+                        stream_rx.insert((id, side), rxs);
                         if out_stream.insert(*from, (txs, key_col, pool)).is_some() {
                             return Err(RelalgError::InvalidPlan(format!(
                                 "op {from} has multiple stream consumers"
@@ -1062,6 +1013,7 @@ impl QueryRun {
                         }
                     }
                     OperandSource::Materialized { from } => {
+                        metrics.streams += ops[*from].degree * op.degree;
                         out_materialized[*from] = true;
                     }
                     // A fused edge never leaves its task.
@@ -1070,76 +1022,29 @@ impl QueryRun {
             }
         }
 
-        // Post-join pipeline channels: the root op streams into stage 0, each
-        // stage into the next, and the last stage into the client channel.
-        let mut stage_rx: Vec<Vec<Receiver<Msg>>> = Vec::with_capacity(n_stages);
-        let mut stage_out: Vec<Option<OutEdge>> = (0..n_stages).map(|_| None).collect();
-        let mut stage_streams = 0usize;
-        if n_stages > 0 {
-            let root_op = plan
-                .op_for_join(plan.tree.root())
-                .ok_or_else(|| RelalgError::InvalidPlan("plan has no root operation".into()))?;
-            let mut prev_degree = root_op.degree();
-            for (i, stage) in binding.stages().iter().enumerate() {
-                // Edge i carries the previous producer's output: the root
-                // join's schema for stage 0, else the prior stage's.
-                let in_schema = if i == 0 {
-                    binding.schema(root_op.join)?
-                } else {
-                    &binding.stages()[i - 1].schema
-                };
-                let (txs, rxs, bpool) = operand_channels(
-                    prev_degree,
-                    stage.degree,
-                    config.channel_capacity,
-                    ColumnLayout::of(in_schema),
-                );
-                bpool.set_budget(ctrl.budget().clone());
-                stage_streams += prev_degree * stage.degree;
-                stage_rx.push(rxs);
-                let entry = (txs, stage.partition_col, bpool);
-                if i == 0 {
-                    if out_stream.insert(root_op.id, entry).is_some() {
-                        return Err(RelalgError::InvalidPlan(
-                            "root op already has a stream consumer".into(),
-                        ));
-                    }
-                } else {
-                    stage_out[i - 1] = Some(entry);
-                }
-                prev_degree = stage.degree;
-            }
-        }
-
-        // Scheduling priority: the op's right-deep segment wave (§4 order);
-        // pipeline stages run after the root, in later waves still.
-        let node_waves = segments(&plan.tree).node_waves();
-        let mut priorities: Vec<usize> = plan
-            .ops
-            .iter()
-            .map(|op| node_waves.get(op.join).copied().flatten().unwrap_or(0))
-            .collect();
-        let stage_base = priorities.iter().copied().max().unwrap_or(0) + 1;
-        priorities.extend((0..n_stages).map(|i| stage_base + i));
-
         // --- Scheduling (timed). ---
         let started = Instant::now();
 
         // Process groups: a process starts once every op any of its members
         // waits for — in another process — has completed. `deps_remaining` is
-        // kept under the group's root op id.
+        // kept under the group's root op id. A stage is a group of one that
+        // waits for nothing: it is submitted with the first wave and idles
+        // until its stream produces.
         let roots = plan.process_roots();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
-        let mut feeds: Vec<Option<(usize, usize)>> = vec![None; n_ops];
-        let mut deps_remaining: Vec<usize> = vec![0; n_ops];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut feeds: Vec<Option<(usize, usize)>> = vec![None; n];
+        let mut deps_remaining: Vec<usize> = vec![0; n];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for op in &plan.ops {
-            let root = roots[op.id];
-            groups[root].push(op.id);
+            let group = roots[op.id];
+            groups[group].push(op.id);
+            if group != op.id {
+                metrics.fused_ops += 1;
+            }
             for &d in &op.start_after {
-                if roots[d] != root {
-                    deps_remaining[root] += 1;
-                    dependents[d].push(root);
+                if roots[d] != group {
+                    deps_remaining[group] += 1;
+                    dependents[d].push(group);
                 }
             }
             for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
@@ -1148,45 +1053,30 @@ impl QueryRun {
                 }
             }
         }
+        for (stage, group) in groups.iter_mut().enumerate().skip(n_ops) {
+            group.push(stage);
+        }
 
-        let stats = plan.stats();
-        metrics.streams = stats.tuple_streams + stage_streams;
-        metrics.fused_ops = stats.fused_ops;
-        for op in &plan.ops {
-            metrics.ops[op.id].est_out = op.est_out;
-        }
-        for (i, stage) in binding.stages().iter().enumerate() {
-            metrics.ops[n_ops + i].est_out = stage.est_out;
-            metrics.ops[n_ops + i].kind = stage.kind.metrics_kind();
-        }
-        let instances_left: Vec<usize> = plan
-            .ops
-            .iter()
-            .map(|o| o.degree())
-            .chain(binding.stages().iter().map(|s| s.degree))
-            .collect();
         Ok(QueryRun {
             plan: plan.clone(),
             query: binding.clone(),
             binding: exec_binding.clone(),
+            instances_left: ops.iter().map(|op| op.degree).collect(),
+            ops,
+            root,
             config: *config,
-            pool: pool.clone(),
-            store: store.clone(),
+            pool: engine.pool.clone(),
+            store: engine.store.clone(),
             ctrl: ctrl.clone(),
             ns,
-            priorities,
             base_fragments,
             stream_rx,
             out_stream,
             out_materialized,
-            stage_rx,
-            stage_out,
-            client: Some(client),
             reporter: None,
             started,
             deps_remaining,
             dependents,
-            instances_left,
             first_err: None,
             pinned_bytes,
             groups,
@@ -1200,11 +1090,11 @@ impl QueryRun {
         })
     }
 
-    /// Submits every process that waits for nothing, and the stages.
+    /// Submits every process that waits for nothing.
     fn spawn_first_wave(&mut self) {
         if self.ctrl.is_canceled() {
             self.fail(RelalgError::Canceled);
-        } else if let Err(e) = self.spawn_ready().and_then(|()| self.spawn_stages()) {
+        } else if let Err(e) = self.spawn_ready() {
             // Spawning failed part-way: the tasks already submitted unwind
             // via dropped endpoints, and the query concludes — quiescent,
             // the shared store clean — when the last of them has reported.
@@ -1246,9 +1136,7 @@ impl QueryRun {
             Err(e) => self.fail(e),
         }
         self.instances_left[op_id] -= 1;
-        // Pipeline stages (ids >= n_ops) have no dependents in the plan DAG.
-        let n_ops = self.plan.ops.len();
-        if op_id < n_ops && self.instances_left[op_id] == 0 && self.first_err.is_none() {
+        if self.instances_left[op_id] == 0 && self.first_err.is_none() {
             // Op complete: release the processes waiting for it.
             for i in 0..self.dependents[op_id].len() {
                 let root = self.dependents[op_id][i];
@@ -1320,20 +1208,13 @@ impl QueryRun {
     /// kind and how many of its instances have finished, so a stall dump
     /// shows where the pipeline wedged.
     fn progress_dump(&self) -> String {
-        let degrees = self
-            .plan
-            .ops
+        self.ops
             .iter()
-            .map(PlanOp::degree)
-            .chain(self.query.stages().iter().map(|s| s.degree));
-        degrees
             .enumerate()
-            .map(|(op, degree)| {
-                let done = degree - self.instances_left.get(op).copied().unwrap_or(0);
-                format!(
-                    "op{op}[{}] {done}/{degree}",
-                    self.metrics.ops[op].kind.label()
-                )
+            .map(|(op, o)| {
+                let done = o.degree - self.instances_left[op];
+                let kind = self.metrics.ops[op].kind.label();
+                format!("op{op}[{kind}] {done}/{}", o.degree)
             })
             .collect::<Vec<_>>()
             .join(", ")
@@ -1349,34 +1230,28 @@ impl QueryRun {
 /// already and are partitioned privately.
 fn base_fragments(
     plan: &ParallelPlan,
+    ops: &[Operation],
     binding: &QueryBinding,
     late: Option<&crate::late::LateRewrite>,
     provider: &dyn RelationProvider,
     cache: &FragmentCache,
     metrics: &mut Metrics,
 ) -> Result<HashMap<(usize, usize), Fragments>> {
-    let exec_binding = late.map_or(binding, |l| &l.shape.narrow);
     // One resolution per name, so every leaf of a query reads the same
     // relation even while it is being replaced in the catalog.
     let mut resolved: HashMap<&str, Arc<Relation>> = HashMap::new();
     let mut out = HashMap::new();
-    for op in &plan.ops {
-        let spec = exec_binding.spec(op.join)?;
-        for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
+    for (id, op) in ops.iter().enumerate() {
+        for (side, operand, key_col) in op.operands(plan, id) {
             let OperandSource::Base { relation } = operand else {
                 continue;
-            };
-            let key_col = if side == 0 {
-                spec.left_key
-            } else {
-                spec.right_key
             };
             let fragments: Fragments = match late {
                 Some(l) => {
                     let narrow = l.relations.get(relation).ok_or_else(|| {
                         RelalgError::InvalidPlan(format!("late plan lost relation {relation}"))
                     })?;
-                    fragment_columns(narrow, key_col, op.degree())?
+                    fragment_columns(narrow, key_col, op.degree)?
                 }
                 None => {
                     let source = match resolved.get(relation.as_str()) {
@@ -1387,7 +1262,7 @@ fn base_fragments(
                             source
                         }
                     };
-                    let (cached, hit) = cache.fragments(relation, &source, key_col, op.degree())?;
+                    let (cached, hit) = cache.fragments(relation, &source, key_col, op.degree)?;
                     metrics.note_fragment_lookup(hit);
                     match binding.scan_filter(relation) {
                         Some(pred) => cached
@@ -1398,7 +1273,7 @@ fn base_fragments(
                     }
                 }
             };
-            out.insert((op.id, side), fragments);
+            out.insert((id, side), fragments);
         }
     }
     Ok(out)
@@ -1452,7 +1327,7 @@ mod tests {
         input.allow_oversubscribe = procs < tree.join_count();
         let plan = generate(strategy, &input).unwrap();
         let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
-        let outcome = run_plan(&plan, &binding, catalog.as_ref(), &ExecConfig::default()).unwrap();
+        let outcome = run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default()).unwrap();
         // Oracle: sequential evaluation of the same logical plan.
         let xra = to_xra(&tree, 3, JoinAlgorithm::Simple);
         let expected = xra.eval(catalog.as_ref()).unwrap();
@@ -1518,9 +1393,11 @@ mod tests {
         assert!(outcome.relation.multiset_eq(&expected));
     }
 
-    /// Runs with a fault injected at (op, instance) and asserts the engine
-    /// reports the failure without hanging or panicking.
-    fn run_with_failure(shape: Shape, strategy: Strategy, fail: crate::config::FailPoint) {
+    /// Fails instance `instance` of op `op` with a typed error at its first
+    /// step and asserts the engine reports the failure without hanging or
+    /// panicking, then runs the query again cleanly.
+    #[cfg(feature = "faults")]
+    fn run_with_failure(shape: Shape, strategy: Strategy, op: usize, instance: usize) {
         let (catalog, n) = setup(6, 128);
         let tree = build(shape, 6).unwrap();
         let cards = node_cards(&tree, &UniformOneToOne { n });
@@ -1529,11 +1406,11 @@ mod tests {
         input.allow_oversubscribe = true;
         let plan = generate(strategy, &input).unwrap();
         let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
-        let config = ExecConfig {
-            fail: Some(fail),
-            ..ExecConfig::default()
-        };
-        let err = run_plan(&plan, &binding, catalog.as_ref(), &config)
+        let engine = Engine::new(catalog, ExecConfig::default()).unwrap();
+        let err = engine
+            .submit_with(&plan, &binding, fail_at(op, instance))
+            .unwrap()
+            .collect()
             .expect_err("injected failure must surface");
         let msg = err.to_string();
         assert!(
@@ -1544,37 +1421,40 @@ mod tests {
                 || msg.contains("consumer hung up"),
             "unexpected error: {msg}"
         );
+        assert_eq!(engine.store().total_bytes(), 0);
+        assert_eq!(engine.run(&plan, &binding).unwrap().relation.len(), 128);
+    }
+
+    /// Options failing instance `instance` of op `op` at its first step.
+    #[cfg(feature = "faults")]
+    fn fail_at(op: usize, instance: usize) -> QueryOptions {
+        use crate::faults::{FaultKind, FaultPlan, FaultPoint};
+        let point = FaultPoint::new("join", 1, FaultKind::Error)
+            .at_op(op)
+            .at_instance(instance);
+        QueryOptions::new().with_faults(FaultPlan::new().with_point(point))
     }
 
     #[test]
+    #[cfg(feature = "faults")]
     fn injected_failure_in_pipelined_plan_terminates() {
         // FP: every op is live-streaming; killing the bottom producer must
         // unwind the whole pipeline.
-        run_with_failure(
-            Shape::RightLinear,
-            Strategy::FP,
-            crate::config::FailPoint { op: 0, instance: 0 },
-        );
+        run_with_failure(Shape::RightLinear, Strategy::FP, 0, 0);
     }
 
     #[test]
+    #[cfg(feature = "faults")]
     fn injected_failure_in_materialized_plan_terminates() {
         // SP: sequential materialized phases; downstream ops must never
         // spawn after the failure.
-        run_with_failure(
-            Shape::LeftLinear,
-            Strategy::SP,
-            crate::config::FailPoint { op: 2, instance: 1 },
-        );
+        run_with_failure(Shape::LeftLinear, Strategy::SP, 2, 1);
     }
 
     #[test]
+    #[cfg(feature = "faults")]
     fn injected_failure_at_the_root_terminates() {
-        run_with_failure(
-            Shape::WideBushy,
-            Strategy::FP,
-            crate::config::FailPoint { op: 4, instance: 0 },
-        );
+        run_with_failure(Shape::WideBushy, Strategy::FP, 4, 0);
     }
 
     fn plan_for(
@@ -1675,9 +1555,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "faults")]
     fn failure_on_every_single_point_terminates() {
         // Exhaustive small-scale sweep: no (op, instance) fault anywhere in
-        // an RD plan can deadlock the engine.
+        // an RD plan can deadlock the engine or leak its fragments.
         let (catalog, n) = setup(5, 64);
         let tree = build(Shape::RightBushy, 5).unwrap();
         let cards = node_cards(&tree, &UniformOneToOne { n });
@@ -1686,14 +1567,12 @@ mod tests {
         input.allow_oversubscribe = true;
         let plan = generate(Strategy::RD, &input).unwrap();
         let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
+        let engine = Engine::new(catalog, ExecConfig::default()).unwrap();
         for op in 0..plan.ops.len() {
             for instance in 0..plan.ops[op].degree() {
-                let config = ExecConfig {
-                    fail: Some(crate::config::FailPoint { op, instance }),
-                    ..ExecConfig::default()
-                };
-                run_plan(&plan, &binding, catalog.as_ref(), &config)
-                    .expect_err("fault must surface");
+                let handle = engine.submit_with(&plan, &binding, fail_at(op, instance));
+                handle.unwrap().collect().expect_err("fault must surface");
+                assert_eq!(engine.store().total_bytes(), 0);
             }
         }
     }

@@ -3,18 +3,21 @@
 //! Compiled only with the `faults` cargo feature — release builds carry
 //! zero harness code. A [`FaultPlan`] attached to a query via
 //! [`QueryOptions::with_faults`](crate::QueryOptions::with_faults) forces a
-//! panic, an allocation spike, or a stall at the i-th scheduling step of a
-//! named operator (for an operator fused into another's process: the i-th
-//! step it is the running member of, starting with the one it begins in). The sweep tests drive every injection point and assert
-//! the guardrail invariant: a clean typed error, zero leaked fragments, a
-//! reusable engine, and unaffected sibling queries.
+//! panic, an allocation spike, a stall or a typed error at the i-th
+//! scheduling step of a named operator (for an operator fused into
+//! another's process: the i-th step it is the running member of, starting
+//! with the one it begins in). The sweep tests drive every injection point
+//! and assert the guardrail invariant: a clean typed error, zero leaked
+//! fragments, a reusable engine, and unaffected sibling queries.
 //!
 //! Injection is matched at task-spawn time (operator kind label, optional
 //! op id / instance) and fired inside the task's own `try_step`, so a
 //! `Panic` fault exercises the real `catch_unwind` containment path, an
 //! `AllocSpike` exercises the real [`MemoryBudget`](crate::MemoryBudget)
-//! trip, and a `Stall` parks the task in `Blocked` until the coordinator
-//! watchdog notices that progress has stopped.
+//! trip, a `Stall` parks the task in `Blocked` until the coordinator
+//! watchdog notices that progress has stopped, and an `Error` fails the
+//! task the way a broken operator does, so its peers must unwind through
+//! dropped channels.
 
 /// What an injected fault does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,6 +34,10 @@ pub enum FaultKind {
     /// Return `Blocked` on every subsequent step: the pipeline stops making
     /// progress and the coordinator watchdog must raise `Stalled`.
     Stall,
+    /// Fail the step with a typed error (`InvalidPlan("injected failure
+    /// …")`), as a broken operator would; at step 1 the instance fails
+    /// before reading a row. Its peers must unwind through their channels.
+    Error,
 }
 
 /// One injection point: fire `kind` at the `at_step`-th scheduling step of

@@ -6,11 +6,12 @@
 //! advances the query's coordination on the thread that reports, and the
 //! last one concludes the query there and publishes its outcome in the
 //! [`QueryCtrl`] the handle waits on. Results are **not** materialized into an
-//! `ExecOutcome.relation` first — the root operator instances feed a
-//! bounded channel ([`ClientSink`](crate::stream::ClientSink)) that the
-//! handle's [`ResultStream`] drains batch by batch, so the first result
-//! tuples reach the client while deeper operators are still producing, and
-//! a slow client backpressures the worker pool instead of buffering
+//! `ExecOutcome.relation` first — the instances of the query's last
+//! operation stream into the handle's [`ResultStream`] over an ordinary
+//! bounded one-consumer edge (the same [`Router`](crate::stream::Router)
+//! and [`Msg`] protocol as every other stream), so the first result tuples
+//! reach the client while deeper operators are still producing, and a
+//! slow client backpressures the worker pool instead of buffering
 //! unboundedly.
 //!
 //! Cancellation is quiescent: [`QueryHandle::cancel`] flips the query's
@@ -301,15 +302,15 @@ pub enum BatchPoll {
     Done,
 }
 
-/// A pull-based iterator over the query's result [`Batch`]es, fed directly
-/// from the root operator instances through a bounded channel.
+/// A pull-based iterator over the query's result [`Batch`]es: the one
+/// consumer of the stream edge leaving the query's last operation.
 ///
 /// Dropping the stream before it is exhausted cancels the query (there is
 /// nobody left to deliver results to); dropping it after the final `End`
 /// is a no-op.
 pub struct ResultStream {
     rx: Receiver<Msg>,
-    /// Root instances that have not sent `End` yet.
+    /// Producer instances that have not sent `End` yet.
     remaining: usize,
     schema: Arc<Schema>,
     ctrl: Arc<QueryCtrl>,
@@ -318,9 +319,8 @@ pub struct ResultStream {
     started: Instant,
     /// Whether the first batch has been delivered (TTFB recorded).
     first_seen: bool,
-    /// Engine counters to feed the time-to-first-batch histogram
-    /// (`None` for transient single-query engines like `run_plan`).
-    counters: Option<Arc<EngineCounters>>,
+    /// Engine counters to feed the time-to-first-batch histogram.
+    counters: Arc<EngineCounters>,
 }
 
 impl ResultStream {
@@ -330,7 +330,7 @@ impl ResultStream {
         schema: Arc<Schema>,
         ctrl: Arc<QueryCtrl>,
         started: Instant,
-        counters: Option<Arc<EngineCounters>>,
+        counters: Arc<EngineCounters>,
     ) -> Self {
         ResultStream {
             rx,
@@ -360,12 +360,10 @@ impl ResultStream {
         self.first_seen = true;
         let ttfb = self.started.elapsed();
         self.ctrl.note_first_batch(ttfb);
-        if let Some(counters) = &self.counters {
-            counters.note_first_batch(ttfb);
-        }
+        self.counters.note_first_batch(ttfb);
     }
 
-    /// Blocks for the next batch. `None` once every root instance has
+    /// Blocks for the next batch. `None` once every producer instance has
     /// finished — or unwound: a query that failed (or was cancelled)
     /// simply ends the stream early, and the error surfaces from
     /// [`QueryHandle::outcome`].
@@ -525,8 +523,8 @@ impl QueryHandle {
     /// If you **did** take the stream, finish with it before calling this:
     /// drain it to the end, drop it (which cancels a live query), or call
     /// [`cancel`](Self::cancel) first. `outcome()` blocks until the query
-    /// quiesces, and a query cannot quiesce while its root tasks are
-    /// backpressured against a taken-but-idle stream — holding the
+    /// quiesces, and a query cannot quiesce while the tasks feeding its
+    /// stream are backpressured against a taken-but-idle stream — holding the
     /// undrained stream on the same thread that calls `outcome()` would
     /// wait forever. (Draining from another thread is fine; this call then
     /// simply waits for that drain.)
@@ -548,8 +546,7 @@ impl QueryHandle {
     }
 
     /// Drains the stream into a relation and returns it alongside the
-    /// outcome — the one-call path for clients that want the whole result
-    /// (`run_plan`'s behaviour, minus the transient engine).
+    /// outcome — the one-call path for clients that want the whole result.
     pub fn collect(mut self) -> Result<Relation> {
         let stream = self.stream.take().ok_or_else(|| {
             RelalgError::InvalidPlan("result stream already taken; drain it instead".into())
@@ -560,8 +557,8 @@ impl QueryHandle {
     }
 
     fn wait(&mut self) -> Result<QueryOutcome> {
-        // Discard any untaken results so root tasks are never wedged on a
-        // full channel nobody reads.
+        // Discard any untaken results so producing tasks are never wedged
+        // on a full channel nobody reads.
         if let Some(mut stream) = self.stream.take() {
             while stream.next_batch().is_some() {}
         }

@@ -58,7 +58,7 @@ pub mod stream;
 
 pub use binding::{PipelineStage, QueryBinding, StageKind};
 pub use budget::MemoryBudget;
-pub use config::{ExecConfig, FailPoint, LateMode, QueryOptions, DEFAULT_ADMISSION_QUEUE};
+pub use config::{ExecConfig, LateMode, QueryOptions, DEFAULT_ADMISSION_QUEUE};
 pub use engine::{run_plan, Engine, ExecOutcome};
 pub use families::{chain_query_sql, generate_family, star_query_sql, FamilyInstance, QueryFamily};
 #[cfg(feature = "faults")]

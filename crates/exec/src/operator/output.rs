@@ -8,11 +8,14 @@ use mj_relalg::{Result, Schema};
 use mj_storage::FragmentStore;
 
 use crate::budget::MemoryBudget;
-use crate::stream::{ClientSink, Router};
+use crate::stream::Router;
 
 /// The output port of one operation-process instance.
 pub enum OutputPort {
-    /// Live redistribution to the consumer's instances.
+    /// Live redistribution to the consumer's instances — or, from the
+    /// query's last operation, to the client's
+    /// [`ResultStream`](crate::handle::ResultStream): results flow before
+    /// the query completes and a slow client backpressures the pool.
     Stream(Router),
     /// Store the output fragment in this processor's memory (the consumer
     /// reads it later — SP/SE materialization and RD inter-wave edges).
@@ -31,11 +34,6 @@ pub enum OutputPort {
         /// reclaims the query's namespace.
         budget: Option<Arc<MemoryBudget>>,
     },
-    /// The root of a submitted query: batches stream to the client's
-    /// [`ResultStream`](crate::handle::ResultStream) through a bounded
-    /// channel, so results flow before the query completes and a slow
-    /// client backpressures the pool.
-    Client(ClientSink),
     /// A buffered row-collection sink (unit tests).
     #[cfg(test)]
     Sink {
@@ -76,7 +74,6 @@ impl OutputPort {
     pub fn try_emit(&mut self, out: &mut ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
         let (emitted, done) = match self {
             OutputPort::Stream(router) => router.try_route_batch(out, pos)?,
-            OutputPort::Client(sink) => sink.try_append_batch(out, pos)?,
             OutputPort::Materialize { buffer, .. } => {
                 let n = out.rows() - *pos;
                 // An operator that has produced nothing yet hands over a
@@ -108,7 +105,6 @@ impl OutputPort {
     pub fn try_finish(&mut self) -> Result<bool> {
         match self {
             OutputPort::Stream(router) => router.try_finish(),
-            OutputPort::Client(sink) => sink.try_finish(),
             OutputPort::Materialize {
                 store,
                 proc,

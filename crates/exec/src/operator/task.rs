@@ -255,8 +255,7 @@ impl Operand {
 /// Execution phase of the instance; `Build` to `Finish` repeat per member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
-    /// Not yet begun: the first step starts the first member (where an
-    /// injected failure surfaces).
+    /// Not yet begun: the first step starts the first member.
     Start,
     /// Build-then-probe operators only: drain the (immediate) build side.
     Build,
@@ -286,7 +285,6 @@ pub struct TaskMember {
     turn: usize,
     /// `finish` has been called on the operator (exactly-once guard).
     drained: bool,
-    fail: bool,
     /// Armed fault-injection point, if any (test harness).
     #[cfg(feature = "faults")]
     fault: Option<crate::faults::ArmedFault>,
@@ -295,14 +293,8 @@ pub struct TaskMember {
 impl TaskMember {
     /// A member driving `op` (plan op `op_id`) over one or two operands.
     /// A `None` source is the output of an earlier member of the same
-    /// task, handed over when that member finishes. `fail` injects a
-    /// deterministic fault for teardown tests.
-    pub fn new(
-        op: Box<dyn PhysicalOp>,
-        sources: Vec<Option<Source>>,
-        op_id: usize,
-        fail: bool,
-    ) -> TaskMember {
+    /// task, handed over when that member finishes.
+    pub fn new(op: Box<dyn PhysicalOp>, sources: Vec<Option<Source>>, op_id: usize) -> TaskMember {
         debug_assert!(
             (1..=2).contains(&sources.len()),
             "operators take one or two operands"
@@ -320,7 +312,6 @@ impl TaskMember {
             op_id,
             turn: 0,
             drained: false,
-            fail,
             #[cfg(feature = "faults")]
             fault: None,
         }
@@ -562,21 +553,12 @@ impl OpTask {
     /// Points the task at its (new) front member. The phase functions
     /// below return `None` when the task should simply carry on in the
     /// same step, and `Some(step)` when it must yield.
-    fn begin_member(&mut self) -> Result<()> {
-        let instance = self.instance;
-        let m = self.member();
-        if m.fail {
-            return Err(RelalgError::InvalidPlan(format!(
-                "injected failure at op {} instance {instance}",
-                m.op_id
-            )));
-        }
-        self.phase = if m.build_side().is_some() {
+    fn begin_member(&mut self) {
+        self.phase = if self.member().build_side().is_some() {
             Phase::Build
         } else {
             Phase::Feed
         };
-        Ok(())
     }
 
     /// Build phase: drain the immediate build side into the operator in
@@ -725,10 +707,10 @@ impl OpTask {
                 })?;
             reader.handed_bytes += result.est_bytes();
             reader.operands[side] = Operand::new(Source::Local(result));
-            self.begin_member()?;
+            self.begin_member();
             // The next member runs in what is left of this step: its first.
             #[cfg(feature = "faults")]
-            if let Some(parked) = self.poll_fault() {
+            if let Some(parked) = self.poll_fault()? {
                 return Ok(Some(parked));
             }
             return Ok(None);
@@ -744,16 +726,22 @@ impl OpTask {
     }
 
     /// Polls the running member's armed fault, once per scheduling step it
-    /// runs in: `Some(Blocked)` parks the task (a fired stall).
+    /// runs in: `Some(Blocked)` parks the task (a fired stall), an error
+    /// fails it.
     #[cfg(feature = "faults")]
-    fn poll_fault(&mut self) -> Option<Step> {
+    fn poll_fault(&mut self) -> Result<Option<Step>> {
         let (instance, m) = (self.instance, self.member());
         let op_id = m.op_id;
-        let fault = m.fault.as_mut()?;
+        let Some(fault) = m.fault.as_mut() else {
+            return Ok(None);
+        };
         if fault.stalling() {
-            return Some(Step::Blocked);
+            return Ok(Some(Step::Blocked));
         }
-        match fault.fire()? {
+        let Some(kind) = fault.fire() else {
+            return Ok(None);
+        };
+        match kind {
             crate::faults::FaultKind::Panic => {
                 panic!("injected panic at op {op_id} instance {instance}")
             }
@@ -767,15 +755,18 @@ impl OpTask {
                     }
                     self.spiked += bytes;
                 }
-                None
+                Ok(None)
             }
-            crate::faults::FaultKind::Stall => Some(Step::Blocked),
+            crate::faults::FaultKind::Stall => Ok(Some(Step::Blocked)),
+            crate::faults::FaultKind::Error => Err(RelalgError::InvalidPlan(format!(
+                "injected failure at op {op_id} instance {instance}"
+            ))),
         }
     }
 
     fn try_step(&mut self) -> Result<Step> {
         #[cfg(feature = "faults")]
-        if let Some(parked) = self.poll_fault() {
+        if let Some(parked) = self.poll_fault()? {
             return Ok(parked);
         }
         // One quantum of rows across however many phases — and members —
@@ -786,7 +777,7 @@ impl OpTask {
         loop {
             let step = match self.phase {
                 Phase::Start => {
-                    self.begin_member()?;
+                    self.begin_member();
                     None
                 }
                 Phase::Build => self.step_build(&mut budget)?,
@@ -985,7 +976,6 @@ mod tests {
             join_op(JoinAlgorithm::Simple, spec),
             vec![left, Some(Source::Local(right))],
             op_id,
-            false,
         )
     }
 

@@ -1025,7 +1025,7 @@ mod tests {
         let outcome = run_plan(
             &planned.plan,
             &planned.binding,
-            catalog.as_ref(),
+            catalog.clone(),
             &ExecConfig::default(),
         )
         .unwrap();
@@ -1095,7 +1095,7 @@ mod tests {
         let outcome = run_plan(
             &planned.plan,
             &planned.binding,
-            catalog.as_ref(),
+            catalog.clone(),
             &ExecConfig::default(),
         )
         .unwrap();
@@ -1303,7 +1303,7 @@ mod tests {
         let outcome = run_plan(
             &planned.plan,
             &planned.binding,
-            instance.catalog.as_ref(),
+            instance.catalog.clone(),
             &ExecConfig::default(),
         )
         .unwrap();

@@ -10,8 +10,10 @@
 //! integer column, a `Value` fallback column otherwise. The router splits
 //! a whole batch at a time — hash the key column into a destination vector
 //! ([`bucket_keys`]), then gather each destination's rows column-at-a-time
-//! — instead of dispatching per tuple. Rows ([`Tuple`]) are materialized
-//! only at the client boundary ([`ClientSink`] / [`Batch::drain`]).
+//! — instead of dispatching per tuple. A one-destination edge (a degree-1
+//! consumer, or the client's result stream) needs no split: it ships the
+//! rows in order, at most a batch per message. Rows ([`Tuple`]) are
+//! materialized only at the client boundary ([`Batch::drain`]).
 //!
 //! Column buffers are pooled per redistribution edge: a consumer that
 //! finishes a [`Batch`] returns the emptied buffers to the shared
@@ -346,202 +348,20 @@ fn hung_up() -> RelalgError {
     RelalgError::InvalidPlan("consumer hung up".into())
 }
 
-/// Creates the root-result channel of one query: `producers` root-operator
-/// instances all send into one bounded channel the client side
-/// (`ResultStream`) drains. The pool is sized like a redistribution edge
-/// with a single consumer, so steady-state streaming recycles every batch
-/// buffer the client drops.
-pub fn client_channel(
-    producers: usize,
-    capacity: usize,
-    layout: ColumnLayout,
-) -> (Sender<Msg>, Receiver<Msg>, Arc<BatchPool>) {
-    let (tx, rx) = bounded(capacity);
-    let pool = BatchPool::new(edge_buffer_bound(producers, 1, capacity), layout);
-    (tx, rx, pool)
-}
-
-/// A root instance's sender into the query's result channel: buffers rows
-/// column-wise and ships them to the client with the same non-blocking,
-/// one-parked-batch discipline as [`Router`], minus the hash split (all
-/// root instances feed one [`ResultStream`](crate::handle::ResultStream)).
-/// Backpressure from a slow client therefore propagates into the worker
-/// pool: a root task whose send parks yields its worker instead of
-/// buffering unboundedly.
-pub struct ClientSink {
-    tx: Sender<Msg>,
-    batch: usize,
-    buffer: ColumnBatch,
-    pool: Arc<BatchPool>,
-    sent: u64,
-    /// A batch (or End) that hit the full channel and awaits retry.
-    pending: Option<Msg>,
-    /// Whether `End` has been queued (finish is then complete once
-    /// `pending` clears).
-    end_queued: bool,
-}
-
-impl ClientSink {
-    /// Creates a sink over the query's result sender.
-    pub fn new(tx: Sender<Msg>, batch: usize, pool: Arc<BatchPool>) -> Self {
-        let buffer = pool.take(batch);
-        ClientSink {
-            tx,
-            batch,
-            buffer,
-            pool,
-            sent: 0,
-            pending: None,
-            end_queued: false,
-        }
-    }
-
-    /// Rows accepted so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Attempts to deliver the parked message, if any. `Ok(true)` means the
-    /// sink can accept work; `Ok(false)` means the channel is still full.
-    pub fn poll_unblocked(&mut self) -> Result<bool> {
-        match self.pending.take() {
-            None => Ok(true),
-            Some(msg) => match self.tx.try_send(msg) {
-                Ok(()) => Ok(true),
-                Err(TrySendError::Full(msg)) => {
-                    self.pending = Some(msg);
-                    Ok(false)
-                }
-                Err(TrySendError::Disconnected(_)) => Err(hung_up()),
-            },
-        }
-    }
-
-    fn try_send_or_park(&mut self, msg: Msg) -> Result<()> {
-        debug_assert!(self.pending.is_none(), "parked message not cleared");
-        match self.tx.try_send(msg) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(msg)) => {
-                self.pending = Some(msg);
-                Ok(())
-            }
-            Err(TrySendError::Disconnected(_)) => Err(hung_up()),
-        }
-    }
-
-    fn flush_buffer(&mut self) -> Result<()> {
-        let full = std::mem::replace(&mut self.buffer, self.pool.take(self.batch));
-        self.try_send_or_park(Msg::Batch(Batch::new(full, self.pool.clone())))
-    }
-
-    /// Non-blocking columnar append: moves rows `*pos..` of `cols` into
-    /// the sink, flushing full buffers. Returns the rows accepted this
-    /// call and whether the input was fully consumed (`false` means the
-    /// channel is applying backpressure — yield and retry). `*pos` is
-    /// advanced past the accepted rows.
-    pub fn try_append_batch(&mut self, cols: &ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
-        let mut emitted = 0u64;
-        while *pos < cols.rows() {
-            if !self.poll_unblocked()? {
-                return Ok((emitted, false));
-            }
-            let room = self.batch.saturating_sub(self.buffer.rows()).max(1);
-            let take = room.min(cols.rows() - *pos);
-            self.buffer.append_rows(cols, *pos..*pos + take)?;
-            *pos += take;
-            emitted += take as u64;
-            self.sent += take as u64;
-            if self.buffer.rows() >= self.batch {
-                self.flush_buffer()?;
-            }
-        }
-        Ok((emitted, true))
-    }
-
-    /// Non-blocking finish: flushes the remaining buffer and queues `End`,
-    /// resumable across backpressure. `Ok(true)` once everything (including
-    /// `End`) has been delivered.
-    pub fn try_finish(&mut self) -> Result<bool> {
-        if !self.poll_unblocked()? {
-            return Ok(false);
-        }
-        if !self.end_queued {
-            if !self.buffer.is_empty() {
-                let full = std::mem::take(&mut self.buffer);
-                self.try_send_or_park(Msg::Batch(Batch::new(full, self.pool.clone())))?;
-                if self.pending.is_some() {
-                    return Ok(false);
-                }
-            }
-            self.end_queued = true;
-            self.try_send_or_park(Msg::End)?;
-        }
-        Ok(self.pending.is_none())
-    }
-}
-
-/// The row-at-a-time and blocking forms: unit tests drive the sink with
-/// them; engine tasks only ever append batches.
-#[cfg(test)]
-impl ClientSink {
-    /// Non-blocking row push: accepts the tuple unless a previously parked
-    /// batch still cannot be delivered, in which case the tuple is handed
-    /// back (`Ok(Some(tuple))`) and the caller should yield its worker.
-    pub fn try_push(&mut self, tuple: Tuple) -> Result<Option<Tuple>> {
-        if !self.poll_unblocked()? {
-            return Ok(Some(tuple));
-        }
-        self.buffer.push_tuple(&tuple)?;
-        self.sent += 1;
-        if self.buffer.rows() >= self.batch {
-            self.flush_buffer()?;
-        }
-        Ok(None)
-    }
-
-    /// Blocking push (dedicated-thread path; never call from a pooled task).
-    pub fn push(&mut self, tuple: Tuple) -> Result<()> {
-        let mut tuple = tuple;
-        loop {
-            match self.try_push(tuple)? {
-                None => return Ok(()),
-                Some(back) => {
-                    tuple = back;
-                    self.flush_pending_blocking()?;
-                }
-            }
-        }
-    }
-
-    /// Blocking finish (dedicated-thread path).
-    pub fn finish_blocking(&mut self) -> Result<()> {
-        loop {
-            if self.try_finish()? {
-                return Ok(());
-            }
-            self.flush_pending_blocking()?;
-        }
-    }
-
-    fn flush_pending_blocking(&mut self) -> Result<()> {
-        if let Some(msg) = self.pending.take() {
-            self.tx.send(msg).map_err(|_| hung_up())?;
-        }
-        Ok(())
-    }
-}
-
 /// A producer instance's split sender: buffers rows per destination
 /// (column-wise) and ships batches, reusing buffers from the edge's pool.
 ///
 /// [`try_route_batch`](Router::try_route_batch) splits a whole batch at a
 /// time: hash the key column into a destination vector, build one
 /// selection vector per destination, and gather each destination's rows
-/// column-at-a-time. It and [`try_finish`](Router::try_finish) never
+/// column-at-a-time. With one destination it only copies, `batch` rows per
+/// message at most. It and [`try_finish`](Router::try_finish) never
 /// block: a batch that cannot be sent right now parks in a one-slot
 /// `pending` buffer and the worker-pool task yields its worker instead of
-/// parking a thread. (Unit tests also get a row-at-a-time `try_route` and
-/// blocking `route` / `finish` over the same state machine.)
+/// parking a thread — so a slow consumer, the client included,
+/// backpressures the pool. (Unit tests also get a row-at-a-time
+/// `try_route` and blocking `route` / `finish` over the same state
+/// machine.)
 pub struct Router {
     senders: Vec<Sender<Msg>>,
     key_col: usize,
@@ -555,7 +375,8 @@ pub struct Router {
     finish_pos: usize,
     /// Scratch: per-row destination of the batch being split.
     dest_scratch: Vec<u32>,
-    /// Scratch: per-destination selection vectors for the gather.
+    /// Scratch: per-destination selection vectors for the gather (sized
+    /// on first use: a one-destination router never splits).
     sel_scratch: Vec<Vec<u32>>,
 }
 
@@ -570,7 +391,6 @@ impl Router {
     ) -> Self {
         assert!(!senders.is_empty(), "router needs at least one destination");
         let buffers = senders.iter().map(|_| pool.take(batch)).collect();
-        let sel_scratch = senders.iter().map(|_| Vec::new()).collect();
         Router {
             senders,
             key_col,
@@ -581,7 +401,7 @@ impl Router {
             pending: None,
             finish_pos: 0,
             dest_scratch: Vec::new(),
-            sel_scratch,
+            sel_scratch: Vec::new(),
         }
     }
 
@@ -649,9 +469,12 @@ impl Router {
     /// the destinations in one vectorized pass (hash the key column, then
     /// gather per destination) and flushes full buffers. Returns the rows
     /// accepted and whether the input was fully consumed (`false` means a
-    /// previously parked batch still blocks the router — yield and retry).
-    /// `*pos` is advanced past the accepted rows.
+    /// parked batch still blocks the router — yield and retry). `*pos` is
+    /// advanced past the accepted rows.
     pub fn try_route_batch(&mut self, cols: &ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
+        if self.senders.len() == 1 {
+            return self.try_append(cols, pos);
+        }
         if *pos >= cols.rows() {
             self.flush_full()?;
             return Ok((0, true));
@@ -660,29 +483,50 @@ impl Router {
             return Ok((0, false));
         }
         let n = cols.rows() - *pos;
-        if self.senders.len() == 1 {
-            self.buffers[0].append_rows(cols, *pos..cols.rows())?;
-        } else {
-            let keys = cols.int_col(self.key_col)?;
-            bucket_keys(&keys[*pos..], self.senders.len(), &mut self.dest_scratch);
-            for sel in &mut self.sel_scratch {
-                sel.clear();
+        let keys = cols.int_col(self.key_col)?;
+        bucket_keys(&keys[*pos..], self.senders.len(), &mut self.dest_scratch);
+        self.sel_scratch.resize_with(self.senders.len(), Vec::new);
+        for sel in &mut self.sel_scratch {
+            sel.clear();
+        }
+        for (i, &d) in self.dest_scratch.iter().enumerate() {
+            self.sel_scratch[d as usize].push((*pos + i) as u32);
+        }
+        for dest in 0..self.senders.len() {
+            let sel = std::mem::take(&mut self.sel_scratch[dest]);
+            if !sel.is_empty() {
+                self.buffers[dest].append_gather(cols, &sel)?;
             }
-            for (i, &d) in self.dest_scratch.iter().enumerate() {
-                self.sel_scratch[d as usize].push((*pos + i) as u32);
-            }
-            for dest in 0..self.senders.len() {
-                let sel = std::mem::take(&mut self.sel_scratch[dest]);
-                if !sel.is_empty() {
-                    self.buffers[dest].append_gather(cols, &sel)?;
-                }
-                self.sel_scratch[dest] = sel;
-            }
+            self.sel_scratch[dest] = sel;
         }
         *pos = cols.rows();
         self.sent += n as u64;
         self.flush_full()?;
         Ok((n as u64, true))
+    }
+
+    /// The one-destination route: copies rows `*pos..` of `cols` in order,
+    /// shipping each batch as it fills, and stops at a parked send with the
+    /// rows accepted so far. No key is read, so a degree-1 consumer (LIMIT,
+    /// a global aggregate) may receive a schema whose routing column is not
+    /// an integer.
+    fn try_append(&mut self, cols: &ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
+        let mut accepted = 0u64;
+        while *pos < cols.rows() {
+            if !self.poll_unblocked()? {
+                return Ok((accepted, false));
+            }
+            let room = self.batch.saturating_sub(self.buffers[0].rows()).max(1);
+            let take = room.min(cols.rows() - *pos);
+            self.buffers[0].append_rows(cols, *pos..*pos + take)?;
+            *pos += take;
+            accepted += take as u64;
+            self.sent += take as u64;
+            if self.buffers[0].rows() >= self.batch {
+                self.flush_dest(0)?;
+            }
+        }
+        Ok((accepted, true))
     }
 
     /// Non-blocking finish: flushes every buffer and queues `End` to every
@@ -871,6 +715,27 @@ mod tests {
     }
 
     #[test]
+    fn single_destination_ships_at_most_a_batch_per_message_in_order() {
+        // A root's one-destination edge into the client: an input three
+        // batches long leaves as three full messages, never as one.
+        let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
+        let mut router = Router::new(txs, 0, 4, pool);
+        let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 12);
+        for k in 0..12i64 {
+            cols.push_tuple(&Tuple::from_ints(&[k])).unwrap();
+        }
+        let mut pos = 0;
+        assert_eq!(router.try_route_batch(&cols, &mut pos).unwrap(), (12, true));
+        assert!(router.try_finish().unwrap());
+        let mut rows = Vec::new();
+        while let Ok(Msg::Batch(b)) = rxs[0].try_recv() {
+            assert!(b.len() <= 4, "a message of {} rows", b.len());
+            rows.extend_from_slice(b.columns().int_col(0).unwrap());
+        }
+        assert_eq!(rows, (0..12).collect::<Vec<i64>>());
+    }
+
+    #[test]
     fn backpressure_blocks_until_drained() {
         // A full bounded channel must stall route() rather than drop or
         // error; draining one message releases exactly one send.
@@ -1055,20 +920,25 @@ mod tests {
         );
     }
 
+    // The client sink — the query's last operation feeding the client's
+    // result stream — is a `Router` with one destination.
+
     #[test]
     fn client_sink_batches_and_finishes() {
-        let (tx, rx, pool) = client_channel(2, 8, ColumnLayout::ints(1));
-        let mut a = ClientSink::new(tx.clone(), 2, pool.clone());
-        let mut b = ClientSink::new(tx, 2, pool);
+        // Two producer instances, one result stream: each flushes its rows
+        // and sends its own `End`.
+        let (txs, rxs, pool) = operand_channels(2, 1, 8, ColumnLayout::ints(1));
+        let mut a = Router::new(txs.clone(), 0, 2, pool.clone());
+        let mut b = Router::new(txs, 0, 2, pool);
         for k in 0..5i64 {
-            assert!(a.try_push(Tuple::from_ints(&[k])).unwrap().is_none());
+            assert!(a.try_route(Tuple::from_ints(&[k])).unwrap().is_none());
         }
-        b.push(Tuple::from_ints(&[99])).unwrap();
+        b.route(Tuple::from_ints(&[99])).unwrap();
         assert!(a.try_finish().unwrap());
-        b.finish_blocking().unwrap();
         assert_eq!(a.sent(), 5);
+        b.finish().unwrap();
         let (mut rows, mut ends) = (0, 0);
-        while let Ok(msg) = rx.try_recv() {
+        while let Ok(msg) = rxs[0].try_recv() {
             match msg {
                 Msg::Batch(bt) => rows += bt.len(),
                 Msg::End => ends += 1,
@@ -1079,19 +949,19 @@ mod tests {
 
     #[test]
     fn client_sink_appends_batches_columnar() {
-        let (tx, rx, pool) = client_channel(1, 16, ColumnLayout::ints(2));
-        let mut sink = ClientSink::new(tx, 4, pool);
+        let (txs, rxs, pool) = operand_channels(1, 1, 16, ColumnLayout::ints(2));
+        let mut sink = Router::new(txs, 0, 4, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(2), 10);
         for k in 0..10i64 {
             cols.push_tuple(&Tuple::from_ints(&[k, -k])).unwrap();
         }
         let mut pos = 0;
-        let (n, done) = sink.try_append_batch(&cols, &mut pos).unwrap();
+        let (n, done) = sink.try_route_batch(&cols, &mut pos).unwrap();
         assert_eq!((n, done), (10, true));
         assert!(sink.try_finish().unwrap());
         let mut got = Vec::new();
         loop {
-            match rx.try_recv() {
+            match rxs[0].try_recv() {
                 Ok(Msg::Batch(mut b)) => got.extend(b.drain()),
                 Ok(Msg::End) => break,
                 Err(_) => panic!("missing End"),
@@ -1103,41 +973,51 @@ mod tests {
 
     #[test]
     fn client_sink_parks_on_backpressure_and_resumes() {
-        // Capacity 1, batch 1: the second flush parks; draining releases it.
-        let (tx, rx, pool) = client_channel(1, 1, ColumnLayout::ints(1));
-        let mut sink = ClientSink::new(tx, 1, pool);
-        assert!(sink.try_push(Tuple::from_ints(&[1])).unwrap().is_none());
-        assert!(sink.try_push(Tuple::from_ints(&[2])).unwrap().is_none());
-        let back = sink.try_push(Tuple::from_ints(&[3])).unwrap();
-        assert_eq!(back.unwrap().int(0).unwrap(), 3);
+        // Capacity 1, batch 1: a three-row batch fills the channel, parks
+        // the second message and stops there; draining releases it.
+        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        let mut sink = Router::new(txs, 0, 1, pool);
+        let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 3);
+        for k in 1..=3i64 {
+            cols.push_tuple(&Tuple::from_ints(&[k])).unwrap();
+        }
+        let mut pos = 0;
+        assert_eq!(sink.try_route_batch(&cols, &mut pos).unwrap(), (2, false));
+        assert_eq!(pos, 2);
         assert!(!sink.poll_unblocked().unwrap());
-        let Msg::Batch(b) = rx.recv().unwrap() else {
+        let Msg::Batch(b) = rxs[0].recv().unwrap() else {
             panic!("expected batch");
         };
+        assert_eq!(b.columns().int_col(0).unwrap(), &[1]);
         drop(b);
         assert!(sink.poll_unblocked().unwrap());
-        assert!(sink.try_push(Tuple::from_ints(&[3])).unwrap().is_none());
+        // The last row is accepted; its message parks behind the second.
+        assert_eq!(sink.try_route_batch(&cols, &mut pos).unwrap(), (1, true));
+        assert!(!sink.poll_unblocked().unwrap());
         // Finish resumes across the still-bounded channel; drain until End.
-        let mut seen = 1usize; // the batch drained above held one row
+        let mut seen = vec![1];
         loop {
-            match rx.try_recv() {
-                Ok(Msg::Batch(b)) => seen += b.len(),
+            match rxs[0].try_recv() {
+                Ok(Msg::Batch(b)) => seen.extend_from_slice(b.columns().int_col(0).unwrap()),
                 Ok(Msg::End) => break,
                 Err(_) => {
                     sink.try_finish().unwrap();
                 }
             }
         }
-        assert_eq!(seen, 3);
+        assert_eq!(seen, [1, 2, 3]);
         assert_eq!(sink.sent(), 3);
     }
 
     #[test]
     fn client_sink_errors_when_stream_dropped() {
-        let (tx, rx, pool) = client_channel(1, 1, ColumnLayout::ints(1));
-        drop(rx);
-        let mut sink = ClientSink::new(tx, 1, pool);
-        assert!(sink.try_push(Tuple::from_ints(&[1])).is_err());
+        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        drop(rxs);
+        let mut sink = Router::new(txs, 0, 1, pool);
+        let mut one = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 1);
+        one.push_tuple(&Tuple::from_ints(&[1])).unwrap();
+        let mut pos = 0;
+        assert!(sink.try_route_batch(&one, &mut pos).is_err());
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn main() {
         let plan = generate(strategy, &input).expect("parallel plan");
         let stats = plan.stats();
         let outcome =
-            run_plan(&plan, &binding, catalog.as_ref(), &ExecConfig::default()).expect("execution");
+            run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default()).expect("execution");
         let ok = outcome.relation.multiset_eq(&oracle);
         println!(
             "{strategy}: {:>6.1} ms | {} processes, {} streams, {} pipeline edges | {} tuples | oracle: {}",

@@ -246,7 +246,7 @@ fn main() {
         input.allow_oversubscribe = true;
         let plan = generate(strategy, &input).expect("plan");
         let out =
-            run_plan(&plan, &binding, catalog.as_ref(), &ExecConfig::default()).expect("execution");
+            run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default()).expect("execution");
         assert!(out.relation.multiset_eq(&oracle), "{strategy} diverged");
         println!(
             "{strategy}: {:.1} ms, {} rows (verified)",

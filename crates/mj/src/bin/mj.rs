@@ -675,7 +675,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     input.allow_oversubscribe = true;
     let plan = generate(strategy, &input).map_err(|e| e.to_string())?;
     let binding = QueryBinding::regular(&tree, catalog.as_ref()).map_err(|e| e.to_string())?;
-    let outcome = run_plan(&plan, &binding, catalog.as_ref(), &ExecConfig::default())
+    let outcome = run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default())
         .map_err(|e| e.to_string())?;
 
     let oracle = to_xra(&tree, 3, JoinAlgorithm::Simple)
@@ -714,7 +714,7 @@ fn cmd_run_planner(args: &Args) -> Result<(), String> {
     let outcome = run_plan(
         &planned.plan,
         &planned.binding,
-        instance.catalog.as_ref(),
+        instance.catalog.clone(),
         &ExecConfig::default(),
     )
     .map_err(|e| e.to_string())?;

@@ -95,9 +95,10 @@
 //! let input = GeneratorInput::new(&plan1.tree, &plan1.node_cards, &costs, 4);
 //! let plan2 = generate(Strategy::FP, &input).unwrap();
 //!
-//! // 4. Execute on real threads.
+//! // 4. Execute on real threads: `run_plan` is `Engine::run` on an engine
+//! //    made for the call (hold an `Engine` to run many queries).
 //! let binding = QueryBinding::regular(&plan1.tree, catalog.as_ref()).unwrap();
-//! let outcome = run_plan(&plan2, &binding, catalog.as_ref(), &ExecConfig::default()).unwrap();
+//! let outcome = run_plan(&plan2, &binding, catalog.clone(), &ExecConfig::default()).unwrap();
 //! assert_eq!(outcome.relation.len(), 1000);
 //! ```
 
@@ -134,5 +135,5 @@ pub mod prelude {
         RelationProvider, Schema, Tuple, Value, XraNode,
     };
     pub use mj_sim::{run_scenario, simulate, Scenario, SimParams};
-    pub use mj_storage::{Catalog, FragmentedRelation, PayloadMode, WisconsinGenerator};
+    pub use mj_storage::{Catalog, PayloadMode, WisconsinGenerator};
 }

@@ -24,7 +24,7 @@ fn engine_metrics_match_plan_stats() {
         let plan = generate(strategy, &input).unwrap();
         let stats = plan.stats();
         let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
-        let out = run_plan(&plan, &binding, catalog.as_ref(), &ExecConfig::default()).unwrap();
+        let out = run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default()).unwrap();
         assert_eq!(
             out.metrics.processes, stats.operation_processes,
             "{strategy}: engine spawned a different number of operation processes"
@@ -138,7 +138,7 @@ fn oversubscribed_plans_agree_between_backends() {
     for strategy in Strategy::ALL {
         let plan = generate(strategy, &input).unwrap();
         let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
-        let out = run_plan(&plan, &binding, catalog.as_ref(), &ExecConfig::default()).unwrap();
+        let out = run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default()).unwrap();
         assert_eq!(out.relation.len(), n, "{strategy}");
         let sim = simulate(&plan, &SimParams::default()).unwrap();
         assert!(sim.response_time > 0.0, "{strategy}");

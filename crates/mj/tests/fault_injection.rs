@@ -1,9 +1,10 @@
 //! Deterministic fault-injection sweep over the query-lifecycle guardrails.
 //!
 //! Drives the `faults` harness of `mj-exec` end to end through the session
-//! facade: a seeded [`FaultPlan`] forces a panic, an allocation spike, or a
-//! stall at a chosen step of every named operator of a realistic pipeline
-//! (joins, residual filter, partitioned aggregate, limit), and each
+//! facade: a seeded [`FaultPlan`] forces a panic, an allocation spike, a
+//! stall, or an operator error at a chosen step of every named operator of
+//! a realistic pipeline (joins, residual filter, partitioned aggregate,
+//! limit), and each
 //! injection must surface as the *correct typed* [`MjError`] — never a
 //! process abort — with the shared fragment store drained, the engine
 //! reusable, and concurrently running sibling queries unaffected.
@@ -94,6 +95,7 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
         FaultKind::Panic,
         FaultKind::AllocSpike { bytes: 1 << 40 },
         FaultKind::Stall,
+        FaultKind::Error,
     ];
     for label in ["join", "filter", "aggregate", "limit"] {
         for kind in kinds {
@@ -121,6 +123,10 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
                         matches!(err, MjError::Stalled(_)),
                         "{ctx}: expected Stalled, got {err}"
                     ),
+                    FaultKind::Error => assert!(
+                        err.to_string().contains("injected failure"),
+                        "{ctx}: expected the injected error, got {err}"
+                    ),
                 }
                 // The faulted query left nothing behind...
                 assert_eq!(
@@ -147,9 +153,9 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
 #[test]
 fn a_fault_on_any_member_of_a_process_group_fails_clean() {
     // Under the shipped model a chain of five 60-tuple relations is one
-    // operation process of four members. A panic, an allocation spike or a
-    // stall armed on any one member's op id — the first, one in the
-    // middle, the root — must end the whole query with the typed error,
+    // operation process of four members. A panic, an allocation spike, a
+    // stall or an error armed on any one member's op id — the first, one in
+    // the middle, the root — must end the whole query with the typed error,
     // every member accounted for, nothing left in the store or the pool.
     quiet_injected_panics();
     let instance = generate_family(QueryFamily::Chain, 5, 60, 0xF05E).expect("family");
@@ -172,6 +178,7 @@ fn a_fault_on_any_member_of_a_process_group_fails_clean() {
             FaultKind::Panic,
             FaultKind::AllocSpike { bytes: 1 << 40 },
             FaultKind::Stall,
+            FaultKind::Error,
         ] {
             let ctx = format!("op{member}/{kind:?}");
             let plan = FaultPlan::seeded(0xF05E)
@@ -189,6 +196,13 @@ fn a_fault_on_any_member_of_a_process_group_fails_clean() {
                     )
                 }
                 (FaultKind::AllocSpike { .. }, MjError::ResourceExhausted { .. }) => {}
+                (FaultKind::Error, MjError::Exec(e)) => {
+                    let message = e.to_string();
+                    assert!(
+                        message.contains(&format!("op {member} ")),
+                        "{ctx}: {message}"
+                    )
+                }
                 (FaultKind::Stall, MjError::Stalled(dump)) => {
                     // Earlier members finished and said so; the stalled one
                     // and everything after it did not.
@@ -282,6 +296,24 @@ fn cancel_parked_at_every_pipeline_stage_is_exactly_once() {
         let after = collect_with(&db, &text, QueryOptions::default()).expect("engine reusable");
         assert!(after.multiset_eq(&baseline), "{ctx}: post-cancel diverged");
     }
+}
+
+#[test]
+fn a_stalled_aggregate_stage_is_named_in_the_stall_dump() {
+    // Three joins (op0..op2), then the stages: filter op3, aggregate op4,
+    // limit op5. Stalled at the aggregate, the query reports `Stalled`
+    // with a dump whose line for op4 names its kind and shows no instance
+    // done — and the limit behind it still waiting.
+    let db = guardrail_db();
+    let plan = FaultPlan::seeded(5).with_point(FaultPoint::new("aggregate", 1, FaultKind::Stall));
+    let err = collect_with(&db, &pipeline_sql(), QueryOptions::new().with_faults(plan))
+        .expect_err("a stalled stage must surface");
+    let MjError::Stalled(dump) = err else {
+        panic!("expected Stalled, got {err}");
+    };
+    assert!(dump.contains("op4[aggregate] 0/"), "{dump}");
+    assert!(dump.contains("op5[limit] 0/1"), "{dump}");
+    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]

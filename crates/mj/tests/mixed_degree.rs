@@ -455,7 +455,7 @@ fn a_group_is_never_ordered_after_the_producer_of_a_stream_it_reads() {
         validate_plan(&plan).unwrap();
         let bottom_op = plan.op_for_join(bottom).unwrap();
         assert!(bottom_op.degree() > 1, "{strategy}:\n{plan}");
-        let got = run_plan(&plan, &binding, catalog.as_ref(), &config)
+        let got = run_plan(&plan, &binding, catalog.clone(), &config)
             .unwrap_or_else(|e| panic!("{strategy}: {e}\n{plan}"));
         assert!(
             got.relation.multiset_eq(&oracle),

@@ -27,7 +27,7 @@ use multijoin::relalg::ops::nested_loop_join;
 use multijoin::relalg::ops::{AggFunc, AggSpec};
 use multijoin::relalg::predicate::CmpOp;
 use multijoin::relalg::text;
-use multijoin::storage::{fragment_columns, scan_columns};
+use multijoin::storage::{fragment_columns, scan_bucket_columns, scan_columns};
 
 const CASES: usize = 64;
 
@@ -529,25 +529,38 @@ fn xra_text_roundtrip() {
     });
 }
 
-/// Hash partitioning: a true partition, key-consistent across sides.
+/// Hash fragmentation (`fragment_columns`, what the engine partitions base
+/// relations with): a true partition, each fragment the bucket a consumer
+/// instance reads of a materialized operand, and key-consistent across
+/// relations — a key lands in the same fragment on both sides of a join.
 #[test]
 fn partitioning_is_consistent() {
     for_cases("partitioning_is_consistent", |rng| {
         let keys = arb_keys(rng, -1000, 1000, 300);
         let parts = rng.gen_range(1..10usize);
-        let rel = int_relation(&keys);
-        let frags = multijoin::storage::hash_partition(&rel, parts, 0).unwrap();
+        let cols = Arc::new(scan_columns(&int_relation(&keys)).unwrap());
+        let frags = fragment_columns(&cols, 0, parts).unwrap();
         assert_eq!(frags.len(), parts);
-        let total: usize = frags.iter().map(|f| f.len()).sum();
+        let total: usize = frags.iter().map(|f| f.rows()).sum();
         assert_eq!(total, keys.len());
         let mut seen: HashMap<i64, usize> = HashMap::new();
         for (p, frag) in frags.iter().enumerate() {
-            for t in frag.iter() {
-                let k = t.int(0).unwrap();
-                if let Some(&prev) = seen.get(&k) {
+            assert_eq!(**frag, scan_bucket_columns(&cols, 0, p, parts).unwrap());
+            for &k in frag.int_col(0).unwrap() {
+                if let Some(prev) = seen.insert(k, p) {
                     assert_eq!(prev, p, "key {k} in two fragments");
                 }
-                seen.insert(k, p);
+            }
+        }
+        let other: Vec<i64> = keys.iter().rev().copied().collect();
+        let other = Arc::new(scan_columns(&int_relation(&other)).unwrap());
+        for (p, frag) in fragment_columns(&other, 0, parts)
+            .unwrap()
+            .iter()
+            .enumerate()
+        {
+            for k in frag.int_col(0).unwrap() {
+                assert_eq!(seen[k], p, "key {k} lands apart on the other side");
             }
         }
     });

@@ -18,7 +18,7 @@ fn catalog(k: usize, n: usize, seed: u64) -> Arc<Catalog> {
 }
 
 fn run_strategy(
-    catalog: &Catalog,
+    catalog: &Arc<Catalog>,
     tree: &JoinTree,
     strategy: Strategy,
     n: u64,
@@ -30,8 +30,8 @@ fn run_strategy(
     input.allow_oversubscribe = procs < tree.join_count();
     let plan = generate(strategy, &input).expect("plan generation");
     validate_plan(&plan).expect("plan validation");
-    let binding = QueryBinding::regular(tree, catalog).expect("binding");
-    run_plan(&plan, &binding, catalog, &ExecConfig::default())
+    let binding = QueryBinding::regular(tree, catalog.as_ref()).expect("binding");
+    run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default())
         .expect("execution")
         .relation
 }
@@ -232,7 +232,7 @@ fn planner_plan_matches_sp_baseline_on_every_shape() {
         let chosen = run_plan(
             &planned.plan,
             &planned.binding,
-            inst.catalog.as_ref(),
+            inst.catalog.clone(),
             &ExecConfig::default(),
         )
         .unwrap()
@@ -253,7 +253,7 @@ fn planner_plan_matches_sp_baseline_on_every_shape() {
             input.allow_oversubscribe = true;
             let sp = generate(Strategy::SP, &input).unwrap();
             let binding = QueryBinding::from_lowered(&tree, &lowered).unwrap();
-            let baseline = run_plan(&sp, &binding, inst.catalog.as_ref(), &ExecConfig::default())
+            let baseline = run_plan(&sp, &binding, inst.catalog.clone(), &ExecConfig::default())
                 .unwrap()
                 .relation;
             assert!(

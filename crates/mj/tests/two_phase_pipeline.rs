@@ -40,7 +40,7 @@ fn optimized_tree_executes_correctly() {
         input.allow_oversubscribe = true;
         let plan2 = generate(Strategy::FP, &input).unwrap();
         let binding = QueryBinding::regular(tree, catalog.as_ref()).unwrap();
-        let out = run_plan(&plan2, &binding, catalog.as_ref(), &ExecConfig::default()).unwrap();
+        let out = run_plan(&plan2, &binding, catalog.clone(), &ExecConfig::default()).unwrap();
         assert!(out.relation.multiset_eq(&oracle));
     }
 }

@@ -119,7 +119,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_scan_matches_scalar_hash_partition() {
+    fn bucket_scans_match_the_fragments() {
         let r = cols(100);
         let of = 4;
         let parts = fragment_columns(&r, 0, of).unwrap();
@@ -133,6 +133,14 @@ mod tests {
             total += scanned.rows();
         }
         assert_eq!(total, 100, "buckets partition the fragment exactly");
+    }
+
+    #[test]
+    fn fragments_are_roughly_balanced_on_dense_keys() {
+        // Expected 1250 rows per fragment; allow generous slack.
+        for part in fragment_columns(&cols(10_000), 0, 8).unwrap().iter() {
+            assert!((1000..1500).contains(&part.rows()), "got {}", part.rows());
+        }
     }
 
     #[test]

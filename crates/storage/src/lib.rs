@@ -1,19 +1,19 @@
 //! Main-memory storage substrate.
 //!
 //! Models the storage side of PRISMA/DB: a shared-nothing collection of node
-//! memories holding relation *fragments*, a Wisconsin benchmark data
-//! generator (the paper's test data, §4.1), partitioning functions used for
-//! both initial fragmentation and mid-query redistribution, and a catalog
-//! with the statistics the phase-1 optimizer consumes.
+//! memories holding relation *fragments* ([`FragmentStore`]), a Wisconsin
+//! benchmark data generator (the paper's test data, §4.1), the columnar
+//! hash partitioner ([`fragment_columns`]) that gives base relations their
+//! ideal fragmentation with the same hash the engine's redistribution
+//! routes on, the resident [`FragmentCache`] of those fragments, and a
+//! catalog with the statistics the phase-1 optimizer consumes.
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod catalog;
 pub mod columnar;
-pub mod fragment;
 pub mod generator;
-pub mod partition;
 pub mod registry;
 pub mod skew;
 pub mod store;
@@ -22,10 +22,6 @@ pub mod wisconsin;
 pub use cache::{FragmentCache, FragmentCacheStats, MAX_VARIANTS_PER_RELATION};
 pub use catalog::{Catalog, TableStats};
 pub use columnar::{fragment_columns, scan_bucket_columns, scan_columns, Fragments};
-pub use fragment::{FragmentedRelation, PartitionScheme};
 pub use generator::{PayloadMode, WisconsinGenerator};
-pub use partition::{
-    hash_key, hash_partition, partition_indices, range_partition, round_robin_partition,
-};
 pub use registry::{pack_ref, ref_leaf, ref_row, FragmentRegistry};
 pub use store::FragmentStore;
