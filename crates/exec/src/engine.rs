@@ -49,7 +49,6 @@ use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
 use mj_core::plan_ir::{OperandSource, ParallelPlan, PlanOp};
 use mj_core::validate::ValidPlan;
 use mj_plan::segment::segments;
@@ -67,7 +66,7 @@ use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
 use crate::operator::{join_op, OutputPort, PhysicalOp};
 use crate::sched::WorkerPool;
 use crate::source::Source;
-use crate::stream::{operand_channels, BatchPool, Msg, Router};
+use crate::stream::{operand_channels, BatchPool, Msg, Receiver, Router, Sender};
 
 /// The producer side of one stream edge: senders to the consumer's
 /// instances, the column the producer routes on, and the edge's shared
@@ -813,6 +812,13 @@ impl QueryRun {
             )));
         }
 
+        // Each instance takes its own receiver of every streamed operand.
+        let mut receivers: HashMap<(usize, usize), std::vec::IntoIter<Receiver<Msg>>> = members
+            .iter()
+            .flat_map(|&m| [(m, 0), (m, 1)])
+            .filter_map(|key| Some((key, self.stream_rx.remove(&key)?.into_iter())))
+            .collect();
+
         // The process starts with its earliest member's wave.
         let priority = members.iter().map(|&m| ops[m].priority).min();
         let priority = priority.expect("a group has members");
@@ -833,7 +839,10 @@ impl QueryRun {
                             of: degree,
                         }),
                         OperandSource::Stream { from } => Some(Source::Stream {
-                            rx: self.stream_rx[&(m, side)][i].clone(),
+                            rx: receivers
+                                .get_mut(&(m, side))
+                                .and_then(Iterator::next)
+                                .expect("one receiver per consumer instance"),
                             producers: ops[*from].degree,
                         }),
                         // Handed over by the member evaluating `from`.
@@ -888,10 +897,6 @@ impl QueryRun {
             }
             self.pool.submit(priority, Box::new(task));
             self.spawned_instances += members.len();
-        }
-        for &m in &members {
-            self.stream_rx.remove(&(m, 0));
-            self.stream_rx.remove(&(m, 1));
         }
         Ok(())
     }
@@ -1615,14 +1620,16 @@ mod tests {
         let mut total = 0usize;
         // The connection worker's loop: poll the stream to its end, then
         // the outcome — published by the pool thread that made the last
-        // completion report, a moment after the stream ended.
+        // completion report, a moment after the stream ended — sleeping
+        // between polls until a batch, `End` or the conclusion wakes it.
+        let waker = crate::sched::thread_waker();
         let outcome = loop {
-            match stream.poll_next_batch() {
+            match stream.poll_next_batch(&waker) {
                 crate::handle::BatchPoll::Batch(batch) => total += batch.len(),
-                crate::handle::BatchPoll::Pending => std::thread::yield_now(),
-                crate::handle::BatchPoll::Done => match handle.poll_outcome() {
+                crate::handle::BatchPoll::Pending => std::thread::park(),
+                crate::handle::BatchPoll::Done => match handle.poll_outcome(&waker) {
                     Some(outcome) => break outcome.unwrap(),
-                    None => std::thread::yield_now(),
+                    None => std::thread::park(),
                 },
             }
         };
@@ -1630,7 +1637,7 @@ mod tests {
         assert_eq!(outcome.metrics.total_tuples_out(), 4 * 300);
         assert!(outcome.time_to_first_batch.is_some());
         assert_eq!(handle.status(), QueryStatus::Finished);
-        assert!(handle.poll_outcome().is_none(), "handed out once");
+        assert!(handle.poll_outcome(&waker).is_none(), "handed out once");
         // Settled before the outcome was published, not some time after.
         assert_eq!(engine.stats().queries_completed, 1);
         assert_eq!(engine.store().total_bytes(), 0);

@@ -14,25 +14,31 @@
 //! slow client backpressures the worker pool instead of buffering
 //! unboundedly.
 //!
+//! A client that multiplexes many queries on one thread waits on wakers,
+//! not timers: [`ResultStream::poll_next_batch`] registers the caller's
+//! waker on the result edge when it finds it empty (the next batch or `End`
+//! wakes it), and [`QueryHandle::poll_outcome`] registers it for the
+//! query's conclusion.
+//!
 //! Cancellation is quiescent: [`QueryHandle::cancel`] flips the query's
-//! cancel token; every operator task observes it on its next scheduling
-//! step, reports [`RelalgError::Canceled`] exactly once through PR 2's
-//! completion protocol, and the query's fragment namespace is reclaimed
-//! before [`QueryHandle::outcome`] returns. The engine is immediately
-//! reusable.
+//! cancel token and wakes every task of the query, parked ones included;
+//! each observes the token on its next scheduling step, reports
+//! [`RelalgError::Canceled`] exactly once through the completion protocol,
+//! and the query's fragment namespace is reclaimed before
+//! [`QueryHandle::outcome`] returns. The engine is immediately reusable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, TryRecvError};
 use mj_relalg::{RelalgError, Relation, Result, Schema, Tuple};
 
 use crate::budget::MemoryBudget;
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::Metrics;
-use crate::stream::{Batch, Msg};
+use crate::stream::{Batch, Msg, Receiver, TryRecvError};
 
 /// Lifecycle state of a submitted query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,10 +59,11 @@ const STATE_FAILED: u8 = 2;
 const STATE_CANCELED: u8 = 3;
 
 /// Shared control block of one submitted query: the cancel token the
-/// operator tasks poll, the terminal state and outcome its conclusion
-/// publishes, and the guardrail state (deadline, memory budget, abort
-/// reason, progress and contained-panic counters) added by the robustness
-/// layer.
+/// operator tasks read on every step (and the wakers of those tasks, so a
+/// token reaches parked ones), the terminal state and outcome its
+/// conclusion publishes, and the guardrail state (deadline, memory budget,
+/// abort reason, progress and contained-panic counters) added by the
+/// robustness layer.
 #[derive(Debug, Default)]
 pub struct QueryCtrl {
     cancel: AtomicBool,
@@ -69,6 +76,12 @@ pub struct QueryCtrl {
     outcome: Mutex<Option<Result<QueryOutcome>>>,
     /// Signalled when the query concludes (`state` leaves `Running`).
     concluded: Condvar,
+    /// Woken when the query concludes: the waker of the last
+    /// [`QueryHandle::poll_outcome`] that found it running.
+    waiter: Mutex<Option<Waker>>,
+    /// Every task of the query, woken by each token (cancel, early stop,
+    /// abort) so that a parked task observes it too.
+    tasks: Mutex<Vec<Waker>>,
     /// Guardrail abort: like `cancel`, but carries a typed reason (deadline,
     /// budget, contained panic, stall). First reason wins; every task of the
     /// query observes it on its next scheduling step and reports it.
@@ -106,14 +119,15 @@ impl QueryCtrl {
     }
 
     /// Requests cancellation. Idempotent; observed by every task on its
-    /// next scheduling step.
+    /// next scheduling step — a parked task is woken for it.
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        self.cancel.store(true, Ordering::SeqCst);
+        self.wake_tasks();
     }
 
     /// True once cancellation has been requested.
     pub fn is_canceled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
+        self.cancel.load(Ordering::SeqCst)
     }
 
     /// Signals that the query's result is complete (a LIMIT was satisfied):
@@ -121,31 +135,49 @@ impl QueryCtrl {
     /// scheduling step — the graceful sibling of [`cancel`](Self::cancel),
     /// raised by the operator framework, not the client.
     pub fn stop_early(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake_tasks();
     }
 
     /// True once a downstream operator declared the result complete.
     pub fn early_stopped(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Registers one task of the query to be woken by every token raised
+    /// from now on. A task registers before it first reads the tokens, so
+    /// the token store and the wake (both after that read) cannot miss it.
+    pub(crate) fn register_task(&self, waker: &Waker) {
+        self.tasks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(waker.clone());
+    }
+
+    /// Wakes every registered task: a token was just raised.
+    fn wake_tasks(&self) {
+        let tasks = self.tasks.lock().unwrap_or_else(PoisonError::into_inner);
+        tasks.iter().for_each(Waker::wake_by_ref);
     }
 
     /// Aborts the query with a typed guardrail reason. The first reason
-    /// wins (idempotent for followers); every task observes the abort on
-    /// its next scheduling step, reports the reason exactly once through
-    /// the completion protocol, and `outcome()` surfaces it after the usual
-    /// quiesce/reclaim.
+    /// wins (idempotent for followers); every task — woken if parked —
+    /// observes the abort on its next scheduling step, reports the reason
+    /// exactly once through the completion protocol, and `outcome()`
+    /// surfaces it after the usual quiesce/reclaim.
     pub fn abort(&self, reason: RelalgError) {
         let mut slot = self.abort.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(reason);
             drop(slot);
-            self.aborted.store(true, Ordering::Release);
+            self.aborted.store(true, Ordering::SeqCst);
+            self.wake_tasks();
         }
     }
 
     /// True once a guardrail abort has been raised.
     pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
+        self.aborted.load(Ordering::SeqCst)
     }
 
     /// The abort reason, if one has been raised.
@@ -213,7 +245,9 @@ impl QueryCtrl {
     }
 
     /// Concludes the query: records its terminal state and publishes
-    /// `result` for the handle, waking whoever waits for it.
+    /// `result` for the handle, waking whoever waits for it — blocked in
+    /// [`QueryHandle::outcome`] or registered by
+    /// [`QueryHandle::poll_outcome`].
     pub(crate) fn finish(&self, result: Result<QueryOutcome>) {
         let state = match &result {
             Ok(_) => STATE_FINISHED,
@@ -225,6 +259,14 @@ impl QueryCtrl {
         self.state.store(state, Ordering::Release);
         drop(outcome);
         self.concluded.notify_all();
+        let waiter = self
+            .waiter
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(waiter) = waiter {
+            waiter.wake();
+        }
     }
 
     fn lock_outcome(&self) -> MutexGuard<'_, Option<Result<QueryOutcome>>> {
@@ -253,10 +295,16 @@ impl QueryCtrl {
             .take()
     }
 
-    /// The outcome, if the query has concluded; never blocks.
-    fn try_take_outcome(&self) -> Option<Result<QueryOutcome>> {
+    /// The outcome, if the query has concluded; never blocks. Until then
+    /// `waker` is registered for the conclusion: it is stored before the
+    /// state is read, and `finish` stores the state before it takes the
+    /// waker, so one of the two sees the other.
+    fn poll_take_outcome(&self, waker: &Waker) -> Option<Result<QueryOutcome>> {
         if self.status() == QueryStatus::Running {
-            return None;
+            *self.waiter.lock().unwrap_or_else(PoisonError::into_inner) = Some(waker.clone());
+            if self.status() == QueryStatus::Running {
+                return None;
+            }
         }
         self.lock_outcome().take()
     }
@@ -294,8 +342,9 @@ pub struct QueryOutcome {
 pub enum BatchPoll {
     /// A result batch is ready.
     Batch(Batch),
-    /// No batch buffered right now, but producers are still live — poll
-    /// again later (the stream never blocks the caller).
+    /// No batch buffered right now, but producers are still live — the
+    /// caller's waker is registered and fires when the next batch or `End`
+    /// arrives (the stream never blocks the caller).
     Pending,
     /// The stream is exhausted: every producer finished or unwound.
     /// Terminal status/errors surface from [`QueryHandle::outcome`].
@@ -390,12 +439,14 @@ impl ResultStream {
 
     /// Non-blocking sibling of [`next_batch`](Self::next_batch): returns
     /// [`BatchPoll::Pending`] instead of parking the caller when no batch
-    /// is buffered. This is what lets one connection-worker thread
-    /// multiplex many clients' streams — poll each stream in turn, never
-    /// sleeping inside any single query.
-    pub fn poll_next_batch(&mut self) -> BatchPoll {
+    /// is buffered, with `waker` registered on the result edge — the next
+    /// batch or `End` the query's last operation sends wakes it. This is
+    /// what lets one connection-worker thread multiplex many clients'
+    /// streams: it sleeps until one of them has something, never inside
+    /// any single query.
+    pub fn poll_next_batch(&mut self, waker: &Waker) -> BatchPoll {
         while !self.ended {
-            match self.rx.try_recv() {
+            match self.rx.poll_recv(waker) {
                 Ok(Msg::Batch(batch)) => {
                     self.note_first_batch();
                     return BatchPoll::Batch(batch);
@@ -536,12 +587,13 @@ impl QueryHandle {
     /// took the stream and multiplexes many queries on one thread: the
     /// outcome once the query has concluded — a few microseconds after its
     /// stream reported [`BatchPoll::Done`] — and `None` until then (and
-    /// after it has been handed out).
-    pub fn poll_outcome(&mut self) -> Option<Result<QueryOutcome>> {
+    /// after it has been handed out). While the query runs, `waker` is
+    /// registered for its conclusion.
+    pub fn poll_outcome(&mut self, waker: &Waker) -> Option<Result<QueryOutcome>> {
         if self.taken {
             return None;
         }
-        let result = self.ctrl.try_take_outcome()?;
+        let result = self.ctrl.poll_take_outcome(waker)?;
         Some(self.hand_out(result))
     }
 

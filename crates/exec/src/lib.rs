@@ -5,16 +5,17 @@
 //! simulator consumes, but physically: every operation process is a
 //! cooperative task multiplexed onto a **fixed worker pool**
 //! ([`sched::WorkerPool`], the paper's §4 processor set) shared by all
-//! in-flight queries, tuple streams are bounded crossbeam channels (n×m
+//! in-flight queries, tuple streams are bounded edges ([`stream`]; n×m
 //! per redistribution, exactly as §3.5 counts them), base relations are
 //! pre-fragmented "ideally" per §4.1, and materialized intermediates live
 //! in a shared-nothing [`mj_storage::FragmentStore`] namespaced per query.
 //!
-//! A task that would block on a channel yields its worker instead of
-//! parking a thread, so the pool runs any number of concurrent queries on
-//! `ExecConfig::workers` OS threads total. The [`Engine`] facade is the
-//! concurrent entry point: build it once over a shared catalog, call
-//! [`Engine::run`] from as many threads as you like.
+//! A task that would block on a stream registers its waker on that edge and
+//! leaves the run queue instead of parking a thread; the edge's next event
+//! puts it back. So the pool runs any number of concurrent queries on
+//! `ExecConfig::workers` OS threads total, and no thread polls. The
+//! [`Engine`] facade is the concurrent entry point: build it once over a
+//! shared catalog, call [`Engine::run`] from as many threads as you like.
 //!
 //! On a laptop-class host this engine cannot demonstrate 80-way speedups —
 //! its purpose is (a) to prove the four strategies are real, runnable

@@ -1,6 +1,7 @@
 //! Where an instance's results go.
 
 use std::sync::Arc;
+use std::task::Waker;
 
 use mj_core::plan_ir::ProcId;
 use mj_relalg::column::ColumnBatch;
@@ -69,11 +70,17 @@ impl OutputPort {
     /// number of rows emitted and whether the backlog fully drained; on a
     /// full drain `out` is cleared (keeping its column layout and
     /// capacity) and `pos` reset so the operator can refill it.
-    /// `Ok((_, false))` means stream backpressure — the caller should
-    /// yield and call again with the same arguments.
-    pub fn try_emit(&mut self, out: &mut ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
+    /// `Ok((_, false))` means stream backpressure — `waker` is registered on
+    /// the full edge, and the caller should yield and call again with the
+    /// same arguments once woken.
+    pub fn try_emit(
+        &mut self,
+        out: &mut ColumnBatch,
+        pos: &mut usize,
+        waker: &Waker,
+    ) -> Result<(u64, bool)> {
         let (emitted, done) = match self {
-            OutputPort::Stream(router) => router.try_route_batch(out, pos)?,
+            OutputPort::Stream(router) => router.try_route_batch(out, pos, waker)?,
             OutputPort::Materialize { buffer, .. } => {
                 let n = out.rows() - *pos;
                 // An operator that has produced nothing yet hands over a
@@ -100,11 +107,12 @@ impl OutputPort {
 
     /// Non-blocking finalize: resumable stream flush + `End` for routers;
     /// store write / sink merge (which never block) for the others.
-    /// `Ok(false)` means backpressure — yield and call again. Must be
-    /// called until it returns `Ok(true)`, exactly once past that point.
-    pub fn try_finish(&mut self) -> Result<bool> {
+    /// `Ok(false)` means backpressure (`waker` registered) — yield and call
+    /// again once woken. Must be called until it returns `Ok(true)`,
+    /// exactly once past that point.
+    pub fn try_finish(&mut self, waker: &Waker) -> Result<bool> {
         match self {
-            OutputPort::Stream(router) => router.try_finish(),
+            OutputPort::Stream(router) => router.try_finish(waker),
             OutputPort::Materialize {
                 store,
                 proc,
@@ -160,10 +168,10 @@ mod tests {
         };
         let mut out = batch(&[5, 6]);
         let mut pos = 0;
-        let (n, done) = port.try_emit(&mut out, &mut pos).unwrap();
+        let (n, done) = port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
         assert_eq!((n, done, pos), (2, true, 0));
         assert!(out.is_empty(), "drained emit clears the batch");
-        assert!(port.try_finish().unwrap());
+        assert!(port.try_finish(Waker::noop()).unwrap());
         assert_eq!(collected.lock().len(), 2);
     }
 
@@ -172,8 +180,8 @@ mod tests {
         let store = Arc::new(FragmentStore::new(2));
         let mut port = OutputPort::materialize(store.clone(), 1, "op0".into(), &schema(), None);
         let (mut out, mut pos) = (batch(&[7, 8, 9]), 1);
-        port.try_emit(&mut out, &mut pos).unwrap();
-        assert!(port.try_finish().unwrap());
+        port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
+        assert!(port.try_finish(Waker::noop()).unwrap());
         assert_eq!(store.get(1, "op0").unwrap().int_col(0).unwrap(), &[8, 9]);
         assert!(store.get(0, "op0").is_err());
     }
@@ -182,7 +190,7 @@ mod tests {
     fn an_instance_without_output_stores_a_typed_empty_fragment() {
         let store = Arc::new(FragmentStore::new(1));
         let mut port = OutputPort::materialize(store.clone(), 0, "op0".into(), &schema(), None);
-        assert!(port.try_finish().unwrap());
+        assert!(port.try_finish(Waker::noop()).unwrap());
         let stored = store.get(0, "op0").unwrap();
         assert_eq!((stored.rows(), stored.arity()), (0, 1));
     }
@@ -199,8 +207,8 @@ mod tests {
             Some(budget.clone()),
         );
         let (mut out, mut pos) = (batch(&[7, 8]), 0);
-        port.try_emit(&mut out, &mut pos).unwrap();
-        assert!(port.try_finish().unwrap());
+        port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
+        assert!(port.try_finish(Waker::noop()).unwrap());
         let stored = store.get(0, "q1:op0").unwrap().est_bytes();
         assert_eq!(stored, 16, "two dense integer values");
         assert_eq!(budget.used(), stored);
@@ -214,9 +222,9 @@ mod tests {
         let mut port = OutputPort::Stream(Router::new(txs, 0, 2, pool));
         let mut out = batch(&[1, 2]);
         let mut pos = 0;
-        let (n, done) = port.try_emit(&mut out, &mut pos).unwrap();
+        let (n, done) = port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
         assert_eq!((n, done), (2, true));
-        while !port.try_finish().unwrap() {}
+        while !port.try_finish(Waker::noop()).unwrap() {}
         let mut tuples = 0;
         let mut ends = 0;
         while let Ok(msg) = rxs[0].recv() {

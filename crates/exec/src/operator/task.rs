@@ -10,9 +10,14 @@
 //! resumable operand cursors, non-blocking output flushing, quantum
 //! pacing, fault injection, cancel and early-stop tokens,
 //! exactly-once completion reporting — parameterized by the operator it
-//! drives. Every channel interaction uses the non-blocking `try_*` forms,
-//! and instead of waiting the task returns [`Step::Blocked`], yielding its
-//! worker to some other instance — of this query or any other.
+//! drives. Every stream interaction is non-blocking: instead of waiting, the
+//! task registers the waker it is stepped with on exactly the edges it
+//! waits for — the empty operand streams (both sides of an interleaved
+//! feed), the full output destination — and returns [`Step::Blocked`],
+//! leaving the run queue and yielding its worker to some other instance, of
+//! this query or any other, until one of those edges wakes it. Its query's
+//! cancel, abort and early-stop tokens wake it too: every task registers
+//! with its [`QueryCtrl`] on its first step.
 //!
 //! A task runs one operation *process*, which is usually one operator —
 //! and, where the plan fused sub-grain operations into their consumer
@@ -42,8 +47,8 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::task::Waker;
 
-use crossbeam::channel::{Receiver, TryRecvError};
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{RelalgError, Result};
 use mj_storage::scan_bucket_columns;
@@ -54,7 +59,7 @@ use crate::operator::op::{Absorb, InputMode, PhysicalOp};
 use crate::operator::OutputPort;
 use crate::sched::{Step, Task};
 use crate::source::Source;
-use crate::stream::{Batch, Msg};
+use crate::stream::{Batch, Msg, Receiver, TryRecvError};
 
 /// Rows processed per scheduling step: long enough to amortize queue
 /// round-trips, short enough that concurrent queries interleave finely.
@@ -124,7 +129,8 @@ enum Feed {
     /// A chunk with unconsumed rows is loaded ([`Operand::chunk`] is
     /// valid).
     Ready,
-    /// A stream operand has nothing queued right now; yield and retry.
+    /// A stream operand has nothing queued right now (the waker is
+    /// registered for its next message); yield and retry.
     Pending,
     /// The operand is fully consumed.
     Exhausted,
@@ -162,9 +168,10 @@ impl Operand {
     }
 
     /// Ensures a chunk with unconsumed rows is loaded, without ever
-    /// blocking. Spent chunks are released here (stream buffers return to
-    /// their pool; bucket scans free their columns).
-    fn ready(&mut self) -> Result<Feed> {
+    /// blocking; a stream found empty registers `waker`. Spent chunks are
+    /// released here (stream buffers return to their pool; bucket scans
+    /// free their columns).
+    fn ready(&mut self, waker: &Waker) -> Result<Feed> {
         match self {
             Operand::Local { cols, pos } => Ok(if *pos < cols.rows() {
                 Feed::Ready
@@ -215,7 +222,7 @@ impl Operand {
                 if *remaining == 0 {
                     return Ok(Feed::Exhausted);
                 }
-                match rx.try_recv() {
+                match rx.poll_recv(waker) {
                     Ok(Msg::Batch(b)) => {
                         *current = Some(b);
                         *pos = 0;
@@ -370,6 +377,11 @@ pub struct OpTask {
     /// This task declared its output complete (satisfied LIMIT): it keeps
     /// finishing even though the early-stop token it raised is set.
     satisfied: bool,
+    /// The current step moved rows (or reached a new phase or member): a
+    /// step that ends `Blocked` without this is a wasted one.
+    moved: bool,
+    /// The task's waker is registered with its query's tokens.
+    registered: bool,
     instance: usize,
     reporter: Reporter,
     /// Completions of members that finished during the current step.
@@ -419,6 +431,8 @@ impl OpTask {
             batch,
             phase: Phase::Start,
             satisfied: false,
+            moved: false,
+            registered: false,
             instance,
             reporter,
             reports: Vec::new(),
@@ -520,11 +534,11 @@ impl OpTask {
     }
 
     /// Emits rows `out_pos..` of the root member's `out`; `Ok(false)`
-    /// means the output is backpressured and the task should yield.
-    /// `tuples_out` counts rows here — *after* the operator's selection
-    /// vectors dropped non-qualifying rows — so the metric reports rows
-    /// actually produced, not rows scanned.
-    fn flush_out(&mut self) -> Result<bool> {
+    /// means the output is backpressured (`waker` registered on it) and the
+    /// task should yield. `tuples_out` counts rows here — *after* the
+    /// operator's selection vectors dropped non-qualifying rows — so the
+    /// metric reports rows actually produced, not rows scanned.
+    fn flush_out(&mut self, waker: &Waker) -> Result<bool> {
         if self.members.len() > 1 {
             // Not the root: the output stays here until the member is done.
             return Ok(true);
@@ -539,15 +553,22 @@ impl OpTask {
                 resolver.resolve_into(&self.out, &mut self.ref_scratch, &mut self.resolved)?;
                 self.out.clear();
             }
-            let (emitted, done) = self
-                .output
-                .try_emit(&mut self.resolved, &mut self.out_pos)?;
-            self.member().stats.tuples_out += emitted;
+            let (emitted, done) =
+                self.output
+                    .try_emit(&mut self.resolved, &mut self.out_pos, waker)?;
+            self.note_emitted(emitted);
             return Ok(done);
         }
-        let (emitted, done) = self.output.try_emit(&mut self.out, &mut self.out_pos)?;
-        self.member().stats.tuples_out += emitted;
+        let (emitted, done) = self
+            .output
+            .try_emit(&mut self.out, &mut self.out_pos, waker)?;
+        self.note_emitted(emitted);
         Ok(done)
+    }
+
+    fn note_emitted(&mut self, rows: u64) {
+        self.moved |= rows > 0;
+        self.member().stats.tuples_out += rows;
     }
 
     /// Points the task at its (new) front member. The phase functions
@@ -564,8 +585,8 @@ impl OpTask {
     /// Build phase: drain the immediate build side into the operator in
     /// chunk-sized bulk inserts. No output is produced, so this never
     /// blocks — it only paces itself by the quantum.
-    fn step_build(&mut self, budget: &mut usize) -> Result<Option<Step>> {
-        let m = self.member();
+    fn step_build(&mut self, budget: &mut usize, waker: &Waker) -> Result<Option<Step>> {
+        let m = self.members.front_mut().expect("a live task has a member");
         let build = m.build_side().expect("build phase implies a build side");
         if m.operands[build].is_stream() {
             return Err(RelalgError::InvalidPlan(format!(
@@ -574,7 +595,7 @@ impl OpTask {
             )));
         }
         while *budget > 0 {
-            match m.operands[build].ready()? {
+            match m.operands[build].ready(waker)? {
                 Feed::Ready => {
                     let take;
                     {
@@ -586,6 +607,7 @@ impl OpTask {
                     m.operands[build].consume(take);
                     m.stats.tuples_in[build] += take as u64;
                     *budget -= take;
+                    self.moved = true;
                 }
                 Feed::Exhausted => {
                     m.op.finish_build();
@@ -599,12 +621,13 @@ impl OpTask {
     }
 
     /// The common feed loop: absorb a chunk range from whichever operand
-    /// has rows ready, and flush full output batches.
-    fn step_feed(&mut self, budget: &mut usize) -> Result<Option<Step>> {
-        if !self.flush_out()? {
+    /// has rows ready, and flush full output batches. Blocked — on the
+    /// output, or on every live operand at once — it has registered `waker`
+    /// on what it waits for.
+    fn step_feed(&mut self, budget: &mut usize, waker: &Waker) -> Result<Option<Step>> {
+        if !self.flush_out(waker)? {
             return Ok(Some(Step::Blocked));
         }
-        let mut moved = false;
         while *budget > 0 {
             let m = self.members.front_mut().expect("a live task has a member");
             // Polling order this iteration: single-input operators and
@@ -620,14 +643,15 @@ impl OpTask {
                 }
             };
             m.turn = m.turn.wrapping_add(1);
-            let mut chosen = None;
-            let mut exhausted = 0usize;
-            for &side in if sides[0] == sides[1] {
+            let live = if sides[0] == sides[1] {
                 &sides[..1]
             } else {
                 &sides[..]
-            } {
-                match m.operands[side].ready()? {
+            };
+            let mut chosen = None;
+            let mut exhausted = 0usize;
+            for &side in live {
+                match m.operands[side].ready(waker)? {
                     Feed::Ready => {
                         chosen = Some(side);
                         break;
@@ -636,7 +660,6 @@ impl OpTask {
                     Feed::Pending => {}
                 }
             }
-            let tried = if sides[0] == sides[1] { 1 } else { 2 };
             match chosen {
                 Some(side) => {
                     let take;
@@ -650,7 +673,7 @@ impl OpTask {
                     m.operands[side].consume(take);
                     m.stats.tuples_in[side] += take as u64;
                     *budget -= take;
-                    moved = true;
+                    self.moved = true;
                     if verdict == Absorb::Satisfied {
                         // The output is complete: stop feeding, tell the
                         // rest of the query to wind down, and finish this
@@ -662,26 +685,23 @@ impl OpTask {
                         self.phase = Phase::Finish;
                         return Ok(None);
                     }
-                    if self.out.rows() >= self.batch && !self.flush_out()? {
-                        // Output backpressure mid-quantum: we did move
-                        // rows, so keep our rotation slot as Progress.
-                        return Ok(Some(Step::Progress));
+                    if self.out.rows() >= self.batch && !self.flush_out(waker)? {
+                        // Output backpressure mid-quantum: wait for room.
+                        return Ok(Some(Step::Blocked));
                     }
                 }
-                None if exhausted == tried => {
+                None if exhausted == live.len() => {
                     self.phase = Phase::Finish;
                     return Ok(None);
                 }
-                None => {
-                    // At least one live side is pending and none has data.
-                    return Ok(Some(if moved { Step::Progress } else { Step::Blocked }));
-                }
+                // Every live side is pending, each with the waker on it.
+                None => return Ok(Some(Step::Blocked)),
             }
         }
         Ok(Some(Step::Progress))
     }
 
-    fn step_finish(&mut self) -> Result<Option<Step>> {
+    fn step_finish(&mut self, waker: &Waker) -> Result<Option<Step>> {
         let m = self.members.front_mut().expect("a live task has a member");
         if !m.drained {
             // Exactly-once drain of held state (aggregation results);
@@ -715,10 +735,10 @@ impl OpTask {
             }
             return Ok(None);
         }
-        if !self.flush_out()? {
+        if !self.flush_out(waker)? {
             return Ok(Some(Step::Blocked));
         }
-        if !self.output.try_finish()? {
+        if !self.output.try_finish(waker)? {
             return Ok(Some(Step::Blocked));
         }
         self.report(Ok(()));
@@ -726,8 +746,8 @@ impl OpTask {
     }
 
     /// Polls the running member's armed fault, once per scheduling step it
-    /// runs in: `Some(Blocked)` parks the task (a fired stall), an error
-    /// fails it.
+    /// runs in: `Some(Blocked)` parks the task with no wake arranged (a
+    /// fired stall: only its query's tokens wake it), an error fails it.
     #[cfg(feature = "faults")]
     fn poll_fault(&mut self) -> Result<Option<Step>> {
         let (instance, m) = (self.instance, self.member());
@@ -764,30 +784,30 @@ impl OpTask {
         }
     }
 
-    fn try_step(&mut self) -> Result<Step> {
+    fn try_step(&mut self, waker: &Waker) -> Result<Step> {
+        self.moved = false;
         #[cfg(feature = "faults")]
         if let Some(parked) = self.poll_fault()? {
             return Ok(parked);
         }
         // One quantum of rows across however many phases — and members —
         // it reaches: a phase or member boundary is no reason to go back
-        // through the run queue.
+        // through the run queue. A step that moved rows and then ran dry
+        // parks like any other blocked one.
         let mut budget = QUANTUM;
-        let mut advanced = false;
         loop {
             let step = match self.phase {
                 Phase::Start => {
                     self.begin_member();
                     None
                 }
-                Phase::Build => self.step_build(&mut budget)?,
-                Phase::Feed => self.step_feed(&mut budget)?,
-                Phase::Finish => self.step_finish()?,
+                Phase::Build => self.step_build(&mut budget, waker)?,
+                Phase::Feed => self.step_feed(&mut budget, waker)?,
+                Phase::Finish => self.step_finish(waker)?,
                 Phase::Done => Some(Step::Done),
             };
             match step {
-                None => advanced = true,
-                Some(Step::Blocked) if advanced => return Ok(Step::Progress),
+                None => self.moved = true,
                 Some(step) => return Ok(step),
             }
         }
@@ -795,8 +815,8 @@ impl OpTask {
 }
 
 impl Task for OpTask {
-    fn step(&mut self) -> Step {
-        let step = self.run_step();
+    fn step(&mut self, waker: &Waker) -> Step {
+        let step = self.run_step(waker);
         self.send_reports();
         step
     }
@@ -805,10 +825,16 @@ impl Task for OpTask {
 impl OpTask {
     /// One scheduling step: observe the query's tokens, run a quantum,
     /// contain panics, sync the memory budget.
-    fn run_step(&mut self) -> Step {
+    fn run_step(&mut self, waker: &Waker) -> Step {
         if self.phase != Phase::Done {
             self.member().stats.steps += 1;
             if let Some(ctrl) = &self.ctrl {
+                // Registered before the tokens are read: a token raised
+                // after this read wakes the task, wherever it then waits.
+                if !self.registered {
+                    ctrl.register_task(waker);
+                    self.registered = true;
+                }
                 // Cancellation preempts whatever phase the instance is in:
                 // report once and become inert, releasing endpoints on
                 // drop.
@@ -845,7 +871,8 @@ impl OpTask {
         // `AssertUnwindSafe` is sound here because on panic the task is
         // immediately made inert (reported + `Phase::Done`), so its
         // possibly broken operator state is never touched again.
-        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.try_step()));
+        let stepped =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.try_step(waker)));
         let stepped = match stepped {
             Ok(result) => result,
             Err(payload) => {
@@ -860,9 +887,9 @@ impl OpTask {
         };
         match stepped {
             Ok(step) => {
-                if step == Step::Blocked {
+                if step == Step::Blocked && !self.moved {
                     self.member().stats.blocked += 1;
-                } else if step == Step::Progress {
+                } else if step != Step::Done {
                     if let Some(ctrl) = &self.ctrl {
                         ctrl.note_progress();
                     }
@@ -928,23 +955,16 @@ impl Drop for OpTask {
     }
 }
 
-/// Drives a task to completion on the current thread (unit tests). Yields,
-/// then naps, while blocked — the counterpart of the worker pool's backoff.
+/// Drives a task to completion on the current thread (unit tests), with the
+/// pool's protocol: a blocked task parks the thread until its waker fires.
 #[cfg(test)]
 pub(crate) fn drive_blocking(mut task: OpTask) -> Step {
-    let mut blocked = 0u32;
+    let waker = crate::sched::thread_waker();
     loop {
-        match task.step() {
+        match task.step(&waker) {
             Step::Done => return Step::Done,
-            Step::Progress => blocked = 0,
-            Step::Blocked => {
-                blocked += 1;
-                if blocked < 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-            }
+            Step::Progress => {}
+            Step::Blocked => std::thread::park(),
         }
     }
 }
@@ -1067,11 +1087,11 @@ mod tests {
         // 2000 build rows: the first member is still building after three
         // quanta.
         for _ in 0..3 {
-            assert_eq!(task.step(), Step::Progress);
+            assert_eq!(task.step(Waker::noop()), Step::Progress);
         }
         assert!(done_rx.try_recv().is_err(), "nobody is done yet");
         ctrl.cancel();
-        assert_eq!(task.step(), Step::Done);
+        assert_eq!(task.step(Waker::noop()), Step::Done);
         for op in 0..2 {
             let (reported, result) = done_rx.recv().unwrap();
             assert_eq!(reported, op);

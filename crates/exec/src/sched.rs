@@ -6,34 +6,47 @@
 //! that drives the SP/RD/FP trade-off. The seed engine instead spawned one
 //! OS thread per operator instance per query, so physical concurrency was
 //! accidental and a second in-flight query doubled the thread count. Here,
-//! operator instances are cooperative [`Task`]s:
+//! operator instances are cooperative [`Task`]s, and like the paper's
+//! data-driven operation processes they run only when there is something
+//! to do:
 //!
 //! * a task [`step`](Task::step)s for a bounded quantum and returns
 //!   [`Step::Progress`], keeping its place in the run queue;
-//! * a task that cannot progress (its input channel is empty, its output
-//!   channel is full) returns [`Step::Blocked`] and **yields its worker**
-//!   instead of parking a thread — the worker immediately picks up another
-//!   task, so a bounded pool can run arbitrarily many concurrent dataflows
-//!   without deadlocking on its own thread count;
+//! * a task that cannot progress (its input stream is empty, its output
+//!   stream is full) registers the [`Waker`] it was stepped with on exactly
+//!   what it waits for and returns [`Step::Blocked`]: it **leaves the run
+//!   queue** and its worker picks up another task, so a bounded pool can
+//!   run arbitrarily many concurrent dataflows without deadlocking on its
+//!   own thread count. Whatever unblocks it — a message sent or received on
+//!   that stream edge, a peer hanging up, its query's cancel / abort /
+//!   early-stop token — wakes it back into the rotation. Nobody polls a
+//!   blocked task, and a worker with nothing runnable waits on the queue's
+//!   condition variable until a submission or a wake;
 //! * a finished task returns [`Step::Done`] and is dropped, releasing its
 //!   channel endpoints.
+//!
+//! A task's waker is backed by a per-task slot whose state runs
+//! `QUEUED` → `RUNNING` → `PARKED` (or back to `QUEUED`). A wake that lands
+//! while the task is mid-step marks it `NOTIFIED`, and the worker then
+//! requeues the task instead of parking it — so a wake that arrives between
+//! the task deciding it is blocked and the worker parking it is never lost.
 //!
 //! Tasks are submitted with a priority (the engine uses the right-deep
 //! segmentation's topological wave index from
 //! `Segmentation::node_waves`): a new task is inserted ahead of queued
 //! tasks of later waves, so pipelines fill bottom-up — but once a task has
-//! been stepped it rejoins the **back** of the rotation, making the queue
-//! a fair round-robin. Independent segments of one wave, and tasks of
-//! different queries, therefore interleave on the pool exactly as the §4
-//! schedule on a fixed processor set prescribes, and a blocked
-//! early-wave task can never starve the later-wave consumer it is waiting
-//! on (strict priority lanes would livelock exactly there).
+//! been stepped (or woken) it rejoins the **back** of the rotation, making
+//! the queue a fair round-robin. Independent segments of one wave, and
+//! tasks of different queries, therefore interleave on the pool exactly as
+//! the §4 schedule on a fixed processor set prescribes, and a woken
+//! early-wave task can never starve the later-wave consumer it feeds
+//! (strict priority lanes would livelock exactly there).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::task::{Wake, Waker};
+use std::thread::{JoinHandle, Thread};
 
 /// Locks a std mutex, tolerating poison: the pool's queue state is a plain
 /// `VecDeque` that is never left half-mutated by the panicking code paths
@@ -47,11 +60,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The outcome of one cooperative scheduling step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// The task moved tuples (or otherwise advanced); reschedule it.
+    /// The task used its quantum and has more to do; reschedule it.
     Progress,
-    /// The task could not advance (channel empty/full); reschedule it, but
-    /// the worker is free to run others — and to back off briefly if
-    /// *every* queued task is blocked.
+    /// The task cannot advance until something it registered its waker on
+    /// happens (a stream edge it waits for, its query's tokens). It leaves
+    /// the run queue until that wake.
     Blocked,
     /// The task completed (successfully or not) and can be dropped.
     Done,
@@ -59,26 +72,87 @@ pub enum Step {
 
 /// A cooperatively scheduled unit of work — one operator instance.
 ///
-/// Implementations must never block the calling thread: channel operations
-/// inside `step` use the non-blocking `try_*` forms and report
-/// [`Step::Blocked`] instead of waiting. Completion (including errors) is
-/// reported out of band by the task itself (the engine's tasks send on a
-/// per-query done channel).
+/// Implementations must never block the calling thread: stream operations
+/// inside `step` use the non-blocking forms, and a task that has to wait
+/// registers `waker` on what it waits for and reports [`Step::Blocked`].
+/// A task that reports `Blocked` without arranging a wake stays parked
+/// until the pool is dropped. Completion (including errors) is reported out
+/// of band by the task itself (the engine's tasks run their query's
+/// coordination on the reporting thread).
 pub trait Task: Send {
-    /// Runs one bounded quantum.
-    fn step(&mut self) -> Step;
+    /// Runs one bounded quantum; `waker` puts this task back into the run
+    /// queue after it reported `Blocked`.
+    fn step(&mut self, waker: &Waker) -> Step;
 }
 
-/// One priority lane entry.
+// A task's place, as its slot records it. Only the worker that popped a
+// task moves it out of `RUNNING`/`NOTIFIED`; only a wake moves it out of
+// `PARKED`.
+/// In the run queue, or popped and about to run.
+const QUEUED: u8 = 0;
+/// A worker is stepping it.
+const RUNNING: u8 = 1;
+/// Woken while a worker was stepping it: it is requeued, never parked.
+const NOTIFIED: u8 = 2;
+/// In the parked set, waiting for a wake.
+const PARKED: u8 = 3;
+
+/// What a task's [`Waker`] points at: the task's state and where to find
+/// it. The task itself lives in the run queue or the parked set, never
+/// here, so a waker left registered on an edge keeps no task alive.
+struct Slot {
+    id: u64,
+    state: AtomicU8,
+    pool: Weak<Shared>,
+}
+
+impl Wake for Slot {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        // SeqCst throughout: the caller changed what the task waits for
+        // (an edge, a token) before waking, and a task found `QUEUED` here
+        // must see that change when its worker marks it `RUNNING` and steps
+        // it.
+        let mut state = self.state.load(Ordering::SeqCst);
+        loop {
+            let next = match state {
+                RUNNING => NOTIFIED,
+                PARKED => QUEUED,
+                // Queued or already notified: it steps again anyway.
+                _ => return,
+            };
+            match self
+                .state
+                .compare_exchange(state, next, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => break,
+                Err(seen) => state = seen,
+            }
+        }
+        if state == PARKED {
+            if let Some(shared) = self.pool.upgrade() {
+                shared.unpark(self.id);
+            }
+        }
+    }
+}
+
+/// One task with its scheduling identity.
 struct Queued {
     task: Box<dyn Task>,
     priority: usize,
+    slot: Arc<Slot>,
+    waker: Waker,
 }
 
 /// Run-queue state behind the pool mutex: one rotation, priority-ordered
-/// at admission, FIFO thereafter.
+/// at admission, FIFO thereafter, plus the parked tasks by slot id.
 struct QueueState {
     queue: VecDeque<Queued>,
+    parked: HashMap<u64, Queued>,
     shutdown: bool,
 }
 
@@ -100,10 +174,11 @@ impl QueueState {
         self.queue.insert(at, q);
     }
 
-    /// Returns a stepped task to the back of the rotation (fairness: no
-    /// queued task is ever more than one full rotation from its next
-    /// step).
+    /// Returns a stepped or woken task to the back of the rotation
+    /// (fairness: no queued task is ever more than one full rotation from
+    /// its next step).
     fn requeue(&mut self, q: Queued) {
+        q.slot.state.store(QUEUED, Ordering::SeqCst);
         self.queue.push_back(q);
     }
 
@@ -115,7 +190,7 @@ impl QueueState {
 struct Shared {
     queue: Mutex<QueueState>,
     ready: Condvar,
-    /// Tasks ever submitted (diagnostics).
+    /// Tasks ever submitted (diagnostics; also each task's slot id).
     submitted: AtomicU64,
     /// Steps executed across all workers (diagnostics).
     steps: AtomicU64,
@@ -128,6 +203,46 @@ struct Shared {
     panics: AtomicU64,
 }
 
+impl Shared {
+    /// Parks a task that reported `Blocked` — unless it was woken while it
+    /// ran, in which case it goes straight back into the rotation. The
+    /// state change and the insertion share the queue lock, so a wake that
+    /// sees `PARKED` always finds the task in the parked set.
+    fn park(&self, q: Queued) {
+        let mut queue = lock(&self.queue);
+        let parked =
+            q.slot
+                .state
+                .compare_exchange(RUNNING, PARKED, Ordering::SeqCst, Ordering::SeqCst);
+        if parked.is_ok() {
+            queue.parked.insert(q.slot.id, q);
+            return;
+        }
+        queue.requeue(q);
+        drop(queue);
+        self.ready.notify_one();
+    }
+
+    /// Moves a woken task from the parked set back into the rotation. A
+    /// task a shutting-down worker already took is gone: nothing to do.
+    fn unpark(&self, id: u64) {
+        let mut queue = lock(&self.queue);
+        if let Some(q) = queue.parked.remove(&id) {
+            queue.requeue(q);
+            drop(queue);
+            self.ready.notify_one();
+        }
+    }
+
+    /// Requeues a task that used its quantum.
+    fn rotate(&self, q: Queued) {
+        let mut queue = lock(&self.queue);
+        queue.requeue(q);
+        drop(queue);
+        self.ready.notify_one();
+    }
+}
+
 /// Worker threads ever spawned by any pool in this process — lets tests
 /// assert that running more queries does not spawn more threads.
 static WORKER_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
@@ -138,18 +253,13 @@ pub fn worker_threads_spawned() -> u64 {
     WORKER_THREADS_SPAWNED.load(Ordering::Relaxed)
 }
 
-/// How long an idle worker sleeps when every queued task is blocked.
-/// Bounded channels hold many batches, so a stalled edge is refilled far
-/// less often than this; the sleep caps busy-spin without adding
-/// measurable latency.
-const BLOCKED_BACKOFF: Duration = Duration::from_micros(50);
-
 /// A fixed-size pool of worker threads executing [`Task`]s cooperatively.
 ///
 /// The pool is created once (per engine) and shared by every query; its
 /// thread count never changes. Dropping the pool shuts it down: workers
-/// finish their current step, drop any still-queued tasks (releasing their
-/// channel endpoints), and exit.
+/// finish their current step, drop every still-queued and parked task
+/// (releasing their channel endpoints; their `Drop` reports
+/// non-completion), and exit.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -163,6 +273,7 @@ impl WorkerPool {
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 queue: VecDeque::new(),
+                parked: HashMap::new(),
                 shutdown: false,
             }),
             ready: Condvar::new(),
@@ -202,9 +313,19 @@ impl WorkerPool {
     /// Enqueues a task at `priority` (lower waves start first; see the
     /// module docs for the rotation discipline).
     pub fn submit(&self, priority: usize, task: Box<dyn Task>) {
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        let slot = Arc::new(Slot {
+            id: self.shared.submitted.fetch_add(1, Ordering::Relaxed),
+            state: AtomicU8::new(QUEUED),
+            pool: Arc::downgrade(&self.shared),
+        });
+        let waker = Waker::from(slot.clone());
         let mut queue = lock(&self.shared.queue);
-        queue.admit(Queued { task, priority });
+        queue.admit(Queued {
+            task,
+            priority,
+            slot,
+            waker,
+        });
         drop(queue);
         self.shared.ready.notify_one();
     }
@@ -231,6 +352,11 @@ impl WorkerPool {
         lock(&self.shared.queue).len()
     }
 
+    /// Tasks currently parked, waiting for a wake.
+    pub fn parked(&self) -> usize {
+        lock(&self.shared.queue).parked.len()
+    }
+
     /// Task panics contained by the pool's backstop `catch_unwind` (the
     /// worker thread survived each one).
     pub fn panics_contained(&self) -> u64 {
@@ -252,23 +378,27 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Consecutive blocked steps since the last progress; once the worker
-    // has cycled the whole queue without anyone advancing, it backs off.
-    let mut blocked_streak = 0usize;
     loop {
-        let (queued, queue_len) = {
+        let mut queued = {
             let mut queue = lock(&shared.queue);
             loop {
                 if queue.shutdown {
-                    // Drop still-queued tasks: their Drop impls release
-                    // channel endpoints and report non-completion.
-                    while let Some(q) = queue.pop() {
-                        drop(q);
+                    // Drop every task still queued or parked, outside the
+                    // lock: their Drop impls release channel endpoints
+                    // (waking peers) and report non-completion (which may
+                    // submit more). Repeat until nothing is left.
+                    let parked = std::mem::take(&mut queue.parked).into_values();
+                    let left: Vec<Queued> = queue.queue.drain(..).chain(parked).collect();
+                    if left.is_empty() {
+                        return;
                     }
-                    return;
+                    drop(queue);
+                    drop(left);
+                    queue = lock(&shared.queue);
+                    continue;
                 }
                 if let Some(q) = queue.pop() {
-                    break (q, queue.len());
+                    break q;
                 }
                 queue = shared
                     .ready
@@ -277,45 +407,60 @@ fn worker_loop(shared: &Shared) {
             }
         };
 
-        let mut queued = queued;
+        queued.slot.state.store(RUNNING, Ordering::SeqCst);
         shared.busy.fetch_add(1, Ordering::Relaxed);
-        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| queued.task.step()));
+        let Queued { task, waker, .. } = &mut queued;
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.step(waker)));
         shared.busy.fetch_sub(1, Ordering::Relaxed);
         shared.steps.fetch_add(1, Ordering::Relaxed);
         match step {
-            Ok(Step::Progress) => {
-                blocked_streak = 0;
-                let mut queue = lock(&shared.queue);
-                queue.requeue(queued);
-                drop(queue);
-                shared.ready.notify_one();
-            }
-            Ok(Step::Blocked) => {
-                blocked_streak += 1;
-                let mut queue = lock(&shared.queue);
-                queue.requeue(queued);
-                drop(queue);
-                // Everyone this worker has seen lately is blocked: back off
-                // briefly instead of spinning on channel locks. Progress
-                // can only come from another task, which another worker
-                // (or this one, after the nap) will run.
-                if blocked_streak > queue_len {
-                    std::thread::sleep(BLOCKED_BACKOFF);
-                    blocked_streak = 0;
-                }
-            }
-            Ok(Step::Done) => {
-                blocked_streak = 0;
-                drop(queued);
-            }
+            Ok(Step::Progress) => shared.rotate(queued),
+            Ok(Step::Blocked) => shared.park(queued),
+            Ok(Step::Done) => drop(queued),
             Err(_panic) => {
                 // A panicking task is dropped (its Drop reports the
                 // failure to its query); the worker itself survives.
                 shared.panics.fetch_add(1, Ordering::Relaxed);
-                blocked_streak = 0;
                 drop(queued);
             }
         }
+    }
+}
+
+/// Unparks one thread: the waker of a caller that waits outside the pool
+/// (a client draining its result stream, a unit test driving a task).
+struct ThreadWaker(Thread);
+
+impl Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// A waker that unparks the calling thread.
+pub(crate) fn thread_waker() -> Waker {
+    Waker::from(Arc::new(ThreadWaker(std::thread::current())))
+}
+
+/// Runs `attempt` until it returns `Some`, parking the calling thread
+/// between attempts: the same wake protocol as a pooled task, for a caller
+/// outside the pool. `attempt` must register the waker it is given on
+/// whatever it found not ready. The first attempt runs with a no-op waker,
+/// so a caller whose answer is already there builds no waker.
+pub(crate) fn block_on<R>(mut attempt: impl FnMut(&Waker) -> Option<R>) -> R {
+    if let Some(r) = attempt(Waker::noop()) {
+        return r;
+    }
+    let waker = thread_waker();
+    loop {
+        if let Some(r) = attempt(&waker) {
+            return r;
+        }
+        std::thread::park();
     }
 }
 
@@ -323,6 +468,7 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     /// Counts down `n` steps, optionally reporting Blocked in between.
     struct Countdown {
@@ -332,12 +478,14 @@ mod tests {
     }
 
     impl Task for Countdown {
-        fn step(&mut self) -> Step {
+        fn step(&mut self, waker: &Waker) -> Step {
             if self.left == 0 {
                 return Step::Done;
             }
             if self.block_every > 0 && self.left.is_multiple_of(self.block_every) {
+                // What it waits for is already there: it wakes itself.
                 self.left -= 1;
+                waker.wake_by_ref();
                 return Step::Blocked;
             }
             self.left -= 1;
@@ -389,7 +537,7 @@ mod tests {
             unblock: Arc<AtomicUsize>,
         }
         impl Task for Stuck {
-            fn step(&mut self) -> Step {
+            fn step(&mut self, _: &Waker) -> Step {
                 if self.unblock.load(Ordering::Relaxed) > 0 {
                     Step::Done
                 } else {
@@ -399,6 +547,7 @@ mod tests {
         }
         let pool = WorkerPool::new(1);
         let unblock = Arc::new(AtomicUsize::new(0));
+        // Stuck registers nothing: it parks until the pool drops it.
         let counter = Arc::new(AtomicUsize::new(0));
         pool.submit(
             0,
@@ -416,22 +565,37 @@ mod tests {
         );
         wait_for(&counter, 20);
         unblock.store(1, Ordering::Relaxed);
-        // Pool drop drains the stuck task (now Done) and joins cleanly.
+        // Pool drop drops the parked stuck task and joins cleanly.
     }
 
     /// A task that does nothing (queue-discipline tests step the queue by
     /// hand, so the task body never runs).
     struct Inert;
     impl Task for Inert {
-        fn step(&mut self) -> Step {
+        fn step(&mut self, _: &Waker) -> Step {
             Step::Done
         }
     }
 
     fn queued(priority: usize) -> Queued {
+        let slot = Arc::new(Slot {
+            id: 0,
+            state: AtomicU8::new(QUEUED),
+            pool: Weak::new(),
+        });
         Queued {
             task: Box::new(Inert),
             priority,
+            waker: Waker::from(slot.clone()),
+            slot,
+        }
+    }
+
+    fn queue_state() -> QueueState {
+        QueueState {
+            queue: VecDeque::new(),
+            parked: HashMap::new(),
+            shutdown: false,
         }
     }
 
@@ -440,10 +604,7 @@ mod tests {
         // Admission is priority-ordered and stable: later-submitted
         // early-wave tasks overtake queued later-wave tasks, so pipelines
         // fill bottom-up regardless of submission order.
-        let mut q = QueueState {
-            queue: VecDeque::new(),
-            shutdown: false,
-        };
+        let mut q = queue_state();
         q.admit(queued(1));
         q.admit(queued(0));
         q.admit(queued(2));
@@ -458,10 +619,7 @@ mod tests {
         // Once stepped, a task rejoins the back of the rotation even if
         // its wave is earlier — a blocked wave-0 producer must not starve
         // the wave-1 consumer it is waiting on.
-        let mut q = QueueState {
-            queue: VecDeque::new(),
-            shutdown: false,
-        };
+        let mut q = queue_state();
         q.admit(queued(0));
         q.admit(queued(1));
         let first = q.pop().unwrap();
@@ -471,21 +629,22 @@ mod tests {
         assert_eq!(order, vec![1, 0], "the wave-1 task now runs first");
     }
 
+    struct NotifyOnDrop {
+        dropped: Arc<AtomicUsize>,
+    }
+    impl Task for NotifyOnDrop {
+        fn step(&mut self, _: &Waker) -> Step {
+            Step::Blocked
+        }
+    }
+    impl Drop for NotifyOnDrop {
+        fn drop(&mut self) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn shutdown_drops_queued_tasks() {
-        struct NotifyOnDrop {
-            dropped: Arc<AtomicUsize>,
-        }
-        impl Task for NotifyOnDrop {
-            fn step(&mut self) -> Step {
-                Step::Blocked
-            }
-        }
-        impl Drop for NotifyOnDrop {
-            fn drop(&mut self) {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let dropped = Arc::new(AtomicUsize::new(0));
         {
             let pool = WorkerPool::new(1);
@@ -497,17 +656,130 @@ mod tests {
                     }),
                 );
             }
-            // Give the worker a moment to cycle them.
+            // Give the worker a moment to step (and park) some of them.
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(dropped.load(Ordering::Relaxed), 4);
     }
 
     #[test]
+    fn shutdown_drops_parked_tasks() {
+        // Tasks blocked on a wake that never comes are not leaked: pool
+        // drop releases them like queued ones.
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let pool = WorkerPool::new(2);
+        for _ in 0..4 {
+            pool.submit(
+                0,
+                Box::new(NotifyOnDrop {
+                    dropped: dropped.clone(),
+                }),
+            );
+        }
+        let mut spins = 0;
+        while pool.parked() < 4 {
+            std::thread::sleep(Duration::from_millis(1));
+            spins += 1;
+            assert!(spins < 10_000, "tasks never parked");
+        }
+        assert_eq!((pool.queued(), dropped.load(Ordering::Relaxed)), (0, 0));
+        drop(pool);
+        assert_eq!(dropped.load(Ordering::Relaxed), 4);
+    }
+
+    /// Blocks once, wakes itself in the same step before returning, and is
+    /// done on its next step.
+    struct WakesWhileRunning {
+        stepped: usize,
+        counter: Arc<AtomicUsize>,
+    }
+    impl Task for WakesWhileRunning {
+        fn step(&mut self, waker: &Waker) -> Step {
+            self.stepped += 1;
+            if self.stepped == 1 {
+                waker.wake_by_ref();
+                return Step::Blocked;
+            }
+            self.counter.fetch_add(1, Ordering::Relaxed);
+            Step::Done
+        }
+    }
+
+    #[test]
+    fn a_wake_between_blocked_and_the_park_requeues_the_task() {
+        // The wake lands while the worker still holds the task (it is
+        // `RUNNING`): the worker must requeue it, not park it, or the task
+        // would wait for a wake that already happened.
+        let pool = WorkerPool::new(1);
+        let counter = Arc::new(AtomicUsize::new(0));
+        for _ in 0..8 {
+            pool.submit(
+                0,
+                Box::new(WakesWhileRunning {
+                    stepped: 0,
+                    counter: counter.clone(),
+                }),
+            );
+        }
+        wait_for(&counter, 8);
+        assert_eq!(pool.parked(), 0);
+    }
+
+    #[test]
+    fn a_parked_task_runs_again_when_woken() {
+        // Registers its waker where the test can reach it and blocks until
+        // the test has released it.
+        struct Waits {
+            released: Arc<AtomicUsize>,
+            waker: Arc<Mutex<Option<Waker>>>,
+            counter: Arc<AtomicUsize>,
+        }
+        impl Task for Waits {
+            fn step(&mut self, waker: &Waker) -> Step {
+                let mut slot = lock(&self.waker);
+                if self.released.load(Ordering::SeqCst) == 0 {
+                    *slot = Some(waker.clone());
+                    return Step::Blocked;
+                }
+                self.counter.fetch_add(1, Ordering::Relaxed);
+                Step::Done
+            }
+        }
+        let pool = WorkerPool::new(1);
+        let (released, waker) = (Arc::new(AtomicUsize::new(0)), Arc::new(Mutex::new(None)));
+        let counter = Arc::new(AtomicUsize::new(0));
+        pool.submit(
+            0,
+            Box::new(Waits {
+                released: released.clone(),
+                waker: waker.clone(),
+                counter: counter.clone(),
+            }),
+        );
+        let mut spins = 0;
+        while pool.parked() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+            spins += 1;
+            assert!(spins < 10_000, "task never parked");
+        }
+        let steps = pool.steps();
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(pool.steps(), steps, "a parked task is not polled");
+        // Release, then wake — in that order, under the task's own lock.
+        let registered = {
+            let mut slot = lock(&waker);
+            released.store(1, Ordering::SeqCst);
+            slot.take().expect("registered before parking")
+        };
+        registered.wake();
+        wait_for(&counter, 1);
+    }
+
+    #[test]
     fn panicking_task_does_not_kill_the_worker() {
         struct Panics;
         impl Task for Panics {
-            fn step(&mut self) -> Step {
+            fn step(&mut self, _: &Waker) -> Step {
                 panic!("task bug");
             }
         }

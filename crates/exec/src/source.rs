@@ -2,10 +2,9 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use mj_relalg::column::ColumnBatch;
 
-use crate::stream::Msg;
+use crate::stream::{Msg, Receiver};
 
 /// Where an instance's operand rows come from.
 pub enum Source {

@@ -27,11 +27,20 @@
 //! pooled, so in steady state the edge moves rows with **zero** buffer
 //! allocations. The pool counts takes and misses so benches can assert the
 //! hit rate.
+//!
+//! Every channel is an edge of this module ([`bounded`]): a bounded queue
+//! from any number of producer instances ([`Sender`]) to one consumer
+//! ([`Receiver`]) that also holds the wakers of whoever waits on it. A
+//! pooled task that finds its input empty or its output full registers its
+//! [`Waker`] on that edge *in the same critical section* as the failed
+//! check, and the edge's next event — a send, a receive, a hang-up — wakes
+//! it. Nothing polls an edge to find out.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use mj_relalg::column::{bucket_keys, ColumnBatch, ColumnLayout};
 use mj_relalg::{RelalgError, Result, Tuple};
 use parking_lot::Mutex;
@@ -311,6 +320,185 @@ pub enum Msg {
     End,
 }
 
+/// One bounded stream edge: at most `cap` messages queued from any number
+/// of producers ([`Sender`] clones) to one consumer ([`Receiver`]), and the
+/// wakers of whoever waits on it. Every check, every registration and
+/// every event happens under `state`'s lock, so a message or a hang-up that
+/// lands between a failed attempt and the registration still finds the
+/// waker.
+struct Edge<T> {
+    state: Mutex<EdgeState<T>>,
+}
+
+struct EdgeState<T> {
+    queue: VecDeque<T>,
+    cap: usize,
+    senders: usize,
+    /// The receiver is alive.
+    receiving: bool,
+    /// The consumer, waiting for a message: woken by the next send or the
+    /// last sender's drop.
+    consumer: Option<Waker>,
+    /// Producers waiting for room: woken by the next receive or the
+    /// receiver's drop.
+    producers: Vec<Waker>,
+}
+
+/// Creates one bounded edge holding at most `cap` messages.
+pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
+    let edge = Arc::new(Edge {
+        state: Mutex::new(EdgeState {
+            queue: VecDeque::with_capacity(cap),
+            cap: cap.max(1),
+            senders: 1,
+            receiving: true,
+            consumer: None,
+            producers: Vec::new(),
+        }),
+    });
+    (Sender { edge: edge.clone() }, Receiver { edge })
+}
+
+/// Why [`Sender::poll_send`] did not enqueue; the message comes back.
+pub enum TrySendError<T> {
+    /// The edge is at capacity; the waker is registered for the next
+    /// receive.
+    Full(T),
+    /// The receiver has been dropped.
+    Disconnected(T),
+}
+
+impl<T> std::fmt::Debug for TrySendError<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TrySendError::Full(_) => write!(f, "Full(..)"),
+            TrySendError::Disconnected(_) => write!(f, "Disconnected(..)"),
+        }
+    }
+}
+
+/// Why a receive returned nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TryRecvError {
+    /// Nothing queued right now.
+    Empty,
+    /// Nothing queued and every sender gone.
+    Disconnected,
+}
+
+/// A blocking [`Receiver::recv`] found the edge empty and every sender gone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecvError;
+
+/// A producer's end of an edge; clones share it.
+pub struct Sender<T> {
+    edge: Arc<Edge<T>>,
+}
+
+impl<T> Sender<T> {
+    /// Enqueues `msg` and wakes the consumer if it waits, never blocking.
+    /// On [`TrySendError::Full`], `waker` is registered for the next
+    /// receive (or the receiver's drop).
+    pub fn poll_send(&self, msg: T, waker: &Waker) -> std::result::Result<(), TrySendError<T>> {
+        let mut st = self.edge.state.lock();
+        if !st.receiving {
+            return Err(TrySendError::Disconnected(msg));
+        }
+        if st.queue.len() >= st.cap {
+            if !st.producers.iter().any(|w| w.will_wake(waker)) {
+                st.producers.push(waker.clone());
+            }
+            return Err(TrySendError::Full(msg));
+        }
+        st.queue.push_back(msg);
+        let consumer = st.consumer.take();
+        drop(st);
+        if let Some(consumer) = consumer {
+            consumer.wake();
+        }
+        Ok(())
+    }
+}
+
+impl<T> Clone for Sender<T> {
+    fn clone(&self) -> Self {
+        self.edge.state.lock().senders += 1;
+        Sender {
+            edge: self.edge.clone(),
+        }
+    }
+}
+
+impl<T> Drop for Sender<T> {
+    fn drop(&mut self) {
+        let mut st = self.edge.state.lock();
+        st.senders -= 1;
+        let consumer = if st.senders == 0 {
+            st.consumer.take()
+        } else {
+            None
+        };
+        drop(st);
+        if let Some(consumer) = consumer {
+            consumer.wake();
+        }
+    }
+}
+
+/// The consumer's end of an edge (one per edge).
+pub struct Receiver<T> {
+    edge: Arc<Edge<T>>,
+}
+
+impl<T> Receiver<T> {
+    /// Takes the next message, if one is queued, and wakes the producers
+    /// waiting for room; never blocks. On [`TryRecvError::Empty`], `waker`
+    /// is registered for the next send (or the last sender's drop).
+    pub fn poll_recv(&self, waker: &Waker) -> std::result::Result<T, TryRecvError> {
+        let mut st = self.edge.state.lock();
+        if let Some(msg) = st.queue.pop_front() {
+            let producers = std::mem::take(&mut st.producers);
+            drop(st);
+            producers.into_iter().for_each(Waker::wake);
+            return Ok(msg);
+        }
+        if st.senders == 0 {
+            return Err(TryRecvError::Disconnected);
+        }
+        match &mut st.consumer {
+            Some(registered) if registered.will_wake(waker) => {}
+            slot => *slot = Some(waker.clone()),
+        }
+        Err(TryRecvError::Empty)
+    }
+
+    /// [`poll_recv`](Self::poll_recv) with nobody to wake (unit tests).
+    #[cfg(test)]
+    pub fn try_recv(&self) -> std::result::Result<T, TryRecvError> {
+        self.poll_recv(Waker::noop())
+    }
+
+    /// Blocks the calling thread (parked, woken by the edge) for the next
+    /// message; errors once the edge is empty and every sender is gone.
+    pub fn recv(&self) -> std::result::Result<T, RecvError> {
+        crate::sched::block_on(|waker| match self.poll_recv(waker) {
+            Ok(msg) => Some(Ok(msg)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
+            Err(TryRecvError::Empty) => None,
+        })
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        let mut st = self.edge.state.lock();
+        st.receiving = false;
+        let producers = std::mem::take(&mut st.producers);
+        drop(st);
+        producers.into_iter().for_each(Waker::wake);
+    }
+}
+
 /// The number of batch buffers one redistribution edge can have live at
 /// once: every in-flight channel slot, each producer's per-destination fill
 /// buffers plus one parked (backpressured) batch, and one batch being
@@ -357,8 +545,9 @@ fn hung_up() -> RelalgError {
 /// column-at-a-time. With one destination it only copies, `batch` rows per
 /// message at most. It and [`try_finish`](Router::try_finish) never
 /// block: a batch that cannot be sent right now parks in a one-slot
-/// `pending` buffer and the worker-pool task yields its worker instead of
-/// parking a thread — so a slow consumer, the client included,
+/// `pending` buffer, the caller's waker is registered on the full
+/// destination's edge, and the worker-pool task yields its worker instead
+/// of parking a thread — so a slow consumer, the client included,
 /// backpressures the pool. (Unit tests also get a row-at-a-time
 /// `try_route` and blocking `route` / `finish` over the same state
 /// machine.)
@@ -417,26 +606,20 @@ impl Router {
 
     /// Attempts to deliver the parked message, if any. `Ok(true)` means the
     /// router is clear to accept work; `Ok(false)` means the destination is
-    /// still full (yield and retry).
-    pub fn poll_unblocked(&mut self) -> Result<bool> {
+    /// still full and `waker` is registered for its next receive.
+    pub fn poll_unblocked(&mut self, waker: &Waker) -> Result<bool> {
         match self.pending.take() {
             None => Ok(true),
-            Some((dest, msg)) => match self.senders[dest].try_send(msg) {
-                Ok(()) => Ok(true),
-                Err(TrySendError::Full(msg)) => {
-                    self.pending = Some((dest, msg));
-                    Ok(false)
-                }
-                Err(TrySendError::Disconnected(_)) => Err(hung_up()),
-            },
+            Some((dest, msg)) => self.try_send_or_park(dest, msg, waker),
         }
     }
 
-    /// Sends or parks `msg`; `Ok(true)` if it was sent. Requires no parked
-    /// message (callers clear via [`poll_unblocked`](Self::poll_unblocked)).
-    fn try_send_or_park(&mut self, dest: usize, msg: Msg) -> Result<bool> {
+    /// Sends or parks `msg` (registering `waker` on the full destination);
+    /// `Ok(true)` if it was sent. Requires no parked message (callers clear
+    /// via [`poll_unblocked`](Self::poll_unblocked)).
+    fn try_send_or_park(&mut self, dest: usize, msg: Msg, waker: &Waker) -> Result<bool> {
         debug_assert!(self.pending.is_none(), "parked message not cleared");
-        match self.senders[dest].try_send(msg) {
+        match self.senders[dest].poll_send(msg, waker) {
             Ok(()) => Ok(true),
             Err(TrySendError::Full(msg)) => {
                 self.pending = Some((dest, msg));
@@ -446,20 +629,20 @@ impl Router {
         }
     }
 
-    fn flush_dest(&mut self, dest: usize) -> Result<bool> {
+    fn flush_dest(&mut self, dest: usize, waker: &Waker) -> Result<bool> {
         let full = std::mem::replace(&mut self.buffers[dest], self.pool.take(self.batch));
-        self.try_send_or_park(dest, Msg::Batch(Batch::new(full, self.pool.clone())))
+        self.try_send_or_park(dest, Msg::Batch(Batch::new(full, self.pool.clone())), waker)
     }
 
     /// Flushes every destination buffer at or over the batch threshold,
     /// stopping at the first park.
-    fn flush_full(&mut self) -> Result<()> {
+    fn flush_full(&mut self, waker: &Waker) -> Result<()> {
         for dest in 0..self.senders.len() {
             if self.pending.is_some() {
                 return Ok(());
             }
             if self.buffers[dest].rows() >= self.batch {
-                self.flush_dest(dest)?;
+                self.flush_dest(dest, waker)?;
             }
         }
         Ok(())
@@ -469,17 +652,23 @@ impl Router {
     /// the destinations in one vectorized pass (hash the key column, then
     /// gather per destination) and flushes full buffers. Returns the rows
     /// accepted and whether the input was fully consumed (`false` means a
-    /// parked batch still blocks the router — yield and retry). `*pos` is
-    /// advanced past the accepted rows.
-    pub fn try_route_batch(&mut self, cols: &ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
+    /// parked batch still blocks the router and `waker` is registered on
+    /// its destination — yield and retry once woken). `*pos` is advanced
+    /// past the accepted rows.
+    pub fn try_route_batch(
+        &mut self,
+        cols: &ColumnBatch,
+        pos: &mut usize,
+        waker: &Waker,
+    ) -> Result<(u64, bool)> {
         if self.senders.len() == 1 {
-            return self.try_append(cols, pos);
+            return self.try_append(cols, pos, waker);
         }
         if *pos >= cols.rows() {
-            self.flush_full()?;
+            self.flush_full(waker)?;
             return Ok((0, true));
         }
-        if !self.poll_unblocked()? {
+        if !self.poll_unblocked(waker)? {
             return Ok((0, false));
         }
         let n = cols.rows() - *pos;
@@ -501,7 +690,7 @@ impl Router {
         }
         *pos = cols.rows();
         self.sent += n as u64;
-        self.flush_full()?;
+        self.flush_full(waker)?;
         Ok((n as u64, true))
     }
 
@@ -510,10 +699,15 @@ impl Router {
     /// rows accepted so far. No key is read, so a degree-1 consumer (LIMIT,
     /// a global aggregate) may receive a schema whose routing column is not
     /// an integer.
-    fn try_append(&mut self, cols: &ColumnBatch, pos: &mut usize) -> Result<(u64, bool)> {
+    fn try_append(
+        &mut self,
+        cols: &ColumnBatch,
+        pos: &mut usize,
+        waker: &Waker,
+    ) -> Result<(u64, bool)> {
         let mut accepted = 0u64;
         while *pos < cols.rows() {
-            if !self.poll_unblocked()? {
+            if !self.poll_unblocked(waker)? {
                 return Ok((accepted, false));
             }
             let room = self.batch.saturating_sub(self.buffers[0].rows()).max(1);
@@ -523,7 +717,7 @@ impl Router {
             accepted += take as u64;
             self.sent += take as u64;
             if self.buffers[0].rows() >= self.batch {
-                self.flush_dest(0)?;
+                self.flush_dest(0, waker)?;
             }
         }
         Ok((accepted, true))
@@ -532,21 +726,23 @@ impl Router {
     /// Non-blocking finish: flushes every buffer and queues `End` to every
     /// destination, resumable across backpressure. Returns `Ok(true)` once
     /// everything (including the last `End`) has been delivered; `Ok(false)`
-    /// means a send parked and the caller should yield and call again.
-    pub fn try_finish(&mut self) -> Result<bool> {
-        if !self.poll_unblocked()? {
+    /// means a send parked, `waker` is registered on that destination, and
+    /// the caller should yield and call again once woken.
+    pub fn try_finish(&mut self, waker: &Waker) -> Result<bool> {
+        if !self.poll_unblocked(waker)? {
             return Ok(false);
         }
         while self.finish_pos < self.senders.len() {
             let dest = self.finish_pos;
             if !self.buffers[dest].is_empty() {
                 let full = std::mem::take(&mut self.buffers[dest]);
-                if !self.try_send_or_park(dest, Msg::Batch(Batch::new(full, self.pool.clone())))? {
+                let batch = Msg::Batch(Batch::new(full, self.pool.clone()));
+                if !self.try_send_or_park(dest, batch, waker)? {
                     return Ok(false);
                 }
             }
             self.finish_pos = dest + 1;
-            if !self.try_send_or_park(dest, Msg::End)? {
+            if !self.try_send_or_park(dest, Msg::End, waker)? {
                 return Ok(false);
             }
         }
@@ -560,13 +756,13 @@ impl Router {
 impl Router {
     /// Non-blocking row route: accepts the tuple unless a previously parked
     /// batch still cannot be delivered, in which case the tuple is handed
-    /// back (`Ok(Some(tuple))`) and the caller should yield. A full destination
-    /// buffer is flushed with `try_send`; on backpressure the flushed batch
-    /// parks (the tuple itself is still accepted). The replacement buffer
-    /// comes from the pool (take-and-swap), so steady state allocates
-    /// nothing.
-    pub fn try_route(&mut self, tuple: Tuple) -> Result<Option<Tuple>> {
-        if !self.poll_unblocked()? {
+    /// back (`Ok(Some(tuple))`) and the caller should yield. A full
+    /// destination buffer is flushed without blocking; on backpressure the
+    /// flushed batch parks (the tuple itself is still accepted). The
+    /// replacement buffer comes from the pool (take-and-swap), so steady
+    /// state allocates nothing.
+    pub fn try_route(&mut self, tuple: Tuple, waker: &Waker) -> Result<Option<Tuple>> {
+        if !self.poll_unblocked(waker)? {
             return Ok(Some(tuple));
         }
         // A single destination needs no key: this also lets degree-1
@@ -580,24 +776,15 @@ impl Router {
         self.buffers[dest].push_tuple(&tuple)?;
         self.sent += 1;
         if self.buffers[dest].rows() >= self.batch {
-            self.flush_dest(dest)?;
+            self.flush_dest(dest, waker)?;
         }
         Ok(None)
     }
 
-    /// Delivers any parked message with a blocking send (dedicated-thread
-    /// path only; never call from a pooled task).
-    fn flush_pending_blocking(&mut self) -> Result<()> {
-        if let Some((dest, msg)) = self.pending.take() {
-            self.senders[dest].send(msg).map_err(|_| hung_up())?;
-        }
-        Ok(())
-    }
-
     /// Routes one tuple, blocking on backpressure (dedicated-thread path).
     pub fn route(&mut self, tuple: Tuple) -> Result<()> {
-        self.flush_pending_blocking()?;
-        match self.try_route(tuple)? {
+        crate::sched::block_on(|waker| settled(self.poll_unblocked(waker)))?;
+        match self.try_route(tuple, Waker::noop())? {
             None => Ok(()),
             Some(_) => unreachable!("pending was flushed above"),
         }
@@ -606,12 +793,17 @@ impl Router {
     /// Flushes all buffers and sends `End` to every destination, blocking
     /// on backpressure (dedicated-thread path).
     pub fn finish(mut self) -> Result<()> {
-        loop {
-            if self.try_finish()? {
-                return Ok(());
-            }
-            self.flush_pending_blocking()?;
-        }
+        crate::sched::block_on(|waker| settled(self.try_finish(waker)))
+    }
+}
+
+/// A non-blocking attempt as [`block_on`](crate::sched::block_on) reads it:
+/// `None` while it must wait.
+#[cfg(test)]
+fn settled(attempt: Result<bool>) -> Option<Result<()>> {
+    match attempt {
+        Ok(false) => None,
+        done => Some(done.map(|_| ())),
     }
 }
 
@@ -676,9 +868,11 @@ mod tests {
             cols.push_tuple(&Tuple::from_ints(&[k, k * 2])).unwrap();
         }
         let mut pos = 0;
-        let (n, done) = router.try_route_batch(&cols, &mut pos).unwrap();
+        let (n, done) = router
+            .try_route_batch(&cols, &mut pos, Waker::noop())
+            .unwrap();
         assert_eq!((n, done, pos), (100, true, 100));
-        assert!(router.try_finish().unwrap());
+        assert!(router.try_finish(Waker::noop()).unwrap());
         let mut total = 0usize;
         for (dest, rx) in rxs.into_iter().enumerate() {
             loop {
@@ -725,8 +919,13 @@ mod tests {
             cols.push_tuple(&Tuple::from_ints(&[k])).unwrap();
         }
         let mut pos = 0;
-        assert_eq!(router.try_route_batch(&cols, &mut pos).unwrap(), (12, true));
-        assert!(router.try_finish().unwrap());
+        assert_eq!(
+            router
+                .try_route_batch(&cols, &mut pos, Waker::noop())
+                .unwrap(),
+            (12, true)
+        );
+        assert!(router.try_finish(Waker::noop()).unwrap());
         let mut rows = Vec::new();
         while let Ok(Msg::Batch(b)) = rxs[0].try_recv() {
             assert!(b.len() <= 4, "a message of {} rows", b.len());
@@ -806,21 +1005,32 @@ mod tests {
         // (bounded by one parked batch), then hand tuples back.
         let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
         let mut router = Router::new(txs, 0, 1, pool);
-        assert!(router.try_route(Tuple::from_ints(&[1])).unwrap().is_none());
+        assert!(router
+            .try_route(Tuple::from_ints(&[1]), Waker::noop())
+            .unwrap()
+            .is_none());
         // Second tuple is accepted; its flush parks (channel full).
-        assert!(router.try_route(Tuple::from_ints(&[2])).unwrap().is_none());
+        assert!(router
+            .try_route(Tuple::from_ints(&[2]), Waker::noop())
+            .unwrap()
+            .is_none());
         // Third tuple is handed back: the parked batch still can't move.
-        let back = router.try_route(Tuple::from_ints(&[3])).unwrap();
+        let back = router
+            .try_route(Tuple::from_ints(&[3]), Waker::noop())
+            .unwrap();
         assert_eq!(back.unwrap().int(0).unwrap(), 3);
-        assert!(!router.poll_unblocked().unwrap());
+        assert!(!router.poll_unblocked(Waker::noop()).unwrap());
         // Drain one message; the parked batch can now be delivered.
         let Msg::Batch(b) = rxs[0].recv().unwrap() else {
             panic!("expected batch");
         };
         assert_eq!(b.len(), 1);
         drop(b);
-        assert!(router.poll_unblocked().unwrap());
-        assert!(router.try_route(Tuple::from_ints(&[3])).unwrap().is_none());
+        assert!(router.poll_unblocked(Waker::noop()).unwrap());
+        assert!(router
+            .try_route(Tuple::from_ints(&[3]), Waker::noop())
+            .unwrap()
+            .is_none());
         assert_eq!(router.sent(), 3);
     }
 
@@ -829,11 +1039,14 @@ mod tests {
         let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
         let mut router = Router::new(txs, 0, 8, pool);
         for k in 0..5i64 {
-            assert!(router.try_route(Tuple::from_ints(&[k])).unwrap().is_none());
+            assert!(router
+                .try_route(Tuple::from_ints(&[k]), Waker::noop())
+                .unwrap()
+                .is_none());
         }
         // First try_finish flushes the batch into the single slot; the End
         // then parks, so finish is not yet complete.
-        assert!(!router.try_finish().unwrap());
+        assert!(!router.try_finish(Waker::noop()).unwrap());
         let mut rows = 0;
         loop {
             match rxs[0].try_recv() {
@@ -841,12 +1054,15 @@ mod tests {
                 Ok(Msg::End) => break,
                 Err(_) => {
                     // Everything queued? Keep draining until End arrives.
-                    router.try_finish().unwrap();
+                    router.try_finish(Waker::noop()).unwrap();
                 }
             }
         }
         assert_eq!(rows, 5);
-        assert!(router.try_finish().unwrap(), "finish is idempotent");
+        assert!(
+            router.try_finish(Waker::noop()).unwrap(),
+            "finish is idempotent"
+        );
     }
 
     #[test]
@@ -854,7 +1070,9 @@ mod tests {
         let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
         drop(rxs);
         let mut router = Router::new(txs, 0, 1, pool);
-        assert!(router.try_route(Tuple::from_ints(&[1])).is_err());
+        assert!(router
+            .try_route(Tuple::from_ints(&[1]), Waker::noop())
+            .is_err());
     }
 
     #[test]
@@ -931,10 +1149,13 @@ mod tests {
         let mut a = Router::new(txs.clone(), 0, 2, pool.clone());
         let mut b = Router::new(txs, 0, 2, pool);
         for k in 0..5i64 {
-            assert!(a.try_route(Tuple::from_ints(&[k])).unwrap().is_none());
+            assert!(a
+                .try_route(Tuple::from_ints(&[k]), Waker::noop())
+                .unwrap()
+                .is_none());
         }
         b.route(Tuple::from_ints(&[99])).unwrap();
-        assert!(a.try_finish().unwrap());
+        assert!(a.try_finish(Waker::noop()).unwrap());
         assert_eq!(a.sent(), 5);
         b.finish().unwrap();
         let (mut rows, mut ends) = (0, 0);
@@ -956,9 +1177,11 @@ mod tests {
             cols.push_tuple(&Tuple::from_ints(&[k, -k])).unwrap();
         }
         let mut pos = 0;
-        let (n, done) = sink.try_route_batch(&cols, &mut pos).unwrap();
+        let (n, done) = sink
+            .try_route_batch(&cols, &mut pos, Waker::noop())
+            .unwrap();
         assert_eq!((n, done), (10, true));
-        assert!(sink.try_finish().unwrap());
+        assert!(sink.try_finish(Waker::noop()).unwrap());
         let mut got = Vec::new();
         loop {
             match rxs[0].try_recv() {
@@ -982,18 +1205,26 @@ mod tests {
             cols.push_tuple(&Tuple::from_ints(&[k])).unwrap();
         }
         let mut pos = 0;
-        assert_eq!(sink.try_route_batch(&cols, &mut pos).unwrap(), (2, false));
+        assert_eq!(
+            sink.try_route_batch(&cols, &mut pos, Waker::noop())
+                .unwrap(),
+            (2, false)
+        );
         assert_eq!(pos, 2);
-        assert!(!sink.poll_unblocked().unwrap());
+        assert!(!sink.poll_unblocked(Waker::noop()).unwrap());
         let Msg::Batch(b) = rxs[0].recv().unwrap() else {
             panic!("expected batch");
         };
         assert_eq!(b.columns().int_col(0).unwrap(), &[1]);
         drop(b);
-        assert!(sink.poll_unblocked().unwrap());
+        assert!(sink.poll_unblocked(Waker::noop()).unwrap());
         // The last row is accepted; its message parks behind the second.
-        assert_eq!(sink.try_route_batch(&cols, &mut pos).unwrap(), (1, true));
-        assert!(!sink.poll_unblocked().unwrap());
+        assert_eq!(
+            sink.try_route_batch(&cols, &mut pos, Waker::noop())
+                .unwrap(),
+            (1, true)
+        );
+        assert!(!sink.poll_unblocked(Waker::noop()).unwrap());
         // Finish resumes across the still-bounded channel; drain until End.
         let mut seen = vec![1];
         loop {
@@ -1001,7 +1232,7 @@ mod tests {
                 Ok(Msg::Batch(b)) => seen.extend_from_slice(b.columns().int_col(0).unwrap()),
                 Ok(Msg::End) => break,
                 Err(_) => {
-                    sink.try_finish().unwrap();
+                    sink.try_finish(Waker::noop()).unwrap();
                 }
             }
         }
@@ -1017,7 +1248,75 @@ mod tests {
         let mut one = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 1);
         one.push_tuple(&Tuple::from_ints(&[1])).unwrap();
         let mut pos = 0;
-        assert!(sink.try_route_batch(&one, &mut pos).is_err());
+        assert!(sink.try_route_batch(&one, &mut pos, Waker::noop()).is_err());
+    }
+
+    /// Counts its wakes.
+    struct Counting(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for Counting {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn counting() -> (Arc<Counting>, Waker) {
+        let count = Arc::new(Counting(Default::default()));
+        (count.clone(), Waker::from(count))
+    }
+
+    fn wakes(count: &Counting) -> usize {
+        count.0.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn an_empty_edge_wakes_its_consumer_on_send_and_on_hang_up() {
+        let (tx, rx) = bounded::<i32>(2);
+        let (count, waker) = counting();
+        assert_eq!(rx.poll_recv(&waker), Err(TryRecvError::Empty));
+        assert_eq!(rx.poll_recv(&waker), Err(TryRecvError::Empty));
+        tx.poll_send(1, Waker::noop()).unwrap();
+        tx.poll_send(2, Waker::noop()).unwrap();
+        assert_eq!(wakes(&count), 1, "one registration, one wake");
+        assert_eq!((rx.try_recv(), rx.try_recv()), (Ok(1), Ok(2)));
+        assert_eq!(rx.poll_recv(&waker), Err(TryRecvError::Empty));
+        let extra = tx.clone();
+        drop(tx);
+        assert_eq!(wakes(&count), 1, "a sender is still alive");
+        drop(extra);
+        assert_eq!(wakes(&count), 2, "the last sender's drop wakes");
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_full_edge_wakes_every_waiting_producer_on_receive_and_on_hang_up() {
+        let (tx, rx) = bounded::<i32>(1);
+        let other = tx.clone();
+        let (a, wake_a) = counting();
+        let (b, wake_b) = counting();
+        tx.poll_send(1, &wake_a).unwrap();
+        assert!(matches!(
+            tx.poll_send(2, &wake_a),
+            Err(TrySendError::Full(2))
+        ));
+        assert!(matches!(
+            other.poll_send(3, &wake_b),
+            Err(TrySendError::Full(3))
+        ));
+        assert_eq!((wakes(&a), wakes(&b)), (0, 0));
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!((wakes(&a), wakes(&b)), (1, 1));
+        tx.poll_send(2, &wake_a).unwrap();
+        assert!(matches!(
+            other.poll_send(3, &wake_b),
+            Err(TrySendError::Full(3))
+        ));
+        drop(rx);
+        assert_eq!((wakes(&a), wakes(&b)), (1, 2), "the receiver's drop wakes");
+        assert!(matches!(
+            other.poll_send(3, &wake_b),
+            Err(TrySendError::Disconnected(3))
+        ));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::task::Waker;
 
 use multijoin::exec::stream::{edge_buffer_bound, operand_channels, Msg, Router};
 use multijoin::join::ColumnarTable;
@@ -104,11 +105,15 @@ fn assert_batch_pool_hit_rate() {
                 for chunk in keys.chunks(BATCH) {
                     let cols = int_batch(chunk);
                     let mut pos = 0;
-                    while !router.try_route_batch(&cols, &mut pos).unwrap().1 {
+                    while !router
+                        .try_route_batch(&cols, &mut pos, Waker::noop())
+                        .unwrap()
+                        .1
+                    {
                         std::thread::yield_now();
                     }
                 }
-                while !router.try_finish().unwrap() {
+                while !router.try_finish(Waker::noop()).unwrap() {
                     std::thread::yield_now();
                 }
             })

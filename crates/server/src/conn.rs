@@ -5,7 +5,11 @@
 //! a round-robin loop; a tick never blocks — it reads whatever bytes
 //! are available, parses complete request lines, advances the active
 //! query by polling its [`ResultStream`], and flushes whatever the
-//! socket will take.
+//! socket will take. Polling registers the worker's waker on whatever
+//! was not ready (the result edge, the query's conclusion), and
+//! [`Conn::poll_fd`] says what to wait for on the socket, so a worker
+//! whose every connection ticked idle can block until one of them has
+//! something.
 //!
 //! Ad-hoc `query` statements are paced per connection ([`AdhocPace`]): a
 //! statement whose turn has not come stays queued, the tick reports idle
@@ -20,11 +24,14 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::{Duration, Instant};
 
 use mj_exec::{BatchPoll, Database, MjError, PreparedStatement, QueryHandle, ResultStream};
 
+use crate::poll::{PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
     batch_frame_bin_into, batch_frame_into, closed_frame, done_frame, http_metrics_request,
     http_metrics_response, metrics_frame, parse_request, prepared_frame, Request, ResultFormat,
@@ -88,7 +95,7 @@ impl AdhocPace {
 }
 
 /// What a [`Conn::tick`] did — the worker uses this to decide whether
-/// to nap between sweeps.
+/// to sweep again or block until something happens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Tick {
     /// Bytes moved or a query advanced; sweep again immediately.
@@ -143,10 +150,12 @@ pub(crate) struct Conn {
     /// honoured as the first line of a connection.
     saw_line: bool,
     adhoc: AdhocPace,
+    /// The owning worker's waker, registered with the active query.
+    waker: Waker,
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Self> {
+    pub(crate) fn new(stream: TcpStream, waker: Waker) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true).ok();
         Ok(Conn {
@@ -166,11 +175,26 @@ impl Conn {
             adhoc: AdhocPace {
                 due: Instant::now(),
             },
+            waker,
         })
     }
 
+    /// What the worker waits for on this socket after an idle tick: bytes
+    /// from the client unless the connection is closing, and room to write
+    /// while a response is buffered.
+    pub(crate) fn poll_fd(&self) -> PollFd {
+        let mut events = 0;
+        if !self.closing {
+            events |= POLLIN;
+        }
+        if self.write_buffered() > 0 {
+            events |= POLLOUT;
+        }
+        PollFd::new(self.stream.as_raw_fd(), events)
+    }
+
     /// When the ad-hoc statement at the head of the queue may start, if
-    /// one is waiting for its turn; the worker naps no longer than this.
+    /// one is waiting for its turn; the worker blocks no longer than this.
     pub(crate) fn wake_at(&self) -> Option<Instant> {
         match (&self.active, self.pending.front()) {
             (None, Some(Ok(Request::Query { .. }))) => Some(self.adhoc.start_at()),
@@ -215,8 +239,11 @@ impl Conn {
 
         progress |= self.parse_lines(db, draining);
         progress |= self.advance_active(db);
-        if self.flush().is_err() {
-            return Tick::Closed;
+        // Bytes written count: `advance_active` may have stopped at the
+        // high-water mark without polling (or registering on) the stream.
+        match self.flush() {
+            Ok(wrote) => progress |= wrote,
+            Err(()) => return Tick::Closed,
         }
         if self.closing && self.write_buffered() == 0 {
             return Tick::Closed;
@@ -432,7 +459,7 @@ impl Conn {
                     finished = true;
                     break;
                 };
-                match stream.poll_next_batch() {
+                match stream.poll_next_batch(&self.waker) {
                     BatchPoll::Batch(batch) => {
                         progress = true;
                         // Serialize straight from the columnar buffers
@@ -484,10 +511,10 @@ impl Conn {
 
             // Terminal frame, in request order, as soon as the query has
             // concluded — the pool thread that ended the stream does that
-            // next; until then this tick has nothing more to do here, and
-            // does not wait either.
+            // next, and wakes this worker; until then this tick has nothing
+            // more to do here, and does not wait either.
             active.stream = None; // fully drained: dropping does not cancel
-            let Some(outcome) = active.handle.poll_outcome() else {
+            let Some(outcome) = active.handle.poll_outcome(&self.waker) else {
                 break;
             };
             progress = true;
@@ -505,8 +532,10 @@ impl Conn {
         progress
     }
 
-    /// Writes as much of `write_buf` as the socket will take.
-    fn flush(&mut self) -> Result<(), ()> {
+    /// Writes as much of `write_buf` as the socket will take; `Ok(true)`
+    /// if it wrote anything.
+    fn flush(&mut self) -> Result<bool, ()> {
+        let before = self.write_pos;
         while self.write_pos < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.write_pos..]) {
                 Ok(0) => return Err(()),
@@ -516,6 +545,7 @@ impl Conn {
                 Err(_) => return Err(()),
             }
         }
+        let wrote = self.write_pos > before;
         if self.write_pos == self.write_buf.len() {
             self.write_buf.clear();
             self.write_pos = 0;
@@ -525,7 +555,7 @@ impl Conn {
             self.write_buf.drain(..self.write_pos);
             self.write_pos = 0;
         }
-        Ok(())
+        Ok(wrote)
     }
 }
 

@@ -18,13 +18,14 @@
 //!   request parsing with strict unknown-field rejection, and the total
 //!   [`MjError`] → [`protocol::WireError`] code mapping (`Overloaded`
 //!   carries its admission queue depth onto the wire).
-//! - `conn` (private) + [`server`] — a non-blocking acceptor and a
-//!   small fixed pool of connection workers, each multiplexing many
-//!   client sockets over [`mj_exec::ResultStream::poll_next_batch`]. No
-//!   async runtime anywhere; disconnecting a client cancels its query
-//!   by dropping the stream and handle. Each connection owns a prepared
-//!   statement id table and reusable batch-serialization scratch
-//!   buffers.
+//! - `conn` and `poll` (private) + [`server`] — a non-blocking acceptor
+//!   and a small fixed pool of connection workers, each multiplexing many
+//!   client sockets over [`mj_exec::ResultStream::poll_next_batch`] and
+//!   blocking in `ppoll(2)` until a socket, a result stream or a query's
+//!   conclusion wakes it. No async runtime anywhere; disconnecting a
+//!   client cancels its query by dropping the stream and handle. Each
+//!   connection owns a prepared statement id table and reusable
+//!   batch-serialization scratch buffers.
 //! - [`client`] — a deliberately simple blocking client used by the
 //!   integration tests, the oracle differential harness, and the
 //!   `benchmark/` driver — including a typed columnar decode of binary
@@ -36,6 +37,7 @@
 
 pub mod client;
 mod conn;
+mod poll;
 pub mod protocol;
 pub mod server;
 

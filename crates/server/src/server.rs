@@ -9,6 +9,16 @@
 //! connection worker never blocks inside a query — it only shuttles bytes
 //! and polls result streams and outcomes.
 //!
+//! Nothing here naps on a timer. A worker whose sweep moved nothing blocks
+//! in `ppoll(2)` over its sockets (readable; writable only while it has
+//! bytes buffered for one) and its own wake descriptor. The engine signals
+//! that descriptor through the worker's [`Waker`] when a batch or `End`
+//! reaches one of its result streams or one of its queries concludes; the
+//! acceptor signals it when it deals a connection, and shutdown when it
+//! starts. The only timeout is the earliest turn of a paced ad-hoc
+//! statement (`Conn::wake_at`). The acceptor blocks the same way on the
+//! listener and a wake descriptor of its own.
+//!
 //! Graceful shutdown ([`Server::shutdown`]): stop accepting, let
 //! in-flight (and already-pipelined) requests drain, answer any request
 //! that arrives during the drain with a typed `overloaded` error, close
@@ -16,50 +26,24 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mj_exec::Database;
 
 use crate::conn::{Conn, Tick};
+use crate::poll::{PollFd, WakeFd, POLLIN};
 use crate::protocol::WireError;
 
-/// The deepest nap an idle connection worker takes between sweeps.
-/// Workers back off to this only after a sustained idle streak (see
-/// [`idle_pause`]), so a thousand idle connections do not saturate one
-/// core with speculative `read(2)`s — while a request that arrives
-/// mid-conversation is noticed in microseconds, not milliseconds.
-const IDLE_NAP_MAX: Duration = Duration::from_millis(2);
-
-/// Empty sweeps a worker burns as plain `yield_now` before it starts
-/// sleeping. An engine round trip on a warm query is ~100 µs; yielding
-/// through it keeps wire latency at the same scale instead of rounding
-/// every round trip up to a multi-millisecond nap.
-const IDLE_SPIN_SWEEPS: u32 = 64;
-
-/// The first real nap after the spin phase; doubles every empty sweep
-/// until [`IDLE_NAP_MAX`].
-const IDLE_NAP_FLOOR: Duration = Duration::from_micros(20);
-
-/// Progressive idle pause: yield for the first [`IDLE_SPIN_SWEEPS`]
-/// empty sweeps, then sleep with exponential backoff from
-/// [`IDLE_NAP_FLOOR`] up to [`IDLE_NAP_MAX`] — but never past `wake_at`,
-/// the earliest turn of a paced ad-hoc statement ([`Conn::wake_at`]).
-fn idle_pause(idle_streak: u32, wake_at: Option<Instant>) {
-    if idle_streak <= IDLE_SPIN_SWEEPS {
-        std::thread::yield_now();
-        return;
-    }
-    let exp = (idle_streak - IDLE_SPIN_SWEEPS - 1).min(10);
-    let mut nap = (IDLE_NAP_FLOOR * 2u32.pow(exp)).min(IDLE_NAP_MAX);
-    if let Some(at) = wake_at {
-        nap = nap.min(at.saturating_duration_since(Instant::now()));
-    }
-    std::thread::sleep(nap);
-}
+/// How long the acceptor waits before retrying after `accept` failed for a
+/// reason other than "nothing to accept" (e.g. out of descriptors): the
+/// listener stays readable, so waiting on it would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(1);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Clone, Debug)]
@@ -104,8 +88,14 @@ pub struct Server {
     local_addr: SocketAddr,
     draining: Arc<AtomicBool>,
     clients: Arc<AtomicUsize>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: Option<(JoinHandle<()>, Arc<WakeFd>)>,
+    workers: Vec<(JoinHandle<()>, Arc<WakeFd>)>,
+}
+
+/// What the acceptor needs to hand a connection to one worker.
+struct Dealer {
+    conns: Sender<Conn>,
+    waker: Waker,
 }
 
 impl Server {
@@ -129,29 +119,39 @@ impl Server {
         let draining = Arc::new(AtomicBool::new(false));
         let clients = Arc::new(AtomicUsize::new(0));
 
-        let mut txs: Vec<Sender<Conn>> = Vec::with_capacity(config.conn_workers);
+        let wakes = (0..config.conn_workers)
+            .map(|_| WakeFd::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let accept_wake = WakeFd::new()?;
+        let mut dealers = Vec::with_capacity(config.conn_workers);
         let mut workers = Vec::with_capacity(config.conn_workers);
-        for i in 0..config.conn_workers {
+        for (i, wake) in wakes.into_iter().enumerate() {
             let (tx, rx) = std::sync::mpsc::channel::<Conn>();
-            txs.push(tx);
+            dealers.push(Dealer {
+                conns: tx,
+                waker: Waker::from(wake.clone()),
+            });
             let db = db.clone();
             let draining = draining.clone();
             let clients = clients.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("mj-conn-{i}"))
-                    .spawn(move || worker_loop(rx, db, draining, clients))
-                    .expect("spawn connection worker"),
-            );
+            let own = wake.clone();
+            let thread = std::thread::Builder::new()
+                .name(format!("mj-conn-{i}"))
+                .spawn(move || worker_loop(rx, &own, db, draining, clients))
+                .expect("spawn connection worker");
+            workers.push((thread, wake));
         }
 
         let acceptor = {
             let draining = draining.clone();
             let clients = clients.clone();
             let max_clients = config.max_clients;
+            let own = accept_wake.clone();
             std::thread::Builder::new()
                 .name("mj-accept".to_string())
-                .spawn(move || acceptor_loop(listener, txs, draining, clients, max_clients))
+                .spawn(move || {
+                    acceptor_loop(listener, dealers, &own, draining, clients, max_clients)
+                })
                 .expect("spawn acceptor")
         };
 
@@ -159,7 +159,7 @@ impl Server {
             local_addr,
             draining,
             clients,
-            acceptor: Some(acceptor),
+            acceptor: Some((acceptor, accept_wake)),
             workers,
         })
     }
@@ -183,10 +183,15 @@ impl Server {
 
     fn shutdown_inner(&mut self) {
         self.draining.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
+        if let Some((acceptor, wake)) = self.acceptor.take() {
+            wake.wake_by_ref();
             let _ = acceptor.join();
         }
-        for worker in self.workers.drain(..) {
+        // The acceptor is gone (its senders with it): each worker, woken,
+        // sees that and the drain flag, and exits once its connections are
+        // quiescent.
+        for (worker, wake) in self.workers.drain(..) {
+            wake.wake_by_ref();
             let _ = worker.join();
         }
     }
@@ -198,18 +203,24 @@ impl Drop for Server {
     }
 }
 
-/// Accepts sockets and deals them round-robin to the workers. Owns the
+/// Accepts sockets and deals them round-robin to the workers, waking the
+/// one dealt to; with nothing to accept it blocks in `ppoll` on the
+/// listener and its wake descriptor (signalled by shutdown). Owns the
 /// listener: exiting (on drain) closes it, so the OS refuses new
-/// connections from that point on. The `Sender`s drop with this
-/// function, which is what tells the workers no more connections are
-/// coming.
+/// connections from that point on. The `Sender`s drop with this function,
+/// which is what tells the workers no more connections are coming.
 fn acceptor_loop(
     listener: TcpListener,
-    txs: Vec<Sender<Conn>>,
+    dealers: Vec<Dealer>,
+    wake: &WakeFd,
     draining: Arc<AtomicBool>,
     clients: Arc<AtomicUsize>,
     max_clients: usize,
 ) {
+    let mut fds = [
+        PollFd::new(wake.fd(), POLLIN),
+        PollFd::new(listener.as_raw_fd(), POLLIN),
+    ];
     let mut next = 0usize;
     while !draining.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -219,22 +230,28 @@ fn acceptor_loop(
                     reject_inline(stream, connected as u64);
                     continue;
                 }
+                let dealer = &dealers[next];
                 // Setup (`Conn::new`) fails only if the socket died
                 // between accept and configuration; drop it silently.
-                if let Ok(conn) = Conn::new(stream) {
+                if let Ok(conn) = Conn::new(stream, dealer.waker.clone()) {
                     clients.fetch_add(1, Ordering::Relaxed);
                     // A send can only fail if the worker died, which
                     // only happens at shutdown.
-                    if txs[next].send(conn).is_err() {
+                    if dealer.conns.send(conn).is_err() {
                         clients.fetch_sub(1, Ordering::Relaxed);
                     }
-                    next = (next + 1) % txs.len();
+                    dealer.waker.wake_by_ref();
+                    next = (next + 1) % dealers.len();
                 }
             }
+            // Shutdown's wake is the only one this descriptor gets, and it
+            // ends the loop: no need to re-arm or drain.
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                let _ = crate::poll::wait(&mut fds, None);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(_) => {
+                let _ = crate::poll::wait(&mut fds[..1], Some(ACCEPT_RETRY));
+            }
         }
     }
 }
@@ -250,19 +267,24 @@ fn reject_inline(mut stream: TcpStream, connected: u64) {
 }
 
 /// One connection worker: adopt newly dealt connections, sweep each
-/// with a non-blocking tick, drop the closed ones, nap when idle. Exits
-/// when the acceptor is gone (channel disconnected) and every owned
-/// connection has finished — i.e. only at shutdown, after the drain.
+/// with a non-blocking tick, drop the closed ones, and block in `ppoll`
+/// once a sweep moved nothing. Exits when the acceptor is gone (channel
+/// disconnected) and every owned connection has finished — i.e. only at
+/// shutdown, after the drain.
 fn worker_loop(
     rx: Receiver<Conn>,
+    wake: &WakeFd,
     db: Arc<Database>,
     draining: Arc<AtomicBool>,
     clients: Arc<AtomicUsize>,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut acceptor_gone = false;
-    let mut idle_streak: u32 = 0;
     loop {
+        // Re-armed before the sweep looks at anything, so whatever happens
+        // after this point makes the descriptor readable.
+        wake.rearm();
         loop {
             match rx.try_recv() {
                 Ok(conn) => conns.push(conn),
@@ -299,10 +321,15 @@ fn worker_loop(
             break;
         }
         if progress {
-            idle_streak = 0;
-        } else {
-            idle_streak = idle_streak.saturating_add(1);
-            idle_pause(idle_streak, conns.iter().filter_map(Conn::wake_at).min());
+            continue;
+        }
+        fds.clear();
+        fds.push(PollFd::new(wake.fd(), POLLIN));
+        fds.extend(conns.iter().map(Conn::poll_fd));
+        let due = conns.iter().filter_map(Conn::wake_at).min();
+        let timeout = due.map(|at| at.saturating_duration_since(Instant::now()));
+        if crate::poll::wait(&mut fds, timeout).is_ok() && fds[0].ready() {
+            wake.drain();
         }
     }
 }

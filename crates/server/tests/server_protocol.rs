@@ -271,6 +271,38 @@ fn graceful_shutdown_drains_in_flight_queries() {
 }
 
 #[test]
+fn graceful_shutdown_closes_idle_connections_at_once() {
+    // Connection workers with nothing to do block in ppoll; shutdown must
+    // wake them, not wait for a client to speak.
+    let server = chain_server();
+    let addr = server.local_addr();
+    let mut talked = Client::connect(addr).unwrap();
+    talked.query(CHAIN_QUERY).unwrap();
+    let silent: Vec<TcpStream> = (0..5).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_clients() < 6 {
+        assert!(Instant::now() < deadline, "connections never dealt");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown with idle connections took {:?}",
+        started.elapsed()
+    );
+    for mut conn in silent {
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut buf = [0u8; 16];
+        assert!(
+            matches!(conn.read(&mut buf), Ok(0)),
+            "closed, not left open"
+        );
+    }
+}
+
+#[test]
 fn requests_during_drain_are_rejected_as_overloaded() {
     // The first query's data keeps it in flight long enough for the drain
     // (and the mid-drain request) to land while it runs.
