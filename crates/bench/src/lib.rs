@@ -3,7 +3,7 @@
 //! The `repro` binary regenerates every figure and table of the paper's
 //! evaluation on the `mj_sim` simulator (its module doc lists the
 //! experiments); this library holds the shared sweep drivers, ASCII table
-//! rendering, and CSV output used by the binary and the Criterion benches.
+//! rendering, and CSV output used by the binary.
 
 #![warn(missing_docs)]
 

@@ -31,6 +31,7 @@ pub mod allocation;
 mod bits;
 pub mod example;
 pub mod generator;
+pub mod machine;
 pub mod plan_ir;
 pub mod schedule;
 pub mod strategy;
@@ -39,6 +40,7 @@ pub mod validate;
 pub use allocation::{carve, max_useful_degree, proportional_counts};
 pub use example::{example_tree, example_weights};
 pub use generator::{generate, GeneratorInput};
+pub use machine::Machine;
 pub use plan_ir::{OpId, OperandSource, ParallelPlan, PlanOp, PlanStats, ProcId};
 pub use schedule::{
     estimate_schedule, stage_busy, stage_tail_cost, ScheduleEstimate, ScheduleModel,

@@ -9,7 +9,8 @@
 //! makespan for any plan from exactly those ingredients, so a planner can
 //! cost all four strategies and pick the cheapest — without running the
 //! discrete-event simulator (which lives downstream in `mj-sim` and would
-//! invert the crate layering).
+//! invert the crate layering). Both read their costs from one
+//! [`Machine`]; this module converts them to tuple actions.
 //!
 //! The model is deliberately as crude as the paper's cost function: per-op
 //! time is `work / degree`, a live pipeline lets a consumer finish one
@@ -31,114 +32,73 @@
 
 use mj_relalg::JoinAlgorithm;
 
+use crate::machine::Machine;
 use crate::plan_ir::{OperandSource, ParallelPlan};
 use mj_plan::cost::TreeCosts;
 
-/// Coefficients of the schedule model, all in §4.3 cost units (one action
-/// on one tuple).
+/// The analytic schedule model: a [`Machine`] and the one rule that is
+/// not a machine cost, the pipeline tail. It counts in §4.3 cost units
+/// (one action on one tuple): each cost is the machine's seconds divided by
+/// its [`action_s`](Machine::action_s).
 ///
-/// [`Default`] is the model **measured on this repo's engine**;
+/// [`Default`] is the model **measured on this repo's engine**
+/// ([`Machine::measured`], which records the calibration);
 /// [`prisma`](Self::prisma) keeps the paper's machine for the simulator
 /// comparisons and figures.
-///
-/// # Calibration of the default
-///
-/// From the traced pass and the knob evidence of the repo's benchmark
-/// (`benchmark/DIAGNOSIS.md`, 2026-09-25; forced-strategy sweeps repeated
-/// 2026-09-26), all on one two-vCPU Firecracker VM (Xeon 2.1 GHz) with 2
-/// engine workers and 8 logical processors:
-///
-/// * **The unit.** One tuple action is the mean of `join.build_ns_per_tuple`
-///   (7.7 ns) and `join.probe_ns_per_tuple` (5.9 ns) on `short_prepared`'s
-///   columns: **6.8 ns**. Those operands are cache-resident, which is
-///   where a process start is weighed against tuples at all; on
-///   `join_heavy`'s 40 000-tuple relations a probe misses cache (28.5 ns)
-///   and a start is negligible either way. Cross-check: forced RD on
-///   `join_heavy` responds in 18.3 ms on 2 workers for 3.6 M estimated
-///   actions of busy time, 10 ns each.
-/// * **`startup_per_process`.** `engine.us_per_process` on `short_prepared`
-///   (13 joins of 50-tuple relations: kernels are nothing, per-process
-///   fixed cost is everything) read 52 µs in a noisy stretch and 41 µs in
-///   a quiet one; 45 µs / 6.8 ns ≈ **6600** actions. PRISMA's 12 ms /
-///   0.45 ms was 27.
-/// * **`handshake_per_stream`.** Forced SP on the same chain at 8, 16 and
-///   32 logical processors runs 13·p processes over 12·p² streams, which
-///   separates the two: going from 208 processes / 3072 streams to 416 /
-///   12288 cost 5.45 ms, of which ~25 µs per process leaves ≤ 0.1 µs per
-///   stream (all streams into one consumer share one channel; a stream is
-///   one end-of-stream message). 0.1 µs / 6.8 ns ≈ **15**.
-/// * **`rescan_per_tuple`** and **`pipelining_work_factor`.**
-///   `mj-benchmark knobs` on `join_heavy` (6 × 40 000 chain, response-time
-///   medians of 30): RD 18.3 ms, FP 21.4, SE 30.1, SP 33.5 (18.5 / 20.7 /
-///   32.3 / 34.3 the day before). SE, SP and RD run the same simple joins
-///   and differ in the tuples that cross materialized edges — 2.47 M, 2.98 M
-///   and 0.64 M by the plans' estimates, over 2.66 M actions of join work —
-///   so SE/RD = 1.65–1.75 and SP/RD = 1.83–1.85 give 1.2–1.5 actions per
-///   tuple written or re-scanned: **1.3**. With that, FP/RD = 1.12–1.17
-///   gives a pipelining factor of **1.5**, which is also what the cost
-///   function says of a symmetric join that inserts *and* probes both
-///   operands (4n becomes 6n on a regular join).
-/// * **`pipeline_tail`** is structural, not a machine constant: 0.1.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduleModel {
-    /// Cost to initialize one operation process, serial in the scheduler.
-    pub startup_per_process: f64,
-    /// Handshake per point-to-point tuple stream, charged to each endpoint
-    /// instance.
-    pub handshake_per_stream: f64,
-    /// Work multiplier of the symmetric pipelining join (inserts *and*
-    /// probes every tuple).
-    pub pipelining_work_factor: f64,
+    /// The machine whose costs the model reads.
+    pub machine: Machine,
     /// Fraction of a consumer's own work that trails its slowest live
     /// producer: a pipelined consumer cannot finish before the last input
     /// tuple arrives, plus the time to process the final batch.
     pub pipeline_tail: f64,
-    /// Per-tuple cost of a materialized edge, paid once per tuple by the
-    /// producer instance that writes it and once per tuple *of the whole
-    /// operand* by every consumer instance: each bucket-scans all
-    /// fragments and keeps its share, so an n-way consumer reads the
-    /// operand n times where a stream routes it once.
-    pub rescan_per_tuple: f64,
 }
 
 impl Default for ScheduleModel {
     fn default() -> Self {
-        ScheduleModel {
-            startup_per_process: 6600.0,
-            handshake_per_stream: 15.0,
-            pipelining_work_factor: 1.5,
-            pipeline_tail: 0.1,
-            rescan_per_tuple: 1.3,
-        }
+        Self::on(Machine::measured())
     }
 }
 
 impl ScheduleModel {
-    /// The paper's machine: the `mj-sim` constants divided by its
-    /// per-tuple action cost (t_init 12 ms, t_handshake 15 ms, 0.45 ms per
-    /// action), so analytic estimates and simulated times agree in shape.
-    /// Materialized operands are redistributed like streams there, so they
-    /// carry no re-scan term.
-    pub fn prisma() -> Self {
+    /// The model of `machine` with the structural pipeline tail, 0.1.
+    fn on(machine: Machine) -> Self {
         ScheduleModel {
-            startup_per_process: 12.0e-3 / 0.45e-3,
-            handshake_per_stream: 15.0e-3 / 0.45e-3,
-            pipelining_work_factor: 1.4,
+            machine,
             pipeline_tail: 0.1,
-            rescan_per_tuple: 0.0,
         }
+    }
+
+    /// The paper's machine ([`Machine::prisma`]), so analytic estimates and
+    /// simulated times agree in shape.
+    pub fn prisma() -> Self {
+        Self::on(Machine::prisma())
     }
 
     /// A model with zero overheads: pure `work / degree` with pipeline
     /// overlap — the idealized diagrams of Figs. 3–7.
     pub fn idealized() -> Self {
         ScheduleModel {
-            startup_per_process: 0.0,
-            handshake_per_stream: 0.0,
-            pipelining_work_factor: 1.0,
+            machine: Machine::idealized(),
             pipeline_tail: 0.0,
-            rescan_per_tuple: 0.0,
         }
+    }
+
+    /// Cost to initialize one operation process, serial in the scheduler.
+    pub fn startup_per_process(&self) -> f64 {
+        self.machine.t_init / self.machine.action_s
+    }
+
+    /// Handshake per point-to-point tuple stream, charged to each endpoint
+    /// instance.
+    pub fn handshake_per_stream(&self) -> f64 {
+        self.machine.t_handshake / self.machine.action_s
+    }
+
+    /// Per-tuple cost of a materialized edge ([`Machine::t_rescan`]).
+    pub fn rescan_per_tuple(&self) -> f64 {
+        self.machine.t_rescan / self.machine.action_s
     }
 
     /// The least work that pays for one more operation process: its own
@@ -149,7 +109,7 @@ impl ScheduleModel {
     /// grain per process, starting the process costs more than the work it
     /// takes over.
     pub fn process_grain(&self) -> f64 {
-        self.startup_per_process + 2.0 * self.handshake_per_stream
+        self.startup_per_process() + 2.0 * self.handshake_per_stream()
     }
 }
 
@@ -198,8 +158,8 @@ pub fn stage_tail_cost(
     let per_instance_work = input_card.max(0.0) / degree;
     let streams_per_instance = producers as f64;
     model.pipeline_tail * per_instance_work
-        + streams_per_instance * model.handshake_per_stream
-        + degree * model.startup_per_process
+        + streams_per_instance * model.handshake_per_stream()
+        + degree * model.startup_per_process()
 }
 
 /// Summed busy time of the same stage (its counterpart in
@@ -208,7 +168,7 @@ pub fn stage_tail_cost(
 pub fn stage_busy(input_card: f64, degree: usize, producers: usize, model: &ScheduleModel) -> f64 {
     let degree = degree.max(1) as f64;
     input_card.max(0.0)
-        + degree * (model.startup_per_process + producers as f64 * model.handshake_per_stream)
+        + degree * (model.startup_per_process() + producers as f64 * model.handshake_per_stream())
 }
 
 /// Estimates the makespan of `plan` given the per-join work in `costs`
@@ -218,6 +178,9 @@ pub fn estimate_schedule(
     costs: &TreeCosts,
     model: &ScheduleModel,
 ) -> ScheduleEstimate {
+    let startup_per_process = model.startup_per_process();
+    let handshake_per_stream = model.handshake_per_stream();
+    let rescan_per_tuple = model.rescan_per_tuple();
     let n = plan.ops.len();
     let mut finish = vec![0.0f64; n];
     // The scheduler initializes processes one at a time (§2.2): op i's
@@ -252,11 +215,11 @@ pub fn estimate_schedule(
         let degree = op.degree().max(1) as f64;
         let running = process_clock[roots[op.id]];
         if running.is_none() {
-            init_done += op.degree() as f64 * model.startup_per_process;
+            init_done += op.degree() as f64 * startup_per_process;
         }
 
         let algo_factor = match op.algorithm {
-            JoinAlgorithm::Pipelining => model.pipelining_work_factor,
+            JoinAlgorithm::Pipelining => model.machine.pipelining_work_factor,
             JoinAlgorithm::Simple => 1.0,
         };
         // Per-instance handshakes: one per stream this instance touches
@@ -267,7 +230,7 @@ pub fn estimate_schedule(
                 streams_per_instance += plan.ops[from].degree() as f64;
             }
         }
-        coordination += streams_per_instance * degree * model.handshake_per_stream;
+        coordination += streams_per_instance * degree * handshake_per_stream;
 
         // A materialized edge: the producer writes its share once, every
         // consumer instance re-scans the whole operand.
@@ -282,8 +245,8 @@ pub fn estimate_schedule(
         }
 
         let t_op = costs.per_join[op.join] / degree * algo_factor
-            + streams_per_instance * model.handshake_per_stream
-            + moved * model.rescan_per_tuple;
+            + streams_per_instance * handshake_per_stream
+            + moved * rescan_per_tuple;
         busy += degree * t_op;
 
         // Earliest start: scheduler init — or, inside a running process,
@@ -451,7 +414,10 @@ mod tests {
         let plan = generate(Strategy::SP, &GeneratorInput::new(&tree, &cards, &costs, 4)).unwrap();
         let free = ScheduleModel::idealized();
         let priced = ScheduleModel {
-            rescan_per_tuple: 1.5,
+            machine: Machine {
+                t_rescan: 1.5 * free.machine.action_s,
+                ..free.machine
+            },
             ..free
         };
         let without = estimate_schedule(&plan, &costs, &free);
@@ -484,8 +450,8 @@ mod tests {
         let m = ScheduleModel::default();
         // A process start costs two orders of magnitude more tuple actions
         // here than on PRISMA; a stream two orders less than a start.
-        assert!(m.startup_per_process > 100.0 * ScheduleModel::prisma().startup_per_process);
-        assert!(m.handshake_per_stream * 100.0 < m.startup_per_process);
+        assert!(m.startup_per_process() > 100.0 * ScheduleModel::prisma().startup_per_process());
+        assert!(m.handshake_per_stream() * 100.0 < m.startup_per_process());
         assert_eq!(ScheduleModel::idealized().process_grain(), 0.0);
     }
 
@@ -516,15 +482,15 @@ mod tests {
             let plan = generate(strategy, &input).unwrap();
             assert_eq!(plan.stats().operation_processes, 1, "{strategy}");
             let est = estimate_schedule(&plan, &costs, &model);
-            assert_eq!(est.startup, model.startup_per_process, "{strategy}");
+            assert_eq!(est.startup, model.startup_per_process(), "{strategy}");
             assert_eq!(est.coordination, 0.0, "{strategy}");
-            let series = model.startup_per_process + costs.total;
+            let series = model.startup_per_process() + costs.total;
             assert!((est.makespan - series).abs() < 1e-6, "{strategy}");
             assert!((est.busy - series).abs() < 1e-6, "{strategy}");
             let before = estimate_schedule(&unfused, &costs, &model);
             assert_eq!(
                 before.startup,
-                unfused.stats().operation_processes as f64 * model.startup_per_process
+                unfused.stats().operation_processes as f64 * model.startup_per_process()
             );
             assert!(est.makespan < before.makespan, "{strategy}");
         }

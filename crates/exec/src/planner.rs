@@ -247,11 +247,11 @@ impl PlannedQuery {
              grain {} per process\n",
             self.workers,
             self.plan.processors,
-            m.startup_per_process,
-            m.handshake_per_stream,
-            m.pipelining_work_factor,
+            m.startup_per_process(),
+            m.handshake_per_stream(),
+            m.machine.pipelining_work_factor,
             m.pipeline_tail,
-            m.rescan_per_tuple,
+            m.rescan_per_tuple(),
             m.process_grain(),
         ));
         let stats = self.plan.stats();

@@ -281,40 +281,35 @@ pub fn simulate_skewed(
             }
         }
     }
+    let m = &params.machine;
     let mut ops = Vec::with_capacity(n);
     let mut handshake_delay = vec![0.0f64; n];
     for op in &plan.ops {
-        let mut consume_cost = [0.0f64; 2];
-        for (i, (operand, base_cost)) in [(&op.left, params.t_hash), (&op.right, params.t_probe)]
-            .iter()
-            .enumerate()
-        {
-            // The symmetric pipelining join hashes *and* probes every
-            // incoming tuple (§2.3.2): earliness costs work as well as
-            // memory. The simple join performs one action per tuple
-            // (insert while building, probe while probing); the pipelining
-            // join pays `pipelining_work_factor` actions (its extra probe
-            // hits a partially built table).
-            let per_tuple = match op.algorithm {
-                JoinAlgorithm::Simple => *base_cost,
-                JoinAlgorithm::Pipelining => {
-                    params.pipelining_work_factor * 0.5 * (params.t_hash + params.t_probe)
+        // The symmetric pipelining join hashes *and* probes every incoming
+        // tuple (§2.3.2): earliness costs work as well as memory. The
+        // simple join performs one action per tuple (insert while building,
+        // probe while probing); the pipelining join pays
+        // `pipelining_work_factor` actions (its extra probe hits a
+        // partially built table).
+        let per_tuple = match op.algorithm {
+            JoinAlgorithm::Simple => m.action_s,
+            JoinAlgorithm::Pipelining => m.pipelining_work_factor * m.action_s,
+        };
+        let consume_cost = [&op.left, &op.right].map(|operand| {
+            per_tuple
+                + match operand {
+                    OperandSource::Stream { .. } => m.t_stream,
+                    OperandSource::Materialized { .. } => m.t_bulk,
+                    // A fused operand is handed over inside the process.
+                    OperandSource::Base { .. } | OperandSource::Fused { .. } => 0.0,
                 }
-            };
-            let recv = match operand {
-                OperandSource::Stream { .. } => params.t_recv_stream,
-                OperandSource::Materialized { .. } => params.t_recv_bulk,
-                // A fused operand is handed over inside the process.
-                OperandSource::Base { .. } | OperandSource::Fused { .. } => 0.0,
-            };
-            consume_cost[i] = per_tuple + recv;
-        }
+        });
         let send = if out_live[op.id] {
-            params.t_send_stream
+            m.t_stream
         } else if roots[op.id] != op.id {
             0.0
         } else {
-            params.t_send_bulk
+            m.t_bulk
         };
         // Handshakes: the consumer shakes hands with every producer
         // instance of each remote operand; a live producer additionally
@@ -330,7 +325,7 @@ pub fn simulate_skewed(
                 }
                 OperandSource::Base { .. } | OperandSource::Fused { .. } => continue,
             };
-            handshake_delay[op.id] += extra * params.t_handshake;
+            handshake_delay[op.id] += extra * m.t_handshake;
         }
         ops.push(OpState {
             // Effective capacity under load imbalance: the op finishes
@@ -340,7 +335,7 @@ pub fn simulate_skewed(
             algorithm: op.algorithm,
             expected: [op.est_left as f64, op.est_right as f64],
             consume_cost,
-            emit_cost: params.t_result + send,
+            emit_cost: m.t_result + send,
             est_out: op.est_out as f64,
             deps_remaining: op.start_after.len(),
             starts_process: true,
@@ -378,7 +373,7 @@ pub fn simulate_skewed(
                 let live = matches!(operand, OperandSource::Stream { .. });
                 ops[p].out_edges.push((op.id, side, live));
                 if live {
-                    handshake_delay[p] += op.degree() as f64 * params.t_handshake;
+                    handshake_delay[p] += op.degree() as f64 * m.t_handshake;
                 }
             }
         }
@@ -420,7 +415,7 @@ pub fn simulate_skewed(
                 // Serial scheduler initializes this op's processes.
                 let init_end = if sim.ops[id].starts_process {
                     let init_start = sim.scheduler_free.max(t);
-                    let init_end = init_start + sim.ops[id].degree * sim.params.t_init;
+                    let init_end = init_start + sim.ops[id].degree * sim.params.machine.t_init;
                     sim.scheduler_free = init_end;
                     init_end
                 } else {
@@ -609,10 +604,9 @@ mod tests {
     fn zero_overhead_sim_is_pure_compute() {
         // With idealized params, SP response time equals total work spread
         // over all processors (perfect load balance, §3.1).
-        let mut params = SimParams::idealized();
-        params.t_result = 0.0;
+        let params = SimParams::idealized();
         let r = simulate_case(Shape::LeftLinear, Strategy::SP, 1000, 10, &params);
-        // Work: every tuple consumed costs t_hash/t_probe = 1 ms; operands
+        // Work: every tuple consumed costs one 1 ms action; operands
         // are 2 x 1000 tuples per join, 9 joins, over 10 processors.
         let expected = 9.0 * 2.0 * 1000.0 * 1e-3 / 10.0;
         let rel = (r.response_time - expected).abs() / expected;
@@ -714,7 +708,7 @@ mod tests {
         assert!(fused.response_time < apart.response_time);
         let first = &fused.spans[0];
         assert!(
-            (first.start - params.t_init).abs() < 1e-9,
+            (first.start - params.machine.t_init).abs() < 1e-9,
             "one init, no handshake"
         );
         for pair in fused.spans.windows(2) {

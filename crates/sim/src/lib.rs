@@ -7,9 +7,9 @@
 //! overhead sources the paper analyses (§3.5) and nothing else:
 //!
 //! 1. **startup** — a single scheduler initializes every operation process
-//!    serially ([`params::SimParams::t_init`] each);
+//!    serially ([`mj_core::Machine::t_init`] each);
 //! 2. **coordination** — each redistribution opens `n×m` tuple streams,
-//!    each requiring a handshake ([`params::SimParams::t_handshake`]);
+//!    each requiring a handshake ([`mj_core::Machine::t_handshake`]);
 //! 3. **discretization** — integer processor allocation comes straight
 //!    from the plan (`mj-core`), so load imbalance emerges naturally;
 //! 4. **pipeline delay** — tuples flow in batches with per-tuple
@@ -19,10 +19,13 @@
 //!    which reproduces the constant per-step delay of linear pipelines and
 //!    the operand-proportional delay of bushy pipelines (\[WiA93\], §2.3.3).
 //!
-//! Absolute times are calibrated to PRISMA-era magnitudes (per-tuple
-//! actions of ~0.25 ms ≈ a few thousand tuple-operations per second per
-//! 68020 processor); the reproduction claims curve *shapes*, not absolute
-//! seconds. See EXPERIMENTS.md for paper-vs-simulated numbers.
+//! Every per-action cost comes from one [`mj_core::Machine`], the same one
+//! the analytic schedule model in `mj-core` reads; [`SimParams`] adds only
+//! the simulation's own batch, per-hop latency and tuple size. Absolute
+//! times are calibrated to PRISMA-era magnitudes
+//! ([`mj_core::Machine::prisma`]: 0.45 ms per tuple action, a few thousand
+//! tuple-operations per second per 68020 processor); the reproduction
+//! claims curve *shapes*, not absolute seconds.
 
 #![warn(missing_docs)]
 

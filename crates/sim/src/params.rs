@@ -1,59 +1,22 @@
-//! Simulation parameters and calibration presets.
+//! Simulation parameters: a [`Machine`] plus what only a discrete-event
+//! simulation needs.
 
+use mj_core::Machine;
 use serde::{Deserialize, Serialize};
 
-/// Machine and protocol constants, all in seconds (per tuple / per stream /
-/// per process, as noted).
+/// The simulated machine and the simulation's own granularity.
 ///
-/// The defaults are calibrated so the simulated response times land in the
-/// paper's 2–80 s range for the 5K/40K experiments: one "action on a
-/// tuple" (§4.3's cost unit: hash, probe, create) costs 0.4 ms — about
-/// 2 500 tuple-actions per second per processor, a PRISMA-era (68020,
-/// interpreted XRA) figure.
-///
-/// Tuple *transport* is priced by how it moves. A **live stream** between
-/// concurrently running operations pays per-tuple message passing and flow
-/// control at both endpoints (PRISMA shipped pipelined tuples in small
-/// flow-controlled packets; \[WiA93\] measured the resulting per-step
-/// pipeline costs). A **bulk transfer** of a materialized intermediate
-/// (between sequentially scheduled operations, as in SP/SE and between RD
-/// segments) moves whole fragments and is several times cheaper per
-/// tuple. This asymmetry is what makes deep probe pipelines pay for their
-/// earliness — the RD/FP versus SE trade-off of §3.5 and §4.4.
+/// [`Default`] is PRISMA ([`Machine::prisma`]): simulated response times
+/// land in the paper's 2–80 s range for the 5K/40K experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimParams {
-    /// Hash + insert one tuple into a join table.
-    pub t_hash: f64,
-    /// Probe the other operand's table with one tuple.
-    pub t_probe: f64,
-    /// Construct one result tuple.
-    pub t_result: f64,
-    /// Send one tuple on a live (pipelined) stream.
-    pub t_send_stream: f64,
-    /// Receive one tuple from a live (pipelined) stream.
-    pub t_recv_stream: f64,
-    /// Send one tuple of a bulk (materialized) fragment transfer.
-    pub t_send_bulk: f64,
-    /// Receive one tuple of a bulk (materialized) fragment transfer.
-    pub t_recv_bulk: f64,
-    /// Scheduler time to initialize one operation process. Initializations
-    /// are strictly serial — the scheduler is a single process (§2.2), the
-    /// root cause of SP's startup overhead at scale.
-    pub t_init: f64,
-    /// Handshake per point-to-point tuple stream ("for each tuple stream
-    /// the sender and receiver have to shake hands", §3.5), charged to
-    /// each endpoint instance per stream it participates in.
-    pub t_handshake: f64,
-    /// Network latency per batch hop — the constant part of the per-step
-    /// pipeline delay of \[WiA93\] (packet forming, flow control,
-    /// communication-processor turnaround).
+    /// Per-action costs, in seconds — the same ones the analytic schedule
+    /// model reads.
+    pub machine: Machine,
+    /// Network latency per batch hop, in seconds — the constant part of
+    /// the per-step pipeline delay of \[WiA93\] (packet forming, flow
+    /// control, communication-processor turnaround).
     pub net_latency: f64,
-    /// Per-tuple work of the symmetric pipelining hash-join relative to
-    /// the simple hash-join's single action per tuple. The pipelining join
-    /// inserts *and* probes every incoming tuple (§2.3.2), but the probe
-    /// hits a partially built table, so the factor sits between 1 (insert
-    /// only) and 2 (insert plus full-table probe).
-    pub pipelining_work_factor: f64,
     /// Tuples one operation process consumes per scheduling quantum; the
     /// event granularity of the simulation (smaller = finer pipelining).
     pub batch: f64,
@@ -64,17 +27,8 @@ pub struct SimParams {
 impl Default for SimParams {
     fn default() -> Self {
         SimParams {
-            t_hash: 0.45e-3,
-            t_probe: 0.45e-3,
-            t_result: 0.45e-3,
-            t_send_stream: 1.2e-3,
-            t_recv_stream: 1.2e-3,
-            t_send_bulk: 0.5e-3,
-            t_recv_bulk: 0.5e-3,
-            t_init: 12e-3,
-            t_handshake: 15e-3,
+            machine: Machine::prisma(),
             net_latency: 0.5,
-            pipelining_work_factor: 1.4,
             batch: 16.0,
             bytes_per_tuple: 208.0,
         }
@@ -82,59 +36,32 @@ impl Default for SimParams {
 }
 
 impl SimParams {
-    /// All overheads zeroed: only per-tuple work remains, with uniform
-    /// costs. Used to regenerate the paper's *idealized* processor
-    /// utilization diagrams (Figs. 3, 4, 6, 7), which "do not take into
-    /// account overhead incurred by the parallel execution".
+    /// All overheads zeroed ([`Machine::idealized`]): the paper's
+    /// *idealized* processor utilization diagrams (Figs. 3, 4, 6, 7).
     pub fn idealized() -> Self {
         SimParams {
-            t_init: 0.0,
-            t_handshake: 0.0,
+            machine: Machine::idealized(),
             net_latency: 0.0,
-            t_send_stream: 0.0,
-            t_recv_stream: 0.0,
-            t_send_bulk: 0.0,
-            t_recv_bulk: 0.0,
-            // Uniform per-tuple work so operation duration is proportional
-            // to (weight / degree) exactly as the figures assume.
-            t_hash: 1e-3,
-            t_probe: 1e-3,
-            t_result: 0.0,
-            pipelining_work_factor: 1.0,
             batch: 4.0,
             bytes_per_tuple: 208.0,
         }
     }
 
-    /// Validates that all parameters are finite and non-negative and the
-    /// batch is positive.
+    /// Validates the machine ([`Machine::validate`]), that the latency and
+    /// tuple size are finite and non-negative, and that the batch is at
+    /// least one tuple.
     pub fn validate(&self) -> Result<(), String> {
-        let fields = [
-            ("t_hash", self.t_hash),
-            ("t_probe", self.t_probe),
-            ("t_result", self.t_result),
-            ("t_send_stream", self.t_send_stream),
-            ("t_recv_stream", self.t_recv_stream),
-            ("t_send_bulk", self.t_send_bulk),
-            ("t_recv_bulk", self.t_recv_bulk),
-            ("t_init", self.t_init),
-            ("t_handshake", self.t_handshake),
+        self.machine.validate()?;
+        for (name, v) in [
             ("net_latency", self.net_latency),
             ("bytes_per_tuple", self.bytes_per_tuple),
-        ];
-        for (name, v) in fields {
+        ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("{name} must be finite and non-negative, got {v}"));
             }
         }
         if !(self.batch.is_finite() && self.batch >= 1.0) {
             return Err(format!("batch must be >= 1, got {}", self.batch));
-        }
-        if !(self.pipelining_work_factor.is_finite() && self.pipelining_work_factor >= 1.0) {
-            return Err(format!(
-                "pipelining_work_factor must be >= 1, got {}",
-                self.pipelining_work_factor
-            ));
         }
         Ok(())
     }
@@ -153,7 +80,10 @@ mod tests {
     #[test]
     fn validation_rejects_bad_values() {
         let p = SimParams {
-            t_init: -1.0,
+            machine: Machine {
+                t_init: -1.0,
+                ..Machine::prisma()
+            },
             ..SimParams::default()
         };
         assert!(p.validate().is_err());
@@ -163,7 +93,7 @@ mod tests {
         };
         assert!(p.validate().is_err());
         let p = SimParams {
-            t_hash: f64::NAN,
+            net_latency: f64::NAN,
             ..SimParams::default()
         };
         assert!(p.validate().is_err());
@@ -172,8 +102,8 @@ mod tests {
     #[test]
     fn idealized_has_no_overheads() {
         let p = SimParams::idealized();
-        assert_eq!(p.t_init, 0.0);
-        assert_eq!(p.t_handshake, 0.0);
+        assert_eq!(p.machine.t_init, 0.0);
+        assert_eq!(p.machine.t_handshake, 0.0);
         assert_eq!(p.net_latency, 0.0);
     }
 
@@ -182,8 +112,7 @@ mod tests {
         // The live-stream premium over bulk transfer is the modeled
         // mechanism behind the SE-vs-pipelining trade-off; losing it would
         // silently flatten Figs. 11-13.
-        let p = SimParams::default();
-        assert!(p.t_send_stream > p.t_send_bulk);
-        assert!(p.t_recv_stream > p.t_recv_bulk);
+        let m = SimParams::default().machine;
+        assert!(m.t_stream > m.t_bulk);
     }
 }
