@@ -52,10 +52,12 @@ pub struct ExecConfig {
     /// it aborts the query with a typed `DeadlineExceeded` error through
     /// the normal cancel/quiesce path.
     pub deadline: Option<Duration>,
-    /// Stall window for the query's watchdog: if no operator task of a
-    /// query makes progress for this long, the query is aborted with a
-    /// typed `Stalled` error carrying a per-op progress dump. `None`
-    /// disables stall detection. Note that a query whose client stops
+    /// Stall window: if no operator task of a query makes progress for
+    /// this long, the query is aborted with a typed `Stalled` error
+    /// carrying a per-op progress dump. `None` disables stall detection.
+    /// The check runs on the worker pool every window, not on a tick, so a
+    /// stall is reported between one and two windows after the last
+    /// progress. Note that a query whose client stops
     /// draining its result stream is indistinguishable from a stalled
     /// pipeline, so only enable this for promptly-drained workloads.
     pub stall_timeout: Option<Duration>,

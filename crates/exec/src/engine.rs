@@ -11,10 +11,11 @@
 //! its first wave of tasks on the pool; from then on every task's
 //! completion report advances the query on the thread that makes it
 //! (`Coordinator`) — releasing the waves that waited for it, and, when
-//! it is the last, concluding the query. No thread is started for a query
-//! (one with a deadline or a stall limit gets a watchdog). The query's
-//! last operation streams its output to the client like any operation
-//! streams to its consumer: over a bounded one-consumer edge that the
+//! it is the last, concluding the query. No thread is started for a query:
+//! a deadline or a stall limit is a check armed on the pool for the instant
+//! it is next due (`WorkerPool::run_at`). The query's last operation
+//! streams its output to the client like any operation streams to its
+//! consumer: over a bounded one-consumer edge that the
 //! handle's [`ResultStream`] drains while the query is still running, so a
 //! slow client backpressures the worker pool. [`Engine::run`] and
 //! [`run_plan`] (the same on a transient engine) drain the stream into a
@@ -45,8 +46,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use mj_core::plan_ir::{OperandSource, ParallelPlan, PlanOp};
@@ -59,7 +59,7 @@ use mj_storage::{fragment_columns, FragmentCache, FragmentStore, Fragments};
 use crate::binding::QueryBinding;
 use crate::budget::MemoryBudget;
 use crate::config::{ExecConfig, QueryOptions};
-use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, ResultStream};
+use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, QueryStatus, ResultStream};
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::{EngineStats, Metrics, MetricsSnapshot};
 use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
@@ -106,9 +106,7 @@ pub struct ExecOutcome {
 ///
 /// The engine's thread count is `config.workers` for its whole lifetime —
 /// running more queries multiplexes more tasks onto the same workers
-/// instead of spawning threads. (Only a query with a deadline or a stall
-/// limit additionally holds a mostly-idle watchdog thread for its own
-/// lifetime.)
+/// instead of spawning threads, with or without deadlines and stall limits.
 pub struct Engine {
     provider: Arc<dyn RelationProvider + Send + Sync>,
     config: ExecConfig,
@@ -352,8 +350,8 @@ impl Engine {
             permit,
             submitted_at,
         };
-        let watchdog = start(prepared, accounts)?;
-        Ok(QueryHandle::new(stream, ctrl, watchdog))
+        start(prepared, accounts);
+        Ok(QueryHandle::new(stream, ctrl))
     }
 
     /// Executes `plan` to completion, draining the result stream into a
@@ -536,72 +534,84 @@ impl Coordinator {
     }
 }
 
-/// How often a query's watchdog looks at it.
-const WATCHDOG_TICK: Duration = Duration::from_millis(5);
+/// The deadline and the stall limit of one query, checked on the pool at
+/// the instant each is next due (`WorkerPool::run_at`), so that both hold
+/// even when every task is parked, e.g. wedged on a dead peer (tasks also
+/// check the deadline on every step). A check only raises the abort; the
+/// tasks observe it, report, and the last report concludes the query as
+/// always. It holds the query only weakly: once the query has concluded, a
+/// pending check keeps nothing alive and does nothing.
+struct Guard {
+    coordinator: Weak<Coordinator>,
+    ctrl: Weak<QueryCtrl>,
+    deadline: Option<Instant>,
+    stall_timeout: Option<Duration>,
+    /// The progress count the last stall check saw, and when the next one
+    /// is due.
+    seen: (u64, Instant),
+}
 
-/// The watchdog of a query with a deadline or a stall limit: enforces both
-/// centrally (tasks also check the deadline per step) so they hold even
-/// when every task is parked, e.g. wedged on a dead peer. It only raises
-/// the abort; the tasks observe it, report, and the last report concludes
-/// the query as always.
-fn watchdog(coordinator: &Coordinator, ctrl: &QueryCtrl, stall_timeout: Option<Duration>) {
-    let mut last_progress = (ctrl.progress(), Instant::now());
-    while !ctrl.wait_concluded(WATCHDOG_TICK) {
-        if ctrl.is_aborted() || ctrl.is_canceled() {
-            continue;
+impl Guard {
+    /// When the guard is next due; `None` for a query without limits.
+    fn due(&self) -> Option<Instant> {
+        let stall = self.stall_timeout.map(|_| self.seen.1);
+        self.deadline.into_iter().chain(stall).min()
+    }
+
+    /// Runs the checks due now and says when to run again: never once the
+    /// query has concluded, been canceled or been aborted. A stall check
+    /// that finds the progress count unmoved since the last one aborts with
+    /// `Stalled`; otherwise the next one is due a stall window from now.
+    fn check(&mut self) -> Option<Instant> {
+        let ctrl = self.ctrl.upgrade()?;
+        if ctrl.status() != QueryStatus::Running || ctrl.is_aborted() || ctrl.is_canceled() {
+            return None;
         }
         if ctrl.deadline_exceeded() {
             ctrl.abort(RelalgError::DeadlineExceeded);
-        } else if let Some(timeout) = stall_timeout {
-            let progress = ctrl.progress();
-            if progress != last_progress.0 {
-                last_progress = (progress, Instant::now());
-            } else if last_progress.1.elapsed() >= timeout {
-                ctrl.abort(RelalgError::Stalled(coordinator.progress_dump()));
-            }
+            return None;
         }
+        let now = Instant::now();
+        if let Some(timeout) = self.stall_timeout.filter(|_| now >= self.seen.1) {
+            let progress = ctrl.progress();
+            if progress == self.seen.0 {
+                let coordinator = self.coordinator.upgrade()?;
+                ctrl.abort(RelalgError::Stalled(coordinator.progress_dump()));
+                return None;
+            }
+            self.seen = (progress, now + timeout);
+        }
+        self.due()
     }
 }
 
 /// Puts a prepared query under coordination and its first wave of tasks on
-/// the pool. A query with a deadline or a stall limit gets a watchdog
-/// thread, returned for its handle to join; a query without limits — the
-/// default — starts no thread at all. A set-up failure concludes the query
-/// at once and surfaces from its outcome like any other.
-fn start(
-    prepared: Result<QueryRun>,
-    accounts: Accounts,
-) -> Result<Option<std::thread::JoinHandle<()>>> {
+/// the pool. A query with a deadline or a stall limit also arms its
+/// [`Guard`] on the pool; no query starts a thread. A set-up failure
+/// concludes the query at once and surfaces from its outcome like any
+/// other.
+fn start(prepared: Result<QueryRun>, accounts: Accounts) {
     let run = match prepared {
         Ok(run) => run,
-        Err(e) => {
-            accounts.settle(Err(e));
-            return Ok(None);
-        }
+        Err(e) => return accounts.settle(Err(e)),
     };
-    let (ctrl, stall_timeout) = (run.ctrl.clone(), run.config.stall_timeout);
+    let (pool, ctrl, stall_timeout) =
+        (run.pool.clone(), run.ctrl.clone(), run.config.stall_timeout);
     let coordinator = Coordinator::new(run, accounts);
-    let mut guarded = None;
-    if ctrl.deadline().is_some() || stall_timeout.is_some() {
-        let watched = (coordinator.clone(), ctrl.clone());
-        let spawned = std::thread::Builder::new()
-            .name("mj-watchdog".into())
-            .spawn(move || watchdog(&watched.0, &watched.1, stall_timeout));
-        match spawned {
-            Ok(thread) => guarded = Some(thread),
-            Err(e) => {
-                // Nothing runs yet: conclude the query as a canceled one
-                // (counted as such, admission slot released).
-                ctrl.cancel();
-                coordinator.advance(QueryRun::spawn_first_wave);
-                return Err(RelalgError::InvalidPlan(format!(
-                    "cannot spawn watchdog: {e}"
-                )));
-            }
-        }
+    let mut guard = Guard {
+        coordinator: Arc::downgrade(&coordinator),
+        ctrl: Arc::downgrade(&ctrl),
+        deadline: ctrl.deadline(),
+        stall_timeout,
+        seen: (
+            ctrl.progress(),
+            Instant::now() + stall_timeout.unwrap_or_default(),
+        ),
+    };
+    if let Some(at) = guard.due() {
+        pool.run_at(at, Box::new(move || guard.check()));
     }
     coordinator.advance(QueryRun::spawn_first_wave);
-    Ok(guarded)
 }
 
 /// One operation of a query as the executor wires and spawns it: the plan's
@@ -1298,7 +1308,6 @@ fn filter_fragment(fragment: &Arc<ColumnBatch>, pred: &Predicate) -> Result<Arc<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::QueryStatus;
     use mj_core::generator::{generate, GeneratorInput};
     use mj_core::strategy::Strategy;
     use mj_plan::cardinality::{node_cards, UniformOneToOne};
@@ -1643,20 +1652,68 @@ mod tests {
         assert_eq!(engine.store().total_bytes(), 0);
     }
 
+    /// Entries of `/proc/self/task`: the process's threads.
+    fn threads() -> usize {
+        std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
+    }
+
+    /// Whether this process runs the test `name` and nothing else. If it
+    /// does not, runs `name` alone in a child process of this test binary,
+    /// asserts that it passed, and returns false: a thread count is the
+    /// whole process's, and the other tests start threads of their own.
+    fn alone(name: &str) -> bool {
+        let args: Vec<String> = std::env::args().collect();
+        if args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == name) {
+            return true;
+        }
+        let exe = std::env::current_exe().unwrap();
+        let child = std::process::Command::new(exe)
+            .args([name, "--exact", "--test-threads=1"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "{name} alone:\n{stdout}\n{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+        false
+    }
+
     #[test]
-    fn only_a_query_with_limits_starts_a_thread() {
-        let (catalog, n) = setup(3, 64);
-        let engine = Engine::new(catalog.clone(), ExecConfig::default()).unwrap();
+    fn no_query_starts_a_thread() {
+        if !alone("engine::tests::no_query_starts_a_thread") {
+            return;
+        }
+        let (catalog, n) = setup(3, 2_000);
+        let config = ExecConfig {
+            workers: 2,
+            stall_timeout: Some(Duration::from_secs(30)),
+            ..ExecConfig::default()
+        };
+        let engine = Engine::new(catalog.clone(), config).unwrap();
         let tree = build(Shape::RightLinear, 3).unwrap();
         let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
         let plan = plan_for(&tree, Strategy::FP, n, 2);
-        let plain = engine.submit(&plan, &binding).unwrap();
-        assert!(!plain.has_watchdog());
-        assert_eq!(plain.collect().unwrap().len(), 64);
-        let opts = QueryOptions::default().with_deadline(Duration::from_secs(30));
-        let limited = engine.submit_with(&plan, &binding, opts).unwrap();
-        assert!(limited.has_watchdog());
-        assert_eq!(limited.collect().unwrap().len(), 64);
+        let limited = || QueryOptions::new().with_deadline(Duration::from_secs(30));
+        let pool = engine.pool();
+        let before = threads();
+        let handles: Vec<QueryHandle> = (0..16)
+            .map(|_| engine.submit_with(&plan, &binding, limited()).unwrap())
+            .collect();
+        assert_eq!(threads(), before, "16 queries with limits in flight");
+        // Each query's limits are one check armed on the pool, due in 30 s
+        // whether or not the query has concluded by then.
+        assert_eq!(pool.timers(), 16);
+        for handle in handles {
+            assert_eq!(handle.collect().unwrap().len(), 2_000);
+            assert_eq!(threads(), before);
+        }
+        assert_eq!((pool.queued(), pool.parked()), (0, 0), "quiescent");
+        let relation = engine.submit_with(&plan, &binding, limited()).unwrap();
+        assert_eq!(relation.collect().unwrap().len(), 2_000);
+        assert_eq!((pool.queued(), pool.parked()), (0, 0), "quiescent");
+        assert_eq!(threads(), before);
     }
 
     #[test]
@@ -2017,7 +2074,7 @@ mod tests {
         let mut handle = engine.submit(&plan, &binding).unwrap();
         let mut stream = handle.stream();
         // Pull one batch, then stop draining: the pipeline wedges on
-        // client backpressure and the watchdog must fire.
+        // client backpressure and the stall check must fire.
         assert!(stream.next_batch().is_some());
         std::thread::sleep(Duration::from_millis(300));
         while stream.next_batch().is_some() {}

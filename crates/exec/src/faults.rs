@@ -14,8 +14,8 @@
 //! op id / instance) and fired inside the task's own `try_step`, so a
 //! `Panic` fault exercises the real `catch_unwind` containment path, an
 //! `AllocSpike` exercises the real [`MemoryBudget`](crate::MemoryBudget)
-//! trip, a `Stall` parks the task in `Blocked` until the coordinator
-//! watchdog notices that progress has stopped, and an `Error` fails the
+//! trip, a `Stall` parks the task in `Blocked` until the query's stall
+//! check notices that progress has stopped, and an `Error` fails the
 //! task the way a broken operator does, so its peers must unwind through
 //! dropped channels.
 
@@ -32,7 +32,7 @@ pub enum FaultKind {
         bytes: u64,
     },
     /// Return `Blocked` on every subsequent step: the pipeline stops making
-    /// progress and the coordinator watchdog must raise `Stalled`.
+    /// progress and the query's stall check must raise `Stalled`.
     Stall,
     /// Fail the step with a typed error (`InvalidPlan("injected failure
     /// …")`), as a broken operator would; at step 1 the instance fails

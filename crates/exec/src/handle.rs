@@ -28,9 +28,8 @@
 //! [`QueryHandle::outcome`] returns. The engine is immediately reusable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mj_relalg::{RelalgError, Relation, Result, Schema, Tuple};
@@ -38,6 +37,7 @@ use mj_relalg::{RelalgError, Relation, Result, Schema, Tuple};
 use crate::budget::MemoryBudget;
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::Metrics;
+use crate::sched::block_on;
 use crate::stream::{Batch, Msg, Receiver, TryRecvError};
 
 /// Lifecycle state of a submitted query.
@@ -74,10 +74,9 @@ pub struct QueryCtrl {
     state: AtomicU8,
     /// The concluded query's outcome, until the handle takes it.
     outcome: Mutex<Option<Result<QueryOutcome>>>,
-    /// Signalled when the query concludes (`state` leaves `Running`).
-    concluded: Condvar,
-    /// Woken when the query concludes: the waker of the last
-    /// [`QueryHandle::poll_outcome`] that found it running.
+    /// Woken when the query concludes: the waker of the last wait for the
+    /// outcome ([`QueryHandle::outcome`], [`QueryHandle::poll_outcome`])
+    /// that found it running.
     waiter: Mutex<Option<Waker>>,
     /// Every task of the query, woken by each token (cancel, early stop,
     /// abort) so that a parked task observes it too.
@@ -88,7 +87,7 @@ pub struct QueryCtrl {
     aborted: AtomicBool,
     abort: Mutex<Option<RelalgError>>,
     /// Monotone count of productive task steps and completions, sampled by
-    /// the query's watchdog to detect stalled pipelines.
+    /// the query's stall check to detect stalled pipelines.
     progress: AtomicU64,
     /// Panics contained (converted to `Internal`) within this query.
     panics: AtomicU64,
@@ -206,7 +205,7 @@ impl QueryCtrl {
         &self.budget
     }
 
-    /// Records one productive task step (watchdog heartbeat).
+    /// Records one productive task step (the stall check's heartbeat).
     pub fn note_progress(&self) {
         self.progress.fetch_add(1, Ordering::Relaxed);
     }
@@ -246,7 +245,7 @@ impl QueryCtrl {
 
     /// Concludes the query: records its terminal state and publishes
     /// `result` for the handle, waking whoever waits for it — blocked in
-    /// [`QueryHandle::outcome`] or registered by
+    /// [`QueryHandle::outcome`] or polling with
     /// [`QueryHandle::poll_outcome`].
     pub(crate) fn finish(&self, result: Result<QueryOutcome>) {
         let state = match &result {
@@ -258,7 +257,6 @@ impl QueryCtrl {
         *outcome = Some(result);
         self.state.store(state, Ordering::Release);
         drop(outcome);
-        self.concluded.notify_all();
         let waiter = self
             .waiter
             .lock()
@@ -271,28 +269,6 @@ impl QueryCtrl {
 
     fn lock_outcome(&self) -> MutexGuard<'_, Option<Result<QueryOutcome>>> {
         self.outcome.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Waits up to `timeout` for the query to conclude; true once it has.
-    pub(crate) fn wait_concluded(&self, timeout: Duration) -> bool {
-        let guard = self.lock_outcome();
-        let running = |_: &mut Option<Result<QueryOutcome>>| self.status() == QueryStatus::Running;
-        let (guard, _) = self
-            .concluded
-            .wait_timeout_while(guard, timeout, running)
-            .unwrap_or_else(PoisonError::into_inner);
-        drop(guard);
-        self.status() != QueryStatus::Running
-    }
-
-    /// Blocks until the query has concluded and takes its outcome.
-    fn take_outcome(&self) -> Option<Result<QueryOutcome>> {
-        let guard = self.lock_outcome();
-        let running = |_: &mut Option<Result<QueryOutcome>>| self.status() == QueryStatus::Running;
-        self.concluded
-            .wait_while(guard, running)
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
     }
 
     /// The outcome, if the query has concluded; never blocks. Until then
@@ -512,31 +488,17 @@ impl std::fmt::Debug for ResultStream {
 pub struct QueryHandle {
     stream: Option<ResultStream>,
     ctrl: Arc<QueryCtrl>,
-    /// The thread enforcing this query's deadline and stall limit; a query
-    /// without limits has none.
-    watchdog: Option<JoinHandle<()>>,
     /// The outcome has been handed out.
     taken: bool,
 }
 
 impl QueryHandle {
-    pub(crate) fn new(
-        stream: ResultStream,
-        ctrl: Arc<QueryCtrl>,
-        watchdog: Option<JoinHandle<()>>,
-    ) -> Self {
+    pub(crate) fn new(stream: ResultStream, ctrl: Arc<QueryCtrl>) -> Self {
         QueryHandle {
             stream: Some(stream),
             ctrl,
-            watchdog,
             taken: false,
         }
-    }
-
-    /// Whether a watchdog thread guards this query.
-    #[cfg(test)]
-    pub(crate) fn has_watchdog(&self) -> bool {
-        self.watchdog.is_some()
     }
 
     /// Takes the result stream. Panics if called twice — the stream is the
@@ -614,20 +576,19 @@ impl QueryHandle {
         if let Some(mut stream) = self.stream.take() {
             while stream.next_batch().is_some() {}
         }
-        let taken = RelalgError::InvalidPlan("query outcome already taken".into());
         if self.taken {
-            return Err(taken);
+            return Err(RelalgError::InvalidPlan(
+                "query outcome already taken".into(),
+            ));
         }
-        let result = self.ctrl.take_outcome().ok_or(taken)?;
+        // Only the handle takes the outcome: until it has, the query is
+        // running or its outcome is there.
+        let result = block_on(|waker| self.ctrl.poll_take_outcome(waker));
         self.hand_out(result)
     }
 
     fn hand_out(&mut self, mut result: Result<QueryOutcome>) -> Result<QueryOutcome> {
         self.taken = true;
-        // The watchdog saw the conclusion too; it is on its way out.
-        if let Some(watchdog) = self.watchdog.take() {
-            let _ = watchdog.join();
-        }
         // TTFB is recorded client-side by the stream; the query's
         // conclusion cannot know it, so patch it in here.
         if let Ok(outcome) = &mut result {

@@ -272,7 +272,7 @@ pub struct EngineStats {
     pub queries_rejected: u64,
     /// Queries aborted for exceeding their deadline (`DeadlineExceeded`).
     pub queries_timed_out: u64,
-    /// Queries aborted by the stall watchdog (`Stalled`).
+    /// Queries aborted by their stall check (`Stalled`).
     pub queries_stalled: u64,
     /// Queries aborted for exceeding their memory budget
     /// (`ResourceExhausted`).
@@ -444,7 +444,7 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
     MetricDef {
         name: "mj_queries_stalled_total",
         kind: MetricKind::Counter,
-        help: "Queries aborted by the stall watchdog",
+        help: "Queries aborted by their stall check",
     },
     MetricDef {
         name: "mj_budget_aborts_total",

@@ -53,8 +53,9 @@ use mj_storage::Catalog;
 use crate::binding::{PipelineStage, QueryBinding, StageKind};
 
 /// Planner knobs. [`PlannerOptions::new`] gives the defaults: all four
-/// strategies considered, right-orientation tried, oversubscription
-/// allowed when the machine is smaller than the plan.
+/// strategies considered, oversubscription allowed when the machine is
+/// smaller than the plan. Each strategy is always costed on the phase-1
+/// tree and on its right-oriented mirror.
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerOptions {
     /// Logical processors the plan may use: the most partitions (operation
@@ -79,9 +80,6 @@ pub struct PlannerOptions {
     /// Forces a single strategy instead of costing all four — the manual
     /// `--strategy` override with planner-chosen tree and allocation.
     pub strategy: Option<Strategy>,
-    /// Also cost each strategy on the right-oriented mirror of the
-    /// phase-1 tree ("possible without cost penalty", §5).
-    pub try_right_orient: bool,
     /// Permit concurrent operations to share processors when `processors`
     /// is smaller than a strategy needs (otherwise such candidates are
     /// simply skipped as infeasible).
@@ -102,7 +100,6 @@ impl PlannerOptions {
             cost_model: CostModel::default(),
             schedule_model: ScheduleModel::default(),
             strategy: None,
-            try_right_orient: true,
             allow_oversubscribe: true,
             pushdown: true,
         }
@@ -585,14 +582,12 @@ impl Planner {
             exact => exact?,
         };
 
-        // Tree variants: the phase-1 tree and (optionally) its free
-        // right-oriented mirror.
+        // Tree variants: the phase-1 tree and its right-oriented mirror
+        // ("possible without cost penalty", §5).
         let mut variants: Vec<(JoinTree, bool)> = vec![(phase1.tree.clone(), false)];
-        if self.options.try_right_orient {
-            let oriented = right_orient(&phase1.tree);
-            if oriented != phase1.tree {
-                variants.push((oriented, true));
-            }
+        let oriented = right_orient(&phase1.tree);
+        if oriented != phase1.tree {
+            variants.push((oriented, true));
         }
         let strategies: Vec<Strategy> = match self.options.strategy {
             Some(s) => vec![s],

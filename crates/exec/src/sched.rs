@@ -41,12 +41,17 @@
 //! the §4 schedule on a fixed processor set prescribes, and a woken
 //! early-wave task can never starve the later-wave consumer it feeds
 //! (strict priority lanes would livelock exactly there).
+//!
+//! The pool also keeps time (`WorkerPool::run_at`): a worker runs due
+//! callbacks before it pops its next task and waits no longer than until
+//! the earliest one, so a busy pool runs a due callback within one step.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::task::{Wake, Waker};
 use std::thread::{JoinHandle, Thread};
+use std::time::Instant;
 
 /// Locks a std mutex, tolerating poison: the pool's queue state is a plain
 /// `VecDeque` that is never left half-mutated by the panicking code paths
@@ -148,17 +153,43 @@ struct Queued {
     waker: Waker,
 }
 
+/// A callback armed with `WorkerPool::run_at`: it returns when it wants
+/// to run again, if ever.
+type Timer = Box<dyn FnMut() -> Option<Instant> + Send>;
+
 /// Run-queue state behind the pool mutex: one rotation, priority-ordered
-/// at admission, FIFO thereafter, plus the parked tasks by slot id.
+/// at admission, FIFO thereafter, plus the parked tasks by slot id and the
+/// armed timers by instant (and arming order, for equal instants).
 struct QueueState {
     queue: VecDeque<Queued>,
     parked: HashMap<u64, Queued>,
+    timers: BTreeMap<(Instant, u64), Timer>,
+    armed: u64,
     shutdown: bool,
 }
 
 impl QueueState {
     fn pop(&mut self) -> Option<Queued> {
         self.queue.pop_front()
+    }
+
+    fn arm(&mut self, at: Instant, timer: Timer) {
+        self.armed += 1;
+        self.timers.insert((at, self.armed), timer);
+    }
+
+    /// The instant the earliest armed timer is due.
+    fn next_timer(&self) -> Option<Instant> {
+        self.timers.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// Takes the earliest timer if it is due. Reads the clock only while a
+    /// timer is armed.
+    fn pop_due(&mut self) -> Option<Timer> {
+        if self.next_timer()? > Instant::now() {
+            return None;
+        }
+        self.timers.pop_first().map(|(_, timer)| timer)
     }
 
     /// Admits a new task: stable-inserted after the last queued task of
@@ -243,23 +274,13 @@ impl Shared {
     }
 }
 
-/// Worker threads ever spawned by any pool in this process — lets tests
-/// assert that running more queries does not spawn more threads.
-static WORKER_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-
-/// Total worker threads spawned by every [`WorkerPool`] this process has
-/// created (monotone; includes pools that have shut down).
-pub fn worker_threads_spawned() -> u64 {
-    WORKER_THREADS_SPAWNED.load(Ordering::Relaxed)
-}
-
 /// A fixed-size pool of worker threads executing [`Task`]s cooperatively.
 ///
 /// The pool is created once (per engine) and shared by every query; its
 /// thread count never changes. Dropping the pool shuts it down: workers
 /// finish their current step, drop every still-queued and parked task
 /// (releasing their channel endpoints; their `Drop` reports
-/// non-completion), and exit.
+/// non-completion) and every pending timer, and exit.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -274,6 +295,8 @@ impl WorkerPool {
             queue: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 parked: HashMap::new(),
+                timers: BTreeMap::new(),
+                armed: 0,
                 shutdown: false,
             }),
             ready: Condvar::new(),
@@ -285,7 +308,6 @@ impl WorkerPool {
         let handles = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
-                WORKER_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
                 std::thread::Builder::new()
                     .name(format!("mj-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
@@ -305,7 +327,8 @@ impl WorkerPool {
     }
 
     /// Worker threads currently owned by this pool — constant from
-    /// construction to shutdown, however many tasks are submitted.
+    /// construction to shutdown, however many tasks are submitted or timers
+    /// armed.
     pub fn threads(&self) -> usize {
         lock(&self.handles).len()
     }
@@ -328,6 +351,22 @@ impl WorkerPool {
         });
         drop(queue);
         self.shared.ready.notify_one();
+    }
+
+    /// Runs `callback` on a worker once `at` has passed, and again at
+    /// whatever instant it returns, until it returns `None`. A worker runs
+    /// due callbacks before it pops its next task, outside the queue lock,
+    /// so a callback may wake or submit tasks; it must not block. Dropping
+    /// the pool drops pending callbacks without running them.
+    pub(crate) fn run_at(&self, at: Instant, callback: Timer) {
+        lock(&self.shared.queue).arm(at, callback);
+        // An idle worker may be waiting for a later timer, or for none.
+        self.shared.ready.notify_one();
+    }
+
+    /// Callbacks armed with `run_at` that wait for their instant.
+    pub fn timers(&self) -> usize {
+        lock(&self.shared.queue).timers.len()
     }
 
     /// Tasks ever submitted to this pool.
@@ -383,27 +422,48 @@ fn worker_loop(shared: &Shared) {
             let mut queue = lock(&shared.queue);
             loop {
                 if queue.shutdown {
-                    // Drop every task still queued or parked, outside the
-                    // lock: their Drop impls release channel endpoints
-                    // (waking peers) and report non-completion (which may
-                    // submit more). Repeat until nothing is left.
+                    // Drop every task still queued or parked, and every
+                    // pending timer unrun, outside the lock: their Drop
+                    // impls release channel endpoints (waking peers) and
+                    // report non-completion (which may submit more).
+                    // Repeat until nothing is left.
                     let parked = std::mem::take(&mut queue.parked).into_values();
                     let left: Vec<Queued> = queue.queue.drain(..).chain(parked).collect();
-                    if left.is_empty() {
+                    let timers = std::mem::take(&mut queue.timers);
+                    if left.is_empty() && timers.is_empty() {
                         return;
                     }
                     drop(queue);
-                    drop(left);
+                    drop((left, timers));
                     queue = lock(&shared.queue);
+                    continue;
+                }
+                if let Some(mut timer) = queue.pop_due() {
+                    // Outside the lock, since a callback may wake tasks;
+                    // one that is done or panicked is dropped there too.
+                    drop(queue);
+                    let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut timer));
+                    let rearm = again.ok().flatten().map(|at| (at, timer));
+                    queue = lock(&shared.queue);
+                    if let Some((at, timer)) = rearm {
+                        queue.arm(at, timer);
+                    }
                     continue;
                 }
                 if let Some(q) = queue.pop() {
                     break q;
                 }
-                queue = shared
-                    .ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
+                queue = match queue.next_timer() {
+                    Some(at) => {
+                        let timeout = at.saturating_duration_since(Instant::now());
+                        let waited = shared.ready.wait_timeout(queue, timeout);
+                        waited.unwrap_or_else(PoisonError::into_inner).0
+                    }
+                    None => shared
+                        .ready
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner),
+                };
             }
         };
 
@@ -508,7 +568,6 @@ mod tests {
         let pool = WorkerPool::new(2);
         assert_eq!(pool.workers(), 2);
         assert_eq!(pool.threads(), 2);
-        assert!(worker_threads_spawned() >= 2, "global spawn counter ticks");
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             pool.submit(
@@ -595,6 +654,8 @@ mod tests {
         QueueState {
             queue: VecDeque::new(),
             parked: HashMap::new(),
+            timers: BTreeMap::new(),
+            armed: 0,
             shutdown: false,
         }
     }
@@ -796,5 +857,109 @@ mod tests {
         );
         wait_for(&counter, 5);
         assert_eq!(pool.panics_contained(), 1, "backstop counter ticks");
+    }
+
+    /// A callback that sends the instant it ran and does not run again.
+    fn fire_once(fired: std::sync::mpsc::Sender<Instant>) -> impl FnMut() -> Option<Instant> {
+        move || {
+            let _ = fired.send(Instant::now());
+            None
+        }
+    }
+
+    const LONG: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_timer_fires_no_earlier_than_its_instant() {
+        let pool = WorkerPool::new(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let at = Instant::now() + Duration::from_millis(30);
+        pool.run_at(at, Box::new(fire_once(tx)));
+        assert_eq!(pool.timers(), 1);
+        let fired = rx.recv_timeout(LONG).expect("the timer fired");
+        assert!(fired >= at, "fired {:?} early", at - fired);
+        assert_eq!(pool.timers(), 0);
+    }
+
+    #[test]
+    fn a_timer_armed_earlier_than_a_waiting_one_fires_on_time() {
+        // The idle worker waits for the first timer's instant; arming an
+        // earlier one must cut that wait short.
+        let pool = WorkerPool::new(1);
+        let (late_tx, late_rx) = std::sync::mpsc::channel();
+        pool.run_at(Instant::now() + LONG * 6, Box::new(fire_once(late_tx)));
+        // Lets the worker settle into that wait. The assertions hold either
+        // way; without the pause the test may only miss the case it is for.
+        std::thread::sleep(Duration::from_millis(10));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let at = Instant::now() + Duration::from_millis(20);
+        pool.run_at(at, Box::new(fire_once(tx)));
+        let fired = rx.recv_timeout(LONG).expect("the earlier timer fired");
+        assert!(fired >= at);
+        assert!(late_rx.try_recv().is_err(), "the later one still waits");
+        assert_eq!(pool.timers(), 1);
+    }
+
+    #[test]
+    fn timers_fire_while_every_worker_is_busy() {
+        /// Makes progress, a millisecond a step, until told to stop.
+        struct Busy(Arc<AtomicUsize>);
+        impl Task for Busy {
+            fn step(&mut self, _: &Waker) -> Step {
+                if self.0.load(Ordering::SeqCst) > 0 {
+                    return Step::Done;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+                Step::Progress
+            }
+        }
+        let pool = WorkerPool::new(2);
+        let stop = Arc::new(AtomicUsize::new(0));
+        for _ in 0..4 {
+            pool.submit(0, Box::new(Busy(stop.clone())));
+        }
+        // Fires three times, 5 ms apart, then stops the tasks.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (mut left, done) = (3, stop.clone());
+        let at = Instant::now() + Duration::from_millis(5);
+        pool.run_at(
+            at,
+            Box::new(move || {
+                let _ = tx.send(Instant::now());
+                left -= 1;
+                if left == 0 {
+                    done.store(1, Ordering::SeqCst);
+                    return None;
+                }
+                Some(Instant::now() + Duration::from_millis(5))
+            }),
+        );
+        for _ in 0..3 {
+            rx.recv_timeout(LONG).expect("fired on a busy pool");
+        }
+        assert!(pool.steps() > 0);
+    }
+
+    #[test]
+    fn pool_drop_runs_no_pending_callback() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let pool = WorkerPool::new(1);
+        let count = ran.clone();
+        let held = NotifyOnDrop {
+            dropped: dropped.clone(),
+        };
+        let at = Instant::now() + Duration::from_millis(50);
+        pool.run_at(
+            at,
+            Box::new(move || {
+                let _ = &held;
+                count.fetch_add(1, Ordering::SeqCst);
+                None
+            }),
+        );
+        drop(pool);
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "never ran");
+        assert_eq!(dropped.load(Ordering::SeqCst), 1, "dropped with the pool");
     }
 }

@@ -35,8 +35,8 @@ pub enum RelalgError {
     /// coordinator once a cancelled query has quiesced.
     Canceled,
     /// The query ran past its wall-clock deadline and was aborted by the
-    /// guardrail layer (per-step deadline checks plus the coordinator
-    /// watchdog).
+    /// guardrail layer (per-step deadline checks plus a check the worker
+    /// pool runs at the deadline).
     DeadlineExceeded,
     /// The query charged more bytes against its memory budget than the
     /// configured cap and was aborted before it could endanger the process.
@@ -46,7 +46,7 @@ pub enum RelalgError {
         /// The configured budget cap in bytes.
         budget: u64,
     },
-    /// The coordinator watchdog saw no task progress for the configured
+    /// The query's stall check saw no task progress for the configured
     /// stall window; the payload is a per-operator progress dump.
     Stalled(String),
     /// An operator task panicked; the panic was contained by the worker

@@ -1,10 +1,12 @@
 //! Integration tests for the query server over real TCP sockets:
 //! malformed-frame accept/reject behaviour (the connection must survive
-//! every rejection), pipelining order, disconnect-cancels, graceful
-//! shutdown drain, the connection cap, and both metrics expositions.
+//! every rejection), pipelining order, the ad-hoc pace, fairness between
+//! connections, disconnect-cancels, graceful shutdown drain, the connection cap, both
+//! metrics expositions, and deadlines that start no thread.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,10 +15,10 @@ use mj_relalg::{Attribute, Relation, RelationProvider, Schema, Tuple, Value};
 use mj_server::{Client, ClientError, MetricsFormat, Server, ServerConfig};
 use serde::JsonValue;
 
-/// A served database over a seeded family instance.
-fn family_server(family: QueryFamily, k: usize, n: usize, seed: u64, config: DbConfig) -> Server {
-    let instance = generate_family(family, k, n, seed).unwrap();
-    let db = Database::open(config).unwrap();
+/// A database over a seeded chain of three 120-tuple relations.
+fn chain_db() -> Arc<Database> {
+    let instance = generate_family(QueryFamily::Chain, 3, 120, 7).unwrap();
+    let db = Database::open(DbConfig::default()).unwrap();
     let mut names = instance.catalog.names();
     names.sort();
     for name in &names {
@@ -24,11 +26,11 @@ fn family_server(family: QueryFamily, k: usize, n: usize, seed: u64, config: DbC
             .unwrap();
     }
     db.analyze().unwrap();
-    Server::start(Arc::new(db), ServerConfig::default()).unwrap()
+    Arc::new(db)
 }
 
 fn chain_server() -> Server {
-    family_server(QueryFamily::Chain, 3, 120, 7, DbConfig::default())
+    Server::start(chain_db(), ServerConfig::default()).unwrap()
 }
 
 /// A served database whose one query is slow because of its data, not an
@@ -206,6 +208,54 @@ fn sustained_adhoc_statements_are_paced_per_connection() {
     }
     for _ in 0..BURST + 3 {
         assert_eq!(other.collect_reply().unwrap().rows.len(), rows);
+    }
+}
+
+#[test]
+fn an_adhoc_flood_on_one_connection_does_not_hold_up_another() {
+    // One connection worker serves both connections, so B's statement gets
+    // its turn through the worker's sweep over them while A's flood waits
+    // in A's queue (past its burst, for its paced turn too).
+    const FLOOD: u64 = 200;
+    let db = chain_db();
+    let config = ServerConfig {
+        conn_workers: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(db.clone(), config).unwrap();
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort();
+        rows
+    };
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    let expected = sorted(a.query(CHAIN_QUERY).unwrap().rows);
+
+    // The whole flood in one write, so the worker has all of it at once.
+    let line = format!(r#"{{"query": "{CHAIN_QUERY}"}}"#);
+    a.send_line(&vec![line; FLOOD as usize].join("\n")).unwrap();
+    let flood = std::thread::spawn(move || {
+        let reply = |_| a.collect_reply().unwrap().rows;
+        (0..FLOOD).map(reply).collect::<Vec<_>>()
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while db.stats().queries_completed < 2 {
+        assert!(Instant::now() < deadline, "the flood never started");
+        std::thread::yield_now();
+    }
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    let b_rows = b.query(CHAIN_QUERY).unwrap().rows;
+    // A query is counted before its reply goes out: this counts the first
+    // query, B's, and A's flood so far.
+    let completed = db.stats().queries_completed;
+    assert_eq!(sorted(b_rows), expected);
+    assert!(
+        completed < FLOOD + 2,
+        "B's one statement waited for A's whole flood"
+    );
+    // Every one of A's replies is whole and right: no frame of one
+    // statement strays into another's reply.
+    for rows in flood.join().unwrap() {
+        assert_eq!(sorted(rows), expected);
     }
 }
 
@@ -480,4 +530,71 @@ fn wire_options_enforce_deadlines() {
         .send_query_with(HOT_QUERY, Some(60_000), None)
         .unwrap();
     assert!(!client.collect_reply().unwrap().rows.is_empty());
+}
+
+/// Entries of `/proc/self/task`: the process's threads.
+fn threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
+}
+
+/// Whether this process runs the test `name` and nothing else. If it does
+/// not, runs `name` alone in a child process of this test binary, asserts
+/// that it passed, and returns false: a thread count is the whole
+/// process's, and the other tests start servers of their own.
+fn alone(name: &str) -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == name) {
+        return true;
+    }
+    let exe = std::env::current_exe().unwrap();
+    let child = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads=1"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success() && stdout.contains("1 passed"),
+        "{name} alone:\n{stdout}\n{}",
+        String::from_utf8_lossy(&child.stderr)
+    );
+    false
+}
+
+#[test]
+fn wire_deadlines_start_no_thread() {
+    if !alone("wire_deadlines_start_no_thread") {
+        return;
+    }
+    let server = chain_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let rows = client.query(CHAIN_QUERY).unwrap().rows.len();
+
+    // The process's thread count, sampled while the statements run.
+    let done = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut peak = 0;
+            while !done.load(Ordering::SeqCst) {
+                peak = peak.max(threads());
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            peak
+        })
+    };
+    let before = threads();
+    for _ in 0..32 {
+        client
+            .send_query_with(CHAIN_QUERY, Some(60_000), None)
+            .unwrap();
+    }
+    for _ in 0..32 {
+        assert_eq!(client.collect_reply().unwrap().rows.len(), rows);
+    }
+    done.store(true, Ordering::SeqCst);
+    assert_eq!(
+        sampler.join().unwrap(),
+        before,
+        "a deadline started a thread"
+    );
 }
