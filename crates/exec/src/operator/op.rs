@@ -19,6 +19,7 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
@@ -102,8 +103,13 @@ pub trait PhysicalOp: Send {
     }
 
     /// Absorbs build-side rows `range` of `cols`
-    /// ([`InputMode::BuildThenProbe`] only).
-    fn build_batch(&mut self, cols: &ColumnBatch, range: Range<usize>) -> Result<()> {
+    /// ([`InputMode::BuildThenProbe`] only). The build operand is
+    /// immediate, so `cols` is its shared chunk itself, and an operator may
+    /// keep the `Arc` and index the rows where they lie instead of copying
+    /// them. Successive calls pass consecutive ranges of a chunk. There is
+    /// one chunk per operand, except that a one-instance read of several
+    /// materialized producer fragments passes them one after another.
+    fn build_batch(&mut self, cols: &Arc<ColumnBatch>, range: Range<usize>) -> Result<()> {
         let _ = (cols, range);
         Err(RelalgError::InvalidPlan(format!(
             "operator {} has no build phase",
@@ -138,8 +144,10 @@ pub trait PhysicalOp: Send {
 }
 
 /// The simple (two-phase build–probe) hash join as a [`PhysicalOp`]
-/// (§2.3.2): side 0 builds, side 1 probes. Build batches are bulk-inserted
-/// into a [`ColumnarTable`]; each probe batch hashes its whole key column,
+/// (§2.3.2): side 0 builds, side 1 probes. The build operand's chunk is
+/// indexed in place ([`ColumnarTable::index`]): the table shares it, sizes
+/// its index once, and links one quantum of rows per call, copying
+/// nothing. Each probe batch hashes its key column a group at a time,
 /// collects `(build_row, probe_row)` match pairs, and assembles the output
 /// with one column-wise gather.
 pub struct SimpleJoinOp {
@@ -174,8 +182,8 @@ impl PhysicalOp for SimpleJoinOp {
         InputMode::BuildThenProbe { build: 0 }
     }
 
-    fn build_batch(&mut self, cols: &ColumnBatch, range: Range<usize>) -> Result<()> {
-        self.table.insert_batch(cols, self.spec.left_key, range)
+    fn build_batch(&mut self, cols: &Arc<ColumnBatch>, range: Range<usize>) -> Result<()> {
+        self.table.index(cols, self.spec.left_key, range)
     }
 
     fn absorb_batch(
@@ -283,12 +291,12 @@ mod tests {
     use mj_relalg::column::ColumnLayout;
     use mj_relalg::{Projection, Tuple};
 
-    fn batch(rows: &[[i64; 2]]) -> ColumnBatch {
+    fn batch(rows: &[[i64; 2]]) -> Arc<ColumnBatch> {
         let mut b = ColumnBatch::with_capacity(&ColumnLayout::ints(2), rows.len());
         for r in rows {
             b.push_tuple(&Tuple::from_ints(r)).unwrap();
         }
-        b
+        Arc::new(b)
     }
 
     fn spec() -> EquiJoin {
@@ -422,6 +430,6 @@ mod tests {
         let mut op = join_op(JoinAlgorithm::Pipelining, spec());
         assert_eq!(op.kind(), OpKind::Join(JoinAlgorithm::Pipelining));
         // Interleaved operators reject the build phase.
-        assert!(op.build_batch(&ColumnBatch::shapeless(), 0..0).is_err());
+        assert!(op.build_batch(&Arc::default(), 0..0).is_err());
     }
 }

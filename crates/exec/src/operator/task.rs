@@ -101,10 +101,12 @@ impl From<std::sync::mpsc::Sender<DoneMsg>> for Reporter {
 enum Operand {
     /// A processor-local columnar fragment.
     Local { cols: Arc<ColumnBatch>, pos: usize },
-    /// Materialized producer fragments filtered to this instance's bucket:
-    /// each fragment is bucket-scanned ([`scan_bucket_columns`]) into one
-    /// chunk holding exactly the surviving rows; a single-bucket read
-    /// shares the stored fragment.
+    /// Materialized producer fragments filtered to this instance's bucket.
+    /// With several buckets, every fragment is bucket-scanned
+    /// ([`scan_bucket_columns`]) into one chunk holding exactly this
+    /// instance's rows, in one pass: one chunk per operand, which a simple
+    /// join's build indexes in place. A single-bucket read shares each
+    /// stored fragment in turn.
     Filtered {
         fragments: Vec<Arc<ColumnBatch>>,
         key_col: usize,
@@ -197,13 +199,13 @@ impl Operand {
                 if *frag >= fragments.len() {
                     return Ok(Feed::Exhausted);
                 }
-                let stored = &fragments[*frag];
                 *cols = Some(if *of <= 1 {
-                    stored.clone()
+                    *frag += 1;
+                    fragments[*frag - 1].clone()
                 } else {
-                    Arc::new(scan_bucket_columns(stored, *key_col, *bucket, *of)?)
+                    *frag = fragments.len();
+                    Arc::new(scan_bucket_columns(fragments, *key_col, *bucket, *of)?)
                 });
-                *frag += 1;
             },
             Operand::Stream {
                 rx,
@@ -241,11 +243,25 @@ impl Operand {
     /// [`ready`](Self::ready) returned [`Feed::Ready`].
     fn chunk(&self) -> (&ColumnBatch, usize) {
         match self {
-            Operand::Local { cols, pos } => (cols, *pos),
-            Operand::Filtered { cols, pos, .. } => (cols.as_ref().expect("ready chunk"), *pos),
             Operand::Stream { current, pos, .. } => {
                 (current.as_ref().expect("ready chunk").columns(), *pos)
             }
+            _ => {
+                let (cols, pos) = self.shared_chunk().expect("an immediate operand");
+                (cols, pos)
+            }
+        }
+    }
+
+    /// [`chunk`](Self::chunk) of an immediate operand, as the shared chunk
+    /// itself; `None` for a stream, whose batches nobody else may keep.
+    fn shared_chunk(&self) -> Option<(&Arc<ColumnBatch>, usize)> {
+        match self {
+            Operand::Local { cols, pos } => Some((cols, *pos)),
+            Operand::Filtered { cols, pos, .. } => {
+                Some((cols.as_ref().expect("ready chunk"), *pos))
+            }
+            Operand::Stream { .. } => None,
         }
     }
 
@@ -582,9 +598,10 @@ impl OpTask {
         };
     }
 
-    /// Build phase: drain the immediate build side into the operator in
-    /// chunk-sized bulk inserts. No output is produced, so this never
-    /// blocks — it only paces itself by the quantum.
+    /// Build phase: hand the immediate build side to the operator a
+    /// quantum of rows at a time, as ranges of its shared chunk. No output
+    /// is produced, so this never blocks — it only paces itself by the
+    /// quantum.
     fn step_build(&mut self, budget: &mut usize, waker: &Waker) -> Result<Option<Step>> {
         let m = self.members.front_mut().expect("a live task has a member");
         let build = m.build_side().expect("build phase implies a build side");
@@ -599,7 +616,9 @@ impl OpTask {
                 Feed::Ready => {
                     let take;
                     {
-                        let (cols, pos) = m.operands[build].chunk();
+                        let (cols, pos) = m.operands[build]
+                            .shared_chunk()
+                            .expect("a build operand is immediate");
                         let end = (pos + *budget).min(cols.rows());
                         take = end - pos;
                         m.op.build_batch(cols, pos..end)?;

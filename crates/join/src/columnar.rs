@@ -1,20 +1,32 @@
-//! A columnar hash-join table: build rows stored column-wise, probes run
-//! over whole key slices.
+//! A columnar hash-join table: a bucket-head/next-chain index over build
+//! rows stored column-wise, probed with whole key slices.
 //!
-//! The build side is kept as a [`ColumnBatch`] plus a dense `keys` column,
-//! indexed by a bucket-head/next-chain structure (`u32` links, power-of-two
-//! buckets, 7/8 load factor). Probing takes a whole probe-side key slice and
-//! collects `(build_row, probe_row)` match pairs; output assembly is then one
-//! column-wise gather through the join's projection
-//! ([`ColumnBatch::append_concat_gather`]) instead of per-tuple
-//! concatenation — the vectorized hot path of `SimpleJoinOp` and
-//! `PipeliningJoinOp`.
+//! The build rows are one [`ColumnBatch`] behind an `Arc` plus the position
+//! of its key column; probes read the key slice straight from it (`u32`
+//! links, power-of-two buckets, 7/8 load factor). There are two ways in:
+//!
+//! * [`ColumnarTable::index`] — the simple join's build. Its operand is an
+//!   immutable, already shared chunk, so the table adopts the chunk where
+//!   it lies, sizes the index once for all of its rows, and links a range
+//!   of them per call. No row or key is copied and nothing rehashes.
+//! * [`ColumnarTable::insert_batch`] — the pipelining join's tables, which
+//!   grow batch by batch. Rows are appended through `Arc::make_mut` (free
+//!   for a table nobody shares) and the index rehashes as it grows.
+//!
+//! [`ColumnarTable::probe_into`] hashes a group of probe keys and loads all
+//! their bucket heads before it walks any chain, so the independent cache
+//! misses overlap, and collects `(build_row, probe_row)` match pairs; output
+//! assembly is then one column-wise gather through the join's projection
+//! ([`ColumnarTable::emit_matches`]) instead of per-tuple concatenation —
+//! the vectorized hot path of `SimpleJoinOp` and `PipeliningJoinOp`.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::hash::mix_key;
-use mj_relalg::Result;
+use mj_relalg::{RelalgError, Result};
 
 /// Process-wide count of join output rows materialized by gather emission
 /// ([`ColumnarTable::emit_matches`]) — the observable cost late
@@ -28,120 +40,178 @@ pub fn gather_rows() -> u64 {
 }
 
 const EMPTY: u32 = u32::MAX;
-/// Grow when entries exceed buckets * LOAD_NUM / LOAD_DEN.
+/// Buckets are at most LOAD_NUM / LOAD_DEN full.
 const LOAD_NUM: usize = 7;
 const LOAD_DEN: usize = 8;
+/// Probe keys whose bucket heads are loaded before any of their chains is
+/// walked.
+const GROUP: usize = 16;
+
+/// The rows of a table that holds none yet.
+static NO_ROWS: ColumnBatch = ColumnBatch::shapeless();
 
 /// A multimap from `i64` join keys to build rows stored as columns.
+#[derive(Default)]
 pub struct ColumnarTable {
-    /// Build rows, column-wise. Starts shapeless; adopts the layout of the
-    /// first inserted batch.
-    rows: ColumnBatch,
-    /// The join key of each stored row (densely, probe loops scan this).
-    keys: Vec<i64>,
+    /// Build rows, column-wise: a chunk indexed where it lies (shared with
+    /// the operand that holds it), or the rows `insert_batch` appended.
+    /// `None` until the first rows arrive.
+    rows: Option<Arc<ColumnBatch>>,
+    /// The join key column of `rows`.
+    key_col: usize,
     /// Head row index per bucket (`EMPTY` when vacant).
     buckets: Vec<u32>,
-    /// Chain link per stored row (`next[i]` is the previous head of `i`'s
-    /// bucket).
+    /// Chain link per linked row (`next[i]` is the previous head of `i`'s
+    /// bucket). Rows `0..next.len()` of `rows` are linked.
     next: Vec<u32>,
     /// `buckets.len() - 1`; bucket count is always a power of two.
     mask: u64,
 }
 
 impl ColumnarTable {
-    /// Creates an empty table.
+    /// Creates an empty table; it allocates nothing until rows arrive.
     pub fn new() -> Self {
-        Self::with_capacity(16)
+        Self::default()
     }
 
     /// Creates a table sized for about `n` build rows.
     pub fn with_capacity(n: usize) -> Self {
-        let buckets = (n * LOAD_DEN / LOAD_NUM).next_power_of_two().max(16);
-        ColumnarTable {
-            rows: ColumnBatch::shapeless(),
-            keys: Vec::with_capacity(n),
-            buckets: vec![EMPTY; buckets],
-            next: Vec::with_capacity(n),
-            mask: (buckets - 1) as u64,
-        }
+        let mut table = Self::new();
+        table.reset(n);
+        table
     }
 
     /// Number of stored build rows.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.next.len()
     }
 
     /// True if no rows are stored.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.next.is_empty()
     }
 
     /// The stored build rows, column-wise (gather source for output
-    /// assembly).
+    /// assembly). An adopted chunk is returned whole.
     pub fn rows(&self) -> &ColumnBatch {
-        &self.rows
+        self.rows.as_deref().unwrap_or(&NO_ROWS)
     }
 
-    fn ensure_load(&mut self, adding: usize) {
-        while self.keys.len() + adding > self.buckets.len() * LOAD_NUM / LOAD_DEN {
-            let new_len = self.buckets.len() * 2;
-            self.buckets.clear();
-            self.buckets.resize(new_len, EMPTY);
-            self.mask = (new_len - 1) as u64;
-            for (i, &k) in self.keys.iter().enumerate() {
-                let b = (mix_key(k) & self.mask) as usize;
-                self.next[i] = self.buckets[b];
-                self.buckets[b] = i as u32;
-            }
-        }
+    /// Empties the index and sizes it for `n` rows: the smallest
+    /// power-of-two bucket count (at least 16) within the load factor.
+    fn reset(&mut self, n: usize) {
+        let buckets = (n * LOAD_DEN).div_ceil(LOAD_NUM).next_power_of_two();
+        self.buckets.clear();
+        self.buckets.resize(buckets.max(16), EMPTY);
+        self.mask = (self.buckets.len() - 1) as u64;
+        self.next.clear();
+        self.next.reserve_exact(n);
     }
 
-    fn link_from(&mut self, first_new: usize) {
-        for i in first_new..self.keys.len() {
-            let b = (mix_key(self.keys[i]) & self.mask) as usize;
+    /// Links the next `keys.len()` rows: row `len() + i` has key `keys[i]`.
+    fn link(&mut self, keys: &[i64]) {
+        for &key in keys {
+            let b = (mix_key(key) & self.mask) as usize;
             self.next.push(self.buckets[b]);
-            self.buckets[b] = i as u32;
+            self.buckets[b] = (self.next.len() - 1) as u32;
         }
+    }
+
+    /// Indexes rows `range` of `chunk`, keyed by its `key_col` column,
+    /// where they lie. The first call on an empty table adopts the chunk
+    /// (sharing it) and sizes the index once for all of its rows; each
+    /// call then links the next consecutive range of it, so nothing is
+    /// copied and nothing rehashes. Rows of any other chunk, or out of
+    /// order, are appended as by [`insert_batch`](Self::insert_batch),
+    /// which copies the adopted chunk once.
+    pub fn index(
+        &mut self,
+        chunk: &Arc<ColumnBatch>,
+        key_col: usize,
+        range: Range<usize>,
+    ) -> Result<()> {
+        if self.is_empty() {
+            self.reset(chunk.rows());
+            self.rows = Some(chunk.clone());
+            self.key_col = key_col;
+        }
+        let in_place = self.rows.as_ref().is_some_and(|r| Arc::ptr_eq(r, chunk))
+            && key_col == self.key_col
+            && range.start == self.len();
+        if !in_place {
+            return self.insert_batch(chunk, key_col, range);
+        }
+        self.link(&chunk.int_col(key_col)?[range]);
+        Ok(())
     }
 
     /// Bulk-inserts rows `range` of `batch`, keyed by its `key_col` column:
-    /// the rows are appended column-wise, the key slice copied densely, and
-    /// the chains linked in one pass — the vectorized build loop.
+    /// the rows are appended column-wise and the chains linked in one pass.
+    /// When the new rows would overload the buckets, the index is resized
+    /// and every row relinked.
     pub fn insert_batch(
         &mut self,
         batch: &ColumnBatch,
         key_col: usize,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
     ) -> Result<()> {
-        let keys = batch.int_col(key_col)?;
-        self.ensure_load(range.len());
-        let first_new = self.keys.len();
-        self.rows.append_rows(batch, range.clone())?;
-        self.keys.extend_from_slice(&keys[range]);
-        self.link_from(first_new);
+        let keys = &batch.int_col(key_col)?[range.clone()];
+        if self.is_empty() {
+            self.key_col = key_col;
+        } else if key_col != self.key_col {
+            return Err(RelalgError::SchemaMismatch(format!(
+                "a table keyed on column {} cannot take rows keyed on column {key_col}",
+                self.key_col
+            )));
+        }
+        let linked = self.len();
+        let rows = self.rows.get_or_insert_with(Default::default);
+        if rows.rows() > linked {
+            // An adopted chunk linked only in part: keep its linked rows.
+            let mut prefix = ColumnBatch::shapeless();
+            prefix.append_rows(rows, 0..linked)?;
+            *rows = Arc::new(prefix);
+        }
+        // Copies a shared chunk once; free for a table nobody shares.
+        Arc::make_mut(rows).append_rows(batch, range)?;
+        if (linked + keys.len()) * LOAD_DEN > self.buckets.len() * LOAD_NUM {
+            let rows = rows.clone();
+            self.reset(rows.rows());
+            self.link(rows.int_col(key_col)?);
+        } else {
+            self.link(keys);
+        }
         Ok(())
     }
 
     /// Probes the table with rows `range` of the `probe_keys` slice,
-    /// appending every `(build_row, probe_row)` match to `pairs`. The
-    /// caller turns the pairs into output rows with one
-    /// [`ColumnBatch::append_concat_gather`].
-    pub fn probe_into(
-        &self,
-        probe_keys: &[i64],
-        range: std::ops::Range<usize>,
-        pairs: &mut Vec<(u32, u32)>,
-    ) {
-        for r in range {
-            let key = probe_keys[r];
-            let mut idx = self.buckets[(mix_key(key) & self.mask) as usize];
-            while idx != EMPTY {
-                let i = idx as usize;
-                if self.keys[i] == key {
-                    pairs.push((idx, r as u32));
-                }
-                idx = self.next[i];
+    /// appending every `(build_row, probe_row)` match to `pairs`. Keys go
+    /// in groups: a group's bucket heads are all loaded before any of its
+    /// chains is walked. The caller turns the pairs into output rows with
+    /// one [`ColumnBatch::append_concat_gather`].
+    pub fn probe_into(&self, probe_keys: &[i64], range: Range<usize>, pairs: &mut Vec<(u32, u32)>) {
+        if self.is_empty() {
+            return;
+        }
+        let keys = self.rows().int_col(self.key_col);
+        let keys = keys.expect("linked rows have an integer key column");
+        let mut heads = [EMPTY; GROUP];
+        let mut first = range.start;
+        for group in probe_keys[range].chunks(GROUP) {
+            for (head, &key) in heads.iter_mut().zip(group) {
+                *head = self.buckets[(mix_key(key) & self.mask) as usize];
             }
+            for (r, (&key, &head)) in (first..).zip(group.iter().zip(&heads)) {
+                let mut idx = head;
+                while idx != EMPTY {
+                    let i = idx as usize;
+                    if keys[i] == key {
+                        pairs.push((idx, r as u32));
+                    }
+                    idx = self.next[i];
+                }
+            }
+            first += group.len();
         }
     }
 
@@ -167,24 +237,17 @@ impl ColumnarTable {
     ) -> Result<()> {
         GATHER_ROWS.fetch_add(pairs.len() as u64, Ordering::Relaxed);
         if build_left {
-            out.append_concat_gather(&self.rows, probe, cols, pairs)
+            out.append_concat_gather(self.rows(), probe, cols, pairs)
         } else {
-            out.append_concat_gather(probe, &self.rows, cols, pairs)
+            out.append_concat_gather(probe, self.rows(), cols, pairs)
         }
     }
 
-    /// Approximate resident bytes: the columnar build rows plus the dense
-    /// key column and the bucket/chain index.
+    /// Approximate resident bytes: the build rows, shared or owned, plus
+    /// the bucket/chain index.
     pub fn est_bytes(&self) -> usize {
-        self.rows.est_bytes() as usize
-            + self.keys.len() * std::mem::size_of::<i64>()
+        self.rows().est_bytes() as usize
             + (self.buckets.len() + self.next.len()) * std::mem::size_of::<u32>()
-    }
-}
-
-impl Default for ColumnarTable {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -200,6 +263,77 @@ mod tests {
             b.push_tuple(&Tuple::from_ints(r)).unwrap();
         }
         b
+    }
+
+    /// `[key, row number]` rows.
+    fn keyed(keys: &[i64]) -> Arc<ColumnBatch> {
+        let rows: Vec<[i64; 2]> = (0..).zip(keys).map(|(i, &k)| [k, i]).collect();
+        Arc::new(batch(&rows))
+    }
+
+    /// Indexes all of `chunk` on column 0 in `quantum`-row calls.
+    fn indexed(chunk: &Arc<ColumnBatch>, quantum: usize) -> ColumnarTable {
+        let mut table = ColumnarTable::new();
+        for start in (0..chunk.rows()).step_by(quantum) {
+            let end = (start + quantum).min(chunk.rows());
+            table.index(chunk, 0, start..end).unwrap();
+        }
+        table
+    }
+
+    /// The probe one key at a time: hash, walk the chain, next key.
+    fn scalar_probe(table: &ColumnarTable, probe: &[i64], range: Range<usize>) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        if table.is_empty() {
+            return pairs;
+        }
+        for r in range {
+            let mut idx = table.buckets[(mix_key(probe[r]) & table.mask) as usize];
+            while idx != EMPTY {
+                if table.rows().int_col(table.key_col).unwrap()[idx as usize] == probe[r] {
+                    pairs.push((idx, r as u32));
+                }
+                idx = table.next[idx as usize];
+            }
+        }
+        pairs
+    }
+
+    /// Every `(build_row, probe_row)` with equal keys, by brute force.
+    fn nested_loop(build: &[i64], probe: &[i64], range: Range<usize>) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for r in range {
+            for (b, &k) in build.iter().enumerate() {
+                if k == probe[r] {
+                    pairs.push((b as u32, r as u32));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// The grouped probe matches the scalar walk pair for pair, in order,
+    /// and the brute-force join as a set.
+    fn assert_probe_matches(
+        table: &ColumnarTable,
+        build: &[i64],
+        probe: &[i64],
+        range: Range<usize>,
+    ) {
+        let mut grouped = Vec::new();
+        table.probe_into(probe, range.clone(), &mut grouped);
+        assert_eq!(
+            grouped,
+            scalar_probe(table, probe, range.clone()),
+            "{range:?}"
+        );
+        grouped.sort_unstable();
+        assert_eq!(
+            grouped,
+            nested_loop(build, probe, range.clone()),
+            "{range:?}"
+        );
     }
 
     #[test]
@@ -228,12 +362,13 @@ mod tests {
     #[test]
     fn growth_preserves_chains() {
         let mut table = ColumnarTable::with_capacity(4);
-        let mut all = Vec::new();
-        for k in 0..10_000i64 {
-            all.push([k % 100, k]);
+        let all: Vec<[i64; 2]> = (0..10_000i64).map(|k| [k % 100, k]).collect();
+        let b = batch(&all);
+        for start in (0..b.rows()).step_by(300) {
+            table
+                .insert_batch(&b, 0, start..(start + 300).min(b.rows()))
+                .unwrap();
         }
-        let b = batch(&all.iter().map(|r| [r[0], r[1]]).collect::<Vec<_>>());
-        table.insert_batch(&b, 0, 0..b.rows()).unwrap();
         let keys: Vec<i64> = (0..100).collect();
         let mut pairs = Vec::new();
         table.probe_into(&keys, 0..keys.len(), &mut pairs);
@@ -241,29 +376,116 @@ mod tests {
     }
 
     #[test]
-    fn negative_and_extreme_keys() {
-        let keys = [i64::MIN, -1, 0, 1, i64::MAX];
-        let rows: Vec<[i64; 2]> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| [k, i as i64])
+    fn grouped_probe_equals_the_scalar_walk_on_odd_and_offset_ranges() {
+        let build: Vec<i64> = (0..1000).map(|i| i * 7 % 600).collect();
+        let table = indexed(&keyed(&build), 512);
+        let probe: Vec<i64> = (0..777).map(|i| i * 5 % 700 - 50).collect();
+        for range in [
+            0..777,
+            0..1,
+            0..15,
+            0..16,
+            0..17,
+            3..3,
+            5..21,
+            13..45,
+            100..611,
+            761..777,
+        ] {
+            assert_probe_matches(&table, &build, &probe, range);
+        }
+    }
+
+    #[test]
+    fn grouped_probe_equals_the_scalar_walk_on_a_skewed_build() {
+        // One key a thousand times over, then 500 unique keys.
+        let build: Vec<i64> = std::iter::repeat_n(42, 1000).chain(1000..1500).collect();
+        let table = indexed(&keyed(&build), 512);
+        let probe: Vec<i64> = (0..100)
+            .map(|i| if i % 3 == 0 { 42 } else { 990 + i })
             .collect();
-        let b = batch(&rows);
-        let mut table = ColumnarTable::new();
-        table.insert_batch(&b, 0, 0..b.rows()).unwrap();
+        assert_probe_matches(&table, &build, &probe, 0..100);
+        assert_probe_matches(&table, &build, &probe, 7..61);
+    }
+
+    #[test]
+    fn negative_and_extreme_keys() {
+        let keys = [i64::MIN, -1, 0, 1, i64::MAX, -7_000_000_000];
+        let table = indexed(&keyed(&keys), 2);
         for (i, k) in keys.into_iter().enumerate() {
             let mut pairs = Vec::new();
             table.probe_into(&[k], 0..1, &mut pairs);
             assert_eq!(pairs, vec![(i as u32, 0)], "key {k}");
         }
+        let probe: Vec<i64> = keys
+            .iter()
+            .rev()
+            .chain(&[i64::MIN + 1, 2])
+            .copied()
+            .collect();
+        assert_probe_matches(&table, &keys, &probe, 0..probe.len());
         assert!(table.est_bytes() > 0);
     }
 
     #[test]
     fn empty_table_probes_nothing() {
-        let table = ColumnarTable::new();
         let mut pairs = Vec::new();
+        ColumnarTable::new().probe_into(&[1, 2, 3], 0..3, &mut pairs);
+        ColumnarTable::with_capacity(100).probe_into(&[1, 2, 3], 0..3, &mut pairs);
+        // A chunk of no rows indexes into an empty table, too.
+        let empty = keyed(&[]);
+        let table = indexed(&empty, 512);
         table.probe_into(&[1, 2, 3], 0..3, &mut pairs);
         assert!(pairs.is_empty());
+        assert_eq!(table.rows().rows(), 0);
+    }
+
+    #[test]
+    fn indexing_shares_the_chunk() {
+        let build: Vec<i64> = (0..2000).map(|i| i % 300).collect();
+        let chunk = keyed(&build);
+        let before = Arc::strong_count(&chunk);
+        let table = indexed(&chunk, 512);
+        assert!(std::ptr::eq(table.rows(), &*chunk), "no copy of the rows");
+        assert_eq!(Arc::strong_count(&chunk), before + 1);
+        assert_eq!(table.len(), 2000);
+        // The index was sized once: 2000 rows at 7/8 load need 4096 buckets.
+        assert_eq!(table.buckets.len(), 4096);
+        let probe: Vec<i64> = (-5..320).collect();
+        assert_probe_matches(&table, &build, &probe, 0..probe.len());
+        drop(table);
+        assert_eq!(Arc::strong_count(&chunk), before);
+    }
+
+    #[test]
+    fn a_second_chunk_copies_the_first_once() {
+        let (first, second): (Vec<i64>, Vec<i64>) = ((0..700).collect(), (350..1200).collect());
+        let (a, b) = (keyed(&first), keyed(&second));
+        let mut table = indexed(&a, 512);
+        for start in (0..b.rows()).step_by(512) {
+            table
+                .index(&b, 0, start..(start + 512).min(b.rows()))
+                .unwrap();
+        }
+        assert!(
+            !std::ptr::eq(table.rows(), &*a),
+            "the shared chunk was copied"
+        );
+        assert_eq!(Arc::strong_count(&a), 1, "and the copy let go of it");
+        assert_eq!(table.len(), 1550);
+        assert_eq!(table.rows().rows(), 1550, "each row stored once");
+        let build: Vec<i64> = first.iter().chain(&second).copied().collect();
+        let probe: Vec<i64> = (300..1300).collect();
+        assert_probe_matches(&table, &build, &probe, 0..probe.len());
+    }
+
+    #[test]
+    fn a_chunk_left_half_linked_keeps_only_its_linked_rows() {
+        let (a, b) = (keyed(&[1, 2, 3, 4]), keyed(&[3, 5]));
+        let mut table = ColumnarTable::new();
+        table.index(&a, 0, 0..2).unwrap();
+        table.index(&b, 0, 0..2).unwrap();
+        assert_eq!((table.len(), table.rows().rows()), (4, 4));
+        assert_probe_matches(&table, &[1, 2, 3, 5], &[1, 2, 3, 4, 5], 0..5);
     }
 }

@@ -12,10 +12,15 @@
 //!   operand's partial table and is then inserted into its own. Output is
 //!   produced as early as possible, at the price of a second table.
 //!
-//! The table stores build rows column-wise ([`ColumnBatch`]) with a dense key
-//! column and a bucket-head/next-chain index; a probe takes a whole key slice
-//! and collects `(build_row, probe_row)` match pairs, and output assembly is
-//! one column-wise gather ([`ColumnarTable::emit_matches`]).
+//! The table is a bucket-head/next-chain index over build rows stored
+//! column-wise: one shared [`ColumnBatch`] plus the position of its key
+//! column, so probes read the key slice where it lies. The simple join
+//! indexes its build operand's chunk in place ([`ColumnarTable::index`]: no
+//! copy, no rehash); the pipelining join appends to tables that grow
+//! ([`ColumnarTable::insert_batch`]). A probe takes a whole key slice,
+//! resolves a group of keys' bucket heads before walking any chain, and
+//! collects `(build_row, probe_row)` match pairs; output assembly is one
+//! column-wise gather ([`ColumnarTable::emit_matches`]).
 //! [`ColumnarTable::est_bytes`] is the byte accounting behind the paper's
 //! RD-vs-FP memory discussion (§5) and the engine's memory budget.
 //!

@@ -191,8 +191,8 @@ fn join_spec() -> EquiJoin {
 fn columnar_join(
     rng: &mut StdRng,
     algorithm: JoinAlgorithm,
-    l: &ColumnBatch,
-    r: &ColumnBatch,
+    l: &Arc<ColumnBatch>,
+    r: &Arc<ColumnBatch>,
     spec: &EquiJoin,
 ) -> Vec<Tuple> {
     fn splits(rng: &mut StdRng, rows: usize) -> Vec<std::ops::Range<usize>> {
@@ -260,7 +260,10 @@ fn hash_joins_match_oracle() {
                 .cloned()
                 .collect(),
         );
-        let (lc, rc) = (scan_columns(&l).unwrap(), scan_columns(&r).unwrap());
+        let (lc, rc) = (
+            Arc::new(scan_columns(&l).unwrap()),
+            Arc::new(scan_columns(&r).unwrap()),
+        );
         for algorithm in [JoinAlgorithm::Simple, JoinAlgorithm::Pipelining] {
             let got = sorted(columnar_join(rng, algorithm, &lc, &rc, &spec));
             assert_eq!(got, oracle, "{algorithm}");
@@ -545,7 +548,10 @@ fn partitioning_is_consistent() {
         assert_eq!(total, keys.len());
         let mut seen: HashMap<i64, usize> = HashMap::new();
         for (p, frag) in frags.iter().enumerate() {
-            assert_eq!(**frag, scan_bucket_columns(&cols, 0, p, parts).unwrap());
+            assert_eq!(
+                **frag,
+                scan_bucket_columns(std::slice::from_ref(&cols), 0, p, parts).unwrap()
+            );
             for &k in frag.int_col(0).unwrap() {
                 if let Some(prev) = seen.insert(k, p) {
                     assert_eq!(prev, p, "key {k} in two fragments");

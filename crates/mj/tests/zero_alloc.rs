@@ -3,6 +3,10 @@
 //! this binary holds exactly one `#[test]` and no parallel test pollutes
 //! the count.
 //!
+//! * A simple join's build indexes its shared build chunk where it lies
+//!   ([`ColumnarTable::index`]): a whole chunk, fed in 512-row quanta,
+//!   costs exactly two allocations (the bucket heads and the chain links),
+//!   whatever its size. Copying the rows or rehashing would show here.
 //! * Probing a [`ColumnarTable`] into a pre-reserved pairs vector — the
 //!   inner loop of both join operators — allocates nothing.
 //! * A redistribution edge in steady state serves (almost) every buffer
@@ -10,15 +14,22 @@
 //!   `edge_buffer_bound` (the cold-start buffer population) and the hit
 //!   rate above 0.9. A regression here means flushed buffers are dropped
 //!   and reallocated.
+//! * A prepared execute of the benchmark's short query (the 14 x 50 chain,
+//!   `short_prepared`) plus the drain of its result allocates at most
+//!   [`PREPARED_EXECUTE_ALLOCS`] times on average, counted on every thread.
+//!   This pins the per-query fixed cost that a run template (ROADMAP
+//!   item 8) is meant to cut.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::task::Waker;
 
 use multijoin::exec::stream::{edge_buffer_bound, operand_channels, Msg, Router};
+use multijoin::exec::{generate_family, Database, DbConfig, QueryFamily};
 use multijoin::join::ColumnarTable;
 use multijoin::relalg::column::{ColumnBatch, ColumnLayout};
-use multijoin::relalg::Tuple;
+use multijoin::relalg::{RelationProvider, Tuple};
 
 struct CountingAlloc;
 
@@ -58,17 +69,35 @@ fn int_batch(keys: &[i64]) -> ColumnBatch {
     batch
 }
 
+fn assert_index_allocates_twice() {
+    for n in [1_000usize, 10_000, 100_000] {
+        let chunk = Arc::new(int_batch(&(0..n as i64).collect::<Vec<_>>()));
+        let mut table = ColumnarTable::new();
+        let indexing = allocations(|| {
+            for start in (0..n).step_by(512) {
+                table.index(&chunk, 0, start..(start + 512).min(n)).unwrap();
+            }
+        });
+        assert_eq!(indexing, 2, "indexing {n} rows allocated {indexing} times");
+        assert_eq!(table.len(), n);
+    }
+}
+
 fn assert_probe_allocates_nothing() {
     const N: usize = 10_000;
-    let build = int_batch(&(0..N as i64).collect::<Vec<_>>());
-    let mut table = ColumnarTable::with_capacity(N);
-    table.insert_batch(&build, 0, 0..N).unwrap();
+    let build = Arc::new(int_batch(&(0..N as i64).collect::<Vec<_>>()));
+    let mut inserted = ColumnarTable::with_capacity(N);
+    inserted.insert_batch(&build, 0, 0..N).unwrap();
+    let mut indexed = ColumnarTable::new();
+    indexed.index(&build, 0, 0..N).unwrap();
     let probe_keys = build.int_col(0).unwrap();
 
-    let mut pairs = Vec::with_capacity(N);
-    let probes = allocations(|| table.probe_into(probe_keys, 0..N, &mut pairs));
-    assert_eq!(probes, 0, "probing {N} keys allocated {probes} times");
-    assert_eq!(pairs.len(), N, "every key matches its one build row");
+    for table in [&inserted, &indexed] {
+        let mut pairs = Vec::with_capacity(N);
+        let probes = allocations(|| table.probe_into(probe_keys, 0..N, &mut pairs));
+        assert_eq!(probes, 0, "probing {N} keys allocated {probes} times");
+        assert_eq!(pairs.len(), N, "every key matches its one build row");
+    }
 }
 
 fn assert_batch_pool_hit_rate() {
@@ -144,10 +173,63 @@ fn assert_batch_pool_hit_rate() {
     );
 }
 
+/// Ceiling on the mean allocations of one prepared execute of the 14 x 50
+/// chain plus its drain, counted by this test on a two-vCPU VM: 660 while
+/// a simple join copied its build operand into its table, 488 since it
+/// indexes the operand's chunk in place.
+const PREPARED_EXECUTE_ALLOCS: u64 = 600;
+
+/// The benchmark's `short_prepared` query on its pinned-shape data, two
+/// workers: every `?1` value once, after a warm-up that fills the fragment
+/// and plan caches.
+fn assert_prepared_execute_allocations() {
+    const RELATIONS: usize = 14;
+    let mut config = DbConfig::default();
+    config.exec.workers = 2;
+    let db = Database::open(config).unwrap();
+    let family = generate_family(QueryFamily::Chain, RELATIONS, 50, 1995).unwrap();
+    let mut sql = String::from("SELECT * FROM S0");
+    for i in 0..RELATIONS {
+        let relation = family.catalog.relation(&format!("R{i}")).unwrap();
+        db.register(format!("S{i}"), relation).unwrap();
+        if i > 0 {
+            sql.push_str(&format!(" JOIN S{i} ON S{}.b = S{i}.a", i - 1));
+        }
+    }
+    sql.push_str(" WHERE S1.id < ?1");
+    db.analyze().unwrap();
+    let stmt = db.prepare(&sql).unwrap();
+    let run = |arg: i64| {
+        let mut handle = db.execute_prepared(&stmt, &[arg]).unwrap();
+        let rows: usize = handle.stream().map(|batch| batch.len()).sum();
+        handle.outcome().unwrap();
+        rows
+    };
+    for arg in 0..50 {
+        run(arg);
+    }
+    let (mut rows, executes) = (0, 200);
+    let total = allocations(|| {
+        for i in 0..executes {
+            rows += run(i % 50);
+        }
+    });
+    assert!(rows > 0, "the query returns rows");
+    let mean = total / executes as u64;
+    println!("prepared execute + drain: {mean} allocations on average");
+    assert!(
+        mean <= PREPARED_EXECUTE_ALLOCS,
+        "a prepared execute + drain allocated {mean} times on average \
+         (ceiling {PREPARED_EXECUTE_ALLOCS})"
+    );
+}
+
 #[test]
 fn join_hot_path_stays_allocation_free() {
     // Single-threaded first: nothing else is running while allocations
     // are counted.
+    assert_index_allocates_twice();
     assert_probe_allocates_nothing();
     assert_batch_pool_hit_rate();
+    assert_prepared_execute_allocations();
 }

@@ -331,8 +331,11 @@ impl ColumnBatch {
 
     /// A batch with no columns yet: the first append adopts the source's
     /// layout. Operator output buffers start shapeless.
-    pub fn shapeless() -> ColumnBatch {
-        ColumnBatch::default()
+    pub const fn shapeless() -> ColumnBatch {
+        ColumnBatch {
+            columns: Vec::new(),
+            rows: 0,
+        }
     }
 
     /// Converts a row relation to columns (the scan boundary).

@@ -71,24 +71,35 @@ pub fn fragment_columns(
         .collect()
 }
 
-/// The rows of `cols` whose `key_col` hashes to `bucket` among `of`
-/// buckets — one consumer instance's share of a materialized producer
-/// fragment.
+/// The rows of `fragments` whose `key_col` hashes to `bucket` among `of`
+/// buckets, in fragment order, as one batch — one consumer instance's
+/// share of a materialized producer operand. Each fragment's key column is
+/// hashed once; the batch is allocated once, at its exact size.
 pub fn scan_bucket_columns(
-    cols: &ColumnBatch,
+    fragments: &[Arc<ColumnBatch>],
     key_col: usize,
     bucket: usize,
     of: usize,
 ) -> Result<ColumnBatch> {
     let mut dests = Vec::new();
-    bucket_keys(cols.int_col(key_col)?, of.max(1), &mut dests);
-    let sel: Vec<u32> = dests
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d as usize == bucket)
-        .map(|(i, _)| i as u32)
-        .collect();
-    cols.gather(&sel)
+    let mut sels = Vec::with_capacity(fragments.len());
+    for cols in fragments {
+        bucket_keys(cols.int_col(key_col)?, of.max(1), &mut dests);
+        let sel: Vec<u32> = (0..)
+            .zip(&dests)
+            .filter(|&(_, &d)| d as usize == bucket)
+            .map(|(i, _)| i)
+            .collect();
+        sels.push(sel);
+    }
+    let Some(first) = fragments.first() else {
+        return Ok(ColumnBatch::shapeless());
+    };
+    let mut out = ColumnBatch::with_capacity(&first.layout(), sels.iter().map(Vec::len).sum());
+    for (cols, sel) in fragments.iter().zip(&sels) {
+        out.append_gather(cols, sel)?;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -125,7 +136,7 @@ mod tests {
         let parts = fragment_columns(&r, 0, of).unwrap();
         let mut total = 0;
         for (bucket, part) in parts.iter().enumerate() {
-            let scanned = scan_bucket_columns(&r, 0, bucket, of).unwrap();
+            let scanned = scan_bucket_columns(std::slice::from_ref(&r), 0, bucket, of).unwrap();
             for &k in scanned.int_col(0).unwrap() {
                 assert_eq!(bucket_of(k, of), bucket);
             }
@@ -157,7 +168,21 @@ mod tests {
 
     #[test]
     fn single_bucket_scan_is_a_full_scan() {
-        let scanned = scan_bucket_columns(&cols(7), 0, 0, 1).unwrap();
+        let scanned = scan_bucket_columns(&[cols(7)], 0, 0, 1).unwrap();
         assert_eq!(scanned.rows(), 7);
+    }
+
+    #[test]
+    fn a_bucket_scan_of_several_fragments_is_one_batch_in_fragment_order() {
+        let fragments = [cols(50), cols(30)];
+        let of = 3;
+        for bucket in 0..of {
+            let both = scan_bucket_columns(&fragments, 0, bucket, of).unwrap();
+            let mut expected = scan_bucket_columns(&fragments[..1], 0, bucket, of).unwrap();
+            let tail = scan_bucket_columns(&fragments[1..], 0, bucket, of).unwrap();
+            expected.append_rows(&tail, 0..tail.rows()).unwrap();
+            assert_eq!(both, expected);
+        }
+        assert_eq!(scan_bucket_columns(&[], 0, 0, of).unwrap().rows(), 0);
     }
 }
