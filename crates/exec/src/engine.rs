@@ -61,7 +61,7 @@ use crate::budget::MemoryBudget;
 use crate::config::{ExecConfig, QueryOptions};
 use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, QueryStatus, ResultStream};
 use crate::metrics::counters::EngineCounters;
-use crate::metrics::{EngineStats, Metrics, MetricsSnapshot};
+use crate::metrics::{EngineStats, Metrics};
 use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
 use crate::operator::{join_op, OutputPort, PhysicalOp};
 use crate::sched::WorkerPool;
@@ -243,13 +243,6 @@ impl Engine {
         stats.fragment_cache_evictions = cache.evictions;
         stats.fragment_cache_bytes = cache.bytes;
         stats
-    }
-
-    /// The accept-listed metrics export built from [`stats`](Self::stats):
-    /// only the series in [`crate::metrics::METRICS_ACCEPT_LIST`], ready
-    /// to render as Prometheus text or JSON.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::from_stats(&self.stats())
     }
 
     /// The engine configuration.

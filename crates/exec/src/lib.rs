@@ -66,8 +66,8 @@ pub use families::{chain_query_sql, generate_family, star_query_sql, FamilyInsta
 pub use faults::{FaultKind, FaultPlan, FaultPoint};
 pub use handle::{BatchPoll, QueryHandle, QueryOutcome, QueryStatus, ResultStream};
 pub use metrics::{
-    EngineStats, HistogramSnapshot, LatencyHistogram, MetricDef, MetricKind, Metrics,
-    MetricsSnapshot, OpMetrics, OpMetricsKind, LATENCY_BUCKET_BOUNDS_MS, METRICS_ACCEPT_LIST,
+    EngineStats, LatencyHistogram, MetricDef, MetricKind, Metrics, OpMetrics, OpMetricsKind,
+    Sample, LATENCY_BUCKET_BOUNDS_MS, METRICS_ACCEPT_LIST,
 };
 pub use operator::{
     AggregateOp, FilterOp, InputMode, LimitOp, OpKind, OpTask, PhysicalOp, PipeliningJoinOp,

@@ -1,25 +1,26 @@
 //! Execution metrics: per-operation aggregates, engine-lifetime counters,
 //! and the accept-listed metrics registry the query server exports.
 //!
-//! Three layers, coarsest last:
-//!
 //! * [`OpMetrics`] / [`Metrics`] — one query's per-operator aggregates
 //!   (tuples, bytes, scheduler steps), attached to its outcome.
 //! * [`EngineStats`] — engine-lifetime counters (completions, rejections,
 //!   guardrail aborts) plus fixed-bucket latency histograms, snapshotted
-//!   **atomically consistently**: the backing `counters::EngineCounters`
-//!   keeps every per-query-grain counter under one mutex, so a snapshot
-//!   taken while N threads hammer queries always satisfies
-//!   `completed + failed + canceled + rejected <= submitted`.
-//! * [`MetricsSnapshot`] — the accept-listed export surface
-//!   ([`METRICS_ACCEPT_LIST`]): only vetted counters/gauges/histograms
-//!   leave the process, rendered as Prometheus text
-//!   ([`MetricsSnapshot::to_prometheus`]) or JSON (serde), following the
-//!   accept-list registry design of production query engines.
+//!   **atomically consistently**: the engine keeps one `EngineStats`
+//!   under one mutex, so a snapshot taken while N threads hammer queries
+//!   always satisfies `completed + failed + canceled + rejected <=
+//!   submitted`.
+//!
+//! What leaves the process is one table over `EngineStats`:
+//! [`METRICS_ACCEPT_LIST`]. Each row names a series, gives its kind and
+//! help text, and reads its [`Sample`] from a snapshot; [`to_prometheus`]
+//! and [`to_json`] render a snapshot by walking the table, so both
+//! formats speak the same series names. Exporting a new series is one
+//! `EngineStats` field and one row.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonValue, Serialize};
 
 /// What kind of operator a metrics row describes. The join DAG's ops are
 /// [`Join`](OpMetricsKind::Join); the post-join pipeline stages carry
@@ -196,8 +197,7 @@ pub const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_MS.len() + 1;
 /// A fixed-bucket latency histogram (`Copy`, no allocation): per-bucket
 /// observation counts plus the running sum, exactly the data a Prometheus
 /// histogram exposition needs. Buckets are **non-cumulative** here;
-/// [`MetricsSnapshot::to_prometheus`] accumulates them into the `le`
-/// form at render time.
+/// [`to_prometheus`] accumulates them into the `le` form at render time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     /// Observations per bucket (index `i` < the bound
@@ -251,9 +251,10 @@ impl LatencyHistogram {
 /// (`queries_completed`, `queries_failed`, `queries_canceled`,
 /// `queries_timed_out`, `queries_stalled`, `budget_aborts`,
 /// `queries_rejected`) never exceeds `queries_submitted` in any snapshot,
-/// even one taken mid-hammer from another thread. (The process-global
-/// batch pool / SIMD tallies are independent relaxed counters and carry
-/// no such cross-field invariant.)
+/// even one taken mid-hammer from another thread. The batch-pool,
+/// gather-row and SIMD tallies are process-global relaxed counters
+/// shared by every engine in the process, and carry no such cross-field
+/// invariant; the plan-cache counts belong to one `Database`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Queries ever submitted, **including** ones admission control
@@ -311,8 +312,9 @@ pub struct EngineStats {
     /// Hot-path kernel calls dispatched to an explicit SIMD body (scalar
     /// fallbacks are not counted).
     pub simd_kernel_dispatches: u64,
-    /// Prepared-statement plan-cache lookups served from the cache
-    /// (process lifetime; pair with `plan_cache_misses` for the hit rate).
+    /// Prepared-statement lookups served from this database's plan cache
+    /// (pair with `plan_cache_misses` for the hit rate). Filled, like the
+    /// two below, by `Database::stats()`; zero in engine-only snapshots.
     pub plan_cache_hits: u64,
     /// Plan-cache lookups that had to re-plan: cold entries, capacity
     /// evictions, and catalog-generation invalidations all land here.
@@ -341,8 +343,8 @@ pub struct EngineStats {
 impl EngineStats {
     /// Queries that reached a terminal state: completed, canceled, failed,
     /// timed out, stalled, or budget-aborted. Rejected submissions never
-    /// ran and are not included. This is the `mj_queries_total` metric,
-    /// and `query_duration.count` equals it exactly.
+    /// ran and are not included. The accept list's first series, and
+    /// `query_duration.count` equals it exactly.
     pub fn queries_total(&self) -> u64 {
         self.queries_completed
             + self.queries_canceled
@@ -384,480 +386,332 @@ impl MetricKind {
     }
 }
 
-/// One entry of the metrics accept list: name, type, help text.
+/// One series read from an [`EngineStats`] snapshot.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Sample<'a> {
+    /// A counter or gauge reading.
+    Value(f64),
+    /// A histogram's buckets, sum and count (in milliseconds; a
+    /// `_seconds` series converts at render time).
+    Histogram(&'a LatencyHistogram),
+}
+
+/// One entry of the metrics accept list: name, type, help text, and how
+/// to read the series from a stats snapshot.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricDef {
     /// Exported metric name (Prometheus conventions: `mj_` prefix,
-    /// `_total` suffix on counters).
+    /// `_total` suffix on counters, `_ms` or `_seconds` on histograms).
     pub name: &'static str,
     /// Counter, gauge, or histogram.
     pub kind: MetricKind,
     /// One-line help text (`# HELP`).
     pub help: &'static str,
+    /// Reads the series: a [`Sample::Value`] for counters and gauges, a
+    /// [`Sample::Histogram`] for histograms.
+    pub read: fn(&EngineStats) -> Sample<'_>,
 }
 
 /// The metrics accept list: **only** these series are exported, in this
-/// order. New telemetry must be added here deliberately — nothing else
-/// leaves the process, which is what keeps the export surface reviewable
-/// (the accept-list registry pattern of production query engines).
+/// order, and this table is the only place a series is named. New
+/// telemetry must be added here deliberately — nothing else leaves the
+/// process, which is what keeps the export surface reviewable (the
+/// accept-list registry pattern of production query engines).
 pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
     MetricDef {
         name: "mj_queries_total",
         kind: MetricKind::Counter,
         help: "Queries that reached a terminal state (any outcome)",
+        read: |s| Sample::Value(s.queries_total() as f64),
     },
     MetricDef {
         name: "mj_queries_submitted_total",
         kind: MetricKind::Counter,
         help: "Queries ever submitted, including admission rejections",
+        read: |s| Sample::Value(s.queries_submitted as f64),
     },
     MetricDef {
         name: "mj_queries_active",
         kind: MetricKind::Gauge,
         help: "Queries admitted and currently running",
+        read: |s| Sample::Value(s.queries_active as f64),
     },
     MetricDef {
         name: "mj_queries_completed_total",
         kind: MetricKind::Counter,
         help: "Queries that completed successfully",
+        read: |s| Sample::Value(s.queries_completed as f64),
     },
     MetricDef {
         name: "mj_operation_processes_total",
         kind: MetricKind::Counter,
         help: "Operation processes started by completed queries (fused operations share one)",
+        read: |s| Sample::Value(s.operation_processes as f64),
     },
     MetricDef {
         name: "mj_queries_canceled_total",
         kind: MetricKind::Counter,
         help: "Queries canceled by the client",
+        read: |s| Sample::Value(s.queries_canceled as f64),
     },
     MetricDef {
         name: "mj_queries_failed_total",
         kind: MetricKind::Counter,
         help: "Queries that failed with an execution error",
+        read: |s| Sample::Value(s.queries_failed as f64),
     },
     MetricDef {
         name: "mj_queries_timed_out_total",
         kind: MetricKind::Counter,
         help: "Queries aborted past their deadline",
+        read: |s| Sample::Value(s.queries_timed_out as f64),
     },
     MetricDef {
         name: "mj_queries_stalled_total",
         kind: MetricKind::Counter,
         help: "Queries aborted by their stall check",
+        read: |s| Sample::Value(s.queries_stalled as f64),
     },
     MetricDef {
         name: "mj_budget_aborts_total",
         kind: MetricKind::Counter,
         help: "Queries aborted for exceeding their memory budget",
+        read: |s| Sample::Value(s.budget_aborts as f64),
     },
     MetricDef {
         name: "mj_admission_rejected_total",
         kind: MetricKind::Counter,
         help: "Submissions rejected by admission control (Overloaded)",
+        read: |s| Sample::Value(s.queries_rejected as f64),
     },
     MetricDef {
         name: "mj_query_duration_ms",
         kind: MetricKind::Histogram,
         help: "Per-query wall-clock duration, submission to terminal state",
+        read: |s| Sample::Histogram(&s.query_duration),
     },
     MetricDef {
         name: "mj_time_to_first_batch_ms",
         kind: MetricKind::Histogram,
         help: "Submission to the client pulling the first result batch",
+        read: |s| Sample::Histogram(&s.time_to_first_batch),
     },
     MetricDef {
         name: "mj_worker_busy",
         kind: MetricKind::Gauge,
         help: "Worker threads currently executing a task step",
+        read: |s| Sample::Value(s.workers_busy as f64),
     },
     MetricDef {
         name: "mj_worker_idle",
         kind: MetricKind::Gauge,
         help: "Worker threads not currently executing a task step",
+        read: |s| Sample::Value(s.workers_total.saturating_sub(s.workers_busy) as f64),
     },
     MetricDef {
         name: "mj_batch_pool_hit_rate",
         kind: MetricKind::Gauge,
         help: "Fraction of batch-pool takes served without allocating",
+        read: |s| Sample::Value(s.batch_pool_hit_rate()),
     },
     MetricDef {
         name: "mj_batch_pool_takes_total",
         kind: MetricKind::Counter,
         help: "Batch-pool buffer takes (process lifetime)",
+        read: |s| Sample::Value(s.batch_pool_takes as f64),
     },
     MetricDef {
         name: "mj_batch_pool_misses_total",
         kind: MetricKind::Counter,
         help: "Batch-pool takes that had to allocate",
+        read: |s| Sample::Value(s.batch_pool_misses as f64),
     },
     MetricDef {
         name: "mj_gather_rows_total",
         kind: MetricKind::Counter,
         help: "Join output rows materialized by gather emission",
+        read: |s| Sample::Value(s.gather_rows as f64),
     },
     MetricDef {
         name: "mj_simd_kernel_dispatches_total",
         kind: MetricKind::Counter,
         help: "Hot-path kernel calls dispatched to a SIMD body",
+        read: |s| Sample::Value(s.simd_kernel_dispatches as f64),
     },
     MetricDef {
         name: "mj_plan_cache_hits_total",
         kind: MetricKind::Counter,
         help: "Prepared-statement plan-cache lookups served from cache",
+        read: |s| Sample::Value(s.plan_cache_hits as f64),
     },
     MetricDef {
         name: "mj_plan_cache_misses_total",
         kind: MetricKind::Counter,
         help: "Plan-cache lookups that re-planned (cold, evicted, or stale)",
+        read: |s| Sample::Value(s.plan_cache_misses as f64),
     },
     MetricDef {
         name: "mj_plan_cache_evictions_total",
         kind: MetricKind::Counter,
         help: "Plan-cache entries evicted (LRU capacity or staleness)",
+        read: |s| Sample::Value(s.plan_cache_evictions as f64),
     },
     MetricDef {
         name: "mj_plan_duration_seconds",
         kind: MetricKind::Histogram,
         help: "Cost-based planning time per plan built (cache hits plan nothing)",
+        read: |s| Sample::Histogram(&s.plan_duration),
     },
     MetricDef {
         name: "mj_fragment_cache_hits_total",
         kind: MetricKind::Counter,
         help: "Base-operand fragment lookups served resident",
+        read: |s| Sample::Value(s.fragment_cache_hits as f64),
     },
     MetricDef {
         name: "mj_fragment_cache_misses_total",
         kind: MetricKind::Counter,
         help: "Fragment lookups that built (cold, evicted, or relation replaced)",
+        read: |s| Sample::Value(s.fragment_cache_misses as f64),
     },
     MetricDef {
         name: "mj_fragment_cache_evictions_total",
         kind: MetricKind::Counter,
         help: "Cached fragment sets dropped (variant cap or replaced relation)",
+        read: |s| Sample::Value(s.fragment_cache_evictions as f64),
     },
     MetricDef {
         name: "mj_fragment_cache_bytes",
         kind: MetricKind::Gauge,
         help: "Logical bytes of resident columnar base fragments",
+        read: |s| Sample::Value(s.fragment_cache_bytes as f64),
     },
     MetricDef {
         name: "mj_panics_contained_total",
         kind: MetricKind::Counter,
         help: "Operator-task panics contained across all queries",
+        read: |s| Sample::Value(s.panics_contained as f64),
     },
     MetricDef {
         name: "mj_peak_bytes",
         kind: MetricKind::Gauge,
         help: "Largest per-query peak of budget-charged bytes",
+        read: |s| Sample::Value(s.peak_bytes as f64),
     },
 ];
 
-/// A rendered histogram in the metrics export: finite bucket bounds (ms),
-/// per-bucket counts (one longer than the bounds — the last entry is the
-/// overflow bucket; JSON has no `+Inf`), sum and count.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Finite bucket upper bounds in milliseconds.
-    pub bounds_ms: Vec<u64>,
-    /// Non-cumulative per-bucket counts; `counts.len() == bounds_ms.len()
-    /// + 1`, the extra entry being the overflow bucket.
-    pub counts: Vec<u64>,
-    /// Sum of all observations in milliseconds.
-    pub sum_ms: f64,
-    /// Total observations.
-    pub count: u64,
-}
-
-impl From<&LatencyHistogram> for HistogramSnapshot {
-    fn from(h: &LatencyHistogram) -> Self {
-        HistogramSnapshot {
-            bounds_ms: LATENCY_BUCKET_BOUNDS_MS.to_vec(),
-            counts: h.buckets.to_vec(),
-            sum_ms: h.sum_ms(),
-            count: h.count,
-        }
-    }
-}
-
-/// The accept-listed metrics export, built from one consistent
-/// [`EngineStats`] snapshot by `Engine::metrics_snapshot()` /
-/// `Database::metrics_snapshot()`. Serializes to JSON via serde; renders
-/// Prometheus text via [`to_prometheus`](Self::to_prometheus). The field
-/// set mirrors [`METRICS_ACCEPT_LIST`] exactly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// `mj_queries_total`.
-    pub queries_total: u64,
-    /// `mj_queries_submitted_total`.
-    pub queries_submitted: u64,
-    /// `mj_queries_active`.
-    pub queries_active: u64,
-    /// `mj_queries_completed_total`.
-    pub queries_completed: u64,
-    /// `mj_operation_processes_total`.
-    pub operation_processes: u64,
-    /// `mj_queries_canceled_total`.
-    pub queries_canceled: u64,
-    /// `mj_queries_failed_total`.
-    pub queries_failed: u64,
-    /// `mj_queries_timed_out_total`.
-    pub queries_timed_out: u64,
-    /// `mj_queries_stalled_total`.
-    pub queries_stalled: u64,
-    /// `mj_budget_aborts_total`.
-    pub budget_aborts: u64,
-    /// `mj_admission_rejected_total`.
-    pub admission_rejected: u64,
-    /// `mj_query_duration_ms`.
-    pub query_duration_ms: HistogramSnapshot,
-    /// `mj_time_to_first_batch_ms`.
-    pub time_to_first_batch_ms: HistogramSnapshot,
-    /// `mj_worker_busy`.
-    pub worker_busy: u64,
-    /// `mj_worker_idle`.
-    pub worker_idle: u64,
-    /// `mj_batch_pool_hit_rate`.
-    pub batch_pool_hit_rate: f64,
-    /// `mj_batch_pool_takes_total`.
-    pub batch_pool_takes: u64,
-    /// `mj_batch_pool_misses_total`.
-    pub batch_pool_misses: u64,
-    /// `mj_gather_rows_total`.
-    pub gather_rows: u64,
-    /// `mj_simd_kernel_dispatches_total`.
-    pub simd_kernel_dispatches: u64,
-    /// `mj_plan_cache_hits_total`.
-    pub plan_cache_hits: u64,
-    /// `mj_plan_cache_misses_total`.
-    pub plan_cache_misses: u64,
-    /// `mj_plan_cache_evictions_total`.
-    pub plan_cache_evictions: u64,
-    /// `mj_plan_duration_seconds` (the snapshot itself is in milliseconds,
-    /// like every [`HistogramSnapshot`]; the Prometheus rendering converts).
-    pub plan_duration_seconds: HistogramSnapshot,
-    /// `mj_fragment_cache_hits_total`.
-    pub fragment_cache_hits: u64,
-    /// `mj_fragment_cache_misses_total`.
-    pub fragment_cache_misses: u64,
-    /// `mj_fragment_cache_evictions_total`.
-    pub fragment_cache_evictions: u64,
-    /// `mj_fragment_cache_bytes`.
-    pub fragment_cache_bytes: u64,
-    /// `mj_panics_contained_total`.
-    pub panics_contained: u64,
-    /// `mj_peak_bytes`.
-    pub peak_bytes: u64,
-}
-
-impl MetricsSnapshot {
-    /// Builds the accept-listed export from one consistent stats snapshot.
-    pub fn from_stats(stats: &EngineStats) -> Self {
-        MetricsSnapshot {
-            queries_total: stats.queries_total(),
-            queries_submitted: stats.queries_submitted,
-            queries_active: stats.queries_active,
-            queries_completed: stats.queries_completed,
-            queries_canceled: stats.queries_canceled,
-            queries_failed: stats.queries_failed,
-            queries_timed_out: stats.queries_timed_out,
-            queries_stalled: stats.queries_stalled,
-            budget_aborts: stats.budget_aborts,
-            admission_rejected: stats.queries_rejected,
-            query_duration_ms: HistogramSnapshot::from(&stats.query_duration),
-            time_to_first_batch_ms: HistogramSnapshot::from(&stats.time_to_first_batch),
-            worker_busy: stats.workers_busy,
-            worker_idle: stats.workers_total.saturating_sub(stats.workers_busy),
-            batch_pool_hit_rate: stats.batch_pool_hit_rate(),
-            batch_pool_takes: stats.batch_pool_takes,
-            batch_pool_misses: stats.batch_pool_misses,
-            operation_processes: stats.operation_processes,
-            gather_rows: stats.gather_rows,
-            simd_kernel_dispatches: stats.simd_kernel_dispatches,
-            plan_cache_hits: stats.plan_cache_hits,
-            plan_cache_misses: stats.plan_cache_misses,
-            plan_cache_evictions: stats.plan_cache_evictions,
-            plan_duration_seconds: HistogramSnapshot::from(&stats.plan_duration),
-            fragment_cache_hits: stats.fragment_cache_hits,
-            fragment_cache_misses: stats.fragment_cache_misses,
-            fragment_cache_evictions: stats.fragment_cache_evictions,
-            fragment_cache_bytes: stats.fragment_cache_bytes,
-            panics_contained: stats.panics_contained,
-            peak_bytes: stats.peak_bytes,
-        }
-    }
-
-    /// The value of one scalar (counter/gauge) accept-list metric by
-    /// exported name; `None` for histograms and unknown names.
-    pub fn scalar(&self, name: &str) -> Option<f64> {
-        Some(match name {
-            "mj_queries_total" => self.queries_total as f64,
-            "mj_queries_submitted_total" => self.queries_submitted as f64,
-            "mj_queries_active" => self.queries_active as f64,
-            "mj_queries_completed_total" => self.queries_completed as f64,
-            "mj_queries_canceled_total" => self.queries_canceled as f64,
-            "mj_queries_failed_total" => self.queries_failed as f64,
-            "mj_queries_timed_out_total" => self.queries_timed_out as f64,
-            "mj_queries_stalled_total" => self.queries_stalled as f64,
-            "mj_budget_aborts_total" => self.budget_aborts as f64,
-            "mj_admission_rejected_total" => self.admission_rejected as f64,
-            "mj_worker_busy" => self.worker_busy as f64,
-            "mj_worker_idle" => self.worker_idle as f64,
-            "mj_batch_pool_hit_rate" => self.batch_pool_hit_rate,
-            "mj_batch_pool_takes_total" => self.batch_pool_takes as f64,
-            "mj_batch_pool_misses_total" => self.batch_pool_misses as f64,
-            "mj_operation_processes_total" => self.operation_processes as f64,
-            "mj_gather_rows_total" => self.gather_rows as f64,
-            "mj_simd_kernel_dispatches_total" => self.simd_kernel_dispatches as f64,
-            "mj_plan_cache_hits_total" => self.plan_cache_hits as f64,
-            "mj_plan_cache_misses_total" => self.plan_cache_misses as f64,
-            "mj_plan_cache_evictions_total" => self.plan_cache_evictions as f64,
-            "mj_fragment_cache_hits_total" => self.fragment_cache_hits as f64,
-            "mj_fragment_cache_misses_total" => self.fragment_cache_misses as f64,
-            "mj_fragment_cache_evictions_total" => self.fragment_cache_evictions as f64,
-            "mj_fragment_cache_bytes" => self.fragment_cache_bytes as f64,
-            "mj_panics_contained_total" => self.panics_contained as f64,
-            "mj_peak_bytes" => self.peak_bytes as f64,
-            _ => return None,
-        })
-    }
-
-    /// The histogram behind an accept-list histogram metric name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        match name {
-            "mj_query_duration_ms" => Some(&self.query_duration_ms),
-            "mj_time_to_first_batch_ms" => Some(&self.time_to_first_batch_ms),
-            "mj_plan_duration_seconds" => Some(&self.plan_duration_seconds),
-            _ => None,
-        }
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format:
-    /// `# HELP` / `# TYPE` per series, cumulative `_bucket{le=...}` lines
-    /// (including `+Inf`) plus `_sum` / `_count` for histograms — in the
-    /// unit the series name ends in (`_ms` or `_seconds`).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for def in METRICS_ACCEPT_LIST {
-            out.push_str(&format!("# HELP {} {}\n", def.name, def.help));
-            out.push_str(&format!(
-                "# TYPE {} {}\n",
-                def.name,
-                def.kind.prometheus_type()
-            ));
-            match def.kind {
-                MetricKind::Counter | MetricKind::Gauge => {
-                    let v = self
-                        .scalar(def.name)
-                        .expect("accept-list scalar metric must resolve");
-                    out.push_str(&format!("{} {}\n", def.name, fmt_value(v)));
-                }
-                MetricKind::Histogram => {
-                    let h = self
-                        .histogram(def.name)
-                        .expect("accept-list histogram metric must resolve");
-                    let per_unit = if def.name.ends_with("_seconds") {
-                        1000.0
-                    } else {
-                        1.0
-                    };
-                    let mut cum = 0u64;
-                    for (i, &bound) in h.bounds_ms.iter().enumerate() {
-                        cum += h.counts[i];
-                        out.push_str(&format!(
-                            "{}_bucket{{le=\"{}\"}} {}\n",
-                            def.name,
-                            fmt_value(bound as f64 / per_unit),
-                            cum
-                        ));
-                    }
-                    cum += h.counts.last().copied().unwrap_or(0);
-                    out.push_str(&format!("{}_bucket{{le=\"+Inf\"}} {}\n", def.name, cum));
-                    // Whole microseconds, divided once: `0.000636`, not
-                    // the `0.0006360000000000001` of `sum_ms / 1000`.
-                    let sum = fmt_value((h.sum_ms * 1e3).round() / (1e3 * per_unit));
-                    out.push_str(&format!("{}_sum {sum}\n", def.name));
-                    out.push_str(&format!("{}_count {}\n", def.name, h.count));
-                }
+/// Renders `stats` in the Prometheus text exposition format, one
+/// `# HELP` / `# TYPE` block per [`METRICS_ACCEPT_LIST`] row: the value
+/// of a counter or gauge; cumulative `_bucket{le=...}` lines (including
+/// `+Inf`) plus `_sum` / `_count` for a histogram, in the unit its name
+/// ends in (`_ms` or `_seconds`).
+pub fn to_prometheus(stats: &EngineStats) -> String {
+    let mut out = String::new();
+    for def in METRICS_ACCEPT_LIST {
+        let name = def.name;
+        let _ = writeln!(out, "# HELP {name} {}", def.help);
+        let _ = writeln!(out, "# TYPE {name} {}", def.kind.prometheus_type());
+        let h = match (def.read)(stats) {
+            Sample::Value(v) => {
+                let _ = writeln!(out, "{name} {}", fmt_value(v));
+                continue;
             }
+            Sample::Histogram(h) => h,
+        };
+        let per_unit = if name.ends_with("_seconds") { 1e3 } else { 1.0 };
+        let mut cum = 0;
+        for (bound, n) in LATENCY_BUCKET_BOUNDS_MS.iter().zip(&h.buckets) {
+            cum += n;
+            let le = fmt_value(*bound as f64 / per_unit);
+            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
         }
-        out
+        cum += h.buckets[LATENCY_BUCKETS - 1];
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
+        // Whole microseconds, divided once: `0.000636`, not the
+        // `0.0006360000000000001` of `sum_ms / 1000`.
+        let sum = fmt_value(h.sum_us as f64 / (1e3 * per_unit));
+        let _ = writeln!(out, "{name}_sum {sum}");
+        let _ = writeln!(out, "{name}_count {}", h.count);
     }
+    out
+}
+
+/// Renders `stats` as one JSON object keyed by [`METRICS_ACCEPT_LIST`]
+/// series name, in table order: a number per counter or gauge, and
+/// `{"bounds_ms", "counts", "sum_ms", "count"}` per histogram (`counts`
+/// is non-cumulative and one longer than `bounds_ms`, the last entry
+/// being the overflow bucket: JSON has no `+Inf`).
+pub fn to_json(stats: &EngineStats) -> JsonValue {
+    let series = METRICS_ACCEPT_LIST.iter().map(|def| {
+        let value = match (def.read)(stats) {
+            Sample::Value(v) => integral(v).map_or(JsonValue::Float(v), JsonValue::Int),
+            Sample::Histogram(h) => JsonValue::Obj(vec![
+                ("bounds_ms".to_string(), LATENCY_BUCKET_BOUNDS_MS.to_json()),
+                ("counts".to_string(), h.buckets.to_json()),
+                ("sum_ms".to_string(), JsonValue::Float(h.sum_ms())),
+                ("count".to_string(), h.count.to_json()),
+            ]),
+        };
+        (def.name.to_string(), value)
+    });
+    JsonValue::Obj(series.collect())
+}
+
+/// `v` as an integer when it is one (and small enough to print exactly).
+fn integral(v: f64) -> Option<i64> {
+    (v.fract() == 0.0 && v.abs() < 1e15).then_some(v as i64)
 }
 
 /// Prometheus sample formatting: integral values render without a
 /// fractional part, everything else as plain decimal.
 fn fmt_value(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
+    integral(v).map_or_else(|| format!("{v}"), |i| i.to_string())
 }
 
 pub(crate) mod counters {
     //! Consistent backing store for [`EngineStats`](super::EngineStats).
     //!
-    //! One mutex guards every per-query-grain counter, so `snapshot()`
+    //! One mutex guards the engine's `EngineStats`, so `snapshot()`
     //! returns an atomically consistent view (the invariant the stats
     //! hammer test checks). Updates happen once per query lifecycle event
     //! — submission, rejection, first batch, terminal record — so the lock
     //! is uncontended relative to tuple work; per-tuple tallies (batch
-    //! pool, SIMD dispatches) remain process-global relaxed atomics and
-    //! are folded in at snapshot time.
+    //! pool, gather rows, SIMD dispatches) remain process-global relaxed
+    //! atomics and are folded in at snapshot time.
 
-    use super::{EngineStats, LatencyHistogram};
+    use super::EngineStats;
     use crate::handle::QueryOutcome;
     use mj_relalg::{RelalgError, Result};
-    use std::sync::{Mutex, PoisonError};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::time::Duration;
-
-    /// The mutex-guarded counter cells.
-    #[derive(Debug, Default)]
-    struct Cells {
-        submitted: u64,
-        active: u64,
-        completed: u64,
-        canceled: u64,
-        failed: u64,
-        rejected: u64,
-        timed_out: u64,
-        stalled: u64,
-        budget_aborts: u64,
-        panics_contained: u64,
-        operation_processes: u64,
-        peak_bytes: u64,
-        query_duration: LatencyHistogram,
-        time_to_first_batch: LatencyHistogram,
-    }
 
     /// Shared counters owned by the engine; the submission path and each
     /// query's conclusion record into them.
     #[derive(Debug, Default)]
     pub struct EngineCounters {
-        cells: Mutex<Cells>,
+        stats: Mutex<EngineStats>,
     }
 
     impl EngineCounters {
-        fn lock(&self) -> std::sync::MutexGuard<'_, Cells> {
-            self.cells.lock().unwrap_or_else(PoisonError::into_inner)
+        fn lock(&self) -> MutexGuard<'_, EngineStats> {
+            self.stats.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
         /// Counts one submission attempt (before admission control, so
         /// rejected submissions are included in `queries_submitted`).
         pub fn note_submitted(&self) {
-            self.lock().submitted += 1;
+            self.lock().queries_submitted += 1;
         }
 
         /// Counts one admission rejection (`Overloaded`).
         pub fn note_rejected(&self) {
-            self.lock().rejected += 1;
+            self.lock().queries_rejected += 1;
         }
 
         /// Counts one admitted query entering execution (raises the
         /// `queries_active` gauge; `record` lowers it).
         pub fn note_started(&self) {
-            self.lock().active += 1;
+            self.lock().queries_active += 1;
         }
 
         /// Records the client pulling the first result batch `ttfb` after
@@ -875,61 +729,35 @@ pub(crate) mod counters {
             peak: u64,
             took: Duration,
         ) {
-            let mut c = self.lock();
-            c.active = c.active.saturating_sub(1);
-            c.panics_contained += panics;
-            c.peak_bytes = c.peak_bytes.max(peak);
-            c.query_duration.observe(took);
+            let mut s = self.lock();
+            s.queries_active = s.queries_active.saturating_sub(1);
+            s.panics_contained += panics;
+            s.peak_bytes = s.peak_bytes.max(peak);
+            s.query_duration.observe(took);
             match result {
                 Ok(outcome) => {
-                    c.completed += 1;
-                    c.operation_processes += outcome.metrics.processes as u64;
+                    s.queries_completed += 1;
+                    s.operation_processes += outcome.metrics.processes as u64;
                 }
-                Err(RelalgError::Canceled) => c.canceled += 1,
-                Err(RelalgError::DeadlineExceeded) => c.timed_out += 1,
-                Err(RelalgError::Stalled(_)) => c.stalled += 1,
-                Err(RelalgError::ResourceExhausted { .. }) => c.budget_aborts += 1,
-                Err(_) => c.failed += 1,
+                Err(RelalgError::Canceled) => s.queries_canceled += 1,
+                Err(RelalgError::DeadlineExceeded) => s.queries_timed_out += 1,
+                Err(RelalgError::Stalled(_)) => s.queries_stalled += 1,
+                Err(RelalgError::ResourceExhausted { .. }) => s.budget_aborts += 1,
+                Err(_) => s.queries_failed += 1,
             }
         }
 
-        /// One atomically consistent snapshot: every per-query counter is
-        /// read under the same lock acquisition.
+        /// One atomically consistent snapshot of every per-query counter
+        /// (one lock acquisition), with the process-global tallies folded
+        /// in. The engine overlays its pool and fragment-cache gauges, and
+        /// the session its plan-cache counts and planning histogram.
         pub fn snapshot(&self) -> EngineStats {
-            let c = self.lock();
             EngineStats {
-                queries_submitted: c.submitted,
-                queries_active: c.active,
-                queries_completed: c.completed,
-                queries_canceled: c.canceled,
-                queries_failed: c.failed,
-                queries_rejected: c.rejected,
-                queries_timed_out: c.timed_out,
-                queries_stalled: c.stalled,
-                budget_aborts: c.budget_aborts,
-                panics_contained: c.panics_contained,
-                operation_processes: c.operation_processes,
-                peak_bytes: c.peak_bytes,
-                query_duration: c.query_duration,
-                time_to_first_batch: c.time_to_first_batch,
-                // The engine overlays live pool gauges; a bare counter
-                // snapshot has no pool to ask.
-                workers_busy: 0,
-                workers_total: 0,
                 batch_pool_takes: crate::stream::pool_takes(),
                 batch_pool_misses: crate::stream::pool_misses(),
                 gather_rows: mj_join::gather_rows(),
                 simd_kernel_dispatches: mj_relalg::simd::kernel_dispatches(),
-                plan_cache_hits: crate::session::plan_cache_hits(),
-                plan_cache_misses: crate::session::plan_cache_misses(),
-                plan_cache_evictions: crate::session::plan_cache_evictions(),
-                // Planning happens in the session layer, which overlays it.
-                plan_duration: LatencyHistogram::default(),
-                // The engine overlays its fragment cache's counters.
-                fragment_cache_hits: 0,
-                fragment_cache_misses: 0,
-                fragment_cache_evictions: 0,
-                fragment_cache_bytes: 0,
+                ..*self.lock()
             }
         }
     }
@@ -991,62 +819,107 @@ mod tests {
         assert!((h.sum_ms() - (0.3 + 1.0 + 3.0 + 600.0 + 60_000.0)).abs() < 1e-6);
     }
 
-    #[test]
-    fn prometheus_rendering_covers_the_accept_list() {
-        let mut stats = EngineStats {
-            queries_submitted: 7,
-            queries_completed: 5,
-            queries_rejected: 2,
-            workers_total: 4,
-            workers_busy: 1,
+    /// Every field a distinct value, a few observations in each histogram:
+    /// the stats behind `testdata/metrics.prom`.
+    fn golden_stats() -> EngineStats {
+        let mut s = EngineStats {
+            queries_submitted: 101,
+            queries_active: 2,
+            queries_completed: 83,
+            queries_canceled: 3,
+            queries_failed: 4,
+            queries_rejected: 5,
+            queries_timed_out: 6,
+            queries_stalled: 7,
+            budget_aborts: 8,
+            panics_contained: 9,
+            operation_processes: 211,
+            peak_bytes: 1_048_577,
+            workers_busy: 3,
+            workers_total: 8,
+            batch_pool_takes: 4000,
+            batch_pool_misses: 17,
+            gather_rows: 123_456,
+            simd_kernel_dispatches: 789,
+            plan_cache_hits: 41,
+            plan_cache_misses: 12,
+            plan_cache_evictions: 2,
+            fragment_cache_hits: 55,
+            fragment_cache_misses: 13,
+            fragment_cache_evictions: 1,
+            fragment_cache_bytes: 65_536,
             ..EngineStats::default()
         };
-        stats.query_duration.observe(Duration::from_millis(4));
-        stats.plan_duration.observe(Duration::from_micros(250));
-        stats.plan_duration.observe(Duration::from_millis(7));
-        let snap = MetricsSnapshot::from_stats(&stats);
-        let text = snap.to_prometheus();
-        for def in METRICS_ACCEPT_LIST {
-            assert!(
-                text.contains(&format!("# TYPE {} ", def.name)),
-                "missing TYPE line for {}",
-                def.name
-            );
+        for us in [300, 1_000, 4_200, 73_000, 6_000_000] {
+            s.query_duration.observe(Duration::from_micros(us));
         }
-        assert!(text.contains("mj_queries_completed_total 5"));
-        assert!(text.contains("mj_worker_idle 3"));
-        assert!(text.contains("mj_query_duration_ms_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("mj_query_duration_ms_count 1"));
-        // A `_seconds` series renders bounds and sum in seconds.
-        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.001\"} 1\n"));
-        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.005\"} 1\n"));
-        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"0.01\"} 2\n"));
-        assert!(text.contains("mj_plan_duration_seconds_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("mj_plan_duration_seconds_sum 0.00725\n"));
-        assert!(text.contains("mj_plan_duration_seconds_count 2\n"));
-        // Cumulative le buckets are monotone.
-        let cum: Vec<u64> = text
-            .lines()
-            .filter(|l| l.starts_with("mj_query_duration_ms_bucket"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-            .collect();
-        assert!(cum.windows(2).all(|w| w[0] <= w[1]));
+        for us in [800, 2_500, 11_000] {
+            s.time_to_first_batch.observe(Duration::from_micros(us));
+        }
+        for us in [250, 636, 7_000, 1_200_000] {
+            s.plan_duration.observe(Duration::from_micros(us));
+        }
+        s
+    }
+
+    /// `testdata/metrics.prom` pins the exposition of [`golden_stats`]
+    /// byte for byte: series, order, help text, cumulative `le` buckets
+    /// and the `_seconds` conversion. Scrapers depend on all of it, so
+    /// regenerate the file only when moving the exposition is the point.
+    #[test]
+    fn prometheus_exposition_matches_the_golden_file() {
+        let golden = include_str!("../testdata/metrics.prom");
+        assert_eq!(to_prometheus(&golden_stats()), golden);
     }
 
     #[test]
-    fn snapshot_roundtrips_through_json() {
-        let mut stats = EngineStats {
-            queries_submitted: 3,
-            queries_completed: 3,
-            ..EngineStats::default()
+    fn accept_list_rows_are_well_formed_and_json_has_one_key_each() {
+        let stats = golden_stats();
+        let mut seen = std::collections::HashSet::new();
+        for def in METRICS_ACCEPT_LIST {
+            let name = def.name;
+            assert!(seen.insert(name), "{name} is listed twice");
+            assert!(name.starts_with("mj_"), "{name}");
+            let sample = (def.read)(&stats);
+            match def.kind {
+                MetricKind::Counter => {
+                    assert!(name.ends_with("_total"), "{name}");
+                    assert!(matches!(sample, Sample::Value(_)), "{name}");
+                }
+                MetricKind::Gauge => assert!(matches!(sample, Sample::Value(_)), "{name}"),
+                MetricKind::Histogram => {
+                    assert!(
+                        name.ends_with("_ms") || name.ends_with("_seconds"),
+                        "{name}"
+                    );
+                    assert!(matches!(sample, Sample::Histogram(_)), "{name}");
+                }
+            }
+        }
+
+        let text = serde_json::to_string(&to_json(&stats)).unwrap();
+        let json: JsonValue = serde_json::from_str(&text).unwrap();
+        let JsonValue::Obj(pairs) = &json else {
+            panic!("not an object: {text}");
         };
-        stats.query_duration.observe(Duration::from_millis(12));
-        let snap = MetricsSnapshot::from_stats(&stats);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.queries_total, 3);
-        assert_eq!(back.query_duration_ms.count, 1);
-        assert_eq!(back.query_duration_ms.counts, snap.query_duration_ms.counts);
-        assert_eq!(back.plan_duration_seconds, snap.plan_duration_seconds);
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        let rows: Vec<&str> = METRICS_ACCEPT_LIST.iter().map(|d| d.name).collect();
+        assert_eq!(keys, rows);
+        assert_eq!(json.get("mj_queries_total"), Some(&JsonValue::Int(111)));
+        assert_eq!(json.get("mj_worker_idle"), Some(&JsonValue::Int(5)));
+        assert_eq!(
+            json.get("mj_batch_pool_hit_rate"),
+            Some(&JsonValue::Float(0.99575))
+        );
+        let plan = json.get("mj_plan_duration_seconds").unwrap();
+        let bounds = LATENCY_BUCKET_BOUNDS_MS.map(|b| JsonValue::Int(b as i64));
+        assert_eq!(
+            plan.get("bounds_ms"),
+            Some(&JsonValue::Arr(bounds.to_vec()))
+        );
+        let counts = [2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0].map(JsonValue::Int);
+        assert_eq!(plan.get("counts"), Some(&JsonValue::Arr(counts.to_vec())));
+        assert_eq!(plan.get("sum_ms"), Some(&JsonValue::Float(1207.886)));
+        assert_eq!(plan.get("count"), Some(&JsonValue::Int(4)));
     }
 }

@@ -225,7 +225,7 @@ struct Shared {
     submitted: AtomicU64,
     /// Steps executed across all workers (diagnostics).
     steps: AtomicU64,
-    /// Workers currently inside a task step (the `mj_worker_busy` gauge;
+    /// Workers currently inside a task step (`EngineStats::workers_busy`;
     /// workers waiting on the queue condvar or requeueing are idle).
     busy: AtomicU64,
     /// Task panics the pool's backstop `catch_unwind` contained

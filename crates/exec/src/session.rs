@@ -27,8 +27,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mj_plan::parse::{
@@ -43,7 +42,7 @@ use mj_storage::Catalog;
 use crate::config::{ExecConfig, QueryOptions};
 use crate::engine::Engine;
 use crate::handle::QueryHandle;
-use crate::metrics::{EngineStats, LatencyHistogram, MetricsSnapshot};
+use crate::metrics::{EngineStats, LatencyHistogram};
 use crate::planner::{PlannedQuery, Planner, PlannerOptions};
 
 /// The top-level error of the session API, unifying the per-crate error
@@ -200,25 +199,6 @@ impl From<RelalgError> for MjError {
 /// Result alias of the session API.
 pub type MjResult<T> = std::result::Result<T, MjError>;
 
-// Process-global plan-cache tallies, following the relaxed-atomics pattern
-// of the batch-pool counters: the cache records hits/misses/evictions here
-// and `EngineStats` folds them in at snapshot time.
-static PLAN_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static PLAN_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static PLAN_CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn plan_cache_hits() -> u64 {
-    PLAN_CACHE_HITS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn plan_cache_misses() -> u64 {
-    PLAN_CACHE_MISSES.load(Ordering::Relaxed)
-}
-
-pub(crate) fn plan_cache_evictions() -> u64 {
-    PLAN_CACHE_EVICTIONS.load(Ordering::Relaxed)
-}
-
 /// Default capacity of a [`Database`]'s prepared-statement plan cache.
 pub const PLAN_CACHE_CAPACITY: usize = 64;
 
@@ -298,7 +278,8 @@ impl fmt::Debug for PreparedStatement {
 /// Entries carry the catalog generation they were planned against; a
 /// lookup whose entry is stale counts as a miss (and the refreshed plan
 /// replaces the stale entry, counting an eviction). Eviction under
-/// capacity pressure removes the least-recently-used entry.
+/// capacity pressure removes the least-recently-used entry. The hit,
+/// miss and eviction counts are this cache's own, kept under its lock.
 struct PlanCache {
     capacity: usize,
     inner: Mutex<PlanCacheInner>,
@@ -309,6 +290,9 @@ struct PlanCacheInner {
     entries: HashMap<String, PlanCacheSlot>,
     /// Monotonic use counter backing the LRU order.
     tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 struct PlanCacheSlot {
@@ -328,17 +312,18 @@ impl PlanCache {
     /// `generation`. A fresh entry is a hit; a stale or absent entry is a
     /// miss (stale entries are left in place — `insert` replaces them).
     fn get(&self, key: &str, generation: u64) -> Option<Arc<PreparedStatement>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(key) {
             Some(slot) if slot.stmt.generation == generation => {
                 slot.last_used = tick;
-                PLAN_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                Some(slot.stmt.clone())
+                let stmt = slot.stmt.clone();
+                inner.hits += 1;
+                Some(stmt)
             }
             _ => {
-                PLAN_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+                inner.misses += 1;
                 None
             }
         }
@@ -348,13 +333,13 @@ impl PlanCache {
     /// cache is full (replacing a stale entry under the same key also
     /// counts as an eviction).
     fn insert(&self, key: String, stmt: Arc<PreparedStatement>) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(slot) = inner.entries.get_mut(&key) {
-            PLAN_CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
             slot.stmt = stmt;
             slot.last_used = tick;
+            inner.evictions += 1;
             return;
         }
         if inner.entries.len() >= self.capacity {
@@ -365,7 +350,7 @@ impl PlanCache {
                 .map(|(k, _)| k.clone())
             {
                 inner.entries.remove(&lru);
-                PLAN_CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
+                inner.evictions += 1;
             }
         }
         inner.entries.insert(
@@ -378,11 +363,19 @@ impl PlanCache {
     }
 
     fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len()
+        self.lock().entries.len()
+    }
+
+    /// Copies this cache's hit, miss and eviction counts into `stats`.
+    fn overlay(&self, stats: &mut EngineStats) {
+        let inner = self.lock();
+        stats.plan_cache_hits = inner.hits;
+        stats.plan_cache_misses = inner.misses;
+        stats.plan_cache_evictions = inner.evictions;
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PlanCacheInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -502,7 +495,7 @@ pub struct Database {
     /// Shared prepared-statement plan cache (bounded LRU, generation-
     /// validated against the catalog).
     plan_cache: PlanCache,
-    /// How long each planner run took (`mj_plan_duration_seconds`).
+    /// How long each planner run took (`EngineStats::plan_duration`).
     plan_duration: Mutex<LatencyHistogram>,
 }
 
@@ -594,7 +587,7 @@ impl Database {
     }
 
     /// Runs the planner on a bound query, observing how long it took
-    /// (`mj_plan_duration_seconds`).
+    /// (`EngineStats::plan_duration`).
     fn plan_bound(&self, query: &JoinQuery, spec: &SelectSpec) -> MjResult<PlannedQuery> {
         let started = Instant::now();
         let planned = self.planner.plan_select(query, spec);
@@ -724,19 +717,15 @@ impl Database {
     /// under a single lock), so `queries_completed + queries_failed +
     /// queries_canceled + queries_timed_out + queries_stalled +
     /// budget_aborts + queries_rejected <= queries_submitted` holds even
-    /// when polled concurrently with running queries.
+    /// when polled concurrently with running queries. This database's
+    /// plan-cache counts and planning histogram are overlaid. The query
+    /// server renders it through [`crate::metrics::to_prometheus`]
+    /// (`GET /metrics`) and [`crate::metrics::to_json`].
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.engine.stats();
         stats.plan_duration = *self.plan_duration.lock().unwrap_or_else(|e| e.into_inner());
+        self.plan_cache.overlay(&mut stats);
         stats
-    }
-
-    /// The accept-listed metrics export ([`crate::metrics::METRICS_ACCEPT_LIST`])
-    /// built from one consistent [`stats`](Self::stats) snapshot — what
-    /// the query server serves as `GET /metrics` (Prometheus text via
-    /// [`MetricsSnapshot::to_prometheus`]) and as JSON (serde).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot::from_stats(&self.stats())
     }
 
     /// Plans and submits an already-validated [`JoinQuery`] (the
@@ -1399,10 +1388,19 @@ mod tests {
         assert_eq!(got.len(), 2, "ids 30 and 31 remain");
     }
 
+    fn plan_cache_counts(db: &Database) -> (u64, u64, u64) {
+        let s = db.stats();
+        (
+            s.plan_cache_hits,
+            s.plan_cache_misses,
+            s.plan_cache_evictions,
+        )
+    }
+
     #[test]
     fn plan_cache_hits_and_catalog_invalidation() {
         let db = small_db();
-        let before = db.stats();
+        assert_eq!(plan_cache_counts(&db), (0, 0, 0));
         let s1 = db.prepare(PREPARED_TEXT).unwrap();
         // Same statement, different whitespace: one shared cache entry.
         let s2 = db
@@ -1412,22 +1410,32 @@ mod tests {
             )
             .unwrap();
         assert!(Arc::ptr_eq(&s1, &s2), "whitespace variants share the plan");
-        let mid = db.stats();
-        assert!(mid.plan_cache_hits > before.plan_cache_hits);
-        assert!(mid.plan_cache_misses > before.plan_cache_misses);
+        assert_eq!(plan_cache_counts(&db), (1, 1, 0));
 
-        // `register` bumps the catalog generation: next prepare re-plans.
+        // `register` bumps the catalog generation: next prepare re-plans,
+        // and the fresh plan replaces the stale entry (an eviction).
         db.register("extra", rel(&["id"], 4)).unwrap();
         let s3 = db.prepare(PREPARED_TEXT).unwrap();
         assert!(!Arc::ptr_eq(&s1, &s3), "stale plan must be replaced");
-        let after_register = db.stats();
-        assert!(after_register.plan_cache_misses > mid.plan_cache_misses);
+        assert_eq!(plan_cache_counts(&db), (1, 2, 1));
 
         // `analyze` is a statistics write: it invalidates too.
         db.analyze().unwrap();
         let s4 = db.prepare(PREPARED_TEXT).unwrap();
         assert!(!Arc::ptr_eq(&s3, &s4));
-        assert!(db.stats().plan_cache_misses > after_register.plan_cache_misses);
+        assert_eq!(plan_cache_counts(&db), (1, 3, 2));
+    }
+
+    #[test]
+    fn plan_cache_counts_belong_to_their_database() {
+        let (a, b) = (small_db(), small_db());
+        a.prepare(PREPARED_TEXT).unwrap();
+        let (hits, misses, evictions) = plan_cache_counts(&a);
+        a.prepare(PREPARED_TEXT).unwrap(); // a hit
+        a.register("extra", rel(&["id"], 4)).unwrap();
+        a.prepare(PREPARED_TEXT).unwrap(); // stale: a miss and an eviction
+        assert_eq!(plan_cache_counts(&a), (hits + 1, misses + 1, evictions + 1));
+        assert_eq!(plan_cache_counts(&b), (0, 0, 0), "a's traffic leaked");
     }
 
     #[test]
@@ -1446,11 +1454,7 @@ mod tests {
         assert_eq!(h.count, 3);
         assert_eq!(h.buckets.iter().sum::<u64>(), h.count);
         assert!(h.sum_us > 0);
-        let snap = db.metrics_snapshot();
-        assert_eq!(snap.plan_duration_seconds.count, 3);
-        assert_eq!(snap.plan_duration_seconds.counts.iter().sum::<u64>(), 3);
-        assert!(snap
-            .to_prometheus()
+        assert!(crate::metrics::to_prometheus(&db.stats())
             .contains("mj_plan_duration_seconds_count 3\n"));
     }
 
@@ -1506,7 +1510,6 @@ mod tests {
     #[test]
     fn plan_cache_is_bounded_with_lru_eviction() {
         let db = small_db();
-        let evictions_before = db.stats().plan_cache_evictions;
         for i in 0..(PLAN_CACHE_CAPACITY + 8) {
             db.prepare(&format!(
                 "SELECT * FROM users JOIN orders \
@@ -1514,7 +1517,7 @@ mod tests {
             ))
             .unwrap();
         }
-        assert!(db.plan_cache_len() <= PLAN_CACHE_CAPACITY);
-        assert!(db.stats().plan_cache_evictions >= evictions_before + 8);
+        assert_eq!(db.plan_cache_len(), PLAN_CACHE_CAPACITY);
+        assert_eq!(db.stats().plan_cache_evictions, 8);
     }
 }

@@ -119,10 +119,18 @@ fn second_identical_query_builds_nothing() {
     assert_eq!(db.engine().store().total_bytes(), 0);
 
     // The counters are what an operator sees on /metrics.
-    let exported = db.metrics_snapshot();
+    let exported = db.stats();
     assert_eq!(exported.fragment_cache_misses, after.misses);
     assert_eq!(exported.fragment_cache_hits, after.hits);
     assert_eq!(exported.fragment_cache_bytes, after.bytes);
+    let text = mj_exec::metrics::to_prometheus(&exported);
+    for line in [
+        format!("mj_fragment_cache_misses_total {}\n", after.misses),
+        format!("mj_fragment_cache_hits_total {}\n", after.hits),
+        format!("mj_fragment_cache_bytes {}\n", after.bytes),
+    ] {
+        assert!(text.contains(&line), "{line}");
+    }
 }
 
 #[test]

@@ -317,7 +317,7 @@ impl Conn {
             if !self.saw_line {
                 self.saw_line = true;
                 if let Some(format) = http_metrics_request(&line) {
-                    let response = http_metrics_response(&db.metrics_snapshot(), format);
+                    let response = http_metrics_response(&db.stats(), format);
                     self.write_buf.extend_from_slice(response.as_bytes());
                     self.closing = true;
                     self.read_buf.clear();
@@ -370,7 +370,7 @@ impl Conn {
                         continue;
                     }
                     Some(Ok(Request::Metrics(format))) => {
-                        self.push_line(metrics_frame(&db.metrics_snapshot(), format));
+                        self.push_line(metrics_frame(&db.stats(), format));
                         progress = true;
                         continue;
                     }

@@ -23,9 +23,14 @@
 //! {"closed": {"id": 1}}
 //! {"error": {"code": "parse", "message": "...", "span": {"start": 7, "end": 9}}}
 //! {"error": {"code": "overloaded", "message": "...", "span": null, "queue_depth": 16}}
-//! {"metrics": { ...accept-listed snapshot... }}     // answer to {"metrics":"json"}
-//! {"metrics_text": "# HELP mj_queries_total ..."}   // answer to {"metrics":"prometheus"}
+//! {"metrics": {"<series>": 7, ...}}                 // answer to {"metrics":"json"}
+//! {"metrics_text": "# HELP <series> ..."}          // answer to {"metrics":"prometheus"}
 //! ```
+//!
+//! The `metrics` object is keyed by series name, one key per row of
+//! [`mj_exec::METRICS_ACCEPT_LIST`] in table order: the names the
+//! Prometheus text uses. A counter or gauge is a number, a histogram
+//! `{"bounds_ms": [...], "counts": [...], "sum_ms": ..., "count": ...}`.
 //!
 //! Every request gets exactly one terminal frame (`done`, `error`,
 //! `prepared`, `closed`, `metrics`, or `metrics_text`); responses to
@@ -63,7 +68,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use mj_exec::stream::Batch;
-use mj_exec::{MjError, QueryOptions};
+use mj_exec::{metrics, EngineStats, MjError, QueryOptions};
 use mj_plan::parse::Span;
 use mj_relalg::{Column, Value};
 use serde::{JsonValue, Serialize};
@@ -90,7 +95,8 @@ pub const BIN_VAL_STR: u8 = 0x01;
 /// How the client wants the metrics snapshot rendered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricsFormat {
-    /// The accept-listed snapshot as a JSON object (`{"metrics": {...}}`).
+    /// The accept-listed series as a JSON object keyed by series name
+    /// (`{"metrics": {...}}`).
     Json,
     /// Prometheus text exposition, JSON-escaped (`{"metrics_text": "..."}`).
     Prometheus,
@@ -822,18 +828,17 @@ pub fn done_frame(rows: u64, elapsed: Duration, time_to_first_batch: Option<Dura
     )]))
 }
 
-/// Renders the `metrics` / `metrics_text` reply frame.
-pub fn metrics_frame(snapshot: &mj_exec::MetricsSnapshot, format: MetricsFormat) -> String {
-    match format {
-        MetricsFormat::Json => to_line(&JsonValue::Obj(vec![(
-            "metrics".to_string(),
-            snapshot.to_json(),
-        )])),
-        MetricsFormat::Prometheus => to_line(&JsonValue::Obj(vec![(
-            "metrics_text".to_string(),
-            JsonValue::Str(snapshot.to_prometheus()),
-        )])),
-    }
+/// Renders the `metrics` / `metrics_text` reply frame of one stats
+/// snapshot (`Database::stats()`).
+pub fn metrics_frame(stats: &EngineStats, format: MetricsFormat) -> String {
+    let (key, value) = match format {
+        MetricsFormat::Json => ("metrics", metrics::to_json(stats)),
+        MetricsFormat::Prometheus => (
+            "metrics_text",
+            JsonValue::Str(metrics::to_prometheus(stats)),
+        ),
+    };
+    to_line(&JsonValue::Obj(vec![(key.to_string(), value)]))
 }
 
 /// Detects an HTTP `GET /metrics` request line; returns the format the
@@ -853,14 +858,12 @@ pub fn http_metrics_request(line: &[u8]) -> Option<MetricsFormat> {
     }
 }
 
-/// Renders a minimal HTTP/1.0 response carrying the metrics exposition.
-pub fn http_metrics_response(snapshot: &mj_exec::MetricsSnapshot, format: MetricsFormat) -> String {
+/// Renders a minimal HTTP/1.0 response carrying the metrics exposition
+/// of one stats snapshot (`Database::stats()`).
+pub fn http_metrics_response(stats: &EngineStats, format: MetricsFormat) -> String {
     let (content_type, body) = match format {
-        MetricsFormat::Prometheus => ("text/plain; version=0.0.4", snapshot.to_prometheus()),
-        MetricsFormat::Json => (
-            "application/json",
-            serde_json::to_string(snapshot).expect("snapshot serialization is infallible"),
-        ),
+        MetricsFormat::Prometheus => ("text/plain; version=0.0.4", metrics::to_prometheus(stats)),
+        MetricsFormat::Json => ("application/json", to_line(&metrics::to_json(stats))),
     };
     format!(
         "HTTP/1.0 200 OK\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",

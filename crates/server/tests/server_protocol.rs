@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mj_exec::{generate_family, Database, DbConfig, QueryFamily};
+use mj_exec::{generate_family, Database, DbConfig, QueryFamily, METRICS_ACCEPT_LIST};
 use mj_relalg::{Attribute, Relation, RelationProvider, Schema, Tuple, Value};
 use mj_server::{Client, ClientError, MetricsFormat, Server, ServerConfig};
 use serde::JsonValue;
@@ -176,7 +176,15 @@ fn pipelined_requests_answer_in_order() {
 
     assert_eq!(first.rows[0].len(), 6, "2-way join of 3-column relations");
     assert_eq!(second.rows[0].len(), 9, "3-way join of 3-column relations");
-    assert!(metrics.get("metrics").is_some());
+    // The in-protocol JSON frame carries every accept-listed series,
+    // keyed by its exported name.
+    let series = match metrics.get("metrics") {
+        Some(JsonValue::Obj(pairs)) => pairs,
+        other => panic!("expected a metrics object, got {other:?}"),
+    };
+    let keys: Vec<&str> = series.iter().map(|(k, _)| k.as_str()).collect();
+    let names: Vec<&str> = METRICS_ACCEPT_LIST.iter().map(|d| d.name).collect();
+    assert_eq!(keys, names);
     assert_eq!(fourth.rows.len(), first.rows.len());
 }
 
@@ -438,26 +446,28 @@ fn metrics_are_served_in_protocol_and_over_http() {
 
     // In-protocol JSON: accept-listed names resolve to values.
     let json = client.metrics(MetricsFormat::Json).unwrap();
-    let completed = json.get("queries_completed").expect("counter present");
+    let completed = json
+        .get("mj_queries_completed_total")
+        .expect("counter present");
     assert!(matches!(completed, JsonValue::Int(n) if *n >= 1));
-    assert!(json.get("query_duration_ms").is_some());
+    assert!(json.get("mj_query_duration_ms").is_some());
     // The ad-hoc query above was planned once, on the connection worker.
     let planned = json
-        .get("plan_duration_seconds")
+        .get("mj_plan_duration_seconds")
         .and_then(|h| h.get("count"));
     assert!(matches!(planned, Some(JsonValue::Int(1))), "{planned:?}");
     // "Was that query cold?": `analyze` built the three relations' columnar
     // images (three misses), the query found all three resident.
     for (name, value) in [
-        ("fragment_cache_hits", 3),
-        ("fragment_cache_misses", 3),
-        ("fragment_cache_evictions", 0),
-        ("fragment_cache_bytes", 3 * 120 * 3 * 8),
+        ("mj_fragment_cache_hits_total", 3),
+        ("mj_fragment_cache_misses_total", 3),
+        ("mj_fragment_cache_evictions_total", 0),
+        ("mj_fragment_cache_bytes", 3 * 120 * 3 * 8),
         // "How many processes does a query cost?": two joins of 120-tuple
         // relations hold no grain of work between them, so the one
         // completed query ran as a single operation process.
-        ("queries_completed", 1),
-        ("operation_processes", 1),
+        ("mj_queries_completed_total", 1),
+        ("mj_operation_processes_total", 1),
     ] {
         let got = json.get(name);
         assert!(
@@ -508,7 +518,7 @@ fn metrics_are_served_in_protocol_and_over_http() {
     assert!(response.starts_with("HTTP/1.0 200 OK"));
     let body = response.split("\r\n\r\n").nth(1).expect("http body");
     let parsed: JsonValue = serde_json::from_str(body).unwrap();
-    assert!(parsed.get("queries_completed").is_some());
+    assert!(parsed.get("mj_queries_completed_total").is_some());
 }
 
 #[test]
