@@ -49,9 +49,12 @@ pub struct Machine {
     pub t_handshake: f64,
     /// Per-tuple cost of a materialized edge in the analytic model, paid
     /// once per tuple by the producer instance that writes it and once per
-    /// tuple *of the whole operand* by every consumer instance: each
-    /// bucket-scans all fragments and keeps its share, so an n-way
+    /// tuple *of the whole operand* by every consumer instance: the model
+    /// has each bucket-scan all fragments and keep its share, so an n-way
     /// consumer reads the operand n times where a stream routes it once.
+    /// The executor no longer does that (a producer splits its output once,
+    /// at its consumer's degree), so this over-prices a materialized edge
+    /// until it is re-measured; it is kept because it steers the planner.
     pub t_rescan: f64,
     /// Per-tuple work of the symmetric pipelining hash-join relative to
     /// the simple hash-join's single action per tuple. The pipelining join

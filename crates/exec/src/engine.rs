@@ -66,7 +66,7 @@ use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
 use crate::operator::{join_op, OutputPort, PhysicalOp};
 use crate::sched::WorkerPool;
 use crate::source::Source;
-use crate::stream::{operand_channels, BatchPool, Msg, Receiver, Router, Sender};
+use crate::stream::{is_teardown, operand_channels, BatchPool, Msg, Receiver, Router, Sender};
 
 /// The producer side of one stream edge: senders to the consumer's
 /// instances, the column the producer routes on, and the edge's shared
@@ -636,7 +636,7 @@ enum Body {
 
 impl Operation {
     /// Its operands as `(side, source, column its rows are routed or
-    /// bucket-scanned on)`: a join's two are plan op `id`'s, a stage's one
+    /// split on)`: a join's two are plan op `id`'s, a stage's one
     /// is a stream from the operation before it.
     fn operands<'a>(
         &'a self,
@@ -729,8 +729,9 @@ struct QueryRun {
     /// query's last operation — taken at producer spawn; dropping the
     /// master senders lets consumers (the client too) observe teardown.
     out_stream: HashMap<usize, OutEdge>,
-    /// Producer op -> consumer uses materialization.
-    out_materialized: Vec<bool>,
+    /// Per producer op whose consumer reads it materialized: that
+    /// consumer's key column and degree, which its output is split on.
+    out_materialized: Vec<Option<(usize, usize)>>,
     /// What every task of the query reports its completions through; set
     /// when the run is put under its [`Coordinator`].
     reporter: Option<Reporter>,
@@ -792,24 +793,11 @@ impl QueryRun {
         let members = std::mem::take(&mut self.groups[root]);
         self.metrics.processes += degree;
 
-        // Materialized operands, collected once per member and side.
-        let mut mat_fragments: HashMap<(usize, usize), Vec<Arc<ColumnBatch>>> = HashMap::new();
         for &m in &members {
             self.metrics.ops[m].instances = ops[m].degree;
-            for (side, operand, _) in ops[m].operands(&self.plan, m) {
-                if let OperandSource::Materialized { from } = operand {
-                    let frags = self.store.collect(&format!("{}op{from}", self.ns));
-                    if frags.is_empty() {
-                        return Err(RelalgError::InvalidPlan(format!(
-                            "op {m} reads op{from} before it materialized"
-                        )));
-                    }
-                    mat_fragments.insert((m, side), frags);
-                }
-            }
         }
         let mut out = self.out_stream.remove(&root);
-        if out.is_none() && !self.out_materialized[root] {
+        if out.is_none() && self.out_materialized[root].is_none() {
             return Err(RelalgError::InvalidPlan(format!(
                 "op {root} has no consumer"
             )));
@@ -830,17 +818,21 @@ impl QueryRun {
             let mut task_members = Vec::with_capacity(members.len());
             for &m in &members {
                 let mut sources = Vec::with_capacity(2);
-                for (side, operand, key_col) in ops[m].operands(&self.plan, m) {
+                for (side, operand, _) in ops[m].operands(&self.plan, m) {
                     sources.push(match operand {
                         OperandSource::Base { .. } => {
                             Some(Source::Local(self.base_fragments[&(m, side)][i].clone()))
                         }
-                        OperandSource::Materialized { .. } => Some(Source::Filtered {
-                            fragments: mat_fragments[&(m, side)].clone(),
-                            key_col,
-                            bucket: i,
-                            of: degree,
-                        }),
+                        OperandSource::Materialized { from } => {
+                            // Piece `i` of every producer instance.
+                            let pieces = self.store.collect(&format!("{}op{from}.{i}", self.ns));
+                            if pieces.is_empty() {
+                                return Err(RelalgError::InvalidPlan(format!(
+                                    "op {m} reads op{from} before it materialized"
+                                )));
+                            }
+                            Some(Source::Materialized(pieces))
+                        }
                         OperandSource::Stream { from } => Some(Source::Stream {
                             rx: receivers
                                 .get_mut(&(m, side))
@@ -881,6 +873,7 @@ impl QueryRun {
                     self.plan.ops[root].procs[i],
                     format!("{}op{root}", self.ns),
                     self.binding.schema(self.plan.ops[root].join)?,
+                    self.out_materialized[root].expect("a materialized consumer"),
                     Some(self.ctrl.budget().clone()),
                 ),
             };
@@ -997,7 +990,7 @@ impl QueryRun {
         };
         let mut out_stream = HashMap::from([(sink, result)]);
         let mut stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>> = HashMap::new();
-        let mut out_materialized = vec![false; n];
+        let mut out_materialized = vec![None; n];
         for (id, op) in ops.iter().enumerate() {
             for (side, operand, key_col) in op.operands(plan, id) {
                 match operand {
@@ -1022,7 +1015,7 @@ impl QueryRun {
                     }
                     OperandSource::Materialized { from } => {
                         metrics.streams += ops[*from].degree * op.degree;
-                        out_materialized[*from] = true;
+                        out_materialized[*from] = Some((key_col, op.degree));
                     }
                     // A fused edge never leaves its task.
                     OperandSource::Base { .. } | OperandSource::Fused { .. } => {}
@@ -1111,11 +1104,17 @@ impl QueryRun {
     }
 
     /// Records the query's first failure and unblocks every task wired to
-    /// a peer that will now never be spawned.
+    /// a peer that will now never be spawned. A torn-down edge is only the
+    /// echo of a failure (its report can arrive before the failure's own),
+    /// so a later root cause replaces it.
     fn fail(&mut self, e: RelalgError) {
-        if self.first_err.is_none() {
-            self.first_err = Some(e);
-            self.release_unspawned_endpoints();
+        match &self.first_err {
+            None => {
+                self.first_err = Some(e);
+                self.release_unspawned_endpoints();
+            }
+            Some(first) if is_teardown(first) && !is_teardown(&e) => self.first_err = Some(e),
+            Some(_) => {}
         }
     }
 

@@ -6,7 +6,7 @@ use std::task::Waker;
 use mj_core::plan_ir::ProcId;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{Result, Schema};
-use mj_storage::FragmentStore;
+use mj_storage::{fragment_columns, FragmentStore};
 
 use crate::budget::MemoryBudget;
 use crate::stream::Router;
@@ -18,18 +18,24 @@ pub enum OutputPort {
     /// [`ResultStream`](crate::handle::ResultStream): results flow before
     /// the query completes and a slow client backpressures the pool.
     Stream(Router),
-    /// Store the output fragment in this processor's memory (the consumer
-    /// reads it later — SP/SE materialization and RD inter-wave edges).
-    /// The fragment stays columnar end to end.
+    /// Store the output in this processor's memory (the consumer reads it
+    /// later — SP/SE materialization and RD inter-wave edges), split once
+    /// into one piece per consumer instance: piece `j` holds the rows
+    /// whose consumer key hashes to bucket `j` and is stored as
+    /// `{name}.{j}`, so consumer instance `j` reads its pieces of every
+    /// producer instance without hashing anything. The pieces stay
+    /// columnar end to end.
     Materialize {
         /// Shared node-memory store.
         store: Arc<FragmentStore>,
         /// This instance's processor (storage node).
         proc: ProcId,
-        /// Fragment name (`op{id}`).
+        /// Fragment name prefix (`op{id}`).
         name: String,
         /// Accumulated output rows, shaped for the op's output schema.
         buffer: ColumnBatch,
+        /// The consumer's key column in these rows and its degree.
+        parts: (usize, usize),
         /// The owning query's memory budget: the stored fragment's bytes
         /// are charged on write and credited back when the coordinator
         /// reclaims the query's namespace.
@@ -46,15 +52,16 @@ pub enum OutputPort {
 }
 
 impl OutputPort {
-    /// A materializing port storing one fragment of `schema`-shaped rows
-    /// under `name` at `proc`. The buffer is typed up front so an instance
-    /// that produces nothing still stores a well-formed (empty) fragment
-    /// its consumers can bucket-scan.
+    /// A materializing port storing `schema`-shaped rows at `proc` as
+    /// `parts.1` pieces `{name}.{j}`, split on key column `parts.0`. The
+    /// buffer is typed up front so an instance that produces nothing still
+    /// stores well-formed (empty) pieces its consumers can read.
     pub fn materialize(
         store: Arc<FragmentStore>,
         proc: ProcId,
         name: String,
         schema: &Schema,
+        parts: (usize, usize),
         budget: Option<Arc<MemoryBudget>>,
     ) -> OutputPort {
         OutputPort::Materialize {
@@ -62,6 +69,7 @@ impl OutputPort {
             proc,
             name,
             buffer: ColumnBatch::for_schema(schema),
+            parts,
             budget,
         }
     }
@@ -118,16 +126,19 @@ impl OutputPort {
                 proc,
                 name,
                 buffer,
+                parts: (key_col, of),
                 budget,
             } => {
-                let fragment = Arc::new(std::mem::take(buffer));
-                if let Some(budget) = budget {
-                    // Charge unconditionally; enforcement happens at the
-                    // consuming tasks' next budget poll. The coordinator
-                    // credits these bytes back via `remove_prefix`.
-                    budget.charge(fragment.est_bytes());
+                let output = Arc::new(std::mem::take(buffer));
+                for (j, piece) in fragment_columns(&output, *key_col, *of)?.iter().enumerate() {
+                    if let Some(budget) = budget {
+                        // Charge unconditionally; enforcement happens at the
+                        // consuming tasks' next budget poll. The coordinator
+                        // credits these bytes back via `remove_prefix`.
+                        budget.charge(piece.est_bytes());
+                    }
+                    store.put(*proc, format!("{name}.{j}"), piece.clone())?;
                 }
-                store.put(*proc, name.clone(), fragment)?;
                 Ok(true)
             }
             #[cfg(test)]
@@ -178,21 +189,62 @@ mod tests {
     #[test]
     fn materialize_stores_a_columnar_fragment() {
         let store = Arc::new(FragmentStore::new(2));
-        let mut port = OutputPort::materialize(store.clone(), 1, "op0".into(), &schema(), None);
+        let mut port =
+            OutputPort::materialize(store.clone(), 1, "op0".into(), &schema(), (0, 1), None);
         let (mut out, mut pos) = (batch(&[7, 8, 9]), 1);
         port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
         assert!(port.try_finish(Waker::noop()).unwrap());
-        assert_eq!(store.get(1, "op0").unwrap().int_col(0).unwrap(), &[8, 9]);
-        assert!(store.get(0, "op0").is_err());
+        assert_eq!(store.get(1, "op0.0").unwrap().int_col(0).unwrap(), &[8, 9]);
+        assert!(store.get(0, "op0.0").is_err());
+    }
+
+    #[test]
+    fn materialize_stores_one_piece_per_consumer_instance() {
+        let store = Arc::new(FragmentStore::new(1));
+        let budget = MemoryBudget::unlimited();
+        let mut port = OutputPort::materialize(
+            store.clone(),
+            0,
+            "q1:op0".into(),
+            &schema(),
+            (0, 3),
+            Some(budget.clone()),
+        );
+        let keys: Vec<i64> = (0..200).map(|i| i * 7 - 300).collect();
+        let (mut out, mut pos) = (batch(&keys), 0);
+        port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
+        assert!(port.try_finish(Waker::noop()).unwrap());
+        let mut union = Vec::new();
+        let mut stored = 0;
+        for j in 0..3 {
+            let piece = store.get(0, &format!("q1:op0.{j}")).unwrap();
+            for &k in piece.int_col(0).unwrap() {
+                assert_eq!(mj_relalg::hash::bucket_of(k, 3), j, "key {k}");
+                union.push(k);
+            }
+            stored += piece.est_bytes();
+        }
+        assert!(store.get(0, "q1:op0.3").is_err(), "exactly three pieces");
+        union.sort_unstable();
+        assert_eq!(union, keys, "the pieces partition the buffer");
+        assert_eq!(budget.used(), stored, "every piece is charged");
+        let freed = store.remove_prefix("q1:");
+        assert_eq!(freed, stored, "reclamation frees what was charged");
     }
 
     #[test]
     fn an_instance_without_output_stores_a_typed_empty_fragment() {
         let store = Arc::new(FragmentStore::new(1));
-        let mut port = OutputPort::materialize(store.clone(), 0, "op0".into(), &schema(), None);
-        assert!(port.try_finish(Waker::noop()).unwrap());
-        let stored = store.get(0, "op0").unwrap();
-        assert_eq!((stored.rows(), stored.arity()), (0, 1));
+        for of in [1, 3] {
+            let name = format!("op{of}");
+            let mut port =
+                OutputPort::materialize(store.clone(), 0, name.clone(), &schema(), (0, of), None);
+            assert!(port.try_finish(Waker::noop()).unwrap());
+            for j in 0..of {
+                let stored = store.get(0, &format!("{name}.{j}")).unwrap();
+                assert_eq!((stored.rows(), stored.arity()), (0, 1));
+            }
+        }
     }
 
     #[test]
@@ -204,12 +256,13 @@ mod tests {
             0,
             "q1:op0".into(),
             &schema(),
+            (0, 1),
             Some(budget.clone()),
         );
         let (mut out, mut pos) = (batch(&[7, 8]), 0);
         port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
         assert!(port.try_finish(Waker::noop()).unwrap());
-        let stored = store.get(0, "q1:op0").unwrap().est_bytes();
+        let stored = store.get(0, "q1:op0.0").unwrap().est_bytes();
         assert_eq!(stored, 16, "two dense integer values");
         assert_eq!(budget.used(), stored);
         let freed = store.remove_prefix("q1:");

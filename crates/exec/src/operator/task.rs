@@ -51,7 +51,6 @@ use std::task::Waker;
 
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{RelalgError, Result};
-use mj_storage::scan_bucket_columns;
 
 use crate::handle::QueryCtrl;
 use crate::metrics::InstanceStats;
@@ -59,7 +58,7 @@ use crate::operator::op::{Absorb, InputMode, PhysicalOp};
 use crate::operator::OutputPort;
 use crate::sched::{Step, Task};
 use crate::source::Source;
-use crate::stream::{Batch, Msg, Receiver, TryRecvError};
+use crate::stream::{closed_early, Batch, Msg, Receiver, TryRecvError};
 
 /// Rows processed per scheduling step: long enough to amortize queue
 /// round-trips, short enough that concurrent queries interleave finely.
@@ -99,22 +98,15 @@ impl From<std::sync::mpsc::Sender<DoneMsg>> for Reporter {
 /// instance picks up exactly where it stopped. Every variant reads
 /// [`ColumnBatch`]es as they are — nothing is converted here.
 enum Operand {
-    /// A processor-local columnar fragment.
-    Local { cols: Arc<ColumnBatch>, pos: usize },
-    /// Materialized producer fragments filtered to this instance's bucket.
-    /// With several buckets, every fragment is bucket-scanned
-    /// ([`scan_bucket_columns`]) into one chunk holding exactly this
-    /// instance's rows, in one pass: one chunk per operand, which a simple
-    /// join's build indexes in place. A single-bucket read shares each
-    /// stored fragment in turn.
-    Filtered {
-        fragments: Vec<Arc<ColumnBatch>>,
-        key_col: usize,
-        bucket: usize,
-        of: usize,
-        frag: usize,
-        cols: Option<Arc<ColumnBatch>>,
+    /// Immediate rows: the chunk being read, then the chunks still to come.
+    /// A processor-local fragment or a handed-over result is one chunk; a
+    /// materialized operand is this instance's piece of every producer
+    /// instance, read one after another — or, as a build operand, appended
+    /// once into one chunk ([`merge`](Operand::merge)).
+    Chunks {
+        cols: Arc<ColumnBatch>,
         pos: usize,
+        rest: std::vec::IntoIter<Arc<ColumnBatch>>,
     },
     /// A live stream; `current` is a partially consumed in-flight batch.
     Stream {
@@ -141,21 +133,16 @@ enum Feed {
 impl Operand {
     fn new(source: Source) -> Operand {
         match source {
-            Source::Local(cols) => Operand::Local { cols, pos: 0 },
-            Source::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-            } => Operand::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-                frag: 0,
-                cols: None,
+            Source::Local(cols) => Operand::Chunks {
+                cols,
                 pos: 0,
+                rest: Vec::new().into_iter(),
             },
+            Source::Materialized(pieces) => {
+                let mut rest = pieces.into_iter();
+                let cols = rest.next().unwrap_or_default();
+                Operand::Chunks { cols, pos: 0, rest }
+            }
             Source::Stream { rx, producers } => Operand::Stream {
                 rx,
                 remaining: producers,
@@ -169,43 +156,43 @@ impl Operand {
         matches!(self, Operand::Stream { .. })
     }
 
+    /// Makes what is left of an immediate operand one chunk, so a build
+    /// indexes it in place: the remaining pieces are appended, once, into
+    /// a chunk of exactly their size. One chunk, or a stream, stays as is.
+    fn merge(&mut self) -> Result<()> {
+        let Operand::Chunks { cols, pos, rest } = self else {
+            return Ok(());
+        };
+        if rest.as_slice().is_empty() {
+            return Ok(());
+        }
+        let pieces = std::mem::take(rest);
+        let rows = pieces.as_slice().iter().map(|p| p.rows()).sum::<usize>();
+        let mut merged = ColumnBatch::with_capacity(&cols.layout(), cols.rows() - *pos + rows);
+        merged.append_rows(cols, *pos..cols.rows())?;
+        for piece in pieces {
+            merged.append_rows(&piece, 0..piece.rows())?;
+        }
+        *cols = Arc::new(merged);
+        *pos = 0;
+        Ok(())
+    }
+
     /// Ensures a chunk with unconsumed rows is loaded, without ever
     /// blocking; a stream found empty registers `waker`. Spent chunks are
-    /// released here (stream buffers return to their pool; bucket scans
+    /// released here (stream buffers return to their pool; spent pieces
     /// free their columns).
     fn ready(&mut self, waker: &Waker) -> Result<Feed> {
         match self {
-            Operand::Local { cols, pos } => Ok(if *pos < cols.rows() {
-                Feed::Ready
-            } else {
-                Feed::Exhausted
-            }),
-            Operand::Filtered {
-                fragments,
-                key_col,
-                bucket,
-                of,
-                frag,
-                cols,
-                pos,
-            } => loop {
-                if let Some(c) = cols {
-                    if *pos < c.rows() {
-                        return Ok(Feed::Ready);
-                    }
-                    *cols = None;
-                    *pos = 0;
+            Operand::Chunks { cols, pos, rest } => loop {
+                if *pos < cols.rows() {
+                    return Ok(Feed::Ready);
                 }
-                if *frag >= fragments.len() {
+                let Some(next) = rest.next() else {
                     return Ok(Feed::Exhausted);
-                }
-                *cols = Some(if *of <= 1 {
-                    *frag += 1;
-                    fragments[*frag - 1].clone()
-                } else {
-                    *frag = fragments.len();
-                    Arc::new(scan_bucket_columns(fragments, *key_col, *bucket, *of)?)
-                });
+                };
+                *cols = next;
+                *pos = 0;
             },
             Operand::Stream {
                 rx,
@@ -231,9 +218,7 @@ impl Operand {
                     }
                     Ok(Msg::End) => *remaining -= 1,
                     Err(TryRecvError::Empty) => return Ok(Feed::Pending),
-                    Err(TryRecvError::Disconnected) => {
-                        return Err(RelalgError::InvalidPlan("stream closed before End".into()))
-                    }
+                    Err(TryRecvError::Disconnected) => return Err(closed_early()),
                 }
             },
         }
@@ -257,10 +242,7 @@ impl Operand {
     /// itself; `None` for a stream, whose batches nobody else may keep.
     fn shared_chunk(&self) -> Option<(&Arc<ColumnBatch>, usize)> {
         match self {
-            Operand::Local { cols, pos } => Some((cols, *pos)),
-            Operand::Filtered { cols, pos, .. } => {
-                Some((cols.as_ref().expect("ready chunk"), *pos))
-            }
+            Operand::Chunks { cols, pos, .. } => Some((cols, *pos)),
             Operand::Stream { .. } => None,
         }
     }
@@ -268,9 +250,7 @@ impl Operand {
     /// Advances the cursor past `n` consumed rows.
     fn consume(&mut self, n: usize) {
         match self {
-            Operand::Local { pos, .. }
-            | Operand::Filtered { pos, .. }
-            | Operand::Stream { pos, .. } => *pos += n,
+            Operand::Chunks { pos, .. } | Operand::Stream { pos, .. } => *pos += n,
         }
     }
 }
@@ -599,9 +579,9 @@ impl OpTask {
     }
 
     /// Build phase: hand the immediate build side to the operator a
-    /// quantum of rows at a time, as ranges of its shared chunk. No output
-    /// is produced, so this never blocks — it only paces itself by the
-    /// quantum.
+    /// quantum of rows at a time, as ranges of its one shared chunk. No
+    /// output is produced, so this never blocks — it only paces itself by
+    /// the quantum.
     fn step_build(&mut self, budget: &mut usize, waker: &Waker) -> Result<Option<Step>> {
         let m = self.members.front_mut().expect("a live task has a member");
         let build = m.build_side().expect("build phase implies a build side");
@@ -611,6 +591,7 @@ impl OpTask {
                 m.op.kind()
             )));
         }
+        m.operands[build].merge()?;
         while *budget > 0 {
             match m.operands[build].ready(waker)? {
                 Feed::Ready => {

@@ -13,19 +13,13 @@ pub enum Source {
     /// fragment cache, or private to the query when a scan filter or the
     /// late-materialization narrowing produced it.
     Local(Arc<ColumnBatch>),
-    /// A materialized intermediate: the instance pulls every producer
-    /// fragment and keeps the rows that hash to its own bucket —
-    /// physically a redistribution read.
-    Filtered {
-        /// All producer output fragments.
-        fragments: Vec<Arc<ColumnBatch>>,
-        /// Key column to bucket on (this operand's join key).
-        key_col: usize,
-        /// This instance's bucket.
-        bucket: usize,
-        /// Total buckets (= the consuming op's degree).
-        of: usize,
-    },
+    /// A materialized intermediate: this instance's piece of every
+    /// producer instance's output, which the producer split on this
+    /// operand's join key at its consumer's degree
+    /// ([`OutputPort::Materialize`](crate::operator::OutputPort::Materialize))
+    /// — physically a redistribution read, with the hashing done once, at
+    /// the producer.
+    Materialized(Vec<Arc<ColumnBatch>>),
     /// A live stream from `producers` producer instances.
     Stream {
         /// This instance's receiver.

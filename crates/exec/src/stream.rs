@@ -532,8 +532,23 @@ pub fn operand_channels(
     (txs, rxs, pool)
 }
 
+const HUNG_UP: &str = "consumer hung up";
+const CLOSED_EARLY: &str = "stream closed before End";
+
 fn hung_up() -> RelalgError {
-    RelalgError::InvalidPlan("consumer hung up".into())
+    RelalgError::InvalidPlan(HUNG_UP.into())
+}
+
+/// What a consumer reports when its producers vanished before `End`.
+pub(crate) fn closed_early() -> RelalgError {
+    RelalgError::InvalidPlan(CLOSED_EARLY.into())
+}
+
+/// Whether `e` is an edge torn down under a task ([`hung_up`],
+/// [`closed_early`]): the echo of a failure elsewhere in the query, never
+/// its cause.
+pub(crate) fn is_teardown(e: &RelalgError) -> bool {
+    matches!(e, RelalgError::InvalidPlan(msg) if msg == HUNG_UP || msg == CLOSED_EARLY)
 }
 
 /// A producer instance's split sender: buffers rows per destination

@@ -13,12 +13,22 @@
 //!   grow batch by batch. Rows are appended through `Arc::make_mut` (free
 //!   for a table nobody shares) and the index rehashes as it grows.
 //!
-//! [`ColumnarTable::probe_into`] hashes a group of probe keys and loads all
-//! their bucket heads before it walks any chain, so the independent cache
-//! misses overlap, and collects `(build_row, probe_row)` match pairs; output
-//! assembly is then one column-wise gather through the join's projection
+//! [`ColumnarTable::probe_into`] walks the chains of a block of probe keys
+//! in lockstep: every key of the block loads its bucket head, then each
+//! round advances every key still on a chain by one link, so the
+//! independent cache misses of a round overlap and the loop has no
+//! data-dependent branch. A table small enough to stay in cache has no
+//! misses to overlap, and there a plain walk, one key's chain after
+//! another, is cheaper than the lockstep's bookkeeping. Either way the
+//! probe collects `(build_row, probe_row)` match pairs; output assembly is
+//! then one column-wise gather through the join's projection
 //! ([`ColumnarTable::emit_matches`]) instead of per-tuple concatenation —
 //! the vectorized hot path of `SimpleJoinOp` and `PipeliningJoinOp`.
+//!
+//! A table buckets a key by the high half of [`mix_key`]: rows reach a
+//! join instance by `mix_key(k) % d` (the router and the fragmentation),
+//! so at a power-of-two degree the low bits of every key an instance holds
+//! agree, and bucketing by them would use one bucket in `d`.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,9 +53,13 @@ const EMPTY: u32 = u32::MAX;
 /// Buckets are at most LOAD_NUM / LOAD_DEN full.
 const LOAD_NUM: usize = 7;
 const LOAD_DEN: usize = 8;
-/// Probe keys whose bucket heads are loaded before any of their chains is
-/// walked.
-const GROUP: usize = 16;
+/// Probe keys whose chains are walked in lockstep (the task quantum).
+const BLOCK: usize = 512;
+/// Linked rows from which a probe walks chains in lockstep. Below it the
+/// index and keys (about 20 bytes a row) fit in a core's L2 with room to
+/// spare, and walking one chain at a time measured up to 2x faster per
+/// key (50-row tables: 3.5 against 6–10 ns; 40 K rows: 16 against 6 ns).
+const LOCKSTEP_ROWS: usize = 4096;
 
 /// The rows of a table that holds none yet.
 static NO_ROWS: ColumnBatch = ColumnBatch::shapeless();
@@ -108,10 +122,16 @@ impl ColumnarTable {
         self.next.reserve_exact(n);
     }
 
+    /// The bucket of `key`: the high half of its hash, since the low half
+    /// is what partitioned the rows among instances.
+    fn bucket(&self, key: i64) -> usize {
+        (mix_key(key).rotate_right(32) & self.mask) as usize
+    }
+
     /// Links the next `keys.len()` rows: row `len() + i` has key `keys[i]`.
     fn link(&mut self, keys: &[i64]) {
         for &key in keys {
-            let b = (mix_key(key) & self.mask) as usize;
+            let b = self.bucket(key);
             self.next.push(self.buckets[b]);
             self.buckets[b] = (self.next.len() - 1) as u32;
         }
@@ -185,33 +205,59 @@ impl ColumnarTable {
     }
 
     /// Probes the table with rows `range` of the `probe_keys` slice,
-    /// appending every `(build_row, probe_row)` match to `pairs`. Keys go
-    /// in groups: a group's bucket heads are all loaded before any of its
-    /// chains is walked. The caller turns the pairs into output rows with
-    /// one [`ColumnBatch::append_concat_gather`].
+    /// appending every `(build_row, probe_row)` match to `pairs`, which
+    /// grows by matches only. A table of at least `LOCKSTEP_ROWS` rows
+    /// walks its chains in lockstep, block by block: each round visits
+    /// every key of the block that is still on a chain once, records the
+    /// candidate row, counts it only if its key is equal, and steps to the
+    /// next link, so pairs come round by round (ascending probe row within
+    /// a round). A smaller one walks each key's chain in turn. The caller
+    /// turns the pairs into output rows with one
+    /// [`ColumnBatch::append_concat_gather`].
     pub fn probe_into(&self, probe_keys: &[i64], range: Range<usize>, pairs: &mut Vec<(u32, u32)>) {
         if self.is_empty() {
             return;
         }
         let keys = self.rows().int_col(self.key_col);
         let keys = keys.expect("linked rows have an integer key column");
-        let mut heads = [EMPTY; GROUP];
-        let mut first = range.start;
-        for group in probe_keys[range].chunks(GROUP) {
-            for (head, &key) in heads.iter_mut().zip(group) {
-                *head = self.buckets[(mix_key(key) & self.mask) as usize];
-            }
-            for (r, (&key, &head)) in (first..).zip(group.iter().zip(&heads)) {
-                let mut idx = head;
-                while idx != EMPTY {
-                    let i = idx as usize;
-                    if keys[i] == key {
-                        pairs.push((idx, r as u32));
+        if self.len() < LOCKSTEP_ROWS {
+            for (r, &key) in (range.start as u32..).zip(&probe_keys[range]) {
+                let mut row = self.buckets[self.bucket(key)];
+                while row != EMPTY {
+                    if keys[row as usize] == key {
+                        pairs.push((row, r));
                     }
-                    idx = self.next[i];
+                    row = self.next[row as usize];
                 }
             }
-            first += group.len();
+            return;
+        }
+        // `live[..alive]`: `(candidate row, key index)` of every key of the
+        // block still on a chain, in block order.
+        let mut live = [(0u32, 0u32); BLOCK];
+        let mut hits = [(0u32, 0u32); BLOCK];
+        let mut first = range.start as u32;
+        for block in probe_keys[range].chunks(BLOCK) {
+            let mut alive = 0;
+            for (j, &key) in (0..).zip(block) {
+                let head = self.buckets[self.bucket(key)];
+                live[alive] = (head, j);
+                alive += usize::from(head != EMPTY);
+            }
+            while alive > 0 {
+                let (mut matched, mut kept) = (0, 0);
+                for t in 0..alive {
+                    let (row, j) = live[t];
+                    hits[matched] = (row, first + j);
+                    matched += usize::from(keys[row as usize] == block[j as usize]);
+                    let next = self.next[row as usize];
+                    live[kept] = (next, j);
+                    kept += usize::from(next != EMPTY);
+                }
+                pairs.extend_from_slice(&hits[..matched]);
+                alive = kept;
+            }
+            first += block.len() as u32;
         }
     }
 
@@ -255,6 +301,7 @@ impl ColumnarTable {
 mod tests {
     use super::*;
     use mj_relalg::column::ColumnLayout;
+    use mj_relalg::hash::bucket_of;
     use mj_relalg::Tuple;
 
     fn batch(rows: &[[i64; 2]]) -> ColumnBatch {
@@ -288,7 +335,7 @@ mod tests {
             return pairs;
         }
         for r in range {
-            let mut idx = table.buckets[(mix_key(probe[r]) & table.mask) as usize];
+            let mut idx = table.buckets[table.bucket(probe[r])];
             while idx != EMPTY {
                 if table.rows().int_col(table.key_col).unwrap()[idx as usize] == probe[r] {
                     pairs.push((idx, r as u32));
@@ -313,27 +360,38 @@ mod tests {
         pairs
     }
 
-    /// The grouped probe matches the scalar walk pair for pair, in order,
-    /// and the brute-force join as a set.
+    /// The probe matches the scalar walk and the brute-force join as
+    /// multisets.
     fn assert_probe_matches(
         table: &ColumnarTable,
         build: &[i64],
         probe: &[i64],
         range: Range<usize>,
     ) {
-        let mut grouped = Vec::new();
-        table.probe_into(probe, range.clone(), &mut grouped);
+        let mut probed = Vec::new();
+        table.probe_into(probe, range.clone(), &mut probed);
+        probed.sort_unstable();
+        let mut scalar = scalar_probe(table, probe, range.clone());
+        scalar.sort_unstable();
+        assert_eq!(probed, scalar, "{range:?}");
         assert_eq!(
-            grouped,
-            scalar_probe(table, probe, range.clone()),
-            "{range:?}"
-        );
-        grouped.sort_unstable();
-        assert_eq!(
-            grouped,
+            probed,
             nested_loop(build, probe, range.clone()),
             "{range:?}"
         );
+    }
+
+    /// `keys` followed by distinct keys from `pad_from` up to the size at
+    /// which a table probes in lockstep.
+    fn lockstep_sized(mut keys: Vec<i64>, pad_from: i64) -> Vec<i64> {
+        let pad = LOCKSTEP_ROWS.saturating_sub(keys.len()) as i64;
+        keys.extend(pad_from..pad_from + pad);
+        keys
+    }
+
+    /// Bucket heads in use.
+    fn heads(table: &ColumnarTable) -> usize {
+        table.buckets.iter().filter(|&&b| b != EMPTY).count()
     }
 
     #[test]
@@ -394,6 +452,65 @@ mod tests {
         ] {
             assert_probe_matches(&table, &build, &probe, range);
         }
+    }
+
+    #[test]
+    fn lockstep_probe_equals_the_scalar_walk_across_block_boundaries() {
+        let build: Vec<i64> = (0..LOCKSTEP_ROWS as i64 + 900)
+            .map(|i| i * 11 % 2900)
+            .collect();
+        let table = indexed(&keyed(&build), 512);
+        let probe: Vec<i64> = (0..2400).map(|i| i * 3 % 3100 - 40).collect();
+        for len in [511, 512, 513, 1100] {
+            for start in [0, 37, 1000] {
+                assert_probe_matches(&table, &build, &probe, start..start + len);
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_probe_walks_a_thousand_deep_chain() {
+        let build = lockstep_sized(std::iter::repeat_n(7, 1000).collect(), 100);
+        let table = indexed(&keyed(&build), 512);
+        let probe = [7, 8, 7, 7];
+        assert_probe_matches(&table, &build, &probe, 0..4);
+        let mut pairs = Vec::new();
+        table.probe_into(&probe, 1..3, &mut pairs);
+        assert_eq!(pairs.len(), 1000);
+        assert!(pairs.iter().all(|&(_, r)| r == 2), "only probe row 2 is 7");
+    }
+
+    #[test]
+    fn lockstep_probe_walks_chains_of_other_keys_to_no_match() {
+        let build = lockstep_sized(Vec::new(), 0);
+        let table = indexed(&keyed(&build), 512);
+        // Absent keys whose buckets hold rows: every chain is walked to its
+        // end, and no entry on it matches.
+        let probe: Vec<i64> = (10_000..100_000)
+            .filter(|&k| table.buckets[table.bucket(k)] != EMPTY)
+            .take(700)
+            .collect();
+        assert_eq!(probe.len(), 700);
+        assert_probe_matches(&table, &build, &probe, 0..700);
+        let mut pairs = Vec::new();
+        table.probe_into(&probe, 0..700, &mut pairs);
+        assert!(pairs.is_empty());
+    }
+
+    #[test]
+    fn one_bucket_of_a_split_spreads_over_the_whole_table() {
+        // The rows one instance of an 8-way join holds all share the
+        // router's bucket, `mix_key(k) % 8`; the table must not bucket them
+        // by those bits.
+        let split: Vec<i64> = (0..160_000)
+            .filter(|&k| bucket_of(k, 8) == 0)
+            .take(20_000)
+            .collect();
+        let unsplit: Vec<i64> = (0..20_000).collect();
+        let (split, unsplit) = (indexed(&keyed(&split), 512), indexed(&keyed(&unsplit), 512));
+        assert_eq!(split.buckets.len(), unsplit.buckets.len());
+        let (a, b) = (heads(&split), heads(&unsplit));
+        assert!(a * 10 >= b * 9 && b * 10 >= a * 9, "{a} vs {b} heads");
     }
 
     #[test]

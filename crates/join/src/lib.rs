@@ -18,8 +18,10 @@
 //! indexes its build operand's chunk in place ([`ColumnarTable::index`]: no
 //! copy, no rehash); the pipelining join appends to tables that grow
 //! ([`ColumnarTable::insert_batch`]). A probe takes a whole key slice,
-//! resolves a group of keys' bucket heads before walking any chain, and
-//! collects `(build_row, probe_row)` match pairs; output assembly is one
+//! walks the chains of a block of keys in lockstep (one link per key per
+//! round, matches counted without a branch; a table small enough to stay
+//! in cache walks one chain after another instead), and collects
+//! `(build_row, probe_row)` match pairs; output assembly is one
 //! column-wise gather ([`ColumnarTable::emit_matches`]).
 //! [`ColumnarTable::est_bytes`] is the byte accounting behind the paper's
 //! RD-vs-FP memory discussion (§5) and the engine's memory budget.

@@ -151,6 +151,26 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
 }
 
 #[test]
+fn an_injected_limit_error_wins_over_the_hang_ups_it_causes() {
+    // The failing limit drops its input edge, so the aggregate feeding it
+    // fails with "consumer hung up" too, and that report can arrive first.
+    // The query must still name the injected error, every time.
+    let db = guardrail_db();
+    let text = pipeline_sql();
+    for run in 0..100 {
+        let plan =
+            FaultPlan::seeded(0xC0FFEE).with_point(FaultPoint::new("limit", 3, FaultKind::Error));
+        let err = collect_with(&db, &text, QueryOptions::new().with_faults(plan))
+            .expect_err("injected fault must surface");
+        assert!(
+            err.to_string().contains("injected failure"),
+            "run {run}: expected the injected error, got {err}"
+        );
+        assert_eq!(db.engine().store().total_bytes(), 0, "run {run}: leaked");
+    }
+}
+
+#[test]
 fn a_fault_on_any_member_of_a_process_group_fails_clean() {
     // Under the shipped model a chain of five 60-tuple relations is one
     // operation process of four members. A panic, an allocation spike, a

@@ -8,7 +8,8 @@
 //!   costs exactly two allocations (the bucket heads and the chain links),
 //!   whatever its size. Copying the rows or rehashing would show here.
 //! * Probing a [`ColumnarTable`] into a pre-reserved pairs vector — the
-//!   inner loop of both join operators — allocates nothing.
+//!   inner loop of both join operators — allocates nothing, down a
+//!   1000-deep chain too.
 //! * A redistribution edge in steady state serves (almost) every buffer
 //!   take from its batch pool: misses stay within the structural bound
 //!   `edge_buffer_bound` (the cold-start buffer population) and the hit
@@ -98,6 +99,22 @@ fn assert_probe_allocates_nothing() {
         assert_eq!(probes, 0, "probing {N} keys allocated {probes} times");
         assert_eq!(pairs.len(), N, "every key matches its one build row");
     }
+
+    // One key a thousand rows deep, in a table large enough to probe in
+    // lockstep: the walk takes a thousand rounds, and only the matches
+    // reach `pairs`.
+    let keys: Vec<i64> = [7; 1000].into_iter().chain(100..N as i64).collect();
+    let deep = Arc::new(int_batch(&keys));
+    let mut chain = ColumnarTable::new();
+    chain.index(&deep, 0, 0..keys.len()).unwrap();
+    let probe_keys = [7, 8, 7];
+    let mut pairs = Vec::with_capacity(2000);
+    let probes = allocations(|| chain.probe_into(&probe_keys, 0..3, &mut pairs));
+    assert_eq!(
+        probes, 0,
+        "probing a 1000-deep chain allocated {probes} times"
+    );
+    assert_eq!(pairs.len(), 2000);
 }
 
 fn assert_batch_pool_hit_rate() {

@@ -3,10 +3,10 @@
 //! Below the plan the engine has one physical representation, the
 //! [`ColumnBatch`]. A base relation enters it once through
 //! [`scan_columns`] (on a [`FragmentCache`](crate::FragmentCache) miss);
-//! from there fragmentation ([`fragment_columns`]) and the
-//! bucket-restricted read of a materialized operand
-//! ([`scan_bucket_columns`]) hash the whole key column and gather the
-//! matching rows column-wise instead of testing tuples one at a time.
+//! from there fragmentation ([`fragment_columns`]) hashes the whole key
+//! column and gathers each fragment's rows column-wise instead of testing
+//! tuples one at a time. It splits base relations for the fragment cache
+//! and a materialized intermediate, once, at its producer.
 
 use std::sync::Arc;
 
@@ -71,37 +71,6 @@ pub fn fragment_columns(
         .collect()
 }
 
-/// The rows of `fragments` whose `key_col` hashes to `bucket` among `of`
-/// buckets, in fragment order, as one batch — one consumer instance's
-/// share of a materialized producer operand. Each fragment's key column is
-/// hashed once; the batch is allocated once, at its exact size.
-pub fn scan_bucket_columns(
-    fragments: &[Arc<ColumnBatch>],
-    key_col: usize,
-    bucket: usize,
-    of: usize,
-) -> Result<ColumnBatch> {
-    let mut dests = Vec::new();
-    let mut sels = Vec::with_capacity(fragments.len());
-    for cols in fragments {
-        bucket_keys(cols.int_col(key_col)?, of.max(1), &mut dests);
-        let sel: Vec<u32> = (0..)
-            .zip(&dests)
-            .filter(|&(_, &d)| d as usize == bucket)
-            .map(|(i, _)| i)
-            .collect();
-        sels.push(sel);
-    }
-    let Some(first) = fragments.first() else {
-        return Ok(ColumnBatch::shapeless());
-    };
-    let mut out = ColumnBatch::with_capacity(&first.layout(), sels.iter().map(Vec::len).sum());
-    for (cols, sel) in fragments.iter().zip(&sels) {
-        out.append_gather(cols, sel)?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,20 +99,17 @@ mod tests {
     }
 
     #[test]
-    fn bucket_scans_match_the_fragments() {
+    fn fragments_hold_exactly_their_buckets() {
         let r = cols(100);
         let of = 4;
-        let parts = fragment_columns(&r, 0, of).unwrap();
         let mut total = 0;
-        for (bucket, part) in parts.iter().enumerate() {
-            let scanned = scan_bucket_columns(std::slice::from_ref(&r), 0, bucket, of).unwrap();
-            for &k in scanned.int_col(0).unwrap() {
-                assert_eq!(bucket_of(k, of), bucket);
-            }
-            assert_eq!(scanned, **part, "one bucket of the partitioning");
-            total += scanned.rows();
+        for (bucket, part) in fragment_columns(&r, 0, of).unwrap().iter().enumerate() {
+            let keys = part.int_col(0).unwrap();
+            assert!(keys.iter().all(|&k| bucket_of(k, of) == bucket));
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "input order");
+            total += part.rows();
         }
-        assert_eq!(total, 100, "buckets partition the fragment exactly");
+        assert_eq!(total, 100, "buckets partition the batch exactly");
     }
 
     #[test]
@@ -167,22 +133,22 @@ mod tests {
     }
 
     #[test]
-    fn single_bucket_scan_is_a_full_scan() {
-        let scanned = scan_bucket_columns(&[cols(7)], 0, 0, 1).unwrap();
-        assert_eq!(scanned.rows(), 7);
-    }
-
-    #[test]
-    fn a_bucket_scan_of_several_fragments_is_one_batch_in_fragment_order() {
-        let fragments = [cols(50), cols(30)];
+    fn splitting_each_producer_equals_splitting_their_concatenation() {
+        // A consumer instance reads piece `j` of every producer in turn:
+        // that must be bucket `j` of all their rows, in producer order.
+        let (head, tail) = (cols(50), cols(30));
+        let mut all = (*head).clone();
+        all.append_rows(&tail, 0..tail.rows()).unwrap();
         let of = 3;
-        for bucket in 0..of {
-            let both = scan_bucket_columns(&fragments, 0, bucket, of).unwrap();
-            let mut expected = scan_bucket_columns(&fragments[..1], 0, bucket, of).unwrap();
-            let tail = scan_bucket_columns(&fragments[1..], 0, bucket, of).unwrap();
-            expected.append_rows(&tail, 0..tail.rows()).unwrap();
-            assert_eq!(both, expected);
+        let whole = fragment_columns(&Arc::new(all), 0, of).unwrap();
+        let (h, t) = (
+            fragment_columns(&head, 0, of).unwrap(),
+            fragment_columns(&tail, 0, of).unwrap(),
+        );
+        for j in 0..of {
+            let mut pieces = (*h[j]).clone();
+            pieces.append_rows(&t[j], 0..t[j].rows()).unwrap();
+            assert_eq!(pieces, *whole[j], "bucket {j}");
         }
-        assert_eq!(scan_bucket_columns(&[], 0, 0, of).unwrap().rows(), 0);
     }
 }

@@ -21,7 +21,7 @@ pub mod wisconsin;
 
 pub use cache::{FragmentCache, FragmentCacheStats, MAX_VARIANTS_PER_RELATION};
 pub use catalog::{Catalog, TableStats};
-pub use columnar::{fragment_columns, scan_bucket_columns, scan_columns, Fragments};
+pub use columnar::{fragment_columns, scan_columns, Fragments};
 pub use generator::{PayloadMode, WisconsinGenerator};
 pub use registry::{pack_ref, ref_leaf, ref_row, FragmentRegistry};
 pub use store::FragmentStore;
