@@ -53,8 +53,8 @@ use mj_core::plan_ir::{OperandSource, ParallelPlan, PlanOp};
 use mj_core::validate::ValidPlan;
 use mj_plan::segment::segments;
 use mj_relalg::column::{select, ColumnBatch, ColumnLayout};
-use mj_relalg::{Predicate, RelalgError, Relation, RelationProvider, Result, Tuple};
-use mj_storage::{fragment_columns, FragmentCache, FragmentStore, Fragments};
+use mj_relalg::{JoinAlgorithm, Predicate, RelalgError, Relation, RelationProvider, Result, Tuple};
+use mj_storage::{fragment_columns, FragmentCache, FragmentStore, Fragments, Tables};
 
 use crate::binding::QueryBinding;
 use crate::budget::MemoryBudget;
@@ -722,7 +722,7 @@ struct QueryRun {
     /// Fragment-name namespace of this query in the shared store.
     ns: String,
     /// base_fragments[(op, side)] = per-instance base fragments.
-    base_fragments: HashMap<(usize, usize), Fragments>,
+    base_fragments: HashMap<(usize, usize), BaseOperand>,
     /// Receivers for stream operands, taken at consumer spawn.
     stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>>,
     /// Senders for stream outputs — the result edge among them, under the
@@ -821,7 +821,12 @@ impl QueryRun {
                 for (side, operand, _) in ops[m].operands(&self.plan, m) {
                     sources.push(match operand {
                         OperandSource::Base { .. } => {
-                            Some(Source::Local(self.base_fragments[&(m, side)][i].clone()))
+                            Some(match &self.base_fragments[&(m, side)] {
+                                BaseOperand::Fragments(fragments) => {
+                                    Source::Local(fragments[i].clone())
+                                }
+                                BaseOperand::Tables(tables) => Source::Table(tables[i].clone()),
+                            })
                         }
                         OperandSource::Materialized { from } => {
                             // Piece `i` of every producer instance.
@@ -1228,13 +1233,25 @@ impl QueryRun {
     }
 }
 
+/// A base operand of one operation, per instance.
+enum BaseOperand {
+    /// Columnar fragments, read a quantum of rows at a time.
+    Fragments(Fragments),
+    /// Resident join tables over the fragments: a simple join's unfiltered
+    /// build side, adopted instead of built.
+    Tables(Tables),
+}
+
 /// Resolves every base operand of `plan` to its per-instance columnar
 /// fragments: a fragment-cache lookup, plus — for a pushed-down scan
 /// filter — a selection over each *cached* fragment whose survivors are
 /// gathered into a batch private to this query (filtering and hash
 /// partitioning commute, and the filtered result is never cached: `?1`
 /// changes per execution). A late plan's narrow leaves are per query
-/// already and are partitioned privately.
+/// already and are partitioned privately. A simple join's build side
+/// (side 0) over an unfiltered base relation is the cache's resident join
+/// tables over those fragments instead, so a warm query builds only on
+/// what changes between queries.
 fn base_fragments(
     plan: &ParallelPlan,
     ops: &[Operation],
@@ -1243,7 +1260,7 @@ fn base_fragments(
     provider: &dyn RelationProvider,
     cache: &FragmentCache,
     metrics: &mut Metrics,
-) -> Result<HashMap<(usize, usize), Fragments>> {
+) -> Result<HashMap<(usize, usize), BaseOperand>> {
     // One resolution per name, so every leaf of a query reads the same
     // relation even while it is being replaced in the catalog.
     let mut resolved: HashMap<&str, Arc<Relation>> = HashMap::new();
@@ -1253,12 +1270,12 @@ fn base_fragments(
             let OperandSource::Base { relation } = operand else {
                 continue;
             };
-            let fragments: Fragments = match late {
+            let base = match late {
                 Some(l) => {
                     let narrow = l.relations.get(relation).ok_or_else(|| {
                         RelalgError::InvalidPlan(format!("late plan lost relation {relation}"))
                     })?;
-                    fragment_columns(narrow, key_col, op.degree)?
+                    BaseOperand::Fragments(fragment_columns(narrow, key_col, op.degree)?)
                 }
                 None => {
                     let source = match resolved.get(relation.as_str()) {
@@ -1269,18 +1286,30 @@ fn base_fragments(
                             source
                         }
                     };
-                    let (cached, hit) = cache.fragments(relation, &source, key_col, op.degree)?;
-                    metrics.note_fragment_lookup(hit);
-                    match binding.scan_filter(relation) {
-                        Some(pred) => cached
-                            .iter()
-                            .map(|fragment| filter_fragment(fragment, pred))
-                            .collect::<Result<_>>()?,
-                        None => cached,
+                    let filter = binding.scan_filter(relation);
+                    // The simple join builds on side 0.
+                    if side == 0
+                        && filter.is_none()
+                        && plan.ops[id].algorithm == JoinAlgorithm::Simple
+                    {
+                        let (tables, hit) = cache.tables(relation, &source, key_col, op.degree)?;
+                        metrics.note_fragment_lookup(hit);
+                        BaseOperand::Tables(tables)
+                    } else {
+                        let (cached, hit) =
+                            cache.fragments(relation, &source, key_col, op.degree)?;
+                        metrics.note_fragment_lookup(hit);
+                        BaseOperand::Fragments(match filter {
+                            Some(pred) => cached
+                                .iter()
+                                .map(|fragment| filter_fragment(fragment, pred))
+                                .collect::<Result<_>>()?,
+                            None => cached,
+                        })
                     }
                 }
             };
-            out.insert((id, side), fragments);
+            out.insert((id, side), base);
         }
     }
     Ok(out)

@@ -119,11 +119,12 @@ pub struct Metrics {
     /// Operator-task panics contained (converted into a query-scoped typed
     /// error) while this query ran.
     pub panics_contained: u64,
-    /// Base-operand fragment sets this query found resident in the
-    /// engine's fragment cache.
+    /// Base operands this query found resident in the engine's fragment
+    /// cache: their fragment sets, and for a simple join's unfiltered
+    /// build side the join tables over them too.
     pub fragment_cache_hits: u64,
-    /// Base-operand fragment sets this query had to build (and left in the
-    /// cache): zero means the query ran warm.
+    /// Base operands whose fragment set or join tables this query had to
+    /// build (and left in the cache): zero means the query ran warm.
     pub fragment_cache_built: u64,
 }
 

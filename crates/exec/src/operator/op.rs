@@ -117,6 +117,18 @@ pub trait PhysicalOp: Send {
         )))
     }
 
+    /// Takes `table`, complete, as the build side
+    /// ([`InputMode::BuildThenProbe`] only): a resident table over a base
+    /// operand ([`Source::Table`](crate::source::Source::Table)), called
+    /// instead of [`build_batch`](Self::build_batch).
+    fn adopt_table(&mut self, table: Arc<ColumnarTable>) -> Result<()> {
+        let _ = table;
+        Err(RelalgError::InvalidPlan(format!(
+            "operator {} cannot adopt a build table",
+            self.kind()
+        )))
+    }
+
     /// The build side is exhausted ([`InputMode::BuildThenProbe`] only).
     fn finish_build(&mut self) {}
 
@@ -147,12 +159,15 @@ pub trait PhysicalOp: Send {
 /// (§2.3.2): side 0 builds, side 1 probes. The build operand's chunk is
 /// indexed in place ([`ColumnarTable::index`]): the table shares it, sizes
 /// its index once, and links one quantum of rows per call, copying
-/// nothing. Each probe batch hashes its key column a group at a time,
-/// collects `(build_row, probe_row)` match pairs, and assembles the output
-/// with one column-wise gather.
+/// nothing. An unfiltered base operand needs not even that: its table is
+/// resident with its fragment, and the join adopts it
+/// ([`adopt_table`](PhysicalOp::adopt_table)) in no quanta at all. Each
+/// probe batch hashes its key column a group at a time, collects
+/// `(build_row, probe_row)` match pairs, and assembles the output with one
+/// column-wise gather.
 pub struct SimpleJoinOp {
     spec: EquiJoin,
-    table: ColumnarTable,
+    table: BuildTable,
     /// Match-pair scratch, reused across probe batches.
     pairs: Vec<(u32, u32)>,
 }
@@ -162,7 +177,7 @@ impl SimpleJoinOp {
     pub fn new(spec: EquiJoin) -> Self {
         SimpleJoinOp {
             spec,
-            table: ColumnarTable::new(),
+            table: BuildTable::Own(ColumnarTable::new()),
             pairs: Vec::new(),
         }
     }
@@ -183,7 +198,24 @@ impl PhysicalOp for SimpleJoinOp {
     }
 
     fn build_batch(&mut self, cols: &Arc<ColumnBatch>, range: Range<usize>) -> Result<()> {
-        self.table.index(cols, self.spec.left_key, range)
+        let BuildTable::Own(table) = &mut self.table else {
+            return Err(RelalgError::InvalidPlan(
+                "an adopted build table takes no more rows".into(),
+            ));
+        };
+        table.index(cols, self.spec.left_key, range)
+    }
+
+    fn adopt_table(&mut self, table: Arc<ColumnarTable>) -> Result<()> {
+        if table.key_col() != self.spec.left_key {
+            return Err(RelalgError::InvalidPlan(format!(
+                "a table on column {} is no build side of a join on column {}",
+                table.key_col(),
+                self.spec.left_key
+            )));
+        }
+        self.table = BuildTable::Resident(table);
+        Ok(())
     }
 
     fn absorb_batch(
@@ -204,6 +236,25 @@ impl PhysicalOp for SimpleJoinOp {
 
     fn est_bytes(&self) -> usize {
         self.table.est_bytes()
+    }
+}
+
+/// A simple join's build table: indexed by the instance itself, or a
+/// resident one adopted whole. An owned table is held inline, so indexing
+/// per query costs no more than the table's own arrays.
+enum BuildTable {
+    Own(ColumnarTable),
+    Resident(Arc<ColumnarTable>),
+}
+
+impl std::ops::Deref for BuildTable {
+    type Target = ColumnarTable;
+
+    fn deref(&self) -> &ColumnarTable {
+        match self {
+            BuildTable::Own(table) => table,
+            BuildTable::Resident(table) => table,
+        }
     }
 }
 
@@ -336,6 +387,41 @@ mod tests {
             ]
         );
         assert_eq!(op.kind().to_string(), "join[simple]");
+    }
+
+    #[test]
+    fn simple_join_adopts_a_resident_table_and_probes_it_alike() {
+        let build = batch(&[[10, 1], [20, 2], [11, 1]]);
+        let mut resident = ColumnarTable::new();
+        resident.index(&build, 1, 0..build.rows()).unwrap();
+        let resident = Arc::new(resident);
+
+        let mut op = SimpleJoinOp::new(spec());
+        op.adopt_table(resident.clone()).unwrap();
+        op.finish_build();
+        assert_eq!(op.build_len(), 3);
+        assert_eq!(op.est_bytes(), resident.est_bytes(), "priced as if built");
+        assert!(op.build_batch(&build, 0..1).is_err(), "nothing to add to");
+        let probe = batch(&[[1, 100], [3, 300], [2, 200]]);
+        let mut out = ColumnBatch::shapeless();
+        op.absorb_batch(1, &probe, 0..probe.rows(), &mut out)
+            .unwrap();
+        assert_eq!(
+            sorted_rows(&out),
+            vec![
+                Tuple::from_ints(&[10, 1, 100]),
+                Tuple::from_ints(&[11, 1, 100]),
+                Tuple::from_ints(&[20, 2, 200]),
+            ]
+        );
+
+        // A table on another column is no build side of this join, and the
+        // pipelining join builds its own tables.
+        let mut other = ColumnarTable::new();
+        other.index(&build, 0, 0..build.rows()).unwrap();
+        let mut fresh = SimpleJoinOp::new(spec());
+        assert!(fresh.adopt_table(Arc::new(other)).is_err());
+        assert!(PipeliningJoinOp::new(spec()).adopt_table(resident).is_err());
     }
 
     #[test]

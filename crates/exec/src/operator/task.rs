@@ -49,6 +49,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::task::Waker;
 
+use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{RelalgError, Result};
 
@@ -115,6 +116,9 @@ enum Operand {
         current: Option<Batch>,
         pos: usize,
     },
+    /// A resident build table, which the operator adopts whole; it has no
+    /// rows to read.
+    Table(Arc<ColumnarTable>),
 }
 
 /// The state of an operand after [`Operand::ready`].
@@ -149,6 +153,7 @@ impl Operand {
                 current: None,
                 pos: 0,
             },
+            Source::Table(table) => Operand::Table(table),
         }
     }
 
@@ -184,6 +189,9 @@ impl Operand {
     /// free their columns).
     fn ready(&mut self, waker: &Waker) -> Result<Feed> {
         match self {
+            Operand::Table(_) => Err(RelalgError::InvalidPlan(
+                "a resident table is only ever a simple join's build side".into(),
+            )),
             Operand::Chunks { cols, pos, rest } => loop {
                 if *pos < cols.rows() {
                     return Ok(Feed::Ready);
@@ -243,7 +251,7 @@ impl Operand {
     fn shared_chunk(&self) -> Option<(&Arc<ColumnBatch>, usize)> {
         match self {
             Operand::Chunks { cols, pos, .. } => Some((cols, *pos)),
-            Operand::Stream { .. } => None,
+            Operand::Stream { .. } | Operand::Table(_) => None,
         }
     }
 
@@ -251,6 +259,7 @@ impl Operand {
     fn consume(&mut self, n: usize) {
         match self {
             Operand::Chunks { pos, .. } | Operand::Stream { pos, .. } => *pos += n,
+            Operand::Table(_) => {}
         }
     }
 }
@@ -581,10 +590,18 @@ impl OpTask {
     /// Build phase: hand the immediate build side to the operator a
     /// quantum of rows at a time, as ranges of its one shared chunk. No
     /// output is produced, so this never blocks — it only paces itself by
-    /// the quantum.
+    /// the quantum. A resident table is handed over whole and takes none
+    /// of the quantum: its rows were indexed when it was built.
     fn step_build(&mut self, budget: &mut usize, waker: &Waker) -> Result<Option<Step>> {
         let m = self.members.front_mut().expect("a live task has a member");
         let build = m.build_side().expect("build phase implies a build side");
+        if let Operand::Table(table) = &m.operands[build] {
+            m.stats.tuples_in[build] += table.len() as u64;
+            m.op.adopt_table(table.clone())?;
+            m.op.finish_build();
+            self.phase = Phase::Feed;
+            return Ok(None);
+        }
         if m.operands[build].is_stream() {
             return Err(RelalgError::InvalidPlan(format!(
                 "{} cannot stream its build operand",
@@ -1100,6 +1117,62 @@ mod tests {
         assert!(collected.lock().is_empty());
         drop(task);
         assert!(done_rx.try_recv().is_err(), "drop reports nothing twice");
+    }
+
+    #[test]
+    fn a_resident_build_table_takes_no_quanta() {
+        let build = rel(2000, |i| i);
+        let mut table = ColumnarTable::new();
+        table.index(&build, 0, 0..build.rows()).unwrap();
+        let spec = EquiJoin::new(0, 0, Projection::new(vec![0, 1, 3]));
+        let sources = vec![
+            Some(Source::Table(Arc::new(table))),
+            Some(Source::Local(rel(300, |i| i * 7))),
+        ];
+        let members = vec![TaskMember::new(
+            join_op(JoinAlgorithm::Simple, spec),
+            sources,
+            0,
+        )];
+        let collected = Arc::new(Mutex::new(Vec::new()));
+        let output = OutputPort::Sink {
+            collected: collected.clone(),
+            buffer: Vec::new(),
+        };
+        let (done_tx, done_rx) = channel();
+        drive_blocking(OpTask::new(members, output, 64, 0, done_tx.into(), None));
+        let stats = done_rx.recv().unwrap().1.unwrap();
+        assert_eq!(stats.tuples_in, [2000, 300], "the table's rows count");
+        assert_eq!(stats.steps, 1, "300 probe rows are one quantum");
+        // Keys 0, 7, .., 1995 of the probe side are build keys.
+        assert_eq!(collected.lock().len(), 286);
+    }
+
+    #[test]
+    fn a_table_anywhere_but_a_simple_build_side_is_a_plan_error() {
+        let mut table = ColumnarTable::new();
+        table.index(&rel(4, |i| i), 0, 0..4).unwrap();
+        let spec = EquiJoin::new(0, 0, Projection::new(vec![0, 1, 3]));
+        let sources = vec![
+            Some(Source::Table(Arc::new(table))),
+            Some(Source::Local(rel(4, |i| i))),
+        ];
+        let members = vec![TaskMember::new(
+            join_op(JoinAlgorithm::Pipelining, spec),
+            sources,
+            0,
+        )];
+        let output = OutputPort::Sink {
+            collected: Arc::new(Mutex::new(Vec::new())),
+            buffer: Vec::new(),
+        };
+        let (done_tx, done_rx) = channel();
+        drive_blocking(OpTask::new(members, output, 64, 0, done_tx.into(), None));
+        let result = done_rx.recv().unwrap().1;
+        assert!(
+            matches!(result, Err(RelalgError::InvalidPlan(_))),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 
 use crate::stream::{Msg, Receiver};
@@ -13,6 +14,16 @@ pub enum Source {
     /// fragment cache, or private to the query when a scan filter or the
     /// late-materialization narrowing produced it.
     Local(Arc<ColumnBatch>),
+    /// A simple join's build operand already built: the resident join
+    /// table over an unfiltered base fragment, shared with the engine's
+    /// fragment cache ([`FragmentCache::tables`]), whose rows *are* the
+    /// fragment. The join adopts it whole
+    /// ([`PhysicalOp::adopt_table`](crate::operator::PhysicalOp::adopt_table))
+    /// and builds nothing. Every other build operand — filtered, late,
+    /// materialized or fused — is indexed per query.
+    ///
+    /// [`FragmentCache::tables`]: mj_storage::FragmentCache::tables
+    Table(Arc<ColumnarTable>),
     /// A materialized intermediate: this instance's piece of every
     /// producer instance's output, which the producer split on this
     /// operand's join key at its consumer's degree

@@ -8,7 +8,9 @@
 //! * [`ColumnarTable::index`] — the simple join's build. Its operand is an
 //!   immutable, already shared chunk, so the table adopts the chunk where
 //!   it lies, sizes the index once for all of its rows, and links a range
-//!   of them per call. No row or key is copied and nothing rehashes.
+//!   of them per call. No row or key is copied and nothing rehashes. A
+//!   table indexed whole this way over a base fragment never changes, so
+//!   the engine's fragment cache keeps it resident and shares it.
 //! * [`ColumnarTable::insert_batch`] — the pipelining join's tables, which
 //!   grow batch by batch. Rows are appended through `Arc::make_mut` (free
 //!   for a table nobody shares) and the index rehashes as it grows.
@@ -109,6 +111,11 @@ impl ColumnarTable {
     /// assembly). An adopted chunk is returned whole.
     pub fn rows(&self) -> &ColumnBatch {
         self.rows.as_deref().unwrap_or(&NO_ROWS)
+    }
+
+    /// The column of [`rows`](Self::rows) the table is keyed on.
+    pub fn key_col(&self) -> usize {
+        self.key_col
     }
 
     /// Empties the index and sizes it for `n` rows: the smallest
@@ -292,8 +299,13 @@ impl ColumnarTable {
     /// Approximate resident bytes: the build rows, shared or owned, plus
     /// the bucket/chain index.
     pub fn est_bytes(&self) -> usize {
-        self.rows().est_bytes() as usize
-            + (self.buckets.len() + self.next.len()) * std::mem::size_of::<u32>()
+        self.rows().est_bytes() as usize + self.index_bytes()
+    }
+
+    /// Bytes of the bucket/chain index alone: 4 per bucket plus 4 per
+    /// linked row.
+    pub fn index_bytes(&self) -> usize {
+        (self.buckets.len() + self.next.len()) * std::mem::size_of::<u32>()
     }
 }
 

@@ -6,25 +6,30 @@
 //! sequential XRA oracle rather than by time:
 //!
 //! * a second identical query builds nothing — no cache miss, no
-//!   row→column conversion of a base relation;
+//!   row→column conversion of a base relation, no join table over one: a
+//!   simple join's unfiltered base build side adopts the table resident
+//!   with its fragment;
 //! * a pushed-down scan filter evaluated over the *cached* fragments
 //!   returns exactly the oracle's rows — predicates on the partitioning
 //!   key and on other columns, no survivors at all, and one prepared
 //!   statement executed with different `?1` back to back and concurrently
-//!   (filtered survivors are private to an execution, never cached);
+//!   (filtered survivors are private to an execution, never cached), and a
+//!   filtered build side indexes its survivors privately instead of
+//!   adopting the resident table;
 //! * a relation replaced under its name while queries run is never served
-//!   from the old fragments: every reply is the oracle's answer on the old
-//!   *or* the new relation, never a mix, and the first query submitted
-//!   after the swap sees the new one.
+//!   from the old fragments or the old tables: every reply is the oracle's
+//!   answer on the old *or* the new relation, never a mix, and the first
+//!   query submitted after the swap sees the new one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
+use multijoin::core::plan_ir::OperandSource;
 use multijoin::core::ScheduleModel;
 use multijoin::exec::{
-    chain_query_sql, generate_family, Database, DbConfig, LateMode, Metrics, QueryFamily,
-    QueryHandle,
+    chain_query_sql, generate_family, Database, DbConfig, LateMode, Metrics, PlannedQuery,
+    QueryFamily, QueryHandle,
 };
 use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider};
 use multijoin::storage::TableStats;
@@ -78,6 +83,19 @@ fn drain(mut handle: QueryHandle) -> (Relation, Metrics) {
     (result, handle.outcome().unwrap().metrics)
 }
 
+/// The base relations `planned` builds a simple join's table on, one entry
+/// per such join.
+fn base_builds(planned: &PlannedQuery) -> Vec<&str> {
+    let ops = planned.plan.ops.iter();
+    let simple = ops.filter(|op| op.algorithm == JoinAlgorithm::Simple);
+    simple
+        .filter_map(|op| match &op.left {
+            OperandSource::Base { relation } => Some(relation.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn second_identical_query_builds_nothing() {
     let relations = generated(3);
@@ -99,6 +117,11 @@ fn second_identical_query_builds_nothing() {
     let (cold_rows, cold) = drain(db.query(&text).unwrap());
     assert!(cold.fragment_cache_built > 0, "first query partitions");
     let resident = cache.stats();
+    assert!(
+        resident.tables_built > 0,
+        "first query indexes its base build sides\n{}",
+        planned.explain()
+    );
 
     let (warm_rows, warm) = drain(db.query(&text).unwrap());
     assert_eq!(warm.fragment_cache_built, 0);
@@ -113,6 +136,7 @@ fn second_identical_query_builds_nothing() {
         after.images_built, RELATIONS as u64,
         "no base relation converted again"
     );
+    assert_eq!(after.tables_built, resident.tables_built, "no table built");
     assert_eq!(after.bytes, resident.bytes);
     assert!(warm_rows.multiset_eq(&cold_rows));
     assert!(warm_rows.multiset_eq(&oracle(&db, &text, &relations)));
@@ -202,9 +226,56 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
 }
 
 #[test]
+fn a_filtered_build_side_is_indexed_privately() {
+    let relations = generated(7);
+    let db = open(&relations);
+    let cache = db.engine().fragment_cache();
+    let joins = chain_query_sql(RELATIONS);
+    // A relation the filtered plan still builds a simple join's table on.
+    let (name, stmt) = (0..RELATIONS)
+        .map(|i| format!("R{i}"))
+        .find_map(|name| {
+            let stmt = db
+                .prepare(&format!("{joins} WHERE {name}.id < ?1"))
+                .unwrap();
+            base_builds(stmt.planned())
+                .contains(&name.as_str())
+                .then_some((name, stmt))
+        })
+        .expect("some filtered relation is a simple join's build side");
+    // A chain reads each relation once: a cold execution builds one table
+    // set per unfiltered build side.
+    let builds = base_builds(stmt.planned());
+    let unfiltered = builds.iter().filter(|&&r| r != name).count();
+
+    let expect = |arg: i64| {
+        let text = format!("{joins} WHERE {name}.id < {arg}");
+        oracle(&db, &text, &relations)
+    };
+    let (rows, _) = drain(db.execute_prepared(&stmt, &[200]).unwrap());
+    assert!(rows.multiset_eq(&expect(200)));
+    let built = cache.stats().tables_built;
+    assert_eq!(
+        built,
+        unfiltered as u64,
+        "{name}: only the unfiltered build sides are resident\n{}",
+        stmt.planned().explain()
+    );
+    for arg in [0i64, 37, 399, 400, 5] {
+        let (rows, metrics) = drain(db.execute_prepared(&stmt, &[arg]).unwrap());
+        assert!(rows.multiset_eq(&expect(arg)), "{name}.id < {arg}");
+        assert_eq!(metrics.fragment_cache_built, 0, "{name}.id < {arg}");
+    }
+    assert_eq!(cache.stats().tables_built, built, "no table over survivors");
+    assert_eq!(db.engine().store().total_bytes(), 0);
+}
+
+#[test]
 fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
-    // Version v of the data set differs from version 0 only in R1, which
-    // is swapped under its live name; the other relations stay cached.
+    // Version v of the data set differs from version 0 only in R3, which
+    // is swapped under its live name; the other relations stay cached. R3
+    // is a simple join's unfiltered build side in both plans, so it is
+    // served as a resident table.
     const VERSIONS: usize = 6;
     let base = generated(17);
     let versions: Vec<HashMap<String, Arc<Relation>>> = (0..VERSIONS)
@@ -212,7 +283,7 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
             let mut relations = base.clone();
             if v > 0 {
                 let donor = generated(100 + v as u64);
-                relations.insert("R1".into(), donor["R1"].clone());
+                relations.insert("R3".into(), donor["R3"].clone());
             }
             relations
         })
@@ -242,11 +313,21 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
         }
     }
     let swap_to = |v: usize| {
-        let relation = versions[v]["R1"].clone();
+        let relation = versions[v]["R3"].clone();
         let stats = TableStats::unique_key(relation.len() as u64);
-        db.catalog().register_with_stats("R1", relation, stats);
+        db.catalog().register_with_stats("R3", relation, stats);
     };
     let stmt = db.prepare(&prepared_sql).unwrap();
+    let adhoc = db.plan(&adhoc_sql).unwrap();
+    assert!(
+        [base_builds(stmt.planned()), base_builds(&adhoc)]
+            .iter()
+            .all(|builds| builds.contains(&"R3")),
+        "both plans build a simple join's table on R3\n{}\n{}",
+        stmt.planned().explain(),
+        adhoc.explain()
+    );
+    let tables = || db.engine().fragment_cache().stats().tables_built;
     let run = |which: usize| -> Relation {
         let handle = if which == 0 {
             db.execute_prepared(&stmt, &[ARG]).unwrap()
@@ -256,27 +337,29 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
         drain(handle).0
     };
 
-    // Between executes: the first query after each swap sees the new R1.
+    // Between executes: the first query after each swap sees the new R3.
     for which in [0, 1] {
         assert!(run(which).multiset_eq(&expected[0][which]));
     }
     for (v, expected) in expected.iter().enumerate().skip(1) {
         swap_to(v);
         let which = v % 2;
+        let built = tables();
         assert!(
             run(which).multiset_eq(&expected[which]),
-            "first query after swap {v} served an older R1"
+            "first query after swap {v} served an older R3"
         );
+        assert!(tables() > built, "swap {v}: R3's table was rebuilt");
         assert!(run(1 - which).multiset_eq(&expected[1 - which]));
     }
     let evicted = db.engine().fragment_cache().stats().evictions;
     assert!(
         evicted >= VERSIONS as u64 - 1,
-        "every swap evicted R1's entry"
+        "every swap evicted R3's entry"
     );
 
     // During executes: three clients query without pause while the main
-    // thread walks R1 through the versions again. `current` moves only
+    // thread walks R3 through the versions again. `current` moves only
     // after its swap is visible, so a query that read `lo` before
     // submitting and `hi` after completing ran against some version in
     // `lo..=hi + 1` — and must equal that version's oracle exactly.

@@ -22,14 +22,30 @@
 //! statistics does not evict; replacing the relation under its name always
 //! does, at the next lookup of that name.
 //!
+//! **Tables.** The paper's RD strategy builds a hash table on a base
+//! relation at every join of a right-deep segment, and the relation does
+//! not change between queries, so neither does the table.
+//! [`FragmentCache::tables`] keeps one join table per fragment, indexed on
+//! the key column asked for: a partitioned variant holds the table set of
+//! its own key, the image one set per key column, since it serves every
+//! key. A table indexes its fragment where it lies (the table's rows *are*
+//! the fragment), so only the index is extra. Table sets are built lazily,
+//! on the first lookup, and live and die with their fragments: validated,
+//! touched and evicted together, never served for a replaced relation.
+//!
 //! **Bound.** Per relation the cache holds the image plus at most
 //! [`MAX_VARIANTS_PER_RELATION`] partitioned variants, least recently used
-//! evicted first. Misses are built outside the lock and inserted if absent,
-//! so concurrent queries missing the same key end up sharing one copy.
+//! evicted first, and the index of every table set built on them: about
+//! 4 B per bucket plus 4 B per row (buckets are the next power of two
+//! above 8/7 of the rows, so 9–13 B per row against a three-column
+//! fragment's 24). Misses are built outside the lock and inserted if
+//! absent, so concurrent queries missing the same key end up sharing one
+//! copy, of fragments and of tables alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{Relation, Result};
 use parking_lot::Mutex;
@@ -46,8 +62,14 @@ use crate::columnar::{fragment_columns, scan_columns, Fragments};
 /// `(1 + 4) ×` the relation's columnar size — 8 bytes per integer value,
 /// about a third of the row form the catalog already holds (a three-column
 /// [`Tuple`](mj_relalg::Tuple) row is 72 bytes): at most ~1.7× the catalog's
-/// own bytes, in practice (one variant per relation) ~0.7×.
+/// own bytes, in practice (one variant per relation) ~0.7× — plus the join
+/// index of each fragment set a simple join builds on (module docs).
 pub const MAX_VARIANTS_PER_RELATION: usize = 4;
+
+/// Join tables over a fragment set, one per fragment in fragment order:
+/// table `i` indexes fragment `i` where it lies ([`ColumnarTable::index`]),
+/// so its [`rows`](ColumnarTable::rows) *is* that fragment.
+pub type Tables = Arc<[Arc<ColumnarTable>]>;
 
 /// Counters of a [`FragmentCache`], read under its lock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,19 +80,27 @@ pub struct FragmentCacheStats {
     /// relations replaced since the entry was built.
     pub misses: u64,
     /// Cached fragment sets dropped: variants past the per-relation cap,
-    /// and every set (image included) of a replaced relation.
+    /// and every set (image included) of a replaced relation. Their tables
+    /// go with them.
     pub evictions: u64,
-    /// Logical bytes resident (images plus variants).
+    /// Logical bytes resident: images and variants, plus the index of
+    /// every resident table.
     pub bytes: u64,
     /// Row→column conversions performed ([`scan_columns`]): one per image
     /// built. A warm query adds none.
     pub images_built: u64,
+    /// Table sets built ([`tables`](FragmentCache::tables)): one per
+    /// fragment set and key column a simple join first built on. A warm
+    /// query adds none.
+    pub tables_built: u64,
 }
 
 struct Variant {
     key_col: usize,
     degree: usize,
     fragments: Fragments,
+    /// Tables over `fragments` on `key_col`, once a lookup asked for them.
+    tables: Option<Tables>,
 }
 
 struct Entry {
@@ -78,18 +108,67 @@ struct Entry {
     source: Arc<Relation>,
     /// The whole-relation image (one fragment).
     whole: Fragments,
+    /// Tables over the image, by key column: the image serves every key.
+    whole_tables: Vec<Option<Tables>>,
     /// Partitioned variants, least recently used first.
     variants: Vec<Variant>,
+}
+
+impl Entry {
+    /// Where the tables over `fragments` on `key_col` are kept; `None`
+    /// once those fragments are no longer this entry's.
+    fn tables_slot(
+        &mut self,
+        fragments: &Fragments,
+        key_col: usize,
+    ) -> Option<&mut Option<Tables>> {
+        if Arc::ptr_eq(&self.whole, fragments) {
+            if self.whole_tables.len() <= key_col {
+                self.whole_tables.resize(key_col + 1, None);
+            }
+            return Some(&mut self.whole_tables[key_col]);
+        }
+        let variant = self
+            .variants
+            .iter_mut()
+            .find(|v| Arc::ptr_eq(&v.fragments, fragments));
+        variant.map(|v| &mut v.tables)
+    }
+
+    fn bytes(&self) -> u64 {
+        let image_tables = self.whole_tables.iter().flatten().map(index_bytes);
+        let image = bytes_of(&self.whole) + image_tables.sum::<u64>();
+        self.variants.iter().map(Variant::bytes).sum::<u64>() + image
+    }
+}
+
+impl Variant {
+    fn bytes(&self) -> u64 {
+        bytes_of(&self.fragments) + self.tables.as_ref().map_or(0, index_bytes)
+    }
 }
 
 fn bytes_of(fragments: &Fragments) -> u64 {
     fragments.iter().map(|f| f.est_bytes()).sum()
 }
 
+/// The index bytes of `tables`; their rows are counted as fragments.
+fn index_bytes(tables: &Tables) -> u64 {
+    tables.iter().map(|t| t.index_bytes() as u64).sum()
+}
+
 #[derive(Default)]
 struct State {
     entries: HashMap<String, Entry>,
     stats: FragmentCacheStats,
+}
+
+impl State {
+    /// The entry of `name`, if it was built from `source`.
+    fn entry(&mut self, name: &str, source: &Arc<Relation>) -> Option<&mut Entry> {
+        let entry = self.entries.get_mut(name)?;
+        Arc::ptr_eq(&entry.source, source).then_some(entry)
+    }
 }
 
 /// Shared, bounded cache of columnar base-relation fragments (see the
@@ -175,16 +254,12 @@ impl FragmentCache {
             let fresh = Entry {
                 source: source.clone(),
                 whole,
+                whole_tables: Vec::new(),
                 variants: Vec::new(),
             };
             if let Some(stale) = entries.insert(name.to_string(), fresh) {
                 stats.evictions += 1 + stale.variants.len() as u64;
-                stats.bytes -= stale
-                    .variants
-                    .iter()
-                    .fold(bytes_of(&stale.whole), |sum, v| {
-                        sum + bytes_of(&v.fragments)
-                    });
+                stats.bytes -= stale.bytes();
             }
         }
         let entry = entries.get_mut(name).expect("validated or inserted above");
@@ -203,14 +278,65 @@ impl FragmentCache {
         if entry.variants.len() == MAX_VARIANTS_PER_RELATION {
             let evicted = entry.variants.remove(0);
             stats.evictions += 1;
-            stats.bytes -= bytes_of(&evicted.fragments);
+            stats.bytes -= evicted.bytes();
         }
         stats.bytes += bytes_of(&built);
         entry.variants.push(Variant {
             key_col,
             degree,
             fragments: built.clone(),
+            tables: None,
         });
+        Ok((built, false))
+    }
+
+    /// Join tables on integer column `key_col` over the `degree` fragments
+    /// [`fragments`](Self::fragments) returns — table `i` indexes fragment
+    /// `i` — and whether they were resident. The lookup is a fragment
+    /// lookup first (validated, counted and touched like one); tables are
+    /// built on its first use and then kept with those fragments, evicted
+    /// with them.
+    pub fn tables(
+        &self,
+        name: &str,
+        source: &Arc<Relation>,
+        key_col: usize,
+        degree: usize,
+    ) -> Result<(Tables, bool)> {
+        let (fragments, _) = self.fragments(name, source, key_col, degree)?;
+        {
+            let mut state = self.state.lock();
+            let entry = state.entry(name, source);
+            let slot = entry.and_then(|e| e.tables_slot(&fragments, key_col));
+            if let Some(Some(tables)) = slot {
+                return Ok((tables.clone(), true));
+            }
+        }
+
+        // Miss: index without holding the lock.
+        let built: Tables = fragments
+            .iter()
+            .map(|fragment| {
+                let mut table = ColumnarTable::new();
+                table.index(fragment, key_col, 0..fragment.rows())?;
+                Ok(Arc::new(table))
+            })
+            .collect::<Result<_>>()?;
+
+        let mut state = self.state.lock();
+        state.stats.tables_built += 1;
+        let entry = state.entry(name, source);
+        // Gone: the fragments were evicted or their relation replaced in
+        // the meantime, so the tables stay this caller's.
+        let Some(slot) = entry.and_then(|e| e.tables_slot(&fragments, key_col)) else {
+            return Ok((built, false));
+        };
+        // Insert if absent, as for fragments.
+        if let Some(winner) = slot {
+            return Ok((winner.clone(), false));
+        }
+        *slot = Some(built.clone());
+        state.stats.bytes += index_bytes(&built);
         Ok((built, false))
     }
 }
@@ -338,10 +464,154 @@ mod tests {
         assert_eq!(stats.bytes, 2 * 2000 * 16, "one image, one variant");
     }
 
+    /// Every `(build row, probe row)` match of `probe` in `table`, sorted.
+    fn matches(table: &ColumnarTable, probe: &[i64]) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        table.probe_into(probe, 0..probe.len(), &mut pairs);
+        pairs.sort_unstable();
+        pairs
+    }
+
+    #[test]
+    fn a_second_table_lookup_shares_the_tables_and_they_index_the_fragments() {
+        let cache = FragmentCache::new();
+        let r = rel(300);
+        let (cold, hit) = cache.tables("R", &r, 0, 3).unwrap();
+        assert!(!hit);
+        let (warm, hit) = cache.tables("R", &r, 0, 3).unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&cold, &warm));
+        let (fragments, hit) = cache.fragments("R", &r, 0, 3).unwrap();
+        assert!(hit);
+        for (table, fragment) in warm.iter().zip(fragments.iter()) {
+            assert!(
+                std::ptr::eq(table.rows(), &**fragment),
+                "no copy of the rows"
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.tables_built, stats.images_built), (1, 1));
+        // Three lookups of the variant: the first two through `tables`.
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+    }
+
+    #[test]
+    fn each_table_holds_its_bucket_and_probes_like_a_fresh_index() {
+        let cache = FragmentCache::new();
+        let r = rel(700);
+        let probe: Vec<i64> = (-5..720).collect();
+        for (key_col, degree) in [(0, 3), (1, 2), (0, 1), (1, 4)] {
+            let (tables, _) = cache.tables("R", &r, key_col, degree).unwrap();
+            let (fragments, _) = cache.fragments("R", &r, key_col, degree).unwrap();
+            assert_eq!(tables.len(), degree);
+            for (i, (table, fragment)) in tables.iter().zip(fragments.iter()).enumerate() {
+                assert_eq!((table.len(), table.key_col()), (fragment.rows(), key_col));
+                for &k in table.rows().int_col(key_col).unwrap() {
+                    assert_eq!(bucket_of(k, degree), i, "col {key_col} / {degree}");
+                }
+                let mut fresh = ColumnarTable::new();
+                fresh.index(fragment, key_col, 0..fragment.rows()).unwrap();
+                assert_eq!(matches(table, &probe), matches(&fresh, &probe));
+                assert_eq!(table.est_bytes(), fresh.est_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn the_image_keeps_one_table_set_per_key_column() {
+        let cache = FragmentCache::new();
+        let r = rel(200);
+        let (image, _) = cache.image("R", &r).unwrap();
+        let before = cache.stats().bytes;
+        let (on_k, hit) = cache.tables("R", &r, 0, 1).unwrap();
+        assert!(!hit);
+        let (on_v, hit) = cache.tables("R", &r, 1, 1).unwrap();
+        assert!(!hit, "another key column is another table set");
+        assert!(!Arc::ptr_eq(&on_k, &on_v));
+        for (tables, key_col) in [(&on_k, 0), (&on_v, 1)] {
+            assert_eq!(tables.len(), 1);
+            assert!(std::ptr::eq(tables[0].rows(), &*image));
+            assert_eq!(tables[0].key_col(), key_col);
+            let (again, hit) = cache.tables("R", &r, key_col, 1).unwrap();
+            assert!(hit && Arc::ptr_eq(tables, &again));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.tables_built, 2);
+        let index = (on_k[0].index_bytes() + on_v[0].index_bytes()) as u64;
+        assert_eq!(stats.bytes, before + index, "only the index is extra");
+    }
+
+    #[test]
+    fn two_threads_missing_the_same_tables_share_one_set() {
+        let cache = FragmentCache::new();
+        let r = rel(2000);
+        let barrier = Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let miss = || {
+                barrier.wait();
+                cache.tables("R", &r, 0, 4).unwrap().0
+            };
+            let a = scope.spawn(miss);
+            let b = scope.spawn(miss);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b), "the loser adopts the winner's set");
+        let index: u64 = a.iter().map(|t| t.index_bytes() as u64).sum();
+        assert_eq!(
+            cache.stats().bytes,
+            2 * 2000 * 16 + index,
+            "one set resident"
+        );
+    }
+
+    #[test]
+    fn tables_are_evicted_with_their_fragments_and_never_outlive_a_relation() {
+        let cache = FragmentCache::new();
+        let r = rel(64);
+        cache.fragments("R", &r, 0, 2).unwrap();
+        let without = cache.stats().bytes;
+        // Built on the oldest variant, which the lookup touches.
+        let (tables, _) = cache.tables("R", &r, 0, 2).unwrap();
+        let added = cache.stats().bytes - without;
+        assert_eq!(added, tables.iter().map(|t| t.index_bytes() as u64).sum());
+        assert!(added > 0);
+        for degree in 3..2 + MAX_VARIANTS_PER_RELATION {
+            cache.fragments("R", &r, 0, degree).unwrap();
+        }
+        let full = cache.stats().bytes;
+        // A fifth variant of equal size evicts degree 2, tables and all.
+        cache.fragments("R", &r, 1, 2).unwrap();
+        assert_eq!(cache.stats().bytes, full - added);
+        let (rebuilt, hit) = cache.tables("R", &r, 0, 2).unwrap();
+        assert!(!hit && !Arc::ptr_eq(&rebuilt, &tables));
+        assert_eq!(cache.stats().tables_built, 2);
+
+        // Replacing the relation drops every table set with its entry.
+        let old = rel(10);
+        cache.tables("R", &old, 0, 2).unwrap();
+        cache.tables("R", &old, 1, 1).unwrap();
+        let new = rel(10);
+        cache.fragments("R", &new, 0, 2).unwrap();
+        assert_eq!(cache.stats().bytes, 2 * 10 * 16, "fragments only");
+        let (fresh, hit) = cache.tables("R", &new, 0, 2).unwrap();
+        assert!(!hit);
+        let (fragments, _) = cache.fragments("R", &new, 0, 2).unwrap();
+        for (table, fragment) in fresh.iter().zip(fragments.iter()) {
+            assert!(
+                std::ptr::eq(table.rows(), &**fragment),
+                "over the new relation"
+            );
+        }
+        // A caller still holding the old relation rebuilds too.
+        let (stale, hit) = cache.tables("R", &old, 0, 2).unwrap();
+        assert!(!hit && !Arc::ptr_eq(&stale, &fresh));
+    }
+
     #[test]
     fn zero_degree_and_non_integer_keys_are_errors() {
         let cache = FragmentCache::new();
         assert!(cache.fragments("R", &rel(4), 0, 0).is_err());
         assert!(cache.fragments("R", &rel(4), 9, 2).is_err());
+        assert!(cache.tables("R", &rel(4), 9, 1).is_err());
     }
 }

@@ -5,7 +5,8 @@
 //! benchmark data generator (the paper's test data, §4.1), the columnar
 //! hash partitioner ([`fragment_columns`]) that gives base relations their
 //! ideal fragmentation with the same hash the engine's redistribution
-//! routes on, the resident [`FragmentCache`] of those fragments, and a
+//! routes on, the resident [`FragmentCache`] of those fragments and of the
+//! join tables over them, and a
 //! catalog with the statistics the phase-1 optimizer consumes.
 
 #![warn(missing_docs)]
@@ -19,7 +20,7 @@ pub mod skew;
 pub mod store;
 pub mod wisconsin;
 
-pub use cache::{FragmentCache, FragmentCacheStats, MAX_VARIANTS_PER_RELATION};
+pub use cache::{FragmentCache, FragmentCacheStats, Tables, MAX_VARIANTS_PER_RELATION};
 pub use catalog::{Catalog, TableStats};
 pub use columnar::{fragment_columns, scan_columns, Fragments};
 pub use generator::{PayloadMode, WisconsinGenerator};
