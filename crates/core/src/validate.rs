@@ -7,11 +7,12 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
+use mj_plan::segment::segments;
 use mj_plan::tree::TreeNode;
 use mj_relalg::{RelalgError, Result};
 
 use crate::bits::BitMatrix;
-use crate::plan_ir::{OperandSource, ParallelPlan};
+use crate::plan_ir::{OpId, OperandSource, ParallelPlan};
 
 /// Checks a plan's structural invariants:
 ///
@@ -251,21 +252,52 @@ fn check_operand(
 /// A plan that passed [`validate_plan`], shared and immutable: what a
 /// planner hands an executor so the check runs once where the plan is
 /// built, not on every execution of a cached plan, and so submitting it
-/// copies a pointer. Dereferences to the [`ParallelPlan`].
+/// copies a pointer. Dereferences to the [`ParallelPlan`]. It also keeps
+/// what an executor reads off the plan's structure, derived once here:
+/// each op's scheduling wave and process group.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ValidPlan(Arc<ParallelPlan>);
+pub struct ValidPlan(Arc<Validated>);
+
+#[derive(Debug, PartialEq)]
+struct Validated {
+    plan: ParallelPlan,
+    /// Per op: the topological wave of its right-deep segment.
+    waves: Vec<usize>,
+    /// Per op: the root op of its operation process.
+    roots: Vec<OpId>,
+}
 
 impl ValidPlan {
     /// Validates `plan` and wraps it.
     pub fn new(plan: ParallelPlan) -> Result<Self> {
         validate_plan(&plan)?;
-        Ok(ValidPlan(Arc::new(plan)))
+        let node_waves = segments(&plan.tree).node_waves();
+        let waves = plan
+            .ops
+            .iter()
+            .map(|op| node_waves.get(op.join).copied().flatten().unwrap_or(0))
+            .collect();
+        let roots = plan.process_roots();
+        Ok(ValidPlan(Arc::new(Validated { plan, waves, roots })))
+    }
+
+    /// Per op: the topological wave of the right-deep segment it belongs
+    /// to ([`Segmentation::node_waves`](mj_plan::segment::Segmentation)) —
+    /// deeper segments first, the scheduling priority of its tasks.
+    pub fn waves(&self) -> &[usize] {
+        &self.0.waves
+    }
+
+    /// Per op: the root op of its operation process
+    /// ([`ParallelPlan::process_roots`]).
+    pub fn process_roots(&self) -> &[OpId] {
+        &self.0.roots
     }
 }
 
 impl std::fmt::Display for ValidPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
+        self.0.plan.fmt(f)
     }
 }
 
@@ -273,7 +305,7 @@ impl Deref for ValidPlan {
     type Target = ParallelPlan;
 
     fn deref(&self) -> &ParallelPlan {
-        &self.0
+        &self.0.plan
     }
 }
 

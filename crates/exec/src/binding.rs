@@ -71,9 +71,33 @@ impl StageKind {
         self.metrics_kind().label()
     }
 
-    /// A fresh physical operator computing this stage, for one instance.
-    pub(crate) fn operator(&self) -> Box<dyn PhysicalOp> {
-        match self {
+    /// This stage with every `?N` placeholder of its predicate replaced
+    /// by its argument ([`bind_predicate`]); only a filter has one.
+    fn bind_params(&self, args: &[i64]) -> Result<StageKind> {
+        Ok(match self {
+            StageKind::Filter {
+                predicate,
+                projection,
+            } => StageKind::Filter {
+                predicate: bind_predicate(predicate, args)?,
+                projection: projection.clone(),
+            },
+            other => other.clone(),
+        })
+    }
+
+    /// Whether this stage's predicate has a `?N` placeholder left.
+    pub(crate) fn has_params(&self) -> bool {
+        matches!(self, StageKind::Filter { predicate, .. } if has_params(predicate))
+    }
+
+    /// A fresh physical operator computing this stage, for one instance,
+    /// its placeholders bound to `args`.
+    pub(crate) fn operator(&self, args: &[i64]) -> Result<Box<dyn PhysicalOp>> {
+        if self.has_params() {
+            return self.bind_params(args)?.operator(&[]);
+        }
+        Ok(match self {
             StageKind::Filter {
                 predicate,
                 projection,
@@ -88,8 +112,42 @@ impl StageKind {
                 projection.clone(),
             )),
             StageKind::Limit { k } => Box::new(LimitOp::new(*k)),
-        }
+        })
     }
+}
+
+/// `pred` with every [`Expr::Param`] placeholder replaced by the
+/// corresponding literal from `args` (1-based: `?1` reads `args[0]`).
+/// Errors if a placeholder's index exceeds `args` (the session layer
+/// validates arity first, so this is a backstop).
+pub(crate) fn bind_predicate(pred: &Predicate, args: &[i64]) -> Result<Predicate> {
+    pred.map_exprs(&|e: &Expr| -> Result<Expr> {
+        Ok(match e {
+            Expr::Param(n) => {
+                let v = (*n as usize)
+                    .checked_sub(1)
+                    .and_then(|i| args.get(i))
+                    .ok_or_else(|| {
+                        RelalgError::InvalidPlan(format!(
+                            "parameter ?{n} out of range for {} argument(s)",
+                            args.len()
+                        ))
+                    })?;
+                Expr::Lit(Value::Int(*v))
+            }
+            other => other.clone(),
+        })
+    })
+}
+
+/// Whether `pred` holds a `?N` placeholder.
+pub(crate) fn has_params(pred: &Predicate) -> bool {
+    let found = std::cell::Cell::new(false);
+    let _ = pred.map_exprs(&|e: &Expr| {
+        found.set(found.get() || matches!(e, Expr::Param(_)));
+        Ok(e.clone())
+    });
+    found.get()
 }
 
 /// One post-join pipeline stage: the operator, its parallelism, how its
@@ -309,27 +367,10 @@ impl QueryBinding {
     /// `args` (the session layer validates arity first, so this is a
     /// backstop).
     pub fn bind_params(&self, args: &[i64]) -> Result<Self> {
-        let subst = |e: &Expr| -> Result<Expr> {
-            Ok(match e {
-                Expr::Param(n) => {
-                    let v = (*n as usize)
-                        .checked_sub(1)
-                        .and_then(|i| args.get(i))
-                        .ok_or_else(|| {
-                            RelalgError::InvalidPlan(format!(
-                                "parameter ?{n} out of range for {} argument(s)",
-                                args.len()
-                            ))
-                        })?;
-                    Expr::Lit(Value::Int(*v))
-                }
-                other => other.clone(),
-            })
-        };
         let scan_filters = self
             .scan_filters
             .iter()
-            .map(|(rel, p)| Ok((rel.clone(), p.map_exprs(&subst)?)))
+            .map(|(rel, p)| Ok((rel.clone(), bind_predicate(p, args)?)))
             .collect::<Result<HashMap<_, _>>>()
             .map(Arc::new)?;
         let has_filter = |s: &PipelineStage| matches!(s.kind, StageKind::Filter { .. });
@@ -337,18 +378,8 @@ impl QueryBinding {
             self.stages
                 .iter()
                 .map(|stage| {
-                    let kind = match &stage.kind {
-                        StageKind::Filter {
-                            predicate,
-                            projection,
-                        } => StageKind::Filter {
-                            predicate: predicate.map_exprs(&subst)?,
-                            projection: projection.clone(),
-                        },
-                        other => other.clone(),
-                    };
                     Ok(PipelineStage {
-                        kind,
+                        kind: stage.kind.bind_params(args)?,
                         ..stage.clone()
                     })
                 })

@@ -21,8 +21,13 @@
 //! [`run_plan`] (the same on a transient engine) drain the stream into a
 //! materialized [`ExecOutcome`].
 //!
-//! Per-query state (tuple streams, metrics, the completions still
-//! outstanding) lives in the query's run; materialized
+//! What no execution changes — the operations, their waves and process
+//! groups, the shapes of the edges between them, the resident base
+//! fragments they read — is a [`RunTemplate`], derived once per planned
+//! query (a prepared statement keeps its own). Per-query state (tuple
+//! streams, base operand references, metrics, the completions still
+//! outstanding) lives in the query's run, instantiated from the template
+//! by the one submission path, [`Engine::submit_template`]; materialized
 //! intermediates go into the shared store under a per-query namespace that
 //! is reclaimed when the query finishes — including when it is cancelled:
 //! the handle's cancel token is observed by every task on its next
@@ -30,8 +35,8 @@
 //! reclaims the namespace before the outcome is released.
 //!
 //! Every operation of a query — each join of the plan, then each post-join
-//! stage (residual filter, GROUP BY, LIMIT) — is wired by one channel
-//! set-up loop and spawned by one path. One task is one operation
+//! stage (residual filter, GROUP BY, LIMIT) — is listed and wired once, in
+//! its template, and spawned by one path. One task is one operation
 //! *process*: an operation's instance, or — where the plan fused sub-grain
 //! operations into their consumer (`OperandSource::Fused`) — a whole
 //! process group evaluated member by member inside it ([`OpTask`]). A group
@@ -40,21 +45,18 @@
 //!
 //! Scheduling order follows the right-deep segmentation: every operator
 //! task is submitted with its segment's topological wave index
-//! ([`Segmentation::node_waves`](mj_plan::segment::Segmentation)) as its
-//! priority, so deeper segments start first and independent segments of
-//! one wave interleave on the pool; stages come after the root join.
+//! ([`ValidPlan::waves`]) as its priority, so deeper segments start first
+//! and independent segments of one wave interleave on the pool; stages come
+//! after the root join.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-use mj_core::plan_ir::{OperandSource, ParallelPlan, PlanOp};
+use mj_core::plan_ir::ParallelPlan;
 use mj_core::validate::ValidPlan;
-use mj_plan::segment::segments;
-use mj_relalg::column::{select, ColumnBatch, ColumnLayout};
-use mj_relalg::{JoinAlgorithm, Predicate, RelalgError, Relation, RelationProvider, Result, Tuple};
-use mj_storage::{fragment_columns, FragmentCache, FragmentStore, Fragments, Tables};
+use mj_relalg::{RelalgError, Relation, RelationProvider, Result, Tuple};
+use mj_storage::{FragmentCache, FragmentStore};
 
 use crate::binding::QueryBinding;
 use crate::budget::MemoryBudget;
@@ -63,10 +65,11 @@ use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, QueryStatus, ResultStr
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::{EngineStats, Metrics};
 use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
-use crate::operator::{join_op, OutputPort, PhysicalOp};
+use crate::operator::OutputPort;
 use crate::sched::WorkerPool;
 use crate::source::Source;
 use crate::stream::{is_teardown, operand_channels, BatchPool, Msg, Receiver, Router, Sender};
+use crate::template::{RunTemplate, Wiring};
 
 /// The producer side of one stream edge: senders to the consumer's
 /// instances, the column the producer routes on, and the edge's shared
@@ -116,6 +119,8 @@ pub struct Engine {
     next_query: AtomicU64,
     admission: Option<Arc<Admission>>,
     counters: Arc<EngineCounters>,
+    /// Run templates built on this engine ([`Engine::template`]).
+    templates_built: AtomicU64,
 }
 
 /// Admission control: a counting gate of `max` concurrently running
@@ -224,6 +229,7 @@ impl Engine {
                 .max_concurrent
                 .map(|max| Admission::new(max, config.admission_queue)),
             counters: Arc::new(EngineCounters::default()),
+            templates_built: AtomicU64::new(0),
         })
     }
 
@@ -274,7 +280,7 @@ impl Engine {
 
     /// Submits `plan` for execution and returns a [`QueryHandle`] once the
     /// query is set up and its first wave of tasks is on the pool — set-up
-    /// (see [`submit_planned`](Engine::submit_planned)) runs on the calling
+    /// (see [`submit_template`](Engine::submit_template)) runs on the calling
     /// thread; results stream while the caller holds the handle. Callable
     /// concurrently from many threads; each query gets its own handle,
     /// stream, metrics, and cancel token while all of them share the
@@ -286,7 +292,9 @@ impl Engine {
     /// [`submit`](Engine::submit) with per-query [`QueryOptions`]
     /// (deadline, memory budget, fault plan). The plan is validated and
     /// copied; a caller that holds a [`ValidPlan`] — the planner's output
-    /// — uses [`submit_planned`](Engine::submit_planned) and pays neither.
+    /// — uses [`submit_planned`](Engine::submit_planned) and pays neither,
+    /// and one that executes it repeatedly keeps its [`RunTemplate`]
+    /// ([`Engine::template`]) and pays for set-up once.
     pub fn submit_with(
         &self,
         plan: &ParallelPlan,
@@ -296,26 +304,40 @@ impl Engine {
         self.submit_planned(ValidPlan::new(plan.clone())?, binding.clone(), opts)
     }
 
-    /// Submits an already validated plan: the one submission path, and
-    /// what the session layer calls for every query and every execution
-    /// of a prepared statement. Per-query options override the
+    /// Submits an already validated plan: builds its run template
+    /// ([`Engine::template`]) and submits it once — what the session layer
+    /// calls for every ad-hoc query. Per-query options override the
     /// engine-wide [`ExecConfig`] defaults.
+    pub fn submit_planned(
+        &self,
+        plan: ValidPlan,
+        binding: QueryBinding,
+        opts: QueryOptions,
+    ) -> Result<QueryHandle> {
+        self.submit_template(self.template(plan, binding)?, &[], opts)
+    }
+
+    /// Submits one execution of `template` with its `?N` placeholders
+    /// bound to `args` (`args[0]` binds `?1`): the one submission path, what
+    /// an ad-hoc query and every execute of a prepared statement come to.
     ///
-    /// Set-up runs on the calling thread before this returns: the late-
-    /// materialization rewrite, base-fragment lookups (partitioning a
-    /// relation the fragment cache has not seen at this degree — several
-    /// milliseconds on a large one, once), channel wiring, and submitting
-    /// every task whose dependencies are already met. Everything after
-    /// that happens on the pool, completion report by completion report.
+    /// Set-up runs on the calling thread before this returns: the
+    /// execution's result edge and control block, its late rewrite if the
+    /// template takes one, its base operands (held by the template while
+    /// they stay resident; partitioning a relation the fragment cache has
+    /// not seen at this degree takes several milliseconds on a large one,
+    /// once), its stream edges, and submitting every task whose
+    /// dependencies are already met. Everything after that happens on the
+    /// pool, completion report by completion report.
     ///
     /// When `max_concurrent` admission control is configured, this call
     /// blocks FIFO behind earlier submissions while the engine is
     /// saturated, and returns [`RelalgError::Overloaded`] once the wait
     /// queue is also full.
-    pub fn submit_planned(
+    pub fn submit_template(
         &self,
-        plan: ValidPlan,
-        binding: QueryBinding,
+        template: Arc<RunTemplate>,
+        args: &[i64],
         opts: QueryOptions,
     ) -> Result<QueryHandle> {
         // Submission instant: anchors both the duration histogram and the
@@ -329,22 +351,38 @@ impl Engine {
             Some(admission) => Some(admission.acquire(&self.counters)?),
             None => None,
         };
-        let (result, stream, ctrl) = self.open_result_edge(&plan, &binding, &opts, submitted_at)?;
+        let (result, stream, ctrl) = self.open_result_edge(&template, &opts, submitted_at);
         self.counters.note_started();
 
         // Set-up and the first wave of tasks, here on the submitting
         // thread; from then on the query is advanced by whichever thread
         // reports a completion.
         let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let prepared = QueryRun::prepare(self, &plan, &binding, &opts, query_id, result, &ctrl);
+        let run = QueryRun::new(self, template, args, &opts, query_id, result, &ctrl);
         let accounts = Accounts {
             ctrl: ctrl.clone(),
             counters: self.counters.clone(),
             permit,
             submitted_at,
         };
-        start(prepared, accounts);
+        start(run, accounts);
         Ok(QueryHandle::new(stream, ctrl))
+    }
+
+    /// The run template of `plan` bound by `binding` on this engine (see
+    /// [`RunTemplate`]): what [`submit_template`](Engine::submit_template)
+    /// instantiates per execution.
+    pub fn template(&self, plan: ValidPlan, binding: QueryBinding) -> Result<Arc<RunTemplate>> {
+        let template = RunTemplate::new(plan, binding, self.config.late)?;
+        self.templates_built.fetch_add(1, Ordering::Relaxed);
+        Ok(Arc::new(template))
+    }
+
+    /// Run templates built on this engine so far (diagnostics): one per
+    /// ad-hoc submission, one per prepared statement and catalog
+    /// generation.
+    pub fn templates_built(&self) -> u64 {
+        self.templates_built.load(Ordering::Relaxed)
     }
 
     /// Executes `plan` to completion, draining the result stream into a
@@ -354,34 +392,23 @@ impl Engine {
         materialize(self.submit(plan, binding)?)
     }
 
-    /// Opens one query's result edge and control block: a one-consumer
-    /// stream from the instances of the query's last operation (the last
-    /// post-join stage, or the root join) into the client-side
-    /// [`ResultStream`], and the shared cancel/status block carrying the
-    /// query's deadline and memory budget.
+    /// Opens one execution's result edge and control block: a
+    /// one-consumer stream from the instances of the query's last
+    /// operation (the last post-join stage, or the root join) into the
+    /// client-side [`ResultStream`], and the shared cancel/status block
+    /// carrying the query's deadline and memory budget.
     fn open_result_edge(
         &self,
-        plan: &ParallelPlan,
-        binding: &QueryBinding,
+        template: &RunTemplate,
         opts: &QueryOptions,
         submitted_at: Instant,
-    ) -> Result<(OutEdge, ResultStream, Arc<QueryCtrl>)> {
-        let root = plan.tree.root();
-        let producers = match binding.stages().last() {
-            Some(stage) => stage.degree,
-            None => plan
-                .op_for_join(root)
-                .map(PlanOp::degree)
-                .ok_or_else(no_root)?,
-        };
-        let schema = binding.result_schema(root)?.clone();
-        // The edge's buffer pool is typed with the result's column layout
-        // so its budget accounting charges real columnar bytes.
+    ) -> (OutEdge, ResultStream, Arc<QueryCtrl>) {
+        let edge = template.edges().last().expect("the result edge is last");
         let (txs, mut rxs, pool) = operand_channels(
-            producers,
+            edge.producers,
             1,
             self.config.channel_capacity,
-            ColumnLayout::of(&schema),
+            edge.layout.clone(),
         );
         // Per-query limits override engine-wide defaults.
         let deadline = opts
@@ -397,20 +424,14 @@ impl Engine {
         let rx = rxs.pop().expect("one consumer");
         let stream = ResultStream::new(
             rx,
-            producers,
-            schema,
+            edge.producers,
+            template.result_schema().clone(),
             ctrl.clone(),
             submitted_at,
             self.counters.clone(),
         );
-        // One destination: the router never reads its key column.
-        Ok(((txs, 0, pool), stream, ctrl))
+        ((txs, edge.key_col, pool), stream, ctrl)
     }
-}
-
-/// The error of a plan without an operation for its root join.
-fn no_root() -> RelalgError {
-    RelalgError::InvalidPlan("plan has no root operation".into())
 }
 
 /// Drains `handle`'s stream into a materialized [`ExecOutcome`].
@@ -607,155 +628,47 @@ fn start(prepared: Result<QueryRun>, accounts: Accounts) {
     coordinator.advance(QueryRun::spawn_first_wave);
 }
 
-/// One operation of a query as the executor wires and spawns it: the plan's
-/// join of the same id (ids `0..n_ops`) or, after them, a post-join stage.
-/// [`QueryRun::prepare`] lists them once per query; the plan IR itself
-/// stays joins-only. An operation refers to the plan and the bindings
-/// instead of copying from them, so the list is the only allocation.
-struct Operation {
-    /// What each instance evaluates.
-    body: Body,
-    /// Instances: one operation process each, unless the op is fused.
-    degree: usize,
-    /// Scheduling priority: the op's right-deep segment wave (§4 order);
-    /// stages run after the root, in later waves still.
-    priority: usize,
-}
-
-/// What an [`Operation`]'s instances evaluate.
-enum Body {
-    /// The plan op of the same id; `keys` are its spec's key columns.
-    Join { keys: [usize; 2] },
-    /// The query's stage `index`: one operand, routed on `key`.
-    Stage {
-        index: usize,
-        input: OperandSource,
-        key: usize,
-    },
-}
-
-impl Operation {
-    /// Its operands as `(side, source, column its rows are routed or
-    /// split on)`: a join's two are plan op `id`'s, a stage's one
-    /// is a stream from the operation before it.
-    fn operands<'a>(
-        &'a self,
-        plan: &'a ParallelPlan,
-        id: usize,
-    ) -> impl Iterator<Item = (usize, &'a OperandSource, usize)> {
-        let operands = match &self.body {
-            Body::Join { keys } => {
-                let op = &plan.ops[id];
-                [Some((&op.left, keys[0])), Some((&op.right, keys[1]))]
-            }
-            Body::Stage { input, key, .. } => [Some((input, *key)), None],
-        };
-        let operands = operands.into_iter().flatten().enumerate();
-        operands.map(|(side, (operand, key))| (side, operand, key))
-    }
-}
-
-/// The query's operations in id order: the plan's joins, wired from the
-/// execution binding (a late plan's narrow one), then the post-join stages
-/// of `binding`, each reading a stream from the operation before it — the
-/// first from the root join, op `root`. Records each one's estimate (and a
-/// stage's kind) in `metrics`.
-fn operations(
-    plan: &ParallelPlan,
-    binding: &QueryBinding,
-    exec_binding: &QueryBinding,
-    root: usize,
-    metrics: &mut Metrics,
-) -> Result<Vec<Operation>> {
-    let node_waves = segments(&plan.tree).node_waves();
-    let mut ops = Vec::with_capacity(plan.ops.len() + binding.stages().len());
-    for op in &plan.ops {
-        let spec = exec_binding.spec(op.join)?;
-        ops.push(Operation {
-            body: Body::Join {
-                keys: [spec.left_key, spec.right_key],
-            },
-            degree: op.degree(),
-            priority: node_waves.get(op.join).copied().flatten().unwrap_or(0),
-        });
-        metrics.ops[op.id].est_out = op.est_out;
-    }
-    let first_stage_wave = ops.iter().map(|op| op.priority).max().unwrap_or(0) + 1;
-    let mut from = root;
-    for (index, stage) in binding.stages().iter().enumerate() {
-        let id = ops.len();
-        ops.push(Operation {
-            body: Body::Stage {
-                index,
-                input: OperandSource::Stream { from },
-                key: stage.partition_col,
-            },
-            degree: stage.degree,
-            priority: first_stage_wave + index,
-        });
-        metrics.ops[id].est_out = stage.est_out;
-        metrics.ops[id].kind = stage.kind.metrics_kind();
-        from = id;
-    }
-    Ok(ops)
-}
-
-/// One query from set-up to teardown. [`prepare`](QueryRun::prepare) and
-/// the first wave of tasks run on the submitting thread; after that the run
-/// sits in its [`Coordinator`] and is advanced by completion reports on the
-/// pool's threads, so it owns (or shares by `Arc`) everything it touches.
+/// One execution of a [`RunTemplate`] from set-up to teardown.
+/// [`new`](QueryRun::new) and the first wave of tasks run on the
+/// submitting thread; after that the run sits in its [`Coordinator`] and is
+/// advanced by completion reports on the pool's threads, so it owns (or
+/// shares by `Arc`) everything it touches. What it adds to the template is
+/// exactly the per-execution state: arguments, edges, base operands,
+/// progress and metrics.
 struct QueryRun {
-    plan: ValidPlan,
-    /// The query as bound: its stages run on the resolved root output.
-    query: QueryBinding,
-    /// The binding join operators are wired from: the narrow rewrite of a
-    /// late-materialized query, otherwise `query`.
-    binding: QueryBinding,
-    /// Every operation of the query: the plan's joins, then the stages.
-    ops: Vec<Operation>,
-    /// The root join's op id; its tasks carry the late resolver.
-    root: usize,
+    template: Arc<RunTemplate>,
+    /// The arguments, kept only while a stage's predicate needs them.
+    args: Vec<i64>,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
     store: Arc<FragmentStore>,
     ctrl: Arc<QueryCtrl>,
-    /// Fragment-name namespace of this query in the shared store.
+    /// Fragment-name namespace of this query in the shared store; empty
+    /// when the query materializes nothing.
     ns: String,
-    /// base_fragments[(op, side)] = per-instance base fragments.
-    base_fragments: HashMap<(usize, usize), BaseOperand>,
-    /// Receivers for stream operands, taken at consumer spawn.
-    stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>>,
-    /// Senders for stream outputs — the result edge among them, under the
-    /// query's last operation — taken at producer spawn; dropping the
-    /// master senders lets consumers (the client too) observe teardown.
-    out_stream: HashMap<usize, OutEdge>,
-    /// Per producer op whose consumer reads it materialized: that
-    /// consumer's key column and degree, which its output is split on.
-    out_materialized: Vec<Option<(usize, usize)>>,
+    /// Per base operand of the template and instance of its operation:
+    /// the fragment (or resident table) it reads, until its task takes it.
+    base_parts: Vec<Option<Source>>,
+    /// Per edge of the template, the result edge last: the senders, taken
+    /// at producer spawn; dropping the master senders lets consumers (the
+    /// client too) observe teardown.
+    senders: Vec<Option<OutEdge>>,
+    /// Per edge between operations: the receivers, one taken per consumer
+    /// instance at its spawn.
+    receivers: Vec<std::vec::IntoIter<Receiver<Msg>>>,
     /// What every task of the query reports its completions through; set
     /// when the run is put under its [`Coordinator`].
     reporter: Option<Reporter>,
     /// When scheduling started: the paper's response time runs from here
     /// to the last completion report.
     started: Instant,
-    /// Per root op: completions of ops in other processes its group still
-    /// waits for.
-    deps_remaining: Vec<usize>,
-    /// Per op: the root ops of the groups waiting for it.
-    dependents: Vec<Vec<usize>>,
-    /// Per op: instances that have not reported yet.
-    instances_left: Vec<usize>,
+    /// Per op: where its instances and its process group stand.
+    progress: Vec<Progress>,
     /// The first failure, from set-up or from a task.
     first_err: Option<RelalgError>,
     /// Bytes of resident images the late rewrite pinned for this query,
     /// charged to its budget until teardown.
     pinned_bytes: u64,
-    /// Per process group not yet submitted, under its root op's id: the
-    /// ops it evaluates, in op order (the root last); empty under every
-    /// other id.
-    groups: Vec<Vec<usize>>,
-    /// Per op read through a fused edge: its reader and the reader's side.
-    feeds: Vec<Option<(usize, usize)>>,
     /// Completion reports to wait for: one per member of every task.
     spawned_instances: usize,
     /// Completion reports received.
@@ -768,12 +681,132 @@ struct QueryRun {
     fault_plan: Option<crate::faults::FaultPlan>,
 }
 
+/// Where one operation stands in one execution.
+#[derive(Clone, Copy)]
+struct Progress {
+    /// Instances that have not reported yet.
+    instances_left: usize,
+    /// Under a group's root op: completions of ops in other processes the
+    /// group still waits for.
+    waiting: usize,
+    /// Under a group's root op: its processes are submitted.
+    spawned: bool,
+}
+
 impl QueryRun {
+    /// Sets one execution of `template` up on `engine`'s pool and store —
+    /// late rewrite, base operands, stream edges — with `args` bound to
+    /// its placeholders and the output of its last operation streaming
+    /// into `result`. `query_id` namespaces the query's materialized
+    /// fragments within the store. Nothing is submitted yet
+    /// ([`spawn_first_wave`](Self::spawn_first_wave)).
+    fn new(
+        engine: &Engine,
+        template: Arc<RunTemplate>,
+        args: &[i64],
+        opts: &QueryOptions,
+        query_id: u64,
+        result: OutEdge,
+        ctrl: &Arc<QueryCtrl>,
+    ) -> Result<QueryRun> {
+        // Options beyond deadline and budget are resolved upstream.
+        #[cfg(not(feature = "faults"))]
+        let _ = opts;
+        let config = &engine.config;
+        let mut metrics = template.metrics().clone();
+
+        // --- Late materialization. When the template takes the rewrite, the
+        // join pipeline runs on narrow ref-carrying batches, the resident
+        // images the refs index stay pinned in the rewrite's registry
+        // (charged to the budget here), and the root join's tasks resolve
+        // refs back to the original schema — so everything from the root's
+        // output port on (stages, result edge) is untouched.
+        let provider = engine.provider.as_ref();
+        let late = template.late(args, provider, &engine.cache, &mut metrics)?;
+        let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
+        if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
+            ctrl.abort(ctrl.budget().exhausted_error());
+        }
+
+        // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
+        let resolved =
+            template.resolve_bases(late.as_ref(), provider, &engine.cache, &mut metrics)?;
+
+        // Fresh channels for every stream edge (receivers taken at consumer
+        // spawn, senders at producer spawn), their buffer pools charged to
+        // this query's budget. The last edge, to the client, is `result`.
+        let edges = template.edges();
+        let links = &edges[..edges.len() - 1];
+        let mut senders = Vec::with_capacity(edges.len());
+        let mut receivers = Vec::with_capacity(links.len());
+        for edge in links {
+            let (txs, rxs, pool) = operand_channels(
+                edge.producers,
+                edge.consumers,
+                config.channel_capacity,
+                edge.layout.clone(),
+            );
+            pool.set_budget(ctrl.budget().clone());
+            senders.push(Some((txs, edge.key_col, pool)));
+            receivers.push(rxs.into_iter());
+        }
+        senders.push(Some(result));
+
+        let ns = if template.materializes() {
+            engine.store.ensure_nodes(template.plan().processors);
+            format!("q{query_id}:")
+        } else {
+            String::new()
+        };
+        // --- Scheduling (timed): from here on, starting the operation
+        // processes, beginning with handing each its base operands.
+        let started = Instant::now();
+        let base_parts =
+            template.base_parts(resolved, args, provider, &engine.cache, &mut metrics)?;
+        let ops = template.ops().iter().zip(template.deps());
+        let progress = ops
+            .map(|(op, &waiting)| Progress {
+                instances_left: op.degree,
+                waiting,
+                spawned: false,
+            })
+            .collect();
+
+        Ok(QueryRun {
+            args: if template.stage_params() {
+                args.to_vec()
+            } else {
+                Vec::new()
+            },
+            template,
+            config: *config,
+            pool: engine.pool.clone(),
+            store: engine.store.clone(),
+            ctrl: ctrl.clone(),
+            ns,
+            base_parts,
+            senders,
+            receivers,
+            reporter: None,
+            started,
+            progress,
+            first_err: None,
+            pinned_bytes,
+            spawned_instances: 0,
+            received: 0,
+            metrics,
+            resolver: late.map(|l| l.resolver),
+            #[cfg(feature = "faults")]
+            fault_plan: opts.fault_plan().cloned(),
+        })
+    }
+
     /// Submits every operation process whose dependencies are met as pool
     /// tasks.
     fn spawn_ready(&mut self) -> Result<()> {
-        for root in 0..self.groups.len() {
-            if self.groups[root].is_empty() || self.deps_remaining[root] > 0 {
+        for root in 0..self.progress.len() {
+            let p = self.progress[root];
+            if p.spawned || p.waiting > 0 || self.template.group(root).is_empty() {
                 continue;
             }
             self.spawn_group(root)?;
@@ -788,27 +821,22 @@ impl QueryRun {
     /// member's result to its reader in memory, and only the root member is
     /// wired to an output.
     fn spawn_group(&mut self, root: usize) -> Result<()> {
-        let ops = &self.ops;
+        let template = self.template.clone();
+        let ops = template.ops();
+        let members = template.group(root);
         let degree = ops[root].degree;
-        let members = std::mem::take(&mut self.groups[root]);
+        self.progress[root].spawned = true;
         self.metrics.processes += degree;
-
-        for &m in &members {
+        for &m in members {
             self.metrics.ops[m].instances = ops[m].degree;
         }
-        let mut out = self.out_stream.remove(&root);
-        if out.is_none() && self.out_materialized[root].is_none() {
+        let mut out = ops[root].out_edge.and_then(|e| self.senders[e].take());
+        let materialized = template.out_materialized(root);
+        if out.is_none() && materialized.is_none() {
             return Err(RelalgError::InvalidPlan(format!(
                 "op {root} has no consumer"
             )));
         }
-
-        // Each instance takes its own receiver of every streamed operand.
-        let mut receivers: HashMap<(usize, usize), std::vec::IntoIter<Receiver<Msg>>> = members
-            .iter()
-            .flat_map(|&m| [(m, 0), (m, 1)])
-            .filter_map(|key| Some((key, self.stream_rx.remove(&key)?.into_iter())))
-            .collect();
 
         // The process starts with its earliest member's wave.
         let priority = members.iter().map(|&m| ops[m].priority).min();
@@ -816,19 +844,15 @@ impl QueryRun {
         // `i` indexes channels, fragments, and procs alike.
         for i in 0..degree {
             let mut task_members = Vec::with_capacity(members.len());
-            for &m in &members {
-                let mut sources = Vec::with_capacity(2);
-                for (side, operand, _) in ops[m].operands(&self.plan, m) {
-                    sources.push(match operand {
-                        OperandSource::Base { .. } => {
-                            Some(match &self.base_fragments[&(m, side)] {
-                                BaseOperand::Fragments(fragments) => {
-                                    Source::Local(fragments[i].clone())
-                                }
-                                BaseOperand::Tables(tables) => Source::Table(tables[i].clone()),
-                            })
+            for &m in members {
+                let mut sources = [None, None];
+                for (source, wiring) in sources.iter_mut().zip(&ops[m].operands) {
+                    *source = match wiring {
+                        Wiring::Base(b) => {
+                            let part = &mut self.base_parts[template.base_part(*b, i)];
+                            Some(part.take().expect("each base part is read once"))
                         }
-                        OperandSource::Materialized { from } => {
+                        Wiring::Materialized { from } => {
                             // Piece `i` of every producer instance.
                             let pieces = self.store.collect(&format!("{}op{from}.{i}", self.ns));
                             if pieces.is_empty() {
@@ -838,20 +862,20 @@ impl QueryRun {
                             }
                             Some(Source::Materialized(pieces))
                         }
-                        OperandSource::Stream { from } => Some(Source::Stream {
-                            rx: receivers
-                                .get_mut(&(m, side))
-                                .and_then(Iterator::next)
+                        Wiring::Stream { edge, producers } => Some(Source::Stream {
+                            rx: self.receivers[*edge]
+                                .next()
                                 .expect("one receiver per consumer instance"),
-                            producers: ops[*from].degree,
+                            producers: *producers,
                         }),
-                        // Handed over by the member evaluating `from`.
-                        OperandSource::Fused { .. } => None,
-                    });
+                        // Handed over by the member evaluating its producer.
+                        Wiring::Fused => None,
+                    };
                 }
+                let sources = sources.into_iter().take(ops[m].operands.len());
                 #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-                let mut member = TaskMember::new(self.operator(m)?, sources, m);
-                if let Some((reader, side)) = self.feeds[m] {
+                let mut member = TaskMember::new(template.operator(m, &self.args)?, sources, m);
+                if let Some((reader, side)) = template.feeds(m) {
                     member = member.feeding(reader, side);
                 }
                 #[cfg(feature = "faults")]
@@ -875,10 +899,10 @@ impl QueryRun {
                 }
                 None => OutputPort::materialize(
                     self.store.clone(),
-                    self.plan.ops[root].procs[i],
+                    template.plan().ops[root].procs[i],
                     format!("{}op{root}", self.ns),
-                    self.binding.schema(self.plan.ops[root].join)?,
-                    self.out_materialized[root].expect("a materialized consumer"),
+                    &ops[root].schema,
+                    materialized.expect("a materialized consumer"),
                     Some(self.ctrl.budget().clone()),
                 ),
             };
@@ -891,7 +915,7 @@ impl QueryRun {
                 self.reporter(),
                 Some(self.ctrl.clone()),
             );
-            if root == self.root {
+            if root == template.root() {
                 if let Some(resolver) = &self.resolver {
                     task.set_resolver(resolver.clone());
                 }
@@ -902,17 +926,6 @@ impl QueryRun {
         Ok(())
     }
 
-    /// A fresh operator for one instance of operation `id`.
-    fn operator(&self, id: usize) -> Result<Box<dyn PhysicalOp>> {
-        Ok(match &self.ops[id].body {
-            Body::Join { .. } => {
-                let op = &self.plan.ops[id];
-                join_op(op.algorithm, self.binding.spec(op.join)?.clone())
-            }
-            Body::Stage { index, .. } => self.query.stages()[*index].kind.operator(),
-        })
-    }
-
     fn reporter(&self) -> Reporter {
         let reporter = self.reporter.as_ref();
         reporter.expect("tasks spawn under coordination").clone()
@@ -921,179 +934,8 @@ impl QueryRun {
     /// Drops the channel endpoints of not-yet-spawned ops so already
     /// running producers/consumers observe a disconnect and unwind.
     fn release_unspawned_endpoints(&mut self) {
-        self.stream_rx.clear();
-        self.out_stream.clear();
-    }
-
-    /// Sets one query up on `engine`'s pool and store — resident base
-    /// fragments, channels, process groups — with the output of its last
-    /// operation streaming into `result`. `query_id` namespaces the query's
-    /// materialized fragments within the store. Nothing is submitted yet
-    /// ([`spawn_first_wave`](Self::spawn_first_wave)).
-    fn prepare(
-        engine: &Engine,
-        plan: &ValidPlan,
-        binding: &QueryBinding,
-        opts: &QueryOptions,
-        query_id: u64,
-        result: OutEdge,
-        ctrl: &Arc<QueryCtrl>,
-    ) -> Result<QueryRun> {
-        // Options beyond deadline and budget are resolved upstream.
-        #[cfg(not(feature = "faults"))]
-        let _ = opts;
-        let config = &engine.config;
-        let n_ops = plan.ops.len();
-        let ns = format!("q{query_id}:");
-        engine.store.ensure_nodes(plan.processors);
-
-        let mut metrics = Metrics::new(n_ops + binding.stages().len());
-
-        // --- Late materialization. When the binding's shape is taken, the
-        // join pipeline runs on narrow ref-carrying batches wired from
-        // `late.shape.narrow`, the resident images the refs index stay pinned
-        // in the rewrite's registry (charged to the budget below), and the
-        // root join's tasks resolve refs back to the original schema — so
-        // everything from the root's output port on (stages, result edge)
-        // is untouched.
-        let provider = engine.provider.as_ref();
-        let late =
-            crate::late::plan_late(binding, provider, &engine.cache, config.late, &mut metrics)?;
-        let exec_binding: &QueryBinding = late.as_ref().map_or(binding, |l| &l.shape.narrow);
-        let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
-        if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
-            ctrl.abort(ctrl.budget().exhausted_error());
-        }
-
-        let root = plan.op_for_join(plan.tree.root()).ok_or_else(no_root)?.id;
-        let ops = operations(plan, binding, exec_binding, root, &mut metrics)?;
-        let n = ops.len();
-
-        // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
-        let base_fragments = base_fragments(
-            plan,
-            &ops,
-            binding,
-            late.as_ref(),
-            provider,
-            &engine.cache,
-            &mut metrics,
-        )?;
-
-        // Stream channels for every operand of every operation, created up
-        // front (receivers taken at consumer spawn, senders at producer
-        // spawn). Edge pools are sized from both endpoint degrees. The last
-        // operation's consumer is the client.
-        let sink = if n > n_ops { n - 1 } else { root };
-        // The rows an operation emits: a stage's own, the query's for the
-        // root join (a late plan resolves its refs there), the execution
-        // binding's for any other join.
-        let schema = |id: usize| match &ops[id].body {
-            Body::Join { .. } if id == root => binding.schema(plan.ops[id].join),
-            Body::Join { .. } => exec_binding.schema(plan.ops[id].join),
-            Body::Stage { index, .. } => Ok(&binding.stages()[*index].schema),
-        };
-        let mut out_stream = HashMap::from([(sink, result)]);
-        let mut stream_rx: HashMap<(usize, usize), Vec<Receiver<Msg>>> = HashMap::new();
-        let mut out_materialized = vec![None; n];
-        for (id, op) in ops.iter().enumerate() {
-            for (side, operand, key_col) in op.operands(plan, id) {
-                match operand {
-                    OperandSource::Stream { from } => {
-                        let producer = &ops[*from];
-                        // The edge carries the producer's output rows; its
-                        // pool is typed with that schema's column layout.
-                        let (txs, rxs, pool) = operand_channels(
-                            producer.degree,
-                            op.degree,
-                            config.channel_capacity,
-                            ColumnLayout::of(schema(*from)?),
-                        );
-                        pool.set_budget(ctrl.budget().clone());
-                        metrics.streams += producer.degree * op.degree;
-                        stream_rx.insert((id, side), rxs);
-                        if out_stream.insert(*from, (txs, key_col, pool)).is_some() {
-                            return Err(RelalgError::InvalidPlan(format!(
-                                "op {from} has multiple stream consumers"
-                            )));
-                        }
-                    }
-                    OperandSource::Materialized { from } => {
-                        metrics.streams += ops[*from].degree * op.degree;
-                        out_materialized[*from] = Some((key_col, op.degree));
-                    }
-                    // A fused edge never leaves its task.
-                    OperandSource::Base { .. } | OperandSource::Fused { .. } => {}
-                }
-            }
-        }
-
-        // --- Scheduling (timed). ---
-        let started = Instant::now();
-
-        // Process groups: a process starts once every op any of its members
-        // waits for — in another process — has completed. `deps_remaining` is
-        // kept under the group's root op id. A stage is a group of one that
-        // waits for nothing: it is submitted with the first wave and idles
-        // until its stream produces.
-        let roots = plan.process_roots();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut feeds: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut deps_remaining: Vec<usize> = vec![0; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for op in &plan.ops {
-            let group = roots[op.id];
-            groups[group].push(op.id);
-            if group != op.id {
-                metrics.fused_ops += 1;
-            }
-            for &d in &op.start_after {
-                if roots[d] != group {
-                    deps_remaining[group] += 1;
-                    dependents[d].push(group);
-                }
-            }
-            for (side, operand) in [(0usize, &op.left), (1usize, &op.right)] {
-                if let OperandSource::Fused { from } = operand {
-                    feeds[*from] = Some((op.id, side));
-                }
-            }
-        }
-        for (stage, group) in groups.iter_mut().enumerate().skip(n_ops) {
-            group.push(stage);
-        }
-
-        Ok(QueryRun {
-            plan: plan.clone(),
-            query: binding.clone(),
-            binding: exec_binding.clone(),
-            instances_left: ops.iter().map(|op| op.degree).collect(),
-            ops,
-            root,
-            config: *config,
-            pool: engine.pool.clone(),
-            store: engine.store.clone(),
-            ctrl: ctrl.clone(),
-            ns,
-            base_fragments,
-            stream_rx,
-            out_stream,
-            out_materialized,
-            reporter: None,
-            started,
-            deps_remaining,
-            dependents,
-            first_err: None,
-            pinned_bytes,
-            groups,
-            feeds,
-            spawned_instances: 0,
-            received: 0,
-            metrics,
-            resolver: late.as_ref().map(|l| l.resolver.clone()),
-            #[cfg(feature = "faults")]
-            fault_plan: opts.fault_plan().cloned(),
-        })
+        self.senders.iter_mut().for_each(|edge| *edge = None);
+        self.receivers.clear();
     }
 
     /// Submits every process that waits for nothing.
@@ -1147,12 +989,11 @@ impl QueryRun {
             }
             Err(e) => self.fail(e),
         }
-        self.instances_left[op_id] -= 1;
-        if self.instances_left[op_id] == 0 && self.first_err.is_none() {
+        self.progress[op_id].instances_left -= 1;
+        if self.progress[op_id].instances_left == 0 && self.first_err.is_none() {
             // Op complete: release the processes waiting for it.
-            for i in 0..self.dependents[op_id].len() {
-                let root = self.dependents[op_id][i];
-                self.deps_remaining[root] -= 1;
+            for &root in self.template.dependents(op_id) {
+                self.progress[root].waiting -= 1;
             }
             if let Err(e) = self.spawn_ready() {
                 self.fail(e);
@@ -1170,8 +1011,10 @@ impl QueryRun {
         // The query is quiescent: every submitted instance has reported.
         // Reclaim its namespace in the shared store, crediting the freed
         // fragment bytes back to the query's budget.
-        let freed = self.store.remove_prefix(&self.ns);
-        ctrl.budget().credit(freed);
+        if !self.ns.is_empty() {
+            let freed = self.store.remove_prefix(&self.ns);
+            ctrl.budget().credit(freed);
+        }
         // The registry's pins die with the query (its tasks hold the
         // resolver); return their charge too.
         if self.pinned_bytes > 0 {
@@ -1201,7 +1044,9 @@ impl QueryRun {
         if let Some(abort) = ctrl.abort_error() {
             return Err(abort);
         }
-        if self.groups.iter().any(|members| !members.is_empty()) {
+        let unspawned = (0..self.progress.len())
+            .any(|root| !self.progress[root].spawned && !self.template.group(root).is_empty());
+        if unspawned {
             return Err(RelalgError::InvalidPlan(
                 "not all ops became ready (dependency cycle?)".into(),
             ));
@@ -1220,110 +1065,18 @@ impl QueryRun {
     /// kind and how many of its instances have finished, so a stall dump
     /// shows where the pipeline wedged.
     fn progress_dump(&self) -> String {
-        self.ops
+        self.template
+            .ops()
             .iter()
             .enumerate()
             .map(|(op, o)| {
-                let done = o.degree - self.instances_left[op];
+                let done = o.degree - self.progress[op].instances_left;
                 let kind = self.metrics.ops[op].kind.label();
                 format!("op{op}[{kind}] {done}/{}", o.degree)
             })
             .collect::<Vec<_>>()
             .join(", ")
     }
-}
-
-/// A base operand of one operation, per instance.
-enum BaseOperand {
-    /// Columnar fragments, read a quantum of rows at a time.
-    Fragments(Fragments),
-    /// Resident join tables over the fragments: a simple join's unfiltered
-    /// build side, adopted instead of built.
-    Tables(Tables),
-}
-
-/// Resolves every base operand of `plan` to its per-instance columnar
-/// fragments: a fragment-cache lookup, plus — for a pushed-down scan
-/// filter — a selection over each *cached* fragment whose survivors are
-/// gathered into a batch private to this query (filtering and hash
-/// partitioning commute, and the filtered result is never cached: `?1`
-/// changes per execution). A late plan's narrow leaves are per query
-/// already and are partitioned privately. A simple join's build side
-/// (side 0) over an unfiltered base relation is the cache's resident join
-/// tables over those fragments instead, so a warm query builds only on
-/// what changes between queries.
-fn base_fragments(
-    plan: &ParallelPlan,
-    ops: &[Operation],
-    binding: &QueryBinding,
-    late: Option<&crate::late::LateRewrite>,
-    provider: &dyn RelationProvider,
-    cache: &FragmentCache,
-    metrics: &mut Metrics,
-) -> Result<HashMap<(usize, usize), BaseOperand>> {
-    // One resolution per name, so every leaf of a query reads the same
-    // relation even while it is being replaced in the catalog.
-    let mut resolved: HashMap<&str, Arc<Relation>> = HashMap::new();
-    let mut out = HashMap::new();
-    for (id, op) in ops.iter().enumerate() {
-        for (side, operand, key_col) in op.operands(plan, id) {
-            let OperandSource::Base { relation } = operand else {
-                continue;
-            };
-            let base = match late {
-                Some(l) => {
-                    let narrow = l.relations.get(relation).ok_or_else(|| {
-                        RelalgError::InvalidPlan(format!("late plan lost relation {relation}"))
-                    })?;
-                    BaseOperand::Fragments(fragment_columns(narrow, key_col, op.degree)?)
-                }
-                None => {
-                    let source = match resolved.get(relation.as_str()) {
-                        Some(source) => source.clone(),
-                        None => {
-                            let source = provider.relation(relation)?;
-                            resolved.insert(relation, source.clone());
-                            source
-                        }
-                    };
-                    let filter = binding.scan_filter(relation);
-                    // The simple join builds on side 0.
-                    if side == 0
-                        && filter.is_none()
-                        && plan.ops[id].algorithm == JoinAlgorithm::Simple
-                    {
-                        let (tables, hit) = cache.tables(relation, &source, key_col, op.degree)?;
-                        metrics.note_fragment_lookup(hit);
-                        BaseOperand::Tables(tables)
-                    } else {
-                        let (cached, hit) =
-                            cache.fragments(relation, &source, key_col, op.degree)?;
-                        metrics.note_fragment_lookup(hit);
-                        BaseOperand::Fragments(match filter {
-                            Some(pred) => cached
-                                .iter()
-                                .map(|fragment| filter_fragment(fragment, pred))
-                                .collect::<Result<_>>()?,
-                            None => cached,
-                        })
-                    }
-                }
-            };
-            out.insert((id, side), base);
-        }
-    }
-    Ok(out)
-}
-
-/// The rows of `fragment` satisfying `pred`, gathered into a private
-/// batch; the cached fragment itself when every row survives.
-fn filter_fragment(fragment: &Arc<ColumnBatch>, pred: &Predicate) -> Result<Arc<ColumnBatch>> {
-    let mut survivors = Vec::new();
-    select(pred, fragment, 0..fragment.rows(), &mut survivors)?;
-    if survivors.len() == fragment.rows() {
-        return Ok(fragment.clone());
-    }
-    fragment.gather(&survivors).map(Arc::new)
 }
 
 #[cfg(test)]

@@ -527,6 +527,13 @@ impl QueryHandle {
         self.ctrl.status()
     }
 
+    /// The memory budget the query charges. Every byte is credited back
+    /// once the query's tasks, edges and stream are gone, a moment after
+    /// its outcome, so a clone of it shows whether teardown was exact.
+    pub fn budget(&self) -> &Arc<MemoryBudget> {
+        self.ctrl.budget()
+    }
+
     /// Waits for the query to quiesce and returns its outcome. If the
     /// stream was never taken, any undelivered results are drained and
     /// discarded first (so `outcome()` cannot deadlock against a full

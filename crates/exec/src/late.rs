@@ -158,9 +158,6 @@ impl Resolver {
 
 /// Everything the engine needs to run one execution late-materialized.
 pub(crate) struct LateRewrite {
-    /// The shape this execution follows; its `narrow` binding wires the
-    /// join operators.
-    pub shape: Arc<LateShape>,
     /// Narrow base relations by catalog name (scan filters pre-applied;
     /// a row's ref indexes the unfiltered pinned image).
     pub relations: HashMap<String, Arc<ColumnBatch>>,
@@ -409,30 +406,35 @@ pub(crate) fn late_shape(tree: &JoinTree, binding: &QueryBinding) -> Result<Opti
     }))
 }
 
-/// The per-execution half of the rewrite: when `mode` takes the binding's
-/// [`LateShape`], narrows every source relation from its resident image
-/// and pins the images the resolver gathers from. Returns `None` — at no
-/// cost — when the rewrite is disabled, impossible, or (under `Auto`) not
-/// estimated to pay.
+/// The shape `mode` takes for `binding`, if any: `None` when the rewrite
+/// is disabled, impossible, or (under `Auto`) not estimated to pay. A
+/// pure function of the binding's shape, so a run template decides it
+/// once ([`RunTemplate`](crate::RunTemplate)).
+pub(crate) fn taken(binding: &QueryBinding, mode: LateMode) -> Option<&Arc<LateShape>> {
+    let shape = binding.late_shape()?;
+    let declined = mode == LateMode::Never || (mode == LateMode::Auto && !shape.auto);
+    (!declined).then_some(shape)
+}
+
+/// The per-execution half of the rewrite along `shape` (what [`taken`]
+/// returned for `binding`): narrows every source relation from its
+/// resident image, applying `binding`'s scan filters, and pins the images
+/// the resolver gathers from.
 pub(crate) fn plan_late(
+    shape: &Arc<LateShape>,
     binding: &QueryBinding,
     provider: &dyn RelationProvider,
     cache: &FragmentCache,
-    mode: LateMode,
     metrics: &mut Metrics,
-) -> Result<Option<LateRewrite>> {
-    let Some(shape) = binding.late_shape() else {
-        return Ok(None);
-    };
-    if mode == LateMode::Never || (mode == LateMode::Auto && !shape.auto) {
-        return Ok(None);
-    }
+) -> Result<LateRewrite> {
     let mut registry = FragmentRegistry::new(shape.names.len());
     let mut relations: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
     for (sid, name) in shape.names.iter().enumerate() {
         let base = provider.relation(name)?;
         if base.len() > u32::MAX as usize {
-            return Ok(None); // row index would not fit a packed ref
+            return Err(RelalgError::InvalidPlan(format!(
+                "late plan: `{name}` has more rows than a packed ref indexes"
+            )));
         }
         let (image, hit) = cache.image(name, &base)?;
         metrics.note_fragment_lookup(hit);
@@ -471,15 +473,14 @@ pub(crate) fn plan_late(
         }
     }
     let pinned_bytes = registry.est_bytes();
-    Ok(Some(LateRewrite {
-        shape: shape.clone(),
+    Ok(LateRewrite {
         relations,
         resolver: Arc::new(Resolver {
             shape: shape.clone(),
             registry,
         }),
         pinned_bytes,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -508,14 +509,15 @@ mod tests {
     }
 
     fn late(db: &Database, binding: &QueryBinding, mode: LateMode) -> Option<LateRewrite> {
-        plan_late(
+        let shape = taken(binding, mode)?;
+        let rewrite = plan_late(
+            shape,
             binding,
             db.catalog().as_ref(),
             db.engine().fragment_cache(),
-            mode,
             &mut Metrics::new(0),
-        )
-        .unwrap()
+        );
+        Some(rewrite.unwrap())
     }
 
     const CHAIN: &str = "SELECT * FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k";
@@ -546,9 +548,10 @@ mod tests {
         // The narrow root output is keys + refs; the original is 12 ints.
         let root = planned.plan.tree.root();
         assert_eq!(planned.binding.schema(root).unwrap().arity(), 12);
-        assert_eq!(late.shape.narrow.schema(root).unwrap().arity(), 6);
+        let shape = planned.binding.late_shape().unwrap();
+        assert_eq!(shape.narrow.schema(root).unwrap().arity(), 6);
         // Narrow bindings carry no scan filters (already applied).
-        assert!(late.shape.narrow.scan_filters().is_empty());
+        assert!(shape.narrow.scan_filters().is_empty());
     }
 
     #[test]

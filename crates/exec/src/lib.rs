@@ -56,6 +56,7 @@ pub mod sched;
 pub mod session;
 pub mod source;
 pub mod stream;
+mod template;
 
 pub use binding::{PipelineStage, QueryBinding, StageKind};
 pub use budget::MemoryBudget;
@@ -76,3 +77,4 @@ pub use operator::{
 pub use planner::{query_from_catalog, PlanChoice, PlannedQuery, Planner, PlannerOptions};
 pub use sched::WorkerPool;
 pub use session::{Database, DbConfig, MjError, MjResult, PreparedStatement, PLAN_CACHE_CAPACITY};
+pub use template::RunTemplate;

@@ -166,7 +166,8 @@ pub trait PhysicalOp: Send {
 /// `(build_row, probe_row)` match pairs, and assembles the output with one
 /// column-wise gather.
 pub struct SimpleJoinOp {
-    spec: EquiJoin,
+    /// Shared by every instance of the operation.
+    spec: Arc<EquiJoin>,
     table: BuildTable,
     /// Match-pair scratch, reused across probe batches.
     pairs: Vec<(u32, u32)>,
@@ -174,9 +175,9 @@ pub struct SimpleJoinOp {
 
 impl SimpleJoinOp {
     /// Creates the operator for one join spec.
-    pub fn new(spec: EquiJoin) -> Self {
+    pub fn new(spec: impl Into<Arc<EquiJoin>>) -> Self {
         SimpleJoinOp {
-            spec,
+            spec: spec.into(),
             table: BuildTable::Own(ColumnarTable::new()),
             pairs: Vec::new(),
         }
@@ -263,7 +264,8 @@ impl std::ops::Deref for BuildTable {
 /// arriving batch first probes the *other* operand's partial table
 /// (emitting matches) and is then bulk-inserted into its own.
 pub struct PipeliningJoinOp {
-    spec: EquiJoin,
+    /// Shared by every instance of the operation.
+    spec: Arc<EquiJoin>,
     left: ColumnarTable,
     right: ColumnarTable,
     /// Match-pair scratch, reused across batches.
@@ -272,9 +274,9 @@ pub struct PipeliningJoinOp {
 
 impl PipeliningJoinOp {
     /// Creates the operator for one join spec.
-    pub fn new(spec: EquiJoin) -> Self {
+    pub fn new(spec: impl Into<Arc<EquiJoin>>) -> Self {
         PipeliningJoinOp {
-            spec,
+            spec: spec.into(),
             left: ColumnarTable::new(),
             right: ColumnarTable::new(),
             pairs: Vec::new(),
@@ -328,8 +330,9 @@ impl PhysicalOp for PipeliningJoinOp {
 }
 
 /// Builds the join operator for `algorithm` over `spec` — the single
-/// construction point of the engine's joins.
-pub fn join_op(algorithm: JoinAlgorithm, spec: EquiJoin) -> Box<dyn PhysicalOp> {
+/// construction point of the engine's joins. The instances of one
+/// operation share its spec.
+pub fn join_op(algorithm: JoinAlgorithm, spec: impl Into<Arc<EquiJoin>>) -> Box<dyn PhysicalOp> {
     match algorithm {
         JoinAlgorithm::Simple => Box::new(SimpleJoinOp::new(spec)),
         JoinAlgorithm::Pipelining => Box::new(PipeliningJoinOp::new(spec)),

@@ -50,8 +50,8 @@ use std::sync::Arc;
 use std::task::Waker;
 
 use mj_join::ColumnarTable;
-use mj_relalg::column::ColumnBatch;
-use mj_relalg::{RelalgError, Result};
+use mj_relalg::column::{select, ColumnBatch};
+use mj_relalg::{Predicate, RelalgError, Result};
 
 use crate::handle::QueryCtrl;
 use crate::metrics::InstanceStats;
@@ -119,6 +119,15 @@ enum Operand {
     /// A resident build table, which the operator adopts whole; it has no
     /// rows to read.
     Table(Arc<ColumnarTable>),
+    /// No rows: a one-input operator's unused side, or the result of an
+    /// earlier member of the task until it is handed over.
+    Empty,
+    /// A fragment still to be filtered ([`Source::Filtered`]): the first
+    /// read makes it the chunk of its survivors.
+    Filtered {
+        fragment: Arc<ColumnBatch>,
+        predicate: Arc<Predicate>,
+    },
 }
 
 /// The state of an operand after [`Operand::ready`].
@@ -154,7 +163,35 @@ impl Operand {
                 pos: 0,
             },
             Source::Table(table) => Operand::Table(table),
+            Source::Filtered {
+                fragment,
+                predicate,
+            } => Operand::Filtered {
+                fragment,
+                predicate,
+            },
         }
+    }
+
+    /// Applies a pending scan filter: the operand becomes the chunk of the
+    /// fragment's survivors — the fragment itself when every row survives.
+    fn filter(&mut self) -> Result<()> {
+        let Operand::Filtered {
+            fragment,
+            predicate,
+        } = self
+        else {
+            return Ok(());
+        };
+        let mut survivors = Vec::with_capacity(fragment.rows());
+        select(predicate, fragment, 0..fragment.rows(), &mut survivors)?;
+        let cols = if survivors.len() == fragment.rows() {
+            fragment.clone()
+        } else {
+            Arc::new(fragment.gather(&survivors)?)
+        };
+        *self = Operand::new(Source::Local(cols));
+        Ok(())
     }
 
     fn is_stream(&self) -> bool {
@@ -165,6 +202,7 @@ impl Operand {
     /// indexes it in place: the remaining pieces are appended, once, into
     /// a chunk of exactly their size. One chunk, or a stream, stays as is.
     fn merge(&mut self) -> Result<()> {
+        self.filter()?;
         let Operand::Chunks { cols, pos, rest } = self else {
             return Ok(());
         };
@@ -188,10 +226,13 @@ impl Operand {
     /// released here (stream buffers return to their pool; spent pieces
     /// free their columns).
     fn ready(&mut self, waker: &Waker) -> Result<Feed> {
+        self.filter()?;
         match self {
             Operand::Table(_) => Err(RelalgError::InvalidPlan(
                 "a resident table is only ever a simple join's build side".into(),
             )),
+            Operand::Empty => Ok(Feed::Exhausted),
+            Operand::Filtered { .. } => unreachable!("filtered above"),
             Operand::Chunks { cols, pos, rest } => loop {
                 if *pos < cols.rows() {
                     return Ok(Feed::Ready);
@@ -251,7 +292,7 @@ impl Operand {
     fn shared_chunk(&self) -> Option<(&Arc<ColumnBatch>, usize)> {
         match self {
             Operand::Chunks { cols, pos, .. } => Some((cols, *pos)),
-            Operand::Stream { .. } | Operand::Table(_) => None,
+            _ => None,
         }
     }
 
@@ -259,7 +300,7 @@ impl Operand {
     fn consume(&mut self, n: usize) {
         match self {
             Operand::Chunks { pos, .. } | Operand::Stream { pos, .. } => *pos += n,
-            Operand::Table(_) => {}
+            Operand::Table(_) | Operand::Empty | Operand::Filtered { .. } => {}
         }
     }
 }
@@ -284,7 +325,11 @@ enum Phase {
 /// — exactly one, unless the plan fused operations.
 pub struct TaskMember {
     op: Box<dyn PhysicalOp>,
-    operands: Vec<Operand>,
+    /// Its operands; a one-input operator's is side 0, and side 1 stays
+    /// empty.
+    operands: [Operand; 2],
+    /// Operands in use: 1 or 2.
+    arity: usize,
     /// `Some((op id, side))`: the complete output becomes that operand of
     /// a later member of the same task. `None`: the root member, emitting
     /// through the task's output port.
@@ -306,18 +351,27 @@ impl TaskMember {
     /// A member driving `op` (plan op `op_id`) over one or two operands.
     /// A `None` source is the output of an earlier member of the same
     /// task, handed over when that member finishes.
-    pub fn new(op: Box<dyn PhysicalOp>, sources: Vec<Option<Source>>, op_id: usize) -> TaskMember {
-        debug_assert!(
-            (1..=2).contains(&sources.len()),
-            "operators take one or two operands"
-        );
-        let awaited = || Source::Local(Arc::new(ColumnBatch::shapeless()));
+    pub fn new(
+        op: Box<dyn PhysicalOp>,
+        sources: impl IntoIterator<Item = Option<Source>>,
+        op_id: usize,
+    ) -> TaskMember {
+        let mut sources = sources.into_iter();
+        let mut next = || {
+            sources
+                .next()
+                .map(|s| s.map_or(Operand::Empty, Operand::new))
+        };
+        let first = next().expect("operators take one or two operands");
+        let (second, arity) = match next() {
+            Some(second) => (second, 2),
+            None => (Operand::Empty, 1),
+        };
+        debug_assert!(next().is_none(), "operators take one or two operands");
         TaskMember {
             op,
-            operands: sources
-                .into_iter()
-                .map(|s| Operand::new(s.unwrap_or_else(awaited)))
-                .collect(),
+            operands: [first, second],
+            arity,
             feeds: None,
             handed_bytes: 0,
             stats: InstanceStats::default(),
@@ -346,7 +400,7 @@ impl TaskMember {
     /// The build side index, if the operator has a build phase.
     fn build_side(&self) -> Option<usize> {
         match self.op.input_mode() {
-            InputMode::BuildThenProbe { build } if self.operands.len() == 2 => Some(build),
+            InputMode::BuildThenProbe { build } if self.arity == 2 => Some(build),
             _ => None,
         }
     }
@@ -651,7 +705,7 @@ impl OpTask {
             // build-then-probe feeds have exactly one live side; the
             // interleaved two-input feed alternates, preferring `turn` so
             // two live streams are drained fairly.
-            let sides: [usize; 2] = if m.operands.len() == 1 {
+            let sides: [usize; 2] = if m.arity == 1 {
                 [0, 0]
             } else {
                 match m.op.input_mode() {

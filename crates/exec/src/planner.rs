@@ -125,8 +125,10 @@ pub struct PlanChoice {
 /// verify, and explain it. Everything but the [`binding`](Self::binding)
 /// is independent of parameter values and held once ([`PlanDetails`],
 /// reached by dereferencing), so copying a planned query — which
-/// [`bind_params`](Self::bind_params) does for every execution of a
-/// prepared statement — copies a pointer and the binding's predicates.
+/// [`bind_params`](Self::bind_params) does — copies a pointer and the
+/// binding's predicates. (Executing a prepared statement binds its
+/// arguments in its [`RunTemplate`](crate::RunTemplate) instead, into the
+/// predicates that hold placeholders only.)
 #[derive(Clone, Debug)]
 pub struct PlannedQuery {
     details: Arc<PlanDetails>,
@@ -149,7 +151,8 @@ pub struct PlanDetails {
     /// The chosen join tree (possibly the right-oriented mirror).
     pub tree: JoinTree,
     /// The winning parallel plan, fully allocated — validated here, once,
-    /// and shared with every execution ([`Engine::submit_planned`]).
+    /// and shared with every execution ([`Engine::submit_planned`]), its
+    /// scheduling waves and process groups derived with it.
     ///
     /// [`Engine::submit_planned`]: crate::engine::Engine::submit_planned
     pub plan: ValidPlan,

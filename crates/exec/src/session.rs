@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use mj_plan::parse::{
@@ -44,6 +44,7 @@ use crate::engine::Engine;
 use crate::handle::QueryHandle;
 use crate::metrics::{EngineStats, LatencyHistogram};
 use crate::planner::{PlannedQuery, Planner, PlannerOptions};
+use crate::template::RunTemplate;
 
 /// The top-level error of the session API, unifying the per-crate error
 /// types behind one enum. Parse and bind failures carry byte [`Span`]s
@@ -206,10 +207,12 @@ pub const PLAN_CACHE_CAPACITY: usize = 64;
 /// parameterized query, reusable across executions without re-planning.
 ///
 /// Produced by [`Database::prepare`] (which consults the session's shared
-/// plan cache) and executed by [`Database::execute_prepared`], which
-/// substitutes the `?N` placeholders with literal arguments in a
-/// clone-and-rewrite of the cached plan's predicates — the tree, parallel
-/// allocation, and estimates are reused as-is.
+/// plan cache) and executed by [`Database::execute_prepared`]. The first
+/// execute builds the statement's [`RunTemplate`] — operations, waves,
+/// process groups, edge shapes and resident base operands, derived once —
+/// and every execute instantiates it, binding the `?N` placeholders into
+/// the filtered leaves only: the tree, parallel allocation, estimates and
+/// wiring are reused as-is.
 pub struct PreparedStatement {
     /// Original statement text (re-prepared verbatim on staleness).
     text: String,
@@ -223,6 +226,11 @@ pub struct PreparedStatement {
     planned: PlannedQuery,
     /// Catalog generation the plan was built against.
     generation: u64,
+    /// The run template, built by the first execute (or the reason it
+    /// could not be, which no retry changes: it depends on the plan
+    /// alone). It goes with the statement: a catalog change makes both
+    /// stale at once.
+    template: OnceLock<MjResult<Arc<RunTemplate>>>,
 }
 
 impl PreparedStatement {
@@ -259,6 +267,22 @@ impl PreparedStatement {
     /// [`Database::execute_prepared`] transparently re-prepares.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The run template, once an execute has built it.
+    pub fn template(&self) -> Option<&Arc<RunTemplate>> {
+        self.template.get().and_then(|built| built.as_ref().ok())
+    }
+
+    /// The run template on `engine`, built by the first call; concurrent
+    /// first calls wait for that one build.
+    fn template_on(&self, engine: &Engine) -> MjResult<Arc<RunTemplate>> {
+        let built = self.template.get_or_init(|| {
+            let planned = &self.planned;
+            let template = engine.template(planned.plan.clone(), planned.binding.clone());
+            template.map_err(MjError::from)
+        });
+        built.clone()
     }
 }
 
@@ -650,6 +674,7 @@ impl Database {
             spec,
             planned,
             generation,
+            template: OnceLock::new(),
         });
         self.plan_cache.insert(key, stmt.clone());
         Ok(stmt)
@@ -669,10 +694,10 @@ impl Database {
     /// Executes a prepared statement with per-query [`QueryOptions`]:
     /// checks argument arity ([`MjError::Params`] on mismatch), re-prepares
     /// transparently through the shared cache if the catalog has mutated
-    /// since the statement was planned, substitutes the `?N` placeholders
-    /// into the plan's predicates without re-planning
-    /// ([`crate::binding::QueryBinding::bind_params`] — the plan itself is shared, not
-    /// copied), and submits to the engine.
+    /// since the statement was planned, and submits one execution of the
+    /// statement's [`RunTemplate`] ([`Engine::submit_template`]), which
+    /// binds the `?N` placeholders into the predicates that hold them —
+    /// nothing is re-planned, re-wired or copied.
     pub fn execute_prepared_with(
         &self,
         stmt: &Arc<PreparedStatement>,
@@ -694,14 +719,9 @@ impl Database {
         } else {
             self.prepare(&stmt.text)?
         };
-        let planned = &current.planned;
-        let binding = if args.is_empty() {
-            planned.binding.clone()
-        } else {
-            planned.binding.bind_params(args).map_err(MjError::Plan)?
-        };
+        let template = current.template_on(&self.engine)?;
         self.engine
-            .submit_planned(planned.plan.clone(), binding, opts)
+            .submit_template(template, args, opts)
             .map_err(MjError::from)
     }
 

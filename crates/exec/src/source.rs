@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
+use mj_relalg::Predicate;
 
 use crate::stream::{Msg, Receiver};
 
@@ -14,6 +15,18 @@ pub enum Source {
     /// fragment cache, or private to the query when a scan filter or the
     /// late-materialization narrowing produced it.
     Local(Arc<ColumnBatch>),
+    /// A processor-local fragment under a pushed-down scan filter: the
+    /// instance selects the rows satisfying `predicate` when it first reads
+    /// the operand — a selection is the operation's own work, done on the
+    /// pool — and gathers them into a batch private to the query (filtering
+    /// and hash partitioning commute; the fragment itself is shared with
+    /// the fragment cache and never changed).
+    Filtered {
+        /// The fragment, shared with the engine's fragment cache.
+        fragment: Arc<ColumnBatch>,
+        /// The scan filter, its `?N` placeholders bound.
+        predicate: Arc<Predicate>,
+    },
     /// A simple join's build operand already built: the resident join
     /// table over an unfiltered base fragment, shared with the engine's
     /// fragment cache ([`FragmentCache::tables`]), whose rows *are* the

@@ -594,7 +594,7 @@ impl Router {
         pool: Arc<BatchPool>,
     ) -> Self {
         assert!(!senders.is_empty(), "router needs at least one destination");
-        let buffers = senders.iter().map(|_| pool.take(batch)).collect();
+        let buffers = senders.iter().map(|_| ColumnBatch::shapeless()).collect();
         Router {
             senders,
             key_col,
@@ -645,8 +645,19 @@ impl Router {
     }
 
     fn flush_dest(&mut self, dest: usize, waker: &Waker) -> Result<bool> {
-        let full = std::mem::replace(&mut self.buffers[dest], self.pool.take(self.batch));
+        let full = std::mem::take(&mut self.buffers[dest]);
         self.try_send_or_park(dest, Msg::Batch(Batch::new(full, self.pool.clone())), waker)
+    }
+
+    /// Destination `dest`'s fill buffer, taken from the pool when the
+    /// router first writes to it after starting or flushing — so a router
+    /// that emits nothing, or nothing more, takes nothing.
+    fn buffer(&mut self, dest: usize) -> &mut ColumnBatch {
+        let buffer = &mut self.buffers[dest];
+        if buffer.arity() == 0 {
+            *buffer = self.pool.take(self.batch);
+        }
+        buffer
     }
 
     /// Flushes every destination buffer at or over the batch threshold,
@@ -699,7 +710,7 @@ impl Router {
         for dest in 0..self.senders.len() {
             let sel = std::mem::take(&mut self.sel_scratch[dest]);
             if !sel.is_empty() {
-                self.buffers[dest].append_gather(cols, &sel)?;
+                self.buffer(dest).append_gather(cols, &sel)?;
             }
             self.sel_scratch[dest] = sel;
         }
@@ -727,7 +738,7 @@ impl Router {
             }
             let room = self.batch.saturating_sub(self.buffers[0].rows()).max(1);
             let take = room.min(cols.rows() - *pos);
-            self.buffers[0].append_rows(cols, *pos..*pos + take)?;
+            self.buffer(0).append_rows(cols, *pos..*pos + take)?;
             *pos += take;
             accepted += take as u64;
             self.sent += take as u64;
@@ -788,7 +799,7 @@ impl Router {
         } else {
             mj_relalg::hash::bucket_of(tuple.int(self.key_col)?, self.senders.len())
         };
-        self.buffers[dest].push_tuple(&tuple)?;
+        self.buffer(dest).push_tuple(&tuple)?;
         self.sent += 1;
         if self.buffers[dest].rows() >= self.batch {
             self.flush_dest(dest, waker)?;
@@ -1007,9 +1018,12 @@ mod tests {
         assert_eq!(drained, 8);
         assert_eq!(pool.spares(), 4, "all four flushed buffers returned");
 
-        // A new router on the same pool reuses those buffers.
+        // A new router on the same pool reuses those buffers, taking one
+        // when it first writes.
         let (txs2, _rxs2, _) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
-        let _router2 = Router::new(txs2, 0, 2, pool.clone());
+        let mut router2 = Router::new(txs2, 0, 2, pool.clone());
+        assert_eq!(pool.spares(), 4, "a router that wrote nothing took nothing");
+        router2.route(Tuple::from_ints(&[0])).unwrap();
         assert_eq!(pool.spares(), 3, "router took a pooled buffer");
     }
 

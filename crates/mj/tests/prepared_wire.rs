@@ -3,7 +3,9 @@
 //! multiset the equivalent ad-hoc query and the sequential XRA oracle
 //! produce — across families, parameter boundary values, result
 //! formats, statement lifecycle errors, and catalog mutation between
-//! prepare and execute.
+//! prepare and execute. A statement's run template is built once per
+//! catalog generation, shared by every connection, and left intact by an
+//! aborted execute.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -11,9 +13,9 @@ use std::time::Duration;
 
 use multijoin::core::ScheduleModel;
 use multijoin::exec::{
-    chain_query_sql, generate_family, star_query_sql, Database, DbConfig, QueryFamily,
+    chain_query_sql, generate_family, star_query_sql, Database, DbConfig, QueryFamily, QueryOptions,
 };
-use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider, Value};
+use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation, RelationProvider, Value};
 use multijoin::server::{Client, ClientError, Server, ServerConfig};
 
 /// Opens a served Database over a seeded family instance; returns the db
@@ -274,4 +276,172 @@ fn catalog_mutation_between_prepare_and_execute_stays_correct() {
     // The re-prepared plan is cached: further executions keep working.
     let again = client.execute(prep.id, &[120]).unwrap();
     assert_eq!(sorted(again.rows), oracle_rows(&db, &literal));
+}
+
+/// The literal form of `param_q` (`... < ?1`) for argument `arg`.
+fn bound(param_q: &str, arg: i64) -> String {
+    param_q.replace("?1", &arg.to_string())
+}
+
+#[test]
+fn one_template_serves_two_connections_with_different_arguments() {
+    let (db, server) = family_server(QueryFamily::Chain, 4, 300, 41);
+    let param_q = format!("{} WHERE R1.id < ?1", chain_query_sql(4));
+    // Planned once up front, so both connections' prepares hit the cache
+    // and share the statement.
+    db.prepare(&param_q).unwrap();
+    let built = db.engine().templates_built();
+    std::thread::scope(|scope| {
+        for args in [[0i64, 150, 299], [300, 7, 151]] {
+            let (db, param_q) = (&db, &param_q);
+            let addr = server.local_addr();
+            scope.spawn(move || {
+                let mut client = connect(addr);
+                let prep = client.prepare(param_q).unwrap();
+                for _ in 0..3 {
+                    for arg in args {
+                        let reply = client.execute(prep.id, &[arg]).unwrap();
+                        let expected = oracle_rows(db, &bound(param_q, arg));
+                        assert_eq!(sorted(reply.rows), expected, "?1 = {arg}");
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        db.engine().templates_built(),
+        built + 1,
+        "both connections execute the one statement's template"
+    );
+}
+
+#[test]
+fn a_catalog_change_retires_the_template_once() {
+    let instance = generate_family(QueryFamily::Chain, 3, 200, 43).unwrap();
+    let donor = generate_family(QueryFamily::Chain, 3, 200, 44).unwrap();
+    let mut config = DbConfig::default();
+    config.planner.schedule_model = ScheduleModel::prisma();
+    let db = Database::open(config).unwrap();
+    for name in instance.catalog.names() {
+        db.register(&name, instance.catalog.relation(&name).unwrap())
+            .unwrap();
+    }
+    db.analyze().unwrap();
+    let param_q = format!("{} WHERE R1.id < ?1", chain_query_sql(3));
+    let stmt = db.prepare(&param_q).unwrap();
+    let engine = db.engine();
+    let run = |arg: i64| -> Vec<Vec<Value>> {
+        let relation = db
+            .execute_prepared(&stmt, &[arg])
+            .unwrap()
+            .collect()
+            .unwrap();
+        sorted(relation.iter().map(|t| t.values().to_vec()).collect())
+    };
+    assert_eq!(run(120), oracle_rows(&db, &bound(&param_q, 120)));
+    assert!(stmt.template().is_some(), "the first execute builds it");
+    // R2 replaced under its name, then the statistics refreshed: after
+    // each, the old statement answers from the catalog as it now is, and
+    // its replacement's template is built once, not per execute.
+    let replace = || {
+        db.catalog()
+            .register("R2", donor.catalog.relation("R2").unwrap())
+    };
+    let refresh = || db.analyze().unwrap();
+    for (change, mutate) in [("register", &replace as &dyn Fn()), ("analyze", &refresh)] {
+        let built = engine.templates_built();
+        let before = oracle_rows(&db, &bound(&param_q, 150));
+        mutate();
+        let after = oracle_rows(&db, &bound(&param_q, 150));
+        if change == "register" {
+            assert_ne!(before, after, "the donor's R2 must change the answer");
+        }
+        for _ in 0..3 {
+            assert_eq!(run(150), after, "{change}: old statement, new data");
+        }
+        assert_eq!(engine.templates_built(), built + 1, "{change}");
+    }
+    assert!(
+        !Arc::ptr_eq(
+            stmt.template().unwrap(),
+            db.prepare(&param_q).unwrap().template().unwrap()
+        ),
+        "the stale statement keeps its own template"
+    );
+}
+
+#[test]
+fn an_aborted_templated_execute_leaves_nothing_behind() {
+    let instance = generate_family(QueryFamily::Chain, 3, 4_000, 47).unwrap();
+    // Tiny batches and a one-slot result channel: the query blocks on the
+    // client almost at once, so it is still running when it is canceled.
+    let mut config = DbConfig::default();
+    config.exec.workers = 2;
+    config.exec.batch_size = 16;
+    config.exec.channel_capacity = 1;
+    let db = Database::open(config).unwrap();
+    for name in instance.catalog.names() {
+        db.register(&name, instance.catalog.relation(&name).unwrap())
+            .unwrap();
+    }
+    db.analyze().unwrap();
+    let param_q = format!("{} WHERE R0.id < ?1", chain_query_sql(3));
+    let stmt = db.prepare(&param_q).unwrap();
+    let expected = oracle_rows(&db, &bound(&param_q, 3_000));
+    let engine = db.engine();
+    let answer = || {
+        let relation = db
+            .execute_prepared(&stmt, &[3_000])
+            .unwrap()
+            .collect()
+            .unwrap();
+        sorted(relation.iter().map(|t| t.values().to_vec()).collect())
+    };
+    assert_eq!(answer(), expected);
+    let built = engine.templates_built();
+
+    // Everything the query charged is credited back once its tasks, edges
+    // and stream are gone, a moment after its outcome.
+    let settled = |budget: &Arc<multijoin::exec::MemoryBudget>, ctx: &str| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while budget.used() > 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(budget.used(), 0, "{ctx}: budget");
+        assert_eq!(engine.store().total_bytes(), 0, "{ctx}: store");
+        let pool = engine.pool();
+        assert_eq!((pool.queued(), pool.parked()), (0, 0), "{ctx}: pool");
+    };
+
+    let mut handle = db.execute_prepared(&stmt, &[3_000]).unwrap();
+    let budget = handle.budget().clone();
+    let mut stream = handle.stream();
+    assert!(stream.next_batch().is_some(), "a first batch arrives");
+    handle.cancel();
+    while stream.next_batch().is_some() {}
+    drop(stream);
+    let err = handle.outcome().expect_err("canceled");
+    assert!(matches!(err, RelalgError::Canceled), "{err}");
+    settled(&budget, "cancel");
+    assert_eq!(answer(), expected);
+
+    for (ctx, opts) in [
+        (
+            "deadline",
+            QueryOptions::new().with_deadline(Duration::from_nanos(1)),
+        ),
+        ("budget", QueryOptions::new().with_memory_budget(1)),
+    ] {
+        let handle = db.execute_prepared_with(&stmt, &[3_000], opts).unwrap();
+        let budget = handle.budget().clone();
+        let err = handle.collect().expect_err(ctx);
+        let typed = match ctx {
+            "deadline" => matches!(err, RelalgError::DeadlineExceeded),
+            _ => matches!(err, RelalgError::ResourceExhausted { budget: 1, .. }),
+        };
+        assert!(typed, "{ctx}: {err}");
+        settled(&budget, ctx);
+        assert_eq!(answer(), expected, "{ctx}: the next execute");
+    }
+    assert_eq!(engine.templates_built(), built, "aborts keep the template");
 }

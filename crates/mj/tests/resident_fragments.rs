@@ -19,7 +19,10 @@
 //! * a relation replaced under its name while queries run is never served
 //!   from the old fragments or the old tables: every reply is the oracle's
 //!   answer on the old *or* the new relation, never a mix, and the first
-//!   query submitted after the swap sees the new one.
+//!   query submitted after the swap sees the new one;
+//! * a prepared statement's run template holds its base operands only
+//!   weakly: a variant the cache evicted is resolved again, never served,
+//!   even while something else keeps it alive.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -32,7 +35,7 @@ use multijoin::exec::{
     QueryFamily, QueryHandle,
 };
 use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider};
-use multijoin::storage::TableStats;
+use multijoin::storage::{TableStats, MAX_VARIANTS_PER_RELATION};
 
 const RELATIONS: usize = 4;
 const ROWS: usize = 400;
@@ -412,4 +415,69 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
     assert_eq!(wrong.into_inner().unwrap(), Vec::<String>::new());
     assert!(run(0).multiset_eq(&expected[VERSIONS - 1][0]));
     assert_eq!(db.engine().store().total_bytes(), 0);
+}
+
+#[test]
+fn an_evicted_variant_is_resolved_again_never_served() {
+    let relations = generated(19);
+    let db = open(&relations);
+    let cache = db.engine().fragment_cache();
+    let joins = chain_query_sql(RELATIONS);
+    let text = format!("{joins} WHERE R1.id < ?1");
+    let stmt = db.prepare(&text).unwrap();
+    let expect = |arg: i64| oracle(&db, &format!("{joins} WHERE R1.id < {arg}"), &relations);
+    // A partitioned base operand of the plan: its relation, key column and
+    // degree name the cache variant it reads.
+    let planned = stmt.planned();
+    let (name, key_col, degree) = planned
+        .plan
+        .ops
+        .iter()
+        .filter(|op| op.degree() > 1)
+        .find_map(|op| {
+            let spec = planned.binding.spec(op.join).unwrap();
+            [(&op.left, spec.left_key), (&op.right, spec.right_key)]
+                .into_iter()
+                .find_map(|(operand, key)| match operand {
+                    OperandSource::Base { relation } => Some((relation.clone(), key, op.degree())),
+                    _ => None,
+                })
+        })
+        .unwrap_or_else(|| panic!("no partitioned base operand\n{}", planned.explain()));
+    let (rows, _) = drain(db.execute_prepared(&stmt, &[200]).unwrap());
+    assert!(rows.multiset_eq(&expect(200)));
+    let (_, warm) = drain(db.execute_prepared(&stmt, &[201]).unwrap());
+    assert_eq!(
+        warm.fragment_cache_built, 0,
+        "the template's operands are resident"
+    );
+
+    // Evict that variant with four newer ones of the same relation, while
+    // the test itself keeps it alive: alive is not resident, and the
+    // template must not serve it.
+    let source = db.catalog().relation(&name).unwrap();
+    let (kept, hit) = cache.fragments(&name, &source, key_col, degree).unwrap();
+    assert!(hit);
+    let evictions = cache.stats().evictions;
+    for d in (degree + 1..).take(MAX_VARIANTS_PER_RELATION) {
+        cache.fragments(&name, &source, key_col, d).unwrap();
+    }
+    assert!(cache.stats().evictions > evictions);
+
+    let misses = cache.stats().misses;
+    let (rows, cold) = drain(db.execute_prepared(&stmt, &[37]).unwrap());
+    assert!(
+        rows.multiset_eq(&expect(37)),
+        "answered from a fresh variant"
+    );
+    assert!(
+        cold.fragment_cache_built > 0,
+        "the evicted variant was resolved again"
+    );
+    assert!(cache.stats().misses > misses);
+    let (rows, warm) = drain(db.execute_prepared(&stmt, &[38]).unwrap());
+    assert!(rows.multiset_eq(&expect(38)));
+    assert_eq!(warm.fragment_cache_built, 0, "and is held again");
+    assert_eq!(db.engine().store().total_bytes(), 0);
+    drop(kept);
 }

@@ -43,7 +43,8 @@
 //! copy, of fragments and of tables alike.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ptr;
+use std::sync::{Arc, Weak};
 
 use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
@@ -95,6 +96,17 @@ pub struct FragmentCacheStats {
     pub tables_built: u64,
 }
 
+/// A batch set an earlier lookup returned, held weakly to be served again
+/// ([`FragmentCache::touch`]). The weak handle keeps the set's allocation,
+/// though not its batches, so its address names that set and no other.
+#[derive(Clone, Copy)]
+pub enum Held<'a> {
+    /// What [`FragmentCache::fragments`] returned.
+    Fragments(&'a Weak<[Arc<ColumnBatch>]>),
+    /// What [`FragmentCache::tables`] returned.
+    Tables(&'a Weak<[Arc<ColumnarTable>]>),
+}
+
 struct Variant {
     key_col: usize,
     degree: usize,
@@ -133,6 +145,33 @@ impl Entry {
             .iter_mut()
             .find(|v| Arc::ptr_eq(&v.fragments, fragments));
         variant.map(|v| &mut v.tables)
+    }
+
+    /// Where `held` sits in this entry, if it still does: `Some(None)` in
+    /// the image, `Some(Some(at))` in variant `at`.
+    fn position(&self, held: Held<'_>) -> Option<Option<usize>> {
+        match held {
+            Held::Fragments(held) => {
+                let same = |f: &Fragments| ptr::addr_eq(Arc::as_ptr(f), held.as_ptr());
+                if same(&self.whole) {
+                    return Some(None);
+                }
+                self.variants
+                    .iter()
+                    .position(|v| same(&v.fragments))
+                    .map(Some)
+            }
+            Held::Tables(held) => {
+                let same = |t: &Option<Tables>| {
+                    t.as_ref()
+                        .is_some_and(|t| ptr::addr_eq(Arc::as_ptr(t), held.as_ptr()))
+                };
+                if self.whole_tables.iter().any(same) {
+                    return Some(None);
+                }
+                self.variants.iter().position(|v| same(&v.tables)).map(Some)
+            }
+        }
     }
 
     fn bytes(&self) -> u64 {
@@ -338,6 +377,40 @@ impl FragmentCache {
         *slot = Some(built.clone());
         state.stats.bytes += index_bytes(&built);
         Ok((built, false))
+    }
+
+    /// Marks batch sets that earlier lookups returned used again, each
+    /// named by the relation it was looked up under: if every one is still
+    /// resident, each counts as a hit and as a use of its variant (the LRU
+    /// order), exactly as the lookup that returned it would, and this
+    /// returns true. Otherwise it counts nothing and returns false, and the
+    /// caller looks them up again: a set that was evicted or replaced is
+    /// never served, even while something else keeps it alive. Unlike a
+    /// lookup it does not check which relation the provider serves under
+    /// the name now: that is the caller's to vouch for (a prepared
+    /// statement's catalog generation does).
+    pub fn touch<'a>(&self, held: impl IntoIterator<Item = (&'a str, Held<'a>)>) -> bool {
+        let mut state = self.state.lock();
+        let State { entries, stats } = &mut *state;
+        let mut touched = 0;
+        for (name, set) in held {
+            let Some(entry) = entries.get_mut(name) else {
+                return false;
+            };
+            match entry.position(set) {
+                None => return false,
+                // Marking a variant used before finding that another one
+                // is gone only ages the cache's LRU order a little.
+                Some(Some(at)) => {
+                    let variant = entry.variants.remove(at);
+                    entry.variants.push(variant);
+                }
+                Some(None) => {}
+            }
+            touched += 1;
+        }
+        stats.hits += touched;
+        true
     }
 }
 
@@ -613,5 +686,57 @@ mod tests {
         assert!(cache.fragments("R", &rel(4), 0, 0).is_err());
         assert!(cache.fragments("R", &rel(4), 9, 2).is_err());
         assert!(cache.tables("R", &rel(4), 9, 1).is_err());
+    }
+
+    #[test]
+    fn touch_counts_and_keeps_what_is_resident_and_refuses_what_is_not() {
+        let cache = FragmentCache::new();
+        let r = rel(64);
+        let (image, _) = cache.fragments("R", &r, 0, 1).unwrap();
+        let (oldest, _) = cache.fragments("R", &r, 0, 2).unwrap();
+        let (tables, _) = cache.tables("R", &r, 1, 1).unwrap();
+        for degree in 3..2 + MAX_VARIANTS_PER_RELATION {
+            cache.fragments("R", &r, 0, degree).unwrap();
+        }
+        let held = [Arc::downgrade(&image), Arc::downgrade(&oldest)];
+        let table_set = Arc::downgrade(&tables);
+        let sets = || {
+            let fragments = held.iter().map(|h| ("R", Held::Fragments(h)));
+            fragments.chain([("R", Held::Tables(&table_set))])
+        };
+        let hits = cache.stats().hits;
+        assert!(cache.touch(sets()));
+        assert_eq!(cache.stats().hits, hits + 3, "a hit per set, as lookups");
+        // Touched, the oldest variant is no longer the LRU victim.
+        cache.fragments("R", &r, 1, 2).unwrap();
+        assert!(cache.fragments("R", &r, 0, 2).unwrap().1, "touched: kept");
+        assert!(
+            !cache.fragments("R", &r, 0, 3).unwrap().1,
+            "victim: rebuilt"
+        );
+
+        // Evicted while still alive here: not served, nothing counted.
+        for degree in 5..5 + MAX_VARIANTS_PER_RELATION {
+            cache.fragments("R", &r, 0, degree).unwrap();
+        }
+        let stats = cache.stats();
+        assert!(!cache.touch(sets()));
+        assert_eq!(cache.stats(), stats);
+        assert!(
+            !cache.touch([("S", Held::Fragments(&held[0]))]),
+            "unknown name"
+        );
+        // The image and its tables are never evicted, only replaced.
+        let image_only = [
+            ("R", Held::Fragments(&held[0])),
+            ("R", Held::Tables(&table_set)),
+        ];
+        assert!(cache.touch(image_only));
+        cache.image("R", &rel(64)).unwrap();
+        assert!(
+            !cache.touch(image_only),
+            "a replaced relation's image is not served"
+        );
+        drop((image, oldest, tables));
     }
 }

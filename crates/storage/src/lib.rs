@@ -20,7 +20,7 @@ pub mod skew;
 pub mod store;
 pub mod wisconsin;
 
-pub use cache::{FragmentCache, FragmentCacheStats, Tables, MAX_VARIANTS_PER_RELATION};
+pub use cache::{FragmentCache, FragmentCacheStats, Held, Tables, MAX_VARIANTS_PER_RELATION};
 pub use catalog::{Catalog, TableStats};
 pub use columnar::{fragment_columns, scan_columns, Fragments};
 pub use generator::{PayloadMode, WisconsinGenerator};
