@@ -39,8 +39,9 @@ pub enum LateMode {
 pub struct ExecConfig {
     /// Worker threads in the shared scheduler pool. This bounds *physical*
     /// parallelism for every query run through one engine; a plan's
-    /// `processors` stays a purely logical placement. More concurrent
-    /// queries never spawn more threads.
+    /// `processors` stays a purely logical placement, which a `Database`
+    /// sets to this count unless its planner options name another. More
+    /// concurrent queries never spawn more threads.
     pub workers: usize,
     /// Tuples per channel message (amortizes channel overhead).
     pub batch_size: usize,

@@ -61,14 +61,24 @@ pub struct PlannerOptions {
     /// Logical processors the plan may use: the most partitions (operation
     /// processes) any one operation is hash-split into, and the pool the
     /// strategies divide among concurrent operations. Purely a placement —
-    /// it spawns no threads and is independent of
-    /// [`ExecConfig::workers`](crate::config::ExecConfig::workers), the
-    /// physical pool all those processes are multiplexed onto. More
-    /// processors than workers is the normal case (finer, cache-resident
-    /// partitions for large operands); what it costs — one process start
-    /// and its stream ends per partition — is priced by `schedule_model`,
-    /// which is why an operation whose estimated work does not pay for
-    /// them gets fewer (down to one) whatever this number says.
+    /// it spawns no threads; the processes are multiplexed onto
+    /// [`ExecConfig::workers`](crate::config::ExecConfig::workers) pool
+    /// threads. What a partition costs — one process start and its stream
+    /// ends — is priced by `schedule_model`, which is why an operation
+    /// whose estimated work does not pay for them gets fewer (down to
+    /// one) whatever this number says.
+    ///
+    /// [`ONE_PER_WORKER`](Self::ONE_PER_WORKER), the
+    /// [`DbConfig`](crate::session::DbConfig) default, plans over exactly
+    /// as many processors as the pool has workers: partitions past the
+    /// workers run on no extra core, yet every intermediate tuple is
+    /// hash-routed between them. (On two workers the benchmark's
+    /// `join_heavy` chain runs as 6 processes and 5 streams instead of 17
+    /// and 57 with 8, at a 21 % lower median latency and 18 % less CPU per
+    /// query; the schedule model does not price routed tuples and ranks
+    /// the 8-processor plan cheaper.) Any other value is taken as given:
+    /// the paper's grid and tests of multiplexing more processes than
+    /// workers set it.
     pub processors: usize,
     /// Phase-1 / work cost model (§4.3 coefficients).
     pub cost_model: CostModel,
@@ -93,6 +103,11 @@ pub struct PlannerOptions {
 }
 
 impl PlannerOptions {
+    /// The [`processors`](Self::processors) value that plans over one
+    /// logical processor per pool worker:
+    /// [`Planner::with_workers`] replaces it with the worker count.
+    pub const ONE_PER_WORKER: usize = usize::MAX;
+
     /// Default options for a machine of `processors` logical processors.
     pub fn new(processors: usize) -> Self {
         PlannerOptions {
@@ -401,10 +416,15 @@ impl Planner {
 
     /// The same planner costing for an engine of `workers` pool threads:
     /// no candidate is estimated to finish before its summed busy time
-    /// divided by them. [`Database::open`](crate::session::Database::open)
-    /// passes [`ExecConfig::workers`](crate::config::ExecConfig::workers).
+    /// divided by them, and [`PlannerOptions::ONE_PER_WORKER`] becomes
+    /// `workers` logical processors.
+    /// [`Database::open`](crate::session::Database::open) passes
+    /// [`ExecConfig::workers`](crate::config::ExecConfig::workers).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
+        if self.options.processors == PlannerOptions::ONE_PER_WORKER {
+            self.options.processors = workers;
+        }
         self
     }
 
@@ -448,6 +468,11 @@ impl Planner {
         if self.options.processors == 0 {
             return Err(RelalgError::InvalidPlan(
                 "planner needs at least 1 processor".into(),
+            ));
+        }
+        if self.options.processors == PlannerOptions::ONE_PER_WORKER {
+            return Err(RelalgError::InvalidPlan(
+                "one processor per worker needs a worker count (`Planner::with_workers`)".into(),
             ));
         }
         if query.len() < 2 {
@@ -1083,6 +1108,22 @@ mod tests {
     }
 
     #[test]
+    fn one_per_worker_plans_over_the_pool_it_is_given() {
+        let (_, query) = wisconsin_chain(3, 50);
+        let per_worker = PlannerOptions::new(PlannerOptions::ONE_PER_WORKER);
+        let err = Planner::new(per_worker).plan(&query).unwrap_err();
+        assert!(err.to_string().contains("needs a worker count"), "{err}");
+        let planned = Planner::new(per_worker)
+            .with_workers(3)
+            .plan(&query)
+            .unwrap();
+        assert_eq!((planned.plan.processors, planned.workers), (3, 3));
+        // An explicit count is kept whatever the pool.
+        let planner = Planner::new(PlannerOptions::new(8)).with_workers(2);
+        assert_eq!(planner.options().processors, 8);
+    }
+
+    #[test]
     fn output_columns_shape_the_plan_result() {
         let (catalog, query) = wisconsin_chain(3, 100);
         // Keep only unique2 of the first and last relation.
@@ -1109,13 +1150,17 @@ mod tests {
     }
 
     /// A session over the benchmark's chain instance (`SHAPE_SEED` 1995):
-    /// default configuration, two pool workers.
+    /// two pool workers, and eight logical processors set explicitly, so
+    /// the degree rule has room to split an operation past the pool (the
+    /// default, one processor per worker, is pinned in
+    /// `tests/executor_parity.rs`).
     fn benchmark_chain(k: usize, n: usize) -> crate::session::Database {
         let instance =
             crate::families::generate_family(crate::families::QueryFamily::Chain, k, n, 1995)
                 .unwrap();
         let mut config = crate::session::DbConfig::default();
         config.exec.workers = 2;
+        config.planner.processors = 8;
         let db = crate::session::Database::open(config).unwrap();
         for name in instance.catalog.names() {
             db.register(name.clone(), instance.catalog.relation(&name).unwrap())
@@ -1219,9 +1264,13 @@ mod tests {
     #[test]
     fn benchmark_shapes_plan_exactly_as_before_dpccp() {
         // `testdata/explain_before_dpccp.txt` is `explain()` for the three
-        // benchmark shapes, captured from the build whose phase 1 was the
-        // subset-walking DP. Same tree, same candidates, same operations:
-        // all that may differ is the phase-1 line that build did not print.
+        // benchmark shapes on eight logical processors, captured from the
+        // build whose phase 1 was the subset-walking DP. Same tree, same
+        // candidates, same operations: all that may differ is the phase-1
+        // line that build did not print. (The benchmark itself now plans
+        // over one processor per worker; `tests/executor_parity.rs` pins
+        // what that runs. This file pins that an explicit count plans
+        // exactly as it always did.)
         //
         // Since process fusion the file differs from that capture in the
         // four 14x50 sections, and only there: 13 sub-grain degree-1 joins

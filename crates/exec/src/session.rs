@@ -468,21 +468,24 @@ fn validate_params(ast: &QueryAst) -> MjResult<u32> {
 /// the planner's options (logical processors, cost models, strategy
 /// override).
 ///
-/// `planner.processors` and `exec.workers` are different things and need
-/// not match. `exec.workers` is the physical pool: that many threads, for
-/// all queries together. `planner.processors` is how finely one query may
-/// be partitioned: each operation is hash-split into at most that many
-/// operation processes, which are tasks multiplexed onto the workers. The
-/// planner is told the worker count ([`Planner::with_workers`]) — it is
-/// derived from `exec.workers`, not configured twice — and prices every
-/// process start, so small operations run as one process however many
-/// processors are on offer.
+/// `exec.workers` is the physical pool: that many threads, for all queries
+/// together. `planner.processors` is how finely one query may be
+/// partitioned: each operation is hash-split into at most that many
+/// operation processes, which are tasks multiplexed onto the workers. By
+/// default ([`PlannerOptions::ONE_PER_WORKER`]) it is derived from
+/// `exec.workers` when the database opens, one logical processor per
+/// worker, so no partition waits for a core while its tuples are routed;
+/// set it explicitly to plan over more. The planner is also told the worker
+/// count ([`Planner::with_workers`]) and prices every process start, so
+/// small operations run as one process however many processors are on
+/// offer.
 #[derive(Clone, Copy, Debug)]
 pub struct DbConfig {
     /// Worker pool, batching, and channel tunables.
     pub exec: ExecConfig,
     /// Cost-based planner options (notably `processors`, the logical
-    /// parallelism every plan is allocated over).
+    /// parallelism every plan is allocated over: one per worker unless
+    /// set).
     pub planner: PlannerOptions,
 }
 
@@ -490,7 +493,7 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             exec: ExecConfig::default(),
-            planner: PlannerOptions::new(8),
+            planner: PlannerOptions::new(PlannerOptions::ONE_PER_WORKER),
         }
     }
 }
@@ -580,7 +583,8 @@ impl Database {
         &self.engine
     }
 
-    /// The planner options this session plans with.
+    /// The planner options this session plans with, `processors` resolved
+    /// to the count its plans are allocated over.
     pub fn planner_options(&self) -> &PlannerOptions {
         self.planner.options()
     }

@@ -197,6 +197,10 @@ R{K-1} (fk0.., measure)), then parses, plans, and *streams* the query:
   echo \"SELECT R0.id, R2.id FROM ...\" | mj sql -    (newlines + -- comments ok)
   mj sql --explain \"SELECT ...\"        (costed alternatives, no execution)
 
+sql and serve plan over one logical processor per --workers unless --procs
+is given; plan, run and simulate keep a fixed --procs default, the paper's
+machine of one worker per processor.
+
 Without --shape, plan/run use the cost-based planner (tree, strategy, and
 processor allocation chosen from catalog statistics); --strategy with a
 concrete value overrides only the strategy. With --shape, the legacy fixed
@@ -339,7 +343,7 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
     let k: usize = args.num("relations", 4)?;
     let tuples: usize = args.num("tuples", 2_000)?;
     let seed: u64 = args.num("seed", 42)?;
-    let procs: usize = args.num("procs", 8)?;
+    let procs: usize = args.num("procs", PlannerOptions::ONE_PER_WORKER)?;
     let workers: usize = args.num("workers", ExecConfig::default().workers)?;
     let limit: usize = args.num("limit", 20)?;
     let format = OutFormat::parse(
@@ -352,7 +356,7 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
     let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
     let mut config = DbConfig::default();
     config.exec.workers = workers;
-    config.planner = PlannerOptions::new(procs);
+    config.planner.processors = procs;
     let db = Database::open(config).map_err(|e| e.to_string())?;
     let mut names = instance.catalog.names();
     names.sort();
@@ -363,7 +367,8 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
     db.analyze().map_err(|e| e.to_string())?;
     eprintln!(
         "data: `{family}` family, {k} relations x {tuples} base tuples (seed {seed}); \
-         {workers} workers, {procs} logical processors"
+         {workers} workers, {} logical processors",
+        db.planner_options().processors
     );
 
     if args.switch("explain") {
@@ -481,7 +486,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let k: usize = args.num("relations", 4)?;
     let tuples: usize = args.num("tuples", 2_000)?;
     let seed: u64 = args.num("seed", 42)?;
-    let procs: usize = args.num("procs", 8)?;
+    let procs: usize = args.num("procs", PlannerOptions::ONE_PER_WORKER)?;
     let workers: usize = args.num("workers", ExecConfig::default().workers)?;
     let addr = args
         .flags
@@ -494,7 +499,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
     let mut config = DbConfig::default();
     config.exec.workers = workers;
-    config.planner = PlannerOptions::new(procs);
+    config.planner.processors = procs;
     let db = Database::open(config).map_err(|e| e.to_string())?;
     let mut names = instance.catalog.names();
     names.sort();
@@ -516,9 +521,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     eprintln!(
         "serving `{family}` family ({k} relations x {tuples} tuples, seed {seed}) \
-         on {} — {} engine workers, {} connection workers, {} clients max",
+         on {} — {} engine workers ({} logical processors), {} connection workers, \
+         {} clients max",
         server.local_addr(),
         workers,
+        db.planner_options().processors,
         conn_workers,
         max_clients,
     );

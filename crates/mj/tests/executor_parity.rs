@@ -5,7 +5,8 @@
 //! stages, the per-query metrics are pinned: operation processes, tuple
 //! streams, fused operations, and per operation its kind, instances and
 //! estimated rows. They must come out the same through the session front
-//! door and through `run_plan` (a transient engine).
+//! door and through `run_plan` (a transient engine). The database plans as
+//! the benchmark's does: one logical processor per worker, two workers.
 
 use multijoin::exec::{generate_family, run_plan, Database, DbConfig, Metrics, QueryFamily};
 use multijoin::relalg::RelationProvider;
@@ -128,16 +129,18 @@ fn benchmark_shapes_keep_their_processes_streams_and_operations() {
             name: "join_heavy",
             text: chain_sql("COUNT(*)", "H", 6, ""),
             arg: None,
+            // Every join on one process: the two workers leave no
+            // partition to route a tuple to.
             expect: (
-                17,
-                57,
+                6,
+                5,
                 0,
                 vec![
-                    join(3, 63_111),
-                    join(5, 99_769),
+                    join(1, 63_111),
+                    join(1, 99_769),
                     join(1, 63_082),
-                    join(2, 99_753),
-                    join(5, 393_247),
+                    join(1, 99_753),
+                    join(1, 393_247),
                     ("aggregate", 1, 1),
                 ],
             ),
@@ -146,7 +149,7 @@ fn benchmark_shapes_keep_their_processes_streams_and_operations() {
             name: "wide_result",
             text: chain_sql("*", "W", 2, ""),
             arg: None,
-            expect: (8, 0, 0, vec![join(8, 47_413)]),
+            expect: (2, 0, 0, vec![join(2, 47_413)]),
         },
         Pin {
             // `mixed_paced`'s light stream, on a database that also holds
@@ -176,15 +179,15 @@ fn residual_filter_group_by_and_limit_run_as_pinned_stages() {
             " WHERE W0.id >= 100 GROUP BY W0.a LIMIT 1000000",
         ),
         arg: None,
-        // 8 x 7 + 7 x 2 + 2 x 1 streams from the root join through the
+        // 2 x 2 + 2 x 2 + 2 x 1 streams from the root join through the
         // three stages; the result edge is not counted.
         expect: (
-            18,
-            72,
+            7,
+            10,
             0,
             vec![
-                join(8, 47_413),
-                ("filter", 7, 15_804),
+                join(2, 47_413),
+                ("filter", 2, 15_804),
                 ("aggregate", 2, 15_804),
                 ("limit", 1, 15_804),
             ],

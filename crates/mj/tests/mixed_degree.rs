@@ -9,7 +9,9 @@
 //! both sides of the chunk boundary, with exact fragment reclaim and pool
 //! quiescence after each run. Every query runs twice on its database —
 //! cold, then warm from the resident fragment cache — and the warm run must
-//! build nothing and return the same multiset.
+//! build nothing and return the same multiset. These plans name eight
+//! logical processors explicitly; left to the default, one per worker, no
+//! operation or stage runs wider than the pool, which is checked too.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -113,9 +115,18 @@ fn star() -> Fixture {
     }
 }
 
+/// A database over `fixture` planned on eight logical processors, set
+/// explicitly whatever the pool, then as `configure` leaves it: the grain
+/// rule alone decides how wide a join runs, so 1→8 and 8→1 edges appear on
+/// every worker count.
 fn open(fixture: &Fixture, configure: impl FnOnce(&mut DbConfig)) -> Database {
     let mut config = DbConfig::default();
+    config.planner.processors = 8;
     configure(&mut config);
+    load(fixture, config)
+}
+
+fn load(fixture: &Fixture, config: DbConfig) -> Database {
     let db = Database::open(config).unwrap();
     for (name, relation) in &fixture.relations {
         db.register(*name, relation.clone()).unwrap();
@@ -639,4 +650,76 @@ fn planner_pick_on_mixed_sizes_widens_only_the_big_joins() {
             assert_eq!(op.degree(), 1, "{}", planned.explain());
         }
     }
+}
+
+/// `chain()` plus a GROUP BY wide enough for a partitioned aggregate:
+/// every B1 row meets one S0 row, so ~56 000 rows reach ~56 000 groups.
+fn chain_with_wide_group_by() -> Fixture {
+    let mut fixture = chain();
+    fixture
+        .queries
+        .push("SELECT B1.id, COUNT(*) FROM S0 JOIN B1 ON S0.a = B1.b GROUP BY B1.id".into());
+    fixture
+}
+
+#[test]
+fn default_plans_run_no_operation_or_stage_wider_than_the_pool() {
+    // Left to the default, a database plans over one logical processor per
+    // worker: where eight would split the big joins and the wide aggregate
+    // eight ways, no join and no post-join stage runs as more processes
+    // than the pool has threads, and every answer is still the oracle's.
+    for fixture in [chain_with_wide_group_by(), skewed(), star()] {
+        let expected = oracle_results(&fixture);
+        for workers in [1, 2, 4] {
+            let mut config = DbConfig::default();
+            config.exec.workers = workers;
+            let db = load(&fixture, config);
+            assert_eq!(db.planner_options().processors, workers);
+            let shown = format!("{db:?}");
+            let plans_with = format!("{workers} workers, {workers} planner processors");
+            assert!(shown.contains(&plans_with), "{shown}");
+            let engine = db.engine();
+            for (text, expected) in fixture.queries.iter().zip(&expected) {
+                let ctx = format!("{} / {workers} workers: {text}", fixture.name);
+                let mut handle = db.query(text).unwrap();
+                let result = handle.stream().collect_relation();
+                let metrics = handle.outcome().unwrap().metrics;
+                let explain = || db.plan(text).unwrap().explain();
+                assert!(
+                    result.multiset_eq(expected),
+                    "{ctx}: engine returned {} rows, oracle {}\n{}",
+                    result.len(),
+                    expected.len(),
+                    explain()
+                );
+                let instances: Vec<usize> = metrics.ops.iter().map(|op| op.instances).collect();
+                assert!(
+                    instances.iter().all(|&n| n <= workers),
+                    "{ctx}: processes per operation {instances:?}\n{}",
+                    explain()
+                );
+                assert_eq!(engine.store().total_bytes(), 0, "{ctx}: fragments leaked");
+                assert_eq!(engine.pool().queued(), 0, "{ctx}: zombie tasks queued");
+                assert_eq!(engine.pool().parked(), 0, "{ctx}: tasks left parked");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_explicit_processor_count_still_plans_past_the_pool() {
+    // Eight logical processors named on two workers: the chain's big joins
+    // are split past the pool, as the multiplexing tests need, and the
+    // session reports the count it plans with.
+    let fixture = chain();
+    let expected = oracle_results(&fixture);
+    let db = open(&fixture, |c| c.exec.workers = 2);
+    assert_eq!(db.planner_options().processors, 8);
+    let shown = format!("{db:?}");
+    assert!(shown.contains("2 workers, 8 planner processors"), "{shown}");
+    let planned = db.plan(&fixture.queries[0]).unwrap();
+    let widest = planned.plan.ops.iter().map(|op| op.degree()).max();
+    assert!(widest > Some(2), "{}", planned.explain());
+    let result = db.query(&fixture.queries[0]).unwrap().collect().unwrap();
+    assert!(result.multiset_eq(&expected[0]));
 }

@@ -54,12 +54,14 @@ fn generated(seed: u64) -> HashMap<String, Arc<Relation>> {
         .collect()
 }
 
-/// A database over `relations`, planned with the paper's machine model so
-/// these few-hundred-tuple relations are really partitioned (the measured
-/// default would run them at degree 1), and with the late rewrite off so
-/// scan filters run over the cached fragments themselves.
+/// A database over `relations`, planned with the paper's machine model on
+/// eight logical processors so these few-hundred-tuple relations are
+/// really partitioned (the measured default would run them at degree 1),
+/// and with the late rewrite off so scan filters run over the cached
+/// fragments themselves.
 fn open(relations: &HashMap<String, Arc<Relation>>) -> Database {
     let mut config = DbConfig::default();
+    config.planner.processors = 8;
     config.planner.schedule_model = ScheduleModel::prisma();
     config.exec.late = LateMode::Never;
     let db = Database::open(config).unwrap();
