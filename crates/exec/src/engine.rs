@@ -475,15 +475,17 @@ struct Accounts {
 }
 
 impl Accounts {
-    /// Counts the query's result, frees its admission slot and publishes
-    /// the outcome — in that order, so whoever holds the outcome sees the
+    /// Counts the query's result and its edges' batch-pool takes and
+    /// misses (`pools`), frees its admission slot and publishes the
+    /// outcome — in that order, so whoever holds the outcome sees the
     /// counters and the slot settled.
-    fn settle(self, result: Result<QueryOutcome>) {
+    fn settle(self, result: Result<QueryOutcome>, pools: (u64, u64)) {
         self.counters.record(
             &result,
             self.ctrl.panics(),
             self.ctrl.budget().peak(),
             self.submitted_at.elapsed(),
+            pools,
         );
         // Released only now that the query has fully quiesced and its
         // fragments are reclaimed, so the concurrency cap bounds actual
@@ -536,7 +538,8 @@ impl Coordinator {
         }
         let (run, accounts) = state.take().expect("checked above");
         drop(state);
-        accounts.settle(run.conclude());
+        let pools = run.batch_pool_tally();
+        accounts.settle(run.conclude(), pools);
     }
 
     /// Where the query stands, for a stall report.
@@ -607,7 +610,7 @@ impl Guard {
 fn start(prepared: Result<QueryRun>, accounts: Accounts) {
     let run = match prepared {
         Ok(run) => run,
-        Err(e) => return accounts.settle(Err(e)),
+        Err(e) => return accounts.settle(Err(e), (0, 0)),
     };
     let (pool, ctrl, stall_timeout) =
         (run.pool.clone(), run.ctrl.clone(), run.config.stall_timeout);
@@ -650,9 +653,11 @@ struct QueryRun {
     /// the fragment (or resident table) it reads, until its task takes it.
     base_parts: Vec<Option<Source>>,
     /// Per edge of the template, the result edge last: the senders, taken
-    /// at producer spawn; dropping the master senders lets consumers (the
-    /// client too) observe teardown.
-    senders: Vec<Option<OutEdge>>,
+    /// at producer spawn (dropping the master senders lets consumers, the
+    /// client too, observe teardown), and the edge's buffer pool, whose
+    /// takes and misses reach the engine's counters when the query
+    /// concludes.
+    senders: Vec<(Option<OutEdge>, Arc<BatchPool>)>,
     /// Per edge between operations: the receivers, one taken per consumer
     /// instance at its spawn.
     receivers: Vec<std::vec::IntoIter<Receiver<Msg>>>,
@@ -747,10 +752,11 @@ impl QueryRun {
                 edge.layout.clone(),
             );
             pool.set_budget(ctrl.budget().clone());
-            senders.push(Some((txs, edge.key_col, pool)));
+            senders.push((Some((txs, edge.key_col, pool.clone())), pool));
             receivers.push(rxs.into_iter());
         }
-        senders.push(Some(result));
+        let pool = result.2.clone();
+        senders.push((Some(result), pool));
 
         let ns = if template.materializes() {
             engine.store.ensure_nodes(template.plan().processors);
@@ -830,7 +836,7 @@ impl QueryRun {
         for &m in members {
             self.metrics.ops[m].instances = ops[m].degree;
         }
-        let mut out = ops[root].out_edge.and_then(|e| self.senders[e].take());
+        let mut out = ops[root].out_edge.and_then(|e| self.senders[e].0.take());
         let materialized = template.out_materialized(root);
         if out.is_none() && materialized.is_none() {
             return Err(RelalgError::InvalidPlan(format!(
@@ -934,7 +940,7 @@ impl QueryRun {
     /// Drops the channel endpoints of not-yet-spawned ops so already
     /// running producers/consumers observe a disconnect and unwind.
     fn release_unspawned_endpoints(&mut self) {
-        self.senders.iter_mut().for_each(|edge| *edge = None);
+        self.senders.iter_mut().for_each(|(edge, _)| *edge = None);
         self.receivers.clear();
     }
 
@@ -999,6 +1005,13 @@ impl QueryRun {
                 self.fail(e);
             }
         }
+    }
+
+    /// Buffer takes and misses of the query's edge pools so far: all of
+    /// them once it has quiesced, since only its tasks take buffers.
+    fn batch_pool_tally(&self) -> (u64, u64) {
+        let pools = self.senders.iter().map(|(_, pool)| pool);
+        pools.fold((0, 0), |(t, m), p| (t + p.takes(), m + p.misses()))
     }
 
     /// Tears a quiesced query down — every submitted task has reported
@@ -1759,6 +1772,27 @@ mod tests {
             stats.time_to_first_batch.count
         );
         assert!(stats.query_duration.sum_us > 0);
+    }
+
+    #[test]
+    fn batch_pool_counts_are_the_engines_own() {
+        // A query's edge pools count their own takes and misses, and the
+        // query adds them to its engine's counters when it concludes: an
+        // engine beside it in the same process reads none of them.
+        let (catalog, n) = setup(3, 96);
+        let engine = Engine::new(catalog.clone(), ExecConfig::default()).unwrap();
+        let idle = Engine::new(catalog.clone(), ExecConfig::default()).unwrap();
+        let tree = build(Shape::RightLinear, 3).unwrap();
+        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
+        let plan = plan_for(&tree, Strategy::FP, n, 3);
+        engine.run(&plan, &binding).unwrap();
+        let once = engine.stats();
+        assert!(once.batch_pool_takes > 0);
+        assert!(once.batch_pool_misses <= once.batch_pool_takes);
+        engine.run(&plan, &binding).unwrap();
+        assert!(engine.stats().batch_pool_takes > once.batch_pool_takes);
+        let idle = idle.stats();
+        assert_eq!((idle.batch_pool_takes, idle.batch_pool_misses), (0, 0));
     }
 
     #[test]

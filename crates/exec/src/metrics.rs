@@ -301,8 +301,9 @@ pub struct EngineStats {
     pub workers_busy: u64,
     /// Worker threads in the engine's fixed pool.
     pub workers_total: u64,
-    /// Batch-pool buffer takes across every redistribution edge (process
-    /// lifetime; pair with `batch_pool_misses` for the pool hit rate).
+    /// Batch-pool buffer takes across every stream edge of the queries
+    /// that concluded (pair with `batch_pool_misses` for the pool hit
+    /// rate).
     pub batch_pool_takes: u64,
     /// Batch-pool takes that had to allocate because the pool was empty.
     pub batch_pool_misses: u64,
@@ -518,7 +519,7 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
     MetricDef {
         name: "mj_batch_pool_takes_total",
         kind: MetricKind::Counter,
-        help: "Batch-pool buffer takes (process lifetime)",
+        help: "Batch-pool buffer takes",
         read: |s| Sample::Value(s.batch_pool_takes as f64),
     },
     MetricDef {
@@ -676,9 +677,11 @@ pub(crate) mod counters {
     //! returns an atomically consistent view (the invariant the stats
     //! hammer test checks). Updates happen once per query lifecycle event
     //! — submission, rejection, first batch, terminal record — so the lock
-    //! is uncontended relative to tuple work; per-tuple tallies (batch
-    //! pool, gather rows, SIMD dispatches) remain process-global relaxed
-    //! atomics and are folded in at snapshot time.
+    //! is uncontended relative to tuple work. A query's batch-pool takes
+    //! and misses are counted by its edges' own pools and added at its
+    //! terminal record; the other per-tuple tallies (gather rows, SIMD
+    //! dispatches) remain process-global relaxed atomics and are folded in
+    //! at snapshot time.
 
     use super::EngineStats;
     use crate::handle::QueryOutcome;
@@ -721,16 +724,20 @@ pub(crate) mod counters {
             self.lock().time_to_first_batch.observe(ttfb);
         }
 
-        /// Classifies one finished query's result into the counters and
-        /// observes its wall-clock duration.
+        /// Classifies one finished query's result into the counters,
+        /// observes its wall-clock duration and adds its edges' batch-pool
+        /// takes and misses (`pools`).
         pub fn record(
             &self,
             result: &Result<QueryOutcome>,
             panics: u64,
             peak: u64,
             took: Duration,
+            (takes, misses): (u64, u64),
         ) {
             let mut s = self.lock();
+            s.batch_pool_takes += takes;
+            s.batch_pool_misses += misses;
             s.queries_active = s.queries_active.saturating_sub(1);
             s.panics_contained += panics;
             s.peak_bytes = s.peak_bytes.max(peak);
@@ -754,8 +761,6 @@ pub(crate) mod counters {
         /// the session its plan-cache counts and planning histogram.
         pub fn snapshot(&self) -> EngineStats {
             EngineStats {
-                batch_pool_takes: crate::stream::pool_takes(),
-                batch_pool_misses: crate::stream::pool_misses(),
                 gather_rows: mj_join::gather_rows(),
                 simd_kernel_dispatches: mj_relalg::simd::kernel_dispatches(),
                 ..*self.lock()

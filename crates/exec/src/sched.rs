@@ -20,7 +20,7 @@
 //!   own thread count. Whatever unblocks it — a message sent or received on
 //!   that stream edge, a peer hanging up, its query's cancel / abort /
 //!   early-stop token — wakes it back into the rotation. Nobody polls a
-//!   blocked task, and a worker with nothing runnable waits on the queue's
+//!   blocked task, and a worker with nothing runnable waits on its own
 //!   condition variable until a submission or a wake;
 //! * a finished task returns [`Step::Done`] and is dropped, releasing its
 //!   channel endpoints.
@@ -31,21 +31,43 @@
 //! requeues the task instead of parking it — so a wake that arrives between
 //! the task deciding it is blocked and the worker parking it is never lost.
 //!
+//! Like the paper's operation process, which is allocated to a processor
+//! and stays there (§4), a task keeps its worker: every worker has its own
+//! run queue, and a task stepped or requeued goes back onto the queue of
+//! the worker that stepped it, so its hash tables and batches stay in that
+//! core's caches. A task woken on a worker goes onto that worker's queue,
+//! where the batch it waited for was just written (a pipeline's tasks
+//! gather on the worker that drives it); one woken from outside the pool
+//! goes back to the worker that last stepped it. Work from outside the
+//! pool (a query's first wave, submitted from a client or connection
+//! thread) enters a shared injector; work a worker submits (the
+//! coordinator starting the next wave from a completion report) goes onto
+//! its own queue. A worker takes the injector first, so a new query starts
+//! within one step — but never twice in a row while its own queue waits,
+//! so a stream of arrivals cannot starve a running query. Then it takes
+//! its own queue, and only when both are empty does it steal, from the
+//! longest other queue, the task queued there last: a task that just ran
+//! a quantum behind a busy worker's rotation, such as a short query's,
+//! moves rather than waits. A sleeping worker is woken only for work the
+//! adding worker will not run next: the owner of the queue if it sleeps,
+//! else any sleeper when the owner has something else to run first.
+//!
 //! Tasks are submitted with a priority (the engine uses the right-deep
 //! segmentation's topological wave index from
-//! `Segmentation::node_waves`): a new task is inserted ahead of queued
-//! tasks of later waves, so pipelines fill bottom-up — but once a task has
-//! been stepped (or woken) it rejoins the **back** of the rotation, making
-//! the queue a fair round-robin. Independent segments of one wave, and
-//! tasks of different queries, therefore interleave on the pool exactly as
-//! the §4 schedule on a fixed processor set prescribes, and a woken
-//! early-wave task can never starve the later-wave consumer it feeds
-//! (strict priority lanes would livelock exactly there).
+//! `Segmentation::node_waves`): a new task is inserted into its queue ahead
+//! of queued tasks of later waves, so pipelines fill bottom-up — but once a
+//! task has been stepped (or woken) it rejoins the **back** of its worker's
+//! rotation, making each queue a fair round-robin. Independent segments of
+//! one wave, and tasks of different queries, therefore interleave on the
+//! pool as the §4 schedule on a fixed processor set prescribes, and a woken
+//! early-wave task can never starve the later-wave consumer it feeds on the
+//! same worker (strict priority lanes would livelock exactly there).
 //!
 //! The pool also keeps time (`WorkerPool::run_at`): a worker runs due
 //! callbacks before it pops its next task and waits no longer than until
 //! the earliest one, so a busy pool runs a due callback within one step.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -54,12 +76,18 @@ use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 /// Locks a std mutex, tolerating poison: the pool's queue state is a plain
-/// `VecDeque` that is never left half-mutated by the panicking code paths
-/// (task panics are contained *outside* the lock), so recovering the inner
-/// guard is always sound — and a single panicked thread must not take the
-/// whole scheduler down with `PoisonError` panics on every other worker.
+/// set of `VecDeque`s that is never left half-mutated by the panicking code
+/// paths (task panics are contained *outside* the lock), so recovering the
+/// inner guard is always sound — and a single panicked thread must not take
+/// the whole scheduler down with `PoisonError` panics on every other worker.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+thread_local! {
+    /// On a worker thread: its pool (the address of the pool's `Shared`)
+    /// and its index there.
+    static WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
 /// The outcome of one cooperative scheduling step.
@@ -93,7 +121,7 @@ pub trait Task: Send {
 // A task's place, as its slot records it. Only the worker that popped a
 // task moves it out of `RUNNING`/`NOTIFIED`; only a wake moves it out of
 // `PARKED`.
-/// In the run queue, or popped and about to run.
+/// In a run queue, or popped and about to run.
 const QUEUED: u8 = 0;
 /// A worker is stepping it.
 const RUNNING: u8 = 1;
@@ -103,7 +131,7 @@ const NOTIFIED: u8 = 2;
 const PARKED: u8 = 3;
 
 /// What a task's [`Waker`] points at: the task's state and where to find
-/// it. The task itself lives in the run queue or the parked set, never
+/// it. The task itself lives in a run queue or the parked set, never
 /// here, so a waker left registered on an edge keeps no task alive.
 struct Slot {
     id: u64,
@@ -149,6 +177,9 @@ impl Wake for Slot {
 struct Queued {
     task: Box<dyn Task>,
     priority: usize,
+    /// The queue it rotates onto: the worker that last stepped it, or
+    /// the one that last woke it (meaningless before its first step).
+    home: usize,
     slot: Arc<Slot>,
     waker: Waker,
 }
@@ -157,11 +188,30 @@ struct Queued {
 /// to run again, if ever.
 type Timer = Box<dyn FnMut() -> Option<Instant> + Send>;
 
-/// Run-queue state behind the pool mutex: one rotation, priority-ordered
-/// at admission, FIFO thereafter, plus the parked tasks by slot id and the
-/// armed timers by instant (and arming order, for equal instants).
+/// Inserts a new task after the last queued task of the same or an earlier
+/// wave, so lower waves start first. O(n), but submission is bursty (query
+/// start, op completion) and queues are short relative to the tuple work
+/// behind each entry.
+fn insert_by_wave(queue: &mut VecDeque<Queued>, q: Queued) {
+    let at = queue
+        .iter()
+        .rposition(|e| e.priority <= q.priority)
+        .map_or(0, |i| i + 1);
+    queue.insert(at, q);
+}
+
+/// Run-queue state behind the pool mutex: the injector and one rotation
+/// per worker (each priority-ordered at admission, FIFO thereafter), which
+/// workers wait for work, the parked tasks by slot id, and the armed
+/// timers by instant (and arming order, for equal instants).
 struct QueueState {
-    queue: VecDeque<Queued>,
+    /// Tasks submitted from outside the pool.
+    injector: VecDeque<Queued>,
+    /// Per worker, its own rotation.
+    local: Vec<VecDeque<Queued>>,
+    /// Per worker, whether it waits on its condition variable with no
+    /// notification on the way.
+    sleeping: Vec<bool>,
     parked: HashMap<u64, Queued>,
     timers: BTreeMap<(Instant, u64), Timer>,
     armed: u64,
@@ -169,8 +219,83 @@ struct QueueState {
 }
 
 impl QueueState {
-    fn pop(&mut self) -> Option<Queued> {
-        self.queue.pop_front()
+    fn new(workers: usize) -> Self {
+        QueueState {
+            injector: VecDeque::new(),
+            local: (0..workers).map(|_| VecDeque::new()).collect(),
+            sleeping: vec![false; workers],
+            parked: HashMap::new(),
+            timers: BTreeMap::new(),
+            armed: 0,
+            shutdown: false,
+        }
+    }
+
+    /// The next task for worker `me`: the injector's first or its own
+    /// queue's first, in the order `injector_first` says, else one stolen.
+    fn pop(&mut self, me: usize, injector_first: bool) -> Option<Queued> {
+        let (first, second) = if injector_first {
+            (&mut self.injector, &mut self.local[me])
+        } else {
+            (&mut self.local[me], &mut self.injector)
+        };
+        first
+            .pop_front()
+            .or_else(|| second.pop_front())
+            .or_else(|| self.steal(me))
+    }
+
+    /// The task queued last on the longest other worker's queue.
+    fn steal(&mut self, me: usize) -> Option<Queued> {
+        let (_, victim) = self
+            .local
+            .iter_mut()
+            .enumerate()
+            .filter(|&(w, _)| w != me)
+            .max_by_key(|(_, queue)| queue.len())?;
+        victim.pop_back()
+    }
+
+    /// Admits a new task: onto the submitting worker's own queue when a
+    /// worker submits it (`by`), else onto the injector. Returns the
+    /// sleeping worker to wake for it, if any.
+    fn admit(&mut self, q: Queued, by: Option<usize>) -> Option<usize> {
+        match by {
+            Some(w) => insert_by_wave(&mut self.local[w], q),
+            None => insert_by_wave(&mut self.injector, q),
+        }
+        self.sleeper_for(by)
+    }
+
+    /// Returns a stepped or woken task to the back of its worker's
+    /// rotation (fairness: no task queued there is ever more than one full
+    /// rotation from its next step). Returns the sleeping worker to wake
+    /// for it, if any.
+    fn requeue(&mut self, q: Queued) -> Option<usize> {
+        q.slot.state.store(QUEUED, Ordering::SeqCst);
+        let home = q.home;
+        self.local[home].push_back(q);
+        self.sleeper_for(Some(home))
+    }
+
+    /// Who to wake for work just added to worker `owner`'s queue (or the
+    /// injector): the owner if it sleeps; else, when the owner has
+    /// something to run before it, any sleeper, to steal. The chosen
+    /// worker counts as awake from here on, so a second addition wakes
+    /// another.
+    fn sleeper_for(&mut self, owner: Option<usize>) -> Option<usize> {
+        if let Some(w) = owner {
+            if self.sleeping[w] {
+                self.sleeping[w] = false;
+                return Some(w);
+            }
+            if self.local[w].len() <= 1 {
+                return None;
+            }
+        }
+        let w = self.sleeping.iter().position(|&s| s)?;
+        self.sleeping[w] = false;
+        Some(w)
     }
 
     fn arm(&mut self, at: Instant, timer: Timer) {
@@ -192,41 +317,21 @@ impl QueueState {
         self.timers.pop_first().map(|(_, timer)| timer)
     }
 
-    /// Admits a new task: stable-inserted after the last queued task of
-    /// the same or an earlier wave, so lower waves start first. O(n), but
-    /// submission is bursty (query start, op completion) and queues are
-    /// short relative to the tuple work behind each entry.
-    fn admit(&mut self, q: Queued) {
-        let at = self
-            .queue
-            .iter()
-            .rposition(|e| e.priority <= q.priority)
-            .map_or(0, |i| i + 1);
-        self.queue.insert(at, q);
-    }
-
-    /// Returns a stepped or woken task to the back of the rotation
-    /// (fairness: no queued task is ever more than one full rotation from
-    /// its next step).
-    fn requeue(&mut self, q: Queued) {
-        q.slot.state.store(QUEUED, Ordering::SeqCst);
-        self.queue.push_back(q);
-    }
-
     fn len(&self) -> usize {
-        self.queue.len()
+        self.injector.len() + self.local.iter().map(VecDeque::len).sum::<usize>()
     }
 }
 
 struct Shared {
     queue: Mutex<QueueState>,
-    ready: Condvar,
+    /// Per worker, where it waits for work (all under `queue`'s mutex).
+    ready: Vec<Condvar>,
     /// Tasks ever submitted (diagnostics; also each task's slot id).
     submitted: AtomicU64,
     /// Steps executed across all workers (diagnostics).
     steps: AtomicU64,
     /// Workers currently inside a task step (`EngineStats::workers_busy`;
-    /// workers waiting on the queue condvar or requeueing are idle).
+    /// workers waiting on their condvar or requeueing are idle).
     busy: AtomicU64,
     /// Task panics the pool's backstop `catch_unwind` contained
     /// (diagnostics; the task layer normally contains its own panics
@@ -235,6 +340,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// This pool's index of the calling thread, if it is one of its
+    /// workers.
+    fn current_worker(&self) -> Option<usize> {
+        let me = self as *const Shared as usize;
+        WORKER.get().and_then(|(pool, w)| (pool == me).then_some(w))
+    }
+
+    /// Wakes the worker a queue change chose (outside the lock).
+    fn notify(&self, worker: Option<usize>) {
+        if let Some(w) = worker {
+            self.ready[w].notify_one();
+        }
+    }
+
     /// Parks a task that reported `Blocked` — unless it was woken while it
     /// ran, in which case it goes straight back into the rotation. The
     /// state change and the insertion share the queue lock, so a wake that
@@ -249,28 +368,32 @@ impl Shared {
             queue.parked.insert(q.slot.id, q);
             return;
         }
-        queue.requeue(q);
+        let wake = queue.requeue(q);
         drop(queue);
-        self.ready.notify_one();
+        self.notify(wake);
     }
 
-    /// Moves a woken task from the parked set back into the rotation. A
-    /// task a shutting-down worker already took is gone: nothing to do.
+    /// Moves a woken task from the parked set back into a rotation: the
+    /// waking worker's, which just wrote what the task waits for, or, for
+    /// a wake from outside the pool, the one of the worker that last
+    /// stepped it. A task a shutting-down worker already took is gone:
+    /// nothing to do.
     fn unpark(&self, id: u64) {
         let mut queue = lock(&self.queue);
-        if let Some(q) = queue.parked.remove(&id) {
-            queue.requeue(q);
+        if let Some(mut q) = queue.parked.remove(&id) {
+            if let Some(w) = self.current_worker() {
+                q.home = w;
+            }
+            let wake = queue.requeue(q);
             drop(queue);
-            self.ready.notify_one();
+            self.notify(wake);
         }
     }
 
     /// Requeues a task that used its quantum.
     fn rotate(&self, q: Queued) {
-        let mut queue = lock(&self.queue);
-        queue.requeue(q);
-        drop(queue);
-        self.ready.notify_one();
+        let wake = lock(&self.queue).requeue(q);
+        self.notify(wake);
     }
 }
 
@@ -292,14 +415,8 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Arc<Self> {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                parked: HashMap::new(),
-                timers: BTreeMap::new(),
-                armed: 0,
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
+            queue: Mutex::new(QueueState::new(workers)),
+            ready: (0..workers).map(|_| Condvar::new()).collect(),
             submitted: AtomicU64::new(0),
             steps: AtomicU64::new(0),
             busy: AtomicU64::new(0),
@@ -310,7 +427,7 @@ impl WorkerPool {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("mj-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -333,8 +450,10 @@ impl WorkerPool {
         lock(&self.handles).len()
     }
 
-    /// Enqueues a task at `priority` (lower waves start first; see the
-    /// module docs for the rotation discipline).
+    /// Enqueues a task at `priority` (lower waves start first): onto the
+    /// calling worker's own queue when one of this pool's workers submits
+    /// it, else onto the shared injector (see the module docs for the
+    /// rotation discipline).
     pub fn submit(&self, priority: usize, task: Box<dyn Task>) {
         let slot = Arc::new(Slot {
             id: self.shared.submitted.fetch_add(1, Ordering::Relaxed),
@@ -342,15 +461,16 @@ impl WorkerPool {
             pool: Arc::downgrade(&self.shared),
         });
         let waker = Waker::from(slot.clone());
-        let mut queue = lock(&self.shared.queue);
-        queue.admit(Queued {
+        let by = self.shared.current_worker();
+        let q = Queued {
             task,
             priority,
+            home: by.unwrap_or(0),
             slot,
             waker,
-        });
-        drop(queue);
-        self.shared.ready.notify_one();
+        };
+        let wake = lock(&self.shared.queue).admit(q, by);
+        self.shared.notify(wake);
     }
 
     /// Runs `callback` on a worker once `at` has passed, and again at
@@ -359,9 +479,13 @@ impl WorkerPool {
     /// so a callback may wake or submit tasks; it must not block. Dropping
     /// the pool drops pending callbacks without running them.
     pub(crate) fn run_at(&self, at: Instant, callback: Timer) {
-        lock(&self.shared.queue).arm(at, callback);
-        // An idle worker may be waiting for a later timer, or for none.
-        self.shared.ready.notify_one();
+        let mut queue = lock(&self.shared.queue);
+        queue.arm(at, callback);
+        // An idle worker may be waiting for a later timer, or for none; a
+        // worker that is awake checks the timers before its next task.
+        let wake = queue.sleeper_for(None);
+        drop(queue);
+        self.shared.notify(wake);
     }
 
     /// Callbacks armed with `run_at` that wait for their instant.
@@ -380,13 +504,14 @@ impl WorkerPool {
     }
 
     /// Workers currently executing a task step (the rest are idle —
-    /// waiting for work or shuffling the run queue). A point-in-time
+    /// waiting for work or shuffling the run queues). A point-in-time
     /// gauge: any value in `0..=workers()`.
     pub fn busy(&self) -> u64 {
         self.shared.busy.load(Ordering::Relaxed)
     }
 
-    /// Tasks currently queued (excluding those mid-step on a worker).
+    /// Tasks currently queued, on the injector and every worker's queue
+    /// (excluding those mid-step on a worker).
     pub fn queued(&self) -> usize {
         lock(&self.shared.queue).len()
     }
@@ -409,14 +534,20 @@ impl Drop for WorkerPool {
             let mut queue = lock(&self.shared.queue);
             queue.shutdown = true;
         }
-        self.shared.ready.notify_all();
+        for ready in &self.shared.ready {
+            ready.notify_all();
+        }
         for h in lock(&self.handles).drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, me: usize) {
+    WORKER.set(Some((shared as *const Shared as usize, me)));
+    // Alternates with the worker's own queue after a task from the
+    // injector, so arrivals cannot starve the tasks already running here.
+    let mut injector_first = true;
     loop {
         let mut queued = {
             let mut queue = lock(&shared.queue);
@@ -427,8 +558,11 @@ fn worker_loop(shared: &Shared) {
                     // impls release channel endpoints (waking peers) and
                     // report non-completion (which may submit more).
                     // Repeat until nothing is left.
-                    let parked = std::mem::take(&mut queue.parked).into_values();
-                    let left: Vec<Queued> = queue.queue.drain(..).chain(parked).collect();
+                    let mut left: Vec<Queued> = queue.injector.drain(..).collect();
+                    for local in &mut queue.local {
+                        left.extend(local.drain(..));
+                    }
+                    left.extend(std::mem::take(&mut queue.parked).into_values());
                     let timers = std::mem::take(&mut queue.timers);
                     if left.is_empty() && timers.is_empty() {
                         return;
@@ -450,23 +584,26 @@ fn worker_loop(shared: &Shared) {
                     }
                     continue;
                 }
-                if let Some(q) = queue.pop() {
+                let arrivals = queue.injector.len();
+                if let Some(q) = queue.pop(me, injector_first) {
+                    injector_first = queue.injector.len() == arrivals;
                     break q;
                 }
+                queue.sleeping[me] = true;
+                let ready = &shared.ready[me];
                 queue = match queue.next_timer() {
                     Some(at) => {
                         let timeout = at.saturating_duration_since(Instant::now());
-                        let waited = shared.ready.wait_timeout(queue, timeout);
+                        let waited = ready.wait_timeout(queue, timeout);
                         waited.unwrap_or_else(PoisonError::into_inner).0
                     }
-                    None => shared
-                        .ready
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner),
+                    None => ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
                 };
+                queue.sleeping[me] = false;
             }
         };
 
+        queued.home = me;
         queued.slot.state.store(RUNNING, Ordering::SeqCst);
         shared.busy.fetch_add(1, Ordering::Relaxed);
         let Queued { task, waker, .. } = &mut queued;
@@ -645,49 +782,300 @@ mod tests {
         Queued {
             task: Box::new(Inert),
             priority,
+            home: 0,
             waker: Waker::from(slot.clone()),
             slot,
         }
     }
 
-    fn queue_state() -> QueueState {
-        QueueState {
-            queue: VecDeque::new(),
-            parked: HashMap::new(),
-            timers: BTreeMap::new(),
-            armed: 0,
-            shutdown: false,
-        }
+    /// The priorities worker `me` pops, in order, until nothing is left.
+    fn drain(q: &mut QueueState, me: usize) -> Vec<usize> {
+        std::iter::from_fn(|| q.pop(me, true).map(|e| e.priority)).collect()
     }
 
     #[test]
     fn admission_orders_by_wave() {
-        // Admission is priority-ordered and stable: later-submitted
-        // early-wave tasks overtake queued later-wave tasks, so pipelines
-        // fill bottom-up regardless of submission order.
-        let mut q = queue_state();
-        q.admit(queued(1));
-        q.admit(queued(0));
-        q.admit(queued(2));
-        q.admit(queued(1));
-        q.admit(queued(0));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.priority)).collect();
-        assert_eq!(order, vec![0, 0, 1, 1, 2]);
+        // Admission is priority-ordered and stable, on the injector and on
+        // a worker's own queue alike: later-submitted early-wave tasks
+        // overtake queued later-wave tasks, so pipelines fill bottom-up
+        // regardless of submission order.
+        for by in [None, Some(1)] {
+            let mut q = QueueState::new(2);
+            for priority in [1, 0, 2, 1, 0] {
+                q.admit(queued(priority), by);
+            }
+            let own = by.map_or(0, |w| q.local[w].len());
+            assert_eq!(own, if by.is_some() { 5 } else { 0 }, "{by:?}");
+            assert_eq!(drain(&mut q, by.unwrap_or(0)), vec![0, 0, 1, 1, 2]);
+        }
     }
 
     #[test]
     fn requeue_rotates_instead_of_restoring_priority() {
-        // Once stepped, a task rejoins the back of the rotation even if
-        // its wave is earlier — a blocked wave-0 producer must not starve
-        // the wave-1 consumer it is waiting on.
-        let mut q = queue_state();
-        q.admit(queued(0));
-        q.admit(queued(1));
-        let first = q.pop().unwrap();
+        // Once stepped, a task rejoins the back of its worker's rotation
+        // even if its wave is earlier — a blocked wave-0 producer must not
+        // starve the wave-1 consumer it is waiting on.
+        let mut q = QueueState::new(2);
+        q.admit(queued(0), Some(1));
+        q.admit(queued(1), Some(1));
+        let mut first = q.pop(1, true).unwrap();
         assert_eq!(first.priority, 0);
+        first.home = 1;
         q.requeue(first); // e.g. it reported Blocked
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.priority)).collect();
-        assert_eq!(order, vec![1, 0], "the wave-1 task now runs first");
+        assert_eq!(q.local[1].len(), 2, "back on the worker that stepped it");
+        assert_eq!(
+            drain(&mut q, 1),
+            vec![1, 0],
+            "the wave-1 task now runs first"
+        );
+    }
+
+    #[test]
+    fn a_thief_takes_the_task_queued_last_on_the_longest_queue() {
+        let mut q = QueueState::new(3);
+        q.admit(queued(0), Some(1));
+        q.admit(queued(1), Some(2));
+        q.admit(queued(2), Some(2));
+        assert_eq!(q.pop(0, true).map(|e| e.priority), Some(2));
+        let mut rest = drain(&mut q, 0);
+        rest.sort_unstable();
+        assert_eq!(rest, vec![0, 1], "then whatever is left anywhere");
+    }
+
+    #[test]
+    fn only_work_its_adder_will_not_run_next_wakes_a_sleeper() {
+        let mut q = QueueState::new(2);
+        q.sleeping[1] = true;
+        // Worker 0's first own task: it runs it next.
+        assert_eq!(q.admit(queued(0), Some(0)), None);
+        // Its second: the sleeper comes to steal, once.
+        assert_eq!(q.admit(queued(0), Some(0)), Some(1));
+        assert_eq!(q.admit(queued(0), Some(0)), None, "nobody else sleeps");
+        // A task woken onto a sleeping worker's queue wakes that worker,
+        // and an arrival any sleeper.
+        q.sleeping = vec![true, true];
+        let mut woken = queued(0);
+        woken.home = 1;
+        assert_eq!(q.requeue(woken), Some(1));
+        assert_eq!(q.admit(queued(0), None), Some(0));
+        assert_eq!(q.admit(queued(0), None), None);
+    }
+
+    /// Records the thread of every step. Every fourth step it blocks and
+    /// hands its waker out, to be woken from outside the pool.
+    struct Records {
+        left: usize,
+        threads: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+        wakers: std::sync::mpsc::Sender<Waker>,
+    }
+    impl Task for Records {
+        fn step(&mut self, waker: &Waker) -> Step {
+            lock(&self.threads).push(std::thread::current().id());
+            self.left -= 1;
+            if self.left == 0 {
+                return Step::Done;
+            }
+            if self.left.is_multiple_of(4) {
+                let _ = self.wakers.send(waker.clone());
+                return Step::Blocked;
+            }
+            Step::Progress
+        }
+    }
+
+    #[test]
+    fn a_lone_task_keeps_its_worker_across_quanta() {
+        // Rotated after a quantum, or woken from outside while every
+        // worker idles, it goes back onto the worker that stepped it.
+        let pool = WorkerPool::new(2);
+        // Both workers asleep first, so none is still starting up, looking
+        // for work to steal, when the task first rotates.
+        let mut spins = 0;
+        while !lock(&pool.shared.queue).sleeping.iter().all(|&s| s) {
+            std::thread::sleep(Duration::from_micros(100));
+            spins += 1;
+            assert!(spins < 100_000, "workers never went to sleep");
+        }
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let task = Records {
+            left: 200,
+            threads: threads.clone(),
+            wakers: tx,
+        };
+        pool.submit(0, Box::new(task));
+        // Ends when the finished task drops its sender.
+        for waker in rx.iter() {
+            let mut spins = 0;
+            while pool.parked() == 0 {
+                std::thread::sleep(Duration::from_micros(100));
+                spins += 1;
+                assert!(spins < 100_000, "task never parked");
+            }
+            waker.wake();
+        }
+        let threads = lock(&threads);
+        assert_eq!(threads.len(), 200);
+        let moved = threads.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(moved, 0, "the task changed workers {moved} times");
+    }
+
+    #[test]
+    fn a_task_woken_on_a_worker_goes_onto_that_workers_queue() {
+        /// Records the worker of each of its two steps; parks after the
+        /// first, handing its waker out.
+        struct Twice {
+            names: Arc<Mutex<Vec<String>>>,
+            wakers: std::sync::mpsc::Sender<Waker>,
+        }
+        impl Task for Twice {
+            fn step(&mut self, waker: &Waker) -> Step {
+                let mut names = lock(&self.names);
+                names.push(std::thread::current().name().unwrap_or("").to_string());
+                if names.len() == 2 {
+                    return Step::Done;
+                }
+                let _ = self.wakers.send(waker.clone());
+                Step::Blocked
+            }
+        }
+        let pool = WorkerPool::new(2);
+        let names = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let task = Twice {
+            names: names.clone(),
+            wakers: tx,
+        };
+        pool.submit(0, Box::new(task));
+        let waker = rx.recv_timeout(LONG).expect("the task stepped");
+        let mut spins = 0;
+        while pool.parked() == 0 {
+            std::thread::sleep(Duration::from_micros(100));
+            spins += 1;
+            assert!(spins < 100_000, "task never parked");
+        }
+        // Wakes it as the worker that did not step it would, from inside
+        // a step of its own.
+        let first = lock(&names)[0].clone();
+        let other = usize::from(first == "mj-worker-0");
+        WORKER.set(Some((Arc::as_ptr(&pool.shared) as usize, other)));
+        waker.wake();
+        WORKER.set(None);
+        while lock(&names).len() < 2 {
+            std::thread::sleep(Duration::from_micros(100));
+            spins += 1;
+            assert!(spins < 100_000, "the woken task never ran");
+        }
+        assert_eq!(lock(&names)[1], format!("mj-worker-{other}"));
+    }
+
+    #[test]
+    fn two_tasks_submitted_from_outside_run_at_once_on_two_workers() {
+        /// Spins in its one step until the other has started too (or a
+        /// second has passed: then they did not run at once).
+        struct Meets {
+            started: Arc<AtomicUsize>,
+            met: Arc<AtomicUsize>,
+        }
+        impl Task for Meets {
+            fn step(&mut self, _: &Waker) -> Step {
+                self.started.fetch_add(1, Ordering::SeqCst);
+                let until = Instant::now() + Duration::from_secs(1);
+                while Instant::now() < until {
+                    if self.started.load(Ordering::SeqCst) == 2 {
+                        self.met.fetch_add(1, Ordering::SeqCst);
+                        break;
+                    }
+                    std::hint::spin_loop();
+                }
+                Step::Done
+            }
+        }
+        let pool = WorkerPool::new(2);
+        let (started, met) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        for _ in 0..2 {
+            let (started, met) = (started.clone(), met.clone());
+            pool.submit(0, Box::new(Meets { started, met }));
+        }
+        let mut spins = 0;
+        while pool.steps() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+            spins += 1;
+            assert!(spins < 10_000, "tasks never finished");
+        }
+        assert_eq!(met.load(Ordering::SeqCst), 2, "they ran one after another");
+    }
+
+    /// Makes progress, a millisecond a step, until told to stop.
+    struct Busy(Arc<AtomicUsize>);
+    impl Task for Busy {
+        fn step(&mut self, _: &Waker) -> Step {
+            if self.0.load(Ordering::SeqCst) > 0 {
+                return Step::Done;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+            Step::Progress
+        }
+    }
+
+    #[test]
+    fn an_arrival_starts_within_one_step_per_worker() {
+        // Four busy tasks settle two to a worker, each rotating its own;
+        // a task submitted from outside then starts before either worker
+        // has finished more than the step it was in.
+        let pool = WorkerPool::new(2);
+        let stop = Arc::new(AtomicUsize::new(0));
+        for _ in 0..4 {
+            pool.submit(0, Box::new(Busy(stop.clone())));
+        }
+        let mut spins = 0;
+        while pool.steps() < 40 {
+            std::thread::sleep(Duration::from_millis(1));
+            spins += 1;
+            assert!(spins < 10_000, "the busy tasks never ran");
+        }
+        /// Reads the pool's step count when it starts.
+        struct Probe(Arc<WorkerPool>, std::sync::mpsc::Sender<u64>);
+        impl Task for Probe {
+            fn step(&mut self, _: &Waker) -> Step {
+                let _ = self.1.send(self.0.steps());
+                Step::Done
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let before = pool.steps();
+        pool.submit(0, Box::new(Probe(pool.clone(), tx)));
+        let started = rx.recv_timeout(LONG).expect("the arrival ran");
+        stop.store(1, Ordering::SeqCst);
+        assert!(
+            started - before <= 2,
+            "{} steps ran before the arrival",
+            started - before
+        );
+    }
+
+    #[test]
+    fn a_long_task_finishes_while_short_tasks_keep_arriving() {
+        // One worker, and a one-step task arriving whenever fewer than 16
+        // wait: the injector never empties, yet the long task's own queue
+        // gets every other step.
+        let pool = WorkerPool::new(1);
+        let counter = Arc::new(AtomicUsize::new(0));
+        let long = Countdown {
+            left: 100,
+            block_every: 0,
+            counter: counter.clone(),
+        };
+        pool.submit(0, Box::new(long));
+        let deadline = Instant::now() + LONG;
+        while counter.load(Ordering::Relaxed) < 100 {
+            assert!(Instant::now() < deadline, "the long task starved");
+            if pool.queued() < 16 {
+                pool.submit(0, Box::new(Inert));
+            } else {
+                std::thread::yield_now();
+            }
+        }
     }
 
     struct NotifyOnDrop {
@@ -902,17 +1290,6 @@ mod tests {
 
     #[test]
     fn timers_fire_while_every_worker_is_busy() {
-        /// Makes progress, a millisecond a step, until told to stop.
-        struct Busy(Arc<AtomicUsize>);
-        impl Task for Busy {
-            fn step(&mut self, _: &Waker) -> Step {
-                if self.0.load(Ordering::SeqCst) > 0 {
-                    return Step::Done;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                Step::Progress
-            }
-        }
         let pool = WorkerPool::new(2);
         let stop = Arc::new(AtomicUsize::new(0));
         for _ in 0..4 {

@@ -45,23 +45,6 @@ use mj_relalg::column::{bucket_keys, ColumnBatch, ColumnLayout};
 use mj_relalg::{RelalgError, Result, Tuple};
 use parking_lot::Mutex;
 
-/// Process-wide batch-pool take count, summed across every edge pool (the
-/// per-pool counters die with their query; these feed `EngineStats`).
-static POOL_TAKES: AtomicU64 = AtomicU64::new(0);
-/// Process-wide batch-pool miss count (takes that had to allocate).
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Buffer takes served by all batch pools since process start.
-pub fn pool_takes() -> u64 {
-    POOL_TAKES.load(Ordering::Relaxed)
-}
-
-/// Buffer takes that missed (allocated) across all batch pools since
-/// process start.
-pub fn pool_misses() -> u64 {
-    POOL_MISSES.load(Ordering::Relaxed)
-}
-
 /// A bounded recycler of column-batch buffers shared by one
 /// redistribution edge. Layout-aware: every pooled buffer has the edge's
 /// column types, and budget accounting charges the buffers' real
@@ -110,12 +93,10 @@ impl BatchPool {
     /// actual columnar bytes.
     pub fn take(&self, capacity: usize) -> ColumnBatch {
         self.takes.fetch_add(1, Ordering::Relaxed);
-        POOL_TAKES.fetch_add(1, Ordering::Relaxed);
         match self.free.lock().pop() {
             Some(buf) => buf,
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                POOL_MISSES.fetch_add(1, Ordering::Relaxed);
                 let buf = ColumnBatch::with_capacity(&self.layout, capacity);
                 let bytes = buf.capacity_bytes();
                 if bytes > 0 {
@@ -137,7 +118,7 @@ impl BatchPool {
         let bytes = buf.capacity_bytes();
         let dropped = {
             let mut free = self.free.lock();
-            if free.len() < self.limit && buf.layout() == self.layout {
+            if free.len() < self.limit && buf.has_layout(&self.layout) {
                 free.push(buf);
                 false
             } else {
@@ -837,6 +818,7 @@ fn settled(attempt: Result<bool>) -> Option<Result<()>> {
 mod tests {
     use super::*;
     use mj_relalg::hash::bucket_of;
+    use mj_relalg::{Attribute, DataType, Schema};
 
     #[test]
     fn routes_by_key_and_flushes_on_finish() {
@@ -1113,6 +1095,20 @@ mod tests {
         assert_eq!(pool.takes(), 2);
         assert_eq!(pool.misses(), 1);
         assert!((pool.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pool_drops_a_buffer_of_a_foreign_layout() {
+        let pool = BatchPool::new(8, ColumnLayout::ints(2));
+        pool.put(ColumnBatch::with_capacity(&ColumnLayout::ints(1), 4));
+        let mixed = Schema::new(vec![
+            Attribute::new("a", DataType::Int),
+            Attribute::new("b", DataType::Str),
+        ]);
+        pool.put(ColumnBatch::with_capacity(&ColumnLayout::of(&mixed), 4));
+        assert_eq!(pool.spares(), 0, "neither arity nor types match");
+        pool.put(ColumnBatch::with_capacity(&ColumnLayout::ints(2), 4));
+        assert_eq!(pool.spares(), 1, "the edge's own layout is pooled");
     }
 
     #[test]

@@ -62,18 +62,30 @@ fn every_strategy_matches_the_oracle_on_one_row_messages_and_one_slot_edges() {
         let oracle = to_xra(&tree, 3, JoinAlgorithm::Simple)
             .eval(catalog.as_ref())
             .expect("oracle");
-        for workers in [1, 2] {
+        let plans = Strategy::ALL.map(|s| (s, plan(&tree, s, n as u64, 4)));
+        for workers in [1, 2, 4] {
             let engine = tight_engine(&catalog, workers, Some(Duration::from_secs(10)));
-            // Each plan three times: a wake race is a matter of timing.
-            for (strategy, run) in Strategy::ALL
-                .into_iter()
-                .flat_map(|s| [(s, 0), (s, 1), (s, 2)])
-            {
-                let ctx = format!("{strategy} on {shape}, {workers} worker(s), run {run}");
-                let got = engine
-                    .run(&plan(&tree, strategy, n as u64, 4), &binding)
-                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                assert!(got.relation.multiset_eq(&oracle), "{ctx}: diverged");
+            // Two queries in flight on the engine, each strategy beside the
+            // next one, and each pair three times: a wake race is a matter
+            // of timing, and tasks of two queries share every worker's
+            // queue.
+            for (i, run) in (0..plans.len()).flat_map(|i| [(i, 0), (i, 1), (i, 2)]) {
+                let pair = [&plans[i], &plans[(i + 1) % plans.len()]];
+                std::thread::scope(|scope| {
+                    let queries = pair.map(|(strategy, plan)| {
+                        let ctx = format!("{strategy} on {shape}, {workers} worker(s), run {run}");
+                        let (engine, binding) = (&engine, &binding);
+                        (ctx, scope.spawn(move || engine.run(plan, binding)))
+                    });
+                    for (ctx, query) in queries {
+                        let got = query
+                            .join()
+                            .expect("query thread")
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        assert!(got.relation.multiset_eq(&oracle), "{ctx}: diverged");
+                    }
+                });
+                let ctx = format!("{shape}, {workers} worker(s), pair {i} run {run}");
                 assert_quiescent(&engine, &ctx);
             }
         }

@@ -210,7 +210,9 @@ fn assert_batch_pool_hit_rate() {
 /// indexed the operand's chunk in place, 478 since its five unfiltered
 /// base build sides adopt the tables resident with their fragments (two
 /// arrays fewer each), 358 since an execute instantiates its statement's
-/// run template (35 set-up, 323 drain).
+/// run template (35 set-up, 323 drain), 357 since a buffer returning to
+/// its edge's pool is checked against the pool's layout in place (322
+/// drain).
 const PREPARED_EXECUTE_ALLOCS: u64 = 380;
 
 /// Ceiling on the mean allocations of the set-up alone: what

@@ -399,6 +399,17 @@ impl ColumnBatch {
         }
     }
 
+    /// Whether this batch's columns have exactly `layout`'s types — what
+    /// [`layout`](Self::layout) would compare equal to, without building it.
+    pub fn has_layout(&self, layout: &ColumnLayout) -> bool {
+        self.columns.len() == layout.types.len()
+            && self
+                .columns
+                .iter()
+                .zip(&layout.types)
+                .all(|(c, &t)| c.data_type() == t)
+    }
+
     /// If shapeless, adopts the given column types.
     fn ensure_layout(&mut self, types: impl Iterator<Item = DataType>) {
         if self.columns.is_empty() && self.rows == 0 {
