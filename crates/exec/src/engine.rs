@@ -420,7 +420,7 @@ impl Engine {
             None => MemoryBudget::unlimited(),
         };
         pool.set_budget(budget.clone());
-        let ctrl = QueryCtrl::with_limits(deadline, budget);
+        let ctrl = QueryCtrl::on_pool(&self.pool, deadline, budget);
         let rx = rxs.pop().expect("one consumer");
         let stream = ResultStream::new(
             rx,

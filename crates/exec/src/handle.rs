@@ -28,7 +28,7 @@
 //! [`QueryHandle::outcome`] returns. The engine is immediately reusable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
@@ -37,7 +37,7 @@ use mj_relalg::{RelalgError, Relation, Result, Schema, Tuple};
 use crate::budget::MemoryBudget;
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::Metrics;
-use crate::sched::block_on;
+use crate::sched::{block_on_spinning, WorkerPool};
 use crate::stream::{Batch, Msg, Receiver, TryRecvError};
 
 /// Lifecycle state of a submitted query.
@@ -99,6 +99,9 @@ pub struct QueryCtrl {
     deadline: Option<Instant>,
     /// The query's memory budget (unlimited when no cap was configured).
     budget: Arc<MemoryBudget>,
+    /// The pool the query runs on, which its client's waits consult (none
+    /// for a block made outside an engine).
+    pool: Weak<WorkerPool>,
 }
 
 impl QueryCtrl {
@@ -115,6 +118,28 @@ impl QueryCtrl {
             budget,
             ..QueryCtrl::default()
         })
+    }
+
+    /// A control block with guardrails, for a query on `pool`.
+    pub(crate) fn on_pool(
+        pool: &Arc<WorkerPool>,
+        deadline: Option<Instant>,
+        budget: Arc<MemoryBudget>,
+    ) -> Arc<Self> {
+        Arc::new(QueryCtrl {
+            deadline,
+            budget,
+            pool: Arc::downgrade(pool),
+            ..QueryCtrl::default()
+        })
+    }
+
+    /// Whether the query's pool leaves a worker idle: a client waiting on
+    /// the query may then yield instead of parking.
+    fn idle_worker(&self) -> bool {
+        self.pool
+            .upgrade()
+            .is_some_and(|pool| pool.has_idle_worker())
     }
 
     /// Requests cancellation. Idempotent; observed by every task on its
@@ -394,7 +419,7 @@ impl ResultStream {
     /// [`QueryHandle::outcome`].
     pub fn next_batch(&mut self) -> Option<Batch> {
         while !self.ended {
-            match self.rx.recv() {
+            match self.rx.recv_spinning(|| self.ctrl.idle_worker()) {
                 Ok(Msg::Batch(batch)) => {
                     self.note_first_batch();
                     return Some(batch);
@@ -590,7 +615,9 @@ impl QueryHandle {
         }
         // Only the handle takes the outcome: until it has, the query is
         // running or its outcome is there.
-        let result = block_on(|waker| self.ctrl.poll_take_outcome(waker));
+        let ctrl = &self.ctrl;
+        let result =
+            block_on_spinning(|| ctrl.idle_worker(), |waker| ctrl.poll_take_outcome(waker));
         self.hand_out(result)
     }
 

@@ -462,11 +462,26 @@ impl<T> Receiver<T> {
     /// Blocks the calling thread (parked, woken by the edge) for the next
     /// message; errors once the edge is empty and every sender is gone.
     pub fn recv(&self) -> std::result::Result<T, RecvError> {
-        crate::sched::block_on(|waker| match self.poll_recv(waker) {
+        crate::sched::block_on(|waker| self.attempt_recv(waker))
+    }
+
+    /// [`recv`](Self::recv) for a query's client, which yields before it
+    /// parks while `idle_worker` holds (`sched::block_on_spinning`).
+    pub(crate) fn recv_spinning(
+        &self,
+        idle_worker: impl Fn() -> bool,
+    ) -> std::result::Result<T, RecvError> {
+        crate::sched::block_on_spinning(idle_worker, |waker| self.attempt_recv(waker))
+    }
+
+    /// A blocking receive's attempt: a message, or the hang-up error, or
+    /// nothing yet (with `waker` registered).
+    fn attempt_recv(&self, waker: &Waker) -> Option<std::result::Result<T, RecvError>> {
+        match self.poll_recv(waker) {
             Ok(msg) => Some(Ok(msg)),
             Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
             Err(TryRecvError::Empty) => None,
-        })
+        }
     }
 }
 

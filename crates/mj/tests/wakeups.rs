@@ -65,10 +65,20 @@ fn every_strategy_matches_the_oracle_on_one_row_messages_and_one_slot_edges() {
         let plans = Strategy::ALL.map(|s| (s, plan(&tree, s, n as u64, 4)));
         for workers in [1, 2, 4] {
             let engine = tight_engine(&catalog, workers, Some(Duration::from_secs(10)));
-            // Two queries in flight on the engine, each strategy beside the
-            // next one, and each pair three times: a wake race is a matter
-            // of timing, and tasks of two queries share every worker's
-            // queue.
+            // Each plan alone, three times: a wake race is a matter of
+            // timing, and a lone query has no other query's tasks to keep
+            // the workers awake.
+            for ((strategy, plan), run) in plans.iter().flat_map(|p| [(p, 0), (p, 1), (p, 2)]) {
+                let ctx = format!("{strategy} on {shape}, {workers} worker(s), run {run}");
+                let got = engine
+                    .run(plan, &binding)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert!(got.relation.multiset_eq(&oracle), "{ctx}: diverged");
+                assert_quiescent(&engine, &ctx);
+            }
+            // Then two queries in flight, each strategy beside the next
+            // one, each pair three times: tasks of two queries share every
+            // worker's queue.
             for (i, run) in (0..plans.len()).flat_map(|i| [(i, 0), (i, 1), (i, 2)]) {
                 let pair = [&plans[i], &plans[(i + 1) % plans.len()]];
                 std::thread::scope(|scope| {
