@@ -21,7 +21,8 @@ use crate::plan_ir::{OpId, OperandSource, ParallelPlan};
 /// 2. operands wired to the correct children (base names match leaves,
 ///    producers match join children);
 /// 3. materialized producers are in `start_after`;
-/// 4. all processor ids are in range and every op has at least one;
+/// 4. all processor ids are in range, every op has at least one, and no op
+///    lists one twice (one instance per processor);
 /// 5. a fused edge joins two degree-1 ops on the same processor, and its
 ///    producer is not also listed in the consumer's `start_after`;
 /// 6. no *operation process* (process group: an op plus everything fused
@@ -75,6 +76,14 @@ pub fn validate_plan(plan: &ParallelPlan) -> Result<()> {
             return Err(RelalgError::InvalidPlan(format!(
                 "op {idx} uses processor {bad} >= {}",
                 plan.processors
+            )));
+        }
+        if let Some((i, bad)) = (1..op.procs.len()).find_map(|i| {
+            let p = op.procs[i];
+            op.procs[..i].contains(&p).then_some((i, p))
+        }) {
+            return Err(RelalgError::InvalidPlan(format!(
+                "op {idx} lists processor {bad} twice (instance {i})"
             )));
         }
         for &d in &op.start_after {
@@ -376,6 +385,21 @@ mod tests {
         let mut plan = valid_plan();
         plan.ops[0].procs.push(10_000);
         assert!(validate_plan(&plan).is_err());
+    }
+
+    #[test]
+    fn detects_a_processor_listed_twice() {
+        let mut plan = valid_plan();
+        let first = plan.ops[0].procs[0];
+        plan.ops[0].procs.push(first);
+        let err = validate_plan(&plan).unwrap_err();
+        assert!(
+            matches!(&err, RelalgError::InvalidPlan(m) if m.contains("twice")),
+            "{err:?}"
+        );
+        // Oversubscription does not make a repeated processor valid.
+        plan.oversubscribed = true;
+        assert_eq!(validate_plan(&plan).unwrap_err(), err);
     }
 
     #[test]

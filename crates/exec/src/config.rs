@@ -48,11 +48,6 @@ pub struct ExecConfig {
     /// Channel capacity in *batches*; bounds memory and provides the
     /// backpressure a real pipeline has.
     pub channel_capacity: usize,
-    /// Default wall-clock deadline for every query; `None` means no limit.
-    /// Overridable per query via [`QueryOptions::with_deadline`]. Exceeding
-    /// it aborts the query with a typed `DeadlineExceeded` error through
-    /// the normal cancel/quiesce path.
-    pub deadline: Option<Duration>,
     /// Stall window: if no operator task of a query makes progress for
     /// this long, the query is aborted with a typed `Stalled` error
     /// carrying a per-op progress dump. `None` disables stall detection.
@@ -62,12 +57,6 @@ pub struct ExecConfig {
     /// draining its result stream is indistinguishable from a stalled
     /// pipeline, so only enable this for promptly-drained workloads.
     pub stall_timeout: Option<Duration>,
-    /// Default per-query memory budget in bytes (hash-build state, pooled
-    /// batch buffers and materialized fragments all charge against it);
-    /// `None` means unlimited. Overridable per query via
-    /// [`QueryOptions::with_memory_budget`]. Exceeding it aborts that query
-    /// with a typed `ResourceExhausted` error.
-    pub memory_budget: Option<u64>,
     /// Admission control: maximum queries running concurrently; `None`
     /// disables admission control entirely.
     pub max_concurrent: Option<usize>,
@@ -89,9 +78,7 @@ impl Default for ExecConfig {
             workers: DEFAULT_WORKERS,
             batch_size: DEFAULT_BATCH_SIZE,
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            deadline: None,
             stall_timeout: None,
-            memory_budget: None,
             max_concurrent: None,
             admission_queue: DEFAULT_ADMISSION_QUEUE,
             late: LateMode::Auto,
@@ -111,14 +98,8 @@ impl ExecConfig {
         if self.channel_capacity == 0 {
             return Err("channel_capacity must be positive".into());
         }
-        if self.deadline == Some(Duration::ZERO) {
-            return Err("deadline must be positive".into());
-        }
         if self.stall_timeout == Some(Duration::ZERO) {
             return Err("stall_timeout must be positive".into());
-        }
-        if self.memory_budget == Some(0) {
-            return Err("memory_budget must be positive".into());
         }
         if self.max_concurrent == Some(0) {
             return Err("max_concurrent must be positive".into());
@@ -127,9 +108,9 @@ impl ExecConfig {
     }
 }
 
-/// Per-query overrides for the guardrail layer, passed to
-/// `Engine::submit_with` / `Database::query_with`. The default carries no
-/// overrides (engine-level [`ExecConfig`] defaults apply).
+/// Per-query limits for the guardrail layer, passed to
+/// `Engine::submit_with` / `Database::query_with`. The default sets none:
+/// no deadline, no memory budget.
 #[derive(Clone, Debug, Default)]
 pub struct QueryOptions {
     pub(crate) deadline: Option<Duration>,
@@ -139,31 +120,33 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// Options with no overrides.
+    /// Options with no limits.
     pub fn new() -> Self {
         QueryOptions::default()
     }
 
-    /// Caps this query's wall-clock runtime at `deadline`, overriding
-    /// [`ExecConfig::deadline`].
+    /// Caps this query's wall-clock runtime at `deadline`. Exceeding it
+    /// aborts the query with a typed `DeadlineExceeded` error through the
+    /// normal cancel/quiesce path.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
     }
 
-    /// Caps this query's memory at `bytes`, overriding
-    /// [`ExecConfig::memory_budget`].
+    /// Caps this query's memory at `bytes` (hash-build state, pooled batch
+    /// buffers and materialized pieces all charge against it). Exceeding it
+    /// aborts the query with a typed `ResourceExhausted` error.
     pub fn with_memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = Some(bytes);
         self
     }
 
-    /// This query's deadline override, if any.
+    /// This query's deadline, if any.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
     }
 
-    /// This query's memory-budget override, if any.
+    /// This query's memory budget, if any.
     pub fn memory_budget(&self) -> Option<u64> {
         self.memory_budget
     }
@@ -218,15 +201,7 @@ mod tests {
     fn rejects_degenerate_guardrails() {
         for c in [
             ExecConfig {
-                deadline: Some(Duration::ZERO),
-                ..ExecConfig::default()
-            },
-            ExecConfig {
                 stall_timeout: Some(Duration::ZERO),
-                ..ExecConfig::default()
-            },
-            ExecConfig {
-                memory_budget: Some(0),
                 ..ExecConfig::default()
             },
             ExecConfig {
@@ -237,9 +212,7 @@ mod tests {
             assert!(c.validate().is_err(), "{c:?} should be invalid");
         }
         let c = ExecConfig {
-            deadline: Some(Duration::from_secs(1)),
             stall_timeout: Some(Duration::from_millis(100)),
-            memory_budget: Some(1 << 20),
             max_concurrent: Some(2),
             admission_queue: 0, // queue-less admission is valid (pure reject)
             ..ExecConfig::default()

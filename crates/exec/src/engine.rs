@@ -1,8 +1,7 @@
 //! Plan interpretation on the shared worker pool: build operator tasks,
 //! wire streams, schedule phases, stream the result to the client.
 //!
-//! The [`Engine`] owns a fixed-size [`WorkerPool`], a shared
-//! [`FragmentStore`] for materialized intermediates and a
+//! The [`Engine`] owns a fixed-size [`WorkerPool`] and a
 //! [`FragmentCache`] holding the base relations' columnar fragments
 //! resident across queries. Queries are submitted with [`Engine::submit`],
 //! which returns a [`QueryHandle`] — the query's operator instances are
@@ -27,12 +26,16 @@
 //! query (a prepared statement keeps its own). Per-query state (tuple
 //! streams, base operand references, metrics, the completions still
 //! outstanding) lives in the query's run, instantiated from the template
-//! by the one submission path, [`Engine::submit_template`]; materialized
-//! intermediates go into the shared store under a per-query namespace that
-//! is reclaimed when the query finishes — including when it is cancelled:
-//! the handle's cancel token is observed by every task on its next
-//! scheduling step, each reports exactly once, and the last report
-//! reclaims the namespace before the outcome is released.
+//! by the one submission path, [`Engine::submit_template`]. So do its
+//! materialized intermediates: a producer instance cuts its output into
+//! one piece per consumer instance and hands them to the run with its
+//! completion report; the run gives consumer instance `j` piece `j` of
+//! every producer instance when it spawns it, and whatever is left dies
+//! with the run — including when the query is cancelled: the handle's
+//! cancel token is observed by every task on its next scheduling step,
+//! each reports exactly once, and the last report concludes the run,
+//! crediting the pieces' bytes to its budget, before the outcome is
+//! released.
 //!
 //! Every operation of a query — each join of the plan, then each post-join
 //! stage (residual filter, GROUP BY, LIMIT) — is listed and wired once, in
@@ -55,8 +58,9 @@ use std::time::{Duration, Instant};
 
 use mj_core::plan_ir::ParallelPlan;
 use mj_core::validate::ValidPlan;
+use mj_relalg::column::ColumnBatch;
 use mj_relalg::{RelalgError, Relation, RelationProvider, Result, Tuple};
-use mj_storage::{FragmentCache, FragmentStore};
+use mj_storage::{FragmentCache, Fragments};
 
 use crate::binding::QueryBinding;
 use crate::budget::MemoryBudget;
@@ -75,6 +79,10 @@ use crate::template::{RunTemplate, Wiring};
 /// instances, the column the producer routes on, and the edge's shared
 /// batch-buffer pool.
 type OutEdge = (Vec<Sender<Msg>>, usize, Arc<BatchPool>);
+
+/// The pieces one materializing instance cut, one slot per consumer
+/// instance: slot `j` until consumer instance `j` is spawned and takes it.
+type Pieces = Vec<Option<Arc<ColumnBatch>>>;
 
 /// The materialized result of executing a plan to completion — what the
 /// blocking wrappers ([`Engine::run`], [`run_plan`]) assemble by draining
@@ -95,9 +103,8 @@ pub struct ExecOutcome {
     pub metrics: Metrics,
 }
 
-/// A shared, concurrency-safe execution engine: one fixed worker pool, one
-/// fragment store and one resident fragment cache serving any number of
-/// in-flight queries.
+/// A shared, concurrency-safe execution engine: one fixed worker pool and
+/// one resident fragment cache serving any number of in-flight queries.
 ///
 /// ```text
 /// let engine = Engine::new(catalog, ExecConfig::default())?;   // N workers
@@ -114,9 +121,7 @@ pub struct Engine {
     provider: Arc<dyn RelationProvider + Send + Sync>,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
-    store: Arc<FragmentStore>,
     cache: Arc<FragmentCache>,
-    next_query: AtomicU64,
     admission: Option<Arc<Admission>>,
     counters: Arc<EngineCounters>,
     /// Run templates built on this engine ([`Engine::template`]).
@@ -222,9 +227,7 @@ impl Engine {
             provider,
             config,
             pool: WorkerPool::new(config.workers),
-            store: Arc::new(FragmentStore::new(0)),
             cache: Arc::new(FragmentCache::new()),
-            next_query: AtomicU64::new(0),
             admission: config
                 .max_concurrent
                 .map(|max| Admission::new(max, config.admission_queue)),
@@ -266,12 +269,6 @@ impl Engine {
         &self.pool
     }
 
-    /// The shared fragment store holding materialized intermediates of all
-    /// in-flight queries (query-namespaced; reclaimed per query).
-    pub fn store(&self) -> &Arc<FragmentStore> {
-        &self.store
-    }
-
     /// The resident columnar fragments of the base relations, shared by
     /// all queries (validated against the provider on every lookup).
     pub fn fragment_cache(&self) -> &Arc<FragmentCache> {
@@ -306,8 +303,8 @@ impl Engine {
 
     /// Submits an already validated plan: builds its run template
     /// ([`Engine::template`]) and submits it once — what the session layer
-    /// calls for every ad-hoc query. Per-query options override the
-    /// engine-wide [`ExecConfig`] defaults.
+    /// calls for every ad-hoc query. A deadline and a memory budget come
+    /// from `opts` only.
     pub fn submit_planned(
         &self,
         plan: ValidPlan,
@@ -357,8 +354,7 @@ impl Engine {
         // Set-up and the first wave of tasks, here on the submitting
         // thread; from then on the query is advanced by whichever thread
         // reports a completion.
-        let query_id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let run = QueryRun::new(self, template, args, &opts, query_id, result, &ctrl);
+        let run = QueryRun::new(self, template, args, &opts, result, &ctrl);
         let accounts = Accounts {
             ctrl: ctrl.clone(),
             counters: self.counters.clone(),
@@ -410,12 +406,8 @@ impl Engine {
             self.config.channel_capacity,
             edge.layout.clone(),
         );
-        // Per-query limits override engine-wide defaults.
-        let deadline = opts
-            .deadline()
-            .or(self.config.deadline)
-            .map(|d| Instant::now() + d);
-        let budget = match opts.memory_budget().or(self.config.memory_budget) {
+        let deadline = opts.deadline().map(|d| Instant::now() + d);
+        let budget = match opts.memory_budget() {
             Some(limit) => MemoryBudget::with_limit(limit),
             None => MemoryBudget::unlimited(),
         };
@@ -488,8 +480,8 @@ impl Accounts {
             pools,
         );
         // Released only now that the query has fully quiesced and its
-        // fragments are reclaimed, so the concurrency cap bounds actual
-        // resource use.
+        // pieces are gone, so the concurrency cap bounds actual resource
+        // use.
         drop(self.permit);
         self.ctrl.finish(result);
     }
@@ -637,18 +629,14 @@ fn start(prepared: Result<QueryRun>, accounts: Accounts) {
 /// advanced by completion reports on the pool's threads, so it owns (or
 /// shares by `Arc`) everything it touches. What it adds to the template is
 /// exactly the per-execution state: arguments, edges, base operands,
-/// progress and metrics.
+/// materialized pieces, progress and metrics.
 struct QueryRun {
     template: Arc<RunTemplate>,
     /// The arguments, kept only while a stage's predicate needs them.
     args: Vec<i64>,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
-    store: Arc<FragmentStore>,
     ctrl: Arc<QueryCtrl>,
-    /// Fragment-name namespace of this query in the shared store; empty
-    /// when the query materializes nothing.
-    ns: String,
     /// Per base operand of the template and instance of its operation:
     /// the fragment (or resident table) it reads, until its task takes it.
     base_parts: Vec<Option<Source>>,
@@ -661,6 +649,12 @@ struct QueryRun {
     /// Per edge between operations: the receivers, one taken per consumer
     /// instance at its spawn.
     receivers: Vec<std::vec::IntoIter<Receiver<Msg>>>,
+    /// The pieces materializing instances reported, under their (op,
+    /// instance) in that order.
+    pieces: Vec<((usize, usize), Pieces)>,
+    /// Bytes of every piece reported, charged to the budget as they were
+    /// cut and credited back when the query concludes.
+    piece_bytes: u64,
     /// What every task of the query reports its completions through; set
     /// when the run is put under its [`Coordinator`].
     reporter: Option<Reporter>,
@@ -699,18 +693,16 @@ struct Progress {
 }
 
 impl QueryRun {
-    /// Sets one execution of `template` up on `engine`'s pool and store —
-    /// late rewrite, base operands, stream edges — with `args` bound to
-    /// its placeholders and the output of its last operation streaming
-    /// into `result`. `query_id` namespaces the query's materialized
-    /// fragments within the store. Nothing is submitted yet
+    /// Sets one execution of `template` up on `engine`'s pool — late
+    /// rewrite, base operands, stream edges — with `args` bound to its
+    /// placeholders and the output of its last operation streaming into
+    /// `result`. Nothing is submitted yet
     /// ([`spawn_first_wave`](Self::spawn_first_wave)).
     fn new(
         engine: &Engine,
         template: Arc<RunTemplate>,
         args: &[i64],
         opts: &QueryOptions,
-        query_id: u64,
         result: OutEdge,
         ctrl: &Arc<QueryCtrl>,
     ) -> Result<QueryRun> {
@@ -758,12 +750,6 @@ impl QueryRun {
         let pool = result.2.clone();
         senders.push((Some(result), pool));
 
-        let ns = if template.materializes() {
-            engine.store.ensure_nodes(template.plan().processors);
-            format!("q{query_id}:")
-        } else {
-            String::new()
-        };
         // --- Scheduling (timed): from here on, starting the operation
         // processes, beginning with handing each its base operands.
         let started = Instant::now();
@@ -787,12 +773,12 @@ impl QueryRun {
             template,
             config: *config,
             pool: engine.pool.clone(),
-            store: engine.store.clone(),
             ctrl: ctrl.clone(),
-            ns,
             base_parts,
             senders,
             receivers,
+            pieces: Vec::new(),
+            piece_bytes: 0,
             reporter: None,
             started,
             progress,
@@ -847,7 +833,7 @@ impl QueryRun {
         // The process starts with its earliest member's wave.
         let priority = members.iter().map(|&m| ops[m].priority).min();
         let priority = priority.expect("a group has members");
-        // `i` indexes channels, fragments, and procs alike.
+        // `i` indexes channels, fragments and pieces alike.
         for i in 0..degree {
             let mut task_members = Vec::with_capacity(members.len());
             for &m in members {
@@ -859,8 +845,14 @@ impl QueryRun {
                             Some(part.take().expect("each base part is read once"))
                         }
                         Wiring::Materialized { from } => {
-                            // Piece `i` of every producer instance.
-                            let pieces = self.store.collect(&format!("{}op{from}.{i}", self.ns));
+                            // Piece `i` of every producer instance, in
+                            // instance order.
+                            let pieces: Vec<_> = self
+                                .pieces
+                                .iter_mut()
+                                .filter(|((op, _), _)| op == from)
+                                .filter_map(|(_, slots)| slots.get_mut(i)?.take())
+                                .collect();
                             if pieces.is_empty() {
                                 return Err(RelalgError::InvalidPlan(format!(
                                     "op {m} reads op{from} before it materialized"
@@ -904,9 +896,6 @@ impl QueryRun {
                     OutputPort::Stream(Router::new(txs, key_col, self.config.batch_size, pool))
                 }
                 None => OutputPort::materialize(
-                    self.store.clone(),
-                    template.plan().ops[root].procs[i],
-                    format!("{}op{root}", self.ns),
                     &ops[root].schema,
                     materialized.expect("a materialized consumer"),
                     Some(self.ctrl.budget().clone()),
@@ -950,8 +939,8 @@ impl QueryRun {
             self.fail(RelalgError::Canceled);
         } else if let Err(e) = self.spawn_ready() {
             // Spawning failed part-way: the tasks already submitted unwind
-            // via dropped endpoints, and the query concludes — quiescent,
-            // the shared store clean — when the last of them has reported.
+            // via dropped endpoints, and the query concludes — quiescent —
+            // when the last of them has reported.
             self.fail(e);
         }
     }
@@ -971,10 +960,14 @@ impl QueryRun {
         }
     }
 
-    /// Takes one completion report: books the member's statistics and, when
-    /// that completes an operation, releases the processes waiting for it.
-    fn on_report(&mut self, (op_id, res): DoneMsg) {
+    /// Takes one completion report: books the member's statistics, files
+    /// the pieces it carries and, when that completes an operation,
+    /// releases the processes waiting for it.
+    fn on_report(&mut self, (op_id, res, pieces): DoneMsg) {
         self.received += 1;
+        if let Some((instance, pieces)) = pieces {
+            self.file(op_id, instance, pieces);
+        }
         // Completions are progress too: don't let a long-running final
         // drain that makes no per-step progress look like a stall.
         self.ctrl.note_progress();
@@ -1007,6 +1000,16 @@ impl QueryRun {
         }
     }
 
+    /// Files the pieces instance `instance` of op `op` cut, keeping the
+    /// filed pieces in (op, instance) order.
+    fn file(&mut self, op: usize, instance: usize, pieces: Fragments) {
+        self.piece_bytes += pieces.iter().map(|p| p.est_bytes()).sum::<u64>();
+        let key = (op, instance);
+        let at = self.pieces.partition_point(|(filed, _)| *filed < key);
+        self.pieces
+            .insert(at, (key, pieces.iter().cloned().map(Some).collect()));
+    }
+
     /// Buffer takes and misses of the query's edge pools so far: all of
     /// them once it has quiesced, since only its tasks take buffers.
     fn batch_pool_tally(&self) -> (u64, u64) {
@@ -1015,18 +1018,16 @@ impl QueryRun {
     }
 
     /// Tears a quiesced query down — every submitted task has reported
-    /// exactly once — reclaiming its fragment namespace, and says how it
-    /// went.
+    /// exactly once — crediting what it held to its budget, and says how
+    /// it went.
     fn conclude(mut self) -> Result<QueryOutcome> {
         let ctrl = self.ctrl.clone();
         let elapsed = self.started.elapsed();
 
-        // The query is quiescent: every submitted instance has reported.
-        // Reclaim its namespace in the shared store, crediting the freed
-        // fragment bytes back to the query's budget.
-        if !self.ns.is_empty() {
-            let freed = self.store.remove_prefix(&self.ns);
-            ctrl.budget().credit(freed);
+        // The query is quiescent: every submitted instance has reported,
+        // so every piece cut is filed; they die with the run.
+        if self.piece_bytes > 0 {
+            ctrl.budget().credit(self.piece_bytes);
         }
         // The registry's pins die with the query (its tasks hold the
         // resolver); return their charge too.
@@ -1111,6 +1112,17 @@ mod tests {
             catalog.register(name, rel);
         }
         (catalog, n as u64)
+    }
+
+    /// The bytes `budget` still holds once its query is fully gone: the
+    /// task that concludes a query drops its edge buffers, crediting them
+    /// back, a moment after the outcome is published.
+    fn settled(budget: &MemoryBudget) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while budget.used() > 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        budget.used()
     }
 
     fn run(
@@ -1208,11 +1220,10 @@ mod tests {
         let plan = generate(strategy, &input).unwrap();
         let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
         let engine = Engine::new(catalog, ExecConfig::default()).unwrap();
-        let err = engine
-            .submit_with(&plan, &binding, fail_at(op, instance))
-            .unwrap()
-            .collect()
-            .expect_err("injected failure must surface");
+        let handle = engine.submit_with(&plan, &binding, fail_at(op, instance));
+        let handle = handle.unwrap();
+        let budget = handle.budget().clone();
+        let err = handle.collect().expect_err("injected failure must surface");
         let msg = err.to_string();
         assert!(
             msg.contains("injected failure")
@@ -1222,7 +1233,7 @@ mod tests {
                 || msg.contains("consumer hung up"),
             "unexpected error: {msg}"
         );
-        assert_eq!(engine.store().total_bytes(), 0);
+        assert_eq!(settled(&budget), 0, "every charge credited back");
         assert_eq!(engine.run(&plan, &binding).unwrap().relation.len(), 128);
     }
 
@@ -1269,6 +1280,88 @@ mod tests {
         let mut input = GeneratorInput::new(tree, &cards, &costs, procs);
         input.allow_oversubscribe = procs < tree.join_count();
         generate(strategy, &input).unwrap()
+    }
+
+    /// SP over a four-relation left-linear chain of `n`-tuple Wisconsin
+    /// relations, placed on `procs` processors.
+    fn sp_chain(n: usize, procs: usize) -> (Arc<Catalog>, QueryBinding, ParallelPlan, Relation) {
+        let (catalog, nn) = setup(4, n);
+        let tree = build(Shape::LeftLinear, 4).unwrap();
+        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
+        let expected = to_xra(&tree, 3, JoinAlgorithm::Simple)
+            .eval(catalog.as_ref())
+            .unwrap();
+        (
+            catalog,
+            binding,
+            plan_for(&tree, Strategy::SP, nn, procs),
+            expected,
+        )
+    }
+
+    #[test]
+    fn a_plan_placing_two_instances_on_one_processor_is_rejected() {
+        let (catalog, binding, mut plan, _) = sp_chain(400, 2);
+        // Both instances of the first join on processor 0.
+        plan.ops[0].procs = vec![0, 0];
+        let engine = Engine::new(catalog, ExecConfig::default()).unwrap();
+        let err = engine
+            .submit_with(&plan, &binding, QueryOptions::new())
+            .map(|_| ())
+            .expect_err("a processor listed twice");
+        assert!(
+            matches!(&err, RelalgError::InvalidPlan(m) if m.contains("twice")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn materialized_pieces_cross_mixed_degrees_and_are_charged_until_the_end() {
+        let (catalog, binding, mut plan, expected) = sp_chain(400, 4);
+        // SP runs one join at a time, each materialized into the next:
+        // give the three joins degrees 3, 1 and 4, so pieces go 3 -> 1
+        // and 1 -> 4.
+        for (op, procs) in plan
+            .ops
+            .iter_mut()
+            .zip([vec![0, 1, 2], vec![3], vec![0, 1, 2, 3]])
+        {
+            op.procs = procs;
+        }
+        let producers: Vec<usize> = (plan.ops.iter())
+            .flat_map(|op| [&op.left, &op.right])
+            .filter_map(|operand| match operand {
+                mj_core::plan_ir::OperandSource::Materialized { from } => Some(*from),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(producers.len(), 2, "SP materializes every inner join");
+        let config = ExecConfig {
+            late: crate::config::LateMode::Never,
+            ..ExecConfig::default()
+        };
+        let engine = Engine::new(catalog, config).unwrap();
+        let opts = QueryOptions::new().with_memory_budget(1 << 30);
+        let mut handle = engine.submit_with(&plan, &binding, opts).unwrap();
+        let budget = handle.budget().clone();
+        let result = handle.stream().collect_relation();
+        let metrics = handle.outcome().unwrap().metrics;
+        assert!(result.multiset_eq(&expected), "{} rows", result.len());
+        // The pieces hold every row a producer emitted, in int columns,
+        // and stay charged until the query concludes.
+        let pieces: u64 = (producers.iter())
+            .map(|&p| {
+                let arity = binding.schema(plan.ops[p].join).unwrap().arity() as u64;
+                metrics.ops[p].tuples_out * arity * 8
+            })
+            .sum();
+        assert!(pieces > 0);
+        assert!(
+            metrics.peak_bytes >= pieces,
+            "peak {} below the {pieces} piece bytes",
+            metrics.peak_bytes
+        );
+        assert_eq!(settled(&budget), 0);
     }
 
     #[test]
@@ -1331,8 +1424,6 @@ mod tests {
             4,
             "concurrent queries must share the fixed pool"
         );
-        // All per-query namespaces were reclaimed from the shared store.
-        assert_eq!(engine.store().total_bytes(), 0);
     }
 
     #[test]
@@ -1372,8 +1463,10 @@ mod tests {
         for op in 0..plan.ops.len() {
             for instance in 0..plan.ops[op].degree() {
                 let handle = engine.submit_with(&plan, &binding, fail_at(op, instance));
-                handle.unwrap().collect().expect_err("fault must surface");
-                assert_eq!(engine.store().total_bytes(), 0);
+                let handle = handle.unwrap();
+                let budget = handle.budget().clone();
+                handle.collect().expect_err("fault must surface");
+                assert_eq!(settled(&budget), 0, "op {op} instance {instance}");
             }
         }
     }
@@ -1397,11 +1490,12 @@ mod tests {
             batches += 1;
         }
         drop(stream);
+        let budget = handle.budget().clone();
         let outcome = handle.outcome().unwrap();
         assert_eq!(total, 300);
         assert!(batches >= 1);
         assert_eq!(outcome.metrics.total_tuples_out(), 4 * 300);
-        assert_eq!(engine.store().total_bytes(), 0);
+        assert_eq!(settled(&budget), 0);
     }
 
     #[test]
@@ -1436,7 +1530,7 @@ mod tests {
         assert!(handle.poll_outcome(&waker).is_none(), "handed out once");
         // Settled before the outcome was published, not some time after.
         assert_eq!(engine.stats().queries_completed, 1);
-        assert_eq!(engine.store().total_bytes(), 0);
+        assert_eq!(settled(handle.budget()), 0);
     }
 
     /// Entries of `/proc/self/task`: the process's threads.
@@ -1532,17 +1626,17 @@ mod tests {
         let plan = plan_for(&tree, Strategy::FP, n, 4);
         let mut handle = engine.submit(&plan, &binding).unwrap();
         let mut stream = handle.stream();
-        let first = stream.next_batch();
-        assert!(first.is_some(), "a first batch must arrive");
+        assert!(stream.next_batch().is_some(), "a first batch must arrive");
         assert_eq!(handle.status(), QueryStatus::Running);
         handle.cancel();
         // The stream ends (possibly after a few in-flight batches).
         while stream.next_batch().is_some() {}
         drop(stream);
+        let budget = handle.budget().clone();
         let err = handle.outcome().expect_err("cancelled query must error");
         assert!(matches!(err, RelalgError::Canceled), "got {err}");
-        // Quiescent: fragments reclaimed, pool intact and reusable.
-        assert_eq!(engine.store().total_bytes(), 0);
+        // Quiescent: every charge credited, pool intact and reusable.
+        assert_eq!(settled(&budget), 0);
         let outcome = engine.run(&plan, &binding).unwrap();
         assert_eq!(outcome.relation.len(), 4_000);
         assert_eq!(engine.pool().threads(), 2);
@@ -1566,8 +1660,9 @@ mod tests {
             handle.status(),
             QueryStatus::Running | QueryStatus::Finished
         ));
+        let budget = handle.budget().clone();
         drop(handle); // cancels, drains, waits for the conclusion
-        assert_eq!(engine.store().total_bytes(), 0);
+        assert_eq!(settled(&budget), 0);
         // Engine still serves queries.
         let outcome = engine.run(&plan, &binding).unwrap();
         assert_eq!(outcome.relation.len(), 2_000);
@@ -1607,13 +1702,11 @@ mod tests {
         // A zero-remaining deadline: every task sees it expired on its
         // first step, so the query aborts deterministically.
         let opts = QueryOptions::new().with_deadline(Duration::from_nanos(1));
-        let err = engine
-            .submit_with(&plan, &binding, opts)
-            .unwrap()
-            .collect()
-            .expect_err("expired deadline must abort");
+        let handle = engine.submit_with(&plan, &binding, opts).unwrap();
+        let budget = handle.budget().clone();
+        let err = handle.collect().expect_err("expired deadline must abort");
         assert!(matches!(err, RelalgError::DeadlineExceeded), "got {err}");
-        assert_eq!(engine.store().total_bytes(), 0, "fragments reclaimed");
+        assert_eq!(settled(&budget), 0, "every charge credited back");
         // Engine unaffected: the same plan completes without a deadline.
         let outcome = engine.run(&plan, &binding).unwrap();
         assert_eq!(outcome.relation.len(), 2_000);
@@ -1632,11 +1725,9 @@ mod tests {
         // charged bytes against a 1-byte budget.
         let plan = plan_for(&tree, Strategy::SP, n, 4);
         let opts = QueryOptions::new().with_memory_budget(1);
-        let err = engine
-            .submit_with(&plan, &binding, opts)
-            .unwrap()
-            .collect()
-            .expect_err("1-byte budget must trip");
+        let handle = engine.submit_with(&plan, &binding, opts).unwrap();
+        let budget = handle.budget().clone();
+        let err = handle.collect().expect_err("1-byte budget must trip");
         match err {
             RelalgError::ResourceExhausted { used, budget } => {
                 assert_eq!(budget, 1);
@@ -1644,7 +1735,7 @@ mod tests {
             }
             other => panic!("expected ResourceExhausted, got {other}"),
         }
-        assert_eq!(engine.store().total_bytes(), 0, "fragments reclaimed");
+        assert_eq!(settled(&budget), 0, "every charge credited back");
         let outcome = engine.run(&plan, &binding).unwrap();
         assert_eq!(outcome.relation.len(), 2_000, "engine intact after abort");
         assert_eq!(engine.stats().budget_aborts, 1);
@@ -1733,7 +1824,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.queries_completed, 4);
         assert_eq!(stats.queries_rejected, 0);
-        assert_eq!(engine.store().total_bytes(), 0);
     }
 
     #[test]
@@ -1887,6 +1977,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
         while stream.next_batch().is_some() {}
         drop(stream);
+        let budget = handle.budget().clone();
         let err = handle.outcome().expect_err("stall must abort");
         match err {
             RelalgError::Stalled(dump) => {
@@ -1894,7 +1985,7 @@ mod tests {
             }
             other => panic!("expected Stalled, got {other}"),
         }
-        assert_eq!(engine.store().total_bytes(), 0);
+        assert_eq!(settled(&budget), 0);
         assert_eq!(engine.stats().queries_stalled, 1);
     }
 }

@@ -24,8 +24,8 @@
 //! cancel token and wakes every task of the query, parked ones included;
 //! each observes the token on its next scheduling step, reports
 //! [`RelalgError::Canceled`] exactly once through the completion protocol,
-//! and the query's fragment namespace is reclaimed before
-//! [`QueryHandle::outcome`] returns. The engine is immediately reusable.
+//! and the query's run — its materialized pieces with it — is torn down
+//! before [`QueryHandle::outcome`] returns. The engine is immediately reusable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};

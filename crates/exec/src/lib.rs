@@ -7,8 +7,9 @@
 //! ([`sched::WorkerPool`], the paper's §4 processor set) shared by all
 //! in-flight queries, tuple streams are bounded edges ([`stream`]; n×m
 //! per redistribution, exactly as §3.5 counts them), base relations are
-//! pre-fragmented "ideally" per §4.1, and materialized intermediates live
-//! in a shared-nothing [`mj_storage::FragmentStore`] namespaced per query.
+//! pre-fragmented "ideally" per §4.1, and a materialized intermediate goes
+//! from its producer instances to its consumer instances inside the
+//! query's run, one piece per consumer instance, and dies with the run.
 //!
 //! A task that would block on a stream registers its waker on that edge and
 //! leaves the run queue instead of parking a thread; the edge's next event

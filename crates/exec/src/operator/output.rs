@@ -3,10 +3,9 @@
 use std::sync::Arc;
 use std::task::Waker;
 
-use mj_core::plan_ir::ProcId;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{Result, Schema};
-use mj_storage::{fragment_columns, FragmentStore};
+use mj_storage::{fragment_columns, Fragments};
 
 use crate::budget::MemoryBudget;
 use crate::stream::Router;
@@ -18,28 +17,24 @@ pub enum OutputPort {
     /// [`ResultStream`](crate::handle::ResultStream): results flow before
     /// the query completes and a slow client backpressures the pool.
     Stream(Router),
-    /// Store the output in this processor's memory (the consumer reads it
-    /// later — SP/SE materialization and RD inter-wave edges), split once
-    /// into one piece per consumer instance: piece `j` holds the rows
-    /// whose consumer key hashes to bucket `j` and is stored as
-    /// `{name}.{j}`, so consumer instance `j` reads its pieces of every
-    /// producer instance without hashing anything. The pieces stay
-    /// columnar end to end.
+    /// Keep the whole output for a consumer that starts only once this
+    /// operation has completed (SP/SE materialization and RD inter-wave
+    /// edges), split once into one piece per consumer instance: piece `j`
+    /// holds the rows whose consumer key hashes to bucket `j`, so consumer
+    /// instance `j` reads its piece of every producer instance without
+    /// hashing anything. The pieces stay columnar end to end and leave
+    /// with the instance's completion report for its query's run, which
+    /// hands them to the consumer's instances.
     Materialize {
-        /// Shared node-memory store.
-        store: Arc<FragmentStore>,
-        /// This instance's processor (storage node).
-        proc: ProcId,
-        /// Fragment name prefix (`op{id}`).
-        name: String,
         /// Accumulated output rows, shaped for the op's output schema.
         buffer: ColumnBatch,
         /// The consumer's key column in these rows and its degree.
         parts: (usize, usize),
-        /// The owning query's memory budget: the stored fragment's bytes
-        /// are charged on write and credited back when the coordinator
-        /// reclaims the query's namespace.
+        /// The owning query's memory budget: the pieces' bytes are charged
+        /// when they are cut and credited back when the query concludes.
         budget: Option<Arc<MemoryBudget>>,
+        /// The pieces, once the port has finished.
+        pieces: Option<Fragments>,
     },
     /// A buffered row-collection sink (unit tests).
     #[cfg(test)]
@@ -52,25 +47,29 @@ pub enum OutputPort {
 }
 
 impl OutputPort {
-    /// A materializing port storing `schema`-shaped rows at `proc` as
-    /// `parts.1` pieces `{name}.{j}`, split on key column `parts.0`. The
-    /// buffer is typed up front so an instance that produces nothing still
-    /// stores well-formed (empty) pieces its consumers can read.
+    /// A materializing port cutting `schema`-shaped rows into `parts.1`
+    /// pieces, split on key column `parts.0`. The buffer is typed up front
+    /// so an instance that produces nothing still gives well-formed
+    /// (empty) pieces its consumers can read.
     pub fn materialize(
-        store: Arc<FragmentStore>,
-        proc: ProcId,
-        name: String,
         schema: &Schema,
         parts: (usize, usize),
         budget: Option<Arc<MemoryBudget>>,
     ) -> OutputPort {
         OutputPort::Materialize {
-            store,
-            proc,
-            name,
             buffer: ColumnBatch::for_schema(schema),
             parts,
             budget,
+            pieces: None,
+        }
+    }
+
+    /// The pieces a finished materializing port cut, one per consumer
+    /// instance; `None` for any other port, or before it finished.
+    pub(crate) fn take_pieces(&mut self) -> Option<Fragments> {
+        match self {
+            OutputPort::Materialize { pieces, .. } => pieces.take(),
+            _ => None,
         }
     }
 
@@ -114,7 +113,7 @@ impl OutputPort {
     }
 
     /// Non-blocking finalize: resumable stream flush + `End` for routers;
-    /// store write / sink merge (which never block) for the others.
+    /// cutting the pieces / sink merge (which never block) for the others.
     /// `Ok(false)` means backpressure (`waker` registered) — yield and call
     /// again once woken. Must be called until it returns `Ok(true)`,
     /// exactly once past that point.
@@ -122,23 +121,20 @@ impl OutputPort {
         match self {
             OutputPort::Stream(router) => router.try_finish(waker),
             OutputPort::Materialize {
-                store,
-                proc,
-                name,
                 buffer,
                 parts: (key_col, of),
                 budget,
+                pieces,
             } => {
                 let output = Arc::new(std::mem::take(buffer));
-                for (j, piece) in fragment_columns(&output, *key_col, *of)?.iter().enumerate() {
-                    if let Some(budget) = budget {
-                        // Charge unconditionally; enforcement happens at the
-                        // consuming tasks' next budget poll. The coordinator
-                        // credits these bytes back via `remove_prefix`.
-                        budget.charge(piece.est_bytes());
-                    }
-                    store.put(*proc, format!("{name}.{j}"), piece.clone())?;
+                let cut = fragment_columns(&output, *key_col, *of)?;
+                if let Some(budget) = budget {
+                    // Charge unconditionally; enforcement happens at the
+                    // consuming tasks' next budget poll. The query's run
+                    // credits these bytes back when it concludes.
+                    budget.charge(cut.iter().map(|piece| piece.est_bytes()).sum());
                 }
+                *pieces = Some(cut);
                 Ok(true)
             }
             #[cfg(test)]
@@ -186,87 +182,73 @@ mod tests {
         assert_eq!(collected.lock().len(), 2);
     }
 
-    #[test]
-    fn materialize_stores_a_columnar_fragment() {
-        let store = Arc::new(FragmentStore::new(2));
-        let mut port =
-            OutputPort::materialize(store.clone(), 1, "op0".into(), &schema(), (0, 1), None);
-        let (mut out, mut pos) = (batch(&[7, 8, 9]), 1);
+    /// Runs a materializing port over `keys` (from row `pos` on) and
+    /// returns its pieces.
+    fn materialized(
+        keys: &[i64],
+        pos: usize,
+        of: usize,
+        budget: Option<Arc<MemoryBudget>>,
+    ) -> Fragments {
+        let mut port = OutputPort::materialize(&schema(), (0, of), budget);
+        assert!(port.take_pieces().is_none(), "no pieces before the finish");
+        let (mut out, mut pos) = (batch(keys), pos);
         port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
         assert!(port.try_finish(Waker::noop()).unwrap());
-        assert_eq!(store.get(1, "op0.0").unwrap().int_col(0).unwrap(), &[8, 9]);
-        assert!(store.get(0, "op0.0").is_err());
+        let pieces = port.take_pieces().expect("a finished port has its pieces");
+        assert!(port.take_pieces().is_none(), "the pieces leave once");
+        pieces
+    }
+
+    #[test]
+    fn materialize_stores_a_columnar_fragment() {
+        let pieces = materialized(&[7, 8, 9], 1, 1, None);
+        assert_eq!(pieces.len(), 1);
+        assert_eq!(pieces[0].int_col(0).unwrap(), &[8, 9]);
     }
 
     #[test]
     fn materialize_stores_one_piece_per_consumer_instance() {
-        let store = Arc::new(FragmentStore::new(1));
         let budget = MemoryBudget::unlimited();
-        let mut port = OutputPort::materialize(
-            store.clone(),
-            0,
-            "q1:op0".into(),
-            &schema(),
-            (0, 3),
-            Some(budget.clone()),
-        );
         let keys: Vec<i64> = (0..200).map(|i| i * 7 - 300).collect();
-        let (mut out, mut pos) = (batch(&keys), 0);
-        port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
-        assert!(port.try_finish(Waker::noop()).unwrap());
+        let pieces = materialized(&keys, 0, 3, Some(budget.clone()));
+        assert_eq!(pieces.len(), 3, "exactly three pieces");
         let mut union = Vec::new();
-        let mut stored = 0;
-        for j in 0..3 {
-            let piece = store.get(0, &format!("q1:op0.{j}")).unwrap();
+        for (j, piece) in pieces.iter().enumerate() {
             for &k in piece.int_col(0).unwrap() {
                 assert_eq!(mj_relalg::hash::bucket_of(k, 3), j, "key {k}");
                 union.push(k);
             }
-            stored += piece.est_bytes();
         }
-        assert!(store.get(0, "q1:op0.3").is_err(), "exactly three pieces");
         union.sort_unstable();
         assert_eq!(union, keys, "the pieces partition the buffer");
-        assert_eq!(budget.used(), stored, "every piece is charged");
-        let freed = store.remove_prefix("q1:");
-        assert_eq!(freed, stored, "reclamation frees what was charged");
+        let cut: u64 = pieces.iter().map(|p| p.est_bytes()).sum();
+        assert_eq!(budget.used(), cut, "every piece is charged");
     }
 
     #[test]
     fn an_instance_without_output_stores_a_typed_empty_fragment() {
-        let store = Arc::new(FragmentStore::new(1));
         for of in [1, 3] {
-            let name = format!("op{of}");
-            let mut port =
-                OutputPort::materialize(store.clone(), 0, name.clone(), &schema(), (0, of), None);
+            let mut port = OutputPort::materialize(&schema(), (0, of), None);
             assert!(port.try_finish(Waker::noop()).unwrap());
-            for j in 0..of {
-                let stored = store.get(0, &format!("{name}.{j}")).unwrap();
-                assert_eq!((stored.rows(), stored.arity()), (0, 1));
+            let pieces = port.take_pieces().unwrap();
+            assert_eq!(pieces.len(), of);
+            for piece in pieces.iter() {
+                assert_eq!((piece.rows(), piece.arity()), (0, 1));
             }
         }
     }
 
     #[test]
     fn materialize_charges_budget_for_stored_fragment() {
-        let store = Arc::new(FragmentStore::new(1));
         let budget = MemoryBudget::unlimited();
-        let mut port = OutputPort::materialize(
-            store.clone(),
-            0,
-            "q1:op0".into(),
-            &schema(),
-            (0, 1),
-            Some(budget.clone()),
-        );
-        let (mut out, mut pos) = (batch(&[7, 8]), 0);
-        port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
-        assert!(port.try_finish(Waker::noop()).unwrap());
-        let stored = store.get(0, "q1:op0.0").unwrap().est_bytes();
-        assert_eq!(stored, 16, "two dense integer values");
-        assert_eq!(budget.used(), stored);
-        let freed = store.remove_prefix("q1:");
-        assert_eq!(freed, stored, "reclamation reports the bytes to credit");
+        let pieces = materialized(&[7, 8], 0, 1, Some(budget.clone()));
+        assert_eq!(pieces[0].est_bytes(), 16, "two dense integer values");
+        assert_eq!(budget.used(), 16);
+        let pieces = materialized(&[1, 2, 3, 4], 0, 2, Some(budget.clone()));
+        let cut: u64 = pieces.iter().map(|p| p.est_bytes()).sum();
+        assert_eq!(cut, 32, "the pieces hold every row once");
+        assert_eq!(budget.used(), 16 + cut);
     }
 
     #[test]

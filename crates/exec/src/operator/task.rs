@@ -25,16 +25,17 @@
 //! group are evaluated one after another, each member's complete output
 //! becoming an in-memory operand of a later member, and only the last (the
 //! group's root) emits through the task's [`OutputPort`]. Nothing between
-//! members touches a channel, the fragment store or the scheduler; the task
+//! members touches a channel, the coordinator or the scheduler; the task
 //! still yields at least every `QUANTUM` (512) rows of whichever member it is
 //! in, so cancel, deadline, abort and early stop are observed as for any
 //! other task, and intermediates are charged to the query's budget like
 //! hash tables are.
 //!
 //! Completion (stats or error) is reported exactly once *per member*
-//! through the query's [`Reporter`], including when the task is dropped
-//! mid-flight (pool shutdown, panic): the `Drop` impl reports
-//! non-completion, so a query never waits for a vanished instance.
+//! through the query's [`Reporter`] — the root's report carries a
+//! materializing port's pieces to the query's run — including when the
+//! task is dropped mid-flight (pool shutdown, panic): the `Drop` impl
+//! reports non-completion, so a query never waits for a vanished instance.
 //!
 //! Two tokens shape teardown. *Cancellation* (client-raised) makes every
 //! task report [`RelalgError::Canceled`]. *Early stop* (raised by a
@@ -52,6 +53,7 @@ use std::task::Waker;
 use mj_join::ColumnarTable;
 use mj_relalg::column::{select, ColumnBatch};
 use mj_relalg::{Predicate, RelalgError, Result};
+use mj_storage::Fragments;
 
 use crate::handle::QueryCtrl;
 use crate::metrics::InstanceStats;
@@ -66,8 +68,9 @@ use crate::stream::{closed_early, Batch, Msg, Receiver, TryRecvError};
 const QUANTUM: usize = 512;
 
 /// What a completed (or failed) member reports to its query's coordinator:
-/// its op id and its statistics.
-pub type DoneMsg = (usize, Result<InstanceStats>);
+/// its op id, its statistics and, from the root of a process whose port
+/// materialized, the task's instance with the pieces it cut.
+pub type DoneMsg = (usize, Result<InstanceStats>, Option<(usize, Fragments)>);
 
 /// Where a task's completion reports go. The engine's reporter runs the
 /// query's coordination on the reporting thread — the last report of a query
@@ -523,7 +526,12 @@ impl OpTask {
     /// belongs between quanta, not inside one.
     fn report_member(&mut self, result: Result<InstanceStats>) {
         if let Some(m) = self.members.pop_front() {
-            self.reports.push((m.op_id, result));
+            let pieces = if self.members.is_empty() {
+                self.output.take_pieces().map(|p| (self.instance, p))
+            } else {
+                None
+            };
+            self.reports.push((m.op_id, result, pieces));
         }
     }
 
@@ -783,7 +791,7 @@ impl OpTask {
         m.stats.table_bytes = m.op.est_bytes() as u64;
         if let Some((consumer, side)) = m.feeds {
             // Hand the complete result to the member that reads it: no
-            // channel, no store, no wake — and this member's table is gone
+            // channel, no wake — and this member's table is gone
             // before the next one builds its own.
             let result = Arc::new(std::mem::replace(&mut self.out, ColumnBatch::shapeless()));
             m.stats.tuples_out = result.rows() as u64;
@@ -1094,8 +1102,8 @@ mod tests {
     fn members_hand_over_in_memory_and_each_reports_for_itself() {
         let (task, collected, done_rx) = group(40, |i| i, None);
         drive_blocking(task);
-        let (op, first) = done_rx.recv().unwrap();
-        let (root, second) = done_rx.recv().unwrap();
+        let (op, first, _) = done_rx.recv().unwrap();
+        let (root, second, _) = done_rx.recv().unwrap();
         assert!(done_rx.try_recv().is_err(), "one report per member");
         assert_eq!((op, root), (0, 1));
         let (first, second) = (first.unwrap(), second.unwrap());
@@ -1164,13 +1172,37 @@ mod tests {
         ctrl.cancel();
         assert_eq!(task.step(Waker::noop()), Step::Done);
         for op in 0..2 {
-            let (reported, result) = done_rx.recv().unwrap();
+            let (reported, result, _) = done_rx.recv().unwrap();
             assert_eq!(reported, op);
             assert!(matches!(result, Err(RelalgError::Canceled)), "{result:?}");
         }
         assert!(collected.lock().is_empty());
         drop(task);
         assert!(done_rx.try_recv().is_err(), "drop reports nothing twice");
+    }
+
+    #[test]
+    fn only_the_root_report_carries_the_pieces_with_the_instance() {
+        let members = vec![
+            member(0, Some(Source::Local(rel(40, |i| i))), rel(40, |i| i)).feeding(1, 0),
+            member(1, None, rel(40, |i| i)),
+        ];
+        let schema = mj_relalg::Schema::new(vec![
+            mj_relalg::Attribute::int("k"),
+            mj_relalg::Attribute::int("l"),
+            mj_relalg::Attribute::int("r"),
+        ]);
+        let output = OutputPort::materialize(&schema, (0, 3), None);
+        let (done_tx, done_rx) = channel();
+        drive_blocking(OpTask::new(members, output, 64, 2, done_tx.into(), None));
+        let (op, _, pieces) = done_rx.recv().unwrap();
+        assert_eq!(op, 0);
+        assert!(pieces.is_none(), "a member feeding another cuts nothing");
+        let (op, result, pieces) = done_rx.recv().unwrap();
+        assert_eq!((op, result.unwrap().tuples_out), (1, 40));
+        let (instance, pieces) = pieces.expect("the root hands its pieces over");
+        assert_eq!((instance, pieces.len()), (2, 3));
+        assert_eq!(pieces.iter().map(|p| p.rows()).sum::<usize>(), 40);
     }
 
     #[test]
@@ -1245,7 +1277,7 @@ mod tests {
         };
         let members = vec![member(0, Some(stream), rel(4, |i| i))];
         drive_blocking(OpTask::new(members, output, 64, 0, done_tx.into(), None));
-        let (op, result) = done_rx.recv().unwrap();
+        let (op, result, _) = done_rx.recv().unwrap();
         assert_eq!(op, 0);
         assert!(
             matches!(result, Err(RelalgError::InvalidPlan(_))),

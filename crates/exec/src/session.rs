@@ -578,7 +578,7 @@ impl Database {
         &self.catalog
     }
 
-    /// The shared execution engine (worker pool, fragment store).
+    /// The shared execution engine (worker pool, resident fragment cache).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -634,8 +634,7 @@ impl Database {
     }
 
     /// [`query`](Self::query) with per-query [`QueryOptions`]: a deadline
-    /// and/or memory budget that override the session-wide defaults in
-    /// [`ExecConfig`]. Limit violations surface as typed errors on the
+    /// and/or memory budget. Limit violations surface as typed errors on the
     /// handle ([`MjError::DeadlineExceeded`], [`MjError::ResourceExhausted`])
     /// — never as a process abort — and leave the session reusable.
     pub fn query_with(&self, text: &str, opts: QueryOptions) -> MjResult<QueryHandle> {

@@ -9,7 +9,7 @@
 //! processes, wired by which streams, over which resident base fragments.
 //! A [`RunTemplate`] holds exactly that; an execution instantiates it with
 //! its arguments, fresh stream edges, its own control block and budget,
-//! and its own store namespace.
+//! and keeps its own materialized pieces.
 //!
 //! An ad-hoc query builds its template and instantiates it once, so there
 //! is one submission path
@@ -46,8 +46,8 @@ use crate::source::Source;
 /// It holds no per-query state — no edges, budgets or buffers — so one
 /// template serves any number of concurrent executions:
 /// [`Engine::submit_template`](crate::Engine::submit_template) gives each
-/// its own stream edges, control block, budget, store namespace and exact
-/// reclaim, and binds its `?N` arguments into the predicates that hold
+/// its own stream edges, control block, budget and materialized pieces,
+/// and binds its `?N` arguments into the predicates that hold
 /// them only (scan filters and residual filters).
 ///
 /// The base operands are held *weakly*, so the template never pins what
@@ -63,7 +63,6 @@ use crate::source::Source;
 /// and an ad-hoc query's template lives for one execution. A template is
 /// built for one engine ([`Engine::template`](crate::Engine::template)).
 pub struct RunTemplate {
-    plan: ValidPlan,
     /// The query as planned: a prepared statement's `?N` placeholders are
     /// still unbound here.
     query: QueryBinding,
@@ -358,7 +357,6 @@ impl RunTemplate {
 
         let stage_params = stages.iter().any(|s| s.kind.has_params());
         Ok(RunTemplate {
-            plan,
             query,
             late,
             ops,
@@ -375,10 +373,6 @@ impl RunTemplate {
             metrics,
             stage_params,
         })
-    }
-
-    pub(crate) fn plan(&self) -> &ValidPlan {
-        &self.plan
     }
 
     pub(crate) fn ops(&self) -> &[Operation] {
@@ -399,11 +393,6 @@ impl RunTemplate {
 
     pub(crate) fn out_materialized(&self, op: usize) -> Option<(usize, usize)> {
         self.out_materialized[op]
-    }
-
-    /// Whether some operation's output is materialized in the store.
-    pub(crate) fn materializes(&self) -> bool {
-        self.out_materialized.iter().any(Option::is_some)
     }
 
     pub(crate) fn group(&self, root: usize) -> &[usize] {

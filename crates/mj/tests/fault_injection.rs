@@ -6,8 +6,9 @@
 //! a realistic pipeline (joins, residual filter, partitioned aggregate,
 //! limit), and each
 //! injection must surface as the *correct typed* [`MjError`] — never a
-//! process abort — with the shared fragment store drained, the engine
-//! reusable, and concurrently running sibling queries unaffected.
+//! process abort — with every byte charged to the query's budget credited
+//! back, the engine reusable, and concurrently running sibling queries
+//! unaffected.
 
 use std::sync::Once;
 
@@ -17,6 +18,9 @@ use multijoin::exec::{
     QueryOptions,
 };
 use multijoin::relalg::{Relation, RelationProvider};
+
+mod common;
+use common::settled;
 
 /// Silences the default panic hook for injected panics only, so the sweep
 /// does not spray backtraces while still reporting real test failures.
@@ -79,8 +83,14 @@ fn pipeline_sql() -> String {
         .to_string()
 }
 
+/// Runs `text` to its end, and checks that every byte the query charged to
+/// its budget was credited back, however it ended.
 fn collect_with(db: &Database, text: &str, opts: QueryOptions) -> Result<Relation, MjError> {
-    db.query_with(text, opts)?.collect().map_err(MjError::from)
+    let handle = db.query_with(text, opts)?;
+    let budget = handle.budget().clone();
+    let result = handle.collect().map_err(MjError::from);
+    assert_eq!(settled(&budget), 0, "budget left charged: {result:?}");
+    result
 }
 
 #[test]
@@ -128,13 +138,7 @@ fn fault_sweep_every_operator_and_kind_fails_clean() {
                         "{ctx}: expected the injected error, got {err}"
                     ),
                 }
-                // The faulted query left nothing behind...
-                assert_eq!(
-                    db.engine().store().total_bytes(),
-                    0,
-                    "{ctx}: fragments leaked"
-                );
-                // ...and the engine still answers the same query correctly.
+                // The engine still answers the same query correctly.
                 let after = collect_with(&db, &text, QueryOptions::default())
                     .unwrap_or_else(|e| panic!("{ctx}: engine unusable after fault: {e}"));
                 assert!(
@@ -166,7 +170,6 @@ fn an_injected_limit_error_wins_over_the_hang_ups_it_causes() {
             err.to_string().contains("injected failure"),
             "run {run}: expected the injected error, got {err}"
         );
-        assert_eq!(db.engine().store().total_bytes(), 0, "run {run}: leaked");
     }
 }
 
@@ -176,7 +179,7 @@ fn a_fault_on_any_member_of_a_process_group_fails_clean() {
     // operation process of four members. A panic, an allocation spike, a
     // stall or an error armed on any one member's op id — the first, one in
     // the middle, the root — must end the whole query with the typed error,
-    // every member accounted for, nothing left in the store or the pool.
+    // every member accounted for, nothing left charged or on the pool.
     quiet_injected_panics();
     let instance = generate_family(QueryFamily::Chain, 5, 60, 0xF05E).expect("family");
     let mut config = DbConfig::default();
@@ -233,7 +236,6 @@ fn a_fault_on_any_member_of_a_process_group_fails_clean() {
                 }
                 _ => panic!("{ctx}: wrong error {err}"),
             }
-            assert_eq!(db.engine().store().total_bytes(), 0, "{ctx}: leaked");
             assert_eq!(db.engine().pool().queued(), 0, "{ctx}: zombie tasks");
             let after = collect_with(&db, &text, QueryOptions::default())
                 .unwrap_or_else(|e| panic!("{ctx}: engine unusable after fault: {e}"));
@@ -274,7 +276,6 @@ fn faulted_query_leaves_concurrent_sibling_intact() {
             "sibling query was disturbed by a contained panic"
         );
     });
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]
@@ -307,12 +308,13 @@ fn cancel_parked_at_every_pipeline_stage_is_exactly_once() {
         // Let the pipeline run into the stall, then cancel.
         std::thread::sleep(std::time::Duration::from_millis(30));
         handle.cancel();
+        let budget = handle.budget().clone();
         let err = handle.outcome().expect_err("cancelled query must error");
         assert!(
             matches!(MjError::from(err.clone()), MjError::Canceled),
             "{ctx}: expected Canceled, got {err}"
         );
-        assert_eq!(db.engine().store().total_bytes(), 0, "{ctx}: leaked");
+        assert_eq!(settled(&budget), 0, "{ctx}: leaked");
         let after = collect_with(&db, &text, QueryOptions::default()).expect("engine reusable");
         assert!(after.multiset_eq(&baseline), "{ctx}: post-cancel diverged");
     }
@@ -333,7 +335,6 @@ fn a_stalled_aggregate_stage_is_named_in_the_stall_dump() {
     };
     assert!(dump.contains("op4[aggregate] 0/"), "{dump}");
     assert!(dump.contains("op5[limit] 0/1"), "{dump}");
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]

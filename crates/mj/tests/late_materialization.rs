@@ -16,6 +16,9 @@ use multijoin::exec::{
 };
 use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation, RelationProvider};
 
+mod common;
+use common::settled;
+
 /// Opens a Database over a seeded family instance.
 fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
     // The paper's machine model keeps these few-hundred-tuple fixtures
@@ -179,13 +182,13 @@ fn late_limit_early_stop_quiesces_and_reclaims_fragments() {
     let base = chain_query_sql(5);
 
     for _ in 0..2 {
-        let got = db
-            .query(&format!("{base} LIMIT 5"))
-            .unwrap()
-            .collect()
-            .unwrap();
+        let handle = db.query(&format!("{base} LIMIT 5")).unwrap();
+        let budget = handle.budget().clone();
+        let got = handle.collect().unwrap();
         assert_eq!(got.len(), 5);
-        assert_eq!(db.engine().store().total_bytes(), 0, "exact reclaim");
+        // Early stop is the *successful* path: every charge is credited
+        // back, exactly.
+        assert_eq!(settled(&budget), 0, "exact reclaim");
     }
     // The limited rows must come from the true (resolved) result.
     let full = oracle(&db, &base);
@@ -202,7 +205,6 @@ fn late_limit_early_stop_quiesces_and_reclaims_fragments() {
     }
     let all = db.query(&base).unwrap().collect().unwrap();
     assert!(all.multiset_eq(&full));
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]
@@ -223,17 +225,17 @@ fn late_mid_stream_cancel_quiesces_with_exact_reclaim() {
     handle.cancel();
     while stream.next_batch().is_some() {}
     drop(stream);
+    let budget = handle.budget().clone();
     let err = handle.outcome().expect_err("cancelled query must error");
     assert!(matches!(err, RelalgError::Canceled), "got {err}");
 
     let engine = db.engine();
-    assert_eq!(engine.store().total_bytes(), 0, "fragments reclaimed");
+    assert_eq!(settled(&budget), 0, "budget credited back");
     assert_eq!(engine.pool().queued(), 0, "no zombie tasks queued");
     assert_eq!(engine.pool().threads(), 2, "pool unchanged");
 
     // The same session then serves the query to completion, correctly.
     assert_matches_oracle(&db, &text);
-    assert_eq!(engine.store().total_bytes(), 0);
 }
 
 #[test]
@@ -278,8 +280,10 @@ fn late_query_pins_the_shared_resident_images_and_is_charged_for_them() {
     assert_eq!(images.images_built, 4, "analyze left every image resident");
     for _ in 0..2 {
         let mut handle = db.query(&text).unwrap();
+        let budget = handle.budget().clone();
         let result = handle.stream().collect_relation();
         let metrics = handle.outcome().unwrap().metrics;
+        assert_eq!(settled(&budget), 0, "the pins are credited back");
         assert!(result.multiset_eq(&oracle(&db, &text)));
         assert!(
             metrics.peak_bytes >= images.bytes,
@@ -298,5 +302,4 @@ fn late_query_pins_the_shared_resident_images_and_is_charged_for_them() {
         "narrow leaves are per query"
     );
     assert_eq!(cache.stats().images_built, 4);
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }

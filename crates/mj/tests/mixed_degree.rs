@@ -6,8 +6,8 @@
 //! partitioning it. Every plan is checked against the sequential XRA
 //! oracle, under the default (measured) schedule model, on chain, star and
 //! skewed fixtures × all four strategies × 1/2/4 workers × batch sizes on
-//! both sides of the chunk boundary, with exact fragment reclaim and pool
-//! quiescence after each run. Every query runs twice on its database —
+//! both sides of the chunk boundary, with every budget charge credited
+//! back and the pool quiescent after each run. Every query runs twice on its database —
 //! cold, then warm from the resident fragment cache — and the warm run must
 //! build nothing and return the same multiset. These plans name eight
 //! logical processors explicitly; left to the default, one per worker, no
@@ -18,9 +18,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use multijoin::core::{OperandSource, ParallelPlan, Strategy};
-use multijoin::exec::{Database, DbConfig, LateMode, PlannedQuery, QueryOptions};
+use multijoin::exec::{Database, DbConfig, LateMode, MemoryBudget, PlannedQuery, QueryOptions};
 use multijoin::relalg::{Attribute, JoinAlgorithm, RelalgError, Relation, Schema, Tuple};
 use multijoin::storage::TableStats;
+
+mod common;
+use common::settled;
 
 const SMALL: i64 = 50;
 /// Large enough that a join scanning it holds eight grains of work.
@@ -222,6 +225,7 @@ fn mixed_degree_plans_match_the_oracle_under_every_strategy_pool_and_batch_size(
                     let engine = db.engine();
                     let run = |temperature: &str| {
                         let mut handle = db.query(text).unwrap();
+                        let budget = handle.budget().clone();
                         let result = handle.stream().collect_relation();
                         let metrics = handle.outcome().unwrap().metrics;
                         assert!(
@@ -231,11 +235,8 @@ fn mixed_degree_plans_match_the_oracle_under_every_strategy_pool_and_batch_size(
                             expected.len(),
                             planned.explain()
                         );
-                        assert_eq!(
-                            engine.store().total_bytes(),
-                            0,
-                            "{ctx} ({temperature}): fragments leaked"
-                        );
+                        let leaked = settled(&budget);
+                        assert_eq!(leaked, 0, "{ctx} ({temperature}): bytes leaked");
                         metrics
                     };
                     run("cold");
@@ -377,6 +378,7 @@ fn process_groups_beside_partitioned_operations_match_the_oracle() {
                         let engine = db.engine();
                         let run = |temperature: &str| {
                             let mut handle = db.query(text).unwrap();
+                            let budget = handle.budget().clone();
                             let result = handle.stream().collect_relation();
                             let metrics = handle.outcome().unwrap().metrics;
                             assert!(
@@ -386,7 +388,7 @@ fn process_groups_beside_partitioned_operations_match_the_oracle() {
                                 expected.len(),
                                 planned.explain()
                             );
-                            assert_eq!(engine.store().total_bytes(), 0, "{ctx}: leaked");
+                            assert_eq!(settled(&budget), 0, "{ctx}: leaked");
                             metrics
                         };
                         let cold = run("cold");
@@ -499,8 +501,8 @@ fn misestimated() -> Database {
 fn a_process_group_with_estimates_off_a_thousandfold_honours_every_guardrail() {
     let db = misestimated();
     let engine = db.engine();
-    let quiescent = |ctx: &str| {
-        assert_eq!(engine.store().total_bytes(), 0, "{ctx}: fragments leaked");
+    let quiescent = |ctx: &str, budget: &MemoryBudget| {
+        assert_eq!(settled(budget), 0, "{ctx}: bytes leaked");
         assert_eq!(engine.pool().queued(), 0, "{ctx}: zombie tasks queued");
     };
 
@@ -525,6 +527,7 @@ fn a_process_group_with_estimates_off_a_thousandfold_honours_every_guardrail() {
     );
     assert!(root.est_out <= 50, "{}", planned.explain());
     let mut handle = db.query(root_explodes).unwrap();
+    let budget = handle.budget().clone();
     let result = handle.stream().collect_relation();
     let metrics = handle.outcome().unwrap().metrics;
     let oracle = planned
@@ -542,16 +545,17 @@ fn a_process_group_with_estimates_off_a_thousandfold_honours_every_guardrail() {
         "{}",
         metrics.sched_steps
     );
-    quiescent("full run");
+    quiescent("full run", &budget);
 
     // LIMIT stops the probe long before H is exhausted, successfully.
     let mut handle = db.query(&format!("{root_explodes} LIMIT 5")).unwrap();
+    let budget = handle.budget().clone();
     let result = handle.stream().collect_relation();
     let metrics = handle.outcome().unwrap().metrics;
     assert_eq!(result.len(), 5);
     let probed: u64 = metrics.ops[root.id].tuples_in.iter().sum();
     assert!(probed < 25_000, "early stop came after {probed} rows");
-    quiescent("limit");
+    quiescent("limit", &budget);
 
     // The exploding join as an inner member: its 50 000-row result piles
     // up inside the task before the next member reads it.
@@ -574,31 +578,31 @@ fn a_process_group_with_estimates_off_a_thousandfold_honours_every_guardrail() {
     assert_ne!(roots[inner.id], inner.id, "{}", planned.explain());
 
     // A budget far below the intermediate: typed abort, nothing left over.
-    let err = db
-        .query_with(
-            member_explodes,
-            QueryOptions::new().with_memory_budget(64 << 10),
-        )
-        .unwrap()
+    let handle = db.query_with(
+        member_explodes,
+        QueryOptions::new().with_memory_budget(64 << 10),
+    );
+    let handle = handle.unwrap();
+    let budget = handle.budget().clone();
+    let err = handle
         .collect()
         .expect_err("a 64 KiB budget cannot hold a 50 000-row intermediate");
     assert!(
         matches!(err, RelalgError::ResourceExhausted { budget, .. } if budget == 64 << 10),
         "{err}"
     );
-    quiescent("budget");
+    quiescent("budget", &budget);
 
     // A deadline in the past: observed on the first step, whichever member.
-    let err = db
-        .query_with(
-            member_explodes,
-            QueryOptions::new().with_deadline(Duration::from_nanos(1)),
-        )
-        .unwrap()
-        .collect()
-        .expect_err("expired deadline");
+    let handle = db.query_with(
+        member_explodes,
+        QueryOptions::new().with_deadline(Duration::from_nanos(1)),
+    );
+    let handle = handle.unwrap();
+    let budget = handle.budget().clone();
+    let err = handle.collect().expect_err("expired deadline");
     assert!(matches!(err, RelalgError::DeadlineExceeded), "{err}");
-    quiescent("deadline");
+    quiescent("deadline", &budget);
 
     // Cancel a few quanta into the exploding member: observed at the next
     // one, reported once per member.
@@ -608,9 +612,10 @@ fn a_process_group_with_estimates_off_a_thousandfold_honours_every_guardrail() {
         std::thread::yield_now();
     }
     handle.cancel();
+    let budget = handle.budget().clone();
     let err = handle.outcome().expect_err("cancelled");
     assert!(matches!(err, RelalgError::Canceled), "{err}");
-    quiescent("cancel");
+    quiescent("cancel", &budget);
 
     // And the engine still answers, with the full result.
     let result = db.query(member_explodes).unwrap().collect().unwrap();
@@ -682,6 +687,7 @@ fn default_plans_run_no_operation_or_stage_wider_than_the_pool() {
             for (text, expected) in fixture.queries.iter().zip(&expected) {
                 let ctx = format!("{} / {workers} workers: {text}", fixture.name);
                 let mut handle = db.query(text).unwrap();
+                let budget = handle.budget().clone();
                 let result = handle.stream().collect_relation();
                 let metrics = handle.outcome().unwrap().metrics;
                 let explain = || db.plan(text).unwrap().explain();
@@ -698,7 +704,7 @@ fn default_plans_run_no_operation_or_stage_wider_than_the_pool() {
                     "{ctx}: processes per operation {instances:?}\n{}",
                     explain()
                 );
-                assert_eq!(engine.store().total_bytes(), 0, "{ctx}: fragments leaked");
+                assert_eq!(settled(&budget), 0, "{ctx}: bytes leaked");
                 assert_eq!(engine.pool().queued(), 0, "{ctx}: zombie tasks queued");
                 assert_eq!(engine.pool().parked(), 0, "{ctx}: tasks left parked");
             }

@@ -10,6 +10,9 @@ use multijoin::exec::{
 };
 use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider};
 
+mod common;
+use common::settled;
+
 /// Opens a Database over a seeded family instance (relations re-registered
 /// through the front door, statistics analyzed).
 fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
@@ -223,15 +226,15 @@ fn limit_stops_the_pipeline_early_and_engine_stays_usable() {
     let text = format!("{} LIMIT 3", chain_query_sql(5));
 
     for _ in 0..3 {
-        let result = db.query(&text).unwrap().collect().unwrap();
+        let handle = db.query(&text).unwrap();
+        let budget = handle.budget().clone();
+        let result = handle.collect().unwrap();
         assert_eq!(result.len(), 3);
+        assert_eq!(settled(&budget), 0, "every charge credited back");
     }
-    // Quiescent: every per-query namespace was reclaimed.
-    assert_eq!(db.engine().store().total_bytes(), 0);
     // The engine still answers an unlimited query on the same pool.
     let full = db.query(&chain_query_sql(5)).unwrap().collect().unwrap();
     assert!(full.len() > 3);
-    assert_eq!(db.engine().store().total_bytes(), 0);
 
     // LIMIT larger than the result passes everything through.
     let all = db
@@ -248,7 +251,6 @@ fn limit_stops_the_pipeline_early_and_engine_stays_usable() {
         .collect()
         .unwrap();
     assert_eq!(none.len(), 0);
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]
@@ -264,7 +266,6 @@ fn aggregate_error_unwinds_without_hanging() {
         .collect()
         .unwrap_err();
     assert!(err.to_string().contains("MIN over empty"), "{err}");
-    assert_eq!(db.engine().store().total_bytes(), 0);
     // COUNT over the same empty input succeeds with one zero row.
     let result = db
         .query(&format!("SELECT COUNT(*) {joins} WHERE R0.id < 0"))

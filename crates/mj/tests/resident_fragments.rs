@@ -145,7 +145,6 @@ fn second_identical_query_builds_nothing() {
     assert_eq!(after.bytes, resident.bytes);
     assert!(warm_rows.multiset_eq(&cold_rows));
     assert!(warm_rows.multiset_eq(&oracle(&db, &text, &relations)));
-    assert_eq!(db.engine().store().total_bytes(), 0);
 
     // The counters are what an operator sees on /metrics.
     let exported = db.stats();
@@ -194,7 +193,6 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
             rows.len(),
             expected.len()
         );
-        assert_eq!(db.engine().store().total_bytes(), 0, "{filter}");
     }
 
     // One prepared statement, different `?1`: survivors are per execution.
@@ -227,7 +225,6 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
         after.bytes, resident.bytes,
         "filtered survivors are never cached"
     );
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]
@@ -272,7 +269,6 @@ fn a_filtered_build_side_is_indexed_privately() {
         assert_eq!(metrics.fragment_cache_built, 0, "{name}.id < {arg}");
     }
     assert_eq!(cache.stats().tables_built, built, "no table over survivors");
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]
@@ -416,7 +412,6 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
     });
     assert_eq!(wrong.into_inner().unwrap(), Vec::<String>::new());
     assert!(run(0).multiset_eq(&expected[VERSIONS - 1][0]));
-    assert_eq!(db.engine().store().total_bytes(), 0);
 }
 
 #[test]
@@ -480,6 +475,5 @@ fn an_evicted_variant_is_resolved_again_never_served() {
     let (rows, warm) = drain(db.execute_prepared(&stmt, &[38]).unwrap());
     assert!(rows.multiset_eq(&expect(38)));
     assert_eq!(warm.fragment_cache_built, 0, "and is held again");
-    assert_eq!(db.engine().store().total_bytes(), 0);
     drop(kept);
 }

@@ -10,6 +10,9 @@ use multijoin::exec::{chain_query_sql, star_query_sql, QueryStatus};
 use multijoin::prelude::*;
 use multijoin::relalg::RelalgError;
 
+mod common;
+use common::settled;
+
 /// Opens a database over a generated family instance, registered through
 /// the front door.
 fn db_for(family: QueryFamily, k: usize, n: usize, seed: u64) -> Database {
@@ -126,13 +129,14 @@ fn cancellation_mid_stream_leaves_the_engine_quiescent_and_reusable() {
     handle.cancel();
     while stream.next_batch().is_some() {}
     drop(stream);
+    let budget = handle.budget().clone();
     let err = handle.outcome().expect_err("cancelled query must error");
     assert!(matches!(err, RelalgError::Canceled), "got {err}");
 
-    // Quiescence: every fragment reclaimed, no tasks left on the pool,
+    // Quiescence: every charge credited back, no tasks left on the pool,
     // and the worker set unchanged.
     let engine = db.engine();
-    assert_eq!(engine.store().total_bytes(), 0, "fragments reclaimed");
+    assert_eq!(settled(&budget), 0, "budget credited back");
     assert_eq!(engine.pool().queued(), 0, "no zombie tasks queued");
     assert_eq!(engine.pool().threads(), 2, "pool unchanged");
 
@@ -155,13 +159,14 @@ fn dropping_the_stream_cancels_the_query() {
     let mut stream = handle.stream();
     let _ = stream.next_batch();
     drop(stream); // live stream dropped -> implicit cancel
+    let budget = handle.budget().clone();
     match handle.outcome() {
         Err(RelalgError::Canceled) => {}
         // The query may legitimately have finished before the drop landed.
         Ok(_) => {}
         Err(other) => panic!("unexpected error: {other}"),
     }
-    assert_eq!(db.engine().store().total_bytes(), 0);
+    assert_eq!(settled(&budget), 0);
 }
 
 // --- Frontend validation audit: errors, never panics ---

@@ -1,13 +1,15 @@
 //! Main-memory storage substrate.
 //!
-//! Models the storage side of PRISMA/DB: a shared-nothing collection of node
-//! memories holding relation *fragments* ([`FragmentStore`]), a Wisconsin
-//! benchmark data generator (the paper's test data, §4.1), the columnar
-//! hash partitioner ([`fragment_columns`]) that gives base relations their
-//! ideal fragmentation with the same hash the engine's redistribution
-//! routes on, the resident [`FragmentCache`] of those fragments and of the
-//! join tables over them, and a
-//! catalog with the statistics the phase-1 optimizer consumes.
+//! Models the storage side of PRISMA/DB: a Wisconsin benchmark data
+//! generator (the paper's test data, §4.1), the columnar hash partitioner
+//! ([`fragment_columns`]) that gives base relations their ideal
+//! fragmentation — and materialized intermediates their pieces — with the
+//! same hash the engine's redistribution routes on, the resident
+//! [`FragmentCache`] of base fragments and of the join tables over them,
+//! and a catalog with the statistics the phase-1 optimizer consumes.
+//! PRISMA/DB kept fragments in each node's own memory because its nodes
+//! shared nothing; here every query runs in one address space, so a
+//! materialized intermediate never leaves the query that made it.
 
 #![warn(missing_docs)]
 
@@ -17,7 +19,6 @@ pub mod columnar;
 pub mod generator;
 pub mod registry;
 pub mod skew;
-pub mod store;
 pub mod wisconsin;
 
 pub use cache::{FragmentCache, FragmentCacheStats, Held, Tables, MAX_VARIANTS_PER_RELATION};
@@ -25,4 +26,3 @@ pub use catalog::{Catalog, TableStats};
 pub use columnar::{fragment_columns, scan_columns, Fragments};
 pub use generator::{PayloadMode, WisconsinGenerator};
 pub use registry::{pack_ref, ref_leaf, ref_row, FragmentRegistry};
-pub use store::FragmentStore;

@@ -5,11 +5,11 @@
 //! batches are *pinned* here, indexed by leaf id, until the query's final
 //! gather resolves the surviving references. The registry is built once
 //! during query setup (before any task runs) and then shared immutably, so
-//! readers need no locks; it drops with the query, independently of the
-//! [`FragmentStore`](crate::FragmentStore) reclaiming the scanned
-//! (narrowed) fragments — cancelling a query with refs still in flight is
-//! safe because the refs die with their batches while the registry keeps
-//! the payload alive until teardown.
+//! readers need no locks; it drops with the query, as do the scanned
+//! (narrowed) fragments and any materialized pieces cut from them —
+//! cancelling a query with refs still in flight is safe because the refs
+//! die with their batches while the registry keeps the payload alive until
+//! teardown.
 
 use std::sync::Arc;
 
