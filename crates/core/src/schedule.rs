@@ -141,13 +141,13 @@ impl ScheduleEstimate {
     }
 }
 
-/// Estimated extra makespan of one post-join pipeline stage (residual
-/// filter, partitioned aggregation, limit) fed by a live stream from
-/// `producers` instances: the stage's own per-instance work trails the
-/// producer's finish by the pipeline-tail fraction, plus its serial
-/// process startups and per-stream handshakes — the same ingredients the
-/// join schedule is costed from, so filter selectivities folded into
-/// `input_card` flow straight into the planner's objective.
+/// Estimated extra makespan of one post-join pipeline stage (partitioned
+/// aggregation, limit) fed by a live stream from `producers` instances:
+/// the stage's own per-instance work trails the producer's finish by the
+/// pipeline-tail fraction, plus its serial process startups and
+/// per-stream handshakes — the same ingredients the
+/// join schedule is costed from, so the scan filters' selectivities,
+/// folded into `input_card`, flow straight into the planner's objective.
 pub fn stage_tail_cost(
     input_card: f64,
     degree: usize,

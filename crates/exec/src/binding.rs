@@ -6,8 +6,8 @@
 //! join's [`EquiJoin`] spec and node schema, plus the two extensions the
 //! operator framework added — predicates pushed down to base-relation
 //! scans ([`QueryBinding::scan_filter`]) and the chain of
-//! [`PipelineStage`]s (residual filter, partitioned GROUP BY, LIMIT) the
-//! engine appends after the root join.
+//! [`PipelineStage`]s (partitioned GROUP BY, LIMIT) the engine appends
+//! after the root join.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,20 +23,11 @@ use mj_relalg::{
 
 use crate::late::{late_shape, LateShape};
 use crate::metrics::OpMetricsKind;
-use crate::operator::{AggregateOp, FilterOp, LimitOp, PhysicalOp};
+use crate::operator::{AggregateOp, LimitOp, PhysicalOp};
 
 /// What a post-join pipeline stage computes.
 #[derive(Clone, Debug)]
 pub enum StageKind {
-    /// A residual selection over the join output (predicates the planner
-    /// did not push to scans), with an optional trailing projection that
-    /// drops predicate-only carrier columns.
-    Filter {
-        /// The predicate, over the stage's input schema.
-        predicate: Predicate,
-        /// Projection applied to surviving tuples.
-        projection: Option<Projection>,
-    },
     /// Partitioned hash GROUP BY.
     Aggregate {
         /// Grouping columns of the input schema.
@@ -60,7 +51,6 @@ impl StageKind {
     /// both read, so a new operator kind is added in one place.
     pub fn metrics_kind(&self) -> OpMetricsKind {
         match self {
-            StageKind::Filter { .. } => OpMetricsKind::Filter,
             StageKind::Aggregate { .. } => OpMetricsKind::Aggregate,
             StageKind::Limit { .. } => OpMetricsKind::Limit,
         }
@@ -71,37 +61,9 @@ impl StageKind {
         self.metrics_kind().label()
     }
 
-    /// This stage with every `?N` placeholder of its predicate replaced
-    /// by its argument ([`bind_predicate`]); only a filter has one.
-    fn bind_params(&self, args: &[i64]) -> Result<StageKind> {
-        Ok(match self {
-            StageKind::Filter {
-                predicate,
-                projection,
-            } => StageKind::Filter {
-                predicate: bind_predicate(predicate, args)?,
-                projection: projection.clone(),
-            },
-            other => other.clone(),
-        })
-    }
-
-    /// Whether this stage's predicate has a `?N` placeholder left.
-    pub(crate) fn has_params(&self) -> bool {
-        matches!(self, StageKind::Filter { predicate, .. } if has_params(predicate))
-    }
-
-    /// A fresh physical operator computing this stage, for one instance,
-    /// its placeholders bound to `args`.
-    pub(crate) fn operator(&self, args: &[i64]) -> Result<Box<dyn PhysicalOp>> {
-        if self.has_params() {
-            return self.bind_params(args)?.operator(&[]);
-        }
-        Ok(match self {
-            StageKind::Filter {
-                predicate,
-                projection,
-            } => Box::new(FilterOp::new(predicate.clone(), projection.clone())),
+    /// A fresh physical operator computing this stage, for one instance.
+    pub(crate) fn operator(&self) -> Box<dyn PhysicalOp> {
+        match self {
             StageKind::Aggregate {
                 group,
                 aggs,
@@ -112,7 +74,7 @@ impl StageKind {
                 projection.clone(),
             )),
             StageKind::Limit { k } => Box::new(LimitOp::new(*k)),
-        })
+        }
     }
 }
 
@@ -359,13 +321,11 @@ impl QueryBinding {
 
     /// Rebuilds the binding with every [`Expr::Param`] placeholder in its
     /// predicates replaced by the corresponding literal from `args`
-    /// (1-based: `?1` reads `args[0]`). Scan filters and residual
-    /// [`StageKind::Filter`] stages are the only places a lowered plan
-    /// holds predicates, so this covers the whole plan; join specs,
-    /// schemas and the late shape are shared, and so are the stages unless
-    /// one of them is a filter. Errors if a placeholder's index exceeds
-    /// `args` (the session layer validates arity first, so this is a
-    /// backstop).
+    /// (1-based: `?1` reads `args[0]`). Scan filters are the only places a
+    /// lowered plan holds predicates, so this covers the whole plan; join
+    /// specs, schemas, the late shape and the stages are shared. Errors if
+    /// a placeholder's index exceeds `args` (the session layer validates
+    /// arity first, so this is a backstop).
     pub fn bind_params(&self, args: &[i64]) -> Result<Self> {
         let scan_filters = self
             .scan_filters
@@ -373,24 +333,10 @@ impl QueryBinding {
             .map(|(rel, p)| Ok((rel.clone(), bind_predicate(p, args)?)))
             .collect::<Result<HashMap<_, _>>>()
             .map(Arc::new)?;
-        let has_filter = |s: &PipelineStage| matches!(s.kind, StageKind::Filter { .. });
-        let stages = if self.stages.iter().any(has_filter) {
-            self.stages
-                .iter()
-                .map(|stage| {
-                    Ok(PipelineStage {
-                        kind: stage.kind.bind_params(args)?,
-                        ..stage.clone()
-                    })
-                })
-                .collect::<Result<Arc<[_]>>>()?
-        } else {
-            self.stages.clone()
-        };
         Ok(QueryBinding {
             joins: self.joins.clone(),
             scan_filters,
-            stages,
+            stages: self.stages.clone(),
         })
     }
 

@@ -38,8 +38,8 @@
 //! released.
 //!
 //! Every operation of a query — each join of the plan, then each post-join
-//! stage (residual filter, GROUP BY, LIMIT) — is listed and wired once, in
-//! its template, and spawned by one path. One task is one operation
+//! stage (GROUP BY, LIMIT) — is listed and wired once, in its template,
+//! and spawned by one path. One task is one operation
 //! *process*: an operation's instance, or — where the plan fused sub-grain
 //! operations into their consumer (`OperandSource::Fused`) — a whole
 //! process group evaluated member by member inside it ([`OpTask`]). A group
@@ -628,12 +628,11 @@ fn start(prepared: Result<QueryRun>, accounts: Accounts) {
 /// submitting thread; after that the run sits in its [`Coordinator`] and is
 /// advanced by completion reports on the pool's threads, so it owns (or
 /// shares by `Arc`) everything it touches. What it adds to the template is
-/// exactly the per-execution state: arguments, edges, base operands,
-/// materialized pieces, progress and metrics.
+/// exactly the per-execution state: edges, base operands (their scan
+/// filters bound to the arguments), materialized pieces, progress and
+/// metrics.
 struct QueryRun {
     template: Arc<RunTemplate>,
-    /// The arguments, kept only while a stage's predicate needs them.
-    args: Vec<i64>,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
     ctrl: Arc<QueryCtrl>,
@@ -765,11 +764,6 @@ impl QueryRun {
             .collect();
 
         Ok(QueryRun {
-            args: if template.stage_params() {
-                args.to_vec()
-            } else {
-                Vec::new()
-            },
             template,
             config: *config,
             pool: engine.pool.clone(),
@@ -872,7 +866,7 @@ impl QueryRun {
                 }
                 let sources = sources.into_iter().take(ops[m].operands.len());
                 #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-                let mut member = TaskMember::new(template.operator(m, &self.args)?, sources, m);
+                let mut member = TaskMember::new(template.operator(m), sources, m);
                 if let Some((reader, side)) = template.feeds(m) {
                     member = member.feeding(reader, side);
                 }

@@ -44,8 +44,9 @@ pub enum FaultKind {
 /// every operator instance matching the selector.
 #[derive(Clone, Debug)]
 pub struct FaultPoint {
-    /// Operator kind label to match: `"join"`, `"filter"`, `"aggregate"`
-    /// or `"limit"`.
+    /// Operator kind label to match: `"join"`, `"aggregate"` or
+    /// `"limit"`. A WHERE predicate is no operator: it runs inside the join
+    /// that reads its relation, so a `"join"` point covers it.
     pub op: String,
     /// Restrict to a single operator id (`None` matches any op of the
     /// kind).
@@ -210,7 +211,7 @@ mod tests {
         assert!(plan.arm("join", 1, 2).is_some());
         assert!(plan.arm("join", 1, 0).is_none());
         assert!(plan.arm("join", 0, 2).is_none());
-        assert!(plan.arm("filter", 1, 2).is_none());
+        assert!(plan.arm("aggregate", 1, 2).is_none());
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub use metrics::{
     Sample, LATENCY_BUCKET_BOUNDS_MS, METRICS_ACCEPT_LIST,
 };
 pub use operator::{
-    AggregateOp, FilterOp, InputMode, LimitOp, OpKind, OpTask, PhysicalOp, PipeliningJoinOp,
-    SimpleJoinOp,
+    AggregateOp, InputMode, LimitOp, OpTask, PhysicalOp, PipeliningJoinOp, SimpleJoinOp,
 };
 pub use planner::{query_from_catalog, PlanChoice, PlannedQuery, Planner, PlannerOptions};
 pub use sched::WorkerPool;

@@ -29,8 +29,6 @@ use serde::{Deserialize, JsonValue, Serialize};
 pub enum OpMetricsKind {
     /// A hash equi-join of the plan tree.
     Join,
-    /// A residual selection stage.
-    Filter,
     /// A partitioned GROUP BY stage.
     Aggregate,
     /// A LIMIT stage.
@@ -42,7 +40,6 @@ impl OpMetricsKind {
     pub fn label(&self) -> &'static str {
         match self {
             OpMetricsKind::Join => "join",
-            OpMetricsKind::Filter => "filter",
             OpMetricsKind::Aggregate => "aggregate",
             OpMetricsKind::Limit => "limit",
         }

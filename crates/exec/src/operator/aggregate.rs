@@ -23,7 +23,7 @@ use mj_relalg::column::ColumnBatch;
 use mj_relalg::ops::{AggFunc, AggSpec, AggState};
 use mj_relalg::{Projection, Result, Tuple, Value};
 
-use crate::operator::op::{Absorb, OpKind, PhysicalOp};
+use crate::operator::op::{Absorb, PhysicalOp};
 
 /// Rough per-group bookkeeping overhead (hash-map entry + key vec), for
 /// the memory metrics.
@@ -74,10 +74,6 @@ impl AggregateOp {
 }
 
 impl PhysicalOp for AggregateOp {
-    fn kind(&self) -> OpKind {
-        OpKind::Aggregate
-    }
-
     fn absorb_batch(
         &mut self,
         _side: usize,

@@ -20,7 +20,7 @@ use std::ops::Range;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::Result;
 
-use crate::operator::op::{Absorb, OpKind, PhysicalOp};
+use crate::operator::op::{Absorb, PhysicalOp};
 
 /// Passes through at most `k` rows, then stops the pipeline.
 pub struct LimitOp {
@@ -40,10 +40,6 @@ impl LimitOp {
 }
 
 impl PhysicalOp for LimitOp {
-    fn kind(&self) -> OpKind {
-        OpKind::Limit
-    }
-
     fn absorb_batch(
         &mut self,
         _side: usize,

@@ -13,42 +13,16 @@
 //! table ([`ColumnarTable`]): `SimpleJoinOp` is the classical two-phase
 //! build–probe join (\[ScD89\]), `PipeliningJoinOp` the symmetric
 //! one-phase join of \[WiA91\] that tables *both* operands and emits
-//! matches as early as possible. `filter`, `aggregate`, and `limit` (the
-//! first operator that *stops* a running pipeline early) live in their
-//! sibling modules.
+//! matches as early as possible. `aggregate` and `limit` (the first
+//! operator that *stops* a running pipeline early) live in their sibling
+//! modules.
 
-use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{EquiJoin, JoinAlgorithm, RelalgError, Result};
-
-/// What kind of operator an instance runs — for metrics and explain
-/// output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpKind {
-    /// A hash equi-join.
-    Join(JoinAlgorithm),
-    /// A selection (predicate over the stream).
-    Filter,
-    /// Hash GROUP BY aggregation.
-    Aggregate,
-    /// Row-count limit with early termination.
-    Limit,
-}
-
-impl fmt::Display for OpKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OpKind::Join(a) => write!(f, "join[{a}]"),
-            OpKind::Filter => write!(f, "filter"),
-            OpKind::Aggregate => write!(f, "aggregate"),
-            OpKind::Limit => write!(f, "limit"),
-        }
-    }
-}
 
 /// How the driver should feed an operator's input sides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,9 +68,6 @@ pub enum Absorb {
 ///   exhausted (or the operator reported [`Absorb::Satisfied`]); operators
 ///   with held state (aggregation) emit it there.
 pub trait PhysicalOp: Send {
-    /// What kind of operator this is (metrics, explain).
-    fn kind(&self) -> OpKind;
-
     /// How the driver should feed the inputs.
     fn input_mode(&self) -> InputMode {
         InputMode::Interleaved
@@ -111,10 +82,9 @@ pub trait PhysicalOp: Send {
     /// materialized producer fragments passes them one after another.
     fn build_batch(&mut self, cols: &Arc<ColumnBatch>, range: Range<usize>) -> Result<()> {
         let _ = (cols, range);
-        Err(RelalgError::InvalidPlan(format!(
-            "operator {} has no build phase",
-            self.kind()
-        )))
+        Err(RelalgError::InvalidPlan(
+            "this operator has no build phase".into(),
+        ))
     }
 
     /// Takes `table`, complete, as the build side
@@ -123,10 +93,9 @@ pub trait PhysicalOp: Send {
     /// instead of [`build_batch`](Self::build_batch).
     fn adopt_table(&mut self, table: Arc<ColumnarTable>) -> Result<()> {
         let _ = table;
-        Err(RelalgError::InvalidPlan(format!(
-            "operator {} cannot adopt a build table",
-            self.kind()
-        )))
+        Err(RelalgError::InvalidPlan(
+            "this operator cannot adopt a build table".into(),
+        ))
     }
 
     /// The build side is exhausted ([`InputMode::BuildThenProbe`] only).
@@ -190,10 +159,6 @@ impl SimpleJoinOp {
 }
 
 impl PhysicalOp for SimpleJoinOp {
-    fn kind(&self) -> OpKind {
-        OpKind::Join(JoinAlgorithm::Simple)
-    }
-
     fn input_mode(&self) -> InputMode {
         InputMode::BuildThenProbe { build: 0 }
     }
@@ -290,10 +255,6 @@ impl PipeliningJoinOp {
 }
 
 impl PhysicalOp for PipeliningJoinOp {
-    fn kind(&self) -> OpKind {
-        OpKind::Join(JoinAlgorithm::Pipelining)
-    }
-
     fn absorb_batch(
         &mut self,
         side: usize,
@@ -389,7 +350,6 @@ mod tests {
                 Tuple::from_ints(&[20, 2, 200]),
             ]
         );
-        assert_eq!(op.kind().to_string(), "join[simple]");
     }
 
     #[test]
@@ -515,9 +475,9 @@ mod tests {
     #[test]
     fn factory_picks_algorithm() {
         let op = join_op(JoinAlgorithm::Simple, spec());
-        assert_eq!(op.kind(), OpKind::Join(JoinAlgorithm::Simple));
+        assert_eq!(op.input_mode(), InputMode::BuildThenProbe { build: 0 });
         let mut op = join_op(JoinAlgorithm::Pipelining, spec());
-        assert_eq!(op.kind(), OpKind::Join(JoinAlgorithm::Pipelining));
+        assert_eq!(op.input_mode(), InputMode::Interleaved);
         // Interleaved operators reject the build phase.
         assert!(op.build_batch(&Arc::default(), 0..0).is_err());
     }

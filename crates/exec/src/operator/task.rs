@@ -666,8 +666,8 @@ impl OpTask {
         }
         if m.operands[build].is_stream() {
             return Err(RelalgError::InvalidPlan(format!(
-                "{} cannot stream its build operand",
-                m.op.kind()
+                "op{} cannot stream its build operand",
+                m.op_id
             )));
         }
         m.operands[build].merge()?;

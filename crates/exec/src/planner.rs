@@ -94,12 +94,6 @@ pub struct PlannerOptions {
     /// is smaller than a strategy needs (otherwise such candidates are
     /// simply skipped as infeasible).
     pub allow_oversubscribe: bool,
-    /// Push single-relation WHERE predicates below the joins: filters run
-    /// against base relations at scan time (zero-copy gather) and their
-    /// selectivities fold into every cardinality estimate and schedule
-    /// cost. Off, filters run as a residual pipeline stage above the root
-    /// join — the benchmark baseline pushdown is measured against.
-    pub pushdown: bool,
 }
 
 impl PlannerOptions {
@@ -116,7 +110,6 @@ impl PlannerOptions {
             schedule_model: ScheduleModel::default(),
             strategy: None,
             allow_oversubscribe: true,
-            pushdown: true,
         }
     }
 }
@@ -331,31 +324,15 @@ impl PlannedQuery {
 
     /// The sequential oracle for this plan: the lowered join tree with the
     /// pushed scan filters injected beneath the scans and the pipeline
-    /// stages (residual filter, aggregation, final projection) replayed on
-    /// top. A LIMIT stage is *not* represented — the oracle returns the
-    /// full result, and limit tests check the subset/count properties
-    /// instead (which k rows survive is nondeterministic).
+    /// stages (aggregation, final projection) replayed on top. A LIMIT
+    /// stage is *not* represented — the oracle returns the full result,
+    /// and limit tests check the subset/count properties instead (which k
+    /// rows survive is nondeterministic).
     pub fn oracle_xra(&self, algorithm: JoinAlgorithm) -> Result<XraNode> {
         let mut node = self.lowered.to_xra(&self.tree, algorithm)?;
         node = inject_scan_filters(node, self.binding.scan_filters());
         for stage in self.binding.stages() {
             node = match &stage.kind {
-                StageKind::Filter {
-                    predicate,
-                    projection,
-                } => {
-                    let selected = XraNode::Select {
-                        input: Box::new(node),
-                        predicate: predicate.clone(),
-                    };
-                    match projection {
-                        Some(p) => XraNode::Project {
-                            input: Box::new(selected),
-                            projection: p.clone(),
-                        },
-                        None => selected,
-                    }
-                }
                 StageKind::Aggregate {
                     group,
                     aggs,
@@ -458,12 +435,11 @@ impl Planner {
 
     /// The full planning entry point: joins from `query` (with any
     /// attached WHERE filters), projection/grouping/aggregation/limit from
-    /// `spec`. With [`PlannerOptions::pushdown`] on (the default), filters
-    /// become scan predicates and their selectivities fold into every
-    /// phase-1 estimate and schedule cost; off, they run as a residual
-    /// pipeline stage above the root join. Aggregation runs partitioned
-    /// across the root's processors (hash on the first integer grouping
-    /// column), and a LIMIT becomes the degree-1 early-terminating stage.
+    /// `spec`. Every filter names one relation and becomes a scan predicate
+    /// on it, and its selectivity folds into every phase-1 estimate and
+    /// schedule cost. Aggregation runs partitioned across the root's
+    /// processors (hash on the first integer grouping column), and a LIMIT
+    /// becomes the degree-1 early-terminating stage.
     pub fn plan_select(&self, query: &JoinQuery, spec: &SelectSpec) -> Result<PlannedQuery> {
         if self.options.processors == 0 {
             return Err(RelalgError::InvalidPlan(
@@ -481,44 +457,21 @@ impl Planner {
             ));
         }
         spec.validate(query)?;
-        let pushdown = self.options.pushdown && !query.filters().is_empty();
-        let residual = !pushdown && !query.filters().is_empty();
-        // With pushdown, every estimate downstream — phase-1 tree choice,
-        // System-R intermediates, schedule costs — sees the post-selection
+        // Every estimate downstream — phase-1 tree choice, System-R
+        // intermediates, schedule costs — sees the post-selection
         // cardinalities.
         let effective;
-        let planning_query: &JoinQuery = if pushdown {
+        let planning_query: &JoinQuery = if query.filters().is_empty() {
+            query
+        } else {
             effective = query.with_filtered_cards();
             &effective
-        } else {
-            query
         };
 
         // The columns the root join must output: the SELECT columns
         // directly when nothing runs above the root, otherwise the ordered
-        // dedup of everything the pipeline stages consume (group columns,
-        // aggregate inputs, residual-filter carriers).
-        let select_cols: Vec<(usize, usize)> = spec
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                SelectItemSpec::Column(r, c) => Some((*r, *c)),
-                SelectItemSpec::Aggregate { .. } => None,
-            })
-            .collect();
-        let filter_cols: Vec<(usize, usize)> = if residual {
-            query
-                .filters()
-                .iter()
-                .flat_map(|f| {
-                    predicate_cols(&f.predicate)
-                        .into_iter()
-                        .map(move |c| (f.rel, c))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // dedup of everything the aggregate stage consumes (group columns,
+        // aggregate inputs).
         let root_cols: Vec<(usize, usize)> = if spec.needs_aggregate() {
             let mut cols = Vec::new();
             for &rc in spec
@@ -528,7 +481,6 @@ impl Planner {
                     SelectItemSpec::Aggregate { input, .. } => input.as_ref(),
                     SelectItemSpec::Column(..) => None,
                 }))
-                .chain(filter_cols.iter())
             {
                 if !cols.contains(&rc) {
                     cols.push(rc);
@@ -540,39 +492,27 @@ impl Planner {
                 cols.push((0, 0));
             }
             cols
-        } else if residual {
-            let mut cols = select_cols.clone();
-            for &rc in &filter_cols {
-                if !cols.contains(&rc) {
-                    cols.push(rc);
-                }
-            }
-            cols
         } else {
-            select_cols.clone()
+            spec.items
+                .iter()
+                .filter_map(|i| match i {
+                    SelectItemSpec::Column(r, c) => Some((*r, *c)),
+                    SelectItemSpec::Aggregate { .. } => None,
+                })
+                .collect()
         };
 
-        // Residual selectivity and estimated group count, for stage
-        // costing (identical inputs for every candidate; the degree the
+        // Whether the aggregate stage can actually run partitioned: it
+        // needs an integer grouping column, or it falls back to degree 1 —
+        // and must be *costed* at the degree `build_stages` will really
+        // emit (identical inputs for every candidate; the degree the
         // candidate's root runs at is not).
-        let resid_sel: f64 = if residual {
-            query.filters().iter().map(|f| f.selectivity).product()
-        } else {
-            1.0
-        };
-        // Whether the residual-filter / aggregate stages can actually run
-        // partitioned: they need an integer routing column, or they fall
-        // back to degree 1 — and must be *costed* at the degree
-        // `build_stages` will really emit (root_cols, and hence the root
-        // schema's column types, are identical across tree variants).
-        let col_is_int = |&(r, c): &(usize, usize)| {
+        let agg_partitionable = spec.group_by.iter().any(|&(r, c)| {
             matches!(
                 query.schema(r).and_then(|s| s.attr(c)),
                 Ok(a) if a.ty == DataType::Int
             )
-        };
-        let filter_partitionable = root_cols.iter().any(col_is_int);
-        let agg_partitionable = spec.group_by.iter().any(col_is_int);
+        });
         let model = &self.options.schedule_model;
         let grain = model.process_grain();
         // (makespan tail, busy time) the post-join pipeline adds.
@@ -584,12 +524,6 @@ impl Planner {
             };
             let mut card = root_est;
             let mut prev = root_degree;
-            if residual {
-                let degree = stage_degree(filter_partitionable, root_degree, card, grain);
-                add(card, degree, prev);
-                card *= resid_sel;
-                prev = degree;
-            }
             if spec.needs_aggregate() {
                 let degree = stage_degree(agg_partitionable, root_degree, card, grain);
                 add(card, degree, prev);
@@ -697,29 +631,21 @@ impl Planner {
         let lowered = lowered_variants.swap_remove(variant);
 
         // Assemble the binding: join specs from the lowering, plus scan
-        // filters (pushdown) and the post-join pipeline stages.
+        // filters and the post-join pipeline stages.
         let root_degree = plan.sink().degree();
         let root_est = lowered.est_cards()[tree.root()];
-        let scan_filters: HashMap<String, Predicate> = if pushdown {
-            (0..query.len())
-                .filter_map(|rel| {
-                    query
-                        .combined_filter(rel)
-                        .map(|p| (query.graph().names()[rel].clone(), p))
-                })
-                .collect()
-        } else {
-            HashMap::new()
-        };
+        let scan_filters: HashMap<String, Predicate> = (0..query.len())
+            .filter_map(|rel| {
+                query
+                    .combined_filter(rel)
+                    .map(|p| (query.graph().names()[rel].clone(), p))
+            })
+            .collect();
         let stages = build_stages(
-            query,
             spec,
             &root_cols,
-            &select_cols,
             lowered.schemas()[tree.root()].clone(),
             root_est,
-            resid_sel,
-            residual,
             root_degree,
             grain,
         )?;
@@ -752,17 +678,6 @@ impl Planner {
     }
 }
 
-/// Attribute indices referenced by a predicate, in first-use order.
-fn predicate_cols(predicate: &Predicate) -> Vec<usize> {
-    let mut out = Vec::new();
-    predicate.for_each_attr(&mut |i| {
-        if !out.contains(&i) {
-            out.push(i);
-        }
-    });
-    out
-}
-
 /// Estimated distinct-group count for the aggregate stage.
 fn estimate_groups(spec: &SelectSpec, input_est: f64) -> f64 {
     if spec.group_by.is_empty() {
@@ -774,12 +689,6 @@ fn estimate_groups(spec: &SelectSpec, input_est: f64) -> f64 {
         // Square-root heuristic when no statistics are available.
         None => cap.sqrt().ceil().clamp(1.0, cap),
     }
-}
-
-/// First integer column of `schema` — the routing key candidate for a
-/// partitioned stage.
-fn first_int_col(schema: &Schema) -> Option<usize> {
-    (0..schema.arity()).find(|&c| matches!(schema.attr(c), Ok(a) if a.ty == DataType::Int))
 }
 
 /// Degree of a post-join stage over `input_card` estimated rows: the root
@@ -803,16 +712,11 @@ fn capped_note(partitionable: bool, root_degree: usize, degree: usize) -> String
 }
 
 /// Builds the post-join pipeline stages for the winning plan.
-#[allow(clippy::too_many_arguments)]
 fn build_stages(
-    query: &JoinQuery,
     spec: &SelectSpec,
     root_cols: &[(usize, usize)],
-    select_cols: &[(usize, usize)],
     root_schema: Arc<Schema>,
     root_est: u64,
-    resid_sel: f64,
-    residual: bool,
     root_degree: usize,
     grain: f64,
 ) -> Result<Vec<PipelineStage>> {
@@ -830,57 +734,6 @@ fn build_stages(
     let mut stages: Vec<PipelineStage> = Vec::new();
     let mut in_schema = root_schema;
     let mut in_est = root_est as f64;
-
-    if residual {
-        let mut combined: Option<Predicate> = None;
-        for f in query.filters() {
-            let rel = f.rel;
-            let p = f.predicate.map_attrs(&|c| pos(rel, c))?;
-            combined = Some(match combined {
-                None => p,
-                Some(acc) => Predicate::And(Box::new(acc), Box::new(p)),
-            });
-        }
-        let predicate = combined.expect("residual implies filters");
-        // Without a downstream aggregate, the filter also projects the
-        // carrier columns away, restoring the SELECT list's shape.
-        let projection = if spec.needs_aggregate() {
-            None
-        } else {
-            let cols: Vec<usize> = select_cols
-                .iter()
-                .map(|&(r, c)| pos(r, c))
-                .collect::<Result<_>>()?;
-            let identity =
-                cols.len() == in_schema.arity() && cols.iter().copied().eq(0..cols.len());
-            if identity {
-                None
-            } else {
-                Some(Projection::new(cols))
-            }
-        };
-        let schema = match &projection {
-            Some(p) => Arc::new(p.output_schema(&in_schema)?),
-            None => in_schema.clone(),
-        };
-        let partition = first_int_col(&in_schema);
-        let degree = stage_degree(partition.is_some(), root_degree, in_est, grain);
-        let capped = capped_note(partition.is_some(), root_degree, degree);
-        in_est *= resid_sel;
-        let label = format!("filter σ({predicate}){capped}");
-        stages.push(PipelineStage {
-            kind: StageKind::Filter {
-                predicate,
-                projection,
-            },
-            degree,
-            partition_col: partition.unwrap_or(0),
-            schema: schema.clone(),
-            est_out: in_est.round().max(1.0) as u64,
-            label,
-        });
-        in_schema = schema;
-    }
 
     if spec.needs_aggregate() {
         let group: Vec<usize> = spec

@@ -296,8 +296,9 @@ impl fmt::Debug for PreparedStatement {
     }
 }
 
-/// A bounded LRU cache of prepared plans, keyed by whitespace-normalized
-/// statement text and shared by every connection of a [`Database`].
+/// A bounded LRU cache of prepared plans, keyed by normalized statement
+/// text (comments dropped, whitespace collapsed) and shared by every
+/// connection of a [`Database`].
 ///
 /// Entries carry the catalog generation they were planned against; a
 /// lookup whose entry is stale counts as a miss (and the refreshed plan
@@ -403,15 +404,21 @@ impl PlanCache {
     }
 }
 
-/// Collapses whitespace runs to single spaces — the plan-cache key, so
-/// re-formatted but identical statements share one cached plan. (Comments
-/// are left in place: they only split tokens, never change them, so two
-/// texts with different comments simply occupy different cache keys.)
+/// The plan-cache key: `text` with every `--` comment dropped and
+/// whitespace runs collapsed to single spaces, so re-formatted but
+/// identical statements share one cached plan. A comment ends at its
+/// newline, as the lexer reads it (the grammar has no string literals, so
+/// `--` always starts one), and splits tokens as whitespace does.
 fn normalize_query_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut in_ws = true;
-    for ch in text.chars() {
-        if ch.is_whitespace() {
+    let mut chars = text.chars().peekable();
+    while let Some(ch) = chars.next() {
+        let comment = ch == '-' && chars.peek() == Some(&'-');
+        if comment {
+            while chars.next_if(|&c| c != '\n').is_some() {}
+        }
+        if comment || ch.is_whitespace() {
             if !in_ws {
                 out.push(' ');
                 in_ws = true;
@@ -647,8 +654,8 @@ impl Database {
     /// Prepares `text` as a reusable statement: parse → validate `?N`
     /// placeholders (contiguous from `?1`) → bind → cost-based plan, all
     /// through the session's shared bounded-LRU plan cache. A repeated
-    /// prepare of the same (whitespace-normalized) text against an
-    /// unchanged catalog is a cache hit and skips every one of those
+    /// prepare of the same text, up to comments and whitespace, against
+    /// an unchanged catalog is a cache hit and skips every one of those
     /// steps; any catalog mutation (`register`, `analyze`, statistics
     /// updates) bumps the generation and forces a re-plan on the next
     /// prepare — a stale plan never runs against a changed catalog.
@@ -1418,6 +1425,22 @@ mod tests {
             s.plan_cache_misses,
             s.plan_cache_evictions,
         )
+    }
+
+    #[test]
+    fn a_comment_ends_at_its_newline_in_the_cache_key() {
+        let key = normalize_query_text;
+        assert_eq!(
+            key("SELECT * FROM r -- note\nWHERE r.id < 5"),
+            "SELECT * FROM r WHERE r.id < 5"
+        );
+        assert_eq!(
+            key("SELECT * FROM r -- note WHERE r.id < 5"),
+            "SELECT * FROM r"
+        );
+        // A comment splits tokens as whitespace does; a lone `-` is kept.
+        assert_eq!(key("SELECT *--x\nFROM r\n--y"), "SELECT * FROM r");
+        assert_eq!(key("WHERE r.id > -5  --"), "WHERE r.id > -5");
     }
 
     #[test]

@@ -47,8 +47,8 @@ use crate::source::Source;
 /// template serves any number of concurrent executions:
 /// [`Engine::submit_template`](crate::Engine::submit_template) gives each
 /// its own stream edges, control block, budget and materialized pieces,
-/// and binds its `?N` arguments into the predicates that hold
-/// them only (scan filters and residual filters).
+/// and binds its `?N` arguments into the only predicates that hold them,
+/// the scan filters.
 ///
 /// The base operands are held *weakly*, so the template never pins what
 /// the engine's [`FragmentCache`] evicted. Before an execution's clock
@@ -99,8 +99,6 @@ pub struct RunTemplate {
     /// Metrics rows as every execution starts them: estimates, stage kinds,
     /// streams and fused ops.
     metrics: Metrics,
-    /// Some stage's predicate has a placeholder, bound per instance.
-    stage_params: bool,
 }
 
 /// One operation of a query as the executor wires and spawns it: the
@@ -355,7 +353,6 @@ impl RunTemplate {
             group.push(stage);
         }
 
-        let stage_params = stages.iter().any(|s| s.kind.has_params());
         Ok(RunTemplate {
             query,
             late,
@@ -371,7 +368,6 @@ impl RunTemplate {
             deps,
             dependents,
             metrics,
-            stage_params,
         })
     }
 
@@ -415,17 +411,12 @@ impl RunTemplate {
         &self.metrics
     }
 
-    pub(crate) fn stage_params(&self) -> bool {
-        self.stage_params
-    }
-
-    /// A fresh operator for one instance of operation `id`, a stage's
-    /// placeholders bound to `args`.
-    pub(crate) fn operator(&self, id: usize, args: &[i64]) -> Result<Box<dyn PhysicalOp>> {
-        Ok(match &self.ops[id].body {
+    /// A fresh operator for one instance of operation `id`.
+    pub(crate) fn operator(&self, id: usize) -> Box<dyn PhysicalOp> {
+        match &self.ops[id].body {
             Body::Join { algorithm, spec } => join_op(*algorithm, spec.clone()),
-            Body::Stage { index } => self.query.stages()[*index].kind.operator(args)?,
-        })
+            Body::Stage { index } => self.query.stages()[*index].kind.operator(),
+        }
     }
 
     /// The late rewrite of one execution, if the template takes it: the

@@ -15,7 +15,7 @@
 //! | [`join`] | `mj-join` | the columnar hash-join table behind the engine's simple and pipelining joins |
 //! | [`plan`] | `mj-plan` | join trees, Fig. 8 shapes, the paper's cost model, phase-1 optimizers, right-deep segmentation, text query parser |
 //! | [`core`] | `mj-core` | the four strategies, proportional allocation, parallel plan IR, plan generator |
-//! | [`exec`] | `mj-exec` | execution engine: fixed worker pool, generic [`PhysicalOp`](exec::PhysicalOp) operator framework (joins, filter, aggregate, limit), tuple streams, [`Database`](exec::Database) session facade, streaming [`QueryHandle`](exec::QueryHandle)s, cost-based [`Planner`](exec::Planner) with filter pushdown |
+//! | [`exec`] | `mj-exec` | execution engine: fixed worker pool, generic [`PhysicalOp`](exec::PhysicalOp) operator framework (joins, aggregate, limit), tuple streams, [`Database`](exec::Database) session facade, streaming [`QueryHandle`](exec::QueryHandle)s, cost-based [`Planner`](exec::Planner) that runs every WHERE predicate as a scan filter |
 //! | [`sim`] | `mj-sim` | discrete-event simulator reproducing the 20–80-processor experiments |
 //! | [`server`] | `mj-server` | query server: line-delimited JSON protocol over TCP, fixed acceptor/connection-worker pool, metrics exposition (`mj serve`) |
 //!

@@ -1,10 +1,10 @@
 //! Same plans, same counters. How the executor wires and spawns a query —
 //! joins, post-join stages, the result edge — is its own business; what
 //! runs and what is counted is not. For the benchmark's query shapes, and
-//! one query whose residual filter, GROUP BY and LIMIT run as post-join
-//! stages, the per-query metrics are pinned: operation processes, tuple
-//! streams, fused operations, and per operation its kind, instances and
-//! estimated rows. They must come out the same through the session front
+//! one query whose WHERE runs as a scan filter and whose GROUP BY and
+//! LIMIT run as post-join stages, the per-query metrics are pinned:
+//! operation processes, tuple streams, fused operations, and per operation
+//! its kind, instances and estimated rows. They must come out the same through the session front
 //! door and through `run_plan` (a transient engine). The database plans as
 //! the benchmark's does: one logical processor per worker, two workers.
 
@@ -28,10 +28,9 @@ fn counters(metrics: &Metrics) -> Counters {
 
 /// A two-worker session (the benchmark's) holding a chain instance of `k`
 /// relations of `n` tuples under the names `{prefix}0..`.
-fn database(pushdown: bool, sets: &[(&str, usize, usize)]) -> Database {
+fn database(sets: &[(&str, usize, usize)]) -> Database {
     let mut config = DbConfig::default();
     config.exec.workers = 2;
-    config.planner.pushdown = pushdown;
     let db = Database::open(config).unwrap();
     for &(prefix, k, n) in sets {
         let family = generate_family(QueryFamily::Chain, k, n, SHAPE_SEED).unwrap();
@@ -107,7 +106,7 @@ fn join(instances: usize, est_out: u64) -> (&'static str, usize, u64) {
 
 #[test]
 fn benchmark_shapes_keep_their_processes_streams_and_operations() {
-    let db = database(true, &[("S", 14, 50), ("H", 6, 40_000), ("W", 2, 30_000)]);
+    let db = database(&[("S", 14, 50), ("H", 6, 40_000), ("W", 2, 30_000)]);
     let short = |arg: &str| chain_sql("*", "S", 14, &format!(" WHERE S1.id < {arg}"));
     let short_ops: Vec<_> = [25, 39, 57, 93, 69, 112, 314, 78, 126, 76, 118, 452, 4_307]
         .map(|est| join(1, est))
@@ -166,10 +165,11 @@ fn benchmark_shapes_keep_their_processes_streams_and_operations() {
 }
 
 #[test]
-fn residual_filter_group_by_and_limit_run_as_pinned_stages() {
-    // Pushdown off: the WHERE clause is a residual filter stage above the
-    // root join, GROUP BY an aggregate stage, LIMIT a limit stage.
-    let db = database(false, &[("W", 2, 30_000)]);
+fn pushed_filter_group_by_and_limit_run_as_pinned_stages() {
+    // The WHERE clause runs as a scan filter where W0 is read, so its
+    // selectivity shows in the join's estimate and no stage selects;
+    // GROUP BY is an aggregate stage and LIMIT a limit stage.
+    let db = database(&[("W", 2, 30_000)]);
     let pin = Pin {
         name: "stages",
         text: chain_sql(
@@ -179,15 +179,14 @@ fn residual_filter_group_by_and_limit_run_as_pinned_stages() {
             " WHERE W0.id >= 100 GROUP BY W0.a LIMIT 1000000",
         ),
         arg: None,
-        // 2 x 2 + 2 x 2 + 2 x 1 streams from the root join through the
-        // three stages; the result edge is not counted.
+        // 2 x 2 + 2 x 1 streams from the root join through the two
+        // stages; the result edge is not counted.
         expect: (
-            7,
-            10,
+            5,
+            6,
             0,
             vec![
-                join(2, 47_413),
-                ("filter", 2, 15_804),
+                join(2, 15_804),
                 ("aggregate", 2, 15_804),
                 ("limit", 1, 15_804),
             ],

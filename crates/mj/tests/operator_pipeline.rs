@@ -5,10 +5,8 @@
 //! quiescence contract (engine reusable, fragments reclaimed).
 
 use multijoin::core::ScheduleModel;
-use multijoin::exec::{
-    chain_query_sql, generate_family, Database, DbConfig, QueryFamily, StageKind,
-};
-use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider};
+use multijoin::exec::{chain_query_sql, generate_family, Database, DbConfig, QueryFamily};
+use multijoin::relalg::{JoinAlgorithm, Predicate, Relation, RelationProvider};
 
 mod common;
 use common::settled;
@@ -147,44 +145,45 @@ fn aggregate_queries_match_oracle() {
 }
 
 #[test]
-fn pushdown_on_and_off_agree_and_stage_differs() {
-    let mut no_push = DbConfig::default();
-    no_push.planner.pushdown = false;
-    let on = family_db(QueryFamily::Chain, 4, 300, 9, DbConfig::default());
-    let off = family_db(QueryFamily::Chain, 4, 300, 9, no_push);
-    let text = format!("{} WHERE R1.id < 60 AND R2.id < 250", chain_query_sql(4));
-
-    let planned_on = on.plan(&text).unwrap();
-    assert_eq!(planned_on.binding.scan_filters().len(), 2);
-    assert!(planned_on
-        .binding
-        .stages()
-        .iter()
-        .all(|s| !matches!(s.kind, StageKind::Filter { .. })));
-
-    let planned_off = off.plan(&text).unwrap();
-    assert!(planned_off.binding.scan_filters().is_empty());
-    assert!(planned_off
-        .binding
-        .stages()
-        .iter()
-        .any(|s| matches!(s.kind, StageKind::Filter { .. })));
-
-    let r_on = on.query(&text).unwrap().collect().unwrap();
-    let r_off = off.query(&text).unwrap().collect().unwrap();
-    assert!(
-        r_on.multiset_eq(&r_off),
-        "pushdown changed the result: {} vs {} rows",
-        r_on.len(),
-        r_off.len()
+fn every_where_conjunct_is_a_scan_filter() {
+    // A WHERE conjunct names one relation, so it always runs where that
+    // relation is read: one combined scan filter per relation, and no
+    // post-join stage that selects.
+    let db = family_db(QueryFamily::Chain, 4, 300, 9, DbConfig::default());
+    let text = format!(
+        "{} WHERE R1.id < 60 AND R2.id < 250 AND R1.id >= 5",
+        chain_query_sql(4)
     );
-    // Both agree with the sequential oracle too.
-    assert_matches_oracle(&on, &text);
-    assert_matches_oracle(&off, &text);
 
-    // The explain output names the pushed filters / the residual stage.
-    assert!(planned_on.explain().contains("pushed scan filters"));
-    assert!(planned_off.explain().contains("filter σ("));
+    let planned = db.plan(&text).unwrap();
+    let filters = planned.binding.scan_filters();
+    let mut names: Vec<&String> = filters.keys().collect();
+    names.sort();
+    assert_eq!(names, ["R1", "R2"]);
+    assert!(
+        matches!(filters["R1"], Predicate::And(..)),
+        "both R1 conjuncts fold into its one scan filter: {}",
+        filters["R1"]
+    );
+    assert!(planned.binding.stages().is_empty());
+    assert_matches_oracle(&db, &text);
+    let explain = planned.explain();
+    assert!(explain.contains("pushed scan filters"), "{explain}");
+    assert!(!explain.contains("post-join pipeline"), "{explain}");
+
+    // Above a GROUP BY the only stage is the aggregate.
+    let grouped =
+        chain_query_sql(4).replacen("*", "R0.b, COUNT(*)", 1) + " WHERE R1.id < 60 GROUP BY R0.b";
+    let planned = db.plan(&grouped).unwrap();
+    assert_eq!(planned.binding.scan_filters().len(), 1);
+    let kinds: Vec<&str> = planned
+        .binding
+        .stages()
+        .iter()
+        .map(|s| s.kind.name())
+        .collect();
+    assert_eq!(kinds, ["aggregate"]);
+    assert_matches_oracle(&db, &grouped);
 }
 
 #[test]

@@ -277,3 +277,37 @@ fn bind_rejects_type_mismatched_join_columns() {
     assert!(matches!(err, MjError::Bind { .. }), "{err}");
     assert!(err.to_string().contains("types differ"), "{err}");
 }
+
+#[test]
+fn texts_that_differ_only_past_a_comment_get_their_own_statements() {
+    // In `with_newline` the comment ends before the WHERE clause; in
+    // `swallowed` it swallows it. The plan cache must not serve one
+    // statement's plan for the other, in either prepare order.
+    let joins = "SELECT * FROM R0 JOIN R1 ON R0.b = R1.a -- note";
+    let with_newline = format!("{joins}\nWHERE R0.id < 5");
+    let swallowed = format!("{joins} WHERE R0.id < 5");
+    let rows = |db: &Database, text: &str| {
+        let stmt = db.prepare(text).expect("prepare");
+        let rows = db
+            .execute_prepared(&stmt, &[])
+            .expect("execute")
+            .collect()
+            .expect("collect")
+            .len();
+        (stmt, rows)
+    };
+    let fresh = |text: &str| rows(&db_for(QueryFamily::Chain, 2, 200, 7), text).1;
+    let (filtered, all) = (fresh(&with_newline), fresh(&swallowed));
+    assert!(filtered < all, "{filtered} vs {all} rows");
+
+    for order in [[&with_newline, &swallowed], [&swallowed, &with_newline]] {
+        let db = db_for(QueryFamily::Chain, 2, 200, 7);
+        let (first, first_rows) = rows(&db, order[0]);
+        let (second, second_rows) = rows(&db, order[1]);
+        assert!(!Arc::ptr_eq(&first, &second), "one statement for two texts");
+        for (text, got) in [(order[0], first_rows), (order[1], second_rows)] {
+            let want = if text == &with_newline { filtered } else { all };
+            assert_eq!(got, want, "{text:?}");
+        }
+    }
+}

@@ -518,28 +518,6 @@ impl ColumnBatch {
         Ok(out)
     }
 
-    /// Appends the rows of `src` selected by `sel`, projected onto
-    /// `cols` (indices into `src`) — selection and projection fused into
-    /// one gather.
-    pub fn append_project_gather(
-        &mut self,
-        src: &ColumnBatch,
-        cols: &[usize],
-        sel: &[u32],
-    ) -> Result<()> {
-        let mut types = Vec::with_capacity(cols.len());
-        for &c in cols {
-            types.push(src.column(c)?.data_type());
-        }
-        self.ensure_layout(types.into_iter());
-        self.check_arity(cols.len())?;
-        for (dst, &c) in self.columns.iter_mut().zip(cols) {
-            dst.append_gather(src.column(c)?, sel)?;
-        }
-        self.rows += sel.len();
-        Ok(())
-    }
-
     /// Appends join results: for every `(l, r)` pair in `pairs`, the
     /// projected concatenation of `left` row `l` and `right` row `r`.
     /// `cols` indexes the virtual concatenation `left ++ right` exactly

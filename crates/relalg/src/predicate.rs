@@ -123,42 +123,8 @@ impl Predicate {
         }
     }
 
-    /// Rebuilds the predicate with every attribute index passed through
-    /// `map` — how a relation-local predicate is rebased onto a wider
-    /// schema (e.g. a join output) whose columns live at other positions.
-    pub fn map_attrs(&self, map: &impl Fn(usize) -> Result<usize>) -> Result<Predicate> {
-        fn map_expr(e: &Expr, map: &impl Fn(usize) -> Result<usize>) -> Result<Expr> {
-            Ok(match e {
-                Expr::Attr(i) => Expr::Attr(map(*i)?),
-                Expr::Lit(v) => Expr::Lit(v.clone()),
-                Expr::Param(n) => Expr::Param(*n),
-                Expr::Arith(l, op, r) => Expr::Arith(
-                    Box::new(map_expr(l, map)?),
-                    *op,
-                    Box::new(map_expr(r, map)?),
-                ),
-            })
-        }
-        Ok(match self {
-            Predicate::True => Predicate::True,
-            Predicate::Cmp { left, op, right } => Predicate::Cmp {
-                left: map_expr(left, map)?,
-                op: *op,
-                right: map_expr(right, map)?,
-            },
-            Predicate::And(a, b) => {
-                Predicate::And(Box::new(a.map_attrs(map)?), Box::new(b.map_attrs(map)?))
-            }
-            Predicate::Or(a, b) => {
-                Predicate::Or(Box::new(a.map_attrs(map)?), Box::new(b.map_attrs(map)?))
-            }
-            Predicate::Not(p) => Predicate::Not(Box::new(p.map_attrs(map)?)),
-        })
-    }
-
     /// Rebuilds the predicate with every leaf expression passed through
-    /// `map` — the general form of [`Predicate::map_attrs`], used by the
-    /// prepared-statement layer to substitute [`Expr::Param`] leaves with
+    /// `map` — used by the prepared-statement layer to substitute [`Expr::Param`] leaves with
     /// literals at execute time. Interior [`Expr::Arith`] nodes are
     /// rebuilt from mapped children; only leaves reach `map`.
     pub fn map_exprs(&self, map: &impl Fn(&Expr) -> Result<Expr>) -> Result<Predicate> {

@@ -115,6 +115,23 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn a_deeply_nested_frame_is_a_protocol_error_not_an_abort() {
+    // 100 000 unclosed `[` (100 KB, well under the line cap) nest far past
+    // the JSON parser's depth cap: the connection worker must answer with
+    // a typed error, and the server must live on.
+    let server = chain_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.send_line(&"[".repeat(100_000)).unwrap();
+    let frame = client.read_frame().unwrap().expect("reply expected");
+    let err = frame.get("error").expect("error frame");
+    assert_eq!(
+        err.get("code"),
+        Some(&JsonValue::Str("protocol".to_string()))
+    );
+    assert!(client.metrics(MetricsFormat::Json).is_ok());
+}
+
+#[test]
 fn query_errors_are_typed_with_spans() {
     let server = chain_server();
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -35,6 +35,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -112,9 +113,16 @@ fn print_string(s: &str, out: &mut String) {
 
 // ---- parsing ----
 
+/// How deep arrays and objects may nest (serde_json's default recursion
+/// limit). The parser recurses once per level, so without a cap one line
+/// of `[`s overflows the stack of whatever thread parses it.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -151,8 +159,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -361,6 +383,17 @@ mod tests {
         assert_eq!(v, vec![1, 2, 3]);
         let s: String = from_str(r#""Aé😀""#).unwrap();
         assert_eq!(s, "Aé😀");
+    }
+
+    #[test]
+    fn caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<JsonValue>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<JsonValue>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Far past the cap, unterminated: an error, not a stack overflow.
+        assert!(from_str::<JsonValue>(&"[".repeat(100_000)).is_err());
+        assert!(from_str::<JsonValue>(&r#"{"a":"#.repeat(100_000)).is_err());
     }
 
     #[test]
