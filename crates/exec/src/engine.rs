@@ -7,7 +7,8 @@
 //! which returns a [`QueryHandle`] — the query's operator instances are
 //! multiplexed onto the same bounded worker set (the paper's fixed
 //! processor pool, §4): the submitting thread sets the query up and puts
-//! its first wave of tasks on the pool; from then on every task's
+//! its first wave of tasks on the pool (or, when admission control holds
+//! it back, the thread whose query frees its slot does); from then on every task's
 //! completion report advances the query on the thread that makes it
 //! (`Coordinator`) — releasing the waves that waited for it, and, when
 //! it is the last, concluding the query. No thread is started for a query:
@@ -52,8 +53,10 @@
 //! and independent segments of one wave interleave on the pool; stages come
 //! after the root join.
 
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use mj_core::plan_ir::ParallelPlan;
@@ -118,100 +121,181 @@ pub struct ExecOutcome {
 /// running more queries multiplexes more tasks onto the same workers
 /// instead of spawning threads, with or without deadlines and stall limits.
 pub struct Engine {
-    provider: Arc<dyn RelationProvider + Send + Sync>,
-    config: ExecConfig,
-    pool: Arc<WorkerPool>,
-    cache: Arc<FragmentCache>,
+    host: Host,
     admission: Option<Arc<Admission>>,
-    counters: Arc<EngineCounters>,
     /// Run templates built on this engine ([`Engine::template`]).
     templates_built: AtomicU64,
 }
 
+/// What setting a query up reads from its engine. The admission gate
+/// keeps a copy, so a run it admits later sets itself up on whichever
+/// thread frees the slot.
+#[derive(Clone)]
+struct Host {
+    provider: Arc<dyn RelationProvider + Send + Sync>,
+    config: ExecConfig,
+    pool: Arc<WorkerPool>,
+    cache: Arc<FragmentCache>,
+    counters: Arc<EngineCounters>,
+}
+
 /// Admission control: a counting gate of `max` concurrently running
-/// queries fronted by a bounded FIFO ticket queue. Submissions beyond the
-/// queue bound are rejected with [`RelalgError::Overloaded`].
+/// queries fronted by a bounded FIFO of runs waiting for a slot. Nothing
+/// waits at the gate: a submission either starts, joins the queue (its
+/// handle returned at once) or, beyond the queue bound, is rejected with
+/// [`RelalgError::Overloaded`]; a freed slot starts the oldest waiting run
+/// on the thread that freed it.
 struct Admission {
     max: usize,
     queue_limit: usize,
+    host: Host,
     state: Mutex<AdmissionState>,
-    ready: Condvar,
 }
 
 struct AdmissionState {
     /// Queries currently holding a run slot.
     active: usize,
-    /// Next ticket to hand out to a waiter.
-    next_ticket: u64,
-    /// Ticket currently at the head of the FIFO queue.
-    serving: u64,
+    /// Runs waiting for a slot, oldest first.
+    waiting: VecDeque<Launch<'static>>,
 }
 
 impl Admission {
-    fn new(max: usize, queue_limit: usize) -> Arc<Self> {
+    fn new(max: usize, queue_limit: usize, host: Host) -> Arc<Self> {
         Arc::new(Admission {
             max,
             queue_limit,
+            host,
             state: Mutex::new(AdmissionState {
                 active: 0,
-                next_ticket: 0,
-                serving: 0,
+                waiting: VecDeque::new(),
             }),
-            ready: Condvar::new(),
         })
     }
 
-    /// Takes a run slot, waiting FIFO behind earlier submissions if the
-    /// engine is saturated; errors with `Overloaded` when the wait queue
-    /// is full. The returned permit releases the slot on drop.
-    fn acquire(self: &Arc<Self>, counters: &EngineCounters) -> Result<AdmissionPermit> {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let waiting = (s.next_ticket - s.serving) as usize;
-        if s.active < self.max && waiting == 0 {
+    fn lock(&self) -> MutexGuard<'_, AdmissionState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts `launch` in a free slot on the calling thread, or queues it
+    /// behind earlier submissions while the engine is saturated; errors
+    /// with `Overloaded` when the queue is full.
+    fn admit(self: &Arc<Self>, launch: Launch<'_>) -> Result<()> {
+        let mut s = self.lock();
+        if s.active < self.max && s.waiting.is_empty() {
             s.active += 1;
-            return Ok(AdmissionPermit {
-                admission: self.clone(),
-            });
+            drop(s);
+            launch.start(&self.host, Some(self.permit()));
+            return Ok(());
         }
-        if waiting >= self.queue_limit {
-            counters.note_rejected();
-            return Err(RelalgError::Overloaded {
-                queue_depth: waiting,
-            });
+        let queue_depth = s.waiting.len();
+        if queue_depth >= self.queue_limit {
+            drop(s);
+            self.host.counters.note_rejected();
+            return Err(RelalgError::Overloaded { queue_depth });
         }
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        while !(s.serving == ticket && s.active < self.max) {
-            s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-        s.serving += 1;
-        s.active += 1;
-        drop(s);
-        // The next waiter's ticket may already be serviceable (several
-        // slots freed at once); make sure it rechecks.
-        self.ready.notify_all();
-        Ok(AdmissionPermit {
-            admission: self.clone(),
-        })
+        s.waiting.push_back(launch.into_owned());
+        Ok(())
     }
 
-    fn release(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        s.active -= 1;
-        drop(s);
-        self.ready.notify_all();
+    fn permit(self: &Arc<Self>) -> AdmissionPermit {
+        AdmissionPermit {
+            admission: Some(self.clone()),
+        }
     }
 }
 
-/// RAII run slot: held in the query's [`Accounts`] for the query's whole
-/// lifetime, released (waking FIFO waiters) when the query concludes.
+/// A run slot, held in the query's [`Accounts`] for the query's whole
+/// lifetime and given up when the query concludes.
 struct AdmissionPermit {
-    admission: Arc<Admission>,
+    admission: Option<Arc<Admission>>,
+}
+
+impl AdmissionPermit {
+    /// Gives the slot up: to the oldest waiting run, returned with the
+    /// slot for the caller to start, or back to the gate.
+    fn release(&mut self) -> Option<(Launch<'static>, AdmissionPermit)> {
+        let admission = self.admission.take()?;
+        let mut s = admission.lock();
+        let Some(next) = s.waiting.pop_front() else {
+            s.active -= 1;
+            return None;
+        };
+        drop(s);
+        Some((
+            next,
+            AdmissionPermit {
+                admission: Some(admission),
+            },
+        ))
+    }
 }
 
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        self.admission.release();
+        if let Some((next, permit)) = self.release() {
+            next.start_admitted(permit);
+        }
+    }
+}
+
+/// One submission with its result edge open and its handle out, to be set
+/// up and started: at once, or when the admission gate gives it a slot.
+struct Launch<'a> {
+    template: Arc<RunTemplate>,
+    args: Cow<'a, [i64]>,
+    opts: QueryOptions,
+    result: OutEdge,
+    ctrl: Arc<QueryCtrl>,
+    submitted_at: Instant,
+}
+
+impl Launch<'_> {
+    fn into_owned(self) -> Launch<'static> {
+        Launch {
+            args: Cow::Owned(self.args.into_owned()),
+            template: self.template,
+            opts: self.opts,
+            result: self.result,
+            ctrl: self.ctrl,
+            submitted_at: self.submitted_at,
+        }
+    }
+
+    /// Starts the query's clocks, sets it up on the calling thread and
+    /// puts its first wave on the pool. A run canceled while it waited
+    /// for its slot concludes at once instead.
+    fn start(self, host: &Host, permit: Option<AdmissionPermit>) {
+        let Launch {
+            template,
+            args,
+            opts,
+            result,
+            ctrl,
+            submitted_at,
+        } = self;
+        if let Some(deadline) = opts.deadline() {
+            ctrl.set_deadline(Instant::now() + deadline);
+        }
+        host.counters.note_started();
+        let accounts = Accounts {
+            ctrl: ctrl.clone(),
+            counters: host.counters.clone(),
+            permit,
+            submitted_at,
+        };
+        if ctrl.is_canceled() {
+            return accounts.settle(Err(RelalgError::Canceled), (0, 0));
+        }
+        // Set-up and the first wave of tasks, here; from then on the query
+        // is advanced by whichever thread reports a completion.
+        let run = QueryRun::new(host, template, &args, &opts, result, &ctrl);
+        start(run, accounts);
+    }
+
+    /// [`start`](Self::start) with the slot the gate just handed over.
+    fn start_admitted(self, permit: AdmissionPermit) {
+        let admission = permit.admission.clone().expect("a handed-over slot");
+        self.start(&admission.host, Some(permit));
     }
 }
 
@@ -223,15 +307,18 @@ impl Engine {
         config: ExecConfig,
     ) -> Result<Engine> {
         config.validate().map_err(RelalgError::InvalidPlan)?;
-        Ok(Engine {
+        let host = Host {
             provider,
             config,
             pool: WorkerPool::new(config.workers),
             cache: Arc::new(FragmentCache::new()),
+            counters: Arc::new(EngineCounters::default()),
+        };
+        Ok(Engine {
             admission: config
                 .max_concurrent
-                .map(|max| Admission::new(max, config.admission_queue)),
-            counters: Arc::new(EngineCounters::default()),
+                .map(|max| Admission::new(max, config.admission_queue, host.clone())),
+            host,
             templates_built: AtomicU64::new(0),
         })
     }
@@ -243,10 +330,10 @@ impl Engine {
     /// worker pool's live busy/idle gauges and the fragment cache's
     /// counters.
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.counters.snapshot();
-        stats.workers_total = self.pool.workers() as u64;
-        stats.workers_busy = self.pool.busy().min(stats.workers_total);
-        let cache = self.cache.stats();
+        let mut stats = self.host.counters.snapshot();
+        stats.workers_total = self.host.pool.workers() as u64;
+        stats.workers_busy = self.host.pool.busy().min(stats.workers_total);
+        let cache = self.host.cache.stats();
         stats.fragment_cache_hits = cache.hits;
         stats.fragment_cache_misses = cache.misses;
         stats.fragment_cache_evictions = cache.evictions;
@@ -256,23 +343,23 @@ impl Engine {
 
     /// The engine configuration.
     pub fn config(&self) -> &ExecConfig {
-        &self.config
+        &self.host.config
     }
 
     /// Worker threads in the shared pool.
     pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.host.pool.workers()
     }
 
     /// The shared scheduler pool (diagnostics).
     pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
+        &self.host.pool
     }
 
     /// The resident columnar fragments of the base relations, shared by
     /// all queries (validated against the provider on every lookup).
     pub fn fragment_cache(&self) -> &Arc<FragmentCache> {
-        &self.cache
+        &self.host.cache
     }
 
     /// Submits `plan` for execution and returns a [`QueryHandle`] once the
@@ -327,10 +414,12 @@ impl Engine {
     /// dependencies are already met. Everything after that happens on the
     /// pool, completion report by completion report.
     ///
-    /// When `max_concurrent` admission control is configured, this call
-    /// blocks FIFO behind earlier submissions while the engine is
-    /// saturated, and returns [`RelalgError::Overloaded`] once the wait
-    /// queue is also full.
+    /// When `max_concurrent` admission control is configured and the
+    /// engine is saturated, the run waits FIFO behind earlier submissions
+    /// and this returns its handle at once: its set-up, and its deadline
+    /// and stall clocks, start when a concluding query hands it its slot.
+    /// Beyond the wait queue's bound it returns
+    /// [`RelalgError::Overloaded`]. Nothing here waits.
     pub fn submit_template(
         &self,
         template: Arc<RunTemplate>,
@@ -343,25 +432,20 @@ impl Engine {
         // Count the submission before admission control so rejected
         // submissions are included in `queries_submitted` — that is what
         // keeps every terminal-outcome counter summing to at most it.
-        self.counters.note_submitted();
-        let permit = match &self.admission {
-            Some(admission) => Some(admission.acquire(&self.counters)?),
-            None => None,
-        };
+        self.host.counters.note_submitted();
         let (result, stream, ctrl) = self.open_result_edge(&template, &opts, submitted_at);
-        self.counters.note_started();
-
-        // Set-up and the first wave of tasks, here on the submitting
-        // thread; from then on the query is advanced by whichever thread
-        // reports a completion.
-        let run = QueryRun::new(self, template, args, &opts, result, &ctrl);
-        let accounts = Accounts {
+        let launch = Launch {
+            template,
+            args: Cow::Borrowed(args),
+            opts,
+            result,
             ctrl: ctrl.clone(),
-            counters: self.counters.clone(),
-            permit,
             submitted_at,
         };
-        start(run, accounts);
+        match &self.admission {
+            Some(admission) => admission.admit(launch)?,
+            None => launch.start(&self.host, None),
+        }
         Ok(QueryHandle::new(stream, ctrl))
     }
 
@@ -369,7 +453,7 @@ impl Engine {
     /// [`RunTemplate`]): what [`submit_template`](Engine::submit_template)
     /// instantiates per execution.
     pub fn template(&self, plan: ValidPlan, binding: QueryBinding) -> Result<Arc<RunTemplate>> {
-        let template = RunTemplate::new(plan, binding, self.config.late)?;
+        let template = RunTemplate::new(plan, binding, self.host.config.late)?;
         self.templates_built.fetch_add(1, Ordering::Relaxed);
         Ok(Arc::new(template))
     }
@@ -392,7 +476,8 @@ impl Engine {
     /// one-consumer stream from the instances of the query's last
     /// operation (the last post-join stage, or the root join) into the
     /// client-side [`ResultStream`], and the shared cancel/status block
-    /// carrying the query's deadline and memory budget.
+    /// carrying the query's memory budget (its deadline is set when the
+    /// run starts).
     fn open_result_edge(
         &self,
         template: &RunTemplate,
@@ -403,16 +488,15 @@ impl Engine {
         let (txs, mut rxs, pool) = operand_channels(
             edge.producers,
             1,
-            self.config.channel_capacity,
+            self.host.config.channel_capacity,
             edge.layout.clone(),
         );
-        let deadline = opts.deadline().map(|d| Instant::now() + d);
         let budget = match opts.memory_budget() {
             Some(limit) => MemoryBudget::with_limit(limit),
             None => MemoryBudget::unlimited(),
         };
         pool.set_budget(budget.clone());
-        let ctrl = QueryCtrl::on_pool(&self.pool, deadline, budget);
+        let ctrl = QueryCtrl::on_pool(&self.host.pool, budget);
         let rx = rxs.pop().expect("one consumer");
         let stream = ResultStream::new(
             rx,
@@ -420,7 +504,7 @@ impl Engine {
             template.result_schema().clone(),
             ctrl.clone(),
             submitted_at,
-            self.counters.clone(),
+            self.host.counters.clone(),
         );
         ((txs, edge.key_col, pool), stream, ctrl)
     }
@@ -470,7 +554,8 @@ impl Accounts {
     /// Counts the query's result and its edges' batch-pool takes and
     /// misses (`pools`), frees its admission slot and publishes the
     /// outcome — in that order, so whoever holds the outcome sees the
-    /// counters and the slot settled.
+    /// counters and the slot settled — and then starts the run the slot
+    /// went to, if one waited.
     fn settle(self, result: Result<QueryOutcome>, pools: (u64, u64)) {
         self.counters.record(
             &result,
@@ -481,9 +566,12 @@ impl Accounts {
         );
         // Released only now that the query has fully quiesced and its
         // pieces are gone, so the concurrency cap bounds actual resource
-        // use.
-        drop(self.permit);
+        // use. A run waiting for the slot starts once the outcome is out.
+        let next = self.permit.and_then(|mut permit| permit.release());
         self.ctrl.finish(result);
+        if let Some((launch, permit)) = next {
+            launch.start_admitted(permit);
+        }
     }
 }
 
@@ -624,8 +712,8 @@ fn start(prepared: Result<QueryRun>, accounts: Accounts) {
 }
 
 /// One execution of a [`RunTemplate`] from set-up to teardown.
-/// [`new`](QueryRun::new) and the first wave of tasks run on the
-/// submitting thread; after that the run sits in its [`Coordinator`] and is
+/// [`new`](QueryRun::new) and the first wave of tasks run on the thread
+/// that starts the run (see [`Launch::start`]); after that the run sits in its [`Coordinator`] and is
 /// advanced by completion reports on the pool's threads, so it owns (or
 /// shares by `Arc`) everything it touches. What it adds to the template is
 /// exactly the per-execution state: edges, base operands (their scan
@@ -692,13 +780,13 @@ struct Progress {
 }
 
 impl QueryRun {
-    /// Sets one execution of `template` up on `engine`'s pool — late
+    /// Sets one execution of `template` up on `host`'s pool — late
     /// rewrite, base operands, stream edges — with `args` bound to its
     /// placeholders and the output of its last operation streaming into
     /// `result`. Nothing is submitted yet
     /// ([`spawn_first_wave`](Self::spawn_first_wave)).
     fn new(
-        engine: &Engine,
+        host: &Host,
         template: Arc<RunTemplate>,
         args: &[i64],
         opts: &QueryOptions,
@@ -708,7 +796,7 @@ impl QueryRun {
         // Options beyond deadline and budget are resolved upstream.
         #[cfg(not(feature = "faults"))]
         let _ = opts;
-        let config = &engine.config;
+        let config = &host.config;
         let mut metrics = template.metrics().clone();
 
         // --- Late materialization. When the template takes the rewrite, the
@@ -717,8 +805,8 @@ impl QueryRun {
         // (charged to the budget here), and the root join's tasks resolve
         // refs back to the original schema — so everything from the root's
         // output port on (stages, result edge) is untouched.
-        let provider = engine.provider.as_ref();
-        let late = template.late(args, provider, &engine.cache, &mut metrics)?;
+        let provider = host.provider.as_ref();
+        let late = template.late(args, provider, &host.cache, &mut metrics)?;
         let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
         if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
             ctrl.abort(ctrl.budget().exhausted_error());
@@ -726,7 +814,7 @@ impl QueryRun {
 
         // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
         let resolved =
-            template.resolve_bases(late.as_ref(), provider, &engine.cache, &mut metrics)?;
+            template.resolve_bases(late.as_ref(), provider, &host.cache, &mut metrics)?;
 
         // Fresh channels for every stream edge (receivers taken at consumer
         // spawn, senders at producer spawn), their buffer pools charged to
@@ -753,7 +841,7 @@ impl QueryRun {
         // processes, beginning with handing each its base operands.
         let started = Instant::now();
         let base_parts =
-            template.base_parts(resolved, args, provider, &engine.cache, &mut metrics)?;
+            template.base_parts(resolved, args, provider, &host.cache, &mut metrics)?;
         let ops = template.ops().iter().zip(template.deps());
         let progress = ops
             .map(|(op, &waiting)| Progress {
@@ -766,7 +854,7 @@ impl QueryRun {
         Ok(QueryRun {
             template,
             config: *config,
-            pool: engine.pool.clone(),
+            pool: host.pool.clone(),
             ctrl: ctrl.clone(),
             base_parts,
             senders,
@@ -1502,7 +1590,7 @@ mod tests {
         let mut handle = engine.submit(&plan, &binding).unwrap();
         let mut stream = handle.stream();
         let mut total = 0usize;
-        // The connection worker's loop: poll the stream to its end, then
+        // A server connection's steps: poll the stream to its end, then
         // the outcome — published by the pool thread that made the last
         // completion report, a moment after the stream ended — sleeping
         // between polls until a batch, `End` or the conclusion wakes it.
@@ -1818,6 +1906,60 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.queries_completed, 4);
         assert_eq!(stats.queries_rejected, 0);
+    }
+
+    #[test]
+    fn a_saturated_engine_queues_runs_without_waiting() {
+        // One thread submits three queries through a one-slot gate before
+        // draining any: each submit returns its handle at once. The queued
+        // runs start, FIFO, as slots free, and a queued run's deadline
+        // counts from its start, not from its submission.
+        let (catalog, n) = setup(5, 4_000);
+        let config = ExecConfig {
+            workers: 1,
+            batch_size: 16,
+            channel_capacity: 1,
+            max_concurrent: Some(1),
+            admission_queue: 2,
+            ..ExecConfig::default()
+        };
+        let engine = Engine::new(catalog.clone(), config).unwrap();
+        let tree = build(Shape::RightLinear, 5).unwrap();
+        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
+        let plan = plan_for(&tree, Strategy::FP, n, 4);
+        // The first holds the slot: it blocks on client backpressure.
+        let mut first = engine.submit(&plan, &binding).unwrap();
+        let mut stream = first.stream();
+        assert!(stream.next_batch().is_some());
+        let deadline = QueryOptions::new().with_deadline(Duration::from_millis(200));
+        let queued = [
+            engine
+                .submit_with(&plan, &binding, deadline.clone())
+                .unwrap(),
+            engine.submit(&plan, &binding).unwrap(),
+        ];
+        let err = engine.submit(&plan, &binding).expect_err("queue is full");
+        assert!(
+            matches!(err, RelalgError::Overloaded { queue_depth: 2 }),
+            "got {err}"
+        );
+        assert_eq!(
+            engine.stats().queries_active,
+            1,
+            "queued runs are not active"
+        );
+        // Longer than the queued run's deadline, had it started at submit.
+        std::thread::sleep(Duration::from_millis(300));
+        while stream.next_batch().is_some() {}
+        drop(stream);
+        first.outcome().unwrap();
+        for handle in queued {
+            assert_eq!(handle.collect().unwrap().len(), 4_000);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.queries_completed, 3);
+        assert_eq!(stats.queries_rejected, 1);
+        assert_eq!((engine.pool().queued(), engine.pool().parked()), (0, 0));
     }
 
     #[test]

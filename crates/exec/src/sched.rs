@@ -501,7 +501,7 @@ impl WorkerPool {
     /// due callbacks before it pops its next task, outside the queue lock,
     /// so a callback may wake or submit tasks; it must not block. Dropping
     /// the pool drops pending callbacks without running them.
-    pub(crate) fn run_at(&self, at: Instant, callback: Timer) {
+    pub fn run_at(&self, at: Instant, callback: Box<dyn FnMut() -> Option<Instant> + Send>) {
         let mut queue = lock(&self.shared.queue);
         queue.arm(at, callback);
         // An idle worker may be waiting for a later timer, or for none; a

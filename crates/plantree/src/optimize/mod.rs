@@ -44,7 +44,7 @@ use crate::tree::JoinTree;
 /// The most csg-cmp pairs (for [`optimize_linear`]: left-deep steps) an
 /// exact optimizer costs before it gives up with
 /// [`RelalgError::PairBudgetExceeded`]. Fixed, not configurable: planning
-/// runs inline on a server connection worker, so this is what bounds the
+/// runs inline in a server connection's step, so this is what bounds the
 /// time a client can buy with a wide FROM list.
 ///
 /// Derivation: the densest graph of `n` relations, the clique, has

@@ -1,42 +1,46 @@
-//! Per-connection state machine.
+//! Per-connection state machine, stepped as one task on the engine's
+//! worker pool.
 //!
-//! One [`Conn`] wraps one non-blocking client socket. A connection
-//! worker thread owns many `Conn`s and calls [`Conn::tick`] on each in
-//! a round-robin loop; a tick never blocks — it reads whatever bytes
-//! are available, parses complete request lines, advances the active
-//! query by polling its [`ResultStream`], and flushes whatever the
-//! socket will take. Polling registers the worker's waker on whatever
-//! was not ready (the result edge, the query's conclusion), and
-//! [`Conn::poll_fd`] says what to wait for on the socket, so a worker
-//! whose every connection ticked idle can block until one of them has
-//! something.
+//! One [`Conn`] wraps one non-blocking client socket and is one
+//! cooperative [`Task`]. A step never blocks: it reads until the socket
+//! would block, parses complete request lines, starts the next request —
+//! planning an ad-hoc `query` or a `prepare` right there, in the step —
+//! polls the active query's [`ResultStream`], encodes what it yields, and
+//! writes whatever the socket will take. Whatever it could not finish it
+//! parks on, with the waker it was stepped with: the socket (an edge
+//! reported by the readiness thread the socket was dealt to), the result
+//! stream, the query's conclusion, or a pool timer. The waker is published
+//! before the first read, and the socket enters the readiness set only
+//! after that, so no edge is lost.
 //!
 //! Ad-hoc `query` statements are paced per connection ([`AdhocPace`]): a
-//! statement whose turn has not come stays queued, the tick reports idle
-//! and [`Conn::wake_at`] tells the worker when to look again.
+//! statement whose turn has not come stays queued, and the task arms a
+//! pool timer for its turn and parks.
 //!
 //! Pipelining falls out of the design: requests parsed ahead of the
 //! active query queue up in arrival order and responses are emitted
 //! strictly in that order. Cancellation on disconnect falls out too —
-//! dropping the `Conn` drops the active query's stream and handle,
-//! which cancels the query in the engine.
+//! the task drops the active query's stream and cancels its handle; it
+//! ends once that query has concluded, without waiting for it in a step.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
+use mj_exec::sched::{Step, Task};
 use mj_exec::{BatchPoll, Database, MjError, PreparedStatement, QueryHandle, ResultStream};
 
-use crate::poll::{PollFd, POLLIN, POLLOUT};
+use crate::poll::{Readiness, Registration};
 use crate::protocol::{
     batch_frame_bin_into, batch_frame_into, closed_frame, done_frame, http_metrics_request,
     http_metrics_response, metrics_frame, parse_request, prepared_frame, Request, ResultFormat,
     WireError, MAX_LINE_BYTES,
 };
+use crate::server::{ClientSlot, Shared};
 
 /// The typed rejection for an `execute`/`close` naming a statement id
 /// this connection never prepared (or already closed). Routed through
@@ -52,14 +56,14 @@ fn unknown_statement(id: u64) -> MjError {
 /// query instead of ballooning server memory.
 const WRITE_HIGH_WATER: usize = 256 * 1024;
 
-/// Per-tick read chunk.
+/// Per-read chunk.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Sustained pace of ad-hoc (`query`) statements per connection: one per
 /// interval, i.e. 250/s. Every ad-hoc statement is parsed, bound and
-/// planned inline on the connection worker its connection shares with
-/// others; a client that needs more than this prepares the statement once
-/// and executes it (no planner run, not paced).
+/// planned inline, in a step of its connection's task on the worker pool
+/// the queries share; a client that needs more than this prepares the
+/// statement once and executes it (no planner run, not paced).
 ///
 /// Sized from a measurement: unpaced, two closed-loop connections of the
 /// benchmark's 14x50 ad-hoc query get ~650/s each on the two-vCPU VM and
@@ -76,7 +80,7 @@ const ADHOC_BURST: u32 = 32;
 /// (GCRA). `due` is when the bucket would be full again; a statement may
 /// start while `due` is at most `ADHOC_BURST - 1` intervals ahead, and
 /// starting one pushes `due` an interval further. The schedule advances by
-/// whole intervals, never from "now", so a worker that wakes late for one
+/// whole intervals, never from "now", so a task that wakes late for one
 /// statement starts the next one early and the sustained rate is exact.
 struct AdhocPace {
     due: Instant,
@@ -92,19 +96,6 @@ impl AdhocPace {
     fn started(&mut self, now: Instant) {
         self.due = self.due.max(now) + ADHOC_INTERVAL;
     }
-}
-
-/// What a [`Conn::tick`] did — the worker uses this to decide whether
-/// to sweep again or block until something happens.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Tick {
-    /// Bytes moved or a query advanced; sweep again immediately.
-    Progress,
-    /// Nothing to do right now.
-    Idle,
-    /// The connection is finished (disconnect, fatal socket error, or a
-    /// one-shot HTTP response fully flushed). Drop the `Conn`.
-    Closed,
 }
 
 /// A query in flight on this connection.
@@ -132,6 +123,10 @@ pub(crate) struct Conn {
     /// (including its error) is emitted strictly in request order.
     pending: VecDeque<Result<Request, WireError>>,
     active: Option<ActiveQuery>,
+    /// Queries canceled before they concluded (the client went away, or a
+    /// batch failed to encode): their handles until their outcomes come, so
+    /// that dropping one never waits.
+    abandoned: Vec<QueryHandle>,
     /// Prepared statements this client opened: wire id → the (possibly
     /// cross-connection-shared) cached statement. Ids are per-connection;
     /// the plans behind them live in the database's shared plan cache.
@@ -143,19 +138,36 @@ pub(crate) struct Conn {
     json_scratch: String,
     /// Reusable binary batch-frame scratch.
     bin_scratch: Vec<u8>,
-    /// Peer closed its read side or an HTTP one-shot finished: flush
-    /// `write_buf` and close.
+    /// An HTTP one-shot was answered: flush `write_buf` and close.
     closing: bool,
+    /// The socket is shut: only the queries canceled on the way out are
+    /// left to conclude.
+    closed: bool,
     /// Set once any line has been parsed; an HTTP `GET /metrics` is only
     /// honoured as the first line of a connection.
     saw_line: bool,
     adhoc: AdhocPace,
-    /// The owning worker's waker, registered with the active query.
-    waker: Waker,
+    /// The turn a pool timer is armed to wake this task for.
+    timer_at: Option<Instant>,
+    /// The readiness set this socket was dealt to.
+    readiness: Arc<Readiness>,
+    /// The socket's place in that set, from the first step until the
+    /// socket closes.
+    registration: Option<Registration>,
+    db: Arc<Database>,
+    server: Arc<Shared>,
+    /// Dropped last, once everything above is gone.
+    _slot: ClientSlot,
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, waker: Waker) -> std::io::Result<Self> {
+    pub(crate) fn new(
+        stream: TcpStream,
+        db: &Arc<Database>,
+        readiness: &Arc<Readiness>,
+        server: &Arc<Shared>,
+        slot: ClientSlot,
+    ) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true).ok();
         Ok(Conn {
@@ -166,36 +178,29 @@ impl Conn {
             discarding: false,
             pending: VecDeque::new(),
             active: None,
+            abandoned: Vec::new(),
             stmts: HashMap::new(),
             next_stmt_id: 1,
             json_scratch: String::new(),
             bin_scratch: Vec::new(),
             closing: false,
+            closed: false,
             saw_line: false,
             adhoc: AdhocPace {
                 due: Instant::now(),
             },
-            waker,
+            timer_at: None,
+            readiness: readiness.clone(),
+            registration: None,
+            db: db.clone(),
+            server: server.clone(),
+            _slot: slot,
         })
     }
 
-    /// What the worker waits for on this socket after an idle tick: bytes
-    /// from the client unless the connection is closing, and room to write
-    /// while a response is buffered.
-    pub(crate) fn poll_fd(&self) -> PollFd {
-        let mut events = 0;
-        if !self.closing {
-            events |= POLLIN;
-        }
-        if self.write_buffered() > 0 {
-            events |= POLLOUT;
-        }
-        PollFd::new(self.stream.as_raw_fd(), events)
-    }
-
     /// When the ad-hoc statement at the head of the queue may start, if
-    /// one is waiting for its turn; the worker blocks no longer than this.
-    pub(crate) fn wake_at(&self) -> Option<Instant> {
+    /// one is waiting for its turn.
+    fn wake_at(&self) -> Option<Instant> {
         match (&self.active, self.pending.front()) {
             (None, Some(Ok(Request::Query { .. }))) => Some(self.adhoc.start_at()),
             _ => None,
@@ -213,61 +218,105 @@ impl Conn {
 
     /// True when the connection has nothing in flight and nothing
     /// buffered — the state in which a draining server may close it.
-    pub(crate) fn is_quiescent(&self) -> bool {
+    fn is_quiescent(&self) -> bool {
         self.active.is_none()
             && self.pending.is_empty()
             && self.write_buffered() == 0
             && self.read_buf.is_empty()
     }
 
-    /// One non-blocking sweep: read, parse, advance, flush.
-    ///
-    /// `draining` is the server's graceful-shutdown flag: in-flight and
-    /// already-pipelined work completes, but *newly arriving* query and
-    /// metrics requests are rejected with `overloaded`.
-    pub(crate) fn tick(&mut self, db: &Arc<Database>, draining: bool) -> Tick {
-        let mut progress = false;
-
-        match self.fill_read_buf() {
-            Ok(moved) => progress |= moved,
-            Err(()) => {
-                // Peer gone. Dropping `self.active` cancels the query via
-                // the stream/handle drops; nothing further to deliver.
-                return Tick::Closed;
+    /// Publishes `waker` for the socket — on the first step, before the
+    /// first read, and only then adds the socket to its readiness set — and
+    /// runs one [`tick`](Self::tick).
+    fn serve(&mut self, waker: &Waker) -> Option<Step> {
+        match &self.registration {
+            Some(registration) => registration.update(waker),
+            None => {
+                let fd = self.stream.as_raw_fd();
+                self.registration = Some(self.readiness.register(fd, waker).ok()?);
             }
         }
+        self.tick(waker)
+    }
 
-        progress |= self.parse_lines(db, draining);
-        progress |= self.advance_active(db);
-        // Bytes written count: `advance_active` may have stopped at the
-        // high-water mark without polling (or registering on) the stream.
-        match self.flush() {
-            Ok(wrote) => progress |= wrote,
-            Err(()) => return Tick::Closed,
-        }
+    /// One non-blocking pass: read, parse, advance, flush. Says whether the
+    /// connection is finished, and otherwise whether to step again at once
+    /// (the result stream was left unpolled at the write high-water mark
+    /// and the socket has since taken enough) or to park until a wake.
+    ///
+    /// In-flight and already-pipelined work completes while the server
+    /// drains, but *newly arriving* query and metrics requests are
+    /// rejected with `overloaded`.
+    fn tick(&mut self, waker: &Waker) -> Option<Step> {
+        // Peer gone: nothing further to deliver.
+        self.fill_read_buf().ok()?;
+        let draining = self.server.draining();
+        self.parse_lines(draining);
+        let backed_up = self.advance_active(waker);
+        self.flush().ok()?;
         if self.closing && self.write_buffered() == 0 {
-            return Tick::Closed;
+            return None;
         }
-        if progress {
-            Tick::Progress
-        } else {
-            Tick::Idle
+        if draining && self.is_quiescent() {
+            return None;
+        }
+        if backed_up && self.write_buffered() < WRITE_HIGH_WATER {
+            return Some(Step::Progress);
+        }
+        self.arm_pace_timer(waker);
+        Some(Step::Blocked)
+    }
+
+    /// Arms a pool timer for the turn of the ad-hoc statement waiting at
+    /// the head of the queue, unless one is armed for it already.
+    fn arm_pace_timer(&mut self, waker: &Waker) {
+        let Some(at) = self.wake_at() else {
+            return;
+        };
+        if self.timer_at == Some(at) {
+            return;
+        }
+        self.timer_at = Some(at);
+        let waker = waker.clone();
+        let wake = move || {
+            waker.wake_by_ref();
+            None
+        };
+        self.db.engine().pool().run_at(at, Box::new(wake));
+    }
+
+    /// Closes the socket and cancels the active query; the task ends once
+    /// every query it canceled has concluded.
+    fn close(&mut self) {
+        self.closed = true;
+        self.registration = None;
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.pending.clear();
+        if let Some(active) = self.active.take() {
+            self.abandon(active);
         }
     }
 
-    /// Reads available bytes. `Err(())` means the connection is dead
-    /// (EOF or a fatal socket error).
-    fn fill_read_buf(&mut self) -> Result<bool, ()> {
+    /// Cancels `active` without waiting for it: dropping its live stream
+    /// cancels the query, and its handle waits in `abandoned` for the
+    /// outcome.
+    fn abandon(&mut self, active: ActiveQuery) {
+        drop(active.stream);
+        active.handle.cancel();
+        self.abandoned.push(active.handle);
+    }
+
+    /// Reads until the socket would block. `Err(())` means the connection
+    /// is dead (EOF or a fatal socket error).
+    fn fill_read_buf(&mut self) -> Result<(), ()> {
         if self.closing {
-            return Ok(false);
+            return Ok(());
         }
-        let mut moved = false;
         let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(()),
                 Ok(n) => {
-                    moved = true;
                     if self.discarding {
                         // Keep only what follows the newline that ends
                         // the oversized line, if it has arrived.
@@ -300,28 +349,26 @@ impl Conn {
                 self.discarding = true;
             }
         }
-        Ok(moved)
+        Ok(())
     }
 
     /// Splits complete lines off `read_buf` and parses each.
-    fn parse_lines(&mut self, db: &Arc<Database>, draining: bool) -> bool {
-        let mut progress = false;
+    fn parse_lines(&mut self, draining: bool) {
         while let Some(pos) = self.read_buf.iter().position(|&b| b == b'\n') {
             let mut line: Vec<u8> = self.read_buf.drain(..=pos).collect();
             line.pop(); // the newline
             if line.last() == Some(&b'\r') {
                 line.pop();
             }
-            progress = true;
 
             if !self.saw_line {
                 self.saw_line = true;
                 if let Some(format) = http_metrics_request(&line) {
-                    let response = http_metrics_response(&db.stats(), format);
+                    let response = http_metrics_response(&self.db.stats(), format);
                     self.write_buf.extend_from_slice(response.as_bytes());
                     self.closing = true;
                     self.read_buf.clear();
-                    return true;
+                    return;
                 }
             }
             if self.closing {
@@ -346,37 +393,35 @@ impl Conn {
                 Err(err) => self.pending.push_back(Err(err)),
             }
         }
-        progress
     }
 
-    /// Starts queued requests and polls the active query's stream.
-    fn advance_active(&mut self, db: &Arc<Database>) -> bool {
-        let mut progress = false;
+    /// Starts queued requests and polls the active query's stream. Returns
+    /// true when it left the stream unpolled because the write buffer had
+    /// reached its high-water mark (nothing then wakes this task for the
+    /// stream).
+    fn advance_active(&mut self, waker: &Waker) -> bool {
         loop {
             // Start the next pipelined request when nothing is active.
             if self.active.is_none() {
                 if let Some(start) = self.wake_at() {
                     let now = Instant::now();
                     if now < start {
-                        break;
+                        return false;
                     }
                     self.adhoc.started(now);
                 }
-                match self.pending.pop_front() {
-                    None => break,
+                let started = match self.pending.pop_front() {
+                    None => return false,
                     Some(Err(err)) => {
                         self.push_line(err.to_frame());
-                        progress = true;
                         continue;
                     }
                     Some(Ok(Request::Metrics(format))) => {
-                        self.push_line(metrics_frame(&db.stats(), format));
-                        progress = true;
+                        self.push_line(metrics_frame(&self.db.stats(), format));
                         continue;
                     }
                     Some(Ok(Request::Prepare { query })) => {
-                        progress = true;
-                        match db.prepare(&query) {
+                        match self.db.prepare(&query) {
                             Ok(stmt) => {
                                 let id = self.next_stmt_id;
                                 self.next_stmt_id += 1;
@@ -389,7 +434,6 @@ impl Conn {
                         continue;
                     }
                     Some(Ok(Request::Close { id })) => {
-                        progress = true;
                         match self.stmts.remove(&id) {
                             Some(_) => self.push_line(closed_frame(id)),
                             None => self
@@ -403,48 +447,36 @@ impl Conn {
                         options,
                         format,
                     })) => {
-                        progress = true;
-                        let Some(stmt) = self.stmts.get(&id).cloned() else {
+                        let Some(stmt) = self.stmts.get(&id) else {
                             self.push_line(WireError::from_mj(&unknown_statement(id)).to_frame());
                             continue;
                         };
-                        match db.execute_prepared_with(&stmt, &args, options) {
-                            Ok(mut handle) => {
-                                let stream = Some(handle.stream());
-                                self.active = Some(ActiveQuery {
-                                    handle,
-                                    stream,
-                                    rows: 0,
-                                    format,
-                                });
-                            }
-                            Err(e) => {
-                                self.push_line(WireError::from_mj(&e).to_frame());
-                                continue;
-                            }
-                        }
+                        self.db
+                            .execute_prepared_with(stmt, &args, options)
+                            .map(|handle| (handle, format))
                     }
                     Some(Ok(Request::Query {
                         query,
                         options,
                         format,
-                    })) => {
-                        progress = true;
-                        match db.query_with(&query, options) {
-                            Ok(mut handle) => {
-                                let stream = Some(handle.stream());
-                                self.active = Some(ActiveQuery {
-                                    handle,
-                                    stream,
-                                    rows: 0,
-                                    format,
-                                });
-                            }
-                            Err(e) => {
-                                self.push_line(WireError::from_mj(&e).to_frame());
-                                continue;
-                            }
-                        }
+                    })) => self
+                        .db
+                        .query_with(&query, options)
+                        .map(|handle| (handle, format)),
+                };
+                match started {
+                    Ok((mut handle, format)) => {
+                        let stream = Some(handle.stream());
+                        self.active = Some(ActiveQuery {
+                            handle,
+                            stream,
+                            rows: 0,
+                            format,
+                        });
+                    }
+                    Err(e) => {
+                        self.push_line(WireError::from_mj(&e).to_frame());
+                        continue;
                     }
                 }
             }
@@ -459,9 +491,8 @@ impl Conn {
                     finished = true;
                     break;
                 };
-                match stream.poll_next_batch(&self.waker) {
+                match stream.poll_next_batch(waker) {
                     BatchPoll::Batch(batch) => {
-                        progress = true;
                         // Serialize straight from the columnar buffers
                         // into the per-connection scratch — no row pivot,
                         // no per-frame allocation at steady state. Binary
@@ -501,23 +532,22 @@ impl Conn {
                 }
             }
             if encode_failed {
-                // Dropping the stream + handle cancels the query.
-                self.active = None;
+                let active = self.active.take().expect("active query set above");
+                self.abandon(active);
                 continue;
             }
             if !finished {
-                break;
+                return self.write_buffered() >= WRITE_HIGH_WATER;
             }
 
             // Terminal frame, in request order, as soon as the query has
             // concluded — the pool thread that ended the stream does that
-            // next, and wakes this worker; until then this tick has nothing
+            // next, and wakes this task; until then this step has nothing
             // more to do here, and does not wait either.
             active.stream = None; // fully drained: dropping does not cancel
-            let Some(outcome) = active.handle.poll_outcome(&self.waker) else {
-                break;
+            let Some(outcome) = active.handle.poll_outcome(waker) else {
+                return false;
             };
-            progress = true;
             let rows = active.rows;
             self.active = None;
             match outcome {
@@ -529,13 +559,10 @@ impl Conn {
                 Err(e) => self.push_line(WireError::from_mj(&MjError::from(e)).to_frame()),
             }
         }
-        progress
     }
 
-    /// Writes as much of `write_buf` as the socket will take; `Ok(true)`
-    /// if it wrote anything.
-    fn flush(&mut self) -> Result<bool, ()> {
-        let before = self.write_pos;
+    /// Writes as much of `write_buf` as the socket will take.
+    fn flush(&mut self) -> Result<(), ()> {
         while self.write_pos < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.write_pos..]) {
                 Ok(0) => return Err(()),
@@ -545,7 +572,6 @@ impl Conn {
                 Err(_) => return Err(()),
             }
         }
-        let wrote = self.write_pos > before;
         if self.write_pos == self.write_buf.len() {
             self.write_buf.clear();
             self.write_pos = 0;
@@ -555,7 +581,25 @@ impl Conn {
             self.write_buf.drain(..self.write_pos);
             self.write_pos = 0;
         }
-        Ok(wrote)
+        Ok(())
+    }
+}
+
+impl Task for Conn {
+    fn step(&mut self, waker: &Waker) -> Step {
+        if !self.closed {
+            if let Some(step) = self.serve(waker) {
+                return step;
+            }
+            self.close();
+        }
+        self.abandoned
+            .retain_mut(|handle| handle.poll_outcome(waker).is_none());
+        if self.abandoned.is_empty() {
+            Step::Done
+        } else {
+            Step::Blocked
+        }
     }
 }
 

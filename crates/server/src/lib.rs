@@ -18,14 +18,17 @@
 //!   request parsing with strict unknown-field rejection, and the total
 //!   [`MjError`] → [`protocol::WireError`] code mapping (`Overloaded`
 //!   carries its admission queue depth onto the wire).
-//! - `conn` and `poll` (private) + [`server`] — a non-blocking acceptor
-//!   and a small fixed pool of connection workers, each multiplexing many
-//!   client sockets over [`mj_exec::ResultStream::poll_next_batch`] and
-//!   blocking in `ppoll(2)` until a socket, a result stream or a query's
-//!   conclusion wakes it. No async runtime anywhere; disconnecting a
-//!   client cancels its query by dropping the stream and handle. Each
-//!   connection owns a prepared statement id table and reusable
-//!   batch-serialization scratch buffers.
+//! - `conn` and `poll` (private) + [`server`] — each connection is one
+//!   cooperative task on the engine's worker pool: its steps read, parse,
+//!   start queries, poll them with
+//!   [`mj_exec::ResultStream::poll_next_batch`], encode and write, and it
+//!   parks on its socket, result stream, query conclusion or a pool timer.
+//!   A non-blocking acceptor deals sockets to a few readiness threads,
+//!   each waiting in `epoll_wait(2)` for edges on its sockets and waking
+//!   their tasks; they move no bytes. No async runtime anywhere;
+//!   disconnecting a client cancels its query. Each connection owns a
+//!   prepared statement id table and reusable batch-serialization scratch
+//!   buffers.
 //! - [`client`] — a deliberately simple blocking client used by the
 //!   integration tests, the oracle differential harness, and the
 //!   `benchmark/` driver — including a typed columnar decode of binary

@@ -1,27 +1,28 @@
-//! Blocking readiness waits for the acceptor and the connection workers:
-//! `ppoll(2)` (Linux) over a set of sockets plus one [`WakeFd`], which
-//! anything holding its [`Waker`](std::task::Waker) — a query's result edge, a query's
-//! conclusion, the acceptor, shutdown — can signal.
+//! Socket readiness for the server, and nothing more.
 //!
-//! Std already links libc, so the one foreign function is declared here
+//! The acceptor blocks in `ppoll(2)` ([`wait`]) on the listener and a
+//! [`Signal`] that shutdown raises. Each readiness thread owns one
+//! edge-triggered `epoll(7)` set ([`Readiness`]) of the sockets dealt to
+//! it: it waits for edges and wakes the connection task that owns the
+//! socket. It never reads a byte and never calls the engine; the task,
+//! stepped on the engine's worker pool, does both.
+//!
+//! Std already links libc, so the few foreign functions are declared here
 //! rather than pulled in from a crate. `ppoll` rather than `poll` because
-//! its timeout is a `timespec`: a paced statement's turn
-//! ([`Conn::wake_at`](crate::conn::Conn::wake_at)) is kept at nanosecond
-//! resolution, not rounded to milliseconds.
+//! its timeout is a `timespec`, not rounded to milliseconds.
 
-use std::io::{Read, Write};
-use std::os::fd::{AsRawFd, RawFd};
+use std::collections::HashMap;
+use std::io::Write;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::task::Wake;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::task::Waker;
 use std::time::Duration;
 
 /// Readable (or, on a listener, a connection to accept).
 pub(crate) const POLLIN: c_short = 0x1;
-/// Writable.
-pub(crate) const POLLOUT: c_short = 0x4;
 
 /// `struct pollfd`.
 #[repr(C)]
@@ -40,11 +41,6 @@ impl PollFd {
             revents: 0,
         }
     }
-
-    /// Whether the last [`wait`] reported anything on this descriptor.
-    pub(crate) fn ready(&self) -> bool {
-        self.revents != 0
-    }
 }
 
 /// `struct timespec` (`time_t` is a `long` on Linux).
@@ -54,6 +50,23 @@ struct Timespec {
     tv_nsec: c_long,
 }
 
+/// `struct epoll_event`, which the kernel packs on x86-64 only.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
+
+const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLLIN: u32 = 0x1;
+const EPOLLOUT: u32 = 0x4;
+const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLET: u32 = 1 << 31;
+
 extern "C" {
     fn ppoll(
         fds: *mut PollFd,
@@ -61,11 +74,13 @@ extern "C" {
         timeout: *const Timespec,
         sigmask: *const c_void,
     ) -> c_int;
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
 }
 
 /// Blocks until a descriptor of `fds` is ready or `timeout` (none: no
-/// limit) has passed, and records what happened in each entry. A signal
-/// ends the wait early, like a timeout.
+/// limit) has passed. A signal ends the wait early, like a timeout.
 pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<()> {
     let timeout = timeout.map(|t| Timespec {
         tv_sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
@@ -76,8 +91,6 @@ pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Re
         .as_ref()
         .map_or(std::ptr::null(), |t| t as *const Timespec);
     let nfds = c_ulong::try_from(fds.len()).expect("a poll set fits the platform's nfds_t");
-    // An interrupted call writes nothing back: start from "nothing seen".
-    fds.iter_mut().for_each(|fd| fd.revents = 0);
     // SAFETY: `fds` is an exclusively borrowed slice of `nfds` `#[repr(C)]`
     // pollfd records that ppoll may write `revents` into; `timeout_ptr` is
     // null or points at `timeout`, alive until the call returns; a null
@@ -92,109 +105,247 @@ pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Re
     Ok(())
 }
 
-/// A descriptor a [`Waker`](std::task::Waker) makes readable: a non-blocking socket pair whose
-/// read end sits in the owner's poll set. Wakes coalesce — only the first
-/// one after the owner [`rearm`](WakeFd::rearm)ed writes a byte.
-pub(crate) struct WakeFd {
+/// A one-shot flag a descriptor carries: once [`raise`](Signal::raise)d,
+/// its read end stays readable for good, so every poll or `epoll` set that
+/// holds it sees it, now and later.
+pub(crate) struct Signal {
     rx: UnixStream,
     tx: UnixStream,
-    signalled: AtomicBool,
 }
 
-impl WakeFd {
-    pub(crate) fn new() -> std::io::Result<Arc<WakeFd>> {
+impl Signal {
+    pub(crate) fn new() -> std::io::Result<Signal> {
         let (rx, tx) = UnixStream::pair()?;
-        rx.set_nonblocking(true)?;
         tx.set_nonblocking(true)?;
-        Ok(Arc::new(WakeFd {
-            rx,
-            tx,
-            signalled: AtomicBool::new(false),
-        }))
+        Ok(Signal { rx, tx })
     }
 
-    /// The descriptor to poll for `POLLIN`.
+    /// The descriptor to wait on for readability.
     pub(crate) fn fd(&self) -> RawFd {
         self.rx.as_raw_fd()
     }
 
-    /// Lets the next wake write again. The owner re-arms *before* it looks
-    /// at the state the wakes are about: a wake after that look then finds
-    /// the flag clear and makes the descriptor readable.
-    pub(crate) fn rearm(&self) {
-        self.signalled.store(false, Ordering::SeqCst);
-    }
-
-    /// Reads away the bytes of past wakes (after a poll reported the
-    /// descriptor readable).
-    pub(crate) fn drain(&self) {
-        let mut buf = [0u8; 64];
-        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+    pub(crate) fn raise(&self) {
+        let _ = (&self.tx).write(&[1]);
     }
 }
 
-impl Wake for WakeFd {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
+/// The token of the stop signal in every readiness set.
+const STOP: u64 = u64::MAX;
+
+/// One readiness thread's edge-triggered `epoll` set, and per socket in
+/// it the waker of the connection task that owns the socket.
+pub(crate) struct Readiness {
+    epoll: OwnedFd,
+    wakers: Mutex<HashMap<u64, Waker>>,
+    next_token: AtomicU64,
+}
+
+impl Readiness {
+    /// An empty set that also holds `stop` (level-triggered): once that is
+    /// raised, [`run`](Readiness::run) returns.
+    pub(crate) fn new(stop: &Signal) -> std::io::Result<Arc<Readiness>> {
+        // SAFETY: no pointer arguments.
+        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if fd < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a fresh descriptor that nothing else owns.
+        let epoll = unsafe { OwnedFd::from_raw_fd(fd) };
+        let readiness = Readiness {
+            epoll,
+            wakers: Mutex::new(HashMap::new()),
+            next_token: AtomicU64::new(0),
+        };
+        readiness.ctl(EPOLL_CTL_ADD, stop.fd(), EPOLLIN, STOP)?;
+        Ok(Arc::new(readiness))
     }
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        if !self.signalled.swap(true, Ordering::SeqCst) {
-            // A full socket buffer already holds unread wakes.
-            let _ = (&self.tx).write(&[1]);
+    fn ctl(&self, op: c_int, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {
+        let mut event = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `event` is a live `epoll_event` for the duration of the
+        // call (the kernel ignores it for `EPOLL_CTL_DEL`).
+        let rc = unsafe { epoll_ctl(self.epoll.as_raw_fd(), op, fd, &mut event) };
+        if rc < 0 {
+            return Err(std::io::Error::last_os_error());
         }
+        Ok(())
+    }
+
+    fn wakers(&self) -> MutexGuard<'_, HashMap<u64, Waker>> {
+        self.wakers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publishes `waker` for socket `fd`, then adds the socket to the set,
+    /// edge-triggered for reading and writing: from then on every edge on
+    /// it wakes `waker`. Adding a socket that already has bytes to read
+    /// reports an edge at once.
+    pub(crate) fn register(
+        self: &Arc<Self>,
+        fd: RawFd,
+        waker: &Waker,
+    ) -> std::io::Result<Registration> {
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        self.wakers().insert(token, waker.clone());
+        let registration = Registration {
+            readiness: self.clone(),
+            fd,
+            token,
+        };
+        self.ctl(
+            EPOLL_CTL_ADD,
+            fd,
+            EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET,
+            token,
+        )?;
+        Ok(registration)
+    }
+
+    /// Wakes the owner of every socket in the set (shutdown: each one
+    /// looks at the drain flag again).
+    pub(crate) fn wake_all(&self) {
+        self.wakers().values().for_each(Waker::wake_by_ref);
+    }
+
+    /// The readiness thread: waits for edges and wakes the owners of the
+    /// sockets they are on, until the stop signal is raised.
+    pub(crate) fn run(&self) {
+        let mut events = [EpollEvent { events: 0, data: 0 }; 64];
+        loop {
+            // SAFETY: `events` is an exclusively borrowed array of 64
+            // `epoll_event`s the kernel may write into.
+            let n = unsafe { epoll_wait(self.epoll.as_raw_fd(), events.as_mut_ptr(), 64, -1) };
+            if n < 0 {
+                if std::io::Error::last_os_error().kind() == std::io::ErrorKind::Interrupted {
+                    continue;
+                }
+                return;
+            }
+            let wakers = self.wakers();
+            for event in &events[..n as usize] {
+                let token = event.data;
+                if token == STOP {
+                    return;
+                }
+                // A socket whose task deregistered after the edge: nothing
+                // to wake.
+                if let Some(waker) = wakers.get(&token) {
+                    waker.wake_by_ref();
+                }
+            }
+        }
+    }
+}
+
+/// A socket's place in a [`Readiness`] set; dropping it takes the socket
+/// out (before the socket itself closes) and forgets its waker.
+pub(crate) struct Registration {
+    readiness: Arc<Readiness>,
+    fd: RawFd,
+    token: u64,
+}
+
+impl Registration {
+    /// Replaces the published waker, if the task is now stepped with
+    /// another one.
+    pub(crate) fn update(&self, waker: &Waker) {
+        let mut wakers = self.readiness.wakers();
+        if let Some(published) = wakers.get_mut(&self.token) {
+            if !published.will_wake(waker) {
+                *published = waker.clone();
+            }
+        }
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let _ = self.readiness.ctl(EPOLL_CTL_DEL, self.fd, 0, self.token);
+        self.readiness.wakers().remove(&self.token);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::task::Waker;
+    use std::io::Read;
+    use std::sync::atomic::AtomicUsize;
+    use std::task::Wake;
     use std::time::Instant;
 
     #[test]
-    fn a_wake_ends_the_wait_and_repeated_wakes_coalesce() {
-        let wake = WakeFd::new().unwrap();
-        let waker = Waker::from(wake.clone());
-        let mut fds = [PollFd::new(wake.fd(), POLLIN)];
-        wait(&mut fds, Some(Duration::ZERO)).unwrap();
-        assert!(!fds[0].ready(), "nothing signalled yet");
-
-        let remote = waker.clone();
-        let signaller = std::thread::spawn(move || {
-            remote.wake_by_ref();
-            remote.wake_by_ref();
-        });
-        wait(&mut fds, None).unwrap();
-        signaller.join().unwrap();
-        assert!(fds[0].ready());
-        let mut buf = [0u8; 8];
-        assert_eq!(
-            (&wake.rx).read(&mut buf).unwrap(),
-            1,
-            "one byte for two wakes"
-        );
-
-        // Until re-armed, wakes write nothing more.
-        waker.wake_by_ref();
-        wait(&mut fds, Some(Duration::ZERO)).unwrap();
-        assert!(!fds[0].ready());
-        wake.rearm();
-        waker.wake_by_ref();
-        wait(&mut fds, Some(Duration::ZERO)).unwrap();
-        assert!(fds[0].ready());
-        wake.drain();
-        wait(&mut fds, Some(Duration::ZERO)).unwrap();
-        assert!(!fds[0].ready(), "drained");
+    fn a_raised_signal_ends_every_wait_for_good() {
+        let signal = Signal::new().unwrap();
+        let mut fds = [PollFd::new(signal.fd(), POLLIN)];
+        signal.raise();
+        for _ in 0..2 {
+            wait(&mut fds, None).unwrap();
+            assert_ne!(fds[0].revents, 0);
+        }
     }
 
     #[test]
     fn the_timeout_ends_an_idle_wait() {
-        let wake = WakeFd::new().unwrap();
-        let mut fds = [PollFd::new(wake.fd(), POLLIN)];
+        let signal = Signal::new().unwrap();
+        let mut fds = [PollFd::new(signal.fd(), POLLIN)];
         let t0 = Instant::now();
         wait(&mut fds, Some(Duration::from_millis(20))).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(20));
-        assert!(!fds[0].ready());
+        assert_eq!(fds[0].revents, 0);
+    }
+
+    /// Counts its wakes.
+    struct Count(AtomicUsize);
+    impl Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn wait_for(count: &Count, at_least: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while count.0.load(Ordering::SeqCst) < at_least {
+            assert!(Instant::now() < deadline, "no wake");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn an_edge_wakes_the_sockets_owner_until_it_deregisters() {
+        let stop = Signal::new().unwrap();
+        let readiness = Readiness::new(&stop).unwrap();
+        let thread = {
+            let readiness = readiness.clone();
+            std::thread::spawn(move || readiness.run())
+        };
+        let (mut peer, socket) = UnixStream::pair().unwrap();
+        socket.set_nonblocking(true).unwrap();
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        let registration = readiness
+            .register(socket.as_raw_fd(), &Waker::from(count.clone()))
+            .unwrap();
+        // Writable at once: the edge of being added.
+        wait_for(&count, 1);
+        let before = count.0.load(Ordering::SeqCst);
+        peer.write_all(b"x").unwrap();
+        wait_for(&count, before + 1);
+
+        drop(registration);
+        let after = count.0.load(Ordering::SeqCst);
+        peer.write_all(b"y").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(count.0.load(Ordering::SeqCst), after, "deregistered");
+
+        stop.raise();
+        thread.join().unwrap();
+        // Read side untouched by the readiness thread: both bytes wait.
+        let mut buf = [0u8; 4];
+        assert_eq!((&socket).read(&mut buf).unwrap(), 2);
     }
 }

@@ -1,43 +1,45 @@
-//! The server proper: acceptor thread + fixed connection-worker pool.
+//! The server proper: an acceptor thread, a few readiness threads, and
+//! one task per connection on the engine's worker pool.
 //!
 //! No async runtime. One acceptor thread owns the non-blocking
-//! [`TcpListener`] and deals accepted sockets round-robin to a small
-//! fixed pool of connection workers; each worker owns its connections
-//! outright and sweeps them with non-blocking `Conn::tick`s. Query
-//! execution itself happens in the engine (set-up on the submitting
-//! connection worker, everything else on the shared worker pool), so a
-//! connection worker never blocks inside a query — it only shuttles bytes
-//! and polls result streams and outcomes.
+//! [`TcpListener`]: it turns each accepted socket into a connection task
+//! (`Conn`), deals it round-robin to a readiness thread's `epoll` set and
+//! submits the task to the database's [`WorkerPool`](mj_exec::sched::WorkerPool).
+//! From then on the connection's whole life — read, parse, plan or look up
+//! the prepared statement, start the query, poll its result stream, encode
+//! and write — runs in that task's steps on a pool worker, beside the
+//! queries' own operation processes. A query a connection starts from a
+//! worker goes onto that worker's own queue, and the batch it emits wakes
+//! the connection onto the same queue, so a short query's request and
+//! reply run on one worker with no hand-off between threads.
 //!
-//! Nothing here naps on a timer. A worker whose sweep moved nothing blocks
-//! in `ppoll(2)` over its sockets (readable; writable only while it has
-//! bytes buffered for one) and its own wake descriptor. The engine signals
-//! that descriptor through the worker's [`Waker`] when a batch or `End`
-//! reaches one of its result streams or one of its queries concludes; the
-//! acceptor signals it when it deals a connection, and shutdown when it
-//! starts. The only timeout is the earliest turn of a paced ad-hoc
-//! statement (`Conn::wake_at`). The acceptor blocks the same way on the
-//! listener and a wake descriptor of its own.
+//! A readiness thread owns only socket readiness: it waits in
+//! `epoll_wait(2)` for edges on the sockets dealt to it and wakes the task
+//! that owns each one. It never reads a byte and never calls the engine.
+//! A connection task that cannot go on parks on what it waits for: a socket
+//! edge, its query's result stream or conclusion, or a pool timer for the
+//! turn of a paced ad-hoc statement (`Conn` in `conn.rs`). Nothing here
+//! naps on a timer. The acceptor blocks in `ppoll(2)` on the listener and a
+//! stop signal.
 //!
 //! Graceful shutdown ([`Server::shutdown`]): stop accepting, let
 //! in-flight (and already-pipelined) requests drain, answer any request
 //! that arrives during the drain with a typed `overloaded` error, close
-//! each connection as it goes quiescent, then join every thread.
+//! each connection as it goes quiescent, wait for every connection task to
+//! end, then join every thread.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::Arc;
-use std::task::{Wake, Waker};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mj_exec::Database;
 
-use crate::conn::{Conn, Tick};
-use crate::poll::{PollFd, WakeFd, POLLIN};
+use crate::conn::Conn;
+use crate::poll::{PollFd, Readiness, Signal, POLLIN};
 use crate::protocol::WireError;
 
 /// How long the acceptor waits before retrying after `accept` failed for a
@@ -51,7 +53,9 @@ pub struct ServerConfig {
     /// Listen address, e.g. `"127.0.0.1:7878"`. Port `0` picks a free
     /// port; read it back from [`Server::local_addr`].
     pub addr: String,
-    /// Connection-worker threads (byte shuttling, not query execution).
+    /// Readiness threads: each waits on the sockets dealt to it and wakes
+    /// their connection tasks, which run on the database's worker pool. A
+    /// readiness thread moves no bytes, so one serves many sockets.
     pub conn_workers: usize,
     /// Connections above this are turned away at accept time with a
     /// typed `overloaded` error frame (carrying the current client
@@ -63,14 +67,14 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            conn_workers: 4,
+            conn_workers: 1,
             max_clients: 1024,
         }
     }
 }
 
 impl ServerConfig {
-    /// Validates the knobs (non-zero workers and client cap).
+    /// Validates the knobs (non-zero readiness threads and client cap).
     pub fn validate(&self) -> Result<(), String> {
         if self.conn_workers == 0 {
             return Err("conn_workers must be positive".into());
@@ -86,28 +90,56 @@ impl ServerConfig {
 /// [`shutdown`](Server::shutdown).
 pub struct Server {
     local_addr: SocketAddr,
-    draining: Arc<AtomicBool>,
-    clients: Arc<AtomicUsize>,
-    acceptor: Option<(JoinHandle<()>, Arc<WakeFd>)>,
-    workers: Vec<(JoinHandle<()>, Arc<WakeFd>)>,
+    shared: Arc<Shared>,
+    /// Raised by shutdown: ends the acceptor.
+    stop_accepting: Arc<Signal>,
+    acceptor: Option<JoinHandle<()>>,
+    /// Raised once every connection task has ended: ends the readiness
+    /// threads.
+    stop_readiness: Signal,
+    readiness: Vec<(JoinHandle<()>, Arc<Readiness>)>,
+    /// Held until shutdown has waited out every connection task, so the
+    /// last reference to the database (and its pool) never drops on one of
+    /// the pool's own workers.
+    db: Option<Arc<Database>>,
 }
 
-/// What the acceptor needs to hand a connection to one worker.
-struct Dealer {
-    conns: Sender<Conn>,
-    waker: Waker,
+/// What the server and its connection tasks share.
+pub(crate) struct Shared {
+    draining: AtomicBool,
+    /// Open connections (tasks not yet dropped).
+    clients: Mutex<usize>,
+    /// Signalled whenever a connection task ends.
+    closed: Condvar,
+}
+
+impl Shared {
+    /// The server's graceful-shutdown flag.
+    pub(crate) fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    fn clients(&self) -> MutexGuard<'_, usize> {
+        self.clients.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One open connection's place in the client count, given back when its
+/// task is dropped.
+pub(crate) struct ClientSlot(Arc<Shared>);
+
+impl Drop for ClientSlot {
+    fn drop(&mut self) {
+        *self.0.clients() -= 1;
+        self.0.closed.notify_all();
+    }
 }
 
 impl Server {
-    /// Binds `config.addr` and starts the acceptor and connection
-    /// workers against the shared `db`. Returns once the listener is
-    /// live — clients may connect immediately.
-    ///
-    /// Deployment note: if the engine is configured with admission
-    /// control (`ExecConfig::max_concurrent`), prefer a small
-    /// `admission_queue` — a connection worker submitting a query waits
-    /// in that queue, and while it waits its other connections are not
-    /// swept.
+    /// Binds `config.addr` and starts the acceptor and readiness threads
+    /// against the shared `db`, whose worker pool runs the connections.
+    /// Returns once the listener is live — clients may connect
+    /// immediately.
     pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<Server> {
         config
             .validate()
@@ -116,51 +148,52 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let draining = Arc::new(AtomicBool::new(false));
-        let clients = Arc::new(AtomicUsize::new(0));
-
-        let wakes = (0..config.conn_workers)
-            .map(|_| WakeFd::new())
+        let shared = Arc::new(Shared {
+            draining: AtomicBool::new(false),
+            clients: Mutex::new(0),
+            closed: Condvar::new(),
+        });
+        let stop_accepting = Arc::new(Signal::new()?);
+        let stop_readiness = Signal::new()?;
+        let sets = (0..config.conn_workers)
+            .map(|_| Readiness::new(&stop_readiness))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let accept_wake = WakeFd::new()?;
-        let mut dealers = Vec::with_capacity(config.conn_workers);
-        let mut workers = Vec::with_capacity(config.conn_workers);
-        for (i, wake) in wakes.into_iter().enumerate() {
-            let (tx, rx) = std::sync::mpsc::channel::<Conn>();
-            dealers.push(Dealer {
-                conns: tx,
-                waker: Waker::from(wake.clone()),
-            });
-            let db = db.clone();
-            let draining = draining.clone();
-            let clients = clients.clone();
-            let own = wake.clone();
-            let thread = std::thread::Builder::new()
-                .name(format!("mj-conn-{i}"))
-                .spawn(move || worker_loop(rx, &own, db, draining, clients))
-                .expect("spawn connection worker");
-            workers.push((thread, wake));
-        }
+        let readiness = sets
+            .iter()
+            .enumerate()
+            .map(|(i, set)| {
+                let own = set.clone();
+                let thread = std::thread::Builder::new()
+                    .name(format!("mj-ready-{i}"))
+                    .spawn(move || own.run())
+                    .expect("spawn readiness thread");
+                (thread, set.clone())
+            })
+            .collect();
 
         let acceptor = {
-            let draining = draining.clone();
-            let clients = clients.clone();
-            let max_clients = config.max_clients;
-            let own = accept_wake.clone();
+            let acceptor = Acceptor {
+                listener,
+                sets,
+                db: db.clone(),
+                shared: shared.clone(),
+                max_clients: config.max_clients,
+            };
+            let stop = stop_accepting.clone();
             std::thread::Builder::new()
                 .name("mj-accept".to_string())
-                .spawn(move || {
-                    acceptor_loop(listener, dealers, &own, draining, clients, max_clients)
-                })
+                .spawn(move || acceptor.run(&stop))
                 .expect("spawn acceptor")
         };
 
         Ok(Server {
             local_addr,
-            draining,
-            clients,
-            acceptor: Some((acceptor, accept_wake)),
-            workers,
+            shared,
+            stop_accepting,
+            acceptor: Some(acceptor),
+            stop_readiness,
+            readiness,
+            db: Some(db),
         })
     }
 
@@ -171,29 +204,46 @@ impl Server {
 
     /// Currently connected clients.
     pub fn active_clients(&self) -> usize {
-        self.clients.load(Ordering::Relaxed)
+        *self.shared.clients()
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight and pipelined
     /// requests (new arrivals get `overloaded`), close connections as
-    /// they go quiescent, join every thread. Blocks until done.
+    /// they go quiescent, wait for every connection task to end, join
+    /// every thread. Blocks until done.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        self.draining.store(true, Ordering::SeqCst);
-        if let Some((acceptor, wake)) = self.acceptor.take() {
-            wake.wake_by_ref();
+        let Some(db) = self.db.take() else {
+            return;
+        };
+        self.shared.draining.store(true, Ordering::SeqCst);
+        self.stop_accepting.raise();
+        if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // The acceptor is gone (its senders with it): each worker, woken,
-        // sees that and the drain flag, and exits once its connections are
-        // quiescent.
-        for (worker, wake) in self.workers.drain(..) {
-            wake.wake_by_ref();
-            let _ = worker.join();
+        // No connection arrives from here on. Each one, woken, sees the
+        // drain flag and ends once quiescent; one not yet stepped sees it
+        // on its first step.
+        for (_, set) in &self.readiness {
+            set.wake_all();
         }
+        let mut clients = self.shared.clients();
+        while *clients > 0 {
+            clients = self
+                .shared
+                .closed
+                .wait(clients)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(clients);
+        self.stop_readiness.raise();
+        for (thread, _) in self.readiness.drain(..) {
+            let _ = thread.join();
+        }
+        drop(db);
     }
 }
 
@@ -203,133 +253,69 @@ impl Drop for Server {
     }
 }
 
-/// Accepts sockets and deals them round-robin to the workers, waking the
-/// one dealt to; with nothing to accept it blocks in `ppoll` on the
-/// listener and its wake descriptor (signalled by shutdown). Owns the
-/// listener: exiting (on drain) closes it, so the OS refuses new
-/// connections from that point on. The `Sender`s drop with this function,
-/// which is what tells the workers no more connections are coming.
-fn acceptor_loop(
+/// What the acceptor thread owns.
+struct Acceptor {
     listener: TcpListener,
-    dealers: Vec<Dealer>,
-    wake: &WakeFd,
-    draining: Arc<AtomicBool>,
-    clients: Arc<AtomicUsize>,
+    sets: Vec<Arc<Readiness>>,
+    db: Arc<Database>,
+    shared: Arc<Shared>,
     max_clients: usize,
-) {
-    let mut fds = [
-        PollFd::new(wake.fd(), POLLIN),
-        PollFd::new(listener.as_raw_fd(), POLLIN),
-    ];
-    let mut next = 0usize;
-    while !draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let connected = clients.load(Ordering::Relaxed);
-                if connected >= max_clients {
-                    reject_inline(stream, connected as u64);
-                    continue;
-                }
-                let dealer = &dealers[next];
-                // Setup (`Conn::new`) fails only if the socket died
-                // between accept and configuration; drop it silently.
-                if let Ok(conn) = Conn::new(stream, dealer.waker.clone()) {
-                    clients.fetch_add(1, Ordering::Relaxed);
-                    // A send can only fail if the worker died, which
-                    // only happens at shutdown.
-                    if dealer.conns.send(conn).is_err() {
-                        clients.fetch_sub(1, Ordering::Relaxed);
+}
+
+impl Acceptor {
+    /// Accepts sockets and deals them round-robin to the readiness sets,
+    /// each as a connection task on the pool; with nothing to accept it
+    /// blocks in `ppoll` on the listener and `stop`. Owns the listener:
+    /// exiting (on drain) closes it, so the OS refuses new connections from
+    /// that point on.
+    fn run(self, stop: &Signal) {
+        let mut fds = [
+            PollFd::new(stop.fd(), POLLIN),
+            PollFd::new(self.listener.as_raw_fd(), POLLIN),
+        ];
+        let pool = self.db.engine().pool();
+        let mut next = 0usize;
+        while !self.shared.draining() {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    let mut clients = self.shared.clients();
+                    let connected = *clients;
+                    if connected >= self.max_clients {
+                        drop(clients);
+                        reject_inline(stream, connected as u64);
+                        continue;
                     }
-                    dealer.waker.wake_by_ref();
-                    next = (next + 1) % dealers.len();
+                    *clients += 1;
+                    drop(clients);
+                    let slot = ClientSlot(self.shared.clone());
+                    // Setup fails only if the socket died between accept
+                    // and configuration; dropping it (and its slot) closes
+                    // it silently.
+                    let set = &self.sets[next];
+                    next = (next + 1) % self.sets.len();
+                    if let Ok(conn) = Conn::new(stream, &self.db, set, &self.shared, slot) {
+                        pool.submit(0, Box::new(conn));
+                    }
                 }
-            }
-            // Shutdown's wake is the only one this descriptor gets, and it
-            // ends the loop: no need to re-arm or drain.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                let _ = crate::poll::wait(&mut fds, None);
-            }
-            Err(_) => {
-                let _ = crate::poll::wait(&mut fds[..1], Some(ACCEPT_RETRY));
+                // Shutdown's signal is the only thing `stop` carries, and
+                // it ends the loop.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    let _ = crate::poll::wait(&mut fds, None);
+                }
+                Err(_) => {
+                    let _ = crate::poll::wait(&mut fds[..1], Some(ACCEPT_RETRY));
+                }
             }
         }
     }
 }
 
 /// Turns away an over-cap connection with a typed `overloaded` frame: a
-/// bounded blocking write of one small line, then close. Never handed
-/// to a worker, never counted as a client.
+/// bounded blocking write of one small line, then close. Never made a
+/// task, never counted as a client.
 fn reject_inline(mut stream: TcpStream, connected: u64) {
     let frame = WireError::overloaded("connection limit reached", connected).to_frame();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = stream.write_all(frame.as_bytes());
     let _ = stream.write_all(b"\n");
-}
-
-/// One connection worker: adopt newly dealt connections, sweep each
-/// with a non-blocking tick, drop the closed ones, and block in `ppoll`
-/// once a sweep moved nothing. Exits when the acceptor is gone (channel
-/// disconnected) and every owned connection has finished — i.e. only at
-/// shutdown, after the drain.
-fn worker_loop(
-    rx: Receiver<Conn>,
-    wake: &WakeFd,
-    db: Arc<Database>,
-    draining: Arc<AtomicBool>,
-    clients: Arc<AtomicUsize>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut acceptor_gone = false;
-    loop {
-        // Re-armed before the sweep looks at anything, so whatever happens
-        // after this point makes the descriptor readable.
-        wake.rearm();
-        loop {
-            match rx.try_recv() {
-                Ok(conn) => conns.push(conn),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    acceptor_gone = true;
-                    break;
-                }
-            }
-        }
-
-        let drain_now = draining.load(Ordering::SeqCst);
-        let mut progress = false;
-        conns.retain_mut(|conn| match conn.tick(&db, drain_now) {
-            Tick::Progress => {
-                progress = true;
-                true
-            }
-            Tick::Idle => {
-                if drain_now && conn.is_quiescent() {
-                    clients.fetch_sub(1, Ordering::Relaxed);
-                    false
-                } else {
-                    true
-                }
-            }
-            Tick::Closed => {
-                clients.fetch_sub(1, Ordering::Relaxed);
-                false
-            }
-        });
-
-        if acceptor_gone && conns.is_empty() && drain_now {
-            break;
-        }
-        if progress {
-            continue;
-        }
-        fds.clear();
-        fds.push(PollFd::new(wake.fd(), POLLIN));
-        fds.extend(conns.iter().map(Conn::poll_fd));
-        let due = conns.iter().filter_map(Conn::wake_at).min();
-        let timeout = due.map(|at| at.saturating_duration_since(Instant::now()));
-        if crate::poll::wait(&mut fds, timeout).is_ok() && fds[0].ready() {
-            wake.drain();
-        }
-    }
 }

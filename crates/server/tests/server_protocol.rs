@@ -5,6 +5,7 @@
 //! metrics expositions, and deadlines that start no thread.
 
 use std::io::{Read, Write};
+use std::mem::ManuallyDrop;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,8 +18,13 @@ use serde::JsonValue;
 
 /// A database over a seeded chain of three 120-tuple relations.
 fn chain_db() -> Arc<Database> {
+    chain_db_with(DbConfig::default())
+}
+
+/// [`chain_db`] on an engine configured by `config`.
+fn chain_db_with(config: DbConfig) -> Arc<Database> {
     let instance = generate_family(QueryFamily::Chain, 3, 120, 7).unwrap();
-    let db = Database::open(DbConfig::default()).unwrap();
+    let db = Database::open(config).unwrap();
     let mut names = instance.catalog.names();
     names.sort();
     for name in &names {
@@ -38,8 +44,13 @@ fn chain_server() -> Server {
 /// `H0` and `H1` each hold `HOT_ROWS` rows on a single join key, so
 /// [`HOT_QUERY`] counts `HOT_ROWS`² = 4 M joined rows.
 fn hot_key_server() -> (Arc<Database>, Server) {
+    hot_key_server_with(DbConfig::default())
+}
+
+/// [`hot_key_server`] on an engine configured by `config`.
+fn hot_key_server_with(config: DbConfig) -> (Arc<Database>, Server) {
     let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
-    let db = Arc::new(Database::open(DbConfig::default()).unwrap());
+    let db = Arc::new(Database::open(config).unwrap());
     for name in ["H0", "H1"] {
         let rows = (0..HOT_ROWS).map(|v| Tuple::from_ints(&[0, v])).collect();
         db.register(name, Arc::new(Relation::new(schema.clone(), rows).unwrap()))
@@ -65,6 +76,45 @@ fn await_in_flight(db: &Database) {
 }
 
 const CHAIN_QUERY: &str = "SELECT * FROM R0 JOIN R1 ON R0.id = R1.id JOIN R2 ON R1.id = R2.id";
+
+/// On the chain database, `?1` rows for `?1` up to 120 (`id` is unique
+/// and runs 0..120 in every relation).
+const ID_BELOW: &str = "SELECT * FROM R0 JOIN R1 ON R0.id = R1.id WHERE R0.id < ?1";
+
+/// Runs `body` on a thread of its own and fails, rather than hangs, when
+/// it has not returned within `limit`. A test that uses it holds its server
+/// in a `ManuallyDrop`, so that a failure does not then hang in the
+/// server's drain.
+fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(()) => thread.join().unwrap(),
+        // The body panicked: surface its panic.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => thread.join().unwrap(),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("not done within {limit:?}"),
+    }
+}
+
+/// Waits until the server has closed every connection and the database's
+/// pool holds no task, queued or parked.
+fn assert_quiescent(server: &Server, db: &Database) {
+    let pool = db.engine().pool();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_clients() > 0 || pool.queued() > 0 || pool.parked() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} clients, {} queued, {} parked",
+            server.active_clients(),
+            pool.queued(),
+            pool.parked()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 #[test]
 fn malformed_frames_get_typed_errors_and_the_connection_survives() {
@@ -117,8 +167,8 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
 #[test]
 fn a_deeply_nested_frame_is_a_protocol_error_not_an_abort() {
     // 100 000 unclosed `[` (100 KB, well under the line cap) nest far past
-    // the JSON parser's depth cap: the connection worker must answer with
-    // a typed error, and the server must live on.
+    // the JSON parser's depth cap: the connection must answer with a typed
+    // error, and the server must live on.
     let server = chain_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.send_line(&"[".repeat(100_000)).unwrap();
@@ -238,9 +288,9 @@ fn sustained_adhoc_statements_are_paced_per_connection() {
 
 #[test]
 fn an_adhoc_flood_on_one_connection_does_not_hold_up_another() {
-    // One connection worker serves both connections, so B's statement gets
-    // its turn through the worker's sweep over them while A's flood waits
-    // in A's queue (past its burst, for its paced turn too).
+    // Each connection is its own task on the pool, so B's statement gets
+    // its turn in B's own steps while A's flood waits in A's queue (past
+    // its burst, parked on a pool timer for its paced turn too).
     const FLOOD: u64 = 200;
     let db = chain_db();
     let config = ServerConfig {
@@ -347,8 +397,8 @@ fn graceful_shutdown_drains_in_flight_queries() {
 
 #[test]
 fn graceful_shutdown_closes_idle_connections_at_once() {
-    // Connection workers with nothing to do block in ppoll; shutdown must
-    // wake them, not wait for a client to speak.
+    // An idle connection is a parked task; shutdown must wake it, not
+    // wait for a client to speak.
     let server = chain_server();
     let addr = server.local_addr();
     let mut talked = Client::connect(addr).unwrap();
@@ -468,7 +518,7 @@ fn metrics_are_served_in_protocol_and_over_http() {
         .expect("counter present");
     assert!(matches!(completed, JsonValue::Int(n) if *n >= 1));
     assert!(json.get("mj_query_duration_ms").is_some());
-    // The ad-hoc query above was planned once, on the connection worker.
+    // The ad-hoc query above was planned once, in its connection's step.
     let planned = json
         .get("mj_plan_duration_seconds")
         .and_then(|h| h.get("count"));
@@ -624,4 +674,232 @@ fn wire_deadlines_start_no_thread() {
         before,
         "a deadline started a thread"
     );
+}
+
+#[test]
+fn one_worker_behind_a_one_slot_gate_serves_pipelined_executes() {
+    // A connection step never waits. With one pool worker and one run
+    // slot, an execute that finds the slot taken is queued at the gate and
+    // its connection parks on the result stream, while the query holding
+    // the slot keeps stepping on that same worker. A step that waited at
+    // the gate would hold the only worker, and this would hang.
+    let mut config = DbConfig::default();
+    config.exec.workers = 1;
+    config.exec.max_concurrent = Some(1);
+    config.exec.admission_queue = 4;
+    let db = chain_db_with(config);
+    let server = ManuallyDrop::new(Server::start(db.clone(), ServerConfig::default()).unwrap());
+    let addr = server.local_addr();
+    within(Duration::from_secs(10), move || {
+        let clients: Vec<_> = (0..3)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let stmt = client.prepare(ID_BELOW).unwrap();
+                    for k in 1..=20 {
+                        client.send_execute(stmt.id, &[k], false).unwrap();
+                    }
+                    for k in 1..=20 {
+                        match client.collect_reply() {
+                            Ok(reply) => assert_eq!(reply.rows.len(), k),
+                            Err(ClientError::Server(e)) => assert_eq!(e.code, "overloaded"),
+                            Err(other) => panic!("execute {k}: {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+    });
+    assert_quiescent(&server, &db);
+    ManuallyDrop::into_inner(server).shutdown();
+}
+
+#[test]
+fn an_open_idle_connection_is_one_parked_task() {
+    let db = chain_db();
+    let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
+    let pool = db.engine().pool();
+    assert_eq!((pool.queued(), pool.parked()), (0, 0), "no connection yet");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(!client.query(CHAIN_QUERY).unwrap().rows.is_empty());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while (pool.queued(), pool.parked()) != (0, 1) {
+        assert!(
+            Instant::now() < deadline,
+            "{} queued, {} parked",
+            pool.queued(),
+            pool.parked()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(client);
+    assert_quiescent(&server, &db);
+}
+
+#[test]
+fn one_pool_worker_interleaves_connections_and_queries() {
+    // A's ad-hoc query counts 4 M joined rows on the only worker; B's
+    // short prepared execute, sent while it runs, is answered first. A
+    // connection step that waited for its own query would deadlock here.
+    let mut config = DbConfig::default();
+    config.exec.workers = 1;
+    let (db, server) = hot_key_server_with(config);
+    let server = ManuallyDrop::new(server);
+    let addr = server.local_addr();
+    within(Duration::from_secs(30), move || {
+        let mut a = Client::connect(addr).unwrap();
+        let mut b = Client::connect(addr).unwrap();
+        let stmt = b
+            .prepare("SELECT COUNT(*) FROM H0 JOIN H1 ON H0.k = H1.k WHERE H0.v < ?1")
+            .unwrap();
+        a.send_query(HOT_QUERY).unwrap();
+        await_in_flight(&db);
+        let a_reply = std::thread::spawn(move || {
+            let reply = a.collect_reply().unwrap();
+            (reply, Instant::now())
+        });
+        let b_reply = b.execute(stmt.id, &[1]).unwrap();
+        let b_at = Instant::now();
+        let (a_reply, a_at) = a_reply.join().unwrap();
+        assert_eq!(b_reply.rows, vec![vec![Value::Int(HOT_ROWS)]]);
+        assert_eq!(a_reply.rows, vec![vec![Value::Int(HOT_ROWS * HOT_ROWS)]]);
+        assert!(
+            a_reply.elapsed_ms >= 20.0,
+            "A's query ran {} ms: too short to overlap B's",
+            a_reply.elapsed_ms
+        );
+        assert!(b_at < a_at, "B's reply came after A's");
+    });
+    ManuallyDrop::into_inner(server).shutdown();
+}
+
+/// Reads JSON lines from `reader` until a terminal frame and returns the
+/// `rows` of its `done`.
+fn done_rows(reader: &mut impl std::io::BufRead) -> i64 {
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "closed mid-reply");
+        let frame: JsonValue = serde_json::from_str(&line).unwrap();
+        if let Some(done) = frame.get("done") {
+            return match done.get("rows") {
+                Some(JsonValue::Int(rows)) => *rows,
+                Some(JsonValue::UInt(rows)) => *rows as i64,
+                other => panic!("done without rows: {other:?}"),
+            };
+        }
+        assert!(frame.get("batch").is_some(), "unexpected frame {line}");
+    }
+}
+
+#[test]
+fn a_request_split_across_two_writes_gets_its_reply() {
+    // The second half arrives on an edge of its own, after the first step
+    // read the first half up to `WouldBlock` and parked.
+    let server = chain_server();
+    let mut socket = TcpStream::connect(server.local_addr()).unwrap();
+    socket.set_nodelay(true).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let line = format!("{{\"query\": \"{CHAIN_QUERY}\"}}\n");
+    let (head, tail) = line.split_at(line.len() / 2);
+    socket.write_all(head.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    socket.write_all(tail.as_bytes()).unwrap();
+    let mut reader = std::io::BufReader::new(socket);
+    assert_eq!(done_rows(&mut reader), 120, "every id joins once");
+}
+
+#[test]
+fn pipelined_executes_beyond_one_read_chunk_all_get_replies_in_order() {
+    // 300 execute lines in one write of more than `READ_CHUNK` (16 KiB):
+    // a step reads until the socket would block, so none is left unread
+    // without an edge to wake for it. Then one line longer than a chunk,
+    // whose tail no query's wake would come back for.
+    let server = ManuallyDrop::new(chain_server());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let stmt = client.prepare(ID_BELOW).unwrap();
+    let rows = |i: usize| i % 100 + 1;
+    // JSON allows the padding, which takes each line past 56 bytes.
+    let pad = " ".repeat(24);
+    let lines: Vec<String> = (0..300)
+        .map(|i| {
+            format!(
+                "{{{pad}\"execute\": {{\"id\": {}, \"args\": [{}]}}}}",
+                stmt.id,
+                rows(i)
+            )
+        })
+        .collect();
+    let batch = lines.join("\n");
+    assert!(batch.len() > 16 * 1024, "{} bytes", batch.len());
+    client.send_line(&batch).unwrap();
+    within(Duration::from_secs(10), move || {
+        for i in 0..300 {
+            assert_eq!(
+                client.collect_reply().unwrap().rows.len(),
+                rows(i),
+                "reply {i}"
+            );
+        }
+        let pad = " ".repeat(20 * 1024);
+        client
+            .send_line(&format!(
+                "{{{pad}\"execute\": {{\"id\": {}, \"args\": [7]}}}}",
+                stmt.id
+            ))
+            .unwrap();
+        assert_eq!(client.collect_reply().unwrap().rows.len(), 7);
+    });
+    ManuallyDrop::into_inner(server).shutdown();
+}
+
+#[test]
+fn a_slow_reader_still_receives_a_large_binary_result() {
+    // A 30 000-row binary result of 32 columns (7.7 MB) is more than the
+    // loopback socket's buffers hold and many times `WRITE_HIGH_WATER`: the
+    // connection fills the socket, parks on it, and goes on at each
+    // writable edge once the client, after a 200 ms nap, starts reading.
+    const ROWS: i64 = 30_000;
+    const PAYLOAD: i64 = 15;
+    let db = Arc::new(Database::open(DbConfig::default()).unwrap());
+    for name in ["W0", "W1"] {
+        let columns = std::iter::once("k".to_string())
+            .chain((0..PAYLOAD).map(|c| format!("{name}_{c}")))
+            .map(|c| Attribute::int(&c))
+            .collect();
+        let rows = (0..ROWS)
+            .map(|k| {
+                let row: Vec<i64> = std::iter::once(k)
+                    .chain((0..PAYLOAD).map(|c| k * c))
+                    .collect();
+                Tuple::from_ints(&row)
+            })
+            .collect();
+        let schema = Schema::new(columns).shared();
+        db.register(name, Arc::new(Relation::new(schema, rows).unwrap()))
+            .unwrap();
+    }
+    db.analyze().unwrap();
+    let server = ManuallyDrop::new(Server::start(db, ServerConfig::default()).unwrap());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .send_query_bin("SELECT * FROM W0 JOIN W1 ON W0.k = W1.k")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    within(Duration::from_secs(10), move || {
+        let reply = client.collect_reply_bin().unwrap();
+        assert_eq!(reply.rows, ROWS as u64);
+        let rows = reply.to_rows();
+        assert!(rows
+            .iter()
+            .all(|row| row.len() == 2 * (1 + PAYLOAD as usize)));
+        let mut keys: Vec<Value> = rows.into_iter().map(|row| row[0].clone()).collect();
+        keys.sort();
+        assert_eq!(keys, (0..ROWS).map(Value::Int).collect::<Vec<_>>());
+    });
+    ManuallyDrop::into_inner(server).shutdown();
 }
