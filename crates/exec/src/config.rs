@@ -57,20 +57,9 @@ pub struct ExecConfig {
     /// draining its result stream is indistinguishable from a stalled
     /// pipeline, so only enable this for promptly-drained workloads.
     pub stall_timeout: Option<Duration>,
-    /// Admission control: maximum queries running concurrently; `None`
-    /// disables admission control entirely.
-    pub max_concurrent: Option<usize>,
-    /// Bounded FIFO wait queue in front of admission control: submissions
-    /// beyond `max_concurrent` wait here (in order) for a slot, and
-    /// submissions beyond the queue bound are rejected with a typed
-    /// `Overloaded` error. Ignored unless `max_concurrent` is set.
-    pub admission_queue: usize,
     /// Late-materialization policy for join pipelines (see [`LateMode`]).
     pub late: LateMode,
 }
-
-/// Default [`ExecConfig::admission_queue`] depth.
-pub const DEFAULT_ADMISSION_QUEUE: usize = 32;
 
 impl Default for ExecConfig {
     fn default() -> Self {
@@ -79,8 +68,6 @@ impl Default for ExecConfig {
             batch_size: DEFAULT_BATCH_SIZE,
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
             stall_timeout: None,
-            max_concurrent: None,
-            admission_queue: DEFAULT_ADMISSION_QUEUE,
             late: LateMode::Auto,
         }
     }
@@ -100,9 +87,6 @@ impl ExecConfig {
         }
         if self.stall_timeout == Some(Duration::ZERO) {
             return Err("stall_timeout must be positive".into());
-        }
-        if self.max_concurrent == Some(0) {
-            return Err("max_concurrent must be positive".into());
         }
         Ok(())
     }
@@ -199,22 +183,13 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_guardrails() {
-        for c in [
-            ExecConfig {
-                stall_timeout: Some(Duration::ZERO),
-                ..ExecConfig::default()
-            },
-            ExecConfig {
-                max_concurrent: Some(0),
-                ..ExecConfig::default()
-            },
-        ] {
-            assert!(c.validate().is_err(), "{c:?} should be invalid");
-        }
+        let c = ExecConfig {
+            stall_timeout: Some(Duration::ZERO),
+            ..ExecConfig::default()
+        };
+        assert!(c.validate().is_err(), "{c:?} should be invalid");
         let c = ExecConfig {
             stall_timeout: Some(Duration::from_millis(100)),
-            max_concurrent: Some(2),
-            admission_queue: 0, // queue-less admission is valid (pure reject)
             ..ExecConfig::default()
         };
         c.validate().unwrap();

@@ -7,8 +7,7 @@
 //! which returns a [`QueryHandle`] — the query's operator instances are
 //! multiplexed onto the same bounded worker set (the paper's fixed
 //! processor pool, §4): the submitting thread sets the query up and puts
-//! its first wave of tasks on the pool (or, when admission control holds
-//! it back, the thread whose query frees its slot does); from then on every task's
+//! its first wave of tasks on the pool; from then on every task's
 //! completion report advances the query on the thread that makes it
 //! (`Coordinator`) — releasing the waves that waited for it, and, when
 //! it is the last, concluding the query. No thread is started for a query:
@@ -53,8 +52,6 @@
 //! and independent segments of one wave interleave on the pool; stages come
 //! after the root join.
 
-use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
@@ -121,182 +118,13 @@ pub struct ExecOutcome {
 /// running more queries multiplexes more tasks onto the same workers
 /// instead of spawning threads, with or without deadlines and stall limits.
 pub struct Engine {
-    host: Host,
-    admission: Option<Arc<Admission>>,
-    /// Run templates built on this engine ([`Engine::template`]).
-    templates_built: AtomicU64,
-}
-
-/// What setting a query up reads from its engine. The admission gate
-/// keeps a copy, so a run it admits later sets itself up on whichever
-/// thread frees the slot.
-#[derive(Clone)]
-struct Host {
     provider: Arc<dyn RelationProvider + Send + Sync>,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
     cache: Arc<FragmentCache>,
     counters: Arc<EngineCounters>,
-}
-
-/// Admission control: a counting gate of `max` concurrently running
-/// queries fronted by a bounded FIFO of runs waiting for a slot. Nothing
-/// waits at the gate: a submission either starts, joins the queue (its
-/// handle returned at once) or, beyond the queue bound, is rejected with
-/// [`RelalgError::Overloaded`]; a freed slot starts the oldest waiting run
-/// on the thread that freed it.
-struct Admission {
-    max: usize,
-    queue_limit: usize,
-    host: Host,
-    state: Mutex<AdmissionState>,
-}
-
-struct AdmissionState {
-    /// Queries currently holding a run slot.
-    active: usize,
-    /// Runs waiting for a slot, oldest first.
-    waiting: VecDeque<Launch<'static>>,
-}
-
-impl Admission {
-    fn new(max: usize, queue_limit: usize, host: Host) -> Arc<Self> {
-        Arc::new(Admission {
-            max,
-            queue_limit,
-            host,
-            state: Mutex::new(AdmissionState {
-                active: 0,
-                waiting: VecDeque::new(),
-            }),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, AdmissionState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Starts `launch` in a free slot on the calling thread, or queues it
-    /// behind earlier submissions while the engine is saturated; errors
-    /// with `Overloaded` when the queue is full.
-    fn admit(self: &Arc<Self>, launch: Launch<'_>) -> Result<()> {
-        let mut s = self.lock();
-        if s.active < self.max && s.waiting.is_empty() {
-            s.active += 1;
-            drop(s);
-            launch.start(&self.host, Some(self.permit()));
-            return Ok(());
-        }
-        let queue_depth = s.waiting.len();
-        if queue_depth >= self.queue_limit {
-            drop(s);
-            self.host.counters.note_rejected();
-            return Err(RelalgError::Overloaded { queue_depth });
-        }
-        s.waiting.push_back(launch.into_owned());
-        Ok(())
-    }
-
-    fn permit(self: &Arc<Self>) -> AdmissionPermit {
-        AdmissionPermit {
-            admission: Some(self.clone()),
-        }
-    }
-}
-
-/// A run slot, held in the query's [`Accounts`] for the query's whole
-/// lifetime and given up when the query concludes.
-struct AdmissionPermit {
-    admission: Option<Arc<Admission>>,
-}
-
-impl AdmissionPermit {
-    /// Gives the slot up: to the oldest waiting run, returned with the
-    /// slot for the caller to start, or back to the gate.
-    fn release(&mut self) -> Option<(Launch<'static>, AdmissionPermit)> {
-        let admission = self.admission.take()?;
-        let mut s = admission.lock();
-        let Some(next) = s.waiting.pop_front() else {
-            s.active -= 1;
-            return None;
-        };
-        drop(s);
-        Some((
-            next,
-            AdmissionPermit {
-                admission: Some(admission),
-            },
-        ))
-    }
-}
-
-impl Drop for AdmissionPermit {
-    fn drop(&mut self) {
-        if let Some((next, permit)) = self.release() {
-            next.start_admitted(permit);
-        }
-    }
-}
-
-/// One submission with its result edge open and its handle out, to be set
-/// up and started: at once, or when the admission gate gives it a slot.
-struct Launch<'a> {
-    template: Arc<RunTemplate>,
-    args: Cow<'a, [i64]>,
-    opts: QueryOptions,
-    result: OutEdge,
-    ctrl: Arc<QueryCtrl>,
-    submitted_at: Instant,
-}
-
-impl Launch<'_> {
-    fn into_owned(self) -> Launch<'static> {
-        Launch {
-            args: Cow::Owned(self.args.into_owned()),
-            template: self.template,
-            opts: self.opts,
-            result: self.result,
-            ctrl: self.ctrl,
-            submitted_at: self.submitted_at,
-        }
-    }
-
-    /// Starts the query's clocks, sets it up on the calling thread and
-    /// puts its first wave on the pool. A run canceled while it waited
-    /// for its slot concludes at once instead.
-    fn start(self, host: &Host, permit: Option<AdmissionPermit>) {
-        let Launch {
-            template,
-            args,
-            opts,
-            result,
-            ctrl,
-            submitted_at,
-        } = self;
-        if let Some(deadline) = opts.deadline() {
-            ctrl.set_deadline(Instant::now() + deadline);
-        }
-        host.counters.note_started();
-        let accounts = Accounts {
-            ctrl: ctrl.clone(),
-            counters: host.counters.clone(),
-            permit,
-            submitted_at,
-        };
-        if ctrl.is_canceled() {
-            return accounts.settle(Err(RelalgError::Canceled), (0, 0));
-        }
-        // Set-up and the first wave of tasks, here; from then on the query
-        // is advanced by whichever thread reports a completion.
-        let run = QueryRun::new(host, template, &args, &opts, result, &ctrl);
-        start(run, accounts);
-    }
-
-    /// [`start`](Self::start) with the slot the gate just handed over.
-    fn start_admitted(self, permit: AdmissionPermit) {
-        let admission = permit.admission.clone().expect("a handed-over slot");
-        self.start(&admission.host, Some(permit));
-    }
+    /// Run templates built on this engine ([`Engine::template`]).
+    templates_built: AtomicU64,
 }
 
 impl Engine {
@@ -307,33 +135,27 @@ impl Engine {
         config: ExecConfig,
     ) -> Result<Engine> {
         config.validate().map_err(RelalgError::InvalidPlan)?;
-        let host = Host {
+        Ok(Engine {
             provider,
             config,
             pool: WorkerPool::new(config.workers),
             cache: Arc::new(FragmentCache::new()),
             counters: Arc::new(EngineCounters::default()),
-        };
-        Ok(Engine {
-            admission: config
-                .max_concurrent
-                .map(|max| Admission::new(max, config.admission_queue, host.clone())),
-            host,
             templates_built: AtomicU64::new(0),
         })
     }
 
-    /// Engine-lifetime robustness counters: completions, rejections,
-    /// timeouts, stalls, budget aborts, contained panics, peak bytes,
-    /// latency histograms — one atomically consistent snapshot (all
+    /// Engine-lifetime robustness counters: completions, timeouts, stalls,
+    /// budget aborts, contained panics, peak bytes, latency histograms —
+    /// one atomically consistent snapshot (all
     /// per-query counters read under a single lock), overlaid with the
     /// worker pool's live busy/idle gauges and the fragment cache's
     /// counters.
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.host.counters.snapshot();
-        stats.workers_total = self.host.pool.workers() as u64;
-        stats.workers_busy = self.host.pool.busy().min(stats.workers_total);
-        let cache = self.host.cache.stats();
+        let mut stats = self.counters.snapshot();
+        stats.workers_total = self.pool.workers() as u64;
+        stats.workers_busy = self.pool.busy().min(stats.workers_total);
+        let cache = self.cache.stats();
         stats.fragment_cache_hits = cache.hits;
         stats.fragment_cache_misses = cache.misses;
         stats.fragment_cache_evictions = cache.evictions;
@@ -343,23 +165,23 @@ impl Engine {
 
     /// The engine configuration.
     pub fn config(&self) -> &ExecConfig {
-        &self.host.config
+        &self.config
     }
 
     /// Worker threads in the shared pool.
     pub fn workers(&self) -> usize {
-        self.host.pool.workers()
+        self.pool.workers()
     }
 
     /// The shared scheduler pool (diagnostics).
     pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.host.pool
+        &self.pool
     }
 
     /// The resident columnar fragments of the base relations, shared by
     /// all queries (validated against the provider on every lookup).
     pub fn fragment_cache(&self) -> &Arc<FragmentCache> {
-        &self.host.cache
+        &self.cache
     }
 
     /// Submits `plan` for execution and returns a [`QueryHandle`] once the
@@ -413,39 +235,27 @@ impl Engine {
     /// once), its stream edges, and submitting every task whose
     /// dependencies are already met. Everything after that happens on the
     /// pool, completion report by completion report.
-    ///
-    /// When `max_concurrent` admission control is configured and the
-    /// engine is saturated, the run waits FIFO behind earlier submissions
-    /// and this returns its handle at once: its set-up, and its deadline
-    /// and stall clocks, start when a concluding query hands it its slot.
-    /// Beyond the wait queue's bound it returns
-    /// [`RelalgError::Overloaded`]. Nothing here waits.
     pub fn submit_template(
         &self,
         template: Arc<RunTemplate>,
         args: &[i64],
         opts: QueryOptions,
     ) -> Result<QueryHandle> {
-        // Submission instant: anchors both the duration histogram and the
-        // client-side time-to-first-batch measurement.
+        // Submission instant: anchors the deadline, the duration histogram
+        // and the client-side time-to-first-batch measurement.
         let submitted_at = Instant::now();
-        // Count the submission before admission control so rejected
-        // submissions are included in `queries_submitted` — that is what
-        // keeps every terminal-outcome counter summing to at most it.
-        self.host.counters.note_submitted();
+        self.counters.note_submitted();
         let (result, stream, ctrl) = self.open_result_edge(&template, &opts, submitted_at);
-        let launch = Launch {
-            template,
-            args: Cow::Borrowed(args),
-            opts,
-            result,
+        // Set-up and the first wave of tasks, here on the submitting
+        // thread; from then on the query is advanced by whichever thread
+        // reports a completion.
+        let run = QueryRun::new(self, template, args, &opts, result, &ctrl);
+        let accounts = Accounts {
             ctrl: ctrl.clone(),
+            counters: self.counters.clone(),
             submitted_at,
         };
-        match &self.admission {
-            Some(admission) => admission.admit(launch)?,
-            None => launch.start(&self.host, None),
-        }
+        start(run, accounts);
         Ok(QueryHandle::new(stream, ctrl))
     }
 
@@ -453,7 +263,7 @@ impl Engine {
     /// [`RunTemplate`]): what [`submit_template`](Engine::submit_template)
     /// instantiates per execution.
     pub fn template(&self, plan: ValidPlan, binding: QueryBinding) -> Result<Arc<RunTemplate>> {
-        let template = RunTemplate::new(plan, binding, self.host.config.late)?;
+        let template = RunTemplate::new(plan, binding, self.config.late)?;
         self.templates_built.fetch_add(1, Ordering::Relaxed);
         Ok(Arc::new(template))
     }
@@ -476,8 +286,7 @@ impl Engine {
     /// one-consumer stream from the instances of the query's last
     /// operation (the last post-join stage, or the root join) into the
     /// client-side [`ResultStream`], and the shared cancel/status block
-    /// carrying the query's memory budget (its deadline is set when the
-    /// run starts).
+    /// carrying the query's deadline and memory budget.
     fn open_result_edge(
         &self,
         template: &RunTemplate,
@@ -488,7 +297,7 @@ impl Engine {
         let (txs, mut rxs, pool) = operand_channels(
             edge.producers,
             1,
-            self.host.config.channel_capacity,
+            self.config.channel_capacity,
             edge.layout.clone(),
         );
         let budget = match opts.memory_budget() {
@@ -496,7 +305,8 @@ impl Engine {
             None => MemoryBudget::unlimited(),
         };
         pool.set_budget(budget.clone());
-        let ctrl = QueryCtrl::on_pool(&self.host.pool, budget);
+        let deadline = opts.deadline().map(|d| submitted_at + d);
+        let ctrl = QueryCtrl::on_pool(&self.pool, deadline, budget);
         let rx = rxs.pop().expect("one consumer");
         let stream = ResultStream::new(
             rx,
@@ -504,7 +314,7 @@ impl Engine {
             template.result_schema().clone(),
             ctrl.clone(),
             submitted_at,
-            self.host.counters.clone(),
+            self.counters.clone(),
         );
         ((txs, edge.key_col, pool), stream, ctrl)
     }
@@ -546,16 +356,13 @@ pub fn run_plan(
 struct Accounts {
     ctrl: Arc<QueryCtrl>,
     counters: Arc<EngineCounters>,
-    permit: Option<AdmissionPermit>,
     submitted_at: Instant,
 }
 
 impl Accounts {
     /// Counts the query's result and its edges' batch-pool takes and
-    /// misses (`pools`), frees its admission slot and publishes the
-    /// outcome — in that order, so whoever holds the outcome sees the
-    /// counters and the slot settled — and then starts the run the slot
-    /// went to, if one waited.
+    /// misses (`pools`), then publishes the outcome — in that order, so
+    /// whoever holds the outcome sees the counters settled.
     fn settle(self, result: Result<QueryOutcome>, pools: (u64, u64)) {
         self.counters.record(
             &result,
@@ -564,14 +371,7 @@ impl Accounts {
             self.submitted_at.elapsed(),
             pools,
         );
-        // Released only now that the query has fully quiesced and its
-        // pieces are gone, so the concurrency cap bounds actual resource
-        // use. A run waiting for the slot starts once the outcome is out.
-        let next = self.permit.and_then(|mut permit| permit.release());
         self.ctrl.finish(result);
-        if let Some((launch, permit)) = next {
-            launch.start_admitted(permit);
-        }
     }
 }
 
@@ -712,8 +512,8 @@ fn start(prepared: Result<QueryRun>, accounts: Accounts) {
 }
 
 /// One execution of a [`RunTemplate`] from set-up to teardown.
-/// [`new`](QueryRun::new) and the first wave of tasks run on the thread
-/// that starts the run (see [`Launch::start`]); after that the run sits in its [`Coordinator`] and is
+/// [`new`](QueryRun::new) and the first wave of tasks run on the
+/// submitting thread; after that the run sits in its [`Coordinator`] and is
 /// advanced by completion reports on the pool's threads, so it owns (or
 /// shares by `Arc`) everything it touches. What it adds to the template is
 /// exactly the per-execution state: edges, base operands (their scan
@@ -780,13 +580,13 @@ struct Progress {
 }
 
 impl QueryRun {
-    /// Sets one execution of `template` up on `host`'s pool — late
+    /// Sets one execution of `template` up on `engine`'s pool — late
     /// rewrite, base operands, stream edges — with `args` bound to its
     /// placeholders and the output of its last operation streaming into
     /// `result`. Nothing is submitted yet
     /// ([`spawn_first_wave`](Self::spawn_first_wave)).
     fn new(
-        host: &Host,
+        engine: &Engine,
         template: Arc<RunTemplate>,
         args: &[i64],
         opts: &QueryOptions,
@@ -796,7 +596,7 @@ impl QueryRun {
         // Options beyond deadline and budget are resolved upstream.
         #[cfg(not(feature = "faults"))]
         let _ = opts;
-        let config = &host.config;
+        let config = &engine.config;
         let mut metrics = template.metrics().clone();
 
         // --- Late materialization. When the template takes the rewrite, the
@@ -805,8 +605,8 @@ impl QueryRun {
         // (charged to the budget here), and the root join's tasks resolve
         // refs back to the original schema — so everything from the root's
         // output port on (stages, result edge) is untouched.
-        let provider = host.provider.as_ref();
-        let late = template.late(args, provider, &host.cache, &mut metrics)?;
+        let provider = engine.provider.as_ref();
+        let late = template.late(args, provider, &engine.cache, &mut metrics)?;
         let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
         if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
             ctrl.abort(ctrl.budget().exhausted_error());
@@ -814,7 +614,7 @@ impl QueryRun {
 
         // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
         let resolved =
-            template.resolve_bases(late.as_ref(), provider, &host.cache, &mut metrics)?;
+            template.resolve_bases(late.as_ref(), provider, &engine.cache, &mut metrics)?;
 
         // Fresh channels for every stream edge (receivers taken at consumer
         // spawn, senders at producer spawn), their buffer pools charged to
@@ -841,7 +641,7 @@ impl QueryRun {
         // processes, beginning with handing each its base operands.
         let started = Instant::now();
         let base_parts =
-            template.base_parts(resolved, args, provider, &host.cache, &mut metrics)?;
+            template.base_parts(resolved, args, provider, &engine.cache, &mut metrics)?;
         let ops = template.ops().iter().zip(template.deps());
         let progress = ops
             .map(|(op, &waiting)| Progress {
@@ -854,7 +654,7 @@ impl QueryRun {
         Ok(QueryRun {
             template,
             config: *config,
-            pool: host.pool.clone(),
+            pool: engine.pool.clone(),
             ctrl: ctrl.clone(),
             base_parts,
             senders,
@@ -1772,7 +1572,7 @@ mod tests {
         handle.outcome().unwrap();
     }
 
-    // --- Guardrails: deadlines, budgets, admission control ---
+    // --- Guardrails: deadlines and budgets ---
 
     #[test]
     fn expired_deadline_aborts_with_typed_error_and_reclaims() {
@@ -1844,125 +1644,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_rejects_beyond_queue_and_recovers() {
-        let (catalog, n) = setup(5, 4_000);
-        let config = ExecConfig {
-            workers: 2,
-            batch_size: 16,
-            channel_capacity: 1,
-            max_concurrent: Some(1),
-            admission_queue: 0, // pure queue-or-reject: no waiting at all
-            ..ExecConfig::default()
-        };
-        let engine = Engine::new(catalog.clone(), config).unwrap();
-        let tree = build(Shape::RightLinear, 5).unwrap();
-        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
-        let plan = plan_for(&tree, Strategy::FP, n, 4);
-        // First query holds the only slot (it blocks on client
-        // backpressure, so it stays in flight until we drain it).
-        let mut first = engine.submit(&plan, &binding).unwrap();
-        let mut stream = first.stream();
-        assert!(stream.next_batch().is_some());
-        let err = engine
-            .submit(&plan, &binding)
-            .expect_err("second query must be rejected");
-        assert!(matches!(err, RelalgError::Overloaded { .. }), "got {err}");
-        // Drain the first; its slot frees and the engine admits again.
-        while stream.next_batch().is_some() {}
-        drop(stream);
-        first.outcome().unwrap();
-        let outcome = engine.run(&plan, &binding).unwrap();
-        assert_eq!(outcome.relation.len(), 4_000);
-        let stats = engine.stats();
-        assert_eq!(stats.queries_rejected, 1);
-        assert_eq!(stats.queries_completed, 2);
-    }
-
-    #[test]
-    fn admission_queue_serves_waiters_fifo() {
-        let (catalog, n) = setup(4, 512);
-        let config = ExecConfig {
-            workers: 2,
-            max_concurrent: Some(1),
-            admission_queue: 8,
-            ..ExecConfig::default()
-        };
-        let engine = Engine::new(catalog.clone(), config).unwrap();
-        let tree = build(Shape::RightLinear, 4).unwrap();
-        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
-        let plan = plan_for(&tree, Strategy::FP, n, 3);
-        // Four threads submit through a 1-slot gate; all must complete.
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let engine = &engine;
-                let plan = &plan;
-                let binding = &binding;
-                scope.spawn(move || {
-                    let outcome = engine.run(plan, binding).unwrap();
-                    assert_eq!(outcome.relation.len(), 512);
-                });
-            }
-        });
-        let stats = engine.stats();
-        assert_eq!(stats.queries_completed, 4);
-        assert_eq!(stats.queries_rejected, 0);
-    }
-
-    #[test]
-    fn a_saturated_engine_queues_runs_without_waiting() {
-        // One thread submits three queries through a one-slot gate before
-        // draining any: each submit returns its handle at once. The queued
-        // runs start, FIFO, as slots free, and a queued run's deadline
-        // counts from its start, not from its submission.
-        let (catalog, n) = setup(5, 4_000);
-        let config = ExecConfig {
-            workers: 1,
-            batch_size: 16,
-            channel_capacity: 1,
-            max_concurrent: Some(1),
-            admission_queue: 2,
-            ..ExecConfig::default()
-        };
-        let engine = Engine::new(catalog.clone(), config).unwrap();
-        let tree = build(Shape::RightLinear, 5).unwrap();
-        let binding = QueryBinding::regular(&tree, catalog.as_ref()).unwrap();
-        let plan = plan_for(&tree, Strategy::FP, n, 4);
-        // The first holds the slot: it blocks on client backpressure.
-        let mut first = engine.submit(&plan, &binding).unwrap();
-        let mut stream = first.stream();
-        assert!(stream.next_batch().is_some());
-        let deadline = QueryOptions::new().with_deadline(Duration::from_millis(200));
-        let queued = [
-            engine
-                .submit_with(&plan, &binding, deadline.clone())
-                .unwrap(),
-            engine.submit(&plan, &binding).unwrap(),
-        ];
-        let err = engine.submit(&plan, &binding).expect_err("queue is full");
-        assert!(
-            matches!(err, RelalgError::Overloaded { queue_depth: 2 }),
-            "got {err}"
-        );
-        assert_eq!(
-            engine.stats().queries_active,
-            1,
-            "queued runs are not active"
-        );
-        // Longer than the queued run's deadline, had it started at submit.
-        std::thread::sleep(Duration::from_millis(300));
-        while stream.next_batch().is_some() {}
-        drop(stream);
-        first.outcome().unwrap();
-        for handle in queued {
-            assert_eq!(handle.collect().unwrap().len(), 4_000);
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.queries_completed, 3);
-        assert_eq!(stats.queries_rejected, 1);
-        assert_eq!((engine.pool().queued(), engine.pool().parked()), (0, 0));
-    }
-
-    #[test]
     fn duration_histogram_buckets_sum_to_queries_total() {
         let (catalog, n) = setup(4, 256);
         let engine = Engine::new(catalog.clone(), ExecConfig::default()).unwrap();
@@ -2024,15 +1705,13 @@ mod tests {
     #[test]
     fn stats_snapshot_is_consistent_while_hammered() {
         // Regression test for the racy field-by-field snapshot: N threads
-        // hammer queries (some admitted, some rejected) while a poller
-        // reads stats. Every snapshot must satisfy
-        //   terminal outcomes + rejected <= submitted
+        // hammer queries while a poller reads stats. Every snapshot must
+        // satisfy
+        //   terminal outcomes + active == submitted
         // which only holds if all counters are read consistently.
         let (catalog, n) = setup(3, 96);
         let config = ExecConfig {
             workers: 2,
-            max_concurrent: Some(1),
-            admission_queue: 1,
             ..ExecConfig::default()
         };
         let engine = Engine::new(catalog.clone(), config).unwrap();
@@ -2048,15 +1727,8 @@ mod tests {
                 let done = &done;
                 scope.spawn(move || {
                     for _ in 0..8 {
-                        match engine.submit(plan, binding) {
-                            Ok(handle) => {
-                                let _ = handle.collect();
-                            }
-                            Err(RelalgError::Overloaded { queue_depth }) => {
-                                assert_eq!(queue_depth, 1);
-                            }
-                            Err(e) => panic!("unexpected submit error: {e}"),
-                        }
+                        let handle = engine.submit(plan, binding).unwrap();
+                        assert_eq!(handle.collect().unwrap().len(), 96);
                     }
                     done.fetch_add(1, Ordering::Relaxed);
                 });
@@ -2069,12 +1741,11 @@ mod tests {
                     let s = engine.stats();
                     let terminal = s.queries_total();
                     assert!(
-                        terminal + s.queries_rejected <= s.queries_submitted,
-                        "inconsistent snapshot: {terminal} terminal + {} rejected > {} submitted",
-                        s.queries_rejected,
+                        terminal <= s.queries_submitted,
+                        "inconsistent snapshot: {terminal} terminal > {} submitted",
                         s.queries_submitted
                     );
-                    assert!(s.queries_active <= 2, "active beyond max_concurrent+queue");
+                    assert_eq!(terminal + s.queries_active, s.queries_submitted);
                     assert_eq!(s.query_duration.count, terminal);
                     polls += 1;
                     std::thread::yield_now();
@@ -2084,7 +1755,7 @@ mod tests {
         // Quiesced: every submission is accounted for exactly once.
         let s = engine.stats();
         assert_eq!(s.queries_submitted, 32);
-        assert_eq!(s.queries_total() + s.queries_rejected, 32);
+        assert_eq!(s.queries_total(), 32);
         assert_eq!(s.queries_active, 0);
         assert_eq!(s.query_duration.count, s.queries_total());
     }

@@ -28,7 +28,7 @@
 //! before [`QueryHandle::outcome`] returns. The engine is immediately reusable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
@@ -95,10 +95,8 @@ pub struct QueryCtrl {
     /// the [`ResultStream`] when the client pulls its first batch
     /// (stored `+1` so 0 keeps meaning "no batch delivered yet").
     first_batch_us: AtomicU64,
-    /// Wall-clock instant after which the query is aborted; unset = none.
-    /// Set when the query starts, which a saturated engine's admission
-    /// queue may hold back past submission.
-    deadline: OnceLock<Instant>,
+    /// Wall-clock instant after which the query is aborted; `None` = none.
+    deadline: Option<Instant>,
     /// The query's memory budget (unlimited when no cap was configured).
     budget: Arc<MemoryBudget>,
     /// The pool the query runs on, which its client's waits consult (none
@@ -115,29 +113,25 @@ impl QueryCtrl {
 
     /// Creates a control block with guardrails attached.
     pub fn with_limits(deadline: Option<Instant>, budget: Arc<MemoryBudget>) -> Arc<Self> {
-        let ctrl = QueryCtrl {
-            budget,
-            ..QueryCtrl::default()
-        };
-        if let Some(deadline) = deadline {
-            ctrl.set_deadline(deadline);
-        }
-        Arc::new(ctrl)
-    }
-
-    /// A control block with a memory budget, for a query on `pool`; its
-    /// deadline, if any, is set when it starts.
-    pub(crate) fn on_pool(pool: &Arc<WorkerPool>, budget: Arc<MemoryBudget>) -> Arc<Self> {
         Arc::new(QueryCtrl {
+            deadline,
             budget,
-            pool: Arc::downgrade(pool),
             ..QueryCtrl::default()
         })
     }
 
-    /// Sets the query's deadline; only the first call counts.
-    pub(crate) fn set_deadline(&self, deadline: Instant) {
-        let _ = self.deadline.set(deadline);
+    /// A control block with guardrails, for a query on `pool`.
+    pub(crate) fn on_pool(
+        pool: &Arc<WorkerPool>,
+        deadline: Option<Instant>,
+        budget: Arc<MemoryBudget>,
+    ) -> Arc<Self> {
+        Arc::new(QueryCtrl {
+            deadline,
+            budget,
+            pool: Arc::downgrade(pool),
+            ..QueryCtrl::default()
+        })
     }
 
     /// Whether the query's pool leaves a worker idle: a client waiting on
@@ -223,12 +217,12 @@ impl QueryCtrl {
 
     /// The query's wall-clock deadline, if one was configured.
     pub fn deadline(&self) -> Option<Instant> {
-        self.deadline.get().copied()
+        self.deadline
     }
 
     /// True once the configured deadline has passed.
     pub fn deadline_exceeded(&self) -> bool {
-        self.deadline.get().is_some_and(|&d| Instant::now() >= d)
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// The query's memory budget (unlimited when no cap was configured).

@@ -61,7 +61,7 @@ mod template;
 
 pub use binding::{PipelineStage, QueryBinding, StageKind};
 pub use budget::MemoryBudget;
-pub use config::{ExecConfig, LateMode, QueryOptions, DEFAULT_ADMISSION_QUEUE};
+pub use config::{ExecConfig, LateMode, QueryOptions};
 pub use engine::{run_plan, Engine, ExecOutcome};
 pub use families::{chain_query_sql, generate_family, star_query_sql, FamilyInstance, QueryFamily};
 #[cfg(feature = "faults")]

@@ -3,12 +3,11 @@
 //!
 //! * [`OpMetrics`] / [`Metrics`] — one query's per-operator aggregates
 //!   (tuples, bytes, scheduler steps), attached to its outcome.
-//! * [`EngineStats`] — engine-lifetime counters (completions, rejections,
-//!   guardrail aborts) plus fixed-bucket latency histograms, snapshotted
+//! * [`EngineStats`] — engine-lifetime counters (completions, guardrail
+//!   aborts) plus fixed-bucket latency histograms, snapshotted
 //!   **atomically consistently**: the engine keeps one `EngineStats`
 //!   under one mutex, so a snapshot taken while N threads hammer queries
-//!   always satisfies `completed + failed + canceled + rejected <=
-//!   submitted`.
+//!   always satisfies `queries_total() + active == submitted`.
 //!
 //! What leaves the process is one table over `EngineStats`:
 //! [`METRICS_ACCEPT_LIST`]. Each row names a series, gives its kind and
@@ -230,15 +229,6 @@ impl LatencyHistogram {
     pub fn sum_ms(&self) -> f64 {
         self.sum_us as f64 / 1000.0
     }
-
-    /// Mean observation in milliseconds (0.0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ms() / self.count as f64
-        }
-    }
 }
 
 /// Engine-lifetime robustness counters, snapshotted by `Engine::stats()` /
@@ -247,19 +237,18 @@ impl LatencyHistogram {
 /// The snapshot is **atomically consistent**: all per-query-grain fields
 /// are read under one lock, so the sum of the terminal-outcome counters
 /// (`queries_completed`, `queries_failed`, `queries_canceled`,
-/// `queries_timed_out`, `queries_stalled`, `budget_aborts`,
-/// `queries_rejected`) never exceeds `queries_submitted` in any snapshot,
+/// `queries_timed_out`, `queries_stalled`, `budget_aborts`) plus
+/// `queries_active` equals `queries_submitted` in every snapshot,
 /// even one taken mid-hammer from another thread. The batch-pool,
 /// gather-row and SIMD tallies are process-global relaxed counters
 /// shared by every engine in the process, and carry no such cross-field
 /// invariant; the plan-cache counts belong to one `Database`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Queries ever submitted, **including** ones admission control
-    /// rejected — so the terminal-outcome counters below always sum to at
-    /// most this.
+    /// Queries ever submitted: the terminal-outcome counters below sum to
+    /// this less `queries_active`.
     pub queries_submitted: u64,
-    /// Queries admitted and currently running (gauge, not cumulative).
+    /// Queries submitted and not yet concluded (gauge, not cumulative).
     pub queries_active: u64,
     /// Queries that completed successfully.
     pub queries_completed: u64,
@@ -267,8 +256,6 @@ pub struct EngineStats {
     pub queries_canceled: u64,
     /// Queries that failed with an execution error not counted elsewhere.
     pub queries_failed: u64,
-    /// Queries rejected by admission control (`Overloaded`).
-    pub queries_rejected: u64,
     /// Queries aborted for exceeding their deadline (`DeadlineExceeded`).
     pub queries_timed_out: u64,
     /// Queries aborted by their stall check (`Stalled`).
@@ -426,13 +413,13 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
     MetricDef {
         name: "mj_queries_submitted_total",
         kind: MetricKind::Counter,
-        help: "Queries ever submitted, including admission rejections",
+        help: "Queries ever submitted",
         read: |s| Sample::Value(s.queries_submitted as f64),
     },
     MetricDef {
         name: "mj_queries_active",
         kind: MetricKind::Gauge,
-        help: "Queries admitted and currently running",
+        help: "Queries submitted and not yet concluded",
         read: |s| Sample::Value(s.queries_active as f64),
     },
     MetricDef {
@@ -476,12 +463,6 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
         kind: MetricKind::Counter,
         help: "Queries aborted for exceeding their memory budget",
         read: |s| Sample::Value(s.budget_aborts as f64),
-    },
-    MetricDef {
-        name: "mj_admission_rejected_total",
-        kind: MetricKind::Counter,
-        help: "Submissions rejected by admission control (Overloaded)",
-        read: |s| Sample::Value(s.queries_rejected as f64),
     },
     MetricDef {
         name: "mj_query_duration_ms",
@@ -673,7 +654,7 @@ pub(crate) mod counters {
     //! One mutex guards the engine's `EngineStats`, so `snapshot()`
     //! returns an atomically consistent view (the invariant the stats
     //! hammer test checks). Updates happen once per query lifecycle event
-    //! — submission, rejection, first batch, terminal record — so the lock
+    //! — submission, first batch, terminal record — so the lock
     //! is uncontended relative to tuple work. A query's batch-pool takes
     //! and misses are counted by its edges' own pools and added at its
     //! terminal record; the other per-tuple tallies (gather rows, SIMD
@@ -698,21 +679,12 @@ pub(crate) mod counters {
             self.stats.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
-        /// Counts one submission attempt (before admission control, so
-        /// rejected submissions are included in `queries_submitted`).
+        /// Counts one submission and raises the `queries_active` gauge
+        /// (`record` lowers it).
         pub fn note_submitted(&self) {
-            self.lock().queries_submitted += 1;
-        }
-
-        /// Counts one admission rejection (`Overloaded`).
-        pub fn note_rejected(&self) {
-            self.lock().queries_rejected += 1;
-        }
-
-        /// Counts one admitted query entering execution (raises the
-        /// `queries_active` gauge; `record` lowers it).
-        pub fn note_started(&self) {
-            self.lock().queries_active += 1;
+            let mut s = self.lock();
+            s.queries_submitted += 1;
+            s.queries_active += 1;
         }
 
         /// Records the client pulling the first result batch `ttfb` after
@@ -831,7 +803,6 @@ mod tests {
             queries_completed: 83,
             queries_canceled: 3,
             queries_failed: 4,
-            queries_rejected: 5,
             queries_timed_out: 6,
             queries_stalled: 7,
             budget_aborts: 8,

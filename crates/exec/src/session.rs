@@ -88,15 +88,6 @@ pub enum MjError {
     /// A worker task panicked; the panic was contained to this query and
     /// converted into this error (the payload is the panic message).
     Internal(String),
-    /// The engine's concurrent-query limit and admission wait queue are
-    /// both full; the submission was rejected without running. Carries the
-    /// wait-queue depth at rejection so clients can back off
-    /// proportionally (the query server forwards it on the wire).
-    Overloaded {
-        /// Submissions waiting in the admission queue when this one was
-        /// rejected.
-        queue_depth: usize,
-    },
     /// A prepared-statement call failed before planning or execution:
     /// argument arity mismatch, an execute against an unknown or closed
     /// statement id, or a malformed argument. Unlike [`MjError::Bind`]
@@ -155,11 +146,6 @@ impl fmt::Display for MjError {
             ),
             MjError::Stalled(dump) => write!(f, "query stalled: {dump}"),
             MjError::Internal(msg) => write!(f, "internal error (contained panic): {msg}"),
-            MjError::Overloaded { queue_depth } => write!(
-                f,
-                "engine overloaded: concurrent query limit and wait queue \
-                 ({queue_depth} deep) are full"
-            ),
             MjError::Params(msg) => write!(f, "prepared-statement error: {msg}"),
         }
     }
@@ -191,7 +177,6 @@ impl From<RelalgError> for MjError {
             }
             RelalgError::Stalled(dump) => MjError::Stalled(dump),
             RelalgError::Internal(msg) => MjError::Internal(msg),
-            RelalgError::Overloaded { queue_depth } => MjError::Overloaded { queue_depth },
             other => MjError::Exec(other),
         }
     }
@@ -741,12 +726,12 @@ impl Database {
     }
 
     /// Engine-lifetime robustness counters: completions, cancellations,
-    /// timeouts, budget aborts, contained panics, admission rejections,
-    /// peak charged bytes, and the query-latency histograms — one
-    /// atomically consistent snapshot (every per-query counter is read
-    /// under a single lock), so `queries_completed + queries_failed +
-    /// queries_canceled + queries_timed_out + queries_stalled +
-    /// budget_aborts + queries_rejected <= queries_submitted` holds even
+    /// timeouts, budget aborts, contained panics, peak charged bytes, and
+    /// the query-latency histograms — one atomically consistent snapshot
+    /// (every per-query counter is read under a single lock), so
+    /// `queries_completed + queries_failed + queries_canceled +
+    /// queries_timed_out + queries_stalled + budget_aborts +
+    /// queries_active == queries_submitted` holds even
     /// when polled concurrently with running queries. This database's
     /// plan-cache counts and planning histogram are overlaid. The query
     /// server renders it through [`crate::metrics::to_prometheus`]

@@ -559,9 +559,7 @@ pub(crate) fn is_teardown(e: &RelalgError) -> bool {
 /// `pending` buffer, the caller's waker is registered on the full
 /// destination's edge, and the worker-pool task yields its worker instead
 /// of parking a thread — so a slow consumer, the client included,
-/// backpressures the pool. (Unit tests also get a row-at-a-time
-/// `try_route` and blocking `route` / `finish` over the same state
-/// machine.)
+/// backpressures the pool.
 pub struct Router {
     senders: Vec<Sender<Msg>>,
     key_col: usize,
@@ -772,68 +770,42 @@ impl Router {
     }
 }
 
-/// The row-at-a-time and blocking routes: unit tests drive edges with
-/// them from dedicated threads; engine tasks only ever route batches.
-#[cfg(test)]
-impl Router {
-    /// Non-blocking row route: accepts the tuple unless a previously parked
-    /// batch still cannot be delivered, in which case the tuple is handed
-    /// back (`Ok(Some(tuple))`) and the caller should yield. A full
-    /// destination buffer is flushed without blocking; on backpressure the
-    /// flushed batch parks (the tuple itself is still accepted). The
-    /// replacement buffer comes from the pool (take-and-swap), so steady
-    /// state allocates nothing.
-    pub fn try_route(&mut self, tuple: Tuple, waker: &Waker) -> Result<Option<Tuple>> {
-        if !self.poll_unblocked(waker)? {
-            return Ok(Some(tuple));
-        }
-        // A single destination needs no key: this also lets degree-1
-        // consumers (LIMIT, global aggregates) receive schemas whose
-        // routing column is not an integer.
-        let dest = if self.senders.len() == 1 {
-            0
-        } else {
-            mj_relalg::hash::bucket_of(tuple.int(self.key_col)?, self.senders.len())
-        };
-        self.buffer(dest).push_tuple(&tuple)?;
-        self.sent += 1;
-        if self.buffers[dest].rows() >= self.batch {
-            self.flush_dest(dest, waker)?;
-        }
-        Ok(None)
-    }
-
-    /// Routes one tuple, blocking on backpressure (dedicated-thread path).
-    pub fn route(&mut self, tuple: Tuple) -> Result<()> {
-        crate::sched::block_on(|waker| settled(self.poll_unblocked(waker)))?;
-        match self.try_route(tuple, Waker::noop())? {
-            None => Ok(()),
-            Some(_) => unreachable!("pending was flushed above"),
-        }
-    }
-
-    /// Flushes all buffers and sends `End` to every destination, blocking
-    /// on backpressure (dedicated-thread path).
-    pub fn finish(mut self) -> Result<()> {
-        crate::sched::block_on(|waker| settled(self.try_finish(waker)))
-    }
-}
-
-/// A non-blocking attempt as [`block_on`](crate::sched::block_on) reads it:
-/// `None` while it must wait.
-#[cfg(test)]
-fn settled(attempt: Result<bool>) -> Option<Result<()>> {
-    match attempt {
-        Ok(false) => None,
-        done => Some(done.map(|_| ())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mj_relalg::hash::bucket_of;
     use mj_relalg::{Attribute, DataType, Schema};
+
+    /// `keys` as a batch of `arity` integer columns, each holding the key.
+    fn keyed(keys: impl IntoIterator<Item = i64>, arity: usize) -> ColumnBatch {
+        let keys: Vec<i64> = keys.into_iter().collect();
+        let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(arity), keys.len());
+        for k in keys {
+            cols.push_tuple(&Tuple::from_ints(&vec![k; arity])).unwrap();
+        }
+        cols
+    }
+
+    /// Routes every row of `cols`, parking the calling thread on
+    /// backpressure as a dedicated producer thread would.
+    fn route_all(router: &mut Router, cols: &ColumnBatch) -> Result<()> {
+        let mut pos = 0;
+        crate::sched::block_on(
+            |waker| match router.try_route_batch(cols, &mut pos, waker) {
+                Ok((_, false)) => None,
+                done => Some(done.map(|_| ())),
+            },
+        )
+    }
+
+    /// Flushes every buffer and delivers `End` to every destination,
+    /// parking the calling thread on backpressure.
+    fn finish(router: &mut Router) -> Result<()> {
+        crate::sched::block_on(|waker| match router.try_finish(waker) {
+            Ok(false) => None,
+            done => Some(done.map(|_| ())),
+        })
+    }
 
     #[test]
     fn routes_by_key_and_flushes_on_finish() {
@@ -873,11 +845,11 @@ mod tests {
             .collect();
 
         let mut router = Router::new(txs, 0, 4, pool);
-        for k in 0..100i64 {
-            router.route(Tuple::from_ints(&[k, k])).unwrap();
+        for chunk in 0..10i64 {
+            route_all(&mut router, &keyed(chunk * 10..chunk * 10 + 10, 2)).unwrap();
         }
         assert_eq!(router.sent(), 100);
-        router.finish().unwrap();
+        finish(&mut router).unwrap();
         let total: usize = consumers.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, 100);
     }
@@ -920,10 +892,8 @@ mod tests {
         // because this test drains only after finish().
         let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
         let mut router = Router::new(txs, 0, 2, pool);
-        for k in 0..10i64 {
-            router.route(Tuple::from_ints(&[k])).unwrap();
-        }
-        router.finish().unwrap();
+        route_all(&mut router, &keyed(0..10, 1)).unwrap();
+        finish(&mut router).unwrap();
         let mut n = 0;
         while let Ok(Msg::Batch(b)) = rxs[0].recv() {
             n += b.len();
@@ -959,18 +929,16 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_until_drained() {
-        // A full bounded channel must stall route() rather than drop or
-        // error; draining one message releases exactly one send.
+        // A full bounded channel must stall the producer rather than drop
+        // or error; draining one message releases exactly one send.
         let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
         let rx = rxs.into_iter().next().unwrap();
         let producer = std::thread::spawn(move || {
             let mut router = Router::new(txs, 0, 1, pool);
-            // batch=1: every route() is a send. Second send blocks until
-            // the consumer below drains the first.
-            for k in 0..50i64 {
-                router.route(Tuple::from_ints(&[k])).unwrap();
-            }
-            router.finish().unwrap();
+            // batch=1: every row is a send. Second send parks until the
+            // consumer below drains the first.
+            route_all(&mut router, &keyed(0..50, 1)).unwrap();
+            finish(&mut router).unwrap();
         });
         let mut seen = 0usize;
         while let Ok(msg) = rx.recv() {
@@ -985,22 +953,19 @@ mod tests {
 
     #[test]
     fn hung_up_consumer_is_an_error() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 2, 1, ColumnLayout::ints(1));
         drop(rxs);
         let mut router = Router::new(txs, 0, 1, pool);
         // The first route triggers a batch send into a closed channel.
-        let r = router.route(Tuple::from_ints(&[1]));
-        assert!(r.is_err());
+        assert!(route_all(&mut router, &keyed([1], 1)).is_err());
     }
 
     #[test]
     fn dropped_batches_recycle_their_buffers() {
         let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
         let mut router = Router::new(txs, 0, 2, pool.clone());
-        for k in 0..8i64 {
-            router.route(Tuple::from_ints(&[k])).unwrap();
-        }
-        router.finish().unwrap();
+        route_all(&mut router, &keyed(0..8, 1)).unwrap();
+        finish(&mut router).unwrap();
         assert_eq!(pool.spares(), 0, "buffers are in flight, not pooled");
         let mut drained = 0;
         while let Ok(msg) = rxs[0].recv() {
@@ -1020,31 +985,31 @@ mod tests {
         let (txs2, _rxs2, _) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
         let mut router2 = Router::new(txs2, 0, 2, pool.clone());
         assert_eq!(pool.spares(), 4, "a router that wrote nothing took nothing");
-        router2.route(Tuple::from_ints(&[0])).unwrap();
+        route_all(&mut router2, &keyed([0], 1)).unwrap();
         assert_eq!(pool.spares(), 3, "router took a pooled buffer");
     }
 
     #[test]
     fn try_route_parks_on_backpressure_instead_of_blocking() {
-        // capacity 1, batch 1: the second flush cannot be delivered until
-        // the consumer drains. try_route must park it and keep accepting
-        // (bounded by one parked batch), then hand tuples back.
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        // Two destinations, capacity 1, batch 1: the second flush to a
+        // destination cannot be delivered until its consumer drains. The
+        // route must park it and keep accepting (bounded by one parked
+        // batch), then accept nothing until the parked batch moves.
+        let (txs, rxs, pool) = operand_channels(1, 2, 1, ColumnLayout::ints(1));
         let mut router = Router::new(txs, 0, 1, pool);
-        assert!(router
-            .try_route(Tuple::from_ints(&[1]), Waker::noop())
-            .unwrap()
-            .is_none());
-        // Second tuple is accepted; its flush parks (channel full).
-        assert!(router
-            .try_route(Tuple::from_ints(&[2]), Waker::noop())
-            .unwrap()
-            .is_none());
-        // Third tuple is handed back: the parked batch still can't move.
-        let back = router
-            .try_route(Tuple::from_ints(&[3]), Waker::noop())
-            .unwrap();
-        assert_eq!(back.unwrap().int(0).unwrap(), 3);
+        let k = (0..).find(|&k| bucket_of(k, 2) == 0).unwrap();
+        let one = keyed([k], 1);
+        let mut pos = 0;
+        let mut route = |router: &mut Router| {
+            pos = 0;
+            let routed = router.try_route_batch(&one, &mut pos, Waker::noop());
+            (routed.unwrap(), pos)
+        };
+        assert_eq!(route(&mut router), ((1, true), 1));
+        // The second row is accepted; its flush parks (channel full).
+        assert_eq!(route(&mut router), ((1, true), 1));
+        // The third is not: the parked batch still can't move.
+        assert_eq!(route(&mut router), ((0, false), 0));
         assert!(!router.poll_unblocked(Waker::noop()).unwrap());
         // Drain one message; the parked batch can now be delivered.
         let Msg::Batch(b) = rxs[0].recv().unwrap() else {
@@ -1053,23 +1018,22 @@ mod tests {
         assert_eq!(b.len(), 1);
         drop(b);
         assert!(router.poll_unblocked(Waker::noop()).unwrap());
-        assert!(router
-            .try_route(Tuple::from_ints(&[3]), Waker::noop())
-            .unwrap()
-            .is_none());
+        assert_eq!(route(&mut router), ((1, true), 1));
         assert_eq!(router.sent(), 3);
+        assert!(rxs[1].try_recv().is_err(), "nothing routed to the other");
     }
 
     #[test]
     fn try_finish_resumes_across_backpressure() {
         let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
         let mut router = Router::new(txs, 0, 8, pool);
-        for k in 0..5i64 {
-            assert!(router
-                .try_route(Tuple::from_ints(&[k]), Waker::noop())
-                .unwrap()
-                .is_none());
-        }
+        let mut pos = 0;
+        assert_eq!(
+            router
+                .try_route_batch(&keyed(0..5, 1), &mut pos, Waker::noop())
+                .unwrap(),
+            (5, true)
+        );
         // First try_finish flushes the batch into the single slot; the End
         // then parks, so finish is not yet complete.
         assert!(!router.try_finish(Waker::noop()).unwrap());
@@ -1096,8 +1060,9 @@ mod tests {
         let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
         drop(rxs);
         let mut router = Router::new(txs, 0, 1, pool);
+        let mut pos = 0;
         assert!(router
-            .try_route(Tuple::from_ints(&[1]), Waker::noop())
+            .try_route_batch(&keyed([1], 1), &mut pos, Waker::noop())
             .is_err());
     }
 
@@ -1155,12 +1120,12 @@ mod tests {
         let mut router = Router::new(txs, 0, 2, pool.clone());
         let mut drained = 0usize;
         for k in 0..1000i64 {
-            router.route(Tuple::from_ints(&[k])).unwrap();
+            route_all(&mut router, &keyed([k], 1)).unwrap();
             while let Ok(Msg::Batch(mut b)) = rxs[0].try_recv() {
                 drained += b.drain().count();
             }
         }
-        router.finish().unwrap();
+        finish(&mut router).unwrap();
         while let Ok(Msg::Batch(mut b)) = rxs[0].recv() {
             drained += b.drain().count();
         }
@@ -1188,16 +1153,16 @@ mod tests {
         let (txs, rxs, pool) = operand_channels(2, 1, 8, ColumnLayout::ints(1));
         let mut a = Router::new(txs.clone(), 0, 2, pool.clone());
         let mut b = Router::new(txs, 0, 2, pool);
-        for k in 0..5i64 {
-            assert!(a
-                .try_route(Tuple::from_ints(&[k]), Waker::noop())
-                .unwrap()
-                .is_none());
-        }
-        b.route(Tuple::from_ints(&[99])).unwrap();
+        let mut pos = 0;
+        assert_eq!(
+            a.try_route_batch(&keyed(0..5, 1), &mut pos, Waker::noop())
+                .unwrap(),
+            (5, true)
+        );
+        route_all(&mut b, &keyed([99], 1)).unwrap();
         assert!(a.try_finish(Waker::noop()).unwrap());
         assert_eq!(a.sent(), 5);
-        b.finish().unwrap();
+        finish(&mut b).unwrap();
         let (mut rows, mut ends) = (0, 0);
         while let Ok(msg) = rxs[0].try_recv() {
             match msg {

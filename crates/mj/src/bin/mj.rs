@@ -197,9 +197,9 @@ R{K-1} (fk0.., measure)), then parses, plans, and *streams* the query:
   echo \"SELECT R0.id, R2.id FROM ...\" | mj sql -    (newlines + -- comments ok)
   mj sql --explain \"SELECT ...\"        (costed alternatives, no execution)
 
-`mj serve` runs every connection as a task on the --workers engine pool;
---conn-workers counts its readiness threads (default 1), which only wait
-for socket edges and wake those tasks.
+`mj serve` runs its listener and every connection as tasks on the
+--workers engine pool; --conn-workers counts its readiness threads
+(default 1), which only wait for socket edges and wake those tasks.
 
 sql and serve plan over one logical processor per --workers unless --procs
 is given; plan, run and simulate keep a fixed --procs default, the paper's

@@ -17,7 +17,7 @@
 //! | [`core`] | `mj-core` | the four strategies, proportional allocation, parallel plan IR, plan generator |
 //! | [`exec`] | `mj-exec` | execution engine: fixed worker pool, generic [`PhysicalOp`](exec::PhysicalOp) operator framework (joins, aggregate, limit), tuple streams, [`Database`](exec::Database) session facade, streaming [`QueryHandle`](exec::QueryHandle)s, cost-based [`Planner`](exec::Planner) that runs every WHERE predicate as a scan filter |
 //! | [`sim`] | `mj-sim` | discrete-event simulator reproducing the 20–80-processor experiments |
-//! | [`server`] | `mj-server` | query server: line-delimited JSON protocol over TCP, fixed acceptor/connection-worker pool, metrics exposition (`mj serve`) |
+//! | [`server`] | `mj-server` | query server: line-delimited JSON protocol over TCP, listener and connections as tasks on the engine's worker pool, metrics exposition (`mj serve`) |
 //!
 //! ## Quickstart
 //!

@@ -53,15 +53,6 @@ pub enum RelalgError {
     /// pool and converted into this query-scoped error. The payload is the
     /// panic message.
     Internal(String),
-    /// Admission control rejected the query: the engine is already running
-    /// `max_concurrent` queries and the FIFO wait queue is full. Carries
-    /// the wait-queue depth at rejection so clients can back off
-    /// proportionally.
-    Overloaded {
-        /// Submissions waiting in the admission queue when this one was
-        /// rejected (= the configured queue bound).
-        queue_depth: usize,
-    },
     /// An exact phase-1 optimizer gave up: the join graph holds more
     /// connected-subgraph / complement pairs than the optimizer's fixed
     /// budget. Not a failure of the query — planners match it and fall
@@ -96,13 +87,6 @@ impl fmt::Display for RelalgError {
             }
             RelalgError::Stalled(dump) => write!(f, "query stalled: {dump}"),
             RelalgError::Internal(msg) => write!(f, "internal error (contained panic): {msg}"),
-            RelalgError::Overloaded { queue_depth } => {
-                write!(
-                    f,
-                    "engine overloaded: concurrent query limit and wait queue \
-                     ({queue_depth} deep) are full"
-                )
-            }
             RelalgError::PairBudgetExceeded { budget } => {
                 write!(
                     f,

@@ -82,11 +82,6 @@ impl Relation {
         self.tuples.iter()
     }
 
-    /// Sorts tuples into the canonical order (used before comparing).
-    pub fn sort_canonical(&mut self) {
-        self.tuples.sort_unstable();
-    }
-
     /// Multiset equality: same schema arity, same tuples regardless of order.
     pub fn multiset_eq(&self, other: &Relation) -> bool {
         if self.schema.arity() != other.schema.arity() || self.len() != other.len() {

@@ -19,7 +19,8 @@ pub struct ServerError {
     pub code: String,
     /// Human-readable message.
     pub message: String,
-    /// Admission queue depth; present only with code `overloaded`.
+    /// Queue depth; present only with code `overloaded` (see
+    /// [`WireError::queue_depth`](crate::WireError::queue_depth)).
     pub queue_depth: Option<u64>,
 }
 

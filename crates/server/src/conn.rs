@@ -1,7 +1,8 @@
 //! Per-connection state machine, stepped as one task on the engine's
 //! worker pool.
 //!
-//! One [`Conn`] wraps one non-blocking client socket and is one
+//! One [`Conn`] wraps one non-blocking client socket, accepted by the
+//! server's listener task and dealt to a readiness set, and is one
 //! cooperative [`Task`]. A step never blocks: it reads until the socket
 //! would block, parses complete request lines, starts the next request —
 //! planning an ad-hoc `query` or a `prepare` right there, in the step —
@@ -19,7 +20,9 @@
 //!
 //! Pipelining falls out of the design: requests parsed ahead of the
 //! active query queue up in arrival order and responses are emitted
-//! strictly in that order. Cancellation on disconnect falls out too —
+//! strictly in that order. A connection so runs at most one query at a
+//! time, and the server's connection cap (`max_clients`) is the one bound
+//! on queries in flight from the wire; the engine has no gate of its own. Cancellation on disconnect falls out too —
 //! the task drops the active query's stream and cancels its handle; it
 //! ends once that query has concluded, without waiting for it in a step.
 

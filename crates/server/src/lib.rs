@@ -16,16 +16,17 @@
 //!
 //! - [`protocol`] — frame grammar (JSON lines and binary batch frames),
 //!   request parsing with strict unknown-field rejection, and the total
-//!   [`MjError`] → [`protocol::WireError`] code mapping (`Overloaded`
-//!   carries its admission queue depth onto the wire).
+//!   [`MjError`] → [`protocol::WireError`] code mapping; the server's own
+//!   `overloaded` rejections carry a queue depth onto the wire.
 //! - `conn` and `poll` (private) + [`server`] — each connection is one
 //!   cooperative task on the engine's worker pool: its steps read, parse,
 //!   start queries, poll them with
 //!   [`mj_exec::ResultStream::poll_next_batch`], encode and write, and it
 //!   parks on its socket, result stream, query conclusion or a pool timer.
-//!   A non-blocking acceptor deals sockets to a few readiness threads,
-//!   each waiting in `epoll_wait(2)` for edges on its sockets and waking
-//!   their tasks; they move no bytes. No async runtime anywhere;
+//!   The listener is a task on the same pool that deals accepted sockets
+//!   to a few readiness threads, each waiting in `epoll_wait(2)` for edges
+//!   on its sockets and waking their tasks; they move no bytes. No async
+//!   runtime anywhere;
 //!   disconnecting a client cancels its query. Each connection owns a
 //!   prepared statement id table and reusable batch-serialization scratch
 //!   buffers.

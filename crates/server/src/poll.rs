@@ -1,54 +1,23 @@
 //! Socket readiness for the server, and nothing more.
 //!
-//! The acceptor blocks in `ppoll(2)` ([`wait`]) on the listener and a
-//! [`Signal`] that shutdown raises. Each readiness thread owns one
-//! edge-triggered `epoll(7)` set ([`Readiness`]) of the sockets dealt to
-//! it: it waits for edges and wakes the connection task that owns the
-//! socket. It never reads a byte and never calls the engine; the task,
-//! stepped on the engine's worker pool, does both.
+//! Each readiness thread owns one edge-triggered `epoll(7)` set
+//! ([`Readiness`]) of the sockets dealt to it (the first set also holds the
+//! listener): it waits for edges and wakes the task that owns the socket.
+//! It never reads a byte and never calls the engine; the task, stepped on
+//! the engine's worker pool, does both. A [`Signal`] that shutdown raises
+//! ends the threads.
 //!
 //! Std already links libc, so the few foreign functions are declared here
-//! rather than pulled in from a crate. `ppoll` rather than `poll` because
-//! its timeout is a `timespec`, not rounded to milliseconds.
+//! rather than pulled in from a crate.
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
+use std::os::raw::c_int;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
-use std::time::Duration;
-
-/// Readable (or, on a listener, a connection to accept).
-pub(crate) const POLLIN: c_short = 0x1;
-
-/// `struct pollfd`.
-#[repr(C)]
-pub(crate) struct PollFd {
-    fd: c_int,
-    events: c_short,
-    revents: c_short,
-}
-
-impl PollFd {
-    /// Waits for `events` on `fd` (errors and hang-ups are always reported).
-    pub(crate) fn new(fd: RawFd, events: c_short) -> PollFd {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-}
-
-/// `struct timespec` (`time_t` is a `long` on Linux).
-#[repr(C)]
-struct Timespec {
-    tv_sec: c_long,
-    tv_nsec: c_long,
-}
 
 /// `struct epoll_event`, which the kernel packs on x86-64 only.
 #[repr(C)]
@@ -68,46 +37,14 @@ const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
 
 extern "C" {
-    fn ppoll(
-        fds: *mut PollFd,
-        nfds: c_ulong,
-        timeout: *const Timespec,
-        sigmask: *const c_void,
-    ) -> c_int;
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
 }
 
-/// Blocks until a descriptor of `fds` is ready or `timeout` (none: no
-/// limit) has passed. A signal ends the wait early, like a timeout.
-pub(crate) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<()> {
-    let timeout = timeout.map(|t| Timespec {
-        tv_sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
-        // Below 10^9, so it fits a `long` of any width.
-        tv_nsec: t.subsec_nanos() as c_long,
-    });
-    let timeout_ptr = timeout
-        .as_ref()
-        .map_or(std::ptr::null(), |t| t as *const Timespec);
-    let nfds = c_ulong::try_from(fds.len()).expect("a poll set fits the platform's nfds_t");
-    // SAFETY: `fds` is an exclusively borrowed slice of `nfds` `#[repr(C)]`
-    // pollfd records that ppoll may write `revents` into; `timeout_ptr` is
-    // null or points at `timeout`, alive until the call returns; a null
-    // signal mask leaves the thread's mask unchanged.
-    let n = unsafe { ppoll(fds.as_mut_ptr(), nfds, timeout_ptr, std::ptr::null()) };
-    if n < 0 {
-        let err = std::io::Error::last_os_error();
-        if err.kind() != std::io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
-    Ok(())
-}
-
 /// A one-shot flag a descriptor carries: once [`raise`](Signal::raise)d,
-/// its read end stays readable for good, so every poll or `epoll` set that
-/// holds it sees it, now and later.
+/// its read end stays readable for good, so every `epoll` set that holds
+/// it sees it, now and later.
 pub(crate) struct Signal {
     rx: UnixStream,
     tx: UnixStream,
@@ -274,27 +211,33 @@ mod tests {
     use std::io::Read;
     use std::sync::atomic::AtomicUsize;
     use std::task::Wake;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
+
+    /// Runs `set`'s readiness loop on a thread of its own and fails,
+    /// rather than hangs, unless it returns within ten seconds.
+    fn runs_to_its_end(set: &Arc<Readiness>) {
+        let (done, ended) = std::sync::mpsc::channel();
+        let set = set.clone();
+        let thread = std::thread::spawn(move || {
+            set.run();
+            let _ = done.send(());
+        });
+        ended
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the raised signal ends the wait");
+        thread.join().unwrap();
+    }
 
     #[test]
     fn a_raised_signal_ends_every_wait_for_good() {
         let signal = Signal::new().unwrap();
-        let mut fds = [PollFd::new(signal.fd(), POLLIN)];
+        let before = Readiness::new(&signal).unwrap();
         signal.raise();
-        for _ in 0..2 {
-            wait(&mut fds, None).unwrap();
-            assert_ne!(fds[0].revents, 0);
+        let after = Readiness::new(&signal).unwrap();
+        // Sets that held it before and since it was raised, each again.
+        for set in [&before, &after, &before, &after] {
+            runs_to_its_end(set);
         }
-    }
-
-    #[test]
-    fn the_timeout_ends_an_idle_wait() {
-        let signal = Signal::new().unwrap();
-        let mut fds = [PollFd::new(signal.fd(), POLLIN)];
-        let t0 = Instant::now();
-        wait(&mut fds, Some(Duration::from_millis(20))).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(20));
-        assert_eq!(fds[0].revents, 0);
     }
 
     /// Counts its wakes.

@@ -162,8 +162,10 @@ pub struct WireError {
     pub message: String,
     /// Source span for parse/bind diagnostics.
     pub span: Option<Span>,
-    /// Admission queue depth, present only for `overloaded` so clients
-    /// can back off proportionally.
+    /// Queue depth, present only for `overloaded` so clients can back off
+    /// proportionally: the open connections when the connection cap turned
+    /// this one away, or the requests queued ahead of one that arrived
+    /// during a drain.
     pub queue_depth: Option<u64>,
 }
 
@@ -189,7 +191,7 @@ impl WireError {
     }
 
     /// The rejection for new work during graceful shutdown or above the
-    /// connection cap — the same back-off signal as engine admission.
+    /// connection cap.
     pub fn overloaded(message: impl Into<String>, queue_depth: u64) -> Self {
         WireError {
             code: "overloaded",
@@ -202,26 +204,25 @@ impl WireError {
     /// Maps a session error onto its wire code. Total over [`MjError`]:
     /// adding a variant upstream breaks this match at compile time.
     pub fn from_mj(e: &MjError) -> Self {
-        let (code, span, queue_depth) = match e {
-            MjError::Parse(p) => ("parse", Some(p.span), None),
-            MjError::Bind { span, .. } => ("bind", Some(*span), None),
-            MjError::DuplicateRelation(_) => ("duplicate_relation", None, None),
-            MjError::Config(_) => ("config", None, None),
-            MjError::Plan(_) => ("plan", None, None),
-            MjError::Params(_) => ("params", None, None),
-            MjError::Exec(_) => ("exec", None, None),
-            MjError::Canceled => ("canceled", None, None),
-            MjError::DeadlineExceeded => ("deadline_exceeded", None, None),
-            MjError::ResourceExhausted { .. } => ("resource_exhausted", None, None),
-            MjError::Stalled(_) => ("stalled", None, None),
-            MjError::Internal(_) => ("internal", None, None),
-            MjError::Overloaded { queue_depth } => ("overloaded", None, Some(*queue_depth as u64)),
+        let (code, span) = match e {
+            MjError::Parse(p) => ("parse", Some(p.span)),
+            MjError::Bind { span, .. } => ("bind", Some(*span)),
+            MjError::DuplicateRelation(_) => ("duplicate_relation", None),
+            MjError::Config(_) => ("config", None),
+            MjError::Plan(_) => ("plan", None),
+            MjError::Params(_) => ("params", None),
+            MjError::Exec(_) => ("exec", None),
+            MjError::Canceled => ("canceled", None),
+            MjError::DeadlineExceeded => ("deadline_exceeded", None),
+            MjError::ResourceExhausted { .. } => ("resource_exhausted", None),
+            MjError::Stalled(_) => ("stalled", None),
+            MjError::Internal(_) => ("internal", None),
         };
         WireError {
             code,
             message: e.to_string(),
             span,
-            queue_depth,
+            queue_depth: None,
         }
     }
 
@@ -1070,7 +1071,6 @@ mod tests {
             MjError::ResourceExhausted { used: 1, budget: 2 },
             MjError::Stalled("s".into()),
             MjError::Internal("i".into()),
-            MjError::Overloaded { queue_depth: 3 },
         ];
         let codes: Vec<&str> = errors.iter().map(|e| WireError::from_mj(e).code).collect();
         let mut unique = codes.clone();
@@ -1081,8 +1081,6 @@ mod tests {
             codes.len(),
             "codes must be distinct: {codes:?}"
         );
-        let over = WireError::from_mj(&MjError::Overloaded { queue_depth: 3 });
-        assert_eq!(over.queue_depth, Some(3));
     }
 
     #[test]

@@ -99,12 +99,16 @@ fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
     }
 }
 
+/// Tasks a running server keeps on the pool with no connection open: its
+/// listener, parked until a connection arrives.
+const LISTENER: usize = 1;
+
 /// Waits until the server has closed every connection and the database's
-/// pool holds no task, queued or parked.
+/// pool holds no task but the server's parked listener.
 fn assert_quiescent(server: &Server, db: &Database) {
     let pool = db.engine().pool();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.active_clients() > 0 || pool.queued() > 0 || pool.parked() > 0 {
+    while server.active_clients() > 0 || pool.queued() > 0 || pool.parked() != LISTENER {
         assert!(
             Instant::now() < deadline,
             "{} clients, {} queued, {} parked",
@@ -677,16 +681,13 @@ fn wire_deadlines_start_no_thread() {
 }
 
 #[test]
-fn one_worker_behind_a_one_slot_gate_serves_pipelined_executes() {
-    // A connection step never waits. With one pool worker and one run
-    // slot, an execute that finds the slot taken is queued at the gate and
-    // its connection parks on the result stream, while the query holding
-    // the slot keeps stepping on that same worker. A step that waited at
-    // the gate would hold the only worker, and this would hang.
+fn one_worker_serves_pipelined_executes_from_three_connections() {
+    // A connection step never waits. With one pool worker, three
+    // connections' pipelined executes, their queries and the listener all
+    // take turns on it: a step that waited for its own query would hold
+    // the only worker, and this would hang.
     let mut config = DbConfig::default();
     config.exec.workers = 1;
-    config.exec.max_concurrent = Some(1);
-    config.exec.admission_queue = 4;
     let db = chain_db_with(config);
     let server = ManuallyDrop::new(Server::start(db.clone(), ServerConfig::default()).unwrap());
     let addr = server.local_addr();
@@ -700,11 +701,8 @@ fn one_worker_behind_a_one_slot_gate_serves_pipelined_executes() {
                         client.send_execute(stmt.id, &[k], false).unwrap();
                     }
                     for k in 1..=20 {
-                        match client.collect_reply() {
-                            Ok(reply) => assert_eq!(reply.rows.len(), k),
-                            Err(ClientError::Server(e)) => assert_eq!(e.code, "overloaded"),
-                            Err(other) => panic!("execute {k}: {other:?}"),
-                        }
+                        let reply = client.collect_reply().unwrap();
+                        assert_eq!(reply.rows.len(), k as usize, "execute {k}");
                     }
                 })
             })
@@ -720,13 +718,14 @@ fn one_worker_behind_a_one_slot_gate_serves_pipelined_executes() {
 #[test]
 fn an_open_idle_connection_is_one_parked_task() {
     let db = chain_db();
-    let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
     let pool = db.engine().pool();
-    assert_eq!((pool.queued(), pool.parked()), (0, 0), "no connection yet");
+    assert_eq!((pool.queued(), pool.parked()), (0, 0), "no server yet");
+    let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
+    assert_quiescent(&server, &db);
     let mut client = Client::connect(server.local_addr()).unwrap();
     assert!(!client.query(CHAIN_QUERY).unwrap().rows.is_empty());
     let deadline = Instant::now() + Duration::from_secs(10);
-    while (pool.queued(), pool.parked()) != (0, 1) {
+    while (pool.queued(), pool.parked()) != (0, LISTENER + 1) {
         assert!(
             Instant::now() < deadline,
             "{} queued, {} parked",
@@ -737,6 +736,8 @@ fn an_open_idle_connection_is_one_parked_task() {
     }
     drop(client);
     assert_quiescent(&server, &db);
+    server.shutdown();
+    assert_eq!((pool.queued(), pool.parked()), (0, 0), "shut down");
 }
 
 #[test]
@@ -774,6 +775,78 @@ fn one_pool_worker_interleaves_connections_and_queries() {
         assert!(b_at < a_at, "B's reply came after A's");
     });
     ManuallyDrop::into_inner(server).shutdown();
+}
+
+#[test]
+fn a_server_adds_only_its_readiness_threads() {
+    // The listener is a task on the database's pool, like every
+    // connection: serving adds the readiness threads and nothing else.
+    if !alone("a_server_adds_only_its_readiness_threads") {
+        return;
+    }
+    let db = chain_db();
+    let config = ServerConfig {
+        conn_workers: 2,
+        ..ServerConfig::default()
+    };
+    let before = threads();
+    let server = Server::start(db, config.clone()).unwrap();
+    assert_eq!(threads() - before, config.conn_workers, "after start");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(!client.query(CHAIN_QUERY).unwrap().rows.is_empty());
+    assert_eq!(threads() - before, config.conn_workers, "while serving");
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_connection_opened_while_a_query_runs_on_the_only_worker_is_served_first() {
+    // A's ad-hoc query counts 4 M joined rows on the only worker. B
+    // connects only then: the listener's step, B's prepare and B's
+    // execute all take turns with A's count on that worker, and B's reply
+    // comes first.
+    let mut config = DbConfig::default();
+    config.exec.workers = 1;
+    let (db, server) = hot_key_server_with(config);
+    let server = ManuallyDrop::new(server);
+    let addr = server.local_addr();
+    within(Duration::from_secs(30), move || {
+        let mut a = Client::connect(addr).unwrap();
+        a.send_query(HOT_QUERY).unwrap();
+        await_in_flight(&db);
+        let a_reply = std::thread::spawn(move || {
+            let reply = a.collect_reply().unwrap();
+            (reply, Instant::now())
+        });
+        let mut b = Client::connect(addr).unwrap();
+        let stmt = b
+            .prepare("SELECT COUNT(*) FROM H0 JOIN H1 ON H0.k = H1.k WHERE H0.v < ?1")
+            .unwrap();
+        let b_reply = b.execute(stmt.id, &[1]).unwrap();
+        let b_at = Instant::now();
+        let (a_reply, a_at) = a_reply.join().unwrap();
+        assert_eq!(b_reply.rows, vec![vec![Value::Int(HOT_ROWS)]]);
+        assert_eq!(a_reply.rows, vec![vec![Value::Int(HOT_ROWS * HOT_ROWS)]]);
+        assert!(
+            a_reply.elapsed_ms >= 20.0,
+            "A's query ran {} ms: too short to overlap B's",
+            a_reply.elapsed_ms
+        );
+        assert!(b_at < a_at, "B's reply came after A's");
+    });
+    ManuallyDrop::into_inner(server).shutdown();
+}
+
+#[test]
+fn once_shutdown_returns_the_port_refuses_connections() {
+    let server = chain_server();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    assert!(!client.query(CHAIN_QUERY).unwrap().rows.is_empty());
+    server.shutdown();
+    let refused = TcpStream::connect(addr).expect_err("the listener is closed");
+    assert_eq!(refused.kind(), std::io::ErrorKind::ConnectionRefused);
+    drop(client);
 }
 
 /// Reads JSON lines from `reader` until a terminal frame and returns the

@@ -60,11 +60,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Sum of busy time across ops (proportional to work done).
-    pub fn total_busy(&self) -> f64 {
-        self.spans.iter().map(OpSpan::busy_time).sum()
-    }
-
     /// Machine utilization: busy processor-seconds over
     /// `processors × response_time`.
     pub fn utilization(&self, processors: usize) -> f64 {
