@@ -53,6 +53,7 @@ mod late;
 pub mod metrics;
 pub mod operator;
 pub mod planner;
+mod poll;
 pub mod sched;
 pub mod session;
 pub mod source;

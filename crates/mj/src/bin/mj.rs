@@ -3,7 +3,7 @@
 //! ```text
 //! mj sql      "<query>" | -  [--query F --relations K --tuples N --seed X]
 //!             [--procs P --workers W] [--explain] [--limit R]
-//! mj serve    [--addr A --workers W --conn-workers C --max-clients M]
+//! mj serve    [--addr A --workers W --max-clients M]
 //!             [--query F --relations K --tuples N --seed X --procs P]
 //! mj shapes   [--relations K]
 //! mj plan     [--query F] [--strategy auto|ST] [--relations K --tuples N --procs P --seed X]
@@ -171,9 +171,9 @@ fn usage() -> &'static str {
   mj sql      \"<query>\" | -  [--query chain|star|skewed --relations K
               --tuples N --seed X --procs P --workers W] [--explain]
               [--limit R] [--format table|csv|json]
-  mj serve    [--addr HOST:PORT] [--workers W --conn-workers C
-              --max-clients M] [--query chain|star|skewed --relations K
-              --tuples N --seed X --procs P]
+  mj serve    [--addr HOST:PORT] [--workers W --max-clients M]
+              [--query chain|star|skewed --relations K --tuples N --seed X
+              --procs P]
   mj shapes   [--relations K]
   mj plan     [--query chain|star|skewed] [--strategy auto|ST]
               [--relations K --tuples N --procs P --seed X]   (planner explain)
@@ -198,8 +198,8 @@ R{K-1} (fk0.., measure)), then parses, plans, and *streams* the query:
   mj sql --explain \"SELECT ...\"        (costed alternatives, no execution)
 
 `mj serve` runs its listener and every connection as tasks on the
---workers engine pool; --conn-workers counts its readiness threads
-(default 1), which only wait for socket edges and wake those tasks.
+--workers engine pool and starts no thread of its own: an idle worker
+waits for socket edges itself and serves the request that arrives.
 
 sql and serve plan over one logical processor per --workers unless --procs
 is given; plan, run and simulate keep a fixed --procs default, the paper's
@@ -497,7 +497,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let conn_workers: usize = args.num("conn-workers", ServerConfig::default().conn_workers)?;
     let max_clients: usize = args.num("max-clients", ServerConfig::default().max_clients)?;
 
     let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
@@ -518,19 +517,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         db.clone(),
         ServerConfig {
             addr,
-            conn_workers,
             max_clients,
+            ..ServerConfig::default()
         },
     )
     .map_err(|e| e.to_string())?;
     eprintln!(
         "serving `{family}` family ({k} relations x {tuples} tuples, seed {seed}) \
-         on {} — {} engine workers ({} logical processors), {} readiness threads, \
-         {} clients max",
+         on {} — {} engine workers ({} logical processors), {} clients max",
         server.local_addr(),
         workers,
         db.planner_options().processors,
-        conn_workers,
         max_clients,
     );
     eprintln!(

@@ -2,17 +2,17 @@
 //! worker pool.
 //!
 //! One [`Conn`] wraps one non-blocking client socket, accepted by the
-//! server's listener task and dealt to a readiness set, and is one
-//! cooperative [`Task`]. A step never blocks: it reads until the socket
-//! would block, parses complete request lines, starts the next request —
-//! planning an ad-hoc `query` or a `prepare` right there, in the step —
-//! polls the active query's [`ResultStream`], encodes what it yields, and
-//! writes whatever the socket will take. Whatever it could not finish it
-//! parks on, with the waker it was stepped with: the socket (an edge
-//! reported by the readiness thread the socket was dealt to), the result
-//! stream, the query's conclusion, or a pool timer. The waker is published
-//! before the first read, and the socket enters the readiness set only
-//! after that, so no edge is lost.
+//! server's listener task, and is one cooperative [`Task`]. A step never
+//! blocks: it reads until the socket would block, parses complete request
+//! lines, starts the next request — planning an ad-hoc `query` or a
+//! `prepare` right there, in the step — polls the active query's
+//! [`ResultStream`], encodes what it yields, and writes whatever the
+//! socket will take. Whatever it could not finish it parks on, with the
+//! waker it was stepped with: the socket (registered in the pool's
+//! readiness set, whose edge wakes a worker waiting there, which then
+//! steps this task itself), the result stream, the query's conclusion, or
+//! a pool timer. The waker is published before the first read, and the
+//! socket enters the readiness set only after that, so no edge is lost.
 //!
 //! Ad-hoc `query` statements are paced per connection ([`AdhocPace`]): a
 //! statement whose turn has not come stays queued, and the task arms a
@@ -22,9 +22,10 @@
 //! active query queue up in arrival order and responses are emitted
 //! strictly in that order. A connection so runs at most one query at a
 //! time, and the server's connection cap (`max_clients`) is the one bound
-//! on queries in flight from the wire; the engine has no gate of its own. Cancellation on disconnect falls out too —
-//! the task drops the active query's stream and cancels its handle; it
-//! ends once that query has concluded, without waiting for it in a step.
+//! on queries in flight from the wire; the engine has no gate of its own.
+//! Cancellation on disconnect falls out too — the task drops the active
+//! query's stream and cancels its handle; it ends once that query has
+//! concluded, without waiting for it in a step.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -34,10 +35,9 @@ use std::sync::Arc;
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-use mj_exec::sched::{Step, Task};
+use mj_exec::sched::{Registration, Step, Task};
 use mj_exec::{BatchPoll, Database, MjError, PreparedStatement, QueryHandle, ResultStream};
 
-use crate::poll::{Readiness, Registration};
 use crate::protocol::{
     batch_frame_bin_into, batch_frame_into, closed_frame, done_frame, http_metrics_request,
     http_metrics_response, metrics_frame, parse_request, prepared_frame, Request, ResultFormat,
@@ -152,10 +152,8 @@ pub(crate) struct Conn {
     adhoc: AdhocPace,
     /// The turn a pool timer is armed to wake this task for.
     timer_at: Option<Instant>,
-    /// The readiness set this socket was dealt to.
-    readiness: Arc<Readiness>,
-    /// The socket's place in that set, from the first step until the
-    /// socket closes.
+    /// The socket's place in the pool's readiness set, from the first
+    /// step until the socket closes.
     registration: Option<Registration>,
     db: Arc<Database>,
     server: Arc<Shared>,
@@ -167,7 +165,6 @@ impl Conn {
     pub(crate) fn new(
         stream: TcpStream,
         db: &Arc<Database>,
-        readiness: &Arc<Readiness>,
         server: &Arc<Shared>,
         slot: ClientSlot,
     ) -> std::io::Result<Self> {
@@ -193,7 +190,6 @@ impl Conn {
                 due: Instant::now(),
             },
             timer_at: None,
-            readiness: readiness.clone(),
             registration: None,
             db: db.clone(),
             server: server.clone(),
@@ -229,14 +225,15 @@ impl Conn {
     }
 
     /// Publishes `waker` for the socket — on the first step, before the
-    /// first read, and only then adds the socket to its readiness set — and
-    /// runs one [`tick`](Self::tick).
+    /// first read, and only then adds the socket to the pool's readiness
+    /// set — and runs one [`tick`](Self::tick).
     fn serve(&mut self, waker: &Waker) -> Option<Step> {
         match &self.registration {
             Some(registration) => registration.update(waker),
             None => {
                 let fd = self.stream.as_raw_fd();
-                self.registration = Some(self.readiness.register(fd, waker).ok()?);
+                let pool = self.db.engine().pool();
+                self.registration = Some(pool.register(fd, waker).ok()?);
             }
         }
         self.tick(waker)

@@ -18,18 +18,17 @@
 //!   request parsing with strict unknown-field rejection, and the total
 //!   [`MjError`] → [`protocol::WireError`] code mapping; the server's own
 //!   `overloaded` rejections carry a queue depth onto the wire.
-//! - `conn` and `poll` (private) + [`server`] — each connection is one
-//!   cooperative task on the engine's worker pool: its steps read, parse,
-//!   start queries, poll them with
-//!   [`mj_exec::ResultStream::poll_next_batch`], encode and write, and it
-//!   parks on its socket, result stream, query conclusion or a pool timer.
-//!   The listener is a task on the same pool that deals accepted sockets
-//!   to a few readiness threads, each waiting in `epoll_wait(2)` for edges
-//!   on its sockets and waking their tasks; they move no bytes. No async
-//!   runtime anywhere;
-//!   disconnecting a client cancels its query. Each connection owns a
-//!   prepared statement id table and reusable batch-serialization scratch
-//!   buffers.
+//! - `conn` (private) + [`server`] — each connection is one cooperative
+//!   task on the engine's worker pool: its steps read, parse, start
+//!   queries, poll them with [`mj_exec::ResultStream::poll_next_batch`],
+//!   encode and write, and it parks on its socket, result stream, query
+//!   conclusion or a pool timer. The listener is a task on the same pool
+//!   that submits each accepted socket as a connection task. Every socket
+//!   sits in the pool's readiness set, where an idle worker waits, so a
+//!   request wakes the worker that serves it. The server starts no thread
+//!   and runs no async runtime; disconnecting a client cancels its query.
+//!   Each connection owns a prepared statement id table and reusable
+//!   batch-serialization scratch buffers.
 //! - [`client`] — a deliberately simple blocking client used by the
 //!   integration tests, the oracle differential harness, and the
 //!   `benchmark/` driver — including a typed columnar decode of binary
@@ -41,7 +40,6 @@
 
 pub mod client;
 mod conn;
-mod poll;
 pub mod protocol;
 pub mod server;
 

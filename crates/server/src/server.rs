@@ -1,12 +1,11 @@
-//! The server proper: a few readiness threads, and on the engine's worker
-//! pool one task for the listener and one per connection.
+//! The server proper: on the engine's worker pool, one task for the
+//! listener and one per connection, and no thread of its own.
 //!
-//! No async runtime, and no thread of the server's own but the readiness
-//! threads. The listener is a task like every connection (`Listener`): its
-//! step accepts until the non-blocking [`TcpListener`] would block, turns
-//! each accepted socket into a connection task (`Conn`), deals it
-//! round-robin to a readiness thread's `epoll` set and submits it to the
-//! database's [`WorkerPool`](mj_exec::sched::WorkerPool). From then on the
+//! No async runtime, and no thread: [`Server::start`] submits the listener
+//! task (`Listener`) and returns. Its step accepts until the non-blocking
+//! [`TcpListener`] would block, turns each accepted socket into a
+//! connection task (`Conn`) and submits it to the database's
+//! [`WorkerPool`](mj_exec::sched::WorkerPool). From then on the
 //! connection's whole life — read, parse, plan or look up the prepared
 //! statement, start the query, poll its result stream, encode and write —
 //! runs in that task's steps on a pool worker, beside the queries' own
@@ -15,20 +14,21 @@
 //! onto the same queue, so a short query's request and reply run on one
 //! worker with no hand-off between threads.
 //!
-//! A readiness thread owns only socket readiness: it waits in
-//! `epoll_wait(2)` for edges on the sockets dealt to it (the listener sits
-//! in the first set) and wakes the task that owns each one. It never reads
-//! a byte and never calls the engine. A task that cannot go on parks on
-//! what it waits for: a socket edge, its query's result stream or
-//! conclusion, or a pool timer — for the turn of a paced ad-hoc statement
-//! (`Conn` in `conn.rs`), or for the listener's retry after a failed
-//! `accept`. Nothing here naps on a timer.
+//! Sockets are registered in the pool's readiness set
+//! ([`WorkerPool::register`](mj_exec::sched::WorkerPool::register)). One
+//! idle worker waits in that set, so a request's edge wakes it straight
+//! from the kernel and it steps the connection itself; while every worker
+//! is busy, one looks at the set between its steps. A task that cannot go
+//! on parks on what it waits for: a socket edge, its query's result stream
+//! or conclusion, or a pool timer — for the turn of a paced ad-hoc
+//! statement (`Conn` in `conn.rs`), or for the listener's retry after a
+//! failed `accept`. Nothing here naps on a timer.
 //!
 //! Graceful shutdown ([`Server::shutdown`]): stop accepting, let
 //! in-flight (and already-pipelined) requests drain, answer any request
 //! that arrives during the drain with a typed `overloaded` error, close
-//! each connection as it goes quiescent, wait for the listener task and
-//! every connection task to end, then join the readiness threads.
+//! each connection as it goes quiescent, and wait for the listener task
+//! and every connection task to end.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,20 +36,18 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mj_exec::sched::{Step, Task};
+use mj_exec::sched::{Registration, Step, Task};
 use mj_exec::Database;
 
 use crate::conn::Conn;
-use crate::poll::{Readiness, Registration, Signal};
 use crate::protocol::WireError;
 
 /// How long the listener waits before retrying after `accept` failed for a
 /// reason other than "nothing to accept" (e.g. out of descriptors): the
 /// listener stays readable, so no new edge would wake it. Also how often
-/// it looks for connections while its socket is not in a readiness set.
+/// it looks for connections while its socket is not in the readiness set.
 const ACCEPT_RETRY: Duration = Duration::from_millis(1);
 
 /// Tuning knobs for [`Server::start`].
@@ -58,9 +56,10 @@ pub struct ServerConfig {
     /// Listen address, e.g. `"127.0.0.1:7878"`. Port `0` picks a free
     /// port; read it back from [`Server::local_addr`].
     pub addr: String,
-    /// Readiness threads: each waits on the sockets dealt to it and wakes
-    /// their connection tasks, which run on the database's worker pool. A
-    /// readiness thread moves no bytes, so one serves many sockets.
+    /// Has no effect: the server starts no thread, and an idle pool worker
+    /// waits on the sockets itself. Kept only because the benchmark
+    /// harness (`benchmark/src/workloads.rs`) still sets it by name; it
+    /// goes once the harness stops naming it.
     pub conn_workers: usize,
     /// Connections above this are turned away at accept time with a
     /// typed `overloaded` error frame (carrying the current client
@@ -79,11 +78,8 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Validates the knobs (non-zero readiness threads and client cap).
+    /// Validates the knobs (a non-zero client cap).
     pub fn validate(&self) -> Result<(), String> {
-        if self.conn_workers == 0 {
-            return Err("conn_workers must be positive".into());
-        }
         if self.max_clients == 0 {
             return Err("max_clients must be positive".into());
         }
@@ -96,10 +92,6 @@ impl ServerConfig {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Raised once the listener and every connection task have ended: ends
-    /// the readiness threads.
-    stop_readiness: Signal,
-    readiness: Vec<(JoinHandle<()>, Arc<Readiness>)>,
     /// Held until shutdown has waited out the listener and every
     /// connection task, so the last reference to the database (and its
     /// pool) never drops on one of the pool's own workers.
@@ -155,10 +147,10 @@ impl Drop for ListenerSlot {
 }
 
 impl Server {
-    /// Binds `config.addr`, starts the readiness threads and submits the
-    /// listener task to the shared `db`'s worker pool, which runs the
-    /// connections too. Returns once the listener is live — clients may
-    /// connect immediately.
+    /// Binds `config.addr` and submits the listener task to the shared
+    /// `db`'s worker pool, which runs the connections too; starts no
+    /// thread. Returns once the listener is live — clients may connect
+    /// immediately.
     pub fn start(db: Arc<Database>, config: ServerConfig) -> std::io::Result<Server> {
         config
             .validate()
@@ -175,28 +167,9 @@ impl Server {
             }),
             closed: Condvar::new(),
         });
-        let stop_readiness = Signal::new()?;
-        let sets = (0..config.conn_workers)
-            .map(|_| Readiness::new(&stop_readiness))
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let readiness = sets
-            .iter()
-            .enumerate()
-            .map(|(i, set)| {
-                let own = set.clone();
-                let thread = std::thread::Builder::new()
-                    .name(format!("mj-ready-{i}"))
-                    .spawn(move || own.run())
-                    .expect("spawn readiness thread");
-                (thread, set.clone())
-            })
-            .collect();
-
         let listener = Listener {
             registration: None,
             listener,
-            sets,
-            next: 0,
             db: db.clone(),
             shared: shared.clone(),
             max_clients: config.max_clients,
@@ -207,8 +180,6 @@ impl Server {
         Ok(Server {
             local_addr,
             shared,
-            stop_readiness,
-            readiness,
             db: Some(db),
         })
     }
@@ -226,8 +197,7 @@ impl Server {
     /// Graceful shutdown: stop accepting, drain in-flight and pipelined
     /// requests (new arrivals get `overloaded`), close connections as
     /// they go quiescent, wait for the listener to close and every
-    /// connection task to end, join the readiness threads. Blocks until
-    /// done.
+    /// connection task to end. Blocks until done.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -241,9 +211,7 @@ impl Server {
         // listener ends, closing its socket, and a connection ends once
         // quiescent. A task not yet stepped sees the flag on its first
         // step, so one the listener submits from here on ends too.
-        for (_, set) in &self.readiness {
-            set.wake_all();
-        }
+        db.engine().pool().wake_registered();
         let mut open = self.shared.open();
         while open.listening || open.clients > 0 {
             open = self
@@ -253,10 +221,6 @@ impl Server {
                 .unwrap_or_else(PoisonError::into_inner);
         }
         drop(open);
-        self.stop_readiness.raise();
-        for (thread, _) in self.readiness.drain(..) {
-            let _ = thread.join();
-        }
         drop(db);
     }
 }
@@ -268,19 +232,16 @@ impl Drop for Server {
 }
 
 /// The listening socket, stepped as one task on the worker pool. Its
-/// step accepts until the socket would block and deals each new
-/// connection to a readiness set as a task of its own; between steps it
-/// parks on the socket's edges in the first readiness set. It ends once
+/// step accepts until the socket would block and submits each new
+/// connection as a task of its own; between steps it parks on the
+/// socket's edges in the pool's readiness set. It ends once
 /// the server drains, and dropping it closes the socket, so the OS refuses
 /// new connections from then on.
 struct Listener {
-    /// The socket's place in the first readiness set, from the first step
-    /// on; dropped before the socket closes.
+    /// The socket's place in the pool's readiness set, from the first
+    /// step on; dropped before the socket closes.
     registration: Option<Registration>,
     listener: TcpListener,
-    sets: Vec<Arc<Readiness>>,
-    /// The set the next connection is dealt to.
-    next: usize,
     db: Arc<Database>,
     shared: Arc<Shared>,
     max_clients: usize,
@@ -290,13 +251,18 @@ struct Listener {
 
 impl Listener {
     /// Publishes `waker` for the socket — on the first step, before the
-    /// first `accept`, and only then adds the socket to the first readiness
-    /// set. False while the socket could not be added (the next step
-    /// tries again).
+    /// first `accept`, and only then adds the socket to the pool's
+    /// readiness set. False while the socket could not be added (the next
+    /// step tries again).
     fn publish(&mut self, waker: &Waker) -> bool {
         match &self.registration {
             Some(registration) => registration.update(waker),
-            None => match self.sets[0].register(self.listener.as_raw_fd(), waker) {
+            None => match self
+                .db
+                .engine()
+                .pool()
+                .register(self.listener.as_raw_fd(), waker)
+            {
                 Ok(registration) => self.registration = Some(registration),
                 Err(_) => return false,
             },
@@ -317,11 +283,9 @@ impl Listener {
         open.clients += 1;
         drop(open);
         let slot = ClientSlot(self.shared.clone());
-        let set = &self.sets[self.next];
-        self.next = (self.next + 1) % self.sets.len();
         // Setup fails only if the socket died between accept and
         // configuration; dropping it (and its slot) closes it silently.
-        if let Ok(conn) = Conn::new(stream, &self.db, set, &self.shared, slot) {
+        if let Ok(conn) = Conn::new(stream, &self.db, &self.shared, slot) {
             self.db.engine().pool().submit(0, Box::new(conn));
         }
     }

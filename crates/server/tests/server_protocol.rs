@@ -44,15 +44,16 @@ fn chain_server() -> Server {
 /// `H0` and `H1` each hold `HOT_ROWS` rows on a single join key, so
 /// [`HOT_QUERY`] counts `HOT_ROWS`² = 4 M joined rows.
 fn hot_key_server() -> (Arc<Database>, Server) {
-    hot_key_server_with(DbConfig::default())
+    hot_key_server_with(DbConfig::default(), HOT_ROWS)
 }
 
-/// [`hot_key_server`] on an engine configured by `config`.
-fn hot_key_server_with(config: DbConfig) -> (Arc<Database>, Server) {
+/// [`hot_key_server`] on an engine configured by `config`, with `rows`
+/// rows in each relation.
+fn hot_key_server_with(config: DbConfig, rows: i64) -> (Arc<Database>, Server) {
     let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
     let db = Arc::new(Database::open(config).unwrap());
     for name in ["H0", "H1"] {
-        let rows = (0..HOT_ROWS).map(|v| Tuple::from_ints(&[0, v])).collect();
+        let rows = (0..rows).map(|v| Tuple::from_ints(&[0, v])).collect();
         db.register(name, Arc::new(Relation::new(schema.clone(), rows).unwrap()))
             .unwrap();
     }
@@ -63,6 +64,16 @@ fn hot_key_server_with(config: DbConfig) -> (Arc<Database>, Server) {
 
 const HOT_ROWS: i64 = 2000;
 const HOT_QUERY: &str = "SELECT COUNT(*) FROM H0 JOIN H1 ON H0.k = H1.k";
+
+/// Rows per relation where a test needs [`HOT_QUERY`] to outlast another
+/// request by a margin that does not depend on the build mode: 9 M joined
+/// rows, which ran 120–145 ms in a release build on a two-vCPU VM beside
+/// this file's other tests (4 M ran as short as 19 ms).
+const HOTTER_ROWS: i64 = 3000;
+
+/// The short prepared statement the interleaving tests send while
+/// [`HOT_QUERY`] runs: `?1` = 1 counts `H1`'s rows.
+const SHORT_COUNT: &str = "SELECT COUNT(*) FROM H0 JOIN H1 ON H0.k = H1.k WHERE H0.v < ?1";
 
 /// Returns once `db` is running a query. A test acts on the in-flight
 /// query (drops its connection, starts shutdown) right after, so it fails
@@ -297,11 +308,7 @@ fn an_adhoc_flood_on_one_connection_does_not_hold_up_another() {
     // its burst, parked on a pool timer for its paced turn too).
     const FLOOD: u64 = 200;
     let db = chain_db();
-    let config = ServerConfig {
-        conn_workers: 1,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(db.clone(), config).unwrap();
+    let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
     let sorted = |mut rows: Vec<Vec<Value>>| {
         rows.sort();
         rows
@@ -742,20 +749,18 @@ fn an_open_idle_connection_is_one_parked_task() {
 
 #[test]
 fn one_pool_worker_interleaves_connections_and_queries() {
-    // A's ad-hoc query counts 4 M joined rows on the only worker; B's
+    // A's ad-hoc query counts 9 M joined rows on the only worker; B's
     // short prepared execute, sent while it runs, is answered first. A
     // connection step that waited for its own query would deadlock here.
     let mut config = DbConfig::default();
     config.exec.workers = 1;
-    let (db, server) = hot_key_server_with(config);
+    let (db, server) = hot_key_server_with(config, HOTTER_ROWS);
     let server = ManuallyDrop::new(server);
     let addr = server.local_addr();
     within(Duration::from_secs(30), move || {
         let mut a = Client::connect(addr).unwrap();
         let mut b = Client::connect(addr).unwrap();
-        let stmt = b
-            .prepare("SELECT COUNT(*) FROM H0 JOIN H1 ON H0.k = H1.k WHERE H0.v < ?1")
-            .unwrap();
+        let stmt = b.prepare(SHORT_COUNT).unwrap();
         a.send_query(HOT_QUERY).unwrap();
         await_in_flight(&db);
         let a_reply = std::thread::spawn(move || {
@@ -765,8 +770,9 @@ fn one_pool_worker_interleaves_connections_and_queries() {
         let b_reply = b.execute(stmt.id, &[1]).unwrap();
         let b_at = Instant::now();
         let (a_reply, a_at) = a_reply.join().unwrap();
-        assert_eq!(b_reply.rows, vec![vec![Value::Int(HOT_ROWS)]]);
-        assert_eq!(a_reply.rows, vec![vec![Value::Int(HOT_ROWS * HOT_ROWS)]]);
+        assert_eq!(b_reply.rows, vec![vec![Value::Int(HOTTER_ROWS)]]);
+        let count = HOTTER_ROWS * HOTTER_ROWS;
+        assert_eq!(a_reply.rows, vec![vec![Value::Int(count)]]);
         assert!(
             a_reply.elapsed_ms >= 20.0,
             "A's query ran {} ms: too short to overlap B's",
@@ -778,23 +784,73 @@ fn one_pool_worker_interleaves_connections_and_queries() {
 }
 
 #[test]
-fn a_server_adds_only_its_readiness_threads() {
+fn two_busy_workers_still_answer_a_third_connection_first() {
+    // A and B each count 9 M joined rows, which keeps both workers
+    // stepping; no worker waits on the sockets. C's prepared execute,
+    // sent while both run, is picked up by a busy worker's look between
+    // its steps and answered before either count.
+    let mut config = DbConfig::default();
+    config.exec.workers = 2;
+    let (db, server) = hot_key_server_with(config, HOTTER_ROWS);
+    let server = ManuallyDrop::new(server);
+    let addr = server.local_addr();
+    within(Duration::from_secs(60), move || {
+        let mut c = Client::connect(addr).unwrap();
+        let stmt = c.prepare(SHORT_COUNT).unwrap();
+        let counts: Vec<_> = (0..2)
+            .map(|_| {
+                let mut client = Client::connect(addr).unwrap();
+                client.send_query(HOT_QUERY).unwrap();
+                client
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while db.stats().queries_active < 2 {
+            assert!(Instant::now() < deadline, "the counts never both started");
+            std::thread::yield_now();
+        }
+        let counts: Vec<_> = counts
+            .into_iter()
+            .map(|mut client| {
+                std::thread::spawn(move || {
+                    let reply = client.collect_reply().unwrap();
+                    (reply, Instant::now())
+                })
+            })
+            .collect();
+        let c_reply = c.execute(stmt.id, &[1]).unwrap();
+        let c_at = Instant::now();
+        assert_eq!(c_reply.rows, vec![vec![Value::Int(HOTTER_ROWS)]]);
+        for count in counts {
+            let (reply, at) = count.join().unwrap();
+            let joined = HOTTER_ROWS * HOTTER_ROWS;
+            assert_eq!(reply.rows, vec![vec![Value::Int(joined)]]);
+            assert!(
+                reply.elapsed_ms >= 20.0,
+                "a count ran {} ms: too short to overlap C's execute",
+                reply.elapsed_ms
+            );
+            assert!(c_at < at, "C's reply came after a count's");
+        }
+        assert!(db.engine().pool().looks() > 0, "no busy worker looked");
+    });
+    ManuallyDrop::into_inner(server).shutdown();
+}
+
+#[test]
+fn a_server_adds_no_thread() {
     // The listener is a task on the database's pool, like every
-    // connection: serving adds the readiness threads and nothing else.
-    if !alone("a_server_adds_only_its_readiness_threads") {
+    // connection, and an idle pool worker waits on their sockets itself.
+    if !alone("a_server_adds_no_thread") {
         return;
     }
     let db = chain_db();
-    let config = ServerConfig {
-        conn_workers: 2,
-        ..ServerConfig::default()
-    };
     let before = threads();
-    let server = Server::start(db, config.clone()).unwrap();
-    assert_eq!(threads() - before, config.conn_workers, "after start");
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+    assert_eq!(threads() - before, 0, "after start");
     let mut client = Client::connect(server.local_addr()).unwrap();
     assert!(!client.query(CHAIN_QUERY).unwrap().rows.is_empty());
-    assert_eq!(threads() - before, config.conn_workers, "while serving");
+    assert_eq!(threads() - before, 0, "while serving");
     drop(client);
     server.shutdown();
 }
@@ -807,7 +863,7 @@ fn a_connection_opened_while_a_query_runs_on_the_only_worker_is_served_first() {
     // comes first.
     let mut config = DbConfig::default();
     config.exec.workers = 1;
-    let (db, server) = hot_key_server_with(config);
+    let (db, server) = hot_key_server_with(config, HOT_ROWS);
     let server = ManuallyDrop::new(server);
     let addr = server.local_addr();
     within(Duration::from_secs(30), move || {
@@ -819,9 +875,7 @@ fn a_connection_opened_while_a_query_runs_on_the_only_worker_is_served_first() {
             (reply, Instant::now())
         });
         let mut b = Client::connect(addr).unwrap();
-        let stmt = b
-            .prepare("SELECT COUNT(*) FROM H0 JOIN H1 ON H0.k = H1.k WHERE H0.v < ?1")
-            .unwrap();
+        let stmt = b.prepare(SHORT_COUNT).unwrap();
         let b_reply = b.execute(stmt.id, &[1]).unwrap();
         let b_at = Instant::now();
         let (a_reply, a_at) = a_reply.join().unwrap();
