@@ -2,9 +2,13 @@
 
 use std::time::Duration;
 
-/// Default tuples per channel message. The single source of truth for
-/// batching — the engine, benches, and tests all read it from here.
-pub const DEFAULT_BATCH_SIZE: usize = 256;
+/// Target bytes per stream message. Every message costs the same fixed
+/// work whatever it holds (a pool take and put, a send and a receive, a
+/// wake and a step of the consumer), so an edge ships as many rows as fit
+/// in this many bytes of its column layout: a one-key edge 8192 rows a
+/// message, a 42-column result edge 195 (see
+/// [`rows_per_message`](crate::stream::rows_per_message)).
+pub const MESSAGE_BYTES: usize = 64 * 1024;
 
 /// Default channel capacity in batches (bounds per-edge memory and
 /// provides backpressure).
@@ -43,7 +47,10 @@ pub struct ExecConfig {
     /// sets to this count unless its planner options name another. More
     /// concurrent queries never spawn more threads.
     pub workers: usize,
-    /// Tuples per channel message (amortizes channel overhead).
+    /// A cap on rows per stream message. A message is sized in bytes
+    /// ([`MESSAGE_BYTES`] of the edge's column layout); the default,
+    /// `usize::MAX`, caps nothing. Tests set a small cap to force many
+    /// messages per stream.
     pub batch_size: usize,
     /// Channel capacity in *batches*; bounds memory and provides the
     /// backpressure a real pipeline has.
@@ -65,7 +72,7 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             workers: DEFAULT_WORKERS,
-            batch_size: DEFAULT_BATCH_SIZE,
+            batch_size: usize::MAX,
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
             stall_timeout: None,
             late: LateMode::Auto,
@@ -158,7 +165,7 @@ mod tests {
     fn default_is_valid() {
         let c = ExecConfig::default();
         c.validate().unwrap();
-        assert_eq!(c.batch_size, DEFAULT_BATCH_SIZE);
+        assert_eq!(c.batch_size, usize::MAX, "the default caps nothing");
         assert_eq!(c.channel_capacity, DEFAULT_CHANNEL_CAPACITY);
     }
 

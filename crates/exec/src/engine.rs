@@ -780,6 +780,7 @@ impl QueryRun {
                 None => OutputPort::materialize(
                     &ops[root].schema,
                     materialized.expect("a materialized consumer"),
+                    self.config.batch_size,
                     Some(self.ctrl.budget().clone()),
                 ),
             };
@@ -787,7 +788,6 @@ impl QueryRun {
             let mut task = OpTask::new(
                 task_members,
                 output,
-                self.config.batch_size,
                 i,
                 self.reporter(),
                 Some(self.ctrl.clone()),

@@ -3,12 +3,16 @@
 use std::sync::Arc;
 use std::task::Waker;
 
-use mj_relalg::column::ColumnBatch;
+use mj_relalg::column::{columnar_row_bytes, ColumnBatch};
 use mj_relalg::{Result, Schema};
 use mj_storage::{fragment_columns, Fragments};
 
 use crate::budget::MemoryBudget;
-use crate::stream::Router;
+use crate::stream::{rows_per_message, Router};
+
+/// The test sink's flush threshold, in rows.
+#[cfg(test)]
+const SINK_BATCH: usize = 64;
 
 /// The output port of one operation-process instance.
 pub enum OutputPort {
@@ -30,6 +34,9 @@ pub enum OutputPort {
         buffer: ColumnBatch,
         /// The consumer's key column in these rows and its degree.
         parts: (usize, usize),
+        /// Rows the task gathers before it appends them here: a stream
+        /// message's worth of this schema ([`rows_per_message`]).
+        batch: usize,
         /// The owning query's memory budget: the pieces' bytes are charged
         /// when they are cut and credited back when the query concludes.
         budget: Option<Arc<MemoryBudget>>,
@@ -48,19 +55,33 @@ pub enum OutputPort {
 
 impl OutputPort {
     /// A materializing port cutting `schema`-shaped rows into `parts.1`
-    /// pieces, split on key column `parts.0`. The buffer is typed up front
-    /// so an instance that produces nothing still gives well-formed
+    /// pieces, split on key column `parts.0`, taking rows a stream
+    /// message's worth at a time (at most `cap`). The buffer is typed up
+    /// front so an instance that produces nothing still gives well-formed
     /// (empty) pieces its consumers can read.
     pub fn materialize(
         schema: &Schema,
         parts: (usize, usize),
+        cap: usize,
         budget: Option<Arc<MemoryBudget>>,
     ) -> OutputPort {
         OutputPort::Materialize {
             buffer: ColumnBatch::for_schema(schema),
             parts,
+            batch: rows_per_message(columnar_row_bytes(schema), cap),
             budget,
             pieces: None,
+        }
+    }
+
+    /// Rows the task gathers before it emits them through this port: the
+    /// router's message size, or the same count of a materialized schema.
+    pub fn batch(&self) -> usize {
+        match self {
+            OutputPort::Stream(router) => router.batch(),
+            OutputPort::Materialize { batch, .. } => *batch,
+            #[cfg(test)]
+            OutputPort::Sink { .. } => SINK_BATCH,
         }
     }
 
@@ -125,6 +146,7 @@ impl OutputPort {
                 parts: (key_col, of),
                 budget,
                 pieces,
+                ..
             } => {
                 let output = Arc::new(std::mem::take(buffer));
                 let cut = fragment_columns(&output, *key_col, *of)?;
@@ -190,7 +212,7 @@ mod tests {
         of: usize,
         budget: Option<Arc<MemoryBudget>>,
     ) -> Fragments {
-        let mut port = OutputPort::materialize(&schema(), (0, of), budget);
+        let mut port = OutputPort::materialize(&schema(), (0, of), usize::MAX, budget);
         assert!(port.take_pieces().is_none(), "no pieces before the finish");
         let (mut out, mut pos) = (batch(keys), pos);
         port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
@@ -229,7 +251,7 @@ mod tests {
     #[test]
     fn an_instance_without_output_stores_a_typed_empty_fragment() {
         for of in [1, 3] {
-            let mut port = OutputPort::materialize(&schema(), (0, of), None);
+            let mut port = OutputPort::materialize(&schema(), (0, of), usize::MAX, None);
             assert!(port.try_finish(Waker::noop()).unwrap());
             let pieces = port.take_pieces().unwrap();
             assert_eq!(pieces.len(), of);

@@ -434,6 +434,8 @@ pub struct OpTask {
     resolved: ColumnBatch,
     /// Per-ref-column row-index scratch for the resolver.
     ref_scratch: Vec<Vec<u32>>,
+    /// Rows gathered in `out` before they are emitted: the port's
+    /// [`OutputPort::batch`].
     batch: usize,
     phase: Phase,
     /// This task declared its output complete (satisfied LIMIT): it keeps
@@ -463,11 +465,11 @@ pub struct OpTask {
 
 impl OpTask {
     /// Builds the task evaluating `members` in order; the last one is the
-    /// root and owns `output`.
+    /// root and owns `output`, which also sets how many rows the task
+    /// gathers before it emits them ([`OutputPort::batch`]).
     pub fn new(
         members: Vec<TaskMember>,
         output: OutputPort,
-        batch: usize,
         instance: usize,
         reporter: Reporter,
         ctrl: Option<Arc<QueryCtrl>>,
@@ -484,13 +486,13 @@ impl OpTask {
         }
         OpTask {
             members,
+            batch: output.batch(),
             output,
             out: ColumnBatch::shapeless(),
             out_pos: 0,
             resolver: None,
             resolved: ColumnBatch::shapeless(),
             ref_scratch: Vec::new(),
-            batch,
             phase: Phase::Start,
             satisfied: false,
             moved: false,
@@ -1094,7 +1096,7 @@ mod tests {
             collected: collected.clone(),
             buffer: Vec::new(),
         };
-        let task = OpTask::new(members, output, 64, 0, done_tx.into(), ctrl);
+        let task = OpTask::new(members, output, 0, done_tx.into(), ctrl);
         (task, collected, done_rx)
     }
 
@@ -1182,6 +1184,35 @@ mod tests {
     }
 
     #[test]
+    fn the_flush_threshold_is_the_ports_rows_per_message() {
+        use crate::config::MESSAGE_BYTES;
+        use crate::stream::{operand_channels, Router};
+        let one = || vec![member(0, Some(Source::Local(rel(4, |i| i))), rel(4, |i| i))];
+        // The members' rows: [key, left payload, right payload].
+        let schema = mj_relalg::Schema::new(vec![
+            mj_relalg::Attribute::int("k"),
+            mj_relalg::Attribute::int("l"),
+            mj_relalg::Attribute::int("r"),
+        ]);
+        for cap in [usize::MAX, 16] {
+            let (txs, _rxs, pool) = operand_channels(1, 2, 1, ColumnLayout::of(&schema));
+            let router = Router::new(txs, 0, cap, pool);
+            let batch = router.batch();
+            assert_eq!(batch, (MESSAGE_BYTES / 24).min(cap));
+            let (done_tx, _done_rx) = channel();
+            let task = OpTask::new(one(), OutputPort::Stream(router), 0, done_tx.into(), None);
+            assert_eq!(task.batch, batch, "a stream port's router sets it");
+            let port = OutputPort::materialize(&schema, (0, 2), cap, None);
+            let (done_tx, _done_rx) = channel();
+            let task = OpTask::new(one(), port, 0, done_tx.into(), None);
+            assert_eq!(
+                task.batch, batch,
+                "a materialized schema gets the same count"
+            );
+        }
+    }
+
+    #[test]
     fn only_the_root_report_carries_the_pieces_with_the_instance() {
         let members = vec![
             member(0, Some(Source::Local(rel(40, |i| i))), rel(40, |i| i)).feeding(1, 0),
@@ -1192,9 +1223,9 @@ mod tests {
             mj_relalg::Attribute::int("l"),
             mj_relalg::Attribute::int("r"),
         ]);
-        let output = OutputPort::materialize(&schema, (0, 3), None);
+        let output = OutputPort::materialize(&schema, (0, 3), usize::MAX, None);
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(members, output, 64, 2, done_tx.into(), None));
+        drive_blocking(OpTask::new(members, output, 2, done_tx.into(), None));
         let (op, _, pieces) = done_rx.recv().unwrap();
         assert_eq!(op, 0);
         assert!(pieces.is_none(), "a member feeding another cuts nothing");
@@ -1226,7 +1257,7 @@ mod tests {
             buffer: Vec::new(),
         };
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(members, output, 64, 0, done_tx.into(), None));
+        drive_blocking(OpTask::new(members, output, 0, done_tx.into(), None));
         let stats = done_rx.recv().unwrap().1.unwrap();
         assert_eq!(stats.tuples_in, [2000, 300], "the table's rows count");
         assert_eq!(stats.steps, 1, "300 probe rows are one quantum");
@@ -1253,7 +1284,7 @@ mod tests {
             buffer: Vec::new(),
         };
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(members, output, 64, 0, done_tx.into(), None));
+        drive_blocking(OpTask::new(members, output, 0, done_tx.into(), None));
         let result = done_rx.recv().unwrap().1;
         assert!(
             matches!(result, Err(RelalgError::InvalidPlan(_))),
@@ -1276,7 +1307,7 @@ mod tests {
             buffer: Vec::new(),
         };
         let members = vec![member(0, Some(stream), rel(4, |i| i))];
-        drive_blocking(OpTask::new(members, output, 64, 0, done_tx.into(), None));
+        drive_blocking(OpTask::new(members, output, 0, done_tx.into(), None));
         let (op, result, _) = done_rx.recv().unwrap();
         assert_eq!(op, 0);
         assert!(

@@ -12,8 +12,14 @@
 //! ([`bucket_keys`]), then gather each destination's rows column-at-a-time
 //! — instead of dispatching per tuple. A one-destination edge (a degree-1
 //! consumer, or the client's result stream) needs no split: it ships the
-//! rows in order, at most a batch per message. Rows ([`Tuple`]) are
+//! rows in order, at most a message's worth at a time. Rows ([`Tuple`]) are
 //! materialized only at the client boundary ([`Batch::drain`]).
+//!
+//! A message is sized in bytes, not rows: every message costs the same
+//! fixed work (a pool take and put, a send and a receive, a wake and a step
+//! of the consumer), so each edge carries [`rows_per_message`] of its own
+//! column layout — [`MESSAGE_BYTES`] of rows — and a narrow key-only edge
+//! ships thousands of rows where a wide result edge ships a few hundred.
 //!
 //! Column buffers are pooled per redistribution edge: a consumer that
 //! finishes a [`Batch`] returns the emptied buffers to the shared
@@ -44,6 +50,16 @@ use std::task::Waker;
 use mj_relalg::column::{bucket_keys, ColumnBatch, ColumnLayout};
 use mj_relalg::{RelalgError, Result, Tuple};
 use parking_lot::Mutex;
+
+use crate::config::MESSAGE_BYTES;
+
+/// Rows per message on an edge whose rows are `row_bytes` wide: as many as
+/// fit in [`MESSAGE_BYTES`], at least one, at most `cap` (a test's
+/// `ExecConfig::batch_size`). A row counts at least one 8-byte slot, so a
+/// zero-width layout ships no more rows a message than a one-column edge.
+pub fn rows_per_message(row_bytes: usize, cap: usize) -> usize {
+    (MESSAGE_BYTES / row_bytes.max(std::mem::size_of::<i64>())).clamp(1, cap.max(1))
+}
 
 /// A bounded recycler of column-batch buffers shared by one
 /// redistribution edge. Layout-aware: every pooled buffer has the edge's
@@ -553,13 +569,15 @@ pub(crate) fn is_teardown(e: &RelalgError) -> bool {
 /// [`try_route_batch`](Router::try_route_batch) splits a whole batch at a
 /// time: hash the key column into a destination vector, build one
 /// selection vector per destination, and gather each destination's rows
-/// column-at-a-time. With one destination it only copies, `batch` rows per
-/// message at most. It and [`try_finish`](Router::try_finish) never
-/// block: a batch that cannot be sent right now parks in a one-slot
-/// `pending` buffer, the caller's waker is registered on the full
-/// destination's edge, and the worker-pool task yields its worker instead
-/// of parking a thread — so a slow consumer, the client included,
-/// backpressures the pool.
+/// column-at-a-time. A destination's buffer ships once it holds
+/// [`batch`](Router::batch) rows, [`rows_per_message`] of the pool's
+/// layout. With one destination the router only copies, and no message
+/// holds more. It and [`try_finish`](Router::try_finish) never block: a
+/// batch that cannot be sent right now parks in a one-slot `pending`
+/// buffer, the caller's waker is registered on the full destination's
+/// edge, and the worker-pool task yields its worker instead of parking a
+/// thread — so a slow consumer, the client included, backpressures the
+/// pool.
 pub struct Router {
     senders: Vec<Sender<Msg>>,
     key_col: usize,
@@ -580,11 +598,12 @@ pub struct Router {
 
 impl Router {
     /// Creates a router over the destination senders, splitting on
-    /// `key_col` of the routed rows.
+    /// `key_col` of the routed rows. A message holds as many rows of the
+    /// pool's layout as fit in [`MESSAGE_BYTES`], at most `cap`.
     pub fn new(
         senders: Vec<Sender<Msg>>,
         key_col: usize,
-        batch: usize,
+        cap: usize,
         pool: Arc<BatchPool>,
     ) -> Self {
         assert!(!senders.is_empty(), "router needs at least one destination");
@@ -592,7 +611,7 @@ impl Router {
         Router {
             senders,
             key_col,
-            batch,
+            batch: rows_per_message(pool.layout().row_bytes(), cap),
             buffers,
             pool,
             sent: 0,
@@ -606,6 +625,11 @@ impl Router {
     /// Number of destinations.
     pub fn destinations(&self) -> usize {
         self.senders.len()
+    }
+
+    /// Rows a destination's buffer holds before it ships.
+    pub fn batch(&self) -> usize {
+        self.batch
     }
 
     /// Rows routed so far.
@@ -1254,6 +1278,114 @@ mod tests {
         one.push_tuple(&Tuple::from_ints(&[1])).unwrap();
         let mut pos = 0;
         assert!(sink.try_route_batch(&one, &mut pos, Waker::noop()).is_err());
+    }
+
+    /// The rows per message of a router over a fresh `layout` edge.
+    fn router_batch(layout: ColumnLayout, cap: usize) -> usize {
+        let (txs, _rxs, pool) = operand_channels(1, 1, 1, layout);
+        Router::new(txs, 0, cap, pool).batch()
+    }
+
+    #[test]
+    fn a_message_holds_message_bytes_of_its_edges_rows() {
+        assert_eq!(
+            router_batch(ColumnLayout::ints(1), usize::MAX),
+            MESSAGE_BYTES / 8
+        );
+        assert_eq!(
+            router_batch(ColumnLayout::ints(2), usize::MAX),
+            MESSAGE_BYTES / 16
+        );
+        // The short prepared query's result edge: 42 integer columns.
+        assert_eq!(
+            router_batch(ColumnLayout::ints(42), usize::MAX),
+            MESSAGE_BYTES / 336
+        );
+        assert_eq!(MESSAGE_BYTES / 336, 195);
+        // A row wider than a message still ships, one a message.
+        assert_eq!(rows_per_message(MESSAGE_BYTES + 1, usize::MAX), 1);
+    }
+
+    #[test]
+    fn an_explicit_cap_below_the_byte_count_wins() {
+        for (layout, cap) in [(1, 1), (1, 256), (2, 3), (42, 194)] {
+            assert_eq!(router_batch(ColumnLayout::ints(layout), cap), cap);
+        }
+        assert_eq!(
+            router_batch(ColumnLayout::ints(42), 4096),
+            195,
+            "a cap above caps nothing"
+        );
+    }
+
+    #[test]
+    fn a_zero_width_edge_gets_a_finite_bounded_count() {
+        let zero = ColumnLayout::ints(0);
+        assert_eq!(zero.row_bytes(), 0);
+        let batch = router_batch(zero, usize::MAX);
+        assert!(
+            (1..=MESSAGE_BYTES / 8).contains(&batch),
+            "{batch} rows a message"
+        );
+        assert_eq!(rows_per_message(0, 0), 1, "a cap of zero still ships rows");
+    }
+
+    #[test]
+    fn a_stalled_edge_holds_its_slots_of_messages_and_returns_every_byte() {
+        // One producer into one consumer that does not read: the router
+        // fills the channel's slots, parks one more message and stops.
+        let capacity = 4;
+        let budget = crate::budget::MemoryBudget::unlimited();
+        let (txs, rxs, pool) = operand_channels(1, 1, capacity, ColumnLayout::ints(2));
+        pool.set_budget(budget.clone());
+        let mut router = Router::new(txs, 0, usize::MAX, pool.clone());
+        let batch = router.batch();
+        let input = keyed(0..4 * (capacity * batch) as i64, 2);
+        let mut pos = 0;
+        let (rows, done) = router
+            .try_route_batch(&input, &mut pos, Waker::noop())
+            .unwrap();
+        assert!(!done, "the stalled consumer backpressures the router");
+        assert_eq!(
+            rows as usize,
+            (capacity + 1) * batch,
+            "the slots plus one parked message"
+        );
+        // The channel's slots and the parked message, at most a message's
+        // bytes each, plus the router's one fill buffer (none right after
+        // a flush).
+        let message = (batch * 16) as u64;
+        assert!(message <= MESSAGE_BYTES as u64);
+        let bound = (capacity as u64 + 1) * message + message;
+        assert!(
+            (capacity as u64 + 1) * message <= budget.used() && budget.used() <= bound,
+            "{} bytes charged, bound {bound}",
+            budget.used()
+        );
+        // Drain while routing the rest, then end the edge.
+        let mut drained = 0usize;
+        let mut ended = false;
+        while !ended {
+            match rxs[0].try_recv() {
+                Ok(Msg::Batch(b)) => {
+                    assert!(b.len() <= batch, "a message of {} rows", b.len());
+                    drained += b.len();
+                }
+                Ok(Msg::End) => ended = true,
+                Err(_) if pos < input.rows() => {
+                    router
+                        .try_route_batch(&input, &mut pos, Waker::noop())
+                        .unwrap();
+                }
+                Err(_) => {
+                    router.try_finish(Waker::noop()).unwrap();
+                }
+            }
+            assert!(budget.used() <= bound, "{} bytes charged", budget.used());
+        }
+        assert_eq!(drained, input.rows());
+        drop((router, rxs, pool));
+        assert_eq!(budget.used(), 0, "the edge's teardown returns every byte");
     }
 
     /// Counts its wakes.

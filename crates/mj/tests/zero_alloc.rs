@@ -212,7 +212,9 @@ fn assert_batch_pool_hit_rate() {
 /// arrays fewer each), 358 since an execute instantiates its statement's
 /// run template (35 set-up, 323 drain), 357 since a buffer returning to
 /// its edge's pool is checked against the pool's layout in place (322
-/// drain).
+/// drain), and 357 still (35 set-up) once a stream message is sized in
+/// bytes of its edge's layout: the few dozen result rows are one message
+/// either way.
 const PREPARED_EXECUTE_ALLOCS: u64 = 380;
 
 /// Ceiling on the mean allocations of the set-up alone: what
