@@ -185,7 +185,7 @@ impl QueryBinding {
         for (id, node) in tree.nodes().iter().enumerate() {
             match node {
                 TreeNode::Leaf { relation } => {
-                    schemas[id] = Some(provider.relation(relation)?.schema().clone());
+                    schemas[id] = Some(provider.schema(relation)?);
                 }
                 TreeNode::Join { left, right } => {
                     let ls = schemas[*left].clone().expect("children before parents");
@@ -217,7 +217,7 @@ impl QueryBinding {
             .first()
             .map(|n| n.to_string())
             .ok_or_else(|| RelalgError::InvalidPlan("tree has no leaves".into()))?;
-        let arity = provider.relation(&first)?.schema().arity();
+        let arity = provider.schema(&first)?.arity();
         Self::new(tree, provider, |_, _, _| regular_join_spec(arity))
     }
 

@@ -1,24 +1,24 @@
 //! Plan interpretation on the shared worker pool: build operator tasks,
 //! wire streams, schedule phases, stream the result to the client.
 //!
-//! The [`Engine`] owns a fixed-size [`WorkerPool`] and a
-//! [`FragmentCache`] holding the base relations' columnar fragments
-//! resident across queries. Queries are submitted with [`Engine::submit`],
-//! which returns a [`QueryHandle`] — the query's operator instances are
-//! multiplexed onto the same bounded worker set (the paper's fixed
-//! processor pool, §4): the submitting thread sets the query up and puts
-//! its first wave of tasks on the pool; from then on every task's
-//! completion report advances the query on the thread that makes it
-//! (`Coordinator`) — releasing the waves that waited for it, and, when
-//! it is the last, concluding the query. No thread is started for a query:
-//! a deadline or a stall limit is a check armed on the pool for the instant
+//! The [`Engine`] owns a fixed-size [`WorkerPool`] and reads the
+//! [`Catalog`], whose entries hold the base relations' columnar images and
+//! fragments resident across queries. Queries are submitted with
+//! [`Engine::submit`], which returns a [`QueryHandle`] — the query's
+//! operator instances are multiplexed onto the same bounded worker set (the
+//! paper's fixed processor pool, §4): the submitting thread sets the query
+//! up and puts its first wave of tasks on the pool; from then on every
+//! task's completion report advances the query on the thread that makes it
+//! (`Coordinator`) — releasing the waves that waited for it, and, when it
+//! is the last, concluding the query. No thread is started for a query: a
+//! deadline or a stall limit is a check armed on the pool for the instant
 //! it is next due (`WorkerPool::run_at`). The query's last operation
 //! streams its output to the client like any operation streams to its
-//! consumer: over a bounded one-consumer edge that the
-//! handle's [`ResultStream`] drains while the query is still running, so a
-//! slow client backpressures the worker pool. [`Engine::run`] and
-//! [`run_plan`] (the same on a transient engine) drain the stream into a
-//! materialized [`ExecOutcome`].
+//! consumer: over a bounded one-consumer edge that the handle's
+//! [`ResultStream`] drains while the query is still running, so a slow
+//! client backpressures the worker pool. [`Engine::run`] and [`run_plan`]
+//! (the same on a transient engine) drain the stream into a materialized
+//! [`ExecOutcome`].
 //!
 //! What no execution changes — the operations, their waves and process
 //! groups, the shapes of the edges between them, the resident base
@@ -59,8 +59,8 @@ use std::time::{Duration, Instant};
 use mj_core::plan_ir::ParallelPlan;
 use mj_core::validate::ValidPlan;
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{RelalgError, Relation, RelationProvider, Result, Tuple};
-use mj_storage::{FragmentCache, Fragments};
+use mj_relalg::{RelalgError, Relation, Result, Tuple};
+use mj_storage::{Catalog, Fragments};
 
 use crate::binding::QueryBinding;
 use crate::budget::MemoryBudget;
@@ -104,7 +104,8 @@ pub struct ExecOutcome {
 }
 
 /// A shared, concurrency-safe execution engine: one fixed worker pool and
-/// one resident fragment cache serving any number of in-flight queries.
+/// one catalog of resident base relations serving any number of in-flight
+/// queries.
 ///
 /// ```text
 /// let engine = Engine::new(catalog, ExecConfig::default())?;   // N workers
@@ -118,28 +119,23 @@ pub struct ExecOutcome {
 /// running more queries multiplexes more tasks onto the same workers
 /// instead of spawning threads, with or without deadlines and stall limits.
 pub struct Engine {
-    provider: Arc<dyn RelationProvider + Send + Sync>,
+    catalog: Arc<Catalog>,
     config: ExecConfig,
     pool: Arc<WorkerPool>,
-    cache: Arc<FragmentCache>,
     counters: Arc<EngineCounters>,
     /// Run templates built on this engine ([`Engine::template`]).
     templates_built: AtomicU64,
 }
 
 impl Engine {
-    /// Creates an engine over `provider` (the base-relation store shared
+    /// Creates an engine over `catalog` (the base-relation store shared
     /// by all queries) with `config.workers` pool threads.
-    pub fn new(
-        provider: Arc<dyn RelationProvider + Send + Sync>,
-        config: ExecConfig,
-    ) -> Result<Engine> {
+    pub fn new(catalog: Arc<Catalog>, config: ExecConfig) -> Result<Engine> {
         config.validate().map_err(RelalgError::InvalidPlan)?;
         Ok(Engine {
-            provider,
+            catalog,
             config,
             pool: WorkerPool::new(config.workers),
-            cache: Arc::new(FragmentCache::new()),
             counters: Arc::new(EngineCounters::default()),
             templates_built: AtomicU64::new(0),
         })
@@ -149,17 +145,17 @@ impl Engine {
     /// budget aborts, contained panics, peak bytes, latency histograms —
     /// one atomically consistent snapshot (all
     /// per-query counters read under a single lock), overlaid with the
-    /// worker pool's live busy/idle gauges and the fragment cache's
+    /// worker pool's live busy/idle gauges and the catalog's resident-state
     /// counters.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.counters.snapshot();
         stats.workers_total = self.pool.workers() as u64;
         stats.workers_busy = self.pool.busy().min(stats.workers_total);
-        let cache = self.cache.stats();
-        stats.fragment_cache_hits = cache.hits;
-        stats.fragment_cache_misses = cache.misses;
-        stats.fragment_cache_evictions = cache.evictions;
-        stats.fragment_cache_bytes = cache.bytes;
+        let resident = self.catalog.resident_stats();
+        stats.fragment_cache_hits = resident.hits;
+        stats.fragment_cache_misses = resident.misses;
+        stats.fragment_cache_evictions = resident.evictions;
+        stats.fragment_cache_bytes = resident.bytes;
         stats
     }
 
@@ -178,10 +174,10 @@ impl Engine {
         &self.pool
     }
 
-    /// The resident columnar fragments of the base relations, shared by
-    /// all queries (validated against the provider on every lookup).
-    pub fn fragment_cache(&self) -> &Arc<FragmentCache> {
-        &self.cache
+    /// The catalog of base relations every query reads, with their
+    /// resident images, fragments and join tables.
+    pub fn catalog(&self) -> &Arc<Catalog> {
+        &self.catalog
     }
 
     /// Submits `plan` for execution and returns a [`QueryHandle`] once the
@@ -230,8 +226,8 @@ impl Engine {
     /// Set-up runs on the calling thread before this returns: the
     /// execution's result edge and control block, its late rewrite if the
     /// template takes one, its base operands (held by the template while
-    /// they stay resident; partitioning a relation the fragment cache has
-    /// not seen at this degree takes several milliseconds on a large one,
+    /// they stay resident; partitioning a relation its catalog entry has
+    /// not held at this degree takes several milliseconds on a large one,
     /// once), its stream edges, and submitting every task whose
     /// dependencies are already met. Everything after that happens on the
     /// pool, completion report by completion report.
@@ -338,7 +334,7 @@ fn materialize(mut handle: QueryHandle) -> Result<ExecOutcome> {
     })
 }
 
-/// Executes `plan` against the relations in `provider` on a transient
+/// Executes `plan` against the relations in `catalog` on a transient
 /// [`Engine`] — its `config.workers` pool threads are joined before this
 /// returns — draining the stream into a materialized [`ExecOutcome`].
 /// Long-lived callers, concurrent workloads, and streaming clients should
@@ -346,10 +342,10 @@ fn materialize(mut handle: QueryHandle) -> Result<ExecOutcome> {
 pub fn run_plan(
     plan: &ParallelPlan,
     binding: &QueryBinding,
-    provider: Arc<dyn RelationProvider + Send + Sync>,
+    catalog: Arc<Catalog>,
     config: &ExecConfig,
 ) -> Result<ExecOutcome> {
-    Engine::new(provider, *config)?.run(plan, binding)
+    Engine::new(catalog, *config)?.run(plan, binding)
 }
 
 /// The engine's accounts of one query, settled when it concludes.
@@ -605,16 +601,15 @@ impl QueryRun {
         // (charged to the budget here), and the root join's tasks resolve
         // refs back to the original schema — so everything from the root's
         // output port on (stages, result edge) is untouched.
-        let provider = engine.provider.as_ref();
-        let late = template.late(args, provider, &engine.cache, &mut metrics)?;
+        let catalog = engine.catalog.as_ref();
+        let late = template.late(args, catalog, &mut metrics)?;
         let pinned_bytes = late.as_ref().map_or(0, |l| l.pinned_bytes);
         if pinned_bytes > 0 && !ctrl.budget().charge(pinned_bytes) {
             ctrl.abort(ctrl.budget().exhausted_error());
         }
 
         // --- Setup (not timed): ideal base fragmentation per §4.1, resident.
-        let resolved =
-            template.resolve_bases(late.as_ref(), provider, &engine.cache, &mut metrics)?;
+        let resolved = template.resolve_bases(late.as_ref(), catalog, &mut metrics)?;
 
         // Fresh channels for every stream edge (receivers taken at consumer
         // spawn, senders at producer spawn), their buffer pools charged to
@@ -640,8 +635,7 @@ impl QueryRun {
         // --- Scheduling (timed): from here on, starting the operation
         // processes, beginning with handing each its base operands.
         let started = Instant::now();
-        let base_parts =
-            template.base_parts(resolved, args, provider, &engine.cache, &mut metrics)?;
+        let base_parts = template.base_parts(resolved, args, catalog, &mut metrics)?;
         let ops = template.ops().iter().zip(template.deps());
         let progress = ops
             .map(|(op, &waiting)| Progress {

@@ -22,8 +22,8 @@
 //! built, and carried with it through `bind_params` — a declined rewrite
 //! costs an execution nothing. The **materialize** half ([`plan_late`])
 //! runs per execution and is columnar: a leaf's narrow image is the dense
-//! columns of the relation's *resident* image (the engine's
-//! [`FragmentCache`]) plus an iota ref column; a scan filter is a
+//! columns of the relation's *resident* image (its [`Catalog`] entry)
+//! plus an iota ref column; a scan filter is a
 //! [`select`] over that image whose survivors are gathered, so refs always
 //! index the **unfiltered** resident image, which the registry pins by
 //! refcount instead of copying. The engine swaps the narrow binding in for
@@ -43,8 +43,8 @@ use std::sync::Arc;
 
 use mj_plan::tree::{JoinTree, NodeId, TreeNode};
 use mj_relalg::column::{columnar_row_bytes, select, Column, ColumnBatch, ColumnLayout};
-use mj_relalg::{Attribute, EquiJoin, Projection, RelalgError, RelationProvider, Result, Schema};
-use mj_storage::{pack_ref, ref_row, FragmentCache, FragmentRegistry};
+use mj_relalg::{Attribute, EquiJoin, Projection, RelalgError, Result, Schema};
+use mj_storage::{pack_ref, ref_row, Catalog, FragmentRegistry};
 
 use crate::binding::QueryBinding;
 use crate::config::LateMode;
@@ -423,21 +423,19 @@ pub(crate) fn taken(binding: &QueryBinding, mode: LateMode) -> Option<&Arc<LateS
 pub(crate) fn plan_late(
     shape: &Arc<LateShape>,
     binding: &QueryBinding,
-    provider: &dyn RelationProvider,
-    cache: &FragmentCache,
+    catalog: &Catalog,
     metrics: &mut Metrics,
 ) -> Result<LateRewrite> {
     let mut registry = FragmentRegistry::new(shape.names.len());
     let mut relations: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
     for (sid, name) in shape.names.iter().enumerate() {
-        let base = provider.relation(name)?;
-        if base.len() > u32::MAX as usize {
+        let image = catalog.image(name)?;
+        if image.rows() > u32::MAX as usize {
             return Err(RelalgError::InvalidPlan(format!(
                 "late plan: `{name}` has more rows than a packed ref indexes"
             )));
         }
-        let (image, hit) = cache.image(name, &base)?;
-        metrics.note_fragment_lookup(hit);
+        metrics.note_fragment_lookup(true);
         // Surviving rows, in original image coordinates.
         let survivors = match binding.scan_filter(name) {
             Some(pred) => {
@@ -510,13 +508,7 @@ mod tests {
 
     fn late(db: &Database, binding: &QueryBinding, mode: LateMode) -> Option<LateRewrite> {
         let shape = taken(binding, mode)?;
-        let rewrite = plan_late(
-            shape,
-            binding,
-            db.catalog().as_ref(),
-            db.engine().fragment_cache(),
-            &mut Metrics::new(0),
-        );
+        let rewrite = plan_late(shape, binding, db.catalog(), &mut Metrics::new(0));
         Some(rewrite.unwrap())
     }
 
@@ -539,12 +531,11 @@ mod tests {
             assert_eq!(narrow.rows(), 24);
         }
         // What is pinned is the resident image itself, not a copy.
-        let resident = db.engine().fragment_cache().stats();
+        let resident = db.catalog().resident_stats();
         assert_eq!(
             late.pinned_bytes, resident.bytes,
             "three images, no variants"
         );
-        assert_eq!(resident.images_built, 3, "built by analyze, reused here");
         // The narrow root output is keys + refs; the original is 12 ints.
         let root = planned.plan.tree.root();
         assert_eq!(planned.binding.schema(root).unwrap().arity(), 12);

@@ -115,12 +115,12 @@ pub struct Metrics {
     /// Operator-task panics contained (converted into a query-scoped typed
     /// error) while this query ran.
     pub panics_contained: u64,
-    /// Base operands this query found resident in the engine's fragment
-    /// cache: their fragment sets, and for a simple join's unfiltered
-    /// build side the join tables over them too.
+    /// Base operands this query found resident in their catalog entries:
+    /// their fragment sets, and for a simple join's unfiltered build side
+    /// the join tables over them too.
     pub fragment_cache_hits: u64,
     /// Base operands whose fragment set or join tables this query had to
-    /// build (and left in the cache): zero means the query ran warm.
+    /// build (and left resident): zero means the query ran warm.
     pub fragment_cache_built: u64,
 }
 
@@ -133,7 +133,8 @@ impl Metrics {
         }
     }
 
-    /// Counts one fragment-cache lookup made while setting this query up.
+    /// Counts one resident-fragment lookup made while setting this query
+    /// up.
     pub(crate) fn note_fragment_lookup(&mut self, hit: bool) {
         if hit {
             self.fragment_cache_hits += 1;
@@ -313,16 +314,18 @@ pub struct EngineStats {
     /// absent. Filled by `Database::stats()`; empty in engine-only
     /// snapshots, which plan nothing.
     pub plan_duration: LatencyHistogram,
-    /// Base-operand lookups the engine's fragment cache served resident
-    /// (filled, like the three below, by `Engine::stats()` from the cache;
-    /// zero in bare counter snapshots).
+    /// Base-operand lookups served resident (filled, like the three below,
+    /// by `Engine::stats()` from the catalog's resident state; zero in bare
+    /// counter snapshots).
     pub fragment_cache_hits: u64,
-    /// Fragment-cache lookups that had to build: cold keys, evicted
-    /// variants, and relations replaced under their name.
+    /// Fragment lookups that had to partition: cold keys and evicted
+    /// variants. A relation's image is resident from its registration on,
+    /// so converting it is never a miss.
     pub fragment_cache_misses: u64,
-    /// Cached fragment sets dropped (variant cap or replaced relation).
+    /// Resident fragment sets dropped (variant cap or replaced relation).
     pub fragment_cache_evictions: u64,
-    /// Logical bytes resident in the fragment cache (gauge).
+    /// Logical bytes resident: every registered relation's image, its
+    /// variants, and the index of every resident join table (gauge).
     pub fragment_cache_bytes: u64,
 }
 
@@ -551,7 +554,7 @@ pub const METRICS_ACCEPT_LIST: &[MetricDef] = &[
     MetricDef {
         name: "mj_fragment_cache_misses_total",
         kind: MetricKind::Counter,
-        help: "Fragment lookups that built (cold, evicted, or relation replaced)",
+        help: "Fragment lookups that partitioned (cold or evicted variant)",
         read: |s| Sample::Value(s.fragment_cache_misses as f64),
     },
     MetricDef {

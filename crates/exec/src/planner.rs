@@ -844,7 +844,7 @@ pub fn query_from_catalog(
     let mut query = JoinQuery::new();
     for name in relations {
         let stats = catalog.stats(name)?;
-        let schema = catalog.relation(name)?.schema().clone();
+        let schema = catalog.schema(name)?;
         query.add_relation(*name, stats.cardinality, schema)?;
     }
     for &(a, b, col_a, col_b) in joins {
@@ -1257,8 +1257,8 @@ mod tests {
         for (name, rel) in WisconsinGenerator::new(100, 1).generate_named("R", 2) {
             catalog.register(name, rel);
         }
-        catalog.set_column_distinct("R0", 1, 20);
-        catalog.set_column_distinct("R1", 0, 10);
+        catalog.set_column_distinct("R0", 1, 20).unwrap();
+        catalog.set_column_distinct("R1", 0, 10).unwrap();
         let q = query_from_catalog(&catalog, &["R0", "R1"], &[(0, 1, 1, 0)]).unwrap();
         // sel = 1 / max(20, 10).
         assert!((q.graph().edges()[0].2 - 0.05).abs() < 1e-12);

@@ -550,17 +550,13 @@ impl Database {
             })
     }
 
-    /// Scans every registered relation and records exact per-column
-    /// distinct counts — what the planner's System-R selectivity formula
-    /// runs on. Call after registration (and after bulk changes). The
-    /// counts are taken over each relation's columnar image in the
-    /// engine's fragment cache, which this leaves resident: the first
-    /// query finds the relations already converted.
+    /// Records exact per-column distinct counts of every registered
+    /// relation — what the planner's System-R selectivity formula runs on.
+    /// Call after registration (and after bulk changes). The counts are
+    /// taken over each relation's stored columnar image.
     pub fn analyze(&self) -> MjResult<()> {
         for name in self.catalog.names() {
-            let relation = self.catalog.relation(&name)?;
-            let (image, _) = self.engine.fragment_cache().image(&name, &relation)?;
-            self.catalog.analyze_columns(&name, &image)?;
+            self.catalog.analyze(&name)?;
         }
         Ok(())
     }
@@ -570,7 +566,7 @@ impl Database {
         &self.catalog
     }
 
-    /// The shared execution engine (worker pool, resident fragment cache).
+    /// The shared execution engine (worker pool, reading this catalog).
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
@@ -801,10 +797,8 @@ fn bind_ast(ast: &QueryAst, catalog: &Catalog) -> MjResult<(JoinQuery, SelectSpe
             .stats(&ident.name)
             .map_err(|_| MjError::bind(format!("unknown relation `{}`", ident.name), ident.span))?;
         let schema = catalog
-            .relation(&ident.name)
-            .map_err(|_| MjError::bind(format!("unknown relation `{}`", ident.name), ident.span))?
-            .schema()
-            .clone();
+            .schema(&ident.name)
+            .map_err(|_| MjError::bind(format!("unknown relation `{}`", ident.name), ident.span))?;
         let idx = query
             .add_relation(&ident.name, stats.cardinality, schema)
             .map_err(|e| MjError::bind(e.to_string(), ident.span))?;

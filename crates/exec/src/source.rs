@@ -11,8 +11,8 @@ use crate::stream::{Msg, Receiver};
 /// Where an instance's operand rows come from.
 pub enum Source {
     /// A processor-local columnar fragment (ideal base fragmentation,
-    /// §4.1): read directly, no network. Shared with the engine's
-    /// fragment cache, or private to the query when a scan filter or the
+    /// §4.1): read directly, no network. Shared with its relation's
+    /// catalog entry, or private to the query when a scan filter or the
     /// late-materialization narrowing produced it.
     Local(Arc<ColumnBatch>),
     /// A processor-local fragment under a pushed-down scan filter: the
@@ -20,22 +20,22 @@ pub enum Source {
     /// the operand — a selection is the operation's own work, done on the
     /// pool — and gathers them into a batch private to the query (filtering
     /// and hash partitioning commute; the fragment itself is shared with
-    /// the fragment cache and never changed).
+    /// the catalog entry and never changed).
     Filtered {
-        /// The fragment, shared with the engine's fragment cache.
+        /// The fragment, shared with its relation's catalog entry.
         fragment: Arc<ColumnBatch>,
         /// The scan filter, its `?N` placeholders bound.
         predicate: Arc<Predicate>,
     },
     /// A simple join's build operand already built: the resident join
-    /// table over an unfiltered base fragment, shared with the engine's
-    /// fragment cache ([`FragmentCache::tables`]), whose rows *are* the
+    /// table over an unfiltered base fragment, shared with its relation's
+    /// catalog entry ([`Catalog::tables`]), whose rows *are* the
     /// fragment. The join adopts it whole
     /// ([`PhysicalOp::adopt_table`](crate::operator::PhysicalOp::adopt_table))
     /// and builds nothing. Every other build operand — filtered, late,
     /// materialized or fused — is indexed per query.
     ///
-    /// [`FragmentCache::tables`]: mj_storage::FragmentCache::tables
+    /// [`Catalog::tables`]: mj_storage::Catalog::tables
     Table(Arc<ColumnarTable>),
     /// A materialized intermediate: this instance's piece of every
     /// producer instance's output, which the producer split on this

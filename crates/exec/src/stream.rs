@@ -693,12 +693,14 @@ impl Router {
     }
 
     /// Non-blocking columnar route: splits rows `*pos..` of `cols` across
-    /// the destinations in one vectorized pass (hash the key column, then
-    /// gather per destination) and flushes full buffers. Returns the rows
-    /// accepted and whether the input was fully consumed (`false` means a
-    /// parked batch still blocks the router and `waker` is registered on
-    /// its destination — yield and retry once woken). `*pos` is advanced
-    /// past the accepted rows.
+    /// the destinations in vectorized passes (hash the key column, then
+    /// gather per destination) and flushes full buffers. A pass ends at the
+    /// row that fills a destination's buffer, so no message holds more
+    /// than [`batch`](Router::batch) rows and no buffer outgrows what the
+    /// pool charged for it. Returns the rows accepted and whether the input
+    /// was fully consumed (`false` means a parked batch still blocks the
+    /// router and `waker` is registered on its destination — yield and
+    /// retry once woken). `*pos` is advanced past the accepted rows.
     pub fn try_route_batch(
         &mut self,
         cols: &ColumnBatch,
@@ -708,34 +710,47 @@ impl Router {
         if self.senders.len() == 1 {
             return self.try_append(cols, pos, waker);
         }
-        if *pos >= cols.rows() {
-            self.flush_full(waker)?;
-            return Ok((0, true));
+        let start = *pos;
+        if start < cols.rows() {
+            let keys = cols.int_col(self.key_col)?;
+            bucket_keys(&keys[start..], self.senders.len(), &mut self.dest_scratch);
+            self.sel_scratch.resize_with(self.senders.len(), Vec::new);
         }
-        if !self.poll_unblocked(waker)? {
-            return Ok((0, false));
-        }
-        let n = cols.rows() - *pos;
-        let keys = cols.int_col(self.key_col)?;
-        bucket_keys(&keys[*pos..], self.senders.len(), &mut self.dest_scratch);
-        self.sel_scratch.resize_with(self.senders.len(), Vec::new);
-        for sel in &mut self.sel_scratch {
-            sel.clear();
-        }
-        for (i, &d) in self.dest_scratch.iter().enumerate() {
-            self.sel_scratch[d as usize].push((*pos + i) as u32);
-        }
-        for dest in 0..self.senders.len() {
-            let sel = std::mem::take(&mut self.sel_scratch[dest]);
-            if !sel.is_empty() {
-                self.buffer(dest).append_gather(cols, &sel)?;
+        while *pos < cols.rows() {
+            if !self.poll_unblocked(waker)? {
+                break;
             }
-            self.sel_scratch[dest] = sel;
+            self.flush_full(waker)?;
+            if self.pending.is_some() {
+                break;
+            }
+            for sel in &mut self.sel_scratch {
+                sel.clear();
+            }
+            let from = *pos;
+            for (row, &d) in (from..).zip(&self.dest_scratch[from - start..]) {
+                let sel = &mut self.sel_scratch[d as usize];
+                sel.push(row as u32);
+                *pos = row + 1;
+                if self.buffers[d as usize].rows() + sel.len() >= self.batch {
+                    break;
+                }
+            }
+            for dest in 0..self.senders.len() {
+                let sel = std::mem::take(&mut self.sel_scratch[dest]);
+                if !sel.is_empty() {
+                    self.buffer(dest).append_gather(cols, &sel)?;
+                }
+                self.sel_scratch[dest] = sel;
+            }
         }
-        *pos = cols.rows();
-        self.sent += n as u64;
+        let accepted = (*pos - start) as u64;
+        self.sent += accepted;
+        if *pos < cols.rows() {
+            return Ok((accepted, false));
+        }
         self.flush_full(waker)?;
-        Ok((n as u64, true))
+        Ok((accepted, true))
     }
 
     /// The one-destination route: copies rows `*pos..` of `cols` in order,
@@ -1386,6 +1401,71 @@ mod tests {
         assert_eq!(drained, input.rows());
         drop((router, rxs, pool));
         assert_eq!(budget.used(), 0, "the edge's teardown returns every byte");
+    }
+
+    #[test]
+    fn a_split_edge_ships_at_most_a_batch_a_message_and_charges_what_it_ships() {
+        // Chunks larger than a message, split over two destinations: every
+        // message holds at most a batch, every buffer in flight is one the
+        // pool charged for in full, and the drained edge returns every
+        // byte.
+        let budget = crate::budget::MemoryBudget::unlimited();
+        let (txs, rxs, pool) = operand_channels(1, 2, 4, ColumnLayout::ints(1));
+        pool.set_budget(budget.clone());
+        let mut router = Router::new(txs, 0, usize::MAX, pool.clone());
+        let batch = router.batch();
+        assert!(batch < 12_000, "a chunk spans more than one message");
+        // Messages received and not yet dropped: still in flight.
+        let mut held: Vec<Batch> = Vec::new();
+        let take_arrivals = |held: &mut Vec<Batch>| -> usize {
+            let mut ended = 0;
+            for rx in &rxs {
+                while let Ok(msg) = rx.try_recv() {
+                    match msg {
+                        Msg::Batch(b) => {
+                            assert!(b.len() <= batch, "a message of {} rows", b.len());
+                            held.push(b);
+                        }
+                        Msg::End => ended += 1,
+                    }
+                }
+            }
+            let in_flight: u64 = held.iter().map(|b| b.columns().capacity_bytes()).sum();
+            assert!(
+                in_flight <= budget.used(),
+                "{in_flight} bytes in flight, {} charged",
+                budget.used()
+            );
+            ended
+        };
+        let mut rows = 0;
+        for chunk in 0..6i64 {
+            let input = keyed(chunk * 12_000..(chunk + 1) * 12_000, 1);
+            let mut pos = 0;
+            loop {
+                let (_, done) = router
+                    .try_route_batch(&input, &mut pos, Waker::noop())
+                    .unwrap();
+                take_arrivals(&mut held);
+                if done {
+                    break;
+                }
+            }
+            // The consumers finish with what they took every other chunk.
+            if chunk % 2 == 1 {
+                rows += held.drain(..).map(|b| b.len()).sum::<usize>();
+            }
+        }
+        let mut ended = 0;
+        while !router.try_finish(Waker::noop()).unwrap() {
+            ended += take_arrivals(&mut held);
+        }
+        ended += take_arrivals(&mut held);
+        assert_eq!(ended, 2, "both destinations ended");
+        rows += held.drain(..).map(|b| b.len()).sum::<usize>();
+        assert_eq!(rows, 6 * 12_000);
+        drop((router, rxs, pool));
+        assert_eq!(budget.used(), 0, "the drained edge returns every byte");
     }
 
     /// Counts its wakes.

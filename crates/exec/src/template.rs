@@ -24,10 +24,8 @@ use mj_core::plan_ir::OperandSource;
 use mj_core::validate::ValidPlan;
 use mj_join::ColumnarTable;
 use mj_relalg::column::{ColumnBatch, ColumnLayout};
-use mj_relalg::{
-    EquiJoin, JoinAlgorithm, Predicate, RelalgError, Relation, RelationProvider, Result, Schema,
-};
-use mj_storage::{fragment_columns, FragmentCache, Held};
+use mj_relalg::{EquiJoin, JoinAlgorithm, Predicate, RelalgError, Result, Schema};
+use mj_storage::{fragment_columns, Catalog, Held};
 
 use crate::binding::{bind_predicate, has_params, QueryBinding};
 use crate::config::LateMode;
@@ -51,17 +49,14 @@ use crate::source::Source;
 /// the scan filters.
 ///
 /// The base operands are held *weakly*, so the template never pins what
-/// the engine's [`FragmentCache`] evicted. Before an execution's clock
-/// starts, the cache [`touch`](FragmentCache::touch)es the sets they came
-/// from, which counts each as a hit and a use of its variant exactly as a
-/// lookup would; each operation process then takes its parts as it is
-/// started. If a set was evicted or replaced since, the execution
-/// resolves every base operand afresh (one catalog resolution per relation
-/// name) and the template holds the new sets for the next. Relation
-/// identity is vouched for by the owner: a prepared statement is only
-/// executed while the catalog generation it was planned at is current,
-/// and an ad-hoc query's template lives for one execution. A template is
-/// built for one engine ([`Engine::template`](crate::Engine::template)).
+/// the [`Catalog`] evicted. Before an execution's clock starts, the
+/// catalog [`touch`](Catalog::touch)es the sets they came from, which
+/// counts each as a hit and a use of its variant exactly as a lookup
+/// would; each operation process then takes its parts as it is started.
+/// If a set was evicted, or its relation replaced, since, the execution
+/// resolves every base operand afresh and the template holds the new sets
+/// for the next. A template is built for one engine
+/// ([`Engine::template`](crate::Engine::template)).
 pub struct RunTemplate {
     /// The query as planned: a prepared statement's `?N` placeholders are
     /// still unbound here.
@@ -181,7 +176,7 @@ enum BaseKind {
 
 /// What the base operands last resolved to, held weakly, so that it pins
 /// nothing: per base, the set of fragments (or join tables over them) it
-/// came from, which names it for [`FragmentCache::touch`]; per base and
+/// came from, which names it for [`Catalog::touch`]; per base and
 /// instance, the part that instance reads.
 #[derive(Default)]
 struct Resident {
@@ -424,8 +419,7 @@ impl RunTemplate {
     pub(crate) fn late(
         &self,
         args: &[i64],
-        provider: &dyn RelationProvider,
-        cache: &FragmentCache,
+        catalog: &Catalog,
         metrics: &mut Metrics,
     ) -> Result<Option<LateRewrite>> {
         let Some(shape) = &self.late else {
@@ -438,7 +432,7 @@ impl RunTemplate {
             bound = self.query.bind_params(args)?;
             &bound
         };
-        crate::late::plan_late(shape, query, provider, cache, metrics).map(Some)
+        crate::late::plan_late(shape, query, catalog, metrics).map(Some)
     }
 
     /// Where instance `instance` of base operand `base` sits in
@@ -449,7 +443,7 @@ impl RunTemplate {
 
     /// Resolves the base operands of one execution, before its clock
     /// starts: `None` if the sets the template holds are all still
-    /// resident ([`FragmentCache::touch`] counts a hit each, and the
+    /// resident ([`Catalog::touch`] counts a hit each, and the
     /// execution takes their parts with [`base_parts`](Self::base_parts)),
     /// otherwise every part, resolved afresh (and held for the next),
     /// counting each lookup in `metrics`. A late execution's narrow leaves
@@ -457,8 +451,7 @@ impl RunTemplate {
     pub(crate) fn resolve_bases(
         &self,
         late: Option<&LateRewrite>,
-        provider: &dyn RelationProvider,
-        cache: &FragmentCache,
+        catalog: &Catalog,
         metrics: &mut Metrics,
     ) -> Result<Option<Vec<Option<Source>>>> {
         if let Some(late) = late {
@@ -476,12 +469,12 @@ impl RunTemplate {
             let resident = self.resident.lock().unwrap_or_else(PoisonError::into_inner);
             let names = self.bases.iter().map(|base| base.relation.as_str());
             let sets = resident.sets.iter().map(ResidentSet::held);
-            if resident.sets.len() == self.bases.len() && cache.touch(names.zip(sets)) {
+            if resident.sets.len() == self.bases.len() && catalog.touch(names.zip(sets)) {
                 metrics.fragment_cache_hits += self.bases.len() as u64;
                 return Ok(None);
             }
         }
-        self.resolve(provider, cache, metrics).map(Some)
+        self.resolve(catalog, metrics).map(Some)
     }
 
     /// Every base operand of one execution as its instances read it — one
@@ -496,8 +489,7 @@ impl RunTemplate {
         &self,
         resolved: Option<Vec<Option<Source>>>,
         args: &[i64],
-        provider: &dyn RelationProvider,
-        cache: &FragmentCache,
+        catalog: &Catalog,
         metrics: &mut Metrics,
     ) -> Result<Vec<Option<Source>>> {
         let held = || -> Option<Vec<Option<Source>>> {
@@ -506,7 +498,7 @@ impl RunTemplate {
         };
         let mut parts = match resolved.or_else(held) {
             Some(parts) => parts,
-            None => self.resolve(provider, cache, metrics)?,
+            None => self.resolve(catalog, metrics)?,
         };
         if self.late.is_some() {
             return Ok(parts);
@@ -532,40 +524,23 @@ impl RunTemplate {
         Ok(parts)
     }
 
-    /// Resolves every base operand to the cache's fragments (or, for a
+    /// Resolves every base operand to the catalog's fragments (or, for a
     /// simple join's unfiltered build side, its join tables) of the
-    /// relation the provider serves now, and holds them weakly.
-    fn resolve(
-        &self,
-        provider: &dyn RelationProvider,
-        cache: &FragmentCache,
-        metrics: &mut Metrics,
-    ) -> Result<Vec<Option<Source>>> {
-        // One resolution per name, so every leaf reads the same relation
-        // even while it is being replaced in the catalog.
-        let mut resolved: Vec<(&str, Arc<Relation>)> = Vec::new();
+    /// relation registered now, and holds them weakly.
+    fn resolve(&self, catalog: &Catalog, metrics: &mut Metrics) -> Result<Vec<Option<Source>>> {
         let mut sets = Vec::with_capacity(self.bases.len());
         let mut parts = Vec::new();
         for base in &self.bases {
-            let name = base.relation.as_str();
-            let source = match resolved.iter().find(|(n, _)| *n == name) {
-                Some((_, source)) => source.clone(),
-                None => {
-                    let source = provider.relation(name)?;
-                    resolved.push((name, source.clone()));
-                    source
-                }
-            };
-            let (key_col, degree) = (base.key_col, base.degree);
+            let (name, key_col, degree) = (base.relation.as_str(), base.key_col, base.degree);
             let hit = match base.kind {
                 BaseKind::Tables => {
-                    let (tables, hit) = cache.tables(name, &source, key_col, degree)?;
+                    let (tables, hit) = catalog.tables(name, key_col, degree)?;
                     parts.extend(tables.iter().map(|t| Some(Source::Table(t.clone()))));
                     sets.push(ResidentSet::Tables(Arc::downgrade(&tables)));
                     hit
                 }
                 BaseKind::Fragments | BaseKind::Filtered { .. } => {
-                    let (fragments, hit) = cache.fragments(name, &source, key_col, degree)?;
+                    let (fragments, hit) = catalog.fragments(name, key_col, degree)?;
                     parts.extend(fragments.iter().map(|f| Some(Source::Local(f.clone()))));
                     sets.push(ResidentSet::Fragments(Arc::downgrade(&fragments)));
                     hit

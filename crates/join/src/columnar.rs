@@ -10,7 +10,7 @@
 //!   it lies, sizes the index once for all of its rows, and links a range
 //!   of them per call. No row or key is copied and nothing rehashes. A
 //!   table indexed whole this way over a base fragment never changes, so
-//!   the engine's fragment cache keeps it resident and shares it.
+//!   the relation's catalog entry keeps it resident and shares it.
 //! * [`ColumnarTable::insert_batch`] — the pipelining join's tables, which
 //!   grow batch by batch. Rows are appended through `Arc::make_mut` (free
 //!   for a table nobody shares) and the index rehashes as it grows.
@@ -67,7 +67,7 @@ const LOCKSTEP_ROWS: usize = 4096;
 static NO_ROWS: ColumnBatch = ColumnBatch::shapeless();
 
 /// A multimap from `i64` join keys to build rows stored as columns.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct ColumnarTable {
     /// Build rows, column-wise: a chunk indexed where it lies (shared with
     /// the operand that holds it), or the rows `insert_batch` appended.

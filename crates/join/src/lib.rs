@@ -17,7 +17,7 @@
 //! column, so probes read the key slice where it lies. The simple join
 //! indexes its build operand's chunk in place ([`ColumnarTable::index`]: no
 //! copy, no rehash) — or, over an unfiltered base relation, adopts the
-//! table `mj_storage`'s fragment cache built once and keeps resident beside
+//! table its `mj_storage` catalog entry built once and keeps resident beside
 //! the fragment it indexes; the pipelining join appends to tables that grow
 //! ([`ColumnarTable::insert_batch`]). A probe takes a whole key slice,
 //! walks the chains of a block of keys in lockstep (one link per key per

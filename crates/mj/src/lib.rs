@@ -11,7 +11,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`relalg`] | `mj-relalg` | schemas, tuples, relations, predicates, XRA logical plans, sequential oracle |
-//! | [`storage`] | `mj-storage` | Wisconsin generator, fragmentation, resident fragment cache, catalog |
+//! | [`storage`] | `mj-storage` | Wisconsin generator, fragmentation, catalog of resident columnar relations |
 //! | [`join`] | `mj-join` | the columnar hash-join table behind the engine's simple and pipelining joins |
 //! | [`plan`] | `mj-plan` | join trees, Fig. 8 shapes, the paper's cost model, phase-1 optimizers, right-deep segmentation, text query parser |
 //! | [`core`] | `mj-core` | the four strategies, proportional allocation, parallel plan IR, plan generator |

@@ -8,7 +8,7 @@
 //! skewed fixtures × all four strategies × 1/2/4 workers × batch sizes on
 //! both sides of the chunk boundary, with every budget charge credited
 //! back and the pool quiescent after each run. Every query runs twice on its database —
-//! cold, then warm from the resident fragment cache — and the warm run must
+//! cold, then warm from the resident fragments — and the warm run must
 //! build nothing and return the same multiset. These plans name eight
 //! logical processors explicitly; left to the default, one per worker, no
 //! operation or stage runs wider than the pool, which is checked too.
@@ -240,14 +240,14 @@ fn mixed_degree_plans_match_the_oracle_under_every_strategy_pool_and_batch_size(
                         metrics
                     };
                     run("cold");
-                    let resident = engine.fragment_cache().stats();
+                    let resident = engine.catalog().resident_stats();
                     let warm = run("warm");
                     assert_eq!(warm.fragment_cache_built, 0, "{ctx}: warm run built");
                     assert!(
                         warm.fragment_cache_hits > 0,
                         "{ctx}: warm run looked nothing up"
                     );
-                    let after = engine.fragment_cache().stats();
+                    let after = engine.catalog().resident_stats();
                     assert_eq!(after.misses, resident.misses, "{ctx}: warm run missed");
                     assert_eq!(after.bytes, resident.bytes, "{ctx}: cache grew warm");
                     assert_eq!(engine.pool().queued(), 0, "{ctx}: zombie tasks queued");

@@ -1,14 +1,14 @@
-//! The resident fragment cache through the front door.
+//! Resident base fragments through the front door.
 //!
-//! Base relations are fragmented once and stay resident
-//! (`mj_storage::FragmentCache`); these tests pin what that must never
-//! change and what it must guarantee, by *count* and against the
-//! sequential XRA oracle rather than by time:
+//! Base relations are converted to columns when registered, fragmented
+//! once, and stay resident in their catalog entries
+//! (`mj_storage::Catalog`); these tests pin what that must never change
+//! and what it must guarantee, by *count* and against the sequential XRA
+//! oracle rather than by time:
 //!
-//! * a second identical query builds nothing — no cache miss, no
-//!   row→column conversion of a base relation, no join table over one: a
-//!   simple join's unfiltered base build side adopts the table resident
-//!   with its fragment;
+//! * a second identical query builds nothing — no partitioning miss, no
+//!   join table over a base relation: a simple join's unfiltered base
+//!   build side adopts the table resident with its fragment;
 //! * a pushed-down scan filter evaluated over the *cached* fragments
 //!   returns exactly the oracle's rows — predicates on the partitioning
 //!   key and on other columns, no survivors at all, and one prepared
@@ -21,8 +21,8 @@
 //!   answer on the old *or* the new relation, never a mix, and the first
 //!   query submitted after the swap sees the new one;
 //! * a prepared statement's run template holds its base operands only
-//!   weakly: a variant the cache evicted is resolved again, never served,
-//!   even while something else keeps it alive.
+//!   weakly: a variant the catalog evicted is resolved again, never
+//!   served, even while something else keeps it alive.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -105,7 +105,7 @@ fn base_builds(planned: &PlannedQuery) -> Vec<&str> {
 fn second_identical_query_builds_nothing() {
     let relations = generated(3);
     let db = open(&relations);
-    let cache = db.engine().fragment_cache();
+    let catalog = db.catalog();
     let text = chain_query_sql(RELATIONS);
     let planned = db.plan(&text).unwrap();
     assert!(
@@ -114,14 +114,14 @@ fn second_identical_query_builds_nothing() {
         planned.explain()
     );
     assert_eq!(
-        cache.stats().images_built,
-        RELATIONS as u64,
-        "analyze converts each relation once and leaves the image resident"
+        catalog.resident_stats().misses,
+        0,
+        "registration leaves every image resident; nothing partitioned yet"
     );
 
     let (cold_rows, cold) = drain(db.query(&text).unwrap());
     assert!(cold.fragment_cache_built > 0, "first query partitions");
-    let resident = cache.stats();
+    let resident = catalog.resident_stats();
     assert!(
         resident.tables_built > 0,
         "first query indexes its base build sides\n{}",
@@ -135,12 +135,8 @@ fn second_identical_query_builds_nothing() {
         cold.fragment_cache_hits + cold.fragment_cache_built,
         "one lookup per base operand, all resident"
     );
-    let after = cache.stats();
-    assert_eq!(after.misses, resident.misses, "no cache miss");
-    assert_eq!(
-        after.images_built, RELATIONS as u64,
-        "no base relation converted again"
-    );
+    let after = catalog.resident_stats();
+    assert_eq!(after.misses, resident.misses, "no partitioning miss");
     assert_eq!(after.tables_built, resident.tables_built, "no table built");
     assert_eq!(after.bytes, resident.bytes);
     assert!(warm_rows.multiset_eq(&cold_rows));
@@ -165,7 +161,7 @@ fn second_identical_query_builds_nothing() {
 fn scan_filters_over_cached_fragments_match_the_oracle() {
     let relations = generated(5);
     let db = open(&relations);
-    let cache = db.engine().fragment_cache();
+    let catalog = db.catalog();
     let joins = chain_query_sql(RELATIONS);
     // Warm every variant the plan reads, so the filters below provably
     // run over cached fragments.
@@ -199,7 +195,7 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
     let stmt = db.prepare(&format!("{joins} WHERE R1.id < ?1")).unwrap();
     let expect = |arg: i64| oracle(&db, &format!("{joins} WHERE R1.id < {arg}"), &relations);
     drain(db.execute_prepared(&stmt, &[1]).unwrap());
-    let resident = cache.stats();
+    let resident = catalog.resident_stats();
     let args = [0i64, 250, 3, 400, 3];
     for arg in args {
         let (rows, metrics) = drain(db.execute_prepared(&stmt, &[arg]).unwrap());
@@ -219,7 +215,7 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
             });
         }
     });
-    let after = cache.stats();
+    let after = catalog.resident_stats();
     assert_eq!(after.misses, resident.misses, "every execution ran warm");
     assert_eq!(
         after.bytes, resident.bytes,
@@ -231,7 +227,7 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
 fn a_filtered_build_side_is_indexed_privately() {
     let relations = generated(7);
     let db = open(&relations);
-    let cache = db.engine().fragment_cache();
+    let catalog = db.catalog();
     let joins = chain_query_sql(RELATIONS);
     // A relation the filtered plan still builds a simple join's table on.
     let (name, stmt) = (0..RELATIONS)
@@ -256,7 +252,7 @@ fn a_filtered_build_side_is_indexed_privately() {
     };
     let (rows, _) = drain(db.execute_prepared(&stmt, &[200]).unwrap());
     assert!(rows.multiset_eq(&expect(200)));
-    let built = cache.stats().tables_built;
+    let built = catalog.resident_stats().tables_built;
     assert_eq!(
         built,
         unfiltered as u64,
@@ -268,7 +264,11 @@ fn a_filtered_build_side_is_indexed_privately() {
         assert!(rows.multiset_eq(&expect(arg)), "{name}.id < {arg}");
         assert_eq!(metrics.fragment_cache_built, 0, "{name}.id < {arg}");
     }
-    assert_eq!(cache.stats().tables_built, built, "no table over survivors");
+    assert_eq!(
+        catalog.resident_stats().tables_built,
+        built,
+        "no table over survivors"
+    );
 }
 
 #[test]
@@ -313,10 +313,13 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
             );
         }
     }
+    // A replaced relation's distinct counts go with it, so each swap is
+    // analyzed too: the plans keep building on R3.
     let swap_to = |v: usize| {
         let relation = versions[v]["R3"].clone();
         let stats = TableStats::unique_key(relation.len() as u64);
         db.catalog().register_with_stats("R3", relation, stats);
+        db.catalog().analyze("R3").unwrap();
     };
     let stmt = db.prepare(&prepared_sql).unwrap();
     let adhoc = db.plan(&adhoc_sql).unwrap();
@@ -328,7 +331,7 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
         stmt.planned().explain(),
         adhoc.explain()
     );
-    let tables = || db.engine().fragment_cache().stats().tables_built;
+    let tables = || db.catalog().resident_stats().tables_built;
     let run = |which: usize| -> Relation {
         let handle = if which == 0 {
             db.execute_prepared(&stmt, &[ARG]).unwrap()
@@ -353,7 +356,7 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
         assert!(tables() > built, "swap {v}: R3's table was rebuilt");
         assert!(run(1 - which).multiset_eq(&expected[1 - which]));
     }
-    let evicted = db.engine().fragment_cache().stats().evictions;
+    let evicted = db.catalog().resident_stats().evictions;
     assert!(
         evicted >= VERSIONS as u64 - 1,
         "every swap evicted R3's entry"
@@ -418,13 +421,13 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
 fn an_evicted_variant_is_resolved_again_never_served() {
     let relations = generated(19);
     let db = open(&relations);
-    let cache = db.engine().fragment_cache();
+    let catalog = db.catalog();
     let joins = chain_query_sql(RELATIONS);
     let text = format!("{joins} WHERE R1.id < ?1");
     let stmt = db.prepare(&text).unwrap();
     let expect = |arg: i64| oracle(&db, &format!("{joins} WHERE R1.id < {arg}"), &relations);
     // A partitioned base operand of the plan: its relation, key column and
-    // degree name the cache variant it reads.
+    // degree name the resident variant it reads.
     let planned = stmt.planned();
     let (name, key_col, degree) = planned
         .plan
@@ -452,16 +455,15 @@ fn an_evicted_variant_is_resolved_again_never_served() {
     // Evict that variant with four newer ones of the same relation, while
     // the test itself keeps it alive: alive is not resident, and the
     // template must not serve it.
-    let source = db.catalog().relation(&name).unwrap();
-    let (kept, hit) = cache.fragments(&name, &source, key_col, degree).unwrap();
+    let (kept, hit) = catalog.fragments(&name, key_col, degree).unwrap();
     assert!(hit);
-    let evictions = cache.stats().evictions;
+    let evictions = catalog.resident_stats().evictions;
     for d in (degree + 1..).take(MAX_VARIANTS_PER_RELATION) {
-        cache.fragments(&name, &source, key_col, d).unwrap();
+        catalog.fragments(&name, key_col, d).unwrap();
     }
-    assert!(cache.stats().evictions > evictions);
+    assert!(catalog.resident_stats().evictions > evictions);
 
-    let misses = cache.stats().misses;
+    let misses = catalog.resident_stats().misses;
     let (rows, cold) = drain(db.execute_prepared(&stmt, &[37]).unwrap());
     assert!(
         rows.multiset_eq(&expect(37)),
@@ -471,7 +473,7 @@ fn an_evicted_variant_is_resolved_again_never_served() {
         cold.fragment_cache_built > 0,
         "the evicted variant was resolved again"
     );
-    assert!(cache.stats().misses > misses);
+    assert!(catalog.resident_stats().misses > misses);
     let (rows, warm) = drain(db.execute_prepared(&stmt, &[38]).unwrap());
     assert!(rows.multiset_eq(&expect(38)));
     assert_eq!(warm.fragment_cache_built, 0, "and is held again");

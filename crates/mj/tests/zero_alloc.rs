@@ -214,7 +214,8 @@ fn assert_batch_pool_hit_rate() {
 /// its edge's pool is checked against the pool's layout in place (322
 /// drain), and 357 still (35 set-up) once a stream message is sized in
 /// bytes of its edge's layout: the few dozen result rows are one message
-/// either way.
+/// either way; 357 still (35 set-up) once the catalog entry holds the
+/// relation's image and its resident fragments.
 const PREPARED_EXECUTE_ALLOCS: u64 = 380;
 
 /// Ceiling on the mean allocations of the set-up alone: what

@@ -457,11 +457,22 @@ impl ColumnBatch {
         Ok(Tuple::new(values))
     }
 
-    /// Materializes rows `start..end` as [`Tuple`]s into `out`.
+    /// Materializes rows `start..end` as [`Tuple`]s into `out`, through one
+    /// scratch row: an all-integer row of inline width allocates nothing.
     pub fn rows_into(&self, range: Range<usize>, out: &mut Vec<Tuple>) -> Result<()> {
         out.reserve(range.len());
+        let mut scratch = Vec::with_capacity(self.columns.len());
         for r in range {
-            out.push(self.row(r)?);
+            if r >= self.rows {
+                return Err(RelalgError::IndexOutOfBounds {
+                    index: r,
+                    arity: self.rows,
+                });
+            }
+            for c in &self.columns {
+                scratch.push(c.value(r)?);
+            }
+            out.push(Tuple::from_scratch(&mut scratch));
         }
         Ok(())
     }

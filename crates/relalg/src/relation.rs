@@ -134,6 +134,13 @@ impl<'a> IntoIterator for &'a Relation {
 pub trait RelationProvider {
     /// Returns the relation registered under `name`.
     fn relation(&self, name: &str) -> Result<Arc<Relation>>;
+
+    /// The schema of the relation registered under `name`; a provider
+    /// whose relations are not stored as rows answers without building
+    /// them.
+    fn schema(&self, name: &str) -> Result<Arc<Schema>> {
+        Ok(self.relation(name)?.schema().clone())
+    }
 }
 
 impl RelationProvider for HashMap<String, Arc<Relation>> {

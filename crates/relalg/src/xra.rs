@@ -169,9 +169,7 @@ impl XraNode {
     /// Doubles as plan validation: every structural error surfaces here.
     pub fn schema(&self, provider: &dyn RelationProvider) -> Result<Schema> {
         match self {
-            XraNode::Scan { relation } => {
-                Ok(provider.relation(relation)?.schema().as_ref().clone())
-            }
+            XraNode::Scan { relation } => Ok(provider.schema(relation)?.as_ref().clone()),
             XraNode::Select { input, .. } => input.schema(provider),
             XraNode::Project { input, projection } => {
                 projection.output_schema(&input.schema(provider)?)

@@ -534,11 +534,12 @@ fn metrics_are_served_in_protocol_and_over_http() {
         .get("mj_plan_duration_seconds")
         .and_then(|h| h.get("count"));
     assert!(matches!(planned, Some(JsonValue::Int(1))), "{planned:?}");
-    // "Was that query cold?": `analyze` built the three relations' columnar
-    // images (three misses), the query found all three resident.
+    // "Was that query cold?": registration converted the three relations
+    // to columnar images, so nothing missed, and the query found all three
+    // resident.
     for (name, value) in [
         ("mj_fragment_cache_hits_total", 3),
-        ("mj_fragment_cache_misses_total", 3),
+        ("mj_fragment_cache_misses_total", 0),
         ("mj_fragment_cache_evictions_total", 0),
         ("mj_fragment_cache_bytes", 3 * 120 * 3 * 8),
         // "How many processes does a query cost?": two joins of 120-tuple
@@ -566,7 +567,7 @@ fn metrics_are_served_in_protocol_and_over_http() {
     assert!(text.contains("mj_plan_duration_seconds_count 1\n"));
     assert!(text.contains("# TYPE mj_fragment_cache_bytes gauge"));
     assert!(text.contains("mj_fragment_cache_hits_total 3\n"));
-    assert!(text.contains("mj_fragment_cache_misses_total 3\n"));
+    assert!(text.contains("mj_fragment_cache_misses_total 0\n"));
     assert!(text.contains("mj_fragment_cache_evictions_total 0\n"));
     assert!(text.contains("mj_fragment_cache_bytes 8640\n"));
     assert!(text.contains("# TYPE mj_operation_processes_total counter"));

@@ -2,11 +2,11 @@
 //!
 //! Below the plan the engine has one physical representation, the
 //! [`ColumnBatch`]. A base relation enters it once through
-//! [`scan_columns`] (on a [`FragmentCache`](crate::FragmentCache) miss);
+//! [`scan_columns`], when the [`Catalog`](crate::Catalog) registers it;
 //! from there fragmentation ([`fragment_columns`]) hashes the whole key
 //! column and gathers each fragment's rows column-wise instead of testing
-//! tuples one at a time. It splits base relations for the fragment cache
-//! and a materialized intermediate, once, at its producer.
+//! tuples one at a time. It splits base relations for their catalog
+//! entries and a materialized intermediate, once, at its producer.
 
 use std::sync::Arc;
 
