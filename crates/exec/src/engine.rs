@@ -786,6 +786,7 @@ impl QueryRun {
                 self.reporter(),
                 Some(self.ctrl.clone()),
             );
+            task.lend(template.lend(root, i));
             if root == template.root() {
                 if let Some(resolver) = &self.resolver {
                     task.set_resolver(resolver.clone());

@@ -13,10 +13,12 @@ pub mod aggregate;
 pub mod limit;
 pub mod op;
 pub mod output;
+pub mod scratch;
 pub mod task;
 
 pub use aggregate::AggregateOp;
 pub use limit::LimitOp;
 pub use op::{join_op, Absorb, InputMode, PhysicalOp, PipeliningJoinOp, SimpleJoinOp};
 pub use output::OutputPort;
+pub use scratch::JoinScratch;
 pub use task::OpTask;

@@ -24,6 +24,8 @@ use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{EquiJoin, JoinAlgorithm, RelalgError, Result};
 
+use crate::operator::scratch::JoinScratch;
+
 /// How the driver should feed an operator's input sides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InputMode {
@@ -122,6 +124,14 @@ pub trait PhysicalOp: Send {
     fn est_bytes(&self) -> usize {
         0
     }
+
+    /// The buffers the operator works in that its task may lend it: the
+    /// task swaps the ones its statement kept in before the operator's
+    /// first row, and swaps them out again when the operator is done
+    /// ([`JoinScratch`]). `None`: the operator keeps its own.
+    fn scratch(&mut self) -> Option<&mut JoinScratch> {
+        None
+    }
 }
 
 /// The simple (two-phase build–probe) hash join as a [`PhysicalOp`]
@@ -133,13 +143,16 @@ pub trait PhysicalOp: Send {
 /// ([`adopt_table`](PhysicalOp::adopt_table)) in no quanta at all. Each
 /// probe batch hashes its key column a group at a time, collects
 /// `(build_row, probe_row)` match pairs, and assembles the output with one
-/// column-wise gather.
+/// column-wise gather. The table it indexes and the pairs vector are its
+/// [`JoinScratch`], which its task may lend it.
 pub struct SimpleJoinOp {
     /// Shared by every instance of the operation.
     spec: Arc<EquiJoin>,
-    table: BuildTable,
-    /// Match-pair scratch, reused across probe batches.
-    pairs: Vec<(u32, u32)>,
+    /// Its own build table and the match-pair scratch, reused across probe
+    /// batches.
+    scratch: JoinScratch,
+    /// A resident build table adopted whole, probed instead of its own.
+    resident: Option<Arc<ColumnarTable>>,
 }
 
 impl SimpleJoinOp {
@@ -147,14 +160,19 @@ impl SimpleJoinOp {
     pub fn new(spec: impl Into<Arc<EquiJoin>>) -> Self {
         SimpleJoinOp {
             spec: spec.into(),
-            table: BuildTable::Own(ColumnarTable::new()),
-            pairs: Vec::new(),
+            scratch: JoinScratch::default(),
+            resident: None,
         }
+    }
+
+    /// The table it probes: the adopted one, or its own.
+    fn table(&self) -> &ColumnarTable {
+        self.resident.as_deref().unwrap_or(&self.scratch.table)
     }
 
     /// Build rows tabled so far (tests).
     pub fn build_len(&self) -> usize {
-        self.table.len()
+        self.table().len()
     }
 }
 
@@ -164,12 +182,12 @@ impl PhysicalOp for SimpleJoinOp {
     }
 
     fn build_batch(&mut self, cols: &Arc<ColumnBatch>, range: Range<usize>) -> Result<()> {
-        let BuildTable::Own(table) = &mut self.table else {
+        if self.resident.is_some() {
             return Err(RelalgError::InvalidPlan(
                 "an adopted build table takes no more rows".into(),
             ));
-        };
-        table.index(cols, self.spec.left_key, range)
+        }
+        self.scratch.table.index(cols, self.spec.left_key, range)
     }
 
     fn adopt_table(&mut self, table: Arc<ColumnarTable>) -> Result<()> {
@@ -180,7 +198,7 @@ impl PhysicalOp for SimpleJoinOp {
                 self.spec.left_key
             )));
         }
-        self.table = BuildTable::Resident(table);
+        self.resident = Some(table);
         Ok(())
     }
 
@@ -193,34 +211,20 @@ impl PhysicalOp for SimpleJoinOp {
     ) -> Result<Absorb> {
         debug_assert_eq!(side, 1, "simple join absorbs only its probe side");
         let keys = cols.int_col(self.spec.right_key)?;
-        self.pairs.clear();
-        self.table.probe_into(keys, range, &mut self.pairs);
-        self.table
-            .emit_matches(cols, self.spec.projection.cols(), &self.pairs, true, out)?;
+        let JoinScratch { pairs, table } = &mut self.scratch;
+        let table = self.resident.as_deref().unwrap_or(&*table);
+        pairs.clear();
+        table.probe_into(keys, range, pairs);
+        table.emit_matches(cols, self.spec.projection.cols(), pairs, true, out)?;
         Ok(Absorb::Continue)
     }
 
     fn est_bytes(&self) -> usize {
-        self.table.est_bytes()
+        self.table().est_bytes()
     }
-}
 
-/// A simple join's build table: indexed by the instance itself, or a
-/// resident one adopted whole. An owned table is held inline, so indexing
-/// per query costs no more than the table's own arrays.
-enum BuildTable {
-    Own(ColumnarTable),
-    Resident(Arc<ColumnarTable>),
-}
-
-impl std::ops::Deref for BuildTable {
-    type Target = ColumnarTable;
-
-    fn deref(&self) -> &ColumnarTable {
-        match self {
-            BuildTable::Own(table) => table,
-            BuildTable::Resident(table) => table,
-        }
+    fn scratch(&mut self) -> Option<&mut JoinScratch> {
+        Some(&mut self.scratch)
     }
 }
 

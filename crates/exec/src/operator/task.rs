@@ -31,6 +31,13 @@
 //! other task, and intermediates are charged to the query's budget like
 //! hash tables are.
 //!
+//! The buffers the members work in — each member's output batch, its
+//! join's match pairs and build-table arrays — are lent by the query's run
+//! template ([`scratch`](crate::operator::scratch)): the task takes each
+//! back, emptied, as the member using it finishes (a handed-over result
+//! once its reader has), and gives the set back when it ends, so a
+//! statement's next execute works in them again.
+//!
 //! Completion (stats or error) is reported exactly once *per member*
 //! through the query's [`Reporter`] — the root's report carries a
 //! materializing port's pieces to the query's run — including when the
@@ -58,6 +65,7 @@ use mj_storage::Fragments;
 use crate::handle::QueryCtrl;
 use crate::metrics::InstanceStats;
 use crate::operator::op::{Absorb, InputMode, PhysicalOp};
+use crate::operator::scratch::Lent;
 use crate::operator::OutputPort;
 use crate::sched::{Step, Task};
 use crate::source::Source;
@@ -337,6 +345,16 @@ pub struct TaskMember {
     /// a later member of the same task. `None`: the root member, emitting
     /// through the task's output port.
     feeds: Option<(usize, usize)>,
+    /// Its result rows, column-wise (the operator appends; made on first
+    /// use unless lent). The root member's are drained by the port between
+    /// quanta; any other member's accumulate until it finishes and are
+    /// handed over whole, in this `Arc`.
+    out: Option<Arc<ColumnBatch>>,
+    /// Its position in the task's group, which names its lent buffers.
+    pos: usize,
+    /// Per side: the position of the earlier member whose result it reads
+    /// there, handed over in memory.
+    handed: [Option<usize>; 2],
     /// Bytes of earlier members' results this member holds as operands.
     handed_bytes: u64,
     stats: InstanceStats,
@@ -376,6 +394,9 @@ impl TaskMember {
             operands: [first, second],
             arity,
             feeds: None,
+            out: None,
+            pos: 0,
+            handed: [None; 2],
             handed_bytes: 0,
             stats: InstanceStats::default(),
             op_id,
@@ -407,6 +428,17 @@ impl TaskMember {
             _ => None,
         }
     }
+
+    /// Rows in its output so far.
+    fn out_rows(&self) -> usize {
+        self.out.as_ref().map_or(0, |out| out.rows())
+    }
+}
+
+/// A member's output batch to append to, made on first use.
+fn writable(out: &mut Option<Arc<ColumnBatch>>) -> &mut ColumnBatch {
+    let out = out.get_or_insert_with(Default::default);
+    Arc::get_mut(out).expect("a member's output is its own until it is handed over")
 }
 
 /// One operation process as a schedulable [`Task`]: the generic driver
@@ -416,16 +448,14 @@ pub struct OpTask {
     /// A finished member reports and is dropped, hash table and all.
     members: VecDeque<TaskMember>,
     output: OutputPort,
-    /// Result rows of the running member, column-wise (shared with the
-    /// operator, which appends). The root member's are drained by the
-    /// port between quanta; any other member's accumulate until it
-    /// finishes and hands them over whole.
-    out: ColumnBatch,
-    /// Emission cursor into `out` (or `resolved`, when a resolver is
-    /// attached) for resumable routing.
+    /// The buffers its run template lent it, per member position, while
+    /// no member uses them; given back when the task ends.
+    lent: Lent,
+    /// Emission cursor into the root member's output (or `resolved`, when
+    /// a resolver is attached) for resumable routing.
     out_pos: usize,
     /// Late-materialization resolver: set only on the root join's tasks
-    /// of a late plan. When present, the root member's `out` holds narrow
+    /// of a late plan. When present, the root member's output holds narrow
     /// (ref-carrying) rows which are resolved into `resolved` before
     /// emission, so the output port only ever sees the original root
     /// schema.
@@ -434,8 +464,8 @@ pub struct OpTask {
     resolved: ColumnBatch,
     /// Per-ref-column row-index scratch for the resolver.
     ref_scratch: Vec<Vec<u32>>,
-    /// Rows gathered in `out` before they are emitted: the port's
-    /// [`OutputPort::batch`].
+    /// Rows gathered in the root member's output before they are emitted:
+    /// the port's [`OutputPort::batch`].
     batch: usize,
     phase: Phase,
     /// This task declared its output complete (satisfied LIMIT): it keeps
@@ -453,10 +483,13 @@ pub struct OpTask {
     /// The query's cancel/early-stop/abort tokens; observed at every step.
     ctrl: Option<Arc<QueryCtrl>>,
     /// Bytes of task state currently charged against the query's memory
-    /// budget: the running operator's ([`PhysicalOp::est_bytes`]) plus the
-    /// results members have handed over or are still accumulating. Synced
-    /// after every step, credited back on completion.
+    /// budget: the lent buffers' capacity, the running operator's
+    /// ([`PhysicalOp::est_bytes`]), and the results members have handed
+    /// over or are still accumulating. Synced after every step, credited
+    /// back on completion.
     charged: u64,
+    /// Capacity of the buffers lent to the task, part of `charged`.
+    lent_bytes: u64,
     /// Bytes charged by an injected allocation spike (credited back on
     /// completion so sibling queries see clean global accounting).
     #[cfg(feature = "faults")]
@@ -481,14 +514,15 @@ impl OpTask {
             "exactly the last member emits through the port"
         );
         let mut members: VecDeque<TaskMember> = members.into();
-        for m in &mut members {
+        for (pos, m) in members.iter_mut().enumerate() {
             m.turn = instance; // stagger polling order across instances
+            m.pos = pos;
         }
         OpTask {
             members,
             batch: output.batch(),
             output,
-            out: ColumnBatch::shapeless(),
+            lent: Lent::default(),
             out_pos: 0,
             resolver: None,
             resolved: ColumnBatch::shapeless(),
@@ -502,6 +536,7 @@ impl OpTask {
             reports: Vec::new(),
             ctrl,
             charged: 0,
+            lent_bytes: 0,
             #[cfg(feature = "faults")]
             spiked: 0,
         }
@@ -516,16 +551,34 @@ impl OpTask {
         self.resolver = Some(resolver);
     }
 
+    /// Lends the task the buffers its members work in, before its first
+    /// step: each member's output batch, and its operator's
+    /// [`JoinScratch`](crate::operator::JoinScratch). Their capacity is
+    /// charged to the query's budget while the task holds them.
+    pub(crate) fn lend(&mut self, mut lent: Lent) {
+        self.lent_bytes = lent.bytes();
+        for m in &mut self.members {
+            if let Some(kept) = lent.member(m.pos) {
+                m.out = kept.out.take();
+                if let Some(join) = m.op.scratch() {
+                    std::mem::swap(join, &mut kept.join);
+                }
+            }
+        }
+        self.lent = lent;
+    }
+
     /// The running member. Only valid before the task is done.
     fn member(&mut self) -> &mut TaskMember {
         self.members.front_mut().expect("a live task has a member")
     }
 
-    /// Records the running member's completion and drops it. The report
-    /// goes out when the task next yields ([`send_reports`](Self::send_reports)):
-    /// a report runs the query's coordination on this thread — it may
-    /// submit the next wave of tasks, or conclude the query — and that
-    /// belongs between quanta, not inside one.
+    /// Records the running member's completion and drops it, taking its
+    /// buffers back. The report goes out when the task next yields
+    /// ([`send_reports`](Self::send_reports)): a report runs the query's
+    /// coordination on this thread — it may submit the next wave of tasks,
+    /// or conclude the query — and that belongs between quanta, not inside
+    /// one.
     fn report_member(&mut self, result: Result<InstanceStats>) {
         if let Some(m) = self.members.pop_front() {
             let pieces = if self.members.is_empty() {
@@ -534,6 +587,34 @@ impl OpTask {
                 None
             };
             self.reports.push((m.op_id, result, pieces));
+            self.take_back(m);
+        }
+    }
+
+    /// Takes a finished member's buffers back into the lent set: its
+    /// operator's join buffers (which lets go of the build operand they
+    /// indexed), then its output unless it was handed over, then the
+    /// results of earlier members it read, which nothing else holds now.
+    fn take_back(&mut self, m: TaskMember) {
+        let TaskMember {
+            mut op,
+            operands,
+            out,
+            pos,
+            handed,
+            ..
+        } = m;
+        if let Some(join) = op.scratch() {
+            self.lent.keep_join(pos, join);
+        }
+        drop(op);
+        if let Some(out) = out {
+            self.lent.keep_out(pos, out);
+        }
+        for (operand, from) in operands.into_iter().zip(handed) {
+            if let (Operand::Chunks { cols, .. }, Some(from)) = (operand, from) {
+                self.lent.keep_out(from, cols);
+            }
         }
     }
 
@@ -554,6 +635,9 @@ impl OpTask {
         }
         self.phase = Phase::Done;
         self.release_budget();
+        // Back before the reports go out: the last may conclude the query,
+        // and its statement's next execute finds the set.
+        self.lent.give_back();
         self.send_reports();
     }
 
@@ -584,11 +668,12 @@ impl OpTask {
             return false;
         };
         let budget = ctrl.budget();
-        let mut held: u64 = self.members.iter().map(|m| m.handed_bytes).sum();
+        let mut held: u64 = self.lent_bytes;
+        held += self.members.iter().map(|m| m.handed_bytes).sum::<u64>();
         if let Some(m) = self.members.front() {
             held += m.op.est_bytes() as u64;
             if m.feeds.is_some() {
-                held += self.out.est_bytes();
+                held += m.out.as_ref().map_or(0, |out| out.est_bytes());
             }
         }
         match held.cmp(&self.charged) {
@@ -602,7 +687,7 @@ impl OpTask {
         budget.is_exhausted()
     }
 
-    /// Emits rows `out_pos..` of the root member's `out`; `Ok(false)`
+    /// Emits rows `out_pos..` of the root member's output; `Ok(false)`
     /// means the output is backpressured (`waker` registered on it) and the
     /// task should yield. `tuples_out` counts rows here — *after* the
     /// operator's selection vectors dropped non-qualifying rows — so the
@@ -612,25 +697,24 @@ impl OpTask {
             // Not the root: the output stays here until the member is done.
             return Ok(true);
         }
-        if let Some(resolver) = &self.resolver {
+        let m = self.members.front_mut().expect("a live task has a member");
+        let out = writable(&mut m.out);
+        let (emitted, done) = match &self.resolver {
             // Late materialization: resolve the narrow backlog into the
-            // original schema, then emit the resolved batch. `out` is
+            // original schema, then emit the resolved batch. The output is
             // always fully absorbed here, so between flushes at most one
             // quantum of narrow rows accumulates — memory stays bounded
             // even under backpressure.
-            if !self.out.is_empty() {
-                resolver.resolve_into(&self.out, &mut self.ref_scratch, &mut self.resolved)?;
-                self.out.clear();
-            }
-            let (emitted, done) =
+            Some(resolver) => {
+                if !out.is_empty() {
+                    resolver.resolve_into(out, &mut self.ref_scratch, &mut self.resolved)?;
+                    out.clear();
+                }
                 self.output
-                    .try_emit(&mut self.resolved, &mut self.out_pos, waker)?;
-            self.note_emitted(emitted);
-            return Ok(done);
-        }
-        let (emitted, done) = self
-            .output
-            .try_emit(&mut self.out, &mut self.out_pos, waker)?;
+                    .try_emit(&mut self.resolved, &mut self.out_pos, waker)?
+            }
+            None => self.output.try_emit(out, &mut self.out_pos, waker)?,
+        };
         self.note_emitted(emitted);
         Ok(done)
     }
@@ -749,10 +833,12 @@ impl OpTask {
                         let (cols, pos) = m.operands[side].chunk();
                         let end = (pos + *budget).min(cols.rows());
                         take = end - pos;
-                        verdict = m.op.absorb_batch(side, cols, pos..end, &mut self.out)?;
+                        verdict =
+                            m.op.absorb_batch(side, cols, pos..end, writable(&mut m.out))?;
                     }
                     m.operands[side].consume(take);
                     m.stats.tuples_in[side] += take as u64;
+                    let full = m.out_rows() >= self.batch;
                     *budget -= take;
                     self.moved = true;
                     if verdict == Absorb::Satisfied {
@@ -766,7 +852,7 @@ impl OpTask {
                         self.phase = Phase::Finish;
                         return Ok(None);
                     }
-                    if self.out.rows() >= self.batch && !self.flush_out(waker)? {
+                    if full && !self.flush_out(waker)? {
                         // Output backpressure mid-quantum: wait for room.
                         return Ok(Some(Step::Blocked));
                     }
@@ -787,7 +873,7 @@ impl OpTask {
         if !m.drained {
             // Exactly-once drain of held state (aggregation results);
             // flushing below is resumable across backpressure.
-            m.op.finish(&mut self.out)?;
+            m.op.finish(writable(&mut m.out))?;
             m.drained = true;
         }
         m.stats.table_bytes = m.op.est_bytes() as u64;
@@ -795,9 +881,9 @@ impl OpTask {
             // Hand the complete result to the member that reads it: no
             // channel, no wake — and this member's table is gone
             // before the next one builds its own.
-            let result = Arc::new(std::mem::replace(&mut self.out, ColumnBatch::shapeless()));
+            let result = m.out.take().unwrap_or_default();
             m.stats.tuples_out = result.rows() as u64;
-            let stats = m.stats;
+            let (stats, from) = (m.stats, m.pos);
             self.report_member(Ok(stats));
             let reader = self
                 .members
@@ -807,6 +893,7 @@ impl OpTask {
                     RelalgError::InvalidPlan(format!("no later member evaluates op {consumer}"))
                 })?;
             reader.handed_bytes += result.est_bytes();
+            reader.handed[side] = Some(from);
             reader.operands[side] = Operand::new(Source::Local(result));
             self.begin_member();
             // The next member runs in what is left of this step: its first.
@@ -1098,6 +1185,43 @@ mod tests {
         };
         let task = OpTask::new(members, output, 0, done_tx.into(), ctrl);
         (task, collected, done_rx)
+    }
+
+    #[test]
+    fn a_lent_set_comes_back_whole_and_serves_the_next_task_alike() {
+        use crate::operator::scratch::ScratchLists;
+        let lists = ScratchLists::new(1);
+        let budget = MemoryBudget::unlimited();
+        let mut first = None;
+        for round in 0..3 {
+            let ctrl = QueryCtrl::with_limits(None, budget.clone());
+            // 360 intermediate rows, 2160 result rows: every buffer is
+            // under the cap, so every one is kept.
+            let (mut task, collected, done_rx) = group(60, |i| i % 10, Some(ctrl));
+            task.lend(lists.lend(0, 2));
+            drive_blocking(task);
+            assert!(done_rx.iter().all(|(_, result, _)| result.is_ok()));
+            assert_eq!(budget.used(), 0, "round {round}: the set is credited");
+            let mut rows = collected.lock().clone();
+            rows.sort_unstable();
+            assert_eq!(rows.len(), 2160);
+            assert_eq!(*first.get_or_insert_with(|| rows.clone()), rows);
+            // Back in the list, before the reports went out: op0's result,
+            // taken back from op1 once it finished, and the root's output,
+            // both emptied; both joins' own tables and pairs.
+            assert_eq!(lists.kept(), 1, "round {round}");
+            let mut lent = lists.lend(0, 2);
+            for pos in 0..2 {
+                let kept = lent.member(pos).unwrap();
+                let out = kept.out.as_ref().expect("the output came back");
+                assert!(out.is_empty() && out.capacity_bytes() > 0, "{pos}");
+                assert!(kept.join.table.is_empty());
+                assert!(kept.join.table.index_capacity_bytes() > 0);
+                assert!(kept.join.pairs.is_empty() && kept.join.pairs.capacity() > 0);
+            }
+            lent.give_back();
+        }
+        assert!(budget.peak() > 0);
     }
 
     #[test]

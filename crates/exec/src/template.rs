@@ -9,7 +9,11 @@
 //! processes, wired by which streams, over which resident base fragments.
 //! A [`RunTemplate`] holds exactly that; an execution instantiates it with
 //! its arguments, fresh stream edges, its own control block and budget,
-//! and keeps its own materialized pieces.
+//! and keeps its own materialized pieces. What the template also keeps is
+//! scratch: the buffers its executions' tasks gathered, matched and indexed
+//! in, lent to one execution at a time and given back emptied
+//! ([`scratch`](crate::operator::scratch)), so an execute allocates little
+//! beyond the batches it returns.
 //!
 //! An ad-hoc query builds its template and instantiates it once, so there
 //! is one submission path
@@ -31,6 +35,7 @@ use crate::binding::{bind_predicate, has_params, QueryBinding};
 use crate::config::LateMode;
 use crate::late::{LateRewrite, LateShape};
 use crate::metrics::Metrics;
+use crate::operator::scratch::{Lent, ScratchLists};
 use crate::operator::{join_op, PhysicalOp};
 use crate::source::Source;
 
@@ -41,12 +46,15 @@ use crate::source::Source;
 /// pre-sized [`Metrics`] rows, whether the late rewrite is taken, and
 /// which resident base fragments (or join tables) each base operand reads.
 ///
-/// It holds no per-query state — no edges, budgets or buffers — so one
+/// It holds no per-query state — no edges, budgets or pieces — so one
 /// template serves any number of concurrent executions:
 /// [`Engine::submit_template`](crate::Engine::submit_template) gives each
 /// its own stream edges, control block, budget and materialized pieces,
 /// and binds its `?N` arguments into the only predicates that hold them,
-/// the scan filters.
+/// the scan filters. Between executions it keeps the buffers their tasks
+/// worked in — per task slot, free lists of scratch sets
+/// ([`scratch`](crate::operator::scratch)): each task borrows one set,
+/// a new one if every set is lent, and gives it back emptied when it ends.
 ///
 /// The base operands are held *weakly*, so the template never pins what
 /// the [`Catalog`] evicted. Before an execution's clock starts, the
@@ -94,6 +102,11 @@ pub struct RunTemplate {
     /// Metrics rows as every execution starts them: estimates, stage kinds,
     /// streams and fused ops.
     metrics: Metrics,
+    /// Per group root: its first task slot, one slot per instance.
+    slots: Vec<usize>,
+    /// Per task slot, the scratch sets its executions' tasks worked in and
+    /// gave back ([`lend`](Self::lend)).
+    scratch: Arc<ScratchLists>,
 }
 
 /// One operation of a query as the executor wires and spawns it: the
@@ -347,6 +360,14 @@ impl RunTemplate {
         for (stage, group) in groups.iter_mut().enumerate().skip(n_ops) {
             group.push(stage);
         }
+        let mut slots = vec![0; n];
+        let mut tasks = 0;
+        for (root, group) in groups.iter().enumerate() {
+            if !group.is_empty() {
+                slots[root] = tasks;
+                tasks += ops[root].degree;
+            }
+        }
 
         Ok(RunTemplate {
             query,
@@ -363,6 +384,8 @@ impl RunTemplate {
             deps,
             dependents,
             metrics,
+            slots,
+            scratch: ScratchLists::new(tasks),
         })
     }
 
@@ -404,6 +427,19 @@ impl RunTemplate {
 
     pub(crate) fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The scratch set instance `instance` of the process group rooted at
+    /// op `root` works in: one its predecessors gave back, or a new one.
+    pub(crate) fn lend(&self, root: usize, instance: usize) -> Lent {
+        let members = self.groups[root].len();
+        self.scratch.lend(self.slots[root] + instance, members)
+    }
+
+    /// The free lists of scratch sets (tests).
+    #[cfg(test)]
+    pub(crate) fn scratch(&self) -> &Arc<ScratchLists> {
+        &self.scratch
     }
 
     /// A fresh operator for one instance of operation `id`.
@@ -595,4 +631,61 @@ fn stream(
 /// The error of a plan without an operation for its root join.
 pub(crate) fn no_root() -> RelalgError {
     RelalgError::InvalidPlan("plan has no root operation".into())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use mj_relalg::RelationProvider;
+
+    use crate::families::{chain_query_sql, generate_family, QueryFamily};
+    use crate::session::{Database, DbConfig};
+
+    #[test]
+    fn a_statement_keeps_its_scratch_until_a_catalog_change_retires_it() {
+        let instance = generate_family(QueryFamily::Chain, 4, 50, 1995).unwrap();
+        let donor = generate_family(QueryFamily::Chain, 4, 50, 7).unwrap();
+        let db = Database::open(DbConfig::default()).unwrap();
+        for name in instance.catalog.names() {
+            let relation = instance.catalog.relation(&name).unwrap();
+            db.register(&name, relation).unwrap();
+        }
+        db.analyze().unwrap();
+        let text = format!("{} WHERE R1.id < ?1", chain_query_sql(4));
+        let stmt = db.prepare(&text).unwrap();
+        let run = |stmt: &Arc<_>| {
+            let handle = db.execute_prepared(stmt, &[40]).unwrap();
+            handle.collect().unwrap().len()
+        };
+        let rows = run(&stmt);
+        let template = stmt.template().expect("built by the execute").clone();
+        let lists = Arc::downgrade(template.scratch());
+        // Every task gives its set back before its last report goes out,
+        // so by the outcome each slot holds one; later executes reuse it.
+        let slots = template.slots.iter().zip(&template.groups);
+        let tasks: usize = slots
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(_, group)| template.ops[*group.last().unwrap()].degree)
+            .sum();
+        assert!(tasks > 0);
+        assert_eq!(template.scratch().kept(), tasks);
+        for _ in 0..3 {
+            assert_eq!(run(&stmt), rows);
+            assert_eq!(template.scratch().kept(), tasks, "reused, not added");
+        }
+        drop(template);
+
+        // A register replaces R2: the statement re-prepares, and once its
+        // stale handle is gone nothing holds the old template's scratch.
+        let replacement = donor.catalog.relation("R2").unwrap();
+        db.catalog().register("R2", replacement);
+        run(&stmt);
+        assert!(lists.upgrade().is_some(), "the stale statement holds it");
+        drop(stmt);
+        assert!(lists.upgrade().is_none(), "freed with its template");
+        let current = db.prepare(&text).unwrap();
+        let template = current.template().expect("the re-prepared template");
+        assert_eq!(template.scratch().kept(), tasks, "which has its own");
+    }
 }

@@ -118,6 +118,16 @@ impl ColumnarTable {
         self.key_col
     }
 
+    /// Empties the table, releasing its rows but keeping the allocations
+    /// of its bucket and chain arrays, so the next build of a similar size
+    /// allocates nothing.
+    pub fn clear(&mut self) {
+        self.rows = None;
+        self.buckets.clear();
+        self.next.clear();
+        self.mask = 0;
+    }
+
     /// Empties the index and sizes it for `n` rows: the smallest
     /// power-of-two bucket count (at least 16) within the load factor.
     fn reset(&mut self, n: usize) {
@@ -306,6 +316,12 @@ impl ColumnarTable {
     /// linked row.
     pub fn index_bytes(&self) -> usize {
         (self.buckets.len() + self.next.len()) * std::mem::size_of::<u32>()
+    }
+
+    /// Allocated bytes of the bucket/chain index (capacity, not length):
+    /// what a cleared table keeps.
+    pub fn index_capacity_bytes(&self) -> usize {
+        (self.buckets.capacity() + self.next.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -616,5 +632,29 @@ mod tests {
         table.index(&b, 0, 0..2).unwrap();
         assert_eq!((table.len(), table.rows().rows()), (4, 4));
         assert_probe_matches(&table, &[1, 2, 3, 5], &[1, 2, 3, 4, 5], 0..5);
+    }
+
+    #[test]
+    fn a_cleared_table_lets_go_of_its_chunk_and_reindexes_in_its_arrays() {
+        let first = keyed(&(0..2000).collect::<Vec<_>>());
+        let mut table = indexed(&first, 512);
+        let kept = table.index_capacity_bytes();
+        table.clear();
+        assert_eq!(Arc::strong_count(&first), 1, "the chunk is released");
+        assert!(table.is_empty() && table.rows().rows() == 0);
+        assert_eq!(table.index_capacity_bytes(), kept, "the arrays stay");
+        let mut pairs = Vec::new();
+        table.probe_into(&[1, 2], 0..2, &mut pairs);
+        assert!(pairs.is_empty(), "a cleared table matches nothing");
+
+        // A smaller build fits the arrays it kept.
+        let build: Vec<i64> = (0..1500).map(|i| i % 400).collect();
+        let second = keyed(&build);
+        let buckets = table.buckets.as_ptr();
+        table.index(&second, 0, 0..second.rows()).unwrap();
+        assert_eq!(table.buckets.as_ptr(), buckets, "no new bucket array");
+        assert_eq!(table.index_capacity_bytes(), kept);
+        let probe: Vec<i64> = (-3..410).collect();
+        assert_probe_matches(&table, &build, &probe, 0..probe.len());
     }
 }

@@ -21,7 +21,7 @@
 //!   holds everything no execution changes — and with the drain of its
 //!   result allocates at most [`PREPARED_EXECUTE_ALLOCS`] times on
 //!   average, counted on every thread. This pins the per-query fixed cost
-//!   (ROADMAP item 8).
+//!   (ROADMAP item 7). CI runs this binary at release speed too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -215,8 +215,12 @@ fn assert_batch_pool_hit_rate() {
 /// drain), and 357 still (35 set-up) once a stream message is sized in
 /// bytes of its edge's layout: the few dozen result rows are one message
 /// either way; 357 still (35 set-up) once the catalog entry holds the
-/// relation's image and its resident fragments.
-const PREPARED_EXECUTE_ALLOCS: u64 = 380;
+/// relation's image and its resident fragments; 84 (35 set-up, 49 drain;
+/// 85 in a release build) since the fused members gather, match and index
+/// in buffers their statement's run template lends each execute, and hand
+/// their results over in the `Arc`s it keeps: what is left is set-up, the
+/// result edge's buffers and frames, and the client's rows.
+const PREPARED_EXECUTE_ALLOCS: u64 = 100;
 
 /// Ceiling on the mean allocations of the set-up alone: what
 /// `execute_prepared` allocates on the calling thread before it returns

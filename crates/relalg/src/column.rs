@@ -548,29 +548,36 @@ impl ColumnBatch {
             // before the opposite table holds its first row.
             return Ok(());
         }
-        let total = left.arity() + right.arity();
-        let mut types = Vec::with_capacity(cols.len());
-        for &c in cols {
-            let col = if c < left.arity() {
-                left.column(c)?
-            } else if c < total {
-                right.column(c - left.arity())?
-            } else {
-                return Err(RelalgError::IndexOutOfBounds {
-                    index: c,
-                    arity: total,
-                });
-            };
-            types.push(col.data_type());
+        // Output column `c`'s source, and whether it is on the left.
+        let split = left.arity();
+        let source = |c: usize| -> Result<(&Column, bool)> {
+            match left.columns.get(c) {
+                Some(col) => Ok((col, true)),
+                None => right.columns.get(c - split).map(|col| (col, false)).ok_or(
+                    RelalgError::IndexOutOfBounds {
+                        index: c,
+                        arity: split + right.arity(),
+                    },
+                ),
+            }
+        };
+        // Every index is checked before anything is appended. Only a
+        // shapeless batch resolves the column types: one that has its
+        // layout (a reused output buffer) allocates nothing here.
+        if self.columns.is_empty() && self.rows == 0 {
+            self.columns = cols
+                .iter()
+                .map(|&c| Ok(Column::for_type(source(c)?.0.data_type(), 0)))
+                .collect::<Result<_>>()?;
+        } else {
+            for &c in cols {
+                source(c)?;
+            }
         }
-        self.ensure_layout(types.into_iter());
         self.check_arity(cols.len())?;
         for (dst, &c) in self.columns.iter_mut().zip(cols) {
-            if c < left.arity() {
-                dst.append_pair_gather(left.column(c)?, pairs, true)?;
-            } else {
-                dst.append_pair_gather(right.column(c - left.arity())?, pairs, false)?;
-            }
+            let (src, from_left) = source(c)?;
+            dst.append_pair_gather(src, pairs, from_left)?;
         }
         self.rows += pairs.len();
         Ok(())
@@ -993,9 +1000,34 @@ mod tests {
             .unwrap();
             assert_eq!(out.row(k).unwrap(), want);
         }
-        assert!(out
-            .append_concat_gather(&left, &right, &[4], &pairs)
-            .is_err());
+        // An index past both sides, or the wrong arity, appends nothing,
+        // to a shaped batch and to a shapeless one alike.
+        for bad in [&[0usize, 3, 5][..], &[0, 1]] {
+            assert!(out
+                .append_concat_gather(&left, &right, bad, &pairs)
+                .is_err());
+            assert_eq!(out.rows(), 3);
+            assert!((0..3).all(|c| out.column(c).unwrap().len() == 3));
+        }
+        let mut fresh = ColumnBatch::shapeless();
+        let err = fresh.append_concat_gather(&left, &right, &[0, 4], &pairs);
+        assert!(
+            matches!(
+                err,
+                Err(RelalgError::IndexOutOfBounds { index: 4, arity: 4 })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(fresh.arity(), 0, "still shapeless");
+        // A cleared batch keeps its layout and takes the same rows again.
+        let first: Vec<Tuple> = (0..3).map(|r| out.row(r).unwrap()).collect();
+        out.clear();
+        out.append_concat_gather(&left, &right, &cols, &pairs)
+            .unwrap();
+        assert_eq!(
+            (0..3).map(|r| out.row(r).unwrap()).collect::<Vec<_>>(),
+            first
+        );
     }
 
     #[test]
