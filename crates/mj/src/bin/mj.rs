@@ -13,8 +13,6 @@
 //! mj run      [--query F] [--strategy auto|ST] [--relations K --tuples N --procs P --seed X]
 //! mj run      --shape S --strategy ST [--relations K --tuples N --procs P]
 //! mj optimize --query chain|skewed|star [--relations K]
-//! mj xra print --shape S [--relations K]
-//! mj xra eval  [FILE] [--relations K --tuples N]   (plan from FILE or stdin)
 //! ```
 //!
 //! `mj sql` is the session front door: it populates a [`Database`] with a
@@ -53,7 +51,7 @@ use multijoin::plan::query::to_xra;
 use multijoin::plan::shapes::{build, Shape};
 use multijoin::plan::{render, QueryGraph};
 use multijoin::relalg::RelationProvider;
-use multijoin::relalg::{text, JoinAlgorithm, RelalgError, Value};
+use multijoin::relalg::{JoinAlgorithm, RelalgError, Value};
 use multijoin::sim::{render_gantt, simulate, SimParams};
 use multijoin::storage::{Catalog, WisconsinGenerator};
 
@@ -184,8 +182,6 @@ fn usage() -> &'static str {
               [--relations K --tuples N --procs P --seed X]   (planner-driven)
   mj run      --shape S --strategy ST [--relations K --tuples N --procs P]
   mj optimize --query chain|skewed|star [--relations K]
-  mj xra print --shape S [--relations K]
-  mj xra eval [FILE] [--relations K --tuples N]
 
 `mj sql` opens a Database over a seeded --query family (chain relations
 have columns a, b, id; star has dims R0..R{K-2} (key, payload) and fact
@@ -849,58 +845,6 @@ fn cmd_optimize(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_xra(args: &Args) -> Result<(), String> {
-    let sub = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("print");
-    match sub {
-        "print" => {
-            let shape = args.shape()?;
-            let k: usize = args.num("relations", 10)?;
-            let tree = build(shape, k).map_err(|e| e.to_string())?;
-            let plan = to_xra(&tree, 3, JoinAlgorithm::Pipelining);
-            println!("{}", text::print(&plan));
-            Ok(())
-        }
-        "eval" => {
-            let src = match args.positional.get(2) {
-                Some(path) => {
-                    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-                }
-                None => {
-                    let mut buf = String::new();
-                    std::io::stdin()
-                        .read_to_string(&mut buf)
-                        .map_err(|e| format!("cannot read stdin: {e}"))?;
-                    buf
-                }
-            };
-            let plan = text::parse(&src).map_err(|e| e.to_string())?;
-            let k: usize = args.num("relations", 10)?;
-            let tuples: usize = args.num("tuples", 1_000)?;
-            let catalog = Arc::new(Catalog::new());
-            for (name, rel) in WisconsinGenerator::new(tuples, 42).generate_named("R", k) {
-                catalog.register(name, rel);
-            }
-            let out = plan.eval(catalog.as_ref()).map_err(|e| e.to_string())?;
-            println!(
-                "evaluated against {k} Wisconsin relations x {tuples} tuples: {} result tuples",
-                out.len()
-            );
-            for t in out.iter().take(10) {
-                println!("  {t}");
-            }
-            if out.len() > 10 {
-                println!("  ... ({} more)", out.len() - 10);
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown xra subcommand `{other}` (print, eval)")),
-    }
-}
-
 fn main() -> ExitCode {
     // Exit quietly when stdout closes mid-write (e.g. `mj sweep | head`);
     // print other panics without the default backtrace noise.
@@ -929,7 +873,6 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&args),
         "run" => cmd_run(&args),
         "optimize" => cmd_optimize(&args),
-        "xra" => cmd_xra(&args),
         "" | "help" | "-h" => {
             println!("{}", usage());
             Ok(())

@@ -22,12 +22,8 @@ use multijoin::plan::segment::segments;
 use multijoin::plan::shapes::build;
 use multijoin::prelude::*;
 use multijoin::relalg::column::ColumnBatch;
-use multijoin::relalg::expr::{ArithOp, Expr as ScalarExpr};
 use multijoin::relalg::hash::bucket_of;
 use multijoin::relalg::ops::nested_loop_join;
-use multijoin::relalg::ops::{AggFunc, AggSpec};
-use multijoin::relalg::predicate::CmpOp;
-use multijoin::relalg::text;
 use multijoin::storage::{fragment_columns, scan_columns};
 
 const CASES: usize = 64;
@@ -50,117 +46,6 @@ fn arb_string(rng: &mut StdRng, alphabet: &[u8], min: usize, max: usize) -> Stri
     (0..len)
         .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
         .collect()
-}
-
-fn arb_ident(rng: &mut StdRng) -> String {
-    let head = b"abcdefghijklmnopqrstuvwxyz";
-    let tail = b"abcdefghijklmnopqrstuvwxyz0123456789_";
-    let mut s = String::new();
-    s.push(head[rng.gen_range(0..head.len())] as char);
-    s.push_str(&arb_string(rng, tail, 0, 8));
-    s
-}
-
-fn arb_scalar(rng: &mut StdRng, depth: usize) -> ScalarExpr {
-    if depth == 0 || rng.gen_range(0..3) > 0 {
-        match rng.gen_range(0..3) {
-            0 => ScalarExpr::Attr(rng.gen_range(0..8usize)),
-            1 => ScalarExpr::Lit(Value::Int(rng.gen::<u64>() as i64)),
-            _ => ScalarExpr::Lit(Value::Str(arb_string(rng, b"abcdefghij' ", 0, 12).into())),
-        }
-    } else {
-        let op = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Mod][rng.gen_range(0..4usize)];
-        ScalarExpr::Arith(
-            Box::new(arb_scalar(rng, depth - 1)),
-            op,
-            Box::new(arb_scalar(rng, depth - 1)),
-        )
-    }
-}
-
-fn arb_predicate(rng: &mut StdRng, depth: usize) -> Predicate {
-    if depth == 0 || rng.gen_range(0..3) > 0 {
-        if rng.gen_range(0..4) == 0 {
-            Predicate::True
-        } else {
-            let op = [
-                CmpOp::Eq,
-                CmpOp::Ne,
-                CmpOp::Lt,
-                CmpOp::Le,
-                CmpOp::Gt,
-                CmpOp::Ge,
-            ][rng.gen_range(0..6usize)];
-            Predicate::Cmp {
-                left: arb_scalar(rng, 2),
-                op,
-                right: arb_scalar(rng, 2),
-            }
-        }
-    } else {
-        match rng.gen_range(0..3) {
-            0 => Predicate::And(
-                Box::new(arb_predicate(rng, depth - 1)),
-                Box::new(arb_predicate(rng, depth - 1)),
-            ),
-            1 => Predicate::Or(
-                Box::new(arb_predicate(rng, depth - 1)),
-                Box::new(arb_predicate(rng, depth - 1)),
-            ),
-            _ => Predicate::Not(Box::new(arb_predicate(rng, depth - 1))),
-        }
-    }
-}
-
-fn arb_cols(rng: &mut StdRng, bound: usize, max_len: usize) -> Vec<usize> {
-    let len = rng.gen_range(0..max_len);
-    (0..len).map(|_| rng.gen_range(0..bound)).collect()
-}
-
-fn arb_xra(rng: &mut StdRng, depth: usize) -> XraNode {
-    if depth == 0 || rng.gen_range(0..4) == 0 {
-        return XraNode::scan(arb_ident(rng));
-    }
-    match rng.gen_range(0..5) {
-        0 => XraNode::Select {
-            input: Box::new(arb_xra(rng, depth - 1)),
-            predicate: arb_predicate(rng, 2),
-        },
-        1 => XraNode::Project {
-            input: Box::new(arb_xra(rng, depth - 1)),
-            projection: Projection::new(arb_cols(rng, 8, 5)),
-        },
-        2 => XraNode::join(
-            arb_xra(rng, depth - 1),
-            arb_xra(rng, depth - 1),
-            EquiJoin::new(
-                rng.gen_range(0..6usize),
-                rng.gen_range(0..6usize),
-                Projection::new(arb_cols(rng, 12, 5)),
-            ),
-            if rng.gen::<bool>() {
-                JoinAlgorithm::Simple
-            } else {
-                JoinAlgorithm::Pipelining
-            },
-        ),
-        3 => XraNode::UnionAll {
-            inputs: (0..rng.gen_range(1..4usize))
-                .map(|_| arb_xra(rng, depth - 1))
-                .collect(),
-        },
-        _ => XraNode::Aggregate {
-            input: Box::new(arb_xra(rng, depth - 1)),
-            group: arb_cols(rng, 8, 3),
-            aggs: (0..rng.gen_range(1..4usize))
-                .map(|_| {
-                    let f = [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max]
-                        [rng.gen_range(0..4usize)];
-                    AggSpec::new(f, rng.gen_range(0..8usize), arb_ident(rng))
-                })
-                .collect(),
-        },
-    }
 }
 
 fn arb_keys(rng: &mut StdRng, lo: i64, hi: i64, max_len: usize) -> Vec<i64> {
@@ -509,27 +394,6 @@ fn cost_invariance() {
         let costs = tree_costs(&tree, &cards, &CostModel::default());
         let expected = (5 * k - 6) as f64 * n as f64;
         assert!((costs.total - expected).abs() < 1e-6);
-    });
-}
-
-/// The textual XRA format round-trips arbitrary plans exactly:
-/// `parse(print(p)) == p`.
-#[test]
-fn xra_text_roundtrip() {
-    for_cases("xra_text_roundtrip", |rng| {
-        let plan = arb_xra(rng, 4);
-        let printed = text::print(&plan);
-        let parsed = text::parse(&printed);
-        assert!(
-            parsed.is_ok(),
-            "parse of `{printed}` failed: {:?}",
-            parsed.err()
-        );
-        assert_eq!(
-            parsed.unwrap(),
-            plan,
-            "round-trip changed the plan: {printed}"
-        );
     });
 }
 

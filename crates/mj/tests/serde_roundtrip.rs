@@ -56,17 +56,12 @@ fn sim_results_roundtrip_json() {
 }
 
 #[test]
-fn xra_plans_roundtrip_json_and_text_identically() {
+fn xra_plans_roundtrip_json() {
     use multijoin::plan::query::to_xra;
-    use multijoin::relalg::text;
 
     let tree = build(Shape::WideBushy, 8).unwrap();
     let plan = to_xra(&tree, 3, JoinAlgorithm::Pipelining);
-    // JSON round-trip.
     let json = serde_json::to_string(&plan).unwrap();
     let from_json: XraNode = serde_json::from_str(&json).unwrap();
     assert_eq!(from_json, plan);
-    // Text round-trip agrees with the JSON one.
-    let from_text = text::parse(&text::print(&plan)).unwrap();
-    assert_eq!(from_text, plan);
 }

@@ -423,12 +423,6 @@ pub fn inject_scan_filters(node: XraNode, filters: &HashMap<String, Predicate>) 
             join,
             algorithm,
         },
-        XraNode::UnionAll { inputs } => XraNode::UnionAll {
-            inputs: inputs
-                .into_iter()
-                .map(|n| inject_scan_filters(n, filters))
-                .collect(),
-        },
         XraNode::Aggregate { input, group, aggs } => XraNode::Aggregate {
             input: Box::new(inject_scan_filters(*input, filters)),
             group,

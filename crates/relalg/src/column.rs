@@ -689,7 +689,7 @@ fn flip(op: CmpOp) -> CmpOp {
 }
 
 /// Evaluates `pred` row-by-row over the candidate rows (the slow path for
-/// string columns and arithmetic expressions).
+/// string columns and comparisons against a string literal).
 fn select_fallback(
     pred: &Predicate,
     batch: &ColumnBatch,
@@ -734,53 +734,6 @@ fn select_sel(
             select_sel(a, batch, cand, &mut tmp)?;
             select_sel(b, batch, &tmp, out)?;
         }
-        Predicate::Or(a, b) => {
-            // Keep candidate order: evaluate both sides and merge the two
-            // ascending index lists, dropping duplicates.
-            let (mut la, mut lb) = (Vec::new(), Vec::new());
-            select_sel(a, batch, cand, &mut la)?;
-            select_sel(b, batch, cand, &mut lb)?;
-            let (mut x, mut y) = (0usize, 0usize);
-            while x < la.len() || y < lb.len() {
-                match (la.get(x), lb.get(y)) {
-                    (Some(&i), Some(&j)) if i == j => {
-                        out.push(i);
-                        x += 1;
-                        y += 1;
-                    }
-                    (Some(&i), Some(&j)) if i < j => {
-                        out.push(i);
-                        x += 1;
-                    }
-                    (Some(_), Some(&j)) => {
-                        out.push(j);
-                        y += 1;
-                    }
-                    (Some(&i), None) => {
-                        out.push(i);
-                        x += 1;
-                    }
-                    (None, Some(&j)) => {
-                        out.push(j);
-                        y += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-        }
-        Predicate::Not(p) => {
-            // Complement of the inner selection within the candidates.
-            let mut inner = Vec::new();
-            select_sel(p, batch, cand, &mut inner)?;
-            let mut k = 0usize;
-            for &i in cand {
-                if inner.get(k) == Some(&i) {
-                    k += 1;
-                } else {
-                    out.push(i);
-                }
-            }
-        }
     }
     Ok(())
 }
@@ -788,8 +741,8 @@ fn select_sel(
 /// Evaluates `pred` over rows `range` of `batch`, appending the selected
 /// row indices (ascending, duplicate-free) to `out`. Integer
 /// `attr op literal` comparisons run as branch-free kernels; `AND` chains
-/// thread the shrinking selection vector through each conjunct; string and
-/// arithmetic shapes fall back to row-at-a-time evaluation.
+/// thread the shrinking selection vector through each conjunct; string
+/// comparisons fall back to row-at-a-time evaluation.
 pub fn select(
     pred: &Predicate,
     batch: &ColumnBatch,
@@ -945,20 +898,60 @@ mod tests {
     }
 
     #[test]
-    fn select_chains_and_or_not_like_row_eval() {
-        let b = batch(&[[1, 10], [2, 20], [3, 30], [4, 40], [5, 50]]);
+    fn select_matches_row_eval_on_every_arm() {
+        let schema = Schema::new(vec![
+            Attribute::int("a"),
+            Attribute::int("b"),
+            Attribute::str("s"),
+        ])
+        .shared();
+        let rows = [
+            (1, 10, "e"),
+            (2, 20, "d"),
+            (3, 3, "c"),
+            (4, 40, "b"),
+            (5, 50, "a"),
+        ]
+        .map(|(a, b, s)| Tuple::new(vec![Value::Int(a), Value::Int(b), Value::str(s)]));
+        let b = ColumnBatch::from_relation(&Relation::new(schema, rows.to_vec()).unwrap()).unwrap();
         let preds = [
+            // Top-level `attr op lit` kernel.
             Predicate::cmp_int(0, CmpOp::Gt, 2),
+            // An AND chain: each conjunct narrows the candidates.
             Predicate::And(
                 Box::new(Predicate::cmp_int(0, CmpOp::Gt, 1)),
                 Box::new(Predicate::cmp_int(1, CmpOp::Lt, 50)),
             ),
-            Predicate::Or(
-                Box::new(Predicate::cmp_int(0, CmpOp::Le, 2)),
-                Box::new(Predicate::cmp_int(1, CmpOp::Ge, 40)),
+            // `lit op attr`: the operator flips.
+            Predicate::Cmp {
+                left: Expr::lit_int(3),
+                op: CmpOp::Lt,
+                right: Expr::attr(0),
+            },
+            Predicate::And(
+                Box::new(Predicate::True),
+                Box::new(Predicate::Cmp {
+                    left: Expr::lit_int(20),
+                    op: CmpOp::Ge,
+                    right: Expr::attr(1),
+                }),
             ),
-            Predicate::Not(Box::new(Predicate::cmp_int(0, CmpOp::Eq, 3))),
+            // Column against column.
             Predicate::attr_eq(0, 1),
+            // A string column: row-at-a-time fallback.
+            Predicate::Cmp {
+                left: Expr::attr(2),
+                op: CmpOp::Lt,
+                right: Expr::Lit(Value::str("c")),
+            },
+            Predicate::And(
+                Box::new(Predicate::cmp_int(0, CmpOp::Ne, 4)),
+                Box::new(Predicate::Cmp {
+                    left: Expr::Lit(Value::str("b")),
+                    op: CmpOp::Le,
+                    right: Expr::attr(2),
+                }),
+            ),
             Predicate::True,
         ];
         for pred in &preds {
@@ -968,6 +961,8 @@ mod tests {
                 .filter(|&i| pred.eval(&b.row(i).unwrap()).unwrap())
                 .map(|i| i as u32)
                 .collect();
+            // Every case but `True` keeps some rows and drops others.
+            assert!(*pred == Predicate::True || (!want.is_empty() && want.len() < b.rows()));
             assert_eq!(&sel, &want, "pred {pred}");
         }
     }

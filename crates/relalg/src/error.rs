@@ -25,7 +25,8 @@ pub enum RelalgError {
     SchemaMismatch(String),
     /// A named relation was not found in the catalog/provider.
     UnknownRelation(String),
-    /// A plan was structurally invalid (bad arity, empty union, ...).
+    /// A plan was structurally invalid (an unbound parameter, MIN over an
+    /// empty group, ...).
     InvalidPlan(String),
     /// A partitioning request was invalid (zero partitions, an assignment
     /// outside `0..parts`, unsorted range bounds, too many rows, ...).

@@ -1,9 +1,8 @@
 //! Scalar expressions over a single tuple.
 //!
-//! The paper's workload only needs attribute references and literals (its
-//! predicates are equi-join conditions and constant comparisons), but the
-//! expression node also supports the arithmetic the examples use for
-//! derived columns.
+//! The paper's workload only needs attribute references and literals: its
+//! predicates are equi-join conditions and constant comparisons. A
+//! prepared statement adds placeholders, bound to literals at execute time.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -11,20 +10,6 @@ use std::fmt;
 use crate::error::{RelalgError, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
-
-/// Binary arithmetic operators on integers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArithOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Euclidean modulo (always non-negative; used by hash partitioning
-    /// examples).
-    Mod,
-}
 
 /// A scalar expression evaluated against one tuple.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -38,8 +23,6 @@ pub enum Expr {
     /// prepared-statement layer substitutes each occurrence with a
     /// [`Expr::Lit`] at execute time.
     Param(u32),
-    /// Integer arithmetic over two sub-expressions.
-    Arith(Box<Expr>, ArithOp, Box<Expr>),
 }
 
 impl Expr {
@@ -61,22 +44,6 @@ impl Expr {
             Expr::Param(n) => Err(RelalgError::InvalidPlan(format!(
                 "unbound parameter ?{n} (prepared plans must bind args before execution)"
             ))),
-            Expr::Arith(l, op, r) => {
-                let l = l.eval(tuple)?.as_int()?;
-                let r = r.eval(tuple)?.as_int()?;
-                let v = match op {
-                    ArithOp::Add => l.wrapping_add(r),
-                    ArithOp::Sub => l.wrapping_sub(r),
-                    ArithOp::Mul => l.wrapping_mul(r),
-                    ArithOp::Mod => {
-                        if r == 0 {
-                            return Err(RelalgError::InvalidPlan("modulo by zero".into()));
-                        }
-                        l.rem_euclid(r)
-                    }
-                };
-                Ok(Value::Int(v))
-            }
         }
     }
 }
@@ -87,15 +54,6 @@ impl fmt::Display for Expr {
             Expr::Attr(i) => write!(f, "#{i}"),
             Expr::Lit(v) => write!(f, "{v}"),
             Expr::Param(n) => write!(f, "?{n}"),
-            Expr::Arith(l, op, r) => {
-                let sym = match op {
-                    ArithOp::Add => "+",
-                    ArithOp::Sub => "-",
-                    ArithOp::Mul => "*",
-                    ArithOp::Mod => "%",
-                };
-                write!(f, "({l} {sym} {r})")
-            }
         }
     }
 }
@@ -113,36 +71,10 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic() {
-        let t = Tuple::from_ints(&[7, 3]);
-        let e = Expr::Arith(
-            Box::new(Expr::attr(0)),
-            ArithOp::Mod,
-            Box::new(Expr::attr(1)),
-        );
-        assert_eq!(e.eval(&t).unwrap(), Value::Int(1));
-        let e = Expr::Arith(
-            Box::new(Expr::lit_int(-7)),
-            ArithOp::Mod,
-            Box::new(Expr::lit_int(3)),
-        );
-        assert_eq!(e.eval(&t).unwrap(), Value::Int(2), "modulo is euclidean");
-        let e = Expr::Arith(
-            Box::new(Expr::attr(0)),
-            ArithOp::Mod,
-            Box::new(Expr::lit_int(0)),
-        );
-        assert!(e.eval(&t).is_err());
-    }
-
-    #[test]
     fn display() {
-        let e = Expr::Arith(
-            Box::new(Expr::attr(0)),
-            ArithOp::Add,
-            Box::new(Expr::lit_int(1)),
-        );
-        assert_eq!(e.to_string(), "(#0 + 1)");
+        assert_eq!(Expr::attr(0).to_string(), "#0");
+        assert_eq!(Expr::lit_int(-1).to_string(), "-1");
+        assert_eq!(Expr::Lit(Value::str("x")).to_string(), "'x'");
     }
 
     #[test]
@@ -152,16 +84,5 @@ mod tests {
         let err = e.eval(&t).unwrap_err();
         assert!(err.to_string().contains("unbound parameter ?3"), "{err}");
         assert_eq!(e.to_string(), "?3");
-    }
-
-    #[test]
-    fn type_errors_propagate() {
-        let t = Tuple::new(vec![Value::str("x")]);
-        let e = Expr::Arith(
-            Box::new(Expr::attr(0)),
-            ArithOp::Add,
-            Box::new(Expr::lit_int(1)),
-        );
-        assert!(e.eval(&t).is_err());
     }
 }

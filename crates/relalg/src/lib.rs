@@ -25,7 +25,6 @@ pub mod projection;
 pub mod relation;
 pub mod schema;
 pub mod simd;
-pub mod text;
 pub mod tuple;
 pub mod value;
 pub mod xra;

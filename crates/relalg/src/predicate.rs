@@ -70,10 +70,6 @@ pub enum Predicate {
     },
     /// Conjunction.
     And(Box<Predicate>, Box<Predicate>),
-    /// Disjunction.
-    Or(Box<Predicate>, Box<Predicate>),
-    /// Negation.
-    Not(Box<Predicate>),
 }
 
 impl Predicate {
@@ -99,59 +95,36 @@ impl Predicate {
     /// (duplicates included, in syntactic order) — the shared traversal
     /// behind validation and column-collection passes.
     pub fn for_each_attr(&self, f: &mut impl FnMut(usize)) {
-        fn walk_expr(e: &Expr, f: &mut impl FnMut(usize)) {
-            match e {
-                Expr::Attr(i) => f(*i),
-                Expr::Lit(_) | Expr::Param(_) => {}
-                Expr::Arith(l, _, r) => {
-                    walk_expr(l, f);
-                    walk_expr(r, f);
-                }
-            }
-        }
         match self {
             Predicate::True => {}
             Predicate::Cmp { left, right, .. } => {
-                walk_expr(left, f);
-                walk_expr(right, f);
+                for e in [left, right] {
+                    if let Expr::Attr(i) = e {
+                        f(*i);
+                    }
+                }
             }
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
+            Predicate::And(a, b) => {
                 a.for_each_attr(f);
                 b.for_each_attr(f);
             }
-            Predicate::Not(p) => p.for_each_attr(f),
         }
     }
 
-    /// Rebuilds the predicate with every leaf expression passed through
-    /// `map` — used by the prepared-statement layer to substitute [`Expr::Param`] leaves with
-    /// literals at execute time. Interior [`Expr::Arith`] nodes are
-    /// rebuilt from mapped children; only leaves reach `map`.
+    /// Rebuilds the predicate with both sides of every comparison passed
+    /// through `map`: the prepared-statement layer substitutes
+    /// [`Expr::Param`]s with literals at execute time.
     pub fn map_exprs(&self, map: &impl Fn(&Expr) -> Result<Expr>) -> Result<Predicate> {
-        fn map_expr(e: &Expr, map: &impl Fn(&Expr) -> Result<Expr>) -> Result<Expr> {
-            Ok(match e {
-                Expr::Arith(l, op, r) => Expr::Arith(
-                    Box::new(map_expr(l, map)?),
-                    *op,
-                    Box::new(map_expr(r, map)?),
-                ),
-                leaf => map(leaf)?,
-            })
-        }
         Ok(match self {
             Predicate::True => Predicate::True,
             Predicate::Cmp { left, op, right } => Predicate::Cmp {
-                left: map_expr(left, map)?,
+                left: map(left)?,
                 op: *op,
-                right: map_expr(right, map)?,
+                right: map(right)?,
             },
             Predicate::And(a, b) => {
                 Predicate::And(Box::new(a.map_exprs(map)?), Box::new(b.map_exprs(map)?))
             }
-            Predicate::Or(a, b) => {
-                Predicate::Or(Box::new(a.map_exprs(map)?), Box::new(b.map_exprs(map)?))
-            }
-            Predicate::Not(p) => Predicate::Not(Box::new(p.map_exprs(map)?)),
         })
     }
 
@@ -175,8 +148,6 @@ impl Predicate {
                 Ok(op.test(ord))
             }
             Predicate::And(a, b) => Ok(a.eval(tuple)? && b.eval(tuple)?),
-            Predicate::Or(a, b) => Ok(a.eval(tuple)? || b.eval(tuple)?),
-            Predicate::Not(p) => Ok(!p.eval(tuple)?),
         }
     }
 }
@@ -187,8 +158,6 @@ impl fmt::Display for Predicate {
             Predicate::True => write!(f, "true"),
             Predicate::Cmp { left, op, right } => write!(f, "{left} {op} {right}"),
             Predicate::And(a, b) => write!(f, "({a} AND {b})"),
-            Predicate::Or(a, b) => write!(f, "({a} OR {b})"),
-            Predicate::Not(p) => write!(f, "NOT {p}"),
         }
     }
 }
@@ -216,13 +185,7 @@ mod tests {
         assert!(Predicate::And(Box::new(lt.clone()), Box::new(lt.clone()))
             .eval(&t)
             .unwrap());
-        assert!(!Predicate::And(Box::new(lt.clone()), Box::new(gt.clone()))
-            .eval(&t)
-            .unwrap());
-        assert!(Predicate::Or(Box::new(gt.clone()), Box::new(lt.clone()))
-            .eval(&t)
-            .unwrap());
-        assert!(Predicate::Not(Box::new(gt)).eval(&t).unwrap());
+        assert!(!Predicate::And(Box::new(lt), Box::new(gt)).eval(&t).unwrap());
         assert!(Predicate::True.eval(&t).unwrap());
     }
 
@@ -258,13 +221,9 @@ mod tests {
                 right: Expr::Param(1),
             }),
             Box::new(Predicate::Cmp {
-                left: Expr::Arith(
-                    Box::new(Expr::Attr(1)),
-                    crate::expr::ArithOp::Add,
-                    Box::new(Expr::Param(2)),
-                ),
+                left: Expr::Attr(1),
                 op: CmpOp::Eq,
-                right: Expr::Lit(Value::Int(9)),
+                right: Expr::Param(2),
             }),
         );
         // Unbound params fail at eval time.
@@ -277,9 +236,10 @@ mod tests {
                 })
             })
             .unwrap();
-        // ?1 -> 5, ?2 -> 6: `#0 < 5 AND (#1 + 6) = 9`.
-        assert!(bound.eval(&Tuple::from_ints(&[4, 3])).unwrap());
-        assert!(!bound.eval(&Tuple::from_ints(&[5, 3])).unwrap());
-        assert_eq!(bound.to_string(), "(#0 < 5 AND (#1 + 6) = 9)");
+        // ?1 -> 5, ?2 -> 6: `#0 < 5 AND #1 = 6`.
+        assert!(bound.eval(&Tuple::from_ints(&[4, 6])).unwrap());
+        assert!(!bound.eval(&Tuple::from_ints(&[5, 6])).unwrap());
+        assert!(!bound.eval(&Tuple::from_ints(&[4, 3])).unwrap());
+        assert_eq!(bound.to_string(), "(#0 < 5 AND #1 = 6)");
     }
 }

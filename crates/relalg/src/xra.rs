@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::error::{RelalgError, Result};
+use crate::error::Result;
 use crate::ops;
 use crate::ops::{nested_loop::nested_loop_join, AggSpec};
 use crate::predicate::Predicate;
@@ -114,11 +114,6 @@ pub enum XraNode {
         /// Physical algorithm hint for parallel backends.
         algorithm: JoinAlgorithm,
     },
-    /// Bag union of any number of inputs.
-    UnionAll {
-        /// Input plans (at least one).
-        inputs: Vec<XraNode>,
-    },
     /// Grouped aggregation.
     Aggregate {
         /// Input plan.
@@ -161,7 +156,6 @@ impl XraNode {
             | XraNode::Project { input, .. }
             | XraNode::Aggregate { input, .. } => input.join_count(),
             XraNode::HashJoin { left, right, .. } => 1 + left.join_count() + right.join_count(),
-            XraNode::UnionAll { inputs } => inputs.iter().map(XraNode::join_count).sum(),
         }
     }
 
@@ -181,21 +175,6 @@ impl XraNode {
                 let rs = right.schema(provider)?;
                 join.validate(&ls, &rs)?;
                 join.output_schema(&ls, &rs)
-            }
-            XraNode::UnionAll { inputs } => {
-                let first = inputs
-                    .first()
-                    .ok_or_else(|| RelalgError::InvalidPlan("union of zero inputs".into()))?;
-                let schema = first.schema(provider)?;
-                for other in &inputs[1..] {
-                    let s = other.schema(provider)?;
-                    if s.arity() != schema.arity() {
-                        return Err(RelalgError::SchemaMismatch(
-                            "union inputs have different arities".into(),
-                        ));
-                    }
-                }
-                Ok(schema)
             }
             XraNode::Aggregate { input, group, aggs } => {
                 let in_schema = input.schema(provider)?;
@@ -237,13 +216,6 @@ impl XraNode {
                 let r = right.eval(provider)?;
                 nested_loop_join(&l, &r, join)
             }
-            XraNode::UnionAll { inputs } => {
-                let rels: Vec<Relation> = inputs
-                    .iter()
-                    .map(|n| n.eval(provider))
-                    .collect::<Result<_>>()?;
-                ops::union_all(&rels)
-            }
             XraNode::Aggregate { input, group, aggs } => {
                 ops::aggregate(&input.eval(provider)?, group, aggs)
             }
@@ -275,13 +247,6 @@ impl XraNode {
                 )?;
                 left.fmt_indent(f, depth + 1)?;
                 right.fmt_indent(f, depth + 1)
-            }
-            XraNode::UnionAll { inputs } => {
-                writeln!(f, "{pad}UnionAll")?;
-                for i in inputs {
-                    i.fmt_indent(f, depth + 1)?;
-                }
-                Ok(())
             }
             XraNode::Aggregate { input, group, aggs } => {
                 let names: Vec<&str> = aggs.iter().map(|a| a.name.as_str()).collect();
@@ -370,19 +335,6 @@ mod tests {
         let out = plan.eval(&p).unwrap();
         assert_eq!(out.tuples()[0], Tuple::from_ints(&[50]));
         assert_eq!(plan.schema(&p).unwrap().attr(0).unwrap().name, "total");
-    }
-
-    #[test]
-    fn union_all_eval_and_schema() {
-        let p = provider();
-        let plan = XraNode::UnionAll {
-            inputs: vec![XraNode::scan("r"), XraNode::scan("s")],
-        };
-        assert_eq!(plan.eval(&p).unwrap().len(), 6);
-        assert_eq!(plan.schema(&p).unwrap().arity(), 2);
-        let empty = XraNode::UnionAll { inputs: vec![] };
-        assert!(empty.schema(&p).is_err());
-        assert!(empty.eval(&p).is_err());
     }
 
     #[test]

@@ -131,8 +131,10 @@ pub(crate) struct Conn {
     /// that dropping one never waits.
     abandoned: Vec<QueryHandle>,
     /// Prepared statements this client opened: wire id → the (possibly
-    /// cross-connection-shared) cached statement. Ids are per-connection;
-    /// the plans behind them live in the database's shared plan cache.
+    /// cross-connection-shared) cached statement, replaced by the current
+    /// one on the first execute after a catalog write. Ids are
+    /// per-connection; the plans behind them live in the database's shared
+    /// plan cache.
     stmts: HashMap<u64, Arc<PreparedStatement>>,
     /// Next statement id to hand out.
     next_stmt_id: u64,
@@ -447,12 +449,20 @@ impl Conn {
                         options,
                         format,
                     })) => {
-                        let Some(stmt) = self.stmts.get(&id) else {
+                        let Some(stmt) = self.stmts.get_mut(&id) else {
                             self.push_line(WireError::from_mj(&unknown_statement(id)).to_frame());
                             continue;
                         };
-                        self.db
-                            .execute_prepared_with(stmt, &args, options)
+                        // After a catalog write, keep the current statement
+                        // under the id: the stale one, with its run template
+                        // and scratch, goes now rather than at `close`.
+                        let refreshed = if stmt.generation() == self.db.catalog().generation() {
+                            Ok(())
+                        } else {
+                            self.db.prepare(stmt.text()).map(|fresh| *stmt = fresh)
+                        };
+                        refreshed
+                            .and_then(|()| self.db.execute_prepared_with(stmt, &args, options))
                             .map(|handle| (handle, format))
                     }
                     Some(Ok(Request::Query {

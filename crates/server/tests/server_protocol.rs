@@ -621,6 +621,49 @@ fn wire_options_enforce_deadlines() {
     assert!(!client.collect_reply().unwrap().rows.is_empty());
 }
 
+#[test]
+fn a_connection_swaps_a_stale_statement_for_the_current_one() {
+    // A wire statement id keeps the statement it was prepared as. Once a
+    // catalog write makes that statement stale, the connection's next
+    // execute takes the current one in its place: the stale plan and its
+    // run template, with the scratch its executes lend, go then, not when
+    // the client closes the id, and later executes skip the plan cache.
+    let db = chain_db();
+    let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let stmt = client.prepare(ID_BELOW).unwrap();
+    assert_eq!(client.execute(stmt.id, &[5]).unwrap().rows.len(), 5);
+    // The cache hands out the connection's statement, template built.
+    let local = db.prepare(ID_BELOW).unwrap();
+    let template = Arc::downgrade(local.template().expect("the execute built the template"));
+
+    let replacement = db.catalog().relation("R0").unwrap();
+    db.catalog().register("R0", replacement);
+    assert_eq!(client.execute(stmt.id, &[5]).unwrap().rows.len(), 5);
+    let hits = db.stats().plan_cache_hits;
+    assert_eq!(client.execute(stmt.id, &[7]).unwrap().rows.len(), 7);
+    assert_eq!(
+        db.stats().plan_cache_hits,
+        hits,
+        "an execute of a current statement looked it up again"
+    );
+
+    drop(local);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while template.upgrade().is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "the stale statement's run template outlived its replacement"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The id stays open.
+    assert_eq!(client.execute(stmt.id, &[3]).unwrap().rows.len(), 3);
+    drop(client);
+    assert_quiescent(&server, &db);
+    server.shutdown();
+}
+
 /// Entries of `/proc/self/task`: the process's threads.
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
