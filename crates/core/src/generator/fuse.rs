@@ -21,6 +21,14 @@
 //! pass goes edge by edge and leaves the offending ones alone — repeating
 //! until nothing changes, since an edge refused at first may be fine once
 //! other fusions have made that producer a member too.
+//!
+//! This is one of the two ways operations come to share a process. The
+//! other is above the grain: RD's generator makes a right-deep segment
+//! whose work pays for two instances or more one *segment group*
+//! ([`rd`](super::rd)), every member on the same processors, the bottom
+//! probe split by range and every build side shared. This pass runs after
+//! it and only ever fuses degree-1 operations, so it never touches a
+//! group: a group is a process it starts from, not one it makes.
 
 use mj_relalg::JoinAlgorithm;
 
@@ -68,7 +76,8 @@ pub(crate) fn fuse(plan: &mut ParallelPlan, input: &GeneratorInput<'_>) {
             *p = into;
         }
     };
-    let mut process: Vec<OpId> = (0..plan.ops.len()).collect();
+    // Segment groups are processes already.
+    let mut process: Vec<OpId> = plan.process_roots();
     let mut trial = process.clone();
     for &(from, to, _) in &open {
         merge(&mut trial, from, to);
@@ -149,7 +158,7 @@ pub(crate) fn fuse(plan: &mut ParallelPlan, input: &GeneratorInput<'_>) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::fixture;
+    use super::super::tests::{assert_paper_but_segment_groups, fixture};
     use super::super::{generate, GeneratorInput};
     use crate::plan_ir::{OperandSource, ParallelPlan};
     use crate::schedule::ScheduleModel;
@@ -183,15 +192,15 @@ mod tests {
                 assert_eq!(paper.stats().fused_ops, 0);
                 assert_eq!(paper.process_roots(), (0..9).collect::<Vec<_>>());
 
-                // 40 grains in every 5000-tuple join: nothing to cap or fuse.
+                // 40 grains in every 5000-tuple join: nothing to cap or fuse,
+                // though RD's segments become segment groups.
                 let (tree, cards, costs) = fixture(shape, 10, 5000);
                 let input = GeneratorInput::new(&tree, &cards, &costs, 40);
                 let mut grained = input;
                 grained.grain = 500.0;
-                assert_eq!(
-                    generate(strategy, &grained).unwrap(),
-                    generate(strategy, &input).unwrap(),
-                    "{strategy} {shape}"
+                assert_paper_but_segment_groups(
+                    &generate(strategy, &grained).unwrap(),
+                    &generate(strategy, &input).unwrap(),
                 );
             }
         }
@@ -347,8 +356,8 @@ mod tests {
         // member reads the big join's bounded stream: it would never start
         // and the big join would never finish.
         let (tree, cards, costs) = stream_under_wave_tree();
-        for strategy in Strategy::ALL {
-            let mut input = GeneratorInput::new(&tree, &cards, &costs, 8);
+        for (strategy, procs) in Strategy::ALL.into_iter().flat_map(|s| [(s, 1), (s, 8)]) {
+            let mut input = GeneratorInput::new(&tree, &cards, &costs, procs);
             input.allow_oversubscribe = true;
             let paper = generate(strategy, &input).unwrap();
             input.grain = ScheduleModel::default().process_grain();
@@ -367,7 +376,14 @@ mod tests {
                     assert!(!waits_for_it, "{strategy}:\n{plan}");
                 }
             }
-            if strategy == Strategy::RD {
+            if strategy == Strategy::RD && procs == 8 {
+                // Above the grain, on processors to spread it over, the big
+                // join's segment is one group and R0's join its top: the
+                // root reads it materialized, in a process of its own.
+                assert_eq!(plan.segment_groups(), vec![vec![0, 1]], "{plan}");
+                assert_eq!(roots[2], 2, "{plan}");
+            }
+            if strategy == Strategy::RD && procs == 1 {
                 assert_eq!(paper.ops[1].right, OperandSource::Stream { from: 0 });
                 assert!(paper.ops[2].start_after.contains(&0), "{paper}");
                 assert_eq!(fused_edges(&plan), 0, "{plan}");

@@ -18,7 +18,7 @@ use mj_plan::tree::{JoinTree, NodeId};
 use mj_relalg::{RelalgError, Result};
 
 use crate::allocation::{carve, max_useful_degree, proportional_counts};
-use crate::plan_ir::{OpId, OperandSource, ParallelPlan, ProcId};
+use crate::plan_ir::{OpId, OperandSource, ParallelPlan, PlanOp, ProcId, Split};
 use crate::strategy::Strategy;
 
 /// Inputs to the plan generator.
@@ -45,9 +45,12 @@ pub struct GeneratorInput<'a> {
     /// idle. An operation left with one process and *less* than a grain of
     /// work does not start even that one if its consumer also runs at
     /// degree 1: it is fused into the consumer's process
-    /// ([`OperandSource::Fused`]). Zero in [`GeneratorInput::new`]: the
-    /// paper's generator spreads every join over its full allocation and
-    /// gives every operation its own processes.
+    /// ([`OperandSource::Fused`]). Under RD, a right-deep segment whose
+    /// summed work holds two grains or more runs as one segment group of
+    /// that many instances, capped at its processors ([`Split`]). Zero in
+    /// [`GeneratorInput::new`]: the paper's generator spreads every join
+    /// over its full allocation and gives every operation its own
+    /// processes.
     pub grain: f64,
 }
 
@@ -113,7 +116,7 @@ pub fn generate(strategy: Strategy, input: &GeneratorInput<'_>) -> Result<Parall
 /// Shared machinery for the per-strategy builders.
 pub(crate) struct PlanBuilder<'a> {
     pub input: &'a GeneratorInput<'a>,
-    pub ops: Vec<crate::plan_ir::PlanOp>,
+    pub ops: Vec<PlanOp>,
     /// Op evaluating each join node.
     pub op_of: Vec<Option<OpId>>,
     pub oversubscribed: bool,
@@ -160,27 +163,53 @@ impl<'a> PlanBuilder<'a> {
         right: OperandSource,
         start_after: Vec<OpId>,
     ) -> OpId {
-        let (l, r) = self.input.tree.children(join).expect("join node");
         let allocated = procs.len();
         procs.truncate(max_useful_degree(
             self.input.costs.per_join[join],
             self.input.grain,
         ));
-        let id = self.ops.len();
-        self.ops.push(crate::plan_ir::PlanOp {
-            id,
-            join,
+        let op = PlanOp {
             algorithm,
-            procs,
             allocated,
+            ..self.op(join, procs, left, right, start_after)
+        };
+        self.push(op)
+    }
+
+    /// An op for `join` on exactly `procs`, with both operands split by
+    /// hash and the simple join: what [`push_op`](Self::push_op) and a
+    /// segment group's members start from.
+    pub fn op(
+        &self,
+        join: NodeId,
+        procs: Vec<ProcId>,
+        left: OperandSource,
+        right: OperandSource,
+        start_after: Vec<OpId>,
+    ) -> PlanOp {
+        let (l, r) = self.input.tree.children(join).expect("join node");
+        PlanOp {
+            id: self.ops.len(),
+            join,
+            algorithm: mj_relalg::JoinAlgorithm::Simple,
+            allocated: procs.len(),
+            procs,
             left,
             right,
+            split: [Split::Hash; 2],
             start_after,
             est_left: self.input.cards[l],
             est_right: self.input.cards[r],
             est_out: self.input.cards[join],
-        });
-        self.op_of[join] = Some(id);
+        }
+    }
+
+    /// Appends `op`, which [`op`](Self::op) made for the next id.
+    pub fn push(&mut self, op: PlanOp) -> OpId {
+        let id = self.ops.len();
+        debug_assert_eq!(op.id, id);
+        self.op_of[op.join] = Some(id);
+        self.ops.push(op);
         id
     }
 
@@ -280,11 +309,31 @@ mod tests {
             let uncapped = GeneratorInput::new(&tree, &cards, &costs, 12);
             let mut capped = uncapped;
             capped.grain = 1000.0;
-            assert_eq!(
-                generate(strategy, &capped).unwrap(),
-                generate(strategy, &uncapped).unwrap(),
-                "{strategy}"
+            assert_paper_but_segment_groups(
+                &generate(strategy, &capped).unwrap(),
+                &generate(strategy, &uncapped).unwrap(),
             );
+        }
+    }
+
+    /// `grained` is `paper` except that, under RD, each multi-join segment
+    /// may be one segment group on its segment's processors: no op is
+    /// grain-capped, and every op outside a group is the paper's.
+    pub(crate) fn assert_paper_but_segment_groups(grained: &ParallelPlan, paper: &ParallelPlan) {
+        crate::validate::validate_plan(grained).unwrap();
+        let grouped: Vec<OpId> = grained.segment_groups().concat();
+        if grained.strategy != Strategy::RD {
+            assert!(grouped.is_empty(), "{grained}");
+        }
+        assert_eq!(grained.ops.len(), paper.ops.len());
+        for (op, theirs) in grained.ops.iter().zip(&paper.ops) {
+            assert!(!op.grain_capped(), "{grained}");
+            if grouped.contains(&op.id) {
+                assert_eq!(op.split, [Split::Shared, Split::Range], "{grained}");
+                assert_eq!(op.join, theirs.join);
+            } else {
+                assert_eq!(op, theirs, "{grained}");
+            }
         }
     }
 

@@ -13,11 +13,27 @@
 //! Degenerate cases reproduce the paper's coincidences: right-linear trees
 //! are one segment (RD ≡ FP modulo the join algorithm); left-linear trees
 //! are all singleton segments (RD ≡ SP).
+//!
+//! **Segment groups** (only with a [grain](GeneratorInput::grain), so never
+//! in the paper's generator). PRISMA shared nothing, so every join of a
+//! segment is its own operation process, linked to the next by tuple
+//! streams. In one address space a segment can instead be one pipeline run
+//! by `d` identical instances: instance `i` probes rows
+//! `[i·n/d, (i+1)·n/d)` of the segment's bottom probe relation through
+//! every join of the segment, each join adopting one read-only table over
+//! its whole build side ([`Split::Shared`], [`Split::Range`]). `d` is the
+//! grain rule applied to the segment's summed work, capped at the
+//! segment's processors; a segment of two or more joins whose work pays
+//! for two instances or more becomes such a group. Every valuation's facts
+//! meet in the instance holding its probe tuple, because every instance
+//! holds every build row — the replicated-operand layout
+//! [`validate_plan`](crate::validate::validate_plan)'s ninth rule accepts.
 
 use mj_plan::segment::segments;
 use mj_relalg::Result;
 
-use crate::plan_ir::{OpId, ParallelPlan, ProcId};
+use crate::allocation::max_useful_degree;
+use crate::plan_ir::{OpId, OperandSource, ParallelPlan, PlanOp, ProcId, Split};
 use crate::strategy::Strategy;
 
 use super::{allocate_groups, GeneratorInput, PlanBuilder};
@@ -52,6 +68,38 @@ pub(crate) fn generate(input: &GeneratorInput<'_>) -> Result<ParallelPlan> {
         let mut this_wave_ops: Vec<OpId> = Vec::new();
         for (&seg_idx, seg_pool) in wave.iter().zip(&seg_pools) {
             let seg = &segmentation.segments[seg_idx];
+            let degree = group_degree(input, &seg.joins, seg_pool.len());
+            if degree > 1 {
+                // One process group over the whole segment: every join on
+                // the same `degree` processors, the bottom probe split by
+                // range, every build side shared, each member handing its
+                // rows to the next in memory.
+                let procs = &seg_pool[..degree];
+                let mut lower: Option<OpId> = None;
+                for &join in &seg.joins {
+                    let (l, r) = input.tree.children(join).expect("join node");
+                    let right = match lower {
+                        None => b.operand(r, false),
+                        Some(from) => OperandSource::Fused { from },
+                    };
+                    let op = b.op(
+                        join,
+                        procs.to_vec(),
+                        b.operand(l, false),
+                        right,
+                        prev_wave_ops.clone(),
+                    );
+                    let id = b.push(PlanOp {
+                        allocated: seg_pool.len(),
+                        split: [Split::Shared, Split::Range],
+                        ..op
+                    });
+                    lower = Some(id);
+                    this_wave_ops.push(id);
+                }
+                continue;
+            }
+
             // Processors within the segment: proportional to join work.
             let join_weights: Vec<f64> =
                 seg.joins.iter().map(|&j| input.costs.per_join[j]).collect();
@@ -68,7 +116,7 @@ pub(crate) fn generate(input: &GeneratorInput<'_>) -> Result<ParallelPlan> {
                 let left = b.operand(l, false); // builds read base/materialized
                 let right = match lower {
                     None => b.operand(r, false),
-                    Some(from) => crate::plan_ir::OperandSource::Stream { from },
+                    Some(from) => OperandSource::Stream { from },
                 };
                 let id = b.push_op(
                     join,
@@ -85,6 +133,20 @@ pub(crate) fn generate(input: &GeneratorInput<'_>) -> Result<ParallelPlan> {
         prev_wave_ops = this_wave_ops;
     }
     Ok(b.finish(Strategy::RD))
+}
+
+/// The degree a right-deep segment of `joins` runs at as one segment group
+/// on `processors` processors: the grain rule over its summed work, capped
+/// at the processors. One, meaning no group, under the paper's generator
+/// (no grain), for a segment of a single join (whose degree its hash
+/// partitioning already gives it), and wherever the work pays for only one
+/// instance — there per-join processes and sub-grain fusion stay.
+fn group_degree(input: &GeneratorInput<'_>, joins: &[usize], processors: usize) -> usize {
+    if input.grain <= 0.0 || joins.len() < 2 {
+        return 1;
+    }
+    let work = joins.iter().map(|&j| input.costs.per_join[j]).sum();
+    max_useful_degree(work, input.grain).min(processors)
 }
 
 #[cfg(test)]

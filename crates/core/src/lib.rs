@@ -41,7 +41,7 @@ pub use allocation::{carve, max_useful_degree, proportional_counts};
 pub use example::{example_tree, example_weights};
 pub use generator::{generate, GeneratorInput};
 pub use machine::Machine;
-pub use plan_ir::{OpId, OperandSource, ParallelPlan, PlanOp, PlanStats, ProcId};
+pub use plan_ir::{OpId, OperandSource, ParallelPlan, PlanOp, PlanStats, ProcId, Split};
 pub use schedule::{
     estimate_schedule, stage_busy, stage_tail_cost, ScheduleEstimate, ScheduleModel,
 };

@@ -49,10 +49,12 @@ pub enum OperandSource {
     },
     /// Output of an operation that runs *inside this operation's process*,
     /// before it, on the same processor: the complete result is handed
-    /// over in memory. No process start, no stream, no `start_after` — the
-    /// producer's estimated work does not hold a
-    /// [grain](crate::schedule::ScheduleModel::process_grain), so it does
-    /// not pay for a process of its own. Both ends run at degree 1.
+    /// over in memory. No process start, no stream, no `start_after`. Both
+    /// ends run on the same processors: at degree 1, where the producer's
+    /// estimated work does not hold a
+    /// [grain](crate::schedule::ScheduleModel::process_grain) and so does
+    /// not pay for a process of its own, or as the probe chain of a
+    /// segment group, where each instance hands its own rows up.
     Fused {
         /// Producing operation, a member of this operation's process.
         from: OpId,
@@ -90,10 +92,40 @@ impl fmt::Display for OperandSource {
     }
 }
 
+/// How one operand's rows are divided among an operation's instances.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Split {
+    /// Hash-partitioned on the operation's join key, one fragment per
+    /// instance: the paper's layout, the one shared-nothing PRISMA needs.
+    Hash,
+    /// Split by rows, not by key: instance `i` of `d` reads rows
+    /// `[i·n/d, (i+1)·n/d)` of a base relation's resident image as a
+    /// window on it, or — through a fused edge — what the member below it
+    /// in the same instance produced from such a window.
+    Range,
+    /// Whole, in every instance: one read-only join table over the build
+    /// operand that all instances adopt. Only a simple join's build side
+    /// (left) is shared.
+    Shared,
+}
+
+impl Split {
+    /// The suffix plan printouts mark a non-hash operand with.
+    fn mark(self) -> &'static str {
+        match self {
+            Split::Hash => "",
+            Split::Range => "/range",
+            Split::Shared => "/shared",
+        }
+    }
+}
+
 /// One parallel join operation: `procs.len()` operation processes executing
 /// the same binary join over hash-partitioned inputs — or, when another
 /// operation reads it through [`OperandSource::Fused`], a member of that
-/// operation's single process.
+/// operation's process group: at degree 1 one process, or one instance per
+/// processor of a *segment group* (a right-deep segment whose bottom probe
+/// operand is split by range and whose build sides are shared, [`Split`]).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanOp {
     /// Plan-wide id (index into [`ParallelPlan::ops`]).
@@ -114,6 +146,9 @@ pub struct PlanOp {
     pub left: OperandSource,
     /// Right (probe) operand.
     pub right: OperandSource,
+    /// How each operand, left then right, is divided among the instances:
+    /// `[Hash, Hash]` unless the op is a member of a segment group.
+    pub split: [Split; 2],
     /// Ops that must complete before this op may be initialized.
     pub start_after: Vec<OpId>,
     /// Estimated operand/result cardinalities (from phase 1), used for
@@ -191,6 +226,27 @@ impl ParallelPlan {
         roots
     }
 
+    /// The process groups that run at degree > 1 — segment groups — each
+    /// as its members in op order, the root last.
+    pub fn segment_groups(&self) -> Vec<Vec<OpId>> {
+        let roots = self.process_roots();
+        let mut groups: Vec<Vec<OpId>> = Vec::new();
+        for op in &self.ops {
+            let root = roots[op.id];
+            if root == op.id || self.ops[root].degree() < 2 {
+                continue;
+            }
+            match groups.iter_mut().find(|g| roots[g[0]] == root) {
+                Some(group) => group.push(op.id),
+                None => groups.push(vec![op.id]),
+            }
+        }
+        for group in &mut groups {
+            group.push(roots[group[0]]);
+        }
+        groups
+    }
+
     /// Summary statistics: the drivers of the paper's startup and
     /// coordination overheads (§3.5). A process group counts as the one
     /// process it is, and a fused edge as no stream.
@@ -210,6 +266,11 @@ impl ParallelPlan {
                         streams += self.ops[*from].degree() * op.degree();
                         pipeline_edges += 1;
                     }
+                    // One piece per producer instance into the one
+                    // table every instance shares.
+                    OperandSource::Materialized { from } if op.split[0] == Split::Shared => {
+                        streams += self.ops[*from].degree();
+                    }
                     OperandSource::Materialized { from } => {
                         streams += self.ops[*from].degree() * op.degree();
                     }
@@ -221,6 +282,7 @@ impl ParallelPlan {
             tuple_streams: streams,
             pipeline_edges,
             fused_ops: roots.iter().enumerate().filter(|(id, r)| id != *r).count(),
+            segment_groups: self.segment_groups().len(),
         }
     }
 }
@@ -240,6 +302,8 @@ pub struct PlanStats {
     /// of [`OperandSource::Fused`] edges): they start no process and open
     /// no stream.
     pub fused_ops: usize,
+    /// Process groups at degree > 1 ([`ParallelPlan::segment_groups`]).
+    pub segment_groups: usize,
 }
 
 impl fmt::Display for ParallelPlan {
@@ -260,7 +324,7 @@ impl fmt::Display for ParallelPlan {
         for op in &self.ops {
             writeln!(
                 f,
-                "  op{} j{} [{}] procs {:?}{} left={} right={} after={:?}{}",
+                "  op{} j{} [{}] procs {:?}{} left={}{} right={}{} after={:?}{}",
                 op.id,
                 op.join,
                 op.algorithm,
@@ -271,7 +335,9 @@ impl fmt::Display for ParallelPlan {
                     String::new()
                 },
                 op.left,
+                op.split[0].mark(),
                 op.right,
+                op.split[1].mark(),
                 op.start_after,
                 if roots[op.id] == op.id {
                     String::new()
@@ -329,6 +395,7 @@ mod tests {
                     right: OperandSource::Base {
                         relation: "R2".into(),
                     },
+                    split: [Split::Hash; 2],
                     start_after: vec![],
                     est_left: 10,
                     est_right: 10,
@@ -344,6 +411,7 @@ mod tests {
                         relation: "R0".into(),
                     },
                     right: OperandSource::Stream { from: 0 },
+                    split: [Split::Hash; 2],
                     start_after: vec![],
                     est_left: 10,
                     est_right: 10,

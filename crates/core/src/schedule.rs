@@ -21,7 +21,14 @@
 //!
 //! Operations fused into one process ([`OperandSource::Fused`]) are priced
 //! as that one process: one startup, the members' work in series, nothing
-//! for the hand-over between them.
+//! for the hand-over between them. A *segment group* — the same members
+//! run by `d` instances over a range-split probe and shared build sides
+//! ([`Split`]) — costs `d` starts, the segment's work ÷ `d`, and, before
+//! its instances start, the serial build of each shared table that is not
+//! resident: a materialized build side is read and indexed once, at the
+//! re-scan price per tuple, instead of re-scanned by every instance. It
+//! opens no stream and so pays no handshake; the pieces its build sides'
+//! producers cut ride their completion reports.
 //!
 //! Two terms describe this repo's engine rather than PRISMA's machine
 //! (both vanish under [`ScheduleModel::prisma`]): a materialized
@@ -33,7 +40,7 @@
 use mj_relalg::JoinAlgorithm;
 
 use crate::machine::Machine;
-use crate::plan_ir::{OperandSource, ParallelPlan};
+use crate::plan_ir::{OperandSource, ParallelPlan, PlanOp, Split};
 use mj_plan::cost::TreeCosts;
 
 /// The analytic schedule model: a [`Machine`] and the one rule that is
@@ -192,15 +199,32 @@ pub fn estimate_schedule(
     // Who consumes each op's output over the interconnect, and how (for
     // handshake accounting). A fused edge is neither stream nor fragment:
     // the result changes hands inside one process.
-    let remote_producer =
-        |operand: &OperandSource| operand.producer().filter(|_| operand.is_remote());
+    // A shared build side is neither: its producer's pieces are indexed
+    // once, into the one table every consumer instance adopts.
+    let remote = |op: &PlanOp, side: usize| {
+        let operand = [&op.left, &op.right][side];
+        operand
+            .producer()
+            .filter(|_| operand.is_remote() && op.split[side] != Split::Shared)
+    };
+    let roots = plan.process_roots();
     let mut consumer_degree = vec![0usize; n];
     let mut materializes = vec![false; n];
+    // Per process group, under its root: the serial builds of its shared
+    // tables that are not resident, done before its instances start.
+    let mut shared_builds = vec![0.0f64; n];
     for op in &plan.ops {
-        for operand in [&op.left, &op.right] {
-            if let Some(from) = remote_producer(operand) {
+        for side in 0..2 {
+            if let Some(from) = remote(op, side) {
                 consumer_degree[from] = op.degree();
-                materializes[from] |= matches!(operand, OperandSource::Materialized { .. });
+            }
+        }
+        for (operand, card) in [(&op.left, op.est_left), (&op.right, op.est_right)] {
+            if let OperandSource::Materialized { from } = operand {
+                materializes[*from] = true;
+                if op.split[0] == Split::Shared && operand == &op.left {
+                    shared_builds[roots[op.id]] += card as f64 * rescan_per_tuple;
+                }
             }
         }
     }
@@ -208,7 +232,6 @@ pub fn estimate_schedule(
     // A process group is one process: started once, when its first member
     // is reached, and evaluating its members one after another. Indexed by
     // the group's root: when the member evaluated last finished.
-    let roots = plan.process_roots();
     let mut process_clock: Vec<Option<f64>> = vec![None; n];
 
     for op in &plan.ops {
@@ -225,8 +248,8 @@ pub fn estimate_schedule(
         // Per-instance handshakes: one per stream this instance touches
         // (degree-of-peer streams per remote operand, plus its output fan).
         let mut streams_per_instance = consumer_degree[op.id] as f64;
-        for operand in [&op.left, &op.right] {
-            if let Some(from) = remote_producer(operand) {
+        for side in 0..2 {
+            if let Some(from) = remote(op, side) {
                 streams_per_instance += plan.ops[from].degree() as f64;
             }
         }
@@ -238,8 +261,10 @@ pub fn estimate_schedule(
         if materializes[op.id] {
             moved += op.est_out as f64 / degree;
         }
-        for (operand, card) in [(&op.left, op.est_left), (&op.right, op.est_right)] {
-            if matches!(operand, OperandSource::Materialized { .. }) {
+        for side in 0..2 {
+            let (operand, card) = [(&op.left, op.est_left), (&op.right, op.est_right)][side];
+            let shared = op.split[side] == Split::Shared;
+            if matches!(operand, OperandSource::Materialized { .. }) && !shared {
                 moved += card as f64;
             }
         }
@@ -254,6 +279,10 @@ pub fn estimate_schedule(
         let mut start = running.unwrap_or(init_done);
         for &d in &op.start_after {
             start = start.max(finish[d]);
+        }
+        if running.is_none() {
+            start += shared_builds[roots[op.id]];
+            busy += shared_builds[roots[op.id]];
         }
         let mut t_finish = start + t_op;
         // A live pipeline: the consumer trails its slowest producer.

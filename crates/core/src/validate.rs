@@ -9,10 +9,10 @@ use std::sync::Arc;
 
 use mj_plan::segment::segments;
 use mj_plan::tree::TreeNode;
-use mj_relalg::{RelalgError, Result};
+use mj_relalg::{JoinAlgorithm, RelalgError, Result};
 
 use crate::bits::BitMatrix;
-use crate::plan_ir::{OpId, OperandSource, ParallelPlan};
+use crate::plan_ir::{OpId, OperandSource, ParallelPlan, PlanOp, Split};
 
 /// Checks a plan's structural invariants:
 ///
@@ -23,8 +23,10 @@ use crate::plan_ir::{OpId, OperandSource, ParallelPlan};
 /// 3. materialized producers are in `start_after`;
 /// 4. all processor ids are in range, every op has at least one, and no op
 ///    lists one twice (one instance per processor);
-/// 5. a fused edge joins two degree-1 ops on the same processor, and its
-///    producer is not also listed in the consumer's `start_after`;
+/// 5. a fused edge joins two ops on the same processors, and its producer
+///    is not also listed in the consumer's `start_after`; above degree 1
+///    only as a segment group's probe chain: into the range-split probe side
+///    of a consumer whose build side is shared;
 /// 6. no *operation process* (process group: an op plus everything fused
 ///    into it) needs its own completion to complete — a process starts
 ///    once every process a member waits for has completed, evaluates its
@@ -34,7 +36,16 @@ use crate::plan_ir::{OpId, OperandSource, ParallelPlan};
 /// 7. processes that may run concurrently (neither transitively ordered
 ///    after the other) use disjoint processors — unless the plan declares
 ///    oversubscription;
-/// 8. `start_after` references earlier ops only.
+/// 8. `start_after` references earlier ops only;
+/// 9. every valuation's facts meet in one instance (*Parallel-Correctness
+///    and Transferability for Conjunctive Queries*): an op at degree
+///    `d > 1` either has both operands hash-partitioned on its key at `d`
+///    ([`Split::Hash`], neither handed over by a fused member, whose rows
+///    are split on some other key), or shares its build side whole with
+///    every instance ([`Split::Shared`]), its probe side then split any
+///    way. Only a simple join's build side is shared, and only a base
+///    relation or a materialized result; only a probe side is split by
+///    range, and only a base relation or a fused member's rows.
 pub fn validate_plan(plan: &ParallelPlan) -> Result<()> {
     let tree = &plan.tree;
     tree.validate()?;
@@ -97,6 +108,7 @@ pub fn validate_plan(plan: &ParallelPlan) -> Result<()> {
         }
         check_operand(plan, idx, &op.left, l, &after)?;
         check_operand(plan, idx, &op.right, r, &after)?;
+        check_split(op)?;
     }
 
     // Process level.
@@ -237,9 +249,13 @@ fn check_operand(
             }
             if matches!(src, OperandSource::Fused { .. }) {
                 let (producer, consumer) = (&plan.ops[from], &plan.ops[op_idx]);
-                if producer.degree() != 1 || consumer.degree() != 1 {
+                let probe_chain = consumer.right == *src
+                    && consumer.split == [Split::Shared, Split::Range]
+                    && producer.procs == consumer.procs;
+                if (producer.degree() != 1 || consumer.degree() != 1) && !probe_chain {
                     return Err(RelalgError::InvalidPlan(format!(
-                        "op {op_idx} fuses op {from} but one of them runs at degree > 1"
+                        "op {op_idx} fuses op {from} but one of them runs at degree > 1 \
+                         outside a segment group's probe chain"
                     )));
                 }
                 if producer.procs != consumer.procs {
@@ -256,6 +272,50 @@ fn check_operand(
             Ok(())
         }
     }
+}
+
+/// Rules 9 and the split kinds an operand may have (see [`validate_plan`]).
+fn check_split(op: &PlanOp) -> Result<()> {
+    let fail = |what: String| Err(RelalgError::InvalidPlan(format!("op {} {what}", op.id)));
+    let sides = [
+        ("build", &op.left, op.split[0]),
+        ("probe", &op.right, op.split[1]),
+    ];
+    for (side, operand, split) in sides {
+        let allowed = match split {
+            Split::Hash => true,
+            Split::Range => {
+                side == "probe"
+                    && matches!(
+                        operand,
+                        OperandSource::Base { .. } | OperandSource::Fused { .. }
+                    )
+            }
+            Split::Shared => {
+                side == "build"
+                    && op.algorithm == JoinAlgorithm::Simple
+                    && matches!(
+                        operand,
+                        OperandSource::Base { .. } | OperandSource::Materialized { .. }
+                    )
+            }
+        };
+        if !allowed {
+            return fail(format!(
+                "cannot split its {side} operand {operand} by {split:?}"
+            ));
+        }
+    }
+    let handed = |o: &OperandSource| matches!(o, OperandSource::Fused { .. });
+    let partitioned = op.split == [Split::Hash; 2] && !handed(&op.left) && !handed(&op.right);
+    if op.degree() > 1 && op.split[0] != Split::Shared && !partitioned {
+        return fail(format!(
+            "runs at degree {} with its operands neither both hash-partitioned on its key \
+             nor its build side shared",
+            op.degree()
+        ));
+    }
+    Ok(())
 }
 
 /// A plan that passed [`validate_plan`], shared and immutable: what a
@@ -516,9 +576,7 @@ mod tests {
         // one process evaluating a, then b. With s1 starting after s2, a
         // waits for s1, s1 for s2, and s2 — its bounded stream full — for
         // b, which runs after a.
-        use crate::plan_ir::PlanOp;
         use mj_plan::tree::JoinTree;
-        use mj_relalg::JoinAlgorithm;
         let mut t = JoinTree::builder();
         let leaves: Vec<_> = ["X0", "A", "B", "X1", "C", "D"]
             .iter()
@@ -541,6 +599,7 @@ mod tests {
             allocated: 1,
             left,
             right,
+            split: [Split::Hash; 2],
             start_after: vec![],
             est_left: 10,
             est_right: 10,
@@ -569,6 +628,78 @@ mod tests {
         plan.ops[1].start_after = vec![0];
         let err = validate_plan(&plan).unwrap_err().to_string();
         assert!(err.contains("waits, through its members"), "{err}");
+    }
+
+    /// A right-linear chain of four 10 000-tuple relations under RD on two
+    /// processors with a grain: one segment, so one segment group of two.
+    fn group_plan() -> ParallelPlan {
+        let tree = build(Shape::RightLinear, 4).unwrap();
+        let cards = node_cards(&tree, &UniformOneToOne { n: 10_000 });
+        let costs = tree_costs(&tree, &cards, &CostModel::default());
+        let mut input = GeneratorInput::new(&tree, &cards, &costs, 2);
+        input.grain = 1000.0;
+        let plan = generate(Strategy::RD, &input).unwrap();
+        assert_eq!(plan.segment_groups(), vec![vec![0, 1, 2]], "{plan}");
+        assert!(plan.ops.iter().all(|op| op.degree() == 2));
+        plan
+    }
+
+    #[test]
+    fn a_segment_group_shares_its_builds_and_splits_its_probe_by_range() {
+        let plan = group_plan();
+        validate_plan(&plan).unwrap();
+        let rejects = |plan: &ParallelPlan, what: &str| {
+            let err = validate_plan(plan).expect_err(what).to_string();
+            assert!(err.contains(what), "{err}");
+        };
+
+        // The same group over hash-fragmented build sides: instance i's
+        // build fragment holds only the keys hashing to i, while its probe
+        // rows are a range of rows, so most matches meet nowhere.
+        let mut hashed = plan.clone();
+        for op in &mut hashed.ops {
+            op.split[0] = Split::Hash;
+        }
+        rejects(&hashed, "neither both hash-partitioned on its key nor");
+        // Past the bottom, a member over a fused probe is no segment group
+        // either: that edge is only valid into a shared build.
+        let mut upper = plan.clone();
+        upper.ops[1].split[0] = Split::Hash;
+        rejects(&upper, "outside a segment group's probe chain");
+
+        // Only a simple join's build side is shared, and only a probe side
+        // is split by range.
+        let mut shared_probe = plan.clone();
+        shared_probe.ops[0].split[1] = Split::Shared;
+        rejects(&shared_probe, "probe operand base(R3) by Shared");
+        let mut range_build = plan.clone();
+        range_build.ops[0].split[0] = Split::Range;
+        rejects(&range_build, "build operand base(R2) by Range");
+        let mut pipelining = plan.clone();
+        pipelining.ops[0].algorithm = JoinAlgorithm::Pipelining;
+        rejects(&pipelining, "by Shared");
+    }
+
+    #[test]
+    fn a_partitioned_build_beside_a_range_split_probe_is_rejected() {
+        let mut plan = valid_plan();
+        let op = plan
+            .ops
+            .iter()
+            .position(|op| op.degree() > 1 && matches!(op.right, OperandSource::Base { .. }))
+            .expect("the fixture partitions a base probe");
+        validate_plan(&plan).unwrap();
+        plan.ops[op].split[1] = Split::Range;
+        let err = validate_plan(&plan).unwrap_err().to_string();
+        assert!(
+            err.contains("neither both hash-partitioned on its key nor its build side shared"),
+            "{err}"
+        );
+        // At degree 1 every split is the whole operand: nothing to meet.
+        plan.ops[op].procs.truncate(1);
+        let mut one = plan.clone();
+        one.oversubscribed = true;
+        validate_plan(&one).unwrap();
     }
 
     #[test]

@@ -44,7 +44,13 @@
 //! operations into their consumer (`OperandSource::Fused`) — a whole
 //! process group evaluated member by member inside it ([`OpTask`]). A group
 //! of one is the common case; a stage is always one, its operand a stream
-//! from the operation before it.
+//! from the operation before it. A *segment group* is a process group of
+//! `d` instances: each probes its range of the segment's bottom relation
+//! through every member, and every member adopts one table over its whole
+//! build side. A table that is not resident — over an earlier operation's
+//! materialized output or a filtered relation — is indexed once, by a
+//! `SharedBuild` pool task, when the group is otherwise ready; the run
+//! spawns the group's instances once every such table is built.
 //!
 //! Scheduling order follows the right-deep segmentation: every operator
 //! task is submitted with its segment's topological wave index
@@ -58,6 +64,7 @@ use std::time::{Duration, Instant};
 
 use mj_core::plan_ir::ParallelPlan;
 use mj_core::validate::ValidPlan;
+use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::{RelalgError, Relation, Result, Tuple};
 use mj_storage::{Catalog, Fragments};
@@ -68,6 +75,7 @@ use crate::config::{ExecConfig, QueryOptions};
 use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, QueryStatus, ResultStream};
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::{EngineStats, Metrics};
+use crate::operator::shared::SharedBuild;
 use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
 use crate::operator::OutputPort;
 use crate::sched::WorkerPool;
@@ -391,6 +399,7 @@ impl Coordinator {
         run.reporter = Some(Reporter::new(move |report| {
             reporting.advance(|run| run.on_report(report));
         }));
+        run.coordinator = Arc::downgrade(&coordinator);
         *coordinator.lock() = Some((run, accounts));
         coordinator
     }
@@ -541,6 +550,12 @@ struct QueryRun {
     /// What every task of the query reports its completions through; set
     /// when the run is put under its [`Coordinator`].
     reporter: Option<Reporter>,
+    /// That coordinator, for the shared builds' reports.
+    coordinator: Weak<Coordinator>,
+    /// Per op whose build side every instance shares: the table, once the
+    /// catalog or the execution's [`SharedBuild`] provided it (empty for a
+    /// plan without segment groups).
+    shared: Vec<Option<Arc<ColumnarTable>>>,
     /// When scheduling started: the paper's response time runs from here
     /// to the last completion report.
     started: Instant,
@@ -573,6 +588,9 @@ struct Progress {
     waiting: usize,
     /// Under a group's root op: its processes are submitted.
     spawned: bool,
+    /// Under a group's root op: once it is otherwise ready, the shared
+    /// tables still being built for it.
+    building: Option<usize>,
 }
 
 impl QueryRun {
@@ -642,6 +660,7 @@ impl QueryRun {
                 instances_left: op.degree,
                 waiting,
                 spawned: false,
+                building: None,
             })
             .collect();
 
@@ -656,6 +675,8 @@ impl QueryRun {
             pieces: Vec::new(),
             piece_bytes: 0,
             reporter: None,
+            coordinator: Weak::new(),
+            shared: Vec::new(),
             started,
             progress,
             first_err: None,
@@ -670,24 +691,125 @@ impl QueryRun {
     }
 
     /// Submits every operation process whose dependencies are met as pool
-    /// tasks.
+    /// tasks — once the tables its instances share are built.
     fn spawn_ready(&mut self) -> Result<()> {
         for root in 0..self.progress.len() {
             let p = self.progress[root];
             if p.spawned || p.waiting > 0 || self.template.group(root).is_empty() {
                 continue;
             }
-            self.spawn_group(root)?;
+            if p.building.is_none() {
+                self.build_shared(root)?;
+            }
+            if self.progress[root].building == Some(0) {
+                self.spawn_group(root)?;
+            }
         }
         Ok(())
+    }
+
+    /// Provides every shared build side of the group rooted at `root`: a
+    /// resident table is taken as it is, anything else is indexed once by a
+    /// [`SharedBuild`] on the pool, counted in the group's `building`.
+    fn build_shared(&mut self, root: usize) -> Result<()> {
+        let template = self.template.clone();
+        let ops = template.ops();
+        let members = template.group(root);
+        let priority = members.iter().map(|&m| ops[m].priority).min();
+        let priority = priority.expect("a group has members");
+        self.progress[root].building = Some(0);
+        for &m in members {
+            for wiring in &ops[m].operands {
+                let Wiring::Shared { over, key_col } = wiring else {
+                    continue;
+                };
+                let source = match **over {
+                    Wiring::Base(b) => template.base_source(b, 0, &mut self.base_parts),
+                    Wiring::Materialized { from } => {
+                        Some(Source::Materialized(self.take_pieces(from, 0)))
+                    }
+                    _ => None,
+                };
+                let source = source.ok_or_else(|| {
+                    RelalgError::InvalidPlan(format!("op {m} shares a build side it cannot read"))
+                })?;
+                if let Source::Table(table) = source {
+                    self.share(m, table);
+                    continue;
+                }
+                let coordinator = self.coordinator.clone();
+                let done = Box::new(move |built, steps| {
+                    if let Some(coordinator) = coordinator.upgrade() {
+                        coordinator.advance(|run| run.on_built(root, m, built, steps));
+                    }
+                });
+                let build = SharedBuild::new(source, *key_col, self.ctrl.clone(), done);
+                self.pool.submit(priority, Box::new(build));
+                self.spawned_instances += 1;
+                *self.progress[root].building.get_or_insert(0) += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes one shared build's report: keeps the table for op `m`, charged
+    /// to the budget until the query concludes, and spawns the group rooted
+    /// at `root` once its last table is in.
+    fn on_built(&mut self, root: usize, m: usize, built: Result<Arc<ColumnarTable>>, steps: u64) {
+        self.received += 1;
+        self.metrics.sched_steps += steps;
+        self.ctrl.note_progress();
+        match built {
+            Ok(table) => {
+                let bytes = table.est_bytes() as u64;
+                self.piece_bytes += bytes;
+                if !self.ctrl.budget().charge(bytes) {
+                    let reason = self.ctrl.budget().exhausted_error();
+                    self.ctrl.abort(reason.clone());
+                    self.fail(reason);
+                }
+                self.share(m, table);
+            }
+            Err(e) => self.fail(e),
+        }
+        if self.ctrl.is_canceled() {
+            self.fail(RelalgError::Canceled);
+        }
+        let Some(building) = self.progress[root].building.as_mut() else {
+            return;
+        };
+        *building -= 1;
+        if *building == 0 && self.first_err.is_none() {
+            if let Err(e) = self.spawn_group(root) {
+                self.fail(e);
+            }
+        }
+    }
+
+    /// Keeps `table` as the build side every instance of op `m` shares.
+    fn share(&mut self, m: usize, table: Arc<ColumnarTable>) {
+        if self.shared.len() <= m {
+            self.shared.resize(m + 1, None);
+        }
+        self.shared[m] = Some(table);
+    }
+
+    /// Piece `i` of every instance of op `from`'s materialized output, in
+    /// instance order.
+    fn take_pieces(&mut self, from: usize, i: usize) -> Vec<Arc<ColumnBatch>> {
+        self.pieces
+            .iter_mut()
+            .filter(|((op, _), _)| *op == from)
+            .filter_map(|(_, slots)| slots.get_mut(i)?.take())
+            .collect()
     }
 
     /// Spawns one task per operation process of the group rooted at op
     /// `root`: the root's `degree` instances, each evaluating every member
     /// of the group in op order. A group of one is one operation; a larger
-    /// one (fused sub-grain operations, always at degree 1) hands each
-    /// member's result to its reader in memory, and only the root member is
-    /// wired to an output.
+    /// one (fused sub-grain operations at degree 1, or a segment group)
+    /// hands each member's result to its reader in memory, and only the
+    /// root member is wired to an output.
     fn spawn_group(&mut self, root: usize) -> Result<()> {
         let template = self.template.clone();
         let ops = template.ops();
@@ -717,18 +839,15 @@ impl QueryRun {
                 for (source, wiring) in sources.iter_mut().zip(&ops[m].operands) {
                     *source = match wiring {
                         Wiring::Base(b) => {
-                            let part = &mut self.base_parts[template.base_part(*b, i)];
-                            Some(part.take().expect("each base part is read once"))
+                            let part = template.base_source(*b, i, &mut self.base_parts);
+                            Some(part.expect("each base part is read once"))
+                        }
+                        Wiring::Shared { .. } => {
+                            let table = self.shared.get(m).cloned().flatten();
+                            Some(Source::Table(table.expect("built before the spawn")))
                         }
                         Wiring::Materialized { from } => {
-                            // Piece `i` of every producer instance, in
-                            // instance order.
-                            let pieces: Vec<_> = self
-                                .pieces
-                                .iter_mut()
-                                .filter(|((op, _), _)| op == from)
-                                .filter_map(|(_, slots)| slots.get_mut(i)?.take())
-                                .collect();
+                            let pieces = self.take_pieces(*from, i);
                             if pieces.is_empty() {
                                 return Err(RelalgError::InvalidPlan(format!(
                                     "op {m} reads op{from} before it materialized"

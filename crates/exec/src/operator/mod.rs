@@ -14,6 +14,7 @@ pub mod limit;
 pub mod op;
 pub mod output;
 pub mod scratch;
+pub(crate) mod shared;
 pub mod task;
 
 pub use aggregate::AggregateOp;

@@ -120,6 +120,12 @@ impl ScratchLists {
         (0..self.free.len()).map(|slot| self.list(slot).len()).sum()
     }
 
+    /// Slots holding at least one set not lent, and all slots.
+    pub(crate) fn held(&self) -> (usize, usize) {
+        let holding = (0..self.free.len()).filter(|&slot| !self.list(slot).is_empty());
+        (holding.count(), self.free.len())
+    }
+
     fn list(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<Vec<MemberScratch>>> {
         // Every update is a single push or pop: the list is whole even if
         // a holder panicked.

@@ -24,7 +24,11 @@
 //! (`OperandSource::Fused`), several: the [`TaskMember`]s of a process
 //! group are evaluated one after another, each member's complete output
 //! becoming an in-memory operand of a later member, and only the last (the
-//! group's root) emits through the task's [`OutputPort`]. Nothing between
+//! group's root) emits through the task's [`OutputPort`]. A segment group
+//! is the same with `d` tasks: each reads its window of the bottom probe
+//! relation (an operand's rows are a range of its chunk) and every member
+//! adopts a build table all `d` share, so the tasks differ only in the rows
+//! they start from. Nothing between
 //! members touches a channel, the coordinator or the scheduler; the task
 //! still yields at least every `QUANTUM` (512) rows of whichever member it is
 //! in, so cancel, deadline, abort and early stop are observed as for any
@@ -54,6 +58,7 @@
 //! and `End`.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::task::Waker;
 
@@ -73,7 +78,7 @@ use crate::stream::{closed_early, Batch, Msg, Receiver, TryRecvError};
 
 /// Rows processed per scheduling step: long enough to amortize queue
 /// round-trips, short enough that concurrent queries interleave finely.
-const QUANTUM: usize = 512;
+pub(crate) const QUANTUM: usize = 512;
 
 /// What a completed (or failed) member reports to its query's coordinator:
 /// its op id, its statistics and, from the root of a process whose port
@@ -109,15 +114,17 @@ impl From<std::sync::mpsc::Sender<DoneMsg>> for Reporter {
 /// current columnar chunk plus an explicit row cursor so a blocked
 /// instance picks up exactly where it stopped. Every variant reads
 /// [`ColumnBatch`]es as they are — nothing is converted here.
-enum Operand {
-    /// Immediate rows: the chunk being read, then the chunks still to come.
-    /// A processor-local fragment or a handed-over result is one chunk; a
+pub(crate) enum Operand {
+    /// Immediate rows: rows `pos..end` of the chunk being read, then the
+    /// chunks still to come. A processor-local fragment or a handed-over
+    /// result is one chunk, a range split's window a part of one; a
     /// materialized operand is this instance's piece of every producer
     /// instance, read one after another — or, as a build operand, appended
     /// once into one chunk ([`merge`](Operand::merge)).
     Chunks {
         cols: Arc<ColumnBatch>,
         pos: usize,
+        end: usize,
         rest: std::vec::IntoIter<Arc<ColumnBatch>>,
     },
     /// A live stream; `current` is a partially consumed in-flight batch.
@@ -134,10 +141,11 @@ enum Operand {
     /// earlier member of the task until it is handed over.
     Empty,
     /// A fragment still to be filtered ([`Source::Filtered`]): the first
-    /// read makes it the chunk of its survivors.
+    /// read makes it the chunk of the survivors among `rows`.
     Filtered {
         fragment: Arc<ColumnBatch>,
         predicate: Arc<Predicate>,
+        rows: Range<usize>,
     },
 }
 
@@ -155,17 +163,29 @@ enum Feed {
 }
 
 impl Operand {
-    fn new(source: Source) -> Operand {
+    pub(crate) fn new(source: Source) -> Operand {
         match source {
             Source::Local(cols) => Operand::Chunks {
+                end: cols.rows(),
                 cols,
                 pos: 0,
                 rest: Vec::new().into_iter(),
             },
+            Source::Window { cols, rows } => Operand::Chunks {
+                cols,
+                pos: rows.start,
+                end: rows.end,
+                rest: Vec::new().into_iter(),
+            },
             Source::Materialized(pieces) => {
                 let mut rest = pieces.into_iter();
-                let cols = rest.next().unwrap_or_default();
-                Operand::Chunks { cols, pos: 0, rest }
+                let cols: Arc<ColumnBatch> = rest.next().unwrap_or_default();
+                Operand::Chunks {
+                    end: cols.rows(),
+                    cols,
+                    pos: 0,
+                    rest,
+                }
             }
             Source::Stream { rx, producers } => Operand::Stream {
                 rx,
@@ -177,25 +197,29 @@ impl Operand {
             Source::Filtered {
                 fragment,
                 predicate,
+                rows,
             } => Operand::Filtered {
                 fragment,
                 predicate,
+                rows,
             },
         }
     }
 
     /// Applies a pending scan filter: the operand becomes the chunk of the
-    /// fragment's survivors — the fragment itself when every row survives.
+    /// survivors among its rows — the fragment itself when every row of it
+    /// survives.
     fn filter(&mut self) -> Result<()> {
         let Operand::Filtered {
             fragment,
             predicate,
+            rows,
         } = self
         else {
             return Ok(());
         };
-        let mut survivors = Vec::with_capacity(fragment.rows());
-        select(predicate, fragment, 0..fragment.rows(), &mut survivors)?;
+        let mut survivors = Vec::with_capacity(rows.len());
+        select(predicate, fragment, rows.clone(), &mut survivors)?;
         let cols = if survivors.len() == fragment.rows() {
             fragment.clone()
         } else {
@@ -212,9 +236,15 @@ impl Operand {
     /// Makes what is left of an immediate operand one chunk, so a build
     /// indexes it in place: the remaining pieces are appended, once, into
     /// a chunk of exactly their size. One chunk, or a stream, stays as is.
-    fn merge(&mut self) -> Result<()> {
+    pub(crate) fn merge(&mut self) -> Result<()> {
         self.filter()?;
-        let Operand::Chunks { cols, pos, rest } = self else {
+        let Operand::Chunks {
+            cols,
+            pos,
+            end,
+            rest,
+        } = self
+        else {
             return Ok(());
         };
         if rest.as_slice().is_empty() {
@@ -222,11 +252,12 @@ impl Operand {
         }
         let pieces = std::mem::take(rest);
         let rows = pieces.as_slice().iter().map(|p| p.rows()).sum::<usize>();
-        let mut merged = ColumnBatch::with_capacity(&cols.layout(), cols.rows() - *pos + rows);
-        merged.append_rows(cols, *pos..cols.rows())?;
+        let mut merged = ColumnBatch::with_capacity(&cols.layout(), *end - *pos + rows);
+        merged.append_rows(cols, *pos..*end)?;
         for piece in pieces {
             merged.append_rows(&piece, 0..piece.rows())?;
         }
+        *end = merged.rows();
         *cols = Arc::new(merged);
         *pos = 0;
         Ok(())
@@ -244,13 +275,19 @@ impl Operand {
             )),
             Operand::Empty => Ok(Feed::Exhausted),
             Operand::Filtered { .. } => unreachable!("filtered above"),
-            Operand::Chunks { cols, pos, rest } => loop {
-                if *pos < cols.rows() {
+            Operand::Chunks {
+                cols,
+                pos,
+                end,
+                rest,
+            } => loop {
+                if *pos < *end {
                     return Ok(Feed::Ready);
                 }
                 let Some(next) = rest.next() else {
                     return Ok(Feed::Exhausted);
                 };
+                *end = next.rows();
                 *cols = next;
                 *pos = 0;
             },
@@ -284,31 +321,32 @@ impl Operand {
         }
     }
 
-    /// The current chunk and its cursor. Only valid directly after
+    /// The current chunk and its unread rows. Only valid directly after
     /// [`ready`](Self::ready) returned [`Feed::Ready`].
-    fn chunk(&self) -> (&ColumnBatch, usize) {
+    fn chunk(&self) -> (&ColumnBatch, Range<usize>) {
         match self {
             Operand::Stream { current, pos, .. } => {
-                (current.as_ref().expect("ready chunk").columns(), *pos)
+                let batch = current.as_ref().expect("ready chunk").columns();
+                (batch, *pos..batch.rows())
             }
             _ => {
-                let (cols, pos) = self.shared_chunk().expect("an immediate operand");
-                (cols, pos)
+                let (cols, rows) = self.shared_chunk().expect("an immediate operand");
+                (cols, rows)
             }
         }
     }
 
     /// [`chunk`](Self::chunk) of an immediate operand, as the shared chunk
     /// itself; `None` for a stream, whose batches nobody else may keep.
-    fn shared_chunk(&self) -> Option<(&Arc<ColumnBatch>, usize)> {
+    pub(crate) fn shared_chunk(&self) -> Option<(&Arc<ColumnBatch>, Range<usize>)> {
         match self {
-            Operand::Chunks { cols, pos, .. } => Some((cols, *pos)),
+            Operand::Chunks { cols, pos, end, .. } => Some((cols, *pos..*end)),
             _ => None,
         }
     }
 
     /// Advances the cursor past `n` consumed rows.
-    fn consume(&mut self, n: usize) {
+    pub(crate) fn consume(&mut self, n: usize) {
         match self {
             Operand::Chunks { pos, .. } | Operand::Stream { pos, .. } => *pos += n,
             Operand::Table(_) | Operand::Empty | Operand::Filtered { .. } => {}
@@ -762,12 +800,12 @@ impl OpTask {
                 Feed::Ready => {
                     let take;
                     {
-                        let (cols, pos) = m.operands[build]
+                        let (cols, rows) = m.operands[build]
                             .shared_chunk()
                             .expect("a build operand is immediate");
-                        let end = (pos + *budget).min(cols.rows());
-                        take = end - pos;
-                        m.op.build_batch(cols, pos..end)?;
+                        let end = (rows.start + *budget).min(rows.end);
+                        take = end - rows.start;
+                        m.op.build_batch(cols, rows.start..end)?;
                     }
                     m.operands[build].consume(take);
                     m.stats.tuples_in[build] += take as u64;
@@ -830,11 +868,11 @@ impl OpTask {
                     let take;
                     let verdict;
                     {
-                        let (cols, pos) = m.operands[side].chunk();
-                        let end = (pos + *budget).min(cols.rows());
-                        take = end - pos;
+                        let (cols, rows) = m.operands[side].chunk();
+                        let end = (rows.start + *budget).min(rows.end);
+                        take = end - rows.start;
                         verdict =
-                            m.op.absorb_batch(side, cols, pos..end, writable(&mut m.out))?;
+                            m.op.absorb_batch(side, cols, rows.start..end, writable(&mut m.out))?;
                     }
                     m.operands[side].consume(take);
                     m.stats.tuples_in[side] += take as u64;
@@ -908,6 +946,16 @@ impl OpTask {
         }
         if !self.output.try_finish(waker)? {
             return Ok(Some(Step::Blocked));
+        }
+        // The budget is synced after every step a task is still running
+        // at; one that finishes in the step it started in was never
+        // checked, so its last state is, before it reports.
+        if self.sync_budget() {
+            if let Some(ctrl) = &self.ctrl {
+                let reason = ctrl.budget().exhausted_error();
+                ctrl.abort(reason.clone());
+                return Err(reason);
+            }
         }
         self.report(Ok(()));
         Ok(Some(Step::Done))
@@ -1099,7 +1147,7 @@ impl OpTask {
 }
 
 /// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

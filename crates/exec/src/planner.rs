@@ -34,7 +34,8 @@ use mj_core::schedule::{
     estimate_schedule, stage_busy, stage_tail_cost, ScheduleEstimate, ScheduleModel,
 };
 use mj_core::{
-    generate, max_useful_degree, GeneratorInput, ParallelPlan, PlanStats, Strategy, ValidPlan,
+    generate, max_useful_degree, GeneratorInput, OperandSource, ParallelPlan, PlanStats, Split,
+    Strategy, ValidPlan,
 };
 use mj_plan::cost::{tree_costs, CostModel};
 use mj_plan::optimize::{greedy_tree, optimize_bushy};
@@ -71,14 +72,17 @@ pub struct PlannerOptions {
     /// [`ONE_PER_WORKER`](Self::ONE_PER_WORKER), the
     /// [`DbConfig`](crate::session::DbConfig) default, plans over exactly
     /// as many processors as the pool has workers: partitions past the
-    /// workers run on no extra core, yet every intermediate tuple is
-    /// hash-routed between them. (On two workers the benchmark's
-    /// `join_heavy` chain runs as 6 processes and 5 streams instead of 17
-    /// and 57 with 8, at a 21 % lower median latency and 18 % less CPU per
-    /// query; the schedule model does not price routed tuples and ranks
-    /// the 8-processor plan cheaper.) Any other value is taken as given:
-    /// the paper's grid and tests of multiplexing more processes than
-    /// workers set it.
+    /// workers run on no extra core. On two workers the benchmark's
+    /// `join_heavy` chain runs each of its two right-deep segments as one
+    /// segment group of two instances — each probing half of the segment's
+    /// bottom relation over tables both share — so with the aggregate it
+    /// is 5 processes and 4 streams, and no tuple is routed inside a
+    /// segment. (Before segment groups, it was 6 processes and 5 streams,
+    /// every join its own process at degree 1; with 8 processors, 17 and
+    /// 57, at a 21 % higher median latency, because partitions past the
+    /// workers hash-route every intermediate tuple.) Any other value is
+    /// taken as given: the paper's grid and tests of multiplexing more
+    /// processes than workers set it.
     pub processors: usize,
     /// Phase-1 / work cost model (§4.3 coefficients).
     pub cost_model: CostModel,
@@ -266,7 +270,7 @@ impl PlannedQuery {
         let plural =
             |n: usize, one: &str, many: &str| format!("{n} {}", if n == 1 { one } else { many });
         out.push_str(&format!(
-            "chosen plan: {}, {}, {} of {} operations fused into their consumer's process\n",
+            "chosen plan: {}, {}, {} of {} operations fused into their consumer's process{}\n",
             plural(
                 stats.operation_processes,
                 "operation process",
@@ -275,21 +279,56 @@ impl PlannedQuery {
             plural(stats.tuple_streams, "stream", "streams"),
             stats.fused_ops,
             self.plan.ops.len(),
+            match stats.segment_groups {
+                0 => String::new(),
+                n => format!(", {}", plural(n, "segment group", "segment groups")),
+            },
         ));
         out.push_str(&format!("{} operations:\n", self.plan.strategy));
         let roots = self.plan.process_roots();
+        let groups = self.plan.segment_groups();
+        let capped = |op: &mj_core::PlanOp| {
+            if op.grain_capped() {
+                format!(", grain-capped from x{}", op.allocated)
+            } else {
+                String::new()
+            }
+        };
         for op in &self.plan.ops {
+            // A segment group is one line, under its root: its members, its
+            // degree, the operand split by range and the shared build sides.
+            if let Some(group) = groups.iter().find(|g| g.contains(&op.id)) {
+                if roots[op.id] != op.id {
+                    continue;
+                }
+                let ops = self.plan.ops.iter().filter(|o| group.contains(&o.id));
+                let (range, shared): (Vec<_>, Vec<_>) = ops
+                    .flat_map(|o| [(&o.left, o.split[0]), (&o.right, o.split[1])])
+                    .filter(|(operand, _)| !matches!(operand, OperandSource::Fused { .. }))
+                    .partition(|(_, split)| *split == Split::Range);
+                let list = |operands: Vec<(&OperandSource, Split)>| {
+                    let names: Vec<String> = operands.iter().map(|(o, _)| o.to_string()).collect();
+                    names.join(", ")
+                };
+                out.push_str(&format!(
+                    "  op{}-op{} segment group [x{}{}]: range-split {}, shared {}; est {} rows\n",
+                    group[0],
+                    op.id,
+                    op.degree(),
+                    capped(op),
+                    list(range),
+                    list(shared),
+                    op.est_out,
+                ));
+                continue;
+            }
             out.push_str(&format!(
                 "  op{} {} ⋈ {} [x{}{}] est {} rows{}\n",
                 op.id,
                 op.left,
                 op.right,
                 op.degree(),
-                if op.grain_capped() {
-                    format!(", grain-capped from x{}", op.allocated)
-                } else {
-                    String::new()
-                },
+                capped(op),
                 op.est_out,
                 if roots[op.id] == op.id {
                     String::new()
@@ -468,6 +507,14 @@ impl Planner {
             &effective
         };
 
+        // Phase 1: minimal-total-cost tree.
+        let phase1 = match optimize_bushy(planning_query.graph(), &self.options.cost_model) {
+            Err(RelalgError::PairBudgetExceeded { .. }) => {
+                greedy_tree(planning_query.graph(), &self.options.cost_model)?
+            }
+            exact => exact?,
+        };
+
         // The columns the root join must output: the SELECT columns
         // directly when nothing runs above the root, otherwise the ordered
         // dedup of everything the aggregate stage consumes (group columns,
@@ -488,8 +535,10 @@ impl Planner {
             }
             if cols.is_empty() {
                 // A global COUNT(*) with nothing else referenced still
-                // needs one carrier column through the join pipeline.
-                cols.push((0, 0));
+                // needs one carrier column through the join pipeline: a
+                // key of the root join, which every join below it carries
+                // anyway.
+                cols.push(root_key(&phase1.tree, query)?);
             }
             cols
         } else {
@@ -534,14 +583,6 @@ impl Planner {
                 add(card.min(k as f64), 1, prev);
             }
             (tail, busy)
-        };
-
-        // Phase 1: minimal-total-cost tree.
-        let phase1 = match optimize_bushy(planning_query.graph(), &self.options.cost_model) {
-            Err(RelalgError::PairBudgetExceeded { .. }) => {
-                greedy_tree(planning_query.graph(), &self.options.cost_model)?
-            }
-            exact => exact?,
         };
 
         // Tree variants: the phase-1 tree and its right-oriented mirror
@@ -676,6 +717,28 @@ impl Planner {
             binding,
         })
     }
+}
+
+/// The root join's key column on its left side, as `(relation, column)`.
+/// Every join of the left subtree keeps it for the root, and the
+/// right-oriented mirror has the same root join, so carrying it adds no
+/// column to any join of either tree.
+fn root_key(tree: &JoinTree, query: &JoinQuery) -> Result<(usize, usize)> {
+    let no_key = || RelalgError::InvalidPlan("the root join has no key to carry".into());
+    let (left, _) = tree.children(tree.root()).ok_or_else(no_key)?;
+    let mut mask = 0u64;
+    tree.postorder_from(left, &mut |id| {
+        if let mj_plan::tree::TreeNode::Leaf { relation } = &tree.nodes()[id] {
+            mask |= query.relation_index(relation).map_or(0, |i| 1 << i);
+        }
+    });
+    let mut edges = query.graph().edges().iter().zip(query.edge_cols());
+    edges
+        .find_map(|(&(a, b, _), &(col_a, col_b))| {
+            let (a_left, b_left) = (mask >> a & 1 == 1, mask >> b & 1 == 1);
+            (a_left != b_left).then_some(if a_left { (a, col_a) } else { (b, col_b) })
+        })
+        .ok_or_else(no_key)
 }
 
 /// Estimated distinct-group count for the aggregate stage.
@@ -1132,6 +1195,12 @@ mod tests {
         // startup in every estimate). Nothing in the other two shapes is
         // sub-grain, so their sections are the capture's byte for byte.
         // The summary line `explain()` gained is checked here instead.
+        //
+        // Since segment groups the 6x40000 section differs too: each of
+        // RD's two segments is one group of 8 instances over a range-split
+        // probe and shared build sides (one line each), so the RD candidate
+        // opens 8 streams instead of 52 and is estimated at 1 547 160
+        // instead of 1 807 317. The other candidates are unchanged.
         let mut got = String::new();
         let mut pin = |name: &str, planned: PlannedQuery, summary: &str| {
             let explain = planned.explain();
@@ -1161,7 +1230,8 @@ mod tests {
         pin(
             "6x40000 count",
             heavy,
-            "chosen plan: 16 operation processes, 52 streams, 0 of 5 operations fused",
+            "chosen plan: 16 operation processes, 8 streams, 3 of 5 operations fused \
+             into their consumer's process, 2 segment groups",
         );
         let wide = benchmark_chain(2, 30_000).plan(&chain_query_sql(2));
         pin(
@@ -1170,6 +1240,60 @@ mod tests {
             "chosen plan: 8 operation processes, 0 streams, 0 of 1 operations fused",
         );
         assert_eq!(got, include_str!("../testdata/explain_before_dpccp.txt"));
+    }
+
+    #[test]
+    fn every_benchmark_plan_meets_at_one_instance_on_any_processor_count() {
+        // The ninth rule of `validate_plan` (hash-partitioned on the key at
+        // one degree, or a shared build side) holds for every plan the
+        // planner emits for the three benchmark shapes — its own pick and
+        // each strategy forced — on 1, 2, 4 and 8 processors.
+        let count = format!(
+            "SELECT COUNT(*) {}",
+            &chain_query_sql(6)["SELECT * ".len()..]
+        );
+        let shapes = [
+            (14, 50, format!("{} WHERE R1.id < 25", chain_query_sql(14))),
+            (6, 40_000, count),
+            (2, 30_000, chain_query_sql(2)),
+        ];
+        for (k, n, text) in shapes {
+            let db = benchmark_chain(k, n);
+            let (query, spec) = db.bind(&text).unwrap();
+            for processors in [1, 2, 4, 8] {
+                for strategy in [None].into_iter().chain(Strategy::ALL.map(Some)) {
+                    let mut options = *db.planner_options();
+                    options.processors = processors;
+                    options.strategy = strategy;
+                    let planned = Planner::new(options)
+                        .with_workers(2)
+                        .plan_select(&query, &spec)
+                        .unwrap();
+                    mj_core::validate_plan(&planned.plan)
+                        .unwrap_or_else(|e| panic!("{k}x{n} on {processors}: {e}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_global_count_carries_a_key_of_the_root_join() {
+        // Nothing but the root's key crosses into the root from either side
+        // of a chain, so that is all either side outputs: the count's
+        // carrier adds no column anywhere.
+        let db = benchmark_chain(6, 400);
+        let text = format!(
+            "SELECT COUNT(*) {}",
+            &chain_query_sql(6)["SELECT * ".len()..]
+        );
+        let planned = db.plan(&text).unwrap();
+        let (left, right) = planned.tree.children(planned.tree.root()).unwrap();
+        let schemas = planned.lowered.schemas();
+        assert_eq!((schemas[left].arity(), schemas[right].arity()), (1, 1));
+        let count = db.query(&text).unwrap().collect().unwrap();
+        let oracle = planned.oracle_xra(JoinAlgorithm::Simple).unwrap();
+        let oracle = oracle.eval(db.catalog().as_ref()).unwrap();
+        assert!(count.multiset_eq(&oracle));
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! ([`scratch`](crate::operator::scratch)), so an execute allocates little
 //! beyond the batches it returns.
 //!
+//! A template also fixes how each operand reaches an operation's
+//! instances ([`Split`]): hash fragments of a base relation, one per
+//! instance; windows on its resident image for a segment group's
+//! range-split probe; or one table every instance adopts for a shared
+//! build side — the resident one over a base relation, or one the
+//! execution indexes once over a materialized or filtered operand before
+//! it spawns the group.
+//!
 //! An ad-hoc query builds its template and instantiates it once, so there
 //! is one submission path
 //! ([`Engine::submit_template`](crate::Engine::submit_template)). A
@@ -24,7 +32,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
-use mj_core::plan_ir::OperandSource;
+use mj_core::plan_ir::{OperandSource, Split};
 use mj_core::validate::ValidPlan;
 use mj_join::ColumnarTable;
 use mj_relalg::column::{ColumnBatch, ColumnLayout};
@@ -144,8 +152,13 @@ pub(crate) enum Body {
 /// Where one operand of an [`Operation`] comes from.
 pub(crate) enum Wiring {
     /// Base operand `i` of the template: each instance reads its own part
-    /// ([`RunTemplate::base_part`]).
+    /// ([`RunTemplate::base_source`]).
     Base(usize),
+    /// One table every instance adopts, keyed on `key_col`, over what
+    /// `over` wires — a base operand, or an earlier op's materialized
+    /// output: the resident table, or one the execution indexes once
+    /// before it spawns the operation's instances.
+    Shared { over: Box<Wiring>, key_col: usize },
     /// Receiver `instance` of edge `edge`, from `producers` instances.
     Stream { edge: usize, producers: usize },
     /// This instance's pieces of op `from`'s materialized output.
@@ -163,15 +176,29 @@ pub(crate) struct Edge {
     pub layout: ColumnLayout,
 }
 
-/// One base operand: relation `relation` hash-fragmented on `key_col`
-/// into `degree` fragments, one per instance of its operation.
+/// One base operand of an operation of `degree` instances: relation
+/// `relation`, hash-fragmented on `key_col` into one fragment per instance,
+/// or — split by range or shared — read through its whole image.
 struct Base {
     relation: String,
     key_col: usize,
     degree: usize,
+    split: Split,
     kind: BaseKind,
-    /// Where its instances' parts start in an execution's flat list.
+    /// Where its parts start in an execution's flat list.
     first: usize,
+}
+
+impl Base {
+    /// The catalog parts it reads: its hash fragments, or the one image (a
+    /// range split's windows and a shared table are over that).
+    fn parts(&self) -> usize {
+        if self.split == Split::Hash {
+            self.degree
+        } else {
+            1
+        }
+    }
 }
 
 enum BaseKind {
@@ -252,7 +279,8 @@ impl RunTemplate {
             for (side, operand, key_col) in
                 [(0, &op.left, spec.left_key), (1, &op.right, spec.right_key)]
             {
-                operands.push(match operand {
+                let split = op.split[side];
+                let wiring = match operand {
                     OperandSource::Base { relation } => {
                         let filter = query.scan_filter(relation).filter(|_| late.is_none());
                         let kind = match filter {
@@ -266,11 +294,12 @@ impl RunTemplate {
                             }
                             None => BaseKind::Fragments,
                         };
-                        let first = bases.last().map_or(0, |b: &Base| b.first + b.degree);
+                        let first = bases.last().map_or(0, |b: &Base| b.first + b.parts());
                         bases.push(Base {
                             relation: relation.clone(),
                             key_col,
                             degree,
+                            split,
                             kind,
                             first,
                         });
@@ -280,12 +309,26 @@ impl RunTemplate {
                         metrics.streams += ops[*from].degree * degree;
                         stream(&mut ops, &mut edges, *from, degree, key_col)?
                     }
+                    // One piece per producer instance, into one table.
+                    OperandSource::Materialized { from } if split == Split::Shared => {
+                        metrics.streams += ops[*from].degree;
+                        out_materialized[*from] = Some((key_col, 1));
+                        Wiring::Materialized { from: *from }
+                    }
                     OperandSource::Materialized { from } => {
                         metrics.streams += ops[*from].degree * degree;
                         out_materialized[*from] = Some((key_col, degree));
                         Wiring::Materialized { from: *from }
                     }
                     OperandSource::Fused { .. } => Wiring::Fused,
+                };
+                operands.push(if split == Split::Shared {
+                    Wiring::Shared {
+                        over: Box::new(wiring),
+                        key_col,
+                    }
+                } else {
+                    wiring
                 });
             }
             let schema = if op.id == root {
@@ -436,6 +479,14 @@ impl RunTemplate {
         self.scratch.lend(self.slots[root] + instance, members)
     }
 
+    /// How many of its task slots — one per operation process instance —
+    /// hold a scratch set that no execute has borrowed, and how many slots
+    /// there are: all of them between executes, once every process has
+    /// run at least once.
+    pub fn scratch_held(&self) -> (usize, usize) {
+        self.scratch.held()
+    }
+
     /// The free lists of scratch sets (tests).
     #[cfg(test)]
     pub(crate) fn scratch(&self) -> &Arc<ScratchLists> {
@@ -471,10 +522,22 @@ impl RunTemplate {
         crate::late::plan_late(shape, query, catalog, metrics).map(Some)
     }
 
-    /// Where instance `instance` of base operand `base` sits in
-    /// [`base_parts`](Self::base_parts).
-    pub(crate) fn base_part(&self, base: usize, instance: usize) -> usize {
-        self.bases[base].first + instance
+    /// What instance `instance` of base operand `base` reads, from one
+    /// execution's [`base_parts`](Self::base_parts): its own hash fragment,
+    /// taken, or its window of the range-split image; a shared base's one
+    /// part, taken, for whoever builds or adopts its table.
+    pub(crate) fn base_source(
+        &self,
+        base: usize,
+        instance: usize,
+        parts: &mut [Option<Source>],
+    ) -> Option<Source> {
+        let base = &self.bases[base];
+        match base.split {
+            Split::Hash => parts[base.first + instance].take(),
+            Split::Range => parts[base.first].as_ref()?.window(instance, base.degree),
+            Split::Shared => parts[base.first].take(),
+        }
     }
 
     /// Resolves the base operands of one execution, before its clock
@@ -496,7 +559,7 @@ impl RunTemplate {
                 let narrow = late.relations.get(&base.relation).ok_or_else(|| {
                     RelalgError::InvalidPlan(format!("late plan lost relation {}", base.relation))
                 })?;
-                let fragments = fragment_columns(narrow, base.key_col, base.degree)?;
+                let fragments = fragment_columns(narrow, base.key_col, base.parts())?;
                 parts.extend(fragments.iter().map(|f| Some(Source::Local(f.clone()))));
             }
             return Ok(Some(parts));
@@ -548,9 +611,10 @@ impl RunTemplate {
             } else {
                 predicate.clone()
             };
-            for part in &mut parts[base.first..base.first + base.degree] {
+            for part in &mut parts[base.first..base.first + base.parts()] {
                 if let Some(Source::Local(fragment)) = part.take() {
                     *part = Some(Source::Filtered {
+                        rows: 0..fragment.rows(),
                         fragment,
                         predicate: predicate.clone(),
                     });
@@ -567,7 +631,7 @@ impl RunTemplate {
         let mut sets = Vec::with_capacity(self.bases.len());
         let mut parts = Vec::new();
         for base in &self.bases {
-            let (name, key_col, degree) = (base.relation.as_str(), base.key_col, base.degree);
+            let (name, key_col, degree) = (base.relation.as_str(), base.key_col, base.parts());
             let hit = match base.kind {
                 BaseKind::Tables => {
                     let (tables, hit) = catalog.tables(name, key_col, degree)?;

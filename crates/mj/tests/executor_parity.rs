@@ -128,18 +128,23 @@ fn benchmark_shapes_keep_their_processes_streams_and_operations() {
             name: "join_heavy",
             text: chain_sql("COUNT(*)", "H", 6, ""),
             arg: None,
-            // Every join on one process: the two workers leave no
-            // partition to route a tuple to.
+            // Each right-deep segment is one segment group of two
+            // instances, one per worker: each instance probes half of the
+            // segment's bottom relation through every join, over tables it
+            // shares with the other, so no tuple is routed or streamed
+            // inside a segment. What streams is the first segment's output
+            // into the one table the second shares (one piece per
+            // instance, 2) and the root into the aggregate (2 x 1).
             expect: (
-                6,
                 5,
-                0,
+                4,
+                3,
                 vec![
-                    join(1, 63_111),
-                    join(1, 99_769),
-                    join(1, 63_082),
-                    join(1, 99_753),
-                    join(1, 393_247),
+                    join(2, 63_111),
+                    join(2, 99_769),
+                    join(2, 63_082),
+                    join(2, 99_753),
+                    join(2, 393_247),
                     ("aggregate", 1, 1),
                 ],
             ),

@@ -214,8 +214,11 @@ fn mixed_degree_plans_match_the_oracle_under_every_strategy_pool_and_batch_size(
                     let planned = db.plan(text).unwrap();
                     let degrees: Vec<usize> =
                         planned.plan.ops.iter().map(|op| op.degree()).collect();
+                    // A segment group runs its small joins at the degree of
+                    // the big one it shares a segment with (RD's picks).
+                    let grouped = planned.plan.stats().segment_groups > 0;
                     assert!(
-                        degrees.contains(&1) && degrees.iter().any(|&d| d > 1),
+                        grouped || (degrees.contains(&1) && degrees.iter().any(|&d| d > 1)),
                         "{ctx}: degrees {degrees:?} are not mixed\n{}",
                         planned.explain()
                     );
@@ -636,11 +639,28 @@ fn a_process_group_with_estimates_off_a_thousandfold_honours_every_guardrail() {
 fn planner_pick_on_mixed_sizes_widens_only_the_big_joins() {
     // `auto` on the chain: the two joins that scan a 56 000-tuple relation
     // get all eight processors or their strategy's share of them; the join
-    // of two 50-row inputs between them gets one.
+    // of two 50-row inputs between them gets one — unless it is a member of
+    // a segment group, whose instances each probe a range of a big relation
+    // through every join of the segment.
     let fixture = chain();
     let db = open(&fixture, |c| c.exec.workers = 2);
     let planned = db.plan(&fixture.queries[0]).unwrap();
-    for op in &planned.plan.ops {
+    let grouped: Vec<usize> = planned.plan.segment_groups().concat();
+    for group in planned.plan.segment_groups() {
+        let bottom = &planned.plan.ops[group[0]];
+        assert!(bottom.degree() >= 2, "{}", planned.explain());
+        assert!(
+            matches!(&bottom.right, OperandSource::Base { relation } if relation.starts_with('B')),
+            "{}",
+            planned.explain()
+        );
+    }
+    for op in planned
+        .plan
+        .ops
+        .iter()
+        .filter(|op| !grouped.contains(&op.id))
+    {
         let scans_big = [&op.left, &op.right]
             .into_iter()
             .any(|o| matches!(o, OperandSource::Base { relation } if relation.starts_with('B')));

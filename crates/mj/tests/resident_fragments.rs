@@ -28,8 +28,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use multijoin::core::plan_ir::OperandSource;
-use multijoin::core::ScheduleModel;
+use multijoin::core::plan_ir::{OperandSource, Split};
+use multijoin::core::{ScheduleModel, Strategy};
 use multijoin::exec::{
     chain_query_sql, generate_family, Database, DbConfig, LateMode, Metrics, PlannedQuery,
     QueryFamily, QueryHandle,
@@ -60,10 +60,19 @@ fn generated(seed: u64) -> HashMap<String, Arc<Relation>> {
 /// and with the late rewrite off so scan filters run over the cached
 /// fragments themselves.
 fn open(relations: &HashMap<String, Arc<Relation>>) -> Database {
+    open_with(relations, |_| {})
+}
+
+/// [`open`] with `tweak` applied to its configuration.
+fn open_with(
+    relations: &HashMap<String, Arc<Relation>>,
+    tweak: impl Fn(&mut DbConfig),
+) -> Database {
     let mut config = DbConfig::default();
     config.planner.processors = 8;
     config.planner.schedule_model = ScheduleModel::prisma();
     config.exec.late = LateMode::Never;
+    tweak(&mut config);
     let db = Database::open(config).unwrap();
     for (name, relation) in relations {
         db.register(name, relation.clone()).unwrap();
@@ -420,14 +429,17 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
 #[test]
 fn an_evicted_variant_is_resolved_again_never_served() {
     let relations = generated(19);
-    let db = open(&relations);
+    // SP hash-partitions every join; RD's picks read these relations whole,
+    // as segment groups.
+    let db = open_with(&relations, |c| c.planner.strategy = Some(Strategy::SP));
     let catalog = db.catalog();
     let joins = chain_query_sql(RELATIONS);
     let text = format!("{joins} WHERE R1.id < ?1");
     let stmt = db.prepare(&text).unwrap();
     let expect = |arg: i64| oracle(&db, &format!("{joins} WHERE R1.id < {arg}"), &relations);
-    // A partitioned base operand of the plan: its relation, key column and
-    // degree name the resident variant it reads.
+    // A hash-partitioned base operand of the plan: its relation, key
+    // column and degree name the resident variant it reads (a range-split
+    // or shared one reads the image, which is never evicted).
     let planned = stmt.planned();
     let (name, key_col, degree) = planned
         .plan
@@ -438,8 +450,11 @@ fn an_evicted_variant_is_resolved_again_never_served() {
             let spec = planned.binding.spec(op.join).unwrap();
             [(&op.left, spec.left_key), (&op.right, spec.right_key)]
                 .into_iter()
-                .find_map(|(operand, key)| match operand {
-                    OperandSource::Base { relation } => Some((relation.clone(), key, op.degree())),
+                .zip(op.split)
+                .find_map(|((operand, key), split)| match operand {
+                    OperandSource::Base { relation } if split == Split::Hash => {
+                        Some((relation.clone(), key, op.degree()))
+                    }
                     _ => None,
                 })
         })
