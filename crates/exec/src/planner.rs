@@ -2,10 +2,9 @@
 //! strategy + processor allocation → executable [`ParallelPlan`] +
 //! [`QueryBinding`].
 //!
-//! This is the piece the paper leaves to "the optimizer" and the repo
-//! previously left to the *user*: `mj run` took `--shape` and
-//! `--strategy` flags, and the phase-1 optimizers produced trees nobody
-//! lowered. The planner wires the whole pipeline:
+//! This is the piece the paper leaves to "the optimizer": it picks the
+//! tree, the strategy and the allocation that the paper's experiments fix
+//! by hand. The planner wires the whole pipeline:
 //!
 //! 1. **Tree** (phase 1): exhaustive bushy DP over the join graph's
 //!    connected subgraph / complement pairs, greedy when a dense graph
@@ -213,7 +212,7 @@ impl PlannedQuery {
     }
 
     /// Human-readable comparison of every costed alternative — what
-    /// `mj plan` prints.
+    /// `mj sql --explain` prints.
     pub fn explain(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

@@ -1,59 +1,72 @@
-//! `mj` — command-line front end to the multijoin library.
+//! `mj` — the multijoin database on the command line.
 //!
 //! ```text
-//! mj sql      "<query>" | -  [--query F --relations K --tuples N --seed X]
-//!             [--procs P --workers W] [--explain] [--limit R]
-//! mj serve    [--addr A --workers W --max-clients M]
-//!             [--query F --relations K --tuples N --seed X --procs P]
-//! mj shapes   [--relations K]
-//! mj plan     [--query F] [--strategy auto|ST] [--relations K --tuples N --procs P --seed X]
-//! mj plan     --shape S --strategy ST [--relations K --tuples N --procs P]
-//! mj simulate --shape S --strategy ST [--relations K --tuples N --procs P] [--gantt]
-//! mj sweep    --shape S [--tuples N]
-//! mj run      [--query F] [--strategy auto|ST] [--relations K --tuples N --procs P --seed X]
-//! mj run      --shape S --strategy ST [--relations K --tuples N --procs P]
-//! mj optimize --query chain|skewed|star [--relations K]
+//! mj sql   "<query>" | -  [--query F --relations K --tuples N --seed X]
+//!          [--procs P --workers W] [--explain] [--limit R] [--format FMT]
+//! mj serve [--addr A --workers W --max-clients M]
+//!          [--query F --relations K --tuples N --seed X --procs P]
 //! ```
 //!
-//! `mj sql` is the session front door: it populates a [`Database`] with a
-//! seeded `--query` family (chain/star/skewed), parses and plans the given
-//! text query, and *streams* the result — rows print as batches arrive,
-//! long before the query finishes. `mj sql -` reads the query from stdin;
-//! `--explain` prints the costed plan alternatives instead of executing.
+//! Both verbs open a [`Database`] over a seeded `--query` family
+//! (chain/star/skewed). `mj sql` parses and plans the given text query and
+//! *streams* the result — rows print as batches arrive, long before the
+//! query finishes. `mj sql -` reads the query from stdin; `--explain`
+//! prints the costed plan alternatives and the chosen plan instead of
+//! executing. `mj serve` exposes the database over TCP.
 //!
-//! Without `--shape`, `mj plan` and `mj run` are **planner-driven**: the
-//! cost-based planner picks the join tree, the strategy (unless a concrete
-//! `--strategy` overrides it), and the processor allocation for a generated
-//! `--query` family instance (chain, star, skewed). With `--shape`, the
-//! legacy fixed shape×strategy grid runs unchanged.
-//!
-//! Shapes: left-linear, left-bushy, wide-bushy, right-bushy, right-linear.
-//! Strategies: sp, se, rd, fp (plus `auto` for plan/run without `--shape`).
+//! Each verb accepts only its own flags: an unknown flag, a flag without
+//! its value or a second query is an error, not ignored. The paper's
+//! experiments (its shapes, simulated sweeps, Gantt charts and optimizer
+//! comparison) are the `repro` binary's.
 
 use std::collections::HashMap;
 use std::io::Read as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use multijoin::core::generator::{generate, GeneratorInput};
-use multijoin::core::strategy::Strategy;
-use multijoin::exec::{
-    generate_family, run_plan, Database, DbConfig, ExecConfig, Planner, PlannerOptions,
-    QueryBinding, QueryFamily,
+use multijoin::exec::{generate_family, Database, DbConfig, PlannerOptions, QueryFamily};
+use multijoin::relalg::{RelationProvider, Value};
+
+/// A verb: what it accepts (flags that take a value, bare switches, and
+/// how many positional arguments follow it) and what it runs.
+struct Verb {
+    flags: &'static [&'static str],
+    switches: &'static [&'static str],
+    positionals: usize,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const SQL: Verb = Verb {
+    flags: &[
+        "query",
+        "relations",
+        "tuples",
+        "seed",
+        "procs",
+        "workers",
+        "limit",
+        "format",
+    ],
+    switches: &["explain"],
+    positionals: 1,
+    run: cmd_sql,
 };
-use multijoin::plan::cardinality::{node_cards, UniformOneToOne};
-use multijoin::plan::cost::{tree_costs, CostModel};
-use multijoin::plan::optimize::{
-    greedy_tree, iterative_improvement, optimize_bushy, optimize_linear, random_tree,
-    simulated_annealing, AnnealingOptions, IterativeOptions, OptimizedPlan,
+
+const SERVE: Verb = Verb {
+    flags: &[
+        "addr",
+        "workers",
+        "max-clients",
+        "query",
+        "relations",
+        "tuples",
+        "seed",
+        "procs",
+    ],
+    switches: &[],
+    positionals: 0,
+    run: cmd_serve,
 };
-use multijoin::plan::query::to_xra;
-use multijoin::plan::shapes::{build, Shape};
-use multijoin::plan::{render, QueryGraph};
-use multijoin::relalg::RelationProvider;
-use multijoin::relalg::{JoinAlgorithm, RelalgError, Value};
-use multijoin::sim::{render_gantt, simulate, SimParams};
-use multijoin::storage::{Catalog, WisconsinGenerator};
 
 struct Args {
     positional: Vec<String>,
@@ -61,86 +74,33 @@ struct Args {
     switches: Vec<String>,
 }
 
-/// Flags that never take a value, so `mj sql --explain "<query>"` does not
-/// swallow the query text as the switch's value.
-const BOOLEAN_SWITCHES: &[&str] = &["explain", "gantt"];
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut switches = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        let a = &argv[i];
-        if let Some(name) = a.strip_prefix("--") {
-            // A flag with a value, or a bare switch.
-            if !BOOLEAN_SWITCHES.contains(&name)
-                && i + 1 < argv.len()
-                && !argv[i + 1].starts_with("--")
-            {
-                flags.insert(name.to_string(), argv[i + 1].clone());
-                i += 2;
-            } else {
-                switches.push(name.to_string());
-                i += 1;
+/// Parses the arguments after the verb, rejecting any `verb` does not
+/// accept.
+fn parse_args(argv: &[String], verb: &Verb) -> Result<Args, String> {
+    let mut args = Args {
+        positional: Vec::new(),
+        flags: HashMap::new(),
+        switches: Vec::new(),
+    };
+    let mut argv = argv.iter().peekable();
+    while let Some(a) = argv.next() {
+        match a.strip_prefix("--") {
+            Some(name) if verb.switches.contains(&name) => args.switches.push(name.to_string()),
+            Some(name) if verb.flags.contains(&name) => {
+                let value = argv
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("`{a}` expects a value"))?;
+                args.flags.insert(name.to_string(), value.clone());
             }
-        } else {
-            positional.push(a.clone());
-            i += 1;
+            Some(_) => return Err(format!("unknown flag `{a}`")),
+            None if args.positional.len() < verb.positionals => args.positional.push(a.clone()),
+            None => return Err(format!("unexpected argument `{a}`")),
         }
     }
-    Ok(Args {
-        positional,
-        flags,
-        switches,
-    })
+    Ok(args)
 }
 
 impl Args {
-    fn shape(&self) -> Result<Shape, String> {
-        let s = self
-            .flags
-            .get("shape")
-            .map(String::as_str)
-            .unwrap_or("wide-bushy");
-        match s {
-            "left-linear" => Ok(Shape::LeftLinear),
-            "left-bushy" => Ok(Shape::LeftBushy),
-            "wide-bushy" => Ok(Shape::WideBushy),
-            "right-bushy" => Ok(Shape::RightBushy),
-            "right-linear" => Ok(Shape::RightLinear),
-            other => Err(format!(
-                "unknown shape `{other}` (expected left-linear, left-bushy, wide-bushy, right-bushy, right-linear)"
-            )),
-        }
-    }
-
-    fn strategy(&self) -> Result<Strategy, String> {
-        let s = self
-            .flags
-            .get("strategy")
-            .map(String::as_str)
-            .unwrap_or("fp");
-        match s.to_ascii_lowercase().as_str() {
-            "sp" => Ok(Strategy::SP),
-            "se" => Ok(Strategy::SE),
-            "rd" => Ok(Strategy::RD),
-            "fp" => Ok(Strategy::FP),
-            other => Err(format!(
-                "unknown strategy `{other}` (expected sp, se, rd, fp)"
-            )),
-        }
-    }
-
-    /// `--strategy` with `auto` support: `None` means let the planner
-    /// choose; a concrete value forces that strategy. Defaults to auto.
-    fn strategy_or_auto(&self) -> Result<Option<Strategy>, String> {
-        match self.flags.get("strategy").map(String::as_str) {
-            None | Some("auto") => Ok(None),
-            Some(_) => self.strategy().map(Some),
-        }
-    }
-
     fn family(&self) -> Result<QueryFamily, String> {
         let f = self
             .flags
@@ -166,95 +126,60 @@ impl Args {
 
 fn usage() -> &'static str {
     "usage:
-  mj sql      \"<query>\" | -  [--query chain|star|skewed --relations K
-              --tuples N --seed X --procs P --workers W] [--explain]
-              [--limit R] [--format table|csv|json]
-  mj serve    [--addr HOST:PORT] [--workers W --max-clients M]
-              [--query chain|star|skewed --relations K --tuples N --seed X
-              --procs P]
-  mj shapes   [--relations K]
-  mj plan     [--query chain|star|skewed] [--strategy auto|ST]
-              [--relations K --tuples N --procs P --seed X]   (planner explain)
-  mj plan     --shape S --strategy ST [--relations K --tuples N --procs P]
-  mj simulate --shape S --strategy ST [--relations K --tuples N --procs P] [--gantt]
-  mj sweep    --shape S [--tuples N]
-  mj run      [--query chain|star|skewed] [--strategy auto|ST]
-              [--relations K --tuples N --procs P --seed X]   (planner-driven)
-  mj run      --shape S --strategy ST [--relations K --tuples N --procs P]
-  mj optimize --query chain|skewed|star [--relations K]
+  mj sql   \"<query>\" | -  [--query chain|star|skewed --relations K
+           --tuples N --seed X --procs P --workers W] [--explain]
+           [--limit R] [--format table|csv|json]
+  mj serve [--addr HOST:PORT] [--workers W --max-clients M]
+           [--query chain|star|skewed --relations K --tuples N --seed X
+           --procs P]
 
-`mj sql` opens a Database over a seeded --query family (chain relations
-have columns a, b, id; star has dims R0..R{K-2} (key, payload) and fact
-R{K-1} (fk0.., measure)), then parses, plans, and *streams* the query:
+Both open a Database over a seeded --query family (chain relations have
+columns a, b, id; star has dims R0..R{K-2} (key, payload) and fact
+R{K-1} (fk0.., measure)). `mj sql` parses, plans, and *streams* the query:
 
   mj sql \"SELECT * FROM R0 JOIN R1 ON R0.b = R1.a JOIN R2 ON R1.b = R2.a\"
   mj sql \"SELECT R0.b, COUNT(*) FROM R0 JOIN R1 ON R0.b = R1.a
           WHERE R1.id < 500 GROUP BY R0.b LIMIT 10\"
   echo \"SELECT R0.id, R2.id FROM ...\" | mj sql -    (newlines + -- comments ok)
-  mj sql --explain \"SELECT ...\"        (costed alternatives, no execution)
+  mj sql --explain \"SELECT ...\"        (costed alternatives and the chosen
+                                       plan, no execution)
 
 `mj serve` runs its listener and every connection as tasks on the
 --workers engine pool and starts no thread of its own: an idle worker
 waits for socket edges itself and serves the request that arrives.
 
-sql and serve plan over one logical processor per --workers unless --procs
-is given; plan, run and simulate keep a fixed --procs default, the paper's
-machine of one worker per processor.
-
-Without --shape, plan/run use the cost-based planner (tree, strategy, and
-processor allocation chosen from catalog statistics); --strategy with a
-concrete value overrides only the strategy. With --shape, the legacy fixed
-grid runs.
-
-shapes: left-linear left-bushy wide-bushy right-bushy right-linear
-strategies: sp se rd fp (the paper's four parallelization strategies);
-`auto` additionally works for plan/run without --shape"
+Both plan over one logical processor per --workers unless --procs is
+given. The paper's figures and experiments are `repro`'s."
 }
 
-/// Plans a `--query` family instance with the cost-based planner.
-fn plan_family(
-    args: &Args,
-) -> Result<
-    (
-        multijoin::exec::FamilyInstance,
-        multijoin::exec::PlannedQuery,
-        usize,
-    ),
-    String,
-> {
+/// Opens the database both verbs query: a fresh [`Database`] holding the
+/// seeded `--query` family, registered and analyzed. Also returns a line
+/// describing the data.
+fn open_family(args: &Args) -> Result<(Database, String), String> {
     let family = args.family()?;
-    let k: usize = args.num("relations", 6)?;
+    let k: usize = args.num("relations", 4)?;
     let tuples: usize = args.num("tuples", 2_000)?;
-    let procs: usize = args.num("procs", 8)?;
     let seed: u64 = args.num("seed", 42)?;
-    let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
-    let mut options = PlannerOptions::new(procs);
-    options.strategy = args.strategy_or_auto()?;
-    // `mj run` executes on the default engine configuration: cost for its
-    // pool, as a `Database` would.
-    let planned = Planner::new(options)
-        .with_workers(ExecConfig::default().workers)
-        .plan(&instance.query)
-        .map_err(|e| e.to_string())?;
-    Ok((instance, planned, procs))
-}
+    let mut config = DbConfig::default();
+    config.exec.workers = args.num("workers", config.exec.workers)?;
+    config.planner.processors = args.num("procs", PlannerOptions::ONE_PER_WORKER)?;
 
-/// Plans a (shape, strategy, tuples, procs) configuration.
-fn make_plan(
-    args: &Args,
-) -> Result<(multijoin::core::plan_ir::ParallelPlan, Shape, u64, usize), String> {
-    let shape = args.shape()?;
-    let strategy = args.strategy()?;
-    let k: usize = args.num("relations", 10)?;
-    let tuples: u64 = args.num("tuples", 40_000)?;
-    let procs: usize = args.num("procs", 40)?;
-    let tree = build(shape, k).map_err(|e| e.to_string())?;
-    let cards = node_cards(&tree, &UniformOneToOne { n: tuples });
-    let costs = tree_costs(&tree, &cards, &CostModel::default());
-    let mut input = GeneratorInput::new(&tree, &cards, &costs, procs);
-    input.allow_oversubscribe = procs < tree.join_count();
-    let plan = generate(strategy, &input).map_err(|e| e.to_string())?;
-    Ok((plan, shape, tuples, procs))
+    let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
+    let db = Database::open(config).map_err(|e| e.to_string())?;
+    let mut names = instance.catalog.names();
+    names.sort();
+    for name in &names {
+        let rel = instance.catalog.relation(name).map_err(|e| e.to_string())?;
+        db.register(name, rel).map_err(|e| e.to_string())?;
+    }
+    db.analyze().map_err(|e| e.to_string())?;
+    let data = format!(
+        "`{family}` family, {k} relations x {tuples} base tuples (seed {seed}); \
+         {} workers, {} logical processors",
+        db.engine().workers(),
+        db.planner_options().processors
+    );
+    Ok((db, data))
 }
 
 /// Output modes of the streaming row printer.
@@ -324,7 +249,7 @@ fn json_string(s: &str) -> String {
 fn cmd_sql(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
 
-    let text = match args.positional.get(1).map(String::as_str) {
+    let text = match args.positional.first().map(String::as_str) {
         None => {
             return Err("usage: mj sql \"<query>\"  (or `mj sql -` to read stdin)".into());
         }
@@ -337,14 +262,6 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
         }
         Some(q) => q.to_string(),
     };
-
-    // Data: a seeded family instance registered through the front door.
-    let family = args.family()?;
-    let k: usize = args.num("relations", 4)?;
-    let tuples: usize = args.num("tuples", 2_000)?;
-    let seed: u64 = args.num("seed", 42)?;
-    let procs: usize = args.num("procs", PlannerOptions::ONE_PER_WORKER)?;
-    let workers: usize = args.num("workers", ExecConfig::default().workers)?;
     let limit: usize = args.num("limit", 20)?;
     let format = OutFormat::parse(
         args.flags
@@ -353,23 +270,8 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
             .unwrap_or("table"),
     )?;
 
-    let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
-    let mut config = DbConfig::default();
-    config.exec.workers = workers;
-    config.planner.processors = procs;
-    let db = Database::open(config).map_err(|e| e.to_string())?;
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        let rel = instance.catalog.relation(name).map_err(|e| e.to_string())?;
-        db.register(name, rel).map_err(|e| e.to_string())?;
-    }
-    db.analyze().map_err(|e| e.to_string())?;
-    eprintln!(
-        "data: `{family}` family, {k} relations x {tuples} base tuples (seed {seed}); \
-         {workers} workers, {} logical processors",
-        db.planner_options().processors
-    );
+    let (db, data) = open_family(args)?;
+    eprintln!("data: {data}");
 
     if args.switch("explain") {
         let planned = db.plan(&text).map_err(|e| e.render(&text))?;
@@ -380,12 +282,14 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
         println!("costed alternatives (estimated schedule cost, §4.3 units):");
         print!("{}", planned.explain());
         println!(
-            "winner: {} — estimated cost {:.0} (startup {:.0}, coordination {:.0})",
+            "winner: {} — estimated cost {:.0} (startup {:.0}, coordination {:.0}, total work {:.0})",
             planned.strategy(),
             planned.estimate.makespan,
             planned.estimate.startup,
             planned.estimate.coordination,
+            planned.estimate.total_work,
         );
+        print!("{}", planned.plan);
         return Ok(());
     }
 
@@ -482,12 +386,6 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use multijoin::server::{Server, ServerConfig};
 
-    let family = args.family()?;
-    let k: usize = args.num("relations", 4)?;
-    let tuples: usize = args.num("tuples", 2_000)?;
-    let seed: u64 = args.num("seed", 42)?;
-    let procs: usize = args.num("procs", PlannerOptions::ONE_PER_WORKER)?;
-    let workers: usize = args.num("workers", ExecConfig::default().workers)?;
     let addr = args
         .flags
         .get("addr")
@@ -495,19 +393,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let max_clients: usize = args.num("max-clients", ServerConfig::default().max_clients)?;
 
-    let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
-    let mut config = DbConfig::default();
-    config.exec.workers = workers;
-    config.planner.processors = procs;
-    let db = Database::open(config).map_err(|e| e.to_string())?;
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        let rel = instance.catalog.relation(name).map_err(|e| e.to_string())?;
-        db.register(name, rel).map_err(|e| e.to_string())?;
-    }
-    db.analyze().map_err(|e| e.to_string())?;
-
+    let (db, data) = open_family(args)?;
     let db = Arc::new(db);
     let server = Server::start(
         db.clone(),
@@ -519,12 +405,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     eprintln!(
-        "serving `{family}` family ({k} relations x {tuples} tuples, seed {seed}) \
-         on {} — {} engine workers ({} logical processors), {} clients max",
-        server.local_addr(),
-        workers,
-        db.planner_options().processors,
-        max_clients,
+        "serving on {} ({max_clients} clients max): {data}",
+        server.local_addr()
     );
     eprintln!(
         "protocol: one JSON object per line — {{\"query\": \"SELECT ...\"}}, \
@@ -561,292 +443,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_shapes(args: &Args) -> Result<(), String> {
-    let k: usize = args.num("relations", 10)?;
-    for shape in Shape::ALL {
-        let tree = build(shape, k).map_err(|e| e.to_string())?;
-        println!(
-            "--- {shape} (depth {}, right spine {}) ---",
-            tree.depth(),
-            tree.right_spine_len()
-        );
-        println!("{}", render::render(&tree));
-    }
-    Ok(())
-}
-
-fn cmd_plan(args: &Args) -> Result<(), String> {
-    if args.flags.contains_key("shape") {
-        // Legacy fixed path: explicit shape and strategy.
-        let (plan, shape, tuples, procs) = make_plan(args)?;
-        let stats = plan.stats();
-        println!("{plan}");
-        println!(
-            "shape {shape}, {tuples} tuples/relation, {procs} processors: \
-             {} operation processes, {} tuple streams, {} pipeline edges",
-            stats.operation_processes, stats.tuple_streams, stats.pipeline_edges
-        );
-        return Ok(());
-    }
-    // Planner explain: cost every (strategy, orientation) alternative.
-    let (instance, planned, procs) = plan_family(args)?;
-    println!(
-        "query family `{}` over {} relations, {procs} processors",
-        instance.family,
-        instance.query.len()
-    );
-    println!("chosen join tree (phase-1 minimal total cost, winner's orientation):");
-    for line in render::render(&planned.tree).lines() {
-        println!("  {line}");
-    }
-    println!("costed alternatives (estimated schedule cost, §4.3 units):");
-    print!("{}", planned.explain());
-    println!(
-        "winner: {} — estimated cost {:.0} (startup {:.0}, coordination {:.0}, total work {:.0})",
-        planned.strategy(),
-        planned.estimate.makespan,
-        planned.estimate.startup,
-        planned.estimate.coordination,
-        planned.estimate.total_work,
-    );
-    println!("{}", planned.plan);
-    Ok(())
-}
-
-fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let (plan, shape, tuples, procs) = make_plan(args)?;
-    let params = SimParams::default();
-    let sim = simulate(&plan, &params).map_err(|e| e.to_string())?;
-    println!(
-        "{shape} / {} on {procs} processors, {tuples} tuples/relation: \
-         response {:.2}s, utilization {:.0}%",
-        args.strategy()?,
-        sim.response_time,
-        100.0 * sim.utilization(procs)
-    );
-    if args.switch("gantt") {
-        print!(
-            "{}",
-            render_gantt(&plan, &sim, 72, |j| char::from_digit((j % 10) as u32, 10))
-        );
-    }
-    Ok(())
-}
-
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let shape = args.shape()?;
-    let tuples: u64 = args.num("tuples", 40_000)?;
-    let params = SimParams::default();
-    println!("{shape}, {tuples} tuples/relation — simulated response times (s)");
-    println!(
-        "{:>6} {:>8} {:>8} {:>8} {:>8}",
-        "procs", "SP", "SE", "RD", "FP"
-    );
-    for procs in [20usize, 30, 40, 50, 60, 70, 80] {
-        let mut row = format!("{procs:>6}");
-        for strategy in Strategy::ALL {
-            let tree = build(shape, 10).map_err(|e| e.to_string())?;
-            let cards = node_cards(&tree, &UniformOneToOne { n: tuples });
-            let costs = tree_costs(&tree, &cards, &CostModel::default());
-            let input = GeneratorInput::new(&tree, &cards, &costs, procs);
-            let plan = generate(strategy, &input).map_err(|e| e.to_string())?;
-            let sim = simulate(&plan, &params).map_err(|e| e.to_string())?;
-            row.push_str(&format!(" {:>8.2}", sim.response_time));
-        }
-        println!("{row}");
-    }
-    Ok(())
-}
-
-fn cmd_run(args: &Args) -> Result<(), String> {
-    if !args.flags.contains_key("shape") {
-        return cmd_run_planner(args);
-    }
-    let shape = args.shape()?;
-    let strategy = args.strategy()?;
-    let k: usize = args.num("relations", 8)?;
-    let tuples: usize = args.num("tuples", 2_000)?;
-    let procs: usize = args.num("procs", 4)?;
-
-    let catalog = Arc::new(Catalog::new());
-    for (name, rel) in WisconsinGenerator::new(tuples, 42).generate_named("R", k) {
-        catalog.register(name, rel);
-    }
-    let tree = build(shape, k).map_err(|e| e.to_string())?;
-    let cards = node_cards(&tree, &UniformOneToOne { n: tuples as u64 });
-    let costs = tree_costs(&tree, &cards, &CostModel::default());
-    let mut input = GeneratorInput::new(&tree, &cards, &costs, procs);
-    input.allow_oversubscribe = true;
-    let plan = generate(strategy, &input).map_err(|e| e.to_string())?;
-    let binding = QueryBinding::regular(&tree, catalog.as_ref()).map_err(|e| e.to_string())?;
-    let outcome = run_plan(&plan, &binding, catalog.clone(), &ExecConfig::default())
-        .map_err(|e| e.to_string())?;
-
-    let oracle = to_xra(&tree, 3, JoinAlgorithm::Simple)
-        .eval(catalog.as_ref())
-        .map_err(|e| e.to_string())?;
-    let ok = outcome.relation.multiset_eq(&oracle);
-    println!(
-        "{shape} / {strategy}: {} tuples in {:.1} ms on {procs} logical processors \
-         ({} processes, {} streams) — oracle {}",
-        outcome.relation.len(),
-        outcome.elapsed.as_secs_f64() * 1e3,
-        outcome.metrics.processes,
-        outcome.metrics.streams,
-        if ok { "match" } else { "MISMATCH" }
-    );
-    if !ok {
-        return Err("parallel result diverged from the sequential oracle".into());
-    }
-    Ok(())
-}
-
-/// Planner-driven execution: generate a `--query` family, let the planner
-/// pick tree/strategy/allocation, run on the real engine, and report
-/// estimated-vs-actual cardinalities per operator.
-fn cmd_run_planner(args: &Args) -> Result<(), String> {
-    let (instance, planned, procs) = plan_family(args)?;
-    println!(
-        "query family `{}`: planner chose {} on {procs} logical processors \
-         (tree depth {}, right spine {}, estimated cost {:.0})",
-        instance.family,
-        planned.strategy(),
-        planned.tree.depth(),
-        planned.tree.right_spine_len(),
-        planned.estimate.makespan,
-    );
-    let outcome = run_plan(
-        &planned.plan,
-        &planned.binding,
-        instance.catalog.clone(),
-        &ExecConfig::default(),
-    )
-    .map_err(|e| e.to_string())?;
-
-    let oracle = planned
-        .lowered
-        .to_xra(&planned.tree, JoinAlgorithm::Simple)
-        .map_err(|e| e.to_string())?
-        .eval(instance.catalog.as_ref())
-        .map_err(|e| e.to_string())?;
-    let ok = outcome.relation.multiset_eq(&oracle);
-    println!(
-        "{} tuples in {:.1} ms ({} processes, {} streams) — oracle {}",
-        outcome.relation.len(),
-        outcome.elapsed.as_secs_f64() * 1e3,
-        outcome.metrics.processes,
-        outcome.metrics.streams,
-        if ok { "match" } else { "MISMATCH" }
-    );
-    println!("estimated vs actual cardinalities per operator:");
-    println!(
-        "  {:>4} {:>12} {:>12} {:>8}",
-        "op", "estimated", "actual", "q-err"
-    );
-    for (op, est, actual) in outcome.metrics.cardinality_report() {
-        println!(
-            "  {:>4} {:>12} {:>12} {:>8.2}",
-            format!("op{op}"),
-            est,
-            actual,
-            outcome.metrics.ops[op].q_error()
-        );
-    }
-    println!("max q-error: {:.2}", outcome.metrics.max_q_error());
-    if !ok {
-        return Err("parallel result diverged from the sequential oracle".into());
-    }
-    Ok(())
-}
-
-fn cmd_optimize(args: &Args) -> Result<(), String> {
-    let kind = args
-        .flags
-        .get("query")
-        .map(String::as_str)
-        .unwrap_or("chain");
-    let k: usize = args.num("relations", 10)?;
-    if k < 2 {
-        return Err("--relations must be at least 2".into());
-    }
-    let graph = match kind {
-        "chain" => QueryGraph::regular_chain(k, 10_000).map_err(|e| e.to_string())?,
-        "skewed" => {
-            let mut g = QueryGraph::new();
-            for i in 0..k {
-                g.add_relation(format!("R{i}"), 10u64.pow(1 + (i % 4) as u32) * 50)
-                    .map_err(|e| e.to_string())?;
-            }
-            for i in 0..k - 1 {
-                g.add_edge(i, i + 1, 1e-2).map_err(|e| e.to_string())?;
-            }
-            g
-        }
-        "star" => {
-            let mut g = QueryGraph::new();
-            let fact = g
-                .add_relation("fact", 1_000_000)
-                .map_err(|e| e.to_string())?;
-            for d in 0..k - 1 {
-                let dim = g
-                    .add_relation(format!("dim{d}"), 100 + 50 * d as u64)
-                    .map_err(|e| e.to_string())?;
-                g.add_edge(fact, dim, 1e-3).map_err(|e| e.to_string())?;
-            }
-            g
-        }
-        other => {
-            return Err(format!(
-                "unknown query kind `{other}` (chain, skewed, star)"
-            ))
-        }
-    };
-    let cm = CostModel::default();
-    let mut results: Vec<(&str, f64, Option<String>)> = Vec::new();
-    // The exact optimizers give up on graphs too dense for their budget.
-    let mut exact = |name, result: Result<OptimizedPlan, RelalgError>, show_tree: bool| match result
-    {
-        Ok(plan) => {
-            let tree = show_tree.then(|| render::render(&plan.tree));
-            results.push((name, plan.total_cost, tree));
-            Ok(Some(plan.total_cost))
-        }
-        Err(e @ RelalgError::PairBudgetExceeded { .. }) => {
-            println!("({name}: {e})");
-            Ok(None)
-        }
-        Err(e) => Err(e.to_string()),
-    };
-    let dp_cost = exact("bushy DP (optimum)", optimize_bushy(&graph, &cm), true)?;
-    exact("linear DP", optimize_linear(&graph, &cm), false)?;
-    let gr = greedy_tree(&graph, &cm).map_err(|e| e.to_string())?;
-    results.push(("greedy", gr.total_cost, None));
-    let ii = iterative_improvement(&graph, &cm, IterativeOptions::default())
-        .map_err(|e| e.to_string())?;
-    results.push(("iterative improvement", ii.total_cost, None));
-    let sa =
-        simulated_annealing(&graph, &cm, AnnealingOptions::default()).map_err(|e| e.to_string())?;
-    results.push(("simulated annealing", sa.total_cost, None));
-    let rnd = random_tree(&graph, &cm, 1).map_err(|e| e.to_string())?;
-    results.push(("random tree", rnd.total_cost, None));
-
-    println!("{kind} query over {k} relations (total cost, paper cost model):");
-    for (name, cost, tree) in &results {
-        match dp_cost {
-            Some(opt) => println!("  {name:<22} {cost:>14.3e}  ({:.2}x optimum)", cost / opt),
-            None => println!("  {name:<22} {cost:>14.3e}"),
-        }
-        if let Some(t) = tree {
-            for line in t.lines() {
-                println!("      {line}");
-            }
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
-    // Exit quietly when stdout closes mid-write (e.g. `mj sweep | head`);
+    // Exit quietly when stdout closes mid-write (e.g. `mj sql ... | head`);
     // print other panics without the default backtrace noise.
     std::panic::set_hook(Box::new(|info| {
         let msg = info.to_string();
@@ -856,29 +454,25 @@ fn main() -> ExitCode {
         eprintln!("{msg}");
     }));
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}\n{}", usage());
+    let (cmd, rest) = match argv.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("", &[][..]),
+    };
+    let verb = match cmd {
+        "sql" => &SQL,
+        "serve" => &SERVE,
+        "" | "help" | "-h" | "--help" => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command `{other}`\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    let cmd = args.positional.first().map(String::as_str).unwrap_or("");
-    let result = match cmd {
-        "sql" => cmd_sql(&args),
-        "serve" => cmd_serve(&args),
-        "shapes" => cmd_shapes(&args),
-        "plan" => cmd_plan(&args),
-        "simulate" => cmd_simulate(&args),
-        "sweep" => cmd_sweep(&args),
-        "run" => cmd_run(&args),
-        "optimize" => cmd_optimize(&args),
-        "" | "help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
-    };
+    let result = parse_args(rest, verb)
+        .map_err(|e| format!("{e}\n{}", usage()))
+        .and_then(|args| (verb.run)(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
