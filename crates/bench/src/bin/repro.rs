@@ -13,13 +13,13 @@
 //!   fig14                 best-response-time table
 //!   costfn                cost-function shape-invariance (44N)
 //!   ablation-twophase     two-phase optimization vs a joint search (§1.2)
-//!   ablation-optimizers   phase-1 optimizers on a skewed chain and a star
 //!   ablation-mirror       RD with and without tree mirroring (§5)
 //!   ablation-memory       RD vs FP peak hash-table memory (§5)
 //!   ablation-skew         partition balance under Zipf skew (§3.5)
 //!   ablation-pipeline     linear vs bushy pipeline fill delay (§2.3.3)
 //!
-//! CSV series are written to results/. The real engine is measured by the
+//! An unknown name exits 2 before any experiment runs. CSV series are
+//! written to results/. The real engine is measured by the
 //! `benchmark/` package (see `benchmark/README.md`), and its agreement with
 //! the oracle by `crates/mj/tests/strategy_equivalence.rs`.
 
@@ -40,59 +40,63 @@ use mj_plan::transform::right_orient;
 use mj_sim::{peak_bytes_per_processor, render_gantt, run_scenario, simulate, Scenario, SimParams};
 use mj_storage::skew;
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 18] = [
+    ("fig3", || {
+        utilization_figure(Strategy::SP, "Figure 3: Sequential Parallel (SP)")
+    }),
+    ("fig4", || {
+        utilization_figure(Strategy::SE, "Figure 4: Synchronous Execution (SE)")
+    }),
+    ("fig5", fig5_segments),
+    ("fig6", || {
+        utilization_figure(Strategy::RD, "Figure 6: Segmented Right-Deep (RD)")
+    }),
+    ("fig7", || {
+        utilization_figure(Strategy::FP, "Figure 7: Full Parallel (FP)")
+    }),
+    ("fig8", fig8_shapes),
+    ("fig9", || response_figure(Shape::LeftLinear, 9)),
+    ("fig10", || response_figure(Shape::LeftBushy, 10)),
+    ("fig11", || response_figure(Shape::WideBushy, 11)),
+    ("fig12", || response_figure(Shape::RightBushy, 12)),
+    ("fig13", || response_figure(Shape::RightLinear, 13)),
+    ("fig14", fig14_best),
+    ("costfn", costfn_invariance),
+    ("ablation-twophase", ablation_twophase),
+    ("ablation-mirror", ablation_mirror),
+    ("ablation-memory", ablation_memory),
+    ("ablation-skew", ablation_skew),
+    ("ablation-pipeline", ablation_pipeline),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "costfn",
-            "ablation-twophase",
-            "ablation-optimizers",
-            "ablation-mirror",
-            "ablation-memory",
-            "ablation-skew",
-            "ablation-pipeline",
-        ]
+    let wanted: Vec<(&str, fn())> = if args.is_empty() || args.iter().any(|a| a == "all") {
+        EXPERIMENTS.to_vec()
     } else {
-        args.iter().map(String::as_str).collect()
+        // Every name is checked before anything runs.
+        let mut wanted = Vec::with_capacity(args.len());
+        for arg in &args {
+            match EXPERIMENTS.iter().find(|(name, _)| name == arg) {
+                Some(&experiment) => wanted.push(experiment),
+                None => {
+                    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+                    eprintln!(
+                        "unknown experiment `{arg}`; experiments: all {}",
+                        names.join(" ")
+                    );
+                    std::process::exit(2);
+                }
+            }
+        }
+        wanted
     };
 
-    for exp in wanted {
+    for (name, run) in wanted {
         let t0 = Instant::now();
-        match exp {
-            "fig3" => utilization_figure(Strategy::SP, "Figure 3: Sequential Parallel (SP)"),
-            "fig4" => utilization_figure(Strategy::SE, "Figure 4: Synchronous Execution (SE)"),
-            "fig5" => fig5_segments(),
-            "fig6" => utilization_figure(Strategy::RD, "Figure 6: Segmented Right-Deep (RD)"),
-            "fig7" => utilization_figure(Strategy::FP, "Figure 7: Full Parallel (FP)"),
-            "fig8" => fig8_shapes(),
-            "fig9" => response_figure(Shape::LeftLinear, 9),
-            "fig10" => response_figure(Shape::LeftBushy, 10),
-            "fig11" => response_figure(Shape::WideBushy, 11),
-            "fig12" => response_figure(Shape::RightBushy, 12),
-            "fig13" => response_figure(Shape::RightLinear, 13),
-            "fig14" => fig14_best(),
-            "costfn" => costfn_invariance(),
-            "ablation-twophase" => ablation_twophase(),
-            "ablation-optimizers" => ablation_optimizers(),
-            "ablation-mirror" => ablation_mirror(),
-            "ablation-memory" => ablation_memory(),
-            "ablation-skew" => ablation_skew(),
-            "ablation-pipeline" => ablation_pipeline(),
-            other => eprintln!("unknown experiment `{other}` (see --help text in the source)"),
-        }
-        eprintln!("[{exp} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
+        run();
+        eprintln!("[{name} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
 }
 
@@ -320,88 +324,6 @@ fn ablation_twophase() {
     );
     println!("(phase 1 cannot rank the regular query's trees — all cost 44N — so the tree it");
     println!(" happens to return determines how much the two-phase shortcut leaves on the table)");
-}
-
-/// Phase-1 optimizer quality and cost on queries where tree choice
-/// matters: exhaustive bushy DP (optimum), System-R linear DP, greedy,
-/// random-restart iterative improvement, simulated annealing, and a
-/// random tree as the floor.
-fn ablation_optimizers() {
-    use mj_plan::{
-        greedy_tree, iterative_improvement, optimize_bushy, optimize_linear, random_tree,
-        simulated_annealing, AnnealingOptions, IterativeOptions, QueryGraph,
-    };
-    println!("== Ablation: phase-1 optimizers on a skewed chain and a star query ==");
-    let cm = CostModel::default();
-
-    let mut skewed = QueryGraph::new();
-    for i in 0..12usize {
-        skewed
-            .add_relation(format!("R{i}"), 10u64.pow(1 + (i % 4) as u32) * 50)
-            .unwrap();
-    }
-    for i in 0..11usize {
-        skewed.add_edge(i, i + 1, 1e-2).expect("edge");
-    }
-    let mut star = QueryGraph::new();
-    let fact = star.add_relation("fact", 2_000_000).unwrap();
-    for d in 0..8usize {
-        let dim = star
-            .add_relation(format!("dim{d}"), 200 + 100 * d as u64)
-            .unwrap();
-        star.add_edge(fact, dim, 1e-4).expect("edge");
-    }
-
-    let mut rows = Vec::new();
-    for (name, graph) in [("skewed chain (12)", &skewed), ("star (1+8)", &star)] {
-        let optimum = optimize_bushy(graph, &cm).expect("dp").total_cost;
-        let timed = |label: &str, plan: mj_plan::optimize::OptimizedPlan, us: f64| {
-            vec![
-                name.to_string(),
-                label.to_string(),
-                format!("{:.3e}", plan.total_cost),
-                format!("{:.2}x", plan.total_cost / optimum),
-                format!("{us:.0} us"),
-            ]
-        };
-        let t = Instant::now();
-        let dp = optimize_bushy(graph, &cm).expect("dp");
-        rows.push(timed(
-            "bushy DP (optimum)",
-            dp,
-            t.elapsed().as_secs_f64() * 1e6,
-        ));
-        let t = Instant::now();
-        let lin = optimize_linear(graph, &cm).expect("linear dp");
-        rows.push(timed("linear DP", lin, t.elapsed().as_secs_f64() * 1e6));
-        let t = Instant::now();
-        let gr = greedy_tree(graph, &cm).expect("greedy");
-        rows.push(timed("greedy", gr, t.elapsed().as_secs_f64() * 1e6));
-        let t = Instant::now();
-        let ii = iterative_improvement(graph, &cm, IterativeOptions::default()).expect("ii");
-        rows.push(timed(
-            "iterative improvement",
-            ii,
-            t.elapsed().as_secs_f64() * 1e6,
-        ));
-        let t = Instant::now();
-        let sa = simulated_annealing(graph, &cm, AnnealingOptions::default()).expect("sa");
-        rows.push(timed(
-            "simulated annealing",
-            sa,
-            t.elapsed().as_secs_f64() * 1e6,
-        ));
-        let t = Instant::now();
-        let rnd = random_tree(graph, &cm, 1).expect("random");
-        rows.push(timed("random tree", rnd, t.elapsed().as_secs_f64() * 1e6));
-    }
-    println!(
-        "{}",
-        format_table(
-            &["query", "optimizer", "total cost", "vs optimum", "time"],
-            &rows
-        )
-    );
 }
 
 /// §5: "it is possible without cost penalty to mirror (parts of) a query to

@@ -1,47 +1,27 @@
-//! The reproduction does not move: `repro`'s deterministic experiments
-//! print exactly `testdata/repro.txt`. Every figure and ablation but
-//! `ablation-optimizers` (which prints wall-clock microseconds) is covered.
-//! After a change that is meant to move a figure, regenerate the file with
+//! The reproduction does not move: `repro all` prints exactly
+//! `testdata/repro.txt`. Every experiment is deterministic, so one added
+//! later is pinned as soon as `all` runs it. After a change that is meant
+//! to move a figure, regenerate the file with
 //!
 //! ```text
-//! cargo run --release -p mj-bench --bin repro -- fig3 fig4 fig5 fig6 fig7 \
-//!     fig8 fig9 fig10 fig11 fig12 fig13 fig14 costfn ablation-twophase \
-//!     ablation-mirror ablation-memory ablation-skew ablation-pipeline \
-//!     > crates/bench/testdata/repro.txt
+//! cargo run --release -p mj-bench --bin repro -- all > crates/bench/testdata/repro.txt
 //! ```
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-const VERBS: [&str; 18] = [
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "costfn",
-    "ablation-twophase",
-    "ablation-mirror",
-    "ablation-memory",
-    "ablation-skew",
-    "ablation-pipeline",
-];
+/// Runs `repro` with `args`. It writes its CSV series under `results/` of
+/// its working directory; keep them out of the source tree.
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("run repro")
+}
 
 #[test]
 fn repro_prints_the_pinned_figures() {
-    // `repro` writes its CSV series under `results/` of its working
-    // directory; keep them out of the source tree.
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(VERBS)
-        .current_dir(env!("CARGO_TARGET_TMPDIR"))
-        .output()
-        .expect("run repro");
+    let out = repro(&["all"]);
     assert!(
         out.status.success(),
         "{}",
@@ -53,4 +33,17 @@ fn repro_prints_the_pinned_figures() {
         assert_eq!(g, w, "line {} differs", i + 1);
     }
     assert_eq!(got, want);
+}
+
+#[test]
+fn an_unknown_experiment_exits_nonzero_before_anything_runs() {
+    let out = repro(&["fig3", "no-such-figure"]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "fig3 ran before the name check");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown experiment `no-such-figure`"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("done in"), "{stderr}");
 }

@@ -19,6 +19,10 @@ pub const DEFAULT_CHANNEL_CAPACITY: usize = 16;
 /// in-flight queries are multiplexed onto.
 pub const DEFAULT_WORKERS: usize = 4;
 
+/// The most worker threads a pool may have: each is an OS thread, and the
+/// paper's grid stops at 80 processors.
+pub const MAX_WORKERS: usize = 1024;
+
 /// When a query runs with late materialization: base payload columns are
 /// replaced by one packed row-reference column per leaf, joins move only
 /// join keys plus refs, and the full-width rows are gathered once at the
@@ -85,6 +89,12 @@ impl ExecConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.workers == 0 {
             return Err("workers must be positive".into());
+        }
+        if self.workers > MAX_WORKERS {
+            return Err(format!(
+                "workers must be at most {MAX_WORKERS}, got {}",
+                self.workers
+            ));
         }
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());

@@ -25,10 +25,11 @@
 //! relative orderings at small processor counts.
 //!
 //! The [`planner`] module closes the loop upstream: it takes an arbitrary
-//! equi-join [`mj_plan::query::JoinQuery`], picks the join tree with the
-//! phase-1 optimizers, costs all four strategies (with processor
-//! allocation) under the analytic schedule model, and lowers the winner
-//! into a `ParallelPlan` + [`QueryBinding`] ready for [`Engine::run`].
+//! equi-join [`mj_plan::query::JoinQuery`], picks the join tree in phase 1
+//! (bushy DP, greedy past the pair budget), costs all four strategies
+//! (with processor allocation) under the analytic schedule model, and
+//! lowers the winner into a `ParallelPlan` + [`QueryBinding`] ready for
+//! [`Engine::run`].
 //!
 //! The [`session`] module is the public front door over all of it:
 //! [`Database::open`](session::Database::open) +

@@ -53,9 +53,10 @@ use mj_storage::Catalog;
 use crate::binding::{PipelineStage, QueryBinding, StageKind};
 
 /// Planner knobs. [`PlannerOptions::new`] gives the defaults: all four
-/// strategies considered, oversubscription allowed when the machine is
-/// smaller than the plan. Each strategy is always costed on the phase-1
-/// tree and on its right-oriented mirror.
+/// strategies considered. Each strategy is always costed on the phase-1
+/// tree and on its right-oriented mirror, with the paper's cost model
+/// (§4.3), and concurrent operations share processors when a strategy
+/// needs more than there are.
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerOptions {
     /// Logical processors the plan may use: the most partitions (operation
@@ -83,20 +84,14 @@ pub struct PlannerOptions {
     /// taken as given: the paper's grid and tests of multiplexing more
     /// processes than workers set it.
     pub processors: usize,
-    /// Phase-1 / work cost model (§4.3 coefficients).
-    pub cost_model: CostModel,
     /// Schedule model for phase-2 candidate costing and for the grain
     /// that bounds every operation's degree
     /// ([`ScheduleModel::process_grain`]). The default is the model
     /// measured on this engine.
     pub schedule_model: ScheduleModel,
-    /// Forces a single strategy instead of costing all four — the manual
-    /// `--strategy` override with planner-chosen tree and allocation.
+    /// Forces a single strategy instead of costing all four; the tree and
+    /// the allocation are still the planner's.
     pub strategy: Option<Strategy>,
-    /// Permit concurrent operations to share processors when `processors`
-    /// is smaller than a strategy needs (otherwise such candidates are
-    /// simply skipped as infeasible).
-    pub allow_oversubscribe: bool,
 }
 
 impl PlannerOptions {
@@ -105,14 +100,17 @@ impl PlannerOptions {
     /// [`Planner::with_workers`] replaces it with the worker count.
     pub const ONE_PER_WORKER: usize = usize::MAX;
 
+    /// The most logical processors a plan may use. A plan lists its
+    /// processors, so an unbounded count is an unbounded allocation; the
+    /// paper's grid stops at 80.
+    pub const MAX_PROCESSORS: usize = 1024;
+
     /// Default options for a machine of `processors` logical processors.
     pub fn new(processors: usize) -> Self {
         PlannerOptions {
             processors,
-            cost_model: CostModel::default(),
             schedule_model: ScheduleModel::default(),
             strategy: None,
-            allow_oversubscribe: true,
         }
     }
 }
@@ -174,8 +172,6 @@ pub struct PlanDetails {
     pub estimate: ScheduleEstimate,
     /// Every costed candidate, cheapest first (winner is `choices[0]`).
     pub choices: Vec<PlanChoice>,
-    /// Candidates that could not be planned, with the reason.
-    pub infeasible: Vec<(Strategy, bool, String)>,
     /// The schedule model every candidate was costed (and every degree
     /// bounded) with.
     pub schedule_model: ScheduleModel,
@@ -233,12 +229,6 @@ impl PlannedQuery {
                 c.stats.tuple_streams,
                 c.stats.operation_processes,
                 if i == 0 { "<- chosen" } else { "" },
-            ));
-        }
-        for (s, mirrored, why) in &self.infeasible {
-            out.push_str(&format!(
-                "{:<10} infeasible: {why}\n",
-                format!("{s}{}", if *mirrored { "+mirror" } else { "" })
             ));
         }
         let relations = self.tree.leaf_count();
@@ -479,15 +469,17 @@ impl Planner {
     /// processors (hash on the first integer grouping column), and a LIMIT
     /// becomes the degree-1 early-terminating stage.
     pub fn plan_select(&self, query: &JoinQuery, spec: &SelectSpec) -> Result<PlannedQuery> {
-        if self.options.processors == 0 {
-            return Err(RelalgError::InvalidPlan(
-                "planner needs at least 1 processor".into(),
-            ));
-        }
         if self.options.processors == PlannerOptions::ONE_PER_WORKER {
             return Err(RelalgError::InvalidPlan(
                 "one processor per worker needs a worker count (`Planner::with_workers`)".into(),
             ));
+        }
+        if !(1..=PlannerOptions::MAX_PROCESSORS).contains(&self.options.processors) {
+            return Err(RelalgError::InvalidPlan(format!(
+                "planner needs at least 1 processor and at most {}, got {}",
+                PlannerOptions::MAX_PROCESSORS,
+                self.options.processors
+            )));
         }
         if query.len() < 2 {
             return Err(RelalgError::InvalidPlan(
@@ -507,9 +499,10 @@ impl Planner {
         };
 
         // Phase 1: minimal-total-cost tree.
-        let phase1 = match optimize_bushy(planning_query.graph(), &self.options.cost_model) {
+        let cost_model = CostModel::default();
+        let phase1 = match optimize_bushy(planning_query.graph(), &cost_model) {
             Err(RelalgError::PairBudgetExceeded { .. }) => {
-                greedy_tree(planning_query.graph(), &self.options.cost_model)?
+                greedy_tree(planning_query.graph(), &cost_model)?
             }
             exact => exact?,
         };
@@ -596,33 +589,26 @@ impl Planner {
             None => Strategy::ALL.to_vec(),
         };
 
-        // (variant index, plan) per feasible candidate, parallel to
-        // `all_choices`; the winner is materialized once after the sweep.
+        // (variant index, plan) per candidate, parallel to `all_choices`;
+        // the winner is materialized once after the sweep.
         let mut candidates: Vec<(usize, ParallelPlan)> = Vec::new();
         let mut all_choices: Vec<PlanChoice> = Vec::new();
-        let mut infeasible: Vec<(Strategy, bool, String)> = Vec::new();
         let mut lowered_variants = Vec::with_capacity(variants.len());
 
         for (v, (tree, mirrored)) in variants.iter().enumerate() {
             let lowered = lower(tree, planning_query, Some(&root_cols))?;
             let cards = lowered.est_cards().to_vec();
             let root_est = cards[tree.root()] as f64;
-            let costs = tree_costs(tree, &cards, &self.options.cost_model);
+            let costs = tree_costs(tree, &cards, &cost_model);
             for &strategy in &strategies {
                 let mut input = GeneratorInput::new(tree, &cards, &costs, self.options.processors);
-                // Pass the option through unconditionally: the generators
-                // only actually share processors when an allocation pool
-                // runs short (which RD/SE segment-local splits can hit
-                // even with processors >= join_count).
-                input.allow_oversubscribe = self.options.allow_oversubscribe;
+                // The generators only share processors when an allocation
+                // pool runs short (which RD/SE segment-local splits can
+                // hit even with processors >= join_count); allowed, no
+                // strategy is infeasible on any processor count.
+                input.allow_oversubscribe = true;
                 input.grain = grain;
-                let plan = match generate(strategy, &input) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        infeasible.push((strategy, *mirrored, e.to_string()));
-                        continue;
-                    }
-                };
+                let plan = generate(strategy, &input)?;
                 let mut estimate = estimate_schedule(&plan, &costs, model);
                 // Fold the post-join pipeline into the objective: its work
                 // scales with this candidate's root degree (`sink()` — the
@@ -644,27 +630,15 @@ impl Planner {
         }
 
         // First minimal candidate wins ties, matching the stable sort
-        // below (so the winner is always `choices[0]`).
-        let mut winner: Option<usize> = None;
-        for i in 0..all_choices.len() {
-            let better = winner
-                .map(|w| all_choices[i].estimate.makespan < all_choices[w].estimate.makespan)
-                .unwrap_or(true);
-            if better {
-                winner = Some(i);
+        // below (so the winner is always `choices[0]`). Every strategy
+        // yields a candidate, so there is at least one.
+        let winner = (1..all_choices.len()).fold(0, |w, i| {
+            if all_choices[i].estimate.makespan < all_choices[w].estimate.makespan {
+                i
+            } else {
+                w
             }
-        }
-        let winner = winner.ok_or_else(|| {
-            RelalgError::InvalidPlan(format!(
-                "no strategy is feasible on {} processors ({})",
-                self.options.processors,
-                infeasible
-                    .iter()
-                    .map(|(s, _, e)| format!("{s}: {e}"))
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            ))
-        })?;
+        });
         let (variant, plan) = candidates.swap_remove(winner);
         let estimate = all_choices[winner].estimate.clone();
         let tree = variants[variant].0.clone();
@@ -707,7 +681,6 @@ impl Planner {
                 lowered,
                 estimate,
                 choices: all_choices,
-                infeasible,
                 schedule_model: *model,
                 workers: self.workers,
                 connected_subsets: phase1.connected_subsets,
@@ -992,18 +965,19 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_strategies_are_reported_not_fatal() {
+    fn every_strategy_plans_on_fewer_processors_than_joins() {
         let (_, query) = wisconsin_chain(6, 100);
-        // 2 processors, 5 joins, no oversubscription: SE/RD/FP variants
-        // with more concurrent ops than processors drop out, SP remains.
-        let mut options = PlannerOptions::new(2);
-        options.allow_oversubscribe = false;
-        let planned = Planner::new(options).plan(&query).unwrap();
-        assert!(planned.choices.iter().any(|c| c.strategy == Strategy::SP));
-        assert!(!planned.infeasible.is_empty());
-        let text = planned.explain();
-        assert!(text.contains("chosen"));
-        assert!(text.contains("infeasible"));
+        // 2 processors, 5 joins: FP's five concurrent joins share them,
+        // and every strategy is still costed.
+        let planned = Planner::new(PlannerOptions::new(2)).plan(&query).unwrap();
+        for strategy in Strategy::ALL {
+            assert!(planned.choices.iter().any(|c| c.strategy == strategy));
+        }
+        assert!(planned
+            .choices
+            .iter()
+            .any(|c| c.strategy == Strategy::FP && c.oversubscribed));
+        assert!(planned.explain().contains("chosen"));
     }
 
     #[test]
@@ -1020,6 +994,20 @@ mod tests {
             .plan(&query)
             .unwrap_err();
         assert!(err.to_string().contains("at least 1 processor"), "{err}");
+    }
+
+    #[test]
+    fn too_many_processors_is_an_error_not_an_allocation() {
+        let (_, query) = wisconsin_chain(3, 50);
+        let max = PlannerOptions::MAX_PROCESSORS;
+        assert!(Planner::new(PlannerOptions::new(max)).plan(&query).is_ok());
+        let err = Planner::new(PlannerOptions::new(100_000_000))
+            .plan(&query)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("at most 1024, got 100000000"),
+            "{err}"
+        );
     }
 
     #[test]

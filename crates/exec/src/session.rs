@@ -457,7 +457,7 @@ fn validate_params(ast: &QueryAst) -> MjResult<u32> {
 }
 
 /// Configuration of a [`Database`]: the execution engine's tunables plus
-/// the planner's options (logical processors, cost models, strategy
+/// the planner's options (logical processors, schedule model, strategy
 /// override).
 ///
 /// `exec.workers` is the physical pool: that many threads, for all queries
@@ -494,10 +494,20 @@ impl DbConfig {
     /// Validates the configuration without opening anything.
     pub fn validate(&self) -> MjResult<()> {
         self.exec.validate().map_err(MjError::Config)?;
-        if self.planner.processors == 0 {
+        let processors = match self.planner.processors {
+            PlannerOptions::ONE_PER_WORKER => self.exec.workers,
+            explicit => explicit,
+        };
+        if processors == 0 {
             return Err(MjError::Config(
                 "planner processors must be positive".into(),
             ));
+        }
+        if processors > PlannerOptions::MAX_PROCESSORS {
+            return Err(MjError::Config(format!(
+                "planner processors must be at most {}, got {processors}",
+                PlannerOptions::MAX_PROCESSORS
+            )));
         }
         Ok(())
     }
@@ -1246,6 +1256,19 @@ mod tests {
         let mut config = DbConfig::default();
         config.exec.channel_capacity = 0;
         assert!(matches!(Database::open(config), Err(MjError::Config(_))));
+        // Past the bounds: refused before a pool thread starts or a plan
+        // lists a processor.
+        let mut config = DbConfig::default();
+        config.exec.workers = crate::config::MAX_WORKERS + 1;
+        assert!(matches!(Database::open(config), Err(MjError::Config(e)) if e.contains("workers")));
+        let mut config = DbConfig::default();
+        config.planner.processors = 100_000_000;
+        assert!(
+            matches!(Database::open(config), Err(MjError::Config(e)) if e.contains("processors"))
+        );
+        let mut config = DbConfig::default();
+        config.planner.processors = PlannerOptions::MAX_PROCESSORS;
+        assert!(Database::open(config).is_ok());
     }
 
     #[test]

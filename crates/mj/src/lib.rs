@@ -13,7 +13,7 @@
 //! | [`relalg`] | `mj-relalg` | schemas, tuples, relations, predicates, XRA logical plans, sequential oracle |
 //! | [`storage`] | `mj-storage` | Wisconsin generator, fragmentation, catalog of resident columnar relations |
 //! | [`join`] | `mj-join` | the columnar hash-join table behind the engine's simple and pipelining joins |
-//! | [`plan`] | `mj-plan` | join trees, Fig. 8 shapes, the paper's cost model, phase-1 optimizers, right-deep segmentation, text query parser |
+//! | [`plan`] | `mj-plan` | join trees, Fig. 8 shapes, the paper's cost model, phase-1 bushy DP and greedy fallback, right-deep segmentation, text query parser |
 //! | [`core`] | `mj-core` | the four strategies, proportional allocation, parallel plan IR, plan generator |
 //! | [`exec`] | `mj-exec` | execution engine: fixed worker pool, generic [`PhysicalOp`](exec::PhysicalOp) operator framework (joins, aggregate, limit), tuple streams, [`Database`](exec::Database) session facade, streaming [`QueryHandle`](exec::QueryHandle)s, cost-based [`Planner`](exec::Planner) that runs every WHERE predicate as a scan filter |
 //! | [`sim`] | `mj-sim` | discrete-event simulator reproducing the 20–80-processor experiments |
@@ -127,8 +127,8 @@ pub mod prelude {
     };
     pub use mj_plan::cost::tree_costs;
     pub use mj_plan::{
-        greedy_tree, lower, optimize_bushy, optimize_linear, parse_query, segments, CostModel,
-        JoinQuery, JoinTree, ParseError, QueryAst, QueryGraph, Shape, Span, UniformOneToOne,
+        greedy_tree, lower, optimize_bushy, parse_query, segments, CostModel, JoinQuery, JoinTree,
+        ParseError, QueryAst, QueryGraph, Shape, Span, UniformOneToOne,
     };
     pub use mj_relalg::{
         Attribute, DataType, EquiJoin, JoinAlgorithm, Predicate, Projection, Relation,

@@ -1,8 +1,8 @@
 //! The `mj` binary end to end: `mj sql` against the sequential XRA oracle,
 //! `--explain`, and the arguments and verbs it must refuse.
 //!
-//! Every run passes a small `--workers`: each worker is an OS thread and
-//! the CLI does not cap the count.
+//! Every run that opens a database passes a small `--workers`: each
+//! worker is an OS thread.
 
 use std::process::{Command, Output};
 
@@ -206,6 +206,35 @@ fn arguments_it_would_ignore_are_rejected_by_name() {
         let err = stderr(&out);
         assert!(err.contains(&format!("`{named}`")), "{args:?}: {err}");
         assert_eq!(usage_verbs(&err), ["sql", "serve"], "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+    }
+}
+
+#[test]
+fn counts_past_the_bounds_are_refused_before_anything_is_built() {
+    let query = "SELECT * FROM R0 JOIN R1 ON R0.b = R1.a";
+    let small = ["sql", "--relations", "2", "--tuples", "100", "--explain"];
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--workers", "2", "--procs", "100000000"],
+            "processors must be at most 1024, got 100000000",
+        ),
+        (
+            &["--workers", "5000"],
+            "workers must be at most 1024, got 5000",
+        ),
+    ];
+    for (counts, named) in cases {
+        let args: Vec<&str> = small
+            .iter()
+            .chain(counts)
+            .chain([&query])
+            .copied()
+            .collect();
+        let out = mj(&args);
+        assert!(!out.status.success(), "{args:?} exited 0");
+        let err = stderr(&out);
+        assert!(err.contains(named), "{args:?}: {err}");
         assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
     }
 }

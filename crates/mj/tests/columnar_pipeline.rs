@@ -119,7 +119,6 @@ fn forced_strategies_agree_on_the_columnar_result() {
     for strategy in multijoin::core::Strategy::ALL {
         let mut config = DbConfig::default();
         config.planner.strategy = Some(strategy);
-        config.planner.allow_oversubscribe = true;
         let db = family_db(QueryFamily::Chain, 4, 300, 53, config);
         let result = db.query(&text).unwrap().collect().unwrap();
         assert!(

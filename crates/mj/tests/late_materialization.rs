@@ -134,7 +134,6 @@ fn late_forced_strategies_agree_on_the_result() {
     for strategy in Strategy::ALL {
         let mut config = late_config();
         config.planner.strategy = Some(strategy);
-        config.planner.allow_oversubscribe = true;
         let db = family_db(QueryFamily::Chain, 4, 300, 53, config);
         let result = db.query(&text).unwrap().collect().unwrap();
         assert!(

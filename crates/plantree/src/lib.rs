@@ -10,8 +10,8 @@
 //! * [`cost`]: the paper's cost function `a·n1 + b·n2 + c·r` (§4.3);
 //! * [`cardinality`]: cardinality models, including the regular Wisconsin
 //!   query's "every intermediate is again an N-tuple relation" invariant;
-//! * [`optimize`]: bushy DP, linear (System-R style) DP, and a greedy
-//!   heuristic over query graphs;
+//! * [`optimize`]: bushy DP over query graphs, and a greedy heuristic for
+//!   graphs too dense to enumerate;
 //! * [`segment`]: decomposition of bushy trees into right-deep segments
 //!   (\[CLY92\], §3.3);
 //! * [`transform`]: tree mirroring ("it is possible without cost penalty to
@@ -38,9 +38,7 @@ pub mod tree;
 pub use cardinality::{CardModel, SelectivityModel, UniformOneToOne};
 pub use cost::{CostModel, TreeCosts};
 pub use optimize::{
-    greedy_tree, iterative_improvement, optimize_bushy, optimize_linear, random_tree,
-    simulated_annealing, AnnealingOptions, IterativeOptions, OptimizedPlan, QueryGraph,
-    MAX_GRAPH_RELATIONS, PAIR_BUDGET,
+    greedy_tree, optimize_bushy, OptimizedPlan, QueryGraph, MAX_GRAPH_RELATIONS, PAIR_BUDGET,
 };
 pub use parse::{parse_query, ParseError, QueryAst, Span};
 pub use query::{

@@ -2,9 +2,9 @@
 //! the `EnumerateCsg` / `EnumerateCmp` pair of DPccp (Moerkotte & Neumann,
 //! "Analysis of Two Existing and One New Dynamic Programming Algorithm for
 //! the Generation of Optimal Bushy Join Trees without Cross Products",
-//! VLDB 2006). Both exact optimizers drive their DP from it, so phase 1
-//! costs time and memory proportional to what the join graph actually
-//! contains instead of to `2^n` bitmasks.
+//! VLDB 2006). [`optimize_bushy`](super::optimize_bushy) drives its DP
+//! from it, so phase 1 costs time and memory proportional to what the join
+//! graph actually contains instead of to `2^n` bitmasks.
 //!
 //! Callbacks return `Result<(), E>` so a caller can stop the sweep (the
 //! pair budget does).

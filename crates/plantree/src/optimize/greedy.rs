@@ -18,8 +18,10 @@ struct Component {
 }
 
 /// Builds a join tree greedily. Runs in O(k^3) for k relations, however
-/// dense the graph — the fallback when an exact optimizer's pair budget
+/// dense the graph — the fallback when [`optimize_bushy`]'s pair budget
 /// runs out.
+///
+/// [`optimize_bushy`]: super::optimize_bushy
 pub fn greedy_tree(graph: &QueryGraph, cost: &CostModel) -> Result<OptimizedPlan> {
     if graph.len() < 2 {
         return Err(RelalgError::InvalidPlan(

@@ -3,46 +3,36 @@
 //! The paper adopts two-phase optimization from \[HoS91\]: "The first phase
 //! chooses the tree that has the lowest total execution costs and the
 //! second phase finds a suitable parallelization for this tree" (§1.2).
-//! Three phase-1 algorithms are provided:
+//! The planner runs one of two algorithms:
 //!
 //! * [`optimize_bushy`] — exhaustive dynamic programming over connected
 //!   subgraphs, bushy trees allowed (the space \[KBZ86\] argues parallel
 //!   systems need);
-//! * [`optimize_linear`] — System-R style DP restricted to left-deep
-//!   (linear) trees \[SAC79\];
 //! * [`greedy_tree`] — a greedy heuristic in the spirit of [LST91, SWG88]
 //!   for graphs too dense to enumerate.
 //!
-//! Both exact optimizers enumerate only what the join graph contains —
-//! its connected subsets and, for bushy trees, their connected
-//! complements (DPccp) — so they cost time and memory proportional to the
-//! number of csg-cmp pairs: cubic in the relation count on a chain,
-//! exponential only on dense graphs, where [`PAIR_BUDGET`] stops them with
-//! [`RelalgError::PairBudgetExceeded`] and the caller falls back to
-//! [`greedy_tree`].
+//! The DP enumerates only what the join graph contains — its connected
+//! subsets and their connected complements (DPccp) — so it costs time and
+//! memory proportional to the number of csg-cmp pairs: cubic in the
+//! relation count on a chain, exponential only on dense graphs, where
+//! [`PAIR_BUDGET`] stops it with [`RelalgError::PairBudgetExceeded`] and
+//! the caller falls back to [`greedy_tree`].
 //!
-//! None of them consider parallelism — by design. Cartesian products are
+//! Neither considers parallelism — by design. Cartesian products are
 //! never enumerated, matching System R.
 
 mod csg;
 mod dp_bushy;
-mod dp_linear;
 mod greedy;
-mod local;
 
 pub use dp_bushy::optimize_bushy;
-pub use dp_linear::optimize_linear;
 pub use greedy::greedy_tree;
-pub use local::{
-    iterative_improvement, random_tree, simulated_annealing, AnnealingOptions, IterativeOptions,
-};
 
 use mj_relalg::{RelalgError, Result};
 
 use crate::tree::JoinTree;
 
-/// The most csg-cmp pairs (for [`optimize_linear`]: left-deep steps) an
-/// exact optimizer costs before it gives up with
+/// The most csg-cmp pairs [`optimize_bushy`] costs before it gives up with
 /// [`RelalgError::PairBudgetExceeded`]. Fixed, not configurable: planning
 /// runs inline in a server connection's step, so this is what bounds the
 /// time a client can buy with a wide FROM list.
@@ -50,11 +40,10 @@ use crate::tree::JoinTree;
 /// Derivation: the densest graph of `n` relations, the clique, has
 /// `(3^n - 2^(n+1) + 1) / 2` pairs — 261 625 at `n` = 12, 788 970 at 13 —
 /// so 2^18 keeps every graph of up to 12 relations exact. Measured on the
-/// two-vCPU development VM (`cargo bench -p mj-bench --bench optimizer`):
-/// a costed pair takes ~50 ns, so the whole 12-clique takes 12–14 ms, a
-/// 16-clique abandoned at the budget 8–13 ms — the most phase 1 can cost —
-/// while the 14-, 20- and 28-relation chains (455, 1330 and 3654 pairs)
-/// take 0.03, 0.07 and 0.2 ms.
+/// two-vCPU development VM: a costed pair takes ~50 ns, so the whole
+/// 12-clique takes 12–14 ms, a 16-clique abandoned at the budget 8–13 ms —
+/// the most phase 1 can cost — while the 14-, 20- and 28-relation chains
+/// (455, 1330 and 3654 pairs) take 0.03, 0.07 and 0.2 ms.
 pub const PAIR_BUDGET: usize = 1 << 18;
 
 /// Largest relation count a [`QueryGraph`] can hold: the adjacency and
@@ -270,10 +259,10 @@ pub struct OptimizedPlan {
     /// Estimated cardinality per tree node (indexed by node id).
     pub node_cards: Vec<u64>,
     /// Connected relation subsets the optimizer held a DP entry for
-    /// (0 for the heuristics, which enumerate none).
+    /// (0 for the greedy heuristic, which enumerates none).
     pub connected_subsets: usize,
-    /// Csg-cmp pairs ([`optimize_linear`]: left-deep steps) the optimizer
-    /// costed; never 0 for an exact plan, 0 for the heuristics.
+    /// Csg-cmp pairs the optimizer costed; never 0 for an exact plan, 0
+    /// for the greedy heuristic.
     pub pairs_costed: usize,
 }
 

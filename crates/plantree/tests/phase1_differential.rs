@@ -1,27 +1,24 @@
-//! Differential test of the exact phase-1 optimizers against the
-//! subset-walking DPs they replaced.
+//! Differential test of the exact phase-1 optimizer against the
+//! subset-walking DP it replaced.
 //!
 //! `optimize_bushy` used to be DPsub — a dense `2^n` table and a walk over
-//! every submask of every mask — and `optimize_linear` the same over a
-//! dense table. Both now enumerate connected subsets directly. The old
-//! algorithms live on here, as oracles: on generated graphs of 2–12
-//! relations the new code must return the *same tree* (not merely the same
-//! cost: the benchmark's regular chains tie on cost everywhere, and the
-//! tree shape decides the parallel plan), the same cost to the bit, the
-//! same node cardinalities, and must have costed exactly the splits the
-//! oracle accepted.
+//! every submask of every mask. It now enumerates connected subsets
+//! directly. The old algorithm lives on here, as an oracle: on generated
+//! graphs of 2–12 relations the new code must return the *same tree* (not
+//! merely the same cost: the benchmark's regular chains tie on cost
+//! everywhere, and the tree shape decides the parallel plan), the same
+//! cost to the bit, the same node cardinalities, and must have costed
+//! exactly the splits the oracle accepted.
 
 use mj_plan::cost::CostModel;
 use mj_plan::tree::{JoinTree, JoinTreeBuilder, NodeId};
-use mj_plan::{
-    greedy_tree, optimize_bushy, optimize_linear, OptimizedPlan, QueryGraph, PAIR_BUDGET,
-};
+use mj_plan::{greedy_tree, optimize_bushy, OptimizedPlan, QueryGraph, PAIR_BUDGET};
 use mj_relalg::RelalgError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-// ---- the oracles: the dense DPs as they stood before DPccp ----
+// ---- the oracle: the dense DP as it stood before DPccp ----
 
 #[derive(Clone, Copy)]
 struct SubEntry {
@@ -116,78 +113,6 @@ fn dpsub(graph: &QueryGraph, cost: &CostModel) -> (JoinTree, f64, Vec<u64>, usiz
     (
         builder.build(root).unwrap(),
         table[full as usize].cost,
-        cards,
-        reachable,
-        accepted,
-    )
-}
-
-/// The dense left-deep DP. Returns the plan fields plus (reachable
-/// subsets, accepted steps).
-fn dense_linear(graph: &QueryGraph, cost: &CostModel) -> (JoinTree, f64, Vec<u64>, usize, usize) {
-    let n = graph.len();
-    let full: u32 = (1u32 << n) - 1;
-    // (cost, card, last, reachable)
-    let mut table = vec![(f64::INFINITY, 0.0f64, usize::MAX, false); full as usize + 1];
-    for i in 0..n {
-        table[1usize << i] = (0.0, graph.cards()[i] as f64, i, true);
-    }
-    let mut accepted = 0usize;
-    for mask in 1..=full {
-        if mask.count_ones() < 2 {
-            continue;
-        }
-        let card = graph.subset_card(mask);
-        let mut best = (f64::INFINITY, card, usize::MAX, false);
-        let mut rels = mask;
-        while rels != 0 {
-            let r = rels.trailing_zeros() as usize;
-            rels &= rels - 1;
-            let prev = mask & !(1u32 << r);
-            let pe = table[prev as usize];
-            if !pe.3 || !graph.connects(prev, 1u32 << r) {
-                continue;
-            }
-            accepted += 1;
-            let jc = cost.join_cost(
-                pe.1 as u64,
-                prev.count_ones() == 1,
-                graph.cards()[r],
-                true,
-                card as u64,
-            );
-            let total = pe.0 + jc;
-            if total < best.0 {
-                best = (total, card, r, true);
-            }
-        }
-        table[mask as usize] = best;
-    }
-    assert!(table[full as usize].3);
-    let mut order = Vec::new();
-    let mut mask = full;
-    while mask.count_ones() > 1 {
-        let last = table[mask as usize].2;
-        order.push(last);
-        mask &= !(1u32 << last);
-    }
-    order.push(mask.trailing_zeros() as usize);
-    order.reverse();
-    let mut builder = JoinTree::builder();
-    let mut cards = vec![graph.cards()[order[0]]];
-    let mut acc = builder.leaf(graph.names()[order[0]].clone());
-    let mut acc_mask = 1u32 << order[0];
-    for &r in &order[1..] {
-        let leaf = builder.leaf(graph.names()[r].clone());
-        cards.push(graph.cards()[r]);
-        acc_mask |= 1u32 << r;
-        acc = builder.join(acc, leaf);
-        cards.push(graph.subset_card(acc_mask) as u64);
-    }
-    let reachable = table.iter().filter(|e| e.3).count();
-    (
-        builder.build(acc).unwrap(),
-        table[full as usize].0,
         cards,
         reachable,
         accepted,
@@ -312,14 +237,6 @@ fn exact_optimizers_match_the_dense_dps_on_generated_graphs() {
             let what = format!("{shape:?} n={n}");
             let bushy = optimize_bushy(&g, &cm).unwrap();
             assert_same(&format!("bushy {what}"), &bushy, &dpsub(&g, &cm), &g);
-            // A 12-clique has 12 * 2^11 left-deep steps: inside the budget.
-            let linear = optimize_linear(&g, &cm).unwrap();
-            assert_same(
-                &format!("linear {what}"),
-                &linear,
-                &dense_linear(&g, &cm),
-                &g,
-            );
             checked += 1;
         }
     }
@@ -337,10 +254,6 @@ fn chain_pair_counts_follow_the_closed_form() {
         assert_eq!(plan.pairs_costed, pairs, "n={n}");
         assert_eq!(plan.pairs_costed, (n * n * n - n) / 6);
         assert_eq!(plan.connected_subsets, n * (n + 1) / 2);
-        // Left-deep: each of the n-k+1 windows of k >= 2 relations can
-        // shed either end.
-        let linear = optimize_linear(&g, &cm).unwrap();
-        assert_eq!(linear.pairs_costed, n * (n - 1), "linear n={n}");
     }
 }
 
@@ -365,8 +278,6 @@ fn wide_sparse_graphs_plan_exactly() {
                 exact.total_cost,
                 greedy.total_cost
             );
-            let linear = optimize_linear(&g, &cm).unwrap();
-            assert!(exact.total_cost <= linear.total_cost * (1.0 + 1e-12));
         }
     }
 }
@@ -377,11 +288,9 @@ fn dense_graphs_run_out_of_budget_not_out_of_time() {
     let mut rng = StdRng::seed_from_u64(11);
     for shape in [Shape::Clique, Shape::Star] {
         let g = arb_graph(shape, 24, false, &mut rng);
-        for result in [optimize_bushy(&g, &cm), optimize_linear(&g, &cm)] {
-            match result {
-                Err(RelalgError::PairBudgetExceeded { budget }) => assert_eq!(budget, PAIR_BUDGET),
-                other => panic!("{shape:?}: expected the budget outcome, got {other:?}"),
-            }
+        match optimize_bushy(&g, &cm) {
+            Err(RelalgError::PairBudgetExceeded { budget }) => assert_eq!(budget, PAIR_BUDGET),
+            other => panic!("{shape:?}: expected the budget outcome, got {other:?}"),
         }
         assert_eq!(greedy_tree(&g, &cm).unwrap().tree.leaf_count(), 24);
     }

@@ -4,7 +4,7 @@
 //!
 //! The generator is xorshift64* seeded through splitmix64 — not
 //! cryptographic, but statistically fine for workload generation, skew
-//! sampling, and randomized local search, and fully deterministic per seed.
+//! sampling and generated test inputs, and fully deterministic per seed.
 
 use std::ops::{Range, RangeInclusive};
 
