@@ -1,20 +1,24 @@
 //! Seeded generators for the three planner benchmark query families:
-//! **chain**, **star**, and **skewed**. Each instance pairs real data (a
-//! populated [`Catalog`] with analyzed per-column statistics) with the
-//! matching [`JoinQuery`], so the planner's estimates can be validated
+//! **chain**, **star**, and **skewed**. Each instance holds the relations
+//! it generated, as rows, and the join edges between them:
+//! [`FamilyInstance::load`] registers and analyzes them in a [`Database`],
+//! and [`FamilyInstance::query`] derives the matching [`JoinQuery`] from
+//! that catalog's statistics, so the planner's estimates can be validated
 //! against actual execution — unlike the regular Wisconsin query, these
 //! have genuinely different cardinalities per join, so tree shape,
 //! strategy, and allocation all matter.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use mj_plan::query::JoinQuery;
-use mj_relalg::{Attribute, RelalgError, Relation, Result, Schema, Tuple};
+use mj_plan::MAX_GRAPH_RELATIONS;
+use mj_relalg::{Attribute, RelalgError, Relation, RelationProvider, Result, Schema, Tuple};
 use mj_storage::{skew::zipf_keys, Catalog};
 
-use crate::planner::query_from_catalog;
+use crate::session::{Database, MjResult};
 
 /// The three benchmark query families.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -62,29 +66,52 @@ impl std::fmt::Display for QueryFamily {
     }
 }
 
-/// A generated family instance: data plus the matching query description.
+/// A generated family instance: its relations and the join edges between
+/// them.
 #[derive(Clone, Debug)]
 pub struct FamilyInstance {
     /// Which family this is.
     pub family: QueryFamily,
-    /// The populated catalog (relations `R0..R{k-1}`, stats analyzed).
-    pub catalog: Arc<Catalog>,
-    /// The query over those relations, selectivities derived from the
-    /// analyzed statistics.
-    pub query: JoinQuery,
+    /// The generated relations `R0..R{k-1}`, as rows, by name.
+    pub catalog: HashMap<String, Arc<Relation>>,
+    /// Join edges `(a, b, col_a, col_b)` over relation indices.
+    joins: Vec<(usize, usize, usize, usize)>,
 }
 
-/// Generates a `family` instance over `k >= 2` relations with base size
-/// `n >= 4`, deterministically per `seed`.
+impl FamilyInstance {
+    /// Registers `R0..R{k-1}` in `db`, in index order, and analyzes them.
+    pub fn load(&self, db: &Database) -> MjResult<()> {
+        for name in self.names() {
+            db.register(name.clone(), self.catalog.relation(&name)?)?;
+            db.catalog().analyze(&name)?;
+        }
+        Ok(())
+    }
+
+    /// The family's query over `catalog`, where [`load`](Self::load) put
+    /// the relations: selectivities come from its analyzed statistics.
+    pub fn query(&self, catalog: &Catalog) -> Result<JoinQuery> {
+        let names: Vec<String> = self.names().collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        query_from_catalog(catalog, &refs, &self.joins)
+    }
+
+    fn names(&self) -> impl Iterator<Item = String> {
+        (0..self.catalog.len()).map(|i| format!("R{i}"))
+    }
+}
+
+/// Generates a `family` instance over `2 <= k <= MAX_GRAPH_RELATIONS`
+/// relations with base size `n >= 4`, deterministically per `seed`.
 pub fn generate_family(
     family: QueryFamily,
     k: usize,
     n: usize,
     seed: u64,
 ) -> Result<FamilyInstance> {
-    if k < 2 {
+    if !(2..=MAX_GRAPH_RELATIONS).contains(&k) {
         return Err(RelalgError::InvalidPlan(format!(
-            "a multi-join family needs >= 2 relations, got {k}"
+            "a multi-join family needs 2..={MAX_GRAPH_RELATIONS} relations, got {k}"
         )));
     }
     if n < 4 {
@@ -92,7 +119,7 @@ pub fn generate_family(
             "family base size must be >= 4, got {n}"
         )));
     }
-    let catalog = Arc::new(Catalog::new());
+    let mut catalog = HashMap::with_capacity(k);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFA31_7113);
     let joins: Vec<(usize, usize, usize, usize)> = match family {
         QueryFamily::Chain => {
@@ -110,7 +137,7 @@ pub fn generate_family(
                         ])
                     })
                     .collect();
-                catalog.register(
+                catalog.insert(
                     format!("R{r}"),
                     Arc::new(Relation::new(schema.clone(), tuples)?),
                 );
@@ -132,7 +159,7 @@ pub fn generate_family(
                 let tuples = (0..n_dim)
                     .map(|i| Tuple::from_ints(&[i as i64, rng.gen_range(0..1000)]))
                     .collect();
-                catalog.register(
+                catalog.insert(
                     format!("R{d}"),
                     Arc::new(Relation::new(dim_schema.clone(), tuples)?),
                 );
@@ -150,7 +177,7 @@ pub fn generate_family(
                     Tuple::from_ints(&row)
                 })
                 .collect();
-            catalog.register(
+            catalog.insert(
                 format!("R{}", k - 1),
                 Arc::new(Relation::new(fact_schema, fact_tuples)?),
             );
@@ -175,7 +202,7 @@ pub fn generate_family(
                 let tuples = (0..rows)
                     .map(|i| Tuple::from_ints(&[rng.gen_range(0..domain as i64), fwd[i], i as i64]))
                     .collect();
-                catalog.register(
+                catalog.insert(
                     format!("R{r}"),
                     Arc::new(Relation::new(schema.clone(), tuples)?),
                 );
@@ -183,17 +210,10 @@ pub fn generate_family(
             (0..k - 1).map(|i| (i, i + 1, 1, 0)).collect()
         }
     };
-
-    let names: Vec<String> = (0..k).map(|i| format!("R{i}")).collect();
-    for name in &names {
-        catalog.analyze(name)?;
-    }
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let query = query_from_catalog(&catalog, &refs, &joins)?;
     Ok(FamilyInstance {
         family,
         catalog,
-        query,
+        joins,
     })
 }
 
@@ -222,6 +242,37 @@ pub fn star_query_sql(k: usize) -> String {
     q
 }
 
+/// Builds a [`JoinQuery`] from catalog statistics: cardinalities and
+/// schemas come from the catalog, edge selectivities from the System-R
+/// formula `1 / max(distinct(a.col), distinct(b.col))` over the recorded
+/// (or [`Catalog::analyze`]d) per-column distinct counts.
+pub(crate) fn query_from_catalog(
+    catalog: &Catalog,
+    relations: &[&str],
+    joins: &[(usize, usize, usize, usize)],
+) -> Result<JoinQuery> {
+    let mut query = JoinQuery::new();
+    for name in relations {
+        let stats = catalog.stats(name)?;
+        let schema = catalog.schema(name)?;
+        query.add_relation(*name, stats.cardinality, schema)?;
+    }
+    for &(a, b, col_a, col_b) in joins {
+        if a >= relations.len() || b >= relations.len() {
+            return Err(RelalgError::InvalidPlan(format!(
+                "join edge ({a}, {b}) references a relation outside 0..{}",
+                relations.len()
+            )));
+        }
+        let (na, nb) = (relations[a], relations[b]);
+        let da = catalog.column_distinct(na, col_a)?.max(1);
+        let db = catalog.column_distinct(nb, col_b)?.max(1);
+        let selectivity = 1.0 / da.max(db) as f64;
+        query.add_join(a, b, col_a, col_b, selectivity)?;
+    }
+    Ok(query)
+}
+
 fn chain_schema() -> Arc<Schema> {
     Schema::new(vec![
         Attribute::int("a"),
@@ -234,7 +285,7 @@ fn chain_schema() -> Arc<Schema> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mj_relalg::RelationProvider;
+    use crate::session::DbConfig;
 
     #[test]
     fn families_are_deterministic_per_seed() {
@@ -260,27 +311,66 @@ mod tests {
     fn query_matches_generated_data() {
         for family in QueryFamily::ALL {
             let inst = generate_family(family, 5, 48, 3).unwrap();
-            assert_eq!(inst.query.len(), 5, "{family}");
-            assert_eq!(inst.query.graph().edges().len(), 4, "{family}");
-            assert!(inst.query.graph().is_connected(), "{family}");
+            let db = Database::open(DbConfig::default()).unwrap();
+            inst.load(&db).unwrap();
+            let query = inst.query(db.catalog()).unwrap();
+            assert_eq!(query.len(), 5, "{family}");
+            assert_eq!(query.graph().edges().len(), 4, "{family}");
+            assert!(query.graph().is_connected(), "{family}");
             // Cards in the query graph match the catalog.
             for (i, name) in (0..5).map(|i| (i, format!("R{i}"))) {
                 assert_eq!(
-                    inst.query.graph().cards()[i],
-                    inst.catalog.stats(&name).unwrap().cardinality,
+                    query.graph().cards()[i],
+                    db.catalog().stats(&name).unwrap().cardinality,
                     "{family} {name}"
                 );
             }
             // Selectivities are sane probabilities.
-            for &(_, _, sel) in inst.query.graph().edges() {
+            for &(_, _, sel) in query.graph().edges() {
                 assert!(sel > 0.0 && sel <= 1.0, "{family}: {sel}");
             }
+        }
+    }
+
+    /// FNV-1a over every value of `R0..R{k-1}`, relation by relation, row
+    /// by row, plus the row counts.
+    fn row_hash(k: usize, n: usize) -> (Vec<usize>, u64) {
+        let instance = generate_family(QueryFamily::Chain, k, n, 1995).unwrap();
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut counts = Vec::new();
+        for i in 0..k {
+            let relation = instance.catalog.relation(&format!("R{i}")).unwrap();
+            counts.push(relation.len());
+            for tuple in relation.iter() {
+                for c in 0..tuple.arity() {
+                    for byte in tuple.int(c).unwrap().to_le_bytes() {
+                        hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        (counts, hash)
+    }
+
+    #[test]
+    fn benchmark_instances_are_pinned_row_for_row() {
+        // The three chain instances the benchmark relabels (`SHAPE_SEED`
+        // 1995): any change to the RNG stream or its order moves a hash.
+        for (k, n, expected) in [
+            (14, 50, 0xb7fa_5dd0_99b4_6f79),
+            (6, 40_000, 0x1c4e_3817_af7a_8d98),
+            (2, 30_000, 0x3e3b_46c9_8867_4726),
+        ] {
+            let (counts, hash) = row_hash(k, n);
+            assert_eq!(counts, vec![n; k], "({k}, {n})");
+            assert_eq!(hash, expected, "({k}, {n})");
         }
     }
 
     #[test]
     fn bad_parameters_error() {
         assert!(generate_family(QueryFamily::Chain, 1, 64, 0).is_err());
+        assert!(generate_family(QueryFamily::Chain, 33, 64, 0).is_err());
         assert!(generate_family(QueryFamily::Star, 4, 2, 0).is_err());
         assert!(QueryFamily::parse("ring").is_err());
         assert_eq!(QueryFamily::parse("star").unwrap(), QueryFamily::Star);

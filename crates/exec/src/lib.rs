@@ -76,7 +76,7 @@ pub use metrics::{
 pub use operator::{
     AggregateOp, InputMode, LimitOp, OpTask, PhysicalOp, PipeliningJoinOp, SimpleJoinOp,
 };
-pub use planner::{query_from_catalog, PlanChoice, PlannedQuery, Planner, PlannerOptions};
+pub use planner::{PlanChoice, PlannedQuery, Planner, PlannerOptions};
 pub use sched::WorkerPool;
 pub use session::{Database, DbConfig, MjError, MjResult, PreparedStatement, PLAN_CACHE_CAPACITY};
 pub use template::RunTemplate;

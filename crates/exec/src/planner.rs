@@ -45,10 +45,8 @@ use mj_plan::transform::right_orient;
 use mj_plan::tree::JoinTree;
 use mj_relalg::ops::AggSpec;
 use mj_relalg::{
-    Attribute, DataType, JoinAlgorithm, Predicate, Projection, RelalgError, RelationProvider,
-    Result, Schema, XraNode,
+    Attribute, DataType, JoinAlgorithm, Predicate, Projection, RelalgError, Result, Schema, XraNode,
 };
-use mj_storage::Catalog;
 
 use crate::binding::{PipelineStage, QueryBinding, StageKind};
 
@@ -867,45 +865,14 @@ fn build_stages(
     Ok(stages)
 }
 
-/// Builds a [`JoinQuery`] from catalog statistics: cardinalities and
-/// schemas come from the catalog, edge selectivities from the System-R
-/// formula `1 / max(distinct(a.col), distinct(b.col))` over the recorded
-/// (or [`Catalog::analyze`]d) per-column distinct counts.
-pub fn query_from_catalog(
-    catalog: &Catalog,
-    relations: &[&str],
-    joins: &[(usize, usize, usize, usize)],
-) -> Result<JoinQuery> {
-    let mut query = JoinQuery::new();
-    for name in relations {
-        let stats = catalog.stats(name)?;
-        let schema = catalog.schema(name)?;
-        query.add_relation(*name, stats.cardinality, schema)?;
-    }
-    for &(a, b, col_a, col_b) in joins {
-        if a >= relations.len() || b >= relations.len() {
-            return Err(RelalgError::InvalidPlan(format!(
-                "join edge ({a}, {b}) references a relation outside 0..{}",
-                relations.len()
-            )));
-        }
-        let (na, nb) = (relations[a], relations[b]);
-        let da = catalog.column_distinct(na, col_a)?.max(1);
-        let db = catalog.column_distinct(nb, col_b)?.max(1);
-        let selectivity = 1.0 / da.max(db) as f64;
-        query.add_join(a, b, col_a, col_b, selectivity)?;
-    }
-    Ok(query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ExecConfig;
     use crate::engine::run_plan;
-    use crate::families::{chain_query_sql, QueryFamily};
+    use crate::families::{chain_query_sql, query_from_catalog, QueryFamily};
     use mj_relalg::JoinAlgorithm;
-    use mj_storage::WisconsinGenerator;
+    use mj_storage::{Catalog, WisconsinGenerator};
     use std::sync::Arc;
 
     fn wisconsin_chain(k: usize, n: usize) -> (Arc<Catalog>, JoinQuery) {
@@ -1065,11 +1032,7 @@ mod tests {
         config.exec.workers = 2;
         config.planner.processors = 8;
         let db = crate::session::Database::open(config).unwrap();
-        for name in instance.catalog.names() {
-            db.register(name.clone(), instance.catalog.relation(&name).unwrap())
-                .unwrap();
-        }
-        db.analyze().unwrap();
+        instance.load(&db).unwrap();
         db
     }
 
@@ -1302,8 +1265,11 @@ mod tests {
         // gives up after the budget and the planner falls back, where a
         // 24-relation chain — 2300 pairs — is planned exactly.
         let instance = crate::families::generate_family(QueryFamily::Star, 24, 20, 7).unwrap();
+        let db = crate::session::Database::open(crate::session::DbConfig::default()).unwrap();
+        instance.load(&db).unwrap();
+        let catalog = db.catalog();
         let planned = Planner::new(PlannerOptions::new(8))
-            .plan(&instance.query)
+            .plan(&instance.query(catalog).unwrap())
             .unwrap();
         assert_eq!((planned.connected_subsets, planned.pairs_costed), (0, 0));
         assert!(planned
@@ -1314,14 +1280,14 @@ mod tests {
         let outcome = run_plan(
             &planned.plan,
             &planned.binding,
-            instance.catalog.clone(),
+            catalog.clone(),
             &ExecConfig::default(),
         )
         .unwrap();
         let oracle = planned
             .oracle_xra(JoinAlgorithm::Simple)
             .unwrap()
-            .eval(instance.catalog.as_ref())
+            .eval(catalog.as_ref())
             .unwrap();
         assert!(outcome.relation.multiset_eq(&oracle));
 

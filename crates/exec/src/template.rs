@@ -711,11 +711,7 @@ mod tests {
         let instance = generate_family(QueryFamily::Chain, 4, 50, 1995).unwrap();
         let donor = generate_family(QueryFamily::Chain, 4, 50, 7).unwrap();
         let db = Database::open(DbConfig::default()).unwrap();
-        for name in instance.catalog.names() {
-            let relation = instance.catalog.relation(&name).unwrap();
-            db.register(&name, relation).unwrap();
-        }
-        db.analyze().unwrap();
+        instance.load(&db).unwrap();
         let text = format!("{} WHERE R1.id < ?1", chain_query_sql(4));
         let stmt = db.prepare(&text).unwrap();
         let run = |stmt: &Arc<_>| {

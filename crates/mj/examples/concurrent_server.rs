@@ -36,17 +36,11 @@ fn main() {
 
     // Register the data through the front door and analyze statistics.
     let instance = generate_family(QueryFamily::Chain, relations, n, 7).expect("family");
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        let rel = instance.catalog.relation(name).expect("relation");
-        db.register(name, rel).expect("register");
-    }
-    db.analyze().expect("analyze");
+    instance.load(&db).expect("load");
     println!(
         "database up: {} relations, {} worker threads, serving {clients} clients x \
          {queries_per_client} text queries",
-        names.len(),
+        relations,
         db.engine().workers()
     );
 

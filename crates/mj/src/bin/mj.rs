@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use multijoin::exec::{generate_family, Database, DbConfig, PlannerOptions, QueryFamily};
-use multijoin::relalg::{RelationProvider, Value};
+use multijoin::relalg::Value;
 
 /// A verb: what it accepts (flags that take a value, bare switches, and
 /// how many positional arguments follow it) and what it runs.
@@ -153,8 +153,9 @@ given. The paper's figures and experiments are `repro`'s."
 }
 
 /// Opens the database both verbs query: a fresh [`Database`] holding the
-/// seeded `--query` family, registered and analyzed. Also returns a line
-/// describing the data.
+/// seeded `--query` family, registered and analyzed. The configuration is
+/// validated before anything is generated. Also returns a line describing
+/// the data.
 fn open_family(args: &Args) -> Result<(Database, String), String> {
     let family = args.family()?;
     let k: usize = args.num("relations", 4)?;
@@ -164,15 +165,11 @@ fn open_family(args: &Args) -> Result<(Database, String), String> {
     config.exec.workers = args.num("workers", config.exec.workers)?;
     config.planner.processors = args.num("procs", PlannerOptions::ONE_PER_WORKER)?;
 
-    let instance = generate_family(family, k, tuples, seed).map_err(|e| e.to_string())?;
     let db = Database::open(config).map_err(|e| e.to_string())?;
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        let rel = instance.catalog.relation(name).map_err(|e| e.to_string())?;
-        db.register(name, rel).map_err(|e| e.to_string())?;
-    }
-    db.analyze().map_err(|e| e.to_string())?;
+    generate_family(family, k, tuples, seed)
+        .map_err(|e| e.to_string())?
+        .load(&db)
+        .map_err(|e| e.to_string())?;
     let data = format!(
         "`{family}` family, {k} relations x {tuples} base tuples (seed {seed}); \
          {} workers, {} logical processors",

@@ -120,10 +120,9 @@ pub mod prelude {
         OperandSource, ParallelPlan, PlanOp, ScheduleModel, Strategy,
     };
     pub use mj_exec::{
-        generate_family, query_from_catalog, run_plan, Database, DbConfig, Engine, ExecConfig,
-        MjError, MjResult, PhysicalOp, PipelineStage, PlannedQuery, Planner, PlannerOptions,
-        QueryBinding, QueryFamily, QueryHandle, QueryOutcome, QueryStatus, ResultStream, StageKind,
-        WorkerPool,
+        generate_family, run_plan, Database, DbConfig, Engine, ExecConfig, MjError, MjResult,
+        PhysicalOp, PipelineStage, PlannedQuery, Planner, PlannerOptions, QueryBinding,
+        QueryFamily, QueryHandle, QueryOutcome, QueryStatus, ResultStream, StageKind, WorkerPool,
     };
     pub use mj_plan::cost::tree_costs;
     pub use mj_plan::{

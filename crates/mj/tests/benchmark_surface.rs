@@ -56,11 +56,7 @@ fn the_replay_still_submits_a_planned_query_and_reads_its_counters() {
     config.planner.strategy = Some(Strategy::ALL[2]);
     assert_eq!(Strategy::ALL.map(|s| s.label()).len(), 4);
     let db = Database::open(config).unwrap();
-    for name in instance.catalog.names() {
-        db.register(name.clone(), instance.catalog.relation(&name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     let text = "SELECT * FROM R0 JOIN R1 ON R0.b = R1.a JOIN R2 ON R1.b = R2.a WHERE R1.id < 7";
     let planned = db.plan(text).unwrap();
     let mut handle = db

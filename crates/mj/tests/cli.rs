@@ -75,19 +75,13 @@ fn sql_csv_equals_the_oracle_on_the_chain_family() {
     // sequentially over the same generated instance.
     let instance = generate_family(QueryFamily::Chain, k, n, seed).expect("family");
     let db = Database::open(DbConfig::default()).expect("open");
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).expect("relation"))
-            .expect("register");
-    }
-    db.analyze().expect("analyze");
+    instance.load(&db).expect("load");
     let planned = db.plan(&text).expect("plan");
     let oracle = planned
         .lowered
         .to_xra(&planned.tree, JoinAlgorithm::Simple)
         .expect("oracle plan")
-        .eval(instance.catalog.as_ref())
+        .eval(&instance.catalog)
         .expect("oracle eval");
 
     let printed = stdout(&out);
@@ -237,6 +231,24 @@ fn counts_past_the_bounds_are_refused_before_anything_is_built() {
         assert!(err.contains(named), "{args:?}: {err}");
         assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
     }
+}
+
+#[test]
+fn the_configuration_is_refused_before_the_family_is_generated() {
+    // Three tuples is too few for a family, but the zero workers are what
+    // gets named: the database opens, and refuses, first.
+    let out = mj(&[
+        "sql",
+        "--tuples",
+        "3",
+        "--workers",
+        "0",
+        "SELECT * FROM R0 JOIN R1 ON R0.b = R1.a",
+    ]);
+    assert!(!out.status.success(), "exited 0");
+    let err = stderr(&out);
+    assert!(err.contains("workers"), "{err}");
+    assert!(stdout(&out).is_empty(), "ran: {}", stdout(&out));
 }
 
 #[test]

@@ -17,7 +17,7 @@ use multijoin::exec::{
     generate_family, Database, DbConfig, FaultKind, FaultPlan, FaultPoint, MjError, QueryFamily,
     QueryOptions,
 };
-use multijoin::relalg::{Relation, RelationProvider};
+use multijoin::relalg::Relation;
 
 mod common;
 use common::settled;
@@ -62,13 +62,7 @@ fn guardrail_db() -> Database {
     config.exec.batch_size = 16;
     config.exec.stall_timeout = Some(std::time::Duration::from_millis(150));
     let db = Database::open(config).expect("open");
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).expect("relation"))
-            .expect("register");
-    }
-    db.analyze().expect("analyze");
+    instance.load(&db).expect("load");
     db
 }
 
@@ -190,11 +184,7 @@ fn a_fault_on_any_member_of_a_process_group_fails_clean() {
     let mut config = DbConfig::default();
     config.exec.stall_timeout = Some(std::time::Duration::from_millis(150));
     let db = Database::open(config).expect("open");
-    for name in instance.catalog.names() {
-        db.register(&name, instance.catalog.relation(&name).expect("relation"))
-            .expect("register");
-    }
-    db.analyze().expect("analyze");
+    instance.load(&db).expect("load");
     let text = multijoin::exec::chain_query_sql(5);
     let planned = db.plan(&text).expect("plan");
     let stats = planned.plan.stats();
@@ -348,13 +338,7 @@ fn empty_fault_plan_matches_the_oracle_on_all_families() {
         let k = 5;
         let instance = generate_family(family, k, 80, seed).expect("family");
         let db = Database::open(DbConfig::default()).expect("open");
-        let mut names = instance.catalog.names();
-        names.sort();
-        for name in &names {
-            db.register(name, instance.catalog.relation(name).expect("relation"))
-                .expect("register");
-        }
-        db.analyze().expect("analyze");
+        instance.load(&db).expect("load");
         let text = match family {
             QueryFamily::Star => multijoin::exec::star_query_sql(k),
             _ => multijoin::exec::chain_query_sql(k),

@@ -6,7 +6,7 @@
 
 use multijoin::core::ScheduleModel;
 use multijoin::exec::{chain_query_sql, generate_family, Database, DbConfig, QueryFamily};
-use multijoin::relalg::{JoinAlgorithm, Predicate, Relation, RelationProvider};
+use multijoin::relalg::{JoinAlgorithm, Predicate, Relation};
 
 mod common;
 use common::settled;
@@ -19,13 +19,7 @@ fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbC
     config.planner.schedule_model = ScheduleModel::prisma();
     let instance = generate_family(family, k, n, seed).unwrap();
     let db = Database::open(config).unwrap();
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     db
 }
 

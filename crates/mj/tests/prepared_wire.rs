@@ -27,13 +27,7 @@ fn family_server(family: QueryFamily, k: usize, n: usize, seed: u64) -> (Arc<Dat
     let mut config = DbConfig::default();
     config.planner.schedule_model = ScheduleModel::prisma();
     let db = Arc::new(Database::open(config).unwrap());
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
     (db, server)
 }
@@ -322,11 +316,7 @@ fn a_catalog_change_retires_the_template_once() {
     let mut config = DbConfig::default();
     config.planner.schedule_model = ScheduleModel::prisma();
     let db = Database::open(config).unwrap();
-    for name in instance.catalog.names() {
-        db.register(&name, instance.catalog.relation(&name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     let param_q = format!("{} WHERE R1.id < ?1", chain_query_sql(3));
     let stmt = db.prepare(&param_q).unwrap();
     let engine = db.engine();
@@ -380,11 +370,7 @@ fn an_aborted_templated_execute_leaves_nothing_behind() {
     config.exec.batch_size = 16;
     config.exec.channel_capacity = 1;
     let db = Database::open(config).unwrap();
-    for name in instance.catalog.names() {
-        db.register(&name, instance.catalog.relation(&name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     let param_q = format!("{} WHERE R0.id < ?1", chain_query_sql(3));
     let stmt = db.prepare(&param_q).unwrap();
     let expected = oracle_rows(&db, &bound(&param_q, 3_000));

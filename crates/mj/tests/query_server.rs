@@ -12,7 +12,7 @@ use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, star_query_sql, Database, DbConfig, QueryFamily,
 };
-use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider, Value};
+use multijoin::relalg::{JoinAlgorithm, Relation, Value};
 use multijoin::server::{Client, ClientError, Server, ServerConfig};
 
 /// Opens a served Database over a seeded family instance; returns the db
@@ -29,13 +29,7 @@ fn family_server(
     // partitioned; the measured default plans them at degree 1.
     config.planner.schedule_model = ScheduleModel::prisma();
     let db = Arc::new(Database::open(config).unwrap());
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
     (db, server)
 }

@@ -31,53 +31,38 @@ use std::sync::{Arc, Barrier, Mutex};
 use multijoin::core::plan_ir::{OperandSource, Split};
 use multijoin::core::{ScheduleModel, Strategy};
 use multijoin::exec::{
-    chain_query_sql, generate_family, Database, DbConfig, LateMode, Metrics, PlannedQuery,
-    QueryFamily, QueryHandle,
+    chain_query_sql, generate_family, Database, DbConfig, FamilyInstance, LateMode, Metrics,
+    PlannedQuery, QueryFamily, QueryHandle,
 };
-use multijoin::relalg::{JoinAlgorithm, Relation, RelationProvider};
+use multijoin::relalg::{JoinAlgorithm, Relation};
 use multijoin::storage::{TableStats, MAX_VARIANTS_PER_RELATION};
 
 const RELATIONS: usize = 4;
 const ROWS: usize = 400;
 
-/// The `seed`-th generated chain instance's relations, by name.
-fn generated(seed: u64) -> HashMap<String, Arc<Relation>> {
-    let instance = generate_family(QueryFamily::Chain, RELATIONS, ROWS, seed).unwrap();
-    instance
-        .catalog
-        .names()
-        .into_iter()
-        .map(|name| {
-            let relation = instance.catalog.relation(&name).unwrap();
-            (name, relation)
-        })
-        .collect()
+/// The `seed`-th generated chain instance.
+fn generated(seed: u64) -> FamilyInstance {
+    generate_family(QueryFamily::Chain, RELATIONS, ROWS, seed).unwrap()
 }
 
-/// A database over `relations`, planned with the paper's machine model on
+/// A database holding `instance`, planned with the paper's machine model on
 /// eight logical processors so these few-hundred-tuple relations are
 /// really partitioned (the measured default would run them at degree 1),
 /// and with the late rewrite off so scan filters run over the cached
 /// fragments themselves.
-fn open(relations: &HashMap<String, Arc<Relation>>) -> Database {
-    open_with(relations, |_| {})
+fn open(instance: &FamilyInstance) -> Database {
+    open_with(instance, |_| {})
 }
 
 /// [`open`] with `tweak` applied to its configuration.
-fn open_with(
-    relations: &HashMap<String, Arc<Relation>>,
-    tweak: impl Fn(&mut DbConfig),
-) -> Database {
+fn open_with(instance: &FamilyInstance, tweak: impl Fn(&mut DbConfig)) -> Database {
     let mut config = DbConfig::default();
     config.planner.processors = 8;
     config.planner.schedule_model = ScheduleModel::prisma();
     config.exec.late = LateMode::Never;
     tweak(&mut config);
     let db = Database::open(config).unwrap();
-    for (name, relation) in relations {
-        db.register(name, relation.clone()).unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     db
 }
 
@@ -112,8 +97,8 @@ fn base_builds(planned: &PlannedQuery) -> Vec<&str> {
 
 #[test]
 fn second_identical_query_builds_nothing() {
-    let relations = generated(3);
-    let db = open(&relations);
+    let instance = generated(3);
+    let db = open(&instance);
     let catalog = db.catalog();
     let text = chain_query_sql(RELATIONS);
     let planned = db.plan(&text).unwrap();
@@ -149,7 +134,7 @@ fn second_identical_query_builds_nothing() {
     assert_eq!(after.tables_built, resident.tables_built, "no table built");
     assert_eq!(after.bytes, resident.bytes);
     assert!(warm_rows.multiset_eq(&cold_rows));
-    assert!(warm_rows.multiset_eq(&oracle(&db, &text, &relations)));
+    assert!(warm_rows.multiset_eq(&oracle(&db, &text, &instance.catalog)));
 
     // The counters are what an operator sees on /metrics.
     let exported = db.stats();
@@ -168,8 +153,8 @@ fn second_identical_query_builds_nothing() {
 
 #[test]
 fn scan_filters_over_cached_fragments_match_the_oracle() {
-    let relations = generated(5);
-    let db = open(&relations);
+    let instance = generated(5);
+    let db = open(&instance);
     let catalog = db.catalog();
     let joins = chain_query_sql(RELATIONS);
     // Warm every variant the plan reads, so the filters below provably
@@ -191,7 +176,7 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
             planned.explain()
         );
         let (rows, _) = drain(db.query(&text).unwrap());
-        let expected = oracle(&db, &text, &relations);
+        let expected = oracle(&db, &text, &instance.catalog);
         assert!(
             rows.multiset_eq(&expected),
             "{filter}: engine {} rows, oracle {}",
@@ -202,7 +187,13 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
 
     // One prepared statement, different `?1`: survivors are per execution.
     let stmt = db.prepare(&format!("{joins} WHERE R1.id < ?1")).unwrap();
-    let expect = |arg: i64| oracle(&db, &format!("{joins} WHERE R1.id < {arg}"), &relations);
+    let expect = |arg: i64| {
+        oracle(
+            &db,
+            &format!("{joins} WHERE R1.id < {arg}"),
+            &instance.catalog,
+        )
+    };
     drain(db.execute_prepared(&stmt, &[1]).unwrap());
     let resident = catalog.resident_stats();
     let args = [0i64, 250, 3, 400, 3];
@@ -234,8 +225,8 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
 
 #[test]
 fn a_filtered_build_side_is_indexed_privately() {
-    let relations = generated(7);
-    let db = open(&relations);
+    let instance = generated(7);
+    let db = open(&instance);
     let catalog = db.catalog();
     let joins = chain_query_sql(RELATIONS);
     // A relation the filtered plan still builds a simple join's table on.
@@ -257,7 +248,7 @@ fn a_filtered_build_side_is_indexed_privately() {
 
     let expect = |arg: i64| {
         let text = format!("{joins} WHERE {name}.id < {arg}");
-        oracle(&db, &text, &relations)
+        oracle(&db, &text, &instance.catalog)
     };
     let (rows, _) = drain(db.execute_prepared(&stmt, &[200]).unwrap());
     assert!(rows.multiset_eq(&expect(200)));
@@ -290,15 +281,15 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
     let base = generated(17);
     let versions: Vec<HashMap<String, Arc<Relation>>> = (0..VERSIONS)
         .map(|v| {
-            let mut relations = base.clone();
+            let mut relations = base.catalog.clone();
             if v > 0 {
-                let donor = generated(100 + v as u64);
+                let donor = generated(100 + v as u64).catalog;
                 relations.insert("R3".into(), donor["R3"].clone());
             }
             relations
         })
         .collect();
-    let db = open(&versions[0]);
+    let db = open(&base);
     let joins = chain_query_sql(RELATIONS);
     let prepared_sql = format!("{joins} WHERE R2.id < ?1");
     let adhoc_sql = format!("{joins} WHERE R0.id >= 10");
@@ -428,15 +419,21 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
 
 #[test]
 fn an_evicted_variant_is_resolved_again_never_served() {
-    let relations = generated(19);
+    let instance = generated(19);
     // SP hash-partitions every join; RD's picks read these relations whole,
     // as segment groups.
-    let db = open_with(&relations, |c| c.planner.strategy = Some(Strategy::SP));
+    let db = open_with(&instance, |c| c.planner.strategy = Some(Strategy::SP));
     let catalog = db.catalog();
     let joins = chain_query_sql(RELATIONS);
     let text = format!("{joins} WHERE R1.id < ?1");
     let stmt = db.prepare(&text).unwrap();
-    let expect = |arg: i64| oracle(&db, &format!("{joins} WHERE R1.id < {arg}"), &relations);
+    let expect = |arg: i64| {
+        oracle(
+            &db,
+            &format!("{joins} WHERE R1.id < {arg}"),
+            &instance.catalog,
+        )
+    };
     // A hash-partitioned base operand of the plan: its relation, key
     // column and degree name the resident variant it reads (a range-split
     // or shared one reads the image, which is never evicted).

@@ -51,11 +51,7 @@ fn open(family: QueryFamily, workers: usize, late: LateMode) -> (Database, Strin
     config.planner.schedule_model = ScheduleModel::prisma();
     let db = Database::open(config).unwrap();
     let instance = generate_family(family, RELATIONS, TUPLES, SEED).unwrap();
-    for name in instance.catalog.names() {
-        db.register(&name, instance.catalog.relation(&name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     let text = match family {
         QueryFamily::Star => star_query_sql(RELATIONS),
         QueryFamily::Chain | QueryFamily::Skewed => chain_query_sql(RELATIONS),

@@ -22,13 +22,7 @@ fn db_for(family: QueryFamily, k: usize, n: usize, seed: u64) -> Database {
     let mut config = DbConfig::default();
     config.planner.schedule_model = ScheduleModel::prisma();
     let db = Database::open(config).expect("open");
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        let rel = instance.catalog.relation(name).expect("relation");
-        db.register(name, rel).expect("register");
-    }
-    db.analyze().expect("analyze");
+    instance.load(&db).expect("load");
     db
 }
 
@@ -113,13 +107,7 @@ fn cancellation_mid_stream_leaves_the_engine_quiescent_and_reusable() {
     config.exec.batch_size = 16;
     config.exec.channel_capacity = 1;
     let db = Database::open(config).expect("open");
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
 
     let text = chain_query_sql(5);
     let mut handle = db.query(&text).expect("submit");
@@ -183,9 +171,10 @@ fn zero_workers_and_zero_processors_are_config_errors() {
 
     // Direct planner use with zero processors errors too (no panic).
     let instance = generate_family(QueryFamily::Chain, 3, 32, 1).unwrap();
-    assert!(Planner::new(PlannerOptions::new(0))
-        .plan(&instance.query)
-        .is_err());
+    let db = Database::open(DbConfig::default()).unwrap();
+    instance.load(&db).unwrap();
+    let query = instance.query(db.catalog()).unwrap();
+    assert!(Planner::new(PlannerOptions::new(0)).plan(&query).is_err());
 }
 
 #[test]

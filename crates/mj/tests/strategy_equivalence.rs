@@ -226,13 +226,15 @@ fn planner_plan_matches_sp_baseline_on_every_shape() {
     ];
     for (family, k, seed) in cases {
         let inst = generate_family(family, k, 48, seed).unwrap();
-        let planned = Planner::new(PlannerOptions::new(5))
-            .plan(&inst.query)
-            .unwrap();
+        let db = Database::open(DbConfig::default()).unwrap();
+        inst.load(&db).unwrap();
+        let catalog = db.catalog();
+        let query = inst.query(catalog).unwrap();
+        let planned = Planner::new(PlannerOptions::new(5)).plan(&query).unwrap();
         let chosen = run_plan(
             &planned.plan,
             &planned.binding,
-            inst.catalog.clone(),
+            catalog.clone(),
             &ExecConfig::default(),
         )
         .unwrap()
@@ -243,7 +245,7 @@ fn planner_plan_matches_sp_baseline_on_every_shape() {
             let tree = build(shape, k).unwrap();
             // Star queries reject shapes that would pair two dimensions
             // (no connecting predicate) — skip those.
-            let lowered = match lower(&tree, &inst.query, None) {
+            let lowered = match lower(&tree, &query, None) {
                 Ok(l) => l,
                 Err(_) => continue,
             };
@@ -253,7 +255,7 @@ fn planner_plan_matches_sp_baseline_on_every_shape() {
             input.allow_oversubscribe = true;
             let sp = generate(Strategy::SP, &input).unwrap();
             let binding = QueryBinding::from_lowered(&tree, &lowered).unwrap();
-            let baseline = run_plan(&sp, &binding, inst.catalog.clone(), &ExecConfig::default())
+            let baseline = run_plan(&sp, &binding, catalog.clone(), &ExecConfig::default())
                 .unwrap()
                 .relation;
             assert!(

@@ -25,13 +25,7 @@ fn chain_db() -> Arc<Database> {
 fn chain_db_with(config: DbConfig) -> Arc<Database> {
     let instance = generate_family(QueryFamily::Chain, 3, 120, 7).unwrap();
     let db = Database::open(config).unwrap();
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     Arc::new(db)
 }
 
@@ -480,13 +474,7 @@ fn requests_during_drain_are_rejected_as_overloaded() {
 fn connection_cap_rejects_with_queue_depth() {
     let instance = generate_family(QueryFamily::Chain, 3, 60, 7).unwrap();
     let db = Database::open(DbConfig::default()).unwrap();
-    let mut names = instance.catalog.names();
-    names.sort();
-    for name in &names {
-        db.register(name, instance.catalog.relation(name).unwrap())
-            .unwrap();
-    }
-    db.analyze().unwrap();
+    instance.load(&db).unwrap();
     let server = Server::start(
         Arc::new(db),
         ServerConfig {

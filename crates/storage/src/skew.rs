@@ -5,14 +5,9 @@
 //! assumption is violated by generating join keys from a Zipf distribution
 //! instead of a permutation.
 
-use std::sync::Arc;
-
-use mj_relalg::Relation;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-
-use crate::wisconsin;
 
 /// Draws `n` keys from a Zipf(`theta`) distribution over `0..domain`.
 /// `theta = 0` is uniform; `theta ~ 1` is heavily skewed. Uses the inverse
@@ -36,19 +31,6 @@ pub fn zipf_keys(n: usize, domain: usize, theta: f64, seed: u64) -> Vec<i64> {
         keys.push(idx as i64);
     }
     keys
-}
-
-/// Generates a compact Wisconsin-shaped relation whose `unique1` keys are
-/// Zipf-distributed over `0..n` (so self-similar skew across relations),
-/// while `unique2` stays a permutation so projections keep working.
-pub fn skewed_relation(n: usize, theta: f64, seed: u64) -> Relation {
-    let keys = zipf_keys(n, n, theta, seed);
-    let schema = Arc::new(wisconsin::compact_schema());
-    let mut tuples = Vec::with_capacity(n);
-    for (i, &k) in keys.iter().enumerate() {
-        tuples.push(wisconsin::compact_tuple(k, i as i64, i as i64));
-    }
-    Relation::new_unchecked(schema, tuples)
 }
 
 /// The fraction of tuples captured by the most frequent key — a simple
@@ -94,13 +76,6 @@ mod tests {
     fn deterministic_per_seed() {
         assert_eq!(zipf_keys(100, 10, 0.5, 7), zipf_keys(100, 10, 0.5, 7));
         assert_ne!(zipf_keys(100, 10, 0.5, 7), zipf_keys(100, 10, 0.5, 8));
-    }
-
-    #[test]
-    fn skewed_relation_shape() {
-        let r = skewed_relation(500, 1.0, 4);
-        assert_eq!(r.len(), 500);
-        assert_eq!(r.schema().arity(), 3);
     }
 
     #[test]
