@@ -1,22 +1,21 @@
 //! Seeded generators for the three planner benchmark query families:
 //! **chain**, **star**, and **skewed**. Each instance holds the relations
-//! it generated, as rows, and the join edges between them:
-//! [`FamilyInstance::load`] registers and analyzes them in a [`Database`],
-//! and [`FamilyInstance::query`] derives the matching [`JoinQuery`] from
-//! that catalog's statistics, so the planner's estimates can be validated
-//! against actual execution — unlike the regular Wisconsin query, these
-//! have genuinely different cardinalities per join, so tree shape,
-//! strategy, and allocation all matter.
+//! it generated, as rows: [`FamilyInstance::load`] registers and analyzes
+//! them in a [`Database`], and [`chain_query_sql`] / [`star_query_sql`]
+//! join them end to end. Binding that text ([`Database::bind`]) prices its
+//! edges from the catalog's exact distinct counts, so the planner's
+//! estimates can be validated against actual execution — unlike the
+//! regular Wisconsin query, these have genuinely different cardinalities
+//! per join, so tree shape, strategy, and allocation all matter.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use mj_plan::query::JoinQuery;
 use mj_plan::MAX_GRAPH_RELATIONS;
 use mj_relalg::{Attribute, RelalgError, Relation, RelationProvider, Result, Schema, Tuple};
-use mj_storage::{skew::zipf_keys, Catalog};
+use mj_storage::skew::zipf_keys;
 
 use crate::session::{Database, MjResult};
 
@@ -66,38 +65,26 @@ impl std::fmt::Display for QueryFamily {
     }
 }
 
-/// A generated family instance: its relations and the join edges between
-/// them.
+/// A generated family instance: its relations.
 #[derive(Clone, Debug)]
 pub struct FamilyInstance {
     /// Which family this is.
     pub family: QueryFamily,
     /// The generated relations `R0..R{k-1}`, as rows, by name.
     pub catalog: HashMap<String, Arc<Relation>>,
-    /// Join edges `(a, b, col_a, col_b)` over relation indices.
-    joins: Vec<(usize, usize, usize, usize)>,
 }
 
 impl FamilyInstance {
     /// Registers `R0..R{k-1}` in `db`, in index order, and analyzes them.
+    /// Analyzing counts their distinct values here rather than at the
+    /// first bind.
     pub fn load(&self, db: &Database) -> MjResult<()> {
-        for name in self.names() {
+        for i in 0..self.catalog.len() {
+            let name = format!("R{i}");
             db.register(name.clone(), self.catalog.relation(&name)?)?;
             db.catalog().analyze(&name)?;
         }
         Ok(())
-    }
-
-    /// The family's query over `catalog`, where [`load`](Self::load) put
-    /// the relations: selectivities come from its analyzed statistics.
-    pub fn query(&self, catalog: &Catalog) -> Result<JoinQuery> {
-        let names: Vec<String> = self.names().collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        query_from_catalog(catalog, &refs, &self.joins)
-    }
-
-    fn names(&self) -> impl Iterator<Item = String> {
-        (0..self.catalog.len()).map(|i| format!("R{i}"))
     }
 }
 
@@ -121,7 +108,7 @@ pub fn generate_family(
     }
     let mut catalog = HashMap::with_capacity(k);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFA31_7113);
-    let joins: Vec<(usize, usize, usize, usize)> = match family {
+    match family {
         QueryFamily::Chain => {
             // (a, b, id): a joins toward the previous relation, b toward
             // the next; both uniform over 0..n, so every edge selectivity
@@ -142,15 +129,15 @@ pub fn generate_family(
                     Arc::new(Relation::new(schema.clone(), tuples)?),
                 );
             }
-            (0..k - 1).map(|i| (i, i + 1, 1, 0)).collect()
         }
         QueryFamily::Star => {
             // R0..R{k-2} are dimensions with unique keys; R{k-1} is the
             // fact (2n rows, one foreign-key column per dimension plus a
             // measure), so each fact row matches exactly one row per
-            // dimension and the result stays at 2n. The fact sits *last*
-            // so the fixed linear shapes (R0 deepest-to-shallowest) keep
-            // it at the deep end — every linear tree stays cartesian-free.
+            // dimension and the result stays at 2n. `star_query_sql` joins
+            // the fact second (R0, R{k-1}, R1, ...), so the fixed linear
+            // shapes (first relation deepest) keep it at the deep end —
+            // every linear tree stays cartesian-free.
             let n_fact = 2 * n;
             let n_dim = (n / 2).max(4);
             let dim_schema =
@@ -181,7 +168,6 @@ pub fn generate_family(
                 format!("R{}", k - 1),
                 Arc::new(Relation::new(fact_schema, fact_tuples)?),
             );
-            (0..k - 1).map(|d| (d, k - 1, 0, d)).collect()
         }
         QueryFamily::Skewed => {
             // Chain topology, but relation sizes alternate n/4, n, 2n and
@@ -207,14 +193,9 @@ pub fn generate_family(
                     Arc::new(Relation::new(schema.clone(), tuples)?),
                 );
             }
-            (0..k - 1).map(|i| (i, i + 1, 1, 0)).collect()
         }
-    };
-    Ok(FamilyInstance {
-        family,
-        catalog,
-        joins,
-    })
+    }
+    Ok(FamilyInstance { family, catalog })
 }
 
 /// The text query joining a [`QueryFamily::Chain`] (or
@@ -240,37 +221,6 @@ pub fn star_query_sql(k: usize) -> String {
         q.push_str(&format!(" JOIN R{d} ON R{d}.key = R{fact}.fk{d}"));
     }
     q
-}
-
-/// Builds a [`JoinQuery`] from catalog statistics: cardinalities and
-/// schemas come from the catalog, edge selectivities from the System-R
-/// formula `1 / max(distinct(a.col), distinct(b.col))` over the recorded
-/// (or [`Catalog::analyze`]d) per-column distinct counts.
-pub(crate) fn query_from_catalog(
-    catalog: &Catalog,
-    relations: &[&str],
-    joins: &[(usize, usize, usize, usize)],
-) -> Result<JoinQuery> {
-    let mut query = JoinQuery::new();
-    for name in relations {
-        let stats = catalog.stats(name)?;
-        let schema = catalog.schema(name)?;
-        query.add_relation(*name, stats.cardinality, schema)?;
-    }
-    for &(a, b, col_a, col_b) in joins {
-        if a >= relations.len() || b >= relations.len() {
-            return Err(RelalgError::InvalidPlan(format!(
-                "join edge ({a}, {b}) references a relation outside 0..{}",
-                relations.len()
-            )));
-        }
-        let (na, nb) = (relations[a], relations[b]);
-        let da = catalog.column_distinct(na, col_a)?.max(1);
-        let db = catalog.column_distinct(nb, col_b)?.max(1);
-        let selectivity = 1.0 / da.max(db) as f64;
-        query.add_join(a, b, col_a, col_b, selectivity)?;
-    }
-    Ok(query)
 }
 
 fn chain_schema() -> Arc<Schema> {
@@ -313,15 +263,19 @@ mod tests {
             let inst = generate_family(family, 5, 48, 3).unwrap();
             let db = Database::open(DbConfig::default()).unwrap();
             inst.load(&db).unwrap();
-            let query = inst.query(db.catalog()).unwrap();
+            let text = match family {
+                QueryFamily::Star => star_query_sql(5),
+                QueryFamily::Chain | QueryFamily::Skewed => chain_query_sql(5),
+            };
+            let (query, _) = db.bind(&text).unwrap();
             assert_eq!(query.len(), 5, "{family}");
             assert_eq!(query.graph().edges().len(), 4, "{family}");
             assert!(query.graph().is_connected(), "{family}");
             // Cards in the query graph match the catalog.
-            for (i, name) in (0..5).map(|i| (i, format!("R{i}"))) {
+            for (name, &card) in query.graph().names().iter().zip(query.graph().cards()) {
                 assert_eq!(
-                    query.graph().cards()[i],
-                    db.catalog().stats(&name).unwrap().cardinality,
+                    card,
+                    db.catalog().stats(name).unwrap().cardinality,
                     "{family} {name}"
                 );
             }
@@ -330,6 +284,22 @@ mod tests {
                 assert!(sel > 0.0 && sel <= 1.0, "{family}: {sel}");
             }
         }
+    }
+
+    #[test]
+    fn a_family_never_analyzed_is_bound_from_exact_counts() {
+        // Registered through the front door, never analyzed: the binder
+        // still prices each edge from the image's exact distinct counts.
+        let instance = generate_family(QueryFamily::Chain, 3, 50, 1995).unwrap();
+        let db = Database::open(DbConfig::default()).unwrap();
+        for i in 0..3 {
+            let name = format!("R{i}");
+            db.register(name.clone(), instance.catalog[&name].clone())
+                .unwrap();
+        }
+        let (query, _) = db.bind(&chain_query_sql(3)).unwrap();
+        let selectivities: Vec<f64> = query.graph().edges().iter().map(|e| e.2).collect();
+        assert_eq!(selectivities, vec![1.0 / 34.0, 1.0 / 32.0]);
     }
 
     /// FNV-1a over every value of `R0..R{k-1}`, relation by relation, row

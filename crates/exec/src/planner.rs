@@ -870,23 +870,24 @@ mod tests {
     use super::*;
     use crate::config::ExecConfig;
     use crate::engine::run_plan;
-    use crate::families::{chain_query_sql, query_from_catalog, QueryFamily};
-    use mj_relalg::JoinAlgorithm;
+    use crate::families::{chain_query_sql, star_query_sql, QueryFamily};
+    use crate::session::{Database, DbConfig};
+    use mj_relalg::{Attribute, JoinAlgorithm, Relation, Schema, Tuple};
     use mj_storage::{Catalog, WisconsinGenerator};
     use std::sync::Arc;
 
     fn wisconsin_chain(k: usize, n: usize) -> (Arc<Catalog>, JoinQuery) {
-        let catalog = Arc::new(Catalog::new());
+        let db = Database::open(DbConfig::default()).unwrap();
         for (name, rel) in WisconsinGenerator::new(n, 42).generate_named("R", k) {
-            catalog.register(name, rel);
+            db.register(name, rel).unwrap();
         }
-        let names: Vec<String> = (0..k).map(|i| format!("R{i}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        // Regular chain on unique1 (column 0, a permutation of 0..n).
-        let joins: Vec<(usize, usize, usize, usize)> =
-            (0..k - 1).map(|i| (i, i + 1, 0, 0)).collect();
-        let query = query_from_catalog(&catalog, &refs, &joins).unwrap();
-        (catalog, query)
+        // Regular chain on unique1 (a permutation of 0..n).
+        let mut text = String::from("SELECT * FROM R0");
+        for i in 1..k {
+            text.push_str(&format!(" JOIN R{i} ON R{}.unique1 = R{i}.unique1", i - 1));
+        }
+        let (query, _) = db.bind(&text).unwrap();
+        (db.catalog().clone(), query)
     }
 
     #[test]
@@ -949,8 +950,7 @@ mod tests {
 
     #[test]
     fn too_few_relations_is_an_error() {
-        let catalog = Catalog::new();
-        let q = query_from_catalog(&catalog, &[], &[]).unwrap();
+        let q = JoinQuery::new();
         assert!(Planner::new(PlannerOptions::new(4)).plan(&q).is_err());
     }
 
@@ -1265,12 +1265,11 @@ mod tests {
         // gives up after the budget and the planner falls back, where a
         // 24-relation chain — 2300 pairs — is planned exactly.
         let instance = crate::families::generate_family(QueryFamily::Star, 24, 20, 7).unwrap();
-        let db = crate::session::Database::open(crate::session::DbConfig::default()).unwrap();
+        let db = Database::open(DbConfig::default()).unwrap();
         instance.load(&db).unwrap();
         let catalog = db.catalog();
-        let planned = Planner::new(PlannerOptions::new(8))
-            .plan(&instance.query(catalog).unwrap())
-            .unwrap();
+        let (query, _) = db.bind(&star_query_sql(24)).unwrap();
+        let planned = Planner::new(PlannerOptions::new(8)).plan(&query).unwrap();
         assert_eq!((planned.connected_subsets, planned.pairs_costed), (0, 0));
         assert!(planned
             .explain()
@@ -1330,13 +1329,14 @@ mod tests {
 
     #[test]
     fn catalog_selectivity_uses_column_distincts() {
-        let catalog = Arc::new(Catalog::new());
-        for (name, rel) in WisconsinGenerator::new(100, 1).generate_named("R", 2) {
-            catalog.register(name, rel);
+        let db = Database::open(DbConfig::default()).unwrap();
+        let schema = Schema::new(vec![Attribute::int("id"), Attribute::int("k")]).shared();
+        for (name, keys) in [("R0", 20), ("R1", 10)] {
+            let tuples = (0..100).map(|i| Tuple::from_ints(&[i, i % keys])).collect();
+            let relation = Relation::new(schema.clone(), tuples).unwrap();
+            db.register(name, Arc::new(relation)).unwrap();
         }
-        catalog.set_column_distinct("R0", 1, 20).unwrap();
-        catalog.set_column_distinct("R1", 0, 10).unwrap();
-        let q = query_from_catalog(&catalog, &["R0", "R1"], &[(0, 1, 1, 0)]).unwrap();
+        let (q, _) = db.bind("SELECT * FROM R0 JOIN R1 ON R0.k = R1.k").unwrap();
         // sel = 1 / max(20, 10).
         assert!((q.graph().edges()[0].2 - 0.05).abs() < 1e-12);
     }

@@ -8,18 +8,19 @@
 //! ```text
 //! let db = Database::open(DbConfig::default())?;
 //! db.register("orders", orders)?;            // + the other relations
-//! db.analyze()?;                             // per-column statistics
+//! db.analyze()?;                             // count distinct values now
 //! let mut handle = db.query("SELECT * FROM orders JOIN ...")?;
 //! for batch in handle.stream() { /* results stream incrementally */ }
 //! ```
 //!
 //! `query` parses the text ([`mj_plan::parse`]), resolves relation and
 //! column names against the catalog (spanned errors), derives selectivities
-//! from the catalog's per-column distinct counts (the System-R formula the
-//! planner already uses), plans with the cost-based [`Planner`], and
-//! submits to the shared [`Engine`] — returning a cancellable
-//! [`QueryHandle`] whose [`ResultStream`](crate::handle::ResultStream)
-//! delivers batches while the query runs.
+//! from the catalog's exact per-column distinct counts (the System-R
+//! formula; binding is the one place counts become selectivities), plans
+//! with the cost-based [`Planner`], and submits to the shared [`Engine`]
+//! — returning a cancellable [`QueryHandle`] whose
+//! [`ResultStream`](crate::handle::ResultStream) delivers batches while
+//! the query runs.
 //!
 //! Every failure mode surfaces as a [`MjError`] — the top-level error that
 //! unifies the per-crate error types (`From` impls for [`ParseError`] and
@@ -560,10 +561,13 @@ impl Database {
             })
     }
 
-    /// Records exact per-column distinct counts of every registered
-    /// relation — what the planner's System-R selectivity formula runs on.
-    /// Call after registration (and after bulk changes). The counts are
-    /// taken over each relation's stored columnar image.
+    /// Counts the exact per-column distinct values of every registered
+    /// relation now — what the planner's System-R selectivity formula runs
+    /// on. Each relation is counted once, over its stored columnar image,
+    /// by whichever comes first: this call or the first bind that reads
+    /// the relation. So calling it is optional: it moves the cost from the
+    /// first query to the load. It changes no plan and leaves the catalog
+    /// generation, and so every cached plan, as it is.
     pub fn analyze(&self) -> MjResult<()> {
         for name in self.catalog.names() {
             self.catalog.analyze(&name)?;
@@ -647,9 +651,9 @@ impl Database {
     /// through the session's shared bounded-LRU plan cache. A repeated
     /// prepare of the same text, up to comments and whitespace, against
     /// an unchanged catalog is a cache hit and skips every one of those
-    /// steps; any catalog mutation (`register`, `analyze`, statistics
-    /// updates) bumps the generation and forces a re-plan on the next
-    /// prepare — a stale plan never runs against a changed catalog.
+    /// steps; any registration bumps the catalog generation and forces a
+    /// re-plan on the next prepare — a stale plan never runs against a
+    /// changed catalog. [`analyze`](Self::analyze) is no registration.
     pub fn prepare(&self, text: &str) -> MjResult<Arc<PreparedStatement>> {
         let key = normalize_query_text(text);
         let generation = self.catalog.generation();
@@ -1467,11 +1471,16 @@ mod tests {
         assert!(!Arc::ptr_eq(&s1, &s3), "stale plan must be replaced");
         assert_eq!(plan_cache_counts(&db), (1, 2, 1));
 
-        // `analyze` is a statistics write: it invalidates too.
+        // `analyze` counts what the images already fix: no write, so the
+        // plan and its template stay.
+        db.execute_prepared(&s3, &[1]).unwrap().collect().unwrap();
+        let built = db.engine().templates_built();
         db.analyze().unwrap();
         let s4 = db.prepare(PREPARED_TEXT).unwrap();
-        assert!(!Arc::ptr_eq(&s3, &s4));
-        assert_eq!(plan_cache_counts(&db), (1, 3, 2));
+        assert!(Arc::ptr_eq(&s3, &s4), "analyze keeps the cached plan");
+        db.execute_prepared(&s4, &[1]).unwrap().collect().unwrap();
+        assert_eq!(plan_cache_counts(&db), (2, 2, 1));
+        assert_eq!(db.engine().templates_built(), built, "no template rebuilt");
     }
 
     #[test]

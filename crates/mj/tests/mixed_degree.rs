@@ -482,19 +482,19 @@ fn a_group_is_never_ordered_after_the_producer_of_a_stream_it_reads() {
 }
 
 /// A session whose statistics lie: `H` holds 50 000 rows on ten hot keys
-/// but is registered as 50 rows with 50 distinct values, so a join into it
-/// is estimated at ten rows — under a grain, fused — and produces five
+/// (beside forty cold keys of one row each, so its key column counts 50
+/// distinct values) but is registered as 50 rows, so a join into it is
+/// estimated at ten rows — under a grain, fused — and produces five
 /// thousand times that. `A`, `D` and `E` are as small as they claim.
 fn misestimated() -> Database {
     let abc = ["a", "b", "id"];
     let db = Database::open(DbConfig::default()).unwrap();
     let catalog = db.catalog();
-    let lie = TableStats {
-        cardinality: 50,
-        distinct_keys: 50,
-    };
+    let lie = TableStats { cardinality: 50 };
+    // Rows 0..40 hold the cold keys 10..50, the other 50 000 the hot 0..10.
+    let h = |i| vec![if i < 40 { 10 + i } else { i % 10 }, i % 7, i];
     catalog.register("A", relation(&abc, 10, |i| vec![i, i, i]));
-    catalog.register_with_stats("H", relation(&abc, 50_000, |i| vec![i % 10, i % 7, i]), lie);
+    catalog.register_with_stats("H", relation(&abc, 50_040, h), lie);
     catalog.register("D", relation(&abc, SMALL, |i| vec![i, i, i]));
     catalog.register("E", relation(&abc, SMALL, |i| vec![i, i, i]));
     db

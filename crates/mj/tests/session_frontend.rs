@@ -173,7 +173,7 @@ fn zero_workers_and_zero_processors_are_config_errors() {
     let instance = generate_family(QueryFamily::Chain, 3, 32, 1).unwrap();
     let db = Database::open(DbConfig::default()).unwrap();
     instance.load(&db).unwrap();
-    let query = instance.query(db.catalog()).unwrap();
+    let (query, _) = db.bind(&chain_query_sql(3)).unwrap();
     assert!(Planner::new(PlannerOptions::new(0)).plan(&query).is_err());
 }
 

@@ -214,7 +214,7 @@ fn concurrent_queries_match_sequential_runs() {
 /// across shapes.
 #[test]
 fn planner_plan_matches_sp_baseline_on_every_shape() {
-    use multijoin::exec::generate_family;
+    use multijoin::exec::{chain_query_sql, generate_family, star_query_sql};
 
     let cases = [
         (QueryFamily::Chain, 3, 11u64),
@@ -229,7 +229,11 @@ fn planner_plan_matches_sp_baseline_on_every_shape() {
         let db = Database::open(DbConfig::default()).unwrap();
         inst.load(&db).unwrap();
         let catalog = db.catalog();
-        let query = inst.query(catalog).unwrap();
+        let text = match family {
+            QueryFamily::Star => star_query_sql(k),
+            _ => chain_query_sql(k),
+        };
+        let (query, _) = db.bind(&text).unwrap();
         let planned = Planner::new(PlannerOptions::new(5)).plan(&query).unwrap();
         let chosen = run_plan(
             &planned.plan,

@@ -2,15 +2,18 @@
 //! the statistics the phase-1 optimizer uses. [`Catalog::register`] is
 //! the load; an entry *is* the relation (schema, image, statistics, and
 //! what queries built on the image, see [`cache`](crate::cache)), so a
-//! replaced relation takes all of it along. Rows are rebuilt from the
-//! image only where rows are the point ([`RelationProvider::relation`]).
+//! replaced relation takes all of it along. An entry's distinct counts
+//! come from its image alone: counted exactly, once, on first use (or when
+//! [`Catalog::analyze`] asks), and never set by hand. Rows are rebuilt
+//! from the image only where rows are the point
+//! ([`RelationProvider::relation`]).
 
 use mj_relalg::column::{Column, ColumnBatch};
 use mj_relalg::{RelalgError, Relation, RelationProvider, Result, Schema};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::cache::{Resident, ResidentStats};
 use crate::columnar::{scan_columns, Fragments};
@@ -20,20 +23,6 @@ use crate::columnar::{scan_columns, Fragments};
 pub struct TableStats {
     /// Tuple count.
     pub cardinality: u64,
-    /// Number of distinct values in the (primary) join key column. For
-    /// Wisconsin relations this equals the cardinality (`unique1` is
-    /// unique).
-    pub distinct_keys: u64,
-}
-
-impl TableStats {
-    /// Stats for a relation with a unique join key.
-    pub fn unique_key(cardinality: u64) -> Self {
-        TableStats {
-            cardinality,
-            distinct_keys: cardinality,
-        }
-    }
 }
 
 /// One stored relation.
@@ -44,10 +33,10 @@ pub(crate) struct Entry {
     /// The whole relation as one columnar fragment: every variant is
     /// partitioned from it, and late materialization pins it by refcount.
     pub(crate) image: Fragments,
-    /// Distinct-value counts by column — what the planner's selectivity
-    /// formula `1 / max(d_left, d_right)` runs on. Columns without a count
-    /// fall back to [`TableStats`].
-    distinct: RwLock<HashMap<usize, u64>>,
+    /// Exact distinct-value count of every column of the image — what the
+    /// planner's selectivity formula `1 / max(d_left, d_right)` runs on.
+    /// Counted once, by whichever reader comes first.
+    distinct: OnceLock<Vec<u64>>,
     /// Variants and join tables built on the image so far.
     pub(crate) resident: Mutex<Resident>,
 }
@@ -59,8 +48,18 @@ impl Entry {
             schema: relation.schema().clone(),
             stats,
             image: Arc::from([Arc::new(scan_columns(relation)?)]),
-            distinct: RwLock::default(),
+            distinct: OnceLock::new(),
             resident: Mutex::new(Resident::default()),
+        })
+    }
+
+    /// The distinct counts by column, counted over the image on first use.
+    fn distinct(&self) -> &[u64] {
+        self.distinct.get_or_init(|| {
+            let image = &self.image[0];
+            (0..image.arity())
+                .map(|col| distinct_values(image.column(col).expect("a column of the image")))
+                .collect()
         })
     }
 }
@@ -70,11 +69,10 @@ impl Entry {
 pub struct Catalog {
     pub(crate) entries: RwLock<HashMap<String, Arc<Entry>>>,
     pub(crate) counters: Mutex<ResidentStats>,
-    /// Monotonic mutation counter: bumped by every write path
-    /// (`register*`, `set_column_distinct`, `analyze`). Cached query
-    /// plans record the generation they were built against and must be
-    /// re-validated when it moves — a stale plan never runs against a
-    /// changed catalog.
+    /// Monotonic mutation counter: bumped by every registration
+    /// (`register*`). Cached query plans record the generation they were
+    /// built against and must be re-validated when it moves — a stale
+    /// plan never runs against a changed catalog.
     generation: AtomicU64,
 }
 
@@ -84,9 +82,10 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// The current mutation generation. Any catalog write (registration,
-    /// statistics update, `analyze`) advances it; plan caches compare
-    /// generations to detect staleness.
+    /// The current mutation generation. Every registration advances it;
+    /// plan caches compare generations to detect staleness. Counting
+    /// distinct values is not a write: the counts are a function of the
+    /// image.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -104,9 +103,11 @@ impl Catalog {
             .ok_or_else(|| RelalgError::UnknownRelation(name.to_string()))
     }
 
-    /// Registers a relation, deriving unique-key statistics from its size.
+    /// Registers a relation; its cardinality is its length.
     pub fn register(&self, name: impl Into<String>, relation: Arc<Relation>) {
-        let stats = TableStats::unique_key(relation.len() as u64);
+        let stats = TableStats {
+            cardinality: relation.len() as u64,
+        };
         self.register_with_stats(name, relation, stats);
     }
 
@@ -116,7 +117,10 @@ impl Catalog {
     /// session front door's duplicate guard.
     pub fn register_new(&self, name: impl Into<String>, relation: Arc<Relation>) -> Result<()> {
         let name = name.into();
-        let entry = Entry::load(&relation, TableStats::unique_key(relation.len() as u64))?;
+        let stats = TableStats {
+            cardinality: relation.len() as u64,
+        };
+        let entry = Entry::load(&relation, stats)?;
         let mut entries = self.entries.write();
         if entries.contains_key(&name) {
             return Err(RelalgError::InvalidPlan(format!(
@@ -129,9 +133,10 @@ impl Catalog {
         Ok(())
     }
 
-    /// Registers a relation with explicit statistics (e.g. skewed keys).
-    /// A relation already registered under `name` is replaced, and its
-    /// image, variants and tables are evicted with its entry.
+    /// Registers a relation under a cardinality other than its length —
+    /// how a test plans from an estimate that is off. A relation already
+    /// registered under `name` is replaced, and its image, counts,
+    /// variants and tables are evicted with its entry.
     ///
     /// # Panics
     ///
@@ -157,39 +162,28 @@ impl Catalog {
         Ok(self.entry(name)?.stats)
     }
 
-    /// Records the distinct-value count of one column of `name`.
-    pub fn set_column_distinct(&self, name: &str, column: usize, distinct: u64) -> Result<()> {
-        self.entry(name)?.distinct.write().insert(column, distinct);
-        self.bump_generation();
-        Ok(())
-    }
-
-    /// Counts the exact distinct values of every column of `name` over its
-    /// stored image — O(rows × columns); meant for generated/benchmark
-    /// data, not for production-size loads. One catalog write: the
-    /// generation moves once, however many columns the relation has.
+    /// Counts the exact distinct values of every column of `name` now,
+    /// if no reader has yet — O(rows × columns), so a load pays it up
+    /// front rather than the first query that binds the relation. Not a
+    /// write: the generation stays.
     pub fn analyze(&self, name: &str) -> Result<()> {
-        let entry = self.entry(name)?;
-        let image = &entry.image[0];
-        let counts = (0..image.arity())
-            .map(|col| image.column(col).map(|c| (col, distinct_values(c))))
-            .collect::<Result<_>>()?;
-        *entry.distinct.write() = counts;
-        self.bump_generation();
+        self.entry(name)?.distinct();
         Ok(())
     }
 
-    /// Distinct-value estimate for one column: the recorded per-column
-    /// count if any, else [`TableStats::distinct_keys`] for column 0 (the
-    /// primary join key), else the relation cardinality (assume unique).
+    /// The exact number of distinct values in one column of `name`,
+    /// counted over its image (every column at once, on first use). A
+    /// column the relation does not have is an error.
     pub fn column_distinct(&self, name: &str, column: usize) -> Result<u64> {
         let entry = self.entry(name)?;
-        let recorded = entry.distinct.read().get(&column).copied();
-        Ok(recorded.unwrap_or(if column == 0 {
-            entry.stats.distinct_keys
-        } else {
-            entry.stats.cardinality
-        }))
+        let counts = entry.distinct();
+        counts
+            .get(column)
+            .copied()
+            .ok_or(RelalgError::IndexOutOfBounds {
+                index: column,
+                arity: counts.len(),
+            })
     }
 
     /// Names of all registered relations (unordered).
@@ -262,7 +256,7 @@ mod tests {
         assert_eq!(c.relation("R").unwrap().len(), 10);
         assert_eq!(c.schema("R").unwrap().arity(), 1);
         assert_eq!(c.stats("R").unwrap().cardinality, 10);
-        assert_eq!(c.stats("R").unwrap().distinct_keys, 10);
+        assert_eq!(c.column_distinct("R", 0).unwrap(), 10);
         assert!(c.relation("S").is_err());
         assert!(c.schema("S").is_err());
         assert!(c.stats("S").is_err());
@@ -278,64 +272,98 @@ mod tests {
         assert_eq!(c.relation("R").unwrap().len(), 5);
     }
 
-    #[test]
-    fn explicit_stats_override() {
-        let c = Catalog::new();
-        c.register_with_stats(
-            "R",
-            rel(10),
-            TableStats {
-                cardinality: 10,
-                distinct_keys: 3,
-            },
-        );
-        assert_eq!(c.stats("R").unwrap().distinct_keys, 3);
+    /// `(k, v)` rows `(i % keys, i)` for `i` in `0..n`.
+    fn keyed(n: i64, keys: i64) -> Arc<Relation> {
+        let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
+        let tuples = (0..n).map(|i| Tuple::from_ints(&[i % keys, i])).collect();
+        Arc::new(Relation::new(schema, tuples).unwrap())
     }
 
     #[test]
-    fn column_stats_fall_back_to_table_stats() {
+    fn explicit_stats_override() {
         let c = Catalog::new();
-        c.register("R", rel(10));
-        // No per-column entries: col 0 uses distinct_keys, others cardinality.
-        assert_eq!(c.column_distinct("R", 0).unwrap(), 10);
-        assert_eq!(c.column_distinct("R", 3).unwrap(), 10);
-        c.set_column_distinct("R", 3, 4).unwrap();
-        assert_eq!(c.column_distinct("R", 3).unwrap(), 4);
+        c.register_with_stats("R", keyed(12, 3), TableStats { cardinality: 50 });
+        assert_eq!(c.stats("R").unwrap().cardinality, 50);
+        assert_eq!(c.column_distinct("R", 0).unwrap(), 3);
+        assert_eq!(c.column_distinct("R", 1).unwrap(), 12);
+    }
+
+    #[test]
+    fn counts_are_exact_without_analyze() {
+        let c = Catalog::new();
+        c.register("S", keyed(12, 3));
+        assert_eq!(c.column_distinct("S", 0).unwrap(), 3);
+        assert_eq!(c.column_distinct("S", 1).unwrap(), 12);
+        // Analyzing afterwards counts nothing new.
+        c.analyze("S").unwrap();
+        assert_eq!(c.column_distinct("S", 0).unwrap(), 3);
         assert!(c.column_distinct("missing", 0).is_err());
-        assert!(c.set_column_distinct("missing", 0, 1).is_err());
+        assert!(c.analyze("missing").is_err());
+    }
+
+    #[test]
+    fn a_column_the_relation_lacks_is_an_error() {
+        let c = Catalog::new();
+        let schema = Schema::new(vec![
+            Attribute::int("a"),
+            Attribute::int("b"),
+            Attribute::int("id"),
+        ])
+        .shared();
+        let tuples = (0..50)
+            .map(|i| Tuple::from_ints(&[i % 7, i % 5, i]))
+            .collect();
+        c.register("R0", Arc::new(Relation::new(schema, tuples).unwrap()));
+        assert_eq!(c.column_distinct("R0", 2).unwrap(), 50);
+        for column in [3, 99] {
+            let err = c.column_distinct("R0", column).unwrap_err();
+            assert_eq!(
+                err,
+                RelalgError::IndexOutOfBounds {
+                    index: column,
+                    arity: 3
+                }
+            );
+        }
     }
 
     #[test]
     fn analyze_counts_exact_distincts() {
         let c = Catalog::new();
-        let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
-        let tuples = (0..12).map(|i| Tuple::from_ints(&[i % 3, i])).collect();
-        c.register("S", Arc::new(Relation::new(schema, tuples).unwrap()));
+        c.register("S", keyed(12, 3));
         c.analyze("S").unwrap();
         assert_eq!(c.column_distinct("S", 0).unwrap(), 3);
         assert_eq!(c.column_distinct("S", 1).unwrap(), 12);
     }
 
     #[test]
+    fn concurrent_first_readers_all_see_the_exact_count() {
+        let c = Catalog::new();
+        c.register("R", keyed(20_000, 37));
+        let start = std::sync::Barrier::new(8);
+        let counts: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let k = c.column_distinct("R", 0).unwrap();
+                        (k, c.column_distinct("R", 1).unwrap())
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(counts, vec![(37, 20_000); 8]);
+    }
+
+    #[test]
     fn a_replaced_relation_takes_its_distinct_counts_with_it() {
         let c = Catalog::new();
-        let schema = Schema::new(vec![Attribute::int("k"), Attribute::int("v")]).shared();
-        let relation = |n: i64, keys: i64| {
-            let tuples = (0..n).map(|i| Tuple::from_ints(&[i % keys, i])).collect();
-            Arc::new(Relation::new(schema.clone(), tuples).unwrap())
-        };
-        c.register("R", relation(40, 20));
+        c.register("R", keyed(40, 20));
         c.analyze("R").unwrap();
         assert_eq!(c.column_distinct("R", 0).unwrap(), 20);
-        let stats = TableStats {
-            cardinality: 30,
-            distinct_keys: 30,
-        };
-        c.register_with_stats("R", relation(30, 5), stats);
-        // The old data's counts are gone: the fallback prices the new data.
-        assert_eq!(c.column_distinct("R", 0).unwrap(), 30);
-        assert_eq!(c.column_distinct("R", 1).unwrap(), 30);
-        c.analyze("R").unwrap();
+        c.register("R", keyed(30, 5));
+        // The new image is counted afresh, analyzed or not.
         assert_eq!(c.column_distinct("R", 0).unwrap(), 5);
         assert_eq!(c.column_distinct("R", 1).unwrap(), 30);
     }
@@ -407,21 +435,11 @@ mod tests {
         // A *failed* register_new leaves the generation alone.
         assert!(c.register_new("S", rel(9)).is_err());
         assert_eq!(c.generation(), g2, "failed registration is not a write");
-        c.set_column_distinct("R", 0, 2).unwrap();
-        let g3 = c.generation();
-        assert!(g3 > g2, "stat update bumps");
+        // Counting distinct values is no write: plans stay cached.
         c.analyze("R").unwrap();
-        assert_eq!(c.generation(), g3 + 1, "analyze is exactly one write");
-        let wide = Schema::new(vec![Attribute::int("a"), Attribute::int("b")]).shared();
-        let rows = (0..4).map(|i| Tuple::from_ints(&[i, i % 2])).collect();
-        c.register("W", Arc::new(Relation::new(wide, rows).unwrap()));
-        let g4 = c.generation();
-        c.analyze("W").unwrap();
-        assert_eq!(
-            c.generation(),
-            g4 + 1,
-            "one bump per analyze, not per column"
-        );
+        assert_eq!(c.generation(), g2, "analyze leaves the generation");
+        c.register("R", rel(6));
+        assert!(c.generation() > g2, "replacing a relation bumps");
         // Reads never move it.
         let g = c.generation();
         let _ = c.stats("R").unwrap();
