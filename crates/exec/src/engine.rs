@@ -66,7 +66,7 @@ use mj_core::plan_ir::ParallelPlan;
 use mj_core::validate::ValidPlan;
 use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
-use mj_relalg::{RelalgError, Relation, Result, Tuple};
+use mj_relalg::{RelalgError, Relation, Result};
 use mj_storage::{Catalog, Fragments};
 
 use crate::binding::QueryBinding;
@@ -326,16 +326,10 @@ impl Engine {
 
 /// Drains `handle`'s stream into a materialized [`ExecOutcome`].
 fn materialize(mut handle: QueryHandle) -> Result<ExecOutcome> {
-    let mut stream = handle.stream();
-    let schema = stream.schema().clone();
-    let mut tuples: Vec<Tuple> = Vec::new();
-    while let Some(mut batch) = stream.next_batch() {
-        tuples.extend(batch.drain());
-    }
-    drop(stream); // fully drained: dropping a finished stream is a no-op
+    let relation = handle.stream().collect_relation();
     let outcome = handle.outcome()?;
     Ok(ExecOutcome {
-        relation: Relation::new_unchecked(schema, tuples),
+        relation,
         elapsed: outcome.elapsed,
         time_to_first_batch: outcome.time_to_first_batch,
         metrics: outcome.metrics,
@@ -894,17 +888,11 @@ impl QueryRun {
                     &ops[root].schema,
                     materialized.expect("a materialized consumer"),
                     self.config.batch_size,
-                    Some(self.ctrl.budget().clone()),
+                    self.ctrl.budget().clone(),
                 ),
             };
 
-            let mut task = OpTask::new(
-                task_members,
-                output,
-                i,
-                self.reporter(),
-                Some(self.ctrl.clone()),
-            );
+            let mut task = OpTask::new(task_members, output, i, self.reporter(), self.ctrl.clone());
             task.lend(template.lend(root, i));
             if root == template.root() {
                 if let Some(resolver) = &self.resolver {

@@ -591,8 +591,10 @@ impl QueryHandle {
         Some(self.hand_out(result))
     }
 
-    /// Drains the stream into a relation and returns it alongside the
-    /// outcome — the one-call path for clients that want the whole result.
+    /// Drains the stream into a relation once the query has succeeded —
+    /// the one-call path for clients that want the whole result; the
+    /// outcome (elapsed time, metrics) is not returned, and a failed
+    /// query's error is.
     pub fn collect(mut self) -> Result<Relation> {
         let stream = self.stream.take().ok_or_else(|| {
             RelalgError::InvalidPlan("result stream already taken; drain it instead".into())

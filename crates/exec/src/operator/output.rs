@@ -39,7 +39,7 @@ pub enum OutputPort {
         batch: usize,
         /// The owning query's memory budget: the pieces' bytes are charged
         /// when they are cut and credited back when the query concludes.
-        budget: Option<Arc<MemoryBudget>>,
+        budget: Arc<MemoryBudget>,
         /// The pieces, once the port has finished.
         pieces: Option<Fragments>,
     },
@@ -63,7 +63,7 @@ impl OutputPort {
         schema: &Schema,
         parts: (usize, usize),
         cap: usize,
-        budget: Option<Arc<MemoryBudget>>,
+        budget: Arc<MemoryBudget>,
     ) -> OutputPort {
         OutputPort::Materialize {
             buffer: ColumnBatch::for_schema(schema),
@@ -150,12 +150,10 @@ impl OutputPort {
             } => {
                 let output = Arc::new(std::mem::take(buffer));
                 let cut = fragment_columns(&output, *key_col, *of)?;
-                if let Some(budget) = budget {
-                    // Charge unconditionally; enforcement happens at the
-                    // consuming tasks' next budget poll. The query's run
-                    // credits these bytes back when it concludes.
-                    budget.charge(cut.iter().map(|piece| piece.est_bytes()).sum());
-                }
+                // Charge unconditionally; enforcement happens at the
+                // consuming tasks' next budget poll. The query's run credits
+                // these bytes back when it concludes.
+                budget.charge(cut.iter().map(|piece| piece.est_bytes()).sum());
                 *pieces = Some(cut);
                 Ok(true)
             }
@@ -206,12 +204,7 @@ mod tests {
 
     /// Runs a materializing port over `keys` (from row `pos` on) and
     /// returns its pieces.
-    fn materialized(
-        keys: &[i64],
-        pos: usize,
-        of: usize,
-        budget: Option<Arc<MemoryBudget>>,
-    ) -> Fragments {
+    fn materialized(keys: &[i64], pos: usize, of: usize, budget: Arc<MemoryBudget>) -> Fragments {
         let mut port = OutputPort::materialize(&schema(), (0, of), usize::MAX, budget);
         assert!(port.take_pieces().is_none(), "no pieces before the finish");
         let (mut out, mut pos) = (batch(keys), pos);
@@ -224,7 +217,7 @@ mod tests {
 
     #[test]
     fn materialize_stores_a_columnar_fragment() {
-        let pieces = materialized(&[7, 8, 9], 1, 1, None);
+        let pieces = materialized(&[7, 8, 9], 1, 1, MemoryBudget::unlimited());
         assert_eq!(pieces.len(), 1);
         assert_eq!(pieces[0].int_col(0).unwrap(), &[8, 9]);
     }
@@ -233,7 +226,7 @@ mod tests {
     fn materialize_stores_one_piece_per_consumer_instance() {
         let budget = MemoryBudget::unlimited();
         let keys: Vec<i64> = (0..200).map(|i| i * 7 - 300).collect();
-        let pieces = materialized(&keys, 0, 3, Some(budget.clone()));
+        let pieces = materialized(&keys, 0, 3, budget.clone());
         assert_eq!(pieces.len(), 3, "exactly three pieces");
         let mut union = Vec::new();
         for (j, piece) in pieces.iter().enumerate() {
@@ -251,7 +244,8 @@ mod tests {
     #[test]
     fn an_instance_without_output_stores_a_typed_empty_fragment() {
         for of in [1, 3] {
-            let mut port = OutputPort::materialize(&schema(), (0, of), usize::MAX, None);
+            let mut port =
+                OutputPort::materialize(&schema(), (0, of), usize::MAX, MemoryBudget::unlimited());
             assert!(port.try_finish(Waker::noop()).unwrap());
             let pieces = port.take_pieces().unwrap();
             assert_eq!(pieces.len(), of);
@@ -264,10 +258,10 @@ mod tests {
     #[test]
     fn materialize_charges_budget_for_stored_fragment() {
         let budget = MemoryBudget::unlimited();
-        let pieces = materialized(&[7, 8], 0, 1, Some(budget.clone()));
+        let pieces = materialized(&[7, 8], 0, 1, budget.clone());
         assert_eq!(pieces[0].est_bytes(), 16, "two dense integer values");
         assert_eq!(budget.used(), 16);
-        let pieces = materialized(&[1, 2, 3, 4], 0, 2, Some(budget.clone()));
+        let pieces = materialized(&[1, 2, 3, 4], 0, 2, budget.clone());
         let cut: u64 = pieces.iter().map(|p| p.est_bytes()).sum();
         assert_eq!(cut, 32, "the pieces hold every row once");
         assert_eq!(budget.used(), 16 + cut);

@@ -16,8 +16,9 @@
 //! feed), the full output destination — and returns [`Step::Blocked`],
 //! leaving the run queue and yielding its worker to some other instance, of
 //! this query or any other, until one of those edges wakes it. Its query's
-//! cancel, abort and early-stop tokens wake it too: every task registers
-//! with its [`QueryCtrl`] on its first step.
+//! cancel, abort and early-stop tokens wake it too: every task holds its
+//! query's [`QueryCtrl`], registers with it on its first step and charges
+//! its state to that block's memory budget.
 //!
 //! A task runs one operation *process*, which is usually one operator —
 //! and, where the plan fused sub-grain operations into their consumer
@@ -518,8 +519,9 @@ pub struct OpTask {
     reporter: Reporter,
     /// Completions of members that finished during the current step.
     reports: Vec<DoneMsg>,
-    /// The query's cancel/early-stop/abort tokens; observed at every step.
-    ctrl: Option<Arc<QueryCtrl>>,
+    /// The query's cancel/early-stop/abort tokens and memory budget;
+    /// observed at every step.
+    ctrl: Arc<QueryCtrl>,
     /// Bytes of task state currently charged against the query's memory
     /// budget: the lent buffers' capacity, the running operator's
     /// ([`PhysicalOp::est_bytes`]), and the results members have handed
@@ -543,7 +545,7 @@ impl OpTask {
         output: OutputPort,
         instance: usize,
         reporter: Reporter,
-        ctrl: Option<Arc<QueryCtrl>>,
+        ctrl: Arc<QueryCtrl>,
     ) -> OpTask {
         debug_assert!(
             members.split_last().is_some_and(|(root, rest)| {
@@ -682,17 +684,15 @@ impl OpTask {
     /// Returns every byte this task charged against the query's memory
     /// budget (operator state, intermediates, injected spikes).
     fn release_budget(&mut self) {
-        if let Some(ctrl) = &self.ctrl {
-            #[allow(unused_mut)]
-            let mut total = self.charged;
-            #[cfg(feature = "faults")]
-            {
-                total += self.spiked;
-                self.spiked = 0;
-            }
-            if total > 0 {
-                ctrl.budget().credit(total);
-            }
+        #[allow(unused_mut)]
+        let mut total = self.charged;
+        #[cfg(feature = "faults")]
+        {
+            total += self.spiked;
+            self.spiked = 0;
+        }
+        if total > 0 {
+            self.ctrl.budget().credit(total);
         }
         self.charged = 0;
     }
@@ -702,10 +702,7 @@ impl OpTask {
     /// and what a non-root member has accumulated so far — and reports
     /// whether the query's budget is now exhausted.
     fn sync_budget(&mut self) -> bool {
-        let Some(ctrl) = &self.ctrl else {
-            return false;
-        };
-        let budget = ctrl.budget();
+        let budget = self.ctrl.budget();
         let mut held: u64 = self.lent_bytes;
         held += self.members.iter().map(|m| m.handed_bytes).sum::<u64>();
         if let Some(m) = self.members.front() {
@@ -884,9 +881,7 @@ impl OpTask {
                         // rest of the query to wind down, and finish this
                         // instance's port normally.
                         self.satisfied = true;
-                        if let Some(ctrl) = &self.ctrl {
-                            ctrl.stop_early();
-                        }
+                        self.ctrl.stop_early();
                         self.phase = Phase::Finish;
                         return Ok(None);
                     }
@@ -951,11 +946,9 @@ impl OpTask {
         // at; one that finishes in the step it started in was never
         // checked, so its last state is, before it reports.
         if self.sync_budget() {
-            if let Some(ctrl) = &self.ctrl {
-                let reason = ctrl.budget().exhausted_error();
-                ctrl.abort(reason.clone());
-                return Err(reason);
-            }
+            let reason = self.ctrl.budget().exhausted_error();
+            self.ctrl.abort(reason.clone());
+            return Err(reason);
         }
         self.report(Ok(()));
         Ok(Some(Step::Done))
@@ -982,15 +975,13 @@ impl OpTask {
                 panic!("injected panic at op {op_id} instance {instance}")
             }
             crate::faults::FaultKind::AllocSpike { bytes } => {
-                if let Some(ctrl) = &self.ctrl {
-                    // Raise the abort immediately: the spike may land on
-                    // this task's final step, after which no poll of the
-                    // budget would run before the query completes.
-                    if !ctrl.budget().charge(bytes) {
-                        ctrl.abort(ctrl.budget().exhausted_error());
-                    }
-                    self.spiked += bytes;
+                // Raise the abort immediately: the spike may land on this
+                // task's final step, after which no poll of the budget
+                // would run before the query completes.
+                if !self.ctrl.budget().charge(bytes) {
+                    self.ctrl.abort(self.ctrl.budget().exhausted_error());
                 }
+                self.spiked += bytes;
                 Ok(None)
             }
             crate::faults::FaultKind::Stall => Ok(Some(Step::Blocked)),
@@ -1044,42 +1035,40 @@ impl OpTask {
     fn run_step(&mut self, waker: &Waker) -> Step {
         if self.phase != Phase::Done {
             self.member().stats.steps += 1;
-            if let Some(ctrl) = &self.ctrl {
-                // Registered before the tokens are read: a token raised
-                // after this read wakes the task, wherever it then waits.
-                if !self.registered {
-                    ctrl.register_task(waker);
-                    self.registered = true;
-                }
-                // Cancellation preempts whatever phase the instance is in:
-                // report once and become inert, releasing endpoints on
-                // drop.
-                if ctrl.is_canceled() {
-                    self.report(Err(RelalgError::Canceled));
-                    return Step::Done;
-                }
-                // Early stop (a satisfied LIMIT downstream) winds every
-                // *other* task down successfully; the satisfying task
-                // keeps finishing its port so the client sees End.
-                if ctrl.early_stopped() && !self.satisfied {
-                    self.report(Ok(()));
-                    return Step::Done;
-                }
-                // A guardrail abort (deadline, budget, contained panic,
-                // stall) is a cancel with a typed reason: every task of
-                // the query reports that reason and winds down.
-                if let Some(reason) = ctrl.abort_error() {
-                    self.report(Err(reason));
-                    return Step::Done;
-                }
-                // Deadline enforcement at quantum granularity: the first
-                // instance past the deadline raises the abort for the
-                // whole query.
-                if ctrl.deadline_exceeded() {
-                    ctrl.abort(RelalgError::DeadlineExceeded);
-                    self.report(Err(RelalgError::DeadlineExceeded));
-                    return Step::Done;
-                }
+            let ctrl = &self.ctrl;
+            // Registered before the tokens are read: a token raised after
+            // this read wakes the task, wherever it then waits.
+            if !self.registered {
+                ctrl.register_task(waker);
+                self.registered = true;
+            }
+            // Cancellation preempts whatever phase the instance is in:
+            // report once and become inert, releasing endpoints on drop.
+            if ctrl.is_canceled() {
+                self.report(Err(RelalgError::Canceled));
+                return Step::Done;
+            }
+            // Early stop (a satisfied LIMIT downstream) winds every *other*
+            // task down successfully; the satisfying task keeps finishing
+            // its port so the client sees End.
+            if ctrl.early_stopped() && !self.satisfied {
+                self.report(Ok(()));
+                return Step::Done;
+            }
+            // A guardrail abort (deadline, budget, contained panic, stall)
+            // is a cancel with a typed reason: every task of the query
+            // reports that reason and winds down.
+            if let Some(reason) = ctrl.abort_error() {
+                self.report(Err(reason));
+                return Step::Done;
+            }
+            // Deadline enforcement at quantum granularity: the first
+            // instance past the deadline raises the abort for the whole
+            // query.
+            if ctrl.deadline_exceeded() {
+                ctrl.abort(RelalgError::DeadlineExceeded);
+                self.report(Err(RelalgError::DeadlineExceeded));
+                return Step::Done;
             }
         }
         // Contain panics at the task boundary: a panicking operator must
@@ -1093,10 +1082,8 @@ impl OpTask {
             Ok(result) => result,
             Err(payload) => {
                 let reason = RelalgError::Internal(panic_message(payload.as_ref()));
-                if let Some(ctrl) = &self.ctrl {
-                    ctrl.note_panic();
-                    ctrl.abort(reason.clone());
-                }
+                self.ctrl.note_panic();
+                self.ctrl.abort(reason.clone());
                 self.report(Err(reason));
                 return Step::Done;
             }
@@ -1106,33 +1093,24 @@ impl OpTask {
                 if step == Step::Blocked && !self.moved {
                     self.member().stats.blocked += 1;
                 } else if step != Step::Done {
-                    if let Some(ctrl) = &self.ctrl {
-                        ctrl.note_progress();
-                    }
+                    self.ctrl.note_progress();
                 }
                 // Memory guardrail: keep the budget synced to the
                 // operator's held state (hash tables, aggregation groups)
                 // and abort this query — engine intact — once its cap is
                 // crossed.
                 if self.phase != Phase::Done && self.sync_budget() {
-                    if let Some(ctrl) = &self.ctrl {
-                        let reason = ctrl.budget().exhausted_error();
-                        ctrl.abort(reason.clone());
-                        self.report(Err(reason));
-                        return Step::Done;
-                    }
+                    let reason = self.ctrl.budget().exhausted_error();
+                    self.ctrl.abort(reason.clone());
+                    self.report(Err(reason));
+                    return Step::Done;
                 }
                 step
             }
             Err(e) => {
                 // After an early stop, teardown races (consumers dropping
                 // receivers mid-send) are expected, not failures.
-                let early = self
-                    .ctrl
-                    .as_ref()
-                    .map(|c| c.early_stopped() && !c.is_canceled())
-                    .unwrap_or(false);
-                if early {
+                if self.ctrl.early_stopped() && !self.ctrl.is_canceled() {
                     self.report(Ok(()));
                 } else {
                     // Reporting drops nothing yet; the scheduler drops the
@@ -1219,7 +1197,7 @@ mod tests {
     fn group(
         rows: i64,
         key: impl Fn(i64) -> i64 + Copy,
-        ctrl: Option<Arc<QueryCtrl>>,
+        ctrl: Arc<QueryCtrl>,
     ) -> (OpTask, Arc<Mutex<Vec<Tuple>>>, DoneRx<DoneMsg>) {
         let collected = Arc::new(Mutex::new(Vec::new()));
         let (done_tx, done_rx) = channel();
@@ -1245,7 +1223,7 @@ mod tests {
             let ctrl = QueryCtrl::with_limits(None, budget.clone());
             // 360 intermediate rows, 2160 result rows: every buffer is
             // under the cap, so every one is kept.
-            let (mut task, collected, done_rx) = group(60, |i| i % 10, Some(ctrl));
+            let (mut task, collected, done_rx) = group(60, |i| i % 10, ctrl);
             task.lend(lists.lend(0, 2));
             drive_blocking(task);
             assert!(done_rx.iter().all(|(_, result, _)| result.is_ok()));
@@ -1274,7 +1252,7 @@ mod tests {
 
     #[test]
     fn members_hand_over_in_memory_and_each_reports_for_itself() {
-        let (task, collected, done_rx) = group(40, |i| i, None);
+        let (task, collected, done_rx) = group(40, |i| i, QueryCtrl::new());
         drive_blocking(task);
         let (op, first, _) = done_rx.recv().unwrap();
         let (root, second, _) = done_rx.recv().unwrap();
@@ -1298,7 +1276,7 @@ mod tests {
         let budget = MemoryBudget::with_limit(1 << 30);
         let ctrl = QueryCtrl::with_limits(None, budget.clone());
         // Ten hot keys: 200 x 200 / 10 = 4000 intermediate rows.
-        let (task, collected, done_rx) = group(200, |i| i % 10, Some(ctrl));
+        let (task, collected, done_rx) = group(200, |i| i % 10, ctrl);
         drive_blocking(task);
         let first = done_rx.recv().unwrap().1.unwrap();
         assert_eq!(first.tuples_out, 4000);
@@ -1316,7 +1294,7 @@ mod tests {
     fn a_budget_the_intermediate_outgrows_aborts_the_task_with_the_typed_error() {
         let budget = MemoryBudget::with_limit(16 << 10);
         let ctrl = QueryCtrl::with_limits(None, budget.clone());
-        let (task, collected, done_rx) = group(200, |i| i % 10, Some(ctrl.clone()));
+        let (task, collected, done_rx) = group(200, |i| i % 10, ctrl.clone());
         drive_blocking(task);
         // The first member fits one quantum: it had finished (and said so)
         // by the time the step's budget sync saw its 96 KB result.
@@ -1336,7 +1314,7 @@ mod tests {
     #[test]
     fn a_group_yields_every_quantum_and_observes_cancel_between_them() {
         let ctrl = QueryCtrl::new();
-        let (mut task, collected, done_rx) = group(2000, |i| i, Some(ctrl.clone()));
+        let (mut task, collected, done_rx) = group(2000, |i| i, ctrl.clone());
         // 2000 build rows: the first member is still building after three
         // quanta.
         for _ in 0..3 {
@@ -1372,11 +1350,17 @@ mod tests {
             let batch = router.batch();
             assert_eq!(batch, (MESSAGE_BYTES / 24).min(cap));
             let (done_tx, _done_rx) = channel();
-            let task = OpTask::new(one(), OutputPort::Stream(router), 0, done_tx.into(), None);
+            let task = OpTask::new(
+                one(),
+                OutputPort::Stream(router),
+                0,
+                done_tx.into(),
+                QueryCtrl::new(),
+            );
             assert_eq!(task.batch, batch, "a stream port's router sets it");
-            let port = OutputPort::materialize(&schema, (0, 2), cap, None);
+            let port = OutputPort::materialize(&schema, (0, 2), cap, MemoryBudget::unlimited());
             let (done_tx, _done_rx) = channel();
-            let task = OpTask::new(one(), port, 0, done_tx.into(), None);
+            let task = OpTask::new(one(), port, 0, done_tx.into(), QueryCtrl::new());
             assert_eq!(
                 task.batch, batch,
                 "a materialized schema gets the same count"
@@ -1395,9 +1379,16 @@ mod tests {
             mj_relalg::Attribute::int("l"),
             mj_relalg::Attribute::int("r"),
         ]);
-        let output = OutputPort::materialize(&schema, (0, 3), usize::MAX, None);
+        let output =
+            OutputPort::materialize(&schema, (0, 3), usize::MAX, MemoryBudget::unlimited());
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(members, output, 2, done_tx.into(), None));
+        drive_blocking(OpTask::new(
+            members,
+            output,
+            2,
+            done_tx.into(),
+            QueryCtrl::new(),
+        ));
         let (op, _, pieces) = done_rx.recv().unwrap();
         assert_eq!(op, 0);
         assert!(pieces.is_none(), "a member feeding another cuts nothing");
@@ -1429,7 +1420,13 @@ mod tests {
             buffer: Vec::new(),
         };
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(members, output, 0, done_tx.into(), None));
+        drive_blocking(OpTask::new(
+            members,
+            output,
+            0,
+            done_tx.into(),
+            QueryCtrl::new(),
+        ));
         let stats = done_rx.recv().unwrap().1.unwrap();
         assert_eq!(stats.tuples_in, [2000, 300], "the table's rows count");
         assert_eq!(stats.steps, 1, "300 probe rows are one quantum");
@@ -1456,7 +1453,13 @@ mod tests {
             buffer: Vec::new(),
         };
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(members, output, 0, done_tx.into(), None));
+        drive_blocking(OpTask::new(
+            members,
+            output,
+            0,
+            done_tx.into(),
+            QueryCtrl::new(),
+        ));
         let result = done_rx.recv().unwrap().1;
         assert!(
             matches!(result, Err(RelalgError::InvalidPlan(_))),
@@ -1479,7 +1482,13 @@ mod tests {
             buffer: Vec::new(),
         };
         let members = vec![member(0, Some(stream), rel(4, |i| i))];
-        drive_blocking(OpTask::new(members, output, 0, done_tx.into(), None));
+        drive_blocking(OpTask::new(
+            members,
+            output,
+            0,
+            done_tx.into(),
+            QueryCtrl::new(),
+        ));
         let (op, result, _) = done_rx.recv().unwrap();
         assert_eq!(op, 0);
         assert!(

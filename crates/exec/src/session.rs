@@ -22,6 +22,11 @@
 //! [`ResultStream`](crate::handle::ResultStream) delivers batches while
 //! the query runs.
 //!
+//! Text is the only way in: ad-hoc and prepared queries alike pass the
+//! binder. It binds a WHERE comparison in one place whichever side its
+//! column stands on — a leading literal or `?N` swaps sides and flips the
+//! operator ([`CmpOp::flip`]: `5 < r.a` is `r.a > 5`).
+//!
 //! Every failure mode surfaces as a [`MjError`] — the top-level error that
 //! unifies the per-crate error types (`From` impls for [`ParseError`] and
 //! [`RelalgError`]) and carries byte spans for parse/bind diagnostics.
@@ -752,21 +757,6 @@ impl Database {
         self.plan_cache.overlay(&mut stats);
         stats
     }
-
-    /// Plans and submits an already-validated [`JoinQuery`] (the
-    /// programmatic twin of [`query`](Self::query) for clients that build
-    /// queries directly). Keeps every column of every relation, in
-    /// tree-independent `(relation, column)` order.
-    pub fn query_ast(&self, query: &JoinQuery) -> MjResult<QueryHandle> {
-        let planned = self.planner.plan(query).map_err(MjError::Plan)?;
-        self.engine
-            .submit_planned(
-                planned.plan.clone(),
-                planned.binding,
-                QueryOptions::default(),
-            )
-            .map_err(MjError::from)
-    }
 }
 
 impl fmt::Debug for Database {
@@ -987,9 +977,10 @@ fn agg_output_name(func: AggFunc, arg: Option<&ColumnRef>) -> String {
 }
 
 /// Binds one WHERE conjunct onto its relation as a pushed-down filter:
-/// classifies the two sides (column vs literal), checks types, derives a
-/// System-R-style selectivity from the catalog's distinct counts, and
-/// attaches the predicate to the [`JoinQuery`].
+/// binds both sides once, swaps them (flipping the operator) when the
+/// literal or `?N` leads, checks types, derives a System-R-style
+/// selectivity from the catalog's distinct counts, and attaches the
+/// predicate to the [`JoinQuery`].
 fn bind_where_clause(
     clause: &mj_plan::parse::WhereClause,
     catalog: &Catalog,
@@ -1003,37 +994,33 @@ fn bind_where_clause(
                 let (r, c) = resolve_column(col, index, scope, query)?;
                 Ok(BoundScalar::Column(r, c))
             }
-            Scalar::Int(v, _) => Ok(BoundScalar::Int(*v)),
-            Scalar::Param(n, _) => Ok(BoundScalar::Param(*n)),
+            Scalar::Int(v, _) => Ok(BoundScalar::Operand(Expr::Lit(Value::Int(*v)))),
+            Scalar::Param(n, _) => Ok(BoundScalar::Operand(Expr::Param(*n))),
         }
     };
-    let left = bind_side(&clause.left)?;
-    let right = bind_side(&clause.right)?;
+    let (mut left, mut right) = (bind_side(&clause.left)?, bind_side(&clause.right)?);
+    let (mut op, mut column_side) = (clause.op, &clause.left);
+    if let BoundScalar::Operand(_) = left {
+        // `5 < r.a` is `r.a > 5`: swap so the attribute leads.
+        std::mem::swap(&mut left, &mut right);
+        op = op.flip();
+        column_side = &clause.right;
+    }
 
     let (rel, predicate, selectivity) = match (left, right) {
-        (BoundScalar::Column(r, c), BoundScalar::Int(v)) => {
-            check_int_column(query, r, c, &clause.left)?;
+        (BoundScalar::Column(r, c), BoundScalar::Operand(operand)) => {
+            check_int_column(query, r, c, column_side)?;
+            // Placeholders plan exactly like literals: selectivity of a
+            // literal comparison never depends on the literal's value, so
+            // the cached plan is valid for every argument binding.
             (
                 r,
                 Predicate::Cmp {
                     left: Expr::Attr(c),
-                    op: clause.op,
-                    right: Expr::Lit(Value::Int(v)),
+                    op,
+                    right: operand,
                 },
-                literal_selectivity(catalog, query, r, c, clause.op)?,
-            )
-        }
-        (BoundScalar::Int(v), BoundScalar::Column(r, c)) => {
-            check_int_column(query, r, c, &clause.right)?;
-            // `5 < r.a` is `r.a > 5`: flip so the attribute leads.
-            (
-                r,
-                Predicate::Cmp {
-                    left: Expr::Attr(c),
-                    op: flip_cmp(clause.op),
-                    right: Expr::Lit(Value::Int(v)),
-                },
-                literal_selectivity(catalog, query, r, c, flip_cmp(clause.op))?,
+                literal_selectivity(catalog, query, r, c, op)?,
             )
         }
         (BoundScalar::Column(ra, ca), BoundScalar::Column(rb, cb)) => {
@@ -1066,45 +1053,15 @@ fn bind_where_clause(
                 ra,
                 Predicate::Cmp {
                     left: Expr::Attr(ca),
-                    op: clause.op,
+                    op,
                     right: Expr::Attr(cb),
                 },
                 // Same-relation column comparison: the classic 1/10 guess.
                 0.1,
             )
         }
-        (BoundScalar::Column(r, c), BoundScalar::Param(n)) => {
-            check_int_column(query, r, c, &clause.left)?;
-            // Placeholders plan exactly like literals: selectivity of a
-            // literal comparison never depends on the literal's value, so
-            // the cached plan is valid for every argument binding.
-            (
-                r,
-                Predicate::Cmp {
-                    left: Expr::Attr(c),
-                    op: clause.op,
-                    right: Expr::Param(n),
-                },
-                literal_selectivity(catalog, query, r, c, clause.op)?,
-            )
-        }
-        (BoundScalar::Param(n), BoundScalar::Column(r, c)) => {
-            check_int_column(query, r, c, &clause.right)?;
-            // `?1 < r.a` is `r.a > ?1`: flip so the attribute leads.
-            (
-                r,
-                Predicate::Cmp {
-                    left: Expr::Attr(c),
-                    op: flip_cmp(clause.op),
-                    right: Expr::Param(n),
-                },
-                literal_selectivity(catalog, query, r, c, flip_cmp(clause.op))?,
-            )
-        }
-        (
-            BoundScalar::Int(_) | BoundScalar::Param(_),
-            BoundScalar::Int(_) | BoundScalar::Param(_),
-        ) => {
+        // Both sides are operands (the swap left one on the left).
+        (BoundScalar::Operand(_), _) => {
             return Err(MjError::bind(
                 "a WHERE predicate must reference a column",
                 clause.span,
@@ -1116,22 +1073,11 @@ fn bind_where_clause(
         .map_err(|e| MjError::bind(e.to_string(), clause.span))
 }
 
+/// One side of a WHERE comparison: a resolved column, or the literal or
+/// `?N` it is compared with.
 enum BoundScalar {
     Column(usize, usize),
-    Int(i64),
-    Param(u32),
-}
-
-/// The mirrored comparison (operands swapped).
-fn flip_cmp(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
+    Operand(Expr),
 }
 
 /// Rejects string columns in integer-literal comparisons, pointing at the
@@ -1363,16 +1309,6 @@ mod tests {
     }
 
     #[test]
-    fn query_ast_runs_a_programmatic_query() {
-        let db = small_db();
-        let (query, _) = db
-            .bind("SELECT * FROM users JOIN orders ON users.id = orders.user_id")
-            .unwrap();
-        let result = db.query_ast(&query).unwrap().collect().unwrap();
-        assert_eq!(result.len(), 32);
-    }
-
-    #[test]
     fn self_join_condition_is_rejected() {
         let db = small_db();
         let err = db
@@ -1422,6 +1358,45 @@ mod tests {
             .collect()
             .unwrap();
         assert_eq!(got.len(), 2, "ids 30 and 31 remain");
+    }
+
+    #[test]
+    fn a_comparison_binds_alike_with_its_column_on_either_side() {
+        let db = small_db();
+        let bound = |cond: String| {
+            let text = format!(
+                "SELECT * FROM users JOIN orders ON users.id = orders.user_id WHERE {cond}"
+            );
+            let (query, _) = bind_ast(&parse_query(&text).unwrap(), db.catalog()).unwrap();
+            let filter = &query.filters()[0];
+            (filter.rel, filter.predicate.clone(), filter.selectivity)
+        };
+        // `users` holds 32 distinct ids.
+        let ops = [
+            (CmpOp::Eq, "=", "=", 1.0 / 32.0),
+            (CmpOp::Ne, "<>", "<>", 31.0 / 32.0),
+            (CmpOp::Lt, "<", ">", 1.0 / 3.0),
+            (CmpOp::Le, "<=", ">=", 1.0 / 3.0),
+            (CmpOp::Gt, ">", "<", 1.0 / 3.0),
+            (CmpOp::Ge, ">=", "<=", 1.0 / 3.0),
+        ];
+        for (op, text, mirrored, selectivity) in ops {
+            for (operand, expr) in [("7", Expr::Lit(Value::Int(7))), ("?1", Expr::Param(1))] {
+                let leading = bound(format!("users.id {text} {operand}"));
+                let predicate = Predicate::Cmp {
+                    left: Expr::Attr(0),
+                    op,
+                    right: expr,
+                };
+                assert_eq!(
+                    leading,
+                    (0, predicate, selectivity),
+                    "users.id {text} {operand}"
+                );
+                let trailing = bound(format!("{operand} {mirrored} users.id"));
+                assert_eq!(trailing, leading, "{operand} {mirrored} users.id");
+            }
+        }
     }
 
     fn plan_cache_counts(db: &Database) -> (u64, u64, u64) {

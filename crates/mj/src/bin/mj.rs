@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use multijoin::exec::{generate_family, Database, DbConfig, PlannerOptions, QueryFamily};
 use multijoin::relalg::Value;
+use serde::JsonValue;
 
 /// A verb: what it accepts (flags that take a value, bare switches, and
 /// how many positional arguments follow it) and what it runs.
@@ -214,30 +215,12 @@ fn csv_field(v: &Value) -> String {
     }
 }
 
-/// One value as a JSON literal.
-fn json_value(v: &Value) -> String {
+/// One value as a JSON value.
+fn json_value(v: &Value) -> JsonValue {
     match v {
-        Value::Int(i) => i.to_string(),
-        Value::Str(s) => json_string(s),
+        Value::Int(i) => JsonValue::Int(*i),
+        Value::Str(s) => JsonValue::Str(s.to_string()),
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// `mj sql`: the session front door. Populates a [`Database`] with a
@@ -338,13 +321,15 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
                         writeln!(out, "{line}").map_err(|e| e.to_string())?;
                     }
                     OutFormat::Json => {
-                        let line = json_keys
-                            .iter()
-                            .zip(t.values())
-                            .map(|(n, v)| format!("{}:{}", json_string(n), json_value(v)))
-                            .collect::<Vec<_>>()
-                            .join(",");
-                        writeln!(out, "{{{line}}}").map_err(|e| e.to_string())?;
+                        let row = JsonValue::Obj(
+                            json_keys
+                                .iter()
+                                .zip(t.values())
+                                .map(|(n, v)| (n.clone(), json_value(v)))
+                                .collect(),
+                        );
+                        let line = serde_json::to_string(&row).map_err(|e| e.to_string())?;
+                        writeln!(out, "{line}").map_err(|e| e.to_string())?;
                     }
                 }
             } else if rows == limit + 1 {

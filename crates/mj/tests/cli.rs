@@ -115,6 +115,52 @@ fn sql_csv_equals_the_oracle_on_the_chain_family() {
 }
 
 #[test]
+fn sql_json_prints_one_object_per_row_and_suffixes_duplicate_names() {
+    let text = "SELECT R1.id, R0.id, R0.b FROM R0 JOIN R1 ON R0.b = R1.a";
+    let out = mj(&[
+        "sql",
+        "--format",
+        "json",
+        "--limit",
+        "0",
+        "--query",
+        "chain",
+        "--relations",
+        "2",
+        "--tuples",
+        "200",
+        "--seed",
+        "5",
+        "--workers",
+        "1",
+        text,
+    ]);
+    assert!(out.status.success(), "mj sql failed: {}", stderr(&out));
+
+    let instance = generate_family(QueryFamily::Chain, 2, 200, 5).expect("family");
+    let db = Database::open(DbConfig::default()).expect("open");
+    instance.load(&db).expect("load");
+    let result = db.query(text).unwrap().collect().unwrap();
+    let mut expected: Vec<String> = result
+        .iter()
+        .map(|t| match t.values() {
+            [Value::Int(a), Value::Int(b), Value::Int(c)] => {
+                format!("{{\"id\":{a},\"id_2\":{b},\"b\":{c}}}")
+            }
+            other => panic!("three integer columns, got {other:?}"),
+        })
+        .collect();
+    assert!(!expected.is_empty(), "the join returns rows");
+    let mut lines: Vec<String> = stdout(&out).lines().map(str::to_string).collect();
+    lines.sort();
+    expected.sort();
+    assert_eq!(
+        lines, expected,
+        "one JSON object per row, nothing else on stdout"
+    );
+}
+
+#[test]
 fn explain_prints_the_winner_and_the_placement_and_no_rows() {
     let out = mj(&[
         "sql",

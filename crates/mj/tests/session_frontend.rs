@@ -73,16 +73,6 @@ fn streamed_results_match_the_sequential_oracle_on_all_families() {
 }
 
 #[test]
-fn query_ast_path_matches_the_text_path() {
-    let db = db_for(QueryFamily::Chain, 4, 80, 3);
-    let text = chain_query_sql(4);
-    let via_text = db.query(&text).unwrap().collect().unwrap();
-    let (bound, _) = db.bind(&text).unwrap();
-    let via_ast = db.query_ast(&bound).unwrap().collect().unwrap();
-    assert!(via_text.multiset_eq(&via_ast));
-}
-
-#[test]
 fn explicit_select_list_projects_and_orders() {
     let db = db_for(QueryFamily::Chain, 3, 64, 9);
     let result = db

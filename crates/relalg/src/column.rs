@@ -677,17 +677,6 @@ pub fn select_cmp_cols_i64(
     }
 }
 
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
-}
-
 /// Evaluates `pred` row-by-row over the candidate rows (the slow path for
 /// string columns and comparisons against a string literal).
 fn select_fallback(
@@ -718,7 +707,7 @@ fn select_sel(
                 None => select_fallback(pred, batch, cand, out)?,
             },
             (Expr::Lit(Value::Int(lit)), Expr::Attr(i)) => match batch.column(*i)?.as_ints() {
-                Some(keys) => select_cmp_i64(keys, flip(*op), *lit, Some(cand), out),
+                Some(keys) => select_cmp_i64(keys, op.flip(), *lit, Some(cand), out),
                 None => select_fallback(pred, batch, cand, out)?,
             },
             (Expr::Attr(i), Expr::Attr(j)) => {

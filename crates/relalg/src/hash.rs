@@ -19,28 +19,14 @@ pub fn mix_key(key: i64) -> u64 {
 /// Maps a join key to a bucket in `0..parts`.
 ///
 /// `parts` must be positive; callers on the per-tuple hot path are
-/// expected to have validated their partition count once up front (see
-/// [`checked_bucket_of`] for the validating entry point). In debug builds
-/// a zero `parts` asserts; release builds would otherwise hit an integer
-/// remainder-by-zero panic, which is why every public partitioning entry
-/// point validates before looping.
+/// expected to have validated their partition count once up front. In
+/// debug builds a zero `parts` asserts; release builds would otherwise hit
+/// an integer remainder-by-zero panic, which is why every public
+/// partitioning entry point validates before looping.
 #[inline]
 pub fn bucket_of(key: i64, parts: usize) -> usize {
     debug_assert!(parts > 0);
     (mix_key(key) % parts as u64) as usize
-}
-
-/// Validating form of [`bucket_of`]: errors on `parts == 0` instead of
-/// panicking. Use at partitioning entry points; hot loops should validate
-/// once and call [`bucket_of`] directly.
-#[inline]
-pub fn checked_bucket_of(key: i64, parts: usize) -> crate::Result<usize> {
-    if parts == 0 {
-        return Err(crate::RelalgError::InvalidPartitioning(
-            "bucket count must be positive".into(),
-        ));
-    }
-    Ok(bucket_of(key, parts))
 }
 
 #[cfg(test)]
@@ -68,11 +54,5 @@ mod tests {
                 assert!(bucket_of(k, p) < p);
             }
         }
-    }
-
-    #[test]
-    fn checked_bucket_rejects_zero_parts() {
-        assert!(checked_bucket_of(42, 0).is_err());
-        assert_eq!(checked_bucket_of(42, 7).unwrap(), bucket_of(42, 7));
     }
 }

@@ -28,6 +28,19 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// The mirrored comparison: `a op b` holds exactly when
+    /// `b op.flip() a` does (`5 < x` is `x > 5`).
+    pub fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Eq,
+            CmpOp::Ne => CmpOp::Ne,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
+
     fn test(self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == Ordering::Equal,
@@ -175,6 +188,36 @@ mod tests {
         assert!(Predicate::cmp_int(1, CmpOp::Ne, 5).eval(&t).unwrap());
         assert!(Predicate::attr_eq(0, 0).eval(&t).unwrap());
         assert!(!Predicate::attr_eq(0, 1).eval(&t).unwrap());
+    }
+
+    #[test]
+    fn flip_mirrors_every_operator() {
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for op in ops {
+            assert_eq!(op.flip().flip(), op, "{op}");
+            for a in -1..=1 {
+                for b in -1..=1 {
+                    let t = Tuple::from_ints(&[a, b]);
+                    let cmp = |op, l, r| {
+                        Predicate::Cmp {
+                            left: Expr::Attr(l),
+                            op,
+                            right: Expr::Attr(r),
+                        }
+                        .eval(&t)
+                        .unwrap()
+                    };
+                    assert_eq!(cmp(op, 0, 1), cmp(op.flip(), 1, 0), "{a} {op} {b}");
+                }
+            }
+        }
     }
 
     #[test]

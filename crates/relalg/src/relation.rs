@@ -94,27 +94,6 @@ impl Relation {
         a == b
     }
 
-    /// Builds a new relation from the rows at `indices` (sharing tuple
-    /// payloads — each gathered row is a cheap clone, not a deep copy).
-    /// Out-of-range indices error like every other accessor.
-    pub fn gather(&self, indices: &[u32]) -> Result<Relation> {
-        let mut tuples = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let t = self
-                .tuples
-                .get(i as usize)
-                .ok_or(RelalgError::IndexOutOfBounds {
-                    index: i as usize,
-                    arity: self.tuples.len(),
-                })?;
-            tuples.push(t.clone());
-        }
-        Ok(Relation {
-            schema: self.schema.clone(),
-            tuples,
-        })
-    }
-
     /// Approximate in-memory footprint in bytes.
     pub fn est_bytes(&self) -> usize {
         self.tuples.iter().map(Tuple::est_bytes).sum()

@@ -1,7 +1,10 @@
 //! A small blocking client for the wire protocol — what the tests, the
 //! differential oracle harness, and the `benchmark/` driver speak through.
 //! It is deliberately dumb: blocking socket, line-at-a-time reads, no
-//! connection pooling.
+//! connection pooling. A query or execute reads frames until its `done`;
+//! `prepare`, `close` and `metrics` are one request and one reply each,
+//! through one exchange that turns an `error` reply into
+//! [`ClientError::Server`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -146,6 +149,11 @@ impl Client {
         Ok(())
     }
 
+    /// Sends one request frame.
+    fn send_frame(&mut self, frame: &JsonValue) -> Result<(), ClientError> {
+        self.send_line(&serde_json::to_string(frame).expect("frame renders"))
+    }
+
     /// Sends a query request without waiting for its reply — the
     /// pipelining half; pair with [`collect_reply`](Self::collect_reply).
     pub fn send_query(&mut self, query: &str) -> Result<(), ClientError> {
@@ -153,7 +161,7 @@ impl Client {
             "query".to_string(),
             JsonValue::Str(query.to_string()),
         )]);
-        self.send_line(&serde_json::to_string(&frame).expect("frame renders"))
+        self.send_frame(&frame)
     }
 
     /// Sends a query with wire options (`deadline_ms`,
@@ -175,7 +183,7 @@ impl Client {
         if !options.is_empty() {
             obj.push(("options".to_string(), JsonValue::Obj(options)));
         }
-        self.send_line(&serde_json::to_string(&JsonValue::Obj(obj)).expect("frame renders"))
+        self.send_frame(&JsonValue::Obj(obj))
     }
 
     /// Reads one response frame. `Ok(None)` on clean EOF.
@@ -191,15 +199,20 @@ impl Client {
             .map_err(|e| ClientError::BadFrame(format!("{e}: {trimmed}")))
     }
 
+    /// Reads the next response frame, which must come: EOF here is
+    /// [`ClientError::BadFrame`].
+    fn read_reply(&mut self) -> Result<JsonValue, ClientError> {
+        self.read_frame()?
+            .ok_or_else(|| ClientError::BadFrame("connection closed mid-reply".into()))
+    }
+
     /// Reads frames until the terminal one for a single query: batches
     /// accumulate into rows, `done` resolves to a [`QueryReply`], and
     /// `error` resolves to [`ClientError::Server`].
     pub fn collect_reply(&mut self) -> Result<QueryReply, ClientError> {
         let mut rows: Vec<Vec<Value>> = Vec::new();
         loop {
-            let frame = self
-                .read_frame()?
-                .ok_or_else(|| ClientError::BadFrame("connection closed mid-reply".into()))?;
+            let frame = self.read_reply()?;
             if let Some(batch) = frame.get("batch") {
                 rows.extend(parse_batch(batch)?);
             } else if let Some(done) = frame.get("done") {
@@ -232,7 +245,7 @@ impl Client {
             ("query".to_string(), JsonValue::Str(query.to_string())),
             ("format".to_string(), JsonValue::Str("bin".to_string())),
         ]);
-        self.send_line(&serde_json::to_string(&frame).expect("frame renders"))
+        self.send_frame(&frame)
     }
 
     /// Sends a query requesting binary batches and collects the decoded
@@ -252,16 +265,7 @@ impl Client {
                 JsonValue::Str(query.to_string()),
             )]),
         )]);
-        self.send_line(&serde_json::to_string(&frame).expect("frame renders"))?;
-        let reply = self
-            .read_frame()?
-            .ok_or_else(|| ClientError::BadFrame("connection closed mid-reply".into()))?;
-        if let Some(err) = reply.get("error") {
-            return Err(ClientError::Server(parse_error(err)));
-        }
-        let p = reply
-            .get("prepared")
-            .ok_or_else(|| ClientError::BadFrame(format!("unexpected frame: {reply:?}")))?;
+        let p = self.exchange(&frame, "prepared")?;
         let id = as_u64_field(p.get("id"))
             .ok_or_else(|| ClientError::BadFrame("prepared frame without id".into()))?;
         let params = as_u64_field(p.get("params")).unwrap_or(0) as u32;
@@ -295,7 +299,7 @@ impl Client {
         if bin {
             obj.push(("format".to_string(), JsonValue::Str("bin".to_string())));
         }
-        self.send_line(&serde_json::to_string(&JsonValue::Obj(obj)).expect("frame renders"))
+        self.send_frame(&JsonValue::Obj(obj))
     }
 
     /// Runs a prepared statement with the given arguments and collects
@@ -317,19 +321,7 @@ impl Client {
             "close".to_string(),
             JsonValue::Obj(vec![("id".to_string(), JsonValue::UInt(id))]),
         )]);
-        self.send_line(&serde_json::to_string(&frame).expect("frame renders"))?;
-        let reply = self
-            .read_frame()?
-            .ok_or_else(|| ClientError::BadFrame("connection closed mid-reply".into()))?;
-        if let Some(err) = reply.get("error") {
-            return Err(ClientError::Server(parse_error(err)));
-        }
-        if reply.get("closed").is_none() {
-            return Err(ClientError::BadFrame(format!(
-                "unexpected frame: {reply:?}"
-            )));
-        }
-        Ok(())
+        self.exchange(&frame, "closed").map(drop)
     }
 
     /// Reads frames until the terminal one for a binary-format query.
@@ -354,9 +346,7 @@ impl Client {
                 batches.push(batch);
                 continue;
             }
-            let frame = self
-                .read_frame()?
-                .ok_or_else(|| ClientError::BadFrame("connection closed mid-reply".into()))?;
+            let frame = self.read_reply()?;
             if let Some(done) = frame.get("done") {
                 return Ok(ColumnarReply {
                     batches,
@@ -385,17 +375,23 @@ impl Client {
             "metrics".to_string(),
             JsonValue::Str(which.to_string()),
         )]);
-        self.send_line(&serde_json::to_string(&frame).expect("frame renders"))?;
-        let reply = self
-            .read_frame()?
-            .ok_or_else(|| ClientError::BadFrame("connection closed mid-reply".into()))?;
-        if let Some(err) = reply.get("error") {
-            return Err(ClientError::Server(parse_error(err)));
-        }
         let key = match format {
             MetricsFormat::Json => "metrics",
             MetricsFormat::Prometheus => "metrics_text",
         };
+        self.exchange(&frame, key)
+    }
+
+    /// One request, one reply: sends `frame` and returns the `key` member
+    /// of the frame that answers it. An `error` reply is
+    /// [`ClientError::Server`]; a reply without `key` is
+    /// [`ClientError::BadFrame`].
+    fn exchange(&mut self, frame: &JsonValue, key: &str) -> Result<JsonValue, ClientError> {
+        self.send_frame(frame)?;
+        let reply = self.read_reply()?;
+        if let Some(err) = reply.get("error") {
+            return Err(ClientError::Server(parse_error(err)));
+        }
         reply
             .get(key)
             .cloned()
