@@ -8,8 +8,6 @@
 //! discrete-event simulator (`mj_sim::SimParams`) both read it, so the two
 //! can only disagree in how they schedule, never in what an action costs.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-action costs of one machine, all in seconds (per tuple, per stream
 /// or per process, as noted) except the dimensionless pipelining factor.
 ///
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// segments) moves whole fragments and is several times cheaper per
 /// tuple. This asymmetry is what makes deep probe pipelines pay for their
 /// earliness — the RD/FP versus SE trade-off of §3.5 and §4.4.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Machine {
     /// One tuple action, §4.3's cost unit: hash and insert one tuple into
     /// a join table, or probe the other operand's table with one.

@@ -9,7 +9,6 @@
 //! which guarantees that a strategy comparison compares *plans*, never
 //! backend quirks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use mj_plan::tree::{JoinTree, NodeId};
@@ -24,7 +23,7 @@ pub type OpId = usize;
 pub type ProcId = usize;
 
 /// Where an operand's tuples come from.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OperandSource {
     /// A base relation, read from processor-local fragments. The paper
     /// starts every query from its ideal fragmentation (§4.1), so base
@@ -93,7 +92,7 @@ impl fmt::Display for OperandSource {
 }
 
 /// How one operand's rows are divided among an operation's instances.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Split {
     /// Hash-partitioned on the operation's join key, one fragment per
     /// instance: the paper's layout, the one shared-nothing PRISMA needs.
@@ -126,7 +125,7 @@ impl Split {
 /// operation's process group: at degree 1 one process, or one instance per
 /// processor of a *segment group* (a right-deep segment whose bottom probe
 /// operand is split by range and whose build sides are shared, [`Split`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanOp {
     /// Plan-wide id (index into [`ParallelPlan::ops`]).
     pub id: OpId,
@@ -174,7 +173,7 @@ impl PlanOp {
 }
 
 /// A complete parallel execution plan for one multi-join query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ParallelPlan {
     /// The strategy that produced the plan.
     pub strategy: Strategy,
@@ -288,7 +287,7 @@ impl ParallelPlan {
 }
 
 /// Aggregate plan statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanStats {
     /// Total operation processes the scheduler must initialize — the
     /// *startup* overhead driver. SP with 10 joins on 80 processors: 800.

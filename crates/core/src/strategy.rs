@@ -1,12 +1,11 @@
 //! The four parallel execution strategies (§3).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use mj_relalg::JoinAlgorithm;
 
 /// A parallelization strategy for a multi-join query tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Sequential Parallel: joins run one after another, each on *all*
     /// processors. No inter-operator parallelism, no pipelining, no cost
@@ -40,13 +39,6 @@ impl Strategy {
         }
     }
 
-    /// Whether the strategy requires a cost function to allocate
-    /// processors. "SP … does not need a cost function to estimate the
-    /// costs of the individual join operations." (§3.1)
-    pub fn needs_cost_function(&self) -> bool {
-        !matches!(self, Strategy::SP)
-    }
-
     /// Short name as used in the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
@@ -74,14 +66,6 @@ mod tests {
         assert_eq!(Strategy::SE.join_algorithm(), JoinAlgorithm::Simple);
         assert_eq!(Strategy::RD.join_algorithm(), JoinAlgorithm::Simple);
         assert_eq!(Strategy::FP.join_algorithm(), JoinAlgorithm::Pipelining);
-    }
-
-    #[test]
-    fn only_sp_skips_the_cost_function() {
-        assert!(!Strategy::SP.needs_cost_function());
-        assert!(Strategy::SE.needs_cost_function());
-        assert!(Strategy::RD.needs_cost_function());
-        assert!(Strategy::FP.needs_cost_function());
     }
 
     #[test]

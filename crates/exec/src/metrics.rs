@@ -19,14 +19,15 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use serde::{Deserialize, JsonValue, Serialize};
+use serde::{JsonValue, Serialize};
 
 /// What kind of operator a metrics row describes. The join DAG's ops are
 /// [`Join`](OpMetricsKind::Join); the post-join pipeline stages carry
 /// their own kinds so `explain()` and the cardinality report name them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OpMetricsKind {
     /// A hash equi-join of the plan tree.
+    #[default]
     Join,
     /// A partitioned GROUP BY stage.
     Aggregate,
@@ -45,17 +46,8 @@ impl OpMetricsKind {
     }
 }
 
-// Not `#[derive(Default)]`: the offline serde shim's derive cannot parse
-// a `#[default]` attribute inside the enum body.
-#[allow(clippy::derivable_impls)]
-impl Default for OpMetricsKind {
-    fn default() -> Self {
-        OpMetricsKind::Join
-    }
-}
-
 /// Per-operation aggregates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpMetrics {
     /// What kind of operator this row describes.
     pub kind: OpMetricsKind,
@@ -92,7 +84,7 @@ impl OpMetrics {
 }
 
 /// Whole-query metrics.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Indexed by op id.
     pub ops: Vec<OpMetrics>,
@@ -196,7 +188,7 @@ pub const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_MS.len() + 1;
 /// observation counts plus the running sum, exactly the data a Prometheus
 /// histogram exposition needs. Buckets are **non-cumulative** here;
 /// [`to_prometheus`] accumulates them into the `le` form at render time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Observations per bucket (index `i` < the bound
     /// `LATENCY_BUCKET_BOUNDS_MS[i]`; the last index is overflow).
@@ -244,7 +236,7 @@ impl LatencyHistogram {
 /// gather-row and SIMD tallies are process-global relaxed counters
 /// shared by every engine in the process, and carry no such cross-field
 /// invariant; the plan-cache counts belong to one `Database`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Queries ever submitted: the terminal-outcome counters below sum to
     /// this less `queries_active`.
@@ -354,7 +346,7 @@ impl EngineStats {
 }
 
 /// The type of an accept-listed metric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonically increasing count.
     Counter,

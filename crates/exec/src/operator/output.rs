@@ -10,10 +10,6 @@ use mj_storage::{fragment_columns, Fragments};
 use crate::budget::MemoryBudget;
 use crate::stream::{rows_per_message, Router};
 
-/// The test sink's flush threshold, in rows.
-#[cfg(test)]
-const SINK_BATCH: usize = 64;
-
 /// The output port of one operation-process instance.
 pub enum OutputPort {
     /// Live redistribution to the consumer's instances — or, from the
@@ -42,14 +38,6 @@ pub enum OutputPort {
         budget: Arc<MemoryBudget>,
         /// The pieces, once the port has finished.
         pieces: Option<Fragments>,
-    },
-    /// A buffered row-collection sink (unit tests).
-    #[cfg(test)]
-    Sink {
-        /// Shared collection buffer.
-        collected: Arc<parking_lot::Mutex<Vec<mj_relalg::Tuple>>>,
-        /// Local accumulation to amortize locking.
-        buffer: Vec<mj_relalg::Tuple>,
     },
 }
 
@@ -80,8 +68,6 @@ impl OutputPort {
         match self {
             OutputPort::Stream(router) => router.batch(),
             OutputPort::Materialize { batch, .. } => *batch,
-            #[cfg(test)]
-            OutputPort::Sink { .. } => SINK_BATCH,
         }
     }
 
@@ -118,13 +104,6 @@ impl OutputPort {
                 }
                 (n as u64, true)
             }
-            #[cfg(test)]
-            OutputPort::Sink { buffer, .. } => {
-                let n = out.rows() - *pos;
-                // Rows exist only here, at the test sink's boundary.
-                out.rows_into(*pos..out.rows(), buffer)?;
-                (n as u64, true)
-            }
         };
         if done {
             out.clear();
@@ -134,7 +113,7 @@ impl OutputPort {
     }
 
     /// Non-blocking finalize: resumable stream flush + `End` for routers;
-    /// cutting the pieces / sink merge (which never block) for the others.
+    /// cutting the pieces (which never blocks) for a materializing port.
     /// `Ok(false)` means backpressure (`waker` registered) — yield and call
     /// again once woken. Must be called until it returns `Ok(true)`,
     /// exactly once past that point.
@@ -157,11 +136,6 @@ impl OutputPort {
                 *pieces = Some(cut);
                 Ok(true)
             }
-            #[cfg(test)]
-            OutputPort::Sink { collected, buffer } => {
-                collected.lock().append(buffer);
-                Ok(true)
-            }
         }
     }
 }
@@ -172,7 +146,6 @@ mod tests {
     use crate::stream::{operand_channels, Msg};
     use mj_relalg::column::ColumnLayout;
     use mj_relalg::{Attribute, Tuple};
-    use parking_lot::Mutex;
 
     fn schema() -> Arc<Schema> {
         Schema::new(vec![Attribute::int("k")]).shared()
@@ -188,18 +161,14 @@ mod tests {
 
     #[test]
     fn sink_materializes_columnar_emits() {
-        let collected = Arc::new(Mutex::new(Vec::new()));
-        let mut port = OutputPort::Sink {
-            collected: collected.clone(),
-            buffer: Vec::new(),
-        };
+        let mut port = OutputPort::materialize(&schema(), (0, 1), 64, MemoryBudget::unlimited());
         let mut out = batch(&[5, 6]);
         let mut pos = 0;
         let (n, done) = port.try_emit(&mut out, &mut pos, Waker::noop()).unwrap();
         assert_eq!((n, done, pos), (2, true, 0));
         assert!(out.is_empty(), "drained emit clears the batch");
         assert!(port.try_finish(Waker::noop()).unwrap());
-        assert_eq!(collected.lock().len(), 2);
+        assert_eq!(port.take_pieces().unwrap()[0].rows(), 2);
     }
 
     /// Runs a materializing port over `keys` (from row `pos` on) and

@@ -1169,8 +1169,7 @@ mod tests {
     use crate::budget::MemoryBudget;
     use crate::operator::op::join_op;
     use mj_relalg::column::ColumnLayout;
-    use mj_relalg::{EquiJoin, JoinAlgorithm, Projection, Tuple};
-    use parking_lot::Mutex;
+    use mj_relalg::{Attribute, EquiJoin, JoinAlgorithm, Projection, Schema, Tuple};
     use std::sync::mpsc::{channel, Receiver as DoneRx};
 
     /// `rows` two-column rows `[key(i), i]`.
@@ -1193,24 +1192,46 @@ mod tests {
         )
     }
 
+    /// The members' rows: `[key, left payload, right payload]`.
+    fn joined() -> Schema {
+        Schema::new(vec![
+            Attribute::int("k"),
+            Attribute::int("l"),
+            Attribute::int("r"),
+        ])
+    }
+
+    /// A port keeping the members' rows in one piece, flushing every 64
+    /// rows, on a budget of its own (the query's run would credit it).
+    fn port() -> OutputPort {
+        OutputPort::materialize(&joined(), (0, 1), 64, MemoryBudget::unlimited())
+    }
+
+    /// The rows of a report's pieces, sorted; none when it carries none.
+    fn rows_of(report: &DoneMsg) -> Vec<Tuple> {
+        let mut rows = Vec::new();
+        for piece in report.2.iter().flat_map(|(_, pieces)| pieces.iter()) {
+            piece.rows_into(0..piece.rows(), &mut rows).unwrap();
+        }
+        rows.sort_unstable();
+        rows
+    }
+
     /// op0 = L ⋈ R0 feeding the build side of op1 = op0 ⋈ R1, one task.
     fn group(
         rows: i64,
         key: impl Fn(i64) -> i64 + Copy,
         ctrl: Arc<QueryCtrl>,
-    ) -> (OpTask, Arc<Mutex<Vec<Tuple>>>, DoneRx<DoneMsg>) {
-        let collected = Arc::new(Mutex::new(Vec::new()));
+    ) -> (OpTask, DoneRx<DoneMsg>) {
         let (done_tx, done_rx) = channel();
         let members = vec![
             member(0, Some(Source::Local(rel(rows, key))), rel(rows, key)).feeding(1, 0),
             member(1, None, rel(rows, key)),
         ];
-        let output = OutputPort::Sink {
-            collected: collected.clone(),
-            buffer: Vec::new(),
-        };
-        let task = OpTask::new(members, output, 0, done_tx.into(), ctrl);
-        (task, collected, done_rx)
+        (
+            OpTask::new(members, port(), 0, done_tx.into(), ctrl),
+            done_rx,
+        )
     }
 
     #[test]
@@ -1223,13 +1244,13 @@ mod tests {
             let ctrl = QueryCtrl::with_limits(None, budget.clone());
             // 360 intermediate rows, 2160 result rows: every buffer is
             // under the cap, so every one is kept.
-            let (mut task, collected, done_rx) = group(60, |i| i % 10, ctrl);
+            let (mut task, done_rx) = group(60, |i| i % 10, ctrl);
             task.lend(lists.lend(0, 2));
             drive_blocking(task);
-            assert!(done_rx.iter().all(|(_, result, _)| result.is_ok()));
+            let reports: Vec<DoneMsg> = done_rx.iter().collect();
+            assert!(reports.iter().all(|(_, result, _)| result.is_ok()));
             assert_eq!(budget.used(), 0, "round {round}: the set is credited");
-            let mut rows = collected.lock().clone();
-            rows.sort_unstable();
+            let rows = rows_of(reports.last().unwrap());
             assert_eq!(rows.len(), 2160);
             assert_eq!(*first.get_or_insert_with(|| rows.clone()), rows);
             // Back in the list, before the reports went out: op0's result,
@@ -1252,11 +1273,13 @@ mod tests {
 
     #[test]
     fn members_hand_over_in_memory_and_each_reports_for_itself() {
-        let (task, collected, done_rx) = group(40, |i| i, QueryCtrl::new());
+        let (task, done_rx) = group(40, |i| i, QueryCtrl::new());
         drive_blocking(task);
         let (op, first, _) = done_rx.recv().unwrap();
-        let (root, second, _) = done_rx.recv().unwrap();
+        let report = done_rx.recv().unwrap();
         assert!(done_rx.try_recv().is_err(), "one report per member");
+        let rows = rows_of(&report);
+        let (root, second, _) = report;
         assert_eq!((op, root), (0, 1));
         let (first, second) = (first.unwrap(), second.unwrap());
         assert_eq!((first.tuples_in, first.tuples_out), ([40, 40], 40));
@@ -1265,8 +1288,6 @@ mod tests {
         assert!(first.table_bytes > 0 && second.table_bytes > 0);
         // 160 rows through builds and probes: one quantum, one step.
         assert_eq!(first.steps + second.steps, 1);
-        let mut rows = collected.lock().clone();
-        rows.sort_unstable();
         assert_eq!(rows.len(), 40);
         assert_eq!(rows[7], Tuple::from_ints(&[7, 7, 7]));
     }
@@ -1276,12 +1297,13 @@ mod tests {
         let budget = MemoryBudget::with_limit(1 << 30);
         let ctrl = QueryCtrl::with_limits(None, budget.clone());
         // Ten hot keys: 200 x 200 / 10 = 4000 intermediate rows.
-        let (task, collected, done_rx) = group(200, |i| i % 10, ctrl);
+        let (task, done_rx) = group(200, |i| i % 10, ctrl);
         drive_blocking(task);
         let first = done_rx.recv().unwrap().1.unwrap();
         assert_eq!(first.tuples_out, 4000);
-        done_rx.recv().unwrap().1.unwrap();
-        assert_eq!(collected.lock().len(), 80_000);
+        let root = done_rx.recv().unwrap();
+        assert!(root.1.is_ok());
+        assert_eq!(rows_of(&root).len(), 80_000);
         assert!(
             budget.peak() >= 4000 * 3 * 8,
             "the handed-over result was charged: {}",
@@ -1294,7 +1316,7 @@ mod tests {
     fn a_budget_the_intermediate_outgrows_aborts_the_task_with_the_typed_error() {
         let budget = MemoryBudget::with_limit(16 << 10);
         let ctrl = QueryCtrl::with_limits(None, budget.clone());
-        let (task, collected, done_rx) = group(200, |i| i % 10, ctrl.clone());
+        let (task, done_rx) = group(200, |i| i % 10, ctrl.clone());
         drive_blocking(task);
         // The first member fits one quantum: it had finished (and said so)
         // by the time the step's budget sync saw its 96 KB result.
@@ -1307,14 +1329,14 @@ mod tests {
             root.1
         );
         assert!(ctrl.is_aborted());
-        assert!(collected.lock().is_empty());
+        assert!(rows_of(&root).is_empty());
         assert_eq!(budget.used(), 0);
     }
 
     #[test]
     fn a_group_yields_every_quantum_and_observes_cancel_between_them() {
         let ctrl = QueryCtrl::new();
-        let (mut task, collected, done_rx) = group(2000, |i| i, ctrl.clone());
+        let (mut task, done_rx) = group(2000, |i| i, ctrl.clone());
         // 2000 build rows: the first member is still building after three
         // quanta.
         for _ in 0..3 {
@@ -1324,11 +1346,15 @@ mod tests {
         ctrl.cancel();
         assert_eq!(task.step(Waker::noop()), Step::Done);
         for op in 0..2 {
-            let (reported, result, _) = done_rx.recv().unwrap();
-            assert_eq!(reported, op);
-            assert!(matches!(result, Err(RelalgError::Canceled)), "{result:?}");
+            let report = done_rx.recv().unwrap();
+            assert_eq!(report.0, op);
+            assert!(
+                matches!(report.1, Err(RelalgError::Canceled)),
+                "{:?}",
+                report.1
+            );
+            assert!(rows_of(&report).is_empty());
         }
-        assert!(collected.lock().is_empty());
         drop(task);
         assert!(done_rx.try_recv().is_err(), "drop reports nothing twice");
     }
@@ -1338,12 +1364,7 @@ mod tests {
         use crate::config::MESSAGE_BYTES;
         use crate::stream::{operand_channels, Router};
         let one = || vec![member(0, Some(Source::Local(rel(4, |i| i))), rel(4, |i| i))];
-        // The members' rows: [key, left payload, right payload].
-        let schema = mj_relalg::Schema::new(vec![
-            mj_relalg::Attribute::int("k"),
-            mj_relalg::Attribute::int("l"),
-            mj_relalg::Attribute::int("r"),
-        ]);
+        let schema = joined();
         for cap in [usize::MAX, 16] {
             let (txs, _rxs, pool) = operand_channels(1, 2, 1, ColumnLayout::of(&schema));
             let router = Router::new(txs, 0, cap, pool);
@@ -1374,13 +1395,8 @@ mod tests {
             member(0, Some(Source::Local(rel(40, |i| i))), rel(40, |i| i)).feeding(1, 0),
             member(1, None, rel(40, |i| i)),
         ];
-        let schema = mj_relalg::Schema::new(vec![
-            mj_relalg::Attribute::int("k"),
-            mj_relalg::Attribute::int("l"),
-            mj_relalg::Attribute::int("r"),
-        ]);
         let output =
-            OutputPort::materialize(&schema, (0, 3), usize::MAX, MemoryBudget::unlimited());
+            OutputPort::materialize(&joined(), (0, 3), usize::MAX, MemoryBudget::unlimited());
         let (done_tx, done_rx) = channel();
         drive_blocking(OpTask::new(
             members,
@@ -1414,24 +1430,20 @@ mod tests {
             sources,
             0,
         )];
-        let collected = Arc::new(Mutex::new(Vec::new()));
-        let output = OutputPort::Sink {
-            collected: collected.clone(),
-            buffer: Vec::new(),
-        };
         let (done_tx, done_rx) = channel();
         drive_blocking(OpTask::new(
             members,
-            output,
+            port(),
             0,
             done_tx.into(),
             QueryCtrl::new(),
         ));
-        let stats = done_rx.recv().unwrap().1.unwrap();
+        let report = done_rx.recv().unwrap();
+        let stats = report.1.as_ref().unwrap();
         assert_eq!(stats.tuples_in, [2000, 300], "the table's rows count");
         assert_eq!(stats.steps, 1, "300 probe rows are one quantum");
         // Keys 0, 7, .., 1995 of the probe side are build keys.
-        assert_eq!(collected.lock().len(), 286);
+        assert_eq!(rows_of(&report).len(), 286);
     }
 
     #[test]
@@ -1448,14 +1460,10 @@ mod tests {
             sources,
             0,
         )];
-        let output = OutputPort::Sink {
-            collected: Arc::new(Mutex::new(Vec::new())),
-            buffer: Vec::new(),
-        };
         let (done_tx, done_rx) = channel();
         drive_blocking(OpTask::new(
             members,
-            output,
+            port(),
             0,
             done_tx.into(),
             QueryCtrl::new(),
@@ -1477,14 +1485,10 @@ mod tests {
             producers: 1,
         };
         let (done_tx, done_rx) = channel();
-        let output = OutputPort::Sink {
-            collected: Arc::new(Mutex::new(Vec::new())),
-            buffer: Vec::new(),
-        };
         let members = vec![member(0, Some(stream), rel(4, |i| i))];
         drive_blocking(OpTask::new(
             members,
-            output,
+            port(),
             0,
             done_tx.into(),
             QueryCtrl::new(),

@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use multijoin::exec::{generate_family, Database, DbConfig, PlannerOptions, QueryFamily};
 use multijoin::relalg::Value;
+use multijoin::server::protocol::value_to_json;
 use serde::JsonValue;
 
 /// A verb: what it accepts (flags that take a value, bare switches, and
@@ -215,14 +216,6 @@ fn csv_field(v: &Value) -> String {
     }
 }
 
-/// One value as a JSON value.
-fn json_value(v: &Value) -> JsonValue {
-    match v {
-        Value::Int(i) => JsonValue::Int(*i),
-        Value::Str(s) => JsonValue::Str(s.to_string()),
-    }
-}
-
 /// `mj sql`: the session front door. Populates a [`Database`] with a
 /// seeded query family, then parses, plans, and streams the given text
 /// query — printing rows incrementally as batches arrive.
@@ -325,7 +318,7 @@ fn cmd_sql(args: &Args) -> Result<(), String> {
                             json_keys
                                 .iter()
                                 .zip(t.values())
-                                .map(|(n, v)| (n.clone(), json_value(v)))
+                                .map(|(n, v)| (n.clone(), value_to_json(v)))
                                 .collect(),
                         );
                         let line = serde_json::to_string(&row).map_err(|e| e.to_string())?;

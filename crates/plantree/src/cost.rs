@@ -15,12 +15,10 @@
 //! however, that the cost estimate used generates execution plans with good
 //! parallel behavior."
 
-use serde::{Deserialize, Serialize};
-
 use crate::tree::{JoinTree, NodeId, TreeNode};
 
 /// Coefficients of the paper's cost formula.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Per-tuple cost of a base-relation operand (hash only). Paper: 1.
     pub base_operand: f64,
@@ -73,18 +71,6 @@ pub struct TreeCosts {
     pub total: f64,
 }
 
-impl TreeCosts {
-    /// The relative work of each join: `cost_j / total`, indexed by node
-    /// id. These fractions drive proportional processor allocation in
-    /// SE/RD/FP.
-    pub fn work_fractions(&self) -> Vec<f64> {
-        if self.total <= 0.0 {
-            return vec![0.0; self.per_join.len()];
-        }
-        self.per_join.iter().map(|c| c / self.total).collect()
-    }
-}
-
 /// Computes the paper's costs for every join of `tree`, given per-node
 /// cardinalities (from [`crate::cardinality::node_cards`]).
 pub fn tree_costs(tree: &JoinTree, cards: &[u64], model: &CostModel) -> TreeCosts {
@@ -107,16 +93,6 @@ pub fn tree_costs(tree: &JoinTree, cards: &[u64], model: &CostModel) -> TreeCost
     TreeCosts { per_join, total }
 }
 
-/// Convenience: costs of `tree` under a cardinality model.
-pub fn tree_costs_with_model(
-    tree: &JoinTree,
-    model: &dyn crate::cardinality::CardModel,
-    cost: &CostModel,
-) -> TreeCosts {
-    let cards = crate::cardinality::node_cards(tree, model);
-    tree_costs(tree, &cards, cost)
-}
-
 /// The per-join costs restricted to join nodes, as `(id, cost)` pairs in
 /// bottom-up order — handy for display and allocation.
 pub fn join_costs_bottom_up(tree: &JoinTree, costs: &TreeCosts) -> Vec<(NodeId, f64)> {
@@ -129,8 +105,12 @@ pub fn join_costs_bottom_up(tree: &JoinTree, costs: &TreeCosts) -> Vec<(NodeId, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cardinality::UniformOneToOne;
+    use crate::cardinality::{node_cards, CardModel, UniformOneToOne};
     use crate::shapes::{build, Shape};
+
+    fn costs_of(tree: &JoinTree, model: &dyn CardModel) -> TreeCosts {
+        tree_costs(tree, &node_cards(tree, model), &CostModel::default())
+    }
 
     /// §4.1: "All possible join trees for this query have the same total
     /// execution costs." For k relations of N tuples: 9 joins emit 2N each
@@ -141,7 +121,7 @@ mod tests {
         let n = 5000u64;
         for shape in Shape::ALL {
             let tree = build(shape, 10).unwrap();
-            let costs = tree_costs_with_model(&tree, &UniformOneToOne { n }, &CostModel::default());
+            let costs = costs_of(&tree, &UniformOneToOne { n });
             assert_eq!(costs.total, 44.0 * n as f64, "{shape}");
         }
     }
@@ -155,8 +135,7 @@ mod tests {
             let expected = (5 * k - 6) as f64 * n as f64;
             for shape in Shape::ALL {
                 let tree = build(shape, k).unwrap();
-                let costs =
-                    tree_costs_with_model(&tree, &UniformOneToOne { n }, &CostModel::default());
+                let costs = costs_of(&tree, &UniformOneToOne { n });
                 assert_eq!(costs.total, expected, "{shape} k={k}");
             }
         }
@@ -165,31 +144,12 @@ mod tests {
     #[test]
     fn per_join_costs_distinguish_base_and_intermediate() {
         let tree = build(Shape::RightLinear, 3).unwrap();
-        let costs =
-            tree_costs_with_model(&tree, &UniformOneToOne { n: 100 }, &CostModel::default());
+        let costs = costs_of(&tree, &UniformOneToOne { n: 100 });
         let joins = join_costs_bottom_up(&tree, &costs);
         // Bottom join: two base operands: 1+1+2 = 4 units * 100.
         assert_eq!(joins[0].1, 400.0);
         // Root: base left, intermediate right: 1+2+2 = 5 units * 100.
         assert_eq!(joins[1].1, 500.0);
-    }
-
-    #[test]
-    fn work_fractions_sum_to_one() {
-        let tree = build(Shape::WideBushy, 10).unwrap();
-        let costs = tree_costs_with_model(&tree, &UniformOneToOne { n: 10 }, &CostModel::default());
-        let sum: f64 = costs.work_fractions().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9, "sum = {sum}");
-    }
-
-    #[test]
-    fn zero_total_yields_zero_fractions() {
-        let tree = build(Shape::WideBushy, 4).unwrap();
-        let costs = TreeCosts {
-            per_join: vec![0.0; tree.nodes().len()],
-            total: 0.0,
-        };
-        assert!(costs.work_fractions().iter().all(|&f| f == 0.0));
     }
 
     #[test]

@@ -44,14 +44,12 @@ use std::fmt;
 
 use mj_relalg::ops::AggFunc;
 use mj_relalg::CmpOp;
-use serde::{Deserialize, Serialize};
 
 /// A byte range into the query source text (`start..end`).
 ///
-/// Serializable so spanned diagnostics travel over the wire intact: the
-/// query server's error frames carry the span, and a remote client can
-/// render the same caret line a local one would.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// The query server's error frames carry it as `{"start": .., "end": ..}`,
+/// so a remote client can render the same caret line a local one would.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: usize,
@@ -80,10 +78,9 @@ impl fmt::Display for Span {
     }
 }
 
-/// A parse failure, located at a byte span of the source.
-/// Serializable for the same reason as [`Span`]: the query server maps it
-/// into a typed wire error without losing the location.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A parse failure, located at a byte span of the source. The query
+/// server maps it into a typed wire error without losing the location.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// What went wrong.
     pub message: String,

@@ -6,7 +6,6 @@
 //! so response-time differences between them are attributable purely to
 //! parallelization.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use mj_relalg::{RelalgError, Result};
@@ -15,7 +14,7 @@ use crate::transform::mirror;
 use crate::tree::{JoinTree, NodeId};
 
 /// The five shapes used in the experiments (Fig. 8, left to right).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Shape {
     /// Every join's right operand is a base relation; the pipeline runs up
     /// the left spine.

@@ -5,15 +5,13 @@
 //! (bottom-up) order — a property the strategy generators and the simulator
 //! rely on when walking trees.
 
-use serde::{Deserialize, Serialize};
-
 use mj_relalg::{RelalgError, Result};
 
 /// Index of a node within its [`JoinTree`] arena.
 pub type NodeId = usize;
 
 /// One node of a join tree.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TreeNode {
     /// A base relation.
     Leaf {
@@ -30,7 +28,7 @@ pub enum TreeNode {
 }
 
 /// A binary join tree over named base relations.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinTree {
     nodes: Vec<TreeNode>,
     root: NodeId,
@@ -344,14 +342,5 @@ mod tests {
         assert!(t.is_leaf(0));
         assert!(!t.is_leaf(t.root()));
         assert_eq!(t.children(0), None);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = bushy4();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: JoinTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
-        assert!(back.validate().is_ok());
     }
 }

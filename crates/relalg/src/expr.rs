@@ -4,7 +4,6 @@
 //! predicates are equi-join conditions and constant comparisons. A
 //! prepared statement adds placeholders, bound to literals at execute time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::{RelalgError, Result};
@@ -12,7 +11,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// A scalar expression evaluated against one tuple.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     /// Reference to the attribute at the given index.
     Attr(usize),

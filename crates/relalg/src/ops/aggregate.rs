@@ -2,7 +2,6 @@
 //! includes grouping primitives; the reproduction's examples aggregate join
 //! results).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -13,7 +12,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Aggregate functions over an integer column (COUNT ignores the column).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggFunc {
     /// Row count.
     Count,
@@ -26,7 +25,7 @@ pub enum AggFunc {
 }
 
 /// One aggregate to compute.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggSpec {
     /// The function to apply.
     pub func: AggFunc,

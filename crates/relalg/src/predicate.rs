@@ -1,7 +1,6 @@
 //! Boolean predicates over a single tuple (selection conditions and join
 //! conditions evaluated on the concatenated tuple).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Comparison operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -68,7 +67,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A boolean predicate over one tuple.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Predicate {
     /// Always true (scan without selection).
     True,

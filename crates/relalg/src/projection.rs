@@ -5,7 +5,6 @@
 //! second integer attributes and the remaining attributes of one of the
 //! operands", §4.1); [`Projection`] is the vehicle for that re-keying.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::Result;
@@ -15,7 +14,7 @@ use crate::tuple::Tuple;
 /// A projection onto a list of column indices of the input schema (for a
 /// join: indices into the concatenation `left ++ right`). Columns may be
 /// repeated or reordered.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Projection {
     cols: Vec<usize>,
 }

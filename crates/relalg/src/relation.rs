@@ -1,7 +1,6 @@
 //! Relations: schema + multiset of tuples, and the provider abstraction the
 //! evaluators use to resolve base relations by name.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -11,7 +10,7 @@ use crate::tuple::Tuple;
 
 /// An in-memory relation. The tuple order is not semantically meaningful
 /// (relations are multisets); [`Relation::multiset_eq`] compares accordingly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Relation {
     schema: Arc<Schema>,
     tuples: Vec<Tuple>,

@@ -1,6 +1,5 @@
 //! Schemas: ordered lists of named, typed attributes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -8,7 +7,7 @@ use crate::error::{RelalgError, Result};
 use crate::tuple::Tuple;
 
 /// The type of an attribute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -34,7 +33,7 @@ impl fmt::Display for DataType {
 }
 
 /// A named, typed attribute.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name. Names need not be unique within a schema (as in the
     /// intermediate results of a join); positional access is primary.
@@ -70,7 +69,7 @@ impl Attribute {
 }
 
 /// An ordered list of attributes describing the layout of tuples.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schema {
     attrs: Vec<Attribute>,
 }

@@ -14,7 +14,6 @@
 //! ablation (§5) — which models every hash table as owning its tuples — is
 //! unaffected by the sharing.
 
-use serde::{DeError, Deserialize, JsonValue, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -152,11 +151,6 @@ impl Tuple {
         self.get(i)?.as_int()
     }
 
-    /// The string at position `i`, or a type/index error.
-    pub fn str_at(&self, i: usize) -> Result<&str> {
-        self.get(i)?.as_str()
-    }
-
     /// Concatenates two tuples (the raw output of a join before projection).
     pub fn concat(&self, other: &Tuple) -> Tuple {
         let mut values = Vec::with_capacity(self.arity() + other.arity());
@@ -255,18 +249,6 @@ impl Hash for Tuple {
     }
 }
 
-impl Serialize for Tuple {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(self.values().iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl Deserialize for Tuple {
-    fn from_json(v: &JsonValue) -> std::result::Result<Self, DeError> {
-        Vec::<Value>::from_json(v).map(Tuple::new)
-    }
-}
-
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -289,7 +271,6 @@ mod tests {
         let t = Tuple::new(vec![Value::Int(1), Value::str("x")]);
         assert_eq!(t.arity(), 2);
         assert_eq!(t.int(0).unwrap(), 1);
-        assert_eq!(t.str_at(1).unwrap(), "x");
         assert!(t.get(2).is_err());
         assert!(t.int(1).is_err());
     }
@@ -397,18 +378,5 @@ mod tests {
         assert_eq!(t.est_bytes(), c.est_bytes());
         // And matches the historical formula exactly.
         assert_eq!(t.est_bytes(), 16 + (8 + 16 + 8) + (8 + 8));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        for t in [
-            Tuple::from_ints(&[1, 2, 3]),
-            Tuple::from_ints(&[1, 2, 3, 4, 5, 6]),
-            Tuple::new(vec![Value::Int(-1), Value::str("x y")]),
-        ] {
-            let json = serde_json::to_string(&t).unwrap();
-            let back: Tuple = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, t);
-        }
     }
 }

@@ -5,14 +5,13 @@
 //! small. Values are totally ordered (ints before strings) so relations can
 //! be canonically sorted for multiset comparison in tests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::{RelalgError, Result};
 use crate::schema::DataType;
 
 /// A scalar value stored in a tuple.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// 64-bit signed integer (all Wisconsin numeric attributes).
     Int(i64),

@@ -8,7 +8,6 @@
 //! placement lets the sequential reference evaluator double as the
 //! correctness oracle for every parallel backend.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -24,7 +23,7 @@ use crate::schema::Schema;
 /// The sequential evaluator ignores the hint (it uses a nested-loop oracle);
 /// the paper's strategies pick `Simple` for SP/SE/RD and `Pipelining` for FP
 /// (§3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum JoinAlgorithm {
     /// Two-phase build–probe hash join ("simple hash-join", §2.3.2).
     Simple,
@@ -47,7 +46,7 @@ impl fmt::Display for JoinAlgorithm {
 ///
 /// `left_key`/`right_key` index into the respective operand schemas; the
 /// projection indexes into the concatenation `left ++ right`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EquiJoin {
     /// Key column in the left operand.
     pub left_key: usize,
@@ -82,7 +81,7 @@ impl EquiJoin {
 }
 
 /// A logical XRA plan node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum XraNode {
     /// Scan of a named base relation.
     Scan {

@@ -441,11 +441,7 @@ fn parse_error(err: &JsonValue) -> ServerError {
             Some(JsonValue::Str(s)) => s.clone(),
             _ => String::new(),
         },
-        queue_depth: err.get("queue_depth").and_then(|v| match v {
-            JsonValue::Int(i) if *i >= 0 => Some(*i as u64),
-            JsonValue::UInt(u) => Some(*u),
-            _ => None,
-        }),
+        queue_depth: as_u64_field(err.get("queue_depth")),
     }
 }
 

@@ -71,7 +71,7 @@ use mj_exec::stream::Batch;
 use mj_exec::{metrics, EngineStats, MjError, QueryOptions};
 use mj_plan::parse::Span;
 use mj_relalg::{Column, Value};
-use serde::{JsonValue, Serialize};
+use serde::JsonValue;
 
 /// Hard cap on one request line (bytes, newline included). Longer lines
 /// are rejected with an `oversized_frame` error; the connection survives
@@ -234,7 +234,10 @@ impl WireError {
             (
                 "span".to_string(),
                 match self.span {
-                    Some(s) => s.to_json(),
+                    Some(s) => JsonValue::Obj(vec![
+                        ("start".to_string(), JsonValue::UInt(s.start as u64)),
+                        ("end".to_string(), JsonValue::UInt(s.end as u64)),
+                    ]),
                     None => JsonValue::Null,
                 },
             ),
@@ -530,7 +533,8 @@ pub fn batch_frame<'a>(rows: impl Iterator<Item = &'a [Value]>) -> String {
     )]))
 }
 
-fn value_to_json(v: &Value) -> JsonValue {
+/// One result value as a JSON value: an integer or a string.
+pub fn value_to_json(v: &Value) -> JsonValue {
     match v {
         Value::Int(i) => JsonValue::Int(*i),
         Value::Str(s) => JsonValue::Str(s.to_string()),
@@ -1042,6 +1046,10 @@ mod tests {
         assert_eq!(
             err.get("span").unwrap().get("start"),
             Some(&JsonValue::Int(7))
+        );
+        assert_eq!(
+            frame,
+            r#"{"error":{"code":"parse","message":"expected FROM","span":{"start":7,"end":11}}}"#
         );
 
         let over = WireError::overloaded("busy", 16);

@@ -3,18 +3,15 @@
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors the tiny subset of serde it actually uses: a
 //! self-describing JSON value model, `Serialize`/`Deserialize` traits over
-//! it, and derive macros (re-exported from `serde_derive`) for plain
-//! structs and enums without `#[serde(...)]` attributes. `serde_json`
-//! provides `to_string`/`from_str` on top.
+//! it for primitives, `Vec`, `Option` and arrays, and derive macros
+//! (re-exported from `serde_derive`) for plain named-field structs without
+//! `#[serde(...)]` attributes. `serde_json` provides `to_string`/`from_str`
+//! on top.
 //!
-//! The external JSON shape follows real serde's defaults: structs are
-//! objects, unit enum variants are strings, newtype variants are
-//! `{"Variant": value}`, tuple variants are `{"Variant": [..]}`, struct
-//! variants are `{"Variant": {..}}`.
+//! The external JSON shape follows real serde's defaults: a struct is an
+//! object keyed by its field names.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -73,7 +70,7 @@ pub trait Deserialize: Sized {
     fn from_json(v: &JsonValue) -> Result<Self, DeError>;
 }
 
-// ---- helpers used by generated code ----
+// ---- the helper generated code uses ----
 
 /// Fetches and deserializes a named field of an object.
 pub fn field<T: Deserialize>(v: &JsonValue, name: &str) -> Result<T, DeError> {
@@ -81,23 +78,6 @@ pub fn field<T: Deserialize>(v: &JsonValue, name: &str) -> Result<T, DeError> {
         .get(name)
         .ok_or_else(|| DeError(format!("missing field `{name}`")))?;
     T::from_json(inner).map_err(|e| DeError(format!("field `{name}`: {}", e.0)))
-}
-
-/// Interprets `v` as an array of exactly `len` elements.
-pub fn as_arr(v: &JsonValue, len: usize) -> Result<&[JsonValue], DeError> {
-    match v {
-        JsonValue::Arr(items) if items.len() == len => Ok(items),
-        JsonValue::Arr(items) => Err(DeError(format!(
-            "expected array of {len}, found array of {}",
-            items.len()
-        ))),
-        other => Err(DeError(format!("expected array, found {other:?}"))),
-    }
-}
-
-/// Deserializes element `i` of an array slice.
-pub fn elem<T: Deserialize>(items: &[JsonValue], i: usize) -> Result<T, DeError> {
-    T::from_json(&items[i]).map_err(|e| DeError(format!("element {i}: {}", e.0)))
 }
 
 // ---- primitive impls ----
@@ -210,18 +190,6 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Str(self.to_string())
-    }
-}
-
-impl Deserialize for Box<str> {
-    fn from_json(v: &JsonValue) -> Result<Self, DeError> {
-        String::from_json(v).map(String::into_boxed_str)
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_json(&self) -> JsonValue {
         JsonValue::Arr(self.iter().map(Serialize::to_json).collect())
@@ -234,18 +202,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             JsonValue::Arr(items) => items.iter().map(T::from_json).collect(),
             other => Err(DeError(format!("expected array, found {other:?}"))),
         }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<[T]> {
-    fn from_json(v: &JsonValue) -> Result<Self, DeError> {
-        Vec::<T>::from_json(v).map(Vec::into_boxed_slice)
     }
 }
 
@@ -282,84 +238,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_json(&self) -> JsonValue {
-        (**self).to_json()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, DeError> {
-        T::from_json(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn to_json(&self) -> JsonValue {
-        (**self).to_json()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Arc<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, DeError> {
-        T::from_json(v).map(Arc::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_json(&self) -> JsonValue {
-        (**self).to_json()
-    }
-}
-
-impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_json(v: &JsonValue) -> Result<Self, DeError> {
-        let items = as_arr(v, 2)?;
-        Ok((elem(items, 0)?, elem(items, 1)?))
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_json(v: &JsonValue) -> Result<Self, DeError> {
-        let items = as_arr(v, 3)?;
-        Ok((elem(items, 0)?, elem(items, 1)?, elem(items, 2)?))
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_json(&self) -> JsonValue {
-        // Sort keys for deterministic output.
-        let mut pairs: Vec<(String, JsonValue)> =
-            self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        JsonValue::Obj(pairs)
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_json(v: &JsonValue) -> Result<Self, DeError> {
-        match v {
-            JsonValue::Obj(pairs) => pairs
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
-                .collect(),
-            other => Err(DeError(format!("expected object, found {other:?}"))),
-        }
-    }
-}
-
 impl Serialize for JsonValue {
     fn to_json(&self) -> JsonValue {
         self.clone()
@@ -388,10 +266,6 @@ mod tests {
             vec![1, 2]
         );
         assert_eq!(<[u64; 2]>::from_json(&[3u64, 4].to_json()).unwrap(), [3, 4]);
-        assert_eq!(
-            <(f64, f64)>::from_json(&(0.5f64, 2.5f64).to_json()).unwrap(),
-            (0.5, 2.5)
-        );
         assert_eq!(Option::<i64>::from_json(&JsonValue::Null).unwrap(), None);
     }
 

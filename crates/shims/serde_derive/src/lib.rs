@@ -2,34 +2,17 @@
 //!
 //! Parses the deriving item with the bare `proc_macro` API (no `syn`/
 //! `quote` available offline) and emits `Serialize`/`Deserialize` impls
-//! against the shim's JSON data model. Supported shapes — the only ones the
-//! workspace uses — are non-generic named-field structs and enums with
-//! unit, tuple, and named-field variants, without `#[serde(...)]`
-//! attributes. Field types never need to be parsed: generated code relies
-//! on type inference through `serde::field`/`serde::elem`.
+//! against the shim's JSON data model. The one supported shape is a
+//! non-generic named-field struct without `#[serde(...)]` attributes;
+//! anything else is a compile error. Field types never need to be parsed:
+//! generated code relies on type inference through `serde::field`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-enum Fields {
-    Named(Vec<String>),
-    Tuple(usize),
-    Unit,
-}
-
-struct Variant {
+/// A named-field struct: its name and its fields' names, in order.
+struct Item {
     name: String,
-    fields: Fields,
-}
-
-enum Item {
-    Struct {
-        name: String,
-        fields: Vec<String>,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
+    fields: Vec<String>,
 }
 
 /// Derives `serde::Serialize`.
@@ -54,10 +37,10 @@ fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
     skip_attrs_and_vis(&tokens, &mut i);
-    let kind = match &tokens[i] {
-        TokenTree::Ident(id) => id.to_string(),
-        other => panic!("expected `struct` or `enum`, found {other}"),
-    };
+    match &tokens[i] {
+        TokenTree::Ident(id) if id.to_string() == "struct" => {}
+        other => panic!("serde shim derive supports only structs, found `{other}`"),
+    }
     i += 1;
     let name = match &tokens[i] {
         TokenTree::Ident(id) => id.to_string(),
@@ -74,16 +57,9 @@ fn parse_item(input: TokenStream) -> Item {
             None => panic!("`{name}`: no braced body (tuple structs unsupported)"),
         }
     };
-    match kind.as_str() {
-        "struct" => Item::Struct {
-            name,
-            fields: parse_named_fields(body),
-        },
-        "enum" => Item::Enum {
-            name,
-            variants: parse_variants(body),
-        },
-        other => panic!("cannot derive for `{other}` items"),
+    Item {
+        name,
+        fields: parse_named_fields(body),
     }
 }
 
@@ -139,211 +115,30 @@ fn parse_named_fields(body: TokenStream) -> Vec<String> {
     fields
 }
 
-fn parse_variants(body: TokenStream) -> Vec<Variant> {
-    let tokens: Vec<TokenTree> = body.into_iter().collect();
-    let mut variants = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
-        if i >= tokens.len() {
-            break;
-        }
-        let name = match &tokens[i] {
-            TokenTree::Ident(id) => id.to_string(),
-            other => panic!("expected variant name, found {other}"),
-        };
-        i += 1;
-        let fields = match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                i += 1;
-                Fields::Named(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                i += 1;
-                Fields::Tuple(tuple_arity(g.stream()))
-            }
-            _ => Fields::Unit,
-        };
-        // Skip the trailing comma (and any discriminant — unused here).
-        while i < tokens.len() {
-            if matches!(&tokens[i], TokenTree::Punct(p) if p.as_char() == ',') {
-                i += 1;
-                break;
-            }
-            i += 1;
-        }
-        variants.push(Variant { name, fields });
-    }
-    variants
-}
-
-/// Number of fields in a tuple variant: top-level commas + 1.
-fn tuple_arity(body: TokenStream) -> usize {
-    let tokens: Vec<TokenTree> = body.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
-    let mut angle = 0i32;
-    let mut commas = 0usize;
-    let mut trailing_comma = false;
-    for t in &tokens {
-        match t {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                angle += 1;
-                trailing_comma = false;
-            }
-            TokenTree::Punct(p) if p.as_char() == '>' => {
-                angle -= 1;
-                trailing_comma = false;
-            }
-            TokenTree::Punct(p) if p.as_char() == ',' && angle == 0 => {
-                commas += 1;
-                trailing_comma = true;
-            }
-            _ => trailing_comma = false,
-        }
-    }
-    commas + 1 - usize::from(trailing_comma)
-}
-
 // ---- code generation ----
 
-fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let pairs: Vec<String> = fields
-                .iter()
-                .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_json(&self.{f}))"))
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_json(&self) -> ::serde::JsonValue {{\n\
-                 ::serde::JsonValue::Obj(vec![{}])\n}}\n}}",
-                pairs.join(", ")
-            )
-        }
-        Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| {
-                    let vn = &v.name;
-                    match &v.fields {
-                        Fields::Unit => format!(
-                            "{name}::{vn} => ::serde::JsonValue::Str(\"{vn}\".to_string()),"
-                        ),
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vn}(f0) => ::serde::JsonValue::Obj(vec![(\"{vn}\".to_string(), ::serde::Serialize::to_json(f0))]),"
-                        ),
-                        Fields::Tuple(n) => {
-                            let binds: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
-                            let items: Vec<String> = (0..*n)
-                                .map(|k| format!("::serde::Serialize::to_json(f{k})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::JsonValue::Obj(vec![(\"{vn}\".to_string(), ::serde::JsonValue::Arr(vec![{}]))]),",
-                                binds.join(", "),
-                                items.join(", ")
-                            )
-                        }
-                        Fields::Named(fields) => {
-                            let binds = fields.join(", ");
-                            let pairs: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(\"{f}\".to_string(), ::serde::Serialize::to_json({f}))"
-                                    )
-                                })
-                                .collect();
-                            format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::JsonValue::Obj(vec![(\"{vn}\".to_string(), ::serde::JsonValue::Obj(vec![{}]))]),",
-                                pairs.join(", ")
-                            )
-                        }
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_json(&self) -> ::serde::JsonValue {{\n\
-                 match self {{\n{}\n}}\n}}\n}}",
-                arms.join("\n")
-            )
-        }
-    }
+fn gen_serialize(Item { name, fields }: &Item) -> String {
+    let pairs: Vec<String> = fields
+        .iter()
+        .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_json(&self.{f}))"))
+        .collect();
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+         fn to_json(&self) -> ::serde::JsonValue {{\n\
+         ::serde::JsonValue::Obj(vec![{}])\n}}\n}}",
+        pairs.join(", ")
+    )
 }
 
-fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::field(v, \"{f}\")?"))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_json(v: &::serde::JsonValue) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 Ok({name} {{ {} }})\n}}\n}}",
-                inits.join(", ")
-            )
-        }
-        Item::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.fields, Fields::Unit))
-                .map(|v| format!("\"{0}\" => Ok({name}::{0}),", v.name))
-                .collect();
-            let data_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
-                    let vn = &v.name;
-                    match &v.fields {
-                        Fields::Unit => None,
-                        Fields::Tuple(1) => Some(format!(
-                            "\"{vn}\" => Ok({name}::{vn}(::serde::Deserialize::from_json(inner)?)),"
-                        )),
-                        Fields::Tuple(n) => {
-                            let elems: Vec<String> =
-                                (0..*n).map(|k| format!("::serde::elem(items, {k})?")).collect();
-                            Some(format!(
-                                "\"{vn}\" => {{ let items = ::serde::as_arr(inner, {n})?; Ok({name}::{vn}({})) }},",
-                                elems.join(", ")
-                            ))
-                        }
-                        Fields::Named(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| format!("{f}: ::serde::field(inner, \"{f}\")?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => Ok({name}::{vn} {{ {} }}),",
-                                inits.join(", ")
-                            ))
-                        }
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_json(v: &::serde::JsonValue) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 match v {{\n\
-                 ::serde::JsonValue::Str(s) => match s.as_str() {{\n\
-                 {}\n\
-                 other => Err(::serde::DeError(format!(\"unknown {name} variant `{{other}}`\"))),\n\
-                 }},\n\
-                 ::serde::JsonValue::Obj(pairs) if pairs.len() == 1 => {{\n\
-                 let (tag, inner) = &pairs[0];\n\
-                 let _ = inner;\n\
-                 match tag.as_str() {{\n\
-                 {}\n\
-                 other => Err(::serde::DeError(format!(\"unknown {name} variant `{{other}}`\"))),\n\
-                 }}\n\
-                 }},\n\
-                 other => Err(::serde::DeError(format!(\"expected {name}, found {{other:?}}\"))),\n\
-                 }}\n}}\n}}",
-                unit_arms.join("\n"),
-                data_arms.join("\n")
-            )
-        }
-    }
+fn gen_deserialize(Item { name, fields }: &Item) -> String {
+    let inits: Vec<String> = fields
+        .iter()
+        .map(|f| format!("{f}: ::serde::field(v, \"{f}\")?"))
+        .collect();
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+         fn from_json(v: &::serde::JsonValue) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+         Ok({name} {{ {} }})\n}}\n}}",
+        inits.join(", ")
+    )
 }

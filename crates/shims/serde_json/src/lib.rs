@@ -372,9 +372,9 @@ mod tests {
 
     #[test]
     fn roundtrip_collections() {
-        let v = vec![(1.5f64, 2.5f64), (0.0, -1.0)];
+        let v = vec![[1.5f64, 2.5], [0.0, -1.0]];
         let json = to_string(&v).unwrap();
-        assert_eq!(from_str::<Vec<(f64, f64)>>(&json).unwrap(), v);
+        assert_eq!(from_str::<Vec<[f64; 2]>>(&json).unwrap(), v);
     }
 
     #[test]

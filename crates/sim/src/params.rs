@@ -2,13 +2,12 @@
 //! simulation needs.
 
 use mj_core::Machine;
-use serde::{Deserialize, Serialize};
 
 /// The simulated machine and the simulation's own granularity.
 ///
 /// [`Default`] is PRISMA ([`Machine::prisma`]): simulated response times
 /// land in the paper's 2–80 s range for the 5K/40K experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimParams {
     /// Per-action costs, in seconds — the same ones the analytic schedule
     /// model reads.

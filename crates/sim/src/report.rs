@@ -1,12 +1,10 @@
 //! Simulation results and derived metrics.
 
-use serde::{Deserialize, Serialize};
-
 use mj_core::plan_ir::ProcId;
 use mj_plan::tree::NodeId;
 
 /// Timing of one operation across the simulation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OpSpan {
     /// Op id within the plan.
     pub op: usize,
@@ -30,17 +28,6 @@ impl OpSpan {
         self.busy.iter().map(|(a, b)| b - a).sum()
     }
 
-    /// Fraction of the span `[start, complete]` the op was busy. 1.0 means
-    /// never starved; below that, the op waited on its inputs (the "holes"
-    /// of Fig. 6).
-    pub fn busy_fraction(&self) -> f64 {
-        let span = self.complete - self.start;
-        if span <= 0.0 {
-            return 1.0;
-        }
-        (self.busy_time() / span).min(1.0)
-    }
-
     /// When the op first did useful work — `start` plus any initial wait
     /// for input. The difference `first_busy() - start` is the pipeline
     /// *fill delay* at this op (§2.3.3).
@@ -50,7 +37,7 @@ impl OpSpan {
 }
 
 /// The outcome of one simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimResult {
     /// Elapsed time from scheduling start to the last op's completion —
     /// the paper's response-time metric (§4.4).
@@ -72,11 +59,6 @@ impl SimResult {
             .map(|s| s.busy_time() * s.procs.len() as f64)
             .sum();
         busy_proc_seconds / (processors as f64 * self.response_time)
-    }
-
-    /// The span of the op evaluating `join`.
-    pub fn span_for_join(&self, join: NodeId) -> Option<&OpSpan> {
-        self.spans.iter().find(|s| s.join == join)
     }
 }
 
@@ -100,13 +82,6 @@ mod tests {
     fn busy_metrics() {
         let s = span(vec![(0.0, 1.0), (2.0, 3.0)], 0.0, 4.0);
         assert_eq!(s.busy_time(), 2.0);
-        assert_eq!(s.busy_fraction(), 0.5);
-    }
-
-    #[test]
-    fn degenerate_span_is_fully_busy() {
-        let s = span(vec![], 1.0, 1.0);
-        assert_eq!(s.busy_fraction(), 1.0);
     }
 
     #[test]
@@ -118,15 +93,5 @@ mod tests {
         // 2 procs busy 2s out of 4 procs x 2s.
         assert_eq!(r.utilization(4), 0.5);
         assert_eq!(r.utilization(0), 0.0);
-    }
-
-    #[test]
-    fn span_lookup() {
-        let r = SimResult {
-            response_time: 1.0,
-            spans: vec![span(vec![], 0.0, 1.0)],
-        };
-        assert!(r.span_for_join(0).is_some());
-        assert!(r.span_for_join(5).is_none());
     }
 }

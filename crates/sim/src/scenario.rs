@@ -5,8 +5,6 @@
 //! Wisconsin query. [`run_scenario`] performs phase-1 costing, phase-2
 //! plan generation, and simulation.
 
-use serde::{Deserialize, Serialize};
-
 use mj_core::generator::{generate, GeneratorInput};
 use mj_core::plan_ir::{ParallelPlan, PlanStats};
 use mj_core::strategy::Strategy;
@@ -20,7 +18,7 @@ use crate::params::SimParams;
 use crate::report::SimResult;
 
 /// One experiment cell.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Scenario {
     /// Query-tree shape (Fig. 8).
     pub shape: Shape,
