@@ -9,8 +9,8 @@
 //! paper's fixed processor pool, §4): the submitting thread sets the query
 //! up and puts its first wave of tasks on the pool; from then on every
 //! task's completion report advances the query on the thread that makes it
-//! (`Coordinator`) — releasing the waves that waited for it, and, when it
-//! is the last, concluding the query. No thread is started for a query: a
+//! (`advance`) — releasing the waves that waited for it, and, when it is
+//! the last, concluding the query. No thread is started for a query: a
 //! deadline or a stall limit is a check armed on the pool for the instant
 //! it is next due (`WorkerPool::run_at`). The query's last operation
 //! streams its output to the client like any operation streams to its
@@ -37,9 +37,21 @@
 //! crediting the pieces' bytes to its budget, before the outcome is
 //! released.
 //!
+//! What an execution builds and what it re-arms: it builds its edges, its
+//! control block (one allocation, which carries its budget and, from its
+//! first wave on, its run — so its tasks report through the block they
+//! already hold, a step's reports under one hold of its lock), its bound
+//! scan filters and one box per task; it re-arms the tasks its template
+//! kept from earlier executions — members, operators, buffers and port —
+//! wiring them to this execution's operands and edges, and each task
+//! gives itself back readied before its last report can conclude the
+//! query. The first execution of a template arms new tasks through the
+//! same code.
+//!
 //! Every operation of a query — each join of the plan, then each post-join
 //! stage (GROUP BY, LIMIT) — is listed and wired once, in its template,
-//! and spawned by one path. One task is one operation
+//! and spawned by one path, which submits a process group's instances to
+//! the pool in one push. One task is one operation
 //! *process*: an operation's instance, or — where the plan fused sub-grain
 //! operations into their consumer (`OperandSource::Fused`) — a whole
 //! process group evaluated member by member inside it ([`OpTask`]). A group
@@ -59,7 +71,7 @@
 //! after the root join.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use mj_core::plan_ir::ParallelPlan;
@@ -76,9 +88,9 @@ use crate::handle::{QueryCtrl, QueryHandle, QueryOutcome, QueryStatus, ResultStr
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::{EngineStats, Metrics};
 use crate::operator::shared::SharedBuild;
-use crate::operator::task::{DoneMsg, OpTask, Reporter, TaskMember};
+use crate::operator::task::{DoneMsg, OpTask};
 use crate::operator::OutputPort;
-use crate::sched::WorkerPool;
+use crate::sched::{Task, WorkerPool};
 use crate::source::Source;
 use crate::stream::{is_teardown, operand_channels, BatchPool, Msg, Receiver, Router, Sender};
 use crate::template::{RunTemplate, Wiring};
@@ -255,11 +267,10 @@ impl Engine {
         // reports a completion.
         let run = QueryRun::new(self, template, args, &opts, result, &ctrl);
         let accounts = Accounts {
-            ctrl: ctrl.clone(),
             counters: self.counters.clone(),
             submitted_at,
         };
-        start(run, accounts);
+        start(run, accounts, &ctrl);
         Ok(QueryHandle::new(stream, ctrl))
     }
 
@@ -302,7 +313,7 @@ impl Engine {
             edge.producers,
             1,
             self.config.channel_capacity,
-            edge.layout.clone(),
+            &edge.spares,
         );
         let budget = match opts.memory_budget() {
             Some(limit) => MemoryBudget::with_limit(limit),
@@ -336,6 +347,28 @@ fn materialize(mut handle: QueryHandle) -> Result<ExecOutcome> {
     })
 }
 
+/// Keeps `table` as the build side every instance of op `m` shares.
+fn share(shared: &mut Vec<Option<Arc<ColumnarTable>>>, m: usize, table: Arc<ColumnarTable>) {
+    if shared.len() <= m {
+        shared.resize(m + 1, None);
+    }
+    shared[m] = Some(table);
+}
+
+/// Piece `i` of every instance of op `from`'s materialized output among
+/// `pieces`, in instance order.
+fn take_pieces(
+    pieces: &mut [((usize, usize), Pieces)],
+    from: usize,
+    i: usize,
+) -> Vec<Arc<ColumnBatch>> {
+    pieces
+        .iter_mut()
+        .filter(|((op, _), _)| *op == from)
+        .filter_map(|(_, slots)| slots.get_mut(i)?.take())
+        .collect()
+}
+
 /// Executes `plan` against the relations in `catalog` on a transient
 /// [`Engine`] — its `config.workers` pool threads are joined before this
 /// returns — draining the stream into a materialized [`ExecOutcome`].
@@ -352,82 +385,67 @@ pub fn run_plan(
 
 /// The engine's accounts of one query, settled when it concludes.
 struct Accounts {
-    ctrl: Arc<QueryCtrl>,
     counters: Arc<EngineCounters>,
     submitted_at: Instant,
 }
 
 impl Accounts {
     /// Counts the query's result and its edges' batch-pool takes and
-    /// misses (`pools`), then publishes the outcome — in that order, so
-    /// whoever holds the outcome sees the counters settled.
-    fn settle(self, result: Result<QueryOutcome>, pools: (u64, u64)) {
+    /// misses (`pools`), then publishes the outcome through `ctrl` — in
+    /// that order, so whoever holds the outcome sees the counters settled.
+    fn settle(self, ctrl: &QueryCtrl, result: Result<QueryOutcome>, pools: (u64, u64)) {
         self.counters.record(
             &result,
-            self.ctrl.panics(),
-            self.ctrl.budget().peak(),
+            ctrl.panics(),
+            ctrl.budget().peak(),
             self.submitted_at.elapsed(),
             pools,
         );
-        self.ctrl.finish(result);
+        ctrl.finish(result);
     }
 }
 
-/// One query's coordination. No thread waits for a query: the submitting
-/// thread and every completion report [`advance`](Coordinator::advance) the
-/// run under its lock, and whichever of them leaves it with no task to wait
-/// for concludes the query on the spot.
-struct Coordinator {
-    /// The run and its accounts until the query concludes.
-    state: Mutex<Option<(QueryRun, Accounts)>>,
+/// One query under coordination: its run and the engine's accounts of it,
+/// held by the query's control block ([`QueryCtrl::run`]) — the one
+/// per-run allocation every task of the query already holds, so a task
+/// reports through it and nothing else. No thread waits for a query: the
+/// submitting thread and every completion report [`advance`] the run under
+/// that lock, and whichever of them leaves it with no task to wait for
+/// concludes the query on the spot.
+pub(crate) struct Coordinated {
+    run: QueryRun,
+    accounts: Accounts,
 }
 
-impl Coordinator {
-    fn new(mut run: QueryRun, accounts: Accounts) -> Arc<Coordinator> {
-        let coordinator = Arc::new(Coordinator {
-            state: Mutex::new(None),
-        });
-        // The run hands this to its tasks; it goes with the run when the
-        // query concludes.
-        let reporting = coordinator.clone();
-        run.reporter = Some(Reporter::new(move |report| {
-            reporting.advance(|run| run.on_report(report));
-        }));
-        run.coordinator = Arc::downgrade(&coordinator);
-        *coordinator.lock() = Some((run, accounts));
-        coordinator
+impl std::fmt::Debug for Coordinated {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.run.progress_dump())
     }
+}
 
-    fn lock(&self) -> MutexGuard<'_, Option<(QueryRun, Accounts)>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+/// Applies `event` to the run of the query `ctrl` controls; if every task
+/// submitted so far has then reported, the query has quiesced and is
+/// concluded here. Nothing that runs under the lock drops a task, so a
+/// report never finds it held by its own thread.
+fn advance(ctrl: &QueryCtrl, event: impl FnOnce(&mut QueryRun)) {
+    let mut state = ctrl.run();
+    let Some(Coordinated { run, .. }) = state.as_mut() else {
+        return;
+    };
+    event(run);
+    if run.received < run.spawned_instances {
+        return;
     }
+    let Coordinated { run, accounts } = state.take().expect("checked above");
+    drop(state);
+    let pools = run.batch_pool_tally();
+    accounts.settle(ctrl, run.conclude(), pools);
+}
 
-    /// Applies `event` to the run; if every task submitted so far has then
-    /// reported, the query has quiesced and is concluded here. Nothing that
-    /// runs under the lock drops a task, so a report never finds it held by
-    /// its own thread.
-    fn advance(&self, event: impl FnOnce(&mut QueryRun)) {
-        let mut state = self.lock();
-        let Some((run, _)) = state.as_mut() else {
-            return;
-        };
-        event(run);
-        if run.received < run.spawned_instances {
-            return;
-        }
-        let (run, accounts) = state.take().expect("checked above");
-        drop(state);
-        let pools = run.batch_pool_tally();
-        accounts.settle(run.conclude(), pools);
-    }
-
-    /// Where the query stands, for a stall report.
-    fn progress_dump(&self) -> String {
-        let state = self.lock();
-        state
-            .as_ref()
-            .map_or_else(String::new, |(run, _)| run.progress_dump())
-    }
+/// Hands completion reports of one task to its query's run
+/// in order, under one hold of its lock.
+pub(crate) fn report(ctrl: &QueryCtrl, reports: impl Iterator<Item = DoneMsg>) {
+    advance(ctrl, |run| reports.for_each(|report| run.on_report(report)));
 }
 
 /// The deadline and the stall limit of one query, checked on the pool at
@@ -438,7 +456,6 @@ impl Coordinator {
 /// always. It holds the query only weakly: once the query has concluded, a
 /// pending check keeps nothing alive and does nothing.
 struct Guard {
-    coordinator: Weak<Coordinator>,
     ctrl: Weak<QueryCtrl>,
     deadline: Option<Instant>,
     stall_timeout: Option<Duration>,
@@ -471,8 +488,9 @@ impl Guard {
         if let Some(timeout) = self.stall_timeout.filter(|_| now >= self.seen.1) {
             let progress = ctrl.progress();
             if progress == self.seen.0 {
-                let coordinator = self.coordinator.upgrade()?;
-                ctrl.abort(RelalgError::Stalled(coordinator.progress_dump()));
+                // Where the query stands, for the stall report.
+                let dump = ctrl.run().as_ref()?.run.progress_dump();
+                ctrl.abort(RelalgError::Stalled(dump));
                 return None;
             }
             self.seen = (progress, now + timeout);
@@ -481,22 +499,19 @@ impl Guard {
     }
 }
 
-/// Puts a prepared query under coordination and its first wave of tasks on
-/// the pool. A query with a deadline or a stall limit also arms its
-/// [`Guard`] on the pool; no query starts a thread. A set-up failure
-/// concludes the query at once and surfaces from its outcome like any
-/// other.
-fn start(prepared: Result<QueryRun>, accounts: Accounts) {
+/// Puts a prepared query under coordination in its control block `ctrl`
+/// and its first wave of tasks on the pool. A query with a deadline or a
+/// stall limit also arms its [`Guard`] on the pool; no query starts a
+/// thread. A set-up failure concludes the query at once and surfaces from
+/// its outcome like any other.
+fn start(prepared: Result<QueryRun>, accounts: Accounts, ctrl: &Arc<QueryCtrl>) {
     let run = match prepared {
         Ok(run) => run,
-        Err(e) => return accounts.settle(Err(e), (0, 0)),
+        Err(e) => return accounts.settle(ctrl, Err(e), (0, 0)),
     };
-    let (pool, ctrl, stall_timeout) =
-        (run.pool.clone(), run.ctrl.clone(), run.config.stall_timeout);
-    let coordinator = Coordinator::new(run, accounts);
+    let stall_timeout = run.config.stall_timeout;
     let mut guard = Guard {
-        coordinator: Arc::downgrade(&coordinator),
-        ctrl: Arc::downgrade(&ctrl),
+        ctrl: Arc::downgrade(ctrl),
         deadline: ctrl.deadline(),
         stall_timeout,
         seen: (
@@ -505,19 +520,21 @@ fn start(prepared: Result<QueryRun>, accounts: Accounts) {
         ),
     };
     if let Some(at) = guard.due() {
-        pool.run_at(at, Box::new(move || guard.check()));
+        run.pool.run_at(at, Box::new(move || guard.check()));
     }
-    coordinator.advance(QueryRun::spawn_first_wave);
+    *ctrl.run() = Some(Coordinated { run, accounts });
+    advance(ctrl, QueryRun::spawn_first_wave);
 }
 
 /// One execution of a [`RunTemplate`] from set-up to teardown.
 /// [`new`](QueryRun::new) and the first wave of tasks run on the
-/// submitting thread; after that the run sits in its [`Coordinator`] and is
-/// advanced by completion reports on the pool's threads, so it owns (or
-/// shares by `Arc`) everything it touches. What it adds to the template is
-/// exactly the per-execution state: edges, base operands (their scan
-/// filters bound to the arguments), materialized pieces, progress and
-/// metrics.
+/// submitting thread; after that the run sits in its control block
+/// ([`Coordinated`]) and is advanced by completion reports on the pool's
+/// threads, so it owns (or shares by `Arc`) everything it touches. What it
+/// adds to the template is exactly the per-execution state: edges, base
+/// operands (their scan filters bound to the arguments), materialized
+/// pieces, progress and metrics. The tasks it spawns re-arm the ones the
+/// template kept from earlier executes.
 struct QueryRun {
     template: Arc<RunTemplate>,
     config: ExecConfig,
@@ -541,11 +558,6 @@ struct QueryRun {
     /// Bytes of every piece reported, charged to the budget as they were
     /// cut and credited back when the query concludes.
     piece_bytes: u64,
-    /// What every task of the query reports its completions through; set
-    /// when the run is put under its [`Coordinator`].
-    reporter: Option<Reporter>,
-    /// That coordinator, for the shared builds' reports.
-    coordinator: Weak<Coordinator>,
     /// Per op whose build side every instance shares: the table, once the
     /// catalog or the execution's [`SharedBuild`] provided it (empty for a
     /// plan without segment groups).
@@ -635,7 +647,7 @@ impl QueryRun {
                 edge.producers,
                 edge.consumers,
                 config.channel_capacity,
-                edge.layout.clone(),
+                &edge.spares,
             );
             pool.set_budget(ctrl.budget().clone());
             senders.push((Some((txs, edge.key_col, pool.clone())), pool));
@@ -668,8 +680,6 @@ impl QueryRun {
             receivers,
             pieces: Vec::new(),
             piece_bytes: 0,
-            reporter: None,
-            coordinator: Weak::new(),
             shared: Vec::new(),
             started,
             progress,
@@ -706,7 +716,7 @@ impl QueryRun {
     /// resident table is taken as it is, anything else is indexed once by a
     /// [`SharedBuild`] on the pool, counted in the group's `building`.
     fn build_shared(&mut self, root: usize) -> Result<()> {
-        let template = self.template.clone();
+        let template = &*self.template;
         let ops = template.ops();
         let members = template.group(root);
         let priority = members.iter().map(|&m| ops[m].priority).min();
@@ -720,7 +730,7 @@ impl QueryRun {
                 let source = match **over {
                     Wiring::Base(b) => template.base_source(b, 0, &mut self.base_parts),
                     Wiring::Materialized { from } => {
-                        Some(Source::Materialized(self.take_pieces(from, 0)))
+                        Some(Source::Materialized(take_pieces(&mut self.pieces, from, 0)))
                     }
                     _ => None,
                 };
@@ -728,13 +738,13 @@ impl QueryRun {
                     RelalgError::InvalidPlan(format!("op {m} shares a build side it cannot read"))
                 })?;
                 if let Source::Table(table) = source {
-                    self.share(m, table);
+                    share(&mut self.shared, m, table);
                     continue;
                 }
-                let coordinator = self.coordinator.clone();
+                let ctrl = Arc::downgrade(&self.ctrl);
                 let done = Box::new(move |built, steps| {
-                    if let Some(coordinator) = coordinator.upgrade() {
-                        coordinator.advance(|run| run.on_built(root, m, built, steps));
+                    if let Some(ctrl) = ctrl.upgrade() {
+                        advance(&ctrl, |run| run.on_built(root, m, built, steps));
                     }
                 });
                 let build = SharedBuild::new(source, *key_col, self.ctrl.clone(), done);
@@ -762,7 +772,7 @@ impl QueryRun {
                     self.ctrl.abort(reason.clone());
                     self.fail(reason);
                 }
-                self.share(m, table);
+                share(&mut self.shared, m, table);
             }
             Err(e) => self.fail(e),
         }
@@ -780,32 +790,20 @@ impl QueryRun {
         }
     }
 
-    /// Keeps `table` as the build side every instance of op `m` shares.
-    fn share(&mut self, m: usize, table: Arc<ColumnarTable>) {
-        if self.shared.len() <= m {
-            self.shared.resize(m + 1, None);
-        }
-        self.shared[m] = Some(table);
-    }
-
-    /// Piece `i` of every instance of op `from`'s materialized output, in
-    /// instance order.
-    fn take_pieces(&mut self, from: usize, i: usize) -> Vec<Arc<ColumnBatch>> {
-        self.pieces
-            .iter_mut()
-            .filter(|((op, _), _)| *op == from)
-            .filter_map(|(_, slots)| slots.get_mut(i)?.take())
-            .collect()
-    }
-
     /// Spawns one task per operation process of the group rooted at op
     /// `root`: the root's `degree` instances, each evaluating every member
-    /// of the group in op order. A group of one is one operation; a larger
-    /// one (fused sub-grain operations at degree 1, or a segment group)
-    /// hands each member's result to its reader in memory, and only the
-    /// root member is wired to an output.
+    /// of the group in op order, submitted to the pool at once. A group of
+    /// one is one operation; a larger one (fused sub-grain operations at
+    /// degree 1, or a segment group) hands each member's result to its
+    /// reader in memory, and only the root member is wired to an output.
+    ///
+    /// Each instance re-arms the task its template kept from an earlier
+    /// execute, or a fresh one the template builds — through the same
+    /// code: every member's operands are wired for this execute, its
+    /// cursors and counts reset, and the task gets this execute's output
+    /// edge and control block.
     fn spawn_group(&mut self, root: usize) -> Result<()> {
-        let template = self.template.clone();
+        let template = &*self.template;
         let ops = template.ops();
         let members = template.group(root);
         let degree = ops[root].degree;
@@ -825,52 +823,61 @@ impl QueryRun {
         // The process starts with its earliest member's wave.
         let priority = members.iter().map(|&m| ops[m].priority).min();
         let priority = priority.expect("a group has members");
+        let mut tasks: Vec<Box<dyn Task>> = Vec::with_capacity(degree);
+        let mut failed = None;
         // `i` indexes channels, fragments and pieces alike.
         for i in 0..degree {
-            let mut task_members = Vec::with_capacity(members.len());
-            for &m in members {
-                let mut sources = [None, None];
-                for (source, wiring) in sources.iter_mut().zip(&ops[m].operands) {
-                    *source = match wiring {
-                        Wiring::Base(b) => {
-                            let part = template.base_source(*b, i, &mut self.base_parts);
-                            Some(part.expect("each base part is read once"))
-                        }
-                        Wiring::Shared { .. } => {
-                            let table = self.shared.get(m).cloned().flatten();
-                            Some(Source::Table(table.expect("built before the spawn")))
-                        }
-                        Wiring::Materialized { from } => {
-                            let pieces = self.take_pieces(*from, i);
-                            if pieces.is_empty() {
-                                return Err(RelalgError::InvalidPlan(format!(
-                                    "op {m} reads op{from} before it materialized"
-                                )));
+            let (mut body, home) = template.lend(root, i);
+            let wired = body
+                .members
+                .iter_mut()
+                .zip(members)
+                .try_for_each(|(member, &m)| {
+                    let mut sources = [None, None];
+                    for (source, wiring) in sources.iter_mut().zip(&ops[m].operands) {
+                        *source = match wiring {
+                            Wiring::Base(b) => {
+                                let part = template.base_source(*b, i, &mut self.base_parts);
+                                Some(part.expect("each base part is read once"))
                             }
-                            Some(Source::Materialized(pieces))
-                        }
-                        Wiring::Stream { edge, producers } => Some(Source::Stream {
-                            rx: self.receivers[*edge]
-                                .next()
-                                .expect("one receiver per consumer instance"),
-                            producers: *producers,
-                        }),
-                        // Handed over by the member evaluating its producer.
-                        Wiring::Fused => None,
-                    };
-                }
-                let sources = sources.into_iter().take(ops[m].operands.len());
-                #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-                let mut member = TaskMember::new(template.operator(m), sources, m);
-                if let Some((reader, side)) = template.feeds(m) {
-                    member = member.feeding(reader, side);
-                }
-                #[cfg(feature = "faults")]
-                if let Some(plan) = &self.fault_plan {
-                    let label = self.metrics.ops[m].kind.label();
-                    member.arm_fault(plan.arm(label, m, i));
-                }
-                task_members.push(member);
+                            Wiring::Shared { .. } => {
+                                let table = self.shared.get(m).cloned().flatten();
+                                Some(Source::Table(table.expect("built before the spawn")))
+                            }
+                            Wiring::Materialized { from } => {
+                                let pieces = take_pieces(&mut self.pieces, *from, i);
+                                if pieces.is_empty() {
+                                    return Err(RelalgError::InvalidPlan(format!(
+                                        "op {m} reads op{from} before it materialized"
+                                    )));
+                                }
+                                Some(Source::Materialized(pieces))
+                            }
+                            Wiring::Stream { edge, producers } => Some(Source::Stream {
+                                rx: self.receivers[*edge]
+                                    .next()
+                                    .expect("one receiver per consumer instance"),
+                                producers: *producers,
+                            }),
+                            // Handed over by the member evaluating its producer.
+                            Wiring::Fused => None,
+                        };
+                    }
+                    member.renew_op(|| template.operator(m));
+                    member.arm(sources.into_iter().take(ops[m].operands.len()));
+                    #[cfg(feature = "faults")]
+                    if let Some(plan) = &self.fault_plan {
+                        let label = self.metrics.ops[m].kind.label();
+                        member.arm_fault(plan.arm(label, m, i));
+                    }
+                    Ok(())
+                });
+            // A wiring failure submits the tasks armed so far, which unwind
+            // through the edges the failure releases: a task dropped here,
+            // under the run's lock, would report into it.
+            if let Err(e) = wired {
+                failed = Some(e);
+                break;
             }
 
             // The last instance takes the master senders: from then on
@@ -880,34 +887,33 @@ impl QueryRun {
             } else {
                 out.clone()
             };
-            let output = match edge {
-                Some((txs, key_col, pool)) => {
+            let output = match (edge, body.router.take()) {
+                (Some((txs, _, pool)), Some(mut router)) => {
+                    router.rearm(txs, pool);
+                    OutputPort::Stream(router)
+                }
+                (Some((txs, key_col, pool)), None) => {
                     OutputPort::Stream(Router::new(txs, key_col, self.config.batch_size, pool))
                 }
-                None => OutputPort::materialize(
+                (None, _) => OutputPort::materialize(
                     &ops[root].schema,
                     materialized.expect("a materialized consumer"),
                     self.config.batch_size,
                     self.ctrl.budget().clone(),
                 ),
             };
-
-            let mut task = OpTask::new(task_members, output, i, self.reporter(), self.ctrl.clone());
-            task.lend(template.lend(root, i));
+            let ctrl = self.ctrl.clone();
+            let mut task = OpTask::armed(body, Some(home), output, i, ctrl);
             if root == template.root() {
                 if let Some(resolver) = &self.resolver {
                     task.set_resolver(resolver.clone());
                 }
             }
-            self.pool.submit(priority, Box::new(task));
+            tasks.push(Box::new(task));
             self.spawned_instances += members.len();
         }
-        Ok(())
-    }
-
-    fn reporter(&self) -> Reporter {
-        let reporter = self.reporter.as_ref();
-        reporter.expect("tasks spawn under coordination").clone()
+        self.pool.submit_all(priority, tasks);
+        failed.map_or(Ok(()), Err)
     }
 
     /// Drops the channel endpoints of not-yet-spawned ops so already

@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use mj_relalg::{RelalgError, Relation, Result, Schema, Tuple};
 
 use crate::budget::MemoryBudget;
+use crate::engine::Coordinated;
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::Metrics;
 use crate::sched::{block_on_spinning, WorkerPool};
@@ -63,7 +64,9 @@ const STATE_CANCELED: u8 = 3;
 /// token reaches parked ones), the terminal state and outcome its
 /// conclusion publishes, and the guardrail state (deadline, memory budget,
 /// abort reason, progress and contained-panic counters) added by the
-/// robustness layer.
+/// robustness layer. It is also where the query's run sits while it is
+/// coordinated, so the one allocation every task of the query holds is all
+/// it needs to report its completions.
 #[derive(Debug, Default)]
 pub struct QueryCtrl {
     cancel: AtomicBool,
@@ -102,6 +105,9 @@ pub struct QueryCtrl {
     /// The pool the query runs on, which its client's waits consult (none
     /// for a block made outside an engine).
     pool: Weak<WorkerPool>,
+    /// The query's run and accounts while the engine coordinates it: from
+    /// its first wave of tasks until it concludes.
+    run: Mutex<Option<Coordinated>>,
 }
 
 impl QueryCtrl {
@@ -132,6 +138,11 @@ impl QueryCtrl {
             pool: Arc::downgrade(pool),
             ..QueryCtrl::default()
         })
+    }
+
+    /// The query's run while the engine coordinates it.
+    pub(crate) fn run(&self) -> MutexGuard<'_, Option<Coordinated>> {
+        self.run.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether the query's pool leaves a worker idle: a client waiting on

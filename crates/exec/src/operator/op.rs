@@ -125,12 +125,20 @@ pub trait PhysicalOp: Send {
         0
     }
 
-    /// The buffers the operator works in that its task may lend it: the
-    /// task swaps the ones its statement kept in before the operator's
-    /// first row, and swaps them out again when the operator is done
-    /// ([`JoinScratch`]). `None`: the operator keeps its own.
+    /// The buffers the operator keeps across executes of its statement
+    /// ([`JoinScratch`]), which its task charges to each execute's budget
+    /// by capacity. `None`: it keeps none.
     fn scratch(&mut self) -> Option<&mut JoinScratch> {
         None
+    }
+
+    /// Readies the operator, finished or abandoned, for its statement's
+    /// next execute: it lets go of its operands and empties what it built
+    /// and matched, keeping buffers up to a message's size
+    /// ([`MESSAGE_BYTES`](crate::config::MESSAGE_BYTES)). `false`: it
+    /// cannot run again, and the next execute runs a new one.
+    fn rearm(&mut self) -> bool {
+        false
     }
 }
 
@@ -144,7 +152,8 @@ pub trait PhysicalOp: Send {
 /// probe batch hashes its key column a group at a time, collects
 /// `(build_row, probe_row)` match pairs, and assembles the output with one
 /// column-wise gather. The table it indexes and the pairs vector are its
-/// [`JoinScratch`], which its task may lend it.
+/// [`JoinScratch`], which it keeps, emptied, when its statement keeps it
+/// for the next execute ([`rearm`](PhysicalOp::rearm)).
 pub struct SimpleJoinOp {
     /// Shared by every instance of the operation.
     spec: Arc<EquiJoin>,
@@ -225,6 +234,12 @@ impl PhysicalOp for SimpleJoinOp {
 
     fn scratch(&mut self) -> Option<&mut JoinScratch> {
         Some(&mut self.scratch)
+    }
+
+    fn rearm(&mut self) -> bool {
+        self.resident = None;
+        self.scratch.recycle();
+        true
     }
 }
 

@@ -71,6 +71,20 @@ impl OutputPort {
         }
     }
 
+    /// What a kept task keeps of the port for its statement's next
+    /// execute: a stream port's router, detached from this execute's edge
+    /// ([`Router::rearm`] attaches it to the next one's). A materializing
+    /// port keeps nothing.
+    pub(crate) fn kept(self) -> Option<Router> {
+        match self {
+            OutputPort::Stream(mut router) => {
+                router.detach();
+                Some(router)
+            }
+            OutputPort::Materialize { .. } => None,
+        }
+    }
+
     /// The pieces a finished materializing port cut, one per consumer
     /// instance; `None` for any other port, or before it finished.
     pub(crate) fn take_pieces(&mut self) -> Option<Fragments> {
@@ -143,7 +157,7 @@ impl OutputPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{operand_channels, Msg};
+    use crate::stream::{operand_channels, Msg, Spares};
     use mj_relalg::column::ColumnLayout;
     use mj_relalg::{Attribute, Tuple};
 
@@ -238,7 +252,7 @@ mod tests {
 
     #[test]
     fn stream_forwards_and_ends() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
         let mut port = OutputPort::Stream(Router::new(txs, 0, 2, pool));
         let mut out = batch(&[1, 2]);
         let mut pos = 0;

@@ -1,27 +1,34 @@
-//! Per-execution scratch that outlives the execution: the buffers a task's
-//! members work in, kept by the run template between executes.
+//! Per-execution tasks that outlive the execution: the operation
+//! processes a prepared statement's run template lends its executes.
 //!
-//! A short query's fixed cost is largely allocation: every member of a
-//! fused process group gathers its result into a fresh batch, collects
-//! match pairs into a fresh vector and indexes its build side into fresh
-//! bucket and chain arrays — several hundred allocations for the
-//! benchmark's 14-way chain, against a few dozen rows of result. A
-//! prepared statement runs the same operations on the same shapes every
-//! time, so its [`RunTemplate`](crate::RunTemplate) keeps those buffers:
+//! A short query's fixed cost is largely set-up: the benchmark's 14-way
+//! chain runs as one fused task of thirteen members, each a boxed join
+//! operator wired to a resident table or fragment, gathering its result
+//! into a batch, collecting match pairs into a vector and indexing its
+//! build side into bucket and chain arrays — all for a few dozen rows of
+//! result. A prepared statement runs the same operations on the same
+//! shapes every time, so its [`RunTemplate`](crate::RunTemplate) keeps the
+//! task itself:
 //! per task slot (a process group's instance) a free list of
-//! `MemberScratch` sets, one entry per member. A task borrows a set when
-//! it is spawned (`ScratchLists::lend`), making a new one if every set
-//! is lent (two connections executing one cached statement), works in its
-//! buffers, takes each back emptied as the member using it finishes —
-//! a handed-over intermediate once the member reading it has finished —
-//! and gives the set back when it ends, however it ends
-//! (`Lent::give_back`). An ad-hoc query goes the same way, its template's
-//! lists empty, so it works in fresh buffers as before.
+//! `TaskBody`s — the members, each with its operator (and the
+//! [`JoinScratch`] inside it) and its output batch. A task borrows a body
+//! when it is spawned (`KeptTasks::take`, or a fresh body the template
+//! builds when every kept one is lent: two connections executing one
+//! cached statement, or the first execute), and the execution *re-arms*
+//! it through the one code path a fresh body takes too: operands, cursors,
+//! statistics, the output port. As each member finishes, the task readies
+//! it for the next execute in place — empties its operator, lets go of the
+//! operands it read, takes its output (and a handed-over intermediate,
+//! once its reader has finished) back emptied — and it gives the body back
+//! when it ends, however it ends, unless a panic left it unfit
+//! (`KeptTasks::give_back`). An ad-hoc query goes the same way, its
+//! template used once.
 //!
-//! A set is charged to its query's memory budget by capacity while it is
-//! lent. A buffer that grew past `KEEP_BYTES` (64 KiB) is freed instead of
-//! kept: past that size the work of filling it dwarfs its allocation, and
-//! the sets of every cached statement stay small.
+//! The buffers a kept body holds are charged to its query's memory budget
+//! by capacity while it is lent. A buffer that grew past `KEEP_BYTES`
+//! (64 KiB) is freed instead of kept: past that size the work of filling it
+//! dwarfs its allocation, and the bodies of every cached statement stay
+//! small.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -29,20 +36,21 @@ use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 
 use crate::config::MESSAGE_BYTES;
+use crate::operator::task::{DoneMsg, TaskMember};
+use crate::stream::Router;
 
-/// The largest buffer a scratch set keeps, in bytes of capacity; a larger
+/// The largest buffer a kept task keeps, in bytes of capacity; a larger
 /// one is freed when it comes back. A stream message's size
 /// ([`MESSAGE_BYTES`]), the largest buffer an edge's pool recycles: the
 /// benchmark's 14-way chain keeps every buffer it uses (its widest
-/// intermediate is 42 columns of about 50 rows, 17 KB), and a set of
+/// intermediate is 42 columns of about 50 rows, 17 KB), and a body of
 /// fourteen members holds at most a few megabytes.
 pub(crate) const KEEP_BYTES: u64 = MESSAGE_BYTES as u64;
 
 /// The buffers a join works in that need not die with it: the match pairs
-/// it collects and the table it indexes its own build side into. A task
-/// lends a join the ones its statement kept
-/// ([`PhysicalOp::scratch`](crate::operator::PhysicalOp::scratch)) and
-/// takes them back when the join finishes.
+/// it collects and the table it indexes its own build side into. They stay
+/// in the join when its statement keeps it for the next execute, emptied
+/// ([`PhysicalOp::rearm`](crate::operator::PhysicalOp::rearm)).
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     /// Match pairs of the probe batch at hand.
@@ -54,13 +62,13 @@ pub struct JoinScratch {
 
 impl JoinScratch {
     /// Bytes of capacity held.
-    fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         (self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.table.index_capacity_bytes()) as u64
     }
 
     /// Empties both buffers for the next join, freeing any past the cap.
-    fn recycle(&mut self) {
+    pub(crate) fn recycle(&mut self) {
         self.table.clear();
         self.pairs.clear();
         if self.table.index_capacity_bytes() as u64 > KEEP_BYTES {
@@ -72,118 +80,71 @@ impl JoinScratch {
     }
 }
 
-/// The buffers of one member of a task, kept between executes.
-#[derive(Default)]
-pub(crate) struct MemberScratch {
-    /// Its output batch, inside the `Arc` it is handed over in, so neither
-    /// is allocated again.
-    pub(crate) out: Option<Arc<ColumnBatch>>,
-    /// Its join's buffers.
-    pub(crate) join: JoinScratch,
-}
-
-impl MemberScratch {
-    fn bytes(&self) -> u64 {
-        let out = self.out.as_ref().map_or(0, |out| out.capacity_bytes());
-        out + self.join.bytes()
+/// Takes back a member's output batch into `slot`, once nothing else
+/// holds it, emptied; one past the cap is freed.
+pub(crate) fn keep_out(slot: &mut Option<Arc<ColumnBatch>>, mut out: Arc<ColumnBatch>) {
+    let Some(batch) = Arc::get_mut(&mut out) else {
+        return;
+    };
+    batch.clear();
+    if batch.capacity_bytes() <= KEEP_BYTES {
+        *slot = Some(out);
     }
 }
 
-/// A run template's free lists of scratch sets, one list per task slot.
-pub(crate) struct ScratchLists {
-    free: Vec<Mutex<Vec<Vec<MemberScratch>>>>,
+/// What one task keeps between executes: its members, in group order,
+/// each readied for the next execute as it finished, the vector its
+/// completion reports gather in, and its stream port's router, detached.
+#[derive(Default)]
+pub(crate) struct TaskBody {
+    pub(crate) members: Vec<TaskMember>,
+    pub(crate) reports: Vec<DoneMsg>,
+    pub(crate) router: Option<Router>,
 }
 
-impl ScratchLists {
+/// A run template's free lists of task bodies, one list per task slot.
+pub(crate) struct KeptTasks {
+    free: Vec<Mutex<Vec<TaskBody>>>,
+}
+
+/// Where a lent body goes back to: the lists and the task's slot.
+pub(crate) type Home = (Arc<KeptTasks>, usize);
+
+impl KeptTasks {
     /// Empty lists for `slots` task slots.
-    pub(crate) fn new(slots: usize) -> Arc<ScratchLists> {
-        Arc::new(ScratchLists {
+    pub(crate) fn new(slots: usize) -> Arc<KeptTasks> {
+        Arc::new(KeptTasks {
             free: (0..slots).map(|_| Mutex::default()).collect(),
         })
     }
 
-    /// Lends a set for the task of slot `slot`, whose group has `members`
-    /// members: the one given back last, or a new, empty one if every set
-    /// of the slot is lent.
-    pub(crate) fn lend(self: &Arc<Self>, slot: usize, members: usize) -> Lent {
-        let kept = self.list(slot).pop();
-        let set = kept.unwrap_or_else(|| (0..members).map(|_| MemberScratch::default()).collect());
-        Lent {
-            lists: Some((self.clone(), slot)),
-            set,
-        }
+    /// The body of slot `slot` given back last, if one is not lent.
+    pub(crate) fn take(&self, slot: usize) -> Option<TaskBody> {
+        self.list(slot).pop()
     }
 
-    /// Sets kept, not lent, over every slot (tests).
-    #[cfg(test)]
+    /// Keeps `body` for the next task of slot `slot`.
+    pub(crate) fn give_back(&self, slot: usize, body: TaskBody) {
+        self.list(slot).push(body);
+    }
+
+    /// Bodies kept, not lent, over every slot.
     pub(crate) fn kept(&self) -> usize {
         (0..self.free.len()).map(|slot| self.list(slot).len()).sum()
     }
 
-    /// Slots holding at least one set not lent, and all slots.
+    /// Slots holding at least one body not lent, and all slots.
     pub(crate) fn held(&self) -> (usize, usize) {
         let holding = (0..self.free.len()).filter(|&slot| !self.list(slot).is_empty());
         (holding.count(), self.free.len())
     }
 
-    fn list(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<Vec<MemberScratch>>> {
+    fn list(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<TaskBody>> {
         // Every update is a single push or pop: the list is whole even if
         // a holder panicked.
         self.free[slot]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// A scratch set lent to one task: per member position, its buffers while
-/// they are not in use. A task that borrowed nothing (a unit test's) holds
-/// an empty one, and what its members used dies with them.
-#[derive(Default)]
-pub(crate) struct Lent {
-    /// Where the set goes back to: the lists and the task's slot.
-    lists: Option<(Arc<ScratchLists>, usize)>,
-    set: Vec<MemberScratch>,
-}
-
-impl Lent {
-    /// Bytes of capacity held: what the task charges its budget for the set.
-    pub(crate) fn bytes(&self) -> u64 {
-        self.set.iter().map(MemberScratch::bytes).sum()
-    }
-
-    /// The buffers of the member at position `pos`, to work in.
-    pub(crate) fn member(&mut self, pos: usize) -> Option<&mut MemberScratch> {
-        self.set.get_mut(pos)
-    }
-
-    /// Takes back the output batch of the member at position `pos`, once
-    /// nothing else holds it, emptied; one past the cap is freed.
-    pub(crate) fn keep_out(&mut self, pos: usize, mut out: Arc<ColumnBatch>) {
-        let (Some(slot), Some(batch)) = (self.set.get_mut(pos), Arc::get_mut(&mut out)) else {
-            return;
-        };
-        batch.clear();
-        if batch.capacity_bytes() <= KEEP_BYTES {
-            slot.out = Some(out);
-        }
-    }
-
-    /// Takes back the join buffers of the member at position `pos`,
-    /// swapped out of its operator (which gets the empty ones the set
-    /// held) and emptied.
-    pub(crate) fn keep_join(&mut self, pos: usize, join: &mut JoinScratch) {
-        if let Some(slot) = self.set.get_mut(pos) {
-            std::mem::swap(&mut slot.join, join);
-            slot.join.recycle();
-        }
-    }
-
-    /// Gives the set back to the lists it came from. Called once the task
-    /// has taken back every member's buffers; later calls do nothing.
-    pub(crate) fn give_back(&mut self) {
-        if let Some((lists, slot)) = self.lists.take() {
-            lists.list(slot).push(std::mem::take(&mut self.set));
-        }
     }
 }
 
@@ -214,67 +175,51 @@ mod tests {
 
     #[test]
     fn a_set_is_lent_once_and_a_second_borrower_gets_a_new_one() {
-        let lists = ScratchLists::new(2);
-        let mut first = lists.lend(1, 3);
-        let mut second = lists.lend(1, 3);
-        first.keep_out(0, batch(10));
-        assert_eq!(first.member(0).unwrap().out.as_ref().unwrap().rows(), 0);
-        assert!(
-            second.member(0).unwrap().out.is_none(),
-            "a new set is empty"
-        );
-        first.give_back();
-        second.give_back();
-        first.give_back();
-        assert_eq!(lists.kept(), 2, "both, in slot 1");
-        assert!(lists.lend(0, 3).set[0].out.is_none(), "slot 0 has none");
-        // The set given back last is lent first.
-        let again = lists.lend(1, 3);
-        assert!(again.set[0].out.is_none());
-        assert_eq!(again.set.len(), 3);
+        let lists = KeptTasks::new(2);
+        assert!(lists.take(1).is_none(), "nothing is kept before an execute");
+        let body = |reports| TaskBody {
+            reports: Vec::with_capacity(reports),
+            ..TaskBody::default()
+        };
+        lists.give_back(1, body(3));
+        lists.give_back(1, body(50));
+        assert_eq!(lists.kept(), 2);
+        assert_eq!(lists.held(), (1, 2), "both in slot 1");
+        assert!(lists.take(0).is_none(), "slot 0 has none");
+        // The body given back last is lent first, and each is lent once.
+        assert!(lists.take(1).unwrap().reports.capacity() >= 50);
+        assert!(lists.take(1).unwrap().reports.capacity() < 50);
+        assert!(lists.take(1).is_none(), "a third borrower gets a new one");
+        assert_eq!(lists.held(), (0, 2));
     }
 
     #[test]
     fn buffers_past_the_cap_are_freed_and_the_rest_kept_empty() {
-        let lists = ScratchLists::new(1);
-        let mut lent = lists.lend(0, 2);
         // 8 KB and 128 KB of output; 500 and 20 000 rows of join.
-        lent.keep_out(0, batch(1_000));
-        lent.keep_out(1, batch(16_000));
-        let (mut small, mut big) = (used_join(500), used_join(20_000));
-        let index = small.table.index_capacity_bytes() as u64;
-        lent.keep_join(0, &mut small);
-        lent.keep_join(1, &mut big);
-        assert!(small.table.is_empty() && big.table.is_empty(), "swapped");
-        let bytes = lent.bytes();
-        lent.give_back();
-
-        let mut lent = lists.lend(0, 2);
-        assert_eq!(lent.bytes(), bytes, "the set is charged by capacity");
-        let kept = lent.member(0).unwrap();
-        let out = kept.out.as_ref().expect("a small batch is kept");
+        let (mut small, mut big) = (None, None);
+        keep_out(&mut small, batch(1_000));
+        keep_out(&mut big, batch(16_000));
+        let out = small.as_ref().expect("a small batch is kept");
         assert_eq!((out.rows(), out.capacity_bytes()), (0, 8_000));
-        assert_eq!(kept.join.table.index_capacity_bytes() as u64, index);
-        assert!(kept.join.table.is_empty() && kept.join.pairs.is_empty());
-        assert_eq!(kept.join.pairs.capacity(), 500);
-        let freed = lent.member(1).unwrap();
-        assert!(freed.out.is_none(), "a batch past the cap is freed");
-        assert_eq!(freed.join.bytes(), 0, "so are join buffers past it");
+        assert!(big.is_none(), "a batch past the cap is freed");
+
+        let (mut small, mut big) = (used_join(500), used_join(20_000));
+        let index = small.table.index_capacity_bytes();
+        small.recycle();
+        big.recycle();
+        assert_eq!(small.table.index_capacity_bytes(), index);
+        assert!(small.table.is_empty() && small.pairs.is_empty());
+        assert_eq!(small.pairs.capacity(), 500);
+        assert_eq!(big.bytes(), 0, "so are join buffers past it");
     }
 
     #[test]
     fn a_batch_someone_still_holds_is_not_taken_back() {
-        let lists = ScratchLists::new(1);
-        let mut lent = lists.lend(0, 1);
+        let mut slot = None;
         let out = batch(4);
         let held = out.clone();
-        lent.keep_out(0, out);
-        assert!(lent.member(0).unwrap().out.is_none());
+        keep_out(&mut slot, out);
+        assert!(slot.is_none());
         assert_eq!(held.rows(), 4, "the holder's rows are untouched");
-        // A task that borrowed nothing keeps nothing.
-        let mut unlent = Lent::default();
-        unlent.keep_out(0, batch(4));
-        unlent.give_back();
-        assert_eq!(unlent.bytes(), 0);
     }
 }

@@ -36,16 +36,18 @@
 //! other task, and intermediates are charged to the query's budget like
 //! hash tables are.
 //!
-//! The buffers the members work in — each member's output batch, its
-//! join's match pairs and build-table arrays — are lent by the query's run
-//! template ([`scratch`](crate::operator::scratch)): the task takes each
-//! back, emptied, as the member using it finishes (a handed-over result
-//! once its reader has), and gives the set back when it ends, so a
-//! statement's next execute works in them again.
+//! The members themselves — each with its operator, whose join keeps its
+//! match pairs and build-table arrays, and its output batch — are lent by
+//! the query's run template ([`scratch`](crate::operator::scratch)): the
+//! task readies each for the next execute as it finishes (empties its
+//! operator, lets go of its operands, takes its output back emptied, and a
+//! handed-over result once its reader has), and gives them back when it
+//! ends, so a statement's next execute re-arms them instead of building
+//! its task again.
 //!
-//! Completion (stats or error) is reported exactly once *per member*
-//! through the query's [`Reporter`] — the root's report carries a
-//! materializing port's pieces to the query's run — including when the
+//! Completion (stats or error) is reported exactly once *per member* to
+//! the query's run — the root's report carries a materializing port's
+//! pieces there — including when the
 //! task is dropped mid-flight (pool shutdown, panic): the `Drop` impl
 //! reports non-completion, so a query never waits for a vanished instance.
 //!
@@ -58,7 +60,6 @@
 //! its output port normally so the client still receives the final batch
 //! and `End`.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 use std::task::Waker;
@@ -71,7 +72,7 @@ use mj_storage::Fragments;
 use crate::handle::QueryCtrl;
 use crate::metrics::InstanceStats;
 use crate::operator::op::{Absorb, InputMode, PhysicalOp};
-use crate::operator::scratch::Lent;
+use crate::operator::scratch::{keep_out, Home, TaskBody};
 use crate::operator::OutputPort;
 use crate::sched::{Step, Task};
 use crate::source::Source;
@@ -86,28 +87,27 @@ pub(crate) const QUANTUM: usize = 512;
 /// materialized, the task's instance with the pieces it cut.
 pub type DoneMsg = (usize, Result<InstanceStats>, Option<(usize, Fragments)>);
 
-/// Where a task's completion reports go. The engine's reporter runs the
-/// query's coordination on the reporting thread — the last report of a query
-/// concludes it there, no thread waits for it — so a task reports only when
-/// it yields, never while it holds anything; unit tests collect reports
-/// from a channel (`Sender::into`).
-#[derive(Clone)]
-pub struct Reporter(Arc<dyn Fn(DoneMsg) + Send + Sync>);
-
-impl Reporter {
-    /// A reporter that hands every report to `report`, on the thread that
-    /// makes it.
-    pub fn new(report: impl Fn(DoneMsg) + Send + Sync + 'static) -> Reporter {
-        Reporter(Arc::new(report))
-    }
+/// Where a task's completion reports go: to its query's run, through the
+/// control block the task holds. A report runs the query's coordination on
+/// the reporting thread — the last report of a query concludes it there, no
+/// thread waits for it — so a task reports only when it yields, never while
+/// it holds anything. Unit tests collect the reports from a channel instead
+/// ([`OpTask::new`]); outside them this is empty.
+#[derive(Default)]
+struct Reporter {
+    #[cfg(test)]
+    sink: Option<std::sync::mpsc::Sender<DoneMsg>>,
 }
 
-#[cfg(test)]
-impl From<std::sync::mpsc::Sender<DoneMsg>> for Reporter {
-    fn from(tx: std::sync::mpsc::Sender<DoneMsg>) -> Reporter {
-        Reporter::new(move |report| {
-            let _ = tx.send(report);
-        })
+impl Reporter {
+    /// Sends `reports` of a task of the query `ctrl` controls, in order:
+    /// to its run, all under one hold of its lock.
+    fn send(&self, ctrl: &QueryCtrl, reports: impl Iterator<Item = DoneMsg>) {
+        #[cfg(test)]
+        if let Some(sink) = &self.sink {
+            return reports.for_each(|report| drop(sink.send(report)));
+        }
+        crate::engine::report(ctrl, reports)
     }
 }
 
@@ -375,6 +375,10 @@ enum Phase {
 /// — exactly one, unless the plan fused operations.
 pub struct TaskMember {
     op: Box<dyn PhysicalOp>,
+    /// The operator is fresh, or readied for another execute; `false` once
+    /// a finished one that cannot run again was dropped, and the template
+    /// gives the member a new one when it arms it next.
+    op_ready: bool,
     /// Its operands; a one-input operator's is side 0, and side 1 stays
     /// empty.
     operands: [Operand; 2],
@@ -385,9 +389,9 @@ pub struct TaskMember {
     /// through the task's output port.
     feeds: Option<(usize, usize)>,
     /// Its result rows, column-wise (the operator appends; made on first
-    /// use unless lent). The root member's are drained by the port between
-    /// quanta; any other member's accumulate until it finishes and are
-    /// handed over whole, in this `Arc`.
+    /// use unless kept from an earlier execute). The root member's are
+    /// drained by the port between quanta; any other member's accumulate
+    /// until it finishes and are handed over whole, in this `Arc`.
     out: Option<Arc<ColumnBatch>>,
     /// Its position in the task's group, which names its lent buffers.
     pos: usize,
@@ -396,6 +400,9 @@ pub struct TaskMember {
     handed: [Option<usize>; 2],
     /// Bytes of earlier members' results this member holds as operands.
     handed_bytes: u64,
+    /// Bytes of capacity it kept from an earlier execute — its output batch
+    /// and its operator's buffers — counted when its task gave it back.
+    kept: u64,
     stats: InstanceStats,
     op_id: usize,
     /// Which side the interleaved feed polls first next step (fairness).
@@ -411,11 +418,46 @@ impl TaskMember {
     /// A member driving `op` (plan op `op_id`) over one or two operands.
     /// A `None` source is the output of an earlier member of the same
     /// task, handed over when that member finishes.
-    pub fn new(
+    #[cfg(test)]
+    pub(crate) fn new(
         op: Box<dyn PhysicalOp>,
         sources: impl IntoIterator<Item = Option<Source>>,
         op_id: usize,
     ) -> TaskMember {
+        let mut member = TaskMember::unarmed(op, op_id);
+        member.arm(sources);
+        member
+    }
+
+    /// A member driving `op` (plan op `op_id`), not yet armed with its
+    /// operands ([`arm`](Self::arm)).
+    pub(crate) fn unarmed(op: Box<dyn PhysicalOp>, op_id: usize) -> TaskMember {
+        TaskMember {
+            op,
+            op_ready: true,
+            operands: [Operand::Empty, Operand::Empty],
+            arity: 1,
+            feeds: None,
+            out: None,
+            pos: 0,
+            handed: [None; 2],
+            handed_bytes: 0,
+            kept: 0,
+            stats: InstanceStats::default(),
+            op_id,
+            turn: 0,
+            drained: false,
+            #[cfg(feature = "faults")]
+            fault: None,
+        }
+    }
+
+    /// Arms the member for one execute over one or two operands — a
+    /// fresh one, or one its statement kept, readied when it last
+    /// finished ([`recycle`](Self::recycle)). A `None` source is the output
+    /// of an earlier member of the same task, handed over when that member
+    /// finishes.
+    pub(crate) fn arm(&mut self, sources: impl IntoIterator<Item = Option<Source>>) {
         let mut sources = sources.into_iter();
         let mut next = || {
             sources
@@ -428,22 +470,28 @@ impl TaskMember {
             None => (Operand::Empty, 1),
         };
         debug_assert!(next().is_none(), "operators take one or two operands");
-        TaskMember {
-            op,
-            operands: [first, second],
-            arity,
-            feeds: None,
-            out: None,
-            pos: 0,
-            handed: [None; 2],
-            handed_bytes: 0,
-            stats: InstanceStats::default(),
-            op_id,
-            turn: 0,
-            drained: false,
-            #[cfg(feature = "faults")]
-            fault: None,
+        self.operands = [first, second];
+        self.arity = arity;
+        #[cfg(feature = "faults")]
+        {
+            self.fault = None;
         }
+    }
+
+    /// Gives the member a `fresh` operator if its last one could not run
+    /// again ([`PhysicalOp::rearm`]).
+    pub(crate) fn renew_op(&mut self, fresh: impl FnOnce() -> Box<dyn PhysicalOp>) {
+        if !self.op_ready {
+            self.op = fresh();
+            self.op_ready = true;
+        }
+    }
+
+    /// Counts the capacity the member keeps for the next execute: its
+    /// output batch and its operator's buffers.
+    fn count_kept(&mut self) {
+        let out = self.out.as_ref().map_or(0, |out| out.capacity_bytes());
+        self.kept = out + self.op.scratch().map_or(0, |join| join.bytes());
     }
 
     /// Hands this member's complete output to operand `side` of the later
@@ -451,6 +499,35 @@ impl TaskMember {
     pub fn feeding(mut self, consumer: usize, side: usize) -> TaskMember {
         self.feeds = Some((consumer, side));
         self
+    }
+
+    /// Readies the member for its statement's next execute once it has
+    /// finished (or been abandoned) and reported: its operator is emptied
+    /// (or dropped, if it cannot run again) and lets go of what it built
+    /// on, the operands it read are let go of, its output is taken back
+    /// emptied, and its counts start again. Returns, per side, a result an
+    /// earlier member handed it, with that member's position, for it to
+    /// take back.
+    fn recycle(&mut self) -> [Option<(usize, Arc<ColumnBatch>)>; 2] {
+        self.op_ready = self.op.rearm();
+        if !self.op_ready {
+            self.op = Box::new(Spent);
+        }
+        self.stats = InstanceStats::default();
+        self.handed_bytes = 0;
+        self.drained = false;
+        let operands = std::mem::replace(&mut self.operands, [Operand::Empty, Operand::Empty]);
+        let handed = std::mem::take(&mut self.handed);
+        let mut results = [None, None];
+        for ((result, operand), from) in results.iter_mut().zip(operands).zip(handed) {
+            if let (Operand::Chunks { cols, .. }, Some(from)) = (operand, from) {
+                *result = Some((from, cols));
+            }
+        }
+        if let Some(out) = self.out.take() {
+            keep_out(&mut self.out, out);
+        }
+        results
     }
 
     /// Arms a resolved fault-injection point on this member (test harness;
@@ -474,6 +551,30 @@ impl TaskMember {
     }
 }
 
+/// What a member holds in place of an operator that could not run again,
+/// until the template gives it a new one: nothing (a zero-sized box
+/// allocates nothing).
+struct Spent;
+
+impl PhysicalOp for Spent {
+    fn absorb_batch(
+        &mut self,
+        _: usize,
+        _: &ColumnBatch,
+        _: Range<usize>,
+        _: &mut ColumnBatch,
+    ) -> Result<Absorb> {
+        Err(RelalgError::InvalidPlan(
+            "a spent operator was armed again".into(),
+        ))
+    }
+}
+
+/// The port of a task that has not ended.
+fn port(output: &mut Option<OutputPort>) -> &mut OutputPort {
+    output.as_mut().expect("a live task has its port")
+}
+
 /// A member's output batch to append to, made on first use.
 fn writable(out: &mut Option<Arc<ColumnBatch>>) -> &mut ColumnBatch {
     let out = out.get_or_insert_with(Default::default);
@@ -483,13 +584,21 @@ fn writable(out: &mut Option<Arc<ColumnBatch>>) -> &mut ColumnBatch {
 /// One operation process as a schedulable [`Task`]: the generic driver
 /// over the [`PhysicalOp`]s of its members.
 pub struct OpTask {
-    /// The members still to evaluate, in order; the front one is running.
-    /// A finished member reports and is dropped, hash table and all.
-    members: VecDeque<TaskMember>,
-    output: OutputPort,
-    /// The buffers its run template lent it, per member position, while
-    /// no member uses them; given back when the task ends.
-    lent: Lent,
+    /// The members, in order; the one at `at` is running. A finished
+    /// member reports and is readied for the next execute, its hash table
+    /// emptied.
+    members: Vec<TaskMember>,
+    /// The running member's position; `members.len()` once every member
+    /// has reported.
+    at: usize,
+    /// Where the root member's rows go; taken when the task ends, its
+    /// router kept with the members.
+    output: Option<OutputPort>,
+    /// Where the members go back when the task ends, if its run template
+    /// lent them: the template's lists and the task's slot.
+    home: Option<Home>,
+    /// A panic left the members unfit to run again: they die with the task.
+    broken: bool,
     /// Emission cursor into the root member's output (or `resolved`, when
     /// a resolver is attached) for resumable routing.
     out_pos: usize,
@@ -517,18 +626,20 @@ pub struct OpTask {
     registered: bool,
     instance: usize,
     reporter: Reporter,
-    /// Completions of members that finished during the current step.
+    /// Completions of members that finished during the current step (kept
+    /// with the members, for its capacity).
     reports: Vec<DoneMsg>,
     /// The query's cancel/early-stop/abort tokens and memory budget;
     /// observed at every step.
     ctrl: Arc<QueryCtrl>,
     /// Bytes of task state currently charged against the query's memory
-    /// budget: the lent buffers' capacity, the running operator's
+    /// budget: the kept buffers' capacity, the running operator's
     /// ([`PhysicalOp::est_bytes`]), and the results members have handed
     /// over or are still accumulating. Synced after every step, credited
     /// back on completion.
     charged: u64,
-    /// Capacity of the buffers lent to the task, part of `charged`.
+    /// Capacity of the buffers the members kept from an earlier execute,
+    /// part of `charged`.
     lent_bytes: u64,
     /// Bytes charged by an injected allocation spike (credited back on
     /// completion so sibling queries see clean global accounting).
@@ -537,32 +648,67 @@ pub struct OpTask {
 }
 
 impl OpTask {
-    /// Builds the task evaluating `members` in order; the last one is the
-    /// root and owns `output`, which also sets how many rows the task
-    /// gathers before it emits them ([`OutputPort::batch`]).
-    pub fn new(
+    /// Builds the task evaluating `members` in order, which reports to
+    /// `reports` instead of a query's run; the last member is the root and
+    /// owns `output`, which also sets how many rows the task gathers before
+    /// it emits them ([`OutputPort::batch`]).
+    #[cfg(test)]
+    pub(crate) fn new(
         members: Vec<TaskMember>,
         output: OutputPort,
         instance: usize,
-        reporter: Reporter,
+        reports: std::sync::mpsc::Sender<DoneMsg>,
         ctrl: Arc<QueryCtrl>,
     ) -> OpTask {
+        let body = TaskBody {
+            members,
+            ..TaskBody::default()
+        };
+        OpTask::armed(body, None, output, instance, ctrl).reporting_to(reports)
+    }
+
+    /// The task sends its reports to `reports` instead of its query's run.
+    #[cfg(test)]
+    pub(crate) fn reporting_to(mut self, reports: std::sync::mpsc::Sender<DoneMsg>) -> OpTask {
+        self.reporter.sink = Some(reports);
+        self
+    }
+
+    /// The task over `body`, its members armed for this execute, which
+    /// goes back `home` when the task ends. The capacity the members kept
+    /// from earlier executes is charged to the query's budget while the
+    /// task holds them.
+    pub(crate) fn armed(
+        body: TaskBody,
+        home: Option<Home>,
+        output: OutputPort,
+        instance: usize,
+        ctrl: Arc<QueryCtrl>,
+    ) -> OpTask {
+        let TaskBody {
+            mut members,
+            reports,
+            ..
+        } = body;
         debug_assert!(
             members.split_last().is_some_and(|(root, rest)| {
                 root.feeds.is_none() && rest.iter().all(|m| m.feeds.is_some())
             }),
             "exactly the last member emits through the port"
         );
-        let mut members: VecDeque<TaskMember> = members.into();
+        let mut lent_bytes = 0;
         for (pos, m) in members.iter_mut().enumerate() {
             m.turn = instance; // stagger polling order across instances
             m.pos = pos;
+            lent_bytes += m.kept;
         }
         OpTask {
             members,
+            at: 0,
             batch: output.batch(),
-            output,
-            lent: Lent::default(),
+            output: Some(output),
+            home,
+            broken: false,
             out_pos: 0,
             resolver: None,
             resolved: ColumnBatch::shapeless(),
@@ -572,11 +718,11 @@ impl OpTask {
             moved: false,
             registered: false,
             instance,
-            reporter,
-            reports: Vec::new(),
+            reporter: Reporter::default(),
+            reports,
             ctrl,
             charged: 0,
-            lent_bytes: 0,
+            lent_bytes,
             #[cfg(feature = "faults")]
             spiked: 0,
         }
@@ -591,94 +737,90 @@ impl OpTask {
         self.resolver = Some(resolver);
     }
 
-    /// Lends the task the buffers its members work in, before its first
-    /// step: each member's output batch, and its operator's
-    /// [`JoinScratch`](crate::operator::JoinScratch). Their capacity is
-    /// charged to the query's budget while the task holds them.
-    pub(crate) fn lend(&mut self, mut lent: Lent) {
-        self.lent_bytes = lent.bytes();
-        for m in &mut self.members {
-            if let Some(kept) = lent.member(m.pos) {
-                m.out = kept.out.take();
-                if let Some(join) = m.op.scratch() {
-                    std::mem::swap(join, &mut kept.join);
-                }
-            }
-        }
-        self.lent = lent;
-    }
-
     /// The running member. Only valid before the task is done.
     fn member(&mut self) -> &mut TaskMember {
-        self.members.front_mut().expect("a live task has a member")
+        &mut self.members[self.at]
     }
 
-    /// Records the running member's completion and drops it, taking its
-    /// buffers back. The report goes out when the task next yields
-    /// ([`send_reports`](Self::send_reports)): a report runs the query's
-    /// coordination on this thread — it may submit the next wave of tasks,
-    /// or conclude the query — and that belongs between quanta, not inside
-    /// one.
+    /// The members that have not reported yet, the running one first.
+    fn unfinished(&self) -> &[TaskMember] {
+        &self.members[self.at..]
+    }
+
+    /// Records the running member's completion and readies it for the next
+    /// execute ([`take_back`](Self::take_back)). The report goes out when
+    /// the task next yields ([`send_reports`](Self::send_reports)): a
+    /// report runs the query's coordination on this thread — it may submit
+    /// the next wave of tasks, or conclude the query — and that belongs
+    /// between quanta, not inside one.
     fn report_member(&mut self, result: Result<InstanceStats>) {
-        if let Some(m) = self.members.pop_front() {
-            let pieces = if self.members.is_empty() {
-                self.output.take_pieces().map(|p| (self.instance, p))
-            } else {
-                None
-            };
-            self.reports.push((m.op_id, result, pieces));
-            self.take_back(m);
-        }
+        let Some(m) = self.members.get(self.at) else {
+            return;
+        };
+        let op_id = m.op_id;
+        self.at += 1;
+        let pieces = if self.at == self.members.len() {
+            let pieces = self.output.as_mut().and_then(OutputPort::take_pieces);
+            pieces.map(|p| (self.instance, p))
+        } else {
+            None
+        };
+        self.reports.push((op_id, result, pieces));
+        self.take_back(self.at - 1);
     }
 
-    /// Takes a finished member's buffers back into the lent set: its
-    /// operator's join buffers (which lets go of the build operand they
-    /// indexed), then its output unless it was handed over, then the
-    /// results of earlier members it read, which nothing else holds now.
-    fn take_back(&mut self, m: TaskMember) {
-        let TaskMember {
-            mut op,
-            operands,
-            out,
-            pos,
-            handed,
-            ..
-        } = m;
-        if let Some(join) = op.scratch() {
-            self.lent.keep_join(pos, join);
+    /// Readies a finished member for the next execute: its operator
+    /// emptied (which lets go of the build operand it indexed), its
+    /// operands let go of, and its output taken back unless it was handed
+    /// over — as is each result of an earlier member it read, which nothing
+    /// else holds now. A task a panic broke leaves its members as they
+    /// are: they die with it.
+    fn take_back(&mut self, pos: usize) {
+        if self.broken {
+            return;
         }
-        drop(op);
-        if let Some(out) = out {
-            self.lent.keep_out(pos, out);
-        }
-        for (operand, from) in operands.into_iter().zip(handed) {
-            if let (Operand::Chunks { cols, .. }, Some(from)) = (operand, from) {
-                self.lent.keep_out(from, cols);
-            }
+        let handed = self.members[pos].recycle();
+        for (from, result) in handed.into_iter().flatten() {
+            keep_out(&mut self.members[from].out, result);
         }
     }
 
     /// Sends the reports of the members that finished during this step.
     fn send_reports(&mut self) {
-        for report in self.reports.drain(..) {
-            (self.reporter.0)(report);
+        if !self.reports.is_empty() {
+            self.reporter.send(&self.ctrl, self.reports.drain(..));
         }
     }
 
     /// Ends the task: every member that has not reported yet reports
     /// `result` (with its own stats so far, when `result` is a success),
-    /// and the task becomes inert.
+    /// and the task becomes inert. Its members go back to its run template
+    /// before its last report goes out: that report may conclude the
+    /// query, and its statement's next execute finds them.
     fn report(&mut self, result: Result<()>) {
-        while let Some(m) = self.members.front() {
+        while let Some(m) = self.members.get(self.at) {
             let stats = m.stats;
             self.report_member(result.clone().map(|()| stats));
         }
         self.phase = Phase::Done;
         self.release_budget();
-        // Back before the reports go out: the last may conclude the query,
-        // and its statement's next execute finds the set.
-        self.lent.give_back();
+        // The port lets go of its edge before the last report: once the
+        // query concludes, nothing of this task holds the edge's pool.
+        let router = self.output.take().and_then(OutputPort::kept);
+        let last = self.reports.pop();
         self.send_reports();
+        if let Some((kept, slot)) = self.home.take().filter(|_| !self.broken) {
+            self.members.iter_mut().for_each(TaskMember::count_kept);
+            let body = TaskBody {
+                members: std::mem::take(&mut self.members),
+                reports: std::mem::take(&mut self.reports),
+                router,
+            };
+            kept.give_back(slot, body);
+        }
+        if let Some(last) = last {
+            self.reporter.send(&self.ctrl, std::iter::once(last));
+        }
     }
 
     /// Returns every byte this task charged against the query's memory
@@ -704,8 +846,12 @@ impl OpTask {
     fn sync_budget(&mut self) -> bool {
         let budget = self.ctrl.budget();
         let mut held: u64 = self.lent_bytes;
-        held += self.members.iter().map(|m| m.handed_bytes).sum::<u64>();
-        if let Some(m) = self.members.front() {
+        held += self
+            .unfinished()
+            .iter()
+            .map(|m| m.handed_bytes)
+            .sum::<u64>();
+        if let Some(m) = self.unfinished().first() {
             held += m.op.est_bytes() as u64;
             if m.feeds.is_some() {
                 held += m.out.as_ref().map_or(0, |out| out.est_bytes());
@@ -728,11 +874,11 @@ impl OpTask {
     /// operator's selection vectors dropped non-qualifying rows — so the
     /// metric reports rows actually produced, not rows scanned.
     fn flush_out(&mut self, waker: &Waker) -> Result<bool> {
-        if self.members.len() > 1 {
+        if self.unfinished().len() > 1 {
             // Not the root: the output stays here until the member is done.
             return Ok(true);
         }
-        let m = self.members.front_mut().expect("a live task has a member");
+        let m = &mut self.members[self.at];
         let out = writable(&mut m.out);
         let (emitted, done) = match &self.resolver {
             // Late materialization: resolve the narrow backlog into the
@@ -745,10 +891,9 @@ impl OpTask {
                     resolver.resolve_into(out, &mut self.ref_scratch, &mut self.resolved)?;
                     out.clear();
                 }
-                self.output
-                    .try_emit(&mut self.resolved, &mut self.out_pos, waker)?
+                port(&mut self.output).try_emit(&mut self.resolved, &mut self.out_pos, waker)?
             }
-            None => self.output.try_emit(out, &mut self.out_pos, waker)?,
+            None => port(&mut self.output).try_emit(out, &mut self.out_pos, waker)?,
         };
         self.note_emitted(emitted);
         Ok(done)
@@ -776,7 +921,7 @@ impl OpTask {
     /// the quantum. A resident table is handed over whole and takes none
     /// of the quantum: its rows were indexed when it was built.
     fn step_build(&mut self, budget: &mut usize, waker: &Waker) -> Result<Option<Step>> {
-        let m = self.members.front_mut().expect("a live task has a member");
+        let m = &mut self.members[self.at];
         let build = m.build_side().expect("build phase implies a build side");
         if let Operand::Table(table) = &m.operands[build] {
             m.stats.tuples_in[build] += table.len() as u64;
@@ -829,7 +974,7 @@ impl OpTask {
             return Ok(Some(Step::Blocked));
         }
         while *budget > 0 {
-            let m = self.members.front_mut().expect("a live task has a member");
+            let m = &mut self.members[self.at];
             // Polling order this iteration: single-input operators and
             // build-then-probe feeds have exactly one live side; the
             // interleaved two-input feed alternates, preferring `turn` so
@@ -902,7 +1047,7 @@ impl OpTask {
     }
 
     fn step_finish(&mut self, waker: &Waker) -> Result<Option<Step>> {
-        let m = self.members.front_mut().expect("a live task has a member");
+        let m = &mut self.members[self.at];
         if !m.drained {
             // Exactly-once drain of held state (aggregation results);
             // flushing below is resumable across backpressure.
@@ -918,8 +1063,7 @@ impl OpTask {
             m.stats.tuples_out = result.rows() as u64;
             let (stats, from) = (m.stats, m.pos);
             self.report_member(Ok(stats));
-            let reader = self
-                .members
+            let reader = self.members[self.at..]
                 .iter_mut()
                 .find(|m| m.op_id == consumer)
                 .ok_or_else(|| {
@@ -939,7 +1083,7 @@ impl OpTask {
         if !self.flush_out(waker)? {
             return Ok(Some(Step::Blocked));
         }
-        if !self.output.try_finish(waker)? {
+        if !port(&mut self.output).try_finish(waker)? {
             return Ok(Some(Step::Blocked));
         }
         // The budget is synced after every step a task is still running
@@ -1081,6 +1225,9 @@ impl OpTask {
         let stepped = match stepped {
             Ok(result) => result,
             Err(payload) => {
+                // The operator's state may be broken: the task reports and
+                // becomes inert, and its members are not kept.
+                self.broken = true;
                 let reason = RelalgError::Internal(panic_message(payload.as_ref()));
                 self.ctrl.note_panic();
                 self.ctrl.abort(reason.clone());
@@ -1140,7 +1287,7 @@ impl Drop for OpTask {
         // Dropped before completion (pool shutdown or a panic inside
         // step): tell the coordinator so the query never waits for a vanished
         // instance.
-        if let Some(m) = self.members.front() {
+        if let Some(m) = self.members.get(self.at) {
             let (op, instance) = (m.op_id, self.instance);
             self.report(Err(RelalgError::InvalidPlan(format!(
                 "op {op} instance {instance} dropped before completing"
@@ -1228,47 +1375,85 @@ mod tests {
             member(0, Some(Source::Local(rel(rows, key))), rel(rows, key)).feeding(1, 0),
             member(1, None, rel(rows, key)),
         ];
-        (
-            OpTask::new(members, port(), 0, done_tx.into(), ctrl),
-            done_rx,
-        )
+        (OpTask::new(members, port(), 0, done_tx, ctrl), done_rx)
     }
 
     #[test]
     fn a_lent_set_comes_back_whole_and_serves_the_next_task_alike() {
-        use crate::operator::scratch::ScratchLists;
-        let lists = ScratchLists::new(1);
-        let budget = MemoryBudget::unlimited();
+        use crate::operator::scratch::KeptTasks;
+        let kept = KeptTasks::new(1);
+        let key = |i| i % 10;
         let mut first = None;
+        // Each round's budget peak, and the capacity the body brought back.
+        let mut peaks = Vec::new();
+        let mut lent = 0;
         for round in 0..3 {
+            let budget = MemoryBudget::unlimited();
             let ctrl = QueryCtrl::with_limits(None, budget.clone());
-            // 360 intermediate rows, 2160 result rows: every buffer is
-            // under the cap, so every one is kept.
-            let (mut task, done_rx) = group(60, |i| i % 10, ctrl);
-            task.lend(lists.lend(0, 2));
+            let (done_tx, done_rx) = channel();
+            // The members the last round kept, armed over new operands, or
+            // new ones the first time.
+            let body = match kept.take(0) {
+                Some(mut body) => {
+                    let [op0, op1] = &mut body.members[..] else {
+                        panic!("two members kept");
+                    };
+                    op0.arm([
+                        Some(Source::Local(rel(60, key))),
+                        Some(Source::Local(rel(60, key))),
+                    ]);
+                    op1.arm([None, Some(Source::Local(rel(60, key)))]);
+                    body
+                }
+                None => TaskBody {
+                    members: vec![
+                        member(0, Some(Source::Local(rel(60, key))), rel(60, key)).feeding(1, 0),
+                        member(1, None, rel(60, key)),
+                    ],
+                    ..TaskBody::default()
+                },
+            };
+            let home = Some((kept.clone(), 0));
+            let task = OpTask::armed(body, home, port(), 0, ctrl).reporting_to(done_tx);
             drive_blocking(task);
             let reports: Vec<DoneMsg> = done_rx.iter().collect();
             assert!(reports.iter().all(|(_, result, _)| result.is_ok()));
-            assert_eq!(budget.used(), 0, "round {round}: the set is credited");
+            assert_eq!(budget.used(), 0, "round {round}: the body is credited");
+            peaks.push(budget.peak());
+            // 360 intermediate rows, 2160 result rows: every buffer is
+            // under the cap, so every one is kept.
             let rows = rows_of(reports.last().unwrap());
             assert_eq!(rows.len(), 2160);
             assert_eq!(*first.get_or_insert_with(|| rows.clone()), rows);
             // Back in the list, before the reports went out: op0's result,
             // taken back from op1 once it finished, and the root's output,
-            // both emptied; both joins' own tables and pairs.
-            assert_eq!(lists.kept(), 1, "round {round}");
-            let mut lent = lists.lend(0, 2);
-            for pos in 0..2 {
-                let kept = lent.member(pos).unwrap();
-                let out = kept.out.as_ref().expect("the output came back");
-                assert!(out.is_empty() && out.capacity_bytes() > 0, "{pos}");
-                assert!(kept.join.table.is_empty());
-                assert!(kept.join.table.index_capacity_bytes() > 0);
-                assert!(kept.join.pairs.is_empty() && kept.join.pairs.capacity() > 0);
+            // both emptied; both joins' own tables and pairs; no operand.
+            // Each member counts what it keeps, which the next round's
+            // budget is charged with while its task runs.
+            assert_eq!(kept.kept(), 1, "round {round}");
+            let mut body = kept.take(0).unwrap();
+            lent = 0;
+            for m in &mut body.members {
+                let out = m.out.as_ref().expect("the output came back");
+                assert!(out.is_empty() && out.capacity_bytes() > 0, "{}", m.pos);
+                assert!(m.operands.iter().all(|o| matches!(o, Operand::Empty)));
+                assert!(m.op_ready, "a simple join runs again");
+                let join = m.op.scratch().expect("a simple join keeps its buffers");
+                assert!(join.table.is_empty());
+                assert!(join.table.index_capacity_bytes() > 0);
+                assert!(join.pairs.is_empty() && join.pairs.capacity() > 0);
+                assert_eq!(m.kept, out.capacity_bytes() + join.bytes(), "{}", m.pos);
+                lent += m.kept;
             }
-            lent.give_back();
+            kept.give_back(0, body);
         }
-        assert!(budget.peak() > 0);
+        assert!(lent > 0);
+        for round in 1..3 {
+            assert!(
+                peaks[round] >= peaks[0] + lent,
+                "round {round} charged the kept capacity: {peaks:?}, {lent} kept"
+            );
+        }
     }
 
     #[test]
@@ -1362,11 +1547,12 @@ mod tests {
     #[test]
     fn the_flush_threshold_is_the_ports_rows_per_message() {
         use crate::config::MESSAGE_BYTES;
-        use crate::stream::{operand_channels, Router};
+        use crate::stream::{operand_channels, Router, Spares};
         let one = || vec![member(0, Some(Source::Local(rel(4, |i| i))), rel(4, |i| i))];
         let schema = joined();
         for cap in [usize::MAX, 16] {
-            let (txs, _rxs, pool) = operand_channels(1, 2, 1, ColumnLayout::of(&schema));
+            let (txs, _rxs, pool) =
+                operand_channels(1, 2, 1, &Spares::new(ColumnLayout::of(&schema)));
             let router = Router::new(txs, 0, cap, pool);
             let batch = router.batch();
             assert_eq!(batch, (MESSAGE_BYTES / 24).min(cap));
@@ -1375,13 +1561,13 @@ mod tests {
                 one(),
                 OutputPort::Stream(router),
                 0,
-                done_tx.into(),
+                done_tx,
                 QueryCtrl::new(),
             );
             assert_eq!(task.batch, batch, "a stream port's router sets it");
             let port = OutputPort::materialize(&schema, (0, 2), cap, MemoryBudget::unlimited());
             let (done_tx, _done_rx) = channel();
-            let task = OpTask::new(one(), port, 0, done_tx.into(), QueryCtrl::new());
+            let task = OpTask::new(one(), port, 0, done_tx, QueryCtrl::new());
             assert_eq!(
                 task.batch, batch,
                 "a materialized schema gets the same count"
@@ -1398,13 +1584,7 @@ mod tests {
         let output =
             OutputPort::materialize(&joined(), (0, 3), usize::MAX, MemoryBudget::unlimited());
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(
-            members,
-            output,
-            2,
-            done_tx.into(),
-            QueryCtrl::new(),
-        ));
+        drive_blocking(OpTask::new(members, output, 2, done_tx, QueryCtrl::new()));
         let (op, _, pieces) = done_rx.recv().unwrap();
         assert_eq!(op, 0);
         assert!(pieces.is_none(), "a member feeding another cuts nothing");
@@ -1431,13 +1611,7 @@ mod tests {
             0,
         )];
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(
-            members,
-            port(),
-            0,
-            done_tx.into(),
-            QueryCtrl::new(),
-        ));
+        drive_blocking(OpTask::new(members, port(), 0, done_tx, QueryCtrl::new()));
         let report = done_rx.recv().unwrap();
         let stats = report.1.as_ref().unwrap();
         assert_eq!(stats.tuples_in, [2000, 300], "the table's rows count");
@@ -1461,13 +1635,7 @@ mod tests {
             0,
         )];
         let (done_tx, done_rx) = channel();
-        drive_blocking(OpTask::new(
-            members,
-            port(),
-            0,
-            done_tx.into(),
-            QueryCtrl::new(),
-        ));
+        drive_blocking(OpTask::new(members, port(), 0, done_tx, QueryCtrl::new()));
         let result = done_rx.recv().unwrap().1;
         assert!(
             matches!(result, Err(RelalgError::InvalidPlan(_))),
@@ -1479,20 +1647,19 @@ mod tests {
     fn streamed_build_is_rejected() {
         // No strategy streams into a simple join's build side: the task
         // reports a typed plan error instead of waiting on the stream.
-        let (_txs, rxs, _pool) = crate::stream::operand_channels(1, 1, 1, ColumnLayout::ints(2));
+        let (_txs, rxs, _pool) = crate::stream::operand_channels(
+            1,
+            1,
+            1,
+            &crate::stream::Spares::new(ColumnLayout::ints(2)),
+        );
         let stream = Source::Stream {
             rx: rxs.into_iter().next().unwrap(),
             producers: 1,
         };
         let (done_tx, done_rx) = channel();
         let members = vec![member(0, Some(stream), rel(4, |i| i))];
-        drive_blocking(OpTask::new(
-            members,
-            port(),
-            0,
-            done_tx.into(),
-            QueryCtrl::new(),
-        ));
+        drive_blocking(OpTask::new(members, port(), 0, done_tx, QueryCtrl::new()));
         let (op, result, _) = done_rx.recv().unwrap();
         assert_eq!(op, 0);
         assert!(

@@ -3,8 +3,13 @@
 //! rings to wake the worker waiting in the set.
 //!
 //! It never reads a byte of a socket: an edge wakes the task that owns
-//! the socket, and the task reads. Which worker waits here, and when a
-//! busy one looks, is the pool's business (`sched.rs`).
+//! the socket, and the task reads — only after an edge: dispatching one
+//! marks the socket's [`Registration`] readable before it wakes the task,
+//! and the task takes the mark before it reads
+//! ([`Registration::take_edge`]), so a wake for anything else (a result
+//! stream, a query's outcome) costs no `read` that returns `EAGAIN`, and
+//! an edge landing mid-read is kept for the next step. Which worker waits
+//! here, and when a busy one looks, is the pool's business (`sched.rs`).
 //!
 //! Std already links libc, so the few foreign functions are declared here
 //! rather than pulled in from a crate.
@@ -14,7 +19,7 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_long, c_uint, c_void};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
 use std::time::Duration;
@@ -41,6 +46,8 @@ const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLLIN: u32 = 0x1;
 const EPOLLOUT: u32 = 0x4;
+const EPOLLERR: u32 = 0x8;
+const EPOLLHUP: u32 = 0x10;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
 const EFD_CLOEXEC: c_int = 0o2_000_000;
@@ -84,13 +91,26 @@ fn owned(fd: c_int) -> std::io::Result<OwnedFd> {
     Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
-/// The set, and per socket in it the waker of the task that owns it.
+/// An edge brought bytes to read ([`Registration::take_edge`]).
+pub const EDGE_READABLE: u8 = 1;
+/// An edge said the peer hung up, or the socket failed: read to the end,
+/// a short read included ([`Registration::take_edge`]).
+pub const EDGE_HUNG_UP: u8 = 2;
+
+/// Per socket in the set: the waker of the task that owns it, and the
+/// edges dispatched since the task last took them.
+struct Owner {
+    waker: Waker,
+    edges: Arc<AtomicU8>,
+}
+
+/// The set, and per socket in it its [`Owner`].
 pub(crate) struct Poller {
     epoll: OwnedFd,
     /// The bell: an `eventfd` in the set, level-triggered, so a ring stays
     /// readable until the worker it woke clears it.
     bell: File,
-    wakers: Mutex<HashMap<u64, Waker>>,
+    wakers: Mutex<HashMap<u64, Owner>>,
     next_token: AtomicU64,
 }
 
@@ -103,6 +123,22 @@ pub(crate) struct Events {
 impl Events {
     fn tokens(&self) -> impl Iterator<Item = u64> + '_ {
         self.events[..self.len].iter().map(|event| event.data)
+    }
+
+    /// Each token with the [`EDGE_READABLE`] and [`EDGE_HUNG_UP`] marks
+    /// its events carry.
+    fn edges(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
+        self.events[..self.len].iter().map(|event| {
+            let events = event.events;
+            let mut edges = 0;
+            if events & EPOLLIN != 0 {
+                edges |= EDGE_READABLE;
+            }
+            if events & (EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
+                edges |= EDGE_HUNG_UP;
+            }
+            (event.data, edges)
+        })
     }
 
     /// Whether the bell rang.
@@ -142,25 +178,32 @@ impl Poller {
         Ok(())
     }
 
-    fn wakers(&self) -> MutexGuard<'_, HashMap<u64, Waker>> {
+    fn wakers(&self) -> MutexGuard<'_, HashMap<u64, Owner>> {
         self.wakers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes `waker` for socket `fd`, then adds the socket to the set,
     /// edge-triggered for reading and writing: from then on every edge on
     /// it wakes `waker`. Adding a socket that already has bytes to read
-    /// reports an edge at once.
+    /// reports an edge at once. The registration starts marked as if the
+    /// socket had hung up, so its owner's first read goes to the end.
     pub(crate) fn register(
         self: &Arc<Self>,
         fd: RawFd,
         waker: &Waker,
     ) -> std::io::Result<Registration> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.wakers().insert(token, waker.clone());
+        let edges = Arc::new(AtomicU8::new(EDGE_READABLE | EDGE_HUNG_UP));
+        let owner = Owner {
+            waker: waker.clone(),
+            edges: edges.clone(),
+        };
+        self.wakers().insert(token, owner);
         let registration = Registration {
             poller: self.clone(),
             fd,
             token,
+            edges,
         };
         self.ctl(
             EPOLL_CTL_ADD,
@@ -173,7 +216,9 @@ impl Poller {
 
     /// Wakes the owner of every socket in the set.
     pub(crate) fn wake_all(&self) {
-        self.wakers().values().for_each(Waker::wake_by_ref);
+        self.wakers()
+            .values()
+            .for_each(|owner| owner.waker.wake_by_ref());
     }
 
     /// Rings the bell: the worker waiting in the set, or the next one to
@@ -215,18 +260,21 @@ impl Poller {
         events
     }
 
-    /// Wakes the owner of every socket `events` holds an edge for.
+    /// Wakes the owner of every socket `events` holds an edge for, once
+    /// it has marked the socket's registration with what the edge brought.
     pub(crate) fn dispatch(&self, events: &Events) {
         // Most looks find nothing: they take no lock.
         if events.tokens().all(|token| token == BELL) {
             return;
         }
         let wakers = self.wakers();
-        for token in events.tokens() {
+        for (token, edges) in events.edges() {
             // A socket whose task deregistered after the edge, or the
             // bell: nothing to wake.
-            if let Some(waker) = wakers.get(&token) {
-                waker.wake_by_ref();
+            if let Some(owner) = wakers.get(&token) {
+                // Marked before the wake: the step the wake brings sees it.
+                owner.edges.fetch_or(edges, Ordering::AcqRel);
+                owner.waker.wake_by_ref();
             }
         }
     }
@@ -238,6 +286,9 @@ pub struct Registration {
     poller: Arc<Poller>,
     fd: RawFd,
     token: u64,
+    /// The edges dispatched since [`take_edge`](Self::take_edge) last
+    /// took them.
+    edges: Arc<AtomicU8>,
 }
 
 impl Registration {
@@ -245,11 +296,19 @@ impl Registration {
     /// another one.
     pub fn update(&self, waker: &Waker) {
         let mut wakers = self.poller.wakers();
-        if let Some(published) = wakers.get_mut(&self.token) {
-            if !published.will_wake(waker) {
-                *published = waker.clone();
+        if let Some(owner) = wakers.get_mut(&self.token) {
+            if !owner.waker.will_wake(waker) {
+                owner.waker = waker.clone();
             }
         }
+    }
+
+    /// Takes the marks of the edges dispatched since the last take —
+    /// [`EDGE_READABLE`], [`EDGE_HUNG_UP`], or 0 when none came. Take them
+    /// before reading: an edge that lands while the owner reads marks the
+    /// registration again, and the owner reads again on its next step.
+    pub fn take_edge(&self) -> u8 {
+        self.edges.swap(0, Ordering::AcqRel)
     }
 }
 
@@ -257,5 +316,37 @@ impl Drop for Registration {
     fn drop(&mut self) {
         let _ = self.poller.ctl(EPOLL_CTL_DEL, self.fd, 0, self.token);
         self.poller.wakers().remove(&self.token);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixStream;
+
+    #[test]
+    fn an_edge_marks_the_registration_and_taking_the_mark_clears_it() {
+        let poller = Poller::new().unwrap();
+        let (mut peer, socket) = UnixStream::pair().unwrap();
+        let registration = poller.register(socket.as_raw_fd(), Waker::noop()).unwrap();
+        // A new registration reads to the end once, whatever came before.
+        assert_eq!(registration.take_edge(), EDGE_READABLE | EDGE_HUNG_UP);
+        assert_eq!(registration.take_edge(), 0, "taken");
+        // Writable at once: an edge, but nothing to read.
+        poller.dispatch(&poller.wait(Some(Duration::from_secs(5))));
+        assert_eq!(registration.take_edge(), 0, "no bytes, no mark");
+
+        peer.write_all(b"ping\n").unwrap();
+        poller.dispatch(&poller.wait(Some(Duration::from_secs(5))));
+        assert_eq!(registration.take_edge(), EDGE_READABLE);
+        assert_eq!(registration.take_edge(), 0, "taking the mark clears it");
+
+        // Edge-triggered: the unread bytes bring no second edge.
+        poller.dispatch(&poller.wait(Some(Duration::ZERO)));
+        assert_eq!(registration.take_edge(), 0);
+
+        drop(peer);
+        poller.dispatch(&poller.wait(Some(Duration::from_secs(5))));
+        assert_ne!(registration.take_edge() & EDGE_HUNG_UP, 0, "a hang-up");
     }
 }

@@ -105,7 +105,7 @@ use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use crate::poll::Poller;
-pub use crate::poll::Registration;
+pub use crate::poll::{Registration, EDGE_HUNG_UP, EDGE_READABLE};
 
 /// Locks a std mutex, tolerating poison: the pool's queue state is a plain
 /// set of `VecDeque`s that is never left half-mutated by the panicking code
@@ -582,22 +582,54 @@ impl WorkerPool {
     /// it, else onto the shared injector (see the module docs for the
     /// rotation discipline).
     pub fn submit(&self, priority: usize, task: Box<dyn Task>) {
+        let by = self.shared.current_worker();
+        let q = self.entry(task, priority, by);
+        let wake = lock(&self.shared.queue).admit(q, by);
+        self.shared.notify(wake);
+    }
+
+    /// Enqueues `tasks` at `priority` as [`submit`](Self::submit) does
+    /// each, in one push: one hold of the queue lock, and the wakes they
+    /// call for decided together and made after it — a process group's
+    /// instances start together, however the submitting thread is
+    /// scheduled between them.
+    pub(crate) fn submit_all(&self, priority: usize, tasks: Vec<Box<dyn Task>>) {
+        let by = self.shared.current_worker();
+        // Each admission wakes a different sleeper, if any: the first
+        // needs no vector.
+        let (mut first, mut more) = (None, Vec::new());
+        {
+            let mut queue = lock(&self.shared.queue);
+            for task in tasks {
+                let wake = queue.admit(self.entry(task, priority, by), by);
+                match (first, wake) {
+                    (None, _) => first = wake,
+                    (Some(_), Some(w)) => more.push(w),
+                    (Some(_), None) => {}
+                }
+            }
+        }
+        self.shared.notify(first);
+        for w in more {
+            self.shared.notify(Some(w));
+        }
+    }
+
+    /// `task` with a fresh slot and waker, submitted by worker `by` (none:
+    /// from outside the pool).
+    fn entry(&self, task: Box<dyn Task>, priority: usize, by: Option<usize>) -> Queued {
         let slot = Arc::new(Slot {
             id: self.shared.submitted.fetch_add(1, Ordering::Relaxed),
             state: AtomicU8::new(QUEUED),
             pool: Arc::downgrade(&self.shared),
         });
-        let waker = Waker::from(slot.clone());
-        let by = self.shared.current_worker();
-        let q = Queued {
+        Queued {
             task,
             priority,
             home: by.unwrap_or(0),
+            waker: Waker::from(slot.clone()),
             slot,
-            waker,
-        };
-        let wake = lock(&self.shared.queue).admit(q, by);
-        self.shared.notify(wake);
+        }
     }
 
     /// Runs `callback` on a worker once `at` has passed, and again at

@@ -61,14 +61,13 @@ pub fn rows_per_message(row_bytes: usize, cap: usize) -> usize {
     (MESSAGE_BYTES / row_bytes.max(std::mem::size_of::<i64>())).clamp(1, cap.max(1))
 }
 
-/// A bounded recycler of column-batch buffers shared by one
-/// redistribution edge. Layout-aware: every pooled buffer has the edge's
+/// A bounded recycler of column-batch buffers shared by one execution of
+/// a redistribution edge. Layout-aware: every pooled buffer has the edge's
 /// column types, and budget accounting charges the buffers' real
 /// allocated bytes.
 pub struct BatchPool {
     free: Mutex<Vec<ColumnBatch>>,
     limit: usize,
-    layout: ColumnLayout,
     takes: AtomicU64,
     misses: AtomicU64,
     /// The owning query's memory budget, when one is attached: allocating
@@ -76,26 +75,30 @@ pub struct BatchPool {
     /// credited when the pool itself drops at query teardown.
     budget: Mutex<Option<Arc<crate::budget::MemoryBudget>>>,
     charged: AtomicU64,
+    /// Where the edge keeps buffers between executions: taken before
+    /// allocating, refilled on drop. It also fixes the layout.
+    spares: Arc<Spares>,
 }
 
 impl BatchPool {
-    /// Creates a pool retaining at most `limit` spare buffers of the given
-    /// column layout.
-    pub fn new(limit: usize, layout: ColumnLayout) -> Arc<Self> {
+    /// Creates a pool retaining at most `limit` spare buffers, which starts
+    /// from the buffers earlier executions of its edge left in `spares`
+    /// and leaves its own there when it drops.
+    pub fn new(limit: usize, spares: &Arc<Spares>) -> Arc<Self> {
         Arc::new(BatchPool {
             free: Mutex::new(Vec::new()),
             limit: limit.max(1),
-            layout,
             takes: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             budget: Mutex::new(None),
             charged: AtomicU64::new(0),
+            spares: spares.clone(),
         })
     }
 
     /// The column layout of this pool's buffers.
     pub fn layout(&self) -> &ColumnLayout {
-        &self.layout
+        &self.spares.layout
     }
 
     /// Attaches the owning query's memory budget: every buffer this pool
@@ -104,16 +107,21 @@ impl BatchPool {
         *self.budget.lock() = Some(budget);
     }
 
-    /// Takes a spare buffer, or allocates one with room for `capacity`
-    /// rows. Allocations charge the attached budget with the buffer's
-    /// actual columnar bytes.
+    /// Takes a spare buffer, or — one an earlier execution of its edge
+    /// kept, or else a new one with room for `capacity` rows — a buffer
+    /// new to this pool, which charges the attached budget with its actual
+    /// columnar bytes. Only a new one counts as a miss.
     pub fn take(&self, capacity: usize) -> ColumnBatch {
         self.takes.fetch_add(1, Ordering::Relaxed);
-        match self.free.lock().pop() {
+        let free = self.free.lock().pop();
+        match free {
             Some(buf) => buf,
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let buf = ColumnBatch::with_capacity(&self.layout, capacity);
+                let kept = self.spares.kept.lock().pop();
+                let buf = kept.unwrap_or_else(|| {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    ColumnBatch::with_capacity(self.layout(), capacity)
+                });
                 let bytes = buf.capacity_bytes();
                 if bytes > 0 {
                     if let Some(budget) = self.budget.lock().as_ref() {
@@ -134,7 +142,7 @@ impl BatchPool {
         let bytes = buf.capacity_bytes();
         let dropped = {
             let mut free = self.free.lock();
-            if free.len() < self.limit && buf.has_layout(&self.layout) {
+            if free.len() < self.limit && buf.has_layout(self.layout()) {
                 free.push(buf);
                 false
             } else {
@@ -203,13 +211,15 @@ impl BatchPool {
 impl Drop for BatchPool {
     fn drop(&mut self) {
         // Query teardown: return whatever the edge still holds (pooled
-        // spares and in-flight buffers) to the budget.
+        // spares and in-flight buffers) to the budget, and the spares to
+        // the edge, for its next execution.
         let remaining = self.charged.load(Ordering::Relaxed);
         if remaining > 0 {
             if let Some(budget) = self.budget.lock().as_ref() {
                 budget.credit(remaining);
             }
         }
+        self.spares.keep(std::mem::take(&mut *self.free.lock()));
     }
 }
 
@@ -522,16 +532,16 @@ pub fn edge_buffer_bound(producers: usize, consumers: usize, capacity: usize) ->
 
 /// Creates the channels for one redistributed operand between a
 /// `producers`-instance producer and a `consumers`-instance consumer:
-/// `consumers` receivers, each of capacity `capacity` batches, plus the
-/// edge's shared buffer pool (typed with the operand's column `layout`),
-/// sized from **both** endpoint counts (each producer instance holds
-/// `consumers` fill buffers on top of the in-flight slots, so a
-/// consumer-only bound would thrash the pool).
+/// `consumers` receivers, each of capacity `capacity` batches, plus this
+/// execution's buffer pool over the edge's `spares` (which fix the
+/// operand's column layout), sized from **both** endpoint counts (each
+/// producer instance holds `consumers` fill buffers on top of the
+/// in-flight slots, so a consumer-only bound would thrash the pool).
 pub fn operand_channels(
     producers: usize,
     consumers: usize,
     capacity: usize,
-    layout: ColumnLayout,
+    spares: &Arc<Spares>,
 ) -> (Vec<Sender<Msg>>, Vec<Receiver<Msg>>, Arc<BatchPool>) {
     let mut txs = Vec::with_capacity(consumers);
     let mut rxs = Vec::with_capacity(consumers);
@@ -540,8 +550,41 @@ pub fn operand_channels(
         txs.push(tx);
         rxs.push(rx);
     }
-    let pool = BatchPool::new(edge_buffer_bound(producers, consumers, capacity), layout);
+    let pool = BatchPool::new(edge_buffer_bound(producers, consumers, capacity), spares);
     (txs, rxs, pool)
+}
+
+/// The spare batch buffers one edge keeps between its executions, at most
+/// [`MESSAGE_BYTES`] of them — one message's worth, all a short query's
+/// result needs: an execution's pool takes from them before it allocates,
+/// and leaves its own spares here when the execution's last batch is gone.
+/// A run template holds one per edge; an edge used once holds its own.
+pub struct Spares {
+    layout: ColumnLayout,
+    kept: Mutex<Vec<ColumnBatch>>,
+}
+
+impl Spares {
+    /// No spares yet, for an edge carrying rows of `layout`.
+    pub fn new(layout: ColumnLayout) -> Arc<Spares> {
+        Arc::new(Spares {
+            layout,
+            kept: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Keeps `buffers`, emptied, while they fit in the cap; frees the rest.
+    fn keep(&self, buffers: Vec<ColumnBatch>) {
+        let mut kept = self.kept.lock();
+        let mut bytes: u64 = kept.iter().map(ColumnBatch::capacity_bytes).sum();
+        for buffer in buffers {
+            bytes += buffer.capacity_bytes();
+            if bytes > MESSAGE_BYTES as u64 {
+                return;
+            }
+            kept.push(buffer);
+        }
+    }
 }
 
 const HUNG_UP: &str = "consumer hung up";
@@ -583,7 +626,9 @@ pub struct Router {
     key_col: usize,
     batch: usize,
     buffers: Vec<ColumnBatch>,
-    pool: Arc<BatchPool>,
+    /// The edge's buffer pool; `None` while the router is detached between
+    /// executes of a kept task ([`detach`](Router::detach)).
+    pool: Option<Arc<BatchPool>>,
     sent: u64,
     /// A batch (or End) that hit a full channel and awaits retry.
     pending: Option<(usize, Msg)>,
@@ -613,13 +658,38 @@ impl Router {
             key_col,
             batch: rows_per_message(pool.layout().row_bytes(), cap),
             buffers,
-            pool,
+            pool: Some(pool),
             sent: 0,
             pending: None,
             finish_pos: 0,
             dest_scratch: Vec::new(),
             sel_scratch: Vec::new(),
         }
+    }
+
+    /// Lets go of the edge — its senders, a parked message, the buffers
+    /// it holds (back to the pool) and the pool — keeping what the router
+    /// allocated for itself, for [`rearm`](Self::rearm).
+    pub(crate) fn detach(&mut self) {
+        self.senders.clear();
+        self.pending = None;
+        let pool = self.pool.take();
+        for buffer in &mut self.buffers {
+            let buffer = std::mem::take(buffer);
+            if let (Some(pool), true) = (&pool, buffer.arity() > 0) {
+                pool.put(buffer);
+            }
+        }
+    }
+
+    /// Attaches a detached router to one execution of the edge it routed
+    /// before: the same destinations, key column and message size.
+    pub(crate) fn rearm(&mut self, senders: Vec<Sender<Msg>>, pool: Arc<BatchPool>) {
+        debug_assert_eq!(senders.len(), self.buffers.len(), "the same edge");
+        self.senders = senders;
+        self.pool = Some(pool);
+        self.sent = 0;
+        self.finish_pos = 0;
     }
 
     /// Number of destinations.
@@ -664,7 +734,8 @@ impl Router {
 
     fn flush_dest(&mut self, dest: usize, waker: &Waker) -> Result<bool> {
         let full = std::mem::take(&mut self.buffers[dest]);
-        self.try_send_or_park(dest, Msg::Batch(Batch::new(full, self.pool.clone())), waker)
+        let pool = self.pool.clone().expect("an attached router");
+        self.try_send_or_park(dest, Msg::Batch(Batch::new(full, pool)), waker)
     }
 
     /// Destination `dest`'s fill buffer, taken from the pool when the
@@ -673,7 +744,11 @@ impl Router {
     fn buffer(&mut self, dest: usize) -> &mut ColumnBatch {
         let buffer = &mut self.buffers[dest];
         if buffer.arity() == 0 {
-            *buffer = self.pool.take(self.batch);
+            *buffer = self
+                .pool
+                .as_ref()
+                .expect("an attached router")
+                .take(self.batch);
         }
         buffer
     }
@@ -795,7 +870,8 @@ impl Router {
             let dest = self.finish_pos;
             if !self.buffers[dest].is_empty() {
                 let full = std::mem::take(&mut self.buffers[dest]);
-                let batch = Msg::Batch(Batch::new(full, self.pool.clone()));
+                let pool = self.pool.clone().expect("an attached router");
+                let batch = Msg::Batch(Batch::new(full, pool));
                 if !self.try_send_or_park(dest, batch, waker)? {
                     return Ok(false);
                 }
@@ -848,7 +924,7 @@ mod tests {
 
     #[test]
     fn routes_by_key_and_flushes_on_finish() {
-        let (txs, rxs, pool) = operand_channels(1, 3, 8, ColumnLayout::ints(2));
+        let (txs, rxs, pool) = operand_channels(1, 3, 8, &Spares::new(ColumnLayout::ints(2)));
         // Consume concurrently: the channels are bounded, so routing 100
         // rows before draining anything would block on backpressure once
         // one destination exceeds capacity x batch rows.
@@ -895,7 +971,7 @@ mod tests {
 
     #[test]
     fn batch_route_splits_like_row_route() {
-        let (txs, rxs, pool) = operand_channels(1, 4, 64, ColumnLayout::ints(2));
+        let (txs, rxs, pool) = operand_channels(1, 4, 64, &Spares::new(ColumnLayout::ints(2)));
         let mut router = Router::new(txs, 0, 16, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(2), 100);
         for k in 0..100i64 {
@@ -929,7 +1005,7 @@ mod tests {
     fn single_destination_gets_everything() {
         // 10 rows at batch 2 = 5 batches + End; capacity must cover them
         // because this test drains only after finish().
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
         let mut router = Router::new(txs, 0, 2, pool);
         route_all(&mut router, &keyed(0..10, 1)).unwrap();
         finish(&mut router).unwrap();
@@ -944,7 +1020,7 @@ mod tests {
     fn single_destination_ships_at_most_a_batch_per_message_in_order() {
         // A root's one-destination edge into the client: an input three
         // batches long leaves as three full messages, never as one.
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
         let mut router = Router::new(txs, 0, 4, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 12);
         for k in 0..12i64 {
@@ -970,7 +1046,7 @@ mod tests {
     fn backpressure_blocks_until_drained() {
         // A full bounded channel must stall the producer rather than drop
         // or error; draining one message releases exactly one send.
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
         let rx = rxs.into_iter().next().unwrap();
         let producer = std::thread::spawn(move || {
             let mut router = Router::new(txs, 0, 1, pool);
@@ -992,7 +1068,7 @@ mod tests {
 
     #[test]
     fn hung_up_consumer_is_an_error() {
-        let (txs, rxs, pool) = operand_channels(1, 2, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 2, 1, &Spares::new(ColumnLayout::ints(1)));
         drop(rxs);
         let mut router = Router::new(txs, 0, 1, pool);
         // The first route triggers a batch send into a closed channel.
@@ -1001,7 +1077,7 @@ mod tests {
 
     #[test]
     fn dropped_batches_recycle_their_buffers() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
         let mut router = Router::new(txs, 0, 2, pool.clone());
         route_all(&mut router, &keyed(0..8, 1)).unwrap();
         finish(&mut router).unwrap();
@@ -1021,7 +1097,7 @@ mod tests {
 
         // A new router on the same pool reuses those buffers, taking one
         // when it first writes.
-        let (txs2, _rxs2, _) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
+        let (txs2, _rxs2, _) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
         let mut router2 = Router::new(txs2, 0, 2, pool.clone());
         assert_eq!(pool.spares(), 4, "a router that wrote nothing took nothing");
         route_all(&mut router2, &keyed([0], 1)).unwrap();
@@ -1034,7 +1110,7 @@ mod tests {
         // destination cannot be delivered until its consumer drains. The
         // route must park it and keep accepting (bounded by one parked
         // batch), then accept nothing until the parked batch moves.
-        let (txs, rxs, pool) = operand_channels(1, 2, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 2, 1, &Spares::new(ColumnLayout::ints(1)));
         let mut router = Router::new(txs, 0, 1, pool);
         let k = (0..).find(|&k| bucket_of(k, 2) == 0).unwrap();
         let one = keyed([k], 1);
@@ -1064,7 +1140,7 @@ mod tests {
 
     #[test]
     fn try_finish_resumes_across_backpressure() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
         let mut router = Router::new(txs, 0, 8, pool);
         let mut pos = 0;
         assert_eq!(
@@ -1096,7 +1172,7 @@ mod tests {
 
     #[test]
     fn hung_up_consumer_errors_in_try_path() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
         drop(rxs);
         let mut router = Router::new(txs, 0, 1, pool);
         let mut pos = 0;
@@ -1107,7 +1183,7 @@ mod tests {
 
     #[test]
     fn pool_counts_takes_and_misses() {
-        let pool = BatchPool::new(8, ColumnLayout::ints(1));
+        let pool = BatchPool::new(8, &Spares::new(ColumnLayout::ints(1)));
         let a = pool.take(4); // miss: pool starts empty
         pool.put(a);
         let _b = pool.take(4); // hit
@@ -1118,7 +1194,7 @@ mod tests {
 
     #[test]
     fn pool_drops_a_buffer_of_a_foreign_layout() {
-        let pool = BatchPool::new(8, ColumnLayout::ints(2));
+        let pool = BatchPool::new(8, &Spares::new(ColumnLayout::ints(2)));
         pool.put(ColumnBatch::with_capacity(&ColumnLayout::ints(1), 4));
         let mixed = Schema::new(vec![
             Attribute::new("a", DataType::Int),
@@ -1134,7 +1210,7 @@ mod tests {
     fn pool_charges_and_credits_real_columnar_bytes() {
         let budget = crate::budget::MemoryBudget::unlimited();
         let layout = ColumnLayout::ints(2);
-        let pool = BatchPool::new(1, layout.clone());
+        let pool = BatchPool::new(1, &Spares::new(layout.clone()));
         pool.set_budget(budget.clone());
         // Columnar accounting: a 4-row buffer of two i64 columns is
         // exactly 4 x 16 bytes — not 4 x size_of::<Tuple>().
@@ -1152,10 +1228,29 @@ mod tests {
     }
 
     #[test]
+    fn an_edge_keeps_one_message_of_spares_for_its_next_execution() {
+        let spares = Spares::new(ColumnLayout::ints(1));
+        // 4096 rows of one i64 column: 32 KiB a buffer, two a message.
+        let first = BatchPool::new(8, &spares);
+        let taken: Vec<_> = (0..3).map(|_| first.take(4096)).collect();
+        taken.into_iter().for_each(|buf| first.put(buf));
+        drop(first);
+        let budget = crate::budget::MemoryBudget::unlimited();
+        let next = BatchPool::new(8, &spares);
+        next.set_budget(budget.clone());
+        let taken: Vec<_> = (0..3).map(|_| next.take(4096)).collect();
+        assert_eq!(next.misses(), 1, "two came from the last execution");
+        assert_eq!(budget.used(), 3 * 32_768, "and are charged like new ones");
+        drop(taken);
+        drop(next);
+        assert_eq!(budget.used(), 0);
+    }
+
+    #[test]
     fn steady_state_routing_reuses_pooled_buffers() {
         // Producer/consumer in lockstep on one edge: after the cold-start
         // allocations, every take must be served from the pool.
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
         let mut router = Router::new(txs, 0, 2, pool.clone());
         let mut drained = 0usize;
         for k in 0..1000i64 {
@@ -1189,7 +1284,7 @@ mod tests {
     fn client_sink_batches_and_finishes() {
         // Two producer instances, one result stream: each flushes its rows
         // and sends its own `End`.
-        let (txs, rxs, pool) = operand_channels(2, 1, 8, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(2, 1, 8, &Spares::new(ColumnLayout::ints(1)));
         let mut a = Router::new(txs.clone(), 0, 2, pool.clone());
         let mut b = Router::new(txs, 0, 2, pool);
         let mut pos = 0;
@@ -1214,7 +1309,7 @@ mod tests {
 
     #[test]
     fn client_sink_appends_batches_columnar() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 16, ColumnLayout::ints(2));
+        let (txs, rxs, pool) = operand_channels(1, 1, 16, &Spares::new(ColumnLayout::ints(2)));
         let mut sink = Router::new(txs, 0, 4, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(2), 10);
         for k in 0..10i64 {
@@ -1242,7 +1337,7 @@ mod tests {
     fn client_sink_parks_on_backpressure_and_resumes() {
         // Capacity 1, batch 1: a three-row batch fills the channel, parks
         // the second message and stops there; draining releases it.
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
         let mut sink = Router::new(txs, 0, 1, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 3);
         for k in 1..=3i64 {
@@ -1286,7 +1381,7 @@ mod tests {
 
     #[test]
     fn client_sink_errors_when_stream_dropped() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
         drop(rxs);
         let mut sink = Router::new(txs, 0, 1, pool);
         let mut one = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 1);
@@ -1297,7 +1392,7 @@ mod tests {
 
     /// The rows per message of a router over a fresh `layout` edge.
     fn router_batch(layout: ColumnLayout, cap: usize) -> usize {
-        let (txs, _rxs, pool) = operand_channels(1, 1, 1, layout);
+        let (txs, _rxs, pool) = operand_channels(1, 1, 1, &Spares::new(layout));
         Router::new(txs, 0, cap, pool).batch()
     }
 
@@ -1351,7 +1446,8 @@ mod tests {
         // fills the channel's slots, parks one more message and stops.
         let capacity = 4;
         let budget = crate::budget::MemoryBudget::unlimited();
-        let (txs, rxs, pool) = operand_channels(1, 1, capacity, ColumnLayout::ints(2));
+        let (txs, rxs, pool) =
+            operand_channels(1, 1, capacity, &Spares::new(ColumnLayout::ints(2)));
         pool.set_budget(budget.clone());
         let mut router = Router::new(txs, 0, usize::MAX, pool.clone());
         let batch = router.batch();
@@ -1410,7 +1506,7 @@ mod tests {
         // pool charged for in full, and the drained edge returns every
         // byte.
         let budget = crate::budget::MemoryBudget::unlimited();
-        let (txs, rxs, pool) = operand_channels(1, 2, 4, ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 2, 4, &Spares::new(ColumnLayout::ints(1)));
         pool.set_budget(budget.clone());
         let mut router = Router::new(txs, 0, usize::MAX, pool.clone());
         let batch = router.batch();
@@ -1539,7 +1635,7 @@ mod tests {
     #[test]
     fn pool_respects_limit() {
         let layout = ColumnLayout::ints(1);
-        let pool = BatchPool::new(2, layout.clone());
+        let pool = BatchPool::new(2, &Spares::new(layout.clone()));
         for _ in 0..5 {
             pool.put(ColumnBatch::with_capacity(&layout, 4));
         }

@@ -9,11 +9,22 @@
 //! processes, wired by which streams, over which resident base fragments.
 //! A [`RunTemplate`] holds exactly that; an execution instantiates it with
 //! its arguments, fresh stream edges, its own control block and budget,
-//! and keeps its own materialized pieces. What the template also keeps is
-//! scratch: the buffers its executions' tasks gathered, matched and indexed
-//! in, lent to one execution at a time and given back emptied
-//! ([`scratch`](crate::operator::scratch)), so an execute allocates little
-//! beyond the batches it returns.
+//! and keeps its own materialized pieces.
+//!
+//! What the template also keeps is the operation processes themselves.
+//! An execute *builds* only what is its own: the result edge and the
+//! other stream edges, the control block — which carries its budget and,
+//! while it runs, its coordination — its bound scan filters, and one box
+//! per task for the pool. It *re-arms* what an earlier execute gave back
+//! ([`scratch`](crate::operator::scratch)): each task's members, with
+//! their join operators and the buffers those gathered, matched and
+//! indexed in, and its port's router — it wires each member's operands
+//! for this execute (the resident parts, this execute's filter, edge or
+//! pieces), resets cursors and counts, and attaches the port to the new
+//! edge. The first execute, or one that finds every kept task lent, arms
+//! new ones through the same code. Each edge keeps one message's worth of
+//! spare batch buffers the same way. So an execute allocates little beyond
+//! the rows it returns, and its set-up costs what arming costs.
 //!
 //! A template also fixes how each operand reaches an operation's
 //! instances ([`Split`]): hash fragments of a base relation, one per
@@ -43,9 +54,11 @@ use crate::binding::{bind_predicate, has_params, QueryBinding};
 use crate::config::LateMode;
 use crate::late::{LateRewrite, LateShape};
 use crate::metrics::Metrics;
-use crate::operator::scratch::{Lent, ScratchLists};
+use crate::operator::scratch::{Home, KeptTasks, TaskBody};
+use crate::operator::task::TaskMember;
 use crate::operator::{join_op, PhysicalOp};
 use crate::source::Source;
+use crate::stream::Spares;
 
 /// Everything about running one planned query that no execution changes:
 /// its operations with their shared join specs, waves, degrees and output
@@ -59,16 +72,18 @@ use crate::source::Source;
 /// [`Engine::submit_template`](crate::Engine::submit_template) gives each
 /// its own stream edges, control block, budget and materialized pieces,
 /// and binds its `?N` arguments into the only predicates that hold them,
-/// the scan filters. Between executions it keeps the buffers their tasks
-/// worked in — per task slot, free lists of scratch sets
-/// ([`scratch`](crate::operator::scratch)): each task borrows one set,
-/// a new one if every set is lent, and gives it back emptied when it ends.
+/// the scan filters. Between executions it keeps their tasks — per task
+/// slot, free lists of them ([`scratch`](crate::operator::scratch)):
+/// each execution re-arms one, or a new one if every kept one is lent,
+/// and gives it back readied when it ends (unless a panic broke it).
 ///
 /// The base operands are held *weakly*, so the template never pins what
-/// the [`Catalog`] evicted. Before an execution's clock starts, the
-/// catalog [`touch`](Catalog::touch)es the sets they came from, which
-/// counts each as a hit and a use of its variant exactly as a lookup
-/// would; each operation process then takes its parts as it is started.
+/// the [`Catalog`] evicted; a kept task lets go of every operand as its
+/// member finishes, so it pins nothing either. Before an execution's clock
+/// starts, the catalog [`touch`](Catalog::touch)es the sets they came
+/// from, which counts each as a hit and a use of its variant exactly as a
+/// lookup would; each operation process then takes its parts as it is
+/// armed.
 /// If a set was evicted, or its relation replaced, since, the execution
 /// resolves every base operand afresh and the template holds the new sets
 /// for the next. A template is built for one engine
@@ -112,9 +127,9 @@ pub struct RunTemplate {
     metrics: Metrics,
     /// Per group root: its first task slot, one slot per instance.
     slots: Vec<usize>,
-    /// Per task slot, the scratch sets its executions' tasks worked in and
-    /// gave back ([`lend`](Self::lend)).
-    scratch: Arc<ScratchLists>,
+    /// Per task slot, the tasks its executions ran and gave back, readied
+    /// for the next ([`lend`](Self::lend)).
+    kept: Arc<KeptTasks>,
 }
 
 /// One operation of a query as the executor wires and spawns it: the
@@ -167,13 +182,14 @@ pub(crate) enum Wiring {
     Fused,
 }
 
-/// One stream edge: `producers` × `consumers` channels carrying rows of
-/// `layout`, routed on `key_col`.
+/// One stream edge: `producers` × `consumers` channels routed on
+/// `key_col`, carrying rows of the layout its `spares` hold buffers of —
+/// the buffers its executions' batches were in, kept for the next.
 pub(crate) struct Edge {
     pub producers: usize,
     pub consumers: usize,
     pub key_col: usize,
-    pub layout: ColumnLayout,
+    pub spares: Arc<Spares>,
 }
 
 /// One base operand of an operation of `degree` instances: relation
@@ -428,7 +444,7 @@ impl RunTemplate {
             dependents,
             metrics,
             slots,
-            scratch: ScratchLists::new(tasks),
+            kept: KeptTasks::new(tasks),
         })
     }
 
@@ -456,10 +472,6 @@ impl RunTemplate {
         &self.groups[root]
     }
 
-    pub(crate) fn feeds(&self, op: usize) -> Option<(usize, usize)> {
-        self.feeds[op]
-    }
-
     pub(crate) fn deps(&self) -> &[usize] {
         &self.deps
     }
@@ -472,25 +484,48 @@ impl RunTemplate {
         &self.metrics
     }
 
-    /// The scratch set instance `instance` of the process group rooted at
-    /// op `root` works in: one its predecessors gave back, or a new one.
-    pub(crate) fn lend(&self, root: usize, instance: usize) -> Lent {
-        let members = self.groups[root].len();
-        self.scratch.lend(self.slots[root] + instance, members)
+    /// The task instance `instance` of the process group rooted at op
+    /// `root` runs as, unarmed, and where it goes back: the one an earlier
+    /// execute gave back, or — on the first execute, or while every kept
+    /// one is lent — a new one, each member with a fresh operator.
+    pub(crate) fn lend(&self, root: usize, instance: usize) -> (TaskBody, Home) {
+        let slot = self.slots[root] + instance;
+        let body = self.kept.take(slot).unwrap_or_else(|| {
+            let members = self.groups[root].iter().map(|&m| {
+                let member = TaskMember::unarmed(self.operator(m), m);
+                match self.feeds[m] {
+                    Some((reader, side)) => member.feeding(reader, side),
+                    None => member,
+                }
+            });
+            TaskBody {
+                members: members.collect(),
+                reports: Vec::with_capacity(self.groups[root].len()),
+                router: None,
+            }
+        });
+        (body, (self.kept.clone(), slot))
     }
 
     /// How many of its task slots — one per operation process instance —
-    /// hold a scratch set that no execute has borrowed, and how many slots
-    /// there are: all of them between executes, once every process has
-    /// run at least once.
+    /// hold a task that no execute has borrowed, with its buffers, and how
+    /// many slots there are: all of them between executes, once every
+    /// process has run at least once.
     pub fn scratch_held(&self) -> (usize, usize) {
-        self.scratch.held()
+        self.kept.held()
     }
 
-    /// The free lists of scratch sets (tests).
+    /// How many tasks it keeps for its next executes, over every slot: one
+    /// per slot after executes one at a time, more once executes of it
+    /// overlapped — each ran a task of its own.
+    pub fn tasks_kept(&self) -> usize {
+        self.kept.kept()
+    }
+
+    /// The free lists of kept tasks (tests).
     #[cfg(test)]
-    pub(crate) fn scratch(&self) -> &Arc<ScratchLists> {
-        &self.scratch
+    pub(crate) fn kept(&self) -> &Arc<KeptTasks> {
+        &self.kept
     }
 
     /// A fresh operator for one instance of operation `id`.
@@ -684,7 +719,7 @@ fn stream(
         key_col,
         // The edge's buffer pool is typed with the rows it carries, so
         // its budget accounting charges real columnar bytes.
-        layout: ColumnLayout::of(&producer.schema),
+        spares: Spares::new(ColumnLayout::of(&producer.schema)),
     });
     Ok(Wiring::Stream {
         edge: edges.len() - 1,
@@ -708,6 +743,8 @@ mod tests {
 
     #[test]
     fn a_statement_keeps_its_scratch_until_a_catalog_change_retires_it() {
+        // Its tasks, with their buffers, and through them nothing of the
+        // relations they read once the statement is gone.
         let instance = generate_family(QueryFamily::Chain, 4, 50, 1995).unwrap();
         let donor = generate_family(QueryFamily::Chain, 4, 50, 7).unwrap();
         let db = Database::open(DbConfig::default()).unwrap();
@@ -720,21 +757,22 @@ mod tests {
         };
         let rows = run(&stmt);
         let template = stmt.template().expect("built by the execute").clone();
-        let lists = Arc::downgrade(template.scratch());
-        // Every task gives its set back before its last report goes out,
-        // so by the outcome each slot holds one; later executes reuse it.
+        let lists = Arc::downgrade(template.kept());
+        // Every task gives itself back before its last report goes out,
+        // so by the outcome each slot holds one; later executes re-arm it.
         let slots = template.slots.iter().zip(&template.groups);
         let tasks: usize = slots
             .filter(|(_, group)| !group.is_empty())
             .map(|(_, group)| template.ops[*group.last().unwrap()].degree)
             .sum();
         assert!(tasks > 0);
-        assert_eq!(template.scratch().kept(), tasks);
+        assert_eq!(template.kept().kept(), tasks);
         for _ in 0..3 {
             assert_eq!(run(&stmt), rows);
-            assert_eq!(template.scratch().kept(), tasks, "reused, not added");
+            assert_eq!(template.kept().kept(), tasks, "reused, not added");
         }
         drop(template);
+        let old = Arc::downgrade(&db.catalog().fragments("R2", 0, 1).unwrap().0);
 
         // A register replaces R2: the statement re-prepares, and once its
         // stale handle is gone nothing holds the old template's scratch.
@@ -744,8 +782,9 @@ mod tests {
         assert!(lists.upgrade().is_some(), "the stale statement holds it");
         drop(stmt);
         assert!(lists.upgrade().is_none(), "freed with its template");
+        assert!(old.upgrade().is_none(), "nothing holds the old R2");
         let current = db.prepare(&text).unwrap();
         let template = current.template().expect("the re-prepared template");
-        assert_eq!(template.scratch().kept(), tasks, "which has its own");
+        assert_eq!(template.kept().kept(), tasks, "which has its own");
     }
 }

@@ -1,19 +1,24 @@
-//! Reuse safety of the buffers a prepared statement's run template lends
-//! its executes: a fused member's output batch, its match pairs and the
-//! arrays of its build table come back emptied after every execute and are
-//! written again by the next, so nothing one execute leaves in them may
-//! reach another. Checked against the sequential XRA oracle on the
-//! benchmark's short query (the 14 x 50 chain, one fused process):
+//! Reuse safety of the tasks a prepared statement's run template lends
+//! its executes: the fused process's members — each join operator with
+//! its match pairs and build-table arrays, each output batch — and its
+//! port come back readied after every execute and are re-armed by the
+//! next, so nothing one execute leaves in them may reach another. Checked
+//! against the sequential XRA oracle on the benchmark's short query (the
+//! 14 x 50 chain, one fused process):
 //!
 //! * one statement executed with a shrinking, then growing, argument:
 //!   a smaller result never carries rows of the larger one before it;
 //! * the statement executed from two threads at once, each execute
-//!   working in its own set;
+//!   running a task of its own — also while the other's is parked;
 //! * an execute aborted mid-group — canceled, past its deadline, over its
-//!   budget, failed at a fused member — then a normal execute.
+//!   budget, failed at a fused member, broken by a panic there — then
+//!   normal executes;
+//! * a catalog write retires the statement's template with the tasks it
+//!   kept, and nothing of the replaced relation stays alive through them.
 //!
 //! Every case also waits for the query's memory budget to settle at 0:
-//! the lent sets are charged while lent and credited when given back.
+//! the lent tasks' buffers are charged while lent and credited when given
+//! back.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -24,6 +29,7 @@ use multijoin::exec::{
     QueryFamily, QueryOptions,
 };
 use multijoin::relalg::{JoinAlgorithm, RelalgError, RelationProvider, Value};
+use multijoin::storage::Catalog;
 
 mod common;
 use common::settled;
@@ -193,4 +199,123 @@ fn an_execute_aborted_mid_group_leaves_its_set_fit_for_the_next() {
         (0, 0),
         "nothing left running"
     );
+}
+
+/// Options that make the fused member in the middle of the statement's
+/// group hit `kind` on its first step.
+fn at_middle(stmt: &PreparedStatement, kind: FaultKind) -> QueryOptions {
+    let plan = &stmt.planned().plan;
+    let mut fused: Vec<usize> = plan
+        .ops
+        .iter()
+        .flat_map(|op| [&op.left, &op.right])
+        .filter_map(|operand| match operand {
+            OperandSource::Fused { from } => Some(*from),
+            _ => None,
+        })
+        .collect();
+    fused.sort_unstable();
+    let point = FaultPoint::new("join", 1, kind).at_op(fused[fused.len() / 2]);
+    QueryOptions::new().with_faults(FaultPlan::new().with_point(point))
+}
+
+#[test]
+fn a_panic_mid_group_leaves_no_broken_task_for_the_next_execute() {
+    let (db, text) = chain_db();
+    let stmt = db.prepare(&text).unwrap();
+    assert_eq!(
+        execute(&db, &stmt, 49, QueryOptions::new()).unwrap(),
+        oracle(&db, &text, 49)
+    );
+    let template = stmt.template().expect("executed").clone();
+    assert_eq!(
+        template.scratch_held(),
+        (1, 1),
+        "one process, its task kept"
+    );
+
+    let err = execute(&db, &stmt, 49, at_middle(&stmt, FaultKind::Panic)).expect_err("panicked");
+    assert!(
+        matches!(&err, RelalgError::Internal(m) if m.contains("injected panic")),
+        "{err}"
+    );
+    // The task the panic broke is not kept: the next execute arms a new
+    // one, and every execute after it re-arms that.
+    assert_eq!(template.scratch_held(), (0, 1));
+    for arg in [49, 0, 25, 49] {
+        let rows = execute(&db, &stmt, arg, QueryOptions::new()).unwrap();
+        assert_eq!(rows, oracle(&db, &text, arg), "after the panic: ?1 = {arg}");
+        assert_eq!(template.tasks_kept(), 1);
+    }
+}
+
+#[test]
+fn an_execute_while_another_is_parked_runs_a_task_of_its_own() {
+    let (db, text) = chain_db();
+    let stmt = db.prepare(&text).unwrap();
+    assert_eq!(
+        execute(&db, &stmt, 49, QueryOptions::new()).unwrap(),
+        oracle(&db, &text, 49)
+    );
+    let template = stmt.template().expect("executed").clone();
+    // The first execute parks mid-group in the task the statement kept;
+    // another thread's execute, meanwhile, gets a new one.
+    let parked = db
+        .execute_prepared_with(&stmt, &[49], at_middle(&stmt, FaultKind::Stall))
+        .unwrap();
+    assert_eq!(template.tasks_kept(), 0, "the kept task is lent");
+    std::thread::scope(|scope| {
+        let other = scope.spawn(|| execute(&db, &stmt, 25, QueryOptions::new()).unwrap());
+        assert_eq!(other.join().unwrap(), oracle(&db, &text, 25));
+    });
+    assert_eq!(template.tasks_kept(), 1, "the other's, given back");
+    let budget = parked.budget().clone();
+    parked.cancel();
+    let err = parked.collect().expect_err("canceled");
+    assert!(matches!(err, RelalgError::Canceled), "{err}");
+    assert_eq!(settled(&budget), 0);
+    // Both are kept now, and either serves an execute alike.
+    assert_eq!(template.tasks_kept(), 2);
+    for arg in [0, 49, 12, 30] {
+        let rows = execute(&db, &stmt, arg, QueryOptions::new()).unwrap();
+        assert_eq!(rows, oracle(&db, &text, arg), "?1 = {arg}");
+    }
+    assert_eq!(template.tasks_kept(), 2, "reused, not added");
+}
+
+#[test]
+fn a_catalog_write_retires_the_kept_tasks_with_the_template() {
+    let (db, text) = chain_db();
+    let stmt = db.prepare(&text).unwrap();
+    for arg in [49, 3] {
+        assert_eq!(
+            execute(&db, &stmt, arg, QueryOptions::new()).unwrap(),
+            oracle(&db, &text, arg)
+        );
+    }
+    let template = Arc::downgrade(stmt.template().expect("executed"));
+    // Every resident set of S5 the kept task read from: its image's
+    // fragments and join tables on every key column.
+    let catalog: &Catalog = db.catalog();
+    let arity = catalog.schema("S5").unwrap().arity();
+    let tables: Vec<_> = (0..arity)
+        .map(|key| Arc::downgrade(&catalog.tables("S5", key, 1).unwrap().0))
+        .collect();
+    let image = Arc::downgrade(&catalog.fragments("S5", 0, 1).unwrap().0);
+
+    // Replace S5 with its own rows: the statement goes stale, and its next
+    // execute runs the current one.
+    let rows = catalog.relation("S5").unwrap();
+    db.catalog().register("S5", rows);
+    assert_eq!(
+        execute(&db, &stmt, 49, QueryOptions::new()).unwrap(),
+        oracle(&db, &text, 49)
+    );
+    // A kept task holds no operand between executes: the old S5 is gone
+    // while the stale statement, its template and its task live on.
+    assert!(template.upgrade().is_some(), "the stale statement holds it");
+    assert!(image.upgrade().is_none(), "the old S5 is gone");
+    assert!(tables.iter().all(|t| t.upgrade().is_none()));
+    drop(stmt);
+    assert!(template.upgrade().is_none(), "retired with its tasks");
 }

@@ -20,7 +20,8 @@
 //!   allocations on the executing thread — its statement's run template
 //!   holds everything no execution changes — and with the drain of its
 //!   result allocates at most [`PREPARED_EXECUTE_ALLOCS`] times on
-//!   average, counted on every thread. This pins the per-query fixed cost
+//!   average, counted on every thread: it re-arms the task its statement
+//!   kept instead of building one. This pins the per-query fixed cost
 //!   (ROADMAP item 7). CI runs this binary at release speed too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
 
-use multijoin::exec::stream::{edge_buffer_bound, operand_channels, Msg, Router};
+use multijoin::exec::stream::{edge_buffer_bound, operand_channels, Msg, Router, Spares};
 use multijoin::exec::{generate_family, Database, DbConfig, QueryFamily};
 use multijoin::join::ColumnarTable;
 use multijoin::relalg::column::{ColumnBatch, ColumnLayout};
@@ -138,7 +139,12 @@ fn assert_batch_pool_hit_rate() {
     const BATCH: usize = 64;
     const TUPLES: i64 = 100_000;
 
-    let (txs, rxs, pool) = operand_channels(PRODUCERS, CONSUMERS, CAPACITY, ColumnLayout::ints(1));
+    let (txs, rxs, pool) = operand_channels(
+        PRODUCERS,
+        CONSUMERS,
+        CAPACITY,
+        &Spares::new(ColumnLayout::ints(1)),
+    );
     let consumers: Vec<_> = rxs
         .into_iter()
         .map(|rx| {
@@ -218,16 +224,22 @@ fn assert_batch_pool_hit_rate() {
 /// relation's image and its resident fragments; 84 (35 set-up, 49 drain;
 /// 85 in a release build) since the fused members gather, match and index
 /// in buffers their statement's run template lends each execute, and hand
-/// their results over in the `Arc`s it keeps: what is left is set-up, the
-/// result edge's buffers and frames, and the client's rows.
-const PREPARED_EXECUTE_ALLOCS: u64 = 100;
+/// their results over in the `Arc`s it keeps; 29–30 (18 set-up, 11–12
+/// drain, in release and debug builds alike) since an execute re-arms the task its
+/// statement kept — members, operators and port — and the result edge's
+/// pool starts from the buffer the execute before left in its template:
+/// what is left is the result edge and control block, the bound filter
+/// and its survivors, and the task's box and slot.
+const PREPARED_EXECUTE_ALLOCS: u64 = 40;
 
 /// Ceiling on the mean allocations of the set-up alone: what
 /// `execute_prepared` allocates on the calling thread before it returns
 /// the handle. 199 when every execute re-derived the run; 35 measured
 /// since it instantiates the statement's template — the result edge and
-/// control block, the bound filter, the task and its fourteen operators.
-const PREPARED_SETUP_ALLOCS: u64 = 60;
+/// control block, the bound filter, the task and its fourteen operators;
+/// 18 since it re-arms the task its statement kept instead of building
+/// it, and the run's coordination lives in its control block.
+const PREPARED_SETUP_ALLOCS: u64 = 24;
 
 /// The benchmark's `short_prepared` query on its pinned-shape data, two
 /// workers: every `?1` value once, after a warm-up that fills the fragment

@@ -142,16 +142,20 @@ impl Client {
     }
 
     /// Sends one raw request line (newline appended). Public so tests
-    /// can send malformed frames on purpose.
+    /// can send malformed frames on purpose. A request and its newline
+    /// leave in one write: on a `TCP_NODELAY` socket two writes are two
+    /// segments, and the server may wake for half a line.
     pub fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         Ok(())
     }
 
-    /// Sends one request frame.
+    /// Sends one request frame, in one write as [`send_line`](Self::send_line) does.
     fn send_frame(&mut self, frame: &JsonValue) -> Result<(), ClientError> {
-        self.send_line(&serde_json::to_string(frame).expect("frame renders"))
+        let mut line = serde_json::to_string(frame).expect("frame renders");
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
+        Ok(())
     }
 
     /// Sends a query request without waiting for its reply — the

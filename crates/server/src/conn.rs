@@ -3,9 +3,10 @@
 //!
 //! One [`Conn`] wraps one non-blocking client socket, accepted by the
 //! server's listener task, and is one cooperative [`Task`]. A step never
-//! blocks: it reads until the socket would block, parses complete request
-//! lines, starts the next request — planning an ad-hoc `query` or a
-//! `prepare` right there, in the step — polls the active query's
+//! blocks: after an edge on the socket it reads until the socket is
+//! drained, parses complete request lines, starts the next request —
+//! planning an ad-hoc `query` or a `prepare` right there, in the step —
+//! polls the active query's
 //! [`ResultStream`], encodes what it yields, and writes whatever the
 //! socket will take. Whatever it could not finish it parks on, with the
 //! waker it was stepped with: the socket (registered in the pool's
@@ -35,7 +36,7 @@ use std::sync::Arc;
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-use mj_exec::sched::{Registration, Step, Task};
+use mj_exec::sched::{Registration, Step, Task, EDGE_HUNG_UP};
 use mj_exec::{BatchPoll, Database, MjError, PreparedStatement, QueryHandle, ResultStream};
 
 use crate::protocol::{
@@ -241,7 +242,9 @@ impl Conn {
         self.tick(waker)
     }
 
-    /// One non-blocking pass: read, parse, advance, flush. Says whether the
+    /// One non-blocking pass: read (only after an edge: a wake from the
+    /// result stream or the query's outcome finds nothing new on the
+    /// socket), parse, advance, flush. Says whether the
     /// connection is finished, and otherwise whether to step again at once
     /// (the result stream was left unpolled at the write high-water mark
     /// and the socket has since taken enough) or to park until a wake.
@@ -250,8 +253,15 @@ impl Conn {
     /// drains, but *newly arriving* query and metrics requests are
     /// rejected with `overloaded`.
     fn tick(&mut self, waker: &Waker) -> Option<Step> {
-        // Peer gone: nothing further to deliver.
-        self.fill_read_buf().ok()?;
+        // Taken before the read, so an edge that lands during it is kept
+        // for the next step. Peer gone: nothing further to deliver.
+        let edge = self
+            .registration
+            .as_ref()
+            .map_or(0, Registration::take_edge);
+        if edge != 0 {
+            self.fill_read_buf(edge & EDGE_HUNG_UP != 0).ok()?;
+        }
         let draining = self.server.draining();
         self.parse_lines(draining);
         let backed_up = self.advance_active(waker);
@@ -308,9 +318,12 @@ impl Conn {
         self.abandoned.push(active.handle);
     }
 
-    /// Reads until the socket would block. `Err(())` means the connection
-    /// is dead (EOF or a fatal socket error).
-    fn fill_read_buf(&mut self) -> Result<(), ()> {
+    /// Reads until the socket is drained: until it would block, or — as
+    /// epoll(7) allows for a stream socket — until a read comes back short,
+    /// unless the peer hung up (`to_end`), whose end a short read leaves
+    /// unread and no later edge reports. `Err(())` means the connection is
+    /// dead (EOF or a fatal socket error).
+    fn fill_read_buf(&mut self, to_end: bool) -> Result<(), ()> {
         if self.closing {
             return Ok(());
         }
@@ -328,6 +341,9 @@ impl Conn {
                         }
                     } else {
                         self.read_buf.extend_from_slice(&chunk[..n]);
+                    }
+                    if n < chunk.len() && !to_end {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,

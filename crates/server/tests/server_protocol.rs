@@ -977,7 +977,9 @@ fn pipelined_executes_beyond_one_read_chunk_all_get_replies_in_order() {
     // 300 execute lines in one write of more than `READ_CHUNK` (16 KiB):
     // a step reads until the socket would block, so none is left unread
     // without an edge to wake for it. Then one line longer than a chunk,
-    // whose tail no query's wake would come back for.
+    // whose tail no query's wake would come back for. Then two short lines
+    // in one write: a short read counts as the socket drained, and both
+    // lines are parsed from it.
     let server = ManuallyDrop::new(chain_server());
     let mut client = Client::connect(server.local_addr()).unwrap();
     let stmt = client.prepare(ID_BELOW).unwrap();
@@ -1012,6 +1014,17 @@ fn pipelined_executes_beyond_one_read_chunk_all_get_replies_in_order() {
             ))
             .unwrap();
         assert_eq!(client.collect_reply().unwrap().rows.len(), 7);
+        let execute = |below: usize| {
+            format!(
+                "{{\"execute\": {{\"id\": {}, \"args\": [{below}]}}}}",
+                stmt.id
+            )
+        };
+        client
+            .send_line(&format!("{}\n{}", execute(3), execute(5)))
+            .unwrap();
+        assert_eq!(client.collect_reply().unwrap().rows.len(), 3);
+        assert_eq!(client.collect_reply().unwrap().rows.len(), 5);
     });
     ManuallyDrop::into_inner(server).shutdown();
 }
