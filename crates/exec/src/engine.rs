@@ -309,17 +309,17 @@ impl Engine {
         submitted_at: Instant,
     ) -> (OutEdge, ResultStream, Arc<QueryCtrl>) {
         let edge = template.edges().last().expect("the result edge is last");
+        let budget = match opts.memory_budget() {
+            Some(limit) => MemoryBudget::with_limit(limit),
+            None => MemoryBudget::unlimited(),
+        };
         let (txs, mut rxs, pool) = operand_channels(
             edge.producers,
             1,
             self.config.channel_capacity,
             &edge.spares,
+            budget.clone(),
         );
-        let budget = match opts.memory_budget() {
-            Some(limit) => MemoryBudget::with_limit(limit),
-            None => MemoryBudget::unlimited(),
-        };
-        pool.set_budget(budget.clone());
         let deadline = opts.deadline().map(|d| submitted_at + d);
         let ctrl = QueryCtrl::on_pool(&self.pool, deadline, budget);
         let rx = rxs.pop().expect("one consumer");
@@ -648,8 +648,8 @@ impl QueryRun {
                 edge.consumers,
                 config.channel_capacity,
                 &edge.spares,
+                ctrl.budget().clone(),
             );
-            pool.set_budget(ctrl.budget().clone());
             senders.push((Some((txs, edge.key_col, pool.clone())), pool));
             receivers.push(rxs.into_iter());
         }
@@ -1521,6 +1521,54 @@ mod tests {
         // Settled before the outcome was published, not some time after.
         assert_eq!(engine.stats().queries_completed, 1);
         assert_eq!(settled(handle.budget()), 0);
+    }
+
+    #[test]
+    fn a_result_of_many_producers_drains_alike_blocking_and_polled() {
+        use crate::handle::BatchPoll;
+        let (catalog, binding, plan, expected) = sp_chain(300, 4);
+        let config = ExecConfig {
+            workers: 2,
+            ..ExecConfig::default()
+        };
+        let engine = Engine::new(catalog, config).unwrap();
+        let template = engine
+            .template(ValidPlan::new(plan).unwrap(), binding)
+            .unwrap();
+        let producers = template.edges().last().unwrap().producers;
+        assert!(producers >= 2, "{producers} producers into the client");
+        for polled in [false, true] {
+            let opts = QueryOptions::default();
+            let mut handle = engine.submit_template(template.clone(), &[], opts).unwrap();
+            let mut stream = handle.stream();
+            let mut tuples = Vec::new();
+            if polled {
+                let waker = crate::sched::thread_waker();
+                loop {
+                    match stream.poll_next_batch(&waker) {
+                        BatchPoll::Batch(mut batch) => tuples.extend(batch.drain()),
+                        BatchPoll::Pending => std::thread::park(),
+                        BatchPoll::Done => break,
+                    }
+                }
+            } else {
+                while let Some(mut batch) = stream.next_batch() {
+                    tuples.extend(batch.drain());
+                }
+            }
+            // Ended once, on the last End: it stays ended, and dropping it
+            // cancels nothing.
+            let noop = std::task::Waker::noop();
+            assert!(matches!(stream.poll_next_batch(noop), BatchPoll::Done));
+            assert!(stream.next_batch().is_none());
+            drop(stream);
+            assert!(handle.outcome().is_ok(), "polled {polled}");
+            let rows = Relation::new_unchecked(template.result_schema().clone(), tuples);
+            assert!(
+                rows.multiset_eq(&expected),
+                "polled {polled}: differs from oracle"
+            );
+        }
     }
 
     /// Entries of `/proc/self/task`: the process's threads.

@@ -28,7 +28,7 @@
 //! before [`QueryHandle::outcome`] returns. The engine is immediately reusable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
@@ -38,7 +38,7 @@ use crate::budget::MemoryBudget;
 use crate::engine::Coordinated;
 use crate::metrics::counters::EngineCounters;
 use crate::metrics::Metrics;
-use crate::sched::{block_on_spinning, WorkerPool};
+use crate::sched::{block_on_spinning, lock, WorkerPool};
 use crate::stream::{Batch, Msg, Receiver, TryRecvError};
 
 /// Lifecycle state of a submitted query.
@@ -142,7 +142,7 @@ impl QueryCtrl {
 
     /// The query's run while the engine coordinates it.
     pub(crate) fn run(&self) -> MutexGuard<'_, Option<Coordinated>> {
-        self.run.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.run)
     }
 
     /// Whether the query's pool leaves a worker idle: a client waiting on
@@ -183,16 +183,12 @@ impl QueryCtrl {
     /// from now on. A task registers before it first reads the tokens, so
     /// the token store and the wake (both after that read) cannot miss it.
     pub(crate) fn register_task(&self, waker: &Waker) {
-        self.tasks
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(waker.clone());
+        lock(&self.tasks).push(waker.clone());
     }
 
     /// Wakes every registered task: a token was just raised.
     fn wake_tasks(&self) {
-        let tasks = self.tasks.lock().unwrap_or_else(PoisonError::into_inner);
-        tasks.iter().for_each(Waker::wake_by_ref);
+        lock(&self.tasks).iter().for_each(Waker::wake_by_ref);
     }
 
     /// Aborts the query with a typed guardrail reason. The first reason
@@ -201,7 +197,7 @@ impl QueryCtrl {
     /// exactly once through the completion protocol, and `outcome()`
     /// surfaces it after the usual quiesce/reclaim.
     pub fn abort(&self, reason: RelalgError) {
-        let mut slot = self.abort.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = lock(&self.abort);
         if slot.is_none() {
             *slot = Some(reason);
             drop(slot);
@@ -220,10 +216,7 @@ impl QueryCtrl {
         if !self.is_aborted() {
             return None;
         }
-        self.abort
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        lock(&self.abort).clone()
     }
 
     /// The query's wall-clock deadline, if one was configured.
@@ -289,22 +282,14 @@ impl QueryCtrl {
             Err(RelalgError::Canceled) => STATE_CANCELED,
             Err(_) => STATE_FAILED,
         };
-        let mut outcome = self.lock_outcome();
+        let mut outcome = lock(&self.outcome);
         *outcome = Some(result);
         self.state.store(state, Ordering::Release);
         drop(outcome);
-        let waiter = self
-            .waiter
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
+        let waiter = lock(&self.waiter).take();
         if let Some(waiter) = waiter {
             waiter.wake();
         }
-    }
-
-    fn lock_outcome(&self) -> MutexGuard<'_, Option<Result<QueryOutcome>>> {
-        self.outcome.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The outcome, if the query has concluded; never blocks. Until then
@@ -313,12 +298,12 @@ impl QueryCtrl {
     /// waker, so one of the two sees the other.
     fn poll_take_outcome(&self, waker: &Waker) -> Option<Result<QueryOutcome>> {
         if self.status() == QueryStatus::Running {
-            *self.waiter.lock().unwrap_or_else(PoisonError::into_inner) = Some(waker.clone());
+            *lock(&self.waiter) = Some(waker.clone());
             if self.status() == QueryStatus::Running {
                 return None;
             }
         }
-        self.lock_outcome().take()
+        lock(&self.outcome).take()
     }
 
     /// The query's current lifecycle state.
@@ -424,29 +409,22 @@ impl ResultStream {
         self.counters.note_first_batch(ttfb);
     }
 
-    /// Blocks for the next batch. `None` once every producer instance has
-    /// finished — or unwound: a query that failed (or was cancelled)
-    /// simply ends the stream early, and the error surfaces from
-    /// [`QueryHandle::outcome`].
+    /// Blocks for the next batch: [`poll_next_batch`](Self::poll_next_batch)
+    /// until it is not pending, the calling thread parked in between (after
+    /// yielding for a moment while the pool has a worker idle). `None` once
+    /// every producer instance has finished — or unwound: a query that
+    /// failed (or was cancelled) simply ends the stream early, and the
+    /// error surfaces from [`QueryHandle::outcome`].
     pub fn next_batch(&mut self) -> Option<Batch> {
-        while !self.ended {
-            match self.rx.recv_spinning(|| self.ctrl.idle_worker()) {
-                Ok(Msg::Batch(batch)) => {
-                    self.note_first_batch();
-                    return Some(batch);
-                }
-                Ok(Msg::End) => {
-                    self.remaining -= 1;
-                    if self.remaining == 0 {
-                        self.ended = true;
-                    }
-                }
-                // Every sender gone without the full End count: the
-                // dataflow unwound (error or cancel).
-                Err(_) => self.ended = true,
-            }
-        }
-        None
+        let ctrl = self.ctrl.clone();
+        block_on_spinning(
+            || ctrl.idle_worker(),
+            |waker| match self.poll_next_batch(waker) {
+                BatchPoll::Batch(batch) => Some(Some(batch)),
+                BatchPoll::Pending => None,
+                BatchPoll::Done => Some(None),
+            },
+        )
     }
 
     /// Non-blocking sibling of [`next_batch`](Self::next_batch): returns
@@ -470,6 +448,8 @@ impl ResultStream {
                     }
                 }
                 Err(TryRecvError::Empty) => return BatchPoll::Pending,
+                // Every sender gone without the full End count: the
+                // dataflow unwound (error or cancel).
                 Err(TryRecvError::Disconnected) => self.ended = true,
             }
         }

@@ -658,8 +658,9 @@ pub(crate) mod counters {
 
     use super::EngineStats;
     use crate::handle::QueryOutcome;
+    use crate::sched::lock;
     use mj_relalg::{RelalgError, Result};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::sync::Mutex;
     use std::time::Duration;
 
     /// Shared counters owned by the engine; the submission path and each
@@ -670,14 +671,10 @@ pub(crate) mod counters {
     }
 
     impl EngineCounters {
-        fn lock(&self) -> MutexGuard<'_, EngineStats> {
-            self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-        }
-
         /// Counts one submission and raises the `queries_active` gauge
         /// (`record` lowers it).
         pub fn note_submitted(&self) {
-            let mut s = self.lock();
+            let mut s = lock(&self.stats);
             s.queries_submitted += 1;
             s.queries_active += 1;
         }
@@ -685,7 +682,7 @@ pub(crate) mod counters {
         /// Records the client pulling the first result batch `ttfb` after
         /// submission.
         pub fn note_first_batch(&self, ttfb: Duration) {
-            self.lock().time_to_first_batch.observe(ttfb);
+            lock(&self.stats).time_to_first_batch.observe(ttfb);
         }
 
         /// Classifies one finished query's result into the counters,
@@ -699,7 +696,7 @@ pub(crate) mod counters {
             took: Duration,
             (takes, misses): (u64, u64),
         ) {
-            let mut s = self.lock();
+            let mut s = lock(&self.stats);
             s.batch_pool_takes += takes;
             s.batch_pool_misses += misses;
             s.queries_active = s.queries_active.saturating_sub(1);
@@ -727,7 +724,7 @@ pub(crate) mod counters {
             EngineStats {
                 gather_rows: mj_join::gather_rows(),
                 simd_kernel_dispatches: mj_relalg::simd::kernel_dispatches(),
-                ..*self.lock()
+                ..*lock(&self.stats)
             }
         }
     }

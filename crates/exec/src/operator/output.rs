@@ -252,7 +252,8 @@ mod tests {
 
     #[test]
     fn stream_forwards_and_ends() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
+        let spares = Spares::new(ColumnLayout::ints(1));
+        let (txs, rxs, pool) = operand_channels(1, 1, 8, &spares, MemoryBudget::unlimited());
         let mut port = OutputPort::Stream(Router::new(txs, 0, 2, pool));
         let mut out = batch(&[1, 2]);
         let mut pos = 0;
@@ -261,7 +262,7 @@ mod tests {
         while !port.try_finish(Waker::noop()).unwrap() {}
         let mut tuples = 0;
         let mut ends = 0;
-        while let Ok(msg) = rxs[0].recv() {
+        while let Ok(msg) = rxs[0].try_recv() {
             match msg {
                 Msg::Batch(b) => tuples += b.len(),
                 Msg::End => {

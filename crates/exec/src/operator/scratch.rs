@@ -30,13 +30,14 @@
 //! dwarfs its allocation, and the bodies of every cached statement stay
 //! small.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 
 use crate::config::MESSAGE_BYTES;
 use crate::operator::task::{DoneMsg, TaskMember};
+use crate::sched::lock;
 use crate::stream::Router;
 
 /// The largest buffer a kept task keeps, in bytes of capacity; a larger
@@ -139,12 +140,10 @@ impl KeptTasks {
         (holding.count(), self.free.len())
     }
 
-    fn list(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<TaskBody>> {
+    fn list(&self, slot: usize) -> MutexGuard<'_, Vec<TaskBody>> {
         // Every update is a single push or pop: the list is whole even if
         // a holder panicked.
-        self.free[slot]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        lock(&self.free[slot])
     }
 }
 

@@ -1551,8 +1551,8 @@ mod tests {
         let one = || vec![member(0, Some(Source::Local(rel(4, |i| i))), rel(4, |i| i))];
         let schema = joined();
         for cap in [usize::MAX, 16] {
-            let (txs, _rxs, pool) =
-                operand_channels(1, 2, 1, &Spares::new(ColumnLayout::of(&schema)));
+            let spares = Spares::new(ColumnLayout::of(&schema));
+            let (txs, _rxs, pool) = operand_channels(1, 2, 1, &spares, MemoryBudget::unlimited());
             let router = Router::new(txs, 0, cap, pool);
             let batch = router.batch();
             assert_eq!(batch, (MESSAGE_BYTES / 24).min(cap));
@@ -1652,6 +1652,7 @@ mod tests {
             1,
             1,
             &crate::stream::Spares::new(ColumnLayout::ints(2)),
+            MemoryBudget::unlimited(),
         );
         let stream = Source::Stream {
             rx: rxs.into_iter().next().unwrap(),

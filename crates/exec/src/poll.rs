@@ -20,9 +20,11 @@ use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::raw::{c_int, c_long, c_uint, c_void};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::task::Waker;
 use std::time::Duration;
+
+use crate::sched::lock;
 
 /// `struct epoll_event`, which the kernel packs on x86-64 only.
 #[repr(C)]
@@ -178,10 +180,6 @@ impl Poller {
         Ok(())
     }
 
-    fn wakers(&self) -> MutexGuard<'_, HashMap<u64, Owner>> {
-        self.wakers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Publishes `waker` for socket `fd`, then adds the socket to the set,
     /// edge-triggered for reading and writing: from then on every edge on
     /// it wakes `waker`. Adding a socket that already has bytes to read
@@ -198,7 +196,7 @@ impl Poller {
             waker: waker.clone(),
             edges: edges.clone(),
         };
-        self.wakers().insert(token, owner);
+        lock(&self.wakers).insert(token, owner);
         let registration = Registration {
             poller: self.clone(),
             fd,
@@ -216,7 +214,7 @@ impl Poller {
 
     /// Wakes the owner of every socket in the set.
     pub(crate) fn wake_all(&self) {
-        self.wakers()
+        lock(&self.wakers)
             .values()
             .for_each(|owner| owner.waker.wake_by_ref());
     }
@@ -267,7 +265,7 @@ impl Poller {
         if events.tokens().all(|token| token == BELL) {
             return;
         }
-        let wakers = self.wakers();
+        let wakers = lock(&self.wakers);
         for (token, edges) in events.edges() {
             // A socket whose task deregistered after the edge, or the
             // bell: nothing to wake.
@@ -295,7 +293,7 @@ impl Registration {
     /// Replaces the published waker, if the task is now stepped with
     /// another one.
     pub fn update(&self, waker: &Waker) {
-        let mut wakers = self.poller.wakers();
+        let mut wakers = lock(&self.poller.wakers);
         if let Some(owner) = wakers.get_mut(&self.token) {
             if !owner.waker.will_wake(waker) {
                 owner.waker = waker.clone();
@@ -315,7 +313,7 @@ impl Registration {
 impl Drop for Registration {
     fn drop(&mut self) {
         let _ = self.poller.ctl(EPOLL_CTL_DEL, self.fd, 0, self.token);
-        self.poller.wakers().remove(&self.token);
+        lock(&self.poller.wakers).remove(&self.token);
     }
 }
 

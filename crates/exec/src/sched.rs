@@ -99,7 +99,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
 use std::task::{Wake, Waker};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -107,13 +107,19 @@ use std::time::{Duration, Instant};
 use crate::poll::Poller;
 pub use crate::poll::{Registration, EDGE_HUNG_UP, EDGE_READABLE};
 
-/// Locks a std mutex, tolerating poison: the pool's queue state is a plain
-/// set of `VecDeque`s that is never left half-mutated by the panicking code
-/// paths (task panics are contained *outside* the lock), so recovering the
-/// inner guard is always sound — and a single panicked thread must not take
-/// the whole scheduler down with `PoisonError` panics on every other worker.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+/// Locks a std mutex, tolerating poison: the one way this crate locks.
+/// What it guards is never left half-mutated by the panicking code paths
+/// (the pool's queue state is a plain set of `VecDeque`s, and task panics
+/// are contained *outside* its lock), so recovering the inner guard is
+/// always sound — and a single panicked thread must not take the whole
+/// engine down with `PoisonError` panics on every other thread.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    unpoisoned(mutex.lock())
+}
+
+/// The guard of a lock or of a condition-variable wait, poisoned or not.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -792,11 +798,8 @@ fn worker_loop(shared: &Shared, me: usize) {
                 }
                 let ready = &shared.ready[me];
                 queue = match timeout {
-                    Some(timeout) => {
-                        let waited = ready.wait_timeout(queue, timeout);
-                        waited.unwrap_or_else(PoisonError::into_inner).0
-                    }
-                    None => ready.wait(queue).unwrap_or_else(PoisonError::into_inner),
+                    Some(timeout) => unpoisoned(ready.wait_timeout(queue, timeout)).0,
+                    None => unpoisoned(ready.wait(queue)),
                 };
                 if queue.sleeping[me] {
                     // Back by a timeout or spuriously: nobody chose it.
@@ -857,19 +860,21 @@ pub(crate) fn thread_waker() -> Waker {
     Waker::from(Arc::new(ThreadWaker(std::thread::current())))
 }
 
-/// Runs `attempt` until it returns `Some`, parking the calling thread
-/// between attempts: the same wake protocol as a pooled task, for a caller
-/// outside the pool. `attempt` must register the waker it is given on
-/// whatever it found not ready. The first attempt runs with a no-op waker,
-/// so a caller whose answer is already there builds no waker.
+/// [`block_on_spinning`] that parks at once (unit tests).
+#[cfg(test)]
 pub(crate) fn block_on<R>(attempt: impl FnMut(&Waker) -> Option<R>) -> R {
     block_on_spinning(|| false, attempt)
 }
 
-/// [`block_on`] for a client of a query: for up to [`SPIN`], and only
-/// while `idle_worker` says the query's pool leaves a worker idle (so the
-/// client takes no processor a task could use), it retries, yielding its
-/// processor between attempts, and parks only after that.
+/// Runs `attempt` until it returns `Some`, parking the calling thread
+/// between attempts: the same wake protocol as a pooled task, for a caller
+/// outside the pool (a query's client). `attempt` must register the waker
+/// it is given on whatever it found not ready. The first attempt runs with
+/// a no-op waker, so a caller whose answer is already there builds no
+/// waker. For up to [`SPIN`], and only while `idle_worker` says the
+/// query's pool leaves a worker idle (so the client takes no processor a
+/// task could use), it retries, yielding its processor between attempts,
+/// and parks only after that.
 pub(crate) fn block_on_spinning<R>(
     idle_worker: impl Fn() -> bool,
     mut attempt: impl FnMut(&Waker) -> Option<R>,
@@ -1178,8 +1183,10 @@ mod tests {
         };
         pool.submit(0, Box::new(task));
         let waker = rx.recv_timeout(LONG).expect("the task stepped");
+        // Parked, and both workers asleep, so the one that stepped it is
+        // not still looking for work to steal when the wake lands.
         let mut spins = 0;
-        while pool.parked() == 0 {
+        while pool.parked() == 0 || !lock(&pool.shared.queue).sleeping.iter().all(|&s| s) {
             std::thread::sleep(Duration::from_micros(100));
             spins += 1;
             assert!(spins < 100_000, "task never parked");
@@ -1701,39 +1708,75 @@ mod tests {
     }
 
     #[test]
+    fn a_mutex_poisoned_by_a_panicking_holder_still_locks() {
+        let mutex = Mutex::new(1);
+        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = lock(&mutex);
+            panic!("the holder panics");
+        }));
+        assert!(held.is_err() && mutex.is_poisoned());
+        *lock(&mutex) += 1;
+        assert_eq!(*lock(&mutex), 2);
+    }
+
+    #[test]
     fn a_client_yields_before_parking_only_while_a_worker_is_idle() {
-        for idle in [true, false] {
-            // A wait that outlasts the spin window: the answer comes from
-            // another thread, which wakes the registered waker.
+        // The answer comes from another thread, which wakes the registered
+        // waker. The first attempt runs with a no-op waker and the second
+        // registers the thread's; a third before any wake can only follow
+        // an idle answer, since a client told "busy" parks until woken.
+        const LONG: Duration = Duration::from_secs(10);
+        for idle in [false, true] {
+            // A wake left over from an earlier wait would end a park early.
+            std::thread::park_timeout(Duration::ZERO);
             let answer: Arc<Mutex<(Option<u32>, Option<Waker>)>> = Arc::default();
-            let giver = answer.clone();
+            let (failed, asked) = (Arc::new(AtomicUsize::new(0)), AtomicUsize::new(0));
+            let (giver, seen) = (answer.clone(), failed.clone());
             let give = std::thread::spawn(move || {
-                std::thread::sleep(SPIN * 5);
+                // Busy: answer after the two attempts before its question.
+                // Idle: only once it has attempted again, unwoken, after
+                // an idle answer; a client that parked instead is woken at
+                // the timeout, too late.
+                let wanted = if idle { 3 } else { 2 };
+                let since = Instant::now();
+                while seen.load(Ordering::SeqCst) < wanted && since.elapsed() < LONG {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
                 let mut state = lock(&giver);
                 state.0 = Some(7);
                 if let Some(waker) = state.1.take() {
                     waker.wake();
                 }
+                since.elapsed() < LONG
             });
-            let asked = AtomicUsize::new(0);
             let got = block_on_spinning(
                 || {
-                    asked.fetch_add(1, Ordering::Relaxed);
+                    asked.fetch_add(1, Ordering::SeqCst);
                     idle
                 },
                 |waker| {
                     let mut state = lock(&answer);
                     state.1 = Some(waker.clone());
-                    state.0
+                    let got = state.0;
+                    if got.is_none() {
+                        failed.fetch_add(1, Ordering::SeqCst);
+                    }
+                    got
                 },
             );
-            give.join().unwrap();
+            let in_time = give.join().unwrap();
             assert_eq!(got, 7);
-            let asked = asked.load(Ordering::Relaxed);
+            let (failed, asked) = (failed.load(Ordering::SeqCst), asked.load(Ordering::SeqCst));
             if idle {
-                assert!(asked > 1, "kept asking while it yielded: {asked}");
+                // A client slowed past the window before its first
+                // question parks without asking, which is allowed.
+                assert!(
+                    in_time || asked == 0,
+                    "attempted again after an idle answer before parking"
+                );
             } else {
-                assert!(asked >= 1, "asked before it parked");
+                assert!(asked <= 1, "asked {asked} times");
+                assert_eq!(failed, 2, "parked until woken once told busy");
             }
         }
         // An answer already there: nothing to ask.

@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mj_plan::parse::{
@@ -50,6 +50,7 @@ use crate::engine::Engine;
 use crate::handle::QueryHandle;
 use crate::metrics::{EngineStats, LatencyHistogram};
 use crate::planner::{PlannedQuery, Planner, PlannerOptions};
+use crate::sched::lock;
 use crate::template::RunTemplate;
 
 /// The top-level error of the session API, unifying the per-crate error
@@ -328,7 +329,7 @@ impl PlanCache {
     /// `generation`. A fresh entry is a hit; a stale or absent entry is a
     /// miss (stale entries are left in place — `insert` replaces them).
     fn get(&self, key: &str, generation: u64) -> Option<Arc<PreparedStatement>> {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(key) {
@@ -349,7 +350,7 @@ impl PlanCache {
     /// cache is full (replacing a stale entry under the same key also
     /// counts as an eviction).
     fn insert(&self, key: String, stmt: Arc<PreparedStatement>) {
-        let mut inner = self.lock();
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(slot) = inner.entries.get_mut(&key) {
@@ -379,19 +380,15 @@ impl PlanCache {
     }
 
     fn len(&self) -> usize {
-        self.lock().entries.len()
+        lock(&self.inner).entries.len()
     }
 
     /// Copies this cache's hit, miss and eviction counts into `stats`.
     fn overlay(&self, stats: &mut EngineStats) {
-        let inner = self.lock();
+        let inner = lock(&self.inner);
         stats.plan_cache_hits = inner.hits;
         stats.plan_cache_misses = inner.misses;
         stats.plan_cache_evictions = inner.evictions;
-    }
-
-    fn lock(&self) -> MutexGuard<'_, PlanCacheInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -626,10 +623,7 @@ impl Database {
     fn plan_bound(&self, query: &JoinQuery, spec: &SelectSpec) -> MjResult<PlannedQuery> {
         let started = Instant::now();
         let planned = self.planner.plan_select(query, spec);
-        self.plan_duration
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(started.elapsed());
+        lock(&self.plan_duration).observe(started.elapsed());
         planned.map_err(MjError::Plan)
     }
 
@@ -753,7 +747,7 @@ impl Database {
     /// (`GET /metrics`) and [`crate::metrics::to_json`].
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.engine.stats();
-        stats.plan_duration = *self.plan_duration.lock().unwrap_or_else(|e| e.into_inner());
+        stats.plan_duration = *lock(&self.plan_duration);
         self.plan_cache.overlay(&mut stats);
         stats
     }

@@ -25,7 +25,7 @@
 //! finishes a [`Batch`] returns the emptied buffers to the shared
 //! [`BatchPool`], and producers reuse them for the next flush. The pool is
 //! created with the edge's [`ColumnLayout`], so takes/misses and the
-//! attached memory budget account **real columnar bytes** (8 bytes per
+//! query's memory budget account **real columnar bytes** (8 bytes per
 //! pooled `i64` slot, one `Value` slot per fallback column — see
 //! [`ColumnLayout::row_bytes`]), not a per-row struct guess. The pool is
 //! sized from **both** endpoint counts ([`edge_buffer_bound`]): every
@@ -44,14 +44,15 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::Waker;
 
 use mj_relalg::column::{bucket_keys, ColumnBatch, ColumnLayout};
 use mj_relalg::{RelalgError, Result, Tuple};
-use parking_lot::Mutex;
 
+use crate::budget::MemoryBudget;
 use crate::config::MESSAGE_BYTES;
+use crate::sched::lock;
 
 /// Rows per message on an edge whose rows are `row_bytes` wide: as many as
 /// fit in [`MESSAGE_BYTES`], at least one, at most `cap` (a test's
@@ -70,10 +71,10 @@ pub struct BatchPool {
     limit: usize,
     takes: AtomicU64,
     misses: AtomicU64,
-    /// The owning query's memory budget, when one is attached: allocating
-    /// takes charge it, dropped buffers credit it, and the remainder is
-    /// credited when the pool itself drops at query teardown.
-    budget: Mutex<Option<Arc<crate::budget::MemoryBudget>>>,
+    /// The owning query's memory budget: allocating takes charge it,
+    /// dropped buffers credit it, and the remainder is credited when the
+    /// pool itself drops at query teardown.
+    budget: Arc<MemoryBudget>,
     charged: AtomicU64,
     /// Where the edge keeps buffers between executions: taken before
     /// allocating, refilled on drop. It also fixes the layout.
@@ -82,15 +83,16 @@ pub struct BatchPool {
 
 impl BatchPool {
     /// Creates a pool retaining at most `limit` spare buffers, which starts
-    /// from the buffers earlier executions of its edge left in `spares`
-    /// and leaves its own there when it drops.
-    pub fn new(limit: usize, spares: &Arc<Spares>) -> Arc<Self> {
+    /// from the buffers earlier executions of its edge left in `spares`,
+    /// leaves its own there when it drops, and charges every buffer it
+    /// allocates against `budget`.
+    pub fn new(limit: usize, spares: &Arc<Spares>, budget: Arc<MemoryBudget>) -> Arc<Self> {
         Arc::new(BatchPool {
             free: Mutex::new(Vec::new()),
             limit: limit.max(1),
             takes: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            budget: Mutex::new(None),
+            budget,
             charged: AtomicU64::new(0),
             spares: spares.clone(),
         })
@@ -101,33 +103,25 @@ impl BatchPool {
         &self.spares.layout
     }
 
-    /// Attaches the owning query's memory budget: every buffer this pool
-    /// allocates from here on is charged against it.
-    pub fn set_budget(&self, budget: Arc<crate::budget::MemoryBudget>) {
-        *self.budget.lock() = Some(budget);
-    }
-
     /// Takes a spare buffer, or — one an earlier execution of its edge
     /// kept, or else a new one with room for `capacity` rows — a buffer
-    /// new to this pool, which charges the attached budget with its actual
+    /// new to this pool, which charges the budget with its actual
     /// columnar bytes. Only a new one counts as a miss.
     pub fn take(&self, capacity: usize) -> ColumnBatch {
         self.takes.fetch_add(1, Ordering::Relaxed);
-        let free = self.free.lock().pop();
+        let free = lock(&self.free).pop();
         match free {
             Some(buf) => buf,
             None => {
-                let kept = self.spares.kept.lock().pop();
+                let kept = lock(&self.spares.kept).pop();
                 let buf = kept.unwrap_or_else(|| {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     ColumnBatch::with_capacity(self.layout(), capacity)
                 });
                 let bytes = buf.capacity_bytes();
                 if bytes > 0 {
-                    if let Some(budget) = self.budget.lock().as_ref() {
-                        budget.charge(bytes);
-                        self.charged.fetch_add(bytes, Ordering::Relaxed);
-                    }
+                    self.budget.charge(bytes);
+                    self.charged.fetch_add(bytes, Ordering::Relaxed);
                 }
                 buf
             }
@@ -141,7 +135,7 @@ impl BatchPool {
         buf.clear();
         let bytes = buf.capacity_bytes();
         let dropped = {
-            let mut free = self.free.lock();
+            let mut free = lock(&self.free);
             if free.len() < self.limit && buf.has_layout(self.layout()) {
                 free.push(buf);
                 false
@@ -154,35 +148,33 @@ impl BatchPool {
         }
     }
 
-    /// Credits up to `bytes` back to the attached budget (bounded by what
-    /// this pool actually charged, so shared edges never over-credit).
+    /// Credits up to `bytes` back to the budget (bounded by what this pool
+    /// actually charged, so shared edges never over-credit).
     fn credit(&self, bytes: u64) {
-        if let Some(budget) = self.budget.lock().as_ref() {
-            let mut charged = self.charged.load(Ordering::Relaxed);
-            loop {
-                let credit = bytes.min(charged);
-                if credit == 0 {
+        let mut charged = self.charged.load(Ordering::Relaxed);
+        loop {
+            let credit = bytes.min(charged);
+            if credit == 0 {
+                return;
+            }
+            match self.charged.compare_exchange_weak(
+                charged,
+                charged - credit,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    self.budget.credit(credit);
                     return;
                 }
-                match self.charged.compare_exchange_weak(
-                    charged,
-                    charged - credit,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        budget.credit(credit);
-                        return;
-                    }
-                    Err(seen) => charged = seen,
-                }
+                Err(seen) => charged = seen,
             }
         }
     }
 
     /// Spare buffers currently pooled (for tests).
     pub fn spares(&self) -> usize {
-        self.free.lock().len()
+        lock(&self.free).len()
     }
 
     /// Buffers handed out so far.
@@ -215,11 +207,9 @@ impl Drop for BatchPool {
         // the edge, for its next execution.
         let remaining = self.charged.load(Ordering::Relaxed);
         if remaining > 0 {
-            if let Some(budget) = self.budget.lock().as_ref() {
-                budget.credit(remaining);
-            }
+            self.budget.credit(remaining);
         }
-        self.spares.keep(std::mem::take(&mut *self.free.lock()));
+        self.spares.keep(std::mem::take(&mut *lock(&self.free)));
     }
 }
 
@@ -393,10 +383,6 @@ pub enum TryRecvError {
     Disconnected,
 }
 
-/// A blocking [`Receiver::recv`] found the edge empty and every sender gone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecvError;
-
 /// A producer's end of an edge; clones share it.
 pub struct Sender<T> {
     edge: Arc<Edge<T>>,
@@ -407,7 +393,7 @@ impl<T> Sender<T> {
     /// On [`TrySendError::Full`], `waker` is registered for the next
     /// receive (or the receiver's drop).
     pub fn poll_send(&self, msg: T, waker: &Waker) -> std::result::Result<(), TrySendError<T>> {
-        let mut st = self.edge.state.lock();
+        let mut st = lock(&self.edge.state);
         if !st.receiving {
             return Err(TrySendError::Disconnected(msg));
         }
@@ -429,7 +415,7 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.edge.state.lock().senders += 1;
+        lock(&self.edge.state).senders += 1;
         Sender {
             edge: self.edge.clone(),
         }
@@ -438,7 +424,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut st = self.edge.state.lock();
+        let mut st = lock(&self.edge.state);
         st.senders -= 1;
         let consumer = if st.senders == 0 {
             st.consumer.take()
@@ -462,7 +448,7 @@ impl<T> Receiver<T> {
     /// waiting for room; never blocks. On [`TryRecvError::Empty`], `waker`
     /// is registered for the next send (or the last sender's drop).
     pub fn poll_recv(&self, waker: &Waker) -> std::result::Result<T, TryRecvError> {
-        let mut st = self.edge.state.lock();
+        let mut st = lock(&self.edge.state);
         if let Some(msg) = st.queue.pop_front() {
             let producers = std::mem::take(&mut st.producers);
             drop(st);
@@ -484,36 +470,11 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> std::result::Result<T, TryRecvError> {
         self.poll_recv(Waker::noop())
     }
-
-    /// Blocks the calling thread (parked, woken by the edge) for the next
-    /// message; errors once the edge is empty and every sender is gone.
-    pub fn recv(&self) -> std::result::Result<T, RecvError> {
-        crate::sched::block_on(|waker| self.attempt_recv(waker))
-    }
-
-    /// [`recv`](Self::recv) for a query's client, which yields before it
-    /// parks while `idle_worker` holds (`sched::block_on_spinning`).
-    pub(crate) fn recv_spinning(
-        &self,
-        idle_worker: impl Fn() -> bool,
-    ) -> std::result::Result<T, RecvError> {
-        crate::sched::block_on_spinning(idle_worker, |waker| self.attempt_recv(waker))
-    }
-
-    /// A blocking receive's attempt: a message, or the hang-up error, or
-    /// nothing yet (with `waker` registered).
-    fn attempt_recv(&self, waker: &Waker) -> Option<std::result::Result<T, RecvError>> {
-        match self.poll_recv(waker) {
-            Ok(msg) => Some(Ok(msg)),
-            Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
-            Err(TryRecvError::Empty) => None,
-        }
-    }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = self.edge.state.lock();
+        let mut st = lock(&self.edge.state);
         st.receiving = false;
         let producers = std::mem::take(&mut st.producers);
         drop(st);
@@ -534,14 +495,16 @@ pub fn edge_buffer_bound(producers: usize, consumers: usize, capacity: usize) ->
 /// `producers`-instance producer and a `consumers`-instance consumer:
 /// `consumers` receivers, each of capacity `capacity` batches, plus this
 /// execution's buffer pool over the edge's `spares` (which fix the
-/// operand's column layout), sized from **both** endpoint counts (each
-/// producer instance holds `consumers` fill buffers on top of the
-/// in-flight slots, so a consumer-only bound would thrash the pool).
+/// operand's column layout), charged to the query's `budget` and sized
+/// from **both** endpoint counts (each producer instance holds
+/// `consumers` fill buffers on top of the in-flight slots, so a
+/// consumer-only bound would thrash the pool).
 pub fn operand_channels(
     producers: usize,
     consumers: usize,
     capacity: usize,
     spares: &Arc<Spares>,
+    budget: Arc<MemoryBudget>,
 ) -> (Vec<Sender<Msg>>, Vec<Receiver<Msg>>, Arc<BatchPool>) {
     let mut txs = Vec::with_capacity(consumers);
     let mut rxs = Vec::with_capacity(consumers);
@@ -550,7 +513,11 @@ pub fn operand_channels(
         txs.push(tx);
         rxs.push(rx);
     }
-    let pool = BatchPool::new(edge_buffer_bound(producers, consumers, capacity), spares);
+    let pool = BatchPool::new(
+        edge_buffer_bound(producers, consumers, capacity),
+        spares,
+        budget,
+    );
     (txs, rxs, pool)
 }
 
@@ -575,7 +542,7 @@ impl Spares {
 
     /// Keeps `buffers`, emptied, while they fit in the cap; frees the rest.
     fn keep(&self, buffers: Vec<ColumnBatch>) {
-        let mut kept = self.kept.lock();
+        let mut kept = lock(&self.kept);
         let mut bytes: u64 = kept.iter().map(ColumnBatch::capacity_bytes).sum();
         for buffer in buffers {
             bytes += buffer.capacity_bytes();
@@ -901,6 +868,17 @@ mod tests {
         cols
     }
 
+    /// [`Receiver::poll_recv`], parking the calling thread until the edge
+    /// wakes it: the next message, or `None` once the edge is empty and
+    /// every sender gone.
+    fn blocking_recv<T>(rx: &Receiver<T>) -> Option<T> {
+        crate::sched::block_on(|waker| match rx.poll_recv(waker) {
+            Ok(msg) => Some(Some(msg)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(None),
+        })
+    }
+
     /// Routes every row of `cols`, parking the calling thread on
     /// backpressure as a dedicated producer thread would.
     fn route_all(router: &mut Router, cols: &ColumnBatch) -> Result<()> {
@@ -924,7 +902,13 @@ mod tests {
 
     #[test]
     fn routes_by_key_and_flushes_on_finish() {
-        let (txs, rxs, pool) = operand_channels(1, 3, 8, &Spares::new(ColumnLayout::ints(2)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            3,
+            8,
+            &Spares::new(ColumnLayout::ints(2)),
+            MemoryBudget::unlimited(),
+        );
         // Consume concurrently: the channels are bounded, so routing 100
         // rows before draining anything would block on backpressure once
         // one destination exceeds capacity x batch rows.
@@ -935,7 +919,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut n = 0usize;
                     let mut ended = false;
-                    while let Ok(msg) = rx.recv() {
+                    while let Some(msg) = blocking_recv(&rx) {
                         match msg {
                             Msg::Batch(batch) => {
                                 for &k in batch.columns().int_col(0).unwrap() {
@@ -971,7 +955,13 @@ mod tests {
 
     #[test]
     fn batch_route_splits_like_row_route() {
-        let (txs, rxs, pool) = operand_channels(1, 4, 64, &Spares::new(ColumnLayout::ints(2)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            4,
+            64,
+            &Spares::new(ColumnLayout::ints(2)),
+            MemoryBudget::unlimited(),
+        );
         let mut router = Router::new(txs, 0, 16, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(2), 100);
         for k in 0..100i64 {
@@ -1005,12 +995,18 @@ mod tests {
     fn single_destination_gets_everything() {
         // 10 rows at batch 2 = 5 batches + End; capacity must cover them
         // because this test drains only after finish().
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            8,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut router = Router::new(txs, 0, 2, pool);
         route_all(&mut router, &keyed(0..10, 1)).unwrap();
         finish(&mut router).unwrap();
         let mut n = 0;
-        while let Ok(Msg::Batch(b)) = rxs[0].recv() {
+        while let Some(Msg::Batch(b)) = blocking_recv(&rxs[0]) {
             n += b.len();
         }
         assert_eq!(n, 10);
@@ -1020,7 +1016,13 @@ mod tests {
     fn single_destination_ships_at_most_a_batch_per_message_in_order() {
         // A root's one-destination edge into the client: an input three
         // batches long leaves as three full messages, never as one.
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            8,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut router = Router::new(txs, 0, 4, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 12);
         for k in 0..12i64 {
@@ -1046,7 +1048,13 @@ mod tests {
     fn backpressure_blocks_until_drained() {
         // A full bounded channel must stall the producer rather than drop
         // or error; draining one message releases exactly one send.
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            1,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let rx = rxs.into_iter().next().unwrap();
         let producer = std::thread::spawn(move || {
             let mut router = Router::new(txs, 0, 1, pool);
@@ -1056,7 +1064,7 @@ mod tests {
             finish(&mut router).unwrap();
         });
         let mut seen = 0usize;
-        while let Ok(msg) = rx.recv() {
+        while let Some(msg) = blocking_recv(&rx) {
             match msg {
                 Msg::Batch(b) => seen += b.len(),
                 Msg::End => break,
@@ -1068,7 +1076,13 @@ mod tests {
 
     #[test]
     fn hung_up_consumer_is_an_error() {
-        let (txs, rxs, pool) = operand_channels(1, 2, 1, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            2,
+            1,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         drop(rxs);
         let mut router = Router::new(txs, 0, 1, pool);
         // The first route triggers a batch send into a closed channel.
@@ -1077,13 +1091,19 @@ mod tests {
 
     #[test]
     fn dropped_batches_recycle_their_buffers() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            8,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut router = Router::new(txs, 0, 2, pool.clone());
         route_all(&mut router, &keyed(0..8, 1)).unwrap();
         finish(&mut router).unwrap();
         assert_eq!(pool.spares(), 0, "buffers are in flight, not pooled");
         let mut drained = 0;
-        while let Ok(msg) = rxs[0].recv() {
+        while let Some(msg) = blocking_recv(&rxs[0]) {
             match msg {
                 Msg::Batch(mut b) => {
                     drained += b.drain().count();
@@ -1097,7 +1117,13 @@ mod tests {
 
         // A new router on the same pool reuses those buffers, taking one
         // when it first writes.
-        let (txs2, _rxs2, _) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
+        let (txs2, _rxs2, _) = operand_channels(
+            1,
+            1,
+            8,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut router2 = Router::new(txs2, 0, 2, pool.clone());
         assert_eq!(pool.spares(), 4, "a router that wrote nothing took nothing");
         route_all(&mut router2, &keyed([0], 1)).unwrap();
@@ -1110,7 +1136,13 @@ mod tests {
         // destination cannot be delivered until its consumer drains. The
         // route must park it and keep accepting (bounded by one parked
         // batch), then accept nothing until the parked batch moves.
-        let (txs, rxs, pool) = operand_channels(1, 2, 1, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            2,
+            1,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut router = Router::new(txs, 0, 1, pool);
         let k = (0..).find(|&k| bucket_of(k, 2) == 0).unwrap();
         let one = keyed([k], 1);
@@ -1127,7 +1159,7 @@ mod tests {
         assert_eq!(route(&mut router), ((0, false), 0));
         assert!(!router.poll_unblocked(Waker::noop()).unwrap());
         // Drain one message; the parked batch can now be delivered.
-        let Msg::Batch(b) = rxs[0].recv().unwrap() else {
+        let Msg::Batch(b) = blocking_recv(&rxs[0]).unwrap() else {
             panic!("expected batch");
         };
         assert_eq!(b.len(), 1);
@@ -1140,7 +1172,13 @@ mod tests {
 
     #[test]
     fn try_finish_resumes_across_backpressure() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            1,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut router = Router::new(txs, 0, 8, pool);
         let mut pos = 0;
         assert_eq!(
@@ -1172,7 +1210,13 @@ mod tests {
 
     #[test]
     fn hung_up_consumer_errors_in_try_path() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            1,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         drop(rxs);
         let mut router = Router::new(txs, 0, 1, pool);
         let mut pos = 0;
@@ -1183,7 +1227,11 @@ mod tests {
 
     #[test]
     fn pool_counts_takes_and_misses() {
-        let pool = BatchPool::new(8, &Spares::new(ColumnLayout::ints(1)));
+        let pool = BatchPool::new(
+            8,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let a = pool.take(4); // miss: pool starts empty
         pool.put(a);
         let _b = pool.take(4); // hit
@@ -1194,7 +1242,11 @@ mod tests {
 
     #[test]
     fn pool_drops_a_buffer_of_a_foreign_layout() {
-        let pool = BatchPool::new(8, &Spares::new(ColumnLayout::ints(2)));
+        let pool = BatchPool::new(
+            8,
+            &Spares::new(ColumnLayout::ints(2)),
+            MemoryBudget::unlimited(),
+        );
         pool.put(ColumnBatch::with_capacity(&ColumnLayout::ints(1), 4));
         let mixed = Schema::new(vec![
             Attribute::new("a", DataType::Int),
@@ -1208,10 +1260,9 @@ mod tests {
 
     #[test]
     fn pool_charges_and_credits_real_columnar_bytes() {
-        let budget = crate::budget::MemoryBudget::unlimited();
+        let budget = MemoryBudget::unlimited();
         let layout = ColumnLayout::ints(2);
-        let pool = BatchPool::new(1, &Spares::new(layout.clone()));
-        pool.set_budget(budget.clone());
+        let pool = BatchPool::new(1, &Spares::new(layout.clone()), budget.clone());
         // Columnar accounting: a 4-row buffer of two i64 columns is
         // exactly 4 x 16 bytes — not 4 x size_of::<Tuple>().
         let per = (4 * layout.row_bytes()) as u64;
@@ -1231,13 +1282,12 @@ mod tests {
     fn an_edge_keeps_one_message_of_spares_for_its_next_execution() {
         let spares = Spares::new(ColumnLayout::ints(1));
         // 4096 rows of one i64 column: 32 KiB a buffer, two a message.
-        let first = BatchPool::new(8, &spares);
+        let first = BatchPool::new(8, &spares, MemoryBudget::unlimited());
         let taken: Vec<_> = (0..3).map(|_| first.take(4096)).collect();
         taken.into_iter().for_each(|buf| first.put(buf));
         drop(first);
-        let budget = crate::budget::MemoryBudget::unlimited();
-        let next = BatchPool::new(8, &spares);
-        next.set_budget(budget.clone());
+        let budget = MemoryBudget::unlimited();
+        let next = BatchPool::new(8, &spares, budget.clone());
         let taken: Vec<_> = (0..3).map(|_| next.take(4096)).collect();
         assert_eq!(next.misses(), 1, "two came from the last execution");
         assert_eq!(budget.used(), 3 * 32_768, "and are charged like new ones");
@@ -1250,7 +1300,13 @@ mod tests {
     fn steady_state_routing_reuses_pooled_buffers() {
         // Producer/consumer in lockstep on one edge: after the cold-start
         // allocations, every take must be served from the pool.
-        let (txs, rxs, pool) = operand_channels(1, 1, 8, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            8,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut router = Router::new(txs, 0, 2, pool.clone());
         let mut drained = 0usize;
         for k in 0..1000i64 {
@@ -1260,7 +1316,7 @@ mod tests {
             }
         }
         finish(&mut router).unwrap();
-        while let Ok(Msg::Batch(mut b)) = rxs[0].recv() {
+        while let Some(Msg::Batch(mut b)) = blocking_recv(&rxs[0]) {
             drained += b.drain().count();
         }
         assert_eq!(drained, 1000);
@@ -1284,7 +1340,13 @@ mod tests {
     fn client_sink_batches_and_finishes() {
         // Two producer instances, one result stream: each flushes its rows
         // and sends its own `End`.
-        let (txs, rxs, pool) = operand_channels(2, 1, 8, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            2,
+            1,
+            8,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut a = Router::new(txs.clone(), 0, 2, pool.clone());
         let mut b = Router::new(txs, 0, 2, pool);
         let mut pos = 0;
@@ -1309,7 +1371,13 @@ mod tests {
 
     #[test]
     fn client_sink_appends_batches_columnar() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 16, &Spares::new(ColumnLayout::ints(2)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            16,
+            &Spares::new(ColumnLayout::ints(2)),
+            MemoryBudget::unlimited(),
+        );
         let mut sink = Router::new(txs, 0, 4, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(2), 10);
         for k in 0..10i64 {
@@ -1337,7 +1405,13 @@ mod tests {
     fn client_sink_parks_on_backpressure_and_resumes() {
         // Capacity 1, batch 1: a three-row batch fills the channel, parks
         // the second message and stops there; draining releases it.
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            1,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         let mut sink = Router::new(txs, 0, 1, pool);
         let mut cols = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 3);
         for k in 1..=3i64 {
@@ -1351,7 +1425,7 @@ mod tests {
         );
         assert_eq!(pos, 2);
         assert!(!sink.poll_unblocked(Waker::noop()).unwrap());
-        let Msg::Batch(b) = rxs[0].recv().unwrap() else {
+        let Msg::Batch(b) = blocking_recv(&rxs[0]).unwrap() else {
             panic!("expected batch");
         };
         assert_eq!(b.columns().int_col(0).unwrap(), &[1]);
@@ -1381,7 +1455,13 @@ mod tests {
 
     #[test]
     fn client_sink_errors_when_stream_dropped() {
-        let (txs, rxs, pool) = operand_channels(1, 1, 1, &Spares::new(ColumnLayout::ints(1)));
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            1,
+            &Spares::new(ColumnLayout::ints(1)),
+            MemoryBudget::unlimited(),
+        );
         drop(rxs);
         let mut sink = Router::new(txs, 0, 1, pool);
         let mut one = ColumnBatch::with_capacity(&ColumnLayout::ints(1), 1);
@@ -1392,7 +1472,8 @@ mod tests {
 
     /// The rows per message of a router over a fresh `layout` edge.
     fn router_batch(layout: ColumnLayout, cap: usize) -> usize {
-        let (txs, _rxs, pool) = operand_channels(1, 1, 1, &Spares::new(layout));
+        let (txs, _rxs, pool) =
+            operand_channels(1, 1, 1, &Spares::new(layout), MemoryBudget::unlimited());
         Router::new(txs, 0, cap, pool).batch()
     }
 
@@ -1445,10 +1526,14 @@ mod tests {
         // One producer into one consumer that does not read: the router
         // fills the channel's slots, parks one more message and stops.
         let capacity = 4;
-        let budget = crate::budget::MemoryBudget::unlimited();
-        let (txs, rxs, pool) =
-            operand_channels(1, 1, capacity, &Spares::new(ColumnLayout::ints(2)));
-        pool.set_budget(budget.clone());
+        let budget = MemoryBudget::unlimited();
+        let (txs, rxs, pool) = operand_channels(
+            1,
+            1,
+            capacity,
+            &Spares::new(ColumnLayout::ints(2)),
+            budget.clone(),
+        );
         let mut router = Router::new(txs, 0, usize::MAX, pool.clone());
         let batch = router.batch();
         let input = keyed(0..4 * (capacity * batch) as i64, 2);
@@ -1505,9 +1590,9 @@ mod tests {
         // message holds at most a batch, every buffer in flight is one the
         // pool charged for in full, and the drained edge returns every
         // byte.
-        let budget = crate::budget::MemoryBudget::unlimited();
-        let (txs, rxs, pool) = operand_channels(1, 2, 4, &Spares::new(ColumnLayout::ints(1)));
-        pool.set_budget(budget.clone());
+        let budget = MemoryBudget::unlimited();
+        let (txs, rxs, pool) =
+            operand_channels(1, 2, 4, &Spares::new(ColumnLayout::ints(1)), budget.clone());
         let mut router = Router::new(txs, 0, usize::MAX, pool.clone());
         let batch = router.batch();
         assert!(batch < 12_000, "a chunk spans more than one message");
@@ -1635,7 +1720,7 @@ mod tests {
     #[test]
     fn pool_respects_limit() {
         let layout = ColumnLayout::ints(1);
-        let pool = BatchPool::new(2, &Spares::new(layout.clone()));
+        let pool = BatchPool::new(2, &Spares::new(layout.clone()), MemoryBudget::unlimited());
         for _ in 0..5 {
             pool.put(ColumnBatch::with_capacity(&layout, 4));
         }

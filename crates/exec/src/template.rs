@@ -41,7 +41,7 @@
 //! across connections, so a catalog change, which makes the statement
 //! stale, also retires the template.
 
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
 use mj_core::plan_ir::{OperandSource, Split};
 use mj_core::validate::ValidPlan;
@@ -57,6 +57,7 @@ use crate::metrics::Metrics;
 use crate::operator::scratch::{Home, KeptTasks, TaskBody};
 use crate::operator::task::TaskMember;
 use crate::operator::{join_op, PhysicalOp};
+use crate::sched::lock;
 use crate::source::Source;
 use crate::stream::Spares;
 
@@ -600,7 +601,7 @@ impl RunTemplate {
             return Ok(Some(parts));
         }
         {
-            let resident = self.resident.lock().unwrap_or_else(PoisonError::into_inner);
+            let resident = lock(&self.resident);
             let names = self.bases.iter().map(|base| base.relation.as_str());
             let sets = resident.sets.iter().map(ResidentSet::held);
             if resident.sets.len() == self.bases.len() && catalog.touch(names.zip(sets)) {
@@ -627,7 +628,7 @@ impl RunTemplate {
         metrics: &mut Metrics,
     ) -> Result<Vec<Option<Source>>> {
         let held = || -> Option<Vec<Option<Source>>> {
-            let resident = self.resident.lock().unwrap_or_else(PoisonError::into_inner);
+            let resident = lock(&self.resident);
             resident.parts.iter().map(ResidentPart::upgrade).collect()
         };
         let mut parts = match resolved.or_else(held) {
@@ -688,7 +689,7 @@ impl RunTemplate {
             Source::Local(fragment) => ResidentPart::Fragment(Arc::downgrade(fragment)),
             _ => unreachable!("a resolved base part is a fragment or a table"),
         });
-        *self.resident.lock().unwrap_or_else(PoisonError::into_inner) = Resident {
+        *lock(&self.resident) = Resident {
             sets,
             parts: held.collect(),
         };

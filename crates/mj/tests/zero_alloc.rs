@@ -30,8 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
 
-use multijoin::exec::stream::{edge_buffer_bound, operand_channels, Msg, Router, Spares};
-use multijoin::exec::{generate_family, Database, DbConfig, QueryFamily};
+use multijoin::exec::stream::{
+    edge_buffer_bound, operand_channels, Msg, Router, Spares, TryRecvError,
+};
+use multijoin::exec::{generate_family, Database, DbConfig, MemoryBudget, QueryFamily};
 use multijoin::join::ColumnarTable;
 use multijoin::relalg::column::{ColumnBatch, ColumnLayout};
 use multijoin::relalg::{RelationProvider, Tuple};
@@ -144,16 +146,20 @@ fn assert_batch_pool_hit_rate() {
         CONSUMERS,
         CAPACITY,
         &Spares::new(ColumnLayout::ints(1)),
+        MemoryBudget::unlimited(),
     );
+    // Each consumer polls its edge, yielding while it is empty.
     let consumers: Vec<_> = rxs
         .into_iter()
         .map(|rx| {
             std::thread::spawn(move || {
                 let (mut rows, mut ends) = (0, 0);
                 while ends < PRODUCERS {
-                    match rx.recv().expect("stream open") {
-                        Msg::Batch(b) => rows += b.len(),
-                        Msg::End => ends += 1,
+                    match rx.poll_recv(Waker::noop()) {
+                        Ok(Msg::Batch(b)) => rows += b.len(),
+                        Ok(Msg::End) => ends += 1,
+                        Err(TryRecvError::Empty) => std::thread::yield_now(),
+                        Err(TryRecvError::Disconnected) => panic!("stream closed before End"),
                     }
                 }
                 rows

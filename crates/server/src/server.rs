@@ -34,7 +34,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
@@ -120,8 +120,15 @@ impl Shared {
     }
 
     fn open(&self) -> MutexGuard<'_, Open> {
-        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+        unpoisoned(self.open.lock())
     }
+}
+
+/// The guard of a lock or of a condition-variable wait, poisoned or not:
+/// the one way this crate locks. `Open` is two counters, whole after any
+/// panic, and a panicked task must not keep the server from shutting down.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One open connection's place in the client count, given back when its
@@ -212,15 +219,9 @@ impl Server {
         // quiescent. A task not yet stepped sees the flag on its first
         // step, so one the listener submits from here on ends too.
         db.engine().pool().wake_registered();
-        let mut open = self.shared.open();
-        while open.listening || open.clients > 0 {
-            open = self
-                .shared
-                .closed
-                .wait(open)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(open);
+        let open = self.shared.open();
+        let waiting = |open: &mut Open| open.listening || open.clients > 0;
+        drop(unpoisoned(self.shared.closed.wait_while(open, waiting)));
         drop(db);
     }
 }

@@ -50,7 +50,7 @@ use mj_join::ColumnarTable;
 use mj_relalg::column::ColumnBatch;
 use mj_relalg::Result;
 
-use crate::catalog::{Catalog, Entry};
+use crate::catalog::{lock, read, Catalog, Entry};
 use crate::columnar::{fragment_columns, Fragments};
 
 /// Partitioned variants kept per relation, beside its whole-relation image.
@@ -201,7 +201,7 @@ impl Variant {
 
 impl Entry {
     fn bytes(&self) -> u64 {
-        bytes_of(&self.image) + self.resident.lock().bytes()
+        bytes_of(&self.image) + lock(&self.resident).bytes()
     }
 }
 
@@ -218,10 +218,10 @@ impl Catalog {
     /// A snapshot of the resident-state counters, with the bytes every
     /// registered relation holds now.
     pub fn resident_stats(&self) -> ResidentStats {
-        let bytes = self.entries.read().values().map(|e| e.bytes()).sum();
+        let bytes = read(&self.entries).values().map(|e| e.bytes()).sum();
         ResidentStats {
             bytes,
-            ..*self.counters.lock()
+            ..*lock(&self.counters)
         }
     }
 
@@ -244,17 +244,17 @@ impl Catalog {
         let entry = self.entry(name)?;
         let resident = match degree {
             1 => Some(entry.image.clone()),
-            _ => entry.resident.lock().variant(key_col, degree),
+            _ => lock(&entry.resident).variant(key_col, degree),
         };
         if let Some(fragments) = resident {
-            self.counters.lock().hits += 1;
+            lock(&self.counters).hits += 1;
             return Ok((fragments, true));
         }
 
         // Miss: partition without holding the lock.
         let built = fragment_columns(&entry.image[0], key_col, degree)?;
-        self.counters.lock().misses += 1;
-        let mut resident = entry.resident.lock();
+        lock(&self.counters).misses += 1;
+        let mut resident = lock(&entry.resident);
         // Insert if absent: a concurrent miss on the same key that got
         // here first wins, and this caller adopts its copy.
         if let Some(winner) = resident
@@ -266,7 +266,7 @@ impl Catalog {
         }
         if resident.variants.len() == MAX_VARIANTS_PER_RELATION {
             resident.variants.remove(0);
-            self.counters.lock().evictions += 1;
+            lock(&self.counters).evictions += 1;
         }
         resident.variants.push(Variant {
             key_col,
@@ -287,7 +287,7 @@ impl Catalog {
         let (fragments, _) = self.fragments(name, key_col, degree)?;
         let entry = self.entry(name)?;
         {
-            let mut resident = entry.resident.lock();
+            let mut resident = lock(&entry.resident);
             let slot = resident.tables_slot(&entry.image, &fragments, key_col);
             if let Some(Some(tables)) = slot {
                 return Ok((tables.clone(), true));
@@ -304,8 +304,8 @@ impl Catalog {
             })
             .collect::<Result<_>>()?;
 
-        self.counters.lock().tables_built += 1;
-        let mut resident = entry.resident.lock();
+        lock(&self.counters).tables_built += 1;
+        let mut resident = lock(&entry.resident);
         // Gone: the fragments were evicted, or their relation replaced, in
         // the meantime, so the tables stay this caller's.
         let Some(slot) = resident.tables_slot(&entry.image, &fragments, key_col) else {
@@ -328,13 +328,13 @@ impl Catalog {
     /// again: a set that was evicted, or whose relation was replaced, is
     /// never served, even while something else keeps it alive.
     pub fn touch<'a>(&self, held: impl IntoIterator<Item = (&'a str, Held<'a>)>) -> bool {
-        let entries = self.entries.read();
+        let entries = read(&self.entries);
         let mut touched = 0;
         for (name, set) in held {
             let Some(entry) = entries.get(name) else {
                 return false;
             };
-            let mut resident = entry.resident.lock();
+            let mut resident = lock(&entry.resident);
             match resident.position(&entry.image, set) {
                 None => return false,
                 // Marking a variant used before finding that another one
@@ -347,7 +347,7 @@ impl Catalog {
             }
             touched += 1;
         }
-        self.counters.lock().hits += touched;
+        lock(&self.counters).hits += touched;
         true
     }
 }

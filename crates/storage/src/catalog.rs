@@ -10,13 +10,32 @@
 
 use mj_relalg::column::{Column, ColumnBatch};
 use mj_relalg::{RelalgError, Relation, RelationProvider, Result, Schema};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 use crate::cache::{Resident, ResidentStats};
 use crate::columnar::{scan_columns, Fragments};
+
+/// Locks a std mutex, tolerating poison: with [`read`] and [`write`], the
+/// one way this crate locks. Every update under these locks is a single
+/// insert, removal or counter step, so what a panicked holder left is
+/// whole, and one panicked query must not fail every later lookup.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for the shared side of a std reader-writer lock.
+pub(crate) fn read<T>(rw: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rw.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for the exclusive side of a std reader-writer lock.
+pub(crate) fn write<T>(rw: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rw.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Optimizer-visible statistics for a base relation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -96,8 +115,7 @@ impl Catalog {
 
     /// The entry registered under `name` now.
     pub(crate) fn entry(&self, name: &str) -> Result<Arc<Entry>> {
-        self.entries
-            .read()
+        read(&self.entries)
             .get(name)
             .cloned()
             .ok_or_else(|| RelalgError::UnknownRelation(name.to_string()))
@@ -121,7 +139,7 @@ impl Catalog {
             cardinality: relation.len() as u64,
         };
         let entry = Entry::load(&relation, stats)?;
-        let mut entries = self.entries.write();
+        let mut entries = write(&self.entries);
         if entries.contains_key(&name) {
             return Err(RelalgError::InvalidPlan(format!(
                 "relation `{name}` is already registered"
@@ -149,11 +167,11 @@ impl Catalog {
         stats: TableStats,
     ) {
         let entry = Entry::load(&relation, stats).expect("a relation's tuples match its schema");
-        let replaced = self.entries.write().insert(name.into(), Arc::new(entry));
+        let replaced = write(&self.entries).insert(name.into(), Arc::new(entry));
         self.bump_generation();
         if let Some(old) = replaced {
-            let sets = old.resident.lock().sets();
-            self.counters.lock().evictions += sets;
+            let sets = lock(&old.resident).sets();
+            lock(&self.counters).evictions += sets;
         }
     }
 
@@ -188,17 +206,17 @@ impl Catalog {
 
     /// Names of all registered relations (unordered).
     pub fn names(&self) -> Vec<String> {
-        self.entries.read().keys().cloned().collect()
+        read(&self.entries).keys().cloned().collect()
     }
 
     /// Number of registered relations.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        read(&self.entries).len()
     }
 
     /// True if no relations are registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        read(&self.entries).is_empty()
     }
 }
 
@@ -245,6 +263,19 @@ mod tests {
     fn rel(n: i64) -> Arc<Relation> {
         let schema = Schema::new(vec![Attribute::int("k")]).shared();
         Arc::new(Relation::new(schema, (0..n).map(|v| Tuple::from_ints(&[v])).collect()).unwrap())
+    }
+
+    #[test]
+    fn locks_poisoned_by_a_panicking_holder_still_lock_read_and_write() {
+        let (mutex, rw) = (Mutex::new(1), RwLock::new(vec![1]));
+        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guards = (lock(&mutex), write(&rw));
+            panic!("the holder panics");
+        }));
+        assert!(held.is_err() && mutex.is_poisoned() && rw.is_poisoned());
+        *lock(&mutex) += 1;
+        write(&rw).push(2);
+        assert_eq!((*lock(&mutex), read(&rw).clone()), (2, vec![1, 2]));
     }
 
     #[test]
