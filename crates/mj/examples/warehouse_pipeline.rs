@@ -9,11 +9,11 @@
 //! Five relations with *different* cardinalities and selectivities:
 //!
 //! ```text
-//! lineitems(order_key, part_key, qty)   20 000 rows
-//! orders(order_key, cust_key, date_key)  5 000 rows
-//! customers(cust_key, nation)              500 rows
-//! parts(part_key, brand)                   200 rows
-//! dates(date_key, month)                   365 rows
+//! lineitems(order_key, part_key, qty)   200 000 rows
+//! orders(order_key, cust_key, date_key)  50 000 rows
+//! customers(cust_key, nation)             5 000 rows
+//! parts(part_key, brand)                  2 000 rows
+//! dates(date_key, month)                    365 rows
 //! ```
 //!
 //! Costs phase 1's bushy DP against its greedy fallback on a non-regular
@@ -35,10 +35,10 @@ use rand::SeedableRng;
 
 /// Rows per relation. Each join key is uniform over the referenced
 /// relation's keys, so a predicate's selectivity is one over its size.
-const LINEITEMS: i64 = 20_000;
-const ORDERS: i64 = 5_000;
-const CUSTOMERS: i64 = 500;
-const PARTS: i64 = 200;
+const LINEITEMS: i64 = 200_000;
+const ORDERS: i64 = 50_000;
+const CUSTOMERS: i64 = 5_000;
+const PARTS: i64 = 2_000;
 const DATES: i64 = 365;
 
 /// One equi-join predicate of the warehouse query.

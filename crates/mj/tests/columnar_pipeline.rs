@@ -1,21 +1,17 @@
-//! Differential tests for the columnar execution path: the vectorized
-//! engine (columnar batches + selection vectors end-to-end) versus the
-//! sequential XRA oracle, on the seeded chain/star/skewed families.
-//!
-//! The row-era suite (`operator_pipeline.rs`) pins operator semantics;
-//! this one stresses the surfaces the columnar rewrite added: chunk
-//! boundaries at awkward batch sizes, both join algorithms over the same
-//! key columns, every allocation strategy, LIMIT early-stop, and
-//! mid-stream cancellation with exact fragment reclaim.
+//! The columnar execution path's early ends: a LIMIT that stops the
+//! pipeline early and a cancel mid-stream, each with exact fragment
+//! reclaim, then the full answer from the same session, checked against
+//! the sequential XRA oracle on a seeded chain. Chunk boundaries, filters,
+//! GROUP BY and every strategy are `differential.rs`'s dimensions.
 
 use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, Database, DbConfig, QueryFamily, QueryStatus,
 };
-use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation};
+use multijoin::relalg::RelalgError;
 
 mod common;
-use common::settled;
+use common::{oracle, settled};
 
 /// Opens a Database over a seeded family instance.
 fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
@@ -26,16 +22,6 @@ fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbC
     let db = Database::open(config).unwrap();
     instance.load(&db).unwrap();
     db
-}
-
-/// Evaluates `text`'s sequential oracle on `db`'s catalog.
-fn oracle(db: &Database, text: &str) -> Relation {
-    db.plan(text)
-        .unwrap_or_else(|e| panic!("{}", e.render(text)))
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(db.catalog().as_ref())
-        .unwrap()
 }
 
 /// Runs `text` on the columnar engine and asserts exact multiset equality
@@ -54,74 +40,6 @@ fn assert_matches_oracle(db: &Database, text: &str) -> usize {
         expected.len()
     );
     result.len()
-}
-
-#[test]
-fn chunk_boundaries_are_invisible_across_batch_sizes() {
-    // Columnar operands deliver chunk-at-a-time and the driver paces rows
-    // per scheduling quantum; odd batch sizes force splits at every
-    // boundary (mid-fragment, mid-chunk, mid-probe). The result must not
-    // depend on any of it.
-    let text = format!("{} WHERE R1.id < 170", chain_query_sql(4));
-    for batch_size in [3, 16, 129, 4096] {
-        let mut config = DbConfig::default();
-        config.exec.batch_size = batch_size;
-        config.exec.channel_capacity = 2;
-        let db = family_db(QueryFamily::Chain, 4, 350, 17, config);
-        assert_matches_oracle(&db, &text);
-    }
-}
-
-#[test]
-fn families_with_filters_and_group_by_match_oracle() {
-    // Chain and skewed share the (a, b, id) schema; skewed concentrates
-    // keys so probe batches hit long bucket chains.
-    for family in [QueryFamily::Chain, QueryFamily::Skewed] {
-        let db = family_db(family, 4, 400, 29, DbConfig::default());
-        let base = chain_query_sql(4);
-        assert_matches_oracle(&db, &format!("{base} WHERE R0.id < 120 AND R2.a <> 5"));
-        assert_matches_oracle(
-            &db,
-            &format!(
-                "SELECT R0.b, COUNT(*), SUM(R2.id), MIN(R1.id), MAX(R3.id) \
-                 {} WHERE R1.id < 260 GROUP BY R0.b",
-                &base["SELECT * ".len()..]
-            ),
-        );
-    }
-    // Star: a fact relation probing three dimension builds.
-    let db = family_db(QueryFamily::Star, 4, 240, 41, DbConfig::default());
-    assert_matches_oracle(
-        &db,
-        "SELECT R1.payload, COUNT(*), MAX(R3.measure) \
-         FROM R0 JOIN R3 ON R0.key = R3.fk0 \
-         JOIN R1 ON R1.key = R3.fk1 JOIN R2 ON R2.key = R3.fk2 \
-         WHERE R3.measure < 180 GROUP BY R1.payload",
-    );
-}
-
-#[test]
-fn forced_strategies_agree_on_the_columnar_result() {
-    // All four allocation strategies drive the same columnar kernels
-    // through different stream/materialization topologies; each must
-    // reproduce the oracle exactly.
-    let text = format!("{} WHERE R0.id < 200", chain_query_sql(4));
-    let reference = {
-        let db = family_db(QueryFamily::Chain, 4, 300, 53, DbConfig::default());
-        oracle(&db, &text)
-    };
-    for strategy in multijoin::core::Strategy::ALL {
-        let mut config = DbConfig::default();
-        config.planner.strategy = Some(strategy);
-        let db = family_db(QueryFamily::Chain, 4, 300, 53, config);
-        let result = db.query(&text).unwrap().collect().unwrap();
-        assert!(
-            result.multiset_eq(&reference),
-            "{strategy}: diverged from the oracle ({} vs {} rows)",
-            result.len(),
-            reference.len()
-        );
-    }
 }
 
 #[test]

@@ -1,23 +1,19 @@
-//! Differential tests for late materialization: ref-carrying narrow plans
-//! (`LateMode::Always`) versus the sequential XRA oracle, on the seeded
-//! chain/star/skewed families.
-//!
-//! `columnar_pipeline.rs` pins the eager columnar path; this suite forces
-//! the late rewrite and stresses what it changed: joins move packed row
-//! references instead of payloads, the root join gathers payloads from
-//! the pinned registry, and everything downstream (stages, client
-//! channel) must be byte-identical to the eager plan. Chunk boundaries,
-//! every allocation strategy, LIMIT early-stop with refs still in
-//! flight, and mid-stream cancellation all get the same treatment.
+//! Late materialization's lifecycle: ref-carrying narrow plans
+//! (`LateMode::Always`) stopped early by a LIMIT with refs still in
+//! flight, canceled mid-stream, and charged for the resident images they
+//! pin, each credited back exactly and checked against the sequential XRA
+//! oracle on a seeded chain. Late, eager and automatic plans under every
+//! strategy, batch cap, filter and GROUP BY are `differential.rs`'s
+//! dimensions.
 
-use multijoin::core::{ScheduleModel, Strategy};
+use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, Database, DbConfig, LateMode, QueryFamily, QueryStatus,
 };
-use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation};
+use multijoin::relalg::RelalgError;
 
 mod common;
-use common::settled;
+use common::{oracle, settled};
 
 /// Opens a Database over a seeded family instance.
 fn family_db(family: QueryFamily, k: usize, n: usize, seed: u64, mut config: DbConfig) -> Database {
@@ -37,16 +33,6 @@ fn late_config() -> DbConfig {
     config
 }
 
-/// Evaluates `text`'s sequential oracle on `db`'s catalog.
-fn oracle(db: &Database, text: &str) -> Relation {
-    db.plan(text)
-        .unwrap_or_else(|e| panic!("{}", e.render(text)))
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(db.catalog().as_ref())
-        .unwrap()
-}
-
 /// Runs `text` on the late-materialized engine and asserts exact multiset
 /// equality with the sequential oracle. Returns the row count.
 fn assert_matches_oracle(db: &Database, text: &str) -> usize {
@@ -63,104 +49,6 @@ fn assert_matches_oracle(db: &Database, text: &str) -> usize {
         expected.len()
     );
     result.len()
-}
-
-#[test]
-fn late_families_match_oracle_with_filters_and_group_by() {
-    // Chain and skewed share the (a, b, id) schema; skewed concentrates
-    // keys so long bucket chains carry many refs per probe row.
-    for family in [QueryFamily::Chain, QueryFamily::Skewed] {
-        let db = family_db(family, 4, 400, 29, late_config());
-        let base = chain_query_sql(4);
-        assert_matches_oracle(&db, &base);
-        assert_matches_oracle(&db, &format!("{base} WHERE R0.id < 120 AND R2.a <> 5"));
-        assert_matches_oracle(
-            &db,
-            &format!(
-                "SELECT R0.b, COUNT(*), SUM(R2.id), MIN(R1.id), MAX(R3.id) \
-                 {} WHERE R1.id < 260 GROUP BY R0.b",
-                &base["SELECT * ".len()..]
-            ),
-        );
-    }
-    // Star: the fact relation's refs survive three dimension probes.
-    let db = family_db(QueryFamily::Star, 4, 240, 41, late_config());
-    assert_matches_oracle(
-        &db,
-        "SELECT R1.payload, COUNT(*), MAX(R3.measure) \
-         FROM R0 JOIN R3 ON R0.key = R3.fk0 \
-         JOIN R1 ON R1.key = R3.fk1 JOIN R2 ON R2.key = R3.fk2 \
-         WHERE R3.measure < 180 GROUP BY R1.payload",
-    );
-    // The root gather ran: join-side emission is counted either way, so
-    // assert the engine's ref machinery is observable through stats.
-    assert!(
-        db.stats().gather_rows > 0,
-        "join gather counter must move under the late plan"
-    );
-}
-
-#[test]
-fn late_chunk_boundaries_are_invisible_across_batch_sizes() {
-    // Refs must resolve identically no matter where quantum and batch
-    // boundaries fall: odd sizes force flushes mid-fragment, mid-chunk,
-    // and mid-probe, each leaving refs in `out` across steps.
-    let text = format!("{} WHERE R1.id < 170", chain_query_sql(4));
-    for batch_size in [3, 16, 129, 4096] {
-        let mut config = late_config();
-        config.exec.batch_size = batch_size;
-        config.exec.channel_capacity = 2;
-        let db = family_db(QueryFamily::Chain, 4, 350, 17, config);
-        assert_matches_oracle(&db, &text);
-    }
-}
-
-#[test]
-fn late_forced_strategies_agree_on_the_result() {
-    // All four allocation strategies run the same narrow rewrite through
-    // different stream/materialization topologies; materialized narrow
-    // intermediates are re-scanned bucket-wise with refs intact.
-    let text = format!("{} WHERE R0.id < 200", chain_query_sql(4));
-    let reference = {
-        let db = family_db(QueryFamily::Chain, 4, 300, 53, DbConfig::default());
-        oracle(&db, &text)
-    };
-    for strategy in Strategy::ALL {
-        let mut config = late_config();
-        config.planner.strategy = Some(strategy);
-        let db = family_db(QueryFamily::Chain, 4, 300, 53, config);
-        let result = db.query(&text).unwrap().collect().unwrap();
-        assert!(
-            result.multiset_eq(&reference),
-            "{strategy}: late plan diverged from the oracle ({} vs {} rows)",
-            result.len(),
-            reference.len()
-        );
-    }
-}
-
-#[test]
-fn late_and_eager_return_identical_multisets() {
-    // Same data, same query, both modes: the rewrite must be invisible in
-    // the result. (`Never` forces the eager path even where `Auto` would
-    // rewrite.)
-    let text = format!("{} WHERE R0.id < 250", chain_query_sql(5));
-    let eager = {
-        let mut config = DbConfig::default();
-        config.exec.late = LateMode::Never;
-        let db = family_db(QueryFamily::Chain, 5, 300, 97, config);
-        db.query(&text).unwrap().collect().unwrap()
-    };
-    let late = {
-        let db = family_db(QueryFamily::Chain, 5, 300, 97, late_config());
-        db.query(&text).unwrap().collect().unwrap()
-    };
-    assert!(
-        late.multiset_eq(&eager),
-        "late ({}) vs eager ({}) rows",
-        late.len(),
-        eager.len()
-    );
 }
 
 #[test]

@@ -6,10 +6,10 @@
 
 use multijoin::core::ScheduleModel;
 use multijoin::exec::{chain_query_sql, generate_family, Database, DbConfig, QueryFamily};
-use multijoin::relalg::{JoinAlgorithm, Predicate, Relation};
+use multijoin::relalg::{Predicate, Relation};
 
 mod common;
-use common::settled;
+use common::{oracle, settled};
 
 /// Opens a Database over a seeded family instance (relations re-registered
 /// through the front door, statistics analyzed).
@@ -31,11 +31,7 @@ fn assert_matches_oracle(db: &Database, text: &str) -> usize {
         .plan(text)
         .unwrap_or_else(|e| panic!("{}", e.render(text)));
     assert!(!planned.has_limit(), "use the subset check for LIMIT");
-    let oracle = planned
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(db.catalog().as_ref())
-        .unwrap();
+    let oracle = oracle(db, text);
     let result = db
         .query(text)
         .unwrap_or_else(|e| panic!("{}", e.render(text)))
@@ -189,13 +185,8 @@ fn where_group_by_limit_streams_end_to_end() {
         "SELECT R0.b, COUNT(*) {} WHERE R1.id < 300 GROUP BY R0.b LIMIT 7",
         &chain_query_sql(4)["SELECT * ".len()..]
     );
-    let planned = db.plan(&text).unwrap();
-    assert!(planned.has_limit());
-    let oracle = planned
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(db.catalog().as_ref())
-        .unwrap();
+    assert!(db.plan(&text).unwrap().has_limit());
+    let oracle = oracle(&db, &text);
     let result = db.query(&text).unwrap().collect().unwrap();
     assert_eq!(result.len(), 7.min(oracle.len()));
     assert_eq!(result.schema().arity(), 2);

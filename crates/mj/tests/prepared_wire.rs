@@ -15,8 +15,11 @@ use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, star_query_sql, Database, DbConfig, QueryFamily, QueryOptions,
 };
-use multijoin::relalg::{JoinAlgorithm, RelalgError, Relation, RelationProvider, Value};
+use multijoin::relalg::{RelalgError, RelationProvider};
 use multijoin::server::{Client, ClientError, Server, ServerConfig};
+
+mod common;
+use common::{oracle_rows, rows, sorted, Rows};
 
 /// Opens a served Database over a seeded family instance; returns the db
 /// handle (for the oracle) and the running server.
@@ -30,26 +33,6 @@ fn family_server(family: QueryFamily, k: usize, n: usize, seed: u64) -> (Arc<Dat
     instance.load(&db).unwrap();
     let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
     (db, server)
-}
-
-/// Evaluates `text`'s sequential oracle on `db`'s catalog, canonically
-/// sorted for multiset comparison.
-fn oracle_rows(db: &Database, text: &str) -> Vec<Vec<Value>> {
-    let relation: Relation = db
-        .plan(text)
-        .unwrap_or_else(|e| panic!("{}", e.render(text)))
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(db.catalog().as_ref())
-        .unwrap();
-    let mut rows: Vec<Vec<Value>> = relation.iter().map(|t| t.values().to_vec()).collect();
-    rows.sort();
-    rows
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
 }
 
 fn connect(addr: SocketAddr) -> Client {
@@ -321,13 +304,13 @@ fn a_catalog_change_retires_the_template_once() {
     let param_q = format!("{} WHERE R1.id < ?1", chain_query_sql(3));
     let stmt = db.prepare(&param_q).unwrap();
     let engine = db.engine();
-    let run = |arg: i64| -> Vec<Vec<Value>> {
+    let run = |arg: i64| -> Rows {
         let relation = db
             .execute_prepared(&stmt, &[arg])
             .unwrap()
             .collect()
             .unwrap();
-        sorted(relation.iter().map(|t| t.values().to_vec()).collect())
+        rows(&relation)
     };
     assert_eq!(run(120), oracle_rows(&db, &bound(&param_q, 120)));
     assert!(stmt.template().is_some(), "the first execute builds it");
@@ -396,7 +379,7 @@ fn an_aborted_templated_execute_leaves_nothing_behind() {
             .unwrap()
             .collect()
             .unwrap();
-        sorted(relation.iter().map(|t| t.values().to_vec()).collect())
+        rows(&relation)
     };
     assert_eq!(answer(), expected);
     let built = engine.templates_built();

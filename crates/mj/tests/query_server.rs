@@ -12,8 +12,10 @@ use multijoin::core::ScheduleModel;
 use multijoin::exec::{
     chain_query_sql, generate_family, star_query_sql, Database, DbConfig, QueryFamily,
 };
-use multijoin::relalg::{JoinAlgorithm, Relation, Value};
 use multijoin::server::{Client, ClientError, Server, ServerConfig};
+
+mod common;
+use common::{oracle_rows, sorted, Rows};
 
 /// Opens a served Database over a seeded family instance; returns the db
 /// handle (for the oracle) and the running server.
@@ -34,31 +36,11 @@ fn family_server(
     (db, server)
 }
 
-/// Evaluates `text`'s sequential oracle on `db`'s catalog, canonically
-/// sorted for multiset comparison.
-fn oracle_rows(db: &Database, text: &str) -> Vec<Vec<Value>> {
-    let relation: Relation = db
-        .plan(text)
-        .unwrap_or_else(|e| panic!("{}", e.render(text)))
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(db.catalog().as_ref())
-        .unwrap();
-    let mut rows: Vec<Vec<Value>> = relation.iter().map(|t| t.values().to_vec()).collect();
-    rows.sort();
-    rows
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
 /// Runs `clients` concurrent wire clients, each issuing every query in
 /// `texts` `rounds` times, and asserts every reply is multiset-identical
 /// to the oracle.
 fn hammer(addr: SocketAddr, db: &Database, texts: &[String], clients: usize, rounds: usize) {
-    let expected: Vec<Vec<Vec<Value>>> = texts.iter().map(|t| oracle_rows(db, t)).collect();
+    let expected: Vec<Rows> = texts.iter().map(|t| oracle_rows(db, t)).collect();
     let texts = Arc::new(texts.to_vec());
     let expected = Arc::new(expected);
 

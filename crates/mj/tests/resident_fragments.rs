@@ -37,6 +37,9 @@ use multijoin::exec::{
 use multijoin::relalg::{JoinAlgorithm, Relation};
 use multijoin::storage::MAX_VARIANTS_PER_RELATION;
 
+mod common;
+use common::oracle_over;
+
 const RELATIONS: usize = 4;
 const ROWS: usize = 400;
 
@@ -64,17 +67,6 @@ fn open_with(instance: &FamilyInstance, tweak: impl Fn(&mut DbConfig)) -> Databa
     let db = Database::open(config).unwrap();
     instance.load(&db).unwrap();
     db
-}
-
-/// The sequential oracle's answer to `text` over `relations`, planned on
-/// `db` (the plan's logical query does not depend on the data).
-fn oracle(db: &Database, text: &str, relations: &HashMap<String, Arc<Relation>>) -> Relation {
-    db.plan(text)
-        .unwrap_or_else(|e| panic!("{}", e.render(text)))
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(relations)
-        .unwrap()
 }
 
 fn drain(mut handle: QueryHandle) -> (Relation, Metrics) {
@@ -134,7 +126,7 @@ fn second_identical_query_builds_nothing() {
     assert_eq!(after.tables_built, resident.tables_built, "no table built");
     assert_eq!(after.bytes, resident.bytes);
     assert!(warm_rows.multiset_eq(&cold_rows));
-    assert!(warm_rows.multiset_eq(&oracle(&db, &text, &instance.catalog)));
+    assert!(warm_rows.multiset_eq(&oracle_over(&db, &text, &instance.catalog)));
 
     // The counters are what an operator sees on /metrics.
     let exported = db.stats();
@@ -176,7 +168,7 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
             planned.explain()
         );
         let (rows, _) = drain(db.query(&text).unwrap());
-        let expected = oracle(&db, &text, &instance.catalog);
+        let expected = oracle_over(&db, &text, &instance.catalog);
         assert!(
             rows.multiset_eq(&expected),
             "{filter}: engine {} rows, oracle {}",
@@ -188,7 +180,7 @@ fn scan_filters_over_cached_fragments_match_the_oracle() {
     // One prepared statement, different `?1`: survivors are per execution.
     let stmt = db.prepare(&format!("{joins} WHERE R1.id < ?1")).unwrap();
     let expect = |arg: i64| {
-        oracle(
+        oracle_over(
             &db,
             &format!("{joins} WHERE R1.id < {arg}"),
             &instance.catalog,
@@ -248,7 +240,7 @@ fn a_filtered_build_side_is_indexed_privately() {
 
     let expect = |arg: i64| {
         let text = format!("{joins} WHERE {name}.id < {arg}");
-        oracle(&db, &text, &instance.catalog)
+        oracle_over(&db, &text, &instance.catalog)
     };
     let (rows, _) = drain(db.execute_prepared(&stmt, &[200]).unwrap());
     assert!(rows.multiset_eq(&expect(200)));
@@ -299,8 +291,8 @@ fn replacing_a_relation_while_querying_never_serves_stale_or_mixed_fragments() {
         .iter()
         .map(|relations| {
             [
-                oracle(&db, &bound_sql, relations),
-                oracle(&db, &adhoc_sql, relations),
+                oracle_over(&db, &bound_sql, relations),
+                oracle_over(&db, &adhoc_sql, relations),
             ]
         })
         .collect();
@@ -423,7 +415,7 @@ fn an_evicted_variant_is_resolved_again_never_served() {
     let text = format!("{joins} WHERE R1.id < ?1");
     let stmt = db.prepare(&text).unwrap();
     let expect = |arg: i64| {
-        oracle(
+        oracle_over(
             &db,
             &format!("{joins} WHERE R1.id < {arg}"),
             &instance.catalog,

@@ -28,13 +28,11 @@ use multijoin::exec::{
     generate_family, Database, DbConfig, FaultKind, FaultPlan, FaultPoint, PreparedStatement,
     QueryFamily, QueryOptions,
 };
-use multijoin::relalg::{JoinAlgorithm, RelalgError, RelationProvider, Value};
+use multijoin::relalg::{RelalgError, RelationProvider};
 use multijoin::storage::Catalog;
 
 mod common;
-use common::settled;
-
-type Rows = Vec<Vec<Value>>;
+use common::{oracle_rows, rows, settled, Rows};
 
 const RELATIONS: usize = 14;
 
@@ -58,22 +56,9 @@ fn chain_db() -> (Database, String) {
     (db, sql)
 }
 
-fn sorted(mut rows: Rows) -> Rows {
-    rows.sort();
-    rows
-}
-
 /// The oracle's rows for the statement with `?1` bound to `arg`.
 fn oracle(db: &Database, text: &str, arg: i64) -> Rows {
-    let text = text.replace("?1", &arg.to_string());
-    let relation = db
-        .plan(&text)
-        .unwrap()
-        .oracle_xra(JoinAlgorithm::Simple)
-        .unwrap()
-        .eval(db.catalog().as_ref())
-        .unwrap();
-    sorted(relation.iter().map(|t| t.values().to_vec()).collect())
+    oracle_rows(db, &text.replace("?1", &arg.to_string()))
 }
 
 /// One execute with `opts`: its rows, or its error, once its budget has
@@ -86,9 +71,7 @@ fn execute(
 ) -> Result<Rows, RelalgError> {
     let handle = db.execute_prepared_with(stmt, &[arg], opts).unwrap();
     let budget = handle.budget().clone();
-    let rows = handle
-        .collect()
-        .map(|relation| sorted(relation.iter().map(|t| t.values().to_vec()).collect()));
+    let rows = handle.collect().map(|relation| rows(&relation));
     assert_eq!(settled(&budget), 0, "?1 = {arg}: the budget settles");
     rows
 }

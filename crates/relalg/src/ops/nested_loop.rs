@@ -1,5 +1,6 @@
-//! Nested-loop equi-join: the quadratic, obviously-correct join used as the
-//! oracle against which every hash join in the workspace is verified.
+//! Nested-loop equi-join: the quadratic, obviously-correct reference that
+//! the sort-merge join's property test checks the oracle's join against
+//! ([`super::sort_merge`]). The oracle itself no longer runs it.
 
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use crate::relation::Relation;
 use crate::xra::EquiJoin;
 
 /// Joins `left` and `right` with the given equi-join spec by exhaustive
-/// pairing. O(|L|·|R|) — test/oracle use only.
+/// pairing. O(|L|·|R|) — a test reference only.
 pub fn nested_loop_join(left: &Relation, right: &Relation, join: &EquiJoin) -> Result<Relation> {
     let out_schema = Arc::new(
         join.projection

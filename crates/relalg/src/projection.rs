@@ -48,7 +48,7 @@ impl Projection {
     }
 
     /// Applies the projection to the virtual concatenation of two tuples
-    /// (the oracle's nested-loop join).
+    /// (the oracle's joins).
     pub fn apply_concat(&self, left: &Tuple, right: &Tuple) -> Result<Tuple> {
         Tuple::project_concat(left, right, &self.cols)
     }

@@ -13,14 +13,14 @@ use std::sync::Arc;
 
 use crate::error::Result;
 use crate::ops;
-use crate::ops::{nested_loop::nested_loop_join, AggSpec};
+use crate::ops::{sort_merge_join, AggSpec};
 use crate::predicate::Predicate;
 use crate::projection::Projection;
 use crate::relation::{Relation, RelationProvider};
 use crate::schema::Schema;
 
 /// Which hash-join algorithm a physical backend should use for a join node.
-/// The sequential evaluator ignores the hint (it uses a nested-loop oracle);
+/// The sequential evaluator ignores the hint (it uses a sort-merge oracle);
 /// the paper's strategies pick `Simple` for SP/SE/RD and `Pipelining` for FP
 /// (§3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -199,8 +199,10 @@ impl XraNode {
         }
     }
 
-    /// Sequential reference evaluation. Joins use the nested-loop oracle so
-    /// that this path shares no code with the hash joins it validates.
+    /// Sequential reference evaluation: the correctness oracle. Joins are
+    /// sort-merge joins ([`ops::sort_merge_join`]), which share no hashing
+    /// with the engine's hash joins (`relalg::hash`, `mj-join`) they
+    /// validate.
     pub fn eval(&self, provider: &dyn RelationProvider) -> Result<Relation> {
         match self {
             XraNode::Scan { relation } => Ok(provider.relation(relation)?.as_ref().clone()),
@@ -213,7 +215,7 @@ impl XraNode {
             } => {
                 let l = left.eval(provider)?;
                 let r = right.eval(provider)?;
-                nested_loop_join(&l, &r, join)
+                sort_merge_join(&l, &r, join)
             }
             XraNode::Aggregate { input, group, aggs } => {
                 ops::aggregate(&input.eval(provider)?, group, aggs)
